@@ -59,7 +59,7 @@ use nocem_common::rng::Lfsr16;
 use nocem_common::route::RouteHop;
 use nocem_common::time::Cycle;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
-use nocem_stats::ledger::PacketLedger;
+use nocem_stats::ledger::{LedgerError, PacketLedger};
 use nocem_stats::receptor::CompletedPacket;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
@@ -69,6 +69,36 @@ use nocem_telemetry::{Collector, CumulativeProbe};
 use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use std::time::Instant;
+
+/// A set of indices below a fixed bound, one bit each, walked in
+/// ascending order (the reference engine's order) word by word.
+#[derive(Debug, Clone)]
+pub(crate) struct LiveSet(pub(crate) Vec<u64>);
+
+impl LiveSet {
+    fn new(bound: usize) -> Self {
+        LiveSet(vec![0; bound.div_ceil(64)])
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.0[i >> 6] |= 1 << (i & 63);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.0[i >> 6] &= !(1 << (i & 63));
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, i: usize) -> bool {
+        self.0[i >> 6] & (1 << (i & 63)) != 0
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+}
 
 /// The compiled platform: flat arrays stepped by tight loops.
 ///
@@ -97,9 +127,22 @@ pub struct CompiledEngine {
     /// Per TG: first cycle whose (deferred) tick has not been
     /// replayed yet.
     pub(crate) tg_synced: Vec<u64>,
-    /// Per NI: known non-idle; `tick_send` on an idle NI is a pure
-    /// no-op and is skipped.
-    pub(crate) ni_active: Vec<bool>,
+    /// `min(tg_next_event)`: below it, with nothing parked, the whole
+    /// TG phase is a no-op. Recomputed whenever the phase runs.
+    pub(crate) tg_min_next: u64,
+    /// Occupied `pending` registers.
+    pub(crate) parked: usize,
+    /// TGs that report `is_exhausted()` (they never tick again).
+    pub(crate) exhausted: usize,
+    /// NIs holding a queued or half-serialized packet; `tick_send` on
+    /// any other NI is a pure no-op and is skipped.
+    pub(crate) ni_live: LiveSet,
+    /// Switches with `occ_flits > 0`; only these can decide anything.
+    pub(crate) sw_live: LiveSet,
+    /// `sw_live` as of this cycle's decide — the switches commit
+    /// visits. Flits landing during the cycle (NI inject, upstream
+    /// commits) become visible next cycle, as in the reference.
+    pub(crate) sw_decided: Vec<u64>,
     pub(crate) stalled: u64,
     pub(crate) delivered_flits: u64,
     pub(crate) cycles_skipped: u64,
@@ -132,8 +175,6 @@ pub struct CompiledEngine {
     /// Per global output port: this cycle's transfer grant, encoded
     /// `(input_slot << 8) | out_vc` ([`LOWERED_NONE`] = none).
     pub(crate) granted: Vec<u32>,
-    /// Per switch: decided this cycle (commit processes only these).
-    pub(crate) active: Vec<bool>,
     /// Scratch: per switch-local input slot, the requested switch-local
     /// output slot (valid only for occupied slots).
     pub(crate) requests: Vec<u16>,
@@ -320,18 +361,23 @@ impl CompiledEngine {
                     && low.outputs[s] as usize <= 64
             })
             .collect();
-        let tg_next_event = tgs
+        let tg_next_event: Vec<u64> = tgs
             .iter()
             .map(|t| t.next_event_cycle(Cycle::ZERO).cycle_or_max())
             .collect();
         CompiledEngine {
+            tg_min_next: tg_next_event.iter().copied().min().unwrap_or(u64::MAX),
+            parked: 0,
+            exhausted: tgs.iter().filter(|t| t.is_exhausted()).count(),
+            ni_live: LiveSet::new(nis.len()),
+            sw_live: LiveSet::new(low.switch_count),
+            sw_decided: vec![0; low.switch_count.div_ceil(64)],
             ledger: PacketLedger::new(),
             now: Cycle::ZERO,
             next_packet: 0,
             pending: vec![None; tgs.len()],
             tg_next_event,
             tg_synced: vec![0; tgs.len()],
-            ni_active: vec![false; nis.len()],
             stalled: 0,
             delivered_flits: 0,
             cycles_skipped: 0,
@@ -349,7 +395,6 @@ impl CompiledEngine {
             credit_debt: 0,
             vc_granted: vec![SLOT_NONE; total_out_slots],
             granted: vec![LOWERED_NONE; total_out_ports],
-            active: vec![false; low.switch_count],
             requests: vec![0; low.max_in_slots],
             slot_reqs: vec![0; low.max_out_slots],
             vc_reqs: vec![false; low.max_out_slots * low.max_in_slots],
@@ -400,38 +445,91 @@ impl CompiledEngine {
         &self.low
     }
 
-    /// Whether the whole platform is quiescent — the O(1) aggregate
-    /// form of [`clock::platform_quiescent`]: no packet in flight, no
-    /// parked TG request, every NI idle with credits home, no buffered
-    /// flit, no open wormhole, every finite credit back at its cap.
-    pub fn is_quiescent(&self) -> bool {
-        self.ledger.in_flight() == 0
-            && self.pending.iter().all(Option::is_none)
-            && self.nis.iter().all(|n| n.is_idle() && n.credits_home())
-            && self.total_occ == 0
+    /// Whether nothing is parked, queued, buffered or owed anywhere in
+    /// the stepped slice — the platform half of quiescence from the
+    /// aggregates alone. NI credits need no clause of their own: with
+    /// no buffered flit every flit an NI sent has been popped, and the
+    /// pop is what returns its credit.
+    pub(crate) fn network_idle(&self) -> bool {
+        self.total_occ == 0
+            && self.parked == 0
             && self.open_worms == 0
             && self.credit_debt == 0
+            && self.ni_live.is_empty()
+    }
+
+    /// Whether the whole platform is quiescent — the aggregate form of
+    /// [`clock::platform_quiescent`]: no packet in flight, no parked TG
+    /// request, every NI idle with credits home, no buffered flit, no
+    /// open wormhole, every finite credit back at its cap.
+    pub fn is_quiescent(&self) -> bool {
+        self.ledger.in_flight() == 0 && self.network_idle()
+    }
+
+    /// Debug builds check at every step boundary that the live sets
+    /// and counters mirror the state they summarise.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_live_sets(&self) {
+        for (s, &occ) in self.occ_flits.iter().enumerate() {
+            assert_eq!(self.sw_live.contains(s), occ > 0, "switch bit {s}");
+        }
+        for (i, ni) in self.nis.iter().enumerate() {
+            assert_eq!(self.ni_live.contains(i), !ni.is_idle(), "NI bit {i}");
+        }
+        assert_eq!(self.parked, self.pending.iter().flatten().count());
+        assert_eq!(
+            self.exhausted,
+            self.tgs.iter().filter(|t| t.is_exhausted()).count()
+        );
+        assert_eq!(
+            self.tg_min_next,
+            self.tg_next_event.iter().copied().min().unwrap_or(u64::MAX)
+        );
+        assert!(!self.network_idle() || self.nis.iter().all(SourceNi::credits_home));
     }
 
     /// Replays TG `i`'s deferred pure-countdown window `[synced, now)`
     /// so its next tick observes exactly the state an every-cycle run
-    /// would have produced.
+    /// would have produced. The window may span any number of deferred
+    /// ticks and clock-gated jumps: `skip_to` composes.
     #[inline]
-    pub(crate) fn sync_tg(&mut self, i: usize, now: Cycle) {
+    fn sync_tg(&mut self, i: usize, now: Cycle) {
         if self.tg_synced[i] < now.raw() {
             self.tgs[i].skip_to(Cycle::new(self.tg_synced[i]), now);
         }
-        self.tg_synced[i] = now.raw();
+    }
+
+    /// Anchors TG `i`'s event window at the next tickable cycle after
+    /// a tick (or an un-park — the tick clock is paused while parked).
+    #[inline]
+    fn reanchor_tg(&mut self, i: usize, now: Cycle) {
+        self.tg_synced[i] = now.raw() + 1;
+        self.tg_next_event[i] = self.tgs[i].next_event_cycle(now.next()).cycle_or_max();
     }
 
     /// Closes a profiling lap: charges `phase` the time since `*t` and
     /// chains the next timestamp. No-op (a single `Option` check) when
     /// profiling is off.
     #[inline]
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
+    pub(crate) fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
         if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
             *prev = p.lap(*prev, phase);
         }
+    }
+
+    /// Runs one ledger call, charged to the nested ledger phase when
+    /// profiling.
+    #[inline]
+    fn on_ledger<T>(
+        &mut self,
+        call: impl FnOnce(&mut PacketLedger) -> Result<T, LedgerError>,
+    ) -> Result<T, EmulationError> {
+        let start = self.profiler.as_ref().map(PhaseProfiler::begin);
+        let out = call(&mut self.ledger)?;
+        if let (Some(s), Some(p)) = (start, self.profiler.as_mut()) {
+            p.nested(s, Phase::Ledger);
+        }
+        Ok(out)
     }
 
     /// Advances one platform cycle — the exact phase order of
@@ -444,22 +542,19 @@ impl CompiledEngine {
     /// exceeded.
     pub fn step(&mut self) -> Result<(), EmulationError> {
         let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
+        #[cfg(debug_assertions)]
+        self.assert_live_sets();
         if self.config.clock_mode == ClockMode::Gated && self.is_quiescent() {
-            // The shared fast-forward kernel assumes TGs are ticked up
-            // to `now`; replay any deferred countdown windows first.
-            let at = self.now;
-            for i in 0..self.tgs.len() {
-                self.sync_tg(i, at);
-            }
-            let skipped =
-                clock::fast_forward(self.now, self.config.stop.cycle_limit, &mut self.tgs);
-            self.now += skipped;
-            self.cycles_skipped += skipped;
-            if skipped > 0 {
-                let at = self.now.raw();
-                for i in 0..self.tgs.len() {
-                    self.tg_synced[i] = at;
-                    self.tg_next_event[i] = self.tgs[i].next_event_cycle(self.now).cycle_or_max();
+            // TGs are synchronised lazily (`sync_tg`), so the jump to
+            // the earliest event touches none of them. The clamp makes
+            // a run past the limit raise its error on the same cycle.
+            let target = self.tg_min_next.min(self.config.stop.cycle_limit);
+            if target > self.now.raw() {
+                let skipped = target - self.now.raw();
+                self.now += skipped;
+                self.cycles_skipped += skipped;
+                if let Some(p) = self.profiler.as_mut() {
+                    p.work.fast_forwards += 1;
                 }
             }
         }
@@ -479,133 +574,29 @@ impl CompiledEngine {
         self.lap(&mut t, Phase::Probe);
         let now = self.now;
 
-        // 1. Traffic models release packets (parked requests retry
-        //    first, exactly like the interpreted engine). TGs whose
-        //    next event lies in the future are not ticked: those ticks
-        //    are pure countdowns, replayed in one `skip_to` jump right
-        //    before the next real tick.
-        for i in 0..self.tgs.len() {
-            let req = match self.pending[i].take() {
-                Some(req) if self.nis[i].can_accept() => {
-                    // The tick clock was paused while the request was
-                    // parked; re-anchor the event window at the next
-                    // tickable cycle.
-                    self.tg_synced[i] = now.raw() + 1;
-                    self.tg_next_event[i] = self.tgs[i].next_event_cycle(now.next()).cycle_or_max();
-                    req
-                }
-                Some(req) => {
-                    self.pending[i] = Some(req);
-                    self.stalled += 1;
-                    continue;
-                }
-                None => {
-                    if now.raw() < self.tg_next_event[i] {
-                        continue;
-                    }
-                    self.sync_tg(i, now);
-                    let released = self.tgs[i].tick(now);
-                    self.tg_synced[i] = now.raw() + 1;
-                    self.tg_next_event[i] = self.tgs[i].next_event_cycle(now.next()).cycle_or_max();
-                    let Some(req) = released else {
-                        continue;
-                    };
-                    if !self.nis[i].can_accept() {
-                        self.pending[i] = Some(req);
-                        self.stalled += 1;
-                        continue;
-                    }
-                    req
-                }
-            };
-            let id = PacketId::new(self.next_packet);
-            let desc = PacketDescriptor {
-                id,
-                src: self.generator_endpoints[i],
-                dst: req.dst,
-                flow: req.flow,
-                len_flits: req.len_flits,
-                release: now,
-            };
-            let accepted = self.nis[i].offer(desc);
-            debug_assert!(accepted, "capacity was checked before the offer");
-            self.ni_active[i] = true;
-            self.next_packet += 1;
-            let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-            self.ledger.release(id, now, req.len_flits)?;
-            if let Some(s) = ledger_start {
-                self.profiler
-                    .as_mut()
-                    .expect("timestamp implies profiler")
-                    .nested(s, Phase::Ledger);
-            }
-        }
+        self.release_phase(now, |eng, _, id, len| {
+            eng.on_ledger(|l| l.release(id, now, len))
+        })?;
         self.lap(&mut t, Phase::TgTick);
-
-        // 2. All switches decide on start-of-cycle state. A switch
-        //    with no buffered flit can produce no request, move no
-        //    pointer and step no LFSR — skip it entirely.
-        let vc1 = self.low.num_vcs == 1;
-        for s in 0..self.low.switch_count {
-            if self.occ_flits[s] == 0 {
-                self.active[s] = false;
-                continue;
-            }
-            self.active[s] = true;
-            if self.mask_ok[s] {
-                if vc1 {
-                    self.decide_switch_mask_vc1(s);
-                } else {
-                    self.decide_switch_mask(s);
-                }
-            } else {
-                self.decide_switch_dense(s);
-            }
-        }
+        self.decide_phase();
         self.lap(&mut t, Phase::Decide);
-
-        // 3. Network interfaces inject (visible next cycle). An idle
-        //    NI's `tick_send` is a pure no-op — skipped.
-        for i in 0..self.nis.len() {
-            if !self.ni_active[i] {
-                continue;
-            }
-            let Some(flit) = self.nis[i].tick_send() else {
-                if self.nis[i].is_idle() {
-                    self.ni_active[i] = false;
-                }
-                continue;
-            };
-            if flit.kind.is_head() {
-                let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-                self.ledger.inject(flit.packet, now)?;
-                if let Some(s) = ledger_start {
-                    self.profiler
-                        .as_mut()
-                        .expect("timestamp implies profiler")
-                        .nested(s, Phase::Ledger);
-                }
-            }
-            let (sw, base) = (self.low.inject_switch[i], self.low.inject_slot_base[i]);
-            let vc = flit.vc.index();
-            let h = self.intern(flit);
-            self.accept_flit(sw as usize, base, h, vc)?;
-        }
+        self.inject_phase(|eng, id| eng.on_ledger(|l| l.inject(id, now)))?;
         self.lap(&mut t, Phase::NiInject);
 
         // 4. All decided switches commit; flits move one hop.
-        for s in 0..self.low.switch_count {
-            if !self.active[s] {
-                continue;
-            }
-            if self.mask_ok[s] {
-                if vc1 {
+        let vc1 = self.low.num_vcs == 1;
+        for w in 0..self.sw_decided.len() {
+            let mut m = self.sw_decided[w];
+            while m != 0 {
+                let s = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                if !self.mask_ok[s] {
+                    self.commit_switch_dense(s, now)?;
+                } else if vc1 {
                     self.commit_switch_mask_vc1(s, now)?;
                 } else {
                     self.commit_switch_mask(s, now)?;
                 }
-            } else {
-                self.commit_switch_dense(s, now)?;
             }
         }
         self.lap(&mut t, Phase::Commit);
@@ -637,6 +628,154 @@ impl CompiledEngine {
                 limit: self.config.stop.cycle_limit,
                 delivered: self.ledger.delivered(),
             });
+        }
+        Ok(())
+    }
+
+    /// Phase 1 — traffic models release packets into their NIs;
+    /// `on_release(engine, generator, id, len_flits)` books each one.
+    /// While the clock is below the earliest TG event and no request is
+    /// parked every tick would be a pure countdown, so the phase is
+    /// skipped whole; otherwise all TGs are visited in index order (the
+    /// order packet ids are assigned in), which also refreshes the
+    /// watermark. Ids count up from `next_packet`.
+    pub(crate) fn release_phase(
+        &mut self,
+        now: Cycle,
+        mut on_release: impl FnMut(&mut Self, usize, PacketId, u16) -> Result<(), EmulationError>,
+    ) -> Result<(), EmulationError> {
+        if self.parked == 0 && now.raw() < self.tg_min_next {
+            if let Some(p) = self.profiler.as_mut() {
+                p.work.tg_phases_skipped += 1;
+            }
+            return Ok(());
+        }
+        let mut min_next = u64::MAX;
+        for i in 0..self.tgs.len() {
+            if let Some(req) = self.poll_tg(i, now) {
+                let id = PacketId::new(self.next_packet);
+                self.next_packet += 1;
+                let desc = PacketDescriptor {
+                    id,
+                    src: self.generator_endpoints[i],
+                    dst: req.dst,
+                    flow: req.flow,
+                    len_flits: req.len_flits,
+                    release: now,
+                };
+                let accepted = self.nis[i].offer(desc);
+                debug_assert!(accepted, "capacity was checked before the offer");
+                self.ni_live.insert(i);
+                on_release(self, i, id, req.len_flits)?;
+            }
+            min_next = min_next.min(self.tg_next_event[i]);
+        }
+        self.tg_min_next = min_next;
+        Ok(())
+    }
+
+    /// TG `i`'s request for its NI at `now`, if the NI can take one. A
+    /// parked request retries first, exactly like the interpreted
+    /// engine (the model is clock-gated while its output register is
+    /// occupied). A TG whose next event lies in the future is not
+    /// ticked: those ticks are pure countdowns, replayed in one
+    /// `skip_to` jump right before the next real tick. Runs once per TG
+    /// per cycle on the dense path, where an actual call shows up in
+    /// the tg-tick phase — hence `inline(always)`.
+    #[inline(always)]
+    fn poll_tg(&mut self, i: usize, now: Cycle) -> Option<PacketRequest> {
+        if self.pending[i].is_some() {
+            if !self.nis[i].can_accept() {
+                self.stalled += 1;
+                return None;
+            }
+            self.parked -= 1;
+            self.reanchor_tg(i, now);
+            return self.pending[i].take();
+        }
+        if now.raw() < self.tg_next_event[i] {
+            return None;
+        }
+        self.sync_tg(i, now);
+        let released = self.tgs[i].tick(now);
+        self.reanchor_tg(i, now);
+        if self.tg_next_event[i] == u64::MAX && self.tgs[i].is_exhausted() {
+            self.exhausted += 1;
+        }
+        if let Some(p) = self.profiler.as_mut() {
+            p.work.tg_ticks += 1;
+        }
+        let req = released?;
+        if !self.nis[i].can_accept() {
+            self.parked += 1;
+            self.pending[i] = Some(req);
+            self.stalled += 1;
+            return None;
+        }
+        Some(req)
+    }
+
+    /// Phase 2 — every switch live at the start of the cycle decides.
+    /// A switch with no buffered flit can produce no request, move no
+    /// pointer and step no LFSR, so it is never looked at. Decide has
+    /// no cross-switch effects.
+    pub(crate) fn decide_phase(&mut self) {
+        self.sw_decided.copy_from_slice(&self.sw_live.0);
+        if let Some(p) = self.profiler.as_mut() {
+            p.work.switches_scanned += self.sw_decided.len() as u64;
+            p.work.switches_decided += self
+                .sw_decided
+                .iter()
+                .map(|w| u64::from(w.count_ones()))
+                .sum::<u64>();
+        }
+        let vc1 = self.low.num_vcs == 1;
+        for w in 0..self.sw_decided.len() {
+            let mut m = self.sw_decided[w];
+            while m != 0 {
+                let s = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                if !self.mask_ok[s] {
+                    self.decide_switch_dense(s);
+                } else if vc1 {
+                    self.decide_switch_mask_vc1(s);
+                } else {
+                    self.decide_switch_mask(s);
+                }
+            }
+        }
+    }
+
+    /// Phase 3 — live network interfaces inject (visible to decide
+    /// next cycle); `on_inject(engine, packet)` books each head flit.
+    /// An NI leaves the set with its last flit.
+    pub(crate) fn inject_phase(
+        &mut self,
+        mut on_inject: impl FnMut(&mut Self, PacketId) -> Result<(), EmulationError>,
+    ) -> Result<(), EmulationError> {
+        for w in 0..self.ni_live.0.len() {
+            let live = self.ni_live.0[w];
+            if let Some(p) = self.profiler.as_mut() {
+                p.work.ni_ticks += u64::from(live.count_ones());
+            }
+            let mut m = live;
+            while m != 0 {
+                let i = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let Some(flit) = self.nis[i].tick_send() else {
+                    continue;
+                };
+                if flit.kind.is_tail() && self.nis[i].is_idle() {
+                    self.ni_live.remove(i);
+                }
+                if flit.kind.is_head() {
+                    on_inject(self, flit.packet)?;
+                }
+                let (sw, base) = (self.low.inject_switch[i], self.low.inject_slot_base[i]);
+                let vc = flit.vc.index();
+                let h = self.intern(flit);
+                self.accept_flit(sw as usize, base, h, vc)?;
+            }
         }
         Ok(())
     }
@@ -1128,8 +1267,7 @@ impl CompiledEngine {
         if left == 0 {
             self.occ_mask[s] &= !(1 << (iv & 63));
         }
-        self.occ_flits[s] -= 1;
-        self.total_occ -= 1;
+        self.note_pop(s);
         let gslot = osb + o * vcs + ov;
         let ost = &mut self.low.out_state[gslot];
         if ost.credits != CREDITS_INFINITE {
@@ -1263,8 +1401,7 @@ impl CompiledEngine {
             if left == 0 {
                 self.occ_mask[s] &= !(1 << iv);
             }
-            self.occ_flits[s] -= 1;
-            self.total_occ -= 1;
+            self.note_pop(s);
             let ost = &mut self.low.out_state[osb + o];
             if ost.credits != CREDITS_INFINITE {
                 ost.credits -= 1;
@@ -1339,9 +1476,20 @@ impl CompiledEngine {
         Ok(())
     }
 
+    /// Occupancy bookkeeping of one flit leaving switch `s`; the switch
+    /// leaves the live set with its last flit.
+    #[inline]
+    pub(crate) fn note_pop(&mut self, s: usize) {
+        self.occ_flits[s] -= 1;
+        self.total_occ -= 1;
+        if self.occ_flits[s] == 0 {
+            self.sw_live.remove(s);
+        }
+    }
+
     /// Lands flit handle `h` in the FIFO of `(switch, port base, vc)`
-    /// and maintains the occupancy aggregates and per-VC watermarks —
-    /// `Switch::accept` over the arena.
+    /// and maintains the occupancy aggregates, the live set and the
+    /// per-VC watermarks — `Switch::accept` over the arena.
     pub(crate) fn accept_flit(
         &mut self,
         switch: usize,
@@ -1372,6 +1520,7 @@ impl CompiledEngine {
             self.occ_mask[switch] |= 1 << iv;
         }
         self.occ_flits[switch] += 1;
+        self.sw_live.insert(switch);
         self.total_occ += 1;
         let wm = switch * vcs + vc;
         let occ = (len + 1) as u64;
@@ -1384,6 +1533,40 @@ impl CompiledEngine {
     /// Ejects flit handle `h` on output VC `vc` into receptor `index`:
     /// reads the pooled flit back (stamping the final VC the way each
     /// hop would have), frees its pool slot and runs the receptor.
+    /// Returns the packet this flit completed, if any. Inlined into
+    /// both commits: returning the wide `Result` through memory costs a
+    /// measurable share of the saturated commit phase.
+    #[inline]
+    pub(crate) fn eject(
+        &mut self,
+        index: usize,
+        h: u32,
+        vc: usize,
+        now: Cycle,
+    ) -> Result<Option<CompletedPacket>, EmulationError> {
+        let idx = h & HANDLE_IDX;
+        let mut flit = self.flit_pool[idx as usize];
+        flit.vc = VcId::new(vc as u8);
+        self.flit_free.push(idx);
+        match &mut self.receptors[index] {
+            ReceptorDevice::Stochastic(r) => {
+                r.accept(&flit, now)
+                    .map_err(|source| EmulationError::Receive {
+                        receptor: r.id(),
+                        source,
+                    })
+            }
+            ReceptorDevice::Trace(r) => {
+                r.accept(&flit, now)
+                    .map_err(|source| EmulationError::Receive {
+                        receptor: r.id(),
+                        source,
+                    })
+            }
+        }
+    }
+
+    /// Ejects a flit and books the packet it completes in the ledger.
     fn deliver(
         &mut self,
         index: usize,
@@ -1391,35 +1574,8 @@ impl CompiledEngine {
         vc: usize,
         now: Cycle,
     ) -> Result<(), EmulationError> {
-        let idx = h & HANDLE_IDX;
-        let mut flit = self.flit_pool[idx as usize];
-        flit.vc = VcId::new(vc as u8);
-        self.flit_free.push(idx);
-        let completed: Option<CompletedPacket> = match &mut self.receptors[index] {
-            ReceptorDevice::Stochastic(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-            ReceptorDevice::Trace(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-        };
-        if let Some(pkt) = completed {
-            let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-            let lat = self.ledger.deliver(pkt.id, now, pkt.len_flits)?;
-            if let Some(s) = ledger_start {
-                self.profiler
-                    .as_mut()
-                    .expect("timestamp implies profiler")
-                    .nested(s, Phase::Ledger);
-            }
+        if let Some(pkt) = self.eject(index, h, vc, now)? {
+            let lat = self.on_ledger(|l| l.deliver(pkt.id, now, pkt.len_flits))?;
             self.delivered_flits += u64::from(pkt.len_flits);
             if let ReceptorDevice::Trace(r) = &mut self.receptors[index] {
                 r.record_latency(lat.network, lat.total);
@@ -1428,14 +1584,15 @@ impl CompiledEngine {
         Ok(())
     }
 
-    /// Whether the stop condition holds.
+    /// Whether the stop condition holds — from the counters alone (an
+    /// exhausted TG never ticks again, so the count only grows).
     pub fn finished(&self) -> bool {
         match self.config.stop.delivered_packets {
             Some(target) => self.ledger.delivered() >= target,
             None => {
-                self.tgs.iter().all(|t| t.is_exhausted())
-                    && self.pending.iter().all(Option::is_none)
-                    && self.nis.iter().all(|n| n.is_idle())
+                self.exhausted == self.tgs.len()
+                    && self.parked == 0
+                    && self.ni_live.is_empty()
                     && self.ledger.in_flight() == 0
             }
         }

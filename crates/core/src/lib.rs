@@ -81,6 +81,7 @@ pub use error::{CompileError, EmulationError};
 pub use flow::{run_flow, run_flow_on, FlowReport};
 pub use profile::{
     Phase, PhaseProfiler, PhaseReport, ProfileConfig, StallConfig, StallReport, WaitEdge,
+    WorkCounters,
 };
 pub use results::EmulationResults;
 pub use shard::{build_engine, ShardedEngine};

@@ -187,6 +187,50 @@ impl Default for StallConfig {
     }
 }
 
+/// Work an engine did, counted next to the timers so a report can tell
+/// *more work* from *slower work*. Filled by the compiled kernel only
+/// while profiling is on; everything else reports zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Switches that ran decide (and commit): live at cycle start.
+    pub switches_decided: u64,
+    /// Live-set words decide looked at to find them.
+    pub switches_scanned: u64,
+    /// Traffic-generator `tick` calls actually made.
+    pub tg_ticks: u64,
+    /// Stepped cycles whose whole TG phase the watermark skipped.
+    pub tg_phases_skipped: u64,
+    /// Network-interface `tick_send` calls.
+    pub ni_ticks: u64,
+    /// Clock-gated jumps taken.
+    pub fast_forwards: u64,
+}
+
+impl WorkCounters {
+    /// `(name, value)` per counter, in declaration order.
+    fn named(&self) -> [(&'static str, u64); 6] {
+        [
+            ("switches_decided", self.switches_decided),
+            ("switches_scanned", self.switches_scanned),
+            ("tg_ticks", self.tg_ticks),
+            ("tg_phases_skipped", self.tg_phases_skipped),
+            ("ni_ticks", self.ni_ticks),
+            ("fast_forwards", self.fast_forwards),
+        ]
+    }
+}
+
+impl std::ops::AddAssign for WorkCounters {
+    fn add_assign(&mut self, o: WorkCounters) {
+        self.switches_decided += o.switches_decided;
+        self.switches_scanned += o.switches_scanned;
+        self.tg_ticks += o.tg_ticks;
+        self.tg_phases_skipped += o.tg_phases_skipped;
+        self.ni_ticks += o.ni_ticks;
+        self.fast_forwards += o.fast_forwards;
+    }
+}
+
 /// Per-phase wall-clock accumulators driven by chained timestamps.
 ///
 /// The step loop takes one timestamp per phase boundary: each
@@ -201,6 +245,9 @@ pub struct PhaseProfiler {
     acc: [u64; Phase::COUNT],
     nested_ns: u64,
     stepped_cycles: u64,
+    /// Work counters, bumped directly by the engine that owns the
+    /// profiler.
+    pub(crate) work: WorkCounters,
 }
 
 impl Default for PhaseProfiler {
@@ -216,6 +263,7 @@ impl PhaseProfiler {
             acc: [0; Phase::COUNT],
             nested_ns: 0,
             stepped_cycles: 0,
+            work: WorkCounters::default(),
         }
     }
 
@@ -263,12 +311,14 @@ impl PhaseProfiler {
         self.stepped_cycles += cycles;
     }
 
-    /// Element-wise merge of another profiler's accumulators (cycle
-    /// count is *not* merged: shards step the same platform cycles).
+    /// Element-wise merge of another profiler's accumulators and work
+    /// counters (cycle count is *not* merged: shards step the same
+    /// platform cycles).
     pub fn absorb(&mut self, other: &PhaseProfiler) {
         for (a, b) in self.acc.iter_mut().zip(other.acc.iter()) {
             *a += b;
         }
+        self.work += other.work;
     }
 
     /// Accumulated nanoseconds of `phase`.
@@ -302,6 +352,7 @@ impl PhaseProfiler {
             total_ns,
             stepped_cycles: self.stepped_cycles,
             phases,
+            work: self.work,
             workers: Vec::new(),
         }
     }
@@ -334,6 +385,9 @@ pub struct PhaseReport {
     pub stepped_cycles: u64,
     /// Non-zero phases, descending by time.
     pub phases: Vec<PhaseStat>,
+    /// Work counted next to the timers (zeros on engines that do not
+    /// count).
+    pub work: WorkCounters,
     /// Per-worker sub-reports (sharded engines), in shard order.
     pub workers: Vec<PhaseReport>,
 }
@@ -384,6 +438,13 @@ impl PhaseReport {
             ]);
         }
         out.push_str(&t.to_string());
+        if self.work != WorkCounters::default() {
+            out.push_str("work:");
+            for (name, v) in self.work.named() {
+                out.push_str(&format!(" {name}={v}"));
+            }
+            out.push('\n');
+        }
         for w in &self.workers {
             out.push('\n');
             for line in w.render().lines() {
@@ -411,7 +472,14 @@ impl PhaseReport {
                 p.phase, p.ns, p.share, p.ns_per_cycle
             ));
         }
-        out.push_str("],\"workers\":[");
+        out.push_str("],\"work\":{");
+        for (i, (name, v)) in self.work.named().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{name}\":{v}"));
+        }
+        out.push_str("},\"workers\":[");
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
                 out.push(',');

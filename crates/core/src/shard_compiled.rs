@@ -79,9 +79,10 @@
 //! cross-shard event horizon before every cycle, which is inherently a
 //! per-cycle coordinator decision. Under [`ClockMode::Gated`] the
 //! batch is therefore clamped to 1 (with a warning): correctness is
-//! never traded for lookahead. The fast-forward itself is replayed
-//! inside each worker's TGs exactly like the interpreted sharded
-//! engine does.
+//! never traded for lookahead. A jump costs the workers nothing: they
+//! are simply told the next cycle to execute, and each TG replays the
+//! skipped window lazily before its next real tick, as in
+//! [`CompiledEngine`].
 
 use crate::clock::{ClockMode, EngineSummary, EngineWarning, SteppableEngine};
 use crate::compile::{
@@ -94,16 +95,16 @@ use crate::error::{CompileError, EmulationError};
 use crate::profile::{Phase, PhaseProfiler, PhaseReport};
 use crate::results::{EmulationResults, ReceptorSummary};
 use crate::shard::{panic_fault, ShardStatus};
-use nocem_common::flit::{Flit, PacketDescriptor};
-use nocem_common::ids::{LinkId, PacketId, SwitchId, VcId};
+use nocem_common::flit::Flit;
+use nocem_common::ids::{LinkId, PacketId, SwitchId};
 use nocem_common::time::Cycle;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
-use nocem_stats::receptor::CompletedPacket;
 use nocem_switch::switch::CREDITS_INFINITE;
 use nocem_telemetry::{Collector, CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
 use nocem_topology::partition::{GridStripes, Partition, PartitionMap};
+use nocem_traffic::trace::TraceDrivenTg;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -112,13 +113,10 @@ use std::time::Instant;
 
 /// Provisional packet ids carry this flag plus the shard in bits
 /// 48..63 and a shard-local sequence below — far above any id the
-/// coordinator will ever assign, so the two spaces never collide.
-const PROV_FLAG: u64 = 1 << 63;
-
-#[inline]
-fn provisional_id(shard: usize, seq: u64) -> PacketId {
-    debug_assert!(seq < (1 << 48), "shard-local sequence overflow");
-    PacketId::new(PROV_FLAG | ((shard as u64) << 48) | seq)
+/// coordinator will ever assign, so the two spaces never collide. A
+/// worker's engine simply starts counting its ids from here.
+fn first_provisional_id(shard: usize) -> u64 {
+    (1 << 63) | ((shard as u64) << 48)
 }
 
 /// One cross-shard flit: enough to re-intern and land it downstream,
@@ -200,15 +198,10 @@ fn conservative_status() -> ShardStatus {
 
 /// Commands the coordinator sends to every worker.
 enum Cmd {
-    /// Execute `len` cycles starting at `start`, buffering boundary
-    /// records per cycle and ledger events per window. When
-    /// `skip_from` is set, first replay the quiescent window
-    /// `[skip_from, start)` inside every owned TG.
-    Window {
-        start: Cycle,
-        len: u64,
-        skip_from: Option<Cycle>,
-    },
+    /// Execute `len` cycles starting at `start` (past any clock-gated
+    /// jump the coordinator took), buffering boundary records per
+    /// cycle and ledger events per window.
+    Window { start: Cycle, len: u64 },
     /// Snapshot the shard's slice of the counter arrays.
     Collect,
     /// Report the shard's cumulative telemetry counters.
@@ -252,14 +245,15 @@ enum Report {
 
 /// One persistent worker: a full-shape [`CompiledEngine`] (built from
 /// the worker's own deterministic re-elaboration of the config, so
-/// every RNG stream matches the reference by construction) of which
-/// only the owned slice is ever stepped. Non-owned rows stay zero,
-/// which makes probes and snapshots mergeable by plain addition.
+/// every RNG stream matches the reference by construction) whose
+/// non-owned generators are empty, so only the owned slice ever enters
+/// its live sets. Non-owned rows stay zero, which makes probes and
+/// snapshots mergeable by plain addition. The engine's profiler holds
+/// the worker-side phase accumulators (owned-slice compute vs. boundary
+/// exchange) and work counters.
 struct Worker {
     shard: usize,
     eng: CompiledEngine,
-    /// Owned global switch ids, ascending.
-    owned: Vec<usize>,
     /// Per global switch: owned here?
     own_switch: Vec<bool>,
     /// Owned global generator indices, ascending.
@@ -282,14 +276,10 @@ struct Worker {
     /// Per out-neighbour: this cycle's buffered records.
     out_flits: Vec<Vec<FlitRec>>,
     out_credits: Vec<Vec<u32>>,
-    prov_seq: u64,
     /// A cycle errored or panicked: keep the per-cycle message cadence
     /// (empty sends, discarding receives) so neighbours never block,
     /// but step nothing further.
     dead: bool,
-    /// Worker-side phase accumulators (owned-slice compute vs.
-    /// boundary exchange), present when profiling is configured.
-    profiler: Option<PhaseProfiler>,
     /// Worker-side span timeline on this shard's track, timed against
     /// the coordinator's epoch.
     spans: Option<SpanBuffer>,
@@ -301,12 +291,8 @@ impl Worker {
     fn run(mut self) {
         while let Ok(cmd) = self.cmd_rx.recv() {
             match cmd {
-                Cmd::Window {
-                    start,
-                    len,
-                    skip_from,
-                } => {
-                    let entries = self.window(start, len, skip_from);
+                Cmd::Window { start, len } => {
+                    let entries = self.window(start, len);
                     if self.rep_tx.send(Report::Window(entries)).is_err() {
                         return;
                     }
@@ -329,7 +315,7 @@ impl Worker {
                         .clone()
                         .map_or((Vec::new(), 0), SpanBuffer::into_parts);
                     let profile = Box::new(WorkerProfile {
-                        profiler: self.profiler.clone().unwrap_or_default(),
+                        profiler: self.eng.profiler.clone().unwrap_or_default(),
                         spans,
                         dropped,
                     });
@@ -342,18 +328,10 @@ impl Worker {
         }
     }
 
-    /// Closes `phase` on the chained profiling timestamp, advancing it
-    /// to now. A no-op (one `Option` check) when profiling is off.
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
     /// Executes one window: per cycle, compute the owned slice, send
     /// one boundary message per neighbour, receive and replay one per
     /// in-neighbour, then record the end-of-cycle status.
-    fn window(&mut self, start: Cycle, len: u64, skip_from: Option<Cycle>) -> Vec<CycleEntry> {
+    fn window(&mut self, start: Cycle, len: u64) -> Vec<CycleEntry> {
         let win_start = self.spans.as_ref().map(|_| Instant::now());
         let mut entries = Vec::with_capacity(len as usize);
         for j in 0..len {
@@ -363,21 +341,18 @@ impl Worker {
                 entries.push(CycleEntry::new());
                 continue;
             }
-            let skip = if j == 0 { skip_from } else { None };
             let mut entry = CycleEntry::new();
-            let mut t = self.profiler.as_mut().map(|p| {
+            let mut t = self.eng.profiler.as_mut().map(|p| {
                 p.add_cycles(1);
                 p.begin()
             });
-            let computed = catch_unwind(AssertUnwindSafe(|| {
-                self.compute_cycle(now, skip, &mut entry)
-            }));
+            let computed = catch_unwind(AssertUnwindSafe(|| self.compute_cycle(now, &mut entry)));
             match computed {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => entry.error = Some(e),
                 Err(payload) => entry.error = Some(panic_fault(self.shard, &payload)),
             }
-            self.lap(&mut t, Phase::WorkerCompute);
+            self.eng.lap(&mut t, Phase::WorkerCompute);
             // The exchange section: everything from here to the end of
             // replay is boundary synchronization, not compute.
             let exchange_start = t;
@@ -398,7 +373,7 @@ impl Worker {
             if let (Some(s), Some(buf)) = (replay_start, self.spans.as_mut()) {
                 buf.record("replay", s, now.raw());
             }
-            self.lap(&mut t, Phase::Exchange);
+            self.eng.lap(&mut t, Phase::Exchange);
             if let (Some(s), Some(buf)) = (exchange_start, self.spans.as_mut()) {
                 buf.record("exchange", s, now.raw());
             }
@@ -446,138 +421,40 @@ impl Worker {
         }
     }
 
-    /// One compiled cycle over the owned slice — the exact phase order
-    /// of [`CompiledEngine::step`], minus gating/telemetry (the
-    /// coordinator's job) and with ledger events buffered instead of
-    /// applied.
-    fn compute_cycle(
-        &mut self,
-        now: Cycle,
-        skip_from: Option<Cycle>,
-        entry: &mut CycleEntry,
-    ) -> Result<(), EmulationError> {
-        if let Some(from) = skip_from {
-            // Replay the coordinator's cross-shard fast-forward in the
-            // owned TGs, exactly like the compiled gated path: sync
-            // any deferred countdown first, then jump the window.
-            for gi in 0..self.my_gens.len() {
-                let i = self.my_gens[gi];
-                self.eng.sync_tg(i, from);
-                self.eng.tgs[i].skip_to(from, now);
-                self.eng.tg_synced[i] = now.raw();
-                self.eng.tg_next_event[i] = self.eng.tgs[i].next_event_cycle(now).cycle_or_max();
-            }
-        }
-
-        // 1. Owned traffic models release packets (provisional ids).
-        for gi in 0..self.my_gens.len() {
-            let i = self.my_gens[gi];
-            let req = match self.eng.pending[i].take() {
-                Some(req) if self.eng.nis[i].can_accept() => {
-                    self.eng.tg_synced[i] = now.raw() + 1;
-                    self.eng.tg_next_event[i] =
-                        self.eng.tgs[i].next_event_cycle(now.next()).cycle_or_max();
-                    req
-                }
-                Some(req) => {
-                    self.eng.pending[i] = Some(req);
-                    entry.stalled_delta += 1;
-                    continue;
-                }
-                None => {
-                    if now.raw() < self.eng.tg_next_event[i] {
-                        continue;
-                    }
-                    self.eng.sync_tg(i, now);
-                    let released = self.eng.tgs[i].tick(now);
-                    self.eng.tg_synced[i] = now.raw() + 1;
-                    self.eng.tg_next_event[i] =
-                        self.eng.tgs[i].next_event_cycle(now.next()).cycle_or_max();
-                    let Some(req) = released else {
-                        continue;
-                    };
-                    if !self.eng.nis[i].can_accept() {
-                        self.eng.pending[i] = Some(req);
-                        entry.stalled_delta += 1;
-                        continue;
-                    }
-                    req
-                }
-            };
-            let prov = provisional_id(self.shard, self.prov_seq);
-            self.prov_seq += 1;
-            let desc = PacketDescriptor {
-                id: prov,
-                src: self.eng.generator_endpoints[i],
-                dst: req.dst,
-                flow: req.flow,
-                len_flits: req.len_flits,
-                release: now,
-            };
-            let accepted = self.eng.nis[i].offer(desc);
-            debug_assert!(accepted, "capacity was checked before the offer");
-            self.eng.ni_active[i] = true;
+    /// One compiled cycle over the owned slice — [`CompiledEngine`]'s
+    /// own phases over its live sets (which only ever hold owned
+    /// generators, NIs and switches), minus gating/telemetry (the
+    /// coordinator's job), with ledger events buffered instead of
+    /// applied and a commit that knows the shard boundary.
+    fn compute_cycle(&mut self, now: Cycle, entry: &mut CycleEntry) -> Result<(), EmulationError> {
+        #[cfg(debug_assertions)]
+        self.eng.assert_live_sets();
+        let stalled = self.eng.stalled;
+        self.eng.release_phase(now, |_, gidx, prov, len_flits| {
             entry.releases.push(ReleaseRec {
-                gidx: i as u32,
+                gidx: gidx as u32,
                 prov,
-                len_flits: req.len_flits,
+                len_flits,
             });
-        }
+            Ok(())
+        })?;
+        entry.stalled_delta = self.eng.stalled - stalled;
+        self.eng.decide_phase();
+        self.eng.inject_phase(|_, prov| {
+            entry.injects.push(prov);
+            Ok(())
+        })?;
 
-        // 2. Owned switches decide on start-of-cycle state. Decide has
-        //    no cross-switch effects, so shard order is irrelevant.
-        let vc1 = self.eng.low.num_vcs == 1;
-        for oi in 0..self.owned.len() {
-            let s = self.owned[oi];
-            if self.eng.occ_flits[s] == 0 {
-                self.eng.active[s] = false;
-                continue;
+        // Decided switches commit in ascending global order — the
+        // reference order within this shard's slice. The cross-shard
+        // interleaving is recovered at replay.
+        for w in 0..self.eng.sw_decided.len() {
+            let mut m = self.eng.sw_decided[w];
+            while m != 0 {
+                let s = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                self.commit_switch(s, now, entry)?;
             }
-            self.eng.active[s] = true;
-            if self.eng.mask_ok[s] {
-                if vc1 {
-                    self.eng.decide_switch_mask_vc1(s);
-                } else {
-                    self.eng.decide_switch_mask(s);
-                }
-            } else {
-                self.eng.decide_switch_dense(s);
-            }
-        }
-
-        // 3. Owned network interfaces inject.
-        for gi in 0..self.my_gens.len() {
-            let i = self.my_gens[gi];
-            if !self.eng.ni_active[i] {
-                continue;
-            }
-            let Some(flit) = self.eng.nis[i].tick_send() else {
-                if self.eng.nis[i].is_idle() {
-                    self.eng.ni_active[i] = false;
-                }
-                continue;
-            };
-            if flit.kind.is_head() {
-                entry.injects.push(flit.packet);
-            }
-            let (sw, base) = (
-                self.eng.low.inject_switch[i],
-                self.eng.low.inject_slot_base[i],
-            );
-            let vc = flit.vc.index();
-            let h = self.eng.intern(flit);
-            self.eng.accept_flit(sw as usize, base, h, vc)?;
-        }
-
-        // 4. Owned decided switches commit, ascending global order —
-        //    the reference order within this shard's slice. The
-        //    cross-shard interleaving is recovered at replay.
-        for oi in 0..self.owned.len() {
-            let s = self.owned[oi];
-            if !self.eng.active[s] {
-                continue;
-            }
-            self.commit_switch(s, now, entry)?;
         }
 
         self.eng.now = now.next();
@@ -688,8 +565,7 @@ impl Worker {
         if left == 0 {
             self.eng.occ_mask[s] &= !(1 << (iv & 63));
         }
-        self.eng.occ_flits[s] -= 1;
-        self.eng.total_occ -= 1;
+        self.eng.note_pop(s);
         self.last_pop[islot] = now.raw() + 1;
         let gslot = osb + o * vcs + ov;
         let ost = &mut self.eng.low.out_state[gslot];
@@ -745,53 +621,18 @@ impl Worker {
                 }
             }
             LoweredOutDest::Receptor { index } => {
-                self.deliver(index as usize, h, ov, s, o, now, entry)?;
+                // The ledger call becomes a buffered record carrying
+                // the commit-order key (ejecting switch, output port).
+                if let Some(pkt) = self.eng.eject(index as usize, h, ov, now)? {
+                    entry.deliveries.push(DeliveryRec {
+                        switch: s as u32,
+                        port: o as u8,
+                        receptor: index,
+                        prov: pkt.id,
+                        len_flits: pkt.len_flits,
+                    });
+                }
             }
-        }
-        Ok(())
-    }
-
-    /// [`CompiledEngine`]'s delivery with the ledger call replaced by
-    /// a buffered record carrying the commit-order key.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        index: usize,
-        h: u32,
-        vc: usize,
-        s: usize,
-        o: usize,
-        now: Cycle,
-        entry: &mut CycleEntry,
-    ) -> Result<(), EmulationError> {
-        let idx = h & HANDLE_IDX;
-        let mut flit = self.eng.flit_pool[idx as usize];
-        flit.vc = VcId::new(vc as u8);
-        self.eng.flit_free.push(idx);
-        let completed: Option<CompletedPacket> = match &mut self.eng.receptors[index] {
-            ReceptorDevice::Stochastic(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-            ReceptorDevice::Trace(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-        };
-        if let Some(pkt) = completed {
-            entry.deliveries.push(DeliveryRec {
-                switch: s as u32,
-                port: o as u8,
-                receptor: index as u32,
-                prov: pkt.id,
-                len_flits: pkt.len_flits,
-            });
         }
         Ok(())
     }
@@ -845,29 +686,17 @@ impl Worker {
         Ok(())
     }
 
-    /// End-of-cycle status over the owned slice. The aggregate
-    /// counters (`total_occ`, `open_worms`, `credit_debt`) only ever
-    /// reflect owned rows, so they are exactly the shard-local half of
-    /// the platform quiescence predicate.
+    /// End-of-cycle status of the owned slice, straight from the
+    /// engine's live-set aggregates: they only ever reflect owned rows,
+    /// so they are exactly the shard-local half of the platform
+    /// quiescence and stop predicates.
     fn status(&self) -> ShardStatus {
-        let pending_none = self.my_gens.iter().all(|&i| self.eng.pending[i].is_none());
-        let nis_idle = self.my_gens.iter().all(|&i| self.eng.nis[i].is_idle());
         ShardStatus {
-            quiescent: pending_none
-                && nis_idle
-                && self.my_gens.iter().all(|&i| self.eng.nis[i].credits_home())
-                && self.eng.total_occ == 0
-                && self.eng.open_worms == 0
-                && self.eng.credit_debt == 0,
-            next_event: self
-                .my_gens
-                .iter()
-                .map(|&i| self.eng.tg_next_event[i])
-                .min()
-                .unwrap_or(u64::MAX),
-            exhausted: self.my_gens.iter().all(|&i| self.eng.tgs[i].is_exhausted()),
-            pending_none,
-            nis_idle,
+            quiescent: self.eng.network_idle(),
+            next_event: self.eng.tg_min_next,
+            exhausted: self.eng.exhausted == self.eng.tgs.len(),
+            pending_none: self.eng.parked == 0,
+            nis_idle: self.eng.ni_live.is_empty(),
         }
     }
 
@@ -1289,7 +1118,6 @@ impl ShardedCompiledEngine {
         // Cross-shard clock gating (batch is clamped to 1 in gated
         // mode, so this is a per-cycle decision exactly like the
         // interpreted sharded engine's).
-        let mut skip_from = None;
         if self.config.clock_mode == ClockMode::Gated && self.is_quiescent() {
             let horizon = self
                 .status
@@ -1300,8 +1128,10 @@ impl ShardedCompiledEngine {
             let target = horizon.min(self.config.stop.cycle_limit);
             if target > self.now.raw() {
                 self.cycles_skipped += target - self.now.raw();
-                skip_from = Some(self.now);
                 self.now = Cycle::new(target);
+                if let Some(p) = self.profiler.as_mut() {
+                    p.work.fast_forwards += 1;
+                }
             }
         }
         self.lap(t, Phase::FastForward);
@@ -1321,11 +1151,7 @@ impl ShardedCompiledEngine {
         let start = self.now;
         let len = self.window_len(start);
         for k in 0..self.workers.len() {
-            let cmd = Cmd::Window {
-                start,
-                len,
-                skip_from,
-            };
+            let cmd = Cmd::Window { start, len };
             if self.workers[k].cmd.send(cmd).is_err() {
                 return self.worker_died(k);
             }
@@ -1782,17 +1608,22 @@ fn spawn_worker(
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
 ) -> Worker {
-    let elab = elaborate(config).expect("the coordinator already elaborated this config");
+    let mut elab = elaborate(config).expect("the coordinator already elaborated this config");
+    // Generators of other shards never fire here: an empty trace is
+    // exhausted from the start, so they never enter the live sets.
+    let topo = &config.topology;
+    for (tg, g) in elab.tgs.iter_mut().zip(topo.generators()) {
+        if map.shard_of(topo.endpoint(g).switch) != shard {
+            *tg = Box::new(TraceDrivenTg::from_events(Vec::new()));
+        }
+    }
     let mut eng = CompiledEngine::new(elab);
-    // The coordinator owns windowed telemetry; the worker only ever
-    // serves cumulative probes.
+    eng.next_packet = first_provisional_id(shard);
+    // The coordinator owns windowed telemetry and stall detection (a
+    // per-platform concern); the worker only ever serves cumulative
+    // probes. The profiler stays: it carries this thread's
+    // elaborate/lower seeds and collects the worker's laps.
     eng.telemetry = None;
-    // The worker drives the flat arrays directly, never `eng.step()`,
-    // so the inner engine's profiler and watchdog would stay silent:
-    // take the profiler (it carries this thread's elaborate/lower
-    // seeds) and drop the watchdog (stall detection is per-platform,
-    // a coordinator concern).
-    let profiler = eng.profiler.take();
     eng.watchdog = None;
     let spans = config.profile.and_then(|p| {
         p.spans
@@ -1802,14 +1633,13 @@ fn spawn_worker(
     let own_switch: Vec<bool> = (0..n)
         .map(|s| map.shard_of(SwitchId::new(s as u32)) == shard)
         .collect();
-    let owned: Vec<usize> = (0..n).filter(|&s| own_switch[s]).collect();
     let my_gens: Vec<usize> = (0..eng.nis.len())
         .filter(|&i| own_switch[eng.low.inject_switch[i] as usize])
         .collect();
     let mut my_receptors = Vec::new();
     let total_out_ports = *eng.low.out_port_base.last().expect("prefix sums") as usize;
     let mut out_port_dest = vec![u16::MAX; total_out_ports];
-    for &s in &owned {
+    for s in (0..n).filter(|&s| own_switch[s]) {
         let opb = eng.low.out_port_base[s] as usize;
         for o in 0..eng.low.outputs[s] as usize {
             if let LoweredOutDest::Receptor { index } = eng.low.out_dest[opb + o] {
@@ -1839,7 +1669,6 @@ fn spawn_worker(
     Worker {
         shard,
         eng,
-        owned,
         own_switch,
         my_gens,
         my_receptors,
@@ -1851,9 +1680,7 @@ fn spawn_worker(
         in_rxs,
         out_flits,
         out_credits,
-        prov_seq: 0,
         dead: false,
-        profiler,
         spans,
         cmd_rx,
         rep_tx,

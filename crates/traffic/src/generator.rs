@@ -128,6 +128,15 @@ pub trait TrafficGenerator {
     /// generator's [`TrafficGenerator::next_event_cycle`]; the default
     /// is a no-op, correct for any model whose skipped ticks carry no
     /// state (trace replay, exhausted models).
+    ///
+    /// Skips compose: `skip_to(a, b); skip_to(b, c)` must leave the
+    /// generator in exactly the state `skip_to(a, c)` does, and a skip
+    /// must not move the cycle `next_event_cycle` reports. Engines
+    /// rely on both to synchronise lazily: a generator that sat out
+    /// any number of deferred ticks and clock-gated jumps is replayed
+    /// with one call spanning all of them, right before its next real
+    /// tick, and the clock jumps to the earliest event without
+    /// touching any generator.
     fn skip_to(&mut self, now: Cycle, target: Cycle) {
         let _ = (now, target);
     }

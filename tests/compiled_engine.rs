@@ -124,7 +124,7 @@ fn ring8_both_loads_are_ledger_identical() {
     }
 }
 
-/// The CI smoke case: small enough to run in debug mode in seconds.
+/// Both loads and both clock modes, small enough for debug builds.
 #[test]
 fn mesh4x4_lockstep_smoke() {
     for load in [0.05, 0.40] {

@@ -187,6 +187,48 @@ fn every_engine_reports_its_phases() {
     }
 }
 
+/// The compiled kernels count their work next to the timers, and the
+/// counts are exact: on a sparse gated run the watermark skips most TG
+/// phases, the clock jumps, every released packet cost one real TG
+/// tick and every flit one NI tick — identically on one thread and on
+/// two shards, whose workers run the same phases over the same sets.
+#[test]
+fn work_counters_account_for_the_live_set_paths() {
+    let mut cfg = uniform(MESH8X8, 0.01, 200);
+    cfg.clock_mode = nocem::ClockMode::Gated;
+    cfg.profile = Some(ProfileConfig::default().without_spans());
+
+    let mut compiled = CompiledEngine::new(elaborate(&cfg).unwrap());
+    compiled.run().unwrap();
+    let summary = SteppableEngine::summary(&compiled);
+    let report = SteppableEngine::profile(&mut compiled).unwrap();
+    let work = report.work;
+    assert_eq!(work.tg_ticks, summary.released, "one real tick per packet");
+    assert_eq!(work.ni_ticks, summary.delivered_flits, "no credit stalls");
+    assert!(work.fast_forwards > 0 && work.fast_forwards <= summary.cycles_skipped);
+    assert!(
+        work.tg_phases_skipped > report.stepped_cycles / 2,
+        "watermark skipped only {} of {} TG phases",
+        work.tg_phases_skipped,
+        report.stepped_cycles
+    );
+    assert_eq!(work.switches_scanned, report.stepped_cycles, "one word");
+    assert!(work.switches_decided >= summary.delivered_flits);
+    assert!(work.switches_decided < 64 * work.switches_scanned / 4);
+    assert!(report.to_json().contains("\"work\":{\"switches_decided\":"));
+    assert!(report.render().contains("tg_phases_skipped="));
+
+    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2, 1).unwrap();
+    sharded.run().unwrap();
+    let sharded_work = SteppableEngine::profile(&mut sharded).unwrap().work;
+    assert_eq!(
+        (sharded_work.tg_ticks, sharded_work.ni_ticks),
+        (work.tg_ticks, work.ni_ticks)
+    );
+    assert_eq!(sharded_work.switches_decided, work.switches_decided);
+    assert_eq!(sharded_work.fast_forwards, work.fast_forwards);
+}
+
 /// The sharded engines' span buffers merge into one Chrome-trace
 /// timeline: valid JSON, spans monotonically ordered by start time,
 /// with both worker tracks and the coordinator present.
