@@ -14,9 +14,9 @@
 
 use crate::config::{PlatformConfig, RoutingSpec, TrafficModel};
 use crate::error::CompileError;
-use nocem_common::ids::{EndpointId, LinkId, PortId, VcId};
+use nocem_common::ids::{EndpointId, FlowId, LinkId, PortId, VcId};
 use nocem_common::rng::{Lfsr16, SplitMix64};
-use nocem_common::route::RouteHop;
+use nocem_common::route::{RouteHop, RouteKey};
 use nocem_platform::bus::{AddressMap, DeviceClass};
 use nocem_stats::receptor::{StochasticReceptor, TraceReceptor};
 use nocem_stats::TrKind;
@@ -26,7 +26,7 @@ use nocem_switch::switch::{Switch, CREDITS_INFINITE};
 use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::graph::LinkEnd;
-use nocem_topology::routing::RoutingTables;
+use nocem_topology::routing::{FlowSpec, RoutingTables};
 use nocem_traffic::generator::TrafficGenerator;
 use nocem_traffic::ni::SourceNi;
 use nocem_traffic::stochastic::StochasticTg;
@@ -148,8 +148,13 @@ impl std::fmt::Debug for Elaboration {
     }
 }
 
-/// Validates the cheap structural invariants of a configuration
-/// (traffic model / endpoint counts, queue capacities).
+/// Validates the cheap structural invariants of a configuration:
+/// traffic model / endpoint counts, queue capacities, and that every
+/// `(destination, flow)` pair a generator can emit is a registered
+/// flow from that generator to that destination — switches route a
+/// packet by its flow *or* its destination, so the two must agree, and
+/// an unregistered pair would otherwise die mid-run in a switch's
+/// "no routing entry" assertion.
 fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
     let generators = config.topology.generators();
     let receptors = config.topology.receptors();
@@ -175,6 +180,35 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
         return Err(CompileError::TrafficMismatch {
             reason: "source queue capacity must be at least 1".into(),
         });
+    }
+    for (&src, model) in generators.iter().zip(&config.generators) {
+        let registered =
+            |(dst, flow): (EndpointId, FlowId)| match FlowSpec::find(&config.flows, flow) {
+                Some(f) if f.src == src && f.dst == dst => Ok(()),
+                Some(f) => Err(CompileError::TrafficMismatch {
+                    reason: format!(
+                        "generator {src} emits flow {flow} to {dst}, \
+                         but that flow is registered from {} to {}",
+                        f.src, f.dst
+                    ),
+                }),
+                None => Err(CompileError::TrafficMismatch {
+                    reason: format!(
+                        "generator {src} emits flow {flow} to {dst}, which is not a registered flow"
+                    ),
+                }),
+            };
+        match model {
+            TrafficModel::Uniform(c) => c.destination.pairs().try_for_each(registered)?,
+            TrafficModel::Burst(c) => c.destination.pairs().try_for_each(registered)?,
+            TrafficModel::Poisson(c) => c.destination.pairs().try_for_each(registered)?,
+            TrafficModel::Trace(trace) => trace
+                .events()
+                .iter()
+                .filter(|e| e.src == src)
+                .map(|e| (e.dst, e.flow))
+                .try_for_each(registered)?,
+        }
     }
     Ok(())
 }
@@ -273,7 +307,7 @@ pub fn elaborate_routed(
         })
         .collect();
     let predicted_loads = fixed_loads
-        .map(|loads| predict_link_loads(topo, routing.flows(), &loads, SplitModel::PrimaryOnly));
+        .map(|loads| predict_link_loads(topo, &routing.flows(), &loads, SplitModel::PrimaryOnly));
 
     // Seeds derive from the platform seed; adding devices never
     // perturbs earlier streams.
@@ -492,11 +526,11 @@ pub const LOWERED_NONE: u32 = u32::MAX;
 /// huge ones keep the memory-proportional CSR.
 pub const ROUTE_DIRECT_MAX: usize = 1 << 22;
 
-/// [`LoweredPlatform::route_direct`] entry: the flow has no routing
+/// [`LoweredPlatform::route_direct`] entry: the key has no routing
 /// entry at this switch.
 pub const ROUTE_NONE: u8 = 0xFF;
 
-/// [`LoweredPlatform::route_direct`] entry: the flow's route is
+/// [`LoweredPlatform::route_direct`] entry: the key's route is
 /// multi-hop (or its encoding exceeds a byte) — resolve through the
 /// CSR and run the selection policy.
 pub const ROUTE_MULTI: u8 = 0xFE;
@@ -624,9 +658,10 @@ pub enum LoweredInFeed {
 /// * **Ports** — per-port arrays (`out_vc_ptr`, `out_link`, wiring)
 ///   are indexed through `in_port_base`/`out_port_base`.
 /// * **Routes** — all per-switch sparse [`RouteTable`]s flattened into
-///   one CSR: switch `s` owns `route_flows[route_flow_base[s] ..
-///   route_flow_base[s + 1]]` (sorted, binary-searched) and flow entry
-///   `f` owns `route_hops[route_hop_start[f] .. route_hop_start[f+1]]`.
+///   one CSR: switch `s` owns `route_keys[route_key_base[s] ..
+///   route_key_base[s + 1]]` (sorted, binary-searched) and entry `k`
+///   owns `route_hops[route_hop_start[k] .. route_hop_start[k+1]]`.
+///   Keys are flow ids or destination endpoint ids, per `route_key`.
 ///
 /// All sizing derives from the *elaboration* (per-switch port counts),
 /// never from a uniform config-wide maximum, so heterogeneous
@@ -662,28 +697,34 @@ pub struct LoweredPlatform {
     pub fifo_arena: Vec<u32>,
     /// Per input slot: packed cursor/wormhole record.
     pub in_state: Vec<InSlotState>,
-    /// Per switch: range `route_flow_base[s]..route_flow_base[s+1]`
-    /// of `route_flows` (length `switch_count + 1`).
-    pub route_flow_base: Vec<u32>,
-    /// Flow ids with routing entries, sorted within each switch range.
-    pub route_flows: Vec<u32>,
-    /// CSR offsets into `route_hops` (length `route_flows.len()+1`).
+    /// Which head-flit field the route keys are read from (uniform
+    /// across the platform: the kind of the elaboration's tables).
+    pub route_key: RouteKey,
+    /// Per switch: range `route_key_base[s]..route_key_base[s+1]`
+    /// of `route_keys` (length `switch_count + 1`).
+    pub route_key_base: Vec<u32>,
+    /// Route keys with routing entries, sorted within each switch
+    /// range.
+    pub route_keys: Vec<u32>,
+    /// CSR offsets into `route_hops` (length `route_keys.len()+1`).
     pub route_hop_start: Vec<u32>,
-    /// Admissible output hops, concatenated per flow entry.
+    /// Admissible output hops, concatenated per entry.
     pub route_hops: Vec<RouteHop>,
-    /// Direct-mapped route answers for small platforms: entry
-    /// `s * route_flow_space + flow` holds the flow's single-hop
-    /// answer as an encoded local out-slot `port * num_vcs + vc`
-    /// (every deterministic routing function), so the hot lookup is
-    /// one byte load with no hop-list traversal and no selection.
-    /// [`ROUTE_MULTI`] defers multi-hop flows to the CSR + selection
-    /// policy; [`ROUTE_NONE`] marks flows with no entry at `s`. Empty
-    /// when `switch_count × flow_space` exceeds [`ROUTE_DIRECT_MAX`]
-    /// — then every lookup takes the CSR binary search.
+    /// Direct-mapped route answers: entry `s * route_key_space + key`
+    /// holds the key's single-hop answer as an encoded local out-slot
+    /// `port * num_vcs + vc` (every deterministic routing function),
+    /// so the hot lookup is one byte load with no hop-list traversal
+    /// and no selection. [`ROUTE_MULTI`] defers multi-hop keys to the
+    /// CSR + selection policy; [`ROUTE_NONE`] marks keys with no entry
+    /// at `s`. Empty when `switch_count × key_space` exceeds
+    /// [`ROUTE_DIRECT_MAX`] — then every lookup takes the CSR binary
+    /// search. The key space of destination-keyed tables is the
+    /// endpoint count, so mesh32x32 (1024 × 2048 B) still fits; with
+    /// flow keys uniform-random traffic runs out above mesh12x12.
     pub route_direct: Vec<u8>,
-    /// Row stride of `route_direct` (max flow id + 1; 0 when the
-    /// direct map is disabled).
-    pub route_flow_space: usize,
+    /// Row stride of `route_direct` (max key + 1; 0 when the direct
+    /// map is disabled).
+    pub route_key_space: usize,
     /// Per output slot: packed credit/wormhole/arbiter record.
     pub out_state: Vec<OutSlotState>,
     /// Per output slot: the initial credit value (cold; used by the
@@ -719,13 +760,13 @@ pub struct LoweredPlatform {
 }
 
 impl LoweredPlatform {
-    /// The admissible hops of `flow` at switch `s` (empty when the
-    /// flow has no entry there) — the CSR equivalent of
-    /// [`RoutingTables::lookup`].
-    pub fn route_lookup(&self, s: usize, flow: u32) -> &[RouteHop] {
-        let lo = self.route_flow_base[s] as usize;
-        let hi = self.route_flow_base[s + 1] as usize;
-        match self.route_flows[lo..hi].binary_search(&flow) {
+    /// The admissible hops of route key `key` at switch `s` (empty
+    /// when the key has no entry there) — the CSR equivalent of
+    /// [`RouteTable::lookup`](nocem_common::route::RouteTable::lookup).
+    pub fn route_lookup(&self, s: usize, key: u32) -> &[RouteHop] {
+        let lo = self.route_key_base[s] as usize;
+        let hi = self.route_key_base[s + 1] as usize;
+        match self.route_keys[lo..hi].binary_search(&key) {
             Ok(k) => {
                 let f = lo + k;
                 let a = self.route_hop_start[f] as usize;
@@ -801,35 +842,36 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
     let fifo_arena = vec![0u32; total_in_slots * depth];
 
     // Flatten the per-switch sparse route tables into one CSR.
-    let mut route_flow_base = Vec::with_capacity(n + 1);
-    route_flow_base.push(0u32);
-    let mut route_flows = Vec::new();
+    let route_key = elab.routing.key();
+    let mut route_key_base = Vec::with_capacity(n + 1);
+    route_key_base.push(0u32);
+    let mut route_keys = Vec::new();
     let mut route_hop_start = vec![0u32];
     let mut route_hops: Vec<RouteHop> = Vec::new();
     for s in topo.switch_ids() {
-        for (flow, hops) in elab.routing.switch_table(s).entries() {
-            route_flows.push(flow.raw());
+        for (key, hops) in elab.routing.switch_table(s).entries() {
+            route_keys.push(key);
             route_hops.extend_from_slice(hops);
             route_hop_start.push(route_hops.len() as u32);
         }
-        route_flow_base.push(route_flows.len() as u32);
+        route_key_base.push(route_keys.len() as u32);
     }
-    let mut route_flow_space = route_flows.iter().max().map_or(0, |&m| m as usize + 1);
-    let route_direct = if n * route_flow_space <= ROUTE_DIRECT_MAX {
-        let mut direct = vec![ROUTE_NONE; n * route_flow_space];
+    let mut route_key_space = route_keys.iter().max().map_or(0, |&m| m as usize + 1);
+    let route_direct = if n * route_key_space <= ROUTE_DIRECT_MAX {
+        let mut direct = vec![ROUTE_NONE; n * route_key_space];
         for s in 0..n {
-            let lo = route_flow_base[s] as usize;
-            let hi = route_flow_base[s + 1] as usize;
-            for f in lo..hi {
-                let a = route_hop_start[f] as usize;
-                let b = route_hop_start[f + 1] as usize;
+            let lo = route_key_base[s] as usize;
+            let hi = route_key_base[s + 1] as usize;
+            for k in lo..hi {
+                let a = route_hop_start[k] as usize;
+                let b = route_hop_start[k + 1] as usize;
                 let enc = if b - a == 1 {
                     let hop = route_hops[a];
                     hop.port.index() * vcs + hop.vc.index()
                 } else {
                     usize::from(ROUTE_MULTI)
                 };
-                direct[s * route_flow_space + route_flows[f] as usize] =
+                direct[s * route_key_space + route_keys[k] as usize] =
                     if enc < usize::from(ROUTE_MULTI) {
                         enc as u8
                     } else {
@@ -839,7 +881,7 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         }
         direct
     } else {
-        route_flow_space = 0;
+        route_key_space = 0;
         Vec::new()
     };
 
@@ -930,12 +972,13 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         outputs,
         in_state: vec![InSlotState::EMPTY; total_in_slots],
         fifo_arena,
-        route_flow_base,
-        route_flows,
+        route_key,
+        route_key_base,
+        route_keys,
         route_hop_start,
         route_hops,
         route_direct,
-        route_flow_space,
+        route_key_space,
         out_state,
         credit_cap,
         out_vc_ptr: vec![0; total_out_ports],
@@ -962,6 +1005,7 @@ mod tests {
     use super::*;
     use crate::config::PaperConfig;
     use nocem_topology::builders::mesh;
+    use nocem_traffic::generator::DestinationModel;
 
     #[test]
     fn paper_uniform_elaborates() {
@@ -1004,6 +1048,101 @@ mod tests {
         cfg.receptors.pop();
         assert!(matches!(
             elaborate(&cfg),
+            Err(CompileError::TrafficMismatch { .. })
+        ));
+    }
+
+    /// The `TrafficMismatch` reason of a config that must not compile.
+    fn mismatch(cfg: &PlatformConfig) -> String {
+        match elaborate(cfg) {
+            Err(CompileError::TrafficMismatch { reason }) => reason,
+            other => panic!("expected TrafficMismatch, got {other:?}"),
+        }
+    }
+
+    /// Replaces generator 0's destination model (its registered flow
+    /// is 0: TG0 -> TR0).
+    fn with_destination(destination: DestinationModel) -> PlatformConfig {
+        let mut cfg = PaperConfig::new().total_packets(100).uniform();
+        let TrafficModel::Uniform(u) = &mut cfg.generators[0] else {
+            panic!("paper uniform config");
+        };
+        u.destination = destination;
+        cfg
+    }
+
+    #[test]
+    fn fixed_destination_must_be_the_flows_destination() {
+        let base = PaperConfig::new().uniform();
+        let (f0, f1) = (base.flows[0], base.flows[1]);
+        elaborate(&with_destination(DestinationModel::Fixed {
+            dst: f0.dst,
+            flow: f0.flow,
+        }))
+        .unwrap();
+        // Right flow, wrong destination: destination-keyed switches
+        // would deliver it somewhere its flow does not go.
+        let reason = mismatch(&with_destination(DestinationModel::Fixed {
+            dst: f1.dst,
+            flow: f0.flow,
+        }));
+        assert!(reason.contains("registered from"), "{reason}");
+    }
+
+    #[test]
+    fn uniform_choice_must_emit_its_own_generators_flows() {
+        let base = PaperConfig::new().uniform();
+        let (f0, f1) = (base.flows[0], base.flows[1]);
+        // Flow 1 is registered, but from generator 1.
+        let reason = mismatch(&with_destination(DestinationModel::UniformChoice(vec![
+            (f0.dst, f0.flow),
+            (f1.dst, f1.flow),
+        ])));
+        assert!(reason.contains(&f1.src.to_string()), "{reason}");
+    }
+
+    #[test]
+    fn weighted_choice_must_name_registered_flows_even_at_weight_zero() {
+        let base = PaperConfig::new().uniform();
+        let f0 = base.flows[0];
+        let unknown = FlowId::new(base.flows.len() as u32);
+        let reason = mismatch(&with_destination(DestinationModel::Weighted(vec![
+            (f0.dst, f0.flow, 3),
+            (f0.dst, unknown, 0),
+        ])));
+        assert!(reason.contains("not a registered flow"), "{reason}");
+    }
+
+    #[test]
+    fn trace_events_must_be_registered_flows_of_their_source() {
+        use nocem_common::time::Cycle;
+        use nocem_traffic::trace::{Trace, TraceEvent};
+        let mut cfg = PaperConfig::new().total_packets(40).trace_bursty(4);
+        let (f0, f1) = (cfg.flows[0], cfg.flows[1]);
+        let event = |src, dst, flow| TraceEvent {
+            at: Cycle::new(5),
+            src,
+            dst,
+            flow,
+            len_flits: 2,
+        };
+        // Another source's events in the same trace are not replayed
+        // by this generator, so they are not its business.
+        cfg.generators[0] = TrafficModel::Trace(Trace::from_events(vec![
+            event(f0.src, f0.dst, f0.flow),
+            event(f1.src, f0.dst, f0.flow),
+        ]));
+        elaborate(&cfg).unwrap();
+        cfg.generators[0] = TrafficModel::Trace(Trace::from_events(vec![
+            event(f0.src, f0.dst, f0.flow),
+            event(f0.src, f1.dst, f0.flow),
+        ]));
+        let reason = mismatch(&cfg);
+        assert!(reason.contains("registered from"), "{reason}");
+        // The routed entry point validates too.
+        let routing = compute_routing(&cfg).unwrap();
+        assert!(matches!(
+            elaborate_routed(&cfg, routing),
             Err(CompileError::TrafficMismatch { .. })
         ));
     }

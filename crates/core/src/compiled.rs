@@ -54,7 +54,7 @@ use crate::profile::{
 };
 use crate::results::{EmulationResults, ReceptorSummary};
 use nocem_common::flit::{Flit, PacketDescriptor};
-use nocem_common::ids::{EndpointId, FlowId, LinkId, PacketId, SwitchId, VcId};
+use nocem_common::ids::{EndpointId, LinkId, PacketId, SwitchId, VcId};
 use nocem_common::rng::Lfsr16;
 use nocem_common::route::RouteHop;
 use nocem_common::time::Cycle;
@@ -809,25 +809,32 @@ impl CompiledEngine {
         h
     }
 
-    /// Looks up `flow`'s route hops at switch `s` and runs the
-    /// selection policy — shared by both decide paths.
+    /// Looks up the route hops of `head` (by the field the tables are
+    /// keyed on) at switch `s` and runs the selection policy — shared
+    /// by all decide paths.
     #[inline]
     pub(crate) fn route_and_select(
         low: &mut LoweredPlatform,
         s: usize,
         slot: usize,
-        flow: FlowId,
+        head: &Flit,
     ) -> u16 {
         let vcs = low.num_vcs;
-        if low.route_flow_space != 0 {
+        let key = low.route_key.of_flit(head);
+        let missing = || {
+            panic!(
+                "flow {} to {} has no routing entry at this switch",
+                head.flow, head.dst
+            )
+        };
+        if low.route_key_space != 0 {
             // Single-hop routes (every deterministic routing function)
             // are embedded in the direct map: one byte load answers
             // the lookup with nothing to select.
-            let enc = low.route_direct[s * low.route_flow_space + flow.raw() as usize];
-            assert!(
-                enc != crate::compile::ROUTE_NONE,
-                "flow {flow} has no routing entry at this switch"
-            );
+            let enc = low.route_direct[s * low.route_key_space + key as usize];
+            if enc == crate::compile::ROUTE_NONE {
+                missing();
+            }
             if enc != ROUTE_MULTI {
                 low.in_state[slot].chosen = u16::from(enc);
                 return u16::from(enc);
@@ -835,23 +842,16 @@ impl CompiledEngine {
         }
         let osb = low.out_slot_base[s] as usize;
         let oslots = low.out_slot_base[s + 1] as usize - osb;
-        let lo = low.route_flow_base[s] as usize;
-        let hi = low.route_flow_base[s + 1] as usize;
-        let entry = match low.route_flows[lo..hi].binary_search(&flow.raw()) {
-            Ok(k) => (lo + k) as u32,
-            Err(_) => LOWERED_NONE,
+        let lo = low.route_key_base[s] as usize;
+        let hi = low.route_key_base[s + 1] as usize;
+        let hops: &[RouteHop] = match low.route_keys[lo..hi].binary_search(&key) {
+            Ok(k) => {
+                let a = low.route_hop_start[lo + k] as usize;
+                let b = low.route_hop_start[lo + k + 1] as usize;
+                &low.route_hops[a..b]
+            }
+            Err(_) => missing(),
         };
-        let hops: &[RouteHop] = if entry == LOWERED_NONE {
-            &[]
-        } else {
-            let a = low.route_hop_start[entry as usize] as usize;
-            let b = low.route_hop_start[entry as usize + 1] as usize;
-            &low.route_hops[a..b]
-        };
-        assert!(
-            !hops.is_empty(),
-            "flow {flow} has no routing entry at this switch"
-        );
         let pick = select_hop(
             low.selection,
             hops,
@@ -902,8 +902,7 @@ impl CompiledEngine {
                     h & HANDLE_HEAD != 0,
                     "unallocated input VC must face a head flit (wormhole ordering)"
                 );
-                let flow = self.flit_pool[(h & HANDLE_IDX) as usize].flow;
-                Self::route_and_select(low, s, slot, flow)
+                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             oslot_mask |= 1 << hop;
@@ -1034,8 +1033,7 @@ impl CompiledEngine {
                     h & HANDLE_HEAD != 0,
                     "unallocated input VC must face a head flit (wormhole ordering)"
                 );
-                let flow = self.flit_pool[(h & HANDLE_IDX) as usize].flow;
-                Self::route_and_select(low, s, slot, flow)
+                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             out_mask |= 1 << hop;
@@ -1115,8 +1113,7 @@ impl CompiledEngine {
             let hop = if st.chosen != SLOT_NONE {
                 st.chosen
             } else {
-                let flow = self.flit_pool[(h & HANDLE_IDX) as usize].flow;
-                Self::route_and_select(low, s, slot, flow)
+                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.requests[iv] = hop;
         }

@@ -100,43 +100,43 @@ fn check_lowering(cfg: &PlatformConfig) {
     let mut table_entries = 0usize;
     for s in topo.switch_ids() {
         let table = elab.routing.switch_table(s);
-        for (flow, hops) in table.entries() {
+        for (key, hops) in table.entries() {
             table_entries += 1;
             assert_eq!(
-                low.route_lookup(s.index(), flow.raw()),
+                low.route_lookup(s.index(), key),
                 hops,
-                "route entry of flow {flow} at switch {s}"
+                "route entry of key {key} at switch {s}"
             );
         }
     }
     assert_eq!(
-        low.route_flows.len(),
+        low.route_keys.len(),
         table_entries,
         "CSR holds exactly the table entries"
     );
 
     // The direct map agrees with the CSR: single-hop entries embed
-    // the encoded out-slot, multi-hop entries defer, absent flows are
+    // the encoded out-slot, multi-hop entries defer, absent keys are
     // marked absent.
-    if low.route_flow_space != 0 {
+    if low.route_key_space != 0 {
         for s in 0..n {
-            for flow in 0..low.route_flow_space as u32 {
-                let enc = low.route_direct[s * low.route_flow_space + flow as usize];
-                let hops = low.route_lookup(s, flow);
+            for key in 0..low.route_key_space as u32 {
+                let enc = low.route_direct[s * low.route_key_space + key as usize];
+                let hops = low.route_lookup(s, key);
                 match enc {
-                    ROUTE_NONE => assert!(hops.is_empty(), "flow {flow} marked absent at {s}"),
+                    ROUTE_NONE => assert!(hops.is_empty(), "key {key} marked absent at {s}"),
                     ROUTE_MULTI => assert!(
                         hops.len() > 1
                             || hops[0].port.index() * vcs + hops[0].vc.index()
                                 >= usize::from(ROUTE_MULTI),
-                        "deferred flow {flow} at {s} is genuinely multi-hop or wide"
+                        "deferred key {key} at {s} is genuinely multi-hop or wide"
                     ),
                     enc => {
-                        assert_eq!(hops.len(), 1, "embedded flow {flow} at {s} is single-hop");
+                        assert_eq!(hops.len(), 1, "embedded key {key} at {s} is single-hop");
                         assert_eq!(
                             usize::from(enc),
                             hops[0].port.index() * vcs + hops[0].vc.index(),
-                            "embedded answer of flow {flow} at {s}"
+                            "embedded answer of key {key} at {s}"
                         );
                     }
                 }

@@ -327,10 +327,14 @@ pub struct PatternTraffic {
 struct Expansion<'t> {
     topo: &'t Topology,
     flows: Vec<FlowSpec>,
-    /// `(src switch, dst switch) -> interned flow`; keeps interning
-    /// O(1) per lookup (uniform-random alone creates n·(n−1) distinct
-    /// flows, so a linear scan would make expansion O(n⁴)).
-    flow_index: std::collections::HashMap<(SwitchId, SwitchId), FlowId>,
+    /// `[src switch] -> (dst switch, interned flow)`, sorted by
+    /// destination. Every built-in pattern emits a source's
+    /// destinations in ascending order, so interning is an append;
+    /// anything else pays a binary search (uniform-random alone
+    /// creates n·(n−1) distinct flows, so a linear scan would make
+    /// expansion O(n⁴), and hashing every pair was 40 % of what was
+    /// left of set-up).
+    flow_index: Vec<Vec<(SwitchId, FlowId)>>,
     /// Per-switch TG / TR, precomputed once — `Topology::generator_at`
     /// is a linear endpoint scan, far too slow to call per (src, dst)
     /// pair.
@@ -355,7 +359,7 @@ impl<'t> Expansion<'t> {
         Expansion {
             topo,
             flows: Vec::new(),
-            flow_index: std::collections::HashMap::new(),
+            flow_index: vec![Vec::new(); topo.switch_count()],
             tg_at,
             tr_at,
             models: vec![None; topo.switch_count()],
@@ -364,16 +368,22 @@ impl<'t> Expansion<'t> {
 
     /// Interns the flow src-switch → dst-switch, returning its id.
     fn flow(&mut self, src: SwitchId, dst: SwitchId) -> FlowId {
-        if let Some(&existing) = self.flow_index.get(&(src, dst)) {
-            return existing;
-        }
+        let known = &mut self.flow_index[src.index()];
+        let at = match known.last() {
+            Some(&(last, _)) if last < dst => known.len(),
+            None => 0,
+            Some(_) => match known.binary_search_by_key(&dst, |&(d, _)| d) {
+                Ok(i) => return known[i].1,
+                Err(i) => i,
+            },
+        };
         let flow = FlowId::new(self.flows.len() as u32);
+        known.insert(at, (dst, flow));
         self.flows.push(FlowSpec {
             flow,
             src: self.tg_at[src.index()],
             dst: self.tr_at[dst.index()],
         });
-        self.flow_index.insert((src, dst), flow);
         flow
     }
 
@@ -410,17 +420,26 @@ impl<'t> Expansion<'t> {
         self.models[src.index()] = Some(DestinationModel::Weighted(options));
     }
 
-    fn finish(self) -> PatternTraffic {
-        // Reorder per-switch models into generators() order.
-        let destinations = self
-            .topo
-            .generators()
+    fn finish(mut self) -> PatternTraffic {
+        // Reorder per-switch models into generators() order. A model
+        // moves to the last generator of its switch (the only one, on
+        // every built-in topology); earlier ones get copies.
+        let generators = self.topo.generators();
+        let mut pending = vec![0u32; self.models.len()];
+        for &g in &generators {
+            pending[self.topo.endpoint(g).switch.index()] += 1;
+        }
+        let destinations = generators
             .into_iter()
             .map(|g| {
-                let s = self.topo.endpoint(g).switch;
-                self.models[s.index()]
-                    .clone()
-                    .expect("every switch's generator received a model")
+                let s = self.topo.endpoint(g).switch.index();
+                pending[s] -= 1;
+                let model = if pending[s] == 0 {
+                    self.models[s].take()
+                } else {
+                    self.models[s].clone()
+                };
+                model.expect("every switch's generator received a model")
             })
             .collect();
         PatternTraffic {
@@ -571,6 +590,32 @@ mod tests {
             panic!("expected uniform choice");
         };
         assert_eq!(opts.len(), 4);
+    }
+
+    #[test]
+    fn interning_is_order_independent() {
+        // Out-of-order and repeated pairs take the sorted-insert path
+        // and still intern each (src, dst) exactly once.
+        let m = mesh(3, 3).unwrap();
+        let mut e = Expansion::new(&m);
+        let s = SwitchId::new;
+        let order = [5u32, 2, 7, 2, 8, 0, 5, 7];
+        let ids: Vec<FlowId> = order.iter().map(|&d| e.flow(s(4), s(d))).collect();
+        assert_eq!(e.flows.len(), 5, "five distinct destinations");
+        for (i, &d) in order.iter().enumerate() {
+            assert_eq!(e.flows[ids[i].index()].dst, e.tr_at[d as usize]);
+            assert_eq!(
+                e.flow(s(4), s(d)),
+                ids[i],
+                "re-interning returns the same id"
+            );
+        }
+        assert!(e.flow_index[4].windows(2).all(|w| w[0].0 < w[1].0));
+        assert_ne!(
+            e.flow(s(3), s(5)),
+            ids[0],
+            "other sources intern separately"
+        );
     }
 
     #[test]

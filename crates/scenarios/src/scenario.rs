@@ -92,15 +92,10 @@ pub struct ScenarioRouting {
 ///   restriction the single-VC platform needed is gone);
 /// * anything else falls back to shortest-path on a single VC.
 pub fn scenario_routing(topo: &Topology, flows: &[FlowSpec]) -> ScenarioRouting {
-    if let Some(grid) = topo.grid() {
+    if topo.grid().is_some() {
         // A torus is a grid with wrap links; a mesh has none. (Tori
         // with both dimensions <= 2 degenerate to meshes.)
-        let is_torus = topo
-            .links()
-            .any(|l| match (l.from_switch(), l.to_switch()) {
-                (Some(a), Some(b)) => grid.is_wrap_hop(a, b),
-                _ => false,
-            });
+        let is_torus = topo.has_wrap_links();
         return if is_torus {
             ScenarioRouting {
                 routing: RoutingSpec::Algorithm(RouteAlgorithm::TorusXy),
@@ -223,14 +218,14 @@ impl ScenarioSpec {
         let n = traffic.destinations.len();
         let generators: Vec<TrafficModel> = traffic
             .destinations
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, dst)| {
                 TrafficModel::Uniform(UniformConfig::with_load(
                     self.load,
                     self.packet_flits,
                     Some(PlatformConfig::split_budget(self.total_packets, n, i)),
-                    dst.clone(),
+                    dst,
                 ))
             })
             .collect();

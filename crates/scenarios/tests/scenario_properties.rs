@@ -194,7 +194,7 @@ fn ring_and_torus_scenarios_route_minimally_across_wraparound() {
             .unwrap();
         assert_eq!(cfg.switch.num_vcs, 2, "{}: dateline needs 2 VCs", spec);
         let elab = elaborate(&cfg).unwrap();
-        for fp in elab.routing.flows() {
+        for fp in elab.routing.flows().iter() {
             let from = cfg.topology.endpoint(fp.spec.src).switch;
             let to = cfg.topology.endpoint(fp.spec.dst).switch;
             let shortest = nocem_topology::routing::shortest_path(&cfg.topology, from, to)

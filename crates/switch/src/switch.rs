@@ -87,8 +87,10 @@ pub enum BuildSwitchError {
     /// A routing entry references an output port the switch does not
     /// have.
     RouteOutOfRange {
-        /// Flow index of the offending entry.
-        flow: usize,
+        /// Route key (flow or destination id, per the table's
+        /// [`RouteKey`](nocem_common::route::RouteKey)) of the
+        /// offending entry.
+        key: u32,
         /// The referenced port.
         port: PortId,
         /// Number of outputs the switch actually has.
@@ -97,8 +99,10 @@ pub enum BuildSwitchError {
     /// A routing entry references a virtual channel the switch does
     /// not have.
     RouteVcOutOfRange {
-        /// Flow index of the offending entry.
-        flow: usize,
+        /// Route key (flow or destination id, per the table's
+        /// [`RouteKey`](nocem_common::route::RouteKey)) of the
+        /// offending entry.
+        key: u32,
         /// The referenced VC.
         vc: VcId,
         /// Number of VCs the switch actually has.
@@ -121,17 +125,13 @@ pub enum BuildSwitchError {
 impl std::fmt::Display for BuildSwitchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BuildSwitchError::RouteOutOfRange {
-                flow,
-                port,
-                outputs,
-            } => write!(
+            BuildSwitchError::RouteOutOfRange { key, port, outputs } => write!(
                 f,
-                "routing entry for flow {flow} references {port} but switch has {outputs} outputs"
+                "routing entry for key {key} references {port} but switch has {outputs} outputs"
             ),
-            BuildSwitchError::RouteVcOutOfRange { flow, vc, vcs } => write!(
+            BuildSwitchError::RouteVcOutOfRange { key, vc, vcs } => write!(
                 f,
-                "routing entry for flow {flow} references {vc} but switch has {vcs} VCs"
+                "routing entry for key {key} references {vc} but switch has {vcs} VCs"
             ),
             BuildSwitchError::CreditWidthMismatch {
                 got_outputs,
@@ -383,7 +383,10 @@ impl Switch {
 
     /// Builds a switch from a sparse per-switch routing table — the
     /// constructor the platform compiler uses ([`Switch::new_vc`] is
-    /// the dense-vector convenience over it).
+    /// the dense-vector convenience over it). The table's
+    /// [`RouteKey`](nocem_common::route::RouteKey) says which field of
+    /// a head flit — flow or destination — its entries are looked up
+    /// by.
     ///
     /// # Errors
     ///
@@ -399,18 +402,18 @@ impl Switch {
         let inputs = config.inputs as usize;
         let outputs = config.outputs as usize;
         let vcs = config.num_vcs as usize;
-        for (flow, hops) in routes.entries() {
+        for (key, hops) in routes.entries() {
             for &h in hops {
                 if h.port.index() >= outputs {
                     return Err(BuildSwitchError::RouteOutOfRange {
-                        flow: flow.index(),
+                        key,
                         port: h.port,
                         outputs: config.outputs,
                     });
                 }
                 if h.vc.index() >= vcs {
                     return Err(BuildSwitchError::RouteVcOutOfRange {
-                        flow: flow.index(),
+                        key,
                         vc: h.vc,
                         vcs: config.num_vcs,
                     });
@@ -471,7 +474,7 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics if a head flit carries a flow with no routing entry at
+    /// Panics if a head flit's route key has no routing entry at
     /// this switch — a platform elaboration bug, not a runtime
     /// condition.
     pub fn decide(&mut self) {
@@ -498,14 +501,15 @@ impl Switch {
                     flit.kind.is_head(),
                     "unallocated input VC must face a head flit (wormhole ordering)"
                 );
-                let flow = flit.flow;
                 let hop = match self.chosen[i][v] {
                     Some(h) => h,
                     None => {
-                        let hops = self.routes.lookup(flow);
+                        let hops = self.routes.lookup(self.routes.key().of_flit(flit));
                         assert!(
                             !hops.is_empty(),
-                            "flow {flow} has no routing entry at this switch"
+                            "flow {} to {} has no routing entry at this switch",
+                            flit.flow,
+                            flit.dst
                         );
                         let pick = Self::select(
                             self.config.selection,

@@ -10,16 +10,19 @@
 //!
 //! [`check_deadlock_freedom`] builds the single-VC CDG from configured
 //! flow paths; [`check_routing_deadlock_freedom`] builds the per-VC
-//! CDG from a [`RoutingTables`] (whose paths carry VC labels, e.g.
-//! from the dateline scheme) — this is the check the platform compiler
-//! runs. Both include injection and ejection links, which can never be
-//! part of a cycle but complete the dependency chains, and report the
-//! first cycle found.
+//! CDG of a [`RoutingTables`] — from its VC-labelled paths when the
+//! tables are flow-keyed (e.g. the dateline scheme), straight from the
+//! table entries when they are destination-keyed — and is the check
+//! the platform compiler runs. Nodes are dense `link × VC` indices and
+//! the first cycle found is reported. Injection links have no incoming
+//! and ejection links no outgoing dependencies, so neither can ever be
+//! part of a cycle; the path-based builders include them to complete
+//! the chains, the table-based one has no per-flow pass to add
+//! injection edges in and leaves them out.
 
 use crate::graph::Topology;
-use crate::routing::{FlowPaths, RoutingTables};
+use crate::routing::{FlowPaths, RouteKey, RoutingTables};
 use nocem_common::ids::{LinkId, SwitchId, VcId};
-use std::collections::{HashMap, HashSet};
 
 /// A cyclic channel dependency that could deadlock the network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,35 +75,28 @@ impl std::error::Error for DeadlockCycle {}
 /// # Ok::<(), nocem_topology::deadlock::DeadlockCycle>(())
 /// ```
 pub fn check_deadlock_freedom(topo: &Topology, flows: &[FlowPaths]) -> Result<(), DeadlockCycle> {
-    let mut edges: HashMap<LinkId, HashSet<LinkId>> = HashMap::new();
-
+    let mut cdg = Cdg::new(topo, 1);
     for fp in flows {
         for path in &fp.paths {
-            let mut chain: Vec<LinkId> = Vec::with_capacity(path.len() + 1);
-            chain.push(topo.endpoint(fp.spec.src).link);
-            for w in path.windows(2) {
-                chain.push(link_toward(topo, w[0], w[1]));
-            }
-            chain.push(topo.endpoint(fp.spec.dst).link);
-            for w in chain.windows(2) {
-                edges.entry(w[0]).or_default().insert(w[1]);
-            }
+            cdg.chain(topo, fp, path, &[]);
         }
     }
-
-    match find_cycle(&edges) {
-        Some(links) => Err(DeadlockCycle {
-            links,
-            vcs: Vec::new(),
-        }),
-        None => Ok(()),
-    }
+    cdg.check().map_err(|cycle| DeadlockCycle {
+        vcs: Vec::new(),
+        ..cycle
+    })
 }
 
-/// Builds the per-VC channel dependency graph of routed, VC-labelled
-/// paths and verifies it is acyclic — the check that validates the
-/// dateline scheme: the same physical ring cycle is broken because its
-/// links are visited on different VCs.
+/// Builds the per-VC channel dependency graph of routing tables and
+/// verifies it is acyclic — the check that validates the dateline
+/// scheme: the same physical ring cycle is broken because its links
+/// are visited on different VCs.
+///
+/// Flow-keyed tables contribute one dependency chain per VC-labelled
+/// path. Destination-keyed tables contribute, for every entry `(s,
+/// key) → hop`, the dependency of the hop's channel on each channel
+/// the next switch's entry for the same key continues on — the same
+/// edges (every entry lies on some flow's path) in `O(entries)`.
 ///
 /// # Errors
 ///
@@ -115,91 +111,133 @@ pub fn check_routing_deadlock_freedom(
     topo: &Topology,
     tables: &RoutingTables,
 ) -> Result<(), DeadlockCycle> {
-    let mut edges: HashMap<(LinkId, VcId), HashSet<(LinkId, VcId)>> = HashMap::new();
-
-    for fp in tables.flows() {
-        for (pi, path) in fp.paths.iter().enumerate() {
-            let labels = tables.path_vcs(fp.spec.flow, pi);
-            let mut chain: Vec<(LinkId, VcId)> = Vec::with_capacity(path.len() + 1);
-            // Injection happens on VC 0 (the NI's fixed VC).
-            chain.push((topo.endpoint(fp.spec.src).link, VcId::ZERO));
-            for (w, &vc) in path.windows(2).zip(labels) {
-                chain.push((link_toward(topo, w[0], w[1]), vc));
+    let mut cdg = Cdg::new(topo, usize::from(tables.max_vc()) + 1);
+    match tables.key() {
+        RouteKey::Flow => {
+            for fp in tables.flows().iter() {
+                for (pi, path) in fp.paths.iter().enumerate() {
+                    cdg.chain(topo, fp, path, &tables.path_vcs(fp.spec.flow, pi));
+                }
             }
-            // Ejection always rides VC 0 (see RoutingTables): the
-            // receptor is VC-blind, so packets serialize into it.
-            chain.push((topo.endpoint(fp.spec.dst).link, VcId::ZERO));
-            for w in chain.windows(2) {
-                edges.entry(w[0]).or_default().insert(w[1]);
+        }
+        RouteKey::Destination => {
+            for s in topo.switch_ids() {
+                for (key, hops) in tables.switch_table(s).entries() {
+                    for hop in hops {
+                        let link = topo.out_link(s, hop.port);
+                        // Ejection links are sinks.
+                        let Some(next) = topo.link(link).to_switch() else {
+                            continue;
+                        };
+                        for onward in tables.switch_table(next).lookup(key) {
+                            cdg.edge(
+                                (link, hop.vc),
+                                (topo.out_link(next, onward.port), onward.vc),
+                            );
+                        }
+                    }
+                }
             }
         }
     }
-
-    match find_cycle(&edges) {
-        Some(nodes) => {
-            let (links, vcs) = nodes.into_iter().unzip();
-            Err(DeadlockCycle { links, vcs })
-        }
-        None => Ok(()),
-    }
+    cdg.check()
 }
 
-/// Iterative DFS three-colour cycle detection over an adjacency map,
-/// deterministic (nodes and successors visited in sorted order).
-/// Returns the nodes of the first cycle found.
-fn find_cycle<N: Copy + Ord + std::hash::Hash>(edges: &HashMap<N, HashSet<N>>) -> Option<Vec<N>> {
-    let mut color: HashMap<N, u8> = HashMap::new(); // 0 white 1 grey 2 black
-    let mut nodes: Vec<N> = edges.keys().copied().collect();
-    nodes.sort();
-    for &start in &nodes {
-        if color.get(&start).copied().unwrap_or(0) != 0 {
-            continue;
+/// A channel dependency graph over dense `link × VC` node indices.
+struct Cdg {
+    vcs: usize,
+    /// `[node] -> successors`, duplicate-free (a channel has at most
+    /// `outputs × VCs` of them, so membership is a short scan).
+    succ: Vec<Vec<u32>>,
+}
+
+impl Cdg {
+    fn new(topo: &Topology, vcs: usize) -> Self {
+        Cdg {
+            vcs,
+            succ: vec![Vec::new(); topo.link_count() * vcs],
         }
-        // Stack of (node, successors, next-successor-index).
-        let mut stack: Vec<(N, Vec<N>, usize)> = Vec::new();
-        let succ = sorted_successors(edges, start);
-        color.insert(start, 1);
-        stack.push((start, succ, 0));
-        while let Some((node, succ, idx)) = stack.last_mut() {
-            if *idx >= succ.len() {
-                color.insert(*node, 2);
-                stack.pop();
+    }
+
+    fn edge(&mut self, from: (LinkId, VcId), to: (LinkId, VcId)) {
+        let node = |(link, vc): (LinkId, VcId)| (link.index() * self.vcs + vc.index()) as u32;
+        let (from, to) = (node(from), node(to));
+        let succ = &mut self.succ[from as usize];
+        if !succ.contains(&to) {
+            succ.push(to);
+        }
+    }
+
+    /// Adds the dependency chain of one path: injection link (VC 0,
+    /// the NI's fixed VC), every hop on its label (VC 0 where `labels`
+    /// has none), ejection link (always VC 0: the receptor is
+    /// VC-blind, so packets serialize into it).
+    fn chain(&mut self, topo: &Topology, fp: &FlowPaths, path: &[SwitchId], labels: &[VcId]) {
+        let mut prev = (topo.endpoint(fp.spec.src).link, VcId::ZERO);
+        for (i, w) in path.windows(2).enumerate() {
+            let vc = labels.get(i).copied().unwrap_or(VcId::ZERO);
+            let channel = (link_toward(topo, w[0], w[1]), vc);
+            self.edge(prev, channel);
+            prev = channel;
+        }
+        self.edge(prev, (topo.endpoint(fp.spec.dst).link, VcId::ZERO));
+    }
+
+    /// Iterative three-colour DFS, deterministic: nodes and successors
+    /// are visited in ascending `(link, VC)` order.
+    fn check(mut self) -> Result<(), DeadlockCycle> {
+        for succ in &mut self.succ {
+            succ.sort_unstable();
+        }
+        const WHITE: u8 = 0;
+        const GREY: u8 = 1;
+        const BLACK: u8 = 2;
+        let mut color = vec![WHITE; self.succ.len()];
+        // (node, index of its next successor to visit).
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for start in 0..self.succ.len() as u32 {
+            if color[start as usize] != WHITE {
                 continue;
             }
-            let next = succ[*idx];
-            *idx += 1;
-            match color.get(&next).copied().unwrap_or(0) {
-                0 => {
-                    let s = sorted_successors(edges, next);
-                    color.insert(next, 1);
-                    stack.push((next, s, 0));
+            color[start as usize] = GREY;
+            stack.push((start, 0));
+            while let Some((node, idx)) = stack.last_mut() {
+                let Some(&next) = self.succ[*node as usize].get(*idx) else {
+                    color[*node as usize] = BLACK;
+                    stack.pop();
+                    continue;
+                };
+                *idx += 1;
+                match color[next as usize] {
+                    WHITE => {
+                        color[next as usize] = GREY;
+                        stack.push((next, 0));
+                    }
+                    GREY => {
+                        // A grey node is on the stack: the cycle is
+                        // the stack from there up.
+                        let pos = stack
+                            .iter()
+                            .position(|&(n, _)| n == next)
+                            .expect("grey node is on the stack");
+                        let (links, vcs) = stack[pos..]
+                            .iter()
+                            .map(|&(n, _)| {
+                                let n = n as usize;
+                                (
+                                    LinkId::new((n / self.vcs) as u32),
+                                    VcId::new((n % self.vcs) as u8),
+                                )
+                            })
+                            .unzip();
+                        return Err(DeadlockCycle { links, vcs });
+                    }
+                    _ => {}
                 }
-                1 => {
-                    // Found a grey node: reconstruct the cycle from the
-                    // stack.
-                    let pos = stack
-                        .iter()
-                        .position(|(n, _, _)| *n == next)
-                        .expect("grey node is on the stack");
-                    return Some(stack[pos..].iter().map(|(n, _, _)| *n).collect());
-                }
-                _ => {}
             }
         }
+        Ok(())
     }
-    None
-}
-
-fn sorted_successors<N: Copy + Ord + std::hash::Hash>(
-    edges: &HashMap<N, HashSet<N>>,
-    node: N,
-) -> Vec<N> {
-    let mut s: Vec<N> = edges
-        .get(&node)
-        .map(|set| set.iter().copied().collect())
-        .unwrap_or_default();
-    s.sort();
-    s
 }
 
 fn link_toward(topo: &Topology, from: SwitchId, to: SwitchId) -> LinkId {
@@ -333,8 +371,8 @@ mod tests {
         let t = ring(6).unwrap();
         let flows = FlowSpec::one_to_one(&t).unwrap();
         let rt = RoutingTables::compute(&t, &flows, RouteAlgorithm::Shortest).unwrap();
-        let a = check_deadlock_freedom(&t, rt.flows());
-        let b = check_deadlock_freedom(&t, rt.flows());
+        let a = check_deadlock_freedom(&t, &rt.flows());
+        let b = check_deadlock_freedom(&t, &rt.flows());
         assert_eq!(a.is_ok(), b.is_ok());
     }
 

@@ -303,6 +303,21 @@ impl Topology {
         })
     }
 
+    /// Whether the topology is a grid with at least one wrap-around
+    /// link (a torus; [`GridInfo::is_wrap_hop`] is the predicate).
+    /// Tori whose dimensions are all `<= 2` have none and route like
+    /// meshes.
+    pub fn has_wrap_links(&self) -> bool {
+        self.grid.as_ref().is_some_and(|grid| {
+            self.links
+                .iter()
+                .any(|l| match (l.from_switch(), l.to_switch()) {
+                    (Some(a), Some(b)) => grid.is_wrap_hop(a, b),
+                    _ => false,
+                })
+        })
+    }
+
     /// The link arriving at input port `port` of switch `s`.
     ///
     /// # Panics

@@ -1,14 +1,31 @@
 //! Routing tables: from flows and paths to per-switch output-hop sets.
 //!
-//! The emulated switches route by **flow**: every head flit carries a
-//! [`FlowId`], and each switch holds a small table mapping flows to the
-//! set of admissible [`RouteHop`]s — an output port plus the virtual
-//! channel the packet continues on (one hop for deterministic routing,
-//! two for the paper's "two routing possibilities"). This module
-//! computes those tables from a [`Topology`] and a list of
-//! [`FlowSpec`]s using one of several algorithms, or from explicitly
-//! given paths (which is how the paper's experimental setup pins its
-//! hot links).
+//! The emulated switches route by **route key**: every head flit
+//! carries a [`FlowId`] and a destination [`EndpointId`], and each
+//! switch holds a small table mapping one of the two — the table's
+//! [`RouteKey`] — to the set of admissible [`RouteHop`]s: an output
+//! port plus the virtual channel the packet continues on (one hop for
+//! deterministic routing, two for the paper's "two routing
+//! possibilities"). This module computes those tables from a
+//! [`Topology`] and a list of [`FlowSpec`]s using one of several
+//! algorithms, or from explicitly given paths (which is how the
+//! paper's experimental setup pins its hot links).
+//!
+//! Who decides the key: [`RoutingTables::compute_with`], from the
+//! algorithm, the VC policy and the topology — never the caller.
+//! Dimension-ordered routing whose hop is a function of (switch,
+//! destination) — [`RouteAlgorithm::Xy`] always,
+//! [`RouteAlgorithm::TorusXy`] whenever no hop can be labelled above
+//! VC 0 ([`VcPolicy::SingleVc`], or a grid without wrap-around links)
+//! — is keyed by [`RouteKey::Destination`] and built directly: one
+//! arithmetic hop per (switch, destination) pair that some flow
+//! actually crosses, `O(switches × destinations)` instead of
+//! `O(flows × hops)`, with no per-flow path ever materialized.
+//! Everything else — explicit paths, [`RouteAlgorithm::Shortest`],
+//! [`RouteAlgorithm::KShortest`], `TorusXy` with
+//! [`VcPolicy::Dateline`] across real wrap-around links (where the VC
+//! depends on whether *this* packet already crossed the dateline, i.e.
+//! on its source) — is keyed by [`RouteKey::Flow`].
 //!
 //! Virtual-channel assignment is a labelling pass over the computed
 //! paths, selected by [`VcPolicy`]: [`VcPolicy::SingleVc`] keeps every
@@ -18,14 +35,19 @@
 //! that lets rings and tori route *minimally* across their wrap links
 //! while the per-VC channel-dependency graph stays acyclic.
 //!
-//! Tables are *path-derived*: the configured paths and their VC labels
-//! are retained inside [`RoutingTables`] so that downstream analyses
-//! (deadlock check, link load prediction) can reason about them.
+//! Flow-keyed tables are *path-derived*: the configured paths and
+//! their VC labels are retained inside [`RoutingTables`].
+//! Destination-keyed tables serve both on demand, by walking the
+//! tables from the flow's source switch, so downstream analyses
+//! (deadlock check, link load prediction) see the same paths either
+//! way.
 
 use crate::graph::{EndpointKind, GridInfo, Topology};
 use crate::TopologyError;
 use nocem_common::ids::{EndpointId, FlowId, PortId, SwitchId, VcId};
+use std::borrow::Cow;
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
 
 /// A (source endpoint, destination endpoint) traffic flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,6 +89,15 @@ impl FlowSpec {
             .collect())
     }
 
+    /// The spec of `flow` among `specs`: at its own index when ids are
+    /// dense (what every generated flow set is), by search otherwise.
+    pub fn find(specs: &[FlowSpec], flow: FlowId) -> Option<&FlowSpec> {
+        specs
+            .get(flow.index())
+            .filter(|spec| spec.flow == flow)
+            .or_else(|| specs.iter().find(|spec| spec.flow == flow))
+    }
+
     /// One flow from every generator to every receptor (uniform-random
     /// destination traffic uses the whole set).
     pub fn all_pairs(topo: &Topology) -> Vec<FlowSpec> {
@@ -88,7 +119,7 @@ impl FlowSpec {
 /// destination's switch (inclusive).
 pub type Path = Vec<SwitchId>;
 
-pub use nocem_common::route::{RouteHop, RouteTable};
+pub use nocem_common::route::{RouteHop, RouteKey, RouteTable};
 
 /// How virtual channels are assigned along computed paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,29 +158,77 @@ pub enum RouteAlgorithm {
     /// Dimension-ordered X-then-Y routing that takes the shorter
     /// direction around each dimension, using wrap-around links where
     /// they exist (tori). Requires grid metadata; ties break toward
-    /// the direct (non-wrapping) direction, so on a mesh it reduces
-    /// to [`RouteAlgorithm::Xy`]. Pair with [`VcPolicy::Dateline`]
-    /// and 2 VCs to keep the wrap-crossing paths deadlock-free.
+    /// the direct (non-wrapping) direction. On a grid *without* wrap
+    /// links only pairs whose shorter way is the direct one can route
+    /// (the rest fail with [`TopologyError::InvalidPath`]). Pair with
+    /// [`VcPolicy::Dateline`] and 2 VCs to keep the wrap-crossing
+    /// paths deadlock-free.
     TorusXy,
 }
 
-/// Per-switch sparse output-hop tables, plus the paths and VC labels
-/// they were derived from.
+/// Per-switch sparse output-hop tables, plus what answers for a flow:
+/// the retained paths and VC labels (flow-keyed) or the flow list the
+/// tables are walked for (destination-keyed).
+///
+/// The tables are immutable and shared: `clone()` is `O(1)`, so every
+/// curve point, matrix cell and engine instance built from one
+/// [`RoutingTables`] reuses the same memory.
 #[derive(Debug, Clone)]
 pub struct RoutingTables {
-    /// `[switch] -> sparse flow table` (a flow has hops only at the
-    /// switches its paths visit; see [`RouteTable`]). Sparseness keeps
+    inner: Arc<Tables>,
+}
+
+#[derive(Debug)]
+struct Tables {
+    /// `[switch] -> sparse table` (a key has hops only at the switches
+    /// its packets visit; see [`RouteTable`]). Sparseness keeps
     /// all-to-all patterns on large grids feasible: a dense
     /// `[switch][flow]` layout is `O(switches^3)` for uniform-random
     /// traffic.
     table: Vec<RouteTable>,
-    flows: Vec<FlowPaths>,
-    /// `[flow][path][hop] -> VC` label of each inter-switch hop
-    /// (`path.len() - 1` entries per path).
-    vc_labels: Vec<Vec<Vec<VcId>>>,
+    /// The highest VC any entry uses.
+    max_vc: u8,
+    flows: Flows,
+}
+
+/// What a [`RoutingTables`] knows about its flows.
+#[derive(Debug)]
+enum Flows {
+    /// [`RouteKey::Flow`]: the configured paths, retained.
+    Paths {
+        flows: Vec<FlowPaths>,
+        /// `[flow][path][hop] -> VC` label of each inter-switch hop
+        /// (`path.len() - 1` entries per path).
+        vc_labels: Vec<Vec<Vec<VcId>>>,
+    },
+    /// [`RouteKey::Destination`]: the flows only; a flow's path is the
+    /// walk through the tables from its source switch.
+    Walked {
+        specs: Vec<FlowSpec>,
+        /// `[endpoint] -> switch` it is attached to.
+        endpoint_switch: Vec<SwitchId>,
+        /// `[switch][output port] -> downstream switch` (`None` on
+        /// ejection ports).
+        next_switch: Vec<Vec<Option<SwitchId>>>,
+    },
 }
 
 impl RoutingTables {
+    fn new(table: Vec<RouteTable>, flows: Flows) -> Self {
+        let max_vc = table
+            .iter()
+            .filter_map(RouteTable::max_vc)
+            .max()
+            .unwrap_or(0);
+        RoutingTables {
+            inner: Arc::new(Tables {
+                table,
+                max_vc,
+                flows,
+            }),
+        }
+    }
+
     /// Computes single-VC tables for `flows` over `topo` using `algo`
     /// (every hop on VC 0). Shorthand for [`RoutingTables::compute_with`]
     /// with [`VcPolicy::SingleVc`].
@@ -168,7 +247,9 @@ impl RoutingTables {
     }
 
     /// Computes tables for `flows` over `topo` using `algo`, labelling
-    /// every path's hops with virtual channels per `policy`.
+    /// every hop with virtual channels per `policy`. The result is
+    /// destination-keyed when the hop is a function of (switch,
+    /// destination) and flow-keyed otherwise (see the module docs).
     ///
     /// # Errors
     ///
@@ -181,33 +262,147 @@ impl RoutingTables {
         algo: RouteAlgorithm,
         policy: VcPolicy,
     ) -> Result<Self, TopologyError> {
+        let no_route = |spec: &FlowSpec| TopologyError::NoRoute { flow: spec.flow };
+        let grid = || topo.grid().ok_or(TopologyError::GridRequired);
+        match algo {
+            RouteAlgorithm::Shortest => {
+                Self::compute_per_flow(topo, flows, policy, |spec, from, to| {
+                    let path = shortest_path(topo, from, to).ok_or_else(|| no_route(spec))?;
+                    Ok(vec![path])
+                })
+            }
+            RouteAlgorithm::KShortest(k) => {
+                Self::compute_per_flow(topo, flows, policy, |spec, from, to| {
+                    let all = k_shortest_paths(topo, from, to, k.max(1));
+                    if all.is_empty() {
+                        return Err(no_route(spec));
+                    }
+                    Ok(prune_to_acyclic(all))
+                })
+            }
+            RouteAlgorithm::Xy => Self::by_destination(topo, flows, grid()?, false),
+            // A dateline label above VC 0 needs a wrap-around hop: only
+            // then does the VC depend on the packet's source.
+            RouteAlgorithm::TorusXy if policy == VcPolicy::Dateline && topo.has_wrap_links() => {
+                let grid = grid()?;
+                Self::compute_per_flow(topo, flows, policy, |_, from, to| {
+                    Ok(vec![grid_path(grid, true, from, to)])
+                })
+            }
+            RouteAlgorithm::TorusXy => Self::by_destination(topo, flows, grid()?, true),
+        }
+    }
+
+    /// Flow-keyed tables from one path set per flow.
+    fn compute_per_flow(
+        topo: &Topology,
+        flows: &[FlowSpec],
+        policy: VcPolicy,
+        paths_of: impl Fn(&FlowSpec, SwitchId, SwitchId) -> Result<Vec<Path>, TopologyError>,
+    ) -> Result<Self, TopologyError> {
         let mut flow_paths = Vec::with_capacity(flows.len());
         for spec in flows {
             let (from, to) = endpoints_switches(topo, spec)?;
-            let paths = match algo {
-                RouteAlgorithm::Shortest => {
-                    vec![shortest_path(topo, from, to)
-                        .ok_or(TopologyError::NoRoute { flow: spec.flow })?]
-                }
-                RouteAlgorithm::KShortest(k) => {
-                    let all = k_shortest_paths(topo, from, to, k.max(1));
-                    if all.is_empty() {
-                        return Err(TopologyError::NoRoute { flow: spec.flow });
-                    }
-                    prune_to_acyclic(all)
-                }
-                RouteAlgorithm::Xy => {
-                    let grid = topo.grid().ok_or(TopologyError::GridRequired)?;
-                    vec![xy_path(grid, from, to)]
-                }
-                RouteAlgorithm::TorusXy => {
-                    let grid = topo.grid().ok_or(TopologyError::GridRequired)?;
-                    vec![torus_xy_path(topo, grid, from, to)]
-                }
-            };
-            flow_paths.push(FlowPaths { spec: *spec, paths });
+            flow_paths.push(FlowPaths {
+                spec: *spec,
+                paths: paths_of(spec, from, to)?,
+            });
         }
         Self::from_paths_with(topo, flow_paths, policy)
+    }
+
+    /// Destination-keyed dimension-ordered tables, every hop on VC 0:
+    /// one [`grid_step`] per (switch, destination) pair that some flow
+    /// crosses. Routing toward one destination is a tree, so a flow's
+    /// walk stops at the first switch an earlier flow to the same
+    /// destination already reached — the total work is `O(flows +
+    /// entries)`, and a permutation pattern on a huge grid stays at
+    /// flows × path length entries instead of filling every pair.
+    fn by_destination(
+        topo: &Topology,
+        flows: &[FlowSpec],
+        grid: &GridInfo,
+        wrap: bool,
+    ) -> Result<Self, TopologyError> {
+        // Counting sort of the source switches by destination: entries
+        // then reach every table in ascending key order (the O(1)
+        // append of `RouteTable::push_hop`).
+        let endpoints = topo.endpoint_count();
+        let mut start = vec![0u32; endpoints + 1];
+        for spec in flows {
+            endpoints_switches(topo, spec)?;
+            start[spec.dst.index() + 1] += 1;
+        }
+        for d in 0..endpoints {
+            start[d + 1] += start[d];
+        }
+        let mut fill = start.clone();
+        let mut sources = vec![SwitchId::new(0); flows.len()];
+        for spec in flows {
+            let at = &mut fill[spec.dst.index()];
+            sources[*at as usize] = topo.endpoint(spec.src).switch;
+            *at += 1;
+        }
+
+        let mut table = vec![RouteTable::new(RouteKey::Destination); topo.switch_count()];
+        // Per switch: the last destination whose tree reached it.
+        let mut reached = vec![u32::MAX; topo.switch_count()];
+        for d in 0..endpoints {
+            let group = &sources[start[d] as usize..start[d + 1] as usize];
+            let dst = EndpointId::new(d as u32);
+            // Only a failed step needs to name a flow; find it then.
+            let invalid = |from: SwitchId, reason: String| {
+                let culprit = flows
+                    .iter()
+                    .find(|f| f.dst == dst && topo.endpoint(f.src).switch == from)
+                    .expect("the walk started at one of the group's flows");
+                TopologyError::InvalidPath {
+                    flow: culprit.flow,
+                    reason,
+                }
+            };
+            let to = topo.endpoint(dst).switch;
+            for &from in group {
+                let mut cur = from;
+                while reached[cur.index()] != d as u32 {
+                    reached[cur.index()] = d as u32;
+                    if cur == to {
+                        // Ejection, always on VC 0 (see
+                        // `from_paths_with`).
+                        let eject = topo.ejection_port(to, dst).ok_or_else(|| {
+                            invalid(from, format!("{dst} is not attached to {to}"))
+                        })?;
+                        table[cur.index()].push_hop(dst.raw(), RouteHop::vc0(eject));
+                        break;
+                    }
+                    let next = grid_step(grid, wrap, cur, to);
+                    let port = port_toward(topo, cur, next)
+                        .ok_or_else(|| invalid(from, format!("no link {cur} -> {next}")))?;
+                    table[cur.index()].push_hop(dst.raw(), RouteHop::vc0(port));
+                    cur = next;
+                }
+            }
+        }
+
+        let next_switch = topo
+            .switch_ids()
+            .map(|s| {
+                (0..topo.switch(s).outputs)
+                    .map(|p| topo.link(topo.out_link(s, PortId::new(p))).to_switch())
+                    .collect()
+            })
+            .collect();
+        Ok(Self::new(
+            table,
+            Flows::Walked {
+                specs: flows.to_vec(),
+                endpoint_switch: topo
+                    .endpoint_ids()
+                    .map(|e| topo.endpoint(e).switch)
+                    .collect(),
+                next_switch,
+            },
+        ))
     }
 
     /// Builds single-VC tables from explicitly given paths (every hop
@@ -223,8 +418,8 @@ impl RoutingTables {
         Self::from_paths_with(topo, flows, VcPolicy::SingleVc)
     }
 
-    /// Builds tables from explicitly given paths, labelling hops with
-    /// virtual channels per `policy`.
+    /// Builds flow-keyed tables from explicitly given paths, labelling
+    /// hops with virtual channels per `policy`.
     ///
     /// # Errors
     ///
@@ -238,7 +433,7 @@ impl RoutingTables {
         policy: VcPolicy,
     ) -> Result<Self, TopologyError> {
         let flow_count = flows.len();
-        let mut table = vec![RouteTable::new(); topo.switch_count()];
+        let mut table = vec![RouteTable::new(RouteKey::Flow); topo.switch_count()];
         let mut vc_labels = vec![Vec::new(); flow_count];
 
         for fp in &flows {
@@ -260,7 +455,7 @@ impl RoutingTables {
                             reason: format!("no link {} -> {}", w[0], w[1]),
                         }
                     })?;
-                    table[w[0].index()].push_hop(spec.flow, RouteHop { port, vc });
+                    table[w[0].index()].push_hop(spec.flow.raw(), RouteHop { port, vc });
                 }
                 // Ejection at the destination switch, always on VC 0:
                 // receptors are VC-blind, so funnelling every packet
@@ -274,41 +469,72 @@ impl RoutingTables {
                             flow: spec.flow,
                             reason: format!("{} is not attached to {}", spec.dst, to),
                         })?;
-                table[to.index()].push_hop(spec.flow, RouteHop::vc0(eject));
+                table[to.index()].push_hop(spec.flow.raw(), RouteHop::vc0(eject));
                 vc_labels[spec.flow.index()].push(labels);
             }
         }
-        Ok(RoutingTables {
-            table,
-            flows,
-            vc_labels,
-        })
+        Ok(Self::new(table, Flows::Paths { flows, vc_labels }))
     }
 
-    /// The admissible output hops of `flow` at switch `s` (empty if
-    /// the flow never visits `s` — including flows the tables were
-    /// never built for, which the sparse layout cannot distinguish).
+    /// What the tables' keys identify.
+    pub fn key(&self) -> RouteKey {
+        match self.inner.flows {
+            Flows::Paths { .. } => RouteKey::Flow,
+            Flows::Walked { .. } => RouteKey::Destination,
+        }
+    }
+
+    /// The admissible output hops of `flow` at switch `s`, whatever
+    /// the tables are keyed by. Empty if the flow never visits `s` —
+    /// or was never given to the table builder, which flow-keyed
+    /// tables cannot tell apart. Destination-keyed tables answer for
+    /// the flow's destination: at a switch off the flow's own path the
+    /// answer is whatever other flows to that destination left there.
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range.
     pub fn lookup(&self, s: SwitchId, flow: FlowId) -> &[RouteHop] {
-        self.table[s.index()].lookup(flow)
+        let key = match &self.inner.flows {
+            Flows::Paths { .. } => flow.raw(),
+            Flows::Walked { specs, .. } => match FlowSpec::find(specs, flow) {
+                Some(spec) => spec.dst.raw(),
+                None => return &[],
+            },
+        };
+        self.inner.table[s.index()].lookup(key)
     }
 
     /// The sparse per-switch table, as consumed by the switch models.
     pub fn switch_table(&self, s: SwitchId) -> &RouteTable {
-        &self.table[s.index()]
+        &self.inner.table[s.index()]
     }
 
     /// Number of flows the tables were built for.
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        match &self.inner.flows {
+            Flows::Paths { flows, .. } => flows.len(),
+            Flows::Walked { specs, .. } => specs.len(),
+        }
     }
 
-    /// The configured flows and their paths.
-    pub fn flows(&self) -> &[FlowPaths] {
-        &self.flows
+    /// The configured flows and their paths, in the order they were
+    /// given. Flow-keyed tables lend the paths they retain;
+    /// destination-keyed tables walk them out of the tables on every
+    /// call (`O(flows × path length)` — analyses call this once).
+    pub fn flows(&self) -> Cow<'_, [FlowPaths]> {
+        match &self.inner.flows {
+            Flows::Paths { flows, .. } => Cow::Borrowed(flows),
+            Flows::Walked { specs, .. } => Cow::Owned(
+                specs
+                    .iter()
+                    .map(|spec| FlowPaths {
+                        spec: *spec,
+                        paths: vec![self.walk(spec).0],
+                    })
+                    .collect(),
+            ),
+        }
     }
 
     /// The VC labels of path `path_index` of `flow`, one per
@@ -317,25 +543,60 @@ impl RoutingTables {
     /// # Panics
     ///
     /// Panics if the flow or path index is out of range.
-    pub fn path_vcs(&self, flow: FlowId, path_index: usize) -> &[VcId] {
-        &self.vc_labels[flow.index()][path_index]
+    pub fn path_vcs(&self, flow: FlowId, path_index: usize) -> Cow<'_, [VcId]> {
+        match &self.inner.flows {
+            Flows::Paths { vc_labels, .. } => Cow::Borrowed(&vc_labels[flow.index()][path_index]),
+            Flows::Walked { specs, .. } => {
+                assert_eq!(path_index, 0, "destination-keyed routing is single-path");
+                let spec = FlowSpec::find(specs, flow).expect("flow is routed by these tables");
+                Cow::Owned(self.walk(spec).1)
+            }
+        }
+    }
+
+    /// Follows a destination-keyed flow through the tables from its
+    /// source switch to the ejection entry: the switch path and the VC
+    /// of every inter-switch hop.
+    fn walk(&self, spec: &FlowSpec) -> (Path, Vec<VcId>) {
+        let Flows::Walked {
+            endpoint_switch,
+            next_switch,
+            ..
+        } = &self.inner.flows
+        else {
+            unreachable!("only destination-keyed tables are walked");
+        };
+        let mut cur = endpoint_switch[spec.src.index()];
+        let mut path = vec![cur];
+        let mut vcs = Vec::new();
+        loop {
+            let hop = self.inner.table[cur.index()]
+                .lookup(spec.dst.raw())
+                .first()
+                .expect("every switch on a routed flow's path holds its destination");
+            match next_switch[cur.index()][hop.port.index()] {
+                Some(next) => {
+                    vcs.push(hop.vc);
+                    path.push(next);
+                    cur = next;
+                }
+                None => return (path, vcs),
+            }
+        }
     }
 
     /// The highest VC any table entry uses (0 for single-VC tables).
     /// Switches must be configured with at least `max_vc() + 1` VCs.
     pub fn max_vc(&self) -> u8 {
-        self.table
-            .iter()
-            .filter_map(RouteTable::max_vc)
-            .max()
-            .unwrap_or(0)
+        self.inner.max_vc
     }
 
-    /// The maximum number of alternatives any (switch, flow) entry
+    /// The maximum number of alternatives any (switch, key) entry
     /// holds — 1 for deterministic routing, 2 for the paper's dual
     /// routing.
     pub fn max_alternatives(&self) -> usize {
-        self.table
+        self.inner
+            .table
             .iter()
             .map(RouteTable::max_alternatives)
             .max()
@@ -559,61 +820,42 @@ fn union_is_acyclic(edges: &HashSet<(SwitchId, SwitchId)>) -> bool {
     removed == nodes.len()
 }
 
-/// Dimension-ordered (X then Y) path on a grid.
-fn xy_path(grid: &GridInfo, from: SwitchId, to: SwitchId) -> Path {
-    let (mut x, mut y) = grid.coords(from);
-    let (tx, ty) = grid.coords(to);
-    let mut path = vec![from];
-    while x != tx {
-        x = if x < tx { x + 1 } else { x - 1 };
-        path.push(grid.at(x, y));
-    }
-    while y != ty {
-        y = if y < ty { y + 1 } else { y - 1 };
-        path.push(grid.at(x, y));
-    }
-    path
-}
-
-/// One dimension-ordered torus step: the distance and per-step delta
-/// of the shorter direction around a ring of `size` nodes, preferring
-/// the direct (non-wrapping) direction on ties or when the wrap link
-/// does not exist (`size <= 2`).
-fn torus_dim_steps(cur: u32, target: u32, size: u32) -> (u32, i64) {
-    let direct = cur.abs_diff(target);
-    let wrapped = size - direct;
-    let direct_delta = if cur < target { 1 } else { -1 };
-    if size > 2 && wrapped < direct {
-        (wrapped, -direct_delta)
-    } else {
-        (direct, direct_delta)
-    }
-}
-
-/// Dimension-ordered (X then Y) path on a torus, taking the shorter
-/// direction around each dimension (wrap-around links included).
-fn torus_xy_path(topo: &Topology, grid: &GridInfo, from: SwitchId, to: SwitchId) -> Path {
-    let step = |coord: u32, delta: i64, size: u32| -> u32 {
-        ((i64::from(coord) + delta).rem_euclid(i64::from(size))) as u32
+/// One dimension-ordered step from `cur` toward `to` (`cur != to`): X
+/// first, then Y. With `wrap`, each dimension is travelled the shorter
+/// way around, preferring the direct (non-wrapping) direction on ties
+/// or when the wrap link does not exist (`size <= 2`) — and because
+/// the shorter way stays the shorter way after every step, the hop is
+/// a function of (switch, destination) alone.
+fn grid_step(grid: &GridInfo, wrap: bool, cur: SwitchId, to: SwitchId) -> SwitchId {
+    let step = |cur: u32, target: u32, size: u32| {
+        let direct = cur.abs_diff(target);
+        let around = wrap && size > 2 && size - direct < direct;
+        if (cur < target) != around {
+            (cur + 1) % size
+        } else {
+            (cur + size - 1) % size
+        }
     };
-    let (mut x, mut y) = grid.coords(from);
+    let (x, y) = grid.coords(cur);
     let (tx, ty) = grid.coords(to);
+    if x != tx {
+        grid.at(step(x, tx, grid.width), y)
+    } else {
+        grid.at(x, step(y, ty, grid.height))
+    }
+}
+
+/// The dimension-ordered path `from → to`: [`grid_step`] until there.
+/// Only dateline routing across wrap-around links still needs paths
+/// (its VC labels depend on the source); everything else goes through
+/// [`RoutingTables::by_destination`].
+fn grid_path(grid: &GridInfo, wrap: bool, from: SwitchId, to: SwitchId) -> Path {
     let mut path = vec![from];
-    let (hops_x, dx) = torus_dim_steps(x, tx, grid.width);
-    for _ in 0..hops_x {
-        x = step(x, dx, grid.width);
-        path.push(grid.at(x, y));
+    let mut cur = from;
+    while cur != to {
+        cur = grid_step(grid, wrap, cur, to);
+        path.push(cur);
     }
-    let (hops_y, dy) = torus_dim_steps(y, ty, grid.height);
-    for _ in 0..hops_y {
-        y = step(y, dy, grid.height);
-        path.push(grid.at(x, y));
-    }
-    debug_assert!(
-        path.windows(2)
-            .all(|w| port_toward(topo, w[0], w[1]).is_some()),
-        "torus XY path uses only existing links"
-    );
     path
 }
 
@@ -868,16 +1110,16 @@ mod tests {
         let t = builders::torus(4, 4).unwrap();
         let grid = t.grid().unwrap();
         // x: 0 -> 3 is one wrap hop, not three direct hops.
-        let p = torus_xy_path(&t, grid, SwitchId::new(0), SwitchId::new(3));
+        let p = grid_path(grid, true, SwitchId::new(0), SwitchId::new(3));
         assert_eq!(p, vec![SwitchId::new(0), SwitchId::new(3)]);
         // Distance-2 ties go direct.
-        let p = torus_xy_path(&t, grid, SwitchId::new(0), SwitchId::new(2));
+        let p = grid_path(grid, true, SwitchId::new(0), SwitchId::new(2));
         assert_eq!(
             p,
             vec![SwitchId::new(0), SwitchId::new(1), SwitchId::new(2)]
         );
         // Both dimensions wrap: (0,0) -> (3,3) is two hops.
-        let p = torus_xy_path(&t, grid, grid.at(0, 0), grid.at(3, 3));
+        let p = grid_path(grid, true, grid.at(0, 0), grid.at(3, 3));
         assert_eq!(p, vec![grid.at(0, 0), grid.at(3, 0), grid.at(3, 3)]);
     }
 
@@ -887,7 +1129,7 @@ mod tests {
         // be taken even though "wrapping" would tie.
         let t = builders::torus(2, 3).unwrap();
         let grid = t.grid().unwrap();
-        let p = torus_xy_path(&t, grid, grid.at(0, 0), grid.at(1, 0));
+        let p = grid_path(grid, true, grid.at(0, 0), grid.at(1, 0));
         assert_eq!(p, vec![grid.at(0, 0), grid.at(1, 0)]);
     }
 
@@ -945,7 +1187,7 @@ mod tests {
                 .unwrap();
         assert_eq!(rt0.max_vc(), 0);
         // Labels are exposed per path, one per hop.
-        for fp in rt.flows() {
+        for fp in rt.flows().iter() {
             for (pi, path) in fp.paths.iter().enumerate() {
                 assert_eq!(rt.path_vcs(fp.spec.flow, pi).len(), path.len() - 1);
             }

@@ -92,7 +92,7 @@ proptest! {
         let topo = mesh(w, h).unwrap();
         let flows = FlowSpec::all_pairs(&topo);
         let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Xy).unwrap();
-        check_deadlock_freedom(&topo, tables.flows()).unwrap();
+        check_deadlock_freedom(&topo, &tables.flows()).unwrap();
     }
 
     /// Shortest-path one-to-one routing on a ring uses both directions
@@ -103,7 +103,7 @@ proptest! {
         let topo = ring(n).unwrap();
         let flows = FlowSpec::one_to_one(&topo).unwrap();
         let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Shortest).unwrap();
-        check_deadlock_freedom(&topo, tables.flows()).unwrap();
+        check_deadlock_freedom(&topo, &tables.flows()).unwrap();
     }
 
     /// Link-load prediction conserves traffic: summed over the
@@ -119,7 +119,7 @@ proptest! {
         let flows = FlowSpec::one_to_one(&topo).unwrap();
         let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Shortest).unwrap();
         let offered: Vec<f64> = flows.iter().map(|f| loads[f.flow.raw() as usize % loads.len()]).collect();
-        let predicted = predict_link_loads(&topo, tables.flows(), &offered, SplitModel::PrimaryOnly);
+        let predicted = predict_link_loads(&topo, &tables.flows(), &offered, SplitModel::PrimaryOnly);
 
         let total: f64 = offered.iter().sum();
         // Injection links carry exactly their generator's offered load.

@@ -205,13 +205,23 @@ impl DestinationModel {
         }
     }
 
+    /// Every `(destination, flow)` pair this model can emit
+    /// (zero-weight entries included: they register their flow).
+    pub fn pairs(&self) -> impl Iterator<Item = (EndpointId, FlowId)> + '_ {
+        let (fixed, uniform, weighted): (_, &[_], &[_]) = match self {
+            DestinationModel::Fixed { dst, flow } => (Some((*dst, *flow)), &[], &[]),
+            DestinationModel::UniformChoice(options) => (None, options, &[]),
+            DestinationModel::Weighted(options) => (None, &[], options),
+        };
+        fixed
+            .into_iter()
+            .chain(uniform.iter().copied())
+            .chain(weighted.iter().map(|&(dst, flow, _)| (dst, flow)))
+    }
+
     /// All flows this model can emit on.
     pub fn flows(&self) -> Vec<FlowId> {
-        match self {
-            DestinationModel::Fixed { flow, .. } => vec![*flow],
-            DestinationModel::UniformChoice(options) => options.iter().map(|&(_, f)| f).collect(),
-            DestinationModel::Weighted(options) => options.iter().map(|&(_, f, _)| f).collect(),
-        }
+        self.pairs().map(|(_, flow)| flow).collect()
     }
 }
 
