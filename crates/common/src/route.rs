@@ -1,55 +1,26 @@
-//! Routing-table value types shared by the switch model and the
-//! topology compiler.
+//! Routing value types shared by the switch model and the topology
+//! compiler: per-switch flow-keyed [`RouteTable`]s, and the
+//! [`GridRouter`] that replaces them where the hop is arithmetic.
 //!
-//! A routing table maps a **route key** to the set of admissible
-//! [`RouteHop`]s at each switch: the output port to take and the
-//! virtual channel to continue on. What the key identifies is a
-//! property of the table ([`RouteKey`]): the packet's flow id, or —
-//! when the routing function's hop depends only on where the packet is
-//! going — its destination endpoint. The types live here (rather than
-//! in `nocem-topology`) so that `nocem-switch` — the behavioural
-//! contract of the platform — can consume tables without depending on
-//! the topology crate.
+//! A routing table maps a packet's **flow id** to the set of admissible
+//! [`RouteHop`]s at one switch: the output port to take and the virtual
+//! channel to continue on. Tables serve everything whose hop depends on
+//! more than where the packet is going — explicit paths, multi-path
+//! routing, shortest paths on irregular graphs. Dimension-ordered
+//! routing on a mesh or torus needs no table at all: [`GridRouter::hop`]
+//! computes the hop from (switch, destination, input port, input VC).
+//! The types live here (rather than in `nocem-topology`) so that
+//! `nocem-switch` — the behavioural contract of the platform — can
+//! route without depending on the topology crate.
 //!
-//! Per-switch tables are [`RouteTable`]s: *sparse*, key-sorted,
-//! CSR-packed. Sparseness is what lets all-to-all traffic scale — a
+//! Per-switch tables are *sparse*, flow-sorted, CSR-packed. Sparseness
+//! is what lets all-to-all traffic on irregular topologies scale — a
 //! uniform-random pattern on an `n`-switch topology has `n·(n-1)`
-//! flows, and a dense flow-indexed `Vec` per switch would cost
-//! `O(n³)` memory (tens of gigabytes at 32×32) for entries that are
-//! overwhelmingly empty. A switch only stores the keys of packets that
-//! actually traverse it; destination keys shrink that further, from
-//! `O(n³)` route incidences platform-wide to at most `n²`.
+//! flows, and a dense flow-indexed `Vec` per switch would cost `O(n³)`
+//! memory for entries that are overwhelmingly empty. A switch only
+//! stores the flows that actually traverse it.
 
-use crate::flit::Flit;
-use crate::ids::{PortId, VcId};
-
-/// What the `u32` keys of a routing table identify — the field of a
-/// head flit the switches look the packet up by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RouteKey {
-    /// The packet's flow id ([`Flit::flow`]): one entry per flow per
-    /// visited switch. Required whenever the hop depends on more than
-    /// the destination — explicit paths, multi-path routing, dateline
-    /// VCs across wrap-around links (the VC depends on whether *this*
-    /// packet already crossed the dateline, i.e. on its source).
-    #[default]
-    Flow,
-    /// The packet's destination endpoint ([`Flit::dst`]): one entry
-    /// per destination per visited switch, shared by every flow headed
-    /// there.
-    Destination,
-}
-
-impl RouteKey {
-    /// The key a head flit is looked up by.
-    #[inline]
-    pub fn of_flit(self, flit: &Flit) -> u32 {
-        match self {
-            RouteKey::Flow => flit.flow.raw(),
-            RouteKey::Destination => flit.dst.raw(),
-        }
-    }
-}
+use crate::ids::{EndpointId, FlowId, PortId, SwitchId, VcId};
 
 /// One admissible continuation of a packet at a switch: the output port
 /// to take and the virtual channel to take it on.
@@ -79,8 +50,8 @@ impl core::fmt::Display for RouteHop {
 
 /// The admissible-hop table of one switch, stored sparsely.
 ///
-/// Entries are kept sorted by route key in a compressed (CSR) layout:
-/// one `(key, offset)` record per key that visits the switch and one
+/// Entries are kept sorted by flow id in a compressed (CSR) layout:
+/// one `(flow, offset)` record per flow that visits the switch and one
 /// shared hop pool, so memory is proportional to the *route incidences*
 /// at the switch, never to the platform-wide flow count. Lookup is a
 /// binary search — and the switch model performs it once per packet
@@ -89,85 +60,79 @@ impl core::fmt::Display for RouteHop {
 /// # Examples
 ///
 /// ```
-/// use nocem_common::ids::PortId;
-/// use nocem_common::route::{RouteHop, RouteKey, RouteTable};
+/// use nocem_common::ids::{FlowId, PortId};
+/// use nocem_common::route::{RouteHop, RouteTable};
 ///
-/// let mut table = RouteTable::new(RouteKey::Flow);
-/// table.push_hop(7, RouteHop::vc0(PortId::new(1)));
-/// assert_eq!(table.lookup(7).len(), 1);
-/// assert!(table.lookup(3).is_empty());
+/// let mut table = RouteTable::new();
+/// table.push_hop(FlowId::new(7), RouteHop::vc0(PortId::new(1)));
+/// assert_eq!(table.lookup(FlowId::new(7)).len(), 1);
+/// assert!(table.lookup(FlowId::new(3)).is_empty());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteTable {
-    /// What the keys identify.
-    key: RouteKey,
-    /// Route keys with entries, ascending.
-    keys: Vec<u32>,
-    /// CSR offsets into `hops`; `offsets.len() == keys.len() + 1`
+    /// Flow ids with entries, ascending.
+    flows: Vec<u32>,
+    /// CSR offsets into `hops`; `offsets.len() == flows.len() + 1`
     /// (the leading 0 is implicit when empty).
     offsets: Vec<u32>,
-    /// Hop pool, grouped by key.
+    /// Hop pool, grouped by flow.
     hops: Vec<RouteHop>,
 }
 
 impl RouteTable {
-    /// An empty table whose keys are of kind `key`.
-    pub fn new(key: RouteKey) -> Self {
+    /// An empty table.
+    pub const fn new() -> Self {
         RouteTable {
-            key,
-            ..RouteTable::default()
+            flows: Vec::new(),
+            offsets: Vec::new(),
+            hops: Vec::new(),
         }
     }
 
-    /// What this table's keys identify.
-    #[inline]
-    pub fn key(&self) -> RouteKey {
-        self.key
-    }
-
-    /// Builds a flow-keyed table from a dense flow-indexed vector
-    /// (empty entries are dropped). This is the compatibility path for
-    /// callers that spell small tables out by hand; large-scale
-    /// builders should [`RouteTable::push_hop`] directly.
+    /// Builds a table from a dense flow-indexed vector (empty entries
+    /// are dropped). This is the compatibility path for callers that
+    /// spell small tables out by hand; large-scale builders should
+    /// [`RouteTable::push_hop`] directly.
     pub fn from_dense(dense: Vec<Vec<RouteHop>>) -> Self {
-        let mut table = RouteTable::new(RouteKey::Flow);
+        let mut table = RouteTable::new();
         for (flow, hops) in dense.into_iter().enumerate() {
             for hop in hops {
-                table.push_hop(flow as u32, hop);
+                table.push_hop(FlowId::new(flow as u32), hop);
             }
         }
         table
     }
 
-    /// Adds an admissible hop for `key`, ignoring exact duplicates.
+    /// Adds an admissible hop for `flow`, ignoring exact duplicates.
     ///
-    /// Appending in non-decreasing key order is `O(1)` amortized (the
+    /// Appending in non-decreasing flow order is `O(1)` amortized (the
     /// order every table builder naturally produces); out-of-order
-    /// keys fall back to a sorted insert.
-    pub fn push_hop(&mut self, key: u32, hop: RouteHop) {
-        if self.keys.is_empty() {
-            self.keys.push(key);
+    /// flows fall back to a sorted insert.
+    pub fn push_hop(&mut self, flow: FlowId, hop: RouteHop) {
+        let f = flow.raw();
+        if self.flows.is_empty() {
+            self.flows.push(f);
             self.offsets = vec![0, 1];
             self.hops.push(hop);
             return;
         }
-        let last = *self.keys.last().expect("non-empty");
-        if key == last {
-            let start = self.offsets[self.keys.len() - 1] as usize;
+        let last = *self.flows.last().expect("non-empty");
+        if f == last {
+            let start = self.offsets[self.flows.len() - 1] as usize;
             if !self.hops[start..].contains(&hop) {
                 self.hops.push(hop);
                 *self.offsets.last_mut().expect("non-empty") += 1;
             }
             return;
         }
-        if key > last {
-            self.keys.push(key);
+        if f > last {
+            self.flows.push(f);
             self.hops.push(hop);
             self.offsets.push(self.hops.len() as u32);
             return;
         }
         // Out-of-order insert (rare: explicit paths given unsorted).
-        match self.keys.binary_search(&key) {
+        match self.flows.binary_search(&f) {
             Ok(i) => {
                 let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
                 if !self.hops[start..end].contains(&hop) {
@@ -179,7 +144,7 @@ impl RouteTable {
             }
             Err(i) => {
                 let at = self.offsets[i] as usize;
-                self.keys.insert(i, key);
+                self.flows.insert(i, f);
                 self.hops.insert(at, hop);
                 self.offsets.insert(i + 1, at as u32);
                 for o in &mut self.offsets[i + 1..] {
@@ -189,35 +154,34 @@ impl RouteTable {
         }
     }
 
-    /// The admissible hops of `key` (empty if no packet with that key
-    /// ever visits this switch).
-    pub fn lookup(&self, key: u32) -> &[RouteHop] {
-        match self.keys.binary_search(&key) {
+    /// The admissible hops of `flow` (empty if the flow never visits
+    /// this switch).
+    pub fn lookup(&self, flow: FlowId) -> &[RouteHop] {
+        match self.flows.binary_search(&flow.raw()) {
             Ok(i) => &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize],
             Err(_) => &[],
         }
     }
 
-    /// Iterates `(key, hops)` over every stored entry, ascending by
-    /// key.
-    pub fn entries(&self) -> impl Iterator<Item = (u32, &[RouteHop])> + '_ {
-        self.keys.iter().enumerate().map(move |(i, &k)| {
+    /// Iterates `(flow, hops)` over every stored entry, ascending by
+    /// flow.
+    pub fn entries(&self) -> impl Iterator<Item = (FlowId, &[RouteHop])> + '_ {
+        self.flows.iter().enumerate().map(move |(i, &f)| {
             (
-                k,
+                FlowId::new(f),
                 &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize],
             )
         })
     }
 
-    /// Number of route keys with at least one entry (flows of a
-    /// flow-keyed table, destinations of a destination-keyed one).
+    /// Number of flows with at least one entry.
     pub fn flow_entries(&self) -> usize {
-        self.keys.len()
+        self.flows.len()
     }
 
-    /// Whether no key has an entry.
+    /// Whether no flow has an entry.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.flows.is_empty()
     }
 
     /// Total stored hops.
@@ -230,21 +194,257 @@ impl RouteTable {
         self.hops.iter().map(|h| h.vc.raw()).max()
     }
 
-    /// The most alternatives any single key holds (0 when empty).
+    /// The most alternatives any single flow holds (0 when empty).
     pub fn max_alternatives(&self) -> usize {
-        (0..self.keys.len())
+        (0..self.flows.len())
             .map(|i| (self.offsets[i + 1] - self.offsets[i]) as usize)
             .max()
             .unwrap_or(0)
     }
 }
 
+/// "No such port" in the packed [`GridRouter`] records (a switch has at
+/// most 255 ports per side, so 255 is never a port index).
+const NO_PORT: u8 = u8::MAX;
+
+/// The "direction" of a flit that has reached its destination's switch
+/// (real directions are `0..4`: `+x`, `-x`, `+y`, `-y`).
+const ARRIVED: usize = 4;
+
+/// What a [`GridRouter`] knows about one switch, packed: coordinates
+/// and, per direction, the output port toward that neighbour and the
+/// input port flits travelling that way arrive on ([`NO_PORT`] where
+/// the grid ends).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GridNode {
+    x: u32,
+    y: u32,
+    out: [u8; 4],
+    inp: [u8; 4],
+}
+
+/// What a [`GridRouter`] knows about one endpoint: the coordinates of
+/// its switch and, for receptors, the ejection port there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GridHome {
+    x: u32,
+    y: u32,
+    eject: u8,
+}
+
+/// Dimension-ordered routing on a mesh or torus as a function: the hop
+/// of a head flit is computed from (switch, destination endpoint, input
+/// port, input VC), so no switch holds a table.
+///
+/// The route is X first, then Y. With `wrap` each dimension is
+/// travelled the shorter way around, the direct (non-wrapping) way on
+/// ties or when the dimension has no wrap-around link (`size <= 2`);
+/// the shorter way stays the shorter way after every step, so a flit
+/// never reverses. With `dateline` a hop rides VC 1 **iff it crosses a
+/// wrap-around link, or the flit arrived along the same dimension on
+/// VC 1** — "VC 1 from the wrap hop onward, per dimension" restated
+/// with what a switch has in hand (a flit that turns from X into Y
+/// arrives on an X port, so it starts Y on VC 0). Ejection is always
+/// on VC 0.
+///
+/// `nocem-topology` builds one per grid platform ([`GridRouter::new`],
+/// [`GridRouter::link`], [`GridRouter::endpoint`]); only a router that
+/// [`GridRouter::is_total`] may be handed to switches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GridRouter {
+    width: u32,
+    height: u32,
+    wrap: bool,
+    dateline: bool,
+    /// Per switch, row-major.
+    nodes: Vec<GridNode>,
+    /// Per endpoint, in id order.
+    homes: Vec<GridHome>,
+}
+
+impl GridRouter {
+    /// A router over a row-major `width × height` grid (neither zero)
+    /// with no links and no endpoints yet.
+    pub fn new(width: u32, height: u32, wrap: bool, dateline: bool) -> Self {
+        let blank = |s: u32| GridNode {
+            x: s % width,
+            y: s / width,
+            out: [NO_PORT; 4],
+            inp: [NO_PORT; 4],
+        };
+        GridRouter {
+            nodes: (0..width * height).map(blank).collect(),
+            homes: Vec::new(),
+            width,
+            height,
+            wrap,
+            dateline,
+        }
+    }
+
+    /// Records the link `from.out → to.inp` if it leads to a neighbour
+    /// the routing function can step to (wrap-around links only with
+    /// `wrap`) and no earlier link already does: fed in ascending
+    /// output-port order, the lowest of parallel links wins, as in
+    /// the table builders.
+    pub fn link(&mut self, from: SwitchId, out: PortId, to: SwitchId, inp: PortId) {
+        let GridNode { x, y, .. } = self.nodes[from.index()];
+        for dir in 0..4 {
+            if self.neighbour(x, y, dir) == Some(to) && self.nodes[from.index()].out[dir] == NO_PORT
+            {
+                self.nodes[from.index()].out[dir] = out.raw();
+                self.nodes[to.index()].inp[dir] = inp.raw();
+            }
+        }
+    }
+
+    /// Registers the next endpoint (in endpoint-id order): the switch
+    /// it is attached to and, for a receptor, its ejection port there.
+    pub fn endpoint(&mut self, switch: SwitchId, eject: Option<PortId>) {
+        let GridNode { x, y, .. } = self.nodes[switch.index()];
+        let eject = eject.map_or(NO_PORT, PortId::raw);
+        self.homes.push(GridHome { x, y, eject });
+    }
+
+    /// Whether every port the routing function can ask for exists:
+    /// each switch has an output toward every neighbour
+    /// [`GridRouter::link`] would accept. `false` for `wrap` routing
+    /// over a mesh wider than 2, or a hand-built partial grid.
+    pub fn is_total(&self) -> bool {
+        self.nodes.iter().all(|n| {
+            (0..4).all(|dir| self.neighbour(n.x, n.y, dir).is_none() || n.out[dir] != NO_PORT)
+        })
+    }
+
+    /// The neighbour of `(x, y)` in direction `dir`, if the routing
+    /// function can step there.
+    fn neighbour(&self, x: u32, y: u32, dir: usize) -> Option<SwitchId> {
+        let along = |cur: u32, size: u32| {
+            // (at the edge, the next coordinate, the one across it)
+            let (edge, next, across) = if dir.is_multiple_of(2) {
+                (cur + 1 == size, cur + 1, 0)
+            } else {
+                (cur == 0, cur.wrapping_sub(1), size - 1)
+            };
+            match edge {
+                false => Some(next),
+                true => (self.wrap && size > 2).then_some(across),
+            }
+        };
+        let (nx, ny) = if dir < 2 {
+            (along(x, self.width)?, y)
+        } else {
+            (x, along(y, self.height)?)
+        };
+        Some(SwitchId::new(ny * self.width + nx))
+    }
+
+    /// Whether the way from `cur` to `target` in a dimension of `size`
+    /// goes the wrap-around way: `size - direct < direct`, the shorter
+    /// way; ties go direct.
+    #[inline]
+    fn around(&self, cur: u32, target: u32, size: u32) -> bool {
+        self.wrap && (size > 2) & (cur.abs_diff(target) > size / 2)
+    }
+
+    /// The hop a flit for `home` facing input `(in_port, in_vc)` of
+    /// `node` takes, and its direction ([`ARRIVED`]: it ejects).
+    /// Straight-line code but for the router's own flags, and no load
+    /// depends on another: the engine waits on this answer once per
+    /// head flit per hop, the answer is data (a branch on it would
+    /// mispredict), and an indexed port would double its latency.
+    #[inline]
+    fn route(
+        &self,
+        node: &GridNode,
+        home: &GridHome,
+        (in_port, in_vc): (u8, u8),
+    ) -> (RouteHop, usize) {
+        // Per dimension: 0 there, 1 ascending, 2 descending — going
+        // around swaps the two.
+        let way = |cur: u32, target: u32, size: u32| {
+            (usize::from(cur < target) | usize::from(cur > target) << 1)
+                ^ (usize::from(self.around(cur, target, size)) * 3)
+        };
+        let wx = way(node.x, home.x, self.width);
+        let wy = way(node.y, home.y, self.height);
+        // X first (0, 1), then Y (2, 3), then there (4): nibble
+        // `wx + 3 * wy` of a nine-entry table held in a constant.
+        let dir = (0x1_0310_2104_u64 >> (4 * (wx + 3 * wy)) & 7) as usize;
+        // Byte `dir` of: the four output ports, the ejection port.
+        let ports = u64::from(u32::from_le_bytes(node.out)) | u64::from(home.eject) << 32;
+        let vc1 = self.dateline && {
+            // Bit `dir`: stepping that way from here crosses the edge.
+            let edges = u32::from(node.x + 1 == self.width)
+                | u32::from(node.x == 0) << 1
+                | u32::from(node.y + 1 == self.height) << 2
+                | u32::from(node.y == 0) << 3;
+            // Byte `dir`: flits travelling that way arrive on this port.
+            let from = (u64::from(u32::from_le_bytes(node.inp)) | 0xFF << 32) >> (8 * dir);
+            (edges >> dir & 1 != 0) | ((in_vc != 0) & (in_port == from as u8))
+        };
+        let hop = RouteHop {
+            port: PortId::new((ports >> (8 * dir)) as u8),
+            vc: VcId::new(u8::from(vc1)),
+        };
+        (hop, dir)
+    }
+
+    /// The hop of a head flit for `dst` that sits at the head of input
+    /// `(in_port, in_vc)` of switch `at`. Total over receptor
+    /// destinations when the router [`is_total`](GridRouter::is_total).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` or `dst` is out of range.
+    #[inline]
+    pub fn hop(&self, at: SwitchId, dst: EndpointId, in_port: PortId, in_vc: VcId) -> RouteHop {
+        let (node, home) = (&self.nodes[at.index()], &self.homes[dst.index()]);
+        self.route(node, home, (in_port.raw(), in_vc.raw())).0
+    }
+
+    /// Follows a packet from generator `src` to receptor `dst`: every
+    /// switch it visits with the hop it takes there, the ejection hop
+    /// last. Each hop is computed from the previous one's output (the
+    /// next switch's input port and VC), exactly as the switches will.
+    /// The switches visited are right even where a port is missing.
+    pub fn walk(
+        &self,
+        src: EndpointId,
+        dst: EndpointId,
+    ) -> impl Iterator<Item = (SwitchId, RouteHop)> + '_ {
+        let (from, home) = (self.homes[src.index()], self.homes[dst.index()]);
+        // Injection is on VC 0, where the input port does not matter.
+        let mut at = Some((from.y * self.width + from.x, (NO_PORT, 0)));
+        std::iter::from_fn(move || {
+            let (cur, input) = at?;
+            let node = &self.nodes[cur as usize];
+            let (hop, dir) = self.route(node, &home, input);
+            at = (dir != ARRIVED).then(|| {
+                let next = self
+                    .neighbour(node.x, node.y, dir)
+                    .expect("dimension-ordered steps stay on the grid");
+                (
+                    next.raw(),
+                    (self.nodes[next.index()].inp[dir], hop.vc.raw()),
+                )
+            });
+            Some((SwitchId::new(cur), hop))
+        })
+    }
+
+    /// Whether the route `src → dst` ever rides VC 1: dateline
+    /// labelling is on and the shorter way wraps in some dimension.
+    pub fn uses_vc1(&self, src: EndpointId, dst: EndpointId) -> bool {
+        let (node, home) = (&self.homes[src.index()], &self.homes[dst.index()]);
+        self.dateline
+            && (self.around(node.x, home.x, self.width) || self.around(node.y, home.y, self.height))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::PacketDescriptor;
-    use crate::ids::{EndpointId, FlowId, PacketId};
-    use crate::time::Cycle;
 
     #[test]
     fn vc0_constructor() {
@@ -280,69 +480,133 @@ mod tests {
         ];
         let table = RouteTable::from_dense(dense.clone());
         for (f, hops) in dense.iter().enumerate() {
-            assert_eq!(table.lookup(f as u32), hops.as_slice());
+            assert_eq!(table.lookup(FlowId::new(f as u32)), hops.as_slice());
         }
         assert_eq!(table.flow_entries(), 3, "empty entries are not stored");
         assert_eq!(table.hop_count(), 4);
         assert_eq!(table.max_vc(), Some(1));
         assert_eq!(table.max_alternatives(), 2);
-        assert!(table.lookup(99).is_empty());
+        assert!(table.lookup(FlowId::new(99)).is_empty());
     }
 
     #[test]
     fn duplicate_hops_are_ignored() {
-        let mut t = RouteTable::new(RouteKey::Flow);
-        t.push_hop(1, hop(0, 0));
-        t.push_hop(1, hop(0, 0));
-        t.push_hop(1, hop(1, 0));
-        assert_eq!(t.lookup(1), &[hop(0, 0), hop(1, 0)]);
+        let mut t = RouteTable::new();
+        t.push_hop(FlowId::new(1), hop(0, 0));
+        t.push_hop(FlowId::new(1), hop(0, 0));
+        t.push_hop(FlowId::new(1), hop(1, 0));
+        assert_eq!(t.lookup(FlowId::new(1)), &[hop(0, 0), hop(1, 0)]);
         assert_eq!(t.hop_count(), 2);
     }
 
     #[test]
     fn out_of_order_inserts_keep_entries_sorted() {
-        let mut t = RouteTable::new(RouteKey::Flow);
-        t.push_hop(5, hop(0, 0));
-        t.push_hop(2, hop(1, 0));
-        t.push_hop(9, hop(2, 0));
-        t.push_hop(2, hop(3, 1));
-        t.push_hop(5, hop(0, 0)); // duplicate, dropped
-        let flows: Vec<u32> = t.entries().map(|(f, _)| f).collect();
+        let mut t = RouteTable::new();
+        t.push_hop(FlowId::new(5), hop(0, 0));
+        t.push_hop(FlowId::new(2), hop(1, 0));
+        t.push_hop(FlowId::new(9), hop(2, 0));
+        t.push_hop(FlowId::new(2), hop(3, 1));
+        t.push_hop(FlowId::new(5), hop(0, 0)); // duplicate, dropped
+        let flows: Vec<u32> = t.entries().map(|(f, _)| f.raw()).collect();
         assert_eq!(flows, vec![2, 5, 9]);
-        assert_eq!(t.lookup(2), &[hop(1, 0), hop(3, 1)]);
-        assert_eq!(t.lookup(5), &[hop(0, 0)]);
-        assert_eq!(t.lookup(9), &[hop(2, 0)]);
+        assert_eq!(t.lookup(FlowId::new(2)), &[hop(1, 0), hop(3, 1)]);
+        assert_eq!(t.lookup(FlowId::new(5)), &[hop(0, 0)]);
+        assert_eq!(t.lookup(FlowId::new(9)), &[hop(2, 0)]);
+    }
+
+    /// A `width × 1` ring of switches wired by hand: output/input
+    /// port 0 ascending, 1 descending, 2 the endpoint pair.
+    fn ring_router(width: u32, wrap: bool, dateline: bool) -> GridRouter {
+        let mut r = GridRouter::new(width, 1, wrap, dateline);
+        let s = SwitchId::new;
+        for x in 0..width {
+            if x + 1 < width || wrap {
+                r.link(s(x), PortId::new(0), s((x + 1) % width), PortId::new(1));
+                r.link(s((x + 1) % width), PortId::new(1), s(x), PortId::new(0));
+            }
+        }
+        for x in 0..width {
+            r.endpoint(s(x), None); // generator
+            r.endpoint(s(x), Some(PortId::new(2))); // receptor
+        }
+        r
     }
 
     #[test]
-    fn keys_read_the_matching_flit_field() {
-        let head = PacketDescriptor {
-            id: PacketId::new(1),
-            src: EndpointId::new(0),
-            dst: EndpointId::new(3),
-            flow: FlowId::new(7),
-            len_flits: 2,
-            release: Cycle::ZERO,
-        }
-        .flits()
-        .next()
-        .unwrap();
-        assert_eq!(RouteKey::Flow.of_flit(&head), 7);
-        assert_eq!(RouteKey::Destination.of_flit(&head), 3);
+    fn grid_router_applies_the_dateline_rule_locally() {
+        let r = ring_router(7, true, true);
+        assert!(r.is_total());
+        let generator = |x: u32| EndpointId::new(2 * x);
+        let receptor = |x: u32| EndpointId::new(2 * x + 1);
+        // 5 -> 6 -> 0 -> 1: the 6 -> 0 hop crosses the edge, so it and
+        // the hop after it ride VC 1; ejection is back on VC 0.
+        let walk: Vec<_> = r.walk(generator(5), receptor(1)).collect();
+        let s = SwitchId::new;
         assert_eq!(
-            RouteTable::new(RouteKey::Destination).key(),
-            RouteKey::Destination
+            walk,
+            vec![
+                (s(5), hop(0, 0)),
+                (s(6), hop(0, 1)),
+                (s(0), hop(0, 1)),
+                (s(1), hop(2, 0)),
+            ]
         );
-        assert_eq!(RouteTable::from_dense(vec![]).key(), RouteKey::Flow);
+        assert!(r.uses_vc1(generator(5), receptor(1)));
+        assert!(
+            !r.uses_vc1(generator(0), receptor(3)),
+            "the short way is direct"
+        );
+        // What a switch asks: the VC continues only along the port the
+        // flit is travelling in from.
+        let at0 = |port, vc| r.hop(s(0), receptor(1), PortId::new(port), VcId::new(vc));
+        assert_eq!(at0(1, 1), hop(0, 1), "arrived ascending on VC 1");
+        assert_eq!(at0(1, 0), hop(0, 0), "arrived ascending on VC 0");
+        assert_eq!(at0(0, 1), hop(0, 0), "arrived on another port");
+        assert_eq!(at0(2, 0), hop(0, 0), "injected here");
+        // Without dateline labelling every hop is on VC 0.
+        let single = ring_router(7, true, false);
+        assert!(single
+            .walk(generator(5), receptor(1))
+            .all(|(_, h)| h.vc == VcId::ZERO));
+    }
+
+    #[test]
+    fn grid_router_is_total_only_with_every_link_it_may_ask_for() {
+        // A line routed the wrapping way wants the wrap link.
+        let mut line = GridRouter::new(3, 1, true, false);
+        let s = SwitchId::new;
+        for x in 0..2 {
+            line.link(s(x), PortId::new(0), s(x + 1), PortId::new(1));
+            line.link(s(x + 1), PortId::new(1), s(x), PortId::new(0));
+        }
+        assert!(!line.is_total(), "0 <-> 2 is missing");
+        line.endpoint(s(0), None);
+        line.endpoint(s(2), Some(PortId::new(2)));
+        let visited: Vec<_> = line
+            .walk(EndpointId::new(0), EndpointId::new(1))
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(visited, vec![s(0), s(2)], "coordinates alone");
+        // Without wrapping the same line is complete, and a width of 2
+        // never wraps.
+        assert!(ring_router(3, false, false).is_total());
+        assert!(ring_router(2, false, true).is_total());
+        // Parallel links: the lowest port wins.
+        let mut r = ring_router(2, false, false);
+        r.link(s(0), PortId::new(7), s(1), PortId::new(7));
+        assert_eq!(
+            r.hop(s(0), EndpointId::new(3), PortId::new(2), VcId::ZERO),
+            hop(0, 0)
+        );
     }
 
     #[test]
     fn empty_table_behaves() {
-        let t = RouteTable::new(RouteKey::Flow);
+        let t = RouteTable::new();
         assert!(t.is_empty());
         assert_eq!(t.max_vc(), None);
         assert_eq!(t.max_alternatives(), 0);
-        assert!(t.lookup(0).is_empty());
+        assert!(t.lookup(FlowId::new(0)).is_empty());
         assert_eq!(t.entries().count(), 0);
     }
 }

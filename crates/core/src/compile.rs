@@ -1,11 +1,11 @@
 //! Platform compilation: from a [`PlatformConfig`] to instantiated
 //! components (step 1 of the paper's emulation flow).
 //!
-//! [`elaborate`] validates the configuration, computes routing tables,
-//! checks deadlock freedom, predicts link loads, instantiates every
-//! component (switches, network interfaces, traffic generators,
-//! receptors) with seeds derived from the platform seed, and allocates
-//! the bus address map.
+//! [`elaborate`] validates the configuration, computes the routing (a
+//! shared grid router or flow-keyed tables), checks deadlock freedom,
+//! predicts link loads, instantiates every component (switches,
+//! network interfaces, traffic generators, receptors) with seeds
+//! derived from the platform seed, and allocates the bus address map.
 //!
 //! The result, [`Elaboration`], is engine-agnostic: the fast emulation
 //! engine, the RTL baseline and the TLM baseline all consume the same
@@ -16,7 +16,7 @@ use crate::config::{PlatformConfig, RoutingSpec, TrafficModel};
 use crate::error::CompileError;
 use nocem_common::ids::{EndpointId, FlowId, LinkId, PortId, VcId};
 use nocem_common::rng::{Lfsr16, SplitMix64};
-use nocem_common::route::{RouteHop, RouteKey};
+use nocem_common::route::{GridRouter, RouteHop};
 use nocem_platform::bus::{AddressMap, DeviceClass};
 use nocem_stats::receptor::{StochasticReceptor, TraceReceptor};
 use nocem_stats::TrKind;
@@ -31,6 +31,7 @@ use nocem_traffic::generator::TrafficGenerator;
 use nocem_traffic::ni::SourceNi;
 use nocem_traffic::stochastic::StochasticTg;
 use nocem_traffic::trace::TraceDrivenTg;
+use std::sync::Arc;
 
 /// Destination of a switch output port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,8 +133,9 @@ pub struct Elaboration {
     /// Predicted per-link offered loads, when all generators have
     /// fixed destinations (`None` otherwise).
     pub predicted_loads: Option<Vec<f64>>,
-    /// Wall-clock nanoseconds [`elaborate_routed`] took to build this
-    /// elaboration (seeds the `elaborate` phase of the profilers).
+    /// Wall-clock nanoseconds instantiating the components of this
+    /// elaboration took, validation and routing aside (seeds the
+    /// `elaborate` phase of the profilers).
     pub elaborate_ns: u64,
 }
 
@@ -152,9 +154,11 @@ impl std::fmt::Debug for Elaboration {
 /// traffic model / endpoint counts, queue capacities, and that every
 /// `(destination, flow)` pair a generator can emit is a registered
 /// flow from that generator to that destination — switches route a
-/// packet by its flow *or* its destination, so the two must agree, and
-/// an unregistered pair would otherwise die mid-run in a switch's
-/// "no routing entry" assertion.
+/// packet by its flow (tables) *or* its destination (grid router), so
+/// the two must agree: an unregistered flow would otherwise die
+/// mid-run in a switch's "no routing entry" assertion, and an
+/// unregistered destination would be routed without ever having been
+/// checked to be a receptor or for deadlocks.
 fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
     let generators = config.topology.generators();
     let receptors = config.topology.receptors();
@@ -257,7 +261,7 @@ pub fn compute_routing(config: &PlatformConfig) -> Result<RoutingTables, Compile
 pub fn elaborate(config: &PlatformConfig) -> Result<Elaboration, CompileError> {
     validate(config)?;
     let routing = compute_routing(config)?;
-    elaborate_routed(config, routing)
+    instantiate(config, routing)
 }
 
 /// Like [`elaborate`], but reuses routing tables previously produced
@@ -276,11 +280,19 @@ pub fn elaborate_routed(
     config: &PlatformConfig,
     routing: RoutingTables,
 ) -> Result<Elaboration, CompileError> {
+    validate(config)?;
+    instantiate(config, routing)
+}
+
+/// Builds the components of a validated configuration.
+fn instantiate(
+    config: &PlatformConfig,
+    routing: RoutingTables,
+) -> Result<Elaboration, CompileError> {
     let elaborate_start = std::time::Instant::now();
     let topo = &config.topology;
     let generators = topo.generators();
     let receptors = topo.receptors();
-    validate(config)?;
     if routing.max_vc() >= config.switch.num_vcs {
         return Err(CompileError::VcOverflow {
             max_vc: routing.max_vc(),
@@ -341,12 +353,15 @@ pub fn elaborate_routed(
             })
             .collect();
         let lfsr_seed = (seeder.next() & 0xFFFF) as u16;
-        let sw = Switch::new_table(
-            sw_config,
-            routing.switch_table(s).clone(),
-            credits,
-            lfsr_seed,
-        )
+        let sw = match routing.grid_router() {
+            Some(router) => Switch::new_grid(sw_config, router.clone(), s, credits, lfsr_seed),
+            None => Switch::new_table(
+                sw_config,
+                routing.switch_table(s).clone(),
+                credits,
+                lfsr_seed,
+            ),
+        }
         .map_err(|source| CompileError::Switch { switch: s, source })?;
         switches.push(sw);
     }
@@ -657,11 +672,12 @@ pub enum LoweredInFeed {
 ///   `credit_cap`.
 /// * **Ports** — per-port arrays (`out_vc_ptr`, `out_link`, wiring)
 ///   are indexed through `in_port_base`/`out_port_base`.
-/// * **Routes** — all per-switch sparse [`RouteTable`]s flattened into
-///   one CSR: switch `s` owns `route_keys[route_key_base[s] ..
-///   route_key_base[s + 1]]` (sorted, binary-searched) and entry `k`
-///   owns `route_hops[route_hop_start[k] .. route_hop_start[k+1]]`.
-///   Keys are flow ids or destination endpoint ids, per `route_key`.
+/// * **Routes** — the shared [`GridRouter`] when routing is arithmetic
+///   (then every route array below is empty); otherwise all
+///   per-switch sparse [`RouteTable`]s flattened into one CSR: switch
+///   `s` owns `route_keys[route_key_base[s] .. route_key_base[s + 1]]`
+///   (flow ids, sorted, binary-searched) and entry `k` owns
+///   `route_hops[route_hop_start[k] .. route_hop_start[k+1]]`.
 ///
 /// All sizing derives from the *elaboration* (per-switch port counts),
 /// never from a uniform config-wide maximum, so heterogeneous
@@ -697,13 +713,13 @@ pub struct LoweredPlatform {
     pub fifo_arena: Vec<u32>,
     /// Per input slot: packed cursor/wormhole record.
     pub in_state: Vec<InSlotState>,
-    /// Which head-flit field the route keys are read from (uniform
-    /// across the platform: the kind of the elaboration's tables).
-    pub route_key: RouteKey,
+    /// The router head flits ask when routing is arithmetic; `None`
+    /// when it is held in the route arrays below.
+    pub router: Option<Arc<GridRouter>>,
     /// Per switch: range `route_key_base[s]..route_key_base[s+1]`
     /// of `route_keys` (length `switch_count + 1`).
     pub route_key_base: Vec<u32>,
-    /// Route keys with routing entries, sorted within each switch
+    /// Flow ids with routing entries, sorted within each switch
     /// range.
     pub route_keys: Vec<u32>,
     /// CSR offsets into `route_hops` (length `route_keys.len()+1`).
@@ -718,9 +734,7 @@ pub struct LoweredPlatform {
     /// CSR + selection policy; [`ROUTE_NONE`] marks keys with no entry
     /// at `s`. Empty when `switch_count × key_space` exceeds
     /// [`ROUTE_DIRECT_MAX`] — then every lookup takes the CSR binary
-    /// search. The key space of destination-keyed tables is the
-    /// endpoint count, so mesh32x32 (1024 × 2048 B) still fits; with
-    /// flow keys uniform-random traffic runs out above mesh12x12.
+    /// search.
     pub route_direct: Vec<u8>,
     /// Row stride of `route_direct` (max key + 1; 0 when the direct
     /// map is disabled).
@@ -760,8 +774,8 @@ pub struct LoweredPlatform {
 }
 
 impl LoweredPlatform {
-    /// The admissible hops of route key `key` at switch `s` (empty
-    /// when the key has no entry there) — the CSR equivalent of
+    /// The admissible hops of flow `key` at switch `s` (empty when
+    /// the flow has no entry there) — the CSR equivalent of
     /// [`RouteTable::lookup`](nocem_common::route::RouteTable::lookup).
     pub fn route_lookup(&self, s: usize, key: u32) -> &[RouteHop] {
         let lo = self.route_key_base[s] as usize;
@@ -841,8 +855,8 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
     // every access).
     let fifo_arena = vec![0u32; total_in_slots * depth];
 
-    // Flatten the per-switch sparse route tables into one CSR.
-    let route_key = elab.routing.key();
+    // Flatten the per-switch sparse route tables into one CSR (there
+    // are none to flatten under grid routing).
     let mut route_key_base = Vec::with_capacity(n + 1);
     route_key_base.push(0u32);
     let mut route_keys = Vec::new();
@@ -850,7 +864,7 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
     let mut route_hops: Vec<RouteHop> = Vec::new();
     for s in topo.switch_ids() {
         for (key, hops) in elab.routing.switch_table(s).entries() {
-            route_keys.push(key);
+            route_keys.push(key.raw());
             route_hops.extend_from_slice(hops);
             route_hop_start.push(route_hops.len() as u32);
         }
@@ -972,7 +986,7 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         outputs,
         in_state: vec![InSlotState::EMPTY; total_in_slots],
         fifo_arena,
-        route_key,
+        router: elab.routing.grid_router().cloned(),
         route_key_base,
         route_keys,
         route_hop_start,
@@ -1080,8 +1094,8 @@ mod tests {
             flow: f0.flow,
         }))
         .unwrap();
-        // Right flow, wrong destination: destination-keyed switches
-        // would deliver it somewhere its flow does not go.
+        // Right flow, wrong destination: switches that route by
+        // destination would deliver it somewhere its flow does not go.
         let reason = mismatch(&with_destination(DestinationModel::Fixed {
             dst: f1.dst,
             flow: f0.flow,

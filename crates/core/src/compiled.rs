@@ -54,7 +54,7 @@ use crate::profile::{
 };
 use crate::results::{EmulationResults, ReceptorSummary};
 use nocem_common::flit::{Flit, PacketDescriptor};
-use nocem_common::ids::{EndpointId, LinkId, PacketId, SwitchId, VcId};
+use nocem_common::ids::{EndpointId, LinkId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::rng::Lfsr16;
 use nocem_common::route::RouteHop;
 use nocem_common::time::Cycle;
@@ -809,18 +809,31 @@ impl CompiledEngine {
         h
     }
 
-    /// Looks up the route hops of `head` (by the field the tables are
-    /// keyed on) at switch `s` and runs the selection policy — shared
-    /// by all decide paths.
+    /// Routes `head`, which faces input `(in_port, in_vc)` = global
+    /// slot `slot` of switch `s`: asks the grid router, or looks the
+    /// flow up in the route arrays and runs the selection policy —
+    /// shared by all decide paths.
     #[inline]
     pub(crate) fn route_and_select(
         low: &mut LoweredPlatform,
         s: usize,
         slot: usize,
+        (in_port, in_vc): (u32, u32),
         head: &Flit,
     ) -> u16 {
         let vcs = low.num_vcs;
-        let key = low.route_key.of_flit(head);
+        if let Some(router) = &low.router {
+            let hop = router.hop(
+                SwitchId::new(s as u32),
+                head.dst,
+                PortId::new(in_port as u8),
+                VcId::new(in_vc as u8),
+            );
+            let enc = (hop.port.index() * vcs + hop.vc.index()) as u16;
+            low.in_state[slot].chosen = enc;
+            return enc;
+        }
+        let key = head.flow.raw();
         let missing = || {
             panic!(
                 "flow {} to {} has no routing entry at this switch",
@@ -902,7 +915,9 @@ impl CompiledEngine {
                     h & HANDLE_HEAD != 0,
                     "unallocated input VC must face a head flit (wormhole ordering)"
                 );
-                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
+                let i = self.iv_port[iv];
+                let at = (i, iv as u32 - i * vcs as u32);
+                Self::route_and_select(low, s, slot, at, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             oslot_mask |= 1 << hop;
@@ -1033,7 +1048,8 @@ impl CompiledEngine {
                     h & HANDLE_HEAD != 0,
                     "unallocated input VC must face a head flit (wormhole ordering)"
                 );
-                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
+                let at = (iv as u32, 0);
+                Self::route_and_select(low, s, slot, at, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             out_mask |= 1 << hop;
@@ -1113,7 +1129,8 @@ impl CompiledEngine {
             let hop = if st.chosen != SLOT_NONE {
                 st.chosen
             } else {
-                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
+                let at = ((iv / vcs) as u32, (iv % vcs) as u32);
+                Self::route_and_select(low, s, slot, at, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.requests[iv] = hop;
         }

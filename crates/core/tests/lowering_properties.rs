@@ -1,7 +1,8 @@
 //! Property-based round-trip of the lowering pass: for randomized
 //! mesh/torus/ring/star platforms, [`lower`] must reproduce the
 //! elaboration exactly — every routing entry survives into the CSR
-//! (and the direct map agrees with it), the prefix-sum layout tiles
+//! (and the direct map agrees with it) or the shared grid router is
+//! carried in their place, the prefix-sum layout tiles
 //! the arrays with no gaps or overlaps, the FIFO arena is sized from
 //! the elaboration's port counts, and the initial credit/cursor state
 //! matches the freshly instantiated switches.
@@ -95,17 +96,28 @@ fn check_lowering(cfg: &PlatformConfig) {
         }
     }
 
+    // Arithmetic routing lowers to the very router the interpreted
+    // switches ask, and to no route arrays.
+    match (&low.router, elab.routing.grid_router()) {
+        (Some(lowered), Some(elaborated)) => {
+            assert!(std::sync::Arc::ptr_eq(lowered, elaborated));
+            assert!(low.route_keys.is_empty() && low.route_direct.is_empty());
+        }
+        (None, None) => {}
+        _ => panic!("the lowered platform routes as the elaboration does"),
+    }
+
     // Every routing-table entry survives into the CSR verbatim, and
     // the CSR holds nothing else.
     let mut table_entries = 0usize;
     for s in topo.switch_ids() {
         let table = elab.routing.switch_table(s);
-        for (key, hops) in table.entries() {
+        for (flow, hops) in table.entries() {
             table_entries += 1;
             assert_eq!(
-                low.route_lookup(s.index(), key),
+                low.route_lookup(s.index(), flow.raw()),
                 hops,
-                "route entry of key {key} at switch {s}"
+                "route entry of {flow} at switch {s}"
             );
         }
     }

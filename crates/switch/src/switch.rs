@@ -63,18 +63,21 @@
 //! receptors always accept). A credit returns to the upstream output
 //! VC when the downstream FIFO pops, one cycle later.
 //!
-//! Routing entries are [`RouteHop`]s — output port *plus output VC* —
-//! computed by `nocem-topology`; with a dateline assignment they make
-//! minimal ring/torus routing deadlock-free, which the per-VC
-//! channel-dependency check validates at platform compile time.
+//! Routing answers are [`RouteHop`]s — output port *plus output VC* —
+//! read from a flow-keyed [`RouteTable`] or computed by a shared
+//! [`GridRouter`], both set up by `nocem-topology`; with a dateline
+//! assignment they make minimal ring/torus routing deadlock-free,
+//! which the per-VC channel-dependency check validates at platform
+//! compile time.
 
 use crate::arbiter::Arbiter;
 use crate::config::{SelectionPolicy, SwitchConfig};
 use crate::fifo::{FifoFullError, FlitFifo};
 use nocem_common::flit::Flit;
-use nocem_common::ids::{PortId, VcId};
+use nocem_common::ids::{FlowId, PortId, SwitchId, VcId};
 use nocem_common::rng::Lfsr16;
-use nocem_common::route::{RouteHop, RouteTable};
+use nocem_common::route::{GridRouter, RouteHop, RouteTable};
+use std::sync::Arc;
 
 /// Credit value marking an output VC whose downstream always accepts
 /// (ejection ports into traffic receptors).
@@ -87,10 +90,8 @@ pub enum BuildSwitchError {
     /// A routing entry references an output port the switch does not
     /// have.
     RouteOutOfRange {
-        /// Route key (flow or destination id, per the table's
-        /// [`RouteKey`](nocem_common::route::RouteKey)) of the
-        /// offending entry.
-        key: u32,
+        /// Flow of the offending table entry.
+        flow: FlowId,
         /// The referenced port.
         port: PortId,
         /// Number of outputs the switch actually has.
@@ -99,10 +100,8 @@ pub enum BuildSwitchError {
     /// A routing entry references a virtual channel the switch does
     /// not have.
     RouteVcOutOfRange {
-        /// Route key (flow or destination id, per the table's
-        /// [`RouteKey`](nocem_common::route::RouteKey)) of the
-        /// offending entry.
-        key: u32,
+        /// Flow of the offending table entry.
+        flow: FlowId,
         /// The referenced VC.
         vc: VcId,
         /// Number of VCs the switch actually has.
@@ -125,13 +124,17 @@ pub enum BuildSwitchError {
 impl std::fmt::Display for BuildSwitchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BuildSwitchError::RouteOutOfRange { key, port, outputs } => write!(
+            BuildSwitchError::RouteOutOfRange {
+                flow,
+                port,
+                outputs,
+            } => write!(
                 f,
-                "routing entry for key {key} references {port} but switch has {outputs} outputs"
+                "routing entry for {flow} references {port} but switch has {outputs} outputs"
             ),
-            BuildSwitchError::RouteVcOutOfRange { key, vc, vcs } => write!(
+            BuildSwitchError::RouteVcOutOfRange { flow, vc, vcs } => write!(
                 f,
-                "routing entry for key {key} references {vc} but switch has {vcs} VCs"
+                "routing entry for {flow} references {vc} but switch has {vcs} VCs"
             ),
             BuildSwitchError::CreditWidthMismatch {
                 got_outputs,
@@ -258,6 +261,18 @@ impl SwitchCounters {
     }
 }
 
+/// The routing of one switch.
+#[derive(Debug, Clone)]
+enum Routes {
+    /// Sparse flow → admissible-output-hops table (only flows that
+    /// visit this switch have entries, so memory stays proportional to
+    /// local route incidences even under all-to-all traffic).
+    Table(RouteTable),
+    /// The platform's shared dimension-ordered router and which of its
+    /// switches this is.
+    Grid(Arc<GridRouter>, SwitchId),
+}
+
 /// Cycle-accurate model of one parameterizable wormhole switch with
 /// virtual channels.
 ///
@@ -265,11 +280,9 @@ impl SwitchCounters {
 #[derive(Debug, Clone)]
 pub struct Switch {
     config: SwitchConfig,
-    /// Sparse flow → admissible-output-hops table (only flows that
-    /// visit this switch have entries; lookups happen once per packet
-    /// per hop, so memory stays proportional to local route
-    /// incidences even under all-to-all traffic).
-    routes: RouteTable,
+    /// Where a head flit's admissible hops come from (asked once per
+    /// packet per hop).
+    routes: Routes,
     /// `[input][vc]` flit buffers.
     fifos: Vec<Vec<FlitFifo>>,
     /// `[input][vc]`: output VC allocated to the worm currently
@@ -382,11 +395,8 @@ impl Switch {
     }
 
     /// Builds a switch from a sparse per-switch routing table — the
-    /// constructor the platform compiler uses ([`Switch::new_vc`] is
-    /// the dense-vector convenience over it). The table's
-    /// [`RouteKey`](nocem_common::route::RouteKey) says which field of
-    /// a head flit — flow or destination — its entries are looked up
-    /// by.
+    /// constructor the platform compiler uses for flow-keyed routing
+    /// ([`Switch::new_vc`] is the dense-vector convenience over it).
     ///
     /// # Errors
     ///
@@ -402,18 +412,18 @@ impl Switch {
         let inputs = config.inputs as usize;
         let outputs = config.outputs as usize;
         let vcs = config.num_vcs as usize;
-        for (key, hops) in routes.entries() {
+        for (flow, hops) in routes.entries() {
             for &h in hops {
                 if h.port.index() >= outputs {
                     return Err(BuildSwitchError::RouteOutOfRange {
-                        key,
+                        flow,
                         port: h.port,
                         outputs: config.outputs,
                     });
                 }
                 if h.vc.index() >= vcs {
                     return Err(BuildSwitchError::RouteVcOutOfRange {
-                        key,
+                        flow,
                         vc: h.vc,
                         vcs: config.num_vcs,
                     });
@@ -459,9 +469,31 @@ impl Switch {
             granted: vec![None; outputs],
             forwarded_per_input: vec![0; inputs],
             counters: SwitchCounters::new(inputs, outputs, vcs),
-            routes,
+            routes: Routes::Table(routes),
             config,
         })
+    }
+
+    /// Builds switch `switch` of a platform routed by `router`: head
+    /// flits ask the router instead of a table. The router must be
+    /// total and built from the topology this switch's ports come
+    /// from, and the platform must have the VCs its flows use (the
+    /// platform compiler checks both before any switch is built).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildSwitchError`] if the credit matrix does not hold
+    /// exactly `outputs × num_vcs` entries.
+    pub fn new_grid(
+        config: SwitchConfig,
+        router: Arc<GridRouter>,
+        switch: SwitchId,
+        credits: Vec<Vec<u32>>,
+        lfsr_seed: u16,
+    ) -> Result<Self, BuildSwitchError> {
+        let mut sw = Self::new_table(config, RouteTable::new(), credits, lfsr_seed)?;
+        sw.routes = Routes::Grid(router, switch);
+        Ok(sw)
     }
 
     /// The switch configuration.
@@ -474,9 +506,9 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics if a head flit's route key has no routing entry at
-    /// this switch — a platform elaboration bug, not a runtime
-    /// condition.
+    /// Panics if a head flit's flow has no entry in this switch's
+    /// routing table — a platform elaboration bug, not a runtime
+    /// condition. (A grid router has an answer for every receptor.)
     pub fn decide(&mut self) {
         let inputs = self.config.inputs as usize;
         let outputs = self.config.outputs as usize;
@@ -504,20 +536,27 @@ impl Switch {
                 let hop = match self.chosen[i][v] {
                     Some(h) => h,
                     None => {
-                        let hops = self.routes.lookup(self.routes.key().of_flit(flit));
-                        assert!(
-                            !hops.is_empty(),
-                            "flow {} to {} has no routing entry at this switch",
-                            flit.flow,
-                            flit.dst
-                        );
-                        let pick = Self::select(
-                            self.config.selection,
-                            hops,
-                            &self.credits,
-                            &mut self.alternate_ptr[i][v],
-                            &mut self.lfsr,
-                        );
+                        let pick = match &self.routes {
+                            Routes::Table(table) => {
+                                let hops = table.lookup(flit.flow);
+                                assert!(
+                                    !hops.is_empty(),
+                                    "flow {} to {} has no routing entry at this switch",
+                                    flit.flow,
+                                    flit.dst
+                                );
+                                Self::select(
+                                    self.config.selection,
+                                    hops,
+                                    &self.credits,
+                                    &mut self.alternate_ptr[i][v],
+                                    &mut self.lfsr,
+                                )
+                            }
+                            Routes::Grid(router, at) => {
+                                router.hop(*at, flit.dst, PortId::new(i as u8), VcId::new(v as u8))
+                            }
+                        };
                         self.chosen[i][v] = Some(pick);
                         pick
                     }
@@ -1612,6 +1651,51 @@ mod tests {
                 assert_eq!(t.flit.vc, VcId::new(1), "continues on the routed VC");
             }
         }
+        assert!(sw.is_idle());
+    }
+
+    #[test]
+    fn a_grid_switch_asks_the_router_with_its_own_port_and_vc() {
+        // Switch 0 of a 5-ring (a 5 x 1 torus) under dateline routing.
+        // Ports: 0 ascending, 1 descending, 2 the TG (in) / TR (out).
+        let mut router = GridRouter::new(5, 1, true, true);
+        let s = SwitchId::new;
+        for x in 0..5 {
+            router.link(s(x), PortId::new(0), s((x + 1) % 5), PortId::new(1));
+            router.link(s((x + 1) % 5), PortId::new(1), s(x), PortId::new(0));
+        }
+        for x in 0..5 {
+            router.endpoint(s(x), Some(PortId::new(2)));
+        }
+        let config = SwitchConfigBuilder::new(3, 3)
+            .fifo_depth(4)
+            .num_vcs(2)
+            .build();
+        let mut sw =
+            Switch::new_grid(config, Arc::new(router), s(0), vec![vec![4, 4]; 3], 1).unwrap();
+        let to = |id: u64, dst: u32, vc: u8| {
+            let mut f = packet_on_vc(id, 99, 1, vc)[0];
+            f.dst = EndpointId::new(dst);
+            f
+        };
+        // Injected for switch 4: the shorter way is the wrap link.
+        sw.accept(PortId::new(2), to(1, 4, 0)).unwrap();
+        // Arrived ascending on VC 1 (it wrapped 4 -> 0), going on to 1.
+        sw.accept(PortId::new(1), to(2, 1, 1)).unwrap();
+        // Arrived ascending, for the receptor here.
+        sw.accept(PortId::new(1), to(3, 0, 0)).unwrap();
+        let mut sends = cycle(&mut sw);
+        sends.extend(cycle(&mut sw));
+        sends.sort_by_key(|t| t.flit.packet);
+        let taken: Vec<_> = sends.iter().map(|t| (t.output, t.flit.vc)).collect();
+        assert_eq!(
+            taken,
+            vec![
+                (PortId::new(1), VcId::new(1)), // crosses the edge
+                (PortId::new(0), VcId::new(1)), // stays on VC 1 along x
+                (PortId::new(2), VcId::new(0)), // ejects on VC 0
+            ]
+        );
         assert!(sw.is_idle());
     }
 

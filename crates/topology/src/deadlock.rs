@@ -10,19 +10,18 @@
 //!
 //! [`check_deadlock_freedom`] builds the single-VC CDG from configured
 //! flow paths; [`check_routing_deadlock_freedom`] builds the per-VC
-//! CDG of a [`RoutingTables`] — from its VC-labelled paths when the
-//! tables are flow-keyed (e.g. the dateline scheme), straight from the
-//! table entries when they are destination-keyed — and is the check
-//! the platform compiler runs. Nodes are dense `link × VC` indices and
-//! the first cycle found is reported. Injection links have no incoming
-//! and ejection links no outgoing dependencies, so neither can ever be
-//! part of a cycle; the path-based builders include them to complete
-//! the chains, the table-based one has no per-flow pass to add
-//! injection edges in and leaves them out.
+//! CDG of a [`RoutingTables`] — from its VC-labelled paths when it
+//! holds flow-keyed tables, by following the routing function from
+//! every source when routing is arithmetic — and is the check the
+//! platform compiler runs. Nodes are dense `link × VC` indices and the
+//! first cycle found is reported. Injection links have no incoming and
+//! ejection links no outgoing dependencies, so neither can ever be
+//! part of a cycle; the path-based builders include both to complete
+//! the chains, the grid walk starts at the first inter-switch hop.
 
-use crate::graph::Topology;
-use crate::routing::{FlowPaths, RouteKey, RoutingTables};
-use nocem_common::ids::{LinkId, SwitchId, VcId};
+use crate::graph::{Rows, Topology};
+use crate::routing::{FlowPaths, FlowSpec, GridRouter, RoutingTables};
+use nocem_common::ids::{EndpointId, LinkId, SwitchId, VcId};
 
 /// A cyclic channel dependency that could deadlock the network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,10 +92,12 @@ pub fn check_deadlock_freedom(topo: &Topology, flows: &[FlowPaths]) -> Result<()
 /// are visited on different VCs.
 ///
 /// Flow-keyed tables contribute one dependency chain per VC-labelled
-/// path. Destination-keyed tables contribute, for every entry `(s,
-/// key) → hop`, the dependency of the hop's channel on each channel
-/// the next switch's entry for the same key continues on — the same
-/// edges (every entry lies on some flow's path) in `O(entries)`.
+/// path. Grid routing is walked: one pass per destination over the
+/// (switch, arrival channel) states some flow actually reaches, each
+/// adding the dependency of the arrival channel on the channel the
+/// router continues on — the same edges as the per-flow chains (every
+/// state lies on some flow's path, so verdicts are exact for sparse
+/// flow sets too) in `O(flows + visited states)`.
 ///
 /// # Errors
 ///
@@ -112,33 +113,15 @@ pub fn check_routing_deadlock_freedom(
     tables: &RoutingTables,
 ) -> Result<(), DeadlockCycle> {
     let mut cdg = Cdg::new(topo, usize::from(tables.max_vc()) + 1);
-    match tables.key() {
-        RouteKey::Flow => {
+    match tables.grid() {
+        None => {
             for fp in tables.flows().iter() {
                 for (pi, path) in fp.paths.iter().enumerate() {
                     cdg.chain(topo, fp, path, &tables.path_vcs(fp.spec.flow, pi));
                 }
             }
         }
-        RouteKey::Destination => {
-            for s in topo.switch_ids() {
-                for (key, hops) in tables.switch_table(s).entries() {
-                    for hop in hops {
-                        let link = topo.out_link(s, hop.port);
-                        // Ejection links are sinks.
-                        let Some(next) = topo.link(link).to_switch() else {
-                            continue;
-                        };
-                        for onward in tables.switch_table(next).lookup(key) {
-                            cdg.edge(
-                                (link, hop.vc),
-                                (topo.out_link(next, onward.port), onward.vc),
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        Some((router, flows)) => cdg.walk_grid(topo, router, flows),
     }
     cdg.check()
 }
@@ -159,12 +142,45 @@ impl Cdg {
         }
     }
 
-    fn edge(&mut self, from: (LinkId, VcId), to: (LinkId, VcId)) {
-        let node = |(link, vc): (LinkId, VcId)| (link.index() * self.vcs + vc.index()) as u32;
-        let (from, to) = (node(from), node(to));
+    fn node(&self, link: LinkId, vc: VcId) -> u32 {
+        (link.index() * self.vcs + vc.index()) as u32
+    }
+
+    fn edge(&mut self, from: u32, to: u32) {
         let succ = &mut self.succ[from as usize];
         if !succ.contains(&to) {
             succ.push(to);
+        }
+    }
+
+    /// Adds the dependencies of grid-routed `flows`: every flow is
+    /// followed from its source switch, destination by destination,
+    /// until it leaves a switch on a channel an earlier flow to the
+    /// same destination already left it on — from there on the router
+    /// repeats itself (the hop is a function of switch, destination,
+    /// input port and input VC, and the channel just taken fixes all
+    /// four), so the onward edges are already in.
+    fn walk_grid(&mut self, topo: &Topology, router: &GridRouter, flows: &[FlowSpec]) {
+        let sources = Rows::group(
+            topo.endpoint_count(),
+            flows.iter().map(|f| (f.dst.index(), f.src.raw())),
+        );
+        // Per channel: the last destination some walk took it toward.
+        let mut taken = vec![u32::MAX; self.succ.len()];
+        for d in 0..topo.endpoint_count() as u32 {
+            for &src in sources.row(d as usize) {
+                let mut prev = None;
+                for (at, hop) in router.walk(EndpointId::new(src), EndpointId::new(d)) {
+                    let channel = self.node(topo.out_link(at, hop.port), hop.vc);
+                    if let Some(prev) = prev {
+                        self.edge(prev, channel);
+                    }
+                    if std::mem::replace(&mut taken[channel as usize], d) == d {
+                        break;
+                    }
+                    prev = Some(channel);
+                }
+            }
         }
     }
 
@@ -173,14 +189,14 @@ impl Cdg {
     /// has none), ejection link (always VC 0: the receptor is
     /// VC-blind, so packets serialize into it).
     fn chain(&mut self, topo: &Topology, fp: &FlowPaths, path: &[SwitchId], labels: &[VcId]) {
-        let mut prev = (topo.endpoint(fp.spec.src).link, VcId::ZERO);
+        let mut prev = self.node(topo.endpoint(fp.spec.src).link, VcId::ZERO);
         for (i, w) in path.windows(2).enumerate() {
             let vc = labels.get(i).copied().unwrap_or(VcId::ZERO);
-            let channel = (link_toward(topo, w[0], w[1]), vc);
+            let channel = self.node(link_toward(topo, w[0], w[1]), vc);
             self.edge(prev, channel);
             prev = channel;
         }
-        self.edge(prev, (topo.endpoint(fp.spec.dst).link, VcId::ZERO));
+        self.edge(prev, self.node(topo.endpoint(fp.spec.dst).link, VcId::ZERO));
     }
 
     /// Iterative three-colour DFS, deterministic: nodes and successors
@@ -250,7 +266,7 @@ fn link_toward(topo: &Topology, from: SwitchId, to: SwitchId) -> LinkId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{paper_setup, ring, torus};
+    use crate::builders::{mesh, paper_setup, ring, torus};
     use crate::routing::{ring_minimal_path, FlowSpec, RouteAlgorithm, RoutingTables, VcPolicy};
 
     #[test]
@@ -361,6 +377,57 @@ mod tests {
             .unwrap();
             check_routing_deadlock_freedom(&t, &rt).unwrap();
             assert!(rt.max_vc() >= 1, "torus{w}x{h} paths must wrap");
+        }
+    }
+
+    #[test]
+    fn the_grid_walk_adds_exactly_the_edges_of_the_per_flow_chains() {
+        // Verdicts alone cannot tell a missing edge from an absent
+        // one on an acyclic configuration: compare the graphs. The
+        // chains also hold each flow's injection edge, which the walk
+        // leaves out (an injection link has no predecessor).
+        let every_third = |flows: Vec<FlowSpec>| flows.into_iter().step_by(3).collect();
+        for topo in [
+            torus(5, 3).unwrap(),
+            torus(4, 4).unwrap(),
+            mesh(4, 3).unwrap(),
+        ] {
+            for flows in [
+                FlowSpec::all_pairs(&topo),
+                every_third(FlowSpec::all_pairs(&topo)),
+            ] {
+                for policy in [VcPolicy::SingleVc, VcPolicy::Dateline] {
+                    let algo = if topo.has_wrap_links() {
+                        RouteAlgorithm::TorusXy
+                    } else {
+                        RouteAlgorithm::Xy
+                    };
+                    let tables = RoutingTables::compute_with(&topo, &flows, algo, policy).unwrap();
+                    let (router, specs) = tables.grid().expect("arithmetic routing");
+                    let vcs = usize::from(tables.max_vc()) + 1;
+                    let mut walked = Cdg::new(&topo, vcs);
+                    walked.walk_grid(&topo, router, specs);
+                    let mut chained = Cdg::new(&topo, vcs);
+                    for fp in tables.flows().iter() {
+                        let labels = tables.path_vcs(fp.spec.flow, 0);
+                        chained.chain(&topo, fp, &fp.paths[0], &labels);
+                    }
+                    for e in topo.endpoints_of(crate::EndpointKind::Generator) {
+                        let injection = chained.node(topo.endpoint(e).link, VcId::ZERO);
+                        chained.succ[injection as usize].clear();
+                    }
+                    for succ in walked.succ.iter_mut().chain(&mut chained.succ) {
+                        succ.sort_unstable();
+                    }
+                    assert_eq!(
+                        walked.succ,
+                        chained.succ,
+                        "{} {policy:?}, {} flows",
+                        topo.name(),
+                        flows.len()
+                    );
+                }
+            }
         }
     }
 

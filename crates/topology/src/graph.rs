@@ -150,6 +150,39 @@ impl GridInfo {
     }
 }
 
+/// Lists of ids grouped by a dense key, in two flat arrays: row `r` is
+/// `items[start[r]..start[r + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Rows {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Rows {
+    /// Groups `pairs` of `(row, item)` by row (of `rows`), keeping the
+    /// order items of one row were given in — a counting sort.
+    pub(crate) fn group(rows: usize, pairs: impl Iterator<Item = (usize, u32)> + Clone) -> Self {
+        let mut start = vec![0u32; rows + 1];
+        for (row, _) in pairs.clone() {
+            start[row + 1] += 1;
+        }
+        for row in 0..rows {
+            start[row + 1] += start[row];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0; start[rows] as usize];
+        for (row, item) in pairs {
+            items[fill[row] as usize] = item;
+            fill[row] += 1;
+        }
+        Rows { start, items }
+    }
+
+    pub(crate) fn row(&self, row: usize) -> &[u32] {
+        &self.items[self.start[row] as usize..self.start[row + 1] as usize]
+    }
+}
+
 /// An immutable, validated NoC structure.
 ///
 /// Construct through [`TopologyBuilder`]. All accessors are `O(1)`
@@ -165,6 +198,13 @@ pub struct Topology {
     in_links: Vec<Vec<LinkId>>,
     /// `[switch][output port] -> outgoing link`
     out_links: Vec<Vec<LinkId>>,
+    /// `[switch] -> switches with an inter-switch link into it`, one
+    /// entry per link.
+    upstream: Rows,
+    /// `[switch] -> generators attached to it`, in id order.
+    generators_at: Rows,
+    /// `[switch] -> receptors attached to it`, in id order.
+    receptors_at: Rows,
 }
 
 impl Topology {
@@ -260,8 +300,11 @@ impl Topology {
         s: SwitchId,
         kind: EndpointKind,
     ) -> impl Iterator<Item = EndpointId> + '_ {
-        self.endpoints_of(kind)
-            .filter(move |&e| self.endpoints[e.index()].switch == s)
+        let rows = match kind {
+            EndpointKind::Generator => &self.generators_at,
+            EndpointKind::Receptor => &self.receptors_at,
+        };
+        rows.row(s.index()).iter().map(|&e| EndpointId::new(e))
     }
 
     /// The first traffic generator attached to switch `s`, if any.
@@ -380,22 +423,24 @@ impl Topology {
     /// Hop distances from every switch to `to`, by reverse BFS over
     /// inter-switch links. `usize::MAX` marks unreachable switches.
     pub fn distances_to(&self, to: SwitchId) -> Vec<usize> {
-        // Build reverse adjacency on the fly (topologies are small).
-        let n = self.switches.len();
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for s in 0..n {
-            for (_, _, next, _) in self.switch_neighbors(SwitchId::new(s as u32)) {
-                rev[next.index()].push(s);
+        self.distances_to_any([to])
+    }
+
+    /// Hop distances from every switch to the nearest of `targets`:
+    /// one multi-source reverse BFS.
+    fn distances_to_any(&self, targets: impl IntoIterator<Item = SwitchId>) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; self.switches.len()];
+        let mut queue = VecDeque::new();
+        for to in targets {
+            if std::mem::replace(&mut dist[to.index()], 0) != 0 {
+                queue.push_back(to.index());
             }
         }
-        let mut dist = vec![usize::MAX; n];
-        dist[to.index()] = 0;
-        let mut queue = VecDeque::from([to.index()]);
         while let Some(u) = queue.pop_front() {
-            for &v in &rev[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
+            for &v in self.upstream.row(u) {
+                if dist[v as usize] == usize::MAX {
+                    dist[v as usize] = dist[u] + 1;
+                    queue.push_back(v as usize);
                 }
             }
         }
@@ -657,7 +702,23 @@ impl TopologyBuilder {
             .map(|(&inputs, &outputs)| SwitchInfo { inputs, outputs })
             .collect();
 
+        let attached = |kind: EndpointKind| {
+            let of_kind = endpoints
+                .iter()
+                .enumerate()
+                .filter(move |(_, e)| e.kind == kind)
+                .map(|(i, e)| (e.switch.index(), i as u32));
+            Rows::group(switches.len(), of_kind)
+        };
         let topo = Topology {
+            upstream: Rows::group(
+                switches.len(),
+                links
+                    .iter()
+                    .filter_map(|l| Some((l.to_switch()?.index(), l.from_switch()?.raw()))),
+            ),
+            generators_at: attached(EndpointKind::Generator),
+            receptors_at: attached(EndpointKind::Receptor),
             name: self.name,
             switches,
             endpoints,
@@ -668,20 +729,17 @@ impl TopologyBuilder {
         };
 
         // Every generator must reach at least one receptor.
-        for g in topo
+        let to_receptor = topo.distances_to_any(
+            topo.endpoints_of(EndpointKind::Receptor)
+                .map(|r| topo.endpoint(r).switch),
+        );
+        let stranded = topo
             .endpoints_of(EndpointKind::Generator)
-            .collect::<Vec<_>>()
-        {
-            let src_switch = topo.endpoint(g).switch;
-            let reachable = topo.endpoints_of(EndpointKind::Receptor).any(|r| {
-                topo.distances_to(topo.endpoint(r).switch)[src_switch.index()] != usize::MAX
-            });
-            if !reachable {
-                return Err(TopologyError::UnreachableReceptors { generator: g });
-            }
+            .find(|&g| to_receptor[topo.endpoint(g).switch.index()] == usize::MAX);
+        match stranded {
+            Some(generator) => Err(TopologyError::UnreachableReceptors { generator }),
+            None => Ok(topo),
         }
-
-        Ok(topo)
     }
 }
 
@@ -862,6 +920,52 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         let _ = stranded;
+    }
+
+    #[test]
+    fn the_first_stranded_generator_is_named() {
+        // Receptors on several switches, two generators on an island
+        // without one: one BFS from all receptors names the first
+        // offender in endpoint order.
+        let mut b = TopologyBuilder::new("t");
+        let s = b.switches(5);
+        b.connect_bidir(s[0], s[1]);
+        b.connect(s[1], s[2]); // s2 is a sink: reaches nothing
+        b.connect_bidir(s[3], s[4]);
+        b.connect(s[1], s[3]); // the island is reachable, but reaches nothing
+        b.generator(s[0]);
+        b.receptor(s[1]);
+        b.receptor(s[2]);
+        let first = b.generator(s[4]);
+        b.generator(s[3]);
+        b.receptor(s[0]);
+        match b.build().unwrap_err() {
+            TopologyError::UnreachableReceptors { generator } => assert_eq!(generator, first),
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn per_switch_lookups_follow_endpoint_order() {
+        let mut b = TopologyBuilder::new("t");
+        let s = b.switches(3);
+        b.connect_bidir(s[0], s[1]).connect_bidir(s[1], s[2]);
+        let g1 = b.generator(s[1]);
+        let r1 = b.receptor(s[1]);
+        let g0 = b.generator(s[0]);
+        let g1b = b.generator(s[1]);
+        let r2 = b.receptor(s[2]);
+        let t = b.build().unwrap();
+        let at = |s, kind| t.endpoints_at(s, kind).collect::<Vec<_>>();
+        assert_eq!(at(s[1], EndpointKind::Generator), vec![g1, g1b]);
+        assert_eq!(at(s[1], EndpointKind::Receptor), vec![r1]);
+        assert_eq!(t.generator_at(s[0]), Some(g0));
+        assert_eq!(t.receptor_at(s[0]), None);
+        assert_eq!(t.receptor_at(s[2]), Some(r2));
+        assert!(!t.has_endpoint_pair_per_switch());
+        // Distances use the retained reverse adjacency.
+        assert_eq!(t.distances_to(s[2]), vec![2, 1, 0]);
+        assert_eq!(t.diameter(), Some(2));
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //!   configuration of the paper's experimental section with its two
 //!   90 %-loaded hot links;
 //! * [`routing`] — flow-indexed routing tables computed by shortest
-//!   path, Yen's k-shortest paths (the paper's "two routing
-//!   possibilities"), XY, or minimal torus XY (wrap-around aware), or
-//!   built from explicit paths; paths carry per-hop virtual-channel
-//!   labels assigned by a [`routing::VcPolicy`] (dateline scheme for
-//!   rings/tori);
+//!   path or Yen's k-shortest paths (the paper's "two routing
+//!   possibilities") or built from explicit paths, and — for XY and
+//!   minimal torus XY (wrap-around aware) on meshes and tori — one
+//!   arithmetic [`routing::GridRouter`] instead of any table; hops
+//!   carry virtual-channel labels per [`routing::VcPolicy`] (dateline
+//!   scheme for rings/tori);
 //! * [`deadlock`] — channel-dependency-graph cycle detection, per
 //!   virtual channel;
 //! * [`partition`] — switch-graph partitioning ([`partition::Partition`],

@@ -1,48 +1,42 @@
-//! Routing tables: from flows and paths to per-switch output-hop sets.
+//! Routing: from flows to what every switch does with a head flit.
 //!
-//! The emulated switches route by **route key**: every head flit
-//! carries a [`FlowId`] and a destination [`EndpointId`], and each
-//! switch holds a small table mapping one of the two — the table's
-//! [`RouteKey`] — to the set of admissible [`RouteHop`]s: an output
-//! port plus the virtual channel the packet continues on (one hop for
-//! deterministic routing, two for the paper's "two routing
-//! possibilities"). This module computes those tables from a
-//! [`Topology`] and a list of [`FlowSpec`]s using one of several
-//! algorithms, or from explicitly given paths (which is how the
-//! paper's experimental setup pins its hot links).
+//! Two kinds of answer, and [`RoutingTables::compute_with`] — never the
+//! caller — decides which, from the algorithm and the topology:
 //!
-//! Who decides the key: [`RoutingTables::compute_with`], from the
-//! algorithm, the VC policy and the topology — never the caller.
-//! Dimension-ordered routing whose hop is a function of (switch,
-//! destination) — [`RouteAlgorithm::Xy`] always,
-//! [`RouteAlgorithm::TorusXy`] whenever no hop can be labelled above
-//! VC 0 ([`VcPolicy::SingleVc`], or a grid without wrap-around links)
-//! — is keyed by [`RouteKey::Destination`] and built directly: one
-//! arithmetic hop per (switch, destination) pair that some flow
-//! actually crosses, `O(switches × destinations)` instead of
-//! `O(flows × hops)`, with no per-flow path ever materialized.
-//! Everything else — explicit paths, [`RouteAlgorithm::Shortest`],
-//! [`RouteAlgorithm::KShortest`], `TorusXy` with
-//! [`VcPolicy::Dateline`] across real wrap-around links (where the VC
-//! depends on whether *this* packet already crossed the dateline, i.e.
-//! on its source) — is keyed by [`RouteKey::Flow`].
+//! * **Arithmetic on grids.** Dimension-ordered routing
+//!   ([`RouteAlgorithm::Xy`], [`RouteAlgorithm::TorusXy`], under either
+//!   [`VcPolicy`]) on a mesh or torus that has every link the algorithm
+//!   can ask for is a *function*: one shared [`GridRouter`] computes the
+//!   hop from (switch, destination, input port, input VC). Set-up is
+//!   `O(switches + flows)`, no route entry is stored at any size, and
+//!   paths, VC labels and per-switch lookups are answered on demand by
+//!   following the function from the flow's source switch.
+//! * **Flow-keyed tables elsewhere.** Explicit paths (which is how the
+//!   paper's experimental setup pins its hot links),
+//!   [`RouteAlgorithm::Shortest`], [`RouteAlgorithm::KShortest`] (the
+//!   paper's "two routing possibilities"), and a dimension-ordered
+//!   algorithm on a grid that lacks links it may need (`TorusXy` on a
+//!   mesh: only pairs whose shorter way is the direct one can route)
+//!   keep one sparse [`RouteTable`] per switch mapping a [`FlowId`] to
+//!   its admissible [`RouteHop`]s — an output port plus the virtual
+//!   channel the packet continues on. These are *path-derived*: the
+//!   configured paths and their VC labels are retained inside
+//!   [`RoutingTables`].
 //!
-//! Virtual-channel assignment is a labelling pass over the computed
-//! paths, selected by [`VcPolicy`]: [`VcPolicy::SingleVc`] keeps every
-//! hop on VC 0 (the original single-VC platform), while
-//! [`VcPolicy::Dateline`] moves a packet to VC 1 from the first
-//! wrap-around hop onward — the standard deadlock-avoidance scheme
-//! that lets rings and tori route *minimally* across their wrap links
-//! while the per-VC channel-dependency graph stays acyclic.
+//! Virtual-channel assignment is selected by [`VcPolicy`]:
+//! [`VcPolicy::SingleVc`] keeps every hop on VC 0 (the original
+//! single-VC platform), while [`VcPolicy::Dateline`] moves a packet to
+//! VC 1 from the first wrap-around hop of each dimension onward — the
+//! standard deadlock-avoidance scheme that lets rings and tori route
+//! *minimally* across their wrap links while the per-VC
+//! channel-dependency graph stays acyclic. Tables get it as a
+//! labelling pass over the paths ([`dateline_vcs`]); the grid router
+//! applies the same rule locally (see [`GridRouter`]).
 //!
-//! Flow-keyed tables are *path-derived*: the configured paths and
-//! their VC labels are retained inside [`RoutingTables`].
-//! Destination-keyed tables serve both on demand, by walking the
-//! tables from the flow's source switch, so downstream analyses
-//! (deadlock check, link load prediction) see the same paths either
-//! way.
+//! Either way downstream analyses (deadlock check, link load
+//! prediction) see the same paths and labels.
 
-use crate::graph::{EndpointKind, GridInfo, Topology};
+use crate::graph::{EndpointKind, Topology};
 use crate::TopologyError;
 use nocem_common::ids::{EndpointId, FlowId, PortId, SwitchId, VcId};
 use std::borrow::Cow;
@@ -119,7 +113,7 @@ impl FlowSpec {
 /// destination's switch (inclusive).
 pub type Path = Vec<SwitchId>;
 
-pub use nocem_common::route::{RouteHop, RouteKey, RouteTable};
+pub use nocem_common::route::{GridRouter, RouteHop, RouteTable};
 
 /// How virtual channels are assigned along computed paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,11 +160,12 @@ pub enum RouteAlgorithm {
     TorusXy,
 }
 
-/// Per-switch sparse output-hop tables, plus what answers for a flow:
-/// the retained paths and VC labels (flow-keyed) or the flow list the
-/// tables are walked for (destination-keyed).
+/// The routing of a platform: per-switch sparse flow-keyed tables with
+/// the paths and VC labels they were derived from, or — for
+/// dimension-ordered routing on a complete grid — one [`GridRouter`]
+/// and the flow list, with no table at all.
 ///
-/// The tables are immutable and shared: `clone()` is `O(1)`, so every
+/// The value is immutable and shared: `clone()` is `O(1)`, so every
 /// curve point, matrix cell and engine instance built from one
 /// [`RoutingTables`] reuses the same memory.
 #[derive(Debug, Clone)]
@@ -180,13 +175,11 @@ pub struct RoutingTables {
 
 #[derive(Debug)]
 struct Tables {
-    /// `[switch] -> sparse table` (a key has hops only at the switches
-    /// its packets visit; see [`RouteTable`]). Sparseness keeps
-    /// all-to-all patterns on large grids feasible: a dense
-    /// `[switch][flow]` layout is `O(switches^3)` for uniform-random
-    /// traffic.
+    /// `[switch] -> sparse table` (a flow has hops only at the switches
+    /// its packets visit; see [`RouteTable`]); empty under grid
+    /// routing.
     table: Vec<RouteTable>,
-    /// The highest VC any entry uses.
+    /// The highest VC any hop uses.
     max_vc: u8,
     flows: Flows,
 }
@@ -194,32 +187,26 @@ struct Tables {
 /// What a [`RoutingTables`] knows about its flows.
 #[derive(Debug)]
 enum Flows {
-    /// [`RouteKey::Flow`]: the configured paths, retained.
+    /// Flow-keyed tables: the configured paths, retained.
     Paths {
         flows: Vec<FlowPaths>,
         /// `[flow][path][hop] -> VC` label of each inter-switch hop
         /// (`path.len() - 1` entries per path).
         vc_labels: Vec<Vec<Vec<VcId>>>,
     },
-    /// [`RouteKey::Destination`]: the flows only; a flow's path is the
-    /// walk through the tables from its source switch.
-    Walked {
+    /// Grid routing: the flows only; a flow's path is the router's
+    /// walk from its source switch.
+    Grid {
         specs: Vec<FlowSpec>,
-        /// `[endpoint] -> switch` it is attached to.
-        endpoint_switch: Vec<SwitchId>,
-        /// `[switch][output port] -> downstream switch` (`None` on
-        /// ejection ports).
-        next_switch: Vec<Vec<Option<SwitchId>>>,
+        router: Arc<GridRouter>,
     },
 }
 
+/// What a switch without entries holds.
+static NO_ENTRIES: RouteTable = RouteTable::new();
+
 impl RoutingTables {
-    fn new(table: Vec<RouteTable>, flows: Flows) -> Self {
-        let max_vc = table
-            .iter()
-            .filter_map(RouteTable::max_vc)
-            .max()
-            .unwrap_or(0);
+    fn new(table: Vec<RouteTable>, max_vc: u8, flows: Flows) -> Self {
         RoutingTables {
             inner: Arc::new(Tables {
                 table,
@@ -229,7 +216,7 @@ impl RoutingTables {
         }
     }
 
-    /// Computes single-VC tables for `flows` over `topo` using `algo`
+    /// Computes single-VC routing for `flows` over `topo` using `algo`
     /// (every hop on VC 0). Shorthand for [`RoutingTables::compute_with`]
     /// with [`VcPolicy::SingleVc`].
     ///
@@ -246,16 +233,17 @@ impl RoutingTables {
         Self::compute_with(topo, flows, algo, VcPolicy::SingleVc)
     }
 
-    /// Computes tables for `flows` over `topo` using `algo`, labelling
-    /// every hop with virtual channels per `policy`. The result is
-    /// destination-keyed when the hop is a function of (switch,
-    /// destination) and flow-keyed otherwise (see the module docs).
+    /// Computes the routing of `flows` over `topo` using `algo`, with
+    /// virtual channels per `policy`. The XY algorithms on a grid that
+    /// has every link they can ask for yield a table-less value in
+    /// `O(switches + flows)`; everything else yields flow-keyed tables
+    /// (see the module docs).
     ///
     /// # Errors
     ///
     /// Returns [`TopologyError`] when a flow's endpoints have the wrong
     /// kind, no path exists, or (for the XY algorithms) the topology
-    /// carries no grid metadata.
+    /// carries no grid metadata matching its switch count.
     pub fn compute_with(
         topo: &Topology,
         flows: &[FlowSpec],
@@ -263,16 +251,15 @@ impl RoutingTables {
         policy: VcPolicy,
     ) -> Result<Self, TopologyError> {
         let no_route = |spec: &FlowSpec| TopologyError::NoRoute { flow: spec.flow };
-        let grid = || topo.grid().ok_or(TopologyError::GridRequired);
-        match algo {
+        let wrap = match algo {
             RouteAlgorithm::Shortest => {
-                Self::compute_per_flow(topo, flows, policy, |spec, from, to| {
+                return Self::compute_per_flow(topo, flows, policy, |spec, from, to| {
                     let path = shortest_path(topo, from, to).ok_or_else(|| no_route(spec))?;
                     Ok(vec![path])
                 })
             }
             RouteAlgorithm::KShortest(k) => {
-                Self::compute_per_flow(topo, flows, policy, |spec, from, to| {
+                return Self::compute_per_flow(topo, flows, policy, |spec, from, to| {
                     let all = k_shortest_paths(topo, from, to, k.max(1));
                     if all.is_empty() {
                         return Err(no_route(spec));
@@ -280,17 +267,34 @@ impl RoutingTables {
                     Ok(prune_to_acyclic(all))
                 })
             }
-            RouteAlgorithm::Xy => Self::by_destination(topo, flows, grid()?, false),
-            // A dateline label above VC 0 needs a wrap-around hop: only
-            // then does the VC depend on the packet's source.
-            RouteAlgorithm::TorusXy if policy == VcPolicy::Dateline && topo.has_wrap_links() => {
-                let grid = grid()?;
-                Self::compute_per_flow(topo, flows, policy, |_, from, to| {
-                    Ok(vec![grid_path(grid, true, from, to)])
-                })
-            }
-            RouteAlgorithm::TorusXy => Self::by_destination(topo, flows, grid()?, true),
+            RouteAlgorithm::Xy => false,
+            RouteAlgorithm::TorusXy => true,
+        };
+        let router = grid_router(topo, wrap, policy == VcPolicy::Dateline)?;
+        if !router.is_total() {
+            // Some link the algorithm may ask for is missing: only the
+            // flows that need it must fail, so give each its own path
+            // and let the table builder find the missing link.
+            return Self::compute_per_flow(topo, flows, policy, |spec, _, _| {
+                Ok(vec![router
+                    .walk(spec.src, spec.dst)
+                    .map(|(at, _)| at)
+                    .collect()])
+            });
         }
+        let mut max_vc = 0;
+        for spec in flows {
+            endpoints_switches(topo, spec)?;
+            max_vc = max_vc.max(u8::from(router.uses_vc1(spec.src, spec.dst)));
+        }
+        Ok(Self::new(
+            Vec::new(),
+            max_vc,
+            Flows::Grid {
+                specs: flows.to_vec(),
+                router: Arc::new(router),
+            },
+        ))
     }
 
     /// Flow-keyed tables from one path set per flow.
@@ -309,100 +313,6 @@ impl RoutingTables {
             });
         }
         Self::from_paths_with(topo, flow_paths, policy)
-    }
-
-    /// Destination-keyed dimension-ordered tables, every hop on VC 0:
-    /// one [`grid_step`] per (switch, destination) pair that some flow
-    /// crosses. Routing toward one destination is a tree, so a flow's
-    /// walk stops at the first switch an earlier flow to the same
-    /// destination already reached — the total work is `O(flows +
-    /// entries)`, and a permutation pattern on a huge grid stays at
-    /// flows × path length entries instead of filling every pair.
-    fn by_destination(
-        topo: &Topology,
-        flows: &[FlowSpec],
-        grid: &GridInfo,
-        wrap: bool,
-    ) -> Result<Self, TopologyError> {
-        // Counting sort of the source switches by destination: entries
-        // then reach every table in ascending key order (the O(1)
-        // append of `RouteTable::push_hop`).
-        let endpoints = topo.endpoint_count();
-        let mut start = vec![0u32; endpoints + 1];
-        for spec in flows {
-            endpoints_switches(topo, spec)?;
-            start[spec.dst.index() + 1] += 1;
-        }
-        for d in 0..endpoints {
-            start[d + 1] += start[d];
-        }
-        let mut fill = start.clone();
-        let mut sources = vec![SwitchId::new(0); flows.len()];
-        for spec in flows {
-            let at = &mut fill[spec.dst.index()];
-            sources[*at as usize] = topo.endpoint(spec.src).switch;
-            *at += 1;
-        }
-
-        let mut table = vec![RouteTable::new(RouteKey::Destination); topo.switch_count()];
-        // Per switch: the last destination whose tree reached it.
-        let mut reached = vec![u32::MAX; topo.switch_count()];
-        for d in 0..endpoints {
-            let group = &sources[start[d] as usize..start[d + 1] as usize];
-            let dst = EndpointId::new(d as u32);
-            // Only a failed step needs to name a flow; find it then.
-            let invalid = |from: SwitchId, reason: String| {
-                let culprit = flows
-                    .iter()
-                    .find(|f| f.dst == dst && topo.endpoint(f.src).switch == from)
-                    .expect("the walk started at one of the group's flows");
-                TopologyError::InvalidPath {
-                    flow: culprit.flow,
-                    reason,
-                }
-            };
-            let to = topo.endpoint(dst).switch;
-            for &from in group {
-                let mut cur = from;
-                while reached[cur.index()] != d as u32 {
-                    reached[cur.index()] = d as u32;
-                    if cur == to {
-                        // Ejection, always on VC 0 (see
-                        // `from_paths_with`).
-                        let eject = topo.ejection_port(to, dst).ok_or_else(|| {
-                            invalid(from, format!("{dst} is not attached to {to}"))
-                        })?;
-                        table[cur.index()].push_hop(dst.raw(), RouteHop::vc0(eject));
-                        break;
-                    }
-                    let next = grid_step(grid, wrap, cur, to);
-                    let port = port_toward(topo, cur, next)
-                        .ok_or_else(|| invalid(from, format!("no link {cur} -> {next}")))?;
-                    table[cur.index()].push_hop(dst.raw(), RouteHop::vc0(port));
-                    cur = next;
-                }
-            }
-        }
-
-        let next_switch = topo
-            .switch_ids()
-            .map(|s| {
-                (0..topo.switch(s).outputs)
-                    .map(|p| topo.link(topo.out_link(s, PortId::new(p))).to_switch())
-                    .collect()
-            })
-            .collect();
-        Ok(Self::new(
-            table,
-            Flows::Walked {
-                specs: flows.to_vec(),
-                endpoint_switch: topo
-                    .endpoint_ids()
-                    .map(|e| topo.endpoint(e).switch)
-                    .collect(),
-                next_switch,
-            },
-        ))
     }
 
     /// Builds single-VC tables from explicitly given paths (every hop
@@ -433,7 +343,7 @@ impl RoutingTables {
         policy: VcPolicy,
     ) -> Result<Self, TopologyError> {
         let flow_count = flows.len();
-        let mut table = vec![RouteTable::new(RouteKey::Flow); topo.switch_count()];
+        let mut table = vec![RouteTable::new(); topo.switch_count()];
         let mut vc_labels = vec![Vec::new(); flow_count];
 
         for fp in &flows {
@@ -455,7 +365,7 @@ impl RoutingTables {
                             reason: format!("no link {} -> {}", w[0], w[1]),
                         }
                     })?;
-                    table[w[0].index()].push_hop(spec.flow.raw(), RouteHop { port, vc });
+                    table[w[0].index()].push_hop(spec.flow, RouteHop { port, vc });
                 }
                 // Ejection at the destination switch, always on VC 0:
                 // receptors are VC-blind, so funnelling every packet
@@ -469,68 +379,81 @@ impl RoutingTables {
                             flow: spec.flow,
                             reason: format!("{} is not attached to {}", spec.dst, to),
                         })?;
-                table[to.index()].push_hop(spec.flow.raw(), RouteHop::vc0(eject));
+                table[to.index()].push_hop(spec.flow, RouteHop::vc0(eject));
                 vc_labels[spec.flow.index()].push(labels);
             }
         }
-        Ok(Self::new(table, Flows::Paths { flows, vc_labels }))
+        let max_vc = table
+            .iter()
+            .filter_map(RouteTable::max_vc)
+            .max()
+            .unwrap_or(0);
+        Ok(Self::new(table, max_vc, Flows::Paths { flows, vc_labels }))
     }
 
-    /// What the tables' keys identify.
-    pub fn key(&self) -> RouteKey {
-        match self.inner.flows {
-            Flows::Paths { .. } => RouteKey::Flow,
-            Flows::Walked { .. } => RouteKey::Destination,
+    /// The shared router when routing is arithmetic (dimension-ordered
+    /// on a complete grid), `None` when it is held in flow-keyed
+    /// tables.
+    pub fn grid_router(&self) -> Option<&Arc<GridRouter>> {
+        match &self.inner.flows {
+            Flows::Paths { .. } => None,
+            Flows::Grid { router, .. } => Some(router),
         }
     }
 
-    /// The admissible output hops of `flow` at switch `s`, whatever
-    /// the tables are keyed by. Empty if the flow never visits `s` —
-    /// or was never given to the table builder, which flow-keyed
-    /// tables cannot tell apart. Destination-keyed tables answer for
-    /// the flow's destination: at a switch off the flow's own path the
-    /// answer is whatever other flows to that destination left there.
+    /// The router and the flows it routes, under grid routing.
+    pub(crate) fn grid(&self) -> Option<(&GridRouter, &[FlowSpec])> {
+        match &self.inner.flows {
+            Flows::Paths { .. } => None,
+            Flows::Grid { specs, router } => Some((router, specs)),
+        }
+    }
+
+    /// The admissible output hops of `flow` at switch `s`. Empty if
+    /// the flow never visits `s` — or was never given to
+    /// [`RoutingTables::compute_with`]. Borrowed from the tables when
+    /// there are tables; under grid routing the flow is followed from
+    /// its source switch (`O(path length)`).
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range.
-    pub fn lookup(&self, s: SwitchId, flow: FlowId) -> &[RouteHop] {
-        let key = match &self.inner.flows {
-            Flows::Paths { .. } => flow.raw(),
-            Flows::Walked { specs, .. } => match FlowSpec::find(specs, flow) {
-                Some(spec) => spec.dst.raw(),
-                None => return &[],
-            },
-        };
-        self.inner.table[s.index()].lookup(key)
+    pub fn lookup(&self, s: SwitchId, flow: FlowId) -> Cow<'_, [RouteHop]> {
+        match &self.inner.flows {
+            Flows::Paths { .. } => Cow::Borrowed(self.inner.table[s.index()].lookup(flow)),
+            Flows::Grid { specs, router } => FlowSpec::find(specs, flow)
+                .and_then(|spec| router.walk(spec.src, spec.dst).find(|&(at, _)| at == s))
+                .map_or(Cow::Borrowed(&[]), |(_, hop)| Cow::Owned(vec![hop])),
+        }
     }
 
-    /// The sparse per-switch table, as consumed by the switch models.
+    /// The sparse per-switch table, as consumed by the switch models —
+    /// empty at every switch under grid routing.
     pub fn switch_table(&self, s: SwitchId) -> &RouteTable {
-        &self.inner.table[s.index()]
+        self.inner.table.get(s.index()).unwrap_or(&NO_ENTRIES)
     }
 
-    /// Number of flows the tables were built for.
+    /// Number of flows the routing was computed for.
     pub fn flow_count(&self) -> usize {
         match &self.inner.flows {
             Flows::Paths { flows, .. } => flows.len(),
-            Flows::Walked { specs, .. } => specs.len(),
+            Flows::Grid { specs, .. } => specs.len(),
         }
     }
 
     /// The configured flows and their paths, in the order they were
-    /// given. Flow-keyed tables lend the paths they retain;
-    /// destination-keyed tables walk them out of the tables on every
-    /// call (`O(flows × path length)` — analyses call this once).
+    /// given. Flow-keyed tables lend the paths they retain; grid
+    /// routing walks them out of the router on every call
+    /// (`O(flows × path length)` — analyses call this once).
     pub fn flows(&self) -> Cow<'_, [FlowPaths]> {
         match &self.inner.flows {
             Flows::Paths { flows, .. } => Cow::Borrowed(flows),
-            Flows::Walked { specs, .. } => Cow::Owned(
+            Flows::Grid { specs, router } => Cow::Owned(
                 specs
                     .iter()
                     .map(|spec| FlowPaths {
                         spec: *spec,
-                        paths: vec![self.walk(spec).0],
+                        paths: vec![router.walk(spec.src, spec.dst).map(|(at, _)| at).collect()],
                     })
                     .collect(),
             ),
@@ -546,61 +469,38 @@ impl RoutingTables {
     pub fn path_vcs(&self, flow: FlowId, path_index: usize) -> Cow<'_, [VcId]> {
         match &self.inner.flows {
             Flows::Paths { vc_labels, .. } => Cow::Borrowed(&vc_labels[flow.index()][path_index]),
-            Flows::Walked { specs, .. } => {
-                assert_eq!(path_index, 0, "destination-keyed routing is single-path");
-                let spec = FlowSpec::find(specs, flow).expect("flow is routed by these tables");
-                Cow::Owned(self.walk(spec).1)
+            Flows::Grid { specs, router } => {
+                assert_eq!(path_index, 0, "grid routing is single-path");
+                let spec = FlowSpec::find(specs, flow).expect("flow is routed by this router");
+                let mut vcs: Vec<VcId> = router
+                    .walk(spec.src, spec.dst)
+                    .map(|(_, hop)| hop.vc)
+                    .collect();
+                vcs.pop(); // the ejection hop is not an inter-switch hop
+                Cow::Owned(vcs)
             }
         }
     }
 
-    /// Follows a destination-keyed flow through the tables from its
-    /// source switch to the ejection entry: the switch path and the VC
-    /// of every inter-switch hop.
-    fn walk(&self, spec: &FlowSpec) -> (Path, Vec<VcId>) {
-        let Flows::Walked {
-            endpoint_switch,
-            next_switch,
-            ..
-        } = &self.inner.flows
-        else {
-            unreachable!("only destination-keyed tables are walked");
-        };
-        let mut cur = endpoint_switch[spec.src.index()];
-        let mut path = vec![cur];
-        let mut vcs = Vec::new();
-        loop {
-            let hop = self.inner.table[cur.index()]
-                .lookup(spec.dst.raw())
-                .first()
-                .expect("every switch on a routed flow's path holds its destination");
-            match next_switch[cur.index()][hop.port.index()] {
-                Some(next) => {
-                    vcs.push(hop.vc);
-                    path.push(next);
-                    cur = next;
-                }
-                None => return (path, vcs),
-            }
-        }
-    }
-
-    /// The highest VC any table entry uses (0 for single-VC tables).
+    /// The highest VC any hop of any flow uses (0 for single-VC routing).
     /// Switches must be configured with at least `max_vc() + 1` VCs.
     pub fn max_vc(&self) -> u8 {
         self.inner.max_vc
     }
 
-    /// The maximum number of alternatives any (switch, key) entry
-    /// holds — 1 for deterministic routing, 2 for the paper's dual
-    /// routing.
+    /// The maximum number of alternatives any flow has at any switch
+    /// — 1 for deterministic routing, 2 for the paper's dual routing.
     pub fn max_alternatives(&self) -> usize {
-        self.inner
-            .table
-            .iter()
-            .map(RouteTable::max_alternatives)
-            .max()
-            .unwrap_or(0)
+        match &self.inner.flows {
+            Flows::Paths { .. } => self
+                .inner
+                .table
+                .iter()
+                .map(RouteTable::max_alternatives)
+                .max()
+                .unwrap_or(0),
+            Flows::Grid { specs, .. } => usize::from(!specs.is_empty()),
+        }
     }
 }
 
@@ -820,43 +720,29 @@ fn union_is_acyclic(edges: &HashSet<(SwitchId, SwitchId)>) -> bool {
     removed == nodes.len()
 }
 
-/// One dimension-ordered step from `cur` toward `to` (`cur != to`): X
-/// first, then Y. With `wrap`, each dimension is travelled the shorter
-/// way around, preferring the direct (non-wrapping) direction on ties
-/// or when the wrap link does not exist (`size <= 2`) — and because
-/// the shorter way stays the shorter way after every step, the hop is
-/// a function of (switch, destination) alone.
-fn grid_step(grid: &GridInfo, wrap: bool, cur: SwitchId, to: SwitchId) -> SwitchId {
-    let step = |cur: u32, target: u32, size: u32| {
-        let direct = cur.abs_diff(target);
-        let around = wrap && size > 2 && size - direct < direct;
-        if (cur < target) != around {
-            (cur + 1) % size
-        } else {
-            (cur + size - 1) % size
+/// The dimension-ordered router of a grid topology: its links in
+/// ascending (switch, output port) order, its endpoints in id order.
+///
+/// # Errors
+///
+/// Returns [`TopologyError::GridRequired`] when `topo` carries no grid
+/// metadata, or metadata that does not describe its switches.
+fn grid_router(topo: &Topology, wrap: bool, dateline: bool) -> Result<GridRouter, TopologyError> {
+    let grid = topo
+        .grid()
+        .filter(|g| g.width as usize * g.height as usize == topo.switch_count())
+        .ok_or(TopologyError::GridRequired)?;
+    let mut router = GridRouter::new(grid.width, grid.height, wrap, dateline);
+    for s in topo.switch_ids() {
+        for (out, _, next, inp) in topo.switch_neighbors(s) {
+            router.link(s, out, next, inp);
         }
-    };
-    let (x, y) = grid.coords(cur);
-    let (tx, ty) = grid.coords(to);
-    if x != tx {
-        grid.at(step(x, tx, grid.width), y)
-    } else {
-        grid.at(x, step(y, ty, grid.height))
     }
-}
-
-/// The dimension-ordered path `from → to`: [`grid_step`] until there.
-/// Only dateline routing across wrap-around links still needs paths
-/// (its VC labels depend on the source); everything else goes through
-/// [`RoutingTables::by_destination`].
-fn grid_path(grid: &GridInfo, wrap: bool, from: SwitchId, to: SwitchId) -> Path {
-    let mut path = vec![from];
-    let mut cur = from;
-    while cur != to {
-        cur = grid_step(grid, wrap, cur, to);
-        path.push(cur);
+    for e in topo.endpoint_ids() {
+        let switch = topo.endpoint(e).switch;
+        router.endpoint(switch, topo.ejection_port(switch, e));
     }
-    path
+    Ok(router)
 }
 
 /// The minimal path around a ring of `n` switches whose ids form the
@@ -890,8 +776,9 @@ pub fn ring_minimal_path(n: u32, from: SwitchId, to: SwitchId) -> Path {
 /// once overall).
 ///
 /// Wrap-around hops are recognized on grids by
-/// [`GridInfo::is_wrap_hop`] (coordinate distance above one in the
-/// travelling dimension) and on ring-shaped topologies
+/// [`GridInfo::is_wrap_hop`](crate::graph::GridInfo::is_wrap_hop)
+/// (coordinate distance above one in the travelling dimension) and on
+/// ring-shaped topologies
 /// ([`Topology::is_switch_ring`]) by switch-id distance above one. On
 /// every other topology no hop is a wrap hop, so every hop labels
 /// VC 0 — which is what makes [`VcPolicy::Dateline`] safe to apply
@@ -1109,17 +996,22 @@ mod tests {
     fn torus_xy_wraps_when_shorter() {
         let t = builders::torus(4, 4).unwrap();
         let grid = t.grid().unwrap();
+        let router = grid_router(&t, true, false).unwrap();
+        let path = |from: SwitchId, to: SwitchId| -> Path {
+            let (src, dst) = (t.generator_at(from).unwrap(), t.receptor_at(to).unwrap());
+            router.walk(src, dst).map(|(at, _)| at).collect()
+        };
         // x: 0 -> 3 is one wrap hop, not three direct hops.
-        let p = grid_path(grid, true, SwitchId::new(0), SwitchId::new(3));
+        let p = path(SwitchId::new(0), SwitchId::new(3));
         assert_eq!(p, vec![SwitchId::new(0), SwitchId::new(3)]);
         // Distance-2 ties go direct.
-        let p = grid_path(grid, true, SwitchId::new(0), SwitchId::new(2));
+        let p = path(SwitchId::new(0), SwitchId::new(2));
         assert_eq!(
             p,
             vec![SwitchId::new(0), SwitchId::new(1), SwitchId::new(2)]
         );
         // Both dimensions wrap: (0,0) -> (3,3) is two hops.
-        let p = grid_path(grid, true, grid.at(0, 0), grid.at(3, 3));
+        let p = path(grid.at(0, 0), grid.at(3, 3));
         assert_eq!(p, vec![grid.at(0, 0), grid.at(3, 0), grid.at(3, 3)]);
     }
 
@@ -1129,8 +1021,16 @@ mod tests {
         // be taken even though "wrapping" would tie.
         let t = builders::torus(2, 3).unwrap();
         let grid = t.grid().unwrap();
-        let p = grid_path(grid, true, grid.at(0, 0), grid.at(1, 0));
+        let router = grid_router(&t, true, false).unwrap();
+        assert!(router.is_total(), "no wrap link is asked for across 2");
+        let path = |from: SwitchId, to: SwitchId| -> Path {
+            let (src, dst) = (t.generator_at(from).unwrap(), t.receptor_at(to).unwrap());
+            router.walk(src, dst).map(|(at, _)| at).collect()
+        };
+        let p = path(grid.at(0, 0), grid.at(1, 0));
         assert_eq!(p, vec![grid.at(0, 0), grid.at(1, 0)]);
+        let p = path(grid.at(1, 0), grid.at(0, 0));
+        assert_eq!(p, vec![grid.at(1, 0), grid.at(0, 0)]);
     }
 
     #[test]

@@ -1,26 +1,39 @@
-//! Route keys end to end: which platforms route by destination, that
-//! the compiler's analyses see the same paths either way, that all
-//! three stepping engines stay ledger-identical per cycle on
-//! destination-keyed tables, and that the direct route map is back at
-//! mesh16x16 and mesh32x32.
+//! Routing end to end: which platforms route arithmetically and which
+//! keep flow-keyed tables, that the compiler's analyses see the same
+//! paths either way, that all three stepping engines stay
+//! ledger-identical per cycle on the grid router (dateline tori
+//! included), that a grid lowers to a router and no route arrays at
+//! any size, and that a destination the router cannot answer for is a
+//! set-up error.
 //!
-//! (The table-level equivalence with the per-flow construction lives
-//! in `crates/topology/tests/route_keys.rs`.)
+//! (The hop-level equivalence with the per-flow construction lives in
+//! `crates/topology/tests/route_keys.rs`.)
 
 use nocem::clock::{EngineSummary, SteppableEngine};
 use nocem::compile::{compute_routing, elaborate, elaborate_routed, lower};
-use nocem::config::{EngineKind, PaperConfig, PaperRouting, PlatformConfig, TrafficModel};
+use nocem::config::{
+    EngineKind, PaperConfig, PaperRouting, PlatformConfig, RoutingSpec, TrafficModel,
+};
 use nocem::engine::build;
+use nocem::error::CompileError;
 use nocem::shard::build_engine;
 use nocem_common::ids::SwitchId;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_topology::analysis::{predict_link_loads, SplitModel};
-use nocem_topology::routing::{FlowPaths, Path, RouteKey, RoutingTables, VcPolicy};
-use nocem_topology::Topology;
+use nocem_topology::routing::{FlowPaths, Path, RouteAlgorithm, RoutingTables, VcPolicy};
+use nocem_topology::{EndpointKind, Topology, TopologyError};
+use nocem_traffic::generator::DestinationModel;
 
 const fn mesh(side: u32) -> TopologySpec {
     TopologySpec::Mesh {
+        width: side,
+        height: side,
+    }
+}
+
+const fn torus(side: u32) -> TopologySpec {
+    TopologySpec::Torus {
         width: side,
         height: side,
     }
@@ -44,18 +57,18 @@ fn route_entries(cfg: &PlatformConfig, routing: &RoutingTables) -> usize {
 #[test]
 fn every_builtin_mesh_scenario_routes_by_destination_and_passes_the_table_cdg() {
     let registry = ScenarioRegistry::builtin();
-    for topo in [mesh(4), mesh(8)] {
+    for topo in [mesh(4), mesh(8), torus(4), torus(8)] {
         let mut applicable = 0;
         for s in registry.iter() {
             let Ok(cfg) = s.build_config(topo, 0.1, 4, 100) else {
-                continue; // pattern not applicable to this mesh
+                continue; // pattern not applicable to this grid
             };
             applicable += 1;
             // `compute_routing` runs the (link, VC) deadlock check.
             let routing = compute_routing(&cfg).unwrap_or_else(|e| panic!("{}: {e}", cfg.name));
-            assert_eq!(routing.key(), RouteKey::Destination, "{}", cfg.name);
-            let n = cfg.topology.switch_count();
-            assert!(route_entries(&cfg, &routing) <= n * n, "{}", cfg.name);
+            assert!(routing.grid_router().is_some(), "{}", cfg.name);
+            assert_eq!(route_entries(&cfg, &routing), 0, "{}", cfg.name);
+            assert_eq!(routing.flow_count(), cfg.flows.len(), "{}", cfg.name);
             // No caller can see a flow without its path.
             for fp in routing.flows().iter() {
                 let path = &fp.paths[0];
@@ -72,14 +85,10 @@ fn every_builtin_mesh_scenario_routes_by_destination_and_passes_the_table_cdg() 
 
 #[test]
 fn source_dependent_platforms_stay_flow_keyed() {
-    let torus = TopologySpec::Torus {
-        width: 8,
-        height: 8,
-    };
     let ring = TopologySpec::Ring { switches: 8 };
+    let star = nocem_topology::builders::star(6).unwrap();
     // Entry counts of the parent commit (one per switch of each path).
     for (cfg, entries) in [
-        (scenario("uniform_random", torus, 0.1, 100), 20_416),
         (scenario("uniform_random", ring, 0.1, 100), 184),
         (PaperConfig::new().uniform(), 10),
         (
@@ -90,15 +99,21 @@ fn source_dependent_platforms_stay_flow_keyed() {
                 .uniform(),
             20,
         ),
+        // Shortest paths between a leaf's own TG and TR: one switch.
+        (PlatformConfig::baseline("star6", star).unwrap(), 6),
     ] {
         let routing = compute_routing(&cfg).unwrap();
-        assert_eq!(routing.key(), RouteKey::Flow, "{}", cfg.name);
+        assert!(routing.grid_router().is_none(), "{}", cfg.name);
         assert_eq!(route_entries(&cfg, &routing), entries, "{}", cfg.name);
+        let low = lower(&elaborate_routed(&cfg, routing).unwrap());
+        assert!(low.router.is_none(), "{}", cfg.name);
+        assert_eq!(low.route_keys.len(), entries, "{}", cfg.name);
+        assert!(!low.route_direct.is_empty(), "{}", cfg.name);
     }
 }
 
 /// Dimension-ordered path on a mesh — the per-flow construction the
-/// library had before tables were keyed by destination.
+/// library had before routing on grids became arithmetic.
 fn xy_path(topo: &Topology, from: SwitchId, to: SwitchId) -> Path {
     let grid = topo.grid().unwrap();
     let (mut x, mut y) = grid.coords(from);
@@ -120,7 +135,7 @@ fn transpose_mesh_predicted_loads_are_the_per_flow_values() {
     for side in [4, 8] {
         let cfg = scenario("transpose", mesh(side), 0.1, 100);
         let elab = elaborate(&cfg).unwrap();
-        assert_eq!(elab.routing.key(), RouteKey::Destination);
+        assert!(elab.routing.grid_router().is_some());
         let got = elab
             .predicted_loads
             .as_ref()
@@ -180,13 +195,26 @@ fn assert_lockstep(cfg: &PlatformConfig, engine: &mut dyn SteppableEngine) -> En
 
 #[test]
 fn all_three_engines_are_ledger_identical_per_cycle_on_destination_keys() {
-    for (name, load, packets) in [
-        ("uniform_random", 0.05, 300),
-        ("uniform_random", 0.40, 500),
-        ("transpose", 0.20, 300),
+    // The interpreted switch asks the router with the port and VC it
+    // iterates over, the compiled kernels derive them from the slot:
+    // a disagreement shows as soon as a dateline packet takes VC 1.
+    for (name, topo, load, packets) in [
+        ("uniform_random", mesh(8), 0.05, 300),
+        ("uniform_random", mesh(8), 0.40, 500),
+        ("transpose", mesh(8), 0.20, 300),
+        ("uniform_random", torus(8), 0.05, 300),
+        ("uniform_random", torus(8), 0.40, 500),
+        ("tornado", torus(8), 0.20, 300),
     ] {
-        let cfg = scenario(name, mesh(8), load, packets);
-        assert_eq!(compute_routing(&cfg).unwrap().key(), RouteKey::Destination);
+        let cfg = scenario(name, topo, load, packets);
+        let routing = compute_routing(&cfg).unwrap();
+        assert!(routing.grid_router().is_some(), "{}", cfg.name);
+        assert_eq!(
+            routing.max_vc(),
+            u8::from(matches!(topo, TopologySpec::Torus { .. })),
+            "{}: tori wrap onto VC 1",
+            cfg.name
+        );
         for kind in [
             EngineKind::Compiled,
             EngineKind::ShardedCompiled {
@@ -202,22 +230,75 @@ fn all_three_engines_are_ledger_identical_per_cycle_on_destination_keys() {
 }
 
 #[test]
-fn mesh16_and_mesh32_get_the_direct_route_map_back() {
+fn grids_lower_to_a_router_and_no_route_arrays() {
     // Counts only — no timing. mesh32x32 uniform-random is 1 047 552
-    // flows; keyed by flow its tables could not be direct-mapped from
-    // mesh12x12 up.
-    for side in [16u32, 32] {
-        let cfg = scenario("uniform_random", mesh(side), 0.02, 100);
-        let n = (side * side) as usize;
+    // flows (1 048 576 destination-keyed entries at the parent
+    // commit); torus16x16 was one entry per flow per hop.
+    for topo in [mesh(32), torus(16)] {
+        let cfg = scenario("uniform_random", topo, 0.02, 100);
+        let n = cfg.topology.switch_count();
         assert_eq!(cfg.flows.len(), n * (n - 1));
         let routing = compute_routing(&cfg).unwrap();
         assert_eq!(routing.flow_count(), n * (n - 1));
-        assert_eq!(route_entries(&cfg, &routing), n * n);
-        let low = lower(&elaborate_routed(&cfg, routing).unwrap());
-        assert_eq!(low.route_key, RouteKey::Destination);
-        assert_eq!(low.route_keys.len(), n * n, "route entries == switches²");
-        assert_eq!(low.route_key_space, cfg.topology.endpoint_count());
-        assert_eq!(low.route_direct.len(), n * low.route_key_space);
-        assert!(!low.route_direct.is_empty(), "mesh{side}x{side}");
+        assert_eq!(route_entries(&cfg, &routing), 0, "{}", cfg.name);
+        let low = lower(&elaborate_routed(&cfg, routing.clone()).unwrap());
+        let router = low.router.as_ref().expect("grids lower to a router");
+        assert!(std::sync::Arc::ptr_eq(
+            router,
+            routing.grid_router().unwrap()
+        ));
+        assert!(low.route_keys.is_empty(), "{}", cfg.name);
+        assert!(low.route_hops.is_empty(), "{}", cfg.name);
+        assert!(low.route_direct.is_empty(), "{}", cfg.name);
+        assert_eq!(low.route_key_space, 0, "{}", cfg.name);
+    }
+}
+
+#[test]
+fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
+    // The grid router answers for receptors only; what keeps any other
+    // destination away from it is set-up validation, never a check
+    // (or a panic) mid-run.
+    let mut cfg = scenario("transpose", mesh(4), 0.1, 100);
+    assert!(matches!(
+        cfg.routing,
+        RoutingSpec::Algorithm(RouteAlgorithm::Xy)
+    ));
+    let generators = cfg.topology.generators();
+    let (victim, stray) = (1, generators[2]);
+    let TrafficModel::Uniform(model) = &mut cfg.generators[victim] else {
+        panic!("scenarios build uniform generators");
+    };
+    let DestinationModel::Fixed { flow, .. } = model.destination else {
+        panic!("transpose has fixed destinations");
+    };
+    model.destination = DestinationModel::Fixed { dst: stray, flow };
+
+    let engines = [
+        EngineKind::default(),
+        EngineKind::Compiled,
+        EngineKind::ShardedCompiled {
+            shards: 2,
+            batch: 8,
+        },
+    ];
+    // Emitted but not registered: the traffic does not match the flows.
+    for kind in engines {
+        let err = build_engine(&cfg.clone().with_engine(kind)).err().unwrap();
+        assert!(
+            matches!(err, CompileError::TrafficMismatch { .. }),
+            "{kind:?}: {err}"
+        );
+    }
+    // Registered as well: the flow list itself is wrong.
+    cfg.flows[flow.index()].dst = stray;
+    let wrong_kind = CompileError::Topology(TopologyError::WrongEndpointKind {
+        endpoint: stray,
+        expected: EndpointKind::Receptor,
+    });
+    assert_eq!(compute_routing(&cfg).unwrap_err(), wrong_kind);
+    for kind in engines {
+        let err = build_engine(&cfg.clone().with_engine(kind)).err().unwrap();
+        assert_eq!(err, wrong_kind, "{kind:?}");
     }
 }
