@@ -1,9 +1,9 @@
 //! **Engine throughput** — flits per wall-clock second of the
 //! interpreted emulation engine, the compiled data-oriented engine,
-//! and the two sharded engines (interpreted and compiled, 2 shards)
-//! on identical traffic: the acceptance measurement for the compiled
-//! engine's "elaborate once, run flat arrays" design and a first look
-//! at the sharded engines' coordination cost.
+//! and the sharded compiled engine (2 shards) on identical traffic:
+//! the acceptance measurement for the compiled engine's "elaborate
+//! once, run flat arrays" design and a first look at the sharded
+//! engine's coordination cost.
 //!
 //! ```text
 //! cargo run --release -p nocem-bench --bin engine_throughput
@@ -35,8 +35,7 @@ use nocem::compile::elaborate;
 use nocem::config::{PlatformConfig, TrafficModel};
 use nocem::engine::build;
 use nocem::profile::{PhaseReport, ProfileConfig};
-use nocem::shard::ShardedEngine;
-use nocem::shard_compiled::ShardedCompiledEngine;
+use nocem::shard_compiled::{ShardedCompiledEngine, DEFAULT_BATCH};
 use nocem::CompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -110,10 +109,9 @@ fn build_engine(engine_name: &str, cfg: &PlatformConfig) -> Box<dyn SteppableEng
         "compiled" => Box::new(CompiledEngine::new(
             elaborate(cfg).expect("config compiles"),
         )),
-        "sharded" => Box::new(ShardedEngine::with_shards(cfg, 2).expect("config compiles")),
-        "sharded-compiled" => {
-            Box::new(ShardedCompiledEngine::with_shards(cfg, 2, 16).expect("config compiles"))
-        }
+        "sharded-compiled" => Box::new(
+            ShardedCompiledEngine::with_shards(cfg, 2, DEFAULT_BATCH).expect("config compiles"),
+        ),
         other => unreachable!("unknown engine {other}"),
     }
 }
@@ -283,7 +281,7 @@ fn main() {
     let mut rows = Vec::new();
     for &(name, topo) in cells {
         for load in [0.05, 0.40] {
-            for engine in ["emulation", "compiled", "sharded", "sharded-compiled"] {
+            for engine in ["emulation", "compiled", "sharded-compiled"] {
                 let row = measure_cell(engine, name, topo, load, warmup, min_seconds);
                 println!(
                     "{:>16}  {:>9} @ {:>2.0}%  {:>12.0} flits/s  {:>12.0} cycles/s",

@@ -12,8 +12,8 @@
 //! The default sweep runs uniform_random / transpose / tornado on
 //! mesh4x4, mesh8x8 and torus8x8 — nine curves — and demonstrates the
 //! scale machinery end to end: every point runs **clock-gated**
-//! (PR 3), and the 8×8 topologies run on the **sharded engine** with
-//! two workers (PR 4). Neither changes a single measured value (the
+//! (PR 3), and the 8×8 topologies run on the **sharded compiled
+//! engine** with two workers. Neither changes a single measured value (the
 //! ledger is proven identical across modes and engines); they only
 //! change how fast the sweep finishes. Results land in
 //! `results/latency_curves.csv`.
@@ -34,6 +34,7 @@
 
 use nocem::clock::ClockMode;
 use nocem::config::EngineKind;
+use nocem::shard_compiled::DEFAULT_BATCH;
 use nocem_common::table::{Align, TextTable};
 use nocem_curves::measure::{measure_config, MeasureConfig};
 use nocem_curves::runner::{run_curve_specs, CurveSetOutcome};
@@ -245,7 +246,10 @@ fn main() {
             // 64-switch topologies sharded across two workers.
             let engine = match topology {
                 TopologySpec::Mesh { width: 8, .. } | TopologySpec::Torus { width: 8, .. } => {
-                    EngineKind::Sharded { shards: 2 }
+                    EngineKind::ShardedCompiled {
+                        shards: 2,
+                        batch: DEFAULT_BATCH,
+                    }
                 }
                 _ => EngineKind::SingleThread,
             };

@@ -20,11 +20,10 @@
 //! A second, **scale** section runs uniform-random traffic on 16×16
 //! and 32×32 meshes across the matrix's `shards` axis (1, 2 and 4
 //! worker threads), sequentially and individually wall-clocked, so
-//! the CSV records the sharded engine's measured speedup over the
-//! single-threaded engine on topologies too big for one core. The
-//! shard counts change only `wall_ms`: the sharded engine is
-//! ledger-identical to the single-threaded one (asserted here per
-//! topology).
+//! the CSV records the sharded compiled engine's measured speedup
+//! over the same kernel unsharded on topologies too big for one core.
+//! The shard counts change only `wall_ms`: the sharded engine is
+//! ledger-identical to the unsharded one (asserted here per topology).
 
 use nocem::clock::ClockMode;
 use nocem_bench::scaled;
@@ -171,7 +170,7 @@ fn main() {
         // The shards axis must never change the simulation itself.
         assert_eq!(
             reference.results, row.results,
-            "sharded run diverged from the single-threaded engine on {}",
+            "sharded run diverged from the unsharded engine on {}",
             row.label
         );
         st.row(vec![

@@ -52,10 +52,10 @@
 //! * **no in-flight packet in the ledger** — a belt over the braces:
 //!   any flit anywhere implies an undelivered packet.
 //!
-//! # Sharded engines: the cross-shard event horizon
+//! # The sharded engine: the cross-shard event horizon
 //!
-//! The sharded engines (`crate::shard`, `crate::shard_compiled`)
-//! apply the same protocol per shard: every worker reports its local
+//! The sharded engine (`crate::shard_compiled`) applies the same
+//! protocol per shard: every worker reports its local
 //! quiescence and its TGs' earliest future event each cycle, and the
 //! coordinator may jump only when **all** shards are quiescent (plus
 //! the ledger clause), and only to the *minimum* next-event over all
@@ -64,9 +64,8 @@
 //! produced traffic that would reach it; the jump is replayed in
 //! every worker with the same [`TrafficGenerator::skip_to`] contract
 //! as [`fast_forward`]. Because the gating decision is a per-cycle
-//! platform-wide predicate, the batched sharded compiled engine
-//! clamps its exchange batch to 1 under [`ClockMode::Gated`] rather
-//! than diverge.
+//! platform-wide predicate, the engine clamps its exchange batch to 1
+//! under [`ClockMode::Gated`] rather than diverge.
 
 use crate::error::EmulationError;
 use nocem_common::time::Cycle;
@@ -336,7 +335,7 @@ pub trait SteppableEngine {
     /// The per-phase self-profiling report, when the config enabled
     /// profiling ([`crate::config::PlatformConfig::profile`]).
     ///
-    /// Takes `&mut self` because sharded engines fetch their workers'
+    /// Takes `&mut self` because the sharded engine fetches its workers'
     /// accumulators over the command channels on demand.
     fn profile(&mut self) -> Option<crate::profile::PhaseReport> {
         None
@@ -344,7 +343,7 @@ pub trait SteppableEngine {
 
     /// The merged wall-clock span timeline (Chrome-trace material),
     /// when the config enabled profiling with spans on. Draining is
-    /// destructive on sharded engines — call once, at the end.
+    /// destructive on the sharded engine — call once, at the end.
     fn span_trace(&mut self) -> Option<nocem_telemetry::SpanTrace> {
         None
     }

@@ -104,8 +104,7 @@ impl LiveSet {
 ///
 /// Built from an [`Elaboration`] via [`CompiledEngine::new`]; selected
 /// through [`crate::config::EngineKind::Compiled`] everywhere a config
-/// picks an engine ([`crate::shard::build_engine`],
-/// [`crate::sweep::AnyEngine`], sweeps, curves).
+/// picks an engine ([`crate::sweep::AnyEngine`], sweeps, curves).
 pub struct CompiledEngine {
     pub(crate) config: PlatformConfig,
     pub(crate) low: LoweredPlatform,
@@ -312,6 +311,62 @@ fn select_hop(
         }
     }
 }
+
+/// Where a commit's cross-switch effects go: the four places a shard
+/// boundary changes what popping a flit does. The provided bodies are
+/// the engine that owns every switch — [`CompiledEngine::step`] commits
+/// through [`Whole`], which compiles to nothing; a shard worker passes
+/// its boundary (`crate::shard_compiled`). Static dispatch only: each
+/// engine's commit is monomorphised over its own sink.
+pub(crate) trait CommitSink {
+    /// A flit left global input slot `islot` at `now`.
+    #[inline(always)]
+    fn popped(&mut self, _islot: usize, _now: Cycle) {}
+
+    /// Takes the credit owed to global output slot `up` when another
+    /// shard owns that slot; `false` leaves it to the engine.
+    #[inline(always)]
+    fn take_credit(&mut self, _up: usize) -> bool {
+        false
+    }
+
+    /// Takes flit handle `h`, leaving switch `from` on output VC `vc`
+    /// for input port `slot_base` of `switch`, out of `eng`'s pool when
+    /// another shard owns `switch`; `false` leaves it to the engine.
+    #[inline(always)]
+    fn take_flit(
+        &mut self,
+        _eng: &mut CompiledEngine,
+        _from: usize,
+        _switch: u32,
+        _slot_base: u32,
+        _h: u32,
+        _vc: usize,
+    ) -> bool {
+        false
+    }
+
+    /// Books `pkt`, completed at `now` by receptor `receptor` behind
+    /// output `port` of switch `from`.
+    #[inline(always)]
+    fn delivered(
+        &mut self,
+        eng: &mut CompiledEngine,
+        _from: usize,
+        _port: usize,
+        receptor: usize,
+        pkt: CompletedPacket,
+        now: Cycle,
+    ) -> Result<(), EmulationError> {
+        eng.book_delivery(receptor, pkt, now)
+    }
+}
+
+/// The sink of an engine that steps the whole platform: no boundary,
+/// deliveries go straight to the ledger.
+struct Whole;
+
+impl CommitSink for Whole {}
 
 impl CompiledEngine {
     /// Lowers `elab` and wraps it into a runnable compiled engine.
@@ -583,22 +638,7 @@ impl CompiledEngine {
         self.inject_phase(|eng, id| eng.on_ledger(|l| l.inject(id, now)))?;
         self.lap(&mut t, Phase::NiInject);
 
-        // 4. All decided switches commit; flits move one hop.
-        let vc1 = self.low.num_vcs == 1;
-        for w in 0..self.sw_decided.len() {
-            let mut m = self.sw_decided[w];
-            while m != 0 {
-                let s = w * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                if !self.mask_ok[s] {
-                    self.commit_switch_dense(s, now)?;
-                } else if vc1 {
-                    self.commit_switch_mask_vc1(s, now)?;
-                } else {
-                    self.commit_switch_mask(s, now)?;
-                }
-            }
-        }
+        self.commit_phase(now, &mut Whole)?;
         self.lap(&mut t, Phase::Commit);
 
         // Stall watchdog: feed the ledger counters once per stepped
@@ -1243,6 +1283,32 @@ impl CompiledEngine {
         }
     }
 
+    /// Phase 4 — every switch that decided commits, in ascending order
+    /// (the reference order); flits move one hop. `sink` is told about
+    /// each pop and gets first refusal on what crosses a boundary.
+    pub(crate) fn commit_phase<S: CommitSink>(
+        &mut self,
+        now: Cycle,
+        sink: &mut S,
+    ) -> Result<(), EmulationError> {
+        let vc1 = self.low.num_vcs == 1;
+        for w in 0..self.sw_decided.len() {
+            let mut m = self.sw_decided[w];
+            while m != 0 {
+                let s = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                if !self.mask_ok[s] {
+                    self.commit_switch_dense(s, now, sink)?;
+                } else if vc1 {
+                    self.commit_switch_mask_vc1(s, now, sink)?;
+                } else {
+                    self.commit_switch_mask(s, now, sink)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Pops port `o`'s granted flit of switch `s` and carries the
     /// transfer end to end: wormhole, credit and occupancy bookkeeping
     /// on the popping switch, then the engine-side effects in the
@@ -1250,12 +1316,13 @@ impl CompiledEngine {
     /// upstream, land the flit downstream. Shared by the multi-VC mask
     /// and dense commit paths.
     #[inline]
-    fn pop_forward(
+    fn pop_forward<S: CommitSink>(
         &mut self,
         s: usize,
         g: u32,
         o: usize,
         now: Cycle,
+        sink: &mut S,
     ) -> Result<(), EmulationError> {
         let vcs = self.low.num_vcs;
         let depth = self.low.fifo_depth;
@@ -1282,6 +1349,7 @@ impl CompiledEngine {
             self.occ_mask[s] &= !(1 << (iv & 63));
         }
         self.note_pop(s);
+        sink.popped(islot, now);
         let gslot = osb + o * vcs + ov;
         let ost = &mut self.low.out_state[gslot];
         if ost.credits != CREDITS_INFINITE {
@@ -1303,14 +1371,8 @@ impl CompiledEngine {
                 // The upstream output VC the flit occupied is the
                 // input VC it just vacated here.
                 let up = slot_base as usize + v;
-                let ust = &mut self.low.out_state[up];
-                if ust.credits != CREDITS_INFINITE {
-                    ust.credits += 1;
-                    self.credit_debt -= 1;
-                    debug_assert!(
-                        ust.credits <= self.low.credit_cap[up],
-                        "credit overflow on a lowered output slot"
-                    );
+                if !sink.take_credit(up) {
+                    self.return_credit(up);
                 }
             }
             LoweredInFeed::Generator { index } => {
@@ -1319,24 +1381,40 @@ impl CompiledEngine {
         }
         match self.low.out_dest[opb + o] {
             LoweredOutDest::Switch { switch, slot_base } => {
-                self.accept_flit(switch as usize, slot_base, h, ov)?;
+                if !sink.take_flit(self, s, switch, slot_base, h, ov) {
+                    self.accept_flit(switch as usize, slot_base, h, ov)?;
+                }
             }
             LoweredOutDest::Receptor { index } => {
-                self.deliver(index as usize, h, ov, now)?;
+                if let Some(pkt) = self.eject(index as usize, h, ov, now)? {
+                    sink.delivered(self, s, o, index as usize, pkt, now)?;
+                }
             }
         }
         Ok(())
     }
 
-    /// Phase 2 of one switch on the mask path: apply VC allocations,
-    /// then pop-and-forward granted flits, both over this cycle's
-    /// grant masks.
-    fn commit_switch_mask(&mut self, s: usize, now: Cycle) -> Result<(), EmulationError> {
-        let isb = self.low.in_slot_base[s] as usize;
-        let osb = self.low.out_slot_base[s] as usize;
+    /// Returns one credit to output slot `up` (a flit left the input
+    /// buffer it feeds).
+    #[inline]
+    pub(crate) fn return_credit(&mut self, up: usize) {
+        let ust = &mut self.low.out_state[up];
+        if ust.credits != CREDITS_INFINITE {
+            ust.credits += 1;
+            self.credit_debt -= 1;
+            debug_assert!(
+                ust.credits <= self.low.credit_cap[up],
+                "credit overflow on a lowered output slot"
+            );
+        }
+    }
 
-        // VC allocations first: the winning head owns its output VC
-        // from now on, whether or not its flit also crosses this cycle.
+    /// Applies this cycle's VC allocations of switch `s` over its grant
+    /// mask (one VC: slot == port). They come first: the winning head
+    /// owns its output VC from now on, whether or not its flit also
+    /// crosses this cycle.
+    #[inline]
+    fn apply_vc_grants(&mut self, s: usize, isb: usize, osb: usize) {
         let mut vm = self.vcg_mask[s];
         self.vcg_mask[s] = 0;
         while vm != 0 {
@@ -1351,6 +1429,21 @@ impl CompiledEngine {
             self.low.out_state[gslot].busy_with = iv;
             self.open_worms += 1;
         }
+    }
+
+    /// Phase 2 of one switch on the mask path: apply VC allocations,
+    /// then pop-and-forward granted flits, both over this cycle's
+    /// grant masks.
+    fn commit_switch_mask<S: CommitSink>(
+        &mut self,
+        s: usize,
+        now: Cycle,
+        sink: &mut S,
+    ) -> Result<(), EmulationError> {
+        let isb = self.low.in_slot_base[s] as usize;
+        let osb = self.low.out_slot_base[s] as usize;
+
+        self.apply_vc_grants(s, isb, osb);
 
         let mut gm = self.grant_mask[s];
         self.grant_mask[s] = 0;
@@ -1361,34 +1454,26 @@ impl CompiledEngine {
             let gp = opb + o;
             let g = self.granted[gp];
             self.granted[gp] = LOWERED_NONE;
-            self.pop_forward(s, g, o, now)?;
+            self.pop_forward(s, g, o, now, sink)?;
         }
         Ok(())
     }
 
     /// Phase 2 on the mask fast path, specialized for one VC — the
     /// pop-and-forward is inlined with `ov == 0`, `slot == port`.
-    fn commit_switch_mask_vc1(&mut self, s: usize, now: Cycle) -> Result<(), EmulationError> {
+    fn commit_switch_mask_vc1<S: CommitSink>(
+        &mut self,
+        s: usize,
+        now: Cycle,
+        sink: &mut S,
+    ) -> Result<(), EmulationError> {
         let isb = self.low.in_slot_base[s] as usize;
         let osb = self.low.out_slot_base[s] as usize;
         let ipb = self.low.in_port_base[s] as usize;
         let opb = self.low.out_port_base[s] as usize;
         let depth = self.low.fifo_depth;
 
-        let mut vm = self.vcg_mask[s];
-        self.vcg_mask[s] = 0;
-        while vm != 0 {
-            let o = vm.trailing_zeros() as usize;
-            vm &= vm - 1;
-            let gslot = osb + o;
-            let iv = self.vc_granted[gslot];
-            self.vc_granted[gslot] = SLOT_NONE;
-            let ist = &mut self.low.in_state[isb + iv as usize];
-            ist.allocated = o as u16;
-            ist.chosen = SLOT_NONE;
-            self.low.out_state[gslot].busy_with = iv;
-            self.open_worms += 1;
-        }
+        self.apply_vc_grants(s, isb, osb);
 
         let mut gm = self.grant_mask[s];
         self.grant_mask[s] = 0;
@@ -1416,6 +1501,7 @@ impl CompiledEngine {
                 self.occ_mask[s] &= !(1 << iv);
             }
             self.note_pop(s);
+            sink.popped(islot, now);
             let ost = &mut self.low.out_state[osb + o];
             if ost.credits != CREDITS_INFINITE {
                 ost.credits -= 1;
@@ -1429,15 +1515,8 @@ impl CompiledEngine {
             self.forwarded_out[gp] += 1;
             match self.low.in_feed[ipb + iv] {
                 LoweredInFeed::Switch { slot_base } => {
-                    let up = slot_base as usize;
-                    let ust = &mut self.low.out_state[up];
-                    if ust.credits != CREDITS_INFINITE {
-                        ust.credits += 1;
-                        self.credit_debt -= 1;
-                        debug_assert!(
-                            ust.credits <= self.low.credit_cap[up],
-                            "credit overflow on a lowered output slot"
-                        );
+                    if !sink.take_credit(slot_base as usize) {
+                        self.return_credit(slot_base as usize);
                     }
                 }
                 LoweredInFeed::Generator { index } => {
@@ -1446,10 +1525,14 @@ impl CompiledEngine {
             }
             match self.low.out_dest[gp] {
                 LoweredOutDest::Switch { switch, slot_base } => {
-                    self.accept_flit(switch as usize, slot_base, h, 0)?;
+                    if !sink.take_flit(self, s, switch, slot_base, h, 0) {
+                        self.accept_flit(switch as usize, slot_base, h, 0)?;
+                    }
                 }
                 LoweredOutDest::Receptor { index } => {
-                    self.deliver(index as usize, h, 0, now)?;
+                    if let Some(pkt) = self.eject(index as usize, h, 0, now)? {
+                        sink.delivered(self, s, o, index as usize, pkt, now)?;
+                    }
                 }
             }
         }
@@ -1457,7 +1540,12 @@ impl CompiledEngine {
     }
 
     /// Phase 2, dense fallback — full scans, identical semantics.
-    fn commit_switch_dense(&mut self, s: usize, now: Cycle) -> Result<(), EmulationError> {
+    fn commit_switch_dense<S: CommitSink>(
+        &mut self,
+        s: usize,
+        now: Cycle,
+        sink: &mut S,
+    ) -> Result<(), EmulationError> {
         let vcs = self.low.num_vcs;
         let outputs = self.low.outputs[s] as usize;
         let isb = self.low.in_slot_base[s] as usize;
@@ -1485,7 +1573,7 @@ impl CompiledEngine {
                 continue;
             }
             self.granted[gp] = LOWERED_NONE;
-            self.pop_forward(s, g, o, now)?;
+            self.pop_forward(s, g, o, now, sink)?;
         }
         Ok(())
     }
@@ -1548,7 +1636,7 @@ impl CompiledEngine {
     /// reads the pooled flit back (stamping the final VC the way each
     /// hop would have), frees its pool slot and runs the receptor.
     /// Returns the packet this flit completed, if any. Inlined into
-    /// both commits: returning the wide `Result` through memory costs a
+    /// every commit: returning the wide `Result` through memory costs a
     /// measurable share of the saturated commit phase.
     #[inline]
     pub(crate) fn eject(
@@ -1580,20 +1668,17 @@ impl CompiledEngine {
         }
     }
 
-    /// Ejects a flit and books the packet it completes in the ledger.
-    fn deliver(
+    /// Books the packet receptor `index` just completed in the ledger.
+    fn book_delivery(
         &mut self,
         index: usize,
-        h: u32,
-        vc: usize,
+        pkt: CompletedPacket,
         now: Cycle,
     ) -> Result<(), EmulationError> {
-        if let Some(pkt) = self.eject(index, h, vc, now)? {
-            let lat = self.on_ledger(|l| l.deliver(pkt.id, now, pkt.len_flits))?;
-            self.delivered_flits += u64::from(pkt.len_flits);
-            if let ReceptorDevice::Trace(r) = &mut self.receptors[index] {
-                r.record_latency(lat.network, lat.total);
-            }
+        let lat = self.on_ledger(|l| l.deliver(pkt.id, now, pkt.len_flits))?;
+        self.delivered_flits += u64::from(pkt.len_flits);
+        if let ReceptorDevice::Trace(r) = &mut self.receptors[index] {
+            r.record_latency(lat.network, lat.total);
         }
         Ok(())
     }
@@ -1773,32 +1858,7 @@ impl CompiledEngine {
             .receptors
             .iter()
             .enumerate()
-            .map(|(i, r)| {
-                let (counters, lat, hists) = match r {
-                    ReceptorDevice::Stochastic(r) => (
-                        *r.counters(),
-                        None,
-                        Some((
-                            r.length_histogram().clone(),
-                            r.interarrival_histogram().clone(),
-                        )),
-                    ),
-                    ReceptorDevice::Trace(r) => (*r.counters(), r.network_latency().mean(), None),
-                };
-                let (length_histogram, interarrival_histogram) = match hists {
-                    Some((l, a)) => (Some(l), Some(a)),
-                    None => (None, None),
-                };
-                ReceptorSummary {
-                    label: format!("tr{i}"),
-                    packets: counters.packets,
-                    flits: counters.flits,
-                    running_time: counters.running_time(),
-                    mean_network_latency: lat,
-                    length_histogram,
-                    interarrival_histogram,
-                }
-            })
+            .map(|(i, r)| ReceptorSummary::of(i, r, None))
             .collect();
         let vcs = self.low.num_vcs;
         let mut vc_occupancy = VcOccupancy::new(vcs);

@@ -98,17 +98,6 @@ pub enum EngineKind {
     /// ([`crate::engine::Emulation`]).
     #[default]
     SingleThread,
-    /// The sharded engine ([`crate::shard::ShardedEngine`]): switches
-    /// are partitioned into `shards` groups, each stepped by its own
-    /// worker thread, with flits and credits bridged across shard
-    /// boundaries over bounded channels. Cycle-for-cycle identical to
-    /// [`EngineKind::SingleThread`] (proven by the lockstep ledger
-    /// tests); faster on large topologies (32×32 and up).
-    Sharded {
-        /// Worker-thread shard count (`>= 1`; `1` is a single worker,
-        /// useful for measuring the orchestration overhead).
-        shards: usize,
-    },
     /// The compiled data-oriented engine
     /// ([`crate::compiled::CompiledEngine`]): the elaboration is
     /// lowered once into flat struct-of-arrays state (a single FIFO
@@ -134,7 +123,8 @@ pub enum EngineKind {
     /// [`EngineKind::Compiled`] for every `(shards, batch)` (proven by
     /// the lockstep ledger tests in `tests/sharded_compiled.rs`).
     ShardedCompiled {
-        /// Worker-thread shard count (`>= 1`).
+        /// Worker-thread shard count (`>= 1`; `1` is a single worker,
+        /// useful for measuring the orchestration overhead).
         shards: usize,
         /// Cycles per coordinator synchronization round (`>= 1`;
         /// clamped to 1 — with a warning — under
@@ -209,7 +199,7 @@ pub struct PlatformConfig {
     /// Emulator self-profiling (`None` = off, the default: no
     /// timestamp overhead, results unchanged). When set, engines
     /// accumulate per-phase wall time (see [`crate::profile`]), the
-    /// sharded engines record span timelines, and the stall watchdog
+    /// sharded engine records span timelines, and the stall watchdog
     /// runs when [`crate::profile::ProfileConfig::stall`] is set.
     pub profile: Option<crate::profile::ProfileConfig>,
 }

@@ -38,9 +38,8 @@
 //! | [`compile`] | 1 | elaboration: components, wiring, address map |
 //! | [`flow`] | 1–6 | the complete emulation flow |
 //! | [`engine`] | 5 | the cycle engine (and the bus the software sees) |
-//! | [`shard`] | 5 | the sharded engine: one platform across worker threads |
 //! | [`compiled`] | 5 | the compiled engine: the elaboration lowered to flat arrays |
-//! | [`shard_compiled`] | 5 | the sharded compiled engine: array-slice shards, batched synchronization |
+//! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, array-slice shards, batched synchronization |
 //! | [`clock`] | 5 | clock modes, quiescence, the fast-forward kernel, [`clock::SteppableEngine`] |
 //! | [`devices`] | 3, 6 | register views and typed drivers |
 //! | [`profile`] | 5, 6 | engine self-profiling: phase timers, span timelines, stall forensics |
@@ -61,7 +60,6 @@ pub mod error;
 pub mod flow;
 pub mod profile;
 pub mod results;
-pub mod shard;
 pub mod shard_compiled;
 pub mod sweep;
 
@@ -84,7 +82,6 @@ pub use profile::{
     WorkCounters,
 };
 pub use results::EmulationResults;
-pub use shard::{build_engine, ShardedEngine};
 pub use shard_compiled::ShardedCompiledEngine;
 pub use sweep::{
     run_config, run_config_routed, run_sweep, run_sweep_engine, run_sweep_indexed, run_sweep_with,

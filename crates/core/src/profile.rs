@@ -12,7 +12,7 @@
 //!   closes exactly where the next opens, the per-cycle phases sum to
 //!   the step's wall time (no double counting, no gaps), which is what
 //!   makes "switch allocation is ~half the budget" a checkable number.
-//! * **Span timelines** — the sharded engines record wall-clock spans
+//! * **Span timelines** — the sharded engine records wall-clock spans
 //!   (windows, neighbour exchanges, replay) into bounded per-thread
 //!   [`nocem_telemetry::SpanBuffer`]s merged into a Chrome-trace JSON
 //!   via [`nocem_telemetry::SpanTrace`].
@@ -34,7 +34,7 @@ use std::time::Instant;
 /// A named slice of an engine's cycle (or one-time setup) budget.
 ///
 /// The single-threaded engines use the per-cycle phases
-/// `FastForward..=Ledger`; the sharded engines additionally split
+/// `FastForward..=Ledger`; the sharded engine additionally splits
 /// worker time into `WorkerCompute`/`Exchange` and coordinator time
 /// into `CoordWait`/`Apply`. `Elaborate` and `Lower` are one-time
 /// setup costs seeded when the engine is built.
@@ -63,22 +63,19 @@ pub enum Phase {
     WorkerCompute = 9,
     /// Sharded worker: boundary send + receive/replay per cycle.
     Exchange = 10,
-    /// Sharded worker: waiting on the phase barrier (interpreted
-    /// sharded engine only).
-    Barrier = 11,
     /// Coordinator: blocked waiting for worker reports.
-    CoordWait = 12,
+    CoordWait = 11,
     /// Coordinator: applying buffered worker events to the ledger.
-    Apply = 13,
+    Apply = 12,
     /// Process evaluation and update — the whole scheduler cycle of
     /// the TLM and RTL models, which interleave the per-cycle phases
     /// inside their processes and cannot split them.
-    Processes = 14,
+    Processes = 13,
 }
 
 impl Phase {
     /// Number of phases (accumulator array length).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
 
     /// Every phase, in accumulator order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -93,7 +90,6 @@ impl Phase {
         Phase::Ledger,
         Phase::WorkerCompute,
         Phase::Exchange,
-        Phase::Barrier,
         Phase::CoordWait,
         Phase::Apply,
         Phase::Processes,
@@ -113,7 +109,6 @@ impl Phase {
             Phase::Ledger => "ledger",
             Phase::WorkerCompute => "worker-compute",
             Phase::Exchange => "exchange",
-            Phase::Barrier => "barrier",
             Phase::CoordWait => "coordinator-wait",
             Phase::Apply => "apply",
             Phase::Processes => "processes",
@@ -135,7 +130,7 @@ impl Phase {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileConfig {
-    /// Record wall-clock span timelines in the sharded engines
+    /// Record wall-clock span timelines in the sharded engine
     /// (bounded per-thread buffers, merged into a Chrome trace).
     pub spans: bool,
     /// Hard cap on spans per thread; further spans are counted as
@@ -374,7 +369,7 @@ pub struct PhaseStat {
 
 /// Where an engine's time went: per-phase totals, shares and
 /// per-cycle costs, with per-worker sub-reports for the sharded
-/// engines.
+/// engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
     /// Engine label (e.g. `"compiled"`, `"sharded-compiled/4x16"`).
@@ -388,7 +383,7 @@ pub struct PhaseReport {
     /// Work counted next to the timers (zeros on engines that do not
     /// count).
     pub work: WorkCounters,
-    /// Per-worker sub-reports (sharded engines), in shard order.
+    /// Per-worker sub-reports (sharded engine), in shard order.
     pub workers: Vec<PhaseReport>,
 }
 

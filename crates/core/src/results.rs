@@ -32,6 +32,43 @@ pub struct ReceptorSummary {
     pub interarrival_histogram: Option<nocem_stats::histogram::Histogram>,
 }
 
+impl ReceptorSummary {
+    /// Summarises receptor `index`. A trace receptor reports the mean
+    /// of its own latency view unless `latency` names the view kept
+    /// for it elsewhere (the sharded engine's coordinator).
+    pub(crate) fn of(
+        index: usize,
+        device: &ReceptorDevice,
+        latency: Option<&LatencyAnalyzer>,
+    ) -> Self {
+        let (counters, lat, hists) = match device {
+            ReceptorDevice::Stochastic(r) => (
+                *r.counters(),
+                None,
+                Some((
+                    r.length_histogram().clone(),
+                    r.interarrival_histogram().clone(),
+                )),
+            ),
+            ReceptorDevice::Trace(r) => (
+                *r.counters(),
+                latency.unwrap_or(r.network_latency()).mean(),
+                None,
+            ),
+        };
+        let (length_histogram, interarrival_histogram) = hists.unzip();
+        ReceptorSummary {
+            label: format!("tr{index}"),
+            packets: counters.packets,
+            flits: counters.flits,
+            running_time: counters.running_time(),
+            mean_network_latency: lat,
+            length_histogram,
+            interarrival_histogram,
+        }
+    }
+}
+
 /// The complete outcome of an emulation run.
 ///
 /// Compares by value; the gated-vs-ungated equivalence tests compare
@@ -83,32 +120,7 @@ impl EmulationResults {
             .receptors
             .iter()
             .enumerate()
-            .map(|(i, r)| {
-                let (counters, lat, hists) = match r {
-                    ReceptorDevice::Stochastic(r) => (
-                        *r.counters(),
-                        None,
-                        Some((
-                            r.length_histogram().clone(),
-                            r.interarrival_histogram().clone(),
-                        )),
-                    ),
-                    ReceptorDevice::Trace(r) => (*r.counters(), r.network_latency().mean(), None),
-                };
-                let (length_histogram, interarrival_histogram) = match hists {
-                    Some((l, a)) => (Some(l), Some(a)),
-                    None => (None, None),
-                };
-                ReceptorSummary {
-                    label: format!("tr{i}"),
-                    packets: counters.packets,
-                    flits: counters.flits,
-                    running_time: counters.running_time(),
-                    mean_network_latency: lat,
-                    length_histogram,
-                    interarrival_histogram,
-                }
-            })
+            .map(|(i, r)| ReceptorSummary::of(i, r, None))
             .collect();
         let mut vc_occupancy = VcOccupancy::new(usize::from(elab.config.switch.num_vcs));
         for sw in &elab.switches {

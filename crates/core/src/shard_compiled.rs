@@ -1,17 +1,29 @@
-//! The sharded *compiled* engine: array-slice shards of the lowered
-//! platform, stepped by persistent workers with batched coordinator
-//! synchronization.
+//! The sharded compiled engine: one huge topology, many worker
+//! threads, bit-identical results.
 //!
-//! [`ShardedCompiledEngine`] marries the two speed mechanisms the
-//! crate already has: the flat-array cycle kernel of
-//! [`CompiledEngine`] and the partitioned worker threads of
-//! [`crate::shard::ShardedEngine`]. Each worker owns a slice of the
-//! struct-of-arrays state — the switches of one [`PartitionMap`]
-//! shard, the generators and receptors attached to them, and a
-//! *per-shard flit pool* — and steps only that slice with the exact
-//! compiled decide/commit kernels. Cross-shard flits leave the
-//! sender's pool as real [`Flit`]s and are re-interned into the
-//! receiver's pool on arrival.
+//! [`CompiledEngine`] steps every switch of the platform on one
+//! thread; past a few hundred switches that thread is the wall-clock
+//! bottleneck, and the scenario-level parallelism of
+//! [`crate::sweep::run_sweep`] cannot help a *single* 32×32 run.
+//! [`ShardedCompiledEngine`] partitions the switch graph into `K`
+//! shards (a [`Partition`] implementation from `nocem-topology`; the
+//! default is the grid-stripe partitioner, index stripes on a
+//! non-grid) and gives each shard a persistent worker thread. A worker
+//! *is* a [`CompiledEngine`] — the same release, decide, inject and
+//! commit phases over the same flat arrays — whose live sets only ever
+//! hold the switches of its shard and the generators and receptors
+//! attached to them, plus a `CommitSink` at the shard's edge: a flit
+//! or credit that crosses it leaves the worker's *per-shard flit pool*
+//! as a record (a real [`Flit`], re-interned into the receiver's pool
+//! on arrival) instead of touching a neighbour's arrays, and a
+//! completed packet is buffered for the coordinator, which owns the
+//! one [`PacketLedger`].
+//!
+//! It implements the full [`SteppableEngine`] contract (so run loops,
+//! sweeps and lockstep harnesses drive it unchanged) and produces
+//! complete [`EmulationResults`]; it does not expose the memory-mapped
+//! bus ([`crate::engine::Emulation`] remains the register-programming
+//! target) and does not record traces.
 //!
 //! # The batched-exchange protocol
 //!
@@ -41,9 +53,8 @@
 //!   synchronization only once per window — a ~`batch`× reduction,
 //!   measured by [`ShardedCompiledEngine::sync_rounds`].
 //!
-//! `batch = 1` therefore reproduces the per-cycle exchange protocol
-//! of the interpreted sharded engine exactly: one synchronization
-//! round per cycle.
+//! `batch = 1` is therefore a per-cycle exchange protocol: one
+//! synchronization round per cycle.
 //!
 //! # Why replay is deterministic
 //!
@@ -75,33 +86,36 @@
 //!
 //! # Gating
 //!
-//! Clock gating needs the *platform-wide* quiescence predicate and the
-//! cross-shard event horizon before every cycle, which is inherently a
-//! per-cycle coordinator decision. Under [`ClockMode::Gated`] the
-//! batch is therefore clamped to 1 (with a warning): correctness is
-//! never traded for lookahead. A jump costs the workers nothing: they
-//! are simply told the next cycle to execute, and each TG replays the
-//! skipped window lazily before its next real tick, as in
-//! [`CompiledEngine`].
+//! Hybrid clock gating (see [`crate::clock`]) extends to shards with a
+//! **cross-shard event horizon**: each worker reports, per cycle,
+//! whether its shard is locally quiescent and the earliest future
+//! event of its TGs. The coordinator may fast-forward only when
+//! *every* shard is quiescent and the ledger carries no in-flight
+//! packet, and only up to the minimum next-event over all shards
+//! (clamped to the cycle limit) — a shard never skips past another
+//! shard's horizon. That is inherently a per-cycle coordinator
+//! decision, so under [`ClockMode::Gated`] the batch is clamped to 1
+//! (with a warning): correctness is never traded for lookahead. A jump
+//! costs the workers nothing: they are simply told the next cycle to
+//! execute, and each TG replays the skipped window lazily before its
+//! next real tick, as in [`CompiledEngine`].
 
 use crate::clock::{ClockMode, EngineSummary, EngineWarning, SteppableEngine};
 use crate::compile::{
-    elaborate, Elaboration, LoweredInFeed, LoweredOutDest, LoweredPlatform, OutTarget,
-    ReceptorDevice, HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, SLOT_NONE,
+    elaborate, Elaboration, LoweredOutDest, LoweredPlatform, OutTarget, ReceptorDevice, HANDLE_IDX,
 };
-use crate::compiled::CompiledEngine;
+use crate::compiled::{CommitSink, CompiledEngine};
 use crate::config::{EngineKind, PlatformConfig};
 use crate::error::{CompileError, EmulationError};
 use crate::profile::{Phase, PhaseProfiler, PhaseReport};
 use crate::results::{EmulationResults, ReceptorSummary};
-use crate::shard::{panic_fault, ShardStatus};
 use nocem_common::flit::Flit;
 use nocem_common::ids::{LinkId, PacketId, SwitchId};
 use nocem_common::time::Cycle;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
-use nocem_switch::switch::CREDITS_INFINITE;
+use nocem_stats::receptor::CompletedPacket;
 use nocem_telemetry::{Collector, CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
 use nocem_topology::partition::{GridStripes, Partition, PartitionMap};
 use nocem_traffic::trace::TraceDrivenTg;
@@ -110,6 +124,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// The cycles-per-synchronization batch for callers with no reason to
+/// pick their own (the scenario matrix's `shards` axis, the curve
+/// bin) — the value the benchmark's `shard1_mesh8x8` workload and the
+/// batched `BENCH_*.json` rows were measured at.
+pub const DEFAULT_BATCH: u64 = 16;
 
 /// Provisional packet ids carry this flag plus the shard in bits
 /// 48..63 and a shard-local sequence below — far above any id the
@@ -183,6 +203,25 @@ impl CycleEntry {
     }
 }
 
+/// Per-cycle shard status, cached by the coordinator for the stop
+/// condition and the gating decision of the *next* step.
+#[derive(Debug, Clone, Copy)]
+struct ShardStatus {
+    /// Local half of the platform quiescence predicate: no parked TG
+    /// request, every NI idle with credits home, every switch
+    /// quiescent.
+    quiescent: bool,
+    /// Earliest future event over this shard's TGs, evaluated at the
+    /// cycle the next step will execute (`u64::MAX` = never).
+    next_event: u64,
+    /// All TGs exhausted.
+    exhausted: bool,
+    /// No parked TG request.
+    pending_none: bool,
+    /// Every NI idle.
+    nis_idle: bool,
+}
+
 /// The status a dead or erroring shard reports: never quiescent,
 /// never exhausted, no known next event — gating and stop decisions
 /// stay safe.
@@ -193,6 +232,24 @@ fn conservative_status() -> ShardStatus {
         exhausted: false,
         pending_none: false,
         nis_idle: false,
+    }
+}
+
+/// Renders a worker panic as a shard fault the coordinator can return
+/// (the alternative — letting the worker unwind mid-window — would
+/// strand its neighbours on a boundary receive and hang the engine).
+/// Pass the payload itself (`&*boxed`): a `&Box<dyn Any>` coerces to a
+/// `dyn Any` of the *box*, which downcasts to neither string type.
+fn panic_fault(shard: usize, payload: &(dyn std::any::Any + Send)) -> EmulationError {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .map(str::to_owned)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into());
+    EmulationError::Shard {
+        shard,
+        reason: format!("worker panicked: {msg}"),
     }
 }
 
@@ -252,30 +309,14 @@ enum Report {
 /// the worker-side phase accumulators (owned-slice compute vs. boundary
 /// exchange) and work counters.
 struct Worker {
-    shard: usize,
     eng: CompiledEngine,
-    /// Per global switch: owned here?
-    own_switch: Vec<bool>,
+    boundary: Boundary,
     /// Owned global generator indices, ascending.
     my_gens: Vec<usize>,
     /// Owned global receptor indices, ascending.
     my_receptors: Vec<usize>,
-    /// Per global output slot: owning shard.
-    out_slot_shard: Vec<u16>,
-    /// Per global output port: the shard owning the downstream switch
-    /// (`u16::MAX` when the port feeds a receptor).
-    out_port_dest: Vec<u16>,
-    /// Per global input slot: `cycle + 1` of this slot's most recent
-    /// own pop — the watermark order correction for replayed arrivals.
-    last_pop: Vec<u64>,
-    /// Per shard id: its index in the neighbour lists
-    /// (`usize::MAX` = not a neighbour).
-    nbr_slot: Vec<usize>,
     out_txs: Vec<Sender<NeighborMsg>>,
     in_rxs: Vec<Receiver<NeighborMsg>>,
-    /// Per out-neighbour: this cycle's buffered records.
-    out_flits: Vec<Vec<FlitRec>>,
-    out_credits: Vec<Vec<u32>>,
     /// A cycle errored or panicked: keep the per-cycle message cadence
     /// (empty sends, discarding receives) so neighbours never block,
     /// but step nothing further.
@@ -285,6 +326,96 @@ struct Worker {
     spans: Option<SpanBuffer>,
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
+}
+
+/// The edge of one shard's slice, as the engine's commit sees it: who
+/// owns what, and this cycle's records of everything that crossed.
+struct Boundary {
+    shard: usize,
+    /// Per global switch: owning shard.
+    switch_shard: Vec<u16>,
+    /// Per global output slot: owning shard.
+    out_slot_shard: Vec<u16>,
+    /// Per global input slot: `cycle + 1` of this slot's most recent
+    /// own pop — the watermark order correction for replayed arrivals.
+    last_pop: Vec<u64>,
+    /// Per shard id: its index in the neighbour lists
+    /// (`usize::MAX` = not a neighbour).
+    nbr_slot: Vec<usize>,
+    /// Per out-neighbour: this cycle's buffered records.
+    out_flits: Vec<Vec<FlitRec>>,
+    out_credits: Vec<Vec<u32>>,
+    /// This cycle's completed packets, in commit order.
+    deliveries: Vec<DeliveryRec>,
+}
+
+/// What [`CompiledEngine::commit_phase`] does differently on a shard:
+/// a credit owed to a remote upstream becomes a credit record, a flit
+/// landing on a remote switch leaves the local pool and becomes a flit
+/// record, and a completed packet is buffered for the coordinator's
+/// ledger under its commit-order key (ejecting switch, output port).
+impl CommitSink for Boundary {
+    #[inline]
+    fn popped(&mut self, islot: usize, now: Cycle) {
+        self.last_pop[islot] = now.raw() + 1;
+    }
+
+    #[inline]
+    fn take_credit(&mut self, up: usize) -> bool {
+        let owner = self.out_slot_shard[up] as usize;
+        if owner == self.shard {
+            return false;
+        }
+        self.out_credits[self.nbr_slot[owner]].push(up as u32);
+        true
+    }
+
+    #[inline]
+    fn take_flit(
+        &mut self,
+        eng: &mut CompiledEngine,
+        from: usize,
+        switch: u32,
+        slot_base: u32,
+        h: u32,
+        vc: usize,
+    ) -> bool {
+        let owner = self.switch_shard[switch as usize] as usize;
+        if owner == self.shard {
+            return false;
+        }
+        let idx = h & HANDLE_IDX;
+        let flit = eng.flit_pool[idx as usize];
+        eng.flit_free.push(idx);
+        self.out_flits[self.nbr_slot[owner]].push(FlitRec {
+            from_switch: from as u32,
+            switch,
+            slot_base,
+            vc: vc as u8,
+            flit,
+        });
+        true
+    }
+
+    #[inline]
+    fn delivered(
+        &mut self,
+        _: &mut CompiledEngine,
+        from: usize,
+        port: usize,
+        receptor: usize,
+        pkt: CompletedPacket,
+        _: Cycle,
+    ) -> Result<(), EmulationError> {
+        self.deliveries.push(DeliveryRec {
+            switch: from as u32,
+            port: port as u8,
+            receptor: receptor as u32,
+            prov: pkt.id,
+            len_flits: pkt.len_flits,
+        });
+        Ok(())
+    }
 }
 
 impl Worker {
@@ -350,7 +481,7 @@ impl Worker {
             match computed {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => entry.error = Some(e),
-                Err(payload) => entry.error = Some(panic_fault(self.shard, &payload)),
+                Err(payload) => entry.error = Some(panic_fault(self.boundary.shard, &*payload)),
             }
             self.eng.lap(&mut t, Phase::WorkerCompute);
             // The exchange section: everything from here to the end of
@@ -365,7 +496,7 @@ impl Worker {
                 match replayed {
                     Ok(Ok(())) => entry.status = self.status(),
                     Ok(Err(e)) => entry.error = Some(e),
-                    Err(payload) => entry.error = Some(panic_fault(self.shard, &payload)),
+                    Err(payload) => entry.error = Some(panic_fault(self.boundary.shard, &*payload)),
                 }
             } else {
                 self.recv_discard();
@@ -392,10 +523,10 @@ impl Worker {
     /// discarding receives. Neighbours observe only the absence of
     /// boundary traffic, which is always a legal cycle for them.
     fn cadence(&mut self, now: Cycle) {
-        for buf in &mut self.out_flits {
+        for buf in &mut self.boundary.out_flits {
             buf.clear();
         }
-        for buf in &mut self.out_credits {
+        for buf in &mut self.boundary.out_credits {
             buf.clear();
         }
         self.send_bufs(now);
@@ -406,8 +537,8 @@ impl Worker {
         for (nb, tx) in self.out_txs.iter().enumerate() {
             let msg = NeighborMsg {
                 cycle: now.raw(),
-                flits: std::mem::take(&mut self.out_flits[nb]),
-                credits: std::mem::take(&mut self.out_credits[nb]),
+                flits: std::mem::take(&mut self.boundary.out_flits[nb]),
+                credits: std::mem::take(&mut self.boundary.out_credits[nb]),
             };
             // A closed channel means the peer is gone; our own recv
             // will surface the fault.
@@ -425,7 +556,7 @@ impl Worker {
     /// own phases over its live sets (which only ever hold owned
     /// generators, NIs and switches), minus gating/telemetry (the
     /// coordinator's job), with ledger events buffered instead of
-    /// applied and a commit that knows the shard boundary.
+    /// applied and the shard boundary as the commit's sink.
     fn compute_cycle(&mut self, now: Cycle, entry: &mut CycleEntry) -> Result<(), EmulationError> {
         #[cfg(debug_assertions)]
         self.eng.assert_live_sets();
@@ -445,195 +576,13 @@ impl Worker {
             Ok(())
         })?;
 
-        // Decided switches commit in ascending global order — the
-        // reference order within this shard's slice. The cross-shard
+        // The shard's switches commit in ascending global order — the
+        // reference order within this slice. The cross-shard
         // interleaving is recovered at replay.
-        for w in 0..self.eng.sw_decided.len() {
-            let mut m = self.eng.sw_decided[w];
-            while m != 0 {
-                let s = w * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                self.commit_switch(s, now, entry)?;
-            }
-        }
+        self.eng.commit_phase(now, &mut self.boundary)?;
+        entry.deliveries = std::mem::take(&mut self.boundary.deliveries);
 
         self.eng.now = now.next();
-        Ok(())
-    }
-
-    /// Phase-4 commit of one owned switch: apply VC allocations, then
-    /// pop-and-forward granted flits. One generic body covers the
-    /// mask (any VC count — with one VC, slot == port) and dense
-    /// decide paths; only the remote branches differ from
-    /// [`CompiledEngine`]'s commit.
-    fn commit_switch(
-        &mut self,
-        s: usize,
-        now: Cycle,
-        entry: &mut CycleEntry,
-    ) -> Result<(), EmulationError> {
-        let isb = self.eng.low.in_slot_base[s] as usize;
-        let osb = self.eng.low.out_slot_base[s] as usize;
-        let opb = self.eng.low.out_port_base[s] as usize;
-        if self.eng.mask_ok[s] {
-            let mut vm = self.eng.vcg_mask[s];
-            self.eng.vcg_mask[s] = 0;
-            while vm != 0 {
-                let slot = vm.trailing_zeros() as usize;
-                vm &= vm - 1;
-                let gslot = osb + slot;
-                let iv = self.eng.vc_granted[gslot];
-                self.eng.vc_granted[gslot] = SLOT_NONE;
-                let ist = &mut self.eng.low.in_state[isb + iv as usize];
-                ist.allocated = slot as u16;
-                ist.chosen = SLOT_NONE;
-                self.eng.low.out_state[gslot].busy_with = iv;
-                self.eng.open_worms += 1;
-            }
-            let mut gm = self.eng.grant_mask[s];
-            self.eng.grant_mask[s] = 0;
-            while gm != 0 {
-                let o = gm.trailing_zeros() as usize;
-                gm &= gm - 1;
-                let gp = opb + o;
-                let g = self.eng.granted[gp];
-                self.eng.granted[gp] = LOWERED_NONE;
-                self.pop_forward(s, g, o, now, entry)?;
-            }
-        } else {
-            let vcs = self.eng.low.num_vcs;
-            let outputs = self.eng.low.outputs[s] as usize;
-            for slot in 0..outputs * vcs {
-                let gslot = osb + slot;
-                let iv = self.eng.vc_granted[gslot];
-                if iv == SLOT_NONE {
-                    continue;
-                }
-                self.eng.vc_granted[gslot] = SLOT_NONE;
-                let ist = &mut self.eng.low.in_state[isb + iv as usize];
-                ist.allocated = slot as u16;
-                ist.chosen = SLOT_NONE;
-                self.eng.low.out_state[gslot].busy_with = iv;
-                self.eng.open_worms += 1;
-            }
-            for o in 0..outputs {
-                let gp = opb + o;
-                let g = self.eng.granted[gp];
-                if g == LOWERED_NONE {
-                    continue;
-                }
-                self.eng.granted[gp] = LOWERED_NONE;
-                self.pop_forward(s, g, o, now, entry)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`CompiledEngine`]'s pop-and-forward with the two cross-shard
-    /// branches: a credit owed to a remote upstream becomes a credit
-    /// record, a flit landing on a remote switch leaves the local pool
-    /// and becomes a flit record.
-    fn pop_forward(
-        &mut self,
-        s: usize,
-        g: u32,
-        o: usize,
-        now: Cycle,
-        entry: &mut CycleEntry,
-    ) -> Result<(), EmulationError> {
-        let vcs = self.eng.low.num_vcs;
-        let depth = self.eng.low.fifo_depth;
-        let isb = self.eng.low.in_slot_base[s] as usize;
-        let osb = self.eng.low.out_slot_base[s] as usize;
-        let ipb = self.eng.low.in_port_base[s] as usize;
-        let opb = self.eng.low.out_port_base[s] as usize;
-        let iv = (g >> 8) as usize;
-        let ov = (g & 0xFF) as usize;
-        let islot = isb + iv;
-        let ist = &mut self.eng.low.in_state[islot];
-        debug_assert!(ist.len > 0, "granted input VC has a flit at its head");
-        let head = ist.head as usize;
-        let next = head + 1;
-        ist.head = if next == depth { 0 } else { next } as u8;
-        let left = ist.len - 1;
-        ist.len = left;
-        let h = self.eng.low.fifo_arena[islot * depth + head];
-        let tail = h & HANDLE_TAIL != 0;
-        if tail {
-            ist.allocated = SLOT_NONE;
-        }
-        if left == 0 {
-            self.eng.occ_mask[s] &= !(1 << (iv & 63));
-        }
-        self.eng.note_pop(s);
-        self.last_pop[islot] = now.raw() + 1;
-        let gslot = osb + o * vcs + ov;
-        let ost = &mut self.eng.low.out_state[gslot];
-        if ost.credits != CREDITS_INFINITE {
-            ost.credits -= 1;
-            self.eng.credit_debt += 1;
-        }
-        if tail {
-            ost.busy_with = SLOT_NONE;
-            self.eng.open_worms -= 1;
-        }
-        self.eng.forwarded_out[opb + o] += 1;
-        let i = self.eng.iv_port[iv] as usize;
-        let v = iv - i * vcs;
-        match self.eng.low.in_feed[ipb + i] {
-            LoweredInFeed::Switch { slot_base } => {
-                let up = slot_base as usize + v;
-                let owner = self.out_slot_shard[up] as usize;
-                if owner == self.shard {
-                    let ust = &mut self.eng.low.out_state[up];
-                    if ust.credits != CREDITS_INFINITE {
-                        ust.credits += 1;
-                        self.eng.credit_debt -= 1;
-                        debug_assert!(
-                            ust.credits <= self.eng.low.credit_cap[up],
-                            "credit overflow on a lowered output slot"
-                        );
-                    }
-                } else {
-                    self.out_credits[self.nbr_slot[owner]].push(up as u32);
-                }
-            }
-            LoweredInFeed::Generator { index } => {
-                self.eng.nis[index as usize].credit_return();
-            }
-        }
-        match self.eng.low.out_dest[opb + o] {
-            LoweredOutDest::Switch { switch, slot_base } => {
-                if self.own_switch[switch as usize] {
-                    self.eng.accept_flit(switch as usize, slot_base, h, ov)?;
-                } else {
-                    let idx = h & HANDLE_IDX;
-                    let flit = self.eng.flit_pool[idx as usize];
-                    self.eng.flit_free.push(idx);
-                    let dest = self.out_port_dest[opb + o] as usize;
-                    self.out_flits[self.nbr_slot[dest]].push(FlitRec {
-                        from_switch: s as u32,
-                        switch,
-                        slot_base,
-                        vc: ov as u8,
-                        flit,
-                    });
-                }
-            }
-            LoweredOutDest::Receptor { index } => {
-                // The ledger call becomes a buffered record carrying
-                // the commit-order key (ejecting switch, output port).
-                if let Some(pkt) = self.eng.eject(index as usize, h, ov, now)? {
-                    entry.deliveries.push(DeliveryRec {
-                        switch: s as u32,
-                        port: o as u8,
-                        receptor: index,
-                        prov: pkt.id,
-                        len_flits: pkt.len_flits,
-                    });
-                }
-            }
-        }
         Ok(())
     }
 
@@ -644,7 +593,7 @@ impl Worker {
         let vcs = self.eng.low.num_vcs;
         for k in 0..self.in_rxs.len() {
             let msg = self.in_rxs[k].recv().map_err(|_| EmulationError::Shard {
-                shard: self.shard,
+                shard: self.boundary.shard,
                 reason: "a neighbour shard hung up mid-window".into(),
             })?;
             debug_assert_eq!(
@@ -654,7 +603,7 @@ impl Worker {
             );
             for rec in msg.flits {
                 let slot = rec.slot_base as usize + rec.vc as usize;
-                let popped_here = self.last_pop[slot] == now.raw() + 1;
+                let popped_here = self.boundary.last_pop[slot] == now.raw() + 1;
                 let h = self.eng.intern(rec.flit);
                 self.eng
                     .accept_flit(rec.switch as usize, rec.slot_base, h, rec.vc as usize)?;
@@ -671,16 +620,7 @@ impl Worker {
                 }
             }
             for up in msg.credits {
-                let up = up as usize;
-                let ust = &mut self.eng.low.out_state[up];
-                if ust.credits != CREDITS_INFINITE {
-                    ust.credits += 1;
-                    self.eng.credit_debt -= 1;
-                    debug_assert!(
-                        ust.credits <= self.eng.low.credit_cap[up],
-                        "credit overflow on a lowered output slot"
-                    );
-                }
+                self.eng.return_credit(up as usize);
             }
         }
         Ok(())
@@ -738,8 +678,8 @@ struct WorkerHandle {
 /// [`ShardedCompiledEngine::run`]; collect full results with
 /// [`ShardedCompiledEngine::results`].
 ///
-/// Results are bit-identical to [`CompiledEngine`] (and hence the
-/// interpreted engines) on the same configuration: same packet ids,
+/// Results are bit-identical to [`CompiledEngine`] (and hence
+/// [`crate::engine::Emulation`]) on the same configuration: same packet ids,
 /// same per-packet release / injection / delivery cycles, same
 /// ledger, same statistics, same telemetry — for every `batch`.
 pub struct ShardedCompiledEngine {
@@ -976,10 +916,12 @@ impl ShardedCompiledEngine {
                 .into_iter()
                 .map(|r| r.expect("every neighbour channel wired"))
                 .collect();
+            #[cfg(test)]
+            let fault = tests::fault_for(k);
             let join = std::thread::Builder::new()
                 .name(format!("nocem-cshard-{k}"))
                 .spawn(move || {
-                    spawn_worker(
+                    let worker = spawn_worker(
                         k,
                         &worker_config,
                         &worker_map,
@@ -989,8 +931,10 @@ impl ShardedCompiledEngine {
                         epoch,
                         cmd_rx,
                         rep_tx,
-                    )
-                    .run()
+                    );
+                    #[cfg(test)]
+                    let worker = tests::armed(worker, fault);
+                    worker.run()
                 })
                 .expect("spawn sharded-compiled worker");
             handles.push(WorkerHandle {
@@ -1084,12 +1028,7 @@ impl ShardedCompiledEngine {
     /// Returns [`EmulationError`] on wiring/protocol violations or
     /// when the cycle limit is exceeded.
     pub fn step(&mut self) -> Result<(), EmulationError> {
-        if self.failed {
-            return Err(EmulationError::Shard {
-                shard: usize::MAX,
-                reason: "engine already failed; state is inconsistent".into(),
-            });
-        }
+        self.check_alive()?;
         let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
         if self.window.is_empty() {
             let round_start = t;
@@ -1101,6 +1040,18 @@ impl ShardedCompiledEngine {
         let r = self.apply_cycle();
         self.lap(&mut t, Phase::Apply);
         r
+    }
+
+    /// After any error the workers' state is ahead of (or torn against)
+    /// the coordinator's; nothing read from them can be trusted.
+    fn check_alive(&self) -> Result<(), EmulationError> {
+        if self.failed {
+            return Err(EmulationError::Shard {
+                shard: usize::MAX,
+                reason: "engine already failed; state is inconsistent".into(),
+            });
+        }
+        Ok(())
     }
 
     /// Closes `phase` on the chained profiling timestamp, advancing it
@@ -1116,8 +1067,7 @@ impl ShardedCompiledEngine {
     /// profiling timestamp (`None` when profiling is off).
     fn start_window(&mut self, t: &mut Option<Instant>) -> Result<(), EmulationError> {
         // Cross-shard clock gating (batch is clamped to 1 in gated
-        // mode, so this is a per-cycle decision exactly like the
-        // interpreted sharded engine's).
+        // mode, so this is a per-cycle decision).
         if self.config.clock_mode == ClockMode::Gated && self.is_quiescent() {
             let horizon = self
                 .status
@@ -1395,12 +1345,14 @@ impl ShardedCompiledEngine {
     /// Collects full run results by snapshotting every shard's counter
     /// slice — value-equal to [`CompiledEngine::results`] for the same
     /// run, except that trace-receptor latency views are kept on the
-    /// coordinator (as in the interpreted sharded engine).
+    /// coordinator.
     ///
     /// # Errors
     ///
-    /// Returns [`EmulationError::Shard`] when a worker is gone.
+    /// Returns [`EmulationError::Shard`] when a worker is gone or an
+    /// earlier step failed.
     pub fn results(&mut self) -> Result<EmulationResults, EmulationError> {
+        self.check_alive()?;
         let total_out_ports = *self.low.out_port_base.last().expect("prefix sums") as usize;
         let vcs = self.low.num_vcs;
         let mut blocked = vec![0u64; total_out_ports];
@@ -1429,32 +1381,8 @@ impl ShardedCompiledEngine {
                 ni_counters[gidx] = Some((b, f));
             }
             for (gidx, r) in snap.receptors {
-                let (counters, lat, hists) = match &r {
-                    ReceptorDevice::Stochastic(r) => (
-                        *r.counters(),
-                        None,
-                        Some((
-                            r.length_histogram().clone(),
-                            r.interarrival_histogram().clone(),
-                        )),
-                    ),
-                    ReceptorDevice::Trace(r) => {
-                        (*r.counters(), self.receptor_latency[gidx].mean(), None)
-                    }
-                };
-                let (length_histogram, interarrival_histogram) = match hists {
-                    Some((l, a)) => (Some(l), Some(a)),
-                    None => (None, None),
-                };
-                receptors[gidx] = Some(ReceptorSummary {
-                    label: format!("tr{gidx}"),
-                    packets: counters.packets,
-                    flits: counters.flits,
-                    running_time: counters.running_time(),
-                    mean_network_latency: lat,
-                    length_histogram,
-                    interarrival_histogram,
-                });
+                let latency = Some(&self.receptor_latency[gidx]);
+                receptors[gidx] = Some(ReceptorSummary::of(gidx, &r, latency));
             }
         }
         let mut cc = CongestionCounter::new(self.config.topology.link_count());
@@ -1629,17 +1557,21 @@ fn spawn_worker(
         p.spans
             .then(|| SpanBuffer::new(epoch, shard as u32, p.span_capacity))
     });
-    let n = eng.low.switch_count;
-    let own_switch: Vec<bool> = (0..n)
-        .map(|s| map.shard_of(SwitchId::new(s as u32)) == shard)
+    let switch_shard: Vec<u16> = (0..eng.low.switch_count)
+        .map(|s| map.shard_of(SwitchId::new(s as u32)) as u16)
         .collect();
+    let owned = |s: usize| usize::from(switch_shard[s]) == shard;
     let my_gens: Vec<usize> = (0..eng.nis.len())
-        .filter(|&i| own_switch[eng.low.inject_switch[i] as usize])
+        .filter(|&i| owned(eng.low.inject_switch[i] as usize))
         .collect();
     let mut my_receptors = Vec::new();
-    let total_out_ports = *eng.low.out_port_base.last().expect("prefix sums") as usize;
-    let mut out_port_dest = vec![u16::MAX; total_out_ports];
-    for s in (0..n).filter(|&s| own_switch[s]) {
+    let mut out_slot_shard = vec![0u16; eng.low.total_out_slots()];
+    for (s, &owner) in switch_shard.iter().enumerate() {
+        let range = eng.low.out_slot_base[s] as usize..eng.low.out_slot_base[s + 1] as usize;
+        out_slot_shard[range].fill(owner);
+        if !owned(s) {
+            continue;
+        }
         let opb = eng.low.out_port_base[s] as usize;
         for o in 0..eng.low.outputs[s] as usize {
             if let LoweredOutDest::Receptor { index } = eng.low.out_dest[opb + o] {
@@ -1648,41 +1580,123 @@ fn spawn_worker(
         }
     }
     my_receptors.sort_unstable();
-    for (gp, dest) in out_port_dest.iter_mut().enumerate().take(total_out_ports) {
-        if let LoweredOutDest::Switch { switch, .. } = eng.low.out_dest[gp] {
-            *dest = map.shard_of(SwitchId::new(switch)) as u16;
-        }
-    }
-    let mut out_slot_shard = vec![0u16; eng.low.total_out_slots()];
-    for s in 0..n {
-        let owner = map.shard_of(SwitchId::new(s as u32)) as u16;
-        let range = eng.low.out_slot_base[s] as usize..eng.low.out_slot_base[s + 1] as usize;
-        out_slot_shard[range].fill(owner);
-    }
     let mut nbr_slot = vec![usize::MAX; map.shards()];
     for (j, &b) in nbr_list.iter().enumerate() {
         nbr_slot[b] = j;
     }
-    let last_pop = vec![0u64; eng.low.total_in_slots()];
-    let out_flits = nbr_list.iter().map(|_| Vec::new()).collect();
-    let out_credits = nbr_list.iter().map(|_| Vec::new()).collect();
-    Worker {
+    let boundary = Boundary {
         shard,
+        switch_shard,
+        out_slot_shard,
+        last_pop: vec![0u64; eng.low.total_in_slots()],
+        nbr_slot,
+        out_flits: nbr_list.iter().map(|_| Vec::new()).collect(),
+        out_credits: nbr_list.iter().map(|_| Vec::new()).collect(),
+        deliveries: Vec::new(),
+    };
+    Worker {
         eng,
-        own_switch,
+        boundary,
         my_gens,
         my_receptors,
-        out_slot_shard,
-        out_port_dest,
-        last_pop,
-        nbr_slot,
         out_txs,
         in_rxs,
-        out_flits,
-        out_credits,
         dead: false,
         spans,
         cmd_rx,
         rep_tx,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PaperConfig;
+    use nocem_traffic::generator::{PacketRequest, TgKind, TrafficGenerator};
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    thread_local! {
+        /// `(shard, cycle)`: in engines built on this thread, that
+        /// shard's worker panics ticking that cycle.
+        static FAULT: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
+    }
+
+    /// The fault cycle armed for shard `k` by the constructing thread.
+    pub(super) fn fault_for(k: usize) -> Option<u64> {
+        FAULT.get().filter(|f| f.0 == k).map(|f| f.1)
+    }
+
+    /// A generator that releases nothing and panics at one cycle.
+    struct PanicAt(u64);
+
+    impl TrafficGenerator for PanicAt {
+        fn tick(&mut self, now: Cycle) -> Option<PacketRequest> {
+            assert_ne!(now.raw(), self.0, "injected fault at cycle {}", self.0);
+            None
+        }
+
+        fn remaining(&self) -> Option<u64> {
+            None
+        }
+
+        fn kind(&self) -> TgKind {
+            TgKind::Stochastic
+        }
+    }
+
+    /// Swaps generator 0 of `worker`'s engine — owned or not — for one
+    /// that panics at `fault`, ticked from cycle 0.
+    pub(super) fn armed(mut worker: Worker, fault: Option<u64>) -> Worker {
+        if let Some(cycle) = fault {
+            let eng = &mut worker.eng;
+            eng.exhausted -= usize::from(eng.tgs[0].is_exhausted());
+            eng.tgs[0] = Box::new(PanicAt(cycle));
+            eng.tg_next_event[0] = 0;
+            eng.tg_min_next = 0;
+        }
+        worker
+    }
+
+    /// A worker panic mid-window surfaces as a typed error on exactly
+    /// the cycle it happened, poisons the engine for good, strands
+    /// nobody and lets the engine drop — all under a watchdog, so a
+    /// protocol hang fails the test instead of stalling the suite.
+    #[test]
+    fn worker_panic_mid_window_is_a_shard_fault_not_a_hang() {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            // Window [16, 24) at batch 8: the fault sits mid-window,
+            // so shard 1 idles out cycles 21..=23 on the cadence alone
+            // while shard 0 (which owns the paper's four TGs) keeps
+            // sending flits across the boundary.
+            FAULT.set(Some((1, 20)));
+            let cfg = PaperConfig::new().total_packets(1_000_000).uniform();
+            let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, 8).unwrap();
+            for cycle in 0..20 {
+                engine.step().unwrap();
+                assert_eq!(engine.now().raw(), cycle + 1);
+            }
+            match engine.step().unwrap_err() {
+                EmulationError::Shard { shard: 1, reason } => {
+                    assert!(reason.contains("injected fault at cycle 20"), "{reason}");
+                }
+                other => panic!("expected a shard-1 fault, got {other}"),
+            }
+            assert_eq!(engine.now().raw(), 20, "the faulting cycle is not applied");
+            for _ in 0..2 {
+                assert!(matches!(engine.step(), Err(EmulationError::Shard { .. })));
+                assert!(matches!(
+                    engine.results(),
+                    Err(EmulationError::Shard { .. })
+                ));
+            }
+            // Joins both workers: the healthy one finished its window.
+            drop(engine);
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the faulted engine hung or its test body panicked");
     }
 }

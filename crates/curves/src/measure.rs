@@ -272,7 +272,10 @@ mod tests {
         let base = measure_config(&mesh_config(0.15), None, &measure, 0.15).unwrap();
         let mut gated = mesh_config(0.15);
         gated.clock_mode = ClockMode::Gated;
-        gated.engine = EngineKind::Sharded { shards: 2 };
+        gated.engine = EngineKind::ShardedCompiled {
+            shards: 2,
+            batch: 8,
+        };
         let fast = measure_config(&gated, None, &measure, 0.15).unwrap();
         assert_eq!(fast.behavioral(), base.behavioral());
     }
@@ -288,7 +291,10 @@ mod tests {
         let base = measure_config(&base_cfg, None, &measure, 0.60).unwrap();
         let mut fast_cfg = base_cfg.clone();
         fast_cfg.clock_mode = ClockMode::Gated;
-        fast_cfg.engine = EngineKind::Sharded { shards: 2 };
+        fast_cfg.engine = EngineKind::ShardedCompiled {
+            shards: 2,
+            batch: 8,
+        };
         let fast = measure_config(&fast_cfg, None, &measure, 0.60).unwrap();
         let tel = base.telemetry.as_ref().expect("telemetry was enabled");
         assert_eq!(tel.window, 256);

@@ -228,11 +228,10 @@ impl CurveSpec {
         format!("{}@{}", self.scenario, self.topology.name())
     }
 
-    /// The shard count of the configured engine (1 when
-    /// single-threaded).
+    /// The shard count of the configured engine (1 when unsharded).
     pub fn shards(&self) -> usize {
         match self.engine {
-            EngineKind::Sharded { shards } | EngineKind::ShardedCompiled { shards, .. } => shards,
+            EngineKind::ShardedCompiled { shards, .. } => shards,
             _ => 1,
         }
     }

@@ -12,9 +12,9 @@
 //! Every point's platform seed derives from its scenario label
 //! ([`crate::scenario_seed`]), so a matrix run is deterministic
 //! regardless of worker count or scheduling — and the `shards` axis
-//! never perturbs results, because the sharded engine is
-//! ledger-identical to the single-threaded one (only the recorded
-//! wall-clock time changes).
+//! never perturbs results, because the sharded compiled engine is
+//! ledger-identical to the compiled one (only the recorded wall-clock
+//! time changes).
 
 use crate::registry::ScenarioRegistry;
 use crate::scenario::TopologySpec;
@@ -24,6 +24,7 @@ use nocem::compile::compute_routing;
 use nocem::config::EngineKind;
 use nocem::error::EmulationError;
 use nocem::results::EmulationResults;
+use nocem::shard_compiled::DEFAULT_BATCH;
 use nocem::sweep::{compile_fault, run_config_routed, run_sweep_indexed, SweepPoint};
 use nocem_common::csv::CsvWriter;
 
@@ -36,11 +37,11 @@ pub struct MatrixSpec {
     pub topologies: Vec<TopologySpec>,
     /// Offered loads (per-TG fraction of link bandwidth).
     pub loads: Vec<f64>,
-    /// Engine shard counts to run each point on. `1` is the
-    /// single-threaded engine; `k > 1` runs the sharded engine with
-    /// `k` worker threads (same results, different wall clock — the
-    /// scaling axis for 16×16/32×32 topologies). Most matrices use
-    /// `vec![1]`.
+    /// Engine shard counts to run each point on. `1` is the compiled
+    /// engine; `k > 1` runs the same kernel sharded across `k` worker
+    /// threads at [`DEFAULT_BATCH`] (same results, different wall
+    /// clock — the scaling axis for 16×16/32×32 topologies). Most
+    /// matrices use `vec![1]`.
     pub shards: Vec<usize>,
     /// Packet length in flits.
     pub packet_flits: u16,
@@ -73,7 +74,7 @@ pub struct MatrixRow {
     pub topology: String,
     /// Offered load.
     pub load: f64,
-    /// Engine shard count (1 = single-threaded engine).
+    /// Engine shard count (1 = the unsharded compiled engine).
     pub shards: usize,
     /// Full label (`scenario@topology@load`, plus `@s<k>` when
     /// sharded).
@@ -140,7 +141,7 @@ impl MatrixSpec {
     }
 
     /// The shard counts to expand over (`[1]` when the field is
-    /// empty, so older specs keep meaning "single-threaded").
+    /// empty, so older specs keep meaning "unsharded").
     fn shard_axis(&self) -> Vec<usize> {
         if self.shards.is_empty() {
             vec![1]
@@ -204,9 +205,17 @@ impl MatrixSpec {
                         ) {
                             Ok(mut config) => {
                                 config.clock_mode = self.clock_mode;
-                                if shards != 1 {
-                                    config.engine = EngineKind::Sharded { shards };
-                                }
+                                // One kernel along the whole axis, so
+                                // "speedup vs 1 shard" compares like
+                                // with like.
+                                config.engine = if shards == 1 {
+                                    EngineKind::Compiled
+                                } else {
+                                    EngineKind::ShardedCompiled {
+                                        shards,
+                                        batch: DEFAULT_BATCH,
+                                    }
+                                };
                                 meta.push((name.clone(), topology.name(), load, shards));
                                 points.push(SweepPoint::new(label, config));
                             }
@@ -343,7 +352,7 @@ impl MatrixOutcome {
              resulting simulated-cycles-per-stepped-cycle ratio (1.0 = ungated)",
         );
         csv.comment(
-            "shards: engine worker threads (1 = single-threaded engine; results are \
+            "shards: engine worker threads (1 = the unsharded compiled engine; results are \
              ledger-identical across shard counts, only wall_ms changes)",
         );
         for row in &self.rows {

@@ -13,7 +13,7 @@ use nocem::clock::{ClockMode, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::config::{EngineKind, PlatformConfig};
 use nocem::engine::build;
-use nocem::shard::build_engine;
+use nocem::sweep::AnyEngine;
 use nocem::CompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -183,8 +183,8 @@ fn star_heterogeneous_ports_run_compiled_without_index_errors() {
 #[test]
 fn engine_kind_round_trips_through_the_generic_builder() {
     let cfg = uniform_random(MESH8X8, 0.10, 200).with_engine(EngineKind::Compiled);
-    let mut engine = build_engine(&cfg).unwrap();
-    nocem::run_engine(engine.as_mut()).unwrap();
+    let mut engine = AnyEngine::build(&cfg).unwrap();
+    nocem::run_engine(&mut engine).unwrap();
     let mut reference = build(&cfg).unwrap();
     reference.run().unwrap();
     assert_eq!(engine.packet_ledger(), *reference.ledger());

@@ -79,7 +79,10 @@ fn gated_sharded_curve_is_identical_to_ungated_single_threaded() {
     };
     let fast_spec = CurveSpec {
         clock_mode: ClockMode::Gated,
-        engine: EngineKind::Sharded { shards: 2 },
+        engine: EngineKind::ShardedCompiled {
+            shards: 2,
+            batch: 8,
+        },
         ..baseline_spec.clone()
     };
     let baseline = baseline_spec.run(&registry).unwrap();

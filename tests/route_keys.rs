@@ -16,7 +16,7 @@ use nocem::config::{
 };
 use nocem::engine::build;
 use nocem::error::CompileError;
-use nocem::shard::build_engine;
+use nocem::sweep::AnyEngine;
 use nocem_common::ids::SwitchId;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -222,8 +222,8 @@ fn all_three_engines_are_ledger_identical_per_cycle_on_destination_keys() {
                 batch: 8,
             },
         ] {
-            let mut engine = build_engine(&cfg.clone().with_engine(kind)).unwrap();
-            let summary = assert_lockstep(&cfg, engine.as_mut());
+            let mut engine = AnyEngine::build(&cfg.clone().with_engine(kind)).unwrap();
+            let summary = assert_lockstep(&cfg, &mut engine);
             assert_eq!(summary.delivered, packets, "{} on {kind:?}", cfg.name);
         }
     }
@@ -284,7 +284,9 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
     ];
     // Emitted but not registered: the traffic does not match the flows.
     for kind in engines {
-        let err = build_engine(&cfg.clone().with_engine(kind)).err().unwrap();
+        let err = AnyEngine::build(&cfg.clone().with_engine(kind))
+            .err()
+            .unwrap();
         assert!(
             matches!(err, CompileError::TrafficMismatch { .. }),
             "{kind:?}: {err}"
@@ -298,7 +300,9 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
     });
     assert_eq!(compute_routing(&cfg).unwrap_err(), wrong_kind);
     for kind in engines {
-        let err = build_engine(&cfg.clone().with_engine(kind)).err().unwrap();
+        let err = AnyEngine::build(&cfg.clone().with_engine(kind))
+            .err()
+            .unwrap();
         assert_eq!(err, wrong_kind, "{kind:?}");
     }
 }

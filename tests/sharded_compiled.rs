@@ -1,22 +1,27 @@
-//! Sharded-compiled-vs-compiled equivalence: the sharded compiled
-//! engine must be *bit-identical* to [`CompiledEngine`] — same packet
-//! ledger, same summary, same results, same telemetry — for every
-//! tested (shards, batch) combination, because batching amortizes
-//! coordinator synchronization without deferring any boundary flit or
-//! credit past its one-cycle link latency.
+//! Sharded-vs-single-threaded equivalence: the sharded compiled engine
+//! must be *bit-identical* to the single-threaded [`Emulation`] oracle
+//! (and to [`CompiledEngine`]) — same packet ledger, same summary,
+//! same results, same telemetry — for every tested (shards, batch)
+//! combination, because batching amortizes coordinator synchronization
+//! without deferring any boundary flit or credit past its one-cycle
+//! link latency.
 //!
-//! The harness steps every engine in lockstep with the compiled
+//! The harness steps every engine in lockstep with the single-threaded
 //! reference, comparing the clock and delivered count after each
-//! cycle, so a divergence is pinpointed to the exact cycle. A proptest
-//! then drives *random partitions* (not just grid stripes) at random
-//! batch sizes against the batch-1 exchange order.
+//! cycle, so a divergence is pinpointed to the exact cycle. Further
+//! tests cover the paper's non-grid topology, trace-driven traffic,
+//! drain mode, the cycle limit and cross-shard clock gating; a
+//! proptest then drives *random partitions* (not just grid stripes) at
+//! random batch sizes against the batch-1 exchange order.
 
 use nocem::clock::{ClockMode, EngineWarning, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::compiled::CompiledEngine;
-use nocem::config::{EngineKind, PlatformConfig};
-use nocem::shard::build_engine;
+use nocem::config::{EngineKind, PaperConfig, PlatformConfig};
+use nocem::engine::{build, Emulation};
+use nocem::error::CompileError;
 use nocem::shard_compiled::ShardedCompiledEngine;
+use nocem::sweep::AnyEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::TelemetryConfig;
@@ -43,11 +48,19 @@ const TORUS8X8: TopologySpec = TopologySpec::Torus {
     height: 8,
 };
 
+/// `cfg` run to its stop condition on the single-threaded oracle.
+fn run_single(cfg: &PlatformConfig) -> Emulation {
+    let mut single = build(cfg).unwrap();
+    single.run().unwrap();
+    single
+}
+
 /// Steps one sharded compiled engine per `(shards, batch)` case in
-/// lockstep with the compiled reference and asserts full equality:
-/// per-cycle clock + deliveries, final ledger, summary and results.
+/// lockstep with the single-threaded reference and asserts full
+/// equality: per-cycle clock + deliveries, final ledger, summary and
+/// results.
 fn assert_lockstep(cfg: &PlatformConfig, cases: &[(usize, u64)]) {
-    let mut reference = CompiledEngine::new(elaborate(cfg).unwrap());
+    let mut reference = build(cfg).unwrap();
     let mut engines: Vec<((usize, u64), ShardedCompiledEngine)> = cases
         .iter()
         .map(|&(k, b)| {
@@ -86,7 +99,7 @@ fn assert_lockstep(cfg: &PlatformConfig, cases: &[(usize, u64)]) {
         );
         assert_eq!(
             SteppableEngine::summary(engine),
-            reference.summary(),
+            SteppableEngine::summary(&reference),
             "{k} shards batch {b}: summary diverged on {}",
             cfg.name
         );
@@ -116,6 +129,15 @@ fn torus8x8_low_load_is_bit_identical_across_batches() {
 #[test]
 fn torus8x8_saturating_load_is_bit_identical_across_batches() {
     assert_lockstep(&uniform_random(TORUS8X8, 0.40, 700), CASES);
+}
+
+#[test]
+fn odd_shard_count_and_non_row_aligned_stripes_agree() {
+    // 3 shards over 8 rows: unbalanced row stripes (3/3/2).
+    assert_lockstep(
+        &uniform_random(MESH8X8, 0.20, 500),
+        &[(3, 1), (3, 16), (5, 4)],
+    );
 }
 
 /// The CI release smoke: 2 shards, batch 8, saturating mesh8x8.
@@ -191,8 +213,7 @@ fn windowed_telemetry_is_bit_identical() {
 fn drain_mode_stop_condition_drains_every_shard() {
     let mut cfg = uniform_random(MESH8X8, 0.10, 300);
     cfg.stop.delivered_packets = None;
-    let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
-    reference.run().unwrap();
+    let reference = run_single(&cfg);
     for batch in [1, 8] {
         let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, batch).unwrap();
         engine.run().unwrap();
@@ -232,13 +253,134 @@ fn gated_clamps_batch_and_skips_like_the_compiled_kernel() {
 }
 
 #[test]
+fn paper_setup_shards_and_matches_single_thread() {
+    // The paper's 6-switch topology is not a grid: index striping.
+    let cfg = PaperConfig::new().total_packets(300).uniform();
+    let single = run_single(&cfg);
+    for batch in [1, 16] {
+        let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2, batch).unwrap();
+        sharded.run().unwrap();
+        assert_eq!(sharded.ledger(), single.ledger(), "batch {batch}");
+        assert_eq!(sharded.now(), single.now(), "batch {batch}");
+    }
+}
+
+#[test]
+fn single_shard_degenerates_cleanly() {
+    let cfg = PaperConfig::new().total_packets(120).burst(4);
+    let single = run_single(&cfg);
+    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 1, 4).unwrap();
+    sharded.run().unwrap();
+    assert_eq!(sharded.ledger(), single.ledger());
+    assert!(sharded.partition().boundary_links(&cfg.topology).is_empty());
+}
+
+#[test]
+fn sharded_results_match_single_thread() {
+    let cfg = PaperConfig::new().total_packets(200).trace_bursty(4);
+    let single = run_single(&cfg);
+    for batch in [1, 8] {
+        let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 3, batch).unwrap();
+        sharded.run().unwrap();
+        assert_eq!(
+            sharded.results().unwrap(),
+            single.results(),
+            "batch {batch}"
+        );
+    }
+}
+
+#[test]
+fn sharded_telemetry_matches_single_thread() {
+    let cfg = PaperConfig::new()
+        .total_packets(300)
+        .uniform()
+        .with_telemetry(Some(TelemetryConfig::windowed(64)));
+    let mut single = run_single(&cfg);
+    single.seal_telemetry();
+    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap();
+    sharded.run().unwrap();
+    sharded.seal_telemetry();
+    let fast = single.telemetry().unwrap();
+    assert!(fast.windows_recorded() > 0, "run long enough to window");
+    assert_eq!(
+        sharded.telemetry().unwrap(),
+        fast,
+        "shard-merged series are engine-invariant"
+    );
+}
+
+#[test]
+fn cycle_limit_fires_on_the_same_cycle() {
+    let mut cfg = PaperConfig::new().total_packets(1_000_000).uniform();
+    cfg.stop.cycle_limit = 300;
+    let single_err = build(&cfg).unwrap().run().unwrap_err();
+    for batch in [1, 16] {
+        let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2, batch).unwrap();
+        assert_eq!(sharded.run().unwrap_err(), single_err, "batch {batch}");
+    }
+}
+
+#[test]
+fn too_many_shards_is_a_compile_error() {
+    let cfg = PaperConfig::new().total_packets(10).uniform();
+    let err = ShardedCompiledEngine::with_shards(&cfg, 64, 1).unwrap_err();
+    assert!(matches!(err, CompileError::Partition { .. }));
+    assert!(err.to_string().contains("64"));
+}
+
+#[test]
+fn gated_sharded_skips_exactly_like_the_single_threaded_kernel() {
+    // The cross-shard event horizon must reproduce the single-threaded
+    // fast-forward: global quiescence is the conjunction of the shard
+    // predicates and the horizon is the min over shard next-events, so
+    // gated sharded runs skip the *same* cycles.
+    let mut cfg = uniform_random(MESH8X8, 0.05, 400);
+    cfg.clock_mode = ClockMode::Gated;
+    let single = run_single(&cfg);
+    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 4, 1).unwrap();
+    sharded.run().unwrap();
+    assert!(
+        sharded.cycles_skipped() > 0,
+        "a 5%-load run must skip cycles"
+    );
+    assert_eq!(
+        sharded.cycles_skipped(),
+        single.cycles_skipped(),
+        "shards changed what the fast-forward kernel skipped"
+    );
+    assert_eq!(sharded.ledger(), single.ledger());
+    assert_eq!(
+        SteppableEngine::summary(&sharded),
+        SteppableEngine::summary(&single)
+    );
+}
+
+#[test]
+fn gated_sharded_is_cycle_equivalent_to_ungated_sharded() {
+    let cfg = uniform_random(TORUS8X8, 0.05, 300);
+    let mut gated_cfg = cfg.clone();
+    gated_cfg.clock_mode = ClockMode::Gated;
+    let mut ungated = ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap();
+    ungated.run().unwrap();
+    let mut gated = ShardedCompiledEngine::with_shards(&gated_cfg, 2, 1).unwrap();
+    gated.run().unwrap();
+    assert!(gated.cycles_skipped() > 0);
+    assert_eq!(gated.ledger(), ungated.ledger());
+    assert_eq!(
+        SteppableEngine::summary(&gated).behavioral(),
+        SteppableEngine::summary(&ungated).behavioral()
+    );
+}
+
+#[test]
 fn engine_kind_round_trips_through_the_generic_builder() {
     let cfg = uniform_random(MESH8X8, 0.10, 200).with_engine(EngineKind::ShardedCompiled {
         shards: 2,
         batch: 8,
     });
-    let mut engine = build_engine(&cfg).unwrap();
-    nocem::run_engine(engine.as_mut()).unwrap();
+    let mut engine = AnyEngine::build(&cfg).unwrap();
+    nocem::run_engine(&mut engine).unwrap();
     let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
     reference.run().unwrap();
     assert_eq!(engine.packet_ledger(), *reference.ledger());

@@ -13,7 +13,7 @@ use nocem::clock::{ClockMode, EngineSummary, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::config::{EngineKind, PlatformConfig, TrafficModel};
 use nocem::engine::build;
-use nocem::shard::build_engine;
+use nocem::sweep::AnyEngine;
 use nocem::CompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -194,8 +194,8 @@ fn two_shards_step_the_same_sparse_cycles() {
     );
     for batch in [1, 8] {
         let kind = EngineKind::ShardedCompiled { shards: 2, batch };
-        let mut engine = build_engine(&cfg.clone().with_engine(kind)).unwrap();
-        let summary = assert_lockstep(&cfg, engine.as_mut());
+        let mut engine = AnyEngine::build(&cfg.clone().with_engine(kind)).unwrap();
+        let summary = assert_lockstep(&cfg, &mut engine);
         assert!(summary.cycles_skipped > 0, "batch {batch} skipped nothing");
     }
 }

@@ -110,7 +110,10 @@ fn sharded_and_single_threaded_collectors_agree_through_any_engine() {
             .clone()
     };
     let single = collector(EngineKind::SingleThread);
-    let sharded = collector(EngineKind::Sharded { shards: 2 });
+    let sharded = collector(EngineKind::ShardedCompiled {
+        shards: 2,
+        batch: 8,
+    });
     assert_eq!(single, sharded);
     assert!(single.windows_recorded() >= 16);
 }
@@ -271,7 +274,13 @@ fn past_saturation_bottlenecks_localize_identically_on_every_engine() {
     };
     let (top, totals) = run(ClockMode::EveryCycle, EngineKind::SingleThread);
     let gated = run(ClockMode::Gated, EngineKind::SingleThread);
-    let sharded = run(ClockMode::Gated, EngineKind::Sharded { shards: 2 });
+    let sharded = run(
+        ClockMode::Gated,
+        EngineKind::ShardedCompiled {
+            shards: 2,
+            batch: 8,
+        },
+    );
     // Identical attribution everywhere. (Gated runs may coast extra
     // quiescent windows past the cycle target, but per-link totals —
     // and with them the ranking — are unaffected by zero deltas.)
