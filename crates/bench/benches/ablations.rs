@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nocem::config::{PaperConfig, PaperRouting, PlatformConfig};
+use nocem::SteppableEngine;
 use nocem_switch::arbiter::ArbiterKind;
 
 const PACKETS: u64 = 2_000;

@@ -2,6 +2,7 @@
 //! paper platform (the measurement behind Table 2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use nocem::SteppableEngine;
 use nocem_bench::endless_paper_config;
 use nocem_rtl::model::RtlEngine;
 use nocem_tlm::model::TlmEngine;

@@ -9,6 +9,7 @@
 
 use nocem::config::PaperConfig;
 use nocem::engine::build;
+use nocem::SteppableEngine;
 use nocem_bench::scaled;
 use nocem_common::table::{Align, TextTable};
 use nocem_topology::analysis::{predict_link_loads, SplitModel};

@@ -12,6 +12,7 @@
 use nocem::config::{PaperConfig, PlatformConfig, TrafficModel};
 use nocem::engine::build;
 use nocem::error::EmulationError;
+use nocem::SteppableEngine;
 use nocem_rtl::model::RtlEngine;
 use nocem_tlm::model::TlmEngine;
 use std::time::Instant;
@@ -196,14 +197,14 @@ pub fn measure_work_per_cycle(cycles: u64) -> Result<EngineWorkPerCycle, Emulati
     for _ in 0..cycles {
         tlm.step()?;
     }
-    let s = tlm.summary().scheduler;
+    let s = tlm.scheduler_stats();
     let tlm_work = (s.activations + s.channel_updates + s.watcher_calls) as f64 / cycles as f64;
 
     let mut rtl = RtlEngine::new(nocem::compile::elaborate(&cfg).expect("paper config compiles"));
     for _ in 0..cycles {
         rtl.step()?;
     }
-    let k = rtl.summary().kernel;
+    let k = rtl.kernel_stats();
     let rtl_work = (k.activations + k.signal_events + k.delta_cycles) as f64 / cycles as f64;
 
     Ok(EngineWorkPerCycle {

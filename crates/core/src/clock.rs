@@ -1,11 +1,50 @@
-//! Clock control: hybrid clock-gated emulation.
+//! Clock control: the run-level half of every engine, written once.
 //!
-//! The paper's platform (and the original engines here) steps every
-//! cycle even when the network is empty, which wastes most of the wall
-//! clock on the low-load points of a scenario matrix. Following the
-//! hybrid clock-gating idea of EmuNoC (see PAPERS.md), this module
-//! lets all three engines *jump* the clock over provably idle windows
-//! without changing any observable behaviour:
+//! The paper's platform has one control module that starts, clocks and
+//! stops the run whatever traffic generators, receptors and switches
+//! are plugged in. This module is that split in software. An engine is
+//! two halves:
+//!
+//! * a **kernel** — *what a cycle does*: the [`CycleKernel`] trait,
+//!   whose required methods are exactly the engine-specific answers
+//!   the step needs (is the platform quiescent and how far may the
+//!   clock jump; execute cycle `now`; is it drained; the cumulative
+//!   probe; the wait-for edges; the ledger);
+//! * the **run-level state** — *what happens around a cycle*:
+//!   [`RunState`] (clock, skipped-cycle counter, [`ClockMode`], stop
+//!   condition, telemetry collector, stall watchdog, warnings), built
+//!   in one place from the `PlatformConfig` and embedded by every
+//!   engine.
+//!
+//! On top of the two sits the one step skeleton — gate → probe → cycle
+//! → watchdog → limit — as the single generic `impl SteppableEngine for
+//! K: CycleKernel`. `Emulation`, `CompiledEngine`, `TlmEngine` and
+//! `RtlEngine` are kernels; none of them carries its own gate, probe
+//! timing, watchdog feed or cycle-limit check. The skeleton enforces
+//! the two invariants the engines used to uphold by copy:
+//!
+//! * the telemetry probe fires at the *start* of the cycle, *after* any
+//!   jump, so the recorded windows are engine- and clock-mode-invariant;
+//! * a jump never passes `cycle_limit`, so the limit error fires on the
+//!   same cycle gated or not.
+//!
+//! The sharded coordinator (`crate::shard_compiled`) embeds a
+//! [`RunState`] too and calls the pieces that fit (construction, probe
+//! record / seal, the delivered-target test, the cycle-limit check,
+//! the summary) but keeps its own windowed `step`: it gates and probes
+//! once per window and its "cycle" is a replay of buffered entries, so
+//! forcing it through the per-cycle skeleton would make the shared code
+//! branch on its caller.
+//!
+//! # Hybrid clock gating
+//!
+//! The paper's platform steps every cycle even when the network is
+//! empty, which wastes most of the wall clock on the low-load points
+//! of a scenario matrix. Following the hybrid clock-gating idea of
+//! EmuNoC (see PAPERS.md) — one clock-halting unit wrapped around an
+//! unchanged network — the skeleton lets every kernel *jump* the clock
+//! over provably idle windows without changing any observable
+//! behaviour:
 //!
 //! * traffic generators expose their next event
 //!   ([`TrafficGenerator::next_event_cycle`]) and can replay skipped
@@ -25,11 +64,11 @@
 //! statistics, the packet ledger and the Table 2 work-per-cycle proxy
 //! stay exact.
 //!
-//! The engines are unified behind the [`SteppableEngine`] trait,
-//! so the run loops ([`run_engine`], [`run_engine_with_progress`]),
-//! the engine-generic sweep (`crate::sweep::run_sweep_engine`) and the
-//! cross-engine lockstep tests are written once instead of three
-//! times.
+//! Everything that drives an engine — the run loops ([`run_engine`],
+//! [`run_engine_until`], [`run_engine_with_progress`]), the
+//! engine-generic sweep (`crate::sweep::run_sweep_engine`) and the
+//! cross-engine lockstep tests — is written once against
+//! [`SteppableEngine`].
 //!
 //! # Quiescence invariants
 //!
@@ -67,13 +106,20 @@
 //! platform-wide predicate, the engine clamps its exchange batch to 1
 //! under [`ClockMode::Gated`] rather than diverge.
 
+use crate::config::{PlatformConfig, StopCondition};
 use crate::error::EmulationError;
+use crate::profile::{
+    lap, Phase, PhaseProfiler, PhaseReport, StallReport, StallWatchdog, WaitEdge,
+};
 use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_switch::switch::Switch;
+use nocem_telemetry::{Collector, CumulativeProbe};
 use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
+use std::ops::Deref;
+use std::time::Instant;
 
 /// How an engine advances the platform clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -174,6 +220,12 @@ pub enum EngineWarning {
         /// The batch the configuration asked for.
         requested: u64,
     },
+    /// The configuration asked for the stall watchdog
+    /// (`ProfileConfig::with_stall`) on the sharded-compiled engine,
+    /// which has no wait-for forensics yet: worker state runs ahead of
+    /// the coordinator's cycle, so no consistent snapshot exists to
+    /// latch. The run proceeds unwatched.
+    ShardedStallWatchdogIgnored,
 }
 
 impl std::fmt::Display for EngineWarning {
@@ -183,6 +235,11 @@ impl std::fmt::Display for EngineWarning {
                 f,
                 "clock gating needs a per-cycle cross-shard horizon; \
                  clamping sharded-compiled batch {requested} to 1"
+            ),
+            EngineWarning::ShardedStallWatchdogIgnored => write!(
+                f,
+                "the sharded-compiled engine has no stall forensics; \
+                 the configured stall watchdog is ignored"
             ),
         }
     }
@@ -279,8 +336,159 @@ impl EngineSummary {
     }
 }
 
-/// The common stepping contract of the three simulation engines (fast
-/// emulation, TLM, RTL).
+/// The run-level half of an engine: everything that happens *around*
+/// a cycle and is identical whatever kernel executes it. Built in one
+/// place from the [`PlatformConfig`] and embedded by every engine (the
+/// four [`CycleKernel`]s and the sharded coordinator).
+#[derive(Debug, Clone)]
+pub struct RunState {
+    pub(crate) now: Cycle,
+    pub(crate) cycles_skipped: u64,
+    pub(crate) clock_mode: ClockMode,
+    pub(crate) stop: StopCondition,
+    /// Windowed per-resource telemetry (None = off, no probe cost).
+    pub(crate) telemetry: Option<Collector>,
+    /// Stall watchdog, when the profile config enables one.
+    pub(crate) watchdog: Option<StallWatchdog>,
+    pub(crate) warnings: Vec<EngineWarning>,
+}
+
+impl RunState {
+    /// The run-level state `config` asks for, at cycle 0.
+    pub fn new(config: &PlatformConfig) -> Self {
+        let links = config.topology.link_count();
+        let vcs = usize::from(config.switch.num_vcs);
+        RunState {
+            now: Cycle::ZERO,
+            cycles_skipped: 0,
+            clock_mode: config.clock_mode,
+            stop: config.stop,
+            telemetry: config
+                .telemetry
+                .as_ref()
+                .map(|t| Collector::new(t, links, vcs)),
+            watchdog: config
+                .profile
+                .as_ref()
+                .and_then(|p| p.stall)
+                .map(StallWatchdog::new),
+            warnings: Vec::new(),
+        }
+    }
+
+    /// Jumps the clock over `skipped` provably idle cycles.
+    pub(crate) fn jump(&mut self, skipped: u64) {
+        self.now += skipped;
+        self.cycles_skipped += skipped;
+    }
+
+    /// Whether a telemetry window boundary is due at the current cycle.
+    pub(crate) fn probe_due(&self) -> bool {
+        self.telemetry
+            .as_ref()
+            .is_some_and(|t| t.needs_probe(self.now.raw()))
+    }
+
+    /// Records `probe` — the cumulative counters over cycles
+    /// `[0, now)` — into the collector.
+    pub(crate) fn record_probe(&mut self, probe: &CumulativeProbe) {
+        if let Some(t) = self.telemetry.as_mut() {
+            t.record(self.now.raw(), probe);
+        }
+    }
+
+    /// Whether there is a collector that has not been sealed yet.
+    pub(crate) fn seal_due(&self) -> bool {
+        self.telemetry.as_ref().is_some_and(|t| !t.is_sealed())
+    }
+
+    /// Flushes the trailing partial window with a final `probe` and
+    /// freezes the collector.
+    pub(crate) fn seal(&mut self, probe: &CumulativeProbe) {
+        if let Some(t) = self.telemetry.as_mut() {
+            t.seal(self.now.raw(), probe);
+        }
+    }
+
+    /// The delivered-packets arm of the stop condition; `None` in drain
+    /// mode, where the kernel decides.
+    pub(crate) fn target_met(&self, delivered: u64) -> Option<bool> {
+        self.stop.delivered_packets.map(|t| delivered >= t)
+    }
+
+    /// Moves the clock past the cycle just executed and enforces the
+    /// cycle limit.
+    pub(crate) fn advance(&mut self, delivered: u64) -> Result<(), EmulationError> {
+        self.now = self.now.next();
+        if self.now.raw() > self.stop.cycle_limit {
+            return Err(EmulationError::CycleLimitExceeded {
+                limit: self.stop.cycle_limit,
+                delivered,
+            });
+        }
+        Ok(())
+    }
+
+    /// The run summary over `ledger`, warnings attached.
+    pub(crate) fn summary(&self, delivered_flits: u64, ledger: &PacketLedger) -> EngineSummary {
+        EngineSummary::from_ledger(self.now.raw(), self.cycles_skipped, delivered_flits, ledger)
+            .with_warnings(&self.warnings)
+    }
+}
+
+/// The kernel half of a single-threaded engine: the engine-specific
+/// answers the step skeleton needs, and nothing else. Implementing it
+/// makes a type a [`SteppableEngine`] (the one generic impl below);
+/// dispatch is static, so the skeleton monomorphises into each
+/// kernel's own step.
+pub trait CycleKernel {
+    /// The engine's label in profile reports.
+    const LABEL: &'static str;
+
+    /// The run-level state this engine embeds.
+    fn run_state(&self) -> &RunState;
+
+    /// Mutable access to the embedded run-level state.
+    fn run_state_mut(&mut self) -> &mut RunState;
+
+    /// The kernel's phase profiler, when profiling is on.
+    fn profiler_mut(&mut self) -> Option<&mut PhaseProfiler>;
+
+    /// Asked under [`ClockMode::Gated`] before cycle `now` executes:
+    /// when the platform is quiescent, replays whatever the kernel
+    /// must replay to stand at its earliest future event — but no
+    /// later than cycle `horizon` — and returns the number of cycles
+    /// the clock may skip. 0 = not quiescent, or an event is due now.
+    fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64;
+
+    /// Executes cycle `now`. `t` is the step's chained profiling
+    /// timestamp (`None` when profiling is off); the kernel closes its
+    /// own phases on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmulationError`] on wiring/protocol violations.
+    fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError>;
+
+    /// The drain-mode stop condition: every generator exhausted,
+    /// nothing parked, queued or in flight.
+    fn drained(&self) -> bool;
+
+    /// Cumulative per-link counters plus live per-VC occupancy — the
+    /// telemetry probe, and the source of the congestion counters.
+    fn cumulative_probe(&self) -> CumulativeProbe;
+
+    /// Every waiting input VC as a wait-for edge (stall forensics).
+    fn wait_edges(&self) -> Vec<WaitEdge>;
+
+    /// The packet ledger.
+    fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_;
+
+    /// Flits fully delivered so far.
+    fn delivered_flits(&self) -> u64;
+}
+
+/// The common stepping contract of every engine.
 ///
 /// One `step` call advances the engine by one *stepped* cycle; under
 /// [`ClockMode::Gated`] that step may first jump the clock across a
@@ -359,6 +567,124 @@ pub trait SteppableEngine {
     /// running (configuration clamps and the like).
     fn warnings(&self) -> &[EngineWarning] {
         &[]
+    }
+}
+
+/// The step skeleton and the run-level queries, once, for every
+/// [`CycleKernel`].
+impl<K: CycleKernel> SteppableEngine for K {
+    /// gate → probe → cycle → watchdog → limit.
+    fn step(&mut self) -> Result<(), EmulationError> {
+        let mut t = self.profiler_mut().map(PhaseProfiler::begin_step);
+        let run = self.run_state();
+        let limit = run.stop.cycle_limit;
+        // Hybrid clock gating: on a quiescent platform, jump straight
+        // to the earliest future event instead of stepping empty
+        // cycles. The skipped ticks are pure no-ops (proven by the
+        // gated-vs-ungated lockstep tests), so the cycle executed below
+        // at the jump target is exactly the cycle an every-cycle run
+        // would have executed there. The horizon keeps a run past the
+        // limit raising its error on the same cycle.
+        if run.clock_mode == ClockMode::Gated {
+            let now = run.now;
+            let skipped = self.idle_jump(now, limit);
+            if skipped > 0 {
+                debug_assert!(now.raw() + skipped <= limit, "jump past the cycle limit");
+                self.run_state_mut().jump(skipped);
+                if let Some(p) = self.profiler_mut() {
+                    p.work.fast_forwards += 1;
+                }
+            }
+        }
+        lap(self.profiler_mut(), &mut t, Phase::FastForward);
+        // Telemetry probe: at the start of the cycle, *after* the jump,
+        // the cumulative counters cover exactly the cycles [0, now) —
+        // the same prefix on every engine. A jump that crossed several
+        // boundaries records one zero sample per crossed boundary
+        // (nothing moves while quiescent).
+        if self.run_state().probe_due() {
+            let probe = self.cumulative_probe();
+            self.run_state_mut().record_probe(&probe);
+        }
+        lap(self.profiler_mut(), &mut t, Phase::Probe);
+        let now = self.run_state().now;
+        self.cycle(now, &mut t)?;
+        // Stall watchdog: feed the ledger counters once per stepped
+        // cycle; on the trip, capture the wait-for snapshot.
+        if self.run_state().watchdog.is_some() {
+            let (released, injected, delivered, in_flight) = {
+                let l = self.ledger();
+                (l.released(), l.injected(), l.delivered(), l.in_flight())
+            };
+            let dog = self.run_state_mut().watchdog.as_mut();
+            let dog = dog.expect("presence checked above");
+            if dog.observe(now.raw(), released, injected, delivered, in_flight) {
+                let report = StallReport::from_congestion(
+                    now.raw(),
+                    dog.window(),
+                    in_flight,
+                    self.wait_edges(),
+                    &crate::results::congestion_of(&self.cumulative_probe()),
+                );
+                let dog = self.run_state_mut().watchdog.as_mut();
+                dog.expect("presence checked above").latch(report);
+            }
+        }
+        let delivered = self.ledger().delivered();
+        self.run_state_mut().advance(delivered)
+    }
+
+    fn now(&self) -> Cycle {
+        self.run_state().now
+    }
+
+    fn finished(&self) -> bool {
+        self.run_state()
+            .target_met(self.ledger().delivered())
+            .unwrap_or_else(|| self.drained())
+    }
+
+    fn delivered(&self) -> u64 {
+        self.ledger().delivered()
+    }
+
+    fn cycles_skipped(&self) -> u64 {
+        self.run_state().cycles_skipped
+    }
+
+    fn summary(&self) -> EngineSummary {
+        self.run_state()
+            .summary(self.delivered_flits(), &self.ledger())
+    }
+
+    fn packet_ledger(&self) -> PacketLedger {
+        self.ledger().clone()
+    }
+
+    fn telemetry(&self) -> Option<&Collector> {
+        self.run_state().telemetry.as_ref()
+    }
+
+    fn seal_telemetry(&mut self) {
+        if self.run_state().seal_due() {
+            let probe = self.cumulative_probe();
+            self.run_state_mut().seal(&probe);
+        }
+    }
+
+    fn profile(&mut self) -> Option<PhaseReport> {
+        self.profiler_mut().map(|p| p.report(K::LABEL))
+    }
+
+    fn stall_report(&self) -> Option<&StallReport> {
+        self.run_state()
+            .watchdog
+            .as_ref()
+            .and_then(StallWatchdog::report)
+    }
+
+    fn warnings(&self) -> &[EngineWarning] {
+        &self.run_state().warnings
     }
 }
 
@@ -510,6 +836,229 @@ mod tests {
             vec![Box::new(TraceDrivenTg::new(&trace, EndpointId::new(0)))];
         assert_eq!(fast_forward(Cycle::new(5), u64::MAX, &mut tgs), 0);
         assert_eq!(fast_forward(Cycle::new(2), u64::MAX, &mut tgs), 3);
+    }
+
+    /// What the skeleton asked of the kernel, in order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Ask {
+        Jump { now: u64, horizon: u64 },
+        Probe { now: u64 },
+        Cycle(u64),
+        Edges,
+    }
+
+    /// A kernel that does nothing but log the skeleton's calls. It is
+    /// quiescent with its next event at `idle_until` (`None` = never
+    /// quiescent) and releases one never-delivered packet at cycle 0
+    /// when `wedge` is set.
+    struct Fake {
+        run: RunState,
+        profiler: Option<PhaseProfiler>,
+        ledger: PacketLedger,
+        idle_until: Option<u64>,
+        wedge: bool,
+        /// `(links, vcs)` of the configured platform.
+        shape: (usize, usize),
+        log: std::cell::RefCell<Vec<Ask>>,
+    }
+
+    impl Fake {
+        fn new(config: &PlatformConfig, idle_until: Option<u64>) -> Self {
+            Fake {
+                run: RunState::new(config),
+                profiler: config.profile.map(|_| PhaseProfiler::new()),
+                ledger: PacketLedger::new(),
+                idle_until,
+                wedge: false,
+                shape: (
+                    config.topology.link_count(),
+                    usize::from(config.switch.num_vcs),
+                ),
+                log: Default::default(),
+            }
+        }
+
+        fn log(&self) -> Vec<Ask> {
+            self.log.borrow().clone()
+        }
+    }
+
+    impl CycleKernel for Fake {
+        const LABEL: &'static str = "fake";
+
+        fn run_state(&self) -> &RunState {
+            &self.run
+        }
+
+        fn run_state_mut(&mut self) -> &mut RunState {
+            &mut self.run
+        }
+
+        fn profiler_mut(&mut self) -> Option<&mut PhaseProfiler> {
+            self.profiler.as_mut()
+        }
+
+        fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
+            let now = now.raw();
+            self.log.borrow_mut().push(Ask::Jump { now, horizon });
+            self.idle_until
+                .map_or(0, |event| event.min(horizon).saturating_sub(now))
+        }
+
+        fn cycle(&mut self, now: Cycle, _: &mut Option<Instant>) -> Result<(), EmulationError> {
+            self.log.borrow_mut().push(Ask::Cycle(now.raw()));
+            if self.wedge && now == Cycle::ZERO {
+                self.ledger
+                    .release(nocem_common::ids::PacketId::new(0), now, 1)?;
+            }
+            Ok(())
+        }
+
+        fn drained(&self) -> bool {
+            false
+        }
+
+        fn cumulative_probe(&self) -> CumulativeProbe {
+            let now = self.run.now.raw();
+            self.log.borrow_mut().push(Ask::Probe { now });
+            CumulativeProbe::new(self.shape.0, self.shape.1)
+        }
+
+        fn wait_edges(&self) -> Vec<WaitEdge> {
+            self.log.borrow_mut().push(Ask::Edges);
+            Vec::new()
+        }
+
+        fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_ {
+            &self.ledger
+        }
+
+        fn delivered_flits(&self) -> u64 {
+            0
+        }
+    }
+
+    fn fake_config(mode: ClockMode, cycle_limit: u64) -> PlatformConfig {
+        let mut cfg = crate::config::PaperConfig::new()
+            .total_packets(1)
+            .uniform()
+            .with_clock_mode(mode);
+        cfg.stop.cycle_limit = cycle_limit;
+        cfg
+    }
+
+    #[test]
+    fn skeleton_jumps_then_probes_then_cycles() {
+        use crate::profile::ProfileConfig;
+        let cfg = fake_config(ClockMode::Gated, 1_000)
+            .with_telemetry(Some(nocem_telemetry::TelemetryConfig::windowed(10)))
+            .with_profile(Some(ProfileConfig::default()));
+        let mut k = Fake::new(&cfg, Some(25));
+        k.step().unwrap();
+        // One probe call, after the jump and before the cycle, at the
+        // jump target — and it filled both boundaries the jump crossed.
+        assert_eq!(
+            k.log(),
+            [
+                Ask::Jump {
+                    now: 0,
+                    horizon: 1_000
+                },
+                Ask::Probe { now: 25 },
+                Ask::Cycle(25)
+            ]
+        );
+        assert_eq!(k.telemetry().unwrap().windows_recorded(), 2);
+        assert_eq!((k.now().raw(), k.cycles_skipped()), (26, 25));
+        // The event is now in the past: no jump, no boundary, no probe.
+        k.step().unwrap();
+        assert_eq!(
+            k.log()[3..],
+            [
+                Ask::Jump {
+                    now: 26,
+                    horizon: 1_000
+                },
+                Ask::Cycle(26)
+            ]
+        );
+        assert_eq!(k.cycles_skipped(), 25);
+        assert_eq!(k.profile().unwrap().work.fast_forwards, 1);
+    }
+
+    #[test]
+    fn skeleton_never_asks_an_ungated_kernel_to_jump() {
+        let mut k = Fake::new(&fake_config(ClockMode::EveryCycle, 1_000), Some(25));
+        for _ in 0..3 {
+            k.step().unwrap();
+        }
+        assert_eq!(k.log(), [Ask::Cycle(0), Ask::Cycle(1), Ask::Cycle(2)]);
+        assert_eq!(k.cycles_skipped(), 0);
+    }
+
+    #[test]
+    fn skeleton_does_not_jump_a_busy_kernel() {
+        let mut k = Fake::new(&fake_config(ClockMode::Gated, 1_000), None);
+        k.step().unwrap();
+        assert_eq!((k.now().raw(), k.cycles_skipped()), (1, 0));
+    }
+
+    #[test]
+    fn skeleton_raises_the_cycle_limit_on_the_same_cycle_gated_or_not() {
+        let run_out = |mode| {
+            let mut k = Fake::new(&fake_config(mode, 50), Some(u64::MAX));
+            let err = run_engine(&mut k).unwrap_err();
+            assert!(matches!(
+                err,
+                EmulationError::CycleLimitExceeded {
+                    limit: 50,
+                    delivered: 0
+                }
+            ));
+            (k.now().raw(), k.log())
+        };
+        let (gated_now, gated) = run_out(ClockMode::Gated);
+        let (ungated_now, ungated) = run_out(ClockMode::EveryCycle);
+        assert_eq!((gated_now, ungated_now), (51, 51));
+        // The jump was offered the limit as its horizon and stopped on
+        // it; both runs execute cycle 50 last.
+        assert_eq!(
+            gated,
+            [
+                Ask::Jump {
+                    now: 0,
+                    horizon: 50
+                },
+                Ask::Cycle(50)
+            ]
+        );
+        assert_eq!(ungated.len(), 51);
+        assert_eq!(ungated.last(), Some(&Ask::Cycle(50)));
+    }
+
+    #[test]
+    fn skeleton_feeds_the_watchdog_after_the_cycle() {
+        use crate::profile::ProfileConfig;
+        let cfg = fake_config(ClockMode::EveryCycle, 1_000)
+            .with_profile(Some(ProfileConfig::default().with_stall(3)));
+        let mut k = Fake::new(&cfg, None);
+        k.wedge = true;
+        for _ in 0..4 {
+            assert!(k.stall_report().is_none());
+            k.step().unwrap();
+        }
+        // Cycle 0's release was seen at cycle 0 (the feed follows the
+        // cycle), so three frozen cycles later the watchdog trips and
+        // the snapshot is taken right behind cycle 3.
+        let report = k.stall_report().expect("tripped");
+        assert_eq!(
+            (report.at_cycle, report.window, report.in_flight),
+            (3, 3, 1)
+        );
+        assert_eq!(
+            k.log()[3..],
+            [Ask::Cycle(3), Ask::Edges, Ask::Probe { now: 3 }]
+        );
     }
 
     #[test]

@@ -139,6 +139,18 @@ pub struct Elaboration {
     pub elaborate_ns: u64,
 }
 
+impl Elaboration {
+    /// The phase profiler the configuration asks for (`None` = off),
+    /// seeded with what this elaboration itself cost.
+    pub(crate) fn profiler(&self) -> Option<crate::profile::PhaseProfiler> {
+        self.config.profile.as_ref().map(|_| {
+            let mut p = crate::profile::PhaseProfiler::new();
+            p.add_ns(crate::profile::Phase::Elaborate, self.elaborate_ns);
+            p
+        })
+    }
+}
+
 impl std::fmt::Debug for Elaboration {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Elaboration")

@@ -42,17 +42,15 @@
 //! fall back to dense scans with identical semantics — the mask path
 //! is an optimisation, never a constraint on topology.
 
-use crate::clock::{self, ClockMode, EngineSummary, SteppableEngine};
+use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
     lower, Elaboration, LoweredInFeed, LoweredOutDest, LoweredPlatform, OutSlotState,
     ReceptorDevice, HANDLE_HEAD, HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, ROUTE_MULTI, SLOT_NONE,
 };
 use crate::config::PlatformConfig;
 use crate::error::EmulationError;
-use crate::profile::{
-    BlockedLink, Phase, PhaseProfiler, PhaseReport, StallReport, StallWatchdog, WaitDest, WaitEdge,
-};
-use crate::results::{EmulationResults, ReceptorSummary};
+use crate::profile::{lap, Phase, PhaseProfiler, WaitDest, WaitEdge};
+use crate::results::{congestion_of, EmulationResults, ReceptorSummary};
 use nocem_common::flit::{Flit, PacketDescriptor};
 use nocem_common::ids::{EndpointId, LinkId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::rng::Lfsr16;
@@ -65,7 +63,7 @@ use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
 use nocem_switch::fifo::FifoFullError;
 use nocem_switch::switch::CREDITS_INFINITE;
-use nocem_telemetry::{Collector, CumulativeProbe};
+use nocem_telemetry::CumulativeProbe;
 use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use std::time::Instant;
@@ -100,12 +98,22 @@ impl LiveSet {
     }
 }
 
-/// The compiled platform: flat arrays stepped by tight loops.
+/// The compiled engine: the compiled kernel (`CompiledKernel`, the flat
+/// arrays and their four phases) under the shared step skeleton
+/// ([`crate::clock`]).
 ///
 /// Built from an [`Elaboration`] via [`CompiledEngine::new`]; selected
 /// through [`crate::config::EngineKind::Compiled`] everywhere a config
 /// picks an engine ([`crate::sweep::AnyEngine`], sweeps, curves).
 pub struct CompiledEngine {
+    run: RunState,
+    kernel: CompiledKernel,
+}
+
+/// The compiled platform: flat arrays stepped by tight loops — the
+/// kernel half of [`CompiledEngine`], and all a shard worker owns
+/// (`crate::shard_compiled`; the coordinator keeps the run-level half).
+pub(crate) struct CompiledKernel {
     pub(crate) config: PlatformConfig,
     pub(crate) low: LoweredPlatform,
     pub(crate) tgs: Vec<Box<dyn TrafficGenerator + Send>>,
@@ -115,7 +123,6 @@ pub struct CompiledEngine {
     /// Per generator: injection link id (congestion attribution).
     pub(crate) injection_links: Vec<LinkId>,
     pub(crate) ledger: PacketLedger,
-    pub(crate) now: Cycle,
     pub(crate) next_packet: u64,
     /// Per-TG output register: a request the source queue could not
     /// absorb yet (the model is clock-gated while this is occupied).
@@ -144,8 +151,6 @@ pub struct CompiledEngine {
     pub(crate) sw_decided: Vec<u64>,
     pub(crate) stalled: u64,
     pub(crate) delivered_flits: u64,
-    pub(crate) cycles_skipped: u64,
-    pub(crate) telemetry: Option<Collector>,
     /// Per global output port: cycles some input VC waited on it.
     pub(crate) blocked_out: Vec<u64>,
     /// Per global output port: flits that crossed it.
@@ -201,16 +206,14 @@ pub struct CompiledEngine {
     pub(crate) flit_free: Vec<u32>,
     /// Per-phase self-profiler (None = off, zero timestamp cost).
     pub(crate) profiler: Option<PhaseProfiler>,
-    /// Stall watchdog, when the profile config enables one.
-    pub(crate) watchdog: Option<StallWatchdog>,
 }
 
 impl std::fmt::Debug for CompiledEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledEngine")
-            .field("name", &self.config.name)
-            .field("cycle", &self.now)
-            .field("delivered", &self.ledger.delivered())
+            .field("name", &self.kernel.config.name)
+            .field("cycle", &self.run.now)
+            .field("delivered", &self.kernel.ledger.delivered())
             .finish_non_exhaustive()
     }
 }
@@ -314,7 +317,7 @@ fn select_hop(
 
 /// Where a commit's cross-switch effects go: the four places a shard
 /// boundary changes what popping a flit does. The provided bodies are
-/// the engine that owns every switch — [`CompiledEngine::step`] commits
+/// the engine that owns every switch — [`CompiledEngine`]'s cycle commits
 /// through [`Whole`], which compiles to nothing; a shard worker passes
 /// its boundary (`crate::shard_compiled`). Static dispatch only: each
 /// engine's commit is monomorphised over its own sink.
@@ -336,7 +339,7 @@ pub(crate) trait CommitSink {
     #[inline(always)]
     fn take_flit(
         &mut self,
-        _eng: &mut CompiledEngine,
+        _eng: &mut CompiledKernel,
         _from: usize,
         _switch: u32,
         _slot_base: u32,
@@ -351,7 +354,7 @@ pub(crate) trait CommitSink {
     #[inline(always)]
     fn delivered(
         &mut self,
-        eng: &mut CompiledEngine,
+        eng: &mut CompiledKernel,
         _from: usize,
         _port: usize,
         receptor: usize,
@@ -362,14 +365,26 @@ pub(crate) trait CommitSink {
     }
 }
 
+/// Folds the per-`(switch, vc)` peak-fill array into the platform-wide
+/// per-VC watermarks of the results.
+pub(crate) fn vc_watermarks(max_vc_occ: &[u64], vcs: usize) -> VcOccupancy {
+    let mut out = VcOccupancy::new(vcs);
+    for per_switch in max_vc_occ.chunks(vcs) {
+        for (vc, &peak) in per_switch.iter().enumerate() {
+            out.record(vc, peak);
+        }
+    }
+    out
+}
+
 /// The sink of an engine that steps the whole platform: no boundary,
 /// deliveries go straight to the ledger.
 struct Whole;
 
 impl CommitSink for Whole {}
 
-impl CompiledEngine {
-    /// Lowers `elab` and wraps it into a runnable compiled engine.
+impl CompiledKernel {
+    /// Lowers `elab` into the flat arrays.
     ///
     /// The traffic generators, network interfaces and receptors are
     /// *moved out of* the elaboration and reused as-is — their
@@ -377,30 +392,15 @@ impl CompiledEngine {
     /// makes the compiled run release- and delivery-identical to the
     /// interpreted one by construction. Only the switches are
     /// re-expressed as flat arrays.
-    pub fn new(mut elab: Elaboration) -> Self {
+    pub(crate) fn new(mut elab: Elaboration) -> Self {
         let lower_start = Instant::now();
         let low = lower(&elab);
         let lower_ns = u64::try_from(lower_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let profiler = elab.config.profile.as_ref().map(|_| {
-            let mut p = PhaseProfiler::new();
-            p.add_ns(Phase::Elaborate, elab.elaborate_ns);
+        let mut profiler = elab.profiler();
+        if let Some(p) = &mut profiler {
             p.add_ns(Phase::Lower, lower_ns);
-            p
-        });
-        let watchdog = elab
-            .config
-            .profile
-            .as_ref()
-            .and_then(|p| p.stall)
-            .map(StallWatchdog::new);
+        }
         let generator_endpoints = elab.config.topology.generators();
-        let telemetry = elab.config.telemetry.as_ref().map(|t| {
-            Collector::new(
-                t,
-                elab.config.topology.link_count(),
-                usize::from(elab.config.switch.num_vcs),
-            )
-        });
         let tgs = std::mem::take(&mut elab.tgs);
         let nis = std::mem::take(&mut elab.nis);
         let receptors = std::mem::take(&mut elab.receptors);
@@ -420,7 +420,7 @@ impl CompiledEngine {
             .iter()
             .map(|t| t.next_event_cycle(Cycle::ZERO).cycle_or_max())
             .collect();
-        CompiledEngine {
+        CompiledKernel {
             tg_min_next: tg_next_event.iter().copied().min().unwrap_or(u64::MAX),
             parked: 0,
             exhausted: tgs.iter().filter(|t| t.is_exhausted()).count(),
@@ -428,15 +428,12 @@ impl CompiledEngine {
             sw_live: LiveSet::new(low.switch_count),
             sw_decided: vec![0; low.switch_count.div_ceil(64)],
             ledger: PacketLedger::new(),
-            now: Cycle::ZERO,
             next_packet: 0,
             pending: vec![None; tgs.len()],
             tg_next_event,
             tg_synced: vec![0; tgs.len()],
             stalled: 0,
             delivered_flits: 0,
-            cycles_skipped: 0,
-            telemetry,
             blocked_out: vec![0; total_out_ports],
             forwarded_out: vec![0; total_out_ports],
             max_vc_occ: vec![0; low.switch_count * vcs],
@@ -464,7 +461,6 @@ impl CompiledEngine {
             flit_pool: Vec::new(),
             flit_free: Vec::new(),
             profiler,
-            watchdog,
             generator_endpoints,
             injection_links,
             tgs,
@@ -473,31 +469,6 @@ impl CompiledEngine {
             config,
             low,
         }
-    }
-
-    /// The current cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Packets delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.ledger.delivered()
-    }
-
-    /// Cycles the fast-forward kernel jumped over so far.
-    pub fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
-    }
-
-    /// The packet ledger (read access for tests and reports).
-    pub fn ledger(&self) -> &PacketLedger {
-        &self.ledger
-    }
-
-    /// The lowered platform (read access for inspection and tests).
-    pub fn lowered(&self) -> &LoweredPlatform {
-        &self.low
     }
 
     /// Whether nothing is parked, queued, buffered or owed anywhere in
@@ -517,7 +488,7 @@ impl CompiledEngine {
     /// [`clock::platform_quiescent`]: no packet in flight, no parked TG
     /// request, every NI idle with credits home, no buffered flit, no
     /// open wormhole, every finite credit back at its cap.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.ledger.in_flight() == 0 && self.network_idle()
     }
 
@@ -562,16 +533,6 @@ impl CompiledEngine {
         self.tg_next_event[i] = self.tgs[i].next_event_cycle(now.next()).cycle_or_max();
     }
 
-    /// Closes a profiling lap: charges `phase` the time since `*t` and
-    /// chains the next timestamp. No-op (a single `Option` check) when
-    /// profiling is off.
-    #[inline]
-    pub(crate) fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
     /// Runs one ledger call, charged to the nested ledger phase when
     /// profiling.
     #[inline]
@@ -585,91 +546,6 @@ impl CompiledEngine {
             p.nested(s, Phase::Ledger);
         }
         Ok(out)
-    }
-
-    /// Advances one platform cycle — the exact phase order of
-    /// [`crate::engine::Emulation::step`] over the flat arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmulationError`] on wiring/protocol violations (which
-    /// a correct build never produces) or when the cycle limit is
-    /// exceeded.
-    pub fn step(&mut self) -> Result<(), EmulationError> {
-        let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
-        #[cfg(debug_assertions)]
-        self.assert_live_sets();
-        if self.config.clock_mode == ClockMode::Gated && self.is_quiescent() {
-            // TGs are synchronised lazily (`sync_tg`), so the jump to
-            // the earliest event touches none of them. The clamp makes
-            // a run past the limit raise its error on the same cycle.
-            let target = self.tg_min_next.min(self.config.stop.cycle_limit);
-            if target > self.now.raw() {
-                let skipped = target - self.now.raw();
-                self.now += skipped;
-                self.cycles_skipped += skipped;
-                if let Some(p) = self.profiler.as_mut() {
-                    p.work.fast_forwards += 1;
-                }
-            }
-        }
-        self.lap(&mut t, Phase::FastForward);
-        if self
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.needs_probe(self.now.raw()))
-        {
-            let probe = self.cumulative_probe();
-            let at = self.now.raw();
-            self.telemetry
-                .as_mut()
-                .expect("presence checked above")
-                .record(at, &probe);
-        }
-        self.lap(&mut t, Phase::Probe);
-        let now = self.now;
-
-        self.release_phase(now, |eng, _, id, len| {
-            eng.on_ledger(|l| l.release(id, now, len))
-        })?;
-        self.lap(&mut t, Phase::TgTick);
-        self.decide_phase();
-        self.lap(&mut t, Phase::Decide);
-        self.inject_phase(|eng, id| eng.on_ledger(|l| l.inject(id, now)))?;
-        self.lap(&mut t, Phase::NiInject);
-
-        self.commit_phase(now, &mut Whole)?;
-        self.lap(&mut t, Phase::Commit);
-
-        // Stall watchdog: feed the ledger counters once per stepped
-        // cycle; on the trip, capture the wait-for snapshot.
-        let tripped = match self.watchdog.as_mut() {
-            Some(w) => w.observe(
-                now.raw(),
-                self.ledger.released(),
-                self.ledger.injected(),
-                self.ledger.delivered(),
-                self.ledger.in_flight(),
-            ),
-            None => false,
-        };
-        if tripped {
-            let report = self.capture_stall_report(now.raw());
-            self.watchdog
-                .as_mut()
-                .expect("tripped implies watchdog")
-                .latch(report);
-        }
-
-        // 5. Advance time.
-        self.now = now.next();
-        if self.now.raw() > self.config.stop.cycle_limit {
-            return Err(EmulationError::CycleLimitExceeded {
-                limit: self.config.stop.cycle_limit,
-                delivered: self.ledger.delivered(),
-            });
-        }
-        Ok(())
     }
 
     /// Phase 1 — traffic models release packets into their NIs;
@@ -1683,54 +1559,18 @@ impl CompiledEngine {
         Ok(())
     }
 
-    /// Whether the stop condition holds — from the counters alone (an
+    /// The drain-mode stop condition — from the counters alone (an
     /// exhausted TG never ticks again, so the count only grows).
-    pub fn finished(&self) -> bool {
-        match self.config.stop.delivered_packets {
-            Some(target) => self.ledger.delivered() >= target,
-            None => {
-                self.exhausted == self.tgs.len()
-                    && self.parked == 0
-                    && self.ni_live.is_empty()
-                    && self.ledger.in_flight() == 0
-            }
-        }
-    }
-
-    /// Runs until the stop condition holds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EmulationError`] from [`CompiledEngine::step`].
-    pub fn run(&mut self) -> Result<(), EmulationError> {
-        clock::run_engine(self)
-    }
-
-    /// Builds the per-link congestion counters — value-equal to
-    /// [`crate::engine::Emulation::congestion`] (source-side
-    /// accounting) over the flat counter arrays.
-    pub fn congestion(&self) -> CongestionCounter {
-        let mut cc = CongestionCounter::new(self.config.topology.link_count());
-        for s in 0..self.low.switch_count {
-            let opb = self.low.out_port_base[s] as usize;
-            for o in 0..self.low.outputs[s] as usize {
-                let gp = opb + o;
-                cc.add(
-                    LinkId::new(self.low.out_link[gp]),
-                    self.blocked_out[gp],
-                    self.forwarded_out[gp],
-                );
-            }
-        }
-        for (i, ni) in self.nis.iter().enumerate() {
-            let c = ni.counters();
-            cc.add(self.injection_links[i], c.blocked_cycles, c.injected_flits);
-        }
-        cc
+    pub(crate) fn drained(&self) -> bool {
+        self.exhausted == self.tgs.len()
+            && self.parked == 0
+            && self.ni_live.is_empty()
+            && self.ledger.in_flight() == 0
     }
 
     /// Snapshot of the cumulative per-link counters plus live per-VC
-    /// occupancy (telemetry probe parity with the interpreted engine).
+    /// occupancy — value-equal to the interpreted platform's probe
+    /// (source-side accounting) over the flat counter arrays.
     pub(crate) fn cumulative_probe(&self) -> CumulativeProbe {
         let vcs = self.low.num_vcs;
         let mut p = CumulativeProbe::new(self.config.topology.link_count(), vcs);
@@ -1760,11 +1600,10 @@ impl CompiledEngine {
         p
     }
 
-    /// Assembles the forensic stall snapshot from the flat arrays:
-    /// every occupied input slot with a live allocation or routing
-    /// choice becomes a wait-for edge, resolved through the lowered
-    /// wiring to its downstream switch input or receptor.
-    fn capture_stall_report(&self, at_cycle: u64) -> StallReport {
+    /// The wait-for edges from the flat arrays: every occupied input
+    /// slot with a live allocation or routing choice, resolved through
+    /// the lowered wiring to its downstream switch input or receptor.
+    fn wait_edges(&self) -> Vec<WaitEdge> {
         let vcs = self.low.num_vcs;
         let mut edges = Vec::new();
         for s in 0..self.low.switch_count {
@@ -1811,128 +1650,137 @@ impl CompiledEngine {
                 }
             }
         }
-        let cc = self.congestion();
-        let mut blocked: Vec<BlockedLink> = self
-            .config
-            .topology
-            .links()
-            .map(|l| BlockedLink {
-                link: l.id.raw(),
-                blocked: cc.blocked(l.id),
-            })
-            .filter(|b| b.blocked > 0)
-            .collect();
-        blocked.sort_by_key(|b| (std::cmp::Reverse(b.blocked), b.link));
-        blocked.truncate(5);
-        let window = self
-            .config
-            .profile
-            .as_ref()
-            .and_then(|p| p.stall)
-            .map_or(0, |s| s.no_progress_cycles);
-        StallReport::new(at_cycle, window, self.ledger.in_flight(), edges, blocked)
+        edges
     }
+}
 
-    /// The windowed telemetry collector, when enabled.
-    pub fn telemetry(&self) -> Option<&Collector> {
-        self.telemetry.as_ref()
-    }
-
-    /// Seals the telemetry collector with a final probe at the current
-    /// cycle (idempotent; no-op without telemetry).
-    pub fn seal_telemetry(&mut self) {
-        if self.telemetry.as_ref().is_some_and(|t| !t.is_sealed()) {
-            let probe = self.cumulative_probe();
-            let at = self.now.raw();
-            self.telemetry
-                .as_mut()
-                .expect("presence checked above")
-                .seal(at, &probe);
+impl CompiledEngine {
+    /// Lowers `elab` and wraps it into a runnable compiled engine.
+    pub fn new(elab: Elaboration) -> Self {
+        CompiledEngine {
+            run: RunState::new(&elab.config),
+            kernel: CompiledKernel::new(elab),
         }
+    }
+
+    /// The packet ledger (read access for tests and reports).
+    pub fn ledger(&self) -> &PacketLedger {
+        &self.kernel.ledger
+    }
+
+    /// The lowered platform (read access for inspection and tests).
+    pub fn lowered(&self) -> &LoweredPlatform {
+        &self.kernel.low
+    }
+
+    /// Runs until the stop condition holds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EmulationError`] from [`SteppableEngine::step`].
+    pub fn run(&mut self) -> Result<(), EmulationError> {
+        clock::run_engine(self)
+    }
+
+    /// The per-link congestion counters — value-equal to
+    /// [`crate::engine::Emulation::congestion`].
+    pub fn congestion(&self) -> CongestionCounter {
+        congestion_of(&self.kernel.cumulative_probe())
     }
 
     /// Collects full run results — value-equal to
     /// [`crate::engine::Emulation::results`] for the same run.
     pub fn results(&self) -> EmulationResults {
-        let receptors = self
+        let k = &self.kernel;
+        let receptors = k
             .receptors
             .iter()
             .enumerate()
             .map(|(i, r)| ReceptorSummary::of(i, r, None))
             .collect();
-        let vcs = self.low.num_vcs;
-        let mut vc_occupancy = VcOccupancy::new(vcs);
-        for s in 0..self.low.switch_count {
-            for vc in 0..vcs {
-                vc_occupancy.record(vc, self.max_vc_occ[s * vcs + vc]);
-            }
-        }
-        EmulationResults {
-            name: self.config.name.clone(),
-            cycles: self.now.raw(),
-            cycles_skipped: self.cycles_skipped,
-            released: self.ledger.released(),
-            injected: self.ledger.injected(),
-            delivered: self.ledger.delivered(),
-            delivered_flits: self.delivered_flits,
-            stalled_cycles: self.stalled,
-            network_latency: self.ledger.network_latency().clone(),
-            total_latency: self.ledger.total_latency().clone(),
-            congestion: self.congestion(),
-            vc_occupancy,
+        EmulationResults::assemble(
+            &k.config.name,
+            self.summary(),
+            k.stalled,
+            self.congestion(),
+            vc_watermarks(&k.max_vc_occ, k.low.num_vcs),
             receptors,
-        }
+        )
     }
 }
 
-impl SteppableEngine for CompiledEngine {
-    fn step(&mut self) -> Result<(), EmulationError> {
-        CompiledEngine::step(self)
+impl CycleKernel for CompiledEngine {
+    const LABEL: &'static str = "compiled";
+
+    fn run_state(&self) -> &RunState {
+        &self.run
     }
 
-    fn now(&self) -> Cycle {
-        self.now
+    fn run_state_mut(&mut self) -> &mut RunState {
+        &mut self.run
     }
 
-    fn finished(&self) -> bool {
-        CompiledEngine::finished(self)
+    fn profiler_mut(&mut self) -> Option<&mut PhaseProfiler> {
+        self.kernel.profiler.as_mut()
     }
 
-    fn delivered(&self) -> u64 {
-        self.ledger.delivered()
+    /// TGs are synchronised lazily (`sync_tg`), so the jump to the
+    /// earliest event touches none of them: an O(1) read.
+    #[inline]
+    fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
+        if !self.kernel.is_quiescent() {
+            return 0;
+        }
+        self.kernel
+            .tg_min_next
+            .min(horizon)
+            .saturating_sub(now.raw())
     }
 
-    fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
+    /// One platform cycle — the exact phase order of
+    /// [`crate::engine::Emulation`]'s over the flat arrays. Kept out of
+    /// line on a measurement, not a guess: inlined into the skeleton
+    /// `lowload_mesh12x12` ran 4–6.5 % below the parent commit over
+    /// alternating pairs, out of line 2.5–2.8 %, with identical hot
+    /// loops either way (and parity under `-C codegen-units=1`) — the
+    /// four phases want to be laid out in this module's codegen unit.
+    #[inline(never)]
+    fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
+        let k = &mut self.kernel;
+        #[cfg(debug_assertions)]
+        k.assert_live_sets();
+        k.release_phase(now, |k, _, id, len| {
+            k.on_ledger(|l| l.release(id, now, len))
+        })?;
+        lap(k.profiler.as_mut(), t, Phase::TgTick);
+        k.decide_phase();
+        lap(k.profiler.as_mut(), t, Phase::Decide);
+        k.inject_phase(|k, id| k.on_ledger(|l| l.inject(id, now)))?;
+        lap(k.profiler.as_mut(), t, Phase::NiInject);
+        k.commit_phase(now, &mut Whole)?;
+        lap(k.profiler.as_mut(), t, Phase::Commit);
+        Ok(())
     }
 
-    fn summary(&self) -> EngineSummary {
-        EngineSummary::from_ledger(
-            self.now.raw(),
-            self.cycles_skipped,
-            self.delivered_flits,
-            &self.ledger,
-        )
+    fn drained(&self) -> bool {
+        self.kernel.drained()
     }
 
-    fn packet_ledger(&self) -> PacketLedger {
-        self.ledger.clone()
+    fn cumulative_probe(&self) -> CumulativeProbe {
+        self.kernel.cumulative_probe()
     }
 
-    fn telemetry(&self) -> Option<&Collector> {
-        CompiledEngine::telemetry(self)
+    fn wait_edges(&self) -> Vec<WaitEdge> {
+        self.kernel.wait_edges()
     }
 
-    fn seal_telemetry(&mut self) {
-        CompiledEngine::seal_telemetry(self);
+    #[inline]
+    fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
+        &self.kernel.ledger
     }
 
-    fn profile(&mut self) -> Option<PhaseReport> {
-        self.profiler.as_ref().map(|p| p.report("compiled"))
-    }
-
-    fn stall_report(&self) -> Option<&StallReport> {
-        self.watchdog.as_ref().and_then(StallWatchdog::report)
+    fn delivered_flits(&self) -> u64 {
+        self.kernel.delivered_flits
     }
 }
 

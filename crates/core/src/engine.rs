@@ -1,8 +1,15 @@
-//! The fast emulation engine — the software stand-in for the FPGA.
+//! The interpreted platform and the fast emulation engine over it —
+//! the software stand-in for the FPGA.
 //!
-//! One call to [`Emulation::step`] is one platform clock cycle. The
-//! canonical intra-cycle ordering (which `nocem-rtl` and `nocem-tlm`
-//! reproduce through their own scheduling mechanisms) is:
+//! [`Platform`] is the elaborated components plus the state a run
+//! accumulates over them, with the semantics every interpreted engine
+//! shares as methods. [`Emulation`] is the engine that steps it
+//! directly: one [`SteppableEngine::step`] is one platform clock
+//! cycle, of which this module supplies the cycle itself (the
+//! [`CycleKernel`] impl) and [`crate::clock`] everything around it.
+//! The canonical intra-cycle ordering (which `nocem-rtl` and
+//! `nocem-tlm` reproduce through their own scheduling mechanisms, over
+//! the same [`Platform`]) is:
 //!
 //! 1. **TG tick** — every traffic model may release one packet into
 //!    its network interface's source queue (ids are assigned globally
@@ -14,424 +21,185 @@
 //! 4. **commit** — every switch pops its granted flits, returns
 //!    credits upstream, pushes flits downstream (visible next cycle)
 //!    and delivers ejected flits to receptors *this* cycle;
-//! 5. the cycle counter advances and the stop condition is evaluated.
+//! 5. the cycle counter advances and the stop condition is evaluated
+//!    (the shared step skeleton).
 //!
 //! The engine also implements [`BusAccess`]: the configuration
 //! software (drivers) reads and writes the same memory-mapped
 //! registers it would on the paper's FPGA platform.
 
-use crate::clock::{self, ClockMode, EngineSummary, SteppableEngine};
+use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
 use crate::compile::{Elaboration, InSource, OutTarget, ReceptorDevice};
 use crate::devices::{self, TgShadow};
 use crate::error::EmulationError;
-use crate::profile::{
-    BlockedLink, Phase, PhaseProfiler, PhaseReport, StallReport, StallWatchdog, WaitDest, WaitEdge,
-};
-use crate::results::EmulationResults;
-use nocem_common::flit::PacketDescriptor;
-use nocem_common::ids::{BusId, DeviceId, EndpointId, PacketId, SwitchId};
+use crate::profile::{lap, Phase, PhaseProfiler, WaitDest, WaitEdge};
+use crate::results::{congestion_of, EmulationResults};
+use nocem_common::flit::{Flit, PacketDescriptor};
+use nocem_common::ids::{BusId, DeviceId, EndpointId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::time::Cycle;
 use nocem_platform::addr::Address;
 use nocem_platform::bus::{AddressMap, BusAccess, BusError, DeviceClass};
 use nocem_platform::control::ControlModule;
 use nocem_stats::congestion::CongestionCounter;
-use nocem_stats::ledger::PacketLedger;
+use nocem_stats::ledger::{LedgerError, PacketLedger};
 use nocem_stats::receptor::CompletedPacket;
 use nocem_telemetry::{Collector, CumulativeProbe, FlitEvent, FlitEventKind, FlitTracer};
 use nocem_traffic::generator::PacketRequest;
 use nocem_traffic::trace::{TraceEvent, TraceRecorder};
 use std::time::Instant;
 
-/// A compiled platform ready to emulate.
-pub struct Emulation {
-    elab: Elaboration,
+/// The interpreted platform: the elaborated components plus the state
+/// a run accumulates over them, and the semantics every interpreted
+/// engine shares — back-pressure-aware release, NI send, delivery,
+/// drain and quiescence, the telemetry probe, the wait-for edges.
+///
+/// [`Emulation`] steps it directly; `nocem-tlm` and `nocem-rtl` hold
+/// it behind their process closures and call the same methods from
+/// inside them, so the three cannot drift apart. What differs between
+/// them is only *when* a method runs (a phase loop, a scheduler
+/// process, a clocked process) and how flits travel between switches
+/// (direct calls, channels, wires).
+pub struct Platform {
+    /// The elaborated components, wiring and configuration.
+    pub elab: Elaboration,
+    /// Per-phase self-profiler (None = off, zero timestamp cost).
+    /// Ledger calls inside the methods below are charged to the nested
+    /// [`Phase::Ledger`]. An engine whose processes interleave the
+    /// phases moves it out and charges whole cycles instead.
+    pub profiler: Option<PhaseProfiler>,
     generator_endpoints: Vec<EndpointId>,
     ledger: PacketLedger,
-    control: ControlModule,
-    tg_shadow: Vec<TgShadow>,
-    now: Cycle,
     next_packet: u64,
     /// Per-TG output register: a request the source queue could not
     /// absorb yet (the model is clock-gated while this is occupied).
     pending: Vec<Option<PacketRequest>>,
     stalled: u64,
     delivered_flits: u64,
-    /// Cycles the fast-forward kernel jumped over (gated mode only).
-    cycles_skipped: u64,
-    recorder: Option<TraceRecorder>,
-    started: bool,
-    /// Windowed per-resource telemetry (None = off, no probe cost).
-    telemetry: Option<Collector>,
-    /// Bounded flit event tracer (opt-in via the telemetry config).
-    tracer: Option<FlitTracer>,
-    /// Per-phase self-profiler (None = off, zero timestamp cost).
-    profiler: Option<PhaseProfiler>,
-    /// Stall watchdog, when the profile config enables one.
-    watchdog: Option<StallWatchdog>,
-    /// Link selected through the monitor device's `SELECT` register.
-    monitor_select: u32,
+    /// First error raised where it could not be returned (see
+    /// [`Platform::latch`]).
+    fault: Option<EmulationError>,
 }
 
-impl std::fmt::Debug for Emulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Emulation")
-            .field("name", &self.elab.config.name)
-            .field("cycle", &self.now)
-            .field("delivered", &self.ledger.delivered())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Emulation {
-    /// Wraps an elaboration into a runnable emulation.
+impl Platform {
+    /// Wraps an elaboration into a platform at cycle 0.
     pub fn new(elab: Elaboration) -> Self {
-        let generator_endpoints = elab.config.topology.generators();
-        let recorder = elab.config.record_trace.then(TraceRecorder::new);
-        let tg_shadow = elab
-            .config
-            .generators
-            .iter()
-            .map(TgShadow::from_model)
-            .collect();
-        let telemetry = elab.config.telemetry.as_ref().map(|t| {
-            Collector::new(
-                t,
-                elab.config.topology.link_count(),
-                usize::from(elab.config.switch.num_vcs),
-            )
-        });
-        let tracer = elab
-            .config
-            .telemetry
-            .as_ref()
-            .filter(|t| t.trace)
-            .map(|t| FlitTracer::new(t.trace_capacity));
-        let profiler = elab.config.profile.as_ref().map(|_| {
-            let mut p = PhaseProfiler::new();
-            p.add_ns(Phase::Elaborate, elab.elaborate_ns);
-            p
-        });
-        let watchdog = elab
-            .config
-            .profile
-            .as_ref()
-            .and_then(|p| p.stall)
-            .map(StallWatchdog::new);
-        Emulation {
-            generator_endpoints,
+        Platform {
+            generator_endpoints: elab.config.topology.generators(),
             ledger: PacketLedger::new(),
-            control: ControlModule::new(),
-            tg_shadow,
-            now: Cycle::ZERO,
             next_packet: 0,
             pending: vec![None; elab.tgs.len()],
             stalled: 0,
             delivered_flits: 0,
-            cycles_skipped: 0,
-            recorder,
-            started: false,
-            telemetry,
-            tracer,
-            profiler,
-            watchdog,
-            monitor_select: 0,
+            fault: None,
+            profiler: elab.profiler(),
             elab,
         }
     }
 
-    /// Closes a profiling lap: charges `phase` the time since `*t` and
-    /// chains the next timestamp. No-op (a single `Option` check) when
-    /// profiling is off.
-    #[inline]
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
-    /// The current cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Packets delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.ledger.delivered()
-    }
-
-    /// Cycles the fast-forward kernel jumped over so far (always 0
-    /// under [`ClockMode::EveryCycle`]).
-    pub fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
-    }
-
-    /// Whether the whole platform is quiescent: no parked TG request,
-    /// every NI idle with all credits home, every switch quiescent, no
-    /// packet in flight. See [`clock::platform_quiescent`].
-    pub fn is_quiescent(&self) -> bool {
-        clock::platform_quiescent(
-            &self.elab.switches,
-            &self.elab.nis,
-            &self.pending,
-            self.ledger.in_flight(),
-        )
-    }
-
-    /// The elaborated platform (read access for inspection).
-    pub fn elaboration(&self) -> &Elaboration {
-        &self.elab
-    }
-
-    /// The packet ledger (read access for tests and reports).
+    /// The packet ledger.
     pub fn ledger(&self) -> &PacketLedger {
         &self.ledger
     }
 
-    /// Advances one platform cycle.
+    /// Flits fully delivered so far.
+    pub fn delivered_flits(&self) -> u64 {
+        self.delivered_flits
+    }
+
+    /// Cycles traffic models spent stalled on a full source queue.
+    pub fn stalled(&self) -> u64 {
+        self.stalled
+    }
+
+    /// Whether generator `i` holds a parked request.
+    pub fn is_parked(&self, i: usize) -> bool {
+        self.pending[i].is_some()
+    }
+
+    /// Runs one ledger call, charged to the nested ledger phase when
+    /// profiling.
+    fn on_ledger<T>(
+        &mut self,
+        call: impl FnOnce(&mut PacketLedger) -> Result<T, LedgerError>,
+    ) -> Result<T, EmulationError> {
+        let start = self.profiler.as_ref().map(PhaseProfiler::begin);
+        let out = call(&mut self.ledger)?;
+        if let (Some(s), Some(p)) = (start, self.profiler.as_mut()) {
+            p.nested(s, Phase::Ledger);
+        }
+        Ok(out)
+    }
+
+    /// Phase 1 for generator `i`: the traffic model may release one
+    /// packet into its NI's source queue; returns its descriptor. A
+    /// model whose request finds the queue full is clock-gated: the
+    /// request parks in the TG's output register and retries every
+    /// cycle until a slot frees, so no packet is dropped (hardware
+    /// backpressure via the NI's ready signal). Ids are assigned in
+    /// call order — callers visit generators ascending.
     ///
     /// # Errors
     ///
-    /// Returns [`EmulationError`] on wiring/protocol violations (which
-    /// a correct build never produces) or when the cycle limit is
-    /// exceeded.
-    pub fn step(&mut self) -> Result<(), EmulationError> {
-        let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
-        // Hybrid clock gating: on a quiescent platform, jump straight
-        // to the earliest future TG event instead of stepping empty
-        // cycles. The skipped ticks are pure no-ops (proven by the
-        // gated-vs-ungated lockstep tests), so the cycle executed
-        // below at the jump target is exactly the cycle an every-cycle
-        // run would have executed there.
-        if self.elab.config.clock_mode == ClockMode::Gated && self.is_quiescent() {
-            let skipped = clock::fast_forward(
-                self.now,
-                self.elab.config.stop.cycle_limit,
-                &mut self.elab.tgs,
-            );
-            self.now += skipped;
-            self.cycles_skipped += skipped;
-        }
-        self.lap(&mut t, Phase::FastForward);
-        // Telemetry probe: at the start of the cycle, *after* the
-        // fast-forward, the cumulative counters reflect exactly the
-        // cycles [0, now) — the same prefix every engine sees here, so
-        // the recorded windows are engine- and clock-mode-invariant.
-        // A jump that crossed several boundaries records one zero
-        // sample per crossed boundary (nothing moves while quiescent).
-        if self
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.needs_probe(self.now.raw()))
-        {
-            let probe = self.cumulative_probe();
-            let at = self.now.raw();
-            self.telemetry
-                .as_mut()
-                .expect("presence checked above")
-                .record(at, &probe);
-        }
-        self.lap(&mut t, Phase::Probe);
-        let now = self.now;
-        self.started = true;
-
-        // 1. Traffic models release packets. A model whose request
-        //    finds the source queue full is clock-gated: the request
-        //    parks in the TG's output register (`pending`) and retries
-        //    every cycle until a slot frees, so no packet is dropped
-        //    (hardware backpressure via the NI's ready signal).
-        for i in 0..self.elab.tgs.len() {
-            let req = match self.pending[i].take() {
-                Some(req) if self.elab.nis[i].can_accept() => req,
-                Some(req) => {
-                    self.pending[i] = Some(req);
-                    self.stalled += 1;
-                    if let Some(tr) = &mut self.tracer {
-                        tr.record(FlitEvent {
-                            cycle: now.raw(),
-                            kind: FlitEventKind::Block,
-                            packet: None,
-                            switch: Some(self.elab.wiring.injection[i].0 as u32),
-                            link: None,
-                        });
-                    }
-                    continue;
-                }
-                None => {
-                    let Some(req) = self.elab.tgs[i].tick(now) else {
-                        continue;
-                    };
-                    if !self.elab.nis[i].can_accept() {
-                        self.pending[i] = Some(req);
-                        self.stalled += 1;
-                        if let Some(tr) = &mut self.tracer {
-                            tr.record(FlitEvent {
-                                cycle: now.raw(),
-                                kind: FlitEventKind::Block,
-                                packet: None,
-                                switch: Some(self.elab.wiring.injection[i].0 as u32),
-                                link: None,
-                            });
-                        }
-                        continue;
-                    }
-                    req
-                }
-            };
-            let id = PacketId::new(self.next_packet);
-            let desc = PacketDescriptor {
-                id,
-                src: self.generator_endpoints[i],
-                dst: req.dst,
-                flow: req.flow,
-                len_flits: req.len_flits,
-                release: now,
-            };
-            let accepted = self.elab.nis[i].offer(desc);
-            debug_assert!(accepted, "capacity was checked before the offer");
-            self.next_packet += 1;
-            let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-            self.ledger.release(id, now, req.len_flits)?;
-            if let Some(s) = ledger_start {
-                self.profiler
-                    .as_mut()
-                    .expect("timestamp implies profiler")
-                    .nested(s, Phase::Ledger);
-            }
-            if let Some(rec) = &mut self.recorder {
-                rec.record(TraceEvent {
-                    at: now,
-                    src: desc.src,
-                    dst: desc.dst,
-                    flow: desc.flow,
-                    len_flits: desc.len_flits,
-                });
-            }
-        }
-
-        self.lap(&mut t, Phase::TgTick);
-
-        // 2. All switches decide on start-of-cycle state.
-        for sw in &mut self.elab.switches {
-            sw.decide();
-        }
-        self.lap(&mut t, Phase::Decide);
-
-        // 3. Network interfaces inject (visible next cycle).
-        for i in 0..self.elab.nis.len() {
-            let Some(flit) = self.elab.nis[i].tick_send() else {
-                continue;
-            };
-            let (s, port, link) = self.elab.wiring.injection[i];
-            if flit.kind.is_head() {
-                let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-                self.ledger.inject(flit.packet, now)?;
-                if let Some(ls) = ledger_start {
-                    self.profiler
-                        .as_mut()
-                        .expect("timestamp implies profiler")
-                        .nested(ls, Phase::Ledger);
-                }
-                if let Some(tr) = &mut self.tracer {
-                    tr.record(FlitEvent {
-                        cycle: now.raw(),
-                        kind: FlitEventKind::Inject,
-                        packet: Some(flit.packet.raw()),
-                        switch: Some(s as u32),
-                        link: Some(link.raw()),
-                    });
-                }
-            }
-            self.elab.switches[s].accept(port, flit).map_err(|source| {
-                EmulationError::FifoOverflow {
-                    switch: SwitchId::new(s as u32),
-                    source,
-                }
-            })?;
-        }
-        self.lap(&mut t, Phase::NiInject);
-
-        // 4. All switches commit; flits move one hop.
-        for s in 0..self.elab.switches.len() {
-            let sends = self.elab.switches[s].commit_sends();
-            for t in sends {
-                match self.elab.wiring.in_source[s][t.input.index()] {
-                    InSource::Switch { switch, port } => {
-                        // The upstream output VC the flit occupied is
-                        // the input VC it just vacated here.
-                        self.elab.switches[switch].credit_return(port, t.input_vc);
-                    }
-                    InSource::Generator { index } => {
-                        self.elab.nis[index].credit_return();
-                    }
-                }
-                match self.elab.wiring.out_target[s][t.output.index()] {
-                    OutTarget::Switch { switch, port } => {
-                        if let Some(tr) = &mut self.tracer {
-                            let link = self.elab.config.topology.out_link(
-                                SwitchId::new(s as u32),
-                                nocem_common::ids::PortId::new(t.output.index() as u8),
-                            );
-                            tr.record(FlitEvent {
-                                cycle: now.raw(),
-                                kind: FlitEventKind::Route,
-                                packet: Some(t.flit.packet.raw()),
-                                switch: Some(s as u32),
-                                link: Some(link.raw()),
-                            });
-                        }
-                        self.elab.switches[switch]
-                            .accept(port, t.flit)
-                            .map_err(|source| EmulationError::FifoOverflow {
-                                switch: SwitchId::new(switch as u32),
-                                source,
-                            })?;
-                    }
-                    OutTarget::Receptor { index } => {
-                        self.deliver(index, t.flit, now)?;
-                    }
-                }
-            }
-        }
-        self.lap(&mut t, Phase::Commit);
-
-        // Stall watchdog: feed the ledger counters once per stepped
-        // cycle; on the trip, capture the wait-for snapshot.
-        let tripped = match self.watchdog.as_mut() {
-            Some(w) => w.observe(
-                now.raw(),
-                self.ledger.released(),
-                self.ledger.injected(),
-                self.ledger.delivered(),
-                self.ledger.in_flight(),
-            ),
-            None => false,
+    /// Propagates ledger violations.
+    pub fn release(
+        &mut self,
+        i: usize,
+        now: Cycle,
+    ) -> Result<Option<PacketDescriptor>, EmulationError> {
+        let parked = self.pending[i].take();
+        let Some(req) = parked.or_else(|| self.elab.tgs[i].tick(now)) else {
+            return Ok(None);
         };
-        if tripped {
-            let report = self.capture_stall_report(now.raw());
-            self.watchdog
-                .as_mut()
-                .expect("tripped implies watchdog")
-                .latch(report);
+        if !self.elab.nis[i].can_accept() {
+            self.pending[i] = Some(req);
+            self.stalled += 1;
+            return Ok(None);
         }
-
-        // 5. Advance time.
-        self.now = now.next();
-        if self.now.raw() > self.elab.config.stop.cycle_limit {
-            return Err(EmulationError::CycleLimitExceeded {
-                limit: self.elab.config.stop.cycle_limit,
-                delivered: self.ledger.delivered(),
-            });
-        }
-        Ok(())
+        let id = PacketId::new(self.next_packet);
+        let desc = PacketDescriptor {
+            id,
+            src: self.generator_endpoints[i],
+            dst: req.dst,
+            flow: req.flow,
+            len_flits: req.len_flits,
+            release: now,
+        };
+        let accepted = self.elab.nis[i].offer(desc);
+        debug_assert!(accepted, "capacity was checked before the offer");
+        self.next_packet += 1;
+        self.on_ledger(|l| l.release(id, now, req.len_flits))?;
+        Ok(Some(desc))
     }
 
-    fn deliver(
+    /// Phase 3 for network interface `i`: emits at most one flit toward
+    /// its switch input, booking the packet's injection on a head.
+    ///
+    /// # Errors
+    ///
+    /// Propagates ledger violations.
+    pub fn send(&mut self, i: usize, now: Cycle) -> Result<Option<Flit>, EmulationError> {
+        let Some(flit) = self.elab.nis[i].tick_send() else {
+            return Ok(None);
+        };
+        if flit.kind.is_head() {
+            self.on_ledger(|l| l.inject(flit.packet, now))?;
+        }
+        Ok(Some(flit))
+    }
+
+    /// Hands an ejected flit to receptor `index`; returns the packet it
+    /// completed, if any, booked in the ledger.
+    ///
+    /// # Errors
+    ///
+    /// Propagates receptor protocol and ledger violations.
+    pub fn deliver(
         &mut self,
         index: usize,
-        flit: nocem_common::flit::Flit,
+        flit: Flit,
         now: Cycle,
-    ) -> Result<(), EmulationError> {
-        let completed: Option<CompletedPacket> = match &mut self.elab.receptors[index] {
+    ) -> Result<Option<CompletedPacket>, EmulationError> {
+        let completed = match &mut self.elab.receptors[index] {
             ReceptorDevice::Stochastic(r) => {
                 r.accept(&flit, now)
                     .map_err(|source| EmulationError::Receive {
@@ -448,145 +216,69 @@ impl Emulation {
             }
         };
         if let Some(pkt) = completed {
-            let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-            let lat = self.ledger.deliver(pkt.id, now, pkt.len_flits)?;
-            if let Some(s) = ledger_start {
-                self.profiler
-                    .as_mut()
-                    .expect("timestamp implies profiler")
-                    .nested(s, Phase::Ledger);
-            }
+            let lat = self.on_ledger(|l| l.deliver(pkt.id, now, pkt.len_flits))?;
             self.delivered_flits += u64::from(pkt.len_flits);
-            if let Some(tr) = &mut self.tracer {
-                tr.record(FlitEvent {
-                    cycle: now.raw(),
-                    kind: FlitEventKind::Eject,
-                    packet: Some(pkt.id.raw()),
-                    switch: None,
-                    link: None,
-                });
-            }
             if let ReceptorDevice::Trace(r) = &mut self.elab.receptors[index] {
                 r.record_latency(lat.network, lat.total);
             }
         }
-        Ok(())
+        Ok(completed)
     }
 
-    /// Whether the stop condition holds.
-    pub fn finished(&self) -> bool {
-        match self.elab.config.stop.delivered_packets {
-            Some(target) => self.ledger.delivered() >= target,
-            None => {
-                self.elab.tgs.iter().all(|t| t.is_exhausted())
-                    && self.pending.iter().all(Option::is_none)
-                    && self.elab.nis.iter().all(|n| n.is_idle())
-                    && self.ledger.in_flight() == 0
+    /// Keeps the first error of a callback that cannot return one (the
+    /// TLM/RTL process closures); [`Platform::take_fault`] surfaces it
+    /// after the cycle.
+    pub fn latch<T>(&mut self, outcome: Result<T, EmulationError>) -> Option<T> {
+        match outcome {
+            Ok(value) => Some(value),
+            Err(e) => {
+                self.fault.get_or_insert(e);
+                None
             }
         }
     }
 
-    /// Runs until the stop condition holds.
+    /// The first latched error, if any.
     ///
     /// # Errors
     ///
-    /// Propagates [`EmulationError`] from [`Emulation::step`].
-    pub fn run(&mut self) -> Result<(), EmulationError> {
-        self.control.set_running(true);
-        while !self.finished() {
-            self.step()?;
-        }
-        self.refresh_control();
-        self.control.set_done();
-        Ok(())
+    /// Returns the error [`Platform::latch`] kept.
+    pub fn take_fault(&mut self) -> Result<(), EmulationError> {
+        self.fault.take().map_or(Ok(()), Err)
     }
 
-    /// Runs like [`Emulation::run`], invoking `progress` at every
-    /// multiple of `interval` cycles with `(cycle, delivered)`.
-    ///
-    /// The granularity survives clock gating: a fast-forward jump that
-    /// crosses one or more reporting boundaries fires the callback
-    /// once per crossed boundary (with the delivered count of that
-    /// boundary, which is exact — nothing delivers inside a quiescent
-    /// window).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EmulationError`] from [`Emulation::step`].
-    pub fn run_with_progress(
-        &mut self,
-        interval: u64,
-        progress: impl FnMut(Cycle, u64),
-    ) -> Result<(), EmulationError> {
-        self.control.set_running(true);
-        clock::run_engine_with_progress(self, interval, progress)?;
-        self.refresh_control();
-        self.control.set_done();
-        Ok(())
+    /// The drain-mode stop condition.
+    pub fn drained(&self) -> bool {
+        self.elab.tgs.iter().all(|t| t.is_exhausted())
+            && self.pending.iter().all(Option::is_none)
+            && self.elab.nis.iter().all(|n| n.is_idle())
+            && self.ledger.in_flight() == 0
     }
 
-    /// Applies register-programmed parameters (control module and TG
-    /// shadows) and runs. This is the path the paper's software takes:
-    /// everything is configured over the bus, then the start bit is
-    /// set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmulationError::Bus`]-style faults if start was never
-    /// requested, otherwise propagates run errors.
-    pub fn run_programmed(&mut self) -> Result<(), EmulationError> {
-        if !self.control.start_requested() {
-            // On an over-capacity platform the map is empty (the start
-            // bit can never be set over the bus); report the
-            // conventional control slot either way.
-            let ctrl = self
-                .elab
-                .map
-                .devices()
-                .first()
-                .map(|d| d.addr)
-                .unwrap_or_else(|| {
-                    nocem_platform::DeviceAddr::new(BusId::new(0), DeviceId::new(0))
-                });
-            return Err(EmulationError::Bus(BusError::InvalidValue {
-                addr: ctrl.reg(nocem_platform::control::REG_CTRL),
-                reason: "start bit not set".into(),
-            }));
-        }
-        // Control-module overrides.
-        if self.control.target() != 0 {
-            self.elab.config.stop.delivered_packets = Some(self.control.target());
-        }
-        if self.control.cycle_limit() != 0 {
-            self.elab.config.stop.cycle_limit = self.control.cycle_limit();
-        }
-        // Rebuild generators whose shadows were written.
-        let seed_base = if self.control.seed() != 0 {
-            self.control.seed()
+    /// Whether the whole platform is quiescent: no parked TG request,
+    /// every NI idle with all credits home, every switch quiescent, no
+    /// packet in flight. See [`clock::platform_quiescent`].
+    pub fn is_quiescent(&self) -> bool {
+        clock::platform_quiescent(
+            &self.elab.switches,
+            &self.elab.nis,
+            &self.pending,
+            self.ledger.in_flight(),
+        )
+    }
+
+    /// [`CycleKernel::idle_jump`] over the components: quiescence, then
+    /// [`clock::fast_forward`].
+    pub fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
+        if self.is_quiescent() {
+            clock::fast_forward(now, horizon, &mut self.elab.tgs)
         } else {
-            self.elab.config.seed
-        };
-        for i in 0..self.tg_shadow.len() {
-            if !self.tg_shadow[i].dirty {
-                continue;
-            }
-            let model = self.tg_shadow[i]
-                .to_model(&self.elab.config.generators[i])
-                .map_err(EmulationError::Bus)?;
-            let seed = seed_base ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            self.elab.tgs[i] = devices::build_generator(&model, seed, self.generator_endpoints[i]);
-            self.elab.config.generators[i] = model;
+            0
         }
-        self.run()
     }
 
-    fn refresh_control(&mut self) {
-        self.control.set_cycles(self.now.raw());
-        self.control.set_delivered(self.ledger.delivered());
-    }
-
-    /// Builds the per-link congestion counters from the switch and NI
-    /// counters.
+    /// Snapshot of the cumulative per-link counters plus live per-VC
+    /// occupancy.
     ///
     /// Every link is accounted at exactly one point — its *source*:
     /// inter-switch and ejection links at the upstream switch output
@@ -597,45 +289,14 @@ impl Emulation {
     /// makes a 90 %-loaded link show up as congested: the stalls
     /// accumulate where flits *wait to enter* the link, not at its
     /// sink buffer (which drains freely into the receptors).
-    pub fn congestion(&self) -> CongestionCounter {
-        let topo = &self.elab.config.topology;
-        let mut cc = CongestionCounter::new(topo.link_count());
-        for (s, sw) in self.elab.switches.iter().enumerate() {
-            let counters = sw.counters();
-            for o in 0..usize::from(sw.config().outputs) {
-                let link = topo.out_link(
-                    SwitchId::new(s as u32),
-                    nocem_common::ids::PortId::new(o as u8),
-                );
-                cc.add(
-                    link,
-                    counters.blocked_cycles_per_output[o],
-                    counters.forwarded_per_output[o],
-                );
-            }
-        }
-        for (i, ni) in self.elab.nis.iter().enumerate() {
-            let (_, _, link) = self.elab.wiring.injection[i];
-            let c = ni.counters();
-            cc.add(link, c.blocked_cycles, c.injected_flits);
-        }
-        cc
-    }
-
-    /// Snapshot of the cumulative per-link counters plus live per-VC
-    /// occupancy, in the source-side accounting of
-    /// [`Emulation::congestion`].
-    fn cumulative_probe(&self) -> CumulativeProbe {
+    pub fn cumulative_probe(&self) -> CumulativeProbe {
         let topo = &self.elab.config.topology;
         let vcs = usize::from(self.elab.config.switch.num_vcs);
         let mut p = CumulativeProbe::new(topo.link_count(), vcs);
         for (s, sw) in self.elab.switches.iter().enumerate() {
             let counters = sw.counters();
             for o in 0..usize::from(sw.config().outputs) {
-                let link = topo.out_link(
-                    SwitchId::new(s as u32),
-                    nocem_common::ids::PortId::new(o as u8),
-                );
+                let link = topo.out_link(SwitchId::new(s as u32), PortId::new(o as u8));
                 p.add_link(
                     link,
                     counters.blocked_cycles_per_output[o],
@@ -643,7 +304,7 @@ impl Emulation {
                 );
             }
             for v in 0..vcs {
-                p.add_vc(v, sw.occupancy_of_vc(nocem_common::ids::VcId::new(v as u8)));
+                p.add_vc(v, sw.occupancy_of_vc(VcId::new(v as u8)));
             }
         }
         for (i, ni) in self.elab.nis.iter().enumerate() {
@@ -654,11 +315,9 @@ impl Emulation {
         p
     }
 
-    /// Assembles the forensic stall snapshot: every waiting input VC
-    /// as a wait-for edge (resolved through the wiring to its
-    /// downstream switch input or receptor), plus the most blocked
-    /// links from the cumulative congestion counters.
-    fn capture_stall_report(&self, at_cycle: u64) -> StallReport {
+    /// Every waiting input VC as a wait-for edge, resolved through the
+    /// wiring to its downstream switch input or receptor.
+    pub fn wait_edges(&self) -> Vec<WaitEdge> {
         let topo = &self.elab.config.topology;
         let mut edges = Vec::new();
         for (s, sw) in self.elab.switches.iter().enumerate() {
@@ -689,48 +348,194 @@ impl Emulation {
                 });
             }
         }
-        let cc = self.congestion();
-        let mut blocked: Vec<BlockedLink> = topo
-            .links()
-            .map(|l| BlockedLink {
-                link: l.id.raw(),
-                blocked: cc.blocked(l.id),
-            })
-            .filter(|b| b.blocked > 0)
-            .collect();
-        blocked.sort_by_key(|b| (std::cmp::Reverse(b.blocked), b.link));
-        blocked.truncate(5);
-        let window = self
-            .elab
-            .config
-            .profile
-            .as_ref()
-            .and_then(|p| p.stall)
-            .map_or(0, |s| s.no_progress_cycles);
-        StallReport::new(at_cycle, window, self.ledger.in_flight(), edges, blocked)
+        edges
+    }
+}
+
+/// A compiled platform ready to emulate.
+pub struct Emulation {
+    run: RunState,
+    platform: Platform,
+    control: ControlModule,
+    tg_shadow: Vec<TgShadow>,
+    recorder: Option<TraceRecorder>,
+    started: bool,
+    /// Bounded flit event tracer (opt-in via the telemetry config).
+    tracer: Option<FlitTracer>,
+    /// Link selected through the monitor device's `SELECT` register.
+    monitor_select: u32,
+}
+
+impl std::fmt::Debug for Emulation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Emulation")
+            .field("name", &self.platform.elab.config.name)
+            .field("cycle", &self.run.now)
+            .field("delivered", &self.platform.ledger.delivered())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Emulation {
+    /// Wraps an elaboration into a runnable emulation.
+    pub fn new(elab: Elaboration) -> Self {
+        let config = &elab.config;
+        Emulation {
+            run: RunState::new(config),
+            control: ControlModule::new(),
+            tg_shadow: config.generators.iter().map(TgShadow::from_model).collect(),
+            recorder: config.record_trace.then(TraceRecorder::new),
+            started: false,
+            tracer: config
+                .telemetry
+                .as_ref()
+                .filter(|t| t.trace)
+                .map(|t| FlitTracer::new(t.trace_capacity)),
+            monitor_select: 0,
+            platform: Platform::new(elab),
+        }
     }
 
-    /// The windowed telemetry collector, when enabled.
-    pub fn telemetry(&self) -> Option<&Collector> {
-        self.telemetry.as_ref()
+    /// The elaborated platform (read access for inspection).
+    pub fn elaboration(&self) -> &Elaboration {
+        &self.platform.elab
+    }
+
+    /// The packet ledger (read access for tests and reports).
+    pub fn ledger(&self) -> &PacketLedger {
+        &self.platform.ledger
+    }
+
+    /// Records one flit event when tracing is on.
+    fn trace(
+        &mut self,
+        now: Cycle,
+        kind: FlitEventKind,
+        packet: Option<PacketId>,
+        switch: Option<usize>,
+        link: Option<nocem_common::ids::LinkId>,
+    ) {
+        if let Some(tr) = &mut self.tracer {
+            tr.record(FlitEvent {
+                cycle: now.raw(),
+                kind,
+                packet: packet.map(PacketId::raw),
+                switch: switch.map(|s| s as u32),
+                link: link.map(nocem_common::ids::LinkId::raw),
+            });
+        }
+    }
+
+    /// Runs until the stop condition holds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EmulationError`] from [`SteppableEngine::step`].
+    pub fn run(&mut self) -> Result<(), EmulationError> {
+        self.control.set_running(true);
+        while !self.finished() {
+            self.step()?;
+        }
+        self.refresh_control();
+        self.control.set_done();
+        Ok(())
+    }
+
+    /// Runs like [`Emulation::run`], invoking `progress` at every
+    /// multiple of `interval` cycles with `(cycle, delivered)`.
+    ///
+    /// The granularity survives clock gating: a fast-forward jump that
+    /// crosses one or more reporting boundaries fires the callback
+    /// once per crossed boundary (with the delivered count of that
+    /// boundary, which is exact — nothing delivers inside a quiescent
+    /// window).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EmulationError`] from [`SteppableEngine::step`].
+    pub fn run_with_progress(
+        &mut self,
+        interval: u64,
+        progress: impl FnMut(Cycle, u64),
+    ) -> Result<(), EmulationError> {
+        self.control.set_running(true);
+        clock::run_engine_with_progress(self, interval, progress)?;
+        self.refresh_control();
+        self.control.set_done();
+        Ok(())
+    }
+
+    /// Applies register-programmed parameters (control module and TG
+    /// shadows) and runs. This is the path the paper's software takes:
+    /// everything is configured over the bus, then the start bit is
+    /// set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmulationError::Bus`]-style faults if start was never
+    /// requested, otherwise propagates run errors.
+    pub fn run_programmed(&mut self) -> Result<(), EmulationError> {
+        if !self.control.start_requested() {
+            // On an over-capacity platform the map is empty (the start
+            // bit can never be set over the bus); report the
+            // conventional control slot either way.
+            let ctrl = self
+                .platform
+                .elab
+                .map
+                .devices()
+                .first()
+                .map(|d| d.addr)
+                .unwrap_or_else(|| {
+                    nocem_platform::DeviceAddr::new(BusId::new(0), DeviceId::new(0))
+                });
+            return Err(EmulationError::Bus(BusError::InvalidValue {
+                addr: ctrl.reg(nocem_platform::control::REG_CTRL),
+                reason: "start bit not set".into(),
+            }));
+        }
+        // Control-module overrides.
+        if self.control.target() != 0 {
+            self.run.stop.delivered_packets = Some(self.control.target());
+        }
+        if self.control.cycle_limit() != 0 {
+            self.run.stop.cycle_limit = self.control.cycle_limit();
+        }
+        // Rebuild generators whose shadows were written.
+        let seed_base = if self.control.seed() != 0 {
+            self.control.seed()
+        } else {
+            self.platform.elab.config.seed
+        };
+        for i in 0..self.tg_shadow.len() {
+            if !self.tg_shadow[i].dirty {
+                continue;
+            }
+            let model = self.tg_shadow[i]
+                .to_model(&self.platform.elab.config.generators[i])
+                .map_err(EmulationError::Bus)?;
+            let seed = seed_base ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            self.platform.elab.tgs[i] =
+                devices::build_generator(&model, seed, self.platform.generator_endpoints[i]);
+            self.platform.elab.config.generators[i] = model;
+        }
+        self.run()
+    }
+
+    fn refresh_control(&mut self) {
+        self.control.set_cycles(self.run.now.raw());
+        self.control.set_delivered(self.platform.ledger.delivered());
+    }
+
+    /// The per-link congestion counters (source-side accounting, see
+    /// [`Platform::cumulative_probe`]).
+    pub fn congestion(&self) -> CongestionCounter {
+        congestion_of(&self.platform.cumulative_probe())
     }
 
     /// The bounded flit event trace, when tracing was enabled.
     pub fn flit_trace(&self) -> Option<&FlitTracer> {
         self.tracer.as_ref()
-    }
-
-    /// Flushes the trailing partial window and freezes the collector
-    /// (idempotent; no-op without telemetry).
-    pub fn seal_telemetry(&mut self) {
-        if self.telemetry.as_ref().is_some_and(|t| !t.is_sealed()) {
-            let probe = self.cumulative_probe();
-            let at = self.now.raw();
-            self.telemetry
-                .as_mut()
-                .expect("presence checked above")
-                .seal(at, &probe);
-        }
     }
 
     /// Extracts the results of a finished (or stopped) run.
@@ -746,14 +551,6 @@ impl Emulation {
         (results, trace)
     }
 
-    pub(crate) fn stalled(&self) -> u64 {
-        self.stalled
-    }
-
-    pub(crate) fn delivered_flits(&self) -> u64 {
-        self.delivered_flits
-    }
-
     pub(crate) fn tg_shadow_ref(&self, i: usize) -> &TgShadow {
         &self.tg_shadow[i]
     }
@@ -761,15 +558,15 @@ impl Emulation {
     fn device_ordinal(&self, addr: Address) -> Result<(DeviceClass, usize), BusError> {
         // Platforms too large for the 4x1024 control plane elaborate
         // with an empty map — no device is bus-addressable.
-        if self.elab.map.devices().is_empty() {
+        if self.platform.elab.map.devices().is_empty() {
             return Err(BusError::Unmapped(addr));
         }
         let d = addr.device_addr();
         let n = usize::from(d.bus.raw()) * usize::from(nocem_platform::DEVICES_PER_BUS)
             + usize::from(d.device.raw());
-        let g = self.elab.tgs.len();
-        let r = self.elab.receptors.len();
-        let s = self.elab.switches.len();
+        let g = self.platform.elab.tgs.len();
+        let r = self.platform.elab.receptors.len();
+        let s = self.platform.elab.switches.len();
         if n == 0 {
             Ok((DeviceClass::Control, 0))
         } else if n < 1 + g {
@@ -787,58 +584,142 @@ impl Emulation {
 
     /// The address map (for drivers to locate devices).
     pub fn address_map(&self) -> &AddressMap {
-        &self.elab.map
+        &self.platform.elab.map
     }
 }
 
-impl SteppableEngine for Emulation {
-    fn step(&mut self) -> Result<(), EmulationError> {
-        Emulation::step(self)
+impl CycleKernel for Emulation {
+    const LABEL: &'static str = "emulation";
+
+    fn run_state(&self) -> &RunState {
+        &self.run
     }
 
-    fn now(&self) -> Cycle {
-        self.now
+    fn run_state_mut(&mut self) -> &mut RunState {
+        &mut self.run
     }
 
-    fn finished(&self) -> bool {
-        Emulation::finished(self)
+    fn profiler_mut(&mut self) -> Option<&mut PhaseProfiler> {
+        self.platform.profiler.as_mut()
     }
 
-    fn delivered(&self) -> u64 {
-        self.ledger.delivered()
+    fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
+        self.platform.idle_jump(now, horizon)
     }
 
-    fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
+    /// One platform cycle in the canonical phase order (module docs).
+    fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
+        self.started = true;
+
+        // 1. Traffic models release packets.
+        for i in 0..self.platform.elab.tgs.len() {
+            match self.platform.release(i, now)? {
+                Some(desc) => {
+                    if let Some(rec) = &mut self.recorder {
+                        rec.record(TraceEvent {
+                            at: now,
+                            src: desc.src,
+                            dst: desc.dst,
+                            flow: desc.flow,
+                            len_flits: desc.len_flits,
+                        });
+                    }
+                }
+                None if self.platform.is_parked(i) => {
+                    let at = self.platform.elab.wiring.injection[i].0;
+                    self.trace(now, FlitEventKind::Block, None, Some(at), None);
+                }
+                None => {}
+            }
+        }
+        lap(self.platform.profiler.as_mut(), t, Phase::TgTick);
+
+        // 2. All switches decide on start-of-cycle state.
+        for sw in &mut self.platform.elab.switches {
+            sw.decide();
+        }
+        lap(self.platform.profiler.as_mut(), t, Phase::Decide);
+
+        // 3. Network interfaces inject (visible next cycle).
+        for i in 0..self.platform.elab.nis.len() {
+            let Some(flit) = self.platform.send(i, now)? else {
+                continue;
+            };
+            let (s, port, link) = self.platform.elab.wiring.injection[i];
+            if flit.kind.is_head() {
+                let packet = Some(flit.packet);
+                self.trace(now, FlitEventKind::Inject, packet, Some(s), Some(link));
+            }
+            self.platform.elab.switches[s]
+                .accept(port, flit)
+                .map_err(|source| EmulationError::FifoOverflow {
+                    switch: SwitchId::new(s as u32),
+                    source,
+                })?;
+        }
+        lap(self.platform.profiler.as_mut(), t, Phase::NiInject);
+
+        // 4. All switches commit; flits move one hop.
+        for s in 0..self.platform.elab.switches.len() {
+            let sends = self.platform.elab.switches[s].commit_sends();
+            for mv in sends {
+                let elab = &mut self.platform.elab;
+                match elab.wiring.in_source[s][mv.input.index()] {
+                    InSource::Switch { switch, port } => {
+                        // The upstream output VC the flit occupied is
+                        // the input VC it just vacated here.
+                        elab.switches[switch].credit_return(port, mv.input_vc);
+                    }
+                    InSource::Generator { index } => {
+                        elab.nis[index].credit_return();
+                    }
+                }
+                match elab.wiring.out_target[s][mv.output.index()] {
+                    OutTarget::Switch { switch, port } => {
+                        elab.switches[switch]
+                            .accept(port, mv.flit)
+                            .map_err(|source| EmulationError::FifoOverflow {
+                                switch: SwitchId::new(switch as u32),
+                                source,
+                            })?;
+                        if self.tracer.is_some() {
+                            let out = PortId::new(mv.output.index() as u8);
+                            let topo = &self.platform.elab.config.topology;
+                            let link = topo.out_link(SwitchId::new(s as u32), out);
+                            let packet = Some(mv.flit.packet);
+                            self.trace(now, FlitEventKind::Route, packet, Some(s), Some(link));
+                        }
+                    }
+                    OutTarget::Receptor { index } => {
+                        if let Some(pkt) = self.platform.deliver(index, mv.flit, now)? {
+                            self.trace(now, FlitEventKind::Eject, Some(pkt.id), None, None);
+                        }
+                    }
+                }
+            }
+        }
+        lap(self.platform.profiler.as_mut(), t, Phase::Commit);
+        Ok(())
     }
 
-    fn summary(&self) -> EngineSummary {
-        EngineSummary::from_ledger(
-            self.now.raw(),
-            self.cycles_skipped,
-            self.delivered_flits,
-            &self.ledger,
-        )
+    fn drained(&self) -> bool {
+        self.platform.drained()
     }
 
-    fn packet_ledger(&self) -> PacketLedger {
-        self.ledger.clone()
+    fn cumulative_probe(&self) -> CumulativeProbe {
+        self.platform.cumulative_probe()
     }
 
-    fn telemetry(&self) -> Option<&Collector> {
-        Emulation::telemetry(self)
+    fn wait_edges(&self) -> Vec<WaitEdge> {
+        self.platform.wait_edges()
     }
 
-    fn seal_telemetry(&mut self) {
-        Emulation::seal_telemetry(self);
+    fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
+        &self.platform.ledger
     }
 
-    fn profile(&mut self) -> Option<PhaseReport> {
-        self.profiler.as_ref().map(|p| p.report("emulation"))
-    }
-
-    fn stall_report(&self) -> Option<&StallReport> {
-        self.watchdog.as_ref().and_then(StallWatchdog::report)
+    fn delivered_flits(&self) -> u64 {
+        self.platform.delivered_flits
     }
 }
 
@@ -883,15 +764,15 @@ mod accessors {
     use super::*;
 
     pub(crate) fn elab(e: &Emulation) -> &Elaboration {
-        &e.elab
+        &e.platform.elab
     }
 
-    pub(crate) fn ledger_of(e: &Emulation) -> &PacketLedger {
-        &e.ledger
+    pub(crate) fn platform_of(e: &Emulation) -> &Platform {
+        &e.platform
     }
 
     pub(crate) fn telemetry_of(e: &Emulation) -> Option<&Collector> {
-        e.telemetry.as_ref()
+        e.run.telemetry.as_ref()
     }
 
     pub(crate) fn monitor_select(e: &Emulation) -> u32 {

@@ -12,6 +12,7 @@
 //! 6. **Final report** — the monitor output "on the screen of the
 //!    user's PC".
 
+use crate::clock::SteppableEngine;
 use crate::compile::{elaborate, Elaboration};
 use crate::config::{PlatformConfig, TrafficModel};
 use crate::engine::Emulation;

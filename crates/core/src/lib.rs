@@ -8,7 +8,7 @@
 //! FPGA synthesis model, and the full six-step emulation flow.
 //!
 //! The FPGA of the paper is replaced by a cycle-accurate software
-//! engine (one [`engine::Emulation::step`] per platform clock); the
+//! engine (one [`SteppableEngine::step`] per platform clock); the
 //! SystemC and ModelSim baselines of the paper's Table 2 are provided
 //! by the companion crates `nocem-tlm` and `nocem-rtl`, which run the
 //! *same elaboration* through slower simulation kernels.
@@ -37,10 +37,10 @@
 //! | [`config`] | 1, 3 | platform + run configuration, paper presets |
 //! | [`compile`] | 1 | elaboration: components, wiring, address map |
 //! | [`flow`] | 1–6 | the complete emulation flow |
-//! | [`engine`] | 5 | the cycle engine (and the bus the software sees) |
+//! | [`engine`] | 5 | the interpreted platform ([`engine::Platform`], shared with `nocem-tlm` / `nocem-rtl`) and the cycle engine over it (and the bus the software sees) |
 //! | [`compiled`] | 5 | the compiled engine: the elaboration lowered to flat arrays |
 //! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, array-slice shards, batched synchronization |
-//! | [`clock`] | 5 | clock modes, quiescence, the fast-forward kernel, [`clock::SteppableEngine`] |
+//! | [`clock`] | 5 | the run-level half of every engine: [`clock::RunState`], the [`clock::CycleKernel`] trait, the one step skeleton and generic [`clock::SteppableEngine`] impl, clock modes, quiescence, the fast-forward kernel |
 //! | [`devices`] | 3, 6 | register views and typed drivers |
 //! | [`profile`] | 5, 6 | engine self-profiling: phase timers, span timelines, stall forensics |
 //! | [`results`] | 6 | run results and the monitor report |
@@ -64,8 +64,8 @@ pub mod shard_compiled;
 pub mod sweep;
 
 pub use clock::{
-    run_engine, run_engine_until, run_engine_with_progress, ClockMode, EngineSummary,
-    EngineWarning, SteppableEngine,
+    run_engine, run_engine_until, run_engine_with_progress, ClockMode, CycleKernel, EngineSummary,
+    EngineWarning, RunState, SteppableEngine,
 };
 pub use compile::{
     compute_routing, elaborate, elaborate_routed, lower, Elaboration, LoweredPlatform,
@@ -74,7 +74,7 @@ pub use compiled::CompiledEngine;
 pub use config::{
     EngineKind, PaperConfig, PaperRouting, PlatformConfig, StopCondition, TrafficModel,
 };
-pub use engine::{build, Emulation};
+pub use engine::{build, Emulation, Platform};
 pub use error::{CompileError, EmulationError};
 pub use flow::{run_flow, run_flow_on, FlowReport};
 pub use profile::{

@@ -27,7 +27,9 @@
 //! NI and commit phases, so the profiler carves their time out of the
 //! enclosing lap ([`PhaseProfiler::nested`]) to keep phases disjoint.
 
+use nocem_common::ids::LinkId;
 use nocem_common::table::{Align, TextTable};
+use nocem_stats::congestion::CongestionCounter;
 use nocem_switch::switch::CREDITS_INFINITE;
 use std::time::Instant;
 
@@ -183,8 +185,9 @@ impl Default for StallConfig {
 }
 
 /// Work an engine did, counted next to the timers so a report can tell
-/// *more work* from *slower work*. Filled by the compiled kernel only
-/// while profiling is on; everything else reports zeros.
+/// *more work* from *slower work*, while profiling is on. The step
+/// skeleton counts `fast_forwards` on every engine; the other counters
+/// are filled by the compiled kernel only and read zero elsewhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Switches that ran decide (and commit): live at cycle start.
@@ -486,6 +489,16 @@ impl PhaseReport {
     }
 }
 
+/// Closes a profiling lap on the step's chained timestamp: charges
+/// `phase` the time since `*t` and chains the next timestamp. No-op (a
+/// single `Option` check) when profiling is off.
+#[inline]
+pub fn lap(profiler: Option<&mut PhaseProfiler>, t: &mut Option<Instant>, phase: Phase) {
+    if let (Some(prev), Some(p)) = (t.as_mut(), profiler) {
+        *prev = p.lap(*prev, phase);
+    }
+}
+
 /// Detects a run that has stopped making progress and latches one
 /// forensic [`StallReport`].
 ///
@@ -536,6 +549,11 @@ impl StallWatchdog {
             return false;
         }
         self.report.is_none() && now.saturating_sub(self.progress_at) >= self.cfg.no_progress_cycles
+    }
+
+    /// The configured no-progress window, in cycles.
+    pub(crate) fn window(&self) -> u64 {
+        self.cfg.no_progress_cycles
     }
 
     /// Stores the forensic snapshot for the trip.
@@ -665,6 +683,28 @@ impl StallReport {
             top_blocked,
             chain,
         }
+    }
+
+    /// The report an engine latches on the trip: its wait-for `edges`
+    /// plus the five most blocked links of its cumulative `congestion`
+    /// counters.
+    pub(crate) fn from_congestion(
+        at_cycle: u64,
+        window: u64,
+        in_flight: u64,
+        edges: Vec<WaitEdge>,
+        congestion: &CongestionCounter,
+    ) -> Self {
+        let mut blocked: Vec<BlockedLink> = (0..congestion.links() as u32)
+            .map(|link| BlockedLink {
+                link,
+                blocked: congestion.blocked(LinkId::new(link)),
+            })
+            .filter(|b| b.blocked > 0)
+            .collect();
+        blocked.sort_by_key(|b| (std::cmp::Reverse(b.blocked), b.link));
+        blocked.truncate(5);
+        StallReport::new(at_cycle, window, in_flight, edges, blocked)
     }
 
     /// Number of credit-starved edges.

@@ -1,6 +1,7 @@
 //! Emulation results: everything the final report (step 6 of the
 //! flow) presents.
 
+use crate::clock::{EngineSummary, SteppableEngine};
 use crate::compile::ReceptorDevice;
 use crate::engine::Emulation;
 use nocem_common::ids::LinkId;
@@ -9,6 +10,7 @@ use nocem_common::time::Cycle;
 use nocem_platform::monitor::Monitor;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::latency::LatencyAnalyzer;
+use nocem_telemetry::CumulativeProbe;
 
 /// Summary of one receptor at end of run.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +71,17 @@ impl ReceptorSummary {
     }
 }
 
+/// The per-link congestion counters a cumulative probe carries: the
+/// two are the same source-side accounting, so every engine builds one
+/// walk (the probe) and derives the other.
+pub(crate) fn congestion_of(probe: &CumulativeProbe) -> CongestionCounter {
+    let mut cc = CongestionCounter::new(probe.blocked().len());
+    for (l, (&blocked, &forwarded)) in probe.blocked().iter().zip(probe.forwarded()).enumerate() {
+        cc.add(LinkId::new(l as u32), blocked, forwarded);
+    }
+    cc
+}
+
 /// The complete outcome of an emulation run.
 ///
 /// Compares by value; the gated-vs-ungated equivalence tests compare
@@ -111,11 +124,39 @@ pub struct EmulationResults {
 }
 
 impl EmulationResults {
+    /// The results of the run `summary` describes: its eight
+    /// ledger-derived fields plus what only the engine's components
+    /// know.
+    pub(crate) fn assemble(
+        name: &str,
+        summary: EngineSummary,
+        stalled_cycles: u64,
+        congestion: CongestionCounter,
+        vc_occupancy: VcOccupancy,
+        receptors: Vec<ReceptorSummary>,
+    ) -> Self {
+        EmulationResults {
+            name: name.to_owned(),
+            cycles: summary.cycles,
+            cycles_skipped: summary.cycles_skipped,
+            released: summary.released,
+            injected: summary.injected,
+            delivered: summary.delivered,
+            delivered_flits: summary.delivered_flits,
+            stalled_cycles,
+            network_latency: summary.network_latency,
+            total_latency: summary.total_latency,
+            congestion,
+            vc_occupancy,
+            receptors,
+        }
+    }
+
     /// Collects results from an emulation (exposed through
     /// [`Emulation::results`]).
     pub(crate) fn collect(emu: &Emulation) -> Self {
-        let elab = crate::engine::elab(emu);
-        let ledger = crate::engine::ledger_of(emu);
+        let platform = crate::engine::platform_of(emu);
+        let elab = &platform.elab;
         let receptors = elab
             .receptors
             .iter()
@@ -128,21 +169,14 @@ impl EmulationResults {
                 vc_occupancy.record(vc, peak);
             }
         }
-        EmulationResults {
-            name: elab.config.name.clone(),
-            cycles: emu.now().raw(),
-            cycles_skipped: emu.cycles_skipped(),
-            released: ledger.released(),
-            injected: ledger.injected(),
-            delivered: ledger.delivered(),
-            delivered_flits: emu.delivered_flits(),
-            stalled_cycles: emu.stalled(),
-            network_latency: ledger.network_latency().clone(),
-            total_latency: ledger.total_latency().clone(),
-            congestion: emu.congestion(),
+        Self::assemble(
+            &elab.config.name,
+            emu.summary(),
+            platform.stalled(),
+            emu.congestion(),
             vc_occupancy,
             receptors,
-        }
+        )
     }
 
     /// Delivered throughput in flits per cycle.

@@ -9,8 +9,10 @@
 //! shards (a [`Partition`] implementation from `nocem-topology`; the
 //! default is the grid-stripe partitioner, index stripes on a
 //! non-grid) and gives each shard a persistent worker thread. A worker
-//! *is* a [`CompiledEngine`] — the same release, decide, inject and
-//! commit phases over the same flat arrays — whose live sets only ever
+//! *is* a compiled kernel (`crate::compiled::CompiledKernel`, the half
+//! of [`CompiledEngine`] below the step skeleton) — the same release,
+//! decide, inject and commit phases over the same flat arrays, with no
+//! run-level state of its own — whose live sets only ever
 //! hold the switches of its shard and the generators and receptors
 //! attached to them, plus a `CommitSink` at the shard's edge: a flit
 //! or credit that crosses it leaves the worker's *per-shard flit pool*
@@ -100,19 +102,20 @@
 //! execute, and each TG replays the skipped window lazily before its
 //! next real tick, as in [`CompiledEngine`].
 
-use crate::clock::{ClockMode, EngineSummary, EngineWarning, SteppableEngine};
+use crate::clock::{ClockMode, EngineSummary, EngineWarning, RunState, SteppableEngine};
 use crate::compile::{
-    elaborate, Elaboration, LoweredOutDest, LoweredPlatform, OutTarget, ReceptorDevice, HANDLE_IDX,
+    elaborate, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
 };
-use crate::compiled::{CommitSink, CompiledEngine};
+#[cfg(doc)]
+use crate::compiled::CompiledEngine;
+use crate::compiled::{vc_watermarks, CommitSink, CompiledKernel};
 use crate::config::{EngineKind, PlatformConfig};
 use crate::error::{CompileError, EmulationError};
-use crate::profile::{Phase, PhaseProfiler, PhaseReport};
-use crate::results::{EmulationResults, ReceptorSummary};
+use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport};
+use crate::results::{congestion_of, EmulationResults, ReceptorSummary};
 use nocem_common::flit::Flit;
-use nocem_common::ids::{LinkId, PacketId, SwitchId};
+use nocem_common::ids::{PacketId, SwitchId};
 use nocem_common::time::Cycle;
-use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_stats::receptor::CompletedPacket;
@@ -270,15 +273,12 @@ enum Cmd {
     Shutdown,
 }
 
-/// Snapshot of a shard's slice for results collection. The per-port
-/// and per-VC arrays are full-platform shaped with non-owned rows
+/// Snapshot of a shard's slice for results collection. The probe and
+/// the per-VC watermarks are full-platform shaped with non-owned rows
 /// zero, so the coordinator merges by element-wise add / max.
 struct Snapshot {
-    blocked_out: Vec<u64>,
-    forwarded_out: Vec<u64>,
+    probe: CumulativeProbe,
     max_vc_occ: Vec<u64>,
-    /// `(global generator index, blocked cycles, injected flits)`.
-    ni_counters: Vec<(usize, u64, u64)>,
     /// `(global receptor index, receptor clone)`.
     receptors: Vec<(usize, ReceptorDevice)>,
 }
@@ -300,7 +300,7 @@ enum Report {
     Profile(Box<WorkerProfile>),
 }
 
-/// One persistent worker: a full-shape [`CompiledEngine`] (built from
+/// One persistent worker: a full-shape [`CompiledKernel`] (built from
 /// the worker's own deterministic re-elaboration of the config, so
 /// every RNG stream matches the reference by construction) whose
 /// non-owned generators are empty, so only the owned slice ever enters
@@ -309,10 +309,8 @@ enum Report {
 /// the worker-side phase accumulators (owned-slice compute vs. boundary
 /// exchange) and work counters.
 struct Worker {
-    eng: CompiledEngine,
+    eng: CompiledKernel,
     boundary: Boundary,
-    /// Owned global generator indices, ascending.
-    my_gens: Vec<usize>,
     /// Owned global receptor indices, ascending.
     my_receptors: Vec<usize>,
     out_txs: Vec<Sender<NeighborMsg>>,
@@ -349,7 +347,7 @@ struct Boundary {
     deliveries: Vec<DeliveryRec>,
 }
 
-/// What [`CompiledEngine::commit_phase`] does differently on a shard:
+/// What [`CompiledKernel::commit_phase`] does differently on a shard:
 /// a credit owed to a remote upstream becomes a credit record, a flit
 /// landing on a remote switch leaves the local pool and becomes a flit
 /// record, and a completed packet is buffered for the coordinator's
@@ -373,7 +371,7 @@ impl CommitSink for Boundary {
     #[inline]
     fn take_flit(
         &mut self,
-        eng: &mut CompiledEngine,
+        eng: &mut CompiledKernel,
         from: usize,
         switch: u32,
         slot_base: u32,
@@ -400,7 +398,7 @@ impl CommitSink for Boundary {
     #[inline]
     fn delivered(
         &mut self,
-        _: &mut CompiledEngine,
+        _: &mut CompiledKernel,
         from: usize,
         port: usize,
         receptor: usize,
@@ -483,7 +481,7 @@ impl Worker {
                 Ok(Err(e)) => entry.error = Some(e),
                 Err(payload) => entry.error = Some(panic_fault(self.boundary.shard, &*payload)),
             }
-            self.eng.lap(&mut t, Phase::WorkerCompute);
+            lap(self.eng.profiler.as_mut(), &mut t, Phase::WorkerCompute);
             // The exchange section: everything from here to the end of
             // replay is boundary synchronization, not compute.
             let exchange_start = t;
@@ -504,7 +502,7 @@ impl Worker {
             if let (Some(s), Some(buf)) = (replay_start, self.spans.as_mut()) {
                 buf.record("replay", s, now.raw());
             }
-            self.eng.lap(&mut t, Phase::Exchange);
+            lap(self.eng.profiler.as_mut(), &mut t, Phase::Exchange);
             if let (Some(s), Some(buf)) = (exchange_start, self.spans.as_mut()) {
                 buf.record("exchange", s, now.raw());
             }
@@ -552,11 +550,11 @@ impl Worker {
         }
     }
 
-    /// One compiled cycle over the owned slice — [`CompiledEngine`]'s
-    /// own phases over its live sets (which only ever hold owned
-    /// generators, NIs and switches), minus gating/telemetry (the
-    /// coordinator's job), with ledger events buffered instead of
-    /// applied and the shard boundary as the commit's sink.
+    /// One compiled cycle over the owned slice — the kernel's own
+    /// phases over its live sets (which only ever hold owned
+    /// generators, NIs and switches), with ledger events buffered
+    /// instead of applied and the shard boundary as the commit's sink.
+    /// Everything around the cycle is the coordinator's job.
     fn compute_cycle(&mut self, now: Cycle, entry: &mut CycleEntry) -> Result<(), EmulationError> {
         #[cfg(debug_assertions)]
         self.eng.assert_live_sets();
@@ -581,8 +579,6 @@ impl Worker {
         // interleaving is recovered at replay.
         self.eng.commit_phase(now, &mut self.boundary)?;
         entry.deliveries = std::mem::take(&mut self.boundary.deliveries);
-
-        self.eng.now = now.next();
         Ok(())
     }
 
@@ -642,17 +638,8 @@ impl Worker {
 
     fn snapshot(&self) -> Snapshot {
         Snapshot {
-            blocked_out: self.eng.blocked_out.clone(),
-            forwarded_out: self.eng.forwarded_out.clone(),
+            probe: self.eng.cumulative_probe(),
             max_vc_occ: self.eng.max_vc_occ.clone(),
-            ni_counters: self
-                .my_gens
-                .iter()
-                .map(|&i| {
-                    let c = self.eng.nis[i].counters();
-                    (i, c.blocked_cycles, c.injected_flits)
-                })
-                .collect(),
             receptors: self
                 .my_receptors
                 .iter()
@@ -684,8 +671,9 @@ struct WorkerHandle {
 /// ledger, same statistics, same telemetry — for every `batch`.
 pub struct ShardedCompiledEngine {
     config: PlatformConfig,
-    /// Coordinator-side lowering, used for results attribution only.
-    low: LoweredPlatform,
+    /// The run-level state every engine embeds; the windowed `step`
+    /// below calls its pieces instead of the per-cycle skeleton.
+    run: RunState,
     workers: Vec<WorkerHandle>,
     status: Vec<ShardStatus>,
     partition: PartitionMap,
@@ -695,13 +683,9 @@ pub struct ShardedCompiledEngine {
     sync_rounds: u64,
     ledger: PacketLedger,
     receptor_latency: Vec<LatencyAnalyzer>,
-    injection_links: Vec<LinkId>,
-    telemetry: Option<Collector>,
-    now: Cycle,
     next_packet: u64,
     stalled: u64,
     delivered_flits: u64,
-    cycles_skipped: u64,
     /// Provisional → final id for every in-flight packet.
     prov_map: HashMap<PacketId, PacketId>,
     /// Executed-but-unapplied cycles: front = next to apply, each row
@@ -709,9 +693,6 @@ pub struct ShardedCompiledEngine {
     window: VecDeque<Vec<CycleEntry>>,
     poisoned: bool,
     failed: bool,
-    /// Structured warnings raised while coming up (the gated batch
-    /// clamp).
-    warnings: Vec<EngineWarning>,
     /// Coordinator-side phase accumulators, when profiling is on.
     profiler: Option<PhaseProfiler>,
     /// Coordinator-side span timeline on the
@@ -725,7 +706,7 @@ impl std::fmt::Debug for ShardedCompiledEngine {
             .field("name", &self.config.name)
             .field("shards", &self.workers.len())
             .field("batch", &self.batch)
-            .field("cycle", &self.now)
+            .field("cycle", &self.run.now)
             .field("delivered", &self.ledger.delivered())
             .finish_non_exhaustive()
     }
@@ -800,10 +781,18 @@ impl ShardedCompiledEngine {
             "partition map does not match the topology"
         );
         let mut batch = batch.max(1);
-        let mut warnings = Vec::new();
-        if elab.config.clock_mode == ClockMode::Gated && batch > 1 {
-            warnings.push(EngineWarning::GatedBatchClamp { requested: batch });
+        let mut run = RunState::new(&elab.config);
+        if run.clock_mode == ClockMode::Gated && batch > 1 {
+            run.warnings
+                .push(EngineWarning::GatedBatchClamp { requested: batch });
             batch = 1;
+        }
+        // Nothing here can feed a watchdog: worker state runs ahead of
+        // the coordinator's cycle, so there is no consistent wait-for
+        // snapshot to latch. Say so instead of silently not watching.
+        if run.watchdog.take().is_some() {
+            run.warnings
+                .push(EngineWarning::ShardedStallWatchdogIgnored);
         }
         let shards = map.shards();
         let topo = &elab.config.topology;
@@ -877,27 +866,12 @@ impl ShardedCompiledEngine {
 
         // One shared epoch for every thread's span timeline.
         let epoch = Instant::now();
-        let lower_start = Instant::now();
-        let low = crate::compile::lower(&elab);
-        let lower_ns = u64::try_from(lower_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let profiler = elab.config.profile.map(|_| {
-            let mut p = PhaseProfiler::new();
-            p.add_ns(Phase::Elaborate, elab.elaborate_ns);
-            p.add_ns(Phase::Lower, lower_ns);
-            p
-        });
+        let profiler = elab.profiler();
         let spans = elab.config.profile.and_then(|p| {
             p.spans
                 .then(|| SpanBuffer::new(epoch, SpanEvent::COORDINATOR, p.span_capacity))
         });
-        let injection_links = elab.wiring.injection.iter().map(|&(_, _, l)| l).collect();
         let receptor_count = topo.receptors().len();
-        let num_vcs = usize::from(elab.config.switch.num_vcs);
-        let telemetry = elab
-            .config
-            .telemetry
-            .as_ref()
-            .map(|t| Collector::new(t, elab.config.topology.link_count(), num_vcs));
         let config = elab.config.clone();
 
         let mut handles = Vec::with_capacity(shards);
@@ -946,7 +920,7 @@ impl ShardedCompiledEngine {
 
         ShardedCompiledEngine {
             config,
-            low,
+            run,
             workers: handles,
             status: init_status,
             partition: map,
@@ -954,36 +928,16 @@ impl ShardedCompiledEngine {
             sync_rounds: 0,
             ledger: PacketLedger::new(),
             receptor_latency: vec![LatencyAnalyzer::new(); receptor_count],
-            injection_links,
-            telemetry,
-            now: Cycle::ZERO,
             next_packet: 0,
             stalled: 0,
             delivered_flits: 0,
-            cycles_skipped: 0,
             prov_map: HashMap::new(),
             window: VecDeque::new(),
             poisoned: false,
             failed: false,
-            warnings,
             profiler,
             spans,
         }
-    }
-
-    /// The current (applied) cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Packets delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.ledger.delivered()
-    }
-
-    /// Cycles the cross-shard fast-forward jumped over so far.
-    pub fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
     }
 
     /// The effective cycles-per-synchronization batch (after any
@@ -1016,32 +970,6 @@ impl ShardedCompiledEngine {
         self.ledger.in_flight() == 0 && self.status.iter().all(|s| s.quiescent)
     }
 
-    /// Advances one platform cycle. When the window buffer is empty a
-    /// new window of up to `batch` cycles is executed across all
-    /// shards first (one synchronization round); either way exactly
-    /// one buffered cycle is then applied to the ledger, so per-cycle
-    /// observability (`now`, `delivered`, lockstep comparisons) is
-    /// identical to the unbatched engines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmulationError`] on wiring/protocol violations or
-    /// when the cycle limit is exceeded.
-    pub fn step(&mut self) -> Result<(), EmulationError> {
-        self.check_alive()?;
-        let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
-        if self.window.is_empty() {
-            let round_start = t;
-            self.start_window(&mut t)?;
-            if let (Some(s), Some(buf)) = (round_start, self.spans.as_mut()) {
-                buf.record("round", s, self.now.raw());
-            }
-        }
-        let r = self.apply_cycle();
-        self.lap(&mut t, Phase::Apply);
-        r
-    }
-
     /// After any error the workers' state is ahead of (or torn against)
     /// the coordinator's; nothing read from them can be trusted.
     fn check_alive(&self) -> Result<(), EmulationError> {
@@ -1054,51 +982,34 @@ impl ShardedCompiledEngine {
         Ok(())
     }
 
-    /// Closes `phase` on the chained profiling timestamp, advancing it
-    /// to now. A no-op (one `Option` check) when profiling is off.
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
     /// Gates, probes, sizes and issues one window, then buffers every
     /// worker's cycle entries. `t` is the coordinator's chained
     /// profiling timestamp (`None` when profiling is off).
     fn start_window(&mut self, t: &mut Option<Instant>) -> Result<(), EmulationError> {
         // Cross-shard clock gating (batch is clamped to 1 in gated
         // mode, so this is a per-cycle decision).
-        if self.config.clock_mode == ClockMode::Gated && self.is_quiescent() {
+        if self.run.clock_mode == ClockMode::Gated && self.is_quiescent() {
             let horizon = self
                 .status
                 .iter()
                 .map(|s| s.next_event)
                 .min()
                 .unwrap_or(u64::MAX);
-            let target = horizon.min(self.config.stop.cycle_limit);
-            if target > self.now.raw() {
-                self.cycles_skipped += target - self.now.raw();
-                self.now = Cycle::new(target);
+            let target = horizon.min(self.run.stop.cycle_limit);
+            if target > self.run.now.raw() {
+                self.run.jump(target - self.run.now.raw());
                 if let Some(p) = self.profiler.as_mut() {
                     p.work.fast_forwards += 1;
                 }
             }
         }
-        self.lap(t, Phase::FastForward);
-        if self
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.needs_probe(self.now.raw()))
-        {
+        lap(self.profiler.as_mut(), t, Phase::FastForward);
+        if self.run.probe_due() {
             let probe = self.probe_workers()?;
-            let at = self.now.raw();
-            self.telemetry
-                .as_mut()
-                .expect("presence checked above")
-                .record(at, &probe);
+            self.run.record_probe(&probe);
         }
-        self.lap(t, Phase::Probe);
-        let start = self.now;
+        lap(self.profiler.as_mut(), t, Phase::Probe);
+        let start = self.run.now;
         let len = self.window_len(start);
         for k in 0..self.workers.len() {
             let cmd = Cmd::Window { start, len };
@@ -1125,7 +1036,7 @@ impl ShardedCompiledEngine {
             }
         }
         self.window.extend(rows);
-        self.lap(t, Phase::CoordWait);
+        lap(self.profiler.as_mut(), t, Phase::CoordWait);
         Ok(())
     }
 
@@ -1137,7 +1048,7 @@ impl ShardedCompiledEngine {
         // packet per cycle (its ejection port forwards at most one
         // flit), so ceil(remaining / receptors) cycles cannot pass the
         // target before the window's last cycle — zero overshoot.
-        if let Some(target) = self.config.stop.delivered_packets {
+        if let Some(target) = self.run.stop.delivered_packets {
             let remaining = target.saturating_sub(self.ledger.delivered());
             let receptors = self.receptor_latency.len() as u64;
             if remaining > 0 && receptors > 0 {
@@ -1146,7 +1057,7 @@ impl ShardedCompiledEngine {
         }
         // Cycle-limit cap: executing cycle `limit` is what raises the
         // limit error, so it is the last cycle worth executing.
-        let limit = self.config.stop.cycle_limit;
+        let limit = self.run.stop.cycle_limit;
         if start.raw() <= limit {
             len = len.min(limit - start.raw() + 1);
         } else {
@@ -1155,7 +1066,7 @@ impl ShardedCompiledEngine {
         // Telemetry cap: windows never cross a probe boundary, so a
         // probe always observes worker state at the coordinator's
         // cycle.
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = &self.run.telemetry {
             for j in 1..len {
                 if t.needs_probe(start.raw() + j) {
                     len = j;
@@ -1172,7 +1083,7 @@ impl ShardedCompiledEngine {
     /// deliveries ascending by (ejecting switch, output port).
     fn apply_cycle(&mut self) -> Result<(), EmulationError> {
         let row = self.window.pop_front().expect("a window was just started");
-        let now = self.now;
+        let now = self.run.now;
         let mut first_error: Option<EmulationError> = None;
         let mut releases: Vec<ReleaseRec> = Vec::new();
         let mut injects: Vec<PacketId> = Vec::new();
@@ -1223,16 +1134,10 @@ impl ShardedCompiledEngine {
             self.delivered_flits += u64::from(d.len_flits);
             self.receptor_latency[d.receptor as usize].record(lat.network);
         }
-        self.now = now.next();
-        if self.now.raw() > self.config.stop.cycle_limit {
-            self.failed = true;
+        self.run.advance(self.ledger.delivered()).map_err(|e| {
             self.window.clear();
-            return Err(EmulationError::CycleLimitExceeded {
-                limit: self.config.stop.cycle_limit,
-                delivered: self.ledger.delivered(),
-            });
-        }
-        Ok(())
+            self.fail(e)
+        })
     }
 
     fn fail(&mut self, e: EmulationError) -> EmulationError {
@@ -1261,11 +1166,6 @@ impl ShardedCompiledEngine {
         Ok(merged)
     }
 
-    /// The windowed telemetry collector, when enabled.
-    pub fn telemetry(&self) -> Option<&Collector> {
-        self.telemetry.as_ref()
-    }
-
     /// Fetches every worker's profiling payload, in shard order.
     /// Best-effort: stops at the first dead worker and returns
     /// nothing after a failure (dead workers cannot be queried).
@@ -1286,22 +1186,6 @@ impl ShardedCompiledEngine {
         out
     }
 
-    /// Seals the collector, flushing the trailing partial window. A
-    /// no-op when telemetry is off, already sealed, or the engine has
-    /// failed (dead workers cannot be probed).
-    pub fn seal_telemetry(&mut self) {
-        if self.failed || self.telemetry.as_ref().is_none_or(Collector::is_sealed) {
-            return;
-        }
-        if let Ok(probe) = self.probe_workers() {
-            let at = self.now.raw();
-            self.telemetry
-                .as_mut()
-                .expect("presence checked above")
-                .seal(at, &probe);
-        }
-    }
-
     /// Worker `dead`'s channel closed outside a cycle (in-cycle panics
     /// are caught and reported in the entry). Join it and re-raise its
     /// panic; leak the survivors, which may be blocked on a neighbour.
@@ -1319,25 +1203,11 @@ impl ShardedCompiledEngine {
         })
     }
 
-    /// Whether the stop condition holds (mirrors
-    /// [`CompiledEngine::finished`]).
-    pub fn finished(&self) -> bool {
-        match self.config.stop.delivered_packets {
-            Some(target) => self.ledger.delivered() >= target,
-            None => {
-                self.status
-                    .iter()
-                    .all(|s| s.exhausted && s.pending_none && s.nis_idle)
-                    && self.ledger.in_flight() == 0
-            }
-        }
-    }
-
     /// Runs until the stop condition holds.
     ///
     /// # Errors
     ///
-    /// Propagates [`EmulationError`] from [`ShardedCompiledEngine::step`].
+    /// Propagates [`EmulationError`] from [`SteppableEngine::step`].
     pub fn run(&mut self) -> Result<(), EmulationError> {
         crate::clock::run_engine(self)
     }
@@ -1353,12 +1223,11 @@ impl ShardedCompiledEngine {
     /// earlier step failed.
     pub fn results(&mut self) -> Result<EmulationResults, EmulationError> {
         self.check_alive()?;
-        let total_out_ports = *self.low.out_port_base.last().expect("prefix sums") as usize;
-        let vcs = self.low.num_vcs;
-        let mut blocked = vec![0u64; total_out_ports];
-        let mut forwarded = vec![0u64; total_out_ports];
-        let mut max_vc = vec![0u64; self.low.switch_count * vcs];
-        let mut ni_counters: Vec<Option<(u64, u64)>> = vec![None; self.injection_links.len()];
+        let mut probe = CumulativeProbe::new(
+            self.config.topology.link_count(),
+            usize::from(self.config.switch.num_vcs),
+        );
+        let mut max_vc: Vec<u64> = Vec::new();
         let mut receptors: Vec<Option<ReceptorSummary>> = vec![None; self.receptor_latency.len()];
         for k in 0..self.workers.len() {
             if self.workers[k].cmd.send(Cmd::Collect).is_err() {
@@ -1368,63 +1237,27 @@ impl ShardedCompiledEngine {
                 Ok(Report::Snapshot(s)) => *s,
                 Ok(_) | Err(_) => return self.worker_died(k).map(|()| unreachable!()),
             };
-            for (acc, v) in blocked.iter_mut().zip(&snap.blocked_out) {
-                *acc += v;
-            }
-            for (acc, v) in forwarded.iter_mut().zip(&snap.forwarded_out) {
-                *acc += v;
-            }
+            probe.absorb(&snap.probe);
+            max_vc.resize(snap.max_vc_occ.len(), 0);
             for (acc, v) in max_vc.iter_mut().zip(&snap.max_vc_occ) {
                 *acc = (*acc).max(*v);
-            }
-            for (gidx, b, f) in snap.ni_counters {
-                ni_counters[gidx] = Some((b, f));
             }
             for (gidx, r) in snap.receptors {
                 let latency = Some(&self.receptor_latency[gidx]);
                 receptors[gidx] = Some(ReceptorSummary::of(gidx, &r, latency));
             }
         }
-        let mut cc = CongestionCounter::new(self.config.topology.link_count());
-        for s in 0..self.low.switch_count {
-            let opb = self.low.out_port_base[s] as usize;
-            for o in 0..self.low.outputs[s] as usize {
-                let gp = opb + o;
-                cc.add(
-                    LinkId::new(self.low.out_link[gp]),
-                    blocked[gp],
-                    forwarded[gp],
-                );
-            }
-        }
-        for (i, link) in self.injection_links.iter().enumerate() {
-            let (b, f) = ni_counters[i].expect("every NI snapshotted by its shard");
-            cc.add(*link, b, f);
-        }
-        let mut vc_occupancy = VcOccupancy::new(vcs);
-        for s in 0..self.low.switch_count {
-            for vc in 0..vcs {
-                vc_occupancy.record(vc, max_vc[s * vcs + vc]);
-            }
-        }
-        Ok(EmulationResults {
-            name: self.config.name.clone(),
-            cycles: self.now.raw(),
-            cycles_skipped: self.cycles_skipped,
-            released: self.ledger.released(),
-            injected: self.ledger.injected(),
-            delivered: self.ledger.delivered(),
-            delivered_flits: self.delivered_flits,
-            stalled_cycles: self.stalled,
-            network_latency: self.ledger.network_latency().clone(),
-            total_latency: self.ledger.total_latency().clone(),
-            congestion: cc,
-            vc_occupancy,
-            receptors: receptors
+        Ok(EmulationResults::assemble(
+            &self.config.name,
+            self.summary(),
+            self.stalled,
+            congestion_of(&probe),
+            vc_watermarks(&max_vc, probe.vc_occupancy().len()),
+            receptors
                 .into_iter()
                 .map(|r| r.expect("every receptor snapshotted by its shard"))
                 .collect(),
-        })
+        ))
     }
 }
 
@@ -1444,16 +1277,42 @@ impl Drop for ShardedCompiledEngine {
 }
 
 impl SteppableEngine for ShardedCompiledEngine {
+    /// Advances one platform cycle. When the window buffer is empty a
+    /// new window of up to `batch` cycles is executed across all
+    /// shards first (one synchronization round); either way exactly
+    /// one buffered cycle is then applied to the ledger, so per-cycle
+    /// observability (`now`, `delivered`, lockstep comparisons) is
+    /// identical to the unbatched engines.
     fn step(&mut self) -> Result<(), EmulationError> {
-        ShardedCompiledEngine::step(self)
+        self.check_alive()?;
+        let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
+        if self.window.is_empty() {
+            let round_start = t;
+            self.start_window(&mut t)?;
+            if let (Some(s), Some(buf)) = (round_start, self.spans.as_mut()) {
+                buf.record("round", s, self.run.now.raw());
+            }
+        }
+        let r = self.apply_cycle();
+        lap(self.profiler.as_mut(), &mut t, Phase::Apply);
+        r
     }
 
     fn now(&self) -> Cycle {
-        self.now
+        self.run.now
     }
 
+    /// The delivered target like every engine; in drain mode, every
+    /// shard's cached status plus the ledger.
     fn finished(&self) -> bool {
-        ShardedCompiledEngine::finished(self)
+        self.run
+            .target_met(self.ledger.delivered())
+            .unwrap_or_else(|| {
+                self.status
+                    .iter()
+                    .all(|s| s.exhausted && s.pending_none && s.nis_idle)
+                    && self.ledger.in_flight() == 0
+            })
     }
 
     fn delivered(&self) -> u64 {
@@ -1461,17 +1320,11 @@ impl SteppableEngine for ShardedCompiledEngine {
     }
 
     fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
+        self.run.cycles_skipped
     }
 
     fn summary(&self) -> EngineSummary {
-        EngineSummary::from_ledger(
-            self.now.raw(),
-            self.cycles_skipped,
-            self.delivered_flits,
-            &self.ledger,
-        )
-        .with_warnings(&self.warnings)
+        self.run.summary(self.delivered_flits, &self.ledger)
     }
 
     fn packet_ledger(&self) -> PacketLedger {
@@ -1479,11 +1332,18 @@ impl SteppableEngine for ShardedCompiledEngine {
     }
 
     fn telemetry(&self) -> Option<&Collector> {
-        ShardedCompiledEngine::telemetry(self)
+        self.run.telemetry.as_ref()
     }
 
+    /// A no-op when telemetry is off, already sealed, or the engine has
+    /// failed (dead workers cannot be probed).
     fn seal_telemetry(&mut self) {
-        ShardedCompiledEngine::seal_telemetry(self);
+        if self.failed || !self.run.seal_due() {
+            return;
+        }
+        if let Ok(probe) = self.probe_workers() {
+            self.run.seal(&probe);
+        }
     }
 
     fn profile(&mut self) -> Option<PhaseReport> {
@@ -1516,14 +1376,14 @@ impl SteppableEngine for ShardedCompiledEngine {
     }
 
     fn warnings(&self) -> &[EngineWarning] {
-        &self.warnings
+        &self.run.warnings
     }
 }
 
 /// Builds one worker inside its thread: re-elaborate the config (the
 /// elaboration is deterministic, so every TG RNG stream and device
-/// matches the coordinator's reference by construction), wrap it in a
-/// full-shape [`CompiledEngine`], and derive the ownership tables.
+/// matches the coordinator's reference by construction), lower it into
+/// a full-shape [`CompiledKernel`], and derive the ownership tables.
 #[allow(clippy::too_many_arguments)]
 fn spawn_worker(
     shard: usize,
@@ -1545,14 +1405,8 @@ fn spawn_worker(
             *tg = Box::new(TraceDrivenTg::from_events(Vec::new()));
         }
     }
-    let mut eng = CompiledEngine::new(elab);
+    let mut eng = CompiledKernel::new(elab);
     eng.next_packet = first_provisional_id(shard);
-    // The coordinator owns windowed telemetry and stall detection (a
-    // per-platform concern); the worker only ever serves cumulative
-    // probes. The profiler stays: it carries this thread's
-    // elaborate/lower seeds and collects the worker's laps.
-    eng.telemetry = None;
-    eng.watchdog = None;
     let spans = config.profile.and_then(|p| {
         p.spans
             .then(|| SpanBuffer::new(epoch, shard as u32, p.span_capacity))
@@ -1561,9 +1415,6 @@ fn spawn_worker(
         .map(|s| map.shard_of(SwitchId::new(s as u32)) as u16)
         .collect();
     let owned = |s: usize| usize::from(switch_shard[s]) == shard;
-    let my_gens: Vec<usize> = (0..eng.nis.len())
-        .filter(|&i| owned(eng.low.inject_switch[i] as usize))
-        .collect();
     let mut my_receptors = Vec::new();
     let mut out_slot_shard = vec![0u16; eng.low.total_out_slots()];
     for (s, &owner) in switch_shard.iter().enumerate() {
@@ -1597,7 +1448,6 @@ fn spawn_worker(
     Worker {
         eng,
         boundary,
-        my_gens,
         my_receptors,
         out_txs,
         in_rxs,

@@ -10,6 +10,14 @@
 //!   wires per link, clocked processes per switch and network
 //!   interface, monitor processes per receptor.
 //!
+//! What is this crate's own is the event kernel, the wires and the
+//! processes' wire reads and writes. What a release, an NI send or a
+//! delivery *does* is `nocem::engine::Platform`, shared with the fast
+//! engine and the TLM model, and everything around a cycle (gating,
+//! probe timing, stall watchdog, cycle limit, summary) is the step
+//! skeleton of `nocem::clock`: [`RtlEngine`] is one of its
+//! `CycleKernel`s.
+//!
 //! Runs are cycle- and flit-identical to the fast engine (enforced by
 //! tests); only the wall-clock cost differs, by the orders of
 //! magnitude the paper reports between FPGA emulation and RTL
@@ -20,6 +28,7 @@
 //! ```
 //! use nocem::config::PaperConfig;
 //! use nocem::compile::elaborate;
+//! use nocem::SteppableEngine;
 //! use nocem_rtl::model::RtlEngine;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,4 +47,4 @@ pub mod kernel;
 pub mod model;
 
 pub use kernel::{Kernel, KernelStats, Value};
-pub use model::{RtlEngine, RtlSummary};
+pub use model::RtlEngine;

@@ -10,6 +10,14 @@
 //! * [`model`] — the platform mapped onto the scheduler: one process
 //!   per switch and network interface, one watcher per receptor.
 //!
+//! What is this crate's own is the scheduler, the channels and the
+//! process closures' channel reads and writes. What a release, an NI
+//! send or a delivery *does* is `nocem::engine::Platform`, shared
+//! with the fast engine and the RTL model, and everything around a
+//! cycle (gating, probe timing, stall watchdog, cycle limit, summary)
+//! is the step skeleton of `nocem::clock`: [`TlmEngine`] is one of its
+//! `CycleKernel`s.
+//!
 //! Runs are cycle- and flit-identical to the fast engine and the RTL
 //! model (enforced by tests); the wall-clock cost sits between them.
 //!
@@ -18,6 +26,7 @@
 //! ```
 //! use nocem::config::PaperConfig;
 //! use nocem::compile::elaborate;
+//! use nocem::SteppableEngine;
 //! use nocem_tlm::model::TlmEngine;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,5 +44,5 @@
 pub mod model;
 pub mod scheduler;
 
-pub use model::{TlmEngine, TlmSummary};
+pub use model::TlmEngine;
 pub use scheduler::{Scheduler, SchedulerStats};

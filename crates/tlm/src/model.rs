@@ -7,118 +7,25 @@
 //! the MPARM role in the paper's Table 2.
 
 use crate::scheduler::{BitChanId, ChannelCtx, FlitChanId, Scheduler, SchedulerStats};
-use nocem::clock::{self, ClockMode, EngineSummary, SteppableEngine};
-use nocem::compile::{Elaboration, ReceptorDevice};
+use nocem::clock::{self, CycleKernel, RunState};
+use nocem::compile::Elaboration;
+use nocem::engine::Platform;
 use nocem::error::EmulationError;
-use nocem::profile::{Phase, PhaseProfiler, PhaseReport};
-use nocem_common::flit::PacketDescriptor;
-use nocem_common::ids::{EndpointId, LinkId, PacketId, PortId, SwitchId, VcId};
+use nocem::profile::{lap, Phase, PhaseProfiler, WaitEdge};
+use nocem_common::ids::{PortId, SwitchId, VcId};
 use nocem_common::time::Cycle;
-use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
-use nocem_stats::receptor::CompletedPacket;
-use nocem_switch::switch::Switch;
-use nocem_telemetry::{Collector, CumulativeProbe};
-use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
-use nocem_traffic::ni::SourceNi;
-use std::cell::RefCell;
+use nocem_telemetry::CumulativeProbe;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
 
-struct SharedState {
-    switches: Vec<Switch>,
-    nis: Vec<SourceNi>,
-    tgs: Vec<Box<dyn TrafficGenerator + Send>>,
-    receptors: Vec<ReceptorDevice>,
-    generator_endpoints: Vec<EndpointId>,
-    ledger: PacketLedger,
-    next_packet: u64,
-    /// Per-TG output register holding a request the source queue
-    /// could not absorb yet (backpressure, identical to the fast
-    /// engine's semantics).
-    pending: Vec<Option<PacketRequest>>,
-    stalled: u64,
-    delivered_flits: u64,
-    ni_done: Vec<bool>,
-    error: Option<EmulationError>,
-}
-
-impl SharedState {
-    fn deliver(&mut self, index: usize, flit: nocem_common::flit::Flit, now: Cycle) {
-        let outcome: Result<Option<CompletedPacket>, EmulationError> =
-            match &mut self.receptors[index] {
-                ReceptorDevice::Stochastic(r) => {
-                    r.accept(&flit, now)
-                        .map_err(|source| EmulationError::Receive {
-                            receptor: r.id(),
-                            source,
-                        })
-                }
-                ReceptorDevice::Trace(r) => {
-                    r.accept(&flit, now)
-                        .map_err(|source| EmulationError::Receive {
-                            receptor: r.id(),
-                            source,
-                        })
-                }
-            };
-        match outcome {
-            Ok(Some(pkt)) => match self.ledger.deliver(pkt.id, now, pkt.len_flits) {
-                Ok(lat) => {
-                    self.delivered_flits += u64::from(pkt.len_flits);
-                    if let ReceptorDevice::Trace(r) = &mut self.receptors[index] {
-                        r.record_latency(lat.network, lat.total);
-                    }
-                }
-                Err(e) => {
-                    self.error.get_or_insert(EmulationError::Ledger(e));
-                }
-            },
-            Ok(None) => {}
-            Err(e) => {
-                self.error.get_or_insert(e);
-            }
-        }
-    }
-}
-
-/// End-of-run summary for the harness and equivalence tests.
-#[derive(Debug, Clone)]
-pub struct TlmSummary {
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Cycles the fast-forward kernel jumped over (gated mode).
-    pub cycles_skipped: u64,
-    /// Packets released.
-    pub released: u64,
-    /// Packets injected.
-    pub injected: u64,
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Flits delivered.
-    pub delivered_flits: u64,
-    /// Network latency statistics.
-    pub network_latency: LatencyAnalyzer,
-    /// Total latency statistics.
-    pub total_latency: LatencyAnalyzer,
-    /// Scheduler work counters (the TLM cost).
-    pub scheduler: SchedulerStats,
-}
-
 /// The transaction-level simulation engine.
 pub struct TlmEngine {
+    run: RunState,
     scheduler: Scheduler,
-    shared: Rc<RefCell<SharedState>>,
-    stop_packets: Option<u64>,
-    cycle_limit: u64,
-    clock_mode: ClockMode,
-    cycles_skipped: u64,
-    telemetry: Option<Collector>,
-    /// Per switch, per output port: the link it drives (probe
-    /// metadata, captured before the components move into processes).
-    switch_out_links: Vec<Vec<LinkId>>,
-    /// Per NI (generator order): its injection link.
-    injection_links: Vec<LinkId>,
+    /// The interpreted platform, shared with the process closures.
+    shared: Rc<RefCell<Platform>>,
     /// Flit channels of every non-ejection link. A flit latched here
     /// was written last cycle and enters the downstream FIFO this
     /// cycle — the fast engine already counts it in that FIFO, so the
@@ -126,8 +33,6 @@ pub struct TlmEngine {
     /// flits were delivered in the update phase of the cycle that
     /// wrote them and never occupy a buffer.
     inflight_chans: Vec<FlitChanId>,
-    link_count: usize,
-    num_vcs: usize,
     /// Per-phase self-profiler, enabled by `PlatformConfig.profile`.
     /// The scheduler cycle is opaque (processes interleave the
     /// platform phases), so it is charged to [`Phase::Processes`].
@@ -146,8 +51,14 @@ impl TlmEngine {
     /// Builds the TLM model from an elaboration.
     pub fn new(elab: Elaboration) -> Self {
         let mut scheduler = Scheduler::new();
-        let topo = &elab.config.topology;
-        let num_vcs = elab.config.switch.num_vcs as usize;
+        let run = RunState::new(&elab.config);
+        let mut platform = Platform::new(elab);
+        let profiler = platform.profiler.take();
+        let shared = Rc::new(RefCell::new(platform));
+        let platform = shared.borrow();
+        let topo = &platform.elab.config.topology;
+        let wiring = &platform.elab.wiring;
+        let num_vcs = platform.elab.config.switch.num_vcs as usize;
 
         let flit_chans: Vec<FlitChanId> = (0..topo.link_count())
             .map(|_| scheduler.flit_channel())
@@ -158,19 +69,8 @@ impl TlmEngine {
             .map(|_| (0..num_vcs).map(|_| scheduler.bit_channel()).collect())
             .collect();
 
-        // Probe metadata, captured while the elaboration is whole.
-        let switch_out_links: Vec<Vec<LinkId>> = (0..elab.switches.len())
-            .map(|s| {
-                let info = topo.switch(SwitchId::new(s as u32));
-                (0..info.outputs)
-                    .map(|p| topo.out_link(SwitchId::new(s as u32), PortId::new(p)))
-                    .collect()
-            })
-            .collect();
-        let injection_links: Vec<LinkId> =
-            elab.wiring.injection.iter().map(|&(_, _, l)| l).collect();
         let mut is_ejection = vec![false; topo.link_count()];
-        for link in &elab.wiring.ejection_link {
+        for link in &wiring.ejection_link {
             is_ejection[link.index()] = true;
         }
         let inflight_chans: Vec<FlitChanId> = flit_chans
@@ -179,31 +79,11 @@ impl TlmEngine {
             .filter(|&(l, _)| !is_ejection[l])
             .map(|(_, &c)| c)
             .collect();
-        let telemetry = elab
-            .config
-            .telemetry
-            .as_ref()
-            .map(|t| Collector::new(t, topo.link_count(), num_vcs));
-
-        let shared = Rc::new(RefCell::new(SharedState {
-            generator_endpoints: topo.generators(),
-            switches: elab.switches,
-            ni_done: vec![false; elab.nis.len()],
-            pending: vec![None; elab.nis.len()],
-            nis: elab.nis,
-            tgs: elab.tgs,
-            receptors: elab.receptors,
-            ledger: PacketLedger::new(),
-            next_packet: 0,
-            stalled: 0,
-            delivered_flits: 0,
-            error: None,
-        }));
 
         // NI processes first (packet-id order must match the fast
         // engine), then switches — identical ordering to the RTL
         // model.
-        for (i, &(_, _, link)) in elab.wiring.injection.iter().enumerate() {
+        for (i, &(_, _, link)) in wiring.injection.iter().enumerate() {
             let out = flit_chans[link.index()];
             // NIs inject on VC 0 only, so they watch that VC's credit.
             let credit = credit_chans[link.index()][0];
@@ -211,69 +91,26 @@ impl TlmEngine {
             scheduler.process(move |now: Cycle, ch: &mut ChannelCtx| {
                 let sh = &mut *sh.borrow_mut();
                 if ch.read_bit(credit) {
-                    sh.nis[i].credit_return();
+                    sh.elab.nis[i].credit_return();
                 }
-                // Backpressure-aware release, identical to the fast
-                // engine: a stalled request clock-gates the model.
-                let req = match sh.pending[i].take() {
-                    Some(req) if sh.nis[i].can_accept() => Some(req),
-                    Some(req) => {
-                        sh.pending[i] = Some(req);
-                        sh.stalled += 1;
-                        None
-                    }
-                    None => match sh.tgs[i].tick(now) {
-                        Some(req) if sh.nis[i].can_accept() => Some(req),
-                        Some(req) => {
-                            sh.pending[i] = Some(req);
-                            sh.stalled += 1;
-                            None
-                        }
-                        None => None,
-                    },
-                };
-                if let Some(req) = req {
-                    let id = PacketId::new(sh.next_packet);
-                    let desc = PacketDescriptor {
-                        id,
-                        src: sh.generator_endpoints[i],
-                        dst: req.dst,
-                        flow: req.flow,
-                        len_flits: req.len_flits,
-                        release: now,
-                    };
-                    let accepted = sh.nis[i].offer(desc);
-                    debug_assert!(accepted, "capacity was checked before the offer");
-                    sh.next_packet += 1;
-                    if let Err(e) = sh.ledger.release(id, now, req.len_flits) {
-                        sh.error.get_or_insert(EmulationError::Ledger(e));
-                    }
-                }
-                let flit = sh.nis[i].tick_send();
-                if let Some(f) = flit {
-                    if f.kind.is_head() {
-                        if let Err(e) = sh.ledger.inject(f.packet, now) {
-                            sh.error.get_or_insert(EmulationError::Ledger(e));
-                        }
-                    }
-                }
-                sh.ni_done[i] =
-                    sh.tgs[i].is_exhausted() && sh.pending[i].is_none() && sh.nis[i].is_idle();
-                ch.write_flit(out, flit);
+                let released = sh.release(i, now);
+                sh.latch(released);
+                let sent = sh.send(i, now);
+                ch.write_flit(out, sh.latch(sent).flatten());
             });
         }
 
-        for s in 0..shared.borrow().switches.len() {
+        for s in 0..platform.elab.switches.len() {
             let info = topo.switch(SwitchId::new(s as u32));
             let in_chans: Vec<FlitChanId> = (0..info.inputs)
-                .map(|p| flit_chans[elab.wiring.in_link[s][p as usize].index()])
+                .map(|p| flit_chans[wiring.in_link[s][p as usize].index()])
                 .collect();
             let in_credit: Vec<Vec<BitChanId>> = (0..info.inputs)
-                .map(|p| credit_chans[elab.wiring.in_link[s][p as usize].index()].clone())
+                .map(|p| credit_chans[wiring.in_link[s][p as usize].index()].clone())
                 .collect();
             let out_links: Vec<usize> = (0..info.outputs)
                 .map(|p| {
-                    topo.out_link(SwitchId::new(s as u32), nocem_common::ids::PortId::new(p))
+                    topo.out_link(SwitchId::new(s as u32), PortId::new(p))
                         .index()
                 })
                 .collect();
@@ -283,14 +120,14 @@ impl TlmEngine {
             let sh = Rc::clone(&shared);
             scheduler.process(move |_now: Cycle, ch: &mut ChannelCtx| {
                 let sh = &mut *sh.borrow_mut();
-                let sw = &mut sh.switches[s];
+                let sw = &mut sh.elab.switches[s];
                 for (p, c) in in_chans.iter().enumerate() {
                     if let Some(f) = ch.read_flit(*c) {
-                        if let Err(source) = sw.accept(nocem_common::ids::PortId::new(p as u8), f) {
-                            sh.error.get_or_insert(EmulationError::FifoOverflow {
+                        if let Err(source) = sw.accept(PortId::new(p as u8), f) {
+                            sh.latch::<()>(Err(EmulationError::FifoOverflow {
                                 switch: SwitchId::new(s as u32),
                                 source,
-                            });
+                            }));
                             return;
                         }
                     }
@@ -298,10 +135,7 @@ impl TlmEngine {
                 for (o, per_vc) in out_credit.iter().enumerate() {
                     for (v, c) in per_vc.iter().enumerate() {
                         if ch.read_bit(*c) {
-                            sw.credit_return(
-                                nocem_common::ids::PortId::new(o as u8),
-                                nocem_common::ids::VcId::new(v as u8),
-                            );
+                            sw.credit_return(PortId::new(o as u8), VcId::new(v as u8));
                         }
                     }
                 }
@@ -328,122 +162,30 @@ impl TlmEngine {
         }
 
         // Receptor watchers (update-phase callbacks).
-        for (idx, link) in elab.wiring.ejection_link.iter().enumerate() {
+        for (idx, link) in wiring.ejection_link.iter().enumerate() {
             let sh = Rc::clone(&shared);
             scheduler.watch_flit(flit_chans[link.index()], move |value, now| {
                 if let Some(f) = value {
-                    sh.borrow_mut().deliver(idx, f, now);
+                    let sh = &mut *sh.borrow_mut();
+                    let delivered = sh.deliver(idx, f, now);
+                    sh.latch(delivered);
                 }
             });
         }
 
-        let profiler = elab.config.profile.map(|_| {
-            let mut p = PhaseProfiler::new();
-            p.add_ns(Phase::Elaborate, elab.elaborate_ns);
-            p
-        });
-
+        drop(platform);
         TlmEngine {
+            run,
             scheduler,
             shared,
-            stop_packets: elab.config.stop.delivered_packets,
-            cycle_limit: elab.config.stop.cycle_limit,
-            clock_mode: elab.config.clock_mode,
-            cycles_skipped: 0,
-            telemetry,
-            switch_out_links,
-            injection_links,
             inflight_chans,
-            link_count: elab.config.topology.link_count(),
-            num_vcs,
             profiler,
         }
     }
 
-    /// Closes the lap started at `*t`, charging it to `phase`, and
-    /// restarts the chain. No-op when profiling is off.
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
-    /// Cumulative counters at the current instant, shaped exactly
-    /// like the fast engine's probe: per-link lifetime blocked /
-    /// forwarded (source-side accounting) plus live per-VC occupancy
-    /// with in-flight channel flits compensated (see
-    /// `inflight_chans`).
-    fn cumulative_probe(&self) -> CumulativeProbe {
-        let sh = self.shared.borrow();
-        let mut p = CumulativeProbe::new(self.link_count, self.num_vcs);
-        for (s, sw) in sh.switches.iter().enumerate() {
-            let c = sw.counters();
-            for (o, &link) in self.switch_out_links[s].iter().enumerate() {
-                p.add_link(
-                    link,
-                    c.blocked_cycles_per_output[o],
-                    c.forwarded_per_output[o],
-                );
-            }
-            for v in 0..self.num_vcs {
-                p.add_vc(v, sw.occupancy_of_vc(VcId::new(v as u8)));
-            }
-        }
-        for (i, ni) in sh.nis.iter().enumerate() {
-            let c = ni.counters();
-            p.add_link(self.injection_links[i], c.blocked_cycles, c.injected_flits);
-        }
-        for &chan in &self.inflight_chans {
-            if let Some(f) = self.scheduler.flit_value(chan) {
-                p.add_vc(f.vc.index(), 1);
-            }
-        }
-        p
-    }
-
-    /// The windowed telemetry collector, when enabled.
-    pub fn telemetry(&self) -> Option<&Collector> {
-        self.telemetry.as_ref()
-    }
-
-    /// Seals the collector, flushing the trailing partial window.
-    pub fn seal_telemetry(&mut self) {
-        if self.telemetry.as_ref().is_some_and(|t| !t.is_sealed()) {
-            let probe = self.cumulative_probe();
-            let at = self.scheduler.time();
-            self.telemetry
-                .as_mut()
-                .expect("presence checked above")
-                .seal(at, &probe);
-        }
-    }
-
-    fn finished(&self) -> bool {
-        let sh = self.shared.borrow();
-        match self.stop_packets {
-            Some(target) => sh.ledger.delivered() >= target,
-            None => sh.ni_done.iter().all(|&d| d) && sh.ledger.in_flight() == 0,
-        }
-    }
-
-    /// Hybrid clock gating: when every component is quiescent, jump
-    /// the scheduler's time to the earliest future TG event without
-    /// activating a single process. Component quiescence implies every
-    /// channel already sits at its idle value (a flit in a channel is
-    /// an undelivered packet; a credit in a channel is a credit not
-    /// yet home), so the skipped cycles would have been pure no-ops.
-    fn try_fast_forward(&mut self) {
-        let now = Cycle::new(self.scheduler.time());
-        let mut sh = self.shared.borrow_mut();
-        let quiescent =
-            clock::platform_quiescent(&sh.switches, &sh.nis, &sh.pending, sh.ledger.in_flight());
-        if !quiescent {
-            return;
-        }
-        let skipped = clock::fast_forward(now, self.cycle_limit, &mut sh.tgs);
-        drop(sh);
-        self.scheduler.advance_time(skipped);
-        self.cycles_skipped += skipped;
+    /// Work counters of the scheduler (the TLM cost).
+    pub fn scheduler_stats(&self) -> SchedulerStats {
+        self.scheduler.stats()
     }
 
     /// Runs to the stop condition.
@@ -454,129 +196,75 @@ impl TlmEngine {
     pub fn run(&mut self) -> Result<(), EmulationError> {
         clock::run_engine(self)
     }
-
-    /// Advances one cycle regardless of the stop condition (plus any
-    /// preceding fast-forward jump in gated mode; used directly by the
-    /// speed-measurement harness).
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol violations detected by the processes and
-    /// the cycle limit.
-    pub fn step(&mut self) -> Result<(), EmulationError> {
-        let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
-        if self.clock_mode == ClockMode::Gated {
-            self.try_fast_forward();
-        }
-        self.lap(&mut t, Phase::FastForward);
-        // Probe after any fast-forward, before executing the cycle:
-        // the counters then cover exactly [0, now), matching every
-        // other engine's probe point.
-        if self
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.needs_probe(self.scheduler.time()))
-        {
-            let probe = self.cumulative_probe();
-            let at = self.scheduler.time();
-            self.telemetry
-                .as_mut()
-                .expect("presence checked above")
-                .record(at, &probe);
-        }
-        self.lap(&mut t, Phase::Probe);
-        self.scheduler.cycle();
-        self.lap(&mut t, Phase::Processes);
-        if let Some(e) = self.shared.borrow().error.clone() {
-            return Err(e);
-        }
-        if self.scheduler.time() > self.cycle_limit {
-            return Err(EmulationError::CycleLimitExceeded {
-                limit: self.cycle_limit,
-                delivered: self.shared.borrow().ledger.delivered(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Cycles simulated so far.
-    pub fn cycles(&self) -> u64 {
-        self.scheduler.time()
-    }
-
-    /// Packets delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.shared.borrow().ledger.delivered()
-    }
-
-    /// Snapshots the run summary.
-    pub fn summary(&self) -> TlmSummary {
-        let sh = self.shared.borrow();
-        TlmSummary {
-            cycles: self.scheduler.time(),
-            cycles_skipped: self.cycles_skipped,
-            released: sh.ledger.released(),
-            injected: sh.ledger.injected(),
-            delivered: sh.ledger.delivered(),
-            delivered_flits: sh.delivered_flits,
-            network_latency: sh.ledger.network_latency().clone(),
-            total_latency: sh.ledger.total_latency().clone(),
-            scheduler: self.scheduler.stats(),
-        }
-    }
 }
 
-impl SteppableEngine for TlmEngine {
-    fn step(&mut self) -> Result<(), EmulationError> {
-        TlmEngine::step(self)
+impl CycleKernel for TlmEngine {
+    const LABEL: &'static str = "tlm";
+
+    fn run_state(&self) -> &RunState {
+        &self.run
     }
 
-    fn now(&self) -> Cycle {
-        Cycle::new(self.scheduler.time())
+    fn run_state_mut(&mut self) -> &mut RunState {
+        &mut self.run
     }
 
-    fn finished(&self) -> bool {
-        TlmEngine::finished(self)
+    fn profiler_mut(&mut self) -> Option<&mut PhaseProfiler> {
+        self.profiler.as_mut()
     }
 
-    fn delivered(&self) -> u64 {
-        TlmEngine::delivered(self)
+    /// Jumps the scheduler's time along with the platform's generators
+    /// without activating a single process. Component quiescence
+    /// implies every channel already sits at its idle value (a flit in
+    /// a channel is an undelivered packet; a credit in a channel is a
+    /// credit not yet home), so the skipped cycles would have been pure
+    /// no-ops.
+    fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
+        let skipped = self.shared.borrow_mut().idle_jump(now, horizon);
+        self.scheduler.advance_time(skipped);
+        skipped
     }
 
-    fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
+    fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
+        debug_assert_eq!(self.scheduler.time(), now.raw(), "the two clocks agree");
+        self.scheduler.cycle();
+        lap(self.profiler.as_mut(), t, Phase::Processes);
+        self.shared.borrow_mut().take_fault()
     }
 
-    fn summary(&self) -> EngineSummary {
-        let sh = self.shared.borrow();
-        EngineSummary::from_ledger(
-            self.scheduler.time(),
-            self.cycles_skipped,
-            sh.delivered_flits,
-            &sh.ledger,
-        )
+    fn drained(&self) -> bool {
+        self.shared.borrow().drained()
     }
 
-    fn packet_ledger(&self) -> nocem_stats::ledger::PacketLedger {
-        self.shared.borrow().ledger.clone()
+    /// The platform's probe with in-flight channel flits compensated
+    /// (see `inflight_chans`).
+    fn cumulative_probe(&self) -> CumulativeProbe {
+        let mut p = self.shared.borrow().cumulative_probe();
+        for &chan in &self.inflight_chans {
+            if let Some(f) = self.scheduler.flit_value(chan) {
+                p.add_vc(f.vc.index(), 1);
+            }
+        }
+        p
     }
 
-    fn telemetry(&self) -> Option<&Collector> {
-        TlmEngine::telemetry(self)
+    fn wait_edges(&self) -> Vec<WaitEdge> {
+        self.shared.borrow().wait_edges()
     }
 
-    fn seal_telemetry(&mut self) {
-        TlmEngine::seal_telemetry(self);
+    fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
+        Ref::map(self.shared.borrow(), Platform::ledger)
     }
 
-    fn profile(&mut self) -> Option<PhaseReport> {
-        Some(self.profiler.as_ref()?.report("tlm".to_string()))
+    fn delivered_flits(&self) -> u64 {
+        self.shared.borrow().delivered_flits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocem::clock::SteppableEngine;
     use nocem::compile::elaborate;
     use nocem::config::PaperConfig;
 
@@ -587,7 +275,7 @@ mod tests {
         engine.run().unwrap();
         let s = engine.summary();
         assert_eq!(s.delivered, 150);
-        assert!(s.scheduler.activations > s.cycles);
+        assert!(engine.scheduler_stats().activations > s.cycles);
     }
 
     #[test]
@@ -618,9 +306,9 @@ mod tests {
         emu.seal_telemetry();
         let mut tlm = TlmEngine::new(elaborate(&cfg).unwrap());
         tlm.run().unwrap();
-        TlmEngine::seal_telemetry(&mut tlm);
+        tlm.seal_telemetry();
         let fast = emu.telemetry().unwrap();
-        let ours = TlmEngine::telemetry(&tlm).unwrap();
+        let ours = tlm.telemetry().unwrap();
         assert!(fast.windows_recorded() > 0, "run long enough to window");
         assert_eq!(
             ours, fast,

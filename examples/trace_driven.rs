@@ -13,6 +13,7 @@
 
 use nocem::config::{PaperConfig, TrafficModel};
 use nocem::engine::build;
+use nocem::SteppableEngine;
 use nocem_stats::TrKind;
 use nocem_traffic::trace::Trace;
 

@@ -4,6 +4,7 @@
 
 use nocem::config::{PaperConfig, PaperRouting};
 use nocem::engine::build;
+use nocem::SteppableEngine;
 use nocem_topology::analysis::{hot_links, predict_link_loads, SplitModel};
 use nocem_topology::deadlock::check_deadlock_freedom;
 

@@ -6,6 +6,7 @@
 use nocem::config::{PaperConfig, TrafficModel};
 use nocem::devices::{SwitchDriver, TgDriver, TrDriver};
 use nocem::engine::{build, Emulation};
+use nocem::SteppableEngine;
 use nocem_platform::bus::{BusAccess, BusError, DeviceClass};
 use nocem_platform::control::{ControlDriver, STATUS_DONE};
 use nocem_traffic::generator::DestinationModel;

@@ -11,6 +11,7 @@
 use nocem::compile::elaborate;
 use nocem::config::{PaperConfig, PlatformConfig, TrafficModel};
 use nocem::engine::build;
+use nocem::SteppableEngine;
 use nocem_rtl::model::RtlEngine;
 use nocem_tlm::model::TlmEngine;
 use nocem_traffic::stochastic::UniformConfig;

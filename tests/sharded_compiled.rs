@@ -252,6 +252,36 @@ fn gated_clamps_batch_and_skips_like_the_compiled_kernel() {
     assert_eq!(SteppableEngine::summary(&engine), reference.summary());
 }
 
+/// A stall watchdog the sharded engine cannot feed is reported, not
+/// silently dropped: the warning is raised at build, rides on the
+/// summary, and the run itself is unaffected.
+#[test]
+fn configured_stall_watchdog_is_reported_as_ignored() {
+    let mut cfg = uniform_random(MESH8X8, 0.05, 100);
+    cfg.profile = Some(
+        nocem::profile::ProfileConfig::default()
+            .without_spans()
+            .with_stall(200),
+    );
+    let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, 4).unwrap();
+    assert_eq!(
+        SteppableEngine::warnings(&engine),
+        [EngineWarning::ShardedStallWatchdogIgnored]
+    );
+    engine.run().unwrap();
+    assert!(engine.stall_report().is_none());
+    assert_eq!(
+        engine.summary().warnings,
+        [EngineWarning::ShardedStallWatchdogIgnored]
+    );
+    assert_eq!(engine.summary(), run_single(&cfg).summary());
+
+    // Without a configured watchdog there is nothing to warn about.
+    cfg.profile = Some(nocem::profile::ProfileConfig::default().without_spans());
+    let quiet = ShardedCompiledEngine::with_shards(&cfg, 2, 4).unwrap();
+    assert!(SteppableEngine::warnings(&quiet).is_empty());
+}
+
 #[test]
 fn paper_setup_shards_and_matches_single_thread() {
     // The paper's 6-switch topology is not a grid: index striping.

@@ -1,8 +1,9 @@
 //! Stall forensics: a deliberately credit-starved platform (finite
 //! ejection credits that receptors never return) must trip the
-//! watchdog on both watchdog-capable engines and produce a blame
-//! chain naming the concrete starved (link, VC); a healthy saturating
-//! run must never trip it.
+//! watchdog on all four single-threaded engines — it lives in the
+//! shared step skeleton — and produce a blame chain naming the
+//! concrete starved (link, VC); a healthy saturating run must never
+//! trip it.
 
 use nocem::clock::SteppableEngine;
 use nocem::compile::elaborate;
@@ -10,9 +11,11 @@ use nocem::compiled::CompiledEngine;
 use nocem::config::PlatformConfig;
 use nocem::engine::build;
 use nocem::profile::{ProfileConfig, StallReport, WaitDest};
+use nocem_rtl::model::RtlEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::validate_json;
+use nocem_tlm::model::TlmEngine;
 
 const MESH4X4: TopologySpec = TopologySpec::Mesh {
     width: 4,
@@ -114,6 +117,30 @@ fn starved_fixture_trips_the_watchdog_on_the_compiled_engine() {
     assert_eq!(report.at_cycle, ref_report.at_cycle);
     assert_eq!(report.edges, ref_report.edges);
     assert_eq!(report.chain, ref_report.chain);
+}
+
+/// The TLM and RTL models wedge like the fast engine: same trip cycle,
+/// same wait-for edges, same blame chain. The comparison is exact, not
+/// modulo in-flight state: by the trip the platform has been frozen
+/// for 200 cycles, so no flit or credit is still travelling in a
+/// channel or on a wire and the switches hold exactly the reference's
+/// state.
+#[test]
+fn starved_fixture_trips_the_watchdog_identically_on_tlm_and_rtl() {
+    let cfg = starved_config();
+    let reference = run_to_stall(&mut build(&cfg).unwrap());
+    let legs: [(&str, Box<dyn SteppableEngine>); 2] = [
+        ("tlm", Box::new(TlmEngine::new(elaborate(&cfg).unwrap()))),
+        ("rtl", Box::new(RtlEngine::new(elaborate(&cfg).unwrap()))),
+    ];
+    for (name, mut engine) in legs {
+        let report = run_to_stall(engine.as_mut());
+        assert_blames_starved_ejection(&report);
+        assert_eq!(report.at_cycle, reference.at_cycle, "{name} trip cycle");
+        assert_eq!(report.edges, reference.edges, "{name} wait-for edges");
+        assert_eq!(report.chain, reference.chain, "{name} blame chain");
+        assert_eq!(report.top_blocked, reference.top_blocked, "{name} links");
+    }
 }
 
 /// A healthy run at a saturating load makes slow-but-steady progress:
