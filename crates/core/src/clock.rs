@@ -31,8 +31,8 @@
 //! The sharded coordinator (`crate::shard_compiled`) embeds a
 //! [`RunState`] too and calls the pieces that fit (construction, probe
 //! record / seal, the delivered-target test, the cycle-limit check,
-//! the summary) but keeps its own windowed `step`: it gates and probes
-//! once per window and its "cycle" is a replay of buffered entries, so
+//! the summary) but keeps its own windowed `step`: it probes once per
+//! window and its "cycle" is a replay of buffered entries, so
 //! forcing it through the per-cycle skeleton would make the shared code
 //! branch on its caller.
 //!
@@ -102,9 +102,10 @@
 //! fast-forwards past a cycle at which another shard could have
 //! produced traffic that would reach it; the jump is replayed in
 //! every worker with the same [`TrafficGenerator::skip_to`] contract
-//! as [`fast_forward`]. Because the gating decision is a per-cycle
-//! platform-wide predicate, the engine clamps its exchange batch to 1
-//! under [`ClockMode::Gated`] rather than diverge.
+//! as [`fast_forward`]. The decision is taken before every *applied*
+//! cycle, so it composes with any exchange batch: cycles the workers
+//! already executed past a quiescent point are idle no-ops, and the
+//! coordinator discards their buffered rows when it jumps.
 
 use crate::config::{PlatformConfig, StopCondition};
 use crate::error::EmulationError;
@@ -213,13 +214,6 @@ pub fn effective_speedup(cycles: u64, cycles_skipped: u64) -> f64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineWarning {
-    /// Clock gating needs a per-cycle cross-shard horizon, so the
-    /// sharded-compiled engine clamped the requested exchange batch
-    /// to 1.
-    GatedBatchClamp {
-        /// The batch the configuration asked for.
-        requested: u64,
-    },
     /// The configuration asked for the stall watchdog
     /// (`ProfileConfig::with_stall`) on the sharded-compiled engine,
     /// which has no wait-for forensics yet: worker state runs ahead of
@@ -231,11 +225,6 @@ pub enum EngineWarning {
 impl std::fmt::Display for EngineWarning {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineWarning::GatedBatchClamp { requested } => write!(
-                f,
-                "clock gating needs a per-cycle cross-shard horizon; \
-                 clamping sharded-compiled batch {requested} to 1"
-            ),
             EngineWarning::ShardedStallWatchdogIgnored => write!(
                 f,
                 "the sharded-compiled engine has no stall forensics; \
@@ -249,7 +238,7 @@ impl std::fmt::Display for EngineWarning {
 /// cross-engine and gated-vs-ungated equivalence tests.
 ///
 /// Equality deliberately ignores [`EngineSummary::warnings`]: a
-/// warning describes the *machinery* (a clamped knob), not the
+/// warning describes the *machinery* (an ignored knob), not the
 /// emulated behaviour, and the equivalence tests compare behaviour.
 #[derive(Debug, Clone)]
 pub struct EngineSummary {
@@ -564,7 +553,7 @@ pub trait SteppableEngine {
     }
 
     /// Structured warnings the engine raised while coming up or
-    /// running (configuration clamps and the like).
+    /// running (ignored configuration knobs and the like).
     fn warnings(&self) -> &[EngineWarning] {
         &[]
     }

@@ -123,13 +123,15 @@ pub enum EngineKind {
     /// [`EngineKind::Compiled`] for every `(shards, batch)` (proven by
     /// the lockstep ledger tests in `tests/sharded_compiled.rs`).
     ShardedCompiled {
-        /// Worker-thread shard count (`>= 1`; `1` is a single worker,
-        /// useful for measuring the orchestration overhead).
+        /// Worker-thread shard count (`>= 1`). `1` is not sharded:
+        /// [`crate::sweep::AnyEngine`] builds [`EngineKind::Compiled`]
+        /// on the caller's thread — no worker, no coordinator. To
+        /// measure the orchestration overhead of a single worker, call
+        /// `ShardedCompiledEngine::with_shards(config, 1, batch)`.
         shards: usize,
-        /// Cycles per coordinator synchronization round (`>= 1`;
-        /// clamped to 1 — with a warning — under
-        /// [`ClockMode::Gated`], whose cross-shard event horizon is a
-        /// per-cycle global decision).
+        /// Cycles per coordinator synchronization round (`>= 1`), in
+        /// either [`ClockMode`]: under gating, cycles the workers ran
+        /// past a quiescent point are discarded when the clock jumps.
         batch: u64,
     },
 }

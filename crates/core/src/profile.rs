@@ -186,8 +186,9 @@ impl Default for StallConfig {
 
 /// Work an engine did, counted next to the timers so a report can tell
 /// *more work* from *slower work*, while profiling is on. The step
-/// skeleton counts `fast_forwards` on every engine; the other counters
-/// are filled by the compiled kernel only and read zero elsewhere.
+/// skeleton counts `fast_forwards` on every engine and the sharded
+/// coordinator `speculative_rows`; the other counters are filled by
+/// the compiled kernel only and read zero elsewhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Switches that ran decide (and commit): live at cycle start.
@@ -202,11 +203,16 @@ pub struct WorkCounters {
     pub ni_ticks: u64,
     /// Clock-gated jumps taken.
     pub fast_forwards: u64,
+    /// Buffered cycles the sharded coordinator discarded because a
+    /// jump passed them: the workers executed them speculatively, as
+    /// idle no-ops (at most `batch − 1` per jump; 0 on every other
+    /// engine).
+    pub speculative_rows: u64,
 }
 
 impl WorkCounters {
     /// `(name, value)` per counter, in declaration order.
-    fn named(&self) -> [(&'static str, u64); 6] {
+    fn named(&self) -> [(&'static str, u64); 7] {
         [
             ("switches_decided", self.switches_decided),
             ("switches_scanned", self.switches_scanned),
@@ -214,6 +220,7 @@ impl WorkCounters {
             ("tg_phases_skipped", self.tg_phases_skipped),
             ("ni_ticks", self.ni_ticks),
             ("fast_forwards", self.fast_forwards),
+            ("speculative_rows", self.speculative_rows),
         ]
     }
 }
@@ -226,6 +233,7 @@ impl std::ops::AddAssign for WorkCounters {
         self.tg_phases_skipped += o.tg_phases_skipped;
         self.ni_ticks += o.ni_ticks;
         self.fast_forwards += o.fast_forwards;
+        self.speculative_rows += o.speculative_rows;
     }
 }
 

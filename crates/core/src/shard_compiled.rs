@@ -95,12 +95,16 @@
 //! *every* shard is quiescent and the ledger carries no in-flight
 //! packet, and only up to the minimum next-event over all shards
 //! (clamped to the cycle limit) — a shard never skips past another
-//! shard's horizon. That is inherently a per-cycle coordinator
-//! decision, so under [`ClockMode::Gated`] the batch is clamped to 1
-//! (with a warning): correctness is never traded for lookahead. A jump
-//! costs the workers nothing: they are simply told the next cycle to
-//! execute, and each TG replays the skipped window lazily before its
-//! next real tick, as in [`CompiledEngine`].
+//! shard's horizon. The decision is taken per *applied* cycle, so it
+//! composes with any batch: workers run their whole window regardless,
+//! and a cycle executed on a quiescent platform below every horizon is
+//! a state no-op on every worker (live sets empty, deferred TGs
+//! untouched). The buffered rows a jump passes are such *speculative
+//! idle cycles* and are discarded — at most `batch − 1` per jump,
+//! counted in `WorkCounters::speculative_rows`. A jump past the end of
+//! the buffer costs the workers nothing: they are simply told the next
+//! cycle to execute, and each TG replays the skipped window lazily
+//! before its next real tick, as in [`CompiledEngine`].
 
 use crate::clock::{ClockMode, EngineSummary, EngineWarning, RunState, SteppableEngine};
 use crate::compile::{
@@ -109,7 +113,7 @@ use crate::compile::{
 #[cfg(doc)]
 use crate::compiled::CompiledEngine;
 use crate::compiled::{vc_watermarks, CommitSink, CompiledKernel};
-use crate::config::{EngineKind, PlatformConfig};
+use crate::config::PlatformConfig;
 use crate::error::{CompileError, EmulationError};
 use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport};
 use crate::results::{congestion_of, EmulationResults, ReceptorSummary};
@@ -130,8 +134,8 @@ use std::time::Instant;
 
 /// The cycles-per-synchronization batch for callers with no reason to
 /// pick their own (the scenario matrix's `shards` axis, the curve
-/// bin) — the value the benchmark's `shard1_mesh8x8` workload and the
-/// batched `BENCH_*.json` rows were measured at.
+/// bin), gated or not — the value the batched `BENCH_*.json` rows were
+/// measured at.
 pub const DEFAULT_BATCH: u64 = 16;
 
 /// Provisional packet ids carry this flag plus the shard in bits
@@ -319,6 +323,9 @@ struct Worker {
     /// (empty sends, discarding receives) so neighbours never block,
     /// but step nothing further.
     dead: bool,
+    /// Fault injection: panic computing this cycle.
+    #[cfg(test)]
+    fault: Option<u64>,
     /// Worker-side span timeline on this shard's track, timed against
     /// the coordinator's epoch.
     spans: Option<SpanBuffer>,
@@ -558,6 +565,13 @@ impl Worker {
     fn compute_cycle(&mut self, now: Cycle, entry: &mut CycleEntry) -> Result<(), EmulationError> {
         #[cfg(debug_assertions)]
         self.eng.assert_live_sets();
+        #[cfg(test)]
+        assert_ne!(
+            Some(now.raw()),
+            self.fault,
+            "injected fault at cycle {}",
+            now.raw()
+        );
         let stalled = self.eng.stalled;
         self.eng.release_phase(now, |_, gidx, prov, len_flits| {
             entry.releases.push(ReleaseRec {
@@ -657,9 +671,9 @@ struct WorkerHandle {
 
 /// The sharded compiled engine.
 ///
-/// Construct with [`ShardedCompiledEngine::build`] (grid-stripe
-/// partitioning, shard count and batch from
-/// [`EngineKind::ShardedCompiled`]) or
+/// Construct with [`ShardedCompiledEngine::with_shards`] (grid-stripe
+/// partitioning; what [`crate::sweep::AnyEngine`] builds for a
+/// `ShardedCompiled` engine kind at two or more shards) or
 /// [`ShardedCompiledEngine::with_partition`] for a custom
 /// [`Partition`]. Drive it through [`SteppableEngine`] or
 /// [`ShardedCompiledEngine::run`]; collect full results with
@@ -713,22 +727,6 @@ impl std::fmt::Debug for ShardedCompiledEngine {
 }
 
 impl ShardedCompiledEngine {
-    /// Compiles `config` and shards it with the grid-stripe
-    /// partitioner, honouring `config.engine`: the shard count and
-    /// batch of [`EngineKind::ShardedCompiled`], or a single shard
-    /// with `batch = 1` for any other engine kind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from elaboration or partitioning.
-    pub fn build(config: &PlatformConfig) -> Result<Self, CompileError> {
-        let (shards, batch) = match config.engine {
-            EngineKind::ShardedCompiled { shards, batch } => (shards, batch),
-            _ => (1, 1),
-        };
-        Self::with_shards(config, shards, batch)
-    }
-
     /// Compiles `config` into exactly `shards` grid stripes stepping
     /// `batch` cycles per synchronization round.
     ///
@@ -760,33 +758,28 @@ impl ShardedCompiledEngine {
             .map_err(|e| CompileError::Partition {
                 reason: e.to_string(),
             })?;
-        Ok(Self::with_partition(elab, map, batch))
+        Self::with_partition(elab, map, batch)
     }
 
     /// Wraps an elaboration into a sharded compiled engine using an
-    /// explicit partition map.
+    /// explicit partition map. A `batch` of 0 is treated as 1.
     ///
-    /// A `batch` of 0 is treated as 1. Under [`ClockMode::Gated`] any
-    /// `batch > 1` is clamped to 1 with a warning: the gating decision
-    /// is a per-cycle platform-wide predicate, so batching would have
-    /// to diverge — and this engine never diverges.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics if `map` does not cover the elaboration's topology.
-    pub fn with_partition(elab: Elaboration, map: PartitionMap, batch: u64) -> Self {
-        assert_eq!(
-            map.switch_count(),
-            elab.config.topology.switch_count(),
-            "partition map does not match the topology"
-        );
-        let mut batch = batch.max(1);
-        let mut run = RunState::new(&elab.config);
-        if run.clock_mode == ClockMode::Gated && batch > 1 {
-            run.warnings
-                .push(EngineWarning::GatedBatchClamp { requested: batch });
-            batch = 1;
+    /// Returns [`CompileError::Partition`] if `map` does not cover the
+    /// elaboration's topology.
+    pub fn with_partition(
+        elab: Elaboration,
+        map: PartitionMap,
+        batch: u64,
+    ) -> Result<Self, CompileError> {
+        let (have, want) = (map.switch_count(), elab.config.topology.switch_count());
+        if have != want {
+            let reason = format!("the partition map covers {have} switches, not {want}");
+            return Err(CompileError::Partition { reason });
         }
+        let batch = batch.max(1);
+        let mut run = RunState::new(&elab.config);
         // Nothing here can feed a watchdog: worker state runs ahead of
         // the coordinator's cycle, so there is no consistent wait-for
         // snapshot to latch. Say so instead of silently not watching.
@@ -895,7 +888,8 @@ impl ShardedCompiledEngine {
             let join = std::thread::Builder::new()
                 .name(format!("nocem-cshard-{k}"))
                 .spawn(move || {
-                    let worker = spawn_worker(
+                    #[allow(unused_mut)]
+                    let mut worker = spawn_worker(
                         k,
                         &worker_config,
                         &worker_map,
@@ -907,7 +901,7 @@ impl ShardedCompiledEngine {
                         rep_tx,
                     );
                     #[cfg(test)]
-                    let worker = tests::armed(worker, fault);
+                    (worker.fault = fault);
                     worker.run()
                 })
                 .expect("spawn sharded-compiled worker");
@@ -918,7 +912,7 @@ impl ShardedCompiledEngine {
             });
         }
 
-        ShardedCompiledEngine {
+        Ok(ShardedCompiledEngine {
             config,
             run,
             workers: handles,
@@ -937,11 +931,10 @@ impl ShardedCompiledEngine {
             failed: false,
             profiler,
             spans,
-        }
+        })
     }
 
-    /// The effective cycles-per-synchronization batch (after any
-    /// gated-mode clamp).
+    /// The cycles-per-synchronization batch.
     pub fn batch(&self) -> u64 {
         self.batch
     }
@@ -982,28 +975,45 @@ impl ShardedCompiledEngine {
         Ok(())
     }
 
-    /// Gates, probes, sizes and issues one window, then buffers every
+    /// The cross-shard jump, on a quiescent platform about to apply
+    /// cycle `now` — the predicate [`CompiledEngine`]'s `idle_jump`
+    /// evaluates there. Buffered rows the jump passes are speculative
+    /// idle cycles: discarded, once any fault they carry has surfaced.
+    fn fast_forward(&mut self) -> Result<(), EmulationError> {
+        let horizon = self.status.iter().map(|s| s.next_event).min();
+        let target = horizon.unwrap_or(u64::MAX).min(self.run.stop.cycle_limit);
+        let skipped = target.saturating_sub(self.run.now.raw());
+        if skipped == 0 {
+            return Ok(());
+        }
+        let speculative = skipped.min(self.window.len() as u64);
+        let mut fault = None;
+        for e in self.window.drain(..speculative as usize).flatten() {
+            debug_assert!(
+                e.error.is_some()
+                    || (e.releases.is_empty()
+                        && e.injects.is_empty()
+                        && e.deliveries.is_empty()
+                        && e.stalled_delta == 0),
+                "a speculative idle cycle did something"
+            );
+            fault = fault.or(e.error);
+        }
+        if let Some(e) = fault {
+            return Err(self.fail(e));
+        }
+        self.run.jump(skipped);
+        if let Some(p) = self.profiler.as_mut() {
+            p.work.fast_forwards += 1;
+            p.work.speculative_rows += speculative;
+        }
+        Ok(())
+    }
+
+    /// Probes, sizes and issues one window, then buffers every
     /// worker's cycle entries. `t` is the coordinator's chained
     /// profiling timestamp (`None` when profiling is off).
     fn start_window(&mut self, t: &mut Option<Instant>) -> Result<(), EmulationError> {
-        // Cross-shard clock gating (batch is clamped to 1 in gated
-        // mode, so this is a per-cycle decision).
-        if self.run.clock_mode == ClockMode::Gated && self.is_quiescent() {
-            let horizon = self
-                .status
-                .iter()
-                .map(|s| s.next_event)
-                .min()
-                .unwrap_or(u64::MAX);
-            let target = horizon.min(self.run.stop.cycle_limit);
-            if target > self.run.now.raw() {
-                self.run.jump(target - self.run.now.raw());
-                if let Some(p) = self.profiler.as_mut() {
-                    p.work.fast_forwards += 1;
-                }
-            }
-        }
-        lap(self.profiler.as_mut(), t, Phase::FastForward);
         if self.run.probe_due() {
             let probe = self.probe_workers()?;
             self.run.record_probe(&probe);
@@ -1099,9 +1109,7 @@ impl ShardedCompiledEngine {
             self.status[k] = e.status;
         }
         if let Some(e) = first_error {
-            self.failed = true;
-            self.window.clear();
-            return Err(e);
+            return Err(self.fail(e));
         }
         releases.sort_by_key(|r| r.gidx);
         for r in releases {
@@ -1134,14 +1142,14 @@ impl ShardedCompiledEngine {
             self.delivered_flits += u64::from(d.len_flits);
             self.receptor_latency[d.receptor as usize].record(lat.network);
         }
-        self.run.advance(self.ledger.delivered()).map_err(|e| {
-            self.window.clear();
-            self.fail(e)
-        })
+        let advanced = self.run.advance(self.ledger.delivered());
+        advanced.map_err(|e| self.fail(e))
     }
 
+    /// Poisons the engine: nothing buffered is applied after `e`.
     fn fail(&mut self, e: EmulationError) -> EmulationError {
         self.failed = true;
+        self.window.clear();
         e
     }
 
@@ -1277,15 +1285,19 @@ impl Drop for ShardedCompiledEngine {
 }
 
 impl SteppableEngine for ShardedCompiledEngine {
-    /// Advances one platform cycle. When the window buffer is empty a
-    /// new window of up to `batch` cycles is executed across all
-    /// shards first (one synchronization round); either way exactly
-    /// one buffered cycle is then applied to the ledger, so per-cycle
-    /// observability (`now`, `delivered`, lockstep comparisons) is
-    /// identical to the unbatched engines.
+    /// Advances one platform cycle (past any clock-gated jump). When
+    /// the window buffer is empty a new window of up to `batch` cycles
+    /// is executed across all shards first (one synchronization
+    /// round); either way exactly one buffered cycle is then applied
+    /// to the ledger, so per-cycle observability (`now`, `delivered`,
+    /// lockstep comparisons) is identical to the unbatched engines.
     fn step(&mut self) -> Result<(), EmulationError> {
         self.check_alive()?;
         let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
+        if self.run.clock_mode == ClockMode::Gated && self.is_quiescent() {
+            self.fast_forward()?;
+        }
+        lap(self.profiler.as_mut(), &mut t, Phase::FastForward);
         if self.window.is_empty() {
             let round_start = t;
             self.start_window(&mut t)?;
@@ -1452,6 +1464,8 @@ fn spawn_worker(
         out_txs,
         in_rxs,
         dead: false,
+        #[cfg(test)]
+        fault: None,
         spans,
         cmd_rx,
         rep_tx,
@@ -1462,13 +1476,12 @@ fn spawn_worker(
 mod tests {
     use super::*;
     use crate::config::PaperConfig;
-    use nocem_traffic::generator::{PacketRequest, TgKind, TrafficGenerator};
     use std::cell::Cell;
     use std::time::Duration;
 
     thread_local! {
         /// `(shard, cycle)`: in engines built on this thread, that
-        /// shard's worker panics ticking that cycle.
+        /// shard's worker panics computing that cycle.
         static FAULT: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
     }
 
@@ -1477,45 +1490,35 @@ mod tests {
         FAULT.get().filter(|f| f.0 == k).map(|f| f.1)
     }
 
-    /// A generator that releases nothing and panics at one cycle.
-    struct PanicAt(u64);
-
-    impl TrafficGenerator for PanicAt {
-        fn tick(&mut self, now: Cycle) -> Option<PacketRequest> {
-            assert_ne!(now.raw(), self.0, "injected fault at cycle {}", self.0);
-            None
-        }
-
-        fn remaining(&self) -> Option<u64> {
-            None
-        }
-
-        fn kind(&self) -> TgKind {
-            TgKind::Stochastic
-        }
+    /// Runs `body` under a watchdog, so a protocol hang fails the test
+    /// instead of stalling the suite.
+    fn within_a_minute(body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the faulted engine hung or its test body panicked");
     }
 
-    /// Swaps generator 0 of `worker`'s engine — owned or not — for one
-    /// that panics at `fault`, ticked from cycle 0.
-    pub(super) fn armed(mut worker: Worker, fault: Option<u64>) -> Worker {
-        if let Some(cycle) = fault {
-            let eng = &mut worker.eng;
-            eng.exhausted -= usize::from(eng.tgs[0].is_exhausted());
-            eng.tgs[0] = Box::new(PanicAt(cycle));
-            eng.tg_next_event[0] = 0;
-            eng.tg_min_next = 0;
+    fn assert_shard1_fault(err: EmulationError, cycle: u64) {
+        match err {
+            EmulationError::Shard { shard: 1, reason } => {
+                let needle = format!("injected fault at cycle {cycle}");
+                assert!(reason.contains(&needle), "{reason}");
+            }
+            other => panic!("expected a shard-1 fault, got {other}"),
         }
-        worker
     }
 
     /// A worker panic mid-window surfaces as a typed error on exactly
     /// the cycle it happened, poisons the engine for good, strands
-    /// nobody and lets the engine drop — all under a watchdog, so a
-    /// protocol hang fails the test instead of stalling the suite.
+    /// nobody and lets the engine drop.
     #[test]
     fn worker_panic_mid_window_is_a_shard_fault_not_a_hang() {
-        let (done_tx, done_rx) = mpsc::channel();
-        std::thread::spawn(move || {
+        within_a_minute(|| {
             // Window [16, 24) at batch 8: the fault sits mid-window,
             // so shard 1 idles out cycles 21..=23 on the cadence alone
             // while shard 0 (which owns the paper's four TGs) keeps
@@ -1527,12 +1530,7 @@ mod tests {
                 engine.step().unwrap();
                 assert_eq!(engine.now().raw(), cycle + 1);
             }
-            match engine.step().unwrap_err() {
-                EmulationError::Shard { shard: 1, reason } => {
-                    assert!(reason.contains("injected fault at cycle 20"), "{reason}");
-                }
-                other => panic!("expected a shard-1 fault, got {other}"),
-            }
+            assert_shard1_fault(engine.step().unwrap_err(), 20);
             assert_eq!(engine.now().raw(), 20, "the faulting cycle is not applied");
             for _ in 0..2 {
                 assert!(matches!(engine.step(), Err(EmulationError::Shard { .. })));
@@ -1543,10 +1541,40 @@ mod tests {
             }
             // Joins both workers: the healthy one finished its window.
             drop(engine);
-            done_tx.send(()).unwrap();
         });
-        done_rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("the faulted engine hung or its test body panicked");
+    }
+
+    /// A worker panic on a cycle that turns out to be a speculative
+    /// idle row — executed inside a window, then passed by a gated
+    /// jump — still surfaces, by the step that would have discarded it.
+    #[test]
+    fn worker_panic_on_a_speculative_idle_row_still_surfaces() {
+        within_a_minute(|| {
+            let cfg = PaperConfig::new()
+                .total_packets(1_000_000)
+                .burst(4)
+                .with_clock_mode(ClockMode::Gated);
+            // A healthy run finds the first buffered row a jump passes.
+            let mut healthy = ShardedCompiledEngine::with_shards(&cfg, 2, 8).unwrap();
+            let (victim, steps) = (1..)
+                .find_map(|steps| {
+                    let (at, buffered) = (healthy.run.now.raw(), healthy.window.len());
+                    healthy.step().unwrap();
+                    let jumped = healthy.run.now.raw() - at > 1;
+                    (jumped && buffered > 0).then_some((at, steps))
+                })
+                .expect("a gated burst run jumps inside a window");
+            drop(healthy);
+
+            FAULT.set(Some((1, victim)));
+            let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, 8).unwrap();
+            for _ in 1..steps {
+                engine.step().unwrap();
+            }
+            assert_eq!(engine.run.now.raw(), victim);
+            assert_shard1_fault(engine.step().unwrap_err(), victim);
+            assert_eq!(engine.run.now.raw(), victim, "no jump over a fault");
+            assert!(matches!(engine.step(), Err(EmulationError::Shard { .. })));
+        });
     }
 }

@@ -205,6 +205,10 @@ pub enum AnyEngine {
 
 impl AnyEngine {
     /// Compiles `config` and builds the engine `config.engine` names.
+    /// One shard is not sharded: `ShardedCompiled { shards: 1, .. }`
+    /// is [`AnyEngine::Compiled`] on the caller's thread (bit-identical
+    /// by the lockstep proof), so sharding costs nothing until
+    /// something crosses a shard.
     ///
     /// # Errors
     ///
@@ -230,7 +234,9 @@ impl AnyEngine {
         };
         Ok(match config.engine {
             EngineKind::SingleThread => AnyEngine::Single(Box::new(Emulation::new(elab))),
-            EngineKind::Compiled => AnyEngine::Compiled(Box::new(CompiledEngine::new(elab))),
+            EngineKind::Compiled | EngineKind::ShardedCompiled { shards: 1, .. } => {
+                AnyEngine::Compiled(Box::new(CompiledEngine::new(elab)))
+            }
             EngineKind::ShardedCompiled { shards, batch } => AnyEngine::ShardedCompiled(Box::new(
                 ShardedCompiledEngine::from_elaboration(elab, shards, batch)?,
             )),

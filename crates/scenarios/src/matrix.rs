@@ -205,16 +205,13 @@ impl MatrixSpec {
                         ) {
                             Ok(mut config) => {
                                 config.clock_mode = self.clock_mode;
-                                // One kernel along the whole axis, so
-                                // "speedup vs 1 shard" compares like
-                                // with like.
-                                config.engine = if shards == 1 {
-                                    EngineKind::Compiled
-                                } else {
-                                    EngineKind::ShardedCompiled {
-                                        shards,
-                                        batch: DEFAULT_BATCH,
-                                    }
+                                // One kernel along the whole axis
+                                // (`AnyEngine` runs one shard
+                                // unsharded), so "speedup vs 1 shard"
+                                // compares like with like.
+                                config.engine = EngineKind::ShardedCompiled {
+                                    shards,
+                                    batch: DEFAULT_BATCH,
                                 };
                                 meta.push((name.clone(), topology.name(), load, shards));
                                 points.push(SweepPoint::new(label, config));

@@ -16,7 +16,7 @@ use nocem::config::{PaperConfig, PlatformConfig, TrafficModel};
 use nocem::engine::build;
 use nocem::error::EmulationError;
 use nocem::profile::ProfileConfig;
-use nocem::shard_compiled::ShardedCompiledEngine;
+use nocem::shard_compiled::{ShardedCompiledEngine, DEFAULT_BATCH};
 use nocem_rtl::model::RtlEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -38,7 +38,7 @@ fn engine_builders() -> Vec<(&'static str, EngineBuilder)> {
             Box::new(CompiledEngine::new(elaborate(cfg).unwrap()))
         }),
         ("sharded-compiled", |cfg| {
-            Box::new(ShardedCompiledEngine::with_shards(cfg, 2, 1).unwrap())
+            Box::new(ShardedCompiledEngine::with_shards(cfg, 2, DEFAULT_BATCH).unwrap())
         }),
     ]
 }

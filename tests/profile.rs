@@ -213,7 +213,7 @@ fn work_counters_account_for_the_live_set_paths() {
     assert!(report.to_json().contains("\"work\":{\"switches_decided\":"));
     assert!(report.render().contains("tg_phases_skipped="));
 
-    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2, 1).unwrap();
+    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap();
     sharded.run().unwrap();
     let sharded_work = SteppableEngine::profile(&mut sharded).unwrap().work;
     assert_eq!(

@@ -17,15 +17,17 @@
 use nocem::clock::{ClockMode, EngineWarning, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::compiled::CompiledEngine;
-use nocem::config::{EngineKind, PaperConfig, PlatformConfig};
+use nocem::config::{EngineKind, PaperConfig, PlatformConfig, TrafficModel};
 use nocem::engine::{build, Emulation};
-use nocem::error::CompileError;
+use nocem::error::{CompileError, EmulationError};
+use nocem::profile::ProfileConfig;
 use nocem::shard_compiled::ShardedCompiledEngine;
 use nocem::sweep::AnyEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::TelemetryConfig;
 use nocem_topology::partition::PartitionMap;
+use nocem_traffic::stochastic::BurstConfig;
 use proptest::prelude::*;
 
 /// A uniform-random scenario config on `topo` at `load` (meshes on XY
@@ -223,33 +225,257 @@ fn drain_mode_stop_condition_drains_every_shard() {
     }
 }
 
-/// Gating is a per-cycle cross-shard decision: a gated config clamps
-/// any larger batch to 1 (with a warning) and then skips exactly the
-/// cycles the single-threaded fast-forward kernel skips.
+/// Gating and batching compose: a gated config keeps the batch it
+/// asked for (no warning), skips exactly the cycles the single-threaded
+/// fast-forward kernel skips, and pays one synchronization round per
+/// window instead of one per stepped cycle. Drain mode, like the
+/// amortization test above: a delivered target caps windows near the
+/// end.
 #[test]
-fn gated_clamps_batch_and_skips_like_the_compiled_kernel() {
+fn gated_batches_and_skips_like_the_compiled_kernel() {
     let mut cfg = uniform_random(MESH8X8, 0.05, 300);
     cfg.clock_mode = ClockMode::Gated;
+    cfg.stop.delivered_packets = None;
+    cfg.profile = Some(ProfileConfig::default().without_spans());
     let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
     reference.run().unwrap();
     let mut engine = ShardedCompiledEngine::with_shards(&cfg, 4, 16).unwrap();
-    assert_eq!(engine.batch(), 1, "gated mode must clamp the batch");
-    // The clamp is surfaced as a structured warning — machine-visible
-    // on both the engine and its summary, not just stderr.
-    match SteppableEngine::warnings(&engine) {
-        [EngineWarning::GatedBatchClamp { requested }] => assert_eq!(*requested, 16),
-        other => panic!("expected one GatedBatchClamp warning, got {other:?}"),
-    }
+    assert_eq!(engine.batch(), 16, "gated mode keeps the batch");
+    assert!(SteppableEngine::warnings(&engine).is_empty());
     engine.run().unwrap();
-    assert_eq!(
-        SteppableEngine::summary(&engine).warnings,
-        SteppableEngine::warnings(&engine),
-        "the summary must carry the engine's warnings"
-    );
+    assert!(SteppableEngine::summary(&engine).warnings.is_empty());
     assert!(engine.cycles_skipped() > 0, "a 5%-load run must skip");
     assert_eq!(engine.cycles_skipped(), reference.cycles_skipped());
     assert_eq!(engine.ledger(), reference.ledger());
     assert_eq!(SteppableEngine::summary(&engine), reference.summary());
+    let stepped = engine.now().raw() - engine.cycles_skipped();
+    let work = SteppableEngine::profile(&mut engine).unwrap().work;
+    assert_eq!(
+        work.fast_forwards,
+        reference.profile().unwrap().work.fast_forwards
+    );
+    // Every window is 16 rows, each applied (a stepped cycle) or
+    // discarded by a jump; only a window a jump cut short (or the last
+    // one) carries fewer than 16 stepped cycles. Batch 1 paid
+    // `stepped` rounds here.
+    let rounds = engine.sync_rounds();
+    assert!(
+        rounds <= stepped.div_ceil(16) + work.fast_forwards + 1,
+        "{rounds} rounds for {stepped} stepped cycles and {} jumps",
+        work.fast_forwards
+    );
+    assert!(rounds < stepped / 2, "{rounds} rounds, {stepped} stepped");
+    assert!(work.speculative_rows > 0, "no jump landed inside a window");
+    assert!(work.speculative_rows <= 15 * work.fast_forwards);
+}
+
+/// `cfg` with every uniform generator swapped for a bursty one: long
+/// idle phases between back-to-back packet trains, so gated runs take
+/// jumps far longer than any window.
+fn bursty(mut cfg: PlatformConfig) -> PlatformConfig {
+    for g in &mut cfg.generators {
+        if let TrafficModel::Uniform(u) = g {
+            *g = TrafficModel::Burst(BurstConfig {
+                length: u.length,
+                start_probability: 0.002,
+                continue_probability: 0.75,
+                budget: u.budget,
+                destination: u.destination.clone(),
+            });
+        }
+    }
+    cfg.name.push_str("-burst");
+    cfg
+}
+
+/// Per-step gated lockstep against the compiled engine — clock,
+/// deliveries and skipped cycles after *every* step — for every
+/// (shards, batch) case, on steady sparse load (jumps shorter than a
+/// window) and burst traffic (jumps longer than one). A jump that costs
+/// no synchronization round landed on a row already buffered; one that
+/// does ran past the buffer's end. Both must occur at every batch > 1.
+#[test]
+fn gated_lockstep_per_step_with_jumps_inside_and_past_the_window() {
+    for topo in [MESH8X8, TORUS8X8] {
+        let steady = uniform_random(topo, 0.005, 120);
+        for mut cfg in [bursty(steady.clone()), steady] {
+            cfg.clock_mode = ClockMode::Gated;
+            cfg.stop.delivered_packets = None;
+            cfg.profile = Some(ProfileConfig::default().without_spans());
+            let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
+            // Per case: its label, the engine, jumps that landed inside
+            // the buffered window, the rows those jumps passed, jumps
+            // that ran past the window's end.
+            let mut cases: Vec<(String, ShardedCompiledEngine, u64, u64, u64)> = CASES
+                .iter()
+                .map(|&(k, b)| {
+                    let what = format!("{k} shards batch {b} on {}", cfg.name);
+                    let engine = ShardedCompiledEngine::with_shards(&cfg, k, b).unwrap();
+                    (what, engine, 0, 0, 0)
+                })
+                .collect();
+            while !reference.finished() {
+                let before = reference.now().raw();
+                reference.step().unwrap();
+                let jump = reference.now().raw() - before - 1;
+                for (what, engine, inside, inside_rows, past) in &mut cases {
+                    let rounds = engine.sync_rounds();
+                    engine.step().unwrap();
+                    assert_eq!(engine.now(), reference.now(), "{what} from {before}");
+                    assert_eq!(engine.delivered(), reference.delivered(), "{what}");
+                    assert_eq!(
+                        engine.cycles_skipped(),
+                        reference.cycles_skipped(),
+                        "{what} from {before}"
+                    );
+                    if jump > 0 && engine.sync_rounds() == rounds {
+                        *inside += 1;
+                        *inside_rows += jump;
+                    } else if jump > 0 {
+                        *past += 1;
+                    }
+                }
+            }
+            let jumps = reference.profile().unwrap().work.fast_forwards;
+            assert!(jumps > 0, "{}: nothing to skip", cfg.name);
+            for (what, engine, inside, inside_rows, past) in &mut cases {
+                assert!(engine.finished(), "stop lagged: {what}");
+                assert_eq!(engine.ledger(), reference.ledger(), "{what}");
+                assert_eq!(SteppableEngine::summary(engine), reference.summary());
+                let work = SteppableEngine::profile(engine).unwrap().work;
+                assert_eq!(work.fast_forwards, jumps, "{what}");
+                assert_eq!(*inside + *past, jumps, "{what}");
+                if engine.batch() == 1 {
+                    // One-row windows: the buffer is empty at every
+                    // step, so nothing is ever speculative.
+                    assert_eq!((*inside, work.speculative_rows), (0, 0), "{what}");
+                } else {
+                    assert!(*inside > 0, "no jump inside a window: {what}");
+                    assert!(*past > 0, "no jump past a window: {what}");
+                    assert!(work.speculative_rows >= *inside_rows, "{what}");
+                    assert!(
+                        work.speculative_rows <= (engine.batch() - 1) * jumps,
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Gated + batch 16: the cycle limit fires on the compiled engine's
+/// cycle with its delivered count, whether the run idles into the
+/// limit (one long jump clamped to it) or is still busy there.
+#[test]
+fn gated_batched_cycle_limit_fires_on_the_same_cycle() {
+    for (packets, limit) in [(40, 20_000), (1_000_000, 777)] {
+        let mut cfg = uniform_random(MESH8X8, 0.05, packets);
+        cfg.clock_mode = ClockMode::Gated;
+        cfg.stop.delivered_packets = Some(2_000_000);
+        cfg.stop.cycle_limit = limit;
+        let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
+        let err = reference.run().unwrap_err();
+        assert!(matches!(err, EmulationError::CycleLimitExceeded { .. }));
+        let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap();
+        assert_eq!(engine.run().unwrap_err(), err);
+        assert_eq!(engine.now(), reference.now());
+        assert_eq!(engine.cycles_skipped(), reference.cycles_skipped());
+        assert_eq!(engine.ledger(), reference.ledger());
+    }
+}
+
+/// Gated + batch 16 with a telemetry window far shorter than a typical
+/// burst-traffic jump: jumps cross several probe boundaries at once,
+/// inside the buffered window and past it, and the series stay
+/// bit-identical.
+#[test]
+fn gated_batched_telemetry_survives_jumps_across_probe_boundaries() {
+    let mut cfg = bursty(uniform_random(MESH8X8, 0.005, 200));
+    cfg.clock_mode = ClockMode::Gated;
+    cfg.telemetry = Some(TelemetryConfig::windowed(8));
+    let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
+    reference.run().unwrap();
+    reference.seal_telemetry();
+    let windows = reference.telemetry().unwrap().windows_recorded() as u64;
+    assert!(
+        reference.cycles_skipped() > 8 * windows / 2,
+        "jumps must dwarf the 8-cycle telemetry window"
+    );
+    for (shards, batch) in [(2, 16), (4, 5)] {
+        let mut engine = ShardedCompiledEngine::with_shards(&cfg, shards, batch).unwrap();
+        engine.run().unwrap();
+        engine.seal_telemetry();
+        assert_eq!(engine.ledger(), reference.ledger());
+        assert_eq!(engine.cycles_skipped(), reference.cycles_skipped());
+        assert_eq!(
+            engine.telemetry().unwrap(),
+            reference.telemetry().unwrap(),
+            "{shards} shards batch {batch}: telemetry series diverged"
+        );
+    }
+}
+
+/// One shard is not sharded: the dispatcher builds the compiled engine
+/// for `ShardedCompiled { shards: 1, .. }` — no warnings, the
+/// `compiled` profile label — in per-cycle lockstep (clock + ledger)
+/// with `EngineKind::Compiled` and with the single-worker sharded
+/// engine that `with_shards(cfg, 1, ..)` still builds by name.
+#[test]
+fn one_shard_dispatches_to_the_compiled_engine_in_lockstep() {
+    for load in [0.10, 0.40] {
+        let mut cfg = uniform_random(MESH8X8, load, 300);
+        cfg.profile = Some(ProfileConfig::default().without_spans());
+        let kind = EngineKind::ShardedCompiled {
+            shards: 1,
+            batch: 16,
+        };
+        let mut one = AnyEngine::build(&cfg.clone().with_engine(kind)).unwrap();
+        assert!(matches!(one, AnyEngine::Compiled(_)), "{one:?}");
+        assert!(one.warnings().is_empty());
+        let mut compiled =
+            AnyEngine::build(&cfg.clone().with_engine(EngineKind::Compiled)).unwrap();
+        let mut worker = ShardedCompiledEngine::with_shards(&cfg, 1, 4).unwrap();
+        assert_eq!(worker.partition().shards(), 1);
+        while !compiled.finished() {
+            compiled.step().unwrap();
+            one.step().unwrap();
+            worker.step().unwrap();
+            assert_eq!(one.now(), compiled.now());
+            assert_eq!(worker.now(), compiled.now());
+            assert_eq!(one.packet_ledger(), compiled.packet_ledger());
+            assert_eq!(worker.ledger(), &compiled.packet_ledger());
+        }
+        assert!(one.finished() && worker.finished());
+        assert_eq!(one.profile().unwrap().label, "compiled");
+        assert!(worker
+            .profile()
+            .unwrap()
+            .label
+            .starts_with("sharded-compiled/1x"));
+        assert_eq!(one.results().unwrap(), compiled.results().unwrap());
+    }
+    let two = uniform_random(MESH8X8, 0.10, 50).with_engine(EngineKind::ShardedCompiled {
+        shards: 2,
+        batch: 16,
+    });
+    assert!(matches!(
+        AnyEngine::build(&two).unwrap(),
+        AnyEngine::ShardedCompiled(_)
+    ));
+}
+
+/// A partition map built for another topology is a typed compile
+/// error, not a panic.
+#[test]
+fn partition_map_for_another_topology_is_a_compile_error() {
+    let elab = elaborate(&uniform_random(MESH8X8, 0.10, 10)).unwrap();
+    let map = PartitionMap::new((0..16).map(|s| s % 2).collect(), 2).unwrap();
+    match ShardedCompiledEngine::with_partition(elab, map, 4) {
+        Err(CompileError::Partition { reason }) => {
+            assert!(reason.contains("16") && reason.contains("64"), "{reason}");
+        }
+        other => panic!("expected a partition error, got {other:?}"),
+    }
 }
 
 /// A stall watchdog the sharded engine cannot feed is reported, not
@@ -258,11 +484,7 @@ fn gated_clamps_batch_and_skips_like_the_compiled_kernel() {
 #[test]
 fn configured_stall_watchdog_is_reported_as_ignored() {
     let mut cfg = uniform_random(MESH8X8, 0.05, 100);
-    cfg.profile = Some(
-        nocem::profile::ProfileConfig::default()
-            .without_spans()
-            .with_stall(200),
-    );
+    cfg.profile = Some(ProfileConfig::default().without_spans().with_stall(200));
     let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, 4).unwrap();
     assert_eq!(
         SteppableEngine::warnings(&engine),
@@ -277,7 +499,7 @@ fn configured_stall_watchdog_is_reported_as_ignored() {
     assert_eq!(engine.summary(), run_single(&cfg).summary());
 
     // Without a configured watchdog there is nothing to warn about.
-    cfg.profile = Some(nocem::profile::ProfileConfig::default().without_spans());
+    cfg.profile = Some(ProfileConfig::default().without_spans());
     let quiet = ShardedCompiledEngine::with_shards(&cfg, 2, 4).unwrap();
     assert!(SteppableEngine::warnings(&quiet).is_empty());
 }
@@ -452,10 +674,10 @@ proptest! {
         }
         let map = PartitionMap::new(assign, shards).unwrap();
         let elab1 = elaborate(&cfg).unwrap();
-        let mut per_cycle = ShardedCompiledEngine::with_partition(elab1, map.clone(), 1);
+        let mut per_cycle = ShardedCompiledEngine::with_partition(elab1, map.clone(), 1).unwrap();
         per_cycle.run().unwrap();
         let elab2 = elaborate(&cfg).unwrap();
-        let mut batched = ShardedCompiledEngine::with_partition(elab2, map, batch);
+        let mut batched = ShardedCompiledEngine::with_partition(elab2, map, batch).unwrap();
         batched.run().unwrap();
         prop_assert_eq!(batched.ledger(), per_cycle.ledger());
         prop_assert_eq!(
