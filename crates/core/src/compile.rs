@@ -544,8 +544,8 @@ impl Elaboration {
     }
 }
 
-/// Sentinel for "no entry" in the lowered index arrays (`allocated`,
-/// `chosen`, `busy_with` and the per-cycle grant arrays).
+/// Sentinel for "no entry" in the lowered per-port arrays (the
+/// per-cycle transfer grants).
 pub const LOWERED_NONE: u32 = u32::MAX;
 
 /// Entry budget for [`LoweredPlatform::route_direct`] (4M single-byte
@@ -563,10 +563,9 @@ pub const ROUTE_NONE: u8 = 0xFF;
 pub const ROUTE_MULTI: u8 = 0xFE;
 
 /// Sentinel for "no slot" in the packed per-slot records
-/// ([`InSlotState::allocated`], [`InSlotState::chosen`],
-/// [`OutSlotState::busy_with`]). Switch-local slot indices are
-/// `port * num_vcs + vc` with both factors below 256, so `u16::MAX`
-/// can never be a real slot.
+/// ([`InSlotState::want`], [`OutSlotState::busy_with`]). Switch-local
+/// slot indices are `port * num_vcs + vc` with both factors below 256,
+/// so `u16::MAX` can never be a real slot.
 pub const SLOT_NONE: u16 = u16::MAX;
 
 /// Tail flag of a [`LoweredPlatform::fifo_arena`] flit handle: set for
@@ -585,6 +584,7 @@ pub const HANDLE_IDX: u32 = HANDLE_TAIL - 1;
 /// with a single cache access (the arrays-of-u32 layout touched five
 /// cache lines per slot and overflowed L1 on a 64-switch platform).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(8))]
 pub struct InSlotState {
     /// Ring-buffer head index (`< fifo_depth`).
     pub head: u8,
@@ -592,14 +592,16 @@ pub struct InSlotState {
     pub len: u8,
     /// Alternation pointer for [`SelectionPolicy::Alternate`].
     pub alternate: u8,
-    /// Reserved padding (keeps the record at 8 bytes explicitly).
-    pub pad: u8,
-    /// Output slot allocated to the crossing worm as a switch-local
-    /// `port * num_vcs + vc` ([`SLOT_NONE`] when free).
-    pub allocated: u16,
-    /// Hop selected for the pending head, sticky until VC allocation
-    /// ([`SLOT_NONE`] when none), same encoding as `allocated`.
-    pub chosen: u16,
+    /// Whether VC allocation has granted `want` to the crossing worm
+    /// (then the out-slot's [`OutSlotState::busy_with`] names this
+    /// slot). `false` with a `want` set: a routed head still waiting.
+    pub allocated: bool,
+    /// The one out-slot this input requests, as a switch-local
+    /// `port * num_vcs + vc`: written when the head flit is routed,
+    /// kept through VC allocation and every body flit, cleared by the
+    /// tail's pop. [`SLOT_NONE`] = nothing routed yet, so an occupied
+    /// slot reading it faces a fresh head.
+    pub want: u16,
 }
 
 impl InSlotState {
@@ -608,9 +610,8 @@ impl InSlotState {
         head: 0,
         len: 0,
         alternate: 0,
-        pad: 0,
-        allocated: SLOT_NONE,
-        chosen: SLOT_NONE,
+        allocated: false,
+        want: SLOT_NONE,
     };
 }
 
@@ -622,7 +623,9 @@ pub struct OutSlotState {
     /// ejection ports).
     pub credits: u32,
     /// Wormhole owner as a switch-local input slot
-    /// `input * num_vcs + vc` ([`SLOT_NONE`] when free).
+    /// `input * num_vcs + vc` ([`SLOT_NONE`] when free): set with the
+    /// owner's [`InSlotState::allocated`], cleared by the same tail
+    /// pop.
     pub busy_with: u16,
     /// Round-robin pointer of the VC-allocation arbiter (over
     /// `inputs[s] * num_vcs` request lines).

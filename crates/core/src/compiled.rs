@@ -26,6 +26,22 @@
 //!   every slot. A fully empty switch is skipped in O(1).
 //! * **Mask arbiters** — the round-robin arbiter is two bit
 //!   operations over the request mask instead of a probe loop.
+//! * **Straight-line slot visit and flit move** — a saturated step is
+//!   instruction-bound and flat (≈ 320 slot visits, ≈ 200 output
+//!   decisions, ≈ 120 flit moves a cycle on an 8×8 mesh), and what it
+//!   used to branch on — worm body or waiting head, tail or not, FIFO
+//!   drained or not — is close to random there. A slot now reads the
+//!   one out-slot it requests ([`crate::compile::InSlotState::want`])
+//!   and branches only to route a fresh head; a move adds its tail /
+//!   drained / finite-credit flags in as 0 or 1 and branches only on
+//!   where the credit and the flit go. (The same treatment of an
+//!   output decision — arbitrate over `busy ? its worm : the fresh
+//!   heads` through selects — measured no gain and stayed a branch;
+//!   persistent per-output request masks bought 2–3 % of a step: the
+//!   routing was already cached, the cost was the branch.)
+//! * **No software popcount** — the default x86-64 target has no
+//!   `popcnt`; congestion accounting counts waiting inputs through a
+//!   byte table instead of `count_ones()`'s SWAR sequence.
 //! * **No division** — ring-buffer indices and VC arithmetic use
 //!   conditional subtraction and precomputed slot→port tables; the
 //!   interpreted engine's `%` by runtime FIFO depth and VC count is
@@ -143,7 +159,8 @@ pub(crate) struct CompiledKernel {
     /// NIs holding a queued or half-serialized packet; `tick_send` on
     /// any other NI is a pure no-op and is skipped.
     pub(crate) ni_live: LiveSet,
-    /// Switches with `occ_flits > 0`; only these can decide anything.
+    /// Switches holding a flit (`occ_mask != 0`, or `occ_flits > 0` on
+    /// the dense fallback); only these can decide anything.
     pub(crate) sw_live: LiveSet,
     /// `sw_live` as of this cycle's decide — the switches commit
     /// visits. Flits landing during the cycle (NI inject, upstream
@@ -157,7 +174,8 @@ pub(crate) struct CompiledKernel {
     pub(crate) forwarded_out: Vec<u64>,
     /// Per `(switch, vc)`: peak fill of any single FIFO of that VC.
     pub(crate) max_vc_occ: Vec<u64>,
-    /// Per switch: total buffered flits (the skip-empty gate).
+    /// Per switch: total buffered flits — kept on dense-fallback
+    /// switches only, where it is what `occ_mask` is to the others.
     pub(crate) occ_flits: Vec<u32>,
     /// Per switch: bitmask of occupied local input slots (mask path).
     pub(crate) occ_mask: Vec<u64>,
@@ -167,7 +185,9 @@ pub(crate) struct CompiledKernel {
     pub(crate) grant_mask: Vec<u64>,
     /// Per switch: all port×VC dims fit the 64-bit mask fast path.
     pub(crate) mask_ok: Vec<bool>,
-    /// Platform-wide buffered flits (O(1) quiescence).
+    /// Platform-wide buffered flits (O(1) quiescence). A move between
+    /// two switches nets to zero, so it is adjusted only where a flit
+    /// enters (inject, boundary replay) or leaves (eject, boundary).
     pub(crate) total_occ: u64,
     /// Open wormholes (allocated/busy pairs; O(1) quiescence).
     pub(crate) open_worms: u32,
@@ -224,21 +244,14 @@ impl std::fmt::Debug for CompiledEngine {
 fn arb_grant_dense(kind: ArbiterKind, last: &mut u16, requests: &[bool]) -> Option<usize> {
     match kind {
         ArbiterKind::RoundRobin => {
+            // The first request after the pointer, wrapping round to
+            // the pointer itself.
             let width = requests.len();
-            let start = *last as usize;
-            for (i, &req) in requests.iter().enumerate().skip(start + 1) {
-                if req {
-                    *last = i as u16;
-                    return Some(i);
-                }
-            }
-            for (i, &req) in requests.iter().enumerate().take(start.min(width - 1) + 1) {
-                if req {
-                    *last = i as u16;
-                    return Some(i);
-                }
-            }
-            None
+            let pick = (1..=width)
+                .map(|k| (usize::from(*last) + k) % width)
+                .find(|&i| requests[i])?;
+            *last = pick as u16;
+            Some(pick)
         }
         ArbiterKind::FixedPriority => requests.iter().position(|&r| r),
     }
@@ -267,6 +280,32 @@ fn arb_grant_mask(kind: ArbiterKind, last: &mut u16, reqs: u64) -> u16 {
         }
         ArbiterKind::FixedPriority => reqs.trailing_zeros() as u16,
     }
+}
+
+/// Set bits of every byte value. The baseline x86-64 target has no
+/// `popcnt`, so `u64::count_ones()` is a 15-instruction SWAR sequence
+/// — once per output decision, it was ≈ 5 % of a saturated step.
+const ONES: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut i = 1;
+    while i < 256 {
+        t[i] = t[i >> 1] + (i & 1) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Set bits of `m`, a byte at a time: one table load for the masks
+/// real switches produce (the waiting inputs of a switch with eight
+/// input slots or fewer), more only for wider ones.
+#[inline(always)]
+fn ones(mut m: u64) -> u64 {
+    let mut n = u64::from(ONES[(m & 0xFF) as usize]);
+    while m > 0xFF {
+        m >>= 8;
+        n += u64::from(ONES[(m & 0xFF) as usize]);
+    }
+    n
 }
 
 /// The multi-path selection policy — the exact semantics of
@@ -375,6 +414,25 @@ pub(crate) fn vc_watermarks(max_vc_occ: &[u64], vcs: usize) -> VcOccupancy {
         }
     }
     out
+}
+
+/// One switch's prefix-sum bases into the slot and port arrays.
+#[derive(Clone, Copy)]
+struct Bases {
+    isb: usize,
+    osb: usize,
+    ipb: usize,
+    opb: usize,
+}
+
+/// The error of a flit landing in a full FIFO — an engine bug (credits
+/// exist to prevent it), so its construction stays off the hot path.
+#[cold]
+fn fifo_overflow(switch: usize, depth: usize) -> EmulationError {
+    EmulationError::FifoOverflow {
+        switch: SwitchId::new(switch as u32),
+        source: FifoFullError { capacity: depth },
+    }
 }
 
 /// The sink of an engine that steps the whole platform: no boundary,
@@ -492,13 +550,85 @@ impl CompiledKernel {
         self.ledger.in_flight() == 0 && self.network_idle()
     }
 
-    /// Debug builds check at every step boundary that the live sets
-    /// and counters mirror the state they summarise.
+    /// Debug builds check after every commit — every step boundary,
+    /// the last one included — that the switch live set, masks and
+    /// counters mirror the state they summarise, and that the two sides
+    /// of every wormhole agree: the invariants the straight-line decide
+    /// and commit lean on instead of branching. Like the step itself
+    /// the sweep costs O(live work): it looks inside the switches this
+    /// cycle could have changed (they decided, or hold a flit now), and
+    /// audits every switch and the platform-wide sums every 64th cycle.
     #[cfg(debug_assertions)]
-    pub(crate) fn assert_live_sets(&self) {
-        for (s, &occ) in self.occ_flits.iter().enumerate() {
-            assert_eq!(self.sw_live.contains(s), occ > 0, "switch bit {s}");
+    fn assert_network(&self, now: Cycle) {
+        let audit = now.raw().is_multiple_of(64);
+        let (mut flits, mut busy, mut debt) = (0u64, 0u32, 0u64);
+        for w in 0..self.sw_decided.len() {
+            let mut m = self.sw_decided[w] | self.sw_live.0[w];
+            if audit {
+                m = !0 >> (64 - (self.low.switch_count - w * 64).min(64));
+            }
+            while m != 0 {
+                let sums = self.assert_switch(w * 64 + m.trailing_zeros() as usize);
+                (flits, busy, debt) = (flits + sums.0, busy + sums.1, debt + sums.2);
+                m &= m - 1;
+            }
         }
+        if audit {
+            assert_eq!(self.total_occ, flits, "platform flit count");
+            assert_eq!(self.open_worms, busy, "open wormholes");
+            assert_eq!(self.credit_debt, debt, "outstanding credits");
+        }
+        assert!(!self.network_idle() || self.nis.iter().all(SourceNi::credits_home));
+    }
+
+    /// One switch of [`Self::assert_network`]; returns its buffered
+    /// flits, busy out-slots and outstanding finite credits.
+    #[cfg(debug_assertions)]
+    fn assert_switch(&self, s: usize) -> (u64, u32, u64) {
+        let low = &self.low;
+        let (isb, osb) = (low.in_slot_base[s] as usize, low.out_slot_base[s] as usize);
+        let ins = &low.in_state[isb..low.in_slot_base[s + 1] as usize];
+        let outs = &low.out_state[osb..low.out_slot_base[s + 1] as usize];
+        // One verdict per switch keeps the sweep cheap enough to run
+        // every cycle of every debug-build test.
+        let (mut held, mut occ, mut ok) = (0u64, 0u64, true);
+        let (mut busy, mut debt) = (0u32, 0u64);
+        for (iv, st) in ins.iter().enumerate() {
+            held += u64::from(st.len);
+            occ |= u64::from(st.len > 0) << (iv & 63);
+            // Allocated means: wants a slot, and that slot says so.
+            ok &= st.allocated
+                == (st.want != SLOT_NONE && outs[usize::from(st.want)].busy_with == iv as u16);
+        }
+        for (o, os) in outs.iter().enumerate() {
+            if os.busy_with != SLOT_NONE {
+                busy += 1;
+                let owner = ins[usize::from(os.busy_with)];
+                ok &= owner.allocated && owner.want == o as u16;
+            }
+            let cap = low.credit_cap[osb + o];
+            if cap != CREDITS_INFINITE {
+                debt += u64::from(cap - os.credits);
+            }
+        }
+        let (live, mask) = (self.sw_live.contains(s), self.occ_mask[s]);
+        ok &= live == (held > 0);
+        ok &= if self.mask_ok[s] {
+            mask == occ
+        } else {
+            u64::from(self.occ_flits[s]) == held
+        };
+        assert!(
+            ok,
+            "switch {s}: live {live} mask {mask:#b}\n{ins:?}\n{outs:?}"
+        );
+        (held, busy, debt)
+    }
+
+    /// Debug builds check before every release that the source-side
+    /// live set and counters mirror the TGs and NIs they summarise.
+    #[cfg(debug_assertions)]
+    fn assert_sources(&self) {
         for (i, ni) in self.nis.iter().enumerate() {
             assert_eq!(self.ni_live.contains(i), !ni.is_idle(), "NI bit {i}");
         }
@@ -511,7 +641,6 @@ impl CompiledKernel {
             self.tg_min_next,
             self.tg_next_event.iter().copied().min().unwrap_or(u64::MAX)
         );
-        assert!(!self.network_idle() || self.nis.iter().all(SourceNi::credits_home));
     }
 
     /// Replays TG `i`'s deferred pure-countdown window `[synced, now)`
@@ -560,6 +689,8 @@ impl CompiledKernel {
         now: Cycle,
         mut on_release: impl FnMut(&mut Self, usize, PacketId, u16) -> Result<(), EmulationError>,
     ) -> Result<(), EmulationError> {
+        #[cfg(debug_assertions)]
+        self.assert_sources();
         if self.parked == 0 && now.raw() < self.tg_min_next {
             if let Some(p) = self.profiler.as_mut() {
                 p.work.tg_phases_skipped += 1;
@@ -639,11 +770,7 @@ impl CompiledKernel {
         self.sw_decided.copy_from_slice(&self.sw_live.0);
         if let Some(p) = self.profiler.as_mut() {
             p.work.switches_scanned += self.sw_decided.len() as u64;
-            p.work.switches_decided += self
-                .sw_decided
-                .iter()
-                .map(|w| u64::from(w.count_ones()))
-                .sum::<u64>();
+            p.work.switches_decided += self.sw_decided.iter().map(|&w| ones(w)).sum::<u64>();
         }
         let vc1 = self.low.num_vcs == 1;
         for w in 0..self.sw_decided.len() {
@@ -672,7 +799,7 @@ impl CompiledKernel {
         for w in 0..self.ni_live.0.len() {
             let live = self.ni_live.0[w];
             if let Some(p) = self.profiler.as_mut() {
-                p.work.ni_ticks += u64::from(live.count_ones());
+                p.work.ni_ticks += ones(live);
             }
             let mut m = live;
             while m != 0 {
@@ -746,7 +873,7 @@ impl CompiledKernel {
                 VcId::new(in_vc as u8),
             );
             let enc = (hop.port.index() * vcs + hop.vc.index()) as u16;
-            low.in_state[slot].chosen = enc;
+            low.in_state[slot].want = enc;
             return enc;
         }
         let key = head.flow.raw();
@@ -765,7 +892,7 @@ impl CompiledKernel {
                 missing();
             }
             if enc != ROUTE_MULTI {
-                low.in_state[slot].chosen = u16::from(enc);
+                low.in_state[slot].want = u16::from(enc);
                 return u16::from(enc);
             }
         }
@@ -790,8 +917,37 @@ impl CompiledKernel {
             &mut low.lfsrs[s],
         );
         let enc = (pick.port.index() * vcs + pick.vc.index()) as u16;
-        low.in_state[slot].chosen = enc;
+        low.in_state[slot].want = enc;
         enc
+    }
+
+    /// The out-slot occupied input slot `iv` of switch `s` (slots from
+    /// `isb`) requests — the one way every decide path reads it. A worm
+    /// in progress or a head already routed repeats its standing `want`;
+    /// only a fresh head, [`SLOT_NONE`], has to route and select first:
+    /// the one data-dependent branch of a slot visit, and a rare one.
+    #[inline(always)]
+    fn request_of(
+        low: &mut LoweredPlatform,
+        iv_port: &[u32],
+        flit_pool: &[Flit],
+        s: usize,
+        isb: usize,
+        iv: usize,
+    ) -> u16 {
+        let slot = isb + iv;
+        let st = low.in_state[slot];
+        if st.want != SLOT_NONE {
+            return st.want;
+        }
+        let h = low.fifo_arena[slot * low.fifo_depth + usize::from(st.head)];
+        debug_assert!(
+            h & HANDLE_HEAD != 0,
+            "unallocated input VC must face a head flit (wormhole ordering)"
+        );
+        let i = iv_port[iv];
+        let at = (i, iv as u32 - i * low.num_vcs as u32);
+        Self::route_and_select(low, s, slot, at, &flit_pool[(h & HANDLE_IDX) as usize])
     }
 
     /// Phase 1 of one switch on the 64-bit mask fast path: requests,
@@ -801,17 +957,15 @@ impl CompiledKernel {
     pub(crate) fn decide_switch_mask(&mut self, s: usize) {
         let low = &mut self.low;
         let vcs = low.num_vcs;
-        let depth = low.fifo_depth;
         let isb = low.in_slot_base[s] as usize;
         let osb = low.out_slot_base[s] as usize;
         let opb = low.out_port_base[s] as usize;
 
-        // Requests: worms repeat their allocation; fresh heads route
-        // (cached sticky in `chosen`) and select. One request mask per
-        // out-slot carries both kinds — safely, because a worm bit can
-        // only appear in the mask of its own *busy* out-slot, and the
-        // VC-allocation arbiter below only ever reads the masks of
-        // free out-slots, which are pure fresh heads.
+        // Requests. One request mask per out-slot carries worms and
+        // fresh heads alike — safely, because a worm bit can only appear
+        // in the mask of its own *busy* out-slot, and the VC-allocation
+        // arbiter below only ever reads the masks of free out-slots,
+        // which are pure fresh heads.
         let occ = self.occ_mask[s];
         let mut oslot_mask: u64 = 0; // out-slots with any request
         let mut out_mask: u64 = 0; // out-ports with any request
@@ -819,22 +973,7 @@ impl CompiledKernel {
         while m != 0 {
             let iv = (m.trailing_zeros() & 63) as usize;
             m &= m - 1;
-            let slot = isb + iv;
-            let st = low.in_state[slot];
-            let hop = if st.allocated != SLOT_NONE {
-                st.allocated
-            } else if st.chosen != SLOT_NONE {
-                st.chosen
-            } else {
-                let h = low.fifo_arena[slot * depth + st.head as usize];
-                debug_assert!(
-                    h & HANDLE_HEAD != 0,
-                    "unallocated input VC must face a head flit (wormhole ordering)"
-                );
-                let i = self.iv_port[iv];
-                let at = (i, iv as u32 - i * vcs as u32);
-                Self::route_and_select(low, s, slot, at, &self.flit_pool[(h & HANDLE_IDX) as usize])
-            };
+            let hop = Self::request_of(low, &self.iv_port, &self.flit_pool, s, isb, iv);
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             oslot_mask |= 1 << hop;
             out_mask |= 1 << self.slot_port[usize::from(hop)];
@@ -920,10 +1059,9 @@ impl CompiledKernel {
         while bm != 0 {
             let slot = (bm.trailing_zeros() & 63) as usize;
             bm &= bm - 1;
-            let waiting = self.slot_reqs[slot] & !granted_ivs;
+            let left = self.slot_reqs[slot] & !granted_ivs;
             self.slot_reqs[slot] = 0;
-            self.blocked_out[opb + self.slot_port[slot] as usize] +=
-                u64::from(waiting.count_ones());
+            self.blocked_out[opb + self.slot_port[slot] as usize] += ones(left);
         }
     }
 
@@ -935,38 +1073,18 @@ impl CompiledKernel {
     /// set, so the whole decide runs on three bit masks.
     pub(crate) fn decide_switch_mask_vc1(&mut self, s: usize) {
         let low = &mut self.low;
-        let depth = low.fifo_depth;
         let isb = low.in_slot_base[s] as usize;
         let osb = low.out_slot_base[s] as usize;
         let opb = low.out_port_base[s] as usize;
 
-        // Requests: worms repeat their allocation; fresh heads route
-        // (cached sticky in `chosen`) and select. One request mask per
-        // out-port carries both kinds — safely, because a worm bit can
-        // only appear in the mask of its own *busy* output, and the
-        // VC-allocation arbiter below only ever reads the masks of
-        // free outputs, which are pure fresh heads.
+        // Requests, as in `decide_switch_mask`: one mask per out-port.
         let occ = self.occ_mask[s];
         let mut out_mask: u64 = 0; // out-ports with any request
         let mut m = occ;
         while m != 0 {
             let iv = (m.trailing_zeros() & 63) as usize;
             m &= m - 1;
-            let slot = isb + iv;
-            let st = low.in_state[slot];
-            let hop = if st.allocated != SLOT_NONE {
-                st.allocated
-            } else if st.chosen != SLOT_NONE {
-                st.chosen
-            } else {
-                let h = low.fifo_arena[slot * depth + st.head as usize];
-                debug_assert!(
-                    h & HANDLE_HEAD != 0,
-                    "unallocated input VC must face a head flit (wormhole ordering)"
-                );
-                let at = (iv as u32, 0);
-                Self::route_and_select(low, s, slot, at, &self.flit_pool[(h & HANDLE_IDX) as usize])
-            };
+            let hop = Self::request_of(low, &self.iv_port, &self.flit_pool, s, isb, iv);
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             out_mask |= 1 << hop;
         }
@@ -1006,9 +1124,21 @@ impl CompiledKernel {
             if cand != SLOT_NONE {
                 self.granted[opb + o] = u32::from(cand) << 8;
                 self.grant_mask[s] |= 1 << o;
-                self.blocked_out[opb + o] += u64::from((reqs & !(1 << cand)).count_ones());
+                self.blocked_out[opb + o] += ones(reqs & !(1 << cand));
             } else {
-                self.blocked_out[opb + o] += u64::from(reqs.count_ones());
+                self.blocked_out[opb + o] += ones(reqs);
+            }
+        }
+    }
+
+    /// Raises or lowers the VC-allocation request lines of the fresh
+    /// heads among `ivs` input slots from `isb` (dense path).
+    fn set_request_lines(&mut self, isb: usize, ivs: usize, on: bool) {
+        for iv in 0..ivs {
+            let req = usize::from(self.requests[iv]);
+            if req != usize::from(SLOT_NONE) && !self.low.in_state[isb + iv].allocated {
+                self.vc_reqs[req * ivs + iv] = on;
+                self.vc_req_any[req] = on;
             }
         }
     }
@@ -1018,7 +1148,6 @@ impl CompiledKernel {
     pub(crate) fn decide_switch_dense(&mut self, s: usize) {
         let low = &mut self.low;
         let vcs = low.num_vcs;
-        let depth = low.fifo_depth;
         let inputs = low.inputs[s] as usize;
         let outputs = low.outputs[s] as usize;
         let ivs = inputs * vcs;
@@ -1028,40 +1157,17 @@ impl CompiledKernel {
 
         self.requests[..ivs].fill(SLOT_NONE);
         for iv in 0..ivs {
-            let slot = isb + iv;
-            let st = low.in_state[slot];
-            if st.len == 0 {
-                continue;
+            if low.in_state[isb + iv].len > 0 {
+                self.requests[iv] =
+                    Self::request_of(low, &self.iv_port, &self.flit_pool, s, isb, iv);
             }
-            if st.allocated != SLOT_NONE {
-                self.requests[iv] = st.allocated;
-                continue;
-            }
-            let h = low.fifo_arena[slot * depth + st.head as usize];
-            debug_assert!(
-                h & HANDLE_HEAD != 0,
-                "unallocated input VC must face a head flit (wormhole ordering)"
-            );
-            let hop = if st.chosen != SLOT_NONE {
-                st.chosen
-            } else {
-                let at = ((iv / vcs) as u32, (iv % vcs) as u32);
-                Self::route_and_select(low, s, slot, at, &self.flit_pool[(h & HANDLE_IDX) as usize])
-            };
-            self.requests[iv] = hop;
         }
 
-        for iv in 0..ivs {
-            if low.in_state[isb + iv].allocated != SLOT_NONE {
-                continue;
-            }
-            let req = self.requests[iv];
-            if req != SLOT_NONE {
-                let slot = req as usize;
-                self.vc_reqs[slot * ivs + iv] = true;
-                self.vc_req_any[slot] = true;
-            }
-        }
+        // VC allocation sees the fresh heads only: raise their request
+        // lines, arbitrate, lower them again (lazy clear, like the
+        // interpreted switch's).
+        self.set_request_lines(isb, ivs, true);
+        let low = &mut self.low;
         for slot in 0..outputs * vcs {
             let gslot = osb + slot;
             self.vc_granted[gslot] = SLOT_NONE;
@@ -1078,17 +1184,8 @@ impl CompiledKernel {
                 None => SLOT_NONE,
             };
         }
-        for iv in 0..ivs {
-            if low.in_state[isb + iv].allocated != SLOT_NONE {
-                continue;
-            }
-            let req = self.requests[iv];
-            if req != SLOT_NONE {
-                let slot = req as usize;
-                self.vc_reqs[slot * ivs + iv] = false;
-                self.vc_req_any[slot] = false;
-            }
-        }
+        self.set_request_lines(isb, ivs, false);
+        let low = &mut self.low;
 
         self.input_taken[..inputs].fill(false);
         for o in 0..outputs {
@@ -1125,36 +1222,21 @@ impl CompiledKernel {
                 }
                 self.input_taken[i] = true;
                 self.granted[gp] = (u32::from(cand) << 8) | ov as u32;
-                let mut next = ov + 1;
-                if next >= vcs {
-                    next = 0;
-                }
-                low.out_vc_ptr[gp] = next as u8;
+                low.out_vc_ptr[gp] = if ov + 1 == vcs { 0 } else { ov + 1 } as u8;
                 break;
             }
         }
 
-        for i in 0..inputs {
-            let has_flit = (0..vcs).any(|v| low.in_state[isb + i * vcs + v].len > 0);
-            if !has_flit {
-                continue;
-            }
-            for v in 0..vcs {
-                if low.in_state[isb + i * vcs + v].len == 0 {
-                    continue;
-                }
-                let iv = (i * vcs + v) as u32;
-                let vc_sent = (0..outputs).any(|o| {
-                    let g = self.granted[opb + o];
-                    g != LOWERED_NONE && (g >> 8) == iv
-                });
-                if vc_sent {
-                    continue;
-                }
-                let req = self.requests[iv as usize];
-                if req != SLOT_NONE {
-                    self.blocked_out[opb + self.slot_port[req as usize] as usize] += 1;
-                }
+        // Congestion accounting: every occupied input VC (the ones with
+        // a request) that was not granted charges the output it wants.
+        for iv in 0..ivs {
+            let req = self.requests[iv];
+            let sent = |o| {
+                let g = self.granted[opb + o];
+                g != LOWERED_NONE && (g >> 8) == iv as u32
+            };
+            if req != SLOT_NONE && !(0..outputs).any(sent) {
+                self.blocked_out[opb + self.slot_port[req as usize] as usize] += 1;
             }
         }
     }
@@ -1176,73 +1258,75 @@ impl CompiledKernel {
                 if !self.mask_ok[s] {
                     self.commit_switch_dense(s, now, sink)?;
                 } else if vc1 {
-                    self.commit_switch_mask_vc1(s, now, sink)?;
+                    self.commit_switch_mask::<S, true>(s, now, sink)?;
                 } else {
-                    self.commit_switch_mask(s, now, sink)?;
+                    self.commit_switch_mask::<S, false>(s, now, sink)?;
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.assert_network(now);
         Ok(())
     }
 
-    /// Pops port `o`'s granted flit of switch `s` and carries the
-    /// transfer end to end: wormhole, credit and occupancy bookkeeping
-    /// on the popping switch, then the engine-side effects in the
-    /// interpreted engine's exact transfer order — return the credit
-    /// upstream, land the flit downstream. Shared by the multi-VC mask
-    /// and dense commit paths.
-    #[inline]
-    fn pop_forward<S: CommitSink>(
+    /// Pops the flit granted port `o` of switch `s` (array bases `b`)
+    /// and carries the transfer end to end: wormhole, credit and
+    /// occupancy bookkeeping on the popping switch, then the
+    /// engine-side effects in the interpreted engine's exact transfer
+    /// order — return the credit upstream, land the flit downstream.
+    /// The one pop-and-forward of every commit path; `ONE_VC` folds the
+    /// VC arithmetic away for the headline configuration (slot == port,
+    /// every flit on VC 0). What a tail, a drained FIFO or a finite
+    /// credit changes is added in as 0 or 1 rather than branched on: at
+    /// saturation those flags are coin flips to a branch predictor.
+    /// Liveness of the popping switch is the caller's, once per visit.
+    #[inline(always)]
+    fn pop_forward<S: CommitSink, const ONE_VC: bool>(
         &mut self,
         s: usize,
-        g: u32,
+        b: Bases,
         o: usize,
         now: Cycle,
         sink: &mut S,
     ) -> Result<(), EmulationError> {
-        let vcs = self.low.num_vcs;
+        let vcs = if ONE_VC { 1 } else { self.low.num_vcs };
         let depth = self.low.fifo_depth;
-        let isb = self.low.in_slot_base[s] as usize;
-        let osb = self.low.out_slot_base[s] as usize;
-        let ipb = self.low.in_port_base[s] as usize;
-        let opb = self.low.out_port_base[s] as usize;
+        let g = std::mem::replace(&mut self.granted[b.opb + o], LOWERED_NONE);
+        debug_assert_ne!(g, LOWERED_NONE, "only granted ports pop");
         let iv = (g >> 8) as usize;
-        let ov = (g & 0xFF) as usize;
-        let islot = isb + iv;
+        let ov = if ONE_VC { 0 } else { (g & 0xFF) as usize };
+        let islot = b.isb + iv;
         let ist = &mut self.low.in_state[islot];
         debug_assert!(ist.len > 0, "granted input VC has a flit at its head");
-        let head = ist.head as usize;
-        let next = head + 1;
-        ist.head = if next == depth { 0 } else { next } as u8;
-        let left = ist.len - 1;
-        ist.len = left;
+        let head = usize::from(ist.head);
         let h = self.low.fifo_arena[islot * depth + head];
         let tail = h & HANDLE_TAIL != 0;
-        if tail {
-            ist.allocated = SLOT_NONE;
-        }
-        if left == 0 {
-            self.occ_mask[s] &= !(1 << (iv & 63));
-        }
-        self.note_pop(s);
+        ist.head = if head + 1 == depth { 0 } else { head + 1 } as u8;
+        ist.len -= 1;
+        let drained = ist.len == 0;
+        // The tail closes the worm. `SLOT_NONE` is all ones, so OR-ing
+        // it in is the clear.
+        ist.allocated &= !tail;
+        ist.want |= SLOT_NONE * u16::from(tail);
+        self.occ_mask[s] &= !(u64::from(drained) << (iv & 63));
         sink.popped(islot, now);
-        let gslot = osb + o * vcs + ov;
-        let ost = &mut self.low.out_state[gslot];
-        if ost.credits != CREDITS_INFINITE {
-            ost.credits -= 1;
-            self.credit_debt += 1;
-        }
-        if tail {
-            ost.busy_with = SLOT_NONE;
-            self.open_worms -= 1;
-        }
+        let ost = &mut self.low.out_state[b.osb + o * vcs + ov];
+        let finite = u32::from(ost.credits != CREDITS_INFINITE);
+        ost.credits -= finite;
+        self.credit_debt += u64::from(finite);
+        ost.busy_with |= SLOT_NONE * u16::from(tail);
+        self.open_worms -= u32::from(tail);
         // The flit continues on the output VC the allocation chose;
         // the downstream switch lands it in that buffer (the VC rides
         // beside the handle, not in the pooled flit).
-        self.forwarded_out[opb + o] += 1;
-        let i = self.iv_port[iv] as usize;
-        let v = iv - i * vcs;
-        match self.low.in_feed[ipb + i] {
+        self.forwarded_out[b.opb + o] += 1;
+        let (i, v) = if ONE_VC {
+            (iv, 0)
+        } else {
+            let i = self.iv_port[iv] as usize;
+            (i, iv - i * vcs)
+        };
+        match self.low.in_feed[b.ipb + i] {
             LoweredInFeed::Switch { slot_base } => {
                 // The upstream output VC the flit occupied is the
                 // input VC it just vacated here.
@@ -1255,10 +1339,15 @@ impl CompiledKernel {
                 self.nis[index as usize].credit_return();
             }
         }
-        match self.low.out_dest[opb + o] {
+        match self.low.out_dest[b.opb + o] {
             LoweredOutDest::Switch { switch, slot_base } => {
-                if !sink.take_flit(self, s, switch, slot_base, h, ov) {
-                    self.accept_flit(switch as usize, slot_base, h, ov)?;
+                // A flit moving between two of this engine's switches
+                // leaves `total_occ` alone; one that leaves the slice
+                // does not.
+                if sink.take_flit(self, s, switch, slot_base, h, ov) {
+                    self.total_occ -= 1;
+                } else {
+                    self.land_flit(switch as usize, slot_base, h, ov, vcs)?;
                 }
             }
             LoweredOutDest::Receptor { index } => {
@@ -1275,147 +1364,71 @@ impl CompiledKernel {
     #[inline]
     pub(crate) fn return_credit(&mut self, up: usize) {
         let ust = &mut self.low.out_state[up];
-        if ust.credits != CREDITS_INFINITE {
-            ust.credits += 1;
-            self.credit_debt -= 1;
-            debug_assert!(
-                ust.credits <= self.low.credit_cap[up],
-                "credit overflow on a lowered output slot"
-            );
-        }
+        let finite = u32::from(ust.credits != CREDITS_INFINITE);
+        ust.credits += finite;
+        self.credit_debt -= u64::from(finite);
+        debug_assert!(
+            finite == 0 || ust.credits <= self.low.credit_cap[up],
+            "credit overflow on a lowered output slot"
+        );
     }
 
-    /// Applies this cycle's VC allocations of switch `s` over its grant
-    /// mask (one VC: slot == port). They come first: the winning head
-    /// owns its output VC from now on, whether or not its flit also
-    /// crosses this cycle.
-    #[inline]
-    fn apply_vc_grants(&mut self, s: usize, isb: usize, osb: usize) {
-        let mut vm = self.vcg_mask[s];
-        self.vcg_mask[s] = 0;
-        while vm != 0 {
-            let slot = vm.trailing_zeros() as usize;
-            vm &= vm - 1;
-            let gslot = osb + slot;
-            let iv = self.vc_granted[gslot];
-            self.vc_granted[gslot] = SLOT_NONE;
-            let ist = &mut self.low.in_state[isb + iv as usize];
-            ist.allocated = slot as u16;
-            ist.chosen = SLOT_NONE;
-            self.low.out_state[gslot].busy_with = iv;
-            self.open_worms += 1;
+    /// Applies this cycle's VC allocation of local out-slot `slot`: the
+    /// winning head owns its output VC from now on, whether or not its
+    /// flit also crosses this cycle — which is why every commit path
+    /// applies these before it pops anything.
+    #[inline(always)]
+    fn apply_vc_grant(&mut self, b: Bases, slot: usize) {
+        let gslot = b.osb + slot;
+        let iv = std::mem::replace(&mut self.vc_granted[gslot], SLOT_NONE);
+        let ist = &mut self.low.in_state[b.isb + usize::from(iv)];
+        debug_assert_eq!(ist.want, slot as u16, "granted what it asked for");
+        ist.allocated = true;
+        self.low.out_state[gslot].busy_with = iv;
+        self.open_worms += 1;
+    }
+
+    /// The array bases of switch `s`, read once per commit visit.
+    #[inline(always)]
+    fn bases(&self, s: usize) -> Bases {
+        Bases {
+            isb: self.low.in_slot_base[s] as usize,
+            osb: self.low.out_slot_base[s] as usize,
+            ipb: self.low.in_port_base[s] as usize,
+            opb: self.low.out_port_base[s] as usize,
         }
     }
 
     /// Phase 2 of one switch on the mask path: apply VC allocations,
     /// then pop-and-forward granted flits, both over this cycle's
-    /// grant masks.
-    fn commit_switch_mask<S: CommitSink>(
+    /// grant masks. The switch leaves the live set when its last
+    /// occupied slot drained (and nothing landed since).
+    fn commit_switch_mask<S: CommitSink, const ONE_VC: bool>(
         &mut self,
         s: usize,
         now: Cycle,
         sink: &mut S,
     ) -> Result<(), EmulationError> {
-        let isb = self.low.in_slot_base[s] as usize;
-        let osb = self.low.out_slot_base[s] as usize;
-
-        self.apply_vc_grants(s, isb, osb);
-
-        let mut gm = self.grant_mask[s];
-        self.grant_mask[s] = 0;
-        let opb = self.low.out_port_base[s] as usize;
+        let b = self.bases(s);
+        let mut vm = std::mem::take(&mut self.vcg_mask[s]);
+        while vm != 0 {
+            self.apply_vc_grant(b, vm.trailing_zeros() as usize);
+            vm &= vm - 1;
+        }
+        let mut gm = std::mem::take(&mut self.grant_mask[s]);
         while gm != 0 {
             let o = gm.trailing_zeros() as usize;
             gm &= gm - 1;
-            let gp = opb + o;
-            let g = self.granted[gp];
-            self.granted[gp] = LOWERED_NONE;
-            self.pop_forward(s, g, o, now, sink)?;
+            self.pop_forward::<S, ONE_VC>(s, b, o, now, sink)?;
+        }
+        if self.occ_mask[s] == 0 {
+            self.sw_live.remove(s);
         }
         Ok(())
     }
 
-    /// Phase 2 on the mask fast path, specialized for one VC — the
-    /// pop-and-forward is inlined with `ov == 0`, `slot == port`.
-    fn commit_switch_mask_vc1<S: CommitSink>(
-        &mut self,
-        s: usize,
-        now: Cycle,
-        sink: &mut S,
-    ) -> Result<(), EmulationError> {
-        let isb = self.low.in_slot_base[s] as usize;
-        let osb = self.low.out_slot_base[s] as usize;
-        let ipb = self.low.in_port_base[s] as usize;
-        let opb = self.low.out_port_base[s] as usize;
-        let depth = self.low.fifo_depth;
-
-        self.apply_vc_grants(s, isb, osb);
-
-        let mut gm = self.grant_mask[s];
-        self.grant_mask[s] = 0;
-        while gm != 0 {
-            let o = gm.trailing_zeros() as usize;
-            gm &= gm - 1;
-            let gp = opb + o;
-            let g = self.granted[gp];
-            self.granted[gp] = LOWERED_NONE;
-            let iv = (g >> 8) as usize;
-            let islot = isb + iv;
-            let ist = &mut self.low.in_state[islot];
-            debug_assert!(ist.len > 0, "granted input VC has a flit at its head");
-            let head = ist.head as usize;
-            let next = head + 1;
-            ist.head = if next == depth { 0 } else { next } as u8;
-            let left = ist.len - 1;
-            ist.len = left;
-            let h = self.low.fifo_arena[islot * depth + head];
-            let tail = h & HANDLE_TAIL != 0;
-            if tail {
-                ist.allocated = SLOT_NONE;
-            }
-            if left == 0 {
-                self.occ_mask[s] &= !(1 << iv);
-            }
-            self.note_pop(s);
-            sink.popped(islot, now);
-            let ost = &mut self.low.out_state[osb + o];
-            if ost.credits != CREDITS_INFINITE {
-                ost.credits -= 1;
-                self.credit_debt += 1;
-            }
-            if tail {
-                ost.busy_with = SLOT_NONE;
-                self.open_worms -= 1;
-            }
-            // A 1-VC flit already rides VC 0; no rewrite needed.
-            self.forwarded_out[gp] += 1;
-            match self.low.in_feed[ipb + iv] {
-                LoweredInFeed::Switch { slot_base } => {
-                    if !sink.take_credit(slot_base as usize) {
-                        self.return_credit(slot_base as usize);
-                    }
-                }
-                LoweredInFeed::Generator { index } => {
-                    self.nis[index as usize].credit_return();
-                }
-            }
-            match self.low.out_dest[gp] {
-                LoweredOutDest::Switch { switch, slot_base } => {
-                    if !sink.take_flit(self, s, switch, slot_base, h, 0) {
-                        self.accept_flit(switch as usize, slot_base, h, 0)?;
-                    }
-                }
-                LoweredOutDest::Receptor { index } => {
-                    if let Some(pkt) = self.eject(index as usize, h, 0, now)? {
-                        sink.delivered(self, s, o, index as usize, pkt, now)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Phase 2, dense fallback — full scans, identical semantics.
+    /// Phase 2, dense fallback — full scans, identical semantics; the
+    /// flit count stands in for the occupancy mask.
     fn commit_switch_dense<S: CommitSink>(
         &mut self,
         s: usize,
@@ -1424,50 +1437,30 @@ impl CompiledKernel {
     ) -> Result<(), EmulationError> {
         let vcs = self.low.num_vcs;
         let outputs = self.low.outputs[s] as usize;
-        let isb = self.low.in_slot_base[s] as usize;
-        let osb = self.low.out_slot_base[s] as usize;
-        let opb = self.low.out_port_base[s] as usize;
+        let b = self.bases(s);
 
         for slot in 0..outputs * vcs {
-            let gslot = osb + slot;
-            let iv = self.vc_granted[gslot];
-            if iv == SLOT_NONE {
-                continue;
+            if self.vc_granted[b.osb + slot] != SLOT_NONE {
+                self.apply_vc_grant(b, slot);
             }
-            self.vc_granted[gslot] = SLOT_NONE;
-            let ist = &mut self.low.in_state[isb + iv as usize];
-            ist.allocated = slot as u16;
-            ist.chosen = SLOT_NONE;
-            self.low.out_state[gslot].busy_with = iv;
-            self.open_worms += 1;
         }
 
         for o in 0..outputs {
-            let gp = opb + o;
-            let g = self.granted[gp];
-            if g == LOWERED_NONE {
-                continue;
+            if self.granted[b.opb + o] != LOWERED_NONE {
+                self.occ_flits[s] -= 1;
+                self.pop_forward::<S, false>(s, b, o, now, sink)?;
             }
-            self.granted[gp] = LOWERED_NONE;
-            self.pop_forward(s, g, o, now, sink)?;
+        }
+        if self.occ_flits[s] == 0 {
+            self.sw_live.remove(s);
         }
         Ok(())
     }
 
-    /// Occupancy bookkeeping of one flit leaving switch `s`; the switch
-    /// leaves the live set with its last flit.
-    #[inline]
-    pub(crate) fn note_pop(&mut self, s: usize) {
-        self.occ_flits[s] -= 1;
-        self.total_occ -= 1;
-        if self.occ_flits[s] == 0 {
-            self.sw_live.remove(s);
-        }
-    }
-
-    /// Lands flit handle `h` in the FIFO of `(switch, port base, vc)`
-    /// and maintains the occupancy aggregates, the live set and the
-    /// per-VC watermarks — `Switch::accept` over the arena.
+    /// Lands an injected or replayed flit: [`Self::land_flit`] plus the
+    /// platform-wide count, which only moves where flits enter or leave
+    /// the stepped slice.
+    #[inline(always)]
     pub(crate) fn accept_flit(
         &mut self,
         switch: usize,
@@ -1475,31 +1468,41 @@ impl CompiledKernel {
         h: u32,
         vc: usize,
     ) -> Result<(), EmulationError> {
-        let vcs = self.low.num_vcs;
+        self.total_occ += 1;
+        self.land_flit(switch, slot_base, h, vc, self.low.num_vcs)
+    }
+
+    /// Lands flit handle `h` in the FIFO of `(switch, port base, vc)`
+    /// and maintains the switch's occupancy, the live set and the
+    /// per-VC watermarks — `Switch::accept` over the arena. Inlined into
+    /// every caller: out of line it returned the wide `Result` through
+    /// memory once per flit move.
+    #[inline(always)]
+    fn land_flit(
+        &mut self,
+        switch: usize,
+        slot_base: u32,
+        h: u32,
+        vc: usize,
+        vcs: usize,
+    ) -> Result<(), EmulationError> {
         assert!(vc < vcs, "flit arrived on VC {vc} but switch has {vcs} VCs");
         let slot = slot_base as usize + vc;
         let depth = self.low.fifo_depth;
         let ist = &mut self.low.in_state[slot];
-        let len = ist.len as usize;
+        let len = usize::from(ist.len);
         if len == depth {
-            return Err(EmulationError::FifoOverflow {
-                switch: SwitchId::new(switch as u32),
-                source: FifoFullError { capacity: depth },
-            });
+            return Err(fifo_overflow(switch, depth));
         }
-        let mut pos = ist.head as usize + len;
-        if pos >= depth {
-            pos -= depth;
-        }
+        let pos = usize::from(ist.head) + len;
         ist.len = (len + 1) as u8;
-        self.low.fifo_arena[slot * depth + pos] = h;
+        self.low.fifo_arena[slot * depth + if pos >= depth { pos - depth } else { pos }] = h;
         if self.mask_ok[switch] {
-            let iv = slot - self.low.in_slot_base[switch] as usize;
-            self.occ_mask[switch] |= 1 << iv;
+            self.occ_mask[switch] |= 1 << (slot - self.low.in_slot_base[switch] as usize);
+        } else {
+            self.occ_flits[switch] += 1;
         }
-        self.occ_flits[switch] += 1;
         self.sw_live.insert(switch);
-        self.total_occ += 1;
         let wm = switch * vcs + vc;
         let occ = (len + 1) as u64;
         if occ > self.max_vc_occ[wm] {
@@ -1526,6 +1529,7 @@ impl CompiledKernel {
         let mut flit = self.flit_pool[idx as usize];
         flit.vc = VcId::new(vc as u8);
         self.flit_free.push(idx);
+        self.total_occ -= 1;
         match &mut self.receptors[index] {
             ReceptorDevice::Stochastic(r) => {
                 r.accept(&flit, now)
@@ -1613,16 +1617,10 @@ impl CompiledKernel {
             for i in 0..self.low.inputs[s] as usize {
                 for v in 0..vcs {
                     let st = &self.low.in_state[isb + i * vcs + v];
-                    if st.len == 0 {
+                    if st.len == 0 || st.want == SLOT_NONE {
                         continue;
                     }
-                    let local_out = if st.allocated != SLOT_NONE {
-                        st.allocated
-                    } else if st.chosen != SLOT_NONE {
-                        st.chosen
-                    } else {
-                        continue;
-                    } as usize;
+                    let local_out = st.want as usize;
                     let (out_port, out_vc) = (local_out / vcs, local_out % vcs);
                     let gp = opb + out_port;
                     let dest = match self.low.out_dest[gp] {
@@ -1644,7 +1642,7 @@ impl CompiledKernel {
                         fifo_depth: self.low.fifo_depth as u32,
                         credits: self.low.out_state[osb + local_out].credits,
                         credit_cap: self.low.credit_cap[osb + local_out],
-                        worm_open: st.allocated != SLOT_NONE,
+                        worm_open: st.allocated,
                         dest,
                     });
                 }
@@ -1747,8 +1745,6 @@ impl CycleKernel for CompiledEngine {
     #[inline(never)]
     fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
         let k = &mut self.kernel;
-        #[cfg(debug_assertions)]
-        k.assert_live_sets();
         k.release_phase(now, |k, _, id, len| {
             k.on_ledger(|l| l.release(id, now, len))
         })?;

@@ -563,8 +563,6 @@ impl Worker {
     /// instead of applied and the shard boundary as the commit's sink.
     /// Everything around the cycle is the coordinator's job.
     fn compute_cycle(&mut self, now: Cycle, entry: &mut CycleEntry) -> Result<(), EmulationError> {
-        #[cfg(debug_assertions)]
-        self.eng.assert_live_sets();
         #[cfg(test)]
         assert_ne!(
             Some(now.raw()),

@@ -12,13 +12,35 @@ use crate::latency::LatencyAnalyzer;
 use nocem_common::ids::PacketId;
 use nocem_common::time::Cycle;
 
-/// Lifecycle record of one packet.
+/// "Has not happened" in an [`Entry`] timestamp. A run cannot reach
+/// cycle `u64::MAX`, so no real event carries it.
+const NEVER: u64 = u64::MAX;
+
+/// Lifecycle record of one packet: three raw cycle counts with a
+/// sentinel and the length, 32 bytes — not `Option`s (48), because a
+/// saturated run keeps one entry per packet for the whole run and this
+/// array is then the process's peak memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
-    release: Cycle,
+    /// [`NEVER`] marks an id that was never released (a vacant slot).
+    release: u64,
+    inject: u64,
+    deliver: u64,
     len_flits: u16,
-    inject: Option<Cycle>,
-    deliver: Option<Cycle>,
+}
+
+impl Entry {
+    const VACANT: Entry = Entry {
+        release: NEVER,
+        inject: NEVER,
+        deliver: NEVER,
+        len_flits: 0,
+    };
+}
+
+/// A recorded timestamp as the API shows it.
+fn happened(at: u64) -> Option<Cycle> {
+    (at != NEVER).then_some(Cycle::new(at))
 }
 
 /// Violation of packet conservation — always an engine bug.
@@ -110,7 +132,7 @@ impl PacketRecord {
 /// to.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PacketLedger {
-    entries: Vec<Option<Entry>>,
+    entries: Vec<Entry>,
     released: u64,
     injected: u64,
     delivered: u64,
@@ -124,12 +146,12 @@ impl PacketLedger {
         PacketLedger::default()
     }
 
-    fn slot(&mut self, id: PacketId) -> &mut Option<Entry> {
-        let idx = id.index();
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, None);
-        }
-        &mut self.entries[idx]
+    /// The entry of a released packet.
+    fn released_entry(&mut self, id: PacketId) -> Result<&mut Entry, LedgerError> {
+        self.entries
+            .get_mut(id.index())
+            .filter(|e| e.release != NEVER)
+            .ok_or(LedgerError::UnknownPacket(id))
     }
 
     /// Registers a packet release.
@@ -139,16 +161,20 @@ impl PacketLedger {
     /// Returns [`LedgerError::DuplicateRelease`] if the id was already
     /// registered.
     pub fn release(&mut self, id: PacketId, at: Cycle, len_flits: u16) -> Result<(), LedgerError> {
-        let slot = self.slot(id);
-        if slot.is_some() {
+        debug_assert_ne!(at.raw(), NEVER, "cycle u64::MAX is the vacant marker");
+        let idx = id.index();
+        if idx >= self.entries.len() {
+            self.entries.resize(idx + 1, Entry::VACANT);
+        }
+        let entry = &mut self.entries[idx];
+        if entry.release != NEVER {
             return Err(LedgerError::DuplicateRelease(id));
         }
-        *slot = Some(Entry {
-            release: at,
+        *entry = Entry {
+            release: at.raw(),
             len_flits,
-            inject: None,
-            deliver: None,
-        });
+            ..Entry::VACANT
+        };
         self.released += 1;
         Ok(())
     }
@@ -159,15 +185,11 @@ impl PacketLedger {
     ///
     /// Returns [`LedgerError`] for unknown or doubly injected packets.
     pub fn inject(&mut self, id: PacketId, at: Cycle) -> Result<(), LedgerError> {
-        let entry = self
-            .entries
-            .get_mut(id.index())
-            .and_then(Option::as_mut)
-            .ok_or(LedgerError::UnknownPacket(id))?;
-        if entry.inject.is_some() {
+        let entry = self.released_entry(id)?;
+        if entry.inject != NEVER {
             return Err(LedgerError::DuplicateEvent(id));
         }
-        entry.inject = Some(at);
+        entry.inject = at.raw();
         self.injected += 1;
         Ok(())
     }
@@ -185,15 +207,11 @@ impl PacketLedger {
         at: Cycle,
         len_flits: u16,
     ) -> Result<PacketLatency, LedgerError> {
-        let entry = self
-            .entries
-            .get_mut(id.index())
-            .and_then(Option::as_mut)
-            .ok_or(LedgerError::UnknownPacket(id))?;
-        if entry.deliver.is_some() {
+        let entry = self.released_entry(id)?;
+        if entry.deliver != NEVER {
             return Err(LedgerError::DuplicateEvent(id));
         }
-        let inject = entry.inject.ok_or(LedgerError::UnknownPacket(id))?;
+        let inject = happened(entry.inject).ok_or(LedgerError::UnknownPacket(id))?;
         if entry.len_flits != len_flits {
             return Err(LedgerError::LengthMismatch {
                 packet: id,
@@ -201,12 +219,12 @@ impl PacketLedger {
                 delivered: len_flits,
             });
         }
-        entry.deliver = Some(at);
-        self.delivered += 1;
+        entry.deliver = at.raw();
         let lat = PacketLatency {
             network: at.since(inject),
-            total: at.since(entry.release),
+            total: at.since(Cycle::new(entry.release)),
         };
+        self.delivered += 1;
         self.network_latency.record(lat.network);
         self.total_latency.record(lat.total);
         Ok(lat)
@@ -245,15 +263,17 @@ impl PacketLedger {
     /// Iterates the lifecycle record of every registered packet, in
     /// packet-id order.
     pub fn records(&self) -> impl Iterator<Item = PacketRecord> + '_ {
-        self.entries.iter().enumerate().filter_map(|(i, e)| {
-            e.map(|e| PacketRecord {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.release != NEVER)
+            .map(|(i, e)| PacketRecord {
                 id: PacketId::new(i as u64),
-                release: e.release,
+                release: Cycle::new(e.release),
                 len_flits: e.len_flits,
-                inject: e.inject,
-                deliver: e.deliver,
+                inject: happened(e.inject),
+                deliver: happened(e.deliver),
             })
-        })
     }
 
     /// Verifies full conservation at end of run: everything released
@@ -264,14 +284,10 @@ impl PacketLedger {
     /// Returns the first undelivered packet as
     /// [`LedgerError::UnknownPacket`]-style diagnostics.
     pub fn verify_drained(&self) -> Result<(), LedgerError> {
-        for (i, e) in self.entries.iter().enumerate() {
-            if let Some(e) = e {
-                if e.deliver.is_none() {
-                    return Err(LedgerError::UnknownPacket(PacketId::new(i as u64)));
-                }
-            }
+        match self.records().find(|r| r.deliver.is_none()) {
+            Some(r) => Err(LedgerError::UnknownPacket(r.id)),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -352,6 +368,60 @@ mod tests {
         let id = PacketId::new(0);
         l.release(id, Cycle::ZERO, 1).unwrap();
         assert!(l.deliver(id, Cycle::new(1), 1).is_err());
+    }
+
+    /// The compact entries raise exactly the errors the `Option`-based
+    /// ones did, in the same precedence, and stay compact.
+    #[test]
+    fn every_ledger_error_still_fires() {
+        assert!(std::mem::size_of::<Entry>() <= 32);
+        let mut l = PacketLedger::new();
+        let (a, gap, b) = (PacketId::new(0), PacketId::new(1), PacketId::new(2));
+        l.release(a, Cycle::new(1), 4).unwrap();
+        l.release(b, Cycle::new(1), 4).unwrap();
+        assert_eq!(
+            l.release(a, Cycle::new(2), 4),
+            Err(LedgerError::DuplicateRelease(a))
+        );
+        // An id inside the vector that was never released is unknown,
+        // like one beyond it.
+        for id in [gap, PacketId::new(9)] {
+            assert_eq!(
+                l.inject(id, Cycle::new(2)),
+                Err(LedgerError::UnknownPacket(id))
+            );
+            assert_eq!(
+                l.deliver(id, Cycle::new(2), 4),
+                Err(LedgerError::UnknownPacket(id))
+            );
+        }
+        // Delivery before injection.
+        assert_eq!(
+            l.deliver(a, Cycle::new(2), 4),
+            Err(LedgerError::UnknownPacket(a))
+        );
+        l.inject(a, Cycle::ZERO).unwrap();
+        assert_eq!(
+            l.inject(a, Cycle::new(3)),
+            Err(LedgerError::DuplicateEvent(a))
+        );
+        assert_eq!(
+            l.deliver(a, Cycle::new(5), 3),
+            Err(LedgerError::LengthMismatch {
+                packet: a,
+                released: 4,
+                delivered: 3
+            })
+        );
+        assert_eq!(l.delivered(), 0, "a refused delivery books nothing");
+        l.deliver(a, Cycle::new(5), 4).unwrap();
+        assert_eq!(
+            l.deliver(a, Cycle::new(6), 4),
+            Err(LedgerError::DuplicateEvent(a))
+        );
+        assert_eq!(l.verify_drained(), Err(LedgerError::UnknownPacket(b)));
+        let ids: Vec<_> = l.records().map(|r| r.id).collect();
+        assert_eq!(ids, [a, b], "the gap is not a record");
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn follow(topo: &Topology, tables: &RoutingTables, spec: &FlowSpec) -> (Path, Ve
 }
 
 #[test]
-fn destination_keyed_mesh_tables_answer_as_the_per_flow_oracle() {
+fn the_grid_router_answers_as_the_flow_keyed_oracle() {
     // (a) Every (source, destination) pair of every grid shape the
     // rule has a special case for: ties (even sizes), width-2
     // dimensions (no wrap link), non-square grids.
@@ -281,7 +281,7 @@ fn transpose_answers_are_the_per_flow_values() {
 }
 
 #[test]
-fn destination_keys_follow_the_flow_numbering_not_the_flow_order() {
+fn grid_lookups_follow_the_flow_numbering_not_the_flow_order() {
     // Flow ids that are not their own index (here: reversed) still
     // translate to the right destination.
     let topo = mesh(3, 3).unwrap();

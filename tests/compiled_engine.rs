@@ -11,12 +11,14 @@
 
 use nocem::clock::{ClockMode, SteppableEngine};
 use nocem::compile::elaborate;
-use nocem::config::{EngineKind, PlatformConfig};
-use nocem::engine::build;
+use nocem::config::{EngineKind, PaperConfig, PaperRouting, PlatformConfig};
+use nocem::engine::{build, Emulation};
 use nocem::sweep::AnyEngine;
 use nocem::CompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
+use nocem_switch::arbiter::ArbiterKind;
+use nocem_switch::config::SelectionPolicy;
 
 /// A uniform-random scenario config on `topo` at `load` (meshes on XY
 /// routing with one VC, tori on 2-VC dateline torus-XY — so the torus
@@ -43,8 +45,9 @@ const RING8: TopologySpec = TopologySpec::Ring { switches: 8 };
 /// and asserts full ledger, summary and results equality. Works in
 /// both clock modes: gated runs jump the same windows on both sides
 /// (same quiescence predicate, same fast-forward kernel), so the
-/// per-step clock comparison stays exact.
-fn assert_compiled_lockstep(cfg: &PlatformConfig) {
+/// per-step clock comparison stays exact. Returns the finished
+/// reference for further comparisons.
+fn assert_compiled_lockstep(cfg: &PlatformConfig) -> Emulation {
     let mut reference = build(cfg).unwrap();
     let mut compiled = CompiledEngine::new(elaborate(cfg).unwrap());
     let mut steps = 0u64;
@@ -86,6 +89,7 @@ fn assert_compiled_lockstep(cfg: &PlatformConfig) {
         "full results diverged on {}",
         cfg.name
     );
+    reference
 }
 
 fn with_mode(cfg: &PlatformConfig, mode: ClockMode) -> PlatformConfig {
@@ -166,6 +170,76 @@ fn gated_saturating_load_is_ledger_identical() {
     }
 }
 
+/// The axes the switch kernel branches on — arbiter kind, selection
+/// policy (LFSR draws, alternation pointers, credit comparison), FIFO
+/// depth (credit starvation at depth 1) and VC count — each against
+/// the interpreted reference, cycle by cycle, and once more through
+/// the shard boundary.
+#[test]
+fn arbiter_selection_and_depth_matrix_is_ledger_identical() {
+    const MESH4X4: TopologySpec = TopologySpec::Mesh {
+        width: 4,
+        height: 4,
+    };
+    const TORUS4X4: TopologySpec = TopologySpec::Torus {
+        width: 4,
+        height: 4,
+    };
+    let dual = PaperConfig::new()
+        .routing(PaperRouting::Dual {
+            secondary_probability: 0.5,
+        })
+        .total_packets(160)
+        .uniform();
+    let mut platforms = vec![dual.clone()];
+    for selection in [
+        SelectionPolicy::Alternate,
+        SelectionPolicy::Adaptive,
+        SelectionPolicy::First,
+    ] {
+        let mut cfg = dual.clone();
+        cfg.switch.selection = selection;
+        platforms.push(cfg);
+    }
+    platforms.push(uniform_random(MESH4X4, 0.60, 200));
+    platforms.push(uniform_random(TORUS4X4, 0.60, 200));
+    assert_eq!(platforms[5].switch.num_vcs, 2, "the torus case runs 2 VCs");
+
+    for base in &platforms {
+        for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::FixedPriority] {
+            for fifo_depth in [1, 2, 4] {
+                let mut cfg = base.clone();
+                cfg.switch.arbiter = arbiter;
+                cfg.switch.fifo_depth = fifo_depth;
+                cfg.name = format!(
+                    "{} {:?} {arbiter:?} depth {fifo_depth}",
+                    base.name, base.switch.selection
+                );
+                let reference = assert_compiled_lockstep(&cfg);
+                let mut sharded =
+                    AnyEngine::build(&cfg.clone().with_engine(EngineKind::ShardedCompiled {
+                        shards: 2,
+                        batch: 4,
+                    }))
+                    .unwrap();
+                nocem::run_engine(&mut sharded).unwrap();
+                assert_eq!(
+                    sharded.packet_ledger(),
+                    *reference.ledger(),
+                    "sharded ledger diverged on {}",
+                    cfg.name
+                );
+                assert_eq!(
+                    sharded.results().unwrap(),
+                    reference.results(),
+                    "sharded results diverged on {}",
+                    cfg.name
+                );
+            }
+        }
+    }
+}
+
 /// Regression for heterogeneous port counts: a star's hub switch has
 /// `leaves` ports while every leaf has two, so any lowering that sizes
 /// its arrays from a single uniform port count (or from the config
@@ -176,6 +250,19 @@ fn star_heterogeneous_ports_run_compiled_without_index_errors() {
     let topology = nocem_topology::builders::star(6).unwrap();
     let mut cfg = PlatformConfig::baseline("star6-compiled", topology).unwrap();
     cfg.stop.delivered_packets = Some(240);
+    assert_compiled_lockstep(&cfg);
+    assert_compiled_lockstep(&with_mode(&cfg, ClockMode::Gated));
+}
+
+/// A hub with more than 64 ports does not fit the occupancy masks and
+/// takes the dense fallback of every phase — same cycles, same ledger.
+#[test]
+fn star_hub_beyond_64_ports_takes_the_dense_path_in_lockstep() {
+    let topology = nocem_topology::builders::star(66).unwrap();
+    let mut cfg = PlatformConfig::baseline("star66-compiled", topology).unwrap();
+    cfg.stop.delivered_packets = Some(600);
+    let compiled = CompiledEngine::new(elaborate(&cfg).unwrap());
+    assert!(compiled.lowered().inputs[0] > 64, "the hub is switch 0");
     assert_compiled_lockstep(&cfg);
     assert_compiled_lockstep(&with_mode(&cfg, ClockMode::Gated));
 }

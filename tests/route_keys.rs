@@ -55,7 +55,7 @@ fn route_entries(cfg: &PlatformConfig, routing: &RoutingTables) -> usize {
 }
 
 #[test]
-fn every_builtin_mesh_scenario_routes_by_destination_and_passes_the_table_cdg() {
+fn every_builtin_grid_scenario_routes_arithmetically_and_passes_the_deadlock_check() {
     let registry = ScenarioRegistry::builtin();
     for topo in [mesh(4), mesh(8), torus(4), torus(8)] {
         let mut applicable = 0;
@@ -194,7 +194,7 @@ fn assert_lockstep(cfg: &PlatformConfig, engine: &mut dyn SteppableEngine) -> En
 }
 
 #[test]
-fn all_three_engines_are_ledger_identical_per_cycle_on_destination_keys() {
+fn all_three_engines_are_ledger_identical_per_cycle_on_the_grid_router() {
     // The interpreted switch asks the router with the port and VC it
     // iterates over, the compiled kernels derive them from the slot:
     // a disagreement shows as soon as a dateline packet takes VC 1.
