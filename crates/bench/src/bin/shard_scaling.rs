@@ -14,10 +14,12 @@
 //! 40% load, prints a table, and writes `BENCH_sharding.json` (host
 //! core count stamped) into the repository root. The two smaller
 //! meshes run uniform-random; the mesh64x64 scale point runs the
-//! transpose permutation instead — all-pairs route tables for 4096
-//! nodes (~16.7M flows) take minutes **per elaboration** and every
-//! shard worker re-elaborates, while transpose keeps the flow count
-//! linear in nodes yet still crosses every stripe boundary. The
+//! transpose permutation instead. That choice dates from when
+//! all-pairs traffic on 4096 nodes (~16.7M flows) took minutes **per
+//! elaboration** and every shard worker re-elaborated; uniform-random
+//! there now sets up in well under a second (`examples/scale_setup.rs`),
+//! but the row keeps transpose so the checked-in file stays comparable
+//! with its own history — it still crosses every stripe boundary. The
 //! scenario is stamped per row. **Read the numbers honestly**: on a single-core
 //! host the sharded rows measure coordination overhead, not speedup —
 //! the `host_cores` stamp is there so a reader can tell which regime

@@ -6,6 +6,9 @@
 //! * [`ids`] — strongly-typed identifiers (nodes, ports, packets,
 //!   buses, devices, …);
 //! * [`flit`] — flits and packet descriptors, the unit of transport;
+//! * [`flows`] — flow sets that are arithmetic over their endpoints
+//!   (all sources × all sinks but their own) and the rows destination
+//!   models name instead of listing;
 //! * [`route`] — routing-table hop entries (output port + virtual
 //!   channel) shared by the switch model and the topology compiler;
 //! * [`time`] — the [`time::Cycle`] clock and the paper-style duration
@@ -45,6 +48,7 @@
 
 pub mod csv;
 pub mod flit;
+pub mod flows;
 pub mod ids;
 pub mod rng;
 pub mod route;

@@ -20,6 +20,7 @@
 //! memory for entries that are overwhelmingly empty. A switch only
 //! stores the flows that actually traverse it.
 
+use crate::flows::AllButSelf;
 use crate::ids::{EndpointId, FlowId, PortId, SwitchId, VcId};
 
 /// One admissible continuation of a packet at a switch: the output port
@@ -415,20 +416,27 @@ impl GridRouter {
     ) -> impl Iterator<Item = (SwitchId, RouteHop)> + '_ {
         let (from, home) = (self.homes[src.index()], self.homes[dst.index()]);
         // Injection is on VC 0, where the input port does not matter.
-        let mut at = Some((from.y * self.width + from.x, (NO_PORT, 0)));
+        let mut cur = from.y * self.width + from.x;
+        let mut input = (NO_PORT, 0);
+        // The direction the last hop left in, stepped along only when
+        // the next hop is asked for: most walks of the deadlock check
+        // stop after one.
+        let mut leaving = None;
         std::iter::from_fn(move || {
-            let (cur, input) = at?;
-            let node = &self.nodes[cur as usize];
-            let (hop, dir) = self.route(node, &home, input);
-            at = (dir != ARRIVED).then(|| {
+            if let Some(dir) = leaving {
+                if dir == ARRIVED {
+                    return None;
+                }
+                let node = &self.nodes[cur as usize];
                 let next = self
                     .neighbour(node.x, node.y, dir)
                     .expect("dimension-ordered steps stay on the grid");
-                (
-                    next.raw(),
-                    (self.nodes[next.index()].inp[dir], hop.vc.raw()),
-                )
-            });
+                input.0 = self.nodes[next.index()].inp[dir];
+                cur = next.raw();
+            }
+            let (hop, dir) = self.route(&self.nodes[cur as usize], &home, input);
+            leaving = Some(dir);
+            input.1 = hop.vc.raw();
             Some((SwitchId::new(cur), hop))
         })
     }
@@ -439,6 +447,35 @@ impl GridRouter {
         let (node, home) = (&self.homes[src.index()], &self.homes[dst.index()]);
         self.dateline
             && (self.around(node.x, home.x, self.width) || self.around(node.y, home.y, self.height))
+    }
+
+    /// Whether any route of `flows` rides VC 1 — [`GridRouter::uses_vc1`]
+    /// over the whole set without visiting a pair: a source's route
+    /// wraps iff some coordinate the shorter way around from its own
+    /// holds a sink other than its node's, so counting sinks per column
+    /// and per row answers in `O(nodes × (width + height))`, and the
+    /// first wrapping source (any, on a torus) ends the search.
+    pub fn any_uses_vc1(&self, flows: &AllButSelf) -> bool {
+        if !(self.dateline && self.wrap) {
+            return false;
+        }
+        let mut in_column = vec![0u32; self.width as usize];
+        let mut in_row = vec![0u32; self.height as usize];
+        for sink in flows.sinks() {
+            let home = &self.homes[sink.index()];
+            in_column[home.x as usize] += 1;
+            in_row[home.y as usize] += 1;
+        }
+        let wraps_to = |from: u32, own: u32, size: u32, sinks_at: &[u32]| {
+            (0..size).any(|to| {
+                self.around(from, to, size) && sinks_at[to as usize] > u32::from(own == to)
+            })
+        };
+        flows.sources().iter().zip(flows.sinks()).any(|(src, own)| {
+            let (from, own) = (&self.homes[src.index()], &self.homes[own.index()]);
+            wraps_to(from.x, own.x, self.width, &in_column)
+                || wraps_to(from.y, own.y, self.height, &in_row)
+        })
     }
 }
 
@@ -598,6 +635,46 @@ mod tests {
             r.hop(s(0), EndpointId::new(3), PortId::new(2), VcId::ZERO),
             hop(0, 0)
         );
+    }
+
+    #[test]
+    fn any_uses_vc1_is_uses_vc1_over_the_set() {
+        let generator = |x: u32| EndpointId::new(2 * x);
+        let receptor = |x: u32| EndpointId::new(2 * x + 1);
+        let brute =
+            |r: &GridRouter, set: &AllButSelf| set.iter().any(|(_, src, dst)| r.uses_vc1(src, dst));
+        for width in 2..9 {
+            let all = AllButSelf::new(
+                (0..width).map(generator).collect(),
+                (0..width).map(receptor).collect(),
+            );
+            for (wrap, dateline) in [(false, false), (true, false), (false, true), (true, true)] {
+                let r = ring_router(width, wrap, dateline);
+                assert_eq!(
+                    r.any_uses_vc1(&all),
+                    brute(&r, &all),
+                    "{width} wide, wrap {wrap}, dateline {dateline}"
+                );
+                assert_eq!(r.any_uses_vc1(&all), wrap && dateline && width > 2);
+            }
+        }
+        // The only pair that would wrap is a node's own (0 -> 4 of 7):
+        // it is not a flow of the set, so nothing rides VC 1.
+        let r = ring_router(7, true, true);
+        let own_wraps = AllButSelf::new(
+            vec![generator(0), generator(1)],
+            vec![receptor(4), receptor(1)],
+        );
+        assert!(r.uses_vc1(generator(0), receptor(4)));
+        assert!(!brute(&r, &own_wraps));
+        assert!(!r.any_uses_vc1(&own_wraps));
+        // Swapped, 0 -> 4 is a flow.
+        let wraps = AllButSelf::new(
+            vec![generator(0), generator(1)],
+            vec![receptor(1), receptor(4)],
+        );
+        assert!(brute(&r, &wraps));
+        assert!(r.any_uses_vc1(&wraps));
     }
 
     #[test]

@@ -26,8 +26,8 @@ use nocem_switch::switch::{Switch, CREDITS_INFINITE};
 use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::graph::LinkEnd;
-use nocem_topology::routing::{FlowSpec, RoutingTables};
-use nocem_traffic::generator::TrafficGenerator;
+use nocem_topology::routing::{FlowSet, RoutingTables};
+use nocem_traffic::generator::{DestinationModel, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use nocem_traffic::stochastic::StochasticTg;
 use nocem_traffic::trace::TraceDrivenTg;
@@ -171,6 +171,11 @@ impl std::fmt::Debug for Elaboration {
 /// mid-run in a switch's "no routing entry" assertion, and an
 /// unregistered destination would be routed without ever having been
 /// checked to be a receptor or for deadlocks.
+///
+/// A destination model that names a row of the configuration's own
+/// flow set is its flows by construction ([`names_own_row`]), so an
+/// all-to-all platform validates in `O(endpoints)`; every other model
+/// is checked pair by pair.
 fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
     let generators = config.topology.generators();
     let receptors = config.topology.receptors();
@@ -198,35 +203,54 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
         });
     }
     for (&src, model) in generators.iter().zip(&config.generators) {
-        let registered =
-            |(dst, flow): (EndpointId, FlowId)| match FlowSpec::find(&config.flows, flow) {
-                Some(f) if f.src == src && f.dst == dst => Ok(()),
-                Some(f) => Err(CompileError::TrafficMismatch {
-                    reason: format!(
-                        "generator {src} emits flow {flow} to {dst}, \
-                         but that flow is registered from {} to {}",
-                        f.src, f.dst
-                    ),
-                }),
-                None => Err(CompileError::TrafficMismatch {
-                    reason: format!(
-                        "generator {src} emits flow {flow} to {dst}, which is not a registered flow"
-                    ),
-                }),
-            };
-        match model {
-            TrafficModel::Uniform(c) => c.destination.pairs().try_for_each(registered)?,
-            TrafficModel::Burst(c) => c.destination.pairs().try_for_each(registered)?,
-            TrafficModel::Poisson(c) => c.destination.pairs().try_for_each(registered)?,
-            TrafficModel::Trace(trace) => trace
-                .events()
-                .iter()
-                .filter(|e| e.src == src)
-                .map(|e| (e.dst, e.flow))
-                .try_for_each(registered)?,
+        let registered = |(dst, flow): (EndpointId, FlowId)| match config.flows.get(flow) {
+            Some(f) if f.src == src && f.dst == dst => Ok(()),
+            Some(f) => Err(CompileError::TrafficMismatch {
+                reason: format!(
+                    "generator {src} emits flow {flow} to {dst}, \
+                     but that flow is registered from {} to {}",
+                    f.src, f.dst
+                ),
+            }),
+            None => Err(CompileError::TrafficMismatch {
+                reason: format!(
+                    "generator {src} emits flow {flow} to {dst}, which is not a registered flow"
+                ),
+            }),
+        };
+        let destination = match model {
+            TrafficModel::Uniform(c) => &c.destination,
+            TrafficModel::Burst(c) => &c.destination,
+            TrafficModel::Poisson(c) => &c.destination,
+            TrafficModel::Trace(trace) => {
+                trace
+                    .events()
+                    .iter()
+                    .filter(|e| e.src == src)
+                    .map(|e| (e.dst, e.flow))
+                    .try_for_each(registered)?;
+                continue;
+            }
+        };
+        if !names_own_row(&config.flows, src, destination) {
+            destination.pairs().try_for_each(registered)?;
         }
     }
     Ok(())
+}
+
+/// Whether `destination` names the row of `flows` that leaves `src`:
+/// the same all-but-self set (a clone of it, or one over equal
+/// endpoint lists) and the row whose source is `src`. Such a model can
+/// emit exactly the flows registered from `src`, so no pair of it needs
+/// visiting. Anything else — a list, a row of another set, another
+/// generator's row, a row over a listed flow set — is for the per-pair
+/// check to accept or refuse.
+fn names_own_row(flows: &FlowSet, src: EndpointId, destination: &DestinationModel) -> bool {
+    match (flows, destination.row()) {
+        (FlowSet::AllButSelf(set), Some(row)) => row.source() == src && row.set() == set,
+        _ => false,
+    }
 }
 
 /// Computes (and fully validates) the routing tables of a
@@ -369,7 +393,7 @@ fn instantiate(
             Some(router) => Switch::new_grid(sw_config, router.clone(), s, credits, lfsr_seed),
             None => Switch::new_table(
                 sw_config,
-                routing.switch_table(s).clone(),
+                routing.shared_switch_table(s),
                 credits,
                 lfsr_seed,
             ),
@@ -1033,8 +1057,9 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
 mod tests {
     use super::*;
     use crate::config::PaperConfig;
+    use nocem_common::flows::{AllButSelf, Row};
     use nocem_topology::builders::mesh;
-    use nocem_traffic::generator::DestinationModel;
+    use nocem_topology::routing::FlowSpec;
 
     #[test]
     fn paper_uniform_elaborates() {
@@ -1089,6 +1114,11 @@ mod tests {
         }
     }
 
+    /// Flow `i` of a configuration.
+    fn flow(cfg: &PlatformConfig, i: u32) -> FlowSpec {
+        cfg.flows.get(FlowId::new(i)).expect("registered flow")
+    }
+
     /// Replaces generator 0's destination model (its registered flow
     /// is 0: TG0 -> TR0).
     fn with_destination(destination: DestinationModel) -> PlatformConfig {
@@ -1103,7 +1133,7 @@ mod tests {
     #[test]
     fn fixed_destination_must_be_the_flows_destination() {
         let base = PaperConfig::new().uniform();
-        let (f0, f1) = (base.flows[0], base.flows[1]);
+        let (f0, f1) = (flow(&base, 0), flow(&base, 1));
         elaborate(&with_destination(DestinationModel::Fixed {
             dst: f0.dst,
             flow: f0.flow,
@@ -1121,7 +1151,7 @@ mod tests {
     #[test]
     fn uniform_choice_must_emit_its_own_generators_flows() {
         let base = PaperConfig::new().uniform();
-        let (f0, f1) = (base.flows[0], base.flows[1]);
+        let (f0, f1) = (flow(&base, 0), flow(&base, 1));
         // Flow 1 is registered, but from generator 1.
         let reason = mismatch(&with_destination(DestinationModel::UniformChoice(vec![
             (f0.dst, f0.flow),
@@ -1133,7 +1163,7 @@ mod tests {
     #[test]
     fn weighted_choice_must_name_registered_flows_even_at_weight_zero() {
         let base = PaperConfig::new().uniform();
-        let f0 = base.flows[0];
+        let f0 = flow(&base, 0);
         let unknown = FlowId::new(base.flows.len() as u32);
         let reason = mismatch(&with_destination(DestinationModel::Weighted(vec![
             (f0.dst, f0.flow, 3),
@@ -1142,12 +1172,98 @@ mod tests {
         assert!(reason.contains("not a registered flow"), "{reason}");
     }
 
+    /// Uniform-random traffic on a 3 × 3 mesh the way the scenarios
+    /// build it: the implicit flow set, every generator on its own row.
+    fn all_to_all() -> (PlatformConfig, AllButSelf) {
+        let topo = mesh(3, 3).unwrap();
+        let set = AllButSelf::new(topo.generators(), topo.receptors());
+        let mut cfg = PlatformConfig::baseline("all-to-all", topo).unwrap();
+        cfg.routing = RoutingSpec::Algorithm(nocem_topology::routing::RouteAlgorithm::Xy);
+        cfg.flows = set.clone().into();
+        for s in 0..9 {
+            give_row(&mut cfg, s as usize, Row::new(set.clone(), s));
+        }
+        (cfg, set)
+    }
+
+    fn give_row(cfg: &mut PlatformConfig, generator: usize, row: Row) {
+        let TrafficModel::Uniform(u) = &mut cfg.generators[generator] else {
+            panic!("baseline generators are uniform");
+        };
+        u.destination = DestinationModel::UniformRow(row);
+    }
+
+    #[test]
+    fn rows_of_the_configs_own_flow_set_are_valid() {
+        let (mut cfg, set) = all_to_all();
+        elaborate(&cfg).unwrap();
+        // Equal endpoint lists, separate storage: still the same set.
+        let twin = AllButSelf::new(set.sources().to_vec(), set.sinks().to_vec());
+        assert!(!twin.shares_storage(&set));
+        give_row(&mut cfg, 4, Row::new(twin, 4));
+        elaborate(&cfg).unwrap();
+        // Over the same flows written out, rows are checked pair by
+        // pair — and pass.
+        cfg.flows = cfg.flows.to_listed().into();
+        elaborate(&cfg).unwrap();
+    }
+
+    #[test]
+    fn a_row_of_another_flow_set_is_checked_pair_by_pair() {
+        // A 16-node set's row 0 starts like the 9-node set's, then
+        // runs on into what the configuration registers for source 1.
+        let (mut cfg, _) = all_to_all();
+        let other = mesh(4, 4).unwrap();
+        let other = AllButSelf::new(other.generators(), other.receptors());
+        give_row(&mut cfg, 0, Row::new(other.clone(), 0));
+        let (g0, f8) = (cfg.topology.generators()[0], flow(&cfg, 8));
+        let (dst, _) = Row::new(other, 0).at(8);
+        assert_eq!(
+            mismatch(&cfg),
+            format!(
+                "generator {g0} emits flow {} to {dst}, \
+                 but that flow is registered from {} to {}",
+                f8.flow, f8.src, f8.dst
+            )
+        );
+    }
+
+    #[test]
+    fn a_generator_on_another_generators_row_is_refused() {
+        let (mut cfg, set) = all_to_all();
+        give_row(&mut cfg, 0, Row::new(set, 1));
+        let (g0, f8) = (cfg.topology.generators()[0], flow(&cfg, 8));
+        assert_eq!(
+            mismatch(&cfg),
+            format!(
+                "generator {g0} emits flow {} to {}, \
+                 but that flow is registered from {} to {}",
+                f8.flow, f8.dst, f8.src, f8.dst
+            )
+        );
+    }
+
+    #[test]
+    fn a_row_over_a_list_that_lacks_one_of_its_pairs_is_refused() {
+        let (mut cfg, _) = all_to_all();
+        let mut listed = cfg.flows.to_listed();
+        let missing = listed.pop().unwrap();
+        cfg.flows = listed.into();
+        assert_eq!(
+            mismatch(&cfg),
+            format!(
+                "generator {} emits flow {} to {}, which is not a registered flow",
+                missing.src, missing.flow, missing.dst
+            )
+        );
+    }
+
     #[test]
     fn trace_events_must_be_registered_flows_of_their_source() {
         use nocem_common::time::Cycle;
         use nocem_traffic::trace::{Trace, TraceEvent};
         let mut cfg = PaperConfig::new().total_packets(40).trace_bursty(4);
-        let (f0, f1) = (cfg.flows[0], cfg.flows[1]);
+        let (f0, f1) = (flow(&cfg, 0), flow(&cfg, 1));
         let event = |src, dst, flow| TraceEvent {
             at: Cycle::new(5),
             src,

@@ -13,7 +13,7 @@ use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
 use nocem_topology::builders::{paper_setup, PaperSetup, PAPER_OFFERED_LOAD};
-use nocem_topology::routing::{FlowPaths, FlowSpec, RouteAlgorithm, VcPolicy};
+use nocem_topology::routing::{FlowPaths, FlowSet, FlowSpec, RouteAlgorithm, VcPolicy};
 use nocem_topology::Topology;
 use nocem_traffic::generator::DestinationModel;
 use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, UniformConfig};
@@ -162,8 +162,15 @@ pub struct PlatformConfig {
     pub name: String,
     /// The NoC structure.
     pub topology: Topology,
-    /// The traffic flows.
-    pub flows: Vec<FlowSpec>,
+    /// The traffic flows — the only flow set a configuration has. A
+    /// list for the paper platform, core graphs, permutations and
+    /// anything written by hand ([`FlowSet::from`] a `Vec`); a function
+    /// of the endpoints for the all-to-all synthetic patterns, whose
+    /// list would be quadratic in the switch count
+    /// ([`FlowSet::AllButSelf`]). Either way every `(destination,
+    /// flow)` a generator's traffic model can emit must be one of
+    /// these flows, leaving from that generator.
+    pub flows: FlowSet,
     /// How flows are routed.
     pub routing: RoutingSpec,
     /// How the routed paths are labelled with virtual channels
@@ -219,7 +226,7 @@ impl PlatformConfig {
         name: impl Into<String>,
         topology: Topology,
     ) -> Result<Self, nocem_topology::TopologyError> {
-        let flows = FlowSpec::one_to_one(&topology)?;
+        let flows: FlowSet = FlowSpec::one_to_one(&topology)?.into();
         let generators = flows
             .iter()
             .map(|f| {
@@ -391,7 +398,7 @@ impl PaperConfig {
         PlatformConfig {
             name,
             topology: self.setup.topology.clone(),
-            flows: self.setup.flows.clone(),
+            flows: self.setup.flows.clone().into(),
             routing,
             vc_policy: VcPolicy::SingleVc,
             switch: SwitchSettings {

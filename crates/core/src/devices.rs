@@ -56,7 +56,10 @@ pub fn model_register_image(model: &TrafficModel) -> Vec<(u16, u32)> {
             img.push((tgreg::REG_DST, dst.raw()));
             img.push((tgreg::REG_FLOW, flow.raw()));
         }
-        DestinationModel::UniformChoice(_) | DestinationModel::Weighted(_) => {
+        DestinationModel::UniformChoice(_)
+        | DestinationModel::Weighted(_)
+        | DestinationModel::UniformRow(_)
+        | DestinationModel::WeightedRow(_) => {
             // Distribution models live in the software shadow; the
             // register file only knows "keep the elaborated model".
             img.push((tgreg::REG_DST, DST_KEEP));

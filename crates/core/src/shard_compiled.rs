@@ -108,7 +108,7 @@
 
 use crate::clock::{ClockMode, EngineSummary, EngineWarning, RunState, SteppableEngine};
 use crate::compile::{
-    elaborate, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
+    elaborate, elaborate_routed, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
 };
 #[cfg(doc)]
 use crate::compiled::CompiledEngine;
@@ -125,6 +125,7 @@ use nocem_stats::ledger::PacketLedger;
 use nocem_stats::receptor::CompletedPacket;
 use nocem_telemetry::{Collector, CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
 use nocem_topology::partition::{GridStripes, Partition, PartitionMap};
+use nocem_topology::routing::RoutingTables;
 use nocem_traffic::trace::TraceDrivenTg;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -864,6 +865,7 @@ impl ShardedCompiledEngine {
         });
         let receptor_count = topo.receptors().len();
         let config = elab.config.clone();
+        let routing = elab.routing.clone();
 
         let mut handles = Vec::with_capacity(shards);
         let mut txs = txs.into_iter();
@@ -872,6 +874,7 @@ impl ShardedCompiledEngine {
             let (cmd_tx, cmd_rx) = mpsc::channel();
             let (rep_tx, rep_rx) = mpsc::channel();
             let worker_config = config.clone();
+            let worker_routing = routing.clone();
             let worker_map = map.clone();
             let nbr_list = nbr_list.clone();
             let out_txs = txs.next().expect("one tx list per shard");
@@ -890,6 +893,7 @@ impl ShardedCompiledEngine {
                     let mut worker = spawn_worker(
                         k,
                         &worker_config,
+                        worker_routing,
                         &worker_map,
                         nbr_list,
                         out_txs,
@@ -1390,14 +1394,17 @@ impl SteppableEngine for ShardedCompiledEngine {
     }
 }
 
-/// Builds one worker inside its thread: re-elaborate the config (the
-/// elaboration is deterministic, so every TG RNG stream and device
-/// matches the coordinator's reference by construction), lower it into
-/// a full-shape [`CompiledKernel`], and derive the ownership tables.
+/// Builds one worker inside its thread: re-instantiate the config over
+/// the coordinator's routing (instantiation is deterministic, so every
+/// TG RNG stream and device matches the coordinator's reference by
+/// construction; the routing is shared, and was checked when the
+/// coordinator computed it), lower it into a full-shape
+/// [`CompiledKernel`], and derive the ownership tables.
 #[allow(clippy::too_many_arguments)]
 fn spawn_worker(
     shard: usize,
     config: &PlatformConfig,
+    routing: RoutingTables,
     map: &PartitionMap,
     nbr_list: Vec<usize>,
     out_txs: Vec<Sender<NeighborMsg>>,
@@ -1406,7 +1413,8 @@ fn spawn_worker(
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
 ) -> Worker {
-    let mut elab = elaborate(config).expect("the coordinator already elaborated this config");
+    let mut elab =
+        elaborate_routed(config, routing).expect("the coordinator already elaborated this config");
     // Generators of other shards never fire here: an empty trace is
     // exhausted from the start, so they never enter the live sets.
     let topo = &config.topology;

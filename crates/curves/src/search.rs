@@ -31,7 +31,7 @@ use nocem::compile::compute_routing;
 use nocem::config::EngineKind;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
-use nocem_topology::routing::{FlowSpec, RoutingTables};
+use nocem_topology::routing::{FlowSet, RoutingTables};
 
 /// Packet budget handed to `Scenario::build_config`; purely nominal —
 /// the measurement harness uncaps budgets before running.
@@ -268,7 +268,7 @@ impl CurveSpec {
         registry: &ScenarioRegistry,
         load: f64,
         phase: PointPhase,
-        cache: &mut Option<(Vec<FlowSpec>, RoutingTables)>,
+        cache: &mut Option<(FlowSet, RoutingTables)>,
         zero_load: Option<f64>,
     ) -> Result<CurvePoint, CurveError> {
         let config = self.config_at(registry, load)?;

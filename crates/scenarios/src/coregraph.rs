@@ -20,7 +20,7 @@ use crate::ScenarioError;
 use nocem::config::{PlatformConfig, StopCondition, SwitchSettings, TrafficModel};
 use nocem_common::ids::{EndpointId, FlowId, SwitchId};
 use nocem_stats::TrKind;
-use nocem_topology::routing::FlowSpec;
+use nocem_topology::routing::{FlowSet, FlowSpec};
 use nocem_topology::Topology;
 use nocem_traffic::generator::DestinationModel;
 use nocem_traffic::stochastic::UniformConfig;
@@ -553,11 +553,12 @@ impl CoreGraphWorkload {
                 }
             })
             .collect();
-        let routing = crate::scenario::scenario_routing(topo, &self.flows);
+        let flows = FlowSet::from(self.flows.clone());
+        let routing = crate::scenario::scenario_routing(topo, &flows);
         Ok(PlatformConfig {
             name,
             topology: topo.clone(),
-            flows: self.flows.clone(),
+            flows,
             routing: routing.routing,
             vc_policy: routing.vc_policy,
             switch: SwitchSettings {

@@ -15,19 +15,26 @@
 //! | hotspot | center switches drawn `weight×` more often |
 //! | nearest-neighbor | one-hop neighbors, equal probability |
 //!
-//! A pattern *expands* ([`SyntheticPattern::traffic`]) into dense
-//! [`FlowSpec`]s plus one [`DestinationModel`] per traffic generator —
-//! exactly what `nocem::PlatformConfig` consumes. Patterns address
-//! destinations by switch, so they require a topology with at least
-//! one TG and one TR per switch (what the mesh/torus/ring builders
-//! produce); [`Topology::has_endpoint_pair_per_switch`] is the gate.
+//! A pattern *expands* ([`SyntheticPattern::traffic`]) into a densely
+//! numbered [`FlowSet`] plus one [`DestinationModel`] per traffic
+//! generator — exactly what `nocem::PlatformConfig` consumes. The two
+//! all-to-all patterns, uniform-random and hotspot, expand to the
+//! implicit set (every switch's TG to every other switch's TR) and to
+//! destination models that name a row of it, so their expansion is
+//! linear in the switch count; every other pattern lists its one to
+//! four flows per switch. Patterns address destinations by switch, so
+//! they require a topology with at least one TG and one TR per switch
+//! (what the mesh/torus/ring builders produce);
+//! [`Topology::has_endpoint_pair_per_switch`] is the gate.
 
 use crate::ScenarioError;
+use nocem_common::flows::{AllButSelf, Row};
 use nocem_common::ids::FlowId;
 use nocem_common::ids::SwitchId;
-use nocem_topology::routing::FlowSpec;
+use nocem_topology::routing::{FlowSet, FlowSpec};
 use nocem_topology::Topology;
-use nocem_traffic::generator::DestinationModel;
+use nocem_traffic::generator::{DestinationModel, HotRow};
+use std::sync::Arc;
 
 /// Default hotspot count for [`SyntheticPattern::Hotspot`].
 pub const DEFAULT_HOTSPOTS: u32 = 1;
@@ -257,32 +264,19 @@ impl SyntheticPattern {
         }
         match *self {
             SyntheticPattern::UniformRandom => {
-                for src in topo.switch_ids() {
-                    let options: Vec<_> = topo
-                        .switch_ids()
-                        .filter(|&d| d != src)
-                        .map(|d| expansion.flow_pair(src, d))
-                        .collect();
-                    expansion.uniform(src, options);
-                }
+                Ok(expansion.all_but_self(DestinationModel::UniformRow))
             }
             SyntheticPattern::Hotspot { hotspots, weight } => {
-                let hot: Vec<SwitchId> = crate::switches_center_out(topo)
+                let mut hot: Vec<u32> = crate::switches_center_out(topo)
                     .into_iter()
                     .take(hotspots as usize)
+                    .map(SwitchId::raw)
                     .collect();
-                for src in topo.switch_ids() {
-                    let options: Vec<_> = topo
-                        .switch_ids()
-                        .filter(|&d| d != src)
-                        .map(|d| {
-                            let w = if hot.contains(&d) { weight } else { 1 };
-                            let (dst, flow) = expansion.flow_pair(src, d);
-                            (dst, flow, w)
-                        })
-                        .collect();
-                    expansion.weighted(src, options);
-                }
+                hot.sort_unstable();
+                let hot: Arc<[u32]> = hot.into();
+                Ok(expansion.all_but_self(|row| {
+                    DestinationModel::WeightedRow(HotRow::new(row, hot.clone(), weight))
+                }))
             }
             SyntheticPattern::NearestNeighbor => {
                 for src in topo.switch_ids() {
@@ -298,10 +292,10 @@ impl SyntheticPattern {
                         .collect();
                     expansion.uniform(src, options);
                 }
+                Ok(expansion.finish())
             }
             _ => unreachable!("deterministic patterns handled via permutation()"),
         }
-        Ok(expansion.finish())
     }
 }
 
@@ -315,8 +309,10 @@ impl std::fmt::Display for SyntheticPattern {
 /// destination model per generator (in `topology.generators()` order).
 #[derive(Debug, Clone)]
 pub struct PatternTraffic {
-    /// All (src TG, dst TR) flows the pattern uses, densely numbered.
-    pub flows: Vec<FlowSpec>,
+    /// All (src TG, dst TR) flows the pattern uses, densely numbered:
+    /// the implicit all-but-self set for uniform-random and hotspot
+    /// (whose destination models are rows of it), a list otherwise.
+    pub flows: FlowSet,
     /// Destination model of each generator, `generators()` order.
     pub destinations: Vec<DestinationModel>,
 }
@@ -411,6 +407,7 @@ impl<'t> Expansion<'t> {
         self.models[src.index()] = Some(DestinationModel::UniformChoice(options));
     }
 
+    #[cfg(test)]
     fn weighted(
         &mut self,
         src: SwitchId,
@@ -420,7 +417,34 @@ impl<'t> Expansion<'t> {
         self.models[src.index()] = Some(DestinationModel::Weighted(options));
     }
 
+    /// Every switch's TG to every other switch's TR, as a function: the
+    /// implicit flow set — numbered as interning `for src { for dst ≠
+    /// src }` pair by pair would number it — and, per switch, the model
+    /// `model` makes of its row.
+    fn all_but_self(mut self, model: impl Fn(Row) -> DestinationModel) -> PatternTraffic {
+        let set = AllButSelf::new(
+            std::mem::take(&mut self.tg_at),
+            std::mem::take(&mut self.tr_at),
+        );
+        for (s, slot) in (0u32..).zip(&mut self.models) {
+            *slot = Some(model(Row::new(set.clone(), s)));
+        }
+        PatternTraffic {
+            destinations: self.destinations(),
+            flows: set.into(),
+        }
+    }
+
     fn finish(mut self) -> PatternTraffic {
+        let destinations = self.destinations();
+        PatternTraffic {
+            flows: self.flows.into(),
+            destinations,
+        }
+    }
+
+    /// The per-switch models in `generators()` order.
+    fn destinations(&mut self) -> Vec<DestinationModel> {
         // Reorder per-switch models into generators() order. A model
         // moves to the last generator of its switch (the only one, on
         // every built-in topology); earlier ones get copies.
@@ -429,7 +453,7 @@ impl<'t> Expansion<'t> {
         for &g in &generators {
             pending[self.topo.endpoint(g).switch.index()] += 1;
         }
-        let destinations = generators
+        generators
             .into_iter()
             .map(|g| {
                 let s = self.topo.endpoint(g).switch.index();
@@ -441,11 +465,7 @@ impl<'t> Expansion<'t> {
                 };
                 model.expect("every switch's generator received a model")
             })
-            .collect();
-        PatternTraffic {
-            flows: self.flows,
-            destinations,
-        }
+            .collect()
     }
 }
 
@@ -545,7 +565,8 @@ mod tests {
         assert_eq!(t.flows.len(), 4 * 3);
         assert_eq!(t.destinations.len(), 4);
         for d in &t.destinations {
-            match d {
+            assert!(matches!(d, DestinationModel::UniformRow(_)), "{d:?}");
+            match d.to_listed() {
                 DestinationModel::UniformChoice(opts) => assert_eq!(opts.len(), 3),
                 other => panic!("expected uniform choice, got {other:?}"),
             }
@@ -565,7 +586,8 @@ mod tests {
         let center_tr = m.receptor_at(SwitchId::new(4)).unwrap();
         for (i, d) in t.destinations.iter().enumerate() {
             let src_switch = m.endpoint(m.generators()[i]).switch;
-            let DestinationModel::Weighted(opts) = d else {
+            assert!(matches!(d, DestinationModel::WeightedRow(_)), "{d:?}");
+            let DestinationModel::Weighted(opts) = d.to_listed() else {
                 panic!("expected weighted model");
             };
             if src_switch != SwitchId::new(4) {
@@ -573,6 +595,135 @@ mod tests {
                 assert_eq!(hot.2, 10);
             }
             assert!(opts.iter().all(|&(_, _, w)| w == 1 || w == 10));
+        }
+    }
+
+    /// The expansion this module had before flow sets could be
+    /// implicit, kept as the oracle: every (src, dst ≠ src) pair
+    /// interned one by one, every destination list written out.
+    fn listed(pattern: SyntheticPattern, topo: &Topology) -> PatternTraffic {
+        let mut expansion = Expansion::new(topo);
+        match pattern {
+            SyntheticPattern::UniformRandom => {
+                for src in topo.switch_ids() {
+                    let options: Vec<_> = topo
+                        .switch_ids()
+                        .filter(|&d| d != src)
+                        .map(|d| expansion.flow_pair(src, d))
+                        .collect();
+                    expansion.uniform(src, options);
+                }
+            }
+            SyntheticPattern::Hotspot { hotspots, weight } => {
+                let hot: Vec<SwitchId> = crate::switches_center_out(topo)
+                    .into_iter()
+                    .take(hotspots as usize)
+                    .collect();
+                for src in topo.switch_ids() {
+                    let options: Vec<_> = topo
+                        .switch_ids()
+                        .filter(|&d| d != src)
+                        .map(|d| {
+                            let w = if hot.contains(&d) { weight } else { 1 };
+                            let (dst, flow) = expansion.flow_pair(src, d);
+                            (dst, flow, w)
+                        })
+                        .collect();
+                    expansion.weighted(src, options);
+                }
+            }
+            other => panic!("{other} never was all-to-all"),
+        }
+        expansion.finish()
+    }
+
+    #[test]
+    fn the_implicit_expansion_is_the_listed_one_element_for_element() {
+        let mut shapes = vec![
+            (2, 2),
+            (3, 2),
+            (3, 3),
+            (4, 4),
+            (5, 3),
+            (6, 5),
+            (8, 8),
+            (9, 7),
+        ];
+        shapes.extend((2..8).flat_map(|n| [(1, n), (n, 1)]));
+        for (w, h) in shapes {
+            for topo in [mesh(w, h).unwrap(), torus(w, h).unwrap()] {
+                let n = topo.switch_count();
+                let mut patterns = vec![SyntheticPattern::UniformRandom];
+                for hotspots in [1, 2.min(n as u32 - 1), n as u32 - 1] {
+                    for weight in [2, 8] {
+                        patterns.push(SyntheticPattern::Hotspot { hotspots, weight });
+                    }
+                }
+                for pattern in patterns {
+                    let what = format!("{pattern:?} on {}", topo.name());
+                    let got = pattern.traffic(&topo).unwrap();
+                    let want = listed(pattern, &topo);
+                    let FlowSet::Listed(want_flows) = &want.flows else {
+                        panic!("{what}: the oracle lists");
+                    };
+                    assert!(matches!(got.flows, FlowSet::AllButSelf(_)), "{what}");
+                    // Same flows, same ids, same order — and equal as sets.
+                    assert_eq!(got.flows.len(), n * (n - 1), "{what}");
+                    assert!(got.flows.iter().eq(want_flows.iter().copied()), "{what}");
+                    assert_eq!(&got.flows.to_listed(), want_flows, "{what}");
+                    assert_eq!(got.flows, want.flows, "{what}");
+                    // get / id_of round-trip, past the end is nothing.
+                    for spec in want_flows {
+                        assert_eq!(got.flows.get(spec.flow), Some(*spec), "{what}");
+                        assert_eq!(
+                            got.flows.id_of(spec.src, spec.dst),
+                            Some(spec.flow),
+                            "{what}"
+                        );
+                    }
+                    assert_eq!(got.flows.get(FlowId::new(want_flows.len() as u32)), None);
+                    // Rows partition the set, in order.
+                    let by_row: Vec<FlowSpec> = topo
+                        .generators()
+                        .into_iter()
+                        .flat_map(|g| got.flows.row(g).collect::<Vec<_>>())
+                        .collect();
+                    assert_eq!(&by_row, want_flows, "{what}");
+                    // Every generator draws among the same options, at
+                    // the same weights, and its row is its own.
+                    assert_eq!(got.destinations.len(), want.destinations.len());
+                    for ((g, model), listed) in topo
+                        .generators()
+                        .into_iter()
+                        .zip(&got.destinations)
+                        .zip(&want.destinations)
+                    {
+                        assert_eq!(&model.to_listed(), listed, "{what}, {g}");
+                        assert_eq!(model.row().unwrap().source(), g, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_to_all_models_share_the_flow_sets_storage() {
+        let m = mesh(6, 6).unwrap();
+        for pattern in [
+            SyntheticPattern::UniformRandom,
+            SyntheticPattern::Hotspot {
+                hotspots: 2,
+                weight: 4,
+            },
+        ] {
+            let t = pattern.traffic(&m).unwrap();
+            let FlowSet::AllButSelf(set) = &t.flows else {
+                panic!("{pattern} is implicit");
+            };
+            assert!(t
+                .destinations
+                .iter()
+                .all(|d| d.row().unwrap().set().shares_storage(set)));
         }
     }
 

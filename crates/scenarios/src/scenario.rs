@@ -13,7 +13,7 @@ use crate::ScenarioError;
 use nocem::config::{PlatformConfig, RoutingSpec, StopCondition, SwitchSettings, TrafficModel};
 use nocem_stats::TrKind;
 use nocem_topology::builders;
-use nocem_topology::routing::{ring_minimal_path, FlowPaths, FlowSpec, RouteAlgorithm, VcPolicy};
+use nocem_topology::routing::{ring_minimal_path, FlowPaths, FlowSet, RouteAlgorithm, VcPolicy};
 use nocem_topology::Topology;
 use nocem_traffic::stochastic::UniformConfig;
 
@@ -91,7 +91,7 @@ pub struct ScenarioRouting {
 ///   nearer — on 2 VCs with a dateline assignment (the line-routing
 ///   restriction the single-VC platform needed is gone);
 /// * anything else falls back to shortest-path on a single VC.
-pub fn scenario_routing(topo: &Topology, flows: &[FlowSpec]) -> ScenarioRouting {
+pub fn scenario_routing(topo: &Topology, flows: &FlowSet) -> ScenarioRouting {
     if topo.grid().is_some() {
         // A torus is a grid with wrap links; a mesh has none. (Tori
         // with both dimensions <= 2 degenerate to meshes.)
@@ -114,7 +114,7 @@ pub fn scenario_routing(topo: &Topology, flows: &[FlowSpec]) -> ScenarioRouting 
         let n = topo.switch_count() as u32;
         let paths = flows
             .iter()
-            .map(|&spec| {
+            .map(|spec| {
                 let a = topo.endpoint(spec.src).switch;
                 let b = topo.endpoint(spec.dst).switch;
                 FlowPaths {

@@ -37,11 +37,7 @@ fn topology_spec() -> impl Strategy<Value = TopologySpec> {
 
 /// Destination endpoints and flows of a model, flattened.
 fn model_targets(model: &DestinationModel) -> Vec<(nocem_common::ids::EndpointId, u32)> {
-    match model {
-        DestinationModel::Fixed { dst, flow } => vec![(*dst, flow.raw())],
-        DestinationModel::UniformChoice(opts) => opts.iter().map(|&(d, f)| (d, f.raw())).collect(),
-        DestinationModel::Weighted(opts) => opts.iter().map(|&(d, f, _)| (d, f.raw())).collect(),
-    }
+    model.pairs().map(|(d, f)| (d, f.raw())).collect()
 }
 
 proptest! {
@@ -78,7 +74,7 @@ proptest! {
                 prop_assert!((dst.index()) < topo.endpoint_count());
                 prop_assert_eq!(topo.endpoint(dst).kind, EndpointKind::Receptor);
                 // The flow is registered and matches (src TG, dst TR).
-                let flow = traffic.flows.get(flow_raw as usize)
+                let flow = traffic.flows.get(nocem_common::ids::FlowId::new(flow_raw))
                     .expect("flow id in range");
                 prop_assert_eq!(flow.dst, dst);
                 prop_assert_eq!(topo.endpoint(flow.src).switch, src_switch);

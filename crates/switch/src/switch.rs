@@ -266,8 +266,10 @@ impl SwitchCounters {
 enum Routes {
     /// Sparse flow → admissible-output-hops table (only flows that
     /// visit this switch have entries, so memory stays proportional to
-    /// local route incidences even under all-to-all traffic).
-    Table(RouteTable),
+    /// local route incidences even under all-to-all traffic), shared
+    /// with whoever built it: a platform is instantiated once per
+    /// curve point and matrix cell, from one set of tables.
+    Table(Arc<RouteTable>),
     /// The platform's shared dimension-ordered router and which of its
     /// switches this is.
     Grid(Arc<GridRouter>, SwitchId),
@@ -397,6 +399,7 @@ impl Switch {
     /// Builds a switch from a sparse per-switch routing table — the
     /// constructor the platform compiler uses for flow-keyed routing
     /// ([`Switch::new_vc`] is the dense-vector convenience over it).
+    /// The table is held, not copied: pass an `Arc` to share it.
     ///
     /// # Errors
     ///
@@ -405,10 +408,11 @@ impl Switch {
     /// hold exactly `outputs × num_vcs` entries.
     pub fn new_table(
         config: SwitchConfig,
-        routes: RouteTable,
+        routes: impl Into<Arc<RouteTable>>,
         credits: Vec<Vec<u32>>,
         lfsr_seed: u16,
     ) -> Result<Self, BuildSwitchError> {
+        let routes = routes.into();
         let inputs = config.inputs as usize;
         let outputs = config.outputs as usize;
         let vcs = config.num_vcs as usize;

@@ -19,9 +19,9 @@
 //! part of a cycle; the path-based builders include both to complete
 //! the chains, the grid walk starts at the first inter-switch hop.
 
-use crate::graph::{Rows, Topology};
-use crate::routing::{FlowPaths, FlowSpec, GridRouter, RoutingTables};
-use nocem_common::ids::{EndpointId, LinkId, SwitchId, VcId};
+use crate::graph::Topology;
+use crate::routing::{FlowPaths, FlowSet, GridRouter, RoutingTables};
+use nocem_common::ids::{LinkId, SwitchId, VcId};
 
 /// A cyclic channel dependency that could deadlock the network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +97,10 @@ pub fn check_deadlock_freedom(topo: &Topology, flows: &[FlowPaths]) -> Result<()
 /// adding the dependency of the arrival channel on the channel the
 /// router continues on — the same edges as the per-flow chains (every
 /// state lies on some flow's path, so verdicts are exact for sparse
-/// flow sets too) in `O(flows + visited states)`.
+/// flow sets too) in `O(flows + visited states)`. An implicit flow set
+/// is walked pair by pair all the same — that is what keeps the
+/// verdict exact — but straight off its endpoint lists, with nothing
+/// allocated per flow.
 ///
 /// # Errors
 ///
@@ -160,28 +163,22 @@ impl Cdg {
     /// repeats itself (the hop is a function of switch, destination,
     /// input port and input VC, and the channel just taken fixes all
     /// four), so the onward edges are already in.
-    fn walk_grid(&mut self, topo: &Topology, router: &GridRouter, flows: &[FlowSpec]) {
-        let sources = Rows::group(
-            topo.endpoint_count(),
-            flows.iter().map(|f| (f.dst.index(), f.src.raw())),
-        );
+    fn walk_grid(&mut self, topo: &Topology, router: &GridRouter, flows: &FlowSet) {
         // Per channel: the last destination some walk took it toward.
         let mut taken = vec![u32::MAX; self.succ.len()];
-        for d in 0..topo.endpoint_count() as u32 {
-            for &src in sources.row(d as usize) {
-                let mut prev = None;
-                for (at, hop) in router.walk(EndpointId::new(src), EndpointId::new(d)) {
-                    let channel = self.node(topo.out_link(at, hop.port), hop.vc);
-                    if let Some(prev) = prev {
-                        self.edge(prev, channel);
-                    }
-                    if std::mem::replace(&mut taken[channel as usize], d) == d {
-                        break;
-                    }
-                    prev = Some(channel);
+        flows.for_each_by_destination(|src, dst| {
+            let mut prev = None;
+            for (at, hop) in router.walk(src, dst) {
+                let channel = self.node(topo.out_link(at, hop.port), hop.vc);
+                if let Some(prev) = prev {
+                    self.edge(prev, channel);
                 }
+                if std::mem::replace(&mut taken[channel as usize], dst.raw()) == dst.raw() {
+                    break;
+                }
+                prev = Some(channel);
             }
-        }
+        });
     }
 
     /// Adds the dependency chain of one path: injection link (VC 0,
@@ -268,6 +265,7 @@ mod tests {
     use super::*;
     use crate::builders::{mesh, paper_setup, ring, torus};
     use crate::routing::{ring_minimal_path, FlowSpec, RouteAlgorithm, RoutingTables, VcPolicy};
+    use nocem_common::flows::AllButSelf;
 
     #[test]
     fn paper_primary_is_deadlock_free() {
@@ -367,7 +365,7 @@ mod tests {
     fn torus_xy_with_dateline_is_deadlock_free() {
         for (w, h) in [(3u32, 3u32), (4, 4), (5, 3)] {
             let t = torus(w, h).unwrap();
-            let flows = FlowSpec::all_pairs(&t);
+            let flows = FlowSpec::all_pairs(&t).into();
             let rt = RoutingTables::compute_with(
                 &t,
                 &flows,
@@ -385,7 +383,9 @@ mod tests {
         // Verdicts alone cannot tell a missing edge from an absent
         // one on an acyclic configuration: compare the graphs. The
         // chains also hold each flow's injection edge, which the walk
-        // leaves out (an injection link has no predecessor).
+        // leaves out (an injection link has no predecessor). The
+        // implicit set is walked off its endpoint lists, the two lists
+        // through the counting sort.
         let every_third = |flows: Vec<FlowSpec>| flows.into_iter().step_by(3).collect();
         for topo in [
             torus(5, 3).unwrap(),
@@ -393,8 +393,9 @@ mod tests {
             mesh(4, 3).unwrap(),
         ] {
             for flows in [
-                FlowSpec::all_pairs(&topo),
-                every_third(FlowSpec::all_pairs(&topo)),
+                FlowSet::Listed(FlowSpec::all_pairs(&topo)),
+                FlowSet::Listed(every_third(FlowSpec::all_pairs(&topo))),
+                FlowSet::AllButSelf(AllButSelf::new(topo.generators(), topo.receptors())),
             ] {
                 for policy in [VcPolicy::SingleVc, VcPolicy::Dateline] {
                     let algo = if topo.has_wrap_links() {
@@ -436,7 +437,7 @@ mod tests {
         // Whatever BFS picks, the checker must terminate and give a
         // deterministic answer.
         let t = ring(6).unwrap();
-        let flows = FlowSpec::one_to_one(&t).unwrap();
+        let flows = FlowSpec::one_to_one(&t).unwrap().into();
         let rt = RoutingTables::compute(&t, &flows, RouteAlgorithm::Shortest).unwrap();
         let a = check_deadlock_freedom(&t, &rt.flows());
         let b = check_deadlock_freedom(&t, &rt.flows());

@@ -58,7 +58,9 @@ pub mod routing;
 
 pub use graph::{EndpointKind, GridInfo, Link, LinkEnd, Topology, TopologyBuilder};
 pub use partition::{GridStripes, Partition, PartitionMap};
-pub use routing::{FlowPaths, FlowSpec, Path, RouteAlgorithm, RouteHop, RoutingTables, VcPolicy};
+pub use routing::{
+    FlowPaths, FlowSet, FlowSpec, Path, RouteAlgorithm, RouteHop, RoutingTables, VcPolicy,
+};
 
 use nocem_common::ids::{EndpointId, FlowId, SwitchId};
 

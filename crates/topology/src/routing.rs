@@ -36,8 +36,9 @@
 //! Either way downstream analyses (deadlock check, link load
 //! prediction) see the same paths and labels.
 
-use crate::graph::{EndpointKind, Topology};
+use crate::graph::{EndpointKind, Rows, Topology};
 use crate::TopologyError;
+use nocem_common::flows::AllButSelf;
 use nocem_common::ids::{EndpointId, FlowId, PortId, SwitchId, VcId};
 use std::borrow::Cow;
 use std::collections::{BinaryHeap, HashSet};
@@ -83,15 +84,6 @@ impl FlowSpec {
             .collect())
     }
 
-    /// The spec of `flow` among `specs`: at its own index when ids are
-    /// dense (what every generated flow set is), by search otherwise.
-    pub fn find(specs: &[FlowSpec], flow: FlowId) -> Option<&FlowSpec> {
-        specs
-            .get(flow.index())
-            .filter(|spec| spec.flow == flow)
-            .or_else(|| specs.iter().find(|spec| spec.flow == flow))
-    }
-
     /// One flow from every generator to every receptor (uniform-random
     /// destination traffic uses the whole set).
     pub fn all_pairs(topo: &Topology) -> Vec<FlowSpec> {
@@ -106,6 +98,162 @@ impl FlowSpec {
             }
         }
         flows
+    }
+}
+
+/// The traffic flows of a platform: a list, or — for the all-to-all
+/// sets whose list would be quadratic in the node count — a function of
+/// the endpoints.
+///
+/// Consumers read a flow set through [`FlowSet::len`], [`FlowSet::get`],
+/// [`FlowSet::iter`], [`FlowSet::row`] and
+/// [`FlowSet::for_each_by_destination`] and never see which form it
+/// has; the two number their flows identically
+/// ([`FlowSet::to_listed`] of an implicit set is the list a nested
+/// loop over its endpoints would have written). Only the code whose
+/// cost the implicit form exists to cut looks inside: set-up validation,
+/// [`RoutingTables::compute_with`] on a complete grid and the deadlock
+/// walk.
+#[derive(Debug, Clone)]
+pub enum FlowSet {
+    /// The flows, written out. Ids are normally dense (`flows[i].flow
+    /// == i`), which makes [`FlowSet::get`] `O(1)`.
+    Listed(Vec<FlowSpec>),
+    /// Every source to every sink but its own, `O(nodes)` memory
+    /// behind an [`Arc`]: `clone()` is `O(1)` and equality between
+    /// clones is too.
+    AllButSelf(AllButSelf),
+}
+
+impl FlowSet {
+    /// Number of flows.
+    pub fn len(&self) -> usize {
+        match self {
+            FlowSet::Listed(flows) => flows.len(),
+            FlowSet::AllButSelf(set) => set.len(),
+        }
+    }
+
+    /// Whether there is no flow.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The spec of `flow`: arithmetic for an implicit set; in a list,
+    /// at its own index when ids are dense (what every generated list
+    /// is), by search otherwise.
+    pub fn get(&self, flow: FlowId) -> Option<FlowSpec> {
+        match self {
+            FlowSet::Listed(flows) => flows
+                .get(flow.index())
+                .filter(|spec| spec.flow == flow)
+                .or_else(|| flows.iter().find(|spec| spec.flow == flow))
+                .copied(),
+            FlowSet::AllButSelf(set) => set.get(flow).map(|(src, dst)| FlowSpec { flow, src, dst }),
+        }
+    }
+
+    /// The flow from `src` to `dst`, if there is one (the first, in a
+    /// list that repeats the pair). `O(1)` for an implicit set, a scan
+    /// of a list.
+    pub fn id_of(&self, src: EndpointId, dst: EndpointId) -> Option<FlowId> {
+        match self {
+            FlowSet::Listed(flows) => flows
+                .iter()
+                .find(|spec| spec.src == src && spec.dst == dst)
+                .map(|spec| spec.flow),
+            FlowSet::AllButSelf(set) => set.id_of(src, dst),
+        }
+    }
+
+    /// Every flow, in the order given (flow-id order for generated
+    /// sets).
+    pub fn iter(&self) -> impl Iterator<Item = FlowSpec> + '_ {
+        let (listed, implicit) = match self {
+            FlowSet::Listed(flows) => (flows.as_slice(), None),
+            FlowSet::AllButSelf(set) => (&[][..], Some(set)),
+        };
+        let implicit = implicit
+            .into_iter()
+            .flat_map(AllButSelf::iter)
+            .map(|(flow, src, dst)| FlowSpec { flow, src, dst });
+        listed.iter().copied().chain(implicit)
+    }
+
+    /// The flows leaving `source`, in [`FlowSet::iter`] order: the
+    /// options of a generator there. Rows partition the set.
+    pub fn row(&self, source: EndpointId) -> impl Iterator<Item = FlowSpec> + '_ {
+        let (listed, implicit) = match self {
+            FlowSet::Listed(flows) => (flows.as_slice(), None),
+            FlowSet::AllButSelf(set) => (&[][..], set.source_index(source).map(|s| set.row(s))),
+        };
+        let implicit = implicit
+            .into_iter()
+            .flatten()
+            .map(move |(dst, flow)| FlowSpec {
+                flow,
+                src: source,
+                dst,
+            });
+        listed
+            .iter()
+            .copied()
+            .filter(move |spec| spec.src == source)
+            .chain(implicit)
+    }
+
+    /// Calls `visit(src, dst)` for every flow, grouped by destination:
+    /// destinations in ascending endpoint-id order, the flows to one
+    /// destination in [`FlowSet::iter`] order. A counting sort of a
+    /// list; two nested loops, and no allocation, over an implicit set.
+    pub fn for_each_by_destination(&self, mut visit: impl FnMut(EndpointId, EndpointId)) {
+        match self {
+            FlowSet::Listed(flows) => {
+                let destinations = flows.iter().map(|f| f.dst.index() + 1).max().unwrap_or(0);
+                let sources = Rows::group(
+                    destinations,
+                    flows.iter().map(|f| (f.dst.index(), f.src.raw())),
+                );
+                for dst in 0..destinations {
+                    for &src in sources.row(dst) {
+                        visit(EndpointId::new(src), EndpointId::new(dst as u32));
+                    }
+                }
+            }
+            FlowSet::AllButSelf(set) => set.for_each_by_sink(visit),
+        }
+    }
+
+    /// The flows written out, for code that edits one (an implicit set
+    /// cannot be edited, only replaced).
+    pub fn to_listed(&self) -> Vec<FlowSpec> {
+        self.iter().collect()
+    }
+}
+
+/// Same flows in the same order. `O(1)` between an implicit set and its
+/// clone, `O(nodes)` between two implicit sets, element-wise otherwise.
+impl PartialEq for FlowSet {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (FlowSet::Listed(a), FlowSet::Listed(b)) => a == b,
+            (FlowSet::AllButSelf(a), FlowSet::AllButSelf(b)) => a == b,
+            _ => self.len() == other.len() && self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl Eq for FlowSet {}
+
+impl From<Vec<FlowSpec>> for FlowSet {
+    fn from(flows: Vec<FlowSpec>) -> Self {
+        FlowSet::Listed(flows)
+    }
+}
+
+impl From<AllButSelf> for FlowSet {
+    fn from(set: AllButSelf) -> Self {
+        FlowSet::AllButSelf(set)
     }
 }
 
@@ -163,7 +311,8 @@ pub enum RouteAlgorithm {
 /// The routing of a platform: per-switch sparse flow-keyed tables with
 /// the paths and VC labels they were derived from, or — for
 /// dimension-ordered routing on a complete grid — one [`GridRouter`]
-/// and the flow list, with no table at all.
+/// and the flow set (a list, or a function of its endpoints), with no
+/// table at all.
 ///
 /// The value is immutable and shared: `clone()` is `O(1)`, so every
 /// curve point, matrix cell and engine instance built from one
@@ -176,9 +325,9 @@ pub struct RoutingTables {
 #[derive(Debug)]
 struct Tables {
     /// `[switch] -> sparse table` (a flow has hops only at the switches
-    /// its packets visit; see [`RouteTable`]); empty under grid
-    /// routing.
-    table: Vec<RouteTable>,
+    /// its packets visit; see [`RouteTable`]), each shared with the
+    /// switch built from it; empty under grid routing.
+    table: Vec<Arc<RouteTable>>,
     /// The highest VC any hop uses.
     max_vc: u8,
     flows: Flows,
@@ -197,7 +346,7 @@ enum Flows {
     /// Grid routing: the flows only; a flow's path is the router's
     /// walk from its source switch.
     Grid {
-        specs: Vec<FlowSpec>,
+        specs: FlowSet,
         router: Arc<GridRouter>,
     },
 }
@@ -209,7 +358,7 @@ impl RoutingTables {
     fn new(table: Vec<RouteTable>, max_vc: u8, flows: Flows) -> Self {
         RoutingTables {
             inner: Arc::new(Tables {
-                table,
+                table: table.into_iter().map(Arc::new).collect(),
                 max_vc,
                 flows,
             }),
@@ -227,7 +376,7 @@ impl RoutingTables {
     /// carries no grid metadata.
     pub fn compute(
         topo: &Topology,
-        flows: &[FlowSpec],
+        flows: &FlowSet,
         algo: RouteAlgorithm,
     ) -> Result<Self, TopologyError> {
         Self::compute_with(topo, flows, algo, VcPolicy::SingleVc)
@@ -236,8 +385,10 @@ impl RoutingTables {
     /// Computes the routing of `flows` over `topo` using `algo`, with
     /// virtual channels per `policy`. The XY algorithms on a grid that
     /// has every link they can ask for yield a table-less value in
-    /// `O(switches + flows)`; everything else yields flow-keyed tables
-    /// (see the module docs).
+    /// `O(switches + flows)` — `O(switches)` for an implicit flow set,
+    /// whose endpoints are checked once each and whose VC count follows
+    /// from coordinates; everything else yields flow-keyed tables (see
+    /// the module docs).
     ///
     /// # Errors
     ///
@@ -246,7 +397,7 @@ impl RoutingTables {
     /// carries no grid metadata matching its switch count.
     pub fn compute_with(
         topo: &Topology,
-        flows: &[FlowSpec],
+        flows: &FlowSet,
         algo: RouteAlgorithm,
         policy: VcPolicy,
     ) -> Result<Self, TopologyError> {
@@ -282,16 +433,24 @@ impl RoutingTables {
                     .collect()])
             });
         }
-        let mut max_vc = 0;
-        for spec in flows {
-            endpoints_switches(topo, spec)?;
-            max_vc = max_vc.max(u8::from(router.uses_vc1(spec.src, spec.dst)));
+        let mut vc1 = false;
+        match flows {
+            FlowSet::Listed(flows) => {
+                for spec in flows {
+                    endpoints_switches(topo, spec)?;
+                    vc1 |= router.uses_vc1(spec.src, spec.dst);
+                }
+            }
+            FlowSet::AllButSelf(set) => {
+                all_but_self_kinds(topo, set)?;
+                vc1 = router.any_uses_vc1(set);
+            }
         }
         Ok(Self::new(
             Vec::new(),
-            max_vc,
+            u8::from(vc1),
             Flows::Grid {
-                specs: flows.to_vec(),
+                specs: flows.clone(),
                 router: Arc::new(router),
             },
         ))
@@ -300,16 +459,16 @@ impl RoutingTables {
     /// Flow-keyed tables from one path set per flow.
     fn compute_per_flow(
         topo: &Topology,
-        flows: &[FlowSpec],
+        flows: &FlowSet,
         policy: VcPolicy,
         paths_of: impl Fn(&FlowSpec, SwitchId, SwitchId) -> Result<Vec<Path>, TopologyError>,
     ) -> Result<Self, TopologyError> {
         let mut flow_paths = Vec::with_capacity(flows.len());
-        for spec in flows {
-            let (from, to) = endpoints_switches(topo, spec)?;
+        for spec in flows.iter() {
+            let (from, to) = endpoints_switches(topo, &spec)?;
             flow_paths.push(FlowPaths {
-                spec: *spec,
-                paths: paths_of(spec, from, to)?,
+                spec,
+                paths: paths_of(&spec, from, to)?,
             });
         }
         Self::from_paths_with(topo, flow_paths, policy)
@@ -402,7 +561,7 @@ impl RoutingTables {
     }
 
     /// The router and the flows it routes, under grid routing.
-    pub(crate) fn grid(&self) -> Option<(&GridRouter, &[FlowSpec])> {
+    pub(crate) fn grid(&self) -> Option<(&GridRouter, &FlowSet)> {
         match &self.inner.flows {
             Flows::Paths { .. } => None,
             Flows::Grid { specs, router } => Some((router, specs)),
@@ -421,16 +580,23 @@ impl RoutingTables {
     pub fn lookup(&self, s: SwitchId, flow: FlowId) -> Cow<'_, [RouteHop]> {
         match &self.inner.flows {
             Flows::Paths { .. } => Cow::Borrowed(self.inner.table[s.index()].lookup(flow)),
-            Flows::Grid { specs, router } => FlowSpec::find(specs, flow)
+            Flows::Grid { specs, router } => specs
+                .get(flow)
                 .and_then(|spec| router.walk(spec.src, spec.dst).find(|&(at, _)| at == s))
                 .map_or(Cow::Borrowed(&[]), |(_, hop)| Cow::Owned(vec![hop])),
         }
     }
 
-    /// The sparse per-switch table, as consumed by the switch models —
-    /// empty at every switch under grid routing.
+    /// The sparse per-switch table — empty at every switch under grid
+    /// routing.
     pub fn switch_table(&self, s: SwitchId) -> &RouteTable {
-        self.inner.table.get(s.index()).unwrap_or(&NO_ENTRIES)
+        self.inner.table.get(s.index()).map_or(&NO_ENTRIES, |t| t)
+    }
+
+    /// The per-switch table as the switch models hold it: shared with
+    /// this value (and every other switch built from it), never copied.
+    pub fn shared_switch_table(&self, s: SwitchId) -> Arc<RouteTable> {
+        self.inner.table.get(s.index()).cloned().unwrap_or_default()
     }
 
     /// Number of flows the routing was computed for.
@@ -452,7 +618,7 @@ impl RoutingTables {
                 specs
                     .iter()
                     .map(|spec| FlowPaths {
-                        spec: *spec,
+                        spec,
                         paths: vec![router.walk(spec.src, spec.dst).map(|(at, _)| at).collect()],
                     })
                     .collect(),
@@ -471,7 +637,7 @@ impl RoutingTables {
             Flows::Paths { vc_labels, .. } => Cow::Borrowed(&vc_labels[flow.index()][path_index]),
             Flows::Grid { specs, router } => {
                 assert_eq!(path_index, 0, "grid routing is single-path");
-                let spec = FlowSpec::find(specs, flow).expect("flow is routed by this router");
+                let spec = specs.get(flow).expect("flow is routed by this router");
                 let mut vcs: Vec<VcId> = router
                     .walk(spec.src, spec.dst)
                     .map(|(_, hop)| hop.vc)
@@ -496,7 +662,7 @@ impl RoutingTables {
                 .inner
                 .table
                 .iter()
-                .map(RouteTable::max_alternatives)
+                .map(|table| table.max_alternatives())
                 .max()
                 .unwrap_or(0),
             Flows::Grid { specs, .. } => usize::from(!specs.is_empty()),
@@ -523,6 +689,35 @@ fn endpoints_switches(
         });
     }
     Ok((src.switch, dst.switch))
+}
+
+/// [`endpoints_switches`] over an implicit set in `O(nodes)`: every
+/// source and every sink is looked at once, in the order a walk over
+/// the flows would first meet them — flow 0 is `sources[0] →
+/// sinks[1]`, and only the second row reaches `sinks[0]` — so the
+/// error, if any, is the one the per-flow check reports.
+fn all_but_self_kinds(topo: &Topology, set: &AllButSelf) -> Result<(), TopologyError> {
+    if set.is_empty() {
+        return Ok(());
+    }
+    let of_kind = |endpoint: EndpointId, expected: EndpointKind| {
+        if topo.endpoint(endpoint).kind == expected {
+            Ok(())
+        } else {
+            Err(TopologyError::WrongEndpointKind { endpoint, expected })
+        }
+    };
+    let (sources, sinks) = (set.sources(), set.sinks());
+    of_kind(sources[0], EndpointKind::Generator)?;
+    for &sink in &sinks[1..] {
+        of_kind(sink, EndpointKind::Receptor)?;
+    }
+    of_kind(sources[1], EndpointKind::Generator)?;
+    of_kind(sinks[0], EndpointKind::Receptor)?;
+    for &source in &sources[2..] {
+        of_kind(source, EndpointKind::Generator)?;
+    }
+    Ok(())
 }
 
 fn validate_path(
@@ -870,7 +1065,7 @@ mod tests {
     #[test]
     fn shortest_routing_table() {
         let t = line3();
-        let flows = FlowSpec::one_to_one(&t).unwrap();
+        let flows = FlowSpec::one_to_one(&t).unwrap().into();
         let rt = RoutingTables::compute(&t, &flows, RouteAlgorithm::Shortest).unwrap();
         assert_eq!(rt.flow_count(), 1);
         assert_eq!(rt.max_alternatives(), 1);
@@ -907,14 +1102,15 @@ mod tests {
             src: t.generators()[0],
             dst: t.receptors()[2],
         };
-        let rt = RoutingTables::compute(&t, &[cross], RouteAlgorithm::KShortest(2)).unwrap();
+        let rt =
+            RoutingTables::compute(&t, &vec![cross].into(), RouteAlgorithm::KShortest(2)).unwrap();
         assert!(rt.max_alternatives() >= 2, "ring should offer 2 routes");
     }
 
     #[test]
     fn xy_routing_on_mesh() {
         let t = builders::mesh(3, 3).unwrap();
-        let flows = FlowSpec::one_to_one(&t).unwrap();
+        let flows = FlowSpec::one_to_one(&t).unwrap().into();
         let rt = RoutingTables::compute(&t, &flows, RouteAlgorithm::Xy).unwrap();
         assert_eq!(rt.max_alternatives(), 1, "XY is deterministic");
     }
@@ -922,7 +1118,7 @@ mod tests {
     #[test]
     fn xy_requires_grid() {
         let t = line3(); // no grid metadata
-        let flows = FlowSpec::one_to_one(&t).unwrap();
+        let flows = FlowSpec::one_to_one(&t).unwrap().into();
         assert!(matches!(
             RoutingTables::compute(&t, &flows, RouteAlgorithm::Xy),
             Err(TopologyError::GridRequired)
@@ -969,7 +1165,7 @@ mod tests {
             dst: tg,
         };
         assert!(matches!(
-            RoutingTables::compute(&t, &[swapped], RouteAlgorithm::Shortest),
+            RoutingTables::compute(&t, &vec![swapped].into(), RouteAlgorithm::Shortest),
             Err(TopologyError::WrongEndpointKind { .. })
         ));
     }
@@ -1076,7 +1272,7 @@ mod tests {
     #[test]
     fn torus_xy_tables_carry_vc_labels() {
         let t = builders::torus(4, 4).unwrap();
-        let flows = FlowSpec::all_pairs(&t);
+        let flows = FlowSpec::all_pairs(&t).into();
         let rt =
             RoutingTables::compute_with(&t, &flows, RouteAlgorithm::TorusXy, VcPolicy::Dateline)
                 .unwrap();

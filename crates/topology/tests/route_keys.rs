@@ -181,12 +181,15 @@ fn the_grid_router_answers_as_the_flow_keyed_oracle() {
                         // 2: far pairs want links that are not there.
                         assert!(topo.name().starts_with("mesh") && wraps(algo), "{what}");
                         assert!(
-                            RoutingTables::compute_with(&topo, &flows, algo, policy).is_err(),
+                            RoutingTables::compute_with(&topo, &flows.clone().into(), algo, policy)
+                                .is_err(),
                             "{what}"
                         );
                         continue;
                     };
-                    let tables = RoutingTables::compute_with(&topo, &flows, algo, policy).unwrap();
+                    let tables =
+                        RoutingTables::compute_with(&topo, &flows.clone().into(), algo, policy)
+                            .unwrap();
                     assert_eq!(entries(&topo, &tables), 0, "{what}: no route entry");
                     assert_eq!(tables.flow_count(), flows.len(), "{what}");
                     assert_eq!(tables.max_vc(), want.max_vc(), "{what}");
@@ -255,7 +258,8 @@ fn transpose_answers_are_the_per_flow_values() {
         } else {
             RouteAlgorithm::Xy
         };
-        let tables = RoutingTables::compute_with(&topo, &flows, algo, policy).unwrap();
+        let tables =
+            RoutingTables::compute_with(&topo, &flows.clone().into(), algo, policy).unwrap();
         let want = oracle(&topo, &flows, algo, policy).unwrap();
         assert!(tables.grid_router().is_some());
         assert_eq!(tables.flows(), want.flows(), "{}", topo.name());
@@ -290,7 +294,7 @@ fn grid_lookups_follow_the_flow_numbering_not_the_flow_order() {
     for f in &mut flows {
         f.flow = FlowId::new(last - f.flow.raw());
     }
-    let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Xy).unwrap();
+    let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Xy).unwrap();
     for spec in &flows {
         let to = topo.endpoint(spec.dst).switch;
         let eject = tables.lookup(to, spec.flow);
@@ -303,7 +307,8 @@ fn grid_lookups_follow_the_flow_numbering_not_the_flow_order() {
 fn tables_are_shared_not_copied() {
     let topo = mesh(4, 4).unwrap();
     let flows = FlowSpec::all_pairs(&topo);
-    let arithmetic = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Xy).unwrap();
+    let arithmetic =
+        RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Xy).unwrap();
     assert!(
         Arc::ptr_eq(
             arithmetic.grid_router().unwrap(),
@@ -311,12 +316,30 @@ fn tables_are_shared_not_copied() {
         ),
         "clone() shares the router"
     );
-    let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Shortest).unwrap();
+    let tables =
+        RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
     let s = SwitchId::new(5);
     assert!(
         std::ptr::eq(tables.switch_table(s), tables.clone().switch_table(s)),
         "clone() shares the tables"
     );
+    // The switch side: a switch built from the tables holds the very
+    // table they hold — one more owner, not one more copy.
+    let shared = tables.shared_switch_table(s);
+    assert!(std::ptr::eq(&*shared, tables.switch_table(s)));
+    assert!(!shared.is_empty());
+    let owners = Arc::strong_count(&shared);
+    let info = topo.switch(s);
+    let switch = nocem_switch::switch::Switch::new_table(
+        nocem_switch::config::SwitchConfigBuilder::new(info.inputs, info.outputs).build(),
+        shared.clone(),
+        vec![vec![4]; usize::from(info.outputs)],
+        1,
+    )
+    .unwrap();
+    assert_eq!(Arc::strong_count(&shared), owners + 1);
+    drop(switch);
+    assert_eq!(Arc::strong_count(&shared), owners);
 }
 
 #[test]
@@ -365,7 +388,8 @@ fn source_dependent_routing_stays_flow_keyed() {
     // Shortest-path routing is per flow: on a star, and even on a mesh.
     for topo in [star(4).unwrap(), mesh(4, 4).unwrap()] {
         let flows = FlowSpec::all_pairs(&topo);
-        let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Shortest).unwrap();
+        let tables =
+            RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
         assert!(tables.grid_router().is_none(), "{}", topo.name());
         assert_eq!(entries(&topo, &tables), path_switches(&tables));
         assert!(entries(&topo, &tables) >= flows.len());
@@ -397,7 +421,8 @@ fn grids_hold_a_router_and_no_route_entries_at_any_size() {
         ),
     ] {
         let flows = uniform_random(&topo);
-        let tables = RoutingTables::compute_with(&topo, &flows, algo, policy).unwrap();
+        let tables =
+            RoutingTables::compute_with(&topo, &flows.clone().into(), algo, policy).unwrap();
         assert!(tables.grid_router().is_some(), "{}", topo.name());
         assert_eq!(entries(&topo, &tables), 0, "{}", topo.name());
         assert_eq!(tables.flow_count(), flows.len());
@@ -407,7 +432,8 @@ fn grids_hold_a_router_and_no_route_entries_at_any_size() {
     // The paper's grid carries several receptors on one switch and
     // switches without endpoints: the router homes each endpoint.
     let p = paper_setup();
-    let tables = RoutingTables::compute(&p.topology, &p.flows, RouteAlgorithm::Xy).unwrap();
+    let tables =
+        RoutingTables::compute(&p.topology, &p.flows.clone().into(), RouteAlgorithm::Xy).unwrap();
     assert!(tables.grid_router().is_some());
     for spec in &p.flows {
         let (path, hops) = follow(&p.topology, &tables, spec);
@@ -440,9 +466,13 @@ fn single_vc_torus_verdicts_are_the_parent_commits() {
     for (side, verdict) in parent_verdict {
         let t = torus(side, side).unwrap();
         let flows = uniform_random(&t);
-        let tables =
-            RoutingTables::compute_with(&t, &flows, RouteAlgorithm::TorusXy, VcPolicy::SingleVc)
-                .unwrap();
+        let tables = RoutingTables::compute_with(
+            &t,
+            &flows.clone().into(),
+            RouteAlgorithm::TorusXy,
+            VcPolicy::SingleVc,
+        )
+        .unwrap();
         assert!(tables.grid_router().is_some());
         assert_eq!(tables.max_vc(), 0);
         let got = check_routing_deadlock_freedom(&t, &tables);
@@ -452,15 +482,19 @@ fn single_vc_torus_verdicts_are_the_parent_commits() {
         }
 
         // The same paths are safe on two VCs.
-        let dateline =
-            RoutingTables::compute_with(&t, &flows, RouteAlgorithm::TorusXy, VcPolicy::Dateline)
-                .unwrap();
+        let dateline = RoutingTables::compute_with(
+            &t,
+            &flows.clone().into(),
+            RouteAlgorithm::TorusXy,
+            VcPolicy::Dateline,
+        )
+        .unwrap();
         assert_eq!(dateline.max_vc(), 1);
         assert_eq!(tables.flows(), dateline.flows());
         check_routing_deadlock_freedom(&t, &dateline).unwrap();
 
         // XY never takes a wrap link: safe on one VC, even on a torus.
-        let xy = RoutingTables::compute(&t, &flows, RouteAlgorithm::Xy).unwrap();
+        let xy = RoutingTables::compute(&t, &flows.clone().into(), RouteAlgorithm::Xy).unwrap();
         check_routing_deadlock_freedom(&t, &xy).unwrap();
     }
 }
@@ -486,7 +520,7 @@ fn sparse_flow_sets_get_exact_verdicts() {
         ("two east, all round the ring", two_east(0..8), false),
     ] {
         let (algo, policy) = (RouteAlgorithm::TorusXy, VcPolicy::SingleVc);
-        let tables = RoutingTables::compute_with(&t, &flows, algo, policy).unwrap();
+        let tables = RoutingTables::compute_with(&t, &flows.clone().into(), algo, policy).unwrap();
         assert!(tables.grid_router().is_some(), "{what}");
         let want = oracle(&t, &flows, algo, policy).unwrap();
         assert_eq!(
@@ -503,7 +537,7 @@ fn sparse_flow_sets_get_exact_verdicts() {
     // No flow wraps: dateline routing needs no second VC.
     let tables = RoutingTables::compute_with(
         &t,
-        &two_east(0..6),
+        &two_east(0..6).into(),
         RouteAlgorithm::TorusXy,
         VcPolicy::Dateline,
     )
@@ -518,9 +552,13 @@ fn a_missing_link_names_a_flow_that_needs_it() {
     // gave, and flow sets that never need them still route.
     let topo = mesh(6, 1).unwrap();
     let flows = uniform_random(&topo);
-    let err =
-        RoutingTables::compute_with(&topo, &flows, RouteAlgorithm::TorusXy, VcPolicy::SingleVc)
-            .unwrap_err();
+    let err = RoutingTables::compute_with(
+        &topo,
+        &flows.clone().into(),
+        RouteAlgorithm::TorusXy,
+        VcPolicy::SingleVc,
+    )
+    .unwrap_err();
     let TopologyError::InvalidPath { flow, reason } = err else {
         panic!("expected InvalidPath, got {err}");
     };
@@ -538,8 +576,13 @@ fn a_missing_link_names_a_flow_that_needs_it() {
     let topo = mesh(4, 4).unwrap();
     let mut flows = nearest_neighbor(&topo);
     for policy in [VcPolicy::SingleVc, VcPolicy::Dateline] {
-        let tables =
-            RoutingTables::compute_with(&topo, &flows, RouteAlgorithm::TorusXy, policy).unwrap();
+        let tables = RoutingTables::compute_with(
+            &topo,
+            &flows.clone().into(),
+            RouteAlgorithm::TorusXy,
+            policy,
+        )
+        .unwrap();
         assert!(
             tables.grid_router().is_none(),
             "a partial grid keeps tables"
@@ -560,9 +603,13 @@ fn a_missing_link_names_a_flow_that_needs_it() {
         dst: topo.receptor_at(SwitchId::new(3)).unwrap(),
     };
     flows.push(far);
-    let err =
-        RoutingTables::compute_with(&topo, &flows, RouteAlgorithm::TorusXy, VcPolicy::SingleVc)
-            .unwrap_err();
+    let err = RoutingTables::compute_with(
+        &topo,
+        &flows.clone().into(),
+        RouteAlgorithm::TorusXy,
+        VcPolicy::SingleVc,
+    )
+    .unwrap_err();
     assert!(
         matches!(&err, TopologyError::InvalidPath { flow, reason }
             if *flow == far.flow && reason.contains("no link s0 -> s3")),
@@ -576,14 +623,15 @@ fn the_router_rejects_what_it_cannot_route() {
     // flow list, never an answer of the router.
     let topo = torus(4, 4).unwrap();
     let generator = topo.generators()[5];
-    let flows = [FlowSpec {
+    let flows = vec![FlowSpec {
         flow: FlowId::new(0),
         src: topo.generators()[0],
         dst: generator,
     }];
     for algo in [RouteAlgorithm::Xy, RouteAlgorithm::TorusXy] {
         assert_eq!(
-            RoutingTables::compute_with(&topo, &flows, algo, VcPolicy::Dateline).unwrap_err(),
+            RoutingTables::compute_with(&topo, &flows.clone().into(), algo, VcPolicy::Dateline)
+                .unwrap_err(),
             TopologyError::WrongEndpointKind {
                 endpoint: generator,
                 expected: nocem_topology::EndpointKind::Receptor,
@@ -601,13 +649,13 @@ fn the_router_rejects_what_it_cannot_route() {
         height: 2,
     });
     let topo = b.build().unwrap();
-    let flows = [FlowSpec {
+    let flows = vec![FlowSpec {
         flow: FlowId::new(0),
         src,
         dst,
     }];
     assert_eq!(
-        RoutingTables::compute(&topo, &flows, RouteAlgorithm::Xy).unwrap_err(),
+        RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Xy).unwrap_err(),
         TopologyError::GridRequired
     );
 }

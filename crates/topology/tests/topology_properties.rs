@@ -52,7 +52,7 @@ fn check_all_algorithms(topo: &Topology, use_xy: bool) {
         algos.push(RouteAlgorithm::Xy);
     }
     for algo in algos {
-        let tables = RoutingTables::compute(topo, &flows, algo)
+        let tables = RoutingTables::compute(topo, &flows.clone().into(), algo)
             .unwrap_or_else(|e| panic!("{algo:?} failed: {e}"));
         for spec in &flows {
             walk_delivers(topo, &tables, spec);
@@ -91,7 +91,7 @@ proptest! {
     fn xy_routing_is_deadlock_free(w in 2u32..6, h in 2u32..6) {
         let topo = mesh(w, h).unwrap();
         let flows = FlowSpec::all_pairs(&topo);
-        let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Xy).unwrap();
+        let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Xy).unwrap();
         check_deadlock_freedom(&topo, &tables.flows()).unwrap();
     }
 
@@ -102,7 +102,7 @@ proptest! {
     fn ring_shortest_paths_are_deadlock_free(n in 2u32..10) {
         let topo = ring(n).unwrap();
         let flows = FlowSpec::one_to_one(&topo).unwrap();
-        let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Shortest).unwrap();
+        let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
         check_deadlock_freedom(&topo, &tables.flows()).unwrap();
     }
 
@@ -117,7 +117,7 @@ proptest! {
     ) {
         let topo = mesh(w, h).unwrap();
         let flows = FlowSpec::one_to_one(&topo).unwrap();
-        let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Shortest).unwrap();
+        let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
         let offered: Vec<f64> = flows.iter().map(|f| loads[f.flow.raw() as usize % loads.len()]).collect();
         let predicted = predict_link_loads(&topo, &tables.flows(), &offered, SplitModel::PrimaryOnly);
 

@@ -11,9 +11,11 @@
 //! interface cannot start two packets simultaneously, and trace events
 //! that share a timestamp are serialized by the source queue.
 
+use nocem_common::flows::Row;
 use nocem_common::ids::{EndpointId, FlowId};
 use nocem_common::rng::{Pcg32, RandomSource};
 use nocem_common::time::Cycle;
+use std::sync::Arc;
 
 /// A packet the traffic model wants to send (before id assignment and
 /// flit serialization).
@@ -144,6 +146,14 @@ pub trait TrafficGenerator {
 
 /// How a generator chooses the destination (and therefore the flow) of
 /// each packet.
+///
+/// The two list forms spell their options out; the two *row* forms
+/// name one [`Row`] of an all-but-self flow set instead
+/// (`nocem_common::flows`) — what uniform-random and hotspot traffic
+/// use, whose lists would be one entry per other node in every
+/// generator. A row form draws exactly what the list form of the same
+/// options draws ([`DestinationModel::to_listed`] is that list), so the
+/// two are interchangeable packet for packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DestinationModel {
     /// Every packet goes to the same destination over the same flow —
@@ -155,16 +165,120 @@ pub enum DestinationModel {
         flow: FlowId,
     },
     /// Uniform-random choice among the listed (destination, flow)
-    /// pairs (synthetic mesh benchmarks).
+    /// pairs (nearest-neighbour traffic, hand-written configurations).
     UniformChoice(Vec<(EndpointId, FlowId)>),
     /// Weighted choice among `(destination, flow, weight)` triples —
     /// the destination-distribution hook used by the scenario
-    /// subsystem (hotspot patterns, core-graph bandwidth shares).
+    /// subsystem (core-graph bandwidth shares).
     ///
     /// Weights are relative integers; a destination is drawn with
     /// probability `weight / total_weight`. Zero-weight entries are
     /// legal and never drawn (they still register their flow).
     Weighted(Vec<(EndpointId, FlowId, u32)>),
+    /// Uniform-random choice among the options of a row: every sink of
+    /// the set but the source's own (synthetic uniform-random traffic).
+    /// The same single draw as [`DestinationModel::UniformChoice`] over
+    /// the row's `n − 1` pairs.
+    UniformRow(Row),
+    /// Weighted choice among the options of a row: a few *hot* sinks
+    /// at one weight, every other at weight 1 (synthetic hotspot
+    /// traffic). The same single draw as
+    /// [`DestinationModel::Weighted`] over the row's triples, resolved
+    /// in `O(hot sinks)` instead of a walk over every option.
+    WeightedRow(HotRow),
+}
+
+/// A [`Row`] whose options are weighted: the sinks in a hot set carry
+/// `weight`, every other sink carries 1.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HotRow {
+    row: Row,
+    /// Indices (into the set's sinks) of the hot sinks, ascending. The
+    /// row's own sink may be among them: it is no option of the row.
+    hot: Arc<[u32]>,
+    weight: u32,
+}
+
+impl HotRow {
+    /// `row` with the sinks at indices `hot` drawn `weight` times as
+    /// often as the others (`weight` 0 never draws them, 1 is
+    /// uniform). One `hot` list serves every row of a set.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `hot` is strictly ascending and within the set's
+    /// sinks.
+    pub fn new(row: Row, hot: Arc<[u32]>, weight: u32) -> Self {
+        assert!(
+            hot.windows(2).all(|w| w[0] < w[1]),
+            "hot sinks must be strictly ascending"
+        );
+        assert!(
+            hot.last().is_none_or(|&k| (k as usize) < row.set().nodes()),
+            "hot sink outside the flow set"
+        );
+        HotRow { row, hot, weight }
+    }
+
+    /// The row whose options are weighted.
+    pub fn row(&self) -> &Row {
+        &self.row
+    }
+
+    /// The hot sinks that are options of this row, as option indices.
+    fn hot_options(&self) -> impl Iterator<Item = u32> + '_ {
+        let own = self.row.index();
+        self.hot
+            .iter()
+            .filter(move |&&k| k != own)
+            .map(move |&k| k - u32::from(k > own))
+    }
+
+    /// The weight of option `j`.
+    fn weight_of(&self, j: u32) -> u32 {
+        if self.hot_options().any(|hot| hot == j) {
+            self.weight
+        } else {
+            1
+        }
+    }
+
+    /// Every `(destination, flow, weight)` option, in flow order.
+    pub fn triples(&self) -> impl Iterator<Item = (EndpointId, FlowId, u32)> + '_ {
+        (0u32..)
+            .zip(self.row.pairs())
+            .map(|(j, (dst, flow))| (dst, flow, self.weight_of(j)))
+    }
+
+    /// The option a cumulative-weight walk over [`HotRow::triples`]
+    /// reaches for the same draw, without the walk: before the `i`-th
+    /// hot option lie `i` hot and `hot − i` cold ones, so each hot
+    /// option's span of the draw range is known from its index alone.
+    fn pick(&self, rng: &mut Pcg32) -> (EndpointId, FlowId) {
+        assert!(!self.row.is_empty(), "destination choice list is empty");
+        let weight = u64::from(self.weight);
+        let hot = self.hot_options().count() as u64;
+        let total = self.row.len() as u64 - hot + hot * weight;
+        assert!(
+            total > 0,
+            "weighted destination model has zero total weight"
+        );
+        let draw = rng.next_u64() % total;
+        // `before`: hot options passed, all of them below the draw.
+        let mut before = 0u64;
+        for option in self.hot_options() {
+            let start = u64::from(option) - before + before * weight;
+            if draw < start {
+                break;
+            }
+            if draw < start + weight {
+                return self.row.at(option);
+            }
+            before += 1;
+        }
+        // A cold option: `draw − before·weight` cold ones precede it.
+        self.row.at((draw - before * weight + before) as u32)
+    }
 }
 
 impl DestinationModel {
@@ -172,8 +286,7 @@ impl DestinationModel {
     ///
     /// # Panics
     ///
-    /// Panics if a [`DestinationModel::UniformChoice`] list is empty,
-    /// or a [`DestinationModel::Weighted`] list is empty or has zero
+    /// Panics if the model has no option, or a weighted model has zero
     /// total weight — elaboration-time configuration bugs.
     pub fn pick(&self, rng: &mut Pcg32) -> (EndpointId, FlowId) {
         match self {
@@ -202,26 +315,61 @@ impl DestinationModel {
                 }
                 unreachable!("cumulative weight walk covers the draw range");
             }
+            DestinationModel::UniformRow(row) => {
+                assert!(!row.is_empty(), "destination choice list is empty");
+                row.at(rng.below(row.len() as u32))
+            }
+            DestinationModel::WeightedRow(hot) => hot.pick(rng),
         }
     }
 
     /// Every `(destination, flow)` pair this model can emit
-    /// (zero-weight entries included: they register their flow).
+    /// (zero-weight entries included: they register their flow), in
+    /// option order — computed, not stored, for the row forms.
     pub fn pairs(&self) -> impl Iterator<Item = (EndpointId, FlowId)> + '_ {
-        let (fixed, uniform, weighted): (_, &[_], &[_]) = match self {
-            DestinationModel::Fixed { dst, flow } => (Some((*dst, *flow)), &[], &[]),
-            DestinationModel::UniformChoice(options) => (None, options, &[]),
-            DestinationModel::Weighted(options) => (None, &[], options),
+        let (fixed, uniform, weighted, row): (_, &[_], &[_], _) = match self {
+            DestinationModel::Fixed { dst, flow } => (Some((*dst, *flow)), &[], &[], None),
+            DestinationModel::UniformChoice(options) => (None, options, &[], None),
+            DestinationModel::Weighted(options) => (None, &[], options, None),
+            DestinationModel::UniformRow(row) => (None, &[], &[], Some(row)),
+            DestinationModel::WeightedRow(hot) => (None, &[], &[], Some(hot.row())),
         };
         fixed
             .into_iter()
             .chain(uniform.iter().copied())
             .chain(weighted.iter().map(|&(dst, flow, _)| (dst, flow)))
+            .chain(row.into_iter().flat_map(Row::pairs))
     }
 
     /// All flows this model can emit on.
     pub fn flows(&self) -> Vec<FlowId> {
         self.pairs().map(|(_, flow)| flow).collect()
+    }
+
+    /// The row a row form names, `None` for the list forms.
+    pub fn row(&self) -> Option<&Row> {
+        match self {
+            DestinationModel::UniformRow(row) => Some(row),
+            DestinationModel::WeightedRow(hot) => Some(hot.row()),
+            DestinationModel::Fixed { .. }
+            | DestinationModel::UniformChoice(_)
+            | DestinationModel::Weighted(_) => None,
+        }
+    }
+
+    /// The same model with its options written out: a row form becomes
+    /// the list form that draws the same `(destination, flow)` from
+    /// the same random numbers; list forms are returned as they are.
+    pub fn to_listed(&self) -> DestinationModel {
+        match self {
+            DestinationModel::UniformRow(row) => {
+                DestinationModel::UniformChoice(row.pairs().collect())
+            }
+            DestinationModel::WeightedRow(hot) => {
+                DestinationModel::Weighted(hot.triples().collect())
+            }
+            listed => listed.clone(),
+        }
     }
 }
 

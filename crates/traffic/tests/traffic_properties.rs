@@ -1,12 +1,16 @@
 //! Property-based tests of the traffic substrate: the `with_load`
 //! constructors invert the offered-load formula across their whole
 //! domain, trace text round-trips, replay generators respect their
-//! events, and the network interface conserves flits.
+//! events, the network interface conserves flits, and a destination
+//! model that names a row of a flow set draws what the list of that
+//! row's options draws.
 
 use nocem_common::flit::PacketDescriptor;
+use nocem_common::flows::{AllButSelf, Row};
 use nocem_common::ids::{EndpointId, FlowId, PacketId};
+use nocem_common::rng::Pcg32;
 use nocem_common::time::Cycle;
-use nocem_traffic::generator::{DestinationModel, TrafficGenerator};
+use nocem_traffic::generator::{DestinationModel, HotRow, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, StochasticTg, UniformConfig};
 use nocem_traffic::trace::{synthesize_bursty, BurstyTraceSpec, Trace, TraceDrivenTg, TraceEvent};
@@ -231,6 +235,110 @@ proptest! {
         prop_assert_eq!(c.injected_packets, lens.len() as u64);
         prop_assert_eq!(c.rejected_packets, 0);
     }
+}
+
+/// A TG/TR pair per node: sources `0, 2, 4, …`, sinks `1, 3, 5, …`.
+fn node_pairs(n: u32) -> AllButSelf {
+    AllButSelf::new(
+        (0..n).map(|i| EndpointId::new(2 * i)).collect(),
+        (0..n).map(|i| EndpointId::new(2 * i + 1)).collect(),
+    )
+}
+
+/// `draws` picks from a row form and from its list form, from the
+/// same random state: the same `(destination, flow)` every time, and
+/// the same state left behind.
+fn assert_draw_for_draw(row_form: &DestinationModel, seed: u64, draws: usize) {
+    let listed = row_form.to_listed();
+    assert!(
+        matches!(
+            listed,
+            DestinationModel::UniformChoice(_) | DestinationModel::Weighted(_)
+        ),
+        "{listed:?}"
+    );
+    assert!(row_form.pairs().eq(listed.pairs()));
+    let (mut a, mut b) = (Pcg32::seeded(seed), Pcg32::seeded(seed));
+    for draw in 0..draws {
+        assert_eq!(row_form.pick(&mut a), listed.pick(&mut b), "draw {draw}");
+    }
+    assert_eq!(a, b, "the two forms consumed different random numbers");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Row `s` of an all-but-self set and `UniformChoice` over the
+    /// row's listed pairs are the same generator.
+    #[test]
+    fn uniform_row_draws_what_its_list_draws(
+        n in 2u32..70,
+        source in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        let row = Row::new(node_pairs(n), source % n);
+        assert_draw_for_draw(&DestinationModel::UniformRow(row), seed, 10_000);
+    }
+
+    /// The hotspot row form resolves the weighted draw without the
+    /// cumulative walk and still lands where the walk lands — for any
+    /// hot set (the row's own sink included or not, none, or all),
+    /// and weights 0 (never drawn) and 1 (uniform) included.
+    #[test]
+    fn weighted_row_draws_what_its_list_draws(
+        n in 2u32..70,
+        source in any::<u32>(),
+        hot_bits in any::<u64>(),
+        hot_bits_high in any::<u64>(),
+        weight in 0u32..12,
+        seed in any::<u64>(),
+    ) {
+        let source = source % n;
+        let bits = u128::from(hot_bits) | u128::from(hot_bits_high) << 64;
+        let mut hot: Vec<u32> = (0..n).filter(|&k| bits >> k & 1 == 1).collect();
+        if weight == 0 && (0..n).all(|k| k == source || hot.contains(&k)) {
+            // Every option at weight 0 has no draw to make.
+            hot.retain(|&k| k != (source + 1) % n);
+        }
+        let model = DestinationModel::WeightedRow(HotRow::new(
+            Row::new(node_pairs(n), source),
+            hot.into(),
+            weight,
+        ));
+        assert_draw_for_draw(&model, seed, 10_000);
+    }
+}
+
+#[test]
+fn hot_rows_weigh_exactly_the_hot_sinks() {
+    let row = Row::new(node_pairs(5), 2);
+    // Sink 2 is the row's own: hot or not, it is no option.
+    let hot = HotRow::new(row, vec![0, 2, 4].into(), 7);
+    let weights: Vec<u32> = hot.triples().map(|(_, _, w)| w).collect();
+    assert_eq!(weights, [7, 1, 1, 7], "sinks 0, 1, 3, 4");
+    let DestinationModel::Weighted(listed) = DestinationModel::WeightedRow(hot).to_listed() else {
+        panic!("a weighted row lists as a weighted choice");
+    };
+    assert_eq!(listed[3], (EndpointId::new(9), FlowId::new(2 * 4 + 3), 7));
+}
+
+#[test]
+#[should_panic(expected = "zero total weight")]
+fn an_all_hot_row_at_weight_zero_panics_like_its_list() {
+    let hot = HotRow::new(Row::new(node_pairs(3), 0), vec![1, 2].into(), 0);
+    DestinationModel::WeightedRow(hot).pick(&mut Pcg32::seeded(1));
+}
+
+#[test]
+#[should_panic(expected = "strictly ascending")]
+fn hot_sinks_must_be_sorted() {
+    HotRow::new(Row::new(node_pairs(4), 0), vec![2, 1].into(), 3);
+}
+
+#[test]
+#[should_panic(expected = "outside the flow set")]
+fn hot_sinks_must_be_sinks_of_the_set() {
+    HotRow::new(Row::new(node_pairs(4), 0), vec![1, 4].into(), 3);
 }
 
 /// `can_accept` is a faithful precondition for `offer`: whenever it

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // routing) and specialize: flows are fixed TG→TR pairs with mixed
     // traffic classes.
     let mut cfg = PlatformConfig::baseline("soc-bridge", topology)?;
-    let flows = cfg.flows.clone();
+    let flows = cfg.flows.to_listed();
     let dst = |i: usize| DestinationModel::Fixed {
         dst: flows[i].dst,
         flow: flows[i].flow,

@@ -145,7 +145,7 @@ fn transpose_mesh_predicted_loads_are_the_per_flow_values() {
         let paths: Vec<FlowPaths> = cfg
             .flows
             .iter()
-            .map(|&spec| FlowPaths {
+            .map(|spec| FlowPaths {
                 spec,
                 paths: vec![xy_path(
                     topo,
@@ -293,7 +293,9 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
         );
     }
     // Registered as well: the flow list itself is wrong.
-    cfg.flows[flow.index()].dst = stray;
+    let mut listed = cfg.flows.to_listed();
+    listed[flow.index()].dst = stray;
+    cfg.flows = listed.into();
     let wrong_kind = CompileError::Topology(TopologyError::WrongEndpointKind {
         endpoint: stray,
         expected: EndpointKind::Receptor,
