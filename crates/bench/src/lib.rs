@@ -191,7 +191,7 @@ pub fn measure_work_per_cycle(cycles: u64) -> Result<EngineWorkPerCycle, Emulati
     let cfg = endless_paper_config();
 
     let elab = nocem::compile::elaborate(&cfg).expect("paper config compiles");
-    let emulation = (elab.tgs.len() + elab.nis.len() + elab.switches.len()) as f64;
+    let emulation = (elab.tgs.len() + elab.nis.len() + cfg.topology.switch_count()) as f64;
 
     let mut tlm = TlmEngine::new(elab);
     for _ in 0..cycles {

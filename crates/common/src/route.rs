@@ -248,6 +248,13 @@ struct GridHome {
 /// arrives on an X port, so it starts Y on VC 0). Ejection is always
 /// on VC 0.
 ///
+/// The hop therefore splits in two: its **direction** is a function of
+/// the switch's and the destination's coordinates, its **VC** of the
+/// edge crossed and the arrival channel. The deadlock check leans on
+/// exactly that split to treat 64 destinations at a time
+/// ([`GridRouter::sort_block`], [`GridRouter::directions`],
+/// [`GridRouter::hop_toward`]).
+///
 /// `nocem-topology` builds one per grid platform ([`GridRouter::new`],
 /// [`GridRouter::link`], [`GridRouter::endpoint`]); only a router that
 /// [`GridRouter::is_total`] may be handed to switches.
@@ -261,6 +268,16 @@ pub struct GridRouter {
     nodes: Vec<GridNode>,
     /// Per endpoint, in id order.
     homes: Vec<GridHome>,
+}
+
+/// A block of up to 64 destinations sorted by direction
+/// ([`GridRouter::sort_block`]): per column and per row of the grid,
+/// the destinations that lie there, ascending and descending from it,
+/// one bit each.
+#[derive(Debug, Default)]
+pub struct GridBlock {
+    columns: Vec<[u64; 3]>,
+    rows: Vec<[u64; 3]>,
 }
 
 impl GridRouter {
@@ -348,33 +365,22 @@ impl GridRouter {
         self.wrap && (size > 2) & (cur.abs_diff(target) > size / 2)
     }
 
-    /// The hop a flit for `home` facing input `(in_port, in_vc)` of
-    /// `node` takes, and its direction ([`ARRIVED`]: it ejects).
-    /// Straight-line code but for the router's own flags, and no load
-    /// depends on another: the engine waits on this answer once per
-    /// head flit per hop, the answer is data (a branch on it would
-    /// mispredict), and an indexed port would double its latency.
+    /// Which way a flit at coordinate `cur` of a dimension of `size`
+    /// travels toward `target`: 0 there, 1 ascending, 2 descending —
+    /// going around swaps the two.
     #[inline]
-    fn route(
-        &self,
-        node: &GridNode,
-        home: &GridHome,
-        (in_port, in_vc): (u8, u8),
-    ) -> (RouteHop, usize) {
-        // Per dimension: 0 there, 1 ascending, 2 descending — going
-        // around swaps the two.
-        let way = |cur: u32, target: u32, size: u32| {
-            (usize::from(cur < target) | usize::from(cur > target) << 1)
-                ^ (usize::from(self.around(cur, target, size)) * 3)
-        };
-        let wx = way(node.x, home.x, self.width);
-        let wy = way(node.y, home.y, self.height);
-        // X first (0, 1), then Y (2, 3), then there (4): nibble
-        // `wx + 3 * wy` of a nine-entry table held in a constant.
-        let dir = (0x1_0310_2104_u64 >> (4 * (wx + 3 * wy)) & 7) as usize;
-        // Byte `dir` of: the four output ports, the ejection port.
-        let ports = u64::from(u32::from_le_bytes(node.out)) | u64::from(home.eject) << 32;
-        let vc1 = self.dateline && {
+    fn way(&self, cur: u32, target: u32, size: u32) -> usize {
+        (usize::from(cur < target) | usize::from(cur > target) << 1)
+            ^ (usize::from(self.around(cur, target, size)) * 3)
+    }
+
+    /// Whether a hop leaving `node` in direction `dir` rides VC 1 for a
+    /// flit that faced input `(in_port, in_vc)`: the dateline rule, from
+    /// the edge being crossed and the arrival channel alone — the
+    /// destination only ever decides `dir`.
+    #[inline]
+    fn rides_vc1(&self, node: &GridNode, dir: usize, (in_port, in_vc): (u8, u8)) -> bool {
+        self.dateline && {
             // Bit `dir`: stepping that way from here crosses the edge.
             let edges = u32::from(node.x + 1 == self.width)
                 | u32::from(node.x == 0) << 1
@@ -383,10 +389,27 @@ impl GridRouter {
             // Byte `dir`: flits travelling that way arrive on this port.
             let from = (u64::from(u32::from_le_bytes(node.inp)) | 0xFF << 32) >> (8 * dir);
             (edges >> dir & 1 != 0) | ((in_vc != 0) & (in_port == from as u8))
-        };
+        }
+    }
+
+    /// The hop a flit for `home` facing input `(in_port, in_vc)` of
+    /// `node` takes, and its direction ([`ARRIVED`]: it ejects).
+    /// Straight-line code but for the router's own flags, and no load
+    /// depends on another: the engine waits on this answer once per
+    /// head flit per hop, the answer is data (a branch on it would
+    /// mispredict), and an indexed port would double its latency.
+    #[inline]
+    fn route(&self, node: &GridNode, home: &GridHome, input: (u8, u8)) -> (RouteHop, usize) {
+        let wx = self.way(node.x, home.x, self.width);
+        let wy = self.way(node.y, home.y, self.height);
+        // X first (0, 1), then Y (2, 3), then there (4): nibble
+        // `wx + 3 * wy` of a nine-entry table held in a constant.
+        let dir = (0x1_0310_2104_u64 >> (4 * (wx + 3 * wy)) & 7) as usize;
+        // Byte `dir` of: the four output ports, the ejection port.
+        let ports = u64::from(u32::from_le_bytes(node.out)) | u64::from(home.eject) << 32;
         let hop = RouteHop {
             port: PortId::new((ports >> (8 * dir)) as u8),
-            vc: VcId::new(u8::from(vc1)),
+            vc: VcId::new(u8::from(self.rides_vc1(node, dir, input))),
         };
         (hop, dir)
     }
@@ -439,6 +462,59 @@ impl GridRouter {
             input.1 = hop.vc.raw();
             Some((SwitchId::new(cur), hop))
         })
+    }
+
+    /// Sorts up to 64 destinations (bit `i` stands for `dsts[i]`) by
+    /// where they lie from every column and every row, into `block`.
+    /// The direction of a hop depends on the switch's and the
+    /// destination's coordinates only, so these `(width + height) × 3`
+    /// words answer "which of the block leave this switch which way"
+    /// for every switch ([`GridRouter::directions`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dsts` holds more than 64 endpoints.
+    pub fn sort_block(&self, dsts: &[EndpointId], block: &mut GridBlock) {
+        assert!(dsts.len() <= 64, "a block is one bit per destination");
+        block.columns.clear();
+        block.columns.resize(self.width as usize, [0; 3]);
+        block.rows.clear();
+        block.rows.resize(self.height as usize, [0; 3]);
+        for (i, dst) in dsts.iter().enumerate() {
+            let home = &self.homes[dst.index()];
+            for (x, column) in (0..).zip(&mut block.columns) {
+                column[self.way(x, home.x, self.width)] |= 1 << i;
+            }
+            for (y, row) in (0..).zip(&mut block.rows) {
+                row[self.way(y, home.y, self.height)] |= 1 << i;
+            }
+        }
+    }
+
+    /// The destinations of `block` a flit at switch `at` leaves for in
+    /// each direction — `+x`, `-x`, `+y`, `-y` — and, last, the ones
+    /// whose switch this is: X first, then Y, as [`GridRouter::hop`].
+    pub fn directions(&self, block: &GridBlock, at: SwitchId) -> [u64; 5] {
+        let node = &self.nodes[at.index()];
+        let (x, y) = (block.columns[node.x as usize], block.rows[node.y as usize]);
+        [x[1], x[2], x[0] & y[1], x[0] & y[2], x[0] & y[0]]
+    }
+
+    /// The hop out of switch `at` in direction `dir` (`0..4`, the order
+    /// of [`GridRouter::directions`]) of a flit at the head of input
+    /// `(in_port, in_vc)`: [`GridRouter::hop`] with the destination's
+    /// part of the answer, the direction, given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is out of range or `dir` is not a direction.
+    pub fn hop_toward(&self, at: SwitchId, dir: usize, in_port: PortId, in_vc: VcId) -> RouteHop {
+        let node = &self.nodes[at.index()];
+        let vc1 = self.rides_vc1(node, dir, (in_port.raw(), in_vc.raw()));
+        RouteHop {
+            port: PortId::new(node.out[dir]),
+            vc: VcId::new(u8::from(vc1)),
+        }
     }
 
     /// Whether the route `src → dst` ever rides VC 1: dateline
@@ -605,6 +681,38 @@ mod tests {
         assert!(single
             .walk(generator(5), receptor(1))
             .all(|(_, h)| h.vc == VcId::ZERO));
+    }
+
+    #[test]
+    fn a_sorted_block_answers_as_the_router_does() {
+        // Direction from the block's masks, VC from the arrival: the
+        // two halves put together are `hop`, for every switch,
+        // destination and arrival channel.
+        let receptor = |x: u32| EndpointId::new(2 * x + 1);
+        for (width, wrap, dateline) in [(7, true, true), (6, true, false), (5, false, false)] {
+            let r = ring_router(width, wrap, dateline);
+            let dsts: Vec<EndpointId> = (0..width).map(receptor).collect();
+            let mut block = GridBlock::default();
+            r.sort_block(&dsts, &mut block);
+            for at in (0..width).map(SwitchId::new) {
+                let ways = r.directions(&block, at);
+                assert_eq!(ways.iter().fold(0, |all, w| all | w), (1 << width) - 1);
+                assert_eq!(ways.iter().map(|w| w.count_ones()).sum::<u32>(), width);
+                for (i, &dst) in dsts.iter().enumerate() {
+                    let dir = ways.iter().position(|w| w >> i & 1 != 0).unwrap();
+                    assert_eq!(dir == 4, i == at.index(), "receptor i sits on switch i");
+                    for (port, vc) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)] {
+                        let arrival = (PortId::new(port), VcId::new(vc));
+                        let whole = r.hop(at, dst, arrival.0, arrival.1);
+                        if dir < 4 {
+                            assert_eq!(r.hop_toward(at, dir, arrival.0, arrival.1), whole);
+                        } else {
+                            assert_eq!(whole, hop(2, 0), "ejection, on VC 0");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::config::{PlatformConfig, RoutingSpec, TrafficModel};
 use crate::error::CompileError;
-use nocem_common::ids::{EndpointId, FlowId, LinkId, PortId, VcId};
+use nocem_common::ids::{EndpointId, FlowId, LinkId, PortId};
 use nocem_common::rng::{Lfsr16, SplitMix64};
 use nocem_common::route::{GridRouter, RouteHop};
 use nocem_platform::bus::{AddressMap, DeviceClass};
@@ -118,7 +118,9 @@ pub struct Elaboration {
     pub config: PlatformConfig,
     /// Routing tables (paths retained for analyses).
     pub routing: RoutingTables,
-    /// Switch instances, in switch-id order.
+    /// Switch instances, in switch-id order. (Empty in the elaboration
+    /// the compiled engines build for themselves: they step the
+    /// lowered arrays, never a [`Switch`].)
     pub switches: Vec<Switch>,
     /// Network interfaces, one per generator.
     pub nis: Vec<SourceNi>,
@@ -297,7 +299,7 @@ pub fn compute_routing(config: &PlatformConfig) -> Result<RoutingTables, Compile
 pub fn elaborate(config: &PlatformConfig) -> Result<Elaboration, CompileError> {
     validate(config)?;
     let routing = compute_routing(config)?;
-    instantiate(config, routing)
+    instantiate(config, routing, true)
 }
 
 /// Like [`elaborate`], but reuses routing tables previously produced
@@ -317,13 +319,39 @@ pub fn elaborate_routed(
     routing: RoutingTables,
 ) -> Result<Elaboration, CompileError> {
     validate(config)?;
-    instantiate(config, routing)
+    instantiate(config, routing, true)
 }
 
-/// Builds the components of a validated configuration.
+/// [`elaborate`] (or, given `routing`, [`elaborate_routed`]) for the
+/// engines that step a [`LoweredPlatform`]: everything but the
+/// interpreted [`Switch`]es, which [`lower`] never reads and a compiled
+/// kernel would only drop — [`Elaboration::switches`] is empty. Every
+/// check and every seed is the full elaboration's: each switch still
+/// has its configuration built, its routes range-checked and its LFSR
+/// seed drawn before the first generator seed, so the devices that are
+/// built are the ones [`elaborate`] builds, stream for stream.
+///
+/// # Errors
+///
+/// Those of [`elaborate`].
+pub(crate) fn elaborate_unswitched(
+    config: &PlatformConfig,
+    routing: Option<&RoutingTables>,
+) -> Result<Elaboration, CompileError> {
+    validate(config)?;
+    let routing = match routing {
+        Some(routing) => routing.clone(),
+        None => compute_routing(config)?,
+    };
+    instantiate(config, routing, false)
+}
+
+/// Builds the components of a validated configuration — the
+/// interpreted switch models among them only `with_switches`.
 fn instantiate(
     config: &PlatformConfig,
     routing: RoutingTables,
+    with_switches: bool,
 ) -> Result<Elaboration, CompileError> {
     let elaborate_start = std::time::Instant::now();
     let topo = &config.topology;
@@ -367,7 +395,11 @@ fn instantiate(
     // accept) unless `ejection_credits` caps them for stall-forensics
     // fixtures.
     let num_vcs = config.switch.num_vcs;
-    let mut switches = Vec::with_capacity(topo.switch_count());
+    let mut switches = Vec::with_capacity(if with_switches {
+        topo.switch_count()
+    } else {
+        0
+    });
     for s in topo.switch_ids() {
         let info = topo.switch(s);
         let sw_config = SwitchConfigBuilder::new(info.inputs, info.outputs)
@@ -376,6 +408,12 @@ fn instantiate(
             .arbiter(config.switch.arbiter)
             .selection(config.switch.selection)
             .build();
+        let lfsr_seed = (seeder.next() & 0xFFFF) as u16;
+        let in_switch = |source| CompileError::Switch { switch: s, source };
+        if !with_switches {
+            Switch::check_routes(&sw_config, routing.switch_table(s)).map_err(in_switch)?;
+            continue;
+        }
         let credits: Vec<Vec<u32>> = (0..info.outputs)
             .map(|p| {
                 let link = topo.out_link(s, PortId::new(p));
@@ -388,7 +426,6 @@ fn instantiate(
                 vec![per_vc; num_vcs as usize]
             })
             .collect();
-        let lfsr_seed = (seeder.next() & 0xFFFF) as u16;
         let sw = match routing.grid_router() {
             Some(router) => Switch::new_grid(sw_config, router.clone(), s, credits, lfsr_seed),
             None => Switch::new_table(
@@ -398,7 +435,7 @@ fn instantiate(
                 lfsr_seed,
             ),
         }
-        .map_err(|source| CompileError::Switch { switch: s, source })?;
+        .map_err(in_switch)?;
         switches.push(sw);
     }
 
@@ -441,27 +478,22 @@ fn instantiate(
     let mut map = AddressMap::new();
     let needed = 2 + generators.len() + receptors.len() + topo.switch_count();
     if needed <= AddressMap::capacity() {
-        let full = |_| unreachable!("address map capacity checked above");
-        map.allocate(DeviceClass::Control, "ctrl")
-            .unwrap_or_else(full);
-        for i in 0..generators.len() {
-            map.allocate(DeviceClass::TrafficGenerator, format!("tg{i}"))
-                .unwrap_or_else(full);
-        }
-        for i in 0..receptors.len() {
-            map.allocate(DeviceClass::TrafficReceptor, format!("tr{i}"))
-                .unwrap_or_else(full);
-        }
-        for s in topo.switch_ids() {
-            map.allocate(DeviceClass::Switch, format!("sw{}", s.raw()))
-                .unwrap_or_else(full);
-        }
         // The telemetry monitor always occupies the slot after the
         // switches (reads return zeros while telemetry is disabled),
         // so software can locate it without knowing the run
         // configuration.
-        map.allocate(DeviceClass::Monitor, "mon")
-            .unwrap_or_else(full);
+        for (class, count) in [
+            (DeviceClass::Control, 1),
+            (DeviceClass::TrafficGenerator, generators.len()),
+            (DeviceClass::TrafficReceptor, receptors.len()),
+            (DeviceClass::Switch, topo.switch_count()),
+            (DeviceClass::Monitor, 1),
+        ] {
+            for _ in 0..count {
+                map.allocate(class)
+                    .expect("address map capacity checked above");
+            }
+        }
     }
 
     // Wiring lookups.
@@ -847,12 +879,15 @@ impl LoweredPlatform {
 /// Lowers a *freshly elaborated* platform into flat struct-of-arrays
 /// state (see [`LoweredPlatform`] for the layout).
 ///
-/// The pass is pure: it reads the elaboration's topology, routing
-/// tables and switch credit state and writes dense arrays sized from
-/// the per-switch port counts. It must run before any cycle is
-/// stepped — credits are captured as the initial (= cap) values and
+/// The pass is pure: it reads the elaboration's configuration,
+/// topology and routing tables — never [`Elaboration::switches`], which
+/// the compiled engines' own elaboration leaves empty — and writes
+/// dense arrays sized from the per-switch port counts. Credits are
+/// derived as [`elaborate`] derives a switch's initial (= cap) values
+/// (buffer depth toward a switch, `ejection_credits` or infinite toward
+/// a receptor; `tests/lowering_properties.rs` holds the two equal), and
 /// the selection LFSRs are re-seeded from the platform seed exactly as
-/// [`elaborate_routed`] seeded the interpreted switches.
+/// [`elaborate_routed`] seeds the interpreted switches.
 pub fn lower(elab: &Elaboration) -> LoweredPlatform {
     let topo = &elab.config.topology;
     let vcs = usize::from(elab.config.switch.num_vcs);
@@ -957,12 +992,7 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
                     .ejection_credits
                     .unwrap_or(CREDITS_INFINITE),
             };
-            for v in 0..vcs {
-                debug_assert_eq!(
-                    elab.switches[s.index()].credits_vc(PortId::new(p), VcId::new(v as u8)),
-                    per_vc,
-                    "lowering must start from a freshly elaborated platform"
-                );
+            for _ in 0..vcs {
                 out_state.push(OutSlotState {
                     credits: per_vc,
                     busy_with: SLOT_NONE,
@@ -1371,6 +1401,29 @@ mod tests {
             elaborate_routed(&cfg, routing),
             Err(CompileError::VcOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn the_compiled_engines_elaborate_everything_but_the_switches() {
+        let cfg = PaperConfig::new().total_packets(50).uniform();
+        let full = elaborate(&cfg).unwrap();
+        assert_eq!(full.switches.len(), cfg.topology.switch_count());
+        let routing = compute_routing(&cfg).unwrap();
+        for routing in [None, Some(&routing)] {
+            let bare = elaborate_unswitched(&cfg, routing).unwrap();
+            assert!(bare.switches.is_empty(), "no interpreted switch is built");
+            assert_eq!(bare.tgs.len(), full.tgs.len());
+            assert_eq!(bare.nis.len(), full.nis.len());
+            assert_eq!(bare.receptors.len(), full.receptors.len());
+            assert_eq!(bare.map.devices(), full.map.devices());
+            // Lowering never misses one: credits, seeds and routes come
+            // out the same.
+            let (low, want) = (lower(&bare), lower(&full));
+            assert_eq!(low.credit_cap, want.credit_cap);
+            assert_eq!(low.lfsrs, want.lfsrs);
+            assert_eq!(low.route_keys, want.route_keys);
+            assert_eq!(low.route_hops, want.route_hops);
+        }
     }
 
     #[test]

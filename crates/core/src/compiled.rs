@@ -1788,5 +1788,7 @@ impl CycleKernel for CompiledEngine {
 pub fn build_compiled(
     config: &PlatformConfig,
 ) -> Result<CompiledEngine, crate::error::CompileError> {
-    Ok(CompiledEngine::new(crate::compile::elaborate(config)?))
+    Ok(CompiledEngine::new(crate::compile::elaborate_unswitched(
+        config, None,
+    )?))
 }

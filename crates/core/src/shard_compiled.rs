@@ -108,7 +108,7 @@
 
 use crate::clock::{ClockMode, EngineSummary, EngineWarning, RunState, SteppableEngine};
 use crate::compile::{
-    elaborate, elaborate_routed, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
+    elaborate_unswitched, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
 };
 #[cfg(doc)]
 use crate::compiled::CompiledEngine;
@@ -737,7 +737,7 @@ impl ShardedCompiledEngine {
         shards: usize,
         batch: u64,
     ) -> Result<Self, CompileError> {
-        Self::from_elaboration(elaborate(config)?, shards, batch)
+        Self::from_elaboration(elaborate_unswitched(config, None)?, shards, batch)
     }
 
     /// Shards a pre-built elaboration into `shards` grid stripes —
@@ -1413,8 +1413,8 @@ fn spawn_worker(
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
 ) -> Worker {
-    let mut elab =
-        elaborate_routed(config, routing).expect("the coordinator already elaborated this config");
+    let mut elab = elaborate_unswitched(config, Some(&routing))
+        .expect("the coordinator already elaborated this config");
     // Generators of other shards never fire here: an empty trace is
     // exhausted from the start, so they never enter the live sets.
     let topo = &config.topology;

@@ -6,7 +6,7 @@
 //! (Figures 3 and 4) and the ablation studies.
 
 use crate::clock::{run_engine, EngineSummary, EngineWarning, SteppableEngine};
-use crate::compile::{elaborate, elaborate_routed};
+use crate::compile::{elaborate, elaborate_routed, elaborate_unswitched};
 use crate::compiled::CompiledEngine;
 use crate::config::{EngineKind, PlatformConfig};
 use crate::engine::Emulation;
@@ -228,9 +228,12 @@ impl AnyEngine {
         config: &PlatformConfig,
         routing: Option<&RoutingTables>,
     ) -> Result<Self, CompileError> {
-        let elab = match routing {
-            Some(r) => elaborate_routed(config, r.clone())?,
-            None => elaborate(config)?,
+        // The interpreted engine steps `Switch` objects; the compiled
+        // ones never look at one, so they do not build any.
+        let elab = match (config.engine, routing) {
+            (EngineKind::SingleThread, Some(r)) => elaborate_routed(config, r.clone())?,
+            (EngineKind::SingleThread, None) => elaborate(config)?,
+            _ => elaborate_unswitched(config, routing)?,
         };
         Ok(match config.engine {
             EngineKind::SingleThread => AnyEngine::Single(Box::new(Emulation::new(elab))),
@@ -241,6 +244,17 @@ impl AnyEngine {
                 ShardedCompiledEngine::from_elaboration(elab, shards, batch)?,
             )),
         })
+    }
+
+    /// The packet ledger, borrowed — what a caller that only reads it
+    /// wants ([`SteppableEngine::packet_ledger`] hands out a copy, which
+    /// after a saturated run is megabytes).
+    pub fn ledger(&self) -> &PacketLedger {
+        match self {
+            AnyEngine::Single(e) => e.ledger(),
+            AnyEngine::Compiled(e) => e.ledger(),
+            AnyEngine::ShardedCompiled(e) => e.ledger(),
+        }
     }
 
     /// Collects the full run results.

@@ -60,16 +60,27 @@ fn check_lowering(cfg: &PlatformConfig) {
     );
 
     // Output-slot records start at their credit caps — the exact
-    // credits the elaborated switches hold (inter-switch links carry
-    // finite downstream-depth credits, ejection links are infinite).
+    // credits the elaborated switches hold (`lower` derives them
+    // itself, it never reads a switch): inter-switch links carry the
+    // downstream buffer depth, ejection links are infinite unless the
+    // configuration caps them.
     assert_eq!(low.out_state.len(), low.total_out_slots());
     assert_eq!(low.credit_cap.len(), low.total_out_slots());
     for s in 0..n {
         let osb = low.out_slot_base[s] as usize;
         for p in 0..low.outputs[s] as usize {
+            let link = topo.out_link(
+                nocem_common::ids::SwitchId::new(s as u32),
+                PortId::new(p as u8),
+            );
+            let want = match topo.link(link).to_switch() {
+                Some(_) => u32::from(cfg.switch.fifo_depth),
+                None => cfg.switch.ejection_credits.unwrap_or(CREDITS_INFINITE),
+            };
             for v in 0..vcs {
                 let gslot = osb + p * vcs + v;
                 let cap = elab.switches[s].credits_vc(PortId::new(p as u8), VcId::new(v as u8));
+                assert_eq!(cap, want, "credits of switch {s} output {p} VC {v}");
                 assert_eq!(low.out_state[gslot].credits, cap);
                 assert_eq!(low.credit_cap[gslot], cap);
                 assert_eq!(low.out_state[gslot].busy_with, SLOT_NONE);
@@ -77,20 +88,6 @@ fn check_lowering(cfg: &PlatformConfig) {
                     low.out_state[gslot].arb_last as usize,
                     low.inputs[s] as usize * vcs - 1,
                     "arbiter pointer starts just before input slot 0"
-                );
-            }
-        }
-        for p in 0..low.outputs[s] as usize {
-            let link = topo.out_link(
-                nocem_common::ids::SwitchId::new(s as u32),
-                PortId::new(p as u8),
-            );
-            let ejection = topo.link(link).to_switch().is_none();
-            for v in 0..vcs {
-                assert_eq!(
-                    low.out_state[osb + p * vcs + v].credits == CREDITS_INFINITE,
-                    ejection,
-                    "exactly the ejection slots of switch {s} carry infinite credits"
                 );
             }
         }
@@ -165,6 +162,19 @@ fn uniform(topo: TopologySpec) -> PlatformConfig {
         .expect("builtin scenario")
         .build_config(topo, 0.20, 4, 100)
         .expect("scenario config compiles")
+}
+
+/// Capped ejection credits (the stall-forensics fixture) reach the
+/// lowered arrays as they reach the switches, on both VCs of a torus.
+#[test]
+fn capped_ejection_credits_lower_exactly() {
+    let mut cfg = uniform(TopologySpec::Torus {
+        width: 4,
+        height: 3,
+    });
+    assert_eq!(cfg.switch.num_vcs, 2, "dateline routing");
+    cfg.switch.ejection_credits = Some(3);
+    check_lowering(&cfg);
 }
 
 proptest! {

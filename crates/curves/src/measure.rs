@@ -186,7 +186,6 @@ pub fn measure_config(
         window: c.window_cycles(),
         top_links: c.top_blocked(TOP_LINKS),
     });
-    let ledger = nocem::SteppableEngine::packet_ledger(&engine);
     let profile = nocem::SteppableEngine::profile(&mut engine);
     let results = engine.results()?;
 
@@ -195,7 +194,7 @@ pub fn measure_config(
         measure.measure_cycles,
         measure.total_cycles(),
     );
-    let (net, total) = WindowStats::from_ledger_both(&ledger, window);
+    let (net, total) = WindowStats::from_ledger_both(engine.ledger(), window);
     let nodes = cfg.topology.generators().len().max(1) as f64;
     Ok(PointMeasurement {
         offered,

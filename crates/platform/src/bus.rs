@@ -141,14 +141,29 @@ impl std::fmt::Display for DeviceClass {
 }
 
 /// A registered device slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MappedDevice {
     /// Where the device sits.
     pub addr: DeviceAddr,
     /// What it is.
     pub class: DeviceClass,
-    /// Human-readable instance label (e.g. `"tg0"`).
-    pub label: String,
+    /// Which one of its class, in allocation order.
+    pub index: u32,
+}
+
+impl MappedDevice {
+    /// Human-readable instance label, rendered on demand (a map of a
+    /// thousand devices stores no string): `"ctrl"`, `"tg0"`, `"tr7"`,
+    /// `"sw12"`, `"mon"`.
+    pub fn label(&self) -> String {
+        match self.class {
+            DeviceClass::Control => "ctrl".into(),
+            DeviceClass::TrafficGenerator => format!("tg{}", self.index),
+            DeviceClass::TrafficReceptor => format!("tr{}", self.index),
+            DeviceClass::Switch => format!("sw{}", self.index),
+            DeviceClass::Monitor => "mon".into(),
+        }
+    }
 }
 
 /// Error returned when the platform runs out of device slots.
@@ -175,16 +190,19 @@ impl std::error::Error for MapFullError {}
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut map = AddressMap::new();
-/// let ctrl = map.allocate(DeviceClass::Control, "ctrl")?;
-/// let tg0 = map.allocate(DeviceClass::TrafficGenerator, "tg0")?;
+/// let ctrl = map.allocate(DeviceClass::Control)?;
+/// let tg0 = map.allocate(DeviceClass::TrafficGenerator)?;
 /// assert_ne!(ctrl, tg0);
 /// assert_eq!(map.devices().len(), 2);
+/// assert_eq!(map.by_label("tg0").map(|d| d.addr), Some(tg0));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AddressMap {
     devices: Vec<MappedDevice>,
+    /// Devices allocated so far, per [`DeviceClass`].
+    allocated: [u32; 5],
 }
 
 impl AddressMap {
@@ -200,17 +218,13 @@ impl AddressMap {
     }
 
     /// Allocates the next free slot (bus 0 fills first, then bus 1,
-    /// …).
+    /// …) to the next device of `class`.
     ///
     /// # Errors
     ///
     /// Returns [`MapFullError`] when all
     /// `MAX_BUSES * DEVICES_PER_BUS` slots are taken.
-    pub fn allocate(
-        &mut self,
-        class: DeviceClass,
-        label: impl Into<String>,
-    ) -> Result<DeviceAddr, MapFullError> {
+    pub fn allocate(&mut self, class: DeviceClass) -> Result<DeviceAddr, MapFullError> {
         let n = self.devices.len();
         let capacity = usize::from(MAX_BUSES) * usize::from(DEVICES_PER_BUS);
         if n >= capacity {
@@ -220,11 +234,13 @@ impl AddressMap {
             BusId::new((n / usize::from(DEVICES_PER_BUS)) as u8),
             DeviceId::new((n % usize::from(DEVICES_PER_BUS)) as u16),
         );
+        let index = &mut self.allocated[class as usize];
         self.devices.push(MappedDevice {
             addr,
             class,
-            label: label.into(),
+            index: *index,
         });
+        *index += 1;
         Ok(addr)
     }
 
@@ -240,7 +256,7 @@ impl AddressMap {
 
     /// Finds the first device with the given label.
     pub fn by_label(&self, label: &str) -> Option<&MappedDevice> {
-        self.devices.iter().find(|d| d.label == label)
+        self.devices.iter().find(|d| d.label() == label)
     }
 
     /// Devices of one class, in allocation order.
@@ -257,9 +273,9 @@ mod tests {
     fn sequential_allocation_spills_to_next_bus() {
         let mut map = AddressMap::new();
         let mut last = None;
-        for i in 0..(usize::from(DEVICES_PER_BUS) + 2) {
+        for _ in 0..(usize::from(DEVICES_PER_BUS) + 2) {
             last = Some(
-                map.allocate(DeviceClass::Switch, format!("s{i}"))
+                map.allocate(DeviceClass::Switch)
                     .expect("capacity not reached"),
             );
         }
@@ -272,25 +288,24 @@ mod tests {
     fn map_capacity_is_enforced() {
         let mut map = AddressMap::new();
         let capacity = usize::from(MAX_BUSES) * usize::from(DEVICES_PER_BUS);
-        for i in 0..capacity {
-            map.allocate(DeviceClass::Switch, format!("d{i}")).unwrap();
+        for _ in 0..capacity {
+            map.allocate(DeviceClass::Switch).unwrap();
         }
-        assert_eq!(
-            map.allocate(DeviceClass::Switch, "extra"),
-            Err(MapFullError)
-        );
+        assert_eq!(map.allocate(DeviceClass::Switch), Err(MapFullError));
         assert!(MapFullError.to_string().contains("4 buses"));
     }
 
     #[test]
     fn lookup_by_addr_and_label() {
         let mut map = AddressMap::new();
-        let a = map.allocate(DeviceClass::Control, "ctrl").unwrap();
-        let b = map.allocate(DeviceClass::TrafficGenerator, "tg0").unwrap();
-        assert_eq!(map.device_at(a).unwrap().label, "ctrl");
+        let a = map.allocate(DeviceClass::Control).unwrap();
+        let b = map.allocate(DeviceClass::TrafficGenerator).unwrap();
+        let c = map.allocate(DeviceClass::TrafficGenerator).unwrap();
+        assert_eq!(map.device_at(a).unwrap().label(), "ctrl");
         assert_eq!(map.by_label("tg0").unwrap().addr, b);
+        assert_eq!(map.device_at(c).unwrap().label(), "tg1");
         assert!(map.by_label("nope").is_none());
-        assert_eq!(map.of_class(DeviceClass::TrafficGenerator).count(), 1);
+        assert_eq!(map.of_class(DeviceClass::TrafficGenerator).count(), 2);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut map = AddressMap::new();
-//! let ctrl = map.allocate(DeviceClass::Control, "ctrl")?;
+//! let ctrl = map.allocate(DeviceClass::Control)?;
 //! let reg0 = ctrl.reg(0);
 //! assert_eq!(reg0.device_addr(), ctrl);
 //! # Ok(())

@@ -54,11 +54,7 @@ impl Monitor {
     pub fn device_inventory(&mut self, map: &AddressMap) -> &mut Self {
         let mut t = TextTable::with_columns(&["address", "class", "label"]);
         for d in map.devices() {
-            t.row(vec![
-                d.addr.to_string(),
-                d.class.to_string(),
-                d.label.clone(),
-            ]);
+            t.row(vec![d.addr.to_string(), d.class.to_string(), d.label()]);
         }
         self.table("Device inventory", &t)
     }
@@ -134,8 +130,8 @@ mod tests {
     #[test]
     fn device_inventory_lists_devices() {
         let mut map = AddressMap::new();
-        map.allocate(DeviceClass::Control, "ctrl").unwrap();
-        map.allocate(DeviceClass::TrafficGenerator, "tg0").unwrap();
+        map.allocate(DeviceClass::Control).unwrap();
+        map.allocate(DeviceClass::TrafficGenerator).unwrap();
         let mut m = Monitor::new("inv");
         m.device_inventory(&map);
         let r = m.render();

@@ -139,11 +139,8 @@ proptest! {
     fn address_map_allocations_are_unique(n in 1usize..200) {
         let mut map = AddressMap::new();
         let mut slots = Vec::new();
-        for i in 0..n {
-            let slot = map
-                .allocate(DeviceClass::TrafficGenerator, format!("tg{i}"))
-                .unwrap();
-            slots.push(slot);
+        for _ in 0..n {
+            slots.push(map.allocate(DeviceClass::TrafficGenerator).unwrap());
         }
         let mut unique = slots.clone();
         unique.sort();
@@ -151,7 +148,7 @@ proptest! {
         prop_assert_eq!(unique.len(), slots.len(), "slot collision");
         for (i, &slot) in slots.iter().enumerate() {
             let found = map.device_at(slot).expect("slot resolves");
-            prop_assert_eq!(&found.label, &format!("tg{i}"));
+            prop_assert_eq!(found.label(), format!("tg{i}"));
             let by_label = map.by_label(&format!("tg{i}")).expect("label resolves");
             prop_assert_eq!(by_label.addr, slot);
         }
@@ -166,11 +163,11 @@ fn address_map_enforces_platform_limit() {
     let mut map = AddressMap::new();
     let total = usize::from(MAX_BUSES) * usize::from(DEVICES_PER_BUS);
     for i in 0..total {
-        map.allocate(DeviceClass::Switch, format!("sw{i}"))
+        map.allocate(DeviceClass::Switch)
             .unwrap_or_else(|_| panic!("allocation {i} must fit"));
     }
     assert!(
-        map.allocate(DeviceClass::Switch, "overflow").is_err(),
+        map.allocate(DeviceClass::Switch).is_err(),
         "4097th device must be refused"
     );
 }

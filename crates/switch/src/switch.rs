@@ -416,24 +416,7 @@ impl Switch {
         let inputs = config.inputs as usize;
         let outputs = config.outputs as usize;
         let vcs = config.num_vcs as usize;
-        for (flow, hops) in routes.entries() {
-            for &h in hops {
-                if h.port.index() >= outputs {
-                    return Err(BuildSwitchError::RouteOutOfRange {
-                        flow,
-                        port: h.port,
-                        outputs: config.outputs,
-                    });
-                }
-                if h.vc.index() >= vcs {
-                    return Err(BuildSwitchError::RouteVcOutOfRange {
-                        flow,
-                        vc: h.vc,
-                        vcs: config.num_vcs,
-                    });
-                }
-            }
-        }
+        Self::check_routes(&config, &routes)?;
         if credits.len() != outputs || credits.iter().any(|row| row.len() != vcs) {
             return Err(BuildSwitchError::CreditWidthMismatch {
                 got_outputs: credits.len(),
@@ -476,6 +459,38 @@ impl Switch {
             routes: Routes::Table(routes),
             config,
         })
+    }
+
+    /// The route check of [`Switch::new_table`] on its own, for callers
+    /// that lower a platform without building its switches.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildSwitchError`] if a route references an output
+    /// port or VC a switch of `config` does not have.
+    pub fn check_routes(
+        config: &SwitchConfig,
+        routes: &RouteTable,
+    ) -> Result<(), BuildSwitchError> {
+        for (flow, hops) in routes.entries() {
+            for &h in hops {
+                if h.port.index() >= config.outputs as usize {
+                    return Err(BuildSwitchError::RouteOutOfRange {
+                        flow,
+                        port: h.port,
+                        outputs: config.outputs,
+                    });
+                }
+                if h.vc.index() >= config.num_vcs as usize {
+                    return Err(BuildSwitchError::RouteVcOutOfRange {
+                        flow,
+                        vc: h.vc,
+                        vcs: config.num_vcs,
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Builds switch `switch` of a platform routed by `router`: head

@@ -11,17 +11,19 @@
 //! [`check_deadlock_freedom`] builds the single-VC CDG from configured
 //! flow paths; [`check_routing_deadlock_freedom`] builds the per-VC
 //! CDG of a [`RoutingTables`] — from its VC-labelled paths when it
-//! holds flow-keyed tables, by following the routing function from
-//! every source when routing is arithmetic — and is the check the
-//! platform compiler runs. Nodes are dense `link × VC` indices and the
-//! first cycle found is reported. Injection links have no incoming and
-//! ejection links no outgoing dependencies, so neither can ever be
-//! part of a cycle; the path-based builders include both to complete
-//! the chains, the grid walk starts at the first inter-switch hop.
+//! holds flow-keyed tables, by pushing sets of destinations through
+//! the routing function, 64 at a time, when routing is arithmetic —
+//! and is the check the platform compiler runs. Nodes are dense
+//! `link × VC` indices and the first cycle found is reported.
+//! Injection links have no incoming and ejection links no outgoing
+//! dependencies, so neither can ever be part of a cycle; the
+//! path-based builders include both to complete the chains, the grid
+//! walk starts at the first inter-switch hop.
 
-use crate::graph::Topology;
+use crate::graph::{LinkEnd, Topology};
 use crate::routing::{FlowPaths, FlowSet, GridRouter, RoutingTables};
-use nocem_common::ids::{LinkId, SwitchId, VcId};
+use nocem_common::ids::{EndpointId, LinkId, SwitchId, VcId};
+use nocem_common::route::GridBlock;
 
 /// A cyclic channel dependency that could deadlock the network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,15 +94,17 @@ pub fn check_deadlock_freedom(topo: &Topology, flows: &[FlowPaths]) -> Result<()
 /// are visited on different VCs.
 ///
 /// Flow-keyed tables contribute one dependency chain per VC-labelled
-/// path. Grid routing is walked: one pass per destination over the
-/// (switch, arrival channel) states some flow actually reaches, each
-/// adding the dependency of the arrival channel on the channel the
-/// router continues on — the same edges as the per-flow chains (every
-/// state lies on some flow's path, so verdicts are exact for sparse
-/// flow sets too) in `O(flows + visited states)`. An implicit flow set
-/// is walked pair by pair all the same — that is what keeps the
-/// verdict exact — but straight off its endpoint lists, with nothing
-/// allocated per flow.
+/// path. Grid routing is walked: one pass per block of 64
+/// destinations, each carrying, per channel, the set of destinations
+/// some flow crosses it toward, and adding the dependency of an
+/// arrival channel on every channel the router continues on for some
+/// of them — the same edges as the per-flow chains (every destination
+/// in a channel's set got there along some flow's path, so verdicts
+/// are exact for sparse flow sets too; the crate's tests hold the two
+/// graphs equal) in `O(switches × destinations / 64)` word operations
+/// rather than one walk per flow. An implicit flow set seeds the passes
+/// straight off its endpoint lists, a listed one from its flows
+/// grouped by destination.
 ///
 /// # Errors
 ///
@@ -149,6 +153,15 @@ impl Cdg {
         (link.index() * self.vcs + vc.index()) as u32
     }
 
+    /// The `(link, VC)` behind a node index.
+    fn channel(&self, node: u32) -> (LinkId, VcId) {
+        let node = node as usize;
+        (
+            LinkId::new((node / self.vcs) as u32),
+            VcId::new((node % self.vcs) as u8),
+        )
+    }
+
     fn edge(&mut self, from: u32, to: u32) {
         let succ = &mut self.succ[from as usize];
         if !succ.contains(&to) {
@@ -156,29 +169,49 @@ impl Cdg {
         }
     }
 
-    /// Adds the dependencies of grid-routed `flows`: every flow is
-    /// followed from its source switch, destination by destination,
-    /// until it leaves a switch on a channel an earlier flow to the
-    /// same destination already left it on — from there on the router
-    /// repeats itself (the hop is a function of switch, destination,
-    /// input port and input VC, and the channel just taken fixes all
-    /// four), so the onward edges are already in.
+    /// Adds the dependencies of grid-routed `flows`, 64 destinations
+    /// per pass: see [`BlockWalk`]. An implicit set seeds each block
+    /// from its two endpoint lists (a source sends to every sink but
+    /// the one at its own index), a list from its flows grouped by
+    /// destination — either way nothing is followed pair by pair.
     fn walk_grid(&mut self, topo: &Topology, router: &GridRouter, flows: &FlowSet) {
-        // Per channel: the last destination some walk took it toward.
-        let mut taken = vec![u32::MAX; self.succ.len()];
-        flows.for_each_by_destination(|src, dst| {
-            let mut prev = None;
-            for (at, hop) in router.walk(src, dst) {
-                let channel = self.node(topo.out_link(at, hop.port), hop.vc);
-                if let Some(prev) = prev {
-                    self.edge(prev, channel);
+        let channels = self.succ.len();
+        let mut walk = BlockWalk {
+            cdg: self,
+            topo,
+            router,
+            block: GridBlock::default(),
+            reach: vec![0; channels],
+            pending: vec![0; channels],
+            queue: Vec::new(),
+            onward: vec![[UNKNOWN; 4]; channels],
+        };
+        match flows {
+            FlowSet::AllButSelf(set) => {
+                for (b, sinks) in set.sinks().chunks(64).enumerate() {
+                    let all = u64::MAX >> (64 - sinks.len());
+                    let seeds = set.sources().iter().enumerate().map(|(s, &src)| {
+                        let own = s.checked_sub(64 * b).filter(|&i| i < 64);
+                        (src, all & !own.map_or(0, |i| 1 << i))
+                    });
+                    walk.block(sinks, seeds);
                 }
-                if std::mem::replace(&mut taken[channel as usize], dst.raw()) == dst.raw() {
-                    break;
-                }
-                prev = Some(channel);
             }
-        });
+            FlowSet::Listed(_) => {
+                let (mut dsts, mut seeds) = (Vec::with_capacity(64), Vec::new());
+                flows.for_each_by_destination(|src, dst| {
+                    if dsts.last() != Some(&dst) {
+                        if dsts.len() == 64 {
+                            walk.block(&dsts, seeds.drain(..));
+                            dsts.clear();
+                        }
+                        dsts.push(dst);
+                    }
+                    seeds.push((src, 1 << (dsts.len() - 1)));
+                });
+                walk.block(&dsts, seeds.drain(..));
+            }
+        }
     }
 
     /// Adds the dependency chain of one path: injection link (VC 0,
@@ -233,16 +266,8 @@ impl Cdg {
                             .iter()
                             .position(|&(n, _)| n == next)
                             .expect("grey node is on the stack");
-                        let (links, vcs) = stack[pos..]
-                            .iter()
-                            .map(|&(n, _)| {
-                                let n = n as usize;
-                                (
-                                    LinkId::new((n / self.vcs) as u32),
-                                    VcId::new((n % self.vcs) as u8),
-                                )
-                            })
-                            .unzip();
+                        let (links, vcs) =
+                            stack[pos..].iter().map(|&(n, _)| self.channel(n)).unzip();
                         return Err(DeadlockCycle { links, vcs });
                     }
                     _ => {}
@@ -250,6 +275,125 @@ impl Cdg {
             }
         }
         Ok(())
+    }
+}
+
+/// "Not computed yet" in [`BlockWalk::onward`].
+const UNKNOWN: u32 = u32::MAX;
+
+/// The grid walk of [`Cdg::walk_grid`]: instead of following every
+/// flow, it pushes *sets of destinations* across channels, one `u64`
+/// of up to 64 destination bits at a time.
+///
+/// It rests on what a [`GridRouter`] hop depends on. The **direction**
+/// is a function of the switch's and the destination's coordinates, so
+/// per block a table per column and row ([`GridRouter::sort_block`])
+/// splits any set of destinations at any switch five ways in a few
+/// ANDs. The **VC** is a function of the edge crossed and of the
+/// arrival `(input port, input VC)` — of the channel the flit came in
+/// on — and never of the destination. So everything a channel's flits
+/// do next is decided by the channel and the destination bit:
+/// `reach[channel]` collects the destinations some flow crosses the
+/// channel toward, every source seeds its injection channel, and a
+/// worklist carries newly reached bits across each channel they
+/// arrived on, adding the edge `arrival → onward` wherever a
+/// direction's share of them is non-empty — unless the arrival channel
+/// is an injection link, which has no predecessor to depend on it (the
+/// grid walk starts at the first inter-switch hop). **Ejection** is the
+/// one hop whose port is the destination's own, so its edge is added
+/// per destination bit. The edges are exactly those of the per-flow
+/// chains — every bit in `reach` got there along some flow's path —
+/// for implicit and listed sets alike, in
+/// `O(switches × destinations / 64)` word operations and four words
+/// per channel.
+struct BlockWalk<'a> {
+    cdg: &'a mut Cdg,
+    topo: &'a Topology,
+    router: &'a GridRouter,
+    block: GridBlock,
+    /// Per channel: the destinations of this block some flow takes the
+    /// channel toward.
+    reach: Vec<u64>,
+    /// Per channel: the part of `reach` not yet carried onward.
+    pending: Vec<u64>,
+    /// The channels with `pending` bits, first in first out.
+    queue: Vec<u32>,
+    /// Per channel and direction: the channel a flit that arrived on
+    /// the one continues on in the other, [`UNKNOWN`] until some
+    /// destination goes that way — which is also when the edge between
+    /// the two is added, once for all blocks.
+    onward: Vec<[u32; 4]>,
+}
+
+impl BlockWalk<'_> {
+    /// One pass: the dependencies of every flow toward `dsts` (at most
+    /// 64), `seeds` naming for each source the bits of the destinations
+    /// it sends to.
+    fn block(&mut self, dsts: &[EndpointId], seeds: impl Iterator<Item = (EndpointId, u64)>) {
+        self.router.sort_block(dsts, &mut self.block);
+        self.reach.fill(0);
+        for (src, bits) in seeds {
+            // Injection is on VC 0.
+            let injection = self.cdg.node(self.topo.endpoint(src).link, VcId::ZERO);
+            self.reached(injection, bits);
+        }
+        let mut next = 0;
+        while let Some(&channel) = self.queue.get(next) {
+            next += 1;
+            let bits = std::mem::take(&mut self.pending[channel as usize]);
+            self.forward(channel, bits, dsts);
+        }
+        self.queue.clear();
+    }
+
+    /// Marks the destinations `bits` as crossing `channel`, and queues
+    /// the ones that are new to it.
+    fn reached(&mut self, channel: u32, bits: u64) {
+        let new = bits & !self.reach[channel as usize];
+        if new != 0 {
+            self.reach[channel as usize] |= new;
+            if self.pending[channel as usize] == 0 {
+                self.queue.push(channel);
+            }
+            self.pending[channel as usize] |= new;
+        }
+    }
+
+    /// Carries the destinations `bits`, which arrived on `channel`, one
+    /// hop on.
+    fn forward(&mut self, channel: u32, bits: u64, dsts: &[EndpointId]) {
+        let (link, vc) = self.cdg.channel(channel);
+        let link = self.topo.link(link);
+        let LinkEnd::Switch { switch: at, port } = link.dst else {
+            unreachable!("ejection channels are never queued");
+        };
+        let injected = link.from_switch().is_none();
+        let ways = self.router.directions(&self.block, at);
+        for (dir, way) in ways[..4].iter().enumerate() {
+            let going = bits & way;
+            if going == 0 {
+                continue;
+            }
+            let mut onward = self.onward[channel as usize][dir];
+            if onward == UNKNOWN {
+                let hop = self.router.hop_toward(at, dir, port, vc);
+                onward = self.cdg.node(self.topo.out_link(at, hop.port), hop.vc);
+                self.onward[channel as usize][dir] = onward;
+                if !injected {
+                    self.cdg.edge(channel, onward);
+                }
+            }
+            self.reached(onward, going);
+        }
+        // A flow that ejects where it was injected crosses no channel.
+        let mut here = if injected { 0 } else { bits & ways[4] };
+        while here != 0 {
+            let dst = dsts[here.trailing_zeros() as usize];
+            here &= here - 1;
+            let hop = self.router.hop(at, dst, port, vc);
+            let ejection = self.cdg.node(self.topo.out_link(at, hop.port), hop.vc);
+            self.cdg.edge(channel, ejection);
+        }
     }
 }
 
@@ -266,6 +410,12 @@ mod tests {
     use crate::builders::{mesh, paper_setup, ring, torus};
     use crate::routing::{ring_minimal_path, FlowSpec, RouteAlgorithm, RoutingTables, VcPolicy};
     use nocem_common::flows::AllButSelf;
+    use nocem_common::ids::FlowId;
+    use nocem_common::rng::SplitMix64;
+
+    /// The cycle the parent's per-pair walk reported on torus5x5 with
+    /// one VC (link ids).
+    const PARENT_TORUS5X5_CYCLE: &[u32] = &[0, 4, 8, 12, 16];
 
     #[test]
     fn paper_primary_is_deadlock_free() {
@@ -429,6 +579,204 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    impl Cdg {
+        /// The walk [`Cdg::walk_grid`] replaced, kept as its oracle:
+        /// one [`GridRouter::walk`] per (source, destination) pair,
+        /// cut short where an earlier flow to the same destination
+        /// already left on the same channel.
+        fn walk_grid_per_pair(&mut self, topo: &Topology, router: &GridRouter, flows: &FlowSet) {
+            // Per channel: the last destination some walk took it toward.
+            let mut taken = vec![u32::MAX; self.succ.len()];
+            flows.for_each_by_destination(|src, dst| {
+                let mut prev = None;
+                for (at, hop) in router.walk(src, dst) {
+                    let channel = self.node(topo.out_link(at, hop.port), hop.vc);
+                    if let Some(prev) = prev {
+                        self.edge(prev, channel);
+                    }
+                    if std::mem::replace(&mut taken[channel as usize], dst.raw()) == dst.raw() {
+                        break;
+                    }
+                    prev = Some(channel);
+                }
+            });
+        }
+    }
+
+    /// Routes `flows` over `topo` dimension-ordered and asserts that
+    /// the block walk and the per-pair oracle build the same graph and
+    /// reach the same verdict, which is returned.
+    fn same_graph(topo: &Topology, flows: &FlowSet, policy: VcPolicy) -> Result<(), DeadlockCycle> {
+        let algo = if topo.has_wrap_links() {
+            RouteAlgorithm::TorusXy
+        } else {
+            RouteAlgorithm::Xy
+        };
+        let tables = RoutingTables::compute_with(topo, flows, algo, policy).unwrap();
+        let (router, specs) = tables.grid().expect("arithmetic routing");
+        let vcs = usize::from(tables.max_vc()) + 1;
+        let what = format!("{} {policy:?}, {} flows", topo.name(), flows.len());
+        let mut walked = Cdg::new(topo, vcs);
+        walked.walk_grid(topo, router, specs);
+        let mut oracle = Cdg::new(topo, vcs);
+        oracle.walk_grid_per_pair(topo, router, specs);
+        let sorted = |cdg: &Cdg| {
+            let mut succ = cdg.succ.clone();
+            succ.iter_mut().for_each(|s| s.sort_unstable());
+            succ
+        };
+        assert_eq!(sorted(&walked), sorted(&oracle), "{what}");
+        let verdict = walked.check();
+        assert_eq!(verdict, oracle.check(), "{what}");
+        assert_eq!(verdict, check_routing_deadlock_freedom(topo, &tables));
+        verdict
+    }
+
+    /// About one in `one_in` of all generator → receptor pairs (a
+    /// generator's own switch included), renumbered densely.
+    fn sparse_pairs(topo: &Topology, one_in: u64, seed: u64) -> FlowSet {
+        let mut rng = SplitMix64::new(seed);
+        let mut kept: Vec<FlowSpec> = FlowSpec::all_pairs(topo)
+            .into_iter()
+            .filter(|_| rng.next().is_multiple_of(one_in))
+            .collect();
+        for (i, spec) in kept.iter_mut().enumerate() {
+            spec.flow = FlowId::new(i as u32);
+        }
+        FlowSet::Listed(kept)
+    }
+
+    #[test]
+    fn the_block_walk_builds_the_graph_of_the_per_pair_walk() {
+        // 8x8 fills one block exactly, 5x13 spills one destination into
+        // a second, 12x12 takes three; the lines have one dimension of
+        // size 1, 2x2 never wraps.
+        let sizes = [
+            (1, 5),
+            (5, 1),
+            (2, 2),
+            (3, 3),
+            (4, 4),
+            (5, 5),
+            (6, 3),
+            (3, 7),
+            (8, 8),
+            (5, 13),
+            (9, 7),
+            (12, 12),
+        ];
+        for (w, h) in sizes {
+            for topo in [mesh(w, h).unwrap(), torus(w, h).unwrap()] {
+                let seed = u64::from(w << 8 | h);
+                let sets = [
+                    FlowSet::AllButSelf(AllButSelf::new(topo.generators(), topo.receptors())),
+                    sparse_pairs(&topo, 2, seed),
+                    sparse_pairs(&topo, 5, seed + 1),
+                    sparse_pairs(&topo, 17, seed + 2),
+                ];
+                for flows in &sets {
+                    for policy in [VcPolicy::SingleVc, VcPolicy::Dateline] {
+                        let verdict = same_graph(&topo, flows, policy);
+                        if !topo.has_wrap_links() || policy == VcPolicy::Dateline {
+                            verdict.unwrap_or_else(|cycle| panic!("{}: {cycle}", topo.name()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_vc_torus_is_still_rejected_with_the_same_cycle() {
+        // The wrap-around ring of row 0, ascending: the first cycle the
+        // DFS meets, link for link what the per-pair walk reported.
+        let topo = torus(5, 5).unwrap();
+        let flows = FlowSet::AllButSelf(AllButSelf::new(topo.generators(), topo.receptors()));
+        let cycle = same_graph(&topo, &flows, VcPolicy::SingleVc).unwrap_err();
+        let links: Vec<u32> = cycle.links.iter().map(|l| l.raw()).collect();
+        assert_eq!(links, PARENT_TORUS5X5_CYCLE, "{cycle}");
+        assert!(cycle.vcs.iter().all(|&vc| vc == VcId::ZERO));
+        assert_eq!(
+            same_graph(
+                &topo,
+                &FlowSpec::all_pairs(&topo).into(),
+                VcPolicy::SingleVc
+            ),
+            Err(cycle)
+        );
+    }
+
+    /// A 3x1 line whose middle switch has no receptor and whose first
+    /// has two: generators `g0 g1 g2` on switches 0 1 2, receptors
+    /// `r0 r1` on switch 0 and `r2` on switch 2.
+    fn two_receptors_on_one_switch() -> (Topology, Vec<EndpointId>, Vec<EndpointId>) {
+        let mut b = crate::graph::TopologyBuilder::new("line3-two-receptors");
+        let s = b.switches(3);
+        b.connect_bidir(s[0], s[1]).connect_bidir(s[1], s[2]);
+        let generators = s.iter().map(|&s| b.generator(s)).collect();
+        let receptors = vec![b.receptor(s[0]), b.receptor(s[0]), b.receptor(s[2])];
+        b.set_grid(crate::graph::GridInfo {
+            width: 3,
+            height: 1,
+        });
+        (b.build().unwrap(), generators, receptors)
+    }
+
+    #[test]
+    fn ejection_edges_are_per_destination() {
+        let (topo, generators, receptors) = two_receptors_on_one_switch();
+        let ejection = |r: usize| topo.endpoint(receptors[r]).link;
+        assert_ne!(ejection(0), ejection(1), "distinct ejection ports");
+        let all = FlowSet::AllButSelf(AllButSelf::new(generators.clone(), receptors.clone()));
+        same_graph(&topo, &all, VcPolicy::SingleVc).unwrap();
+        // g2 -> r0 and g2 -> r1 arrive at switch 0 on one channel and
+        // leave it on two.
+        let tables =
+            RoutingTables::compute_with(&topo, &all, RouteAlgorithm::Xy, VcPolicy::SingleVc)
+                .unwrap();
+        let (router, specs) = tables.grid().unwrap();
+        let mut cdg = Cdg::new(&topo, 1);
+        cdg.walk_grid(&topo, router, specs);
+        let into_switch_0 = cdg.node(
+            link_toward(&topo, SwitchId::new(1), SwitchId::new(0)),
+            VcId::ZERO,
+        );
+        let mut onward = cdg.succ[into_switch_0 as usize].clone();
+        onward.sort_unstable();
+        let mut want = vec![
+            cdg.node(ejection(0), VcId::ZERO),
+            cdg.node(ejection(1), VcId::ZERO),
+        ];
+        want.sort_unstable();
+        assert_eq!(onward, want);
+    }
+
+    #[test]
+    fn a_flow_to_the_receptor_on_its_own_switch_adds_no_edge() {
+        let (topo, generators, receptors) = two_receptors_on_one_switch();
+        let flow = |i: u32, src: usize, dst: usize| FlowSpec {
+            flow: FlowId::new(i),
+            src: generators[src],
+            dst: receptors[dst],
+        };
+        // g0 -> r1 and g2 -> r2 never leave their switch: alone they
+        // build the empty graph, and beside g1 -> r2 they add nothing
+        // to its one edge.
+        let local = FlowSet::Listed(vec![flow(0, 0, 1), flow(1, 2, 2)]);
+        same_graph(&topo, &local, VcPolicy::SingleVc).unwrap();
+        let mixed = FlowSet::Listed(vec![flow(0, 0, 1), flow(1, 1, 2), flow(2, 2, 2)]);
+        same_graph(&topo, &mixed, VcPolicy::SingleVc).unwrap();
+        for (flows, edges) in [(&local, 0), (&mixed, 1)] {
+            let tables =
+                RoutingTables::compute_with(&topo, flows, RouteAlgorithm::Xy, VcPolicy::SingleVc)
+                    .unwrap();
+            let (router, specs) = tables.grid().unwrap();
+            let mut cdg = Cdg::new(&topo, 1);
+            cdg.walk_grid(&topo, router, specs);
+            assert_eq!(cdg.succ.iter().map(Vec::len).sum::<usize>(), edges);
         }
     }
 

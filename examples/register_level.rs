@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let map = emu.address_map().clone();
     println!("-- device inventory --");
     for d in map.devices() {
-        println!("{}  {:8}  {}", d.addr, d.class.to_string(), d.label);
+        println!("{}  {:8}  {}", d.addr, d.class.to_string(), d.label());
     }
     let ctrl = ControlDriver::new(map.devices()[0].addr);
     let tg_drivers: Vec<TgDriver> = map
