@@ -164,6 +164,7 @@ impl PacketDescriptor {
     ///
     /// Panics if `len_flits == 0`; zero-length packets are rejected at
     /// configuration time.
+    #[inline]
     pub fn flits(&self) -> Flits {
         assert!(self.len_flits >= 1, "packet must contain at least one flit");
         Flits {
@@ -183,6 +184,7 @@ pub struct Flits {
 impl Iterator for Flits {
     type Item = Flit;
 
+    #[inline]
     fn next(&mut self) -> Option<Flit> {
         if self.next >= self.desc.len_flits {
             return None;
@@ -206,6 +208,7 @@ impl Iterator for Flits {
         })
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = (self.desc.len_flits - self.next) as usize;
         (left, Some(left))

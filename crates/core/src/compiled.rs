@@ -46,11 +46,14 @@
 //!   conditional subtraction and precomputed slot→port tables; the
 //!   interpreted engine's `%` by runtime FIFO depth and VC count is
 //!   one of its largest per-cycle costs.
-//! * **Event-deferred traffic models** — a generator whose
+//! * **Event-scheduled sources** — a generator whose
 //!   [`TrafficGenerator::next_event_cycle`] lies in the future is not
 //!   ticked; the skipped pure-countdown window is replayed exactly
 //!   with [`TrafficGenerator::skip_to`] right before its next real
-//!   tick. Idle network interfaces are skipped the same way.
+//!   tick, and a due-calendar (`crate::calendar`) hands each cycle the
+//!   generators due at it. An NI without a credit sleeps until a pop
+//!   returns one, booking the blocked cycles it slept through at the
+//!   wake (probes add those still owed).
 //! * **No allocation** — grants, requests and transfers live in
 //!   persistent scratch reused every cycle.
 //!
@@ -58,6 +61,7 @@
 //! fall back to dense scans with identical semantics — the mask path
 //! is an optimisation, never a constraint on topology.
 
+use crate::calendar::DueCalendar;
 use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
     lower, Elaboration, LoweredInFeed, LoweredOutDest, LoweredPlatform, OutSlotState,
@@ -104,7 +108,7 @@ impl LiveSet {
         self.0[i >> 6] &= !(1 << (i & 63));
     }
 
-    #[cfg(debug_assertions)]
+    #[inline]
     fn contains(&self, i: usize) -> bool {
         self.0[i >> 6] & (1 << (i & 63)) != 0
     }
@@ -149,16 +153,26 @@ pub(crate) struct CompiledKernel {
     /// Per TG: first cycle whose (deferred) tick has not been
     /// replayed yet.
     pub(crate) tg_synced: Vec<u64>,
-    /// `min(tg_next_event)`: below it, with nothing parked, the whole
-    /// TG phase is a no-op. Recomputed whenever the phase runs.
+    /// Every TG neither parked nor exhausted, filed under its
+    /// `tg_next_event`.
+    pub(crate) calendar: DueCalendar,
+    /// The earliest filed TG event: below it, with nothing parked, the
+    /// whole TG phase is a no-op. Recomputed whenever the phase runs.
     pub(crate) tg_min_next: u64,
     /// Occupied `pending` registers.
-    pub(crate) parked: usize,
+    pub(crate) tg_parked: LiveSet,
     /// TGs that report `is_exhausted()` (they never tick again).
     pub(crate) exhausted: usize,
-    /// NIs holding a queued or half-serialized packet; `tick_send` on
-    /// any other NI is a pure no-op and is skipped.
+    /// NIs holding a queued or half-serialized packet and awake;
+    /// `tick_send` on any other NI is a no-op and is skipped.
     pub(crate) ni_live: LiveSet,
+    /// NIs holding a packet but no credit, asleep until one returns:
+    /// they book the blocked cycles they slept through at the wake.
+    pub(crate) ni_blocked: LiveSet,
+    /// Per NI: the cycle it last fell asleep in `ni_blocked`.
+    pub(crate) ni_since: Vec<u64>,
+    /// The cycle being stepped — between steps, the last one stepped.
+    pub(crate) now: Cycle,
     /// Switches holding a flit (`occ_mask != 0`, or `occ_flits > 0` on
     /// the dense fallback); only these can decide anything.
     pub(crate) sw_live: LiveSet,
@@ -478,11 +492,16 @@ impl CompiledKernel {
             .iter()
             .map(|t| t.next_event_cycle(Cycle::ZERO).cycle_or_max())
             .collect();
+        let calendar = DueCalendar::new(&tg_next_event);
         CompiledKernel {
-            tg_min_next: tg_next_event.iter().copied().min().unwrap_or(u64::MAX),
-            parked: 0,
+            tg_min_next: calendar.earliest(0),
+            calendar,
+            tg_parked: LiveSet::new(tgs.len()),
             exhausted: tgs.iter().filter(|t| t.is_exhausted()).count(),
             ni_live: LiveSet::new(nis.len()),
+            ni_blocked: LiveSet::new(nis.len()),
+            ni_since: vec![0; nis.len()],
+            now: Cycle::ZERO,
             sw_live: LiveSet::new(low.switch_count),
             sw_decided: vec![0; low.switch_count.div_ceil(64)],
             ledger: PacketLedger::new(),
@@ -536,10 +555,15 @@ impl CompiledKernel {
     /// pop is what returns its credit.
     pub(crate) fn network_idle(&self) -> bool {
         self.total_occ == 0
-            && self.parked == 0
+            && self.tg_parked.is_empty()
             && self.open_worms == 0
             && self.credit_debt == 0
-            && self.ni_live.is_empty()
+            && self.nis_idle()
+    }
+
+    /// Whether no NI holds a packet, awake or asleep.
+    pub(crate) fn nis_idle(&self) -> bool {
+        self.ni_live.is_empty() && self.ni_blocked.is_empty()
     }
 
     /// Whether the whole platform is quiescent — the aggregate form of
@@ -625,22 +649,30 @@ impl CompiledKernel {
         (held, busy, debt)
     }
 
-    /// Debug builds check before every release that the source-side
-    /// live set and counters mirror the TGs and NIs they summarise.
+    /// Debug builds check before every release, the calendar caught up
+    /// with `now`, that the source-side live sets, calendar and counters
+    /// mirror the TGs and NIs they summarise.
     #[cfg(debug_assertions)]
-    fn assert_sources(&self) {
+    fn assert_sources(&self, now: Cycle) {
         for (i, ni) in self.nis.iter().enumerate() {
-            assert_eq!(self.ni_live.contains(i), !ni.is_idle(), "NI bit {i}");
+            let (awake, asleep) = (self.ni_live.contains(i), self.ni_blocked.contains(i));
+            let bits = u8::from(awake) + u8::from(asleep);
+            assert_eq!(bits, u8::from(!ni.is_idle()), "NI bits {i}");
+            assert!(!asleep || ni.credits() == 0, "NI {i} sleeps on a credit");
         }
-        assert_eq!(self.parked, self.pending.iter().flatten().count());
+        for (i, req) in self.pending.iter().enumerate() {
+            assert_eq!(self.tg_parked.contains(i), req.is_some(), "parked bit {i}");
+        }
         assert_eq!(
             self.exhausted,
             self.tgs.iter().filter(|t| t.is_exhausted()).count()
         );
-        assert_eq!(
-            self.tg_min_next,
-            self.tg_next_event.iter().copied().min().unwrap_or(u64::MAX)
-        );
+        let filed = |i: usize| {
+            let e = self.tg_next_event[i];
+            (e != u64::MAX && self.pending[i].is_none()).then_some(e)
+        };
+        self.calendar.assert_files(now.raw(), self.tgs.len(), filed);
+        assert_eq!(self.tg_min_next, self.calendar.earliest(now.raw()));
     }
 
     /// Replays TG `i`'s deferred pure-countdown window `[synced, now)`
@@ -681,25 +713,35 @@ impl CompiledKernel {
     /// `on_release(engine, generator, id, len_flits)` books each one.
     /// While the clock is below the earliest TG event and no request is
     /// parked every tick would be a pure countdown, so the phase is
-    /// skipped whole; otherwise all TGs are visited in index order (the
-    /// order packet ids are assigned in), which also refreshes the
-    /// watermark. Ids count up from `next_packet`.
+    /// skipped whole; otherwise the due and the parked TGs are visited in
+    /// index order (the order packet ids are assigned in). Ids count up
+    /// from `next_packet`.
     pub(crate) fn release_phase(
         &mut self,
         now: Cycle,
         mut on_release: impl FnMut(&mut Self, usize, PacketId, u16) -> Result<(), EmulationError>,
     ) -> Result<(), EmulationError> {
+        self.now = now;
+        self.calendar.advance(now.raw());
         #[cfg(debug_assertions)]
-        self.assert_sources();
-        if self.parked == 0 && now.raw() < self.tg_min_next {
+        self.assert_sources(now);
+        if now.raw() < self.tg_min_next && self.tg_parked.is_empty() {
             if let Some(p) = self.profiler.as_mut() {
                 p.work.tg_phases_skipped += 1;
             }
             return Ok(());
         }
-        let mut min_next = u64::MAX;
-        for i in 0..self.tgs.len() {
-            if let Some(req) = self.poll_tg(i, now) {
+        for w in 0..self.calendar.words() {
+            let mut m = self.calendar.take_due(now.raw(), w) | self.tg_parked.0[w];
+            if let Some(p) = self.profiler.as_mut() {
+                p.work.tg_polls += ones(m);
+            }
+            while m != 0 {
+                let i = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let Some(req) = self.poll_tg(i, now) else {
+                    continue;
+                };
                 let id = PacketId::new(self.next_packet);
                 self.next_packet += 1;
                 let desc = PacketDescriptor {
@@ -712,23 +754,24 @@ impl CompiledKernel {
                 };
                 let accepted = self.nis[i].offer(desc);
                 debug_assert!(accepted, "capacity was checked before the offer");
-                self.ni_live.insert(i);
+                // A new packet does not bring a sleeping NI its credit.
+                if !self.ni_blocked.contains(i) {
+                    self.ni_live.insert(i);
+                }
                 on_release(self, i, id, req.len_flits)?;
             }
-            min_next = min_next.min(self.tg_next_event[i]);
         }
-        self.tg_min_next = min_next;
+        self.tg_min_next = self.calendar.earliest(now.raw() + 1);
         Ok(())
     }
 
-    /// TG `i`'s request for its NI at `now`, if the NI can take one. A
-    /// parked request retries first, exactly like the interpreted
-    /// engine (the model is clock-gated while its output register is
-    /// occupied). A TG whose next event lies in the future is not
-    /// ticked: those ticks are pure countdowns, replayed in one
-    /// `skip_to` jump right before the next real tick. Runs once per TG
-    /// per cycle on the dense path, where an actual call shows up in
-    /// the tg-tick phase — hence `inline(always)`.
+    /// TG `i`'s request for its NI at `now`, if the NI can take one; `i`
+    /// is parked or due now. A parked request retries first, exactly
+    /// like the interpreted engine (the model is clock-gated while its
+    /// output register is occupied). A due TG is replayed over the
+    /// pure-countdown ticks it sat out, in one `skip_to` jump, and
+    /// ticked. Either way a TG that leaves this call unparked is filed
+    /// under its next event.
     #[inline(always)]
     fn poll_tg(&mut self, i: usize, now: Cycle) -> Option<PacketRequest> {
         if self.pending[i].is_some() {
@@ -736,13 +779,12 @@ impl CompiledKernel {
                 self.stalled += 1;
                 return None;
             }
-            self.parked -= 1;
+            self.tg_parked.remove(i);
             self.reanchor_tg(i, now);
+            self.calendar.file(i, self.tg_next_event[i], now.raw());
             return self.pending[i].take();
         }
-        if now.raw() < self.tg_next_event[i] {
-            return None;
-        }
+        debug_assert_eq!(self.tg_next_event[i], now.raw(), "TG {i} is due");
         self.sync_tg(i, now);
         let released = self.tgs[i].tick(now);
         self.reanchor_tg(i, now);
@@ -752,14 +794,14 @@ impl CompiledKernel {
         if let Some(p) = self.profiler.as_mut() {
             p.work.tg_ticks += 1;
         }
-        let req = released?;
-        if !self.nis[i].can_accept() {
-            self.parked += 1;
-            self.pending[i] = Some(req);
+        if released.is_some() && !self.nis[i].can_accept() {
+            self.tg_parked.insert(i);
+            self.pending[i] = released;
             self.stalled += 1;
             return None;
         }
-        Some(req)
+        self.calendar.file(i, self.tg_next_event[i], now.raw());
+        released
     }
 
     /// Phase 2 — every switch live at the start of the cycle decides.
@@ -791,7 +833,8 @@ impl CompiledKernel {
 
     /// Phase 3 — live network interfaces inject (visible to decide
     /// next cycle); `on_inject(engine, packet)` books each head flit.
-    /// An NI leaves the set with its last flit.
+    /// An NI leaves the set with its last flit, or sleeps until a pop
+    /// returns the credit it found missing.
     pub(crate) fn inject_phase(
         &mut self,
         mut on_inject: impl FnMut(&mut Self, PacketId) -> Result<(), EmulationError>,
@@ -806,6 +849,12 @@ impl CompiledKernel {
                 let i = w * 64 + m.trailing_zeros() as usize;
                 m &= m - 1;
                 let Some(flit) = self.nis[i].tick_send() else {
+                    self.ni_live.remove(i);
+                    self.ni_blocked.insert(i);
+                    self.ni_since[i] = self.now.raw();
+                    if let Some(p) = self.profiler.as_mut() {
+                        p.work.ni_sleeps += 1;
+                    }
                     continue;
                 };
                 if flit.kind.is_tail() && self.nis[i].is_idle() {
@@ -1336,7 +1385,15 @@ impl CompiledKernel {
                 }
             }
             LoweredInFeed::Generator { index } => {
-                self.nis[index as usize].credit_return();
+                let ni = index as usize;
+                self.nis[ni].credit_return();
+                if self.ni_blocked.contains(ni) {
+                    // Every inject phase it slept through, this cycle's
+                    // included, would have counted a blocked cycle.
+                    self.ni_blocked.remove(ni);
+                    self.ni_live.insert(ni);
+                    self.nis[ni].book_blocked(now.raw() - self.ni_since[ni]);
+                }
             }
         }
         match self.low.out_dest[b.opb + o] {
@@ -1567,14 +1624,15 @@ impl CompiledKernel {
     /// exhausted TG never ticks again, so the count only grows).
     pub(crate) fn drained(&self) -> bool {
         self.exhausted == self.tgs.len()
-            && self.parked == 0
-            && self.ni_live.is_empty()
+            && self.tg_parked.is_empty()
+            && self.nis_idle()
             && self.ledger.in_flight() == 0
     }
 
     /// Snapshot of the cumulative per-link counters plus live per-VC
     /// occupancy — value-equal to the interpreted platform's probe
-    /// (source-side accounting) over the flat counter arrays.
+    /// (source-side accounting) over the flat counter arrays, through
+    /// the last cycle stepped.
     pub(crate) fn cumulative_probe(&self) -> CumulativeProbe {
         let vcs = self.low.num_vcs;
         let mut p = CumulativeProbe::new(self.config.topology.link_count(), vcs);
@@ -1599,7 +1657,10 @@ impl CompiledKernel {
         }
         for (i, ni) in self.nis.iter().enumerate() {
             let c = ni.counters();
-            p.add_link(self.injection_links[i], c.blocked_cycles, c.injected_flits);
+            // An NI asleep has yet to book its blocked cycles since.
+            let asleep = u64::from(self.ni_blocked.contains(i));
+            let blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
+            p.add_link(self.injection_links[i], blocked, c.injected_flits);
         }
         p
     }

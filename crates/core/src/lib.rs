@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod calendar;
 pub mod clock;
 pub mod compile;
 pub mod compiled;

@@ -195,12 +195,16 @@ pub struct WorkCounters {
     pub switches_decided: u64,
     /// Live-set words decide looked at to find them.
     pub switches_scanned: u64,
+    /// Traffic generators the TG phase visited: due now, or parked.
+    pub tg_polls: u64,
     /// Traffic-generator `tick` calls actually made.
     pub tg_ticks: u64,
     /// Stepped cycles whose whole TG phase the watermark skipped.
     pub tg_phases_skipped: u64,
     /// Network-interface `tick_send` calls.
     pub ni_ticks: u64,
+    /// Network interfaces put to sleep for want of a credit.
+    pub ni_sleeps: u64,
     /// Clock-gated jumps taken.
     pub fast_forwards: u64,
     /// Buffered cycles the sharded coordinator discarded because a
@@ -212,13 +216,15 @@ pub struct WorkCounters {
 
 impl WorkCounters {
     /// `(name, value)` per counter, in declaration order.
-    fn named(&self) -> [(&'static str, u64); 7] {
+    fn named(&self) -> [(&'static str, u64); 9] {
         [
             ("switches_decided", self.switches_decided),
             ("switches_scanned", self.switches_scanned),
+            ("tg_polls", self.tg_polls),
             ("tg_ticks", self.tg_ticks),
             ("tg_phases_skipped", self.tg_phases_skipped),
             ("ni_ticks", self.ni_ticks),
+            ("ni_sleeps", self.ni_sleeps),
             ("fast_forwards", self.fast_forwards),
             ("speculative_rows", self.speculative_rows),
         ]
@@ -229,9 +235,11 @@ impl std::ops::AddAssign for WorkCounters {
     fn add_assign(&mut self, o: WorkCounters) {
         self.switches_decided += o.switches_decided;
         self.switches_scanned += o.switches_scanned;
+        self.tg_polls += o.tg_polls;
         self.tg_ticks += o.tg_ticks;
         self.tg_phases_skipped += o.tg_phases_skipped;
         self.ni_ticks += o.ni_ticks;
+        self.ni_sleeps += o.ni_sleeps;
         self.fast_forwards += o.fast_forwards;
         self.speculative_rows += o.speculative_rows;
     }

@@ -644,8 +644,8 @@ impl Worker {
             quiescent: self.eng.network_idle(),
             next_event: self.eng.tg_min_next,
             exhausted: self.eng.exhausted == self.eng.tgs.len(),
-            pending_none: self.eng.parked == 0,
-            nis_idle: self.eng.ni_live.is_empty(),
+            pending_none: self.eng.tg_parked.is_empty(),
+            nis_idle: self.eng.nis_idle(),
         }
     }
 

@@ -29,6 +29,10 @@
 pub struct Histogram {
     bins: Vec<u64>,
     width: u64,
+    /// `log2(width)` when `width` is a power of two: then a sample's bin
+    /// is a shift away instead of a division (a function of `width`,
+    /// so it never makes two histograms differ).
+    shift: Option<u32>,
     overflow: u64,
     count: u64,
     sum: u64,
@@ -48,6 +52,7 @@ impl Histogram {
         Histogram {
             bins: vec![0; bins],
             width,
+            shift: width.is_power_of_two().then(|| width.trailing_zeros()),
             overflow: 0,
             count: 0,
             sum: 0,
@@ -57,8 +62,12 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
-        let idx = (value / self.width) as usize;
+        let idx = match self.shift {
+            Some(s) => value >> s,
+            None => value / self.width,
+        } as usize;
         if idx < self.bins.len() {
             self.bins[idx] += 1;
         } else {
@@ -268,6 +277,7 @@ impl Log2Histogram {
 
     /// Records one sample (values beyond the last bin saturate into
     /// it).
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let idx = if value < 2 {
             0
@@ -307,6 +317,42 @@ impl Log2Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Power-of-two widths bin by shifting, every other width by
+        /// dividing: either way the bins, overflow, count, sum, min and
+        /// max are those of a division-form reference.
+        #[test]
+        fn shifted_bins_match_the_division_form(
+            bins in 1usize..40,
+            any_width in 1u64..300,
+            exp in 0u32..20,
+            pow2 in any::<bool>(),
+            small in proptest::collection::vec(0u64..5_000, 0..150),
+            large in proptest::collection::vec(0u64..1 << 40, 0..20),
+        ) {
+            let width = if pow2 { 1 << exp } else { any_width };
+            let mut h = Histogram::new(bins, width);
+            let (mut want, mut overflow) = (vec![0u64; bins], 0u64);
+            let values: Vec<u64> = small.into_iter().chain(large).collect();
+            for &v in &values {
+                h.record(v);
+                match want.get_mut((v / width) as usize) {
+                    Some(b) => *b += 1,
+                    None => overflow += 1,
+                }
+            }
+            let got: Vec<u64> = (0..bins).map(|i| h.bin_count(i)).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(h.overflow(), overflow);
+            prop_assert_eq!(h.count(), values.len() as u64);
+            let sum: u64 = values.iter().sum();
+            prop_assert_eq!(h.mean(), (!values.is_empty()).then(|| sum as f64 / values.len() as f64));
+            prop_assert_eq!(h.min(), values.iter().copied().min());
+            prop_assert_eq!(h.max(), values.iter().copied().max());
+        }
+    }
 
     #[test]
     fn ascii_rendering_shows_bins_and_overflow() {

@@ -54,6 +54,7 @@ impl LatencyAnalyzer {
     }
 
     /// Records one latency sample in cycles.
+    #[inline]
     pub fn record(&mut self, latency: u64) {
         self.count += 1;
         self.sum += latency;

@@ -39,6 +39,7 @@ impl Entry {
 }
 
 /// A recorded timestamp as the API shows it.
+#[inline]
 fn happened(at: u64) -> Option<Cycle> {
     (at != NEVER).then_some(Cycle::new(at))
 }
@@ -147,6 +148,7 @@ impl PacketLedger {
     }
 
     /// The entry of a released packet.
+    #[inline]
     fn released_entry(&mut self, id: PacketId) -> Result<&mut Entry, LedgerError> {
         self.entries
             .get_mut(id.index())
@@ -160,6 +162,7 @@ impl PacketLedger {
     ///
     /// Returns [`LedgerError::DuplicateRelease`] if the id was already
     /// registered.
+    #[inline]
     pub fn release(&mut self, id: PacketId, at: Cycle, len_flits: u16) -> Result<(), LedgerError> {
         debug_assert_ne!(at.raw(), NEVER, "cycle u64::MAX is the vacant marker");
         let idx = id.index();
@@ -184,6 +187,7 @@ impl PacketLedger {
     /// # Errors
     ///
     /// Returns [`LedgerError`] for unknown or doubly injected packets.
+    #[inline]
     pub fn inject(&mut self, id: PacketId, at: Cycle) -> Result<(), LedgerError> {
         let entry = self.released_entry(id)?;
         if entry.inject != NEVER {
@@ -201,6 +205,7 @@ impl PacketLedger {
     ///
     /// Returns [`LedgerError`] for unknown packets, double deliveries,
     /// deliveries without injection, or length mismatches.
+    #[inline]
     pub fn deliver(
         &mut self,
         id: PacketId,

@@ -133,6 +133,7 @@ impl Reassembler {
     /// Returns [`ReceiveError`] when the flit violates wormhole
     /// ordering or integrity; the reassembler state is unchanged on
     /// error so the caller can report and abort deterministically.
+    #[inline]
     pub fn accept(
         &mut self,
         flit: &Flit,
@@ -261,6 +262,7 @@ impl StochasticReceptor {
     /// Propagates [`ReceiveError`] from the [`Reassembler`], plus
     /// [`ReceiveError::Misrouted`] when the flit was not addressed to
     /// this receptor.
+    #[inline]
     pub fn accept(
         &mut self,
         flit: &Flit,
@@ -338,6 +340,7 @@ impl TraceReceptor {
     /// # Errors
     ///
     /// Same contract as [`StochasticReceptor::accept`].
+    #[inline]
     pub fn accept(
         &mut self,
         flit: &Flit,
@@ -360,6 +363,7 @@ impl TraceReceptor {
     }
 
     /// Records the latencies of a completed packet (engine-supplied).
+    #[inline]
     pub fn record_latency(&mut self, network: u64, total: u64) {
         self.network_latency.record(network);
         self.total_latency.record(total);

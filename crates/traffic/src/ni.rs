@@ -80,6 +80,7 @@ impl SourceNi {
     /// model is clock-gated (not ticked) and the pending request is
     /// retried next cycle, exactly like a hardware packet generator
     /// waiting on a ready signal. No packet is ever dropped that way.
+    #[inline]
     pub fn can_accept(&self) -> bool {
         self.queue.len() < self.queue_capacity
     }
@@ -87,6 +88,7 @@ impl SourceNi {
     /// Offers a packet descriptor from the traffic model. Returns
     /// `false` (and counts a rejection) when the source queue is full —
     /// the offered-vs-accepted gap the saturation experiments measure.
+    #[inline]
     pub fn offer(&mut self, desc: PacketDescriptor) -> bool {
         self.counters.offered_packets += 1;
         if self.queue.len() >= self.queue_capacity {
@@ -101,6 +103,7 @@ impl SourceNi {
     /// Emits at most one flit this cycle (to be pushed into the
     /// attached switch input by the engine). Returns `None` when
     /// nothing is pending or no credit is available.
+    #[inline]
     pub fn tick_send(&mut self) -> Option<Flit> {
         if self.current.is_none() {
             let desc = self.queue.pop_front()?;
@@ -131,12 +134,23 @@ impl SourceNi {
     ///
     /// Panics in debug builds if credits would exceed the downstream
     /// capacity.
+    #[inline]
     pub fn credit_return(&mut self) {
         self.credits += 1;
         debug_assert!(self.credits <= self.credit_cap, "credit overflow at NI");
     }
 
+    /// Counts `cycles` blocked cycles at once: what as many
+    /// [`SourceNi::tick_send`] calls without a credit would have
+    /// counted. Engines that stop ticking a credit-blocked NI until its
+    /// credit returns book the cycles it slept through this way.
+    #[inline]
+    pub fn book_blocked(&mut self, cycles: u64) {
+        self.counters.blocked_cycles += cycles;
+    }
+
     /// Whether the NI holds no queued or half-serialized packets.
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.current.is_none()
     }
@@ -216,6 +230,22 @@ mod tests {
         assert_eq!(ni.counters().blocked_cycles, 1);
         ni.credit_return();
         assert_eq!(ni.tick_send().unwrap().kind, FlitKind::Tail);
+    }
+
+    #[test]
+    fn booked_blocked_cycles_equal_blocked_ticks() {
+        let (mut ticked, mut slept) = (SourceNi::new(4, 1), SourceNi::new(4, 1));
+        for ni in [&mut ticked, &mut slept] {
+            ni.offer(desc(1, 2));
+            assert!(ni.tick_send().is_some());
+            assert!(ni.tick_send().is_none(), "no credit");
+        }
+        for _ in 0..5 {
+            assert!(ticked.tick_send().is_none());
+        }
+        slept.book_blocked(5);
+        assert_eq!(slept.counters(), ticked.counters());
+        assert_eq!(slept.counters().blocked_cycles, 6);
     }
 
     #[test]

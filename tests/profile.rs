@@ -224,6 +224,42 @@ fn work_counters_account_for_the_live_set_paths() {
     assert_eq!(sharded_work.fast_forwards, work.fast_forwards);
 }
 
+/// The TG phase visits the generators due now (and the parked ones)
+/// instead of all of them: on a low-load mesh12x12 nothing ever parks,
+/// so every generator it polls is one that ticks — where a scan would
+/// poll all 144 on every cycle the phase runs — and no NI ever runs
+/// out of credit, so none sleeps.
+#[test]
+fn tg_phase_polls_only_due_generators() {
+    let mut cfg = uniform(
+        TopologySpec::Mesh {
+            width: 12,
+            height: 12,
+        },
+        0.001,
+        1_000,
+    );
+    cfg.stop.delivered_packets = Some(600);
+    cfg.clock_mode = nocem::ClockMode::Gated;
+    cfg.profile = Some(ProfileConfig::default().without_spans());
+    let mut compiled = CompiledEngine::new(elaborate(&cfg).unwrap());
+    compiled.run().unwrap();
+    assert_eq!(compiled.results().stalled_cycles, 0, "nothing parks");
+    let report = SteppableEngine::profile(&mut compiled).unwrap();
+    let work = report.work;
+    assert!(work.tg_ticks >= 600, "{} ticks", work.tg_ticks);
+    assert_eq!(work.tg_polls, work.tg_ticks, "every poll is a real tick");
+    let phases_run = report.stepped_cycles - work.tg_phases_skipped;
+    assert!(
+        work.tg_polls < 144 * phases_run / 8,
+        "{} polls over {phases_run} TG phases",
+        work.tg_polls
+    );
+    assert_eq!(work.ni_sleeps, 0);
+    assert!(report.to_json().contains("\"tg_polls\":"));
+    assert!(report.render().contains("ni_sleeps=0"));
+}
+
 /// The sharded engine's span buffers merge into one Chrome-trace
 /// timeline: valid JSON, spans monotonically ordered by start time,
 /// with both worker tracks and the coordinator present.
