@@ -222,6 +222,15 @@ mod tests {
     }
 
     #[test]
+    fn due_buckets_and_earliest_match_a_brute_force_scan_on_generated_streams() {
+        // Up to four bitset words of generators, one partial.
+        for seed in 0..16 {
+            let generators = 1 + (SplitMix64::new(seed).next() % 256) as usize;
+            replay(generators, 1_000 + seed, seed % 2 == 1);
+        }
+    }
+
+    #[test]
     fn events_at_the_wheel_edge_land_on_the_right_side() {
         let mut cal = DueCalendar::new(&[63, 64, 65, u64::MAX]);
         assert_eq!(cal.earliest(0), 63);

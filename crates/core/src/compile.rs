@@ -165,7 +165,8 @@ impl std::fmt::Debug for Elaboration {
 }
 
 /// Validates the cheap structural invariants of a configuration:
-/// traffic model / endpoint counts, queue capacities, and that every
+/// traffic model / endpoint counts, queue capacities, buffer depth and
+/// telemetry window (both panic further down at 0), and that every
 /// `(destination, flow)` pair a generator can emit is a registered
 /// flow from that generator to that destination — switches route a
 /// packet by its flow (tables) *or* its destination (grid router), so
@@ -202,6 +203,18 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
     if config.source_queue_capacity == 0 {
         return Err(CompileError::TrafficMismatch {
             reason: "source queue capacity must be at least 1".into(),
+        });
+    }
+    if config.switch.fifo_depth == 0 {
+        return Err(CompileError::InvalidField {
+            field: "switch.fifo_depth",
+            reason: "a buffer holds at least one flit",
+        });
+    }
+    if config.telemetry.as_ref().is_some_and(|t| t.window == 0) {
+        return Err(CompileError::InvalidField {
+            field: "telemetry.window",
+            reason: "a window is at least one cycle",
         });
     }
     for (&src, model) in generators.iter().zip(&config.generators) {

@@ -48,6 +48,15 @@ pub enum CompileError {
         /// The predicted worst link load (flits/cycle).
         worst_load: f64,
     },
+    /// A configuration field holds a value no platform can be built
+    /// with.
+    InvalidField {
+        /// The field, as a path into `PlatformConfig`
+        /// (`switch.fifo_depth`).
+        field: &'static str,
+        /// What a valid value is.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -72,6 +81,9 @@ impl std::fmt::Display for CompileError {
                 f,
                 "configured traffic overloads a link ({worst_load:.2} flits/cycle offered)"
             ),
+            CompileError::InvalidField { field, reason } => {
+                write!(f, "invalid `{field}`: {reason}")
+            }
         }
     }
 }

@@ -218,6 +218,20 @@ impl Kernel {
         self.signals[sig.index()]
     }
 
+    /// Drives `sig` low between cycles if it is high and reports whether
+    /// it was — for a value whose reader is served outside the clocked
+    /// processes. The change is recorded like any other; `sig` must
+    /// have no sensitive process.
+    pub fn take_high(&mut self, sig: SignalId) -> bool {
+        let high = self.value(sig).is_high();
+        if high {
+            self.nba.push((sig, Value::Low));
+            let woken = self.apply_nba();
+            debug_assert!(woken.is_empty(), "a taken signal wakes no process");
+        }
+        high
+    }
+
     /// Current simulated time in cycles.
     pub fn time(&self) -> u64 {
         self.time

@@ -40,10 +40,21 @@ pub struct RtlEngine {
     /// excluded: their flits were delivered by the receptor monitor
     /// at drive time and never occupy a buffer.
     inflight_wires: Vec<SignalId>,
+    /// Every credit wire with the component its credit returns to.
+    credit_homes: Vec<(SignalId, CreditHome)>,
     /// Per-phase self-profiler, enabled by `PlatformConfig.profile`.
     /// The kernel cycle is opaque (processes interleave the platform
     /// phases), so it is charged to [`Phase::Processes`].
     profiler: Option<PhaseProfiler>,
+}
+
+/// Where a credit wire's credit goes home.
+#[derive(Clone, Copy)]
+enum CreditHome {
+    /// The network interface of this generator.
+    Ni(usize),
+    /// This output VC of this switch.
+    Switch(usize, PortId, VcId),
 }
 
 impl std::fmt::Debug for RtlEngine {
@@ -93,12 +104,14 @@ impl RtlEngine {
             .map(|(_, &w)| w)
             .collect();
 
+        let mut credit_homes = Vec::new();
         // Network-interface processes, in generator order (packet ids
         // must match the fast engine).
         for (i, &(_, _, link)) in wiring.injection.iter().enumerate() {
             let out_wire = flit_wires[link.index()];
             // NIs inject on VC 0 only, so they watch that VC's credit.
             let credit_wire = credit_wires[link.index()][0];
+            credit_homes.push((credit_wire, CreditHome::Ni(i)));
             let sh = Rc::clone(&shared);
             kernel.clocked_process(move |ctx: &mut ProcessCtx<'_>| {
                 let now = Cycle::new(ctx.time());
@@ -131,6 +144,12 @@ impl RtlEngine {
             let out_wires: Vec<SignalId> = out_links.iter().map(|&l| flit_wires[l]).collect();
             let out_credit_wires: Vec<Vec<SignalId>> =
                 out_links.iter().map(|&l| credit_wires[l].clone()).collect();
+            for (o, per_vc) in out_credit_wires.iter().enumerate() {
+                for (v, &w) in per_vc.iter().enumerate() {
+                    let home = CreditHome::Switch(s, PortId::new(o as u8), VcId::new(v as u8));
+                    credit_homes.push((w, home));
+                }
+            }
             let sh = Rc::clone(&shared);
             kernel.clocked_process(move |ctx: &mut ProcessCtx<'_>| {
                 let sh = &mut *sh.borrow_mut();
@@ -203,6 +222,7 @@ impl RtlEngine {
             kernel,
             shared,
             inflight_wires,
+            credit_homes,
             profiler,
         }
     }
@@ -249,13 +269,26 @@ impl CycleKernel for RtlEngine {
     }
 
     /// Jumps the kernel's time along with the platform's generators
-    /// without activating a single process. Component quiescence
-    /// implies every wire already carries its idle value (a flit on a
-    /// wire is an undelivered packet; a high credit wire is a credit
-    /// not yet home), so no event would have been dispatched in the
-    /// skipped window anyway.
+    /// without activating a single process. A high credit wire carries
+    /// a credit returned last cycle — the fast engine holds it home
+    /// already, and the processes would sample it before anything else
+    /// this cycle — so it is taken home first (and the wire driven
+    /// low): quiescence then holds on the cycle it holds in the fast
+    /// engine, and both jump the same windows. Component quiescence
+    /// implies every other wire carries its idle value (a flit on a
+    /// wire is an undelivered packet), so no event would have been
+    /// dispatched in the skipped window anyway.
     fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
-        let skipped = self.shared.borrow_mut().idle_jump(now, horizon);
+        let platform = &mut *self.shared.borrow_mut();
+        for &(wire, home) in &self.credit_homes {
+            if self.kernel.take_high(wire) {
+                match home {
+                    CreditHome::Ni(i) => platform.elab.nis[i].credit_return(),
+                    CreditHome::Switch(s, o, v) => platform.elab.switches[s].credit_return(o, v),
+                }
+            }
+        }
+        let skipped = platform.idle_jump(now, horizon);
         self.kernel.advance_time(skipped);
         skipped
     }

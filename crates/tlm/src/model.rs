@@ -33,10 +33,21 @@ pub struct TlmEngine {
     /// flits were delivered in the update phase of the cycle that
     /// wrote them and never occupy a buffer.
     inflight_chans: Vec<FlitChanId>,
+    /// Every credit channel with the component its credit returns to.
+    credit_homes: Vec<(BitChanId, CreditHome)>,
     /// Per-phase self-profiler, enabled by `PlatformConfig.profile`.
     /// The scheduler cycle is opaque (processes interleave the
     /// platform phases), so it is charged to [`Phase::Processes`].
     profiler: Option<PhaseProfiler>,
+}
+
+/// Where a credit channel's credit goes home.
+#[derive(Clone, Copy)]
+enum CreditHome {
+    /// The network interface of this generator.
+    Ni(usize),
+    /// This output VC of this switch.
+    Switch(usize, PortId, VcId),
 }
 
 impl std::fmt::Debug for TlmEngine {
@@ -80,6 +91,7 @@ impl TlmEngine {
             .map(|(_, &c)| c)
             .collect();
 
+        let mut credit_homes = Vec::new();
         // NI processes first (packet-id order must match the fast
         // engine), then switches — identical ordering to the RTL
         // model.
@@ -87,6 +99,7 @@ impl TlmEngine {
             let out = flit_chans[link.index()];
             // NIs inject on VC 0 only, so they watch that VC's credit.
             let credit = credit_chans[link.index()][0];
+            credit_homes.push((credit, CreditHome::Ni(i)));
             let sh = Rc::clone(&shared);
             scheduler.process(move |now: Cycle, ch: &mut ChannelCtx| {
                 let sh = &mut *sh.borrow_mut();
@@ -117,6 +130,12 @@ impl TlmEngine {
             let out_chans: Vec<FlitChanId> = out_links.iter().map(|&l| flit_chans[l]).collect();
             let out_credit: Vec<Vec<BitChanId>> =
                 out_links.iter().map(|&l| credit_chans[l].clone()).collect();
+            for (o, per_vc) in out_credit.iter().enumerate() {
+                for (v, &c) in per_vc.iter().enumerate() {
+                    let home = CreditHome::Switch(s, PortId::new(o as u8), VcId::new(v as u8));
+                    credit_homes.push((c, home));
+                }
+            }
             let sh = Rc::clone(&shared);
             scheduler.process(move |_now: Cycle, ch: &mut ChannelCtx| {
                 let sh = &mut *sh.borrow_mut();
@@ -179,6 +198,7 @@ impl TlmEngine {
             scheduler,
             shared,
             inflight_chans,
+            credit_homes,
             profiler,
         }
     }
@@ -214,13 +234,26 @@ impl CycleKernel for TlmEngine {
     }
 
     /// Jumps the scheduler's time along with the platform's generators
-    /// without activating a single process. Component quiescence
-    /// implies every channel already sits at its idle value (a flit in
-    /// a channel is an undelivered packet; a credit in a channel is a
-    /// credit not yet home), so the skipped cycles would have been pure
-    /// no-ops.
+    /// without activating a single process. A credit still on its
+    /// channel was returned last cycle — the fast engine holds it home
+    /// already, and the processes would take it home before anything
+    /// else this cycle — so it is taken home first (and off the
+    /// channel): quiescence then holds on the cycle it holds in the fast
+    /// engine, and both jump the same windows. Component quiescence
+    /// implies every other channel sits at its idle value (a flit in a
+    /// channel is an undelivered packet), so the skipped cycles would
+    /// have been pure no-ops.
     fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
-        let skipped = self.shared.borrow_mut().idle_jump(now, horizon);
+        let platform = &mut *self.shared.borrow_mut();
+        for &(chan, home) in &self.credit_homes {
+            if self.scheduler.take_bit(chan) {
+                match home {
+                    CreditHome::Ni(i) => platform.elab.nis[i].credit_return(),
+                    CreditHome::Switch(s, o, v) => platform.elab.switches[s].credit_return(o, v),
+                }
+            }
+        }
+        let skipped = platform.idle_jump(now, horizon);
         self.scheduler.advance_time(skipped);
         skipped
     }

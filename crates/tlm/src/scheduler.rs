@@ -159,6 +159,15 @@ impl Scheduler {
         self.ctx.bit_cur[c.0 as usize]
     }
 
+    /// Takes a bit channel's value between cycles, leaving it low as if
+    /// its writer had written low — for a value whose reader is served
+    /// outside the processes.
+    pub fn take_bit(&mut self, c: BitChanId) -> bool {
+        let i = c.0 as usize;
+        self.ctx.bit_next[i] = false;
+        std::mem::take(&mut self.ctx.bit_cur[i])
+    }
+
     /// Simulated time in cycles.
     pub fn time(&self) -> u64 {
         self.time

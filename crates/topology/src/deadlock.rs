@@ -669,20 +669,46 @@ mod tests {
             (12, 12),
         ];
         for (w, h) in sizes {
-            for topo in [mesh(w, h).unwrap(), torus(w, h).unwrap()] {
-                let seed = u64::from(w << 8 | h);
-                let sets = [
+            let seed = u64::from(w << 8 | h);
+            same_graphs_on_both_grids(w, h, |topo| {
+                vec![
                     FlowSet::AllButSelf(AllButSelf::new(topo.generators(), topo.receptors())),
-                    sparse_pairs(&topo, 2, seed),
-                    sparse_pairs(&topo, 5, seed + 1),
-                    sparse_pairs(&topo, 17, seed + 2),
-                ];
-                for flows in &sets {
-                    for policy in [VcPolicy::SingleVc, VcPolicy::Dateline] {
-                        let verdict = same_graph(&topo, flows, policy);
-                        if !topo.has_wrap_links() || policy == VcPolicy::Dateline {
-                            verdict.unwrap_or_else(|cycle| panic!("{}: {cycle}", topo.name()));
-                        }
+                    sparse_pairs(topo, 2, seed),
+                    sparse_pairs(topo, 5, seed + 1),
+                    sparse_pairs(topo, 17, seed + 2),
+                ]
+            });
+        }
+    }
+
+    #[test]
+    fn the_block_walk_builds_the_graph_of_the_per_pair_walk_on_generated_grids() {
+        // Up to 81 destinations: one block or two, either side of 64.
+        for seed in 0..24 {
+            let mut rng = SplitMix64::new(seed);
+            let (w, h) = (1 + rng.next() % 9, 1 + rng.next() % 9);
+            if w * h == 1 {
+                continue;
+            }
+            let one_in = 1 + rng.next() % 12;
+            let flows_seed = rng.next();
+            same_graphs_on_both_grids(w as u32, h as u32, |topo| {
+                vec![sparse_pairs(topo, one_in, flows_seed)]
+            });
+        }
+    }
+
+    /// [`same_graph`] on the `w` × `h` mesh and torus, for each flow
+    /// set `sets` makes of them and both VC policies; the verdict must
+    /// be deadlock freedom wherever there is no wrap-around link or
+    /// dateline routing breaks its cycles.
+    fn same_graphs_on_both_grids(w: u32, h: u32, sets: impl Fn(&Topology) -> Vec<FlowSet>) {
+        for topo in [mesh(w, h).unwrap(), torus(w, h).unwrap()] {
+            for flows in &sets(&topo) {
+                for policy in [VcPolicy::SingleVc, VcPolicy::Dateline] {
+                    let verdict = same_graph(&topo, flows, policy);
+                    if !topo.has_wrap_links() || policy == VcPolicy::Dateline {
+                        verdict.unwrap_or_else(|cycle| panic!("{}: {cycle}", topo.name()));
                     }
                 }
             }

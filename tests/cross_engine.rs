@@ -4,71 +4,43 @@
 //! identical configurations and seeds. This is what makes the Table 2
 //! speed comparison meaningful: all three engines do the same work.
 //!
-//! Since the clock-gating refactor the engines share one stepping
-//! contract (`nocem::SteppableEngine`), so the comparison harness is
-//! written once against the trait and iterates over engine
-//! constructors instead of being spelled out three times.
+//! The engines share one stepping contract (`nocem::SteppableEngine`),
+//! so the comparison is the shared lockstep harness (`support`): the
+//! RTL and TLM models step beside the fast engine and must stand on
+//! its cycle with its packet ledger after every step.
 
-use nocem::clock::{run_engine, EngineSummary, SteppableEngine};
+mod support;
+
 use nocem::compile::elaborate;
 use nocem::config::{PaperConfig, PaperRouting, PlatformConfig, TrafficModel};
 use nocem::engine::build;
-use nocem_rtl::model::RtlEngine;
-use nocem_tlm::model::TlmEngine;
+use nocem_scenarios::scenario::TopologySpec;
 use nocem_topology::builders::mesh;
+use support::{against_emulation, ring, torus, uniform_random, Backend, Subject};
 
-/// One boxed engine per simulation backend, freshly elaborated from
-/// the same configuration — the lockstep and equivalence harnesses
-/// drive them through `dyn SteppableEngine` only.
-fn all_engines(cfg: &PlatformConfig) -> Vec<(&'static str, Box<dyn SteppableEngine>)> {
-    vec![
-        ("emulation", Box::new(build(cfg).unwrap())),
-        ("rtl", Box::new(RtlEngine::new(elaborate(cfg).unwrap()))),
-        ("tlm", Box::new(TlmEngine::new(elaborate(cfg).unwrap()))),
-    ]
-}
-
-/// Runs every engine to completion and returns `(name, summary)`.
-fn run_all(cfg: &PlatformConfig) -> Vec<(&'static str, EngineSummary)> {
-    all_engines(cfg)
-        .into_iter()
-        .map(|(name, mut engine)| {
-            run_engine(engine.as_mut()).unwrap_or_else(|e| panic!("{name} failed: {e}"));
-            (name, engine.summary())
-        })
-        .collect()
-}
-
-fn assert_equivalent(cfg: &PlatformConfig) {
-    let runs = run_all(cfg);
-    let (ref_name, reference) = &runs[0];
-    for (name, summary) in &runs[1..] {
-        assert_eq!(
-            reference, summary,
-            "{ref_name} vs {name} diverged on {}",
-            cfg.name
-        );
-    }
+/// Runs RTL and TLM in lockstep with the fast engine.
+fn baselines(cfg: &PlatformConfig) -> Vec<Subject> {
+    against_emulation(cfg, &[Backend::Rtl, Backend::Tlm])
 }
 
 #[test]
 fn uniform_traffic_is_engine_equivalent() {
-    assert_equivalent(&PaperConfig::new().total_packets(500).uniform());
+    baselines(&PaperConfig::new().total_packets(500).uniform());
 }
 
 #[test]
 fn burst_traffic_is_engine_equivalent() {
-    assert_equivalent(&PaperConfig::new().total_packets(500).burst(8));
+    baselines(&PaperConfig::new().total_packets(500).burst(8));
 }
 
 #[test]
 fn poisson_traffic_is_engine_equivalent() {
-    assert_equivalent(&PaperConfig::new().total_packets(400).poisson());
+    baselines(&PaperConfig::new().total_packets(400).poisson());
 }
 
 #[test]
 fn trace_traffic_is_engine_equivalent() {
-    assert_equivalent(
+    baselines(
         &PaperConfig::new()
             .total_packets(400)
             .packet_flits(4)
@@ -78,7 +50,7 @@ fn trace_traffic_is_engine_equivalent() {
 
 #[test]
 fn dual_routing_is_engine_equivalent() {
-    assert_equivalent(
+    baselines(
         &PaperConfig::new()
             .total_packets(500)
             .routing(PaperRouting::Dual {
@@ -97,38 +69,31 @@ fn mesh_platform_is_engine_equivalent() {
         }
     }
     cfg.stop.delivered_packets = Some(9 * 40);
-    assert_equivalent(&cfg);
+    baselines(&cfg);
 }
 
 #[test]
 fn deep_buffer_platform_is_engine_equivalent() {
     let mut cfg = PaperConfig::new().total_packets(400).burst(16);
     cfg.switch.fifo_depth = 16;
-    assert_equivalent(&cfg);
+    baselines(&cfg);
 }
 
 #[test]
 fn different_seeds_produce_different_but_equivalent_runs() {
-    let a = run_all(&PaperConfig::new().total_packets(300).seed(1).burst(8));
-    let b = run_all(&PaperConfig::new().total_packets(300).seed(2).burst(8));
-    assert_eq!(a[0].1, a[1].1);
-    assert_eq!(b[0].1, b[1].1);
+    let a = baselines(&PaperConfig::new().total_packets(300).seed(1).burst(8));
+    let b = baselines(&PaperConfig::new().total_packets(300).seed(2).burst(8));
     assert_ne!(
-        a[0].1.network_latency.sum(),
-        b[0].1.network_latency.sum(),
+        a[0].engine.summary().network_latency.sum(),
+        b[0].engine.summary().network_latency.sum(),
         "different seeds should change the traffic"
     );
 }
 
 /// A 2-VC scenario config (minimal + dateline routing) from the
 /// registry, asserting it really exercises the second VC.
-fn two_vc_config(spec: nocem_scenarios::scenario::TopologySpec) -> PlatformConfig {
-    let reg = nocem_scenarios::registry::ScenarioRegistry::builtin();
-    let cfg = reg
-        .resolve("uniform_random")
-        .unwrap()
-        .build_config(spec, 0.25, 4, 400)
-        .unwrap();
+fn two_vc_config(spec: TopologySpec) -> PlatformConfig {
+    let cfg = uniform_random(spec, 0.25, 400);
     assert_eq!(cfg.switch.num_vcs, 2, "rings/tori run the dateline scheme");
     let elab = elaborate(&cfg).unwrap();
     assert!(
@@ -138,57 +103,24 @@ fn two_vc_config(spec: nocem_scenarios::scenario::TopologySpec) -> PlatformConfi
     cfg
 }
 
-/// Steps all engines in lockstep through the trait and asserts they
-/// deliver the same packet count on every single cycle — per-flit
-/// delivery cycles are identical, not just end-of-run aggregates.
-fn assert_cycle_for_cycle(cfg: &PlatformConfig) {
-    let mut engines = all_engines(cfg);
-    let target = cfg.stop.delivered_packets.expect("bounded run");
-    let mut cycle = 0u64;
-    while engines[0].1.delivered() < target {
-        let (ref_name, reference) = {
-            let (name, engine) = &mut engines[0];
-            engine.step().unwrap();
-            (*name, engine.delivered())
-        };
-        for (name, engine) in &mut engines[1..] {
-            engine.step().unwrap();
-            assert_eq!(
-                reference,
-                engine.delivered(),
-                "{name} diverged from {ref_name} at cycle {cycle}"
-            );
-        }
-        cycle += 1;
-        assert!(cycle < 1_000_000, "runaway lockstep run");
-    }
-}
-
 #[test]
 fn two_vc_ring_is_engine_equivalent() {
     // The acceptance case: a bidirectional ring routed minimally
     // across its wrap-around under 2-VC dateline routing; all three
     // engines agree cycle for cycle.
-    let cfg = two_vc_config(nocem_scenarios::scenario::TopologySpec::Ring { switches: 8 });
-    assert_equivalent(&cfg);
-    assert_cycle_for_cycle(&cfg);
+    baselines(&two_vc_config(ring(8)));
 }
 
 #[test]
 fn two_vc_torus_is_engine_equivalent() {
-    let cfg = two_vc_config(nocem_scenarios::scenario::TopologySpec::Torus {
-        width: 4,
-        height: 4,
-    });
-    assert_equivalent(&cfg);
-    assert_cycle_for_cycle(&cfg);
+    baselines(&two_vc_config(torus(4, 4)));
 }
 
 #[test]
 fn two_vc_ring_uses_wraparound_links() {
     // Line routing is gone: the wrap-around pair between the highest
     // and lowest switch carries real traffic in a minimal-routing run.
-    let cfg = two_vc_config(nocem_scenarios::scenario::TopologySpec::Ring { switches: 8 });
+    let cfg = two_vc_config(ring(8));
     let mut emu = build(&cfg).unwrap();
     emu.run().unwrap();
     let cc = emu.congestion();

@@ -11,38 +11,16 @@
 //! `crates/scenarios/src/patterns.rs`, draw-for-draw equality of the
 //! destination models in `crates/traffic/tests/traffic_properties.rs`.)
 
-use nocem::clock::{run_engine, SteppableEngine};
+mod support;
+
 use nocem::compile::{compute_routing, elaborate_routed, lower};
 use nocem::config::{EngineKind, PlatformConfig, TrafficModel};
 use nocem::error::CompileError;
 use nocem::sweep::AnyEngine;
-use nocem_scenarios::registry::ScenarioRegistry;
-use nocem_scenarios::scenario::TopologySpec;
 use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::routing::{FlowSet, VcPolicy};
 use nocem_traffic::generator::DestinationModel;
-
-const fn mesh(side: u32) -> TopologySpec {
-    TopologySpec::Mesh {
-        width: side,
-        height: side,
-    }
-}
-
-const fn torus(side: u32) -> TopologySpec {
-    TopologySpec::Torus {
-        width: side,
-        height: side,
-    }
-}
-
-fn scenario(name: &str, topo: TopologySpec, load: f64, packets: u64) -> PlatformConfig {
-    ScenarioRegistry::builtin()
-        .resolve(name)
-        .unwrap()
-        .build_config(topo, load, 4, packets)
-        .unwrap()
-}
+use support::{lockstep, lockstep_until, mesh, scenario, subject, torus, Backend, Subject};
 
 fn destination(model: &mut TrafficModel) -> &mut DestinationModel {
     match model {
@@ -66,8 +44,8 @@ fn listed(cfg: &PlatformConfig) -> PlatformConfig {
 fn pairs() -> Vec<(PlatformConfig, PlatformConfig)> {
     let mut pairs = Vec::new();
     for name in ["uniform_random", "hotspot"] {
-        for topo in [mesh(4), torus(4)] {
-            let mut implicit = scenario(name, topo, 0.30, 400);
+        for topo in [mesh(4, 4), torus(4, 4)] {
+            let mut implicit = scenario(name, topo, 0.30, 4, 400);
             assert!(
                 matches!(implicit.flows, FlowSet::AllButSelf(_)),
                 "{} builds the implicit set",
@@ -127,7 +105,7 @@ fn a_single_vc_torus_is_rejected_with_the_same_cycle_either_way() {
     // dependency graph the walk over the list finds — same first
     // cycle, link for link.
     for name in ["uniform_random", "hotspot"] {
-        let mut implicit = scenario(name, torus(5), 0.1, 100);
+        let mut implicit = scenario(name, torus(5, 5), 0.1, 4, 100);
         implicit.vc_policy = VcPolicy::SingleVc;
         implicit.switch.num_vcs = 1;
         let listed = listed(&implicit);
@@ -147,58 +125,29 @@ fn a_single_vc_torus_is_rejected_with_the_same_cycle_either_way() {
 #[test]
 fn implicit_and_listed_configs_are_ledger_identical_per_cycle() {
     for (implicit, listed) in pairs() {
-        for kind in [EngineKind::SingleThread, EngineKind::Compiled] {
-            let mut a = AnyEngine::build(&implicit.clone().with_engine(kind)).unwrap();
-            let mut b = AnyEngine::build(&listed.clone().with_engine(kind)).unwrap();
-            while !b.finished() {
-                a.step().unwrap();
-                b.step().unwrap();
-                assert_eq!(a.now(), b.now(), "clock on {} ({kind:?})", implicit.name);
-                assert_eq!(
-                    a.packet_ledger(),
-                    b.packet_ledger(),
-                    "ledger at cycle {} on {} ({kind:?})",
-                    b.now().raw(),
-                    implicit.name
-                );
-            }
-            assert!(a.finished(), "{} ({kind:?})", implicit.name);
-            assert_eq!(a.summary(), b.summary(), "{} ({kind:?})", implicit.name);
-            assert_eq!(a.summary().delivered, 400);
-            assert_eq!(a.results().unwrap(), b.results().unwrap());
+        for backend in [Backend::Emulation, Backend::Compiled] {
+            let mut b = [subject(&listed, backend)];
+            lockstep(&mut subject(&implicit, backend), &mut b);
+            assert_eq!(b[0].engine.summary().delivered, 400);
         }
     }
 }
 
 #[test]
 fn implicit_and_listed_configs_agree_on_the_sharded_engine() {
-    let kind = EngineKind::ShardedCompiled {
-        shards: 2,
-        batch: 4,
-    };
     for (implicit, listed) in pairs() {
-        let mut a = AnyEngine::build(&implicit.clone().with_engine(kind)).unwrap();
-        let mut b = AnyEngine::build(&listed.clone().with_engine(kind)).unwrap();
+        // Both forms against the single-threaded run of the implicit one.
+        let sharded = Backend::Sharded(2, 4);
+        let mut ab = [subject(&implicit, sharded), subject(&listed, sharded)];
+        lockstep(&mut subject(&implicit, Backend::Emulation), &mut ab);
+        let a = ab[0].get::<AnyEngine>();
         assert!(matches!(a, AnyEngine::ShardedCompiled(_)));
-        run_engine(&mut a).unwrap();
-        run_engine(&mut b).unwrap();
-        assert_eq!(a.packet_ledger(), b.packet_ledger(), "{}", implicit.name);
-        assert_eq!(
-            a.results().unwrap(),
-            b.results().unwrap(),
-            "{}",
-            implicit.name
-        );
-        // And with the single-threaded run of the implicit config.
-        let mut reference = AnyEngine::build(&implicit).unwrap();
-        run_engine(&mut reference).unwrap();
-        assert_eq!(a.packet_ledger(), reference.packet_ledger());
     }
 }
 
 #[test]
 fn mesh32x32_uniform_random_stores_nothing_per_flow_and_steps() {
-    let cfg = scenario("uniform_random", mesh(32), 0.05, u64::MAX);
+    let cfg = scenario("uniform_random", mesh(32, 32), 0.05, 4, u64::MAX);
     assert_eq!(cfg.flows.len(), 1024 * 1023);
     // One allocation behind the flow set and all 1 024 models.
     let FlowSet::AllButSelf(set) = &cfg.flows else {
@@ -226,15 +175,14 @@ fn mesh32x32_uniform_random_stores_nothing_per_flow_and_steps() {
     let routing = compute_routing(&cfg).unwrap();
     assert_eq!(routing.flow_count(), 1024 * 1023);
     assert_eq!(routing.max_vc(), 0);
-    let mut engines = [EngineKind::SingleThread, EngineKind::Compiled].map(|kind| {
-        AnyEngine::build_routed(&cfg.clone().with_engine(kind), Some(&routing)).unwrap()
+    let [reference, compiled] = [EngineKind::SingleThread, EngineKind::Compiled].map(|kind| {
+        let engine = AnyEngine::build_routed(&cfg.clone().with_engine(kind), Some(&routing));
+        Subject::new(&format!("{kind:?}"), &cfg, engine.unwrap())
     });
-    let [reference, compiled] = &mut engines;
-    for _ in 0..200 {
-        reference.step().unwrap();
-        compiled.step().unwrap();
-    }
-    assert_eq!(compiled.now(), reference.now());
-    assert_eq!(compiled.packet_ledger(), reference.packet_ledger());
-    assert!(reference.summary().delivered > 100, "traffic flowed");
+    let mut compiled = [compiled];
+    lockstep_until(&mut { reference }, &mut compiled, 200);
+    assert!(
+        compiled[0].engine.summary().delivered > 100,
+        "traffic flowed"
+    );
 }

@@ -9,14 +9,11 @@
 //! (The hop-level equivalence with the per-flow construction lives in
 //! `crates/topology/tests/route_keys.rs`.)
 
-use nocem::clock::{EngineSummary, SteppableEngine};
+mod support;
+
 use nocem::compile::{compute_routing, elaborate, elaborate_routed, lower};
-use nocem::config::{
-    EngineKind, PaperConfig, PaperRouting, PlatformConfig, RoutingSpec, TrafficModel,
-};
-use nocem::engine::build;
+use nocem::config::{PaperConfig, PaperRouting, PlatformConfig, RoutingSpec, TrafficModel};
 use nocem::error::CompileError;
-use nocem::sweep::AnyEngine;
 use nocem_common::ids::SwitchId;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -24,28 +21,7 @@ use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::routing::{FlowPaths, Path, RouteAlgorithm, RoutingTables, VcPolicy};
 use nocem_topology::{EndpointKind, Topology, TopologyError};
 use nocem_traffic::generator::DestinationModel;
-
-const fn mesh(side: u32) -> TopologySpec {
-    TopologySpec::Mesh {
-        width: side,
-        height: side,
-    }
-}
-
-const fn torus(side: u32) -> TopologySpec {
-    TopologySpec::Torus {
-        width: side,
-        height: side,
-    }
-}
-
-fn scenario(name: &str, topo: TopologySpec, load: f64, packets: u64) -> PlatformConfig {
-    ScenarioRegistry::builtin()
-        .resolve(name)
-        .unwrap()
-        .build_config(topo, load, 4, packets)
-        .unwrap()
-}
+use support::{against_emulation, mesh, rejects_alike, ring, scenario, torus, Backend};
 
 fn route_entries(cfg: &PlatformConfig, routing: &RoutingTables) -> usize {
     cfg.topology
@@ -57,7 +33,7 @@ fn route_entries(cfg: &PlatformConfig, routing: &RoutingTables) -> usize {
 #[test]
 fn every_builtin_grid_scenario_routes_arithmetically_and_passes_the_deadlock_check() {
     let registry = ScenarioRegistry::builtin();
-    for topo in [mesh(4), mesh(8), torus(4), torus(8)] {
+    for topo in [mesh(4, 4), mesh(8, 8), torus(4, 4), torus(8, 8)] {
         let mut applicable = 0;
         for s in registry.iter() {
             let Ok(cfg) = s.build_config(topo, 0.1, 4, 100) else {
@@ -85,11 +61,10 @@ fn every_builtin_grid_scenario_routes_arithmetically_and_passes_the_deadlock_che
 
 #[test]
 fn source_dependent_platforms_stay_flow_keyed() {
-    let ring = TopologySpec::Ring { switches: 8 };
     let star = nocem_topology::builders::star(6).unwrap();
     // Entry counts of the parent commit (one per switch of each path).
     for (cfg, entries) in [
-        (scenario("uniform_random", ring, 0.1, 100), 184),
+        (scenario("uniform_random", ring(8), 0.1, 4, 100), 184),
         (PaperConfig::new().uniform(), 10),
         (
             PaperConfig::new()
@@ -133,7 +108,7 @@ fn xy_path(topo: &Topology, from: SwitchId, to: SwitchId) -> Path {
 #[test]
 fn transpose_mesh_predicted_loads_are_the_per_flow_values() {
     for side in [4, 8] {
-        let cfg = scenario("transpose", mesh(side), 0.1, 100);
+        let cfg = scenario("transpose", mesh(side, side), 0.1, 4, 100);
         let elab = elaborate(&cfg).unwrap();
         assert!(elab.routing.grid_router().is_some());
         let got = elab
@@ -171,42 +146,20 @@ fn transpose_mesh_predicted_loads_are_the_per_flow_values() {
     }
 }
 
-/// Steps `engine` in lockstep with the interpreted reference: equal
-/// clock and equal ledger after every cycle, then equal behaviour.
-fn assert_lockstep(cfg: &PlatformConfig, engine: &mut dyn SteppableEngine) -> EngineSummary {
-    let mut reference = build(cfg).unwrap();
-    while !reference.finished() {
-        reference.step().unwrap();
-        engine.step().unwrap();
-        assert_eq!(engine.now(), reference.now(), "clock on {}", cfg.name);
-        assert_eq!(
-            engine.packet_ledger(),
-            *reference.ledger(),
-            "ledger at cycle {} on {}",
-            reference.now().raw(),
-            cfg.name
-        );
-    }
-    assert!(engine.finished(), "stop condition lagged on {}", cfg.name);
-    let (got, want) = (engine.summary(), SteppableEngine::summary(&reference));
-    assert_eq!(got.behavioral(), want.behavioral(), "{}", cfg.name);
-    got
-}
-
 #[test]
 fn all_three_engines_are_ledger_identical_per_cycle_on_the_grid_router() {
     // The interpreted switch asks the router with the port and VC it
     // iterates over, the compiled kernels derive them from the slot:
     // a disagreement shows as soon as a dateline packet takes VC 1.
     for (name, topo, load, packets) in [
-        ("uniform_random", mesh(8), 0.05, 300),
-        ("uniform_random", mesh(8), 0.40, 500),
-        ("transpose", mesh(8), 0.20, 300),
-        ("uniform_random", torus(8), 0.05, 300),
-        ("uniform_random", torus(8), 0.40, 500),
-        ("tornado", torus(8), 0.20, 300),
+        ("uniform_random", mesh(8, 8), 0.05, 300),
+        ("uniform_random", mesh(8, 8), 0.40, 500),
+        ("transpose", mesh(8, 8), 0.20, 300),
+        ("uniform_random", torus(8, 8), 0.05, 300),
+        ("uniform_random", torus(8, 8), 0.40, 500),
+        ("tornado", torus(8, 8), 0.20, 300),
     ] {
-        let cfg = scenario(name, topo, load, packets);
+        let cfg = scenario(name, topo, load, 4, packets);
         let routing = compute_routing(&cfg).unwrap();
         assert!(routing.grid_router().is_some(), "{}", cfg.name);
         assert_eq!(
@@ -215,16 +168,9 @@ fn all_three_engines_are_ledger_identical_per_cycle_on_the_grid_router() {
             "{}: tori wrap onto VC 1",
             cfg.name
         );
-        for kind in [
-            EngineKind::Compiled,
-            EngineKind::ShardedCompiled {
-                shards: 2,
-                batch: 8,
-            },
-        ] {
-            let mut engine = AnyEngine::build(&cfg.clone().with_engine(kind)).unwrap();
-            let summary = assert_lockstep(&cfg, &mut engine);
-            assert_eq!(summary.delivered, packets, "{} on {kind:?}", cfg.name);
+        let subjects = against_emulation(&cfg, &[Backend::Compiled, Backend::Sharded(2, 8)]);
+        for s in subjects {
+            assert_eq!(s.engine.summary().delivered, packets, "{}", s.name);
         }
     }
 }
@@ -234,8 +180,8 @@ fn grids_lower_to_a_router_and_no_route_arrays() {
     // Counts only — no timing. mesh32x32 uniform-random is 1 047 552
     // flows (1 048 576 destination-keyed entries at the parent
     // commit); torus16x16 was one entry per flow per hop.
-    for topo in [mesh(32), torus(16)] {
-        let cfg = scenario("uniform_random", topo, 0.02, 100);
+    for topo in [mesh(32, 32), torus(16, 16)] {
+        let cfg = scenario("uniform_random", topo, 0.02, 4, 100);
         let n = cfg.topology.switch_count();
         assert_eq!(cfg.flows.len(), n * (n - 1));
         let routing = compute_routing(&cfg).unwrap();
@@ -259,7 +205,7 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
     // The grid router answers for receptors only; what keeps any other
     // destination away from it is set-up validation, never a check
     // (or a panic) mid-run.
-    let mut cfg = scenario("transpose", mesh(4), 0.1, 100);
+    let mut cfg = scenario("transpose", mesh(4, 4), 0.1, 4, 100);
     assert!(matches!(
         cfg.routing,
         RoutingSpec::Algorithm(RouteAlgorithm::Xy)
@@ -274,24 +220,17 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
     };
     model.destination = DestinationModel::Fixed { dst: stray, flow };
 
+    // Every engine, the interpreted one included, at build.
     let engines = [
-        EngineKind::default(),
-        EngineKind::Compiled,
-        EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 8,
-        },
+        Backend::Compiled,
+        Backend::Sharded(2, 8),
+        Backend::SwitchedCompiled,
+        Backend::Tlm,
+        Backend::Rtl,
     ];
     // Emitted but not registered: the traffic does not match the flows.
-    for kind in engines {
-        let err = AnyEngine::build(&cfg.clone().with_engine(kind))
-            .err()
-            .unwrap();
-        assert!(
-            matches!(err, CompileError::TrafficMismatch { .. }),
-            "{kind:?}: {err}"
-        );
-    }
+    let err = rejects_alike(&cfg, &engines);
+    assert!(matches!(err, CompileError::TrafficMismatch { .. }), "{err}");
     // Registered as well: the flow list itself is wrong.
     let mut listed = cfg.flows.to_listed();
     listed[flow.index()].dst = stray;
@@ -301,10 +240,5 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
         expected: EndpointKind::Receptor,
     });
     assert_eq!(compute_routing(&cfg).unwrap_err(), wrong_kind);
-    for kind in engines {
-        let err = AnyEngine::build(&cfg.clone().with_engine(kind))
-            .err()
-            .unwrap();
-        assert_eq!(err, wrong_kind, "{kind:?}");
-    }
+    assert_eq!(rejects_alike(&cfg, &engines), wrong_kind);
 }

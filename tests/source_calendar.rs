@@ -17,41 +17,18 @@
 //! carry the blocked cycles, so a probe taken while an NI sleeps must
 //! add what it owes) and the same results.
 
-use nocem::clock::{ClockMode, SteppableEngine};
-use nocem::config::{EngineKind, PlatformConfig, TrafficModel};
+mod support;
+
+use nocem::clock::ClockMode;
+use nocem::config::{PlatformConfig, TrafficModel};
 use nocem::engine::build;
-use nocem::sweep::AnyEngine;
 use nocem::ProfileConfig;
-use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_stats::TrKind;
 use nocem_telemetry::TelemetryConfig;
 use nocem_traffic::generator::LengthModel;
 use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, UniformConfig};
-
-const MESH4X4: TopologySpec = TopologySpec::Mesh {
-    width: 4,
-    height: 4,
-};
-/// Two VCs with dateline routing (the scenario layer's torus default).
-const TORUS4X4: TopologySpec = TopologySpec::Torus {
-    width: 4,
-    height: 4,
-};
-
-/// The engines under test, each against the interpreted engine in the
-/// same clock mode.
-const ENGINES: [(EngineKind, ClockMode); 3] = [
-    (EngineKind::Compiled, ClockMode::EveryCycle),
-    (EngineKind::Compiled, ClockMode::Gated),
-    (
-        EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 4,
-        },
-        ClockMode::Gated,
-    ),
-];
+use support::{against_emulation, each_uniform, mesh, torus, uniform_random, Backend, Subject};
 
 /// Generators (one per switch) on either topology.
 const GENERATORS: u64 = 16;
@@ -60,69 +37,27 @@ const GENERATORS: u64 = 16;
 /// flits per generator, 16-cycle telemetry windows, the run ending when
 /// every generator is exhausted and everything it sent delivered.
 fn base(topo: TopologySpec, load: f64, budget: u64) -> PlatformConfig {
-    let mut cfg = ScenarioRegistry::builtin()
-        .resolve("uniform_random")
-        .unwrap()
-        .build_config(topo, load, 4, budget * GENERATORS)
-        .unwrap();
+    let mut cfg = uniform_random(topo, load, budget * GENERATORS);
     assert_eq!(cfg.generators.len() as u64, GENERATORS);
     cfg.stop.delivered_packets = None;
     cfg.telemetry = Some(TelemetryConfig::windowed(16));
     cfg
 }
 
-/// Rewrites every uniform generator of `cfg` with `f(index, config)`.
-fn each_uniform(cfg: &mut PlatformConfig, f: impl Fn(usize, UniformConfig) -> TrafficModel) {
-    for (i, g) in cfg.generators.iter_mut().enumerate() {
-        let TrafficModel::Uniform(u) = g.clone() else {
-            panic!("scenarios build uniform generators");
-        };
-        *g = f(i, u);
-    }
-}
-
-/// Steps `cfg` on `kind` in `mode` in lockstep with the interpreted
-/// engine and checks clock and ledger per step, then telemetry and
-/// results. Returns the engine under test.
-fn assert_lockstep(cfg: &PlatformConfig, kind: EngineKind, mode: ClockMode) -> AnyEngine {
-    let mut cfg = cfg.clone();
-    cfg.clock_mode = mode;
-    let name = format!("{} on {kind:?}/{mode:?}", cfg.name);
-    let mut reference = build(&cfg).unwrap();
-    let mut engine = AnyEngine::build(&cfg.clone().with_engine(kind)).unwrap();
-    let mut steps = 0u64;
-    while !reference.finished() {
-        reference.step().unwrap();
-        engine.step().unwrap();
-        steps += 1;
-        assert!(steps < 200_000, "{name} does not terminate");
-        assert_eq!(engine.now(), reference.now(), "clock on {name}");
-        assert_eq!(
-            engine.ledger(),
-            reference.ledger(),
-            "ledger at cycle {} on {name}",
-            reference.now().raw()
-        );
-    }
-    assert!(engine.finished(), "stop condition lagged on {name}");
-    reference.seal_telemetry();
-    engine.seal_telemetry();
-    assert_eq!(
-        engine.telemetry(),
-        SteppableEngine::telemetry(&reference),
-        "telemetry windows on {name}"
-    );
-    assert_eq!(engine.results().unwrap(), reference.results(), "{name}");
-    engine
-}
-
-fn assert_mix(make: impl Fn(TopologySpec) -> PlatformConfig) {
-    for topo in [MESH4X4, TORUS4X4] {
+/// `make(topo)` on mesh4x4 and on torus4x4 (two dateline VCs), each in
+/// lockstep with the interpreted engine in the same clock mode: the
+/// compiled engine ungated, the compiled engine and two shards at batch
+/// 4 gated. Returns the engines under test.
+fn assert_mix(make: impl Fn(TopologySpec) -> PlatformConfig) -> Vec<Subject> {
+    let mut engines = Vec::new();
+    for topo in [mesh(4, 4), torus(4, 4)] {
         let cfg = make(topo);
-        for (kind, mode) in ENGINES {
-            assert_lockstep(&cfg, kind, mode);
-        }
+        engines.extend(against_emulation(&cfg, &[Backend::Compiled]));
+        let gated = cfg.with_clock_mode(ClockMode::Gated);
+        let backends = [Backend::Compiled, Backend::Sharded(2, 4)];
+        engines.extend(against_emulation(&gated, &backends));
     }
+    engines
 }
 
 /// Uniform gaps pinned so that a release files its next event exactly
@@ -214,20 +149,18 @@ fn trace_silences_beyond_the_wheel_are_ledger_identical() {
 /// few cycles — and the engines under test did put NIs to sleep.
 #[test]
 fn parked_generators_and_sleeping_nis_are_ledger_identical() {
-    for topo in [MESH4X4, TORUS4X4] {
+    let engines = assert_mix(|topo| {
         let mut cfg = base(topo, 0.9, 40);
         cfg.source_queue_capacity = 1;
         cfg.profile = Some(ProfileConfig::default().without_spans());
         cfg.name = format!("{}/queue1", cfg.name);
-        for (kind, mode) in ENGINES {
-            let mut engine = assert_lockstep(&cfg, kind, mode);
-            assert!(
-                engine.results().unwrap().stalled_cycles > 0,
-                "nothing parked"
-            );
-            let work = engine.profile().expect("profiling on").work;
-            assert!(work.ni_sleeps > 0, "no NI slept on {kind:?}/{mode:?}");
-            assert!(work.tg_polls >= work.tg_ticks);
-        }
+        cfg
+    });
+    for mut s in engines {
+        let stalled = s.engine.all_results().unwrap().stalled_cycles;
+        assert!(stalled > 0, "nothing parked on {}", s.name);
+        let work = s.engine.profile().expect("profiling on").work;
+        assert!(work.ni_sleeps > 0, "no NI slept on {}", s.name);
+        assert!(work.tg_polls >= work.tg_ticks);
     }
 }

@@ -10,115 +10,74 @@
 //! LFSRs, and a torus draws all of its traffic from the generator
 //! seeds that follow them. Each is stepped on the switch-less compiled
 //! engine, on a compiled engine lowered from the public, switch-building
-//! [`elaborate`], and on the interpreted engine, comparing the packet
-//! ledger after every cycle.
+//! [`elaborate`], on two shards and on the interpreted engine,
+//! comparing the packet ledger after every cycle (the shared harness in
+//! `support`).
 
-use nocem::clock::SteppableEngine;
+mod support;
+
 use nocem::compile::{compute_routing, elaborate};
 use nocem::config::{EngineKind, PaperConfig, PaperRouting, PlatformConfig};
 use nocem::sweep::AnyEngine;
 use nocem::CompiledEngine;
-use nocem_scenarios::registry::ScenarioRegistry;
-use nocem_scenarios::scenario::TopologySpec;
+use support::{lockstep_until, torus, uniform_random, Subject};
 
 const CYCLES: u64 = 2_000;
 
-/// The paper platform with two paths per flow and a coin per hop.
-fn paper_dual() -> PlatformConfig {
-    PaperConfig::new()
-        .routing(PaperRouting::Dual {
-            secondary_probability: 0.5,
-        })
-        .total_packets(4_000)
-        .uniform()
-}
-
-/// Uniform-random traffic at 30 % on a 2-VC dateline torus4x4.
-fn torus4x4() -> PlatformConfig {
-    ScenarioRegistry::builtin()
-        .resolve("uniform_random")
-        .unwrap()
-        .build_config(
-            TopologySpec::Torus {
-                width: 4,
-                height: 4,
-            },
-            0.30,
-            4,
-            4_000,
-        )
-        .unwrap()
-}
-
-fn engine(cfg: &PlatformConfig, kind: EngineKind) -> AnyEngine {
-    let mut cfg = cfg.clone();
-    cfg.engine = kind;
-    let routing = compute_routing(&cfg).unwrap();
-    AnyEngine::build_routed(&cfg, Some(&routing)).unwrap()
-}
-
-fn assert_same_streams(cfg: &PlatformConfig) {
-    let mut switchless = engine(cfg, EngineKind::Compiled);
-    assert!(matches!(switchless, AnyEngine::Compiled(_)));
+fn step_with_and_without_switches(cfg: &PlatformConfig) {
+    let routing = compute_routing(cfg).unwrap();
+    let routed = |kind| {
+        let engine = AnyEngine::build_routed(&cfg.clone().with_engine(kind), Some(&routing));
+        Subject::new(&format!("{kind:?} (routed)"), cfg, engine.unwrap())
+    };
+    let mut switchless = routed(EngineKind::Compiled);
+    assert!(matches!(
+        switchless.get::<AnyEngine>(),
+        AnyEngine::Compiled(_)
+    ));
     let switched_elab = elaborate(cfg).unwrap();
     assert_eq!(
         switched_elab.switches.len(),
         cfg.topology.switch_count(),
         "the public elaboration builds every switch"
     );
-    let mut switched = CompiledEngine::new(switched_elab);
-    let mut interpreted = engine(cfg, EngineKind::SingleThread);
-    let mut sharded = engine(
-        cfg,
-        EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 4,
-        },
-    );
-    assert!(matches!(sharded, AnyEngine::ShardedCompiled(_)));
-
-    for cycle in 1..=CYCLES {
-        switchless.step().unwrap();
-        switched.step().unwrap();
-        interpreted.step().unwrap();
-        sharded.step().unwrap();
-        let ledger = switchless.packet_ledger();
-        assert_eq!(
-            ledger,
-            switched.packet_ledger(),
-            "{}: with and without switches diverged at cycle {cycle}",
-            cfg.name
-        );
-        assert_eq!(
-            ledger,
-            interpreted.packet_ledger(),
-            "{}: compiled and interpreted diverged at cycle {cycle}",
-            cfg.name
-        );
-        assert_eq!(switchless.now().raw(), cycle);
-        assert_eq!(sharded.now().raw(), cycle);
-        assert_eq!(sharded.delivered(), switchless.delivered());
-    }
+    let switched = Subject::new("switched", cfg, CompiledEngine::new(switched_elab));
+    let sharded = routed(EngineKind::ShardedCompiled {
+        shards: 2,
+        batch: 4,
+    });
+    let mut engines = [switched, routed(EngineKind::SingleThread), sharded];
+    assert!(matches!(
+        engines[2].get::<AnyEngine>(),
+        AnyEngine::ShardedCompiled(_)
+    ));
+    lockstep_until(&mut switchless, &mut engines, CYCLES);
+    let engine = &switchless.engine;
+    assert_eq!(engine.now().raw(), CYCLES);
     assert!(
-        !switchless.finished() && switchless.delivered() > 100,
+        !engine.finished() && engine.delivered() > 100,
         "{}: {CYCLES} busy cycles",
         cfg.name
     );
-    let results = switchless.results().unwrap();
-    assert_eq!(results, switched.results());
-    assert_eq!(results, interpreted.results().unwrap());
-    assert_eq!(switchless.packet_ledger(), sharded.packet_ledger());
-    assert_eq!(results, sharded.results().unwrap());
 }
 
+/// The paper platform with two paths per flow and a coin per hop.
 #[test]
 fn paper_dual_routing_draws_the_same_lfsr_seeds() {
-    assert_same_streams(&paper_dual());
+    step_with_and_without_switches(
+        &PaperConfig::new()
+            .routing(PaperRouting::Dual {
+                secondary_probability: 0.5,
+            })
+            .total_packets(4_000)
+            .uniform(),
+    );
 }
 
+/// Uniform-random traffic at 30 % on a 2-VC dateline torus4x4.
 #[test]
 fn torus4x4_draws_the_same_generator_seeds() {
-    let cfg = torus4x4();
+    let cfg = uniform_random(torus(4, 4), 0.30, 4_000);
     assert_eq!(cfg.switch.num_vcs, 2, "dateline routing");
-    assert_same_streams(&cfg);
+    step_with_and_without_switches(&cfg);
 }
