@@ -7,19 +7,53 @@
 //! latencies and enforces the conservation invariant the integration
 //! tests rely on: *every accepted packet is delivered exactly once,
 //! with the length it was released with*.
+//!
+//! # Storage
+//!
+//! Like the paper's traffic receptors, which reduce traffic to on-chip
+//! counters rather than ship a log of every packet to the host, the
+//! ledger keeps a full row only while a packet's lifecycle is open. It
+//! has two tiers, split at the low-water mark `lo` — the first id that
+//! is undelivered or was never released:
+//!
+//! * the **open window**: one 32-byte `Entry` per id from `lo` up to
+//!   the highest released id;
+//! * the **archive**: the delivered prefix `[0, lo)`, one 8-byte
+//!   `Archived` row per packet — release minus the previous id's
+//!   release, injection minus release, delivery minus injection, and
+//!   the length. A row with a field that does not fit (a negative delta
+//!   or one of at least 65 535 cycles, or a 65 535-flit length) is
+//!   escaped, and its full entry goes to a side list in id order.
+//!
+//! Every `deliver` moves `lo` across the delivered rows at the front of
+//! the window, so the window spans only the packets in flight (about
+//! 3 000 ids on a saturated 8×8 mesh) and the ledger grows by 8 bytes
+//! per delivered packet. A packet that is never delivered pins `lo`:
+//! from there on the window costs 32 bytes per packet, like a flat
+//! array. The encoding is canonical — a logical ledger has exactly one
+//! representation — so the derived `==` is logical equality.
 
 use crate::latency::LatencyAnalyzer;
 use nocem_common::ids::PacketId;
 use nocem_common::time::Cycle;
+use std::collections::VecDeque;
 
 /// "Has not happened" in an [`Entry`] timestamp. A run cannot reach
 /// cycle `u64::MAX`, so no real event carries it.
 const NEVER: u64 = u64::MAX;
 
-/// Lifecycle record of one packet: three raw cycle counts with a
-/// sentinel and the length, 32 bytes — not `Option`s (48), because a
-/// saturated run keeps one entry per packet for the whole run and this
-/// array is then the process's peak memory.
+/// A delivered packet in the archive: `[release − previous id's
+/// release, inject − release, deliver − inject, len_flits]`. No word of
+/// an encoded row is `u16::MAX`; that value marks an [`ESCAPED`] row.
+type Archived = [u16; 4];
+
+/// The archive row of a packet whose full [`Entry`] sits in the side
+/// list because one of its fields does not fit a `u16` below `u16::MAX`.
+const ESCAPED: Archived = [u16::MAX; 4];
+
+/// Lifecycle record of one open-window packet: three raw cycle counts
+/// with a sentinel and the length, 32 bytes — not `Option`s (48). Only
+/// ids from `lo` on keep one; the archive encodes the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     /// [`NEVER`] marks an id that was never released (a vacant slot).
@@ -36,6 +70,33 @@ impl Entry {
         deliver: NEVER,
         len_flits: 0,
     };
+
+    /// The archive row of this delivered entry, whose predecessor id
+    /// was released at `prev_release`; `None` when a field does not fit.
+    fn encode(&self, prev_release: u64) -> Option<Archived> {
+        let word = |later: u64, earlier: u64| {
+            let delta = u16::try_from(later.checked_sub(earlier)?).ok()?;
+            (delta != u16::MAX).then_some(delta)
+        };
+        Some([
+            word(self.release, prev_release)?,
+            word(self.inject, self.release)?,
+            word(self.deliver, self.inject)?,
+            word(u64::from(self.len_flits), 0)?,
+        ])
+    }
+
+    /// Inverse of [`Entry::encode`] for a row that is not [`ESCAPED`].
+    fn decode(row: Archived, prev_release: u64) -> Entry {
+        let release = prev_release + u64::from(row[0]);
+        let inject = release + u64::from(row[1]);
+        Entry {
+            release,
+            inject,
+            deliver: inject + u64::from(row[2]),
+            len_flits: row[3],
+        }
+    }
 }
 
 /// A recorded timestamp as the API shows it.
@@ -123,17 +184,27 @@ impl PacketRecord {
     }
 }
 
-/// Dense packet accounting keyed by [`PacketId`] (ids are assigned
+/// Packet accounting keyed by [`PacketId`] (ids are assigned
 /// contiguously from zero by the engine).
 ///
 /// Ledgers compare by value (every per-packet release/inject/deliver
 /// timestamp and length): two runs with equal ledgers released,
 /// injected and delivered the same packets at the same cycles — the
 /// exactness bar the clock-gating equivalence tests hold the engines
-/// to.
+/// to. See the [module docs](self) for how the packets are stored.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PacketLedger {
-    entries: Vec<Entry>,
+    /// One row per id of the delivered prefix `[0, lo)`, so
+    /// `lo == archive.len()`.
+    archive: Vec<Archived>,
+    /// The full entries of the [`ESCAPED`] archive rows, in id order.
+    escapes: Vec<(u64, Entry)>,
+    /// Release cycle of id `lo − 1` (0 while the archive is empty): the
+    /// base of the next archived row's release delta.
+    archived_release: u64,
+    /// Ids `lo ..` up to the highest released one (empty when that is
+    /// below `lo`). The front entry is never delivered.
+    window: VecDeque<Entry>,
     released: u64,
     injected: u64,
     delivered: u64,
@@ -147,13 +218,42 @@ impl PacketLedger {
         PacketLedger::default()
     }
 
-    /// The entry of a released packet.
+    /// The low-water mark: the first id that is undelivered or was
+    /// never released.
     #[inline]
-    fn released_entry(&mut self, id: PacketId) -> Result<&mut Entry, LedgerError> {
-        self.entries
-            .get_mut(id.index())
+    fn lo(&self) -> u64 {
+        self.archive.len() as u64
+    }
+
+    /// The window entry of a released packet. An archived packet has
+    /// had every event, so a new one is a duplicate.
+    #[inline]
+    fn open_entry(&mut self, id: PacketId) -> Result<&mut Entry, LedgerError> {
+        let offset = id
+            .raw()
+            .checked_sub(self.lo())
+            .ok_or(LedgerError::DuplicateEvent(id))?;
+        self.window
+            .get_mut(offset as usize)
             .filter(|e| e.release != NEVER)
             .ok_or(LedgerError::UnknownPacket(id))
+    }
+
+    /// Moves `lo` across the delivered entries at the front of the
+    /// window, archiving each.
+    fn archive_delivered(&mut self) {
+        while let Some(&entry) = self.window.front() {
+            if entry.deliver == NEVER {
+                break;
+            }
+            self.window.pop_front();
+            let row = entry.encode(self.archived_release).unwrap_or_else(|| {
+                self.escapes.push((self.lo(), entry));
+                ESCAPED
+            });
+            self.archive.push(row);
+            self.archived_release = entry.release;
+        }
     }
 
     /// Registers a packet release.
@@ -165,11 +265,14 @@ impl PacketLedger {
     #[inline]
     pub fn release(&mut self, id: PacketId, at: Cycle, len_flits: u16) -> Result<(), LedgerError> {
         debug_assert_ne!(at.raw(), NEVER, "cycle u64::MAX is the vacant marker");
-        let idx = id.index();
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, Entry::VACANT);
+        let offset = id
+            .raw()
+            .checked_sub(self.lo())
+            .ok_or(LedgerError::DuplicateRelease(id))? as usize;
+        if offset >= self.window.len() {
+            self.window.resize(offset + 1, Entry::VACANT);
         }
-        let entry = &mut self.entries[idx];
+        let entry = &mut self.window[offset];
         if entry.release != NEVER {
             return Err(LedgerError::DuplicateRelease(id));
         }
@@ -189,7 +292,7 @@ impl PacketLedger {
     /// Returns [`LedgerError`] for unknown or doubly injected packets.
     #[inline]
     pub fn inject(&mut self, id: PacketId, at: Cycle) -> Result<(), LedgerError> {
-        let entry = self.released_entry(id)?;
+        let entry = self.open_entry(id)?;
         if entry.inject != NEVER {
             return Err(LedgerError::DuplicateEvent(id));
         }
@@ -212,7 +315,7 @@ impl PacketLedger {
         at: Cycle,
         len_flits: u16,
     ) -> Result<PacketLatency, LedgerError> {
-        let entry = self.released_entry(id)?;
+        let entry = self.open_entry(id)?;
         if entry.deliver != NEVER {
             return Err(LedgerError::DuplicateEvent(id));
         }
@@ -232,6 +335,9 @@ impl PacketLedger {
         self.delivered += 1;
         self.network_latency.record(lat.network);
         self.total_latency.record(lat.total);
+        if id.raw() == self.lo() {
+            self.archive_delivered();
+        }
         Ok(lat)
     }
 
@@ -268,8 +374,21 @@ impl PacketLedger {
     /// Iterates the lifecycle record of every registered packet, in
     /// packet-id order.
     pub fn records(&self) -> impl Iterator<Item = PacketRecord> + '_ {
-        self.entries
-            .iter()
+        let mut escapes = self.escapes.iter();
+        let mut release = 0;
+        let archived = self.archive.iter().zip(0..).map(move |(&row, id)| {
+            let entry = if row == ESCAPED {
+                let &(at, entry) = escapes.next().expect("one side entry per escaped row");
+                debug_assert_eq!(at, id, "side entries follow id order");
+                entry
+            } else {
+                Entry::decode(row, release)
+            };
+            release = entry.release;
+            entry
+        });
+        archived
+            .chain(self.window.iter().copied())
             .enumerate()
             .filter(|(_, e)| e.release != NEVER)
             .map(|(i, e)| PacketRecord {
@@ -282,15 +401,18 @@ impl PacketLedger {
     }
 
     /// Verifies full conservation at end of run: everything released
-    /// was delivered.
+    /// was delivered. Only the open window is scanned: every archived
+    /// packet is delivered by construction.
     ///
     /// # Errors
     ///
     /// Returns the first undelivered packet as
     /// [`LedgerError::UnknownPacket`]-style diagnostics.
     pub fn verify_drained(&self) -> Result<(), LedgerError> {
-        match self.records().find(|r| r.deliver.is_none()) {
-            Some(r) => Err(LedgerError::UnknownPacket(r.id)),
+        match (self.window.iter()).position(|e| e.release != NEVER && e.deliver == NEVER) {
+            Some(i) => Err(LedgerError::UnknownPacket(PacketId::new(
+                self.lo() + i as u64,
+            ))),
             None => Ok(()),
         }
     }
@@ -376,10 +498,11 @@ mod tests {
     }
 
     /// The compact entries raise exactly the errors the `Option`-based
-    /// ones did, in the same precedence, and stay compact.
+    /// ones did, in the same precedence — archived packets included —
+    /// and an archived packet costs 8 bytes.
     #[test]
     fn every_ledger_error_still_fires() {
-        assert!(std::mem::size_of::<Entry>() <= 32);
+        assert_eq!(std::mem::size_of::<Archived>(), 8);
         let mut l = PacketLedger::new();
         let (a, gap, b) = (PacketId::new(0), PacketId::new(1), PacketId::new(2));
         l.release(a, Cycle::new(1), 4).unwrap();
@@ -420,9 +543,18 @@ mod tests {
         );
         assert_eq!(l.delivered(), 0, "a refused delivery books nothing");
         l.deliver(a, Cycle::new(5), 4).unwrap();
+        assert_eq!(l.lo(), 1, "the delivered packet is archived");
         assert_eq!(
             l.deliver(a, Cycle::new(6), 4),
             Err(LedgerError::DuplicateEvent(a))
+        );
+        assert_eq!(
+            l.inject(a, Cycle::new(6)),
+            Err(LedgerError::DuplicateEvent(a))
+        );
+        assert_eq!(
+            l.release(a, Cycle::new(6), 4),
+            Err(LedgerError::DuplicateRelease(a))
         );
         assert_eq!(l.verify_drained(), Err(LedgerError::UnknownPacket(b)));
         let ids: Vec<_> = l.records().map(|r| r.id).collect();
@@ -435,6 +567,77 @@ mod tests {
         l.release(PacketId::new(0), Cycle::ZERO, 1).unwrap();
         assert!(l.verify_drained().is_err());
         assert_eq!(l.in_flight(), 1);
+    }
+
+    /// `verify_drained` reads only the open window, which starts at the
+    /// oldest straggler: the delivered packets before it are archived.
+    #[test]
+    fn verify_drained_scans_only_the_open_window() {
+        let mut l = PacketLedger::new();
+        for i in 0..1_000 {
+            let id = PacketId::new(i);
+            l.release(id, Cycle::new(i), 2).unwrap();
+            l.inject(id, Cycle::new(i + 1)).unwrap();
+        }
+        for i in (0..1_000).filter(|&i| i != 500 && i != 700) {
+            l.deliver(PacketId::new(i), Cycle::new(i + 9), 2).unwrap();
+        }
+        assert_eq!((l.lo(), l.window.len()), (500, 500));
+        let straggler = |i| Err(LedgerError::UnknownPacket(PacketId::new(i)));
+        assert_eq!(l.verify_drained(), straggler(500));
+        l.deliver(PacketId::new(500), Cycle::new(600), 2).unwrap();
+        assert_eq!((l.lo(), l.window.len()), (700, 300));
+        assert_eq!(l.verify_drained(), straggler(700));
+        l.deliver(PacketId::new(700), Cycle::new(800), 2).unwrap();
+        assert_eq!((l.lo(), l.window.len()), (1_000, 0));
+        l.verify_drained().unwrap();
+        // Vacant ids in the window are not stragglers, but they hold `lo`.
+        l.release(PacketId::new(1_003), Cycle::new(900), 2).unwrap();
+        assert_eq!(l.verify_drained(), straggler(1_003));
+        l.inject(PacketId::new(1_003), Cycle::new(901)).unwrap();
+        l.deliver(PacketId::new(1_003), Cycle::new(902), 2).unwrap();
+        l.verify_drained().unwrap();
+        assert_eq!((l.lo(), l.window.len()), (1_000, 4));
+    }
+
+    /// A long run with few packets in flight costs 8 bytes per packet:
+    /// the window never holds more than the in-flight span, and
+    /// `records()` decodes the archive back to the exact timestamps.
+    #[test]
+    fn archive_costs_eight_bytes_per_packet_and_the_window_the_span() {
+        const SPAN: u64 = 64;
+        const PACKETS: u64 = 1_563 * SPAN; // just over 100 000
+        let mut l = PacketLedger::new();
+        let mut widest = 0;
+        // Blocks of `SPAN` ids: all released and injected, then
+        // delivered in a scrambled order.
+        for block in (0..PACKETS).step_by(SPAN as usize) {
+            for id in block..block + SPAN {
+                l.release(PacketId::new(id), Cycle::new(id), 3).unwrap();
+                l.inject(PacketId::new(id), Cycle::new(id + id % 5))
+                    .unwrap();
+                widest = widest.max(l.window.len());
+            }
+            for k in 0..SPAN {
+                let id = block + k * 37 % SPAN;
+                l.deliver(PacketId::new(id), Cycle::new(block + 2 * SPAN + k), 3)
+                    .unwrap();
+                widest = widest.max(l.window.len());
+            }
+        }
+        assert!(widest as u64 <= SPAN, "window reached {widest} ids");
+        assert!(l.window.is_empty());
+        let bytes = std::mem::size_of_val(l.archive.as_slice())
+            + std::mem::size_of_val(l.escapes.as_slice());
+        assert!(bytes as u64 <= 8 * PACKETS, "{bytes} B archived");
+        assert_eq!(l.lo(), PACKETS);
+        for (r, id) in l.records().zip(0..) {
+            let block = id - id % SPAN;
+            let k = (0..SPAN).find(|k| block + k * 37 % SPAN == id).unwrap();
+            assert_eq!(r.release, Cycle::new(id));
+            assert_eq!(r.inject, Some(Cycle::new(id + id % 5)));
+            assert_eq!(r.deliver, Some(Cycle::new(block + 2 * SPAN + k)));
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! window statistics even when their machinery counters differ.
 
 use crate::histogram::Histogram;
-use crate::ledger::PacketLedger;
+use crate::ledger::{PacketLedger, PacketRecord};
 
 /// Number of uniform bins the windowed latency histogram uses; the
 /// quantile error is bounded by `max_sample / BINS + 1` cycles.
@@ -76,6 +76,22 @@ pub enum LatencyKind {
     Total,
 }
 
+/// The (network, total) latency of a packet *injected* inside `window`
+/// and delivered by end of run — one latency sample of each kind.
+fn window_latencies(rec: &PacketRecord, window: Window) -> Option<(u64, u64)> {
+    if !window.contains(rec.inject?.raw()) {
+        return None;
+    }
+    Some((rec.network_latency()?, rec.total_latency()?))
+}
+
+/// The quantile histogram of samples no larger than `max`. Its
+/// geometry covers every sample (no overflow bin use), so quantiles are
+/// off by at most one bin width.
+fn quantile_histogram(max: u64) -> Histogram {
+    Histogram::new(QUANTILE_BINS, max / QUANTILE_BINS as u64 + 1)
+}
+
 /// Windowed latency + throughput statistics extracted from a ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
@@ -96,8 +112,8 @@ impl WindowStats {
     /// Latency samples are the packets *injected* inside the window
     /// and delivered by end of run; throughput counts the packets
     /// *delivered* inside the window. Callers that need both latency
-    /// kinds should use [`WindowStats::from_ledger_both`] — it scans
-    /// the ledger once.
+    /// kinds should use [`WindowStats::from_ledger_both`] — both come
+    /// from the same two ledger passes.
     pub fn from_ledger(ledger: &PacketLedger, window: Window, kind: LatencyKind) -> Self {
         let (network, total) = Self::from_ledger_both(ledger, window);
         match kind {
@@ -107,83 +123,57 @@ impl WindowStats {
     }
 
     /// Extracts both the network- and total-latency statistics of
-    /// `window` in a single ledger pass (the curve harness reads both
-    /// per load point; throughput counts are identical in the pair).
+    /// `window` in two ledger passes without copying a sample (the
+    /// curve harness reads both per load point; throughput counts are
+    /// identical in the pair). Pass 1 takes counts, sums and extremes;
+    /// pass 2 fills the histograms, whose bin width comes from pass 1's
+    /// maximum.
     pub fn from_ledger_both(ledger: &PacketLedger, window: Window) -> (Self, Self) {
-        let mut network_samples = Vec::new();
-        let mut total_samples = Vec::new();
-        let mut delivered_packets = 0;
-        let mut delivered_flits = 0;
-        for rec in ledger.records() {
-            if let Some(deliver) = rec.deliver {
-                if window.contains(deliver.raw()) {
-                    delivered_packets += 1;
-                    delivered_flits += u64::from(rec.len_flits);
-                }
-                let injected_inside = rec.inject.is_some_and(|i| window.contains(i.raw()));
-                if injected_inside {
-                    if let Some(lat) = rec.network_latency() {
-                        network_samples.push(lat);
-                    }
-                    if let Some(lat) = rec.total_latency() {
-                        total_samples.push(lat);
-                    }
-                }
-            }
-        }
-        (
-            Self::build(
-                window,
-                LatencyKind::Network,
-                &network_samples,
-                delivered_packets,
-                delivered_flits,
-            ),
-            Self::build(
-                window,
-                LatencyKind::Total,
-                &total_samples,
-                delivered_packets,
-                delivered_flits,
-            ),
-        )
-    }
-
-    /// Assembles the summary statistics and quantile histogram of one
-    /// sample set.
-    fn build(
-        window: Window,
-        kind: LatencyKind,
-        samples: &[u64],
-        delivered_packets: u64,
-        delivered_flits: u64,
-    ) -> Self {
-        let (sum, min, max) = samples
-            .iter()
-            .fold((0u64, u64::MAX, 0u64), |(s, lo, hi), &v| {
-                (s + v, lo.min(v), hi.max(v))
-            });
-        let histogram = (!samples.is_empty()).then(|| {
-            // Geometry covers every sample (no overflow bin use), so
-            // quantiles are off by at most one bin width.
-            let width = max / QUANTILE_BINS as u64 + 1;
-            let mut h = Histogram::new(QUANTILE_BINS, width);
-            for &v in samples {
-                h.record(v);
-            }
-            h
-        });
-        WindowStats {
+        let blank = |kind| WindowStats {
             window,
             kind,
-            samples: samples.len() as u64,
-            sum,
-            min,
-            max,
-            delivered_packets,
-            delivered_flits,
-            histogram,
+            samples: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            delivered_packets: 0,
+            delivered_flits: 0,
+            histogram: None,
+        };
+        let (mut network, mut total) = (blank(LatencyKind::Network), blank(LatencyKind::Total));
+        for rec in ledger.records() {
+            if rec.deliver.is_some_and(|d| window.contains(d.raw())) {
+                network.delivered_packets += 1;
+                network.delivered_flits += u64::from(rec.len_flits);
+            }
+            if let Some((net, tot)) = window_latencies(&rec, window) {
+                network.add(net);
+                total.add(tot);
+            }
         }
+        total.delivered_packets = network.delivered_packets;
+        total.delivered_flits = network.delivered_flits;
+        if network.samples > 0 {
+            let mut network_h = quantile_histogram(network.max);
+            let mut total_h = quantile_histogram(total.max);
+            for rec in ledger.records() {
+                if let Some((net, tot)) = window_latencies(&rec, window) {
+                    network_h.record(net);
+                    total_h.record(tot);
+                }
+            }
+            network.histogram = Some(network_h);
+            total.histogram = Some(total_h);
+        }
+        (network, total)
+    }
+
+    /// Books one latency sample's summary statistics.
+    fn add(&mut self, latency: u64) {
+        self.samples += 1;
+        self.sum += latency;
+        self.min = self.min.min(latency);
+        self.max = self.max.max(latency);
     }
 
     /// The window the statistics cover.

@@ -1,8 +1,8 @@
 //! Property-based tests of the statistics substrate: histograms never
 //! lose samples, the latency analyzer agrees with a reference
-//! computation, the packet ledger enforces its lifecycle, and the
-//! reassembler accepts exactly the flit sequences a wormhole network
-//! can produce.
+//! computation, the packet ledger enforces its lifecycle and agrees
+//! with a flat reference model, and the reassembler accepts exactly the
+//! flit sequences a wormhole network can produce.
 
 use nocem_common::flit::{Flit, FlitKind, PacketDescriptor};
 use nocem_common::ids::{EndpointId, FlowId, LinkId, PacketId};
@@ -10,9 +10,214 @@ use nocem_common::time::Cycle;
 use nocem_stats::congestion::CongestionCounter;
 use nocem_stats::histogram::{Histogram, Log2Histogram};
 use nocem_stats::latency::LatencyAnalyzer;
-use nocem_stats::ledger::{LedgerError, PacketLedger};
+use nocem_stats::ledger::{LedgerError, PacketLatency, PacketLedger, PacketRecord};
 use nocem_stats::receptor::{Reassembler, StochasticReceptor};
 use proptest::prelude::*;
+
+/// The packet ledger as one flat row per id, `None` for an id never
+/// released: the reference model the archived ledger is checked
+/// against.
+#[derive(Default)]
+struct FlatLedger {
+    rows: Vec<Option<FlatRow>>,
+    released: u64,
+    injected: u64,
+    delivered: u64,
+    network: LatencyAnalyzer,
+    total: LatencyAnalyzer,
+}
+
+#[derive(Clone, Copy)]
+struct FlatRow {
+    release: u64,
+    len_flits: u16,
+    inject: Option<u64>,
+    deliver: Option<u64>,
+}
+
+impl FlatLedger {
+    fn release(&mut self, id: u64, at: u64, len_flits: u16) -> Result<(), LedgerError> {
+        let i = id as usize;
+        if i >= self.rows.len() {
+            self.rows.resize(i + 1, None);
+        }
+        if self.rows[i].is_some() {
+            return Err(LedgerError::DuplicateRelease(PacketId::new(id)));
+        }
+        self.rows[i] = Some(FlatRow {
+            release: at,
+            len_flits,
+            inject: None,
+            deliver: None,
+        });
+        self.released += 1;
+        Ok(())
+    }
+
+    fn row(&mut self, id: u64) -> Result<&mut FlatRow, LedgerError> {
+        (self.rows.get_mut(id as usize))
+            .and_then(Option::as_mut)
+            .ok_or(LedgerError::UnknownPacket(PacketId::new(id)))
+    }
+
+    fn inject(&mut self, id: u64, at: u64) -> Result<(), LedgerError> {
+        let row = self.row(id)?;
+        if row.inject.is_some() {
+            return Err(LedgerError::DuplicateEvent(PacketId::new(id)));
+        }
+        row.inject = Some(at);
+        self.injected += 1;
+        Ok(())
+    }
+
+    fn deliver(&mut self, id: u64, at: u64, len_flits: u16) -> Result<PacketLatency, LedgerError> {
+        let packet = PacketId::new(id);
+        let row = self.row(id)?;
+        if row.deliver.is_some() {
+            return Err(LedgerError::DuplicateEvent(packet));
+        }
+        let inject = row.inject.ok_or(LedgerError::UnknownPacket(packet))?;
+        if row.len_flits != len_flits {
+            return Err(LedgerError::LengthMismatch {
+                packet,
+                released: row.len_flits,
+                delivered: len_flits,
+            });
+        }
+        row.deliver = Some(at);
+        let lat = PacketLatency {
+            network: at.saturating_sub(inject),
+            total: at.saturating_sub(row.release),
+        };
+        self.delivered += 1;
+        self.network.record(lat.network);
+        self.total.record(lat.total);
+        Ok(lat)
+    }
+
+    fn records(&self) -> Vec<PacketRecord> {
+        (self.rows.iter().zip(0..))
+            .filter_map(|(row, id)| {
+                let row = row.as_ref()?;
+                Some(PacketRecord {
+                    id: PacketId::new(id),
+                    release: Cycle::new(row.release),
+                    len_flits: row.len_flits,
+                    inject: row.inject.map(Cycle::new),
+                    deliver: row.deliver.map(Cycle::new),
+                })
+            })
+            .collect()
+    }
+
+    fn verify_drained(&self) -> Result<(), LedgerError> {
+        match self.records().iter().find(|r| r.deliver.is_none()) {
+            Some(r) => Err(LedgerError::UnknownPacket(r.id)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// One ledger call.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    Release(u64, u64, u16),
+    Inject(u64, u64),
+    Deliver(u64, u64, u16),
+}
+
+/// The smallest delta an archived row cannot hold is 65 535.
+const LONG: u64 = 65_533;
+
+/// One generated packet: `(vacant one in 16, release-step class, step)`,
+/// `(queueing class, queueing)`, `(latency class, latency)`,
+/// `(length class, length)` and the order keys of its three events.
+type GenPacket = (
+    (u8, u8, u64),
+    (u8, u64),
+    (u8, u64),
+    (u8, u16),
+    (u32, u32, u32),
+);
+
+fn gen_packet() -> impl Strategy<Value = GenPacket> {
+    (
+        (0u8..16, 0u8..4, 0u64..4),
+        (0u8..4, 0u64..4),
+        (0u8..4, 0u64..4),
+        (0u8..6, 0u16..3),
+        (0u32..1000, 0u32..1000, 0u32..1000),
+    )
+}
+
+/// A random call, valid or not: `(kind, id, cycle, length, order key)`.
+fn gen_call() -> impl Strategy<Value = (u8, u64, u64, u16, u32)> {
+    (0u8..3, 0u64..72, 0u64..140_000, 1u16..5, 0u32..1000)
+}
+
+/// `small`, or a delta of 65 533 + `small` — across the largest one
+/// that fits an archived row — in one class of four.
+fn stretch(class: u8, small: u64) -> u64 {
+    if class == 0 {
+        LONG + small
+    } else {
+        small
+    }
+}
+
+/// The lifecycle calls of `packets` (ids in order; a vacant one is
+/// never released), keyed so that sorting by key interleaves the
+/// packets while each keeps release → inject → deliver. Releases step
+/// forward, jump ≥ 65 533 cycles, or step back; a packet may queue or
+/// cross the network for ≥ 65 533 cycles or be 65 533+ flits long.
+fn lifecycles(packets: &[GenPacket]) -> Vec<(u32, Call)> {
+    let mut calls = Vec::new();
+    let mut release = 16u64;
+    for (&(step, (qc, q), (lc, l), (len_class, len), keys), id) in packets.iter().zip(0..) {
+        let (vacancy, class, small) = step;
+        release = match class {
+            1 => release.saturating_sub(small + 1),
+            _ => release + stretch(class, small),
+        };
+        if vacancy == 0 {
+            continue;
+        }
+        let len = if len_class == 0 {
+            u16::MAX - len
+        } else {
+            1 + len
+        };
+        let inject = release + stretch(qc, q);
+        let mut keys = [keys.0, keys.1, keys.2];
+        keys.sort_unstable();
+        calls.push((keys[0], Call::Release(id, release, len)));
+        calls.push((keys[1], Call::Inject(id, inject)));
+        calls.push((keys[2], Call::Deliver(id, inject + stretch(lc, l), len)));
+    }
+    calls
+}
+
+/// `calls` in key order; the sort is stable, so a packet's own calls
+/// keep their order on equal keys.
+fn in_key_order(mut calls: Vec<(u32, Call)>) -> Vec<Call> {
+    calls.sort_by_key(|&(key, _)| key);
+    calls.into_iter().map(|(_, call)| call).collect()
+}
+
+/// The ledger after `calls`, whatever each returned.
+fn ledger_after(calls: &[Call]) -> PacketLedger {
+    let mut ledger = PacketLedger::new();
+    for &call in calls {
+        let _ = match call {
+            Call::Release(id, at, len) => ledger.release(PacketId::new(id), Cycle::new(at), len),
+            Call::Inject(id, at) => ledger.inject(PacketId::new(id), Cycle::new(at)),
+            Call::Deliver(id, at, len) => ledger
+                .deliver(PacketId::new(id), Cycle::new(at), len)
+                .map(drop),
+        };
+    }
+    ledger
+}
 
 proptest! {
     /// A histogram never loses a sample: bin counts plus overflow equal
@@ -177,6 +382,87 @@ proptest! {
         ledger.inject(id, Cycle::new(3)).unwrap();
         ledger.deliver(id, Cycle::new(5), 2).unwrap();
         prop_assert!(matches!(ledger.verify_drained(), Ok(())));
+    }
+
+    /// The archived ledger answers every call like the flat reference
+    /// model, on interleaved lifecycles with vacant ids, long release
+    /// gaps, long queueing and network latencies (every escape path)
+    /// and random — mostly invalid — calls mixed in; counters and
+    /// records agree after every call.
+    #[test]
+    fn ledger_matches_the_flat_model(
+        packets in proptest::collection::vec(gen_packet(), 1..64),
+        noise in proptest::collection::vec(gen_call(), 0..24),
+    ) {
+        let mut calls = lifecycles(&packets);
+        calls.extend(noise.iter().map(|&(kind, id, at, len, key)| {
+            let call = match kind {
+                0 => Call::Release(id, at, len),
+                1 => Call::Inject(id, at),
+                _ => Call::Deliver(id, at, len),
+            };
+            (key, call)
+        }));
+        let mut ledger = PacketLedger::new();
+        let mut model = FlatLedger::default();
+        for call in in_key_order(calls) {
+            match call {
+                Call::Release(id, at, len) => prop_assert_eq!(
+                    ledger.release(PacketId::new(id), Cycle::new(at), len),
+                    model.release(id, at, len),
+                    "{:?}", call
+                ),
+                Call::Inject(id, at) => prop_assert_eq!(
+                    ledger.inject(PacketId::new(id), Cycle::new(at)),
+                    model.inject(id, at),
+                    "{:?}", call
+                ),
+                Call::Deliver(id, at, len) => prop_assert_eq!(
+                    ledger.deliver(PacketId::new(id), Cycle::new(at), len),
+                    model.deliver(id, at, len),
+                    "{:?}", call
+                ),
+            }
+            prop_assert_eq!(
+                (ledger.released(), ledger.injected(), ledger.delivered(), ledger.in_flight()),
+                (model.released, model.injected, model.delivered, model.released - model.delivered)
+            );
+            prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+        }
+        prop_assert_eq!(ledger.network_latency(), &model.network);
+        prop_assert_eq!(ledger.total_latency(), &model.total);
+        prop_assert_eq!(ledger.verify_drained(), model.verify_drained());
+    }
+
+    /// Two valid orders of lifecycle calls give equal ledgers exactly
+    /// when they give equal records: equal ones however far each moved
+    /// its archive, and one cycle moved in the second event set makes
+    /// them differ.
+    #[test]
+    fn ledger_equality_is_record_equality(
+        packets in proptest::collection::vec(gen_packet(), 1..64),
+        reorder in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..1000), 64),
+        (moved, which) in (0usize..4, 0usize..192),
+    ) {
+        let first = ledger_after(&in_key_order(lifecycles(&packets)));
+        let mut calls = lifecycles(&packets);
+        for (call, keys) in calls.chunks_mut(3).zip(&reorder) {
+            let mut keys = [keys.0, keys.1, keys.2];
+            keys.sort_unstable();
+            for (c, key) in call.iter_mut().zip(keys) {
+                c.0 = key;
+            }
+        }
+        let moves_one = moved == 0 && which < calls.len();
+        if moves_one {
+            match &mut calls[which].1 {
+                Call::Release(_, at, _) | Call::Inject(_, at) | Call::Deliver(_, at, _) => *at += 1,
+            }
+        }
+        let second = ledger_after(&in_key_order(calls));
+        let same_records = first.records().eq(second.records());
+        prop_assert_eq!(first == second, same_records);
+        prop_assert_eq!(same_records, !moves_one);
     }
 
     /// The reassembler accepts any wormhole-legal flit stream
