@@ -1,5 +1,4 @@
-//! Shared harness utilities for the experiment-reproduction binaries
-//! and Criterion benches.
+//! Shared harness utilities for the experiment-reproduction binaries.
 //!
 //! Every table and figure of the paper has one binary in `src/bin/`;
 //! they share the measurement and reporting helpers defined here. Run

@@ -16,7 +16,8 @@
 //! * [`rng`] — deterministic, hardware-faithful random sources (LFSRs
 //!   as synthesized into the FPGA traffic generators, plus software
 //!   generators for trace synthesis);
-//! * [`table`] / [`csv`] — report rendering and data export.
+//! * [`table`] / [`csv`] / [`json`] — report rendering and data export
+//!   (one escaping JSON writer for every emitter, and its validator).
 //!
 //! The crate is dependency-free and deliberately small: it defines
 //! *contracts*, not behaviour. The behavioural contracts of the
@@ -50,6 +51,7 @@ pub mod csv;
 pub mod flit;
 pub mod flows;
 pub mod ids;
+pub mod json;
 pub mod rng;
 pub mod route;
 pub mod table;

@@ -1,8 +1,10 @@
 //! Property-based tests for the shared vocabulary: flit serialization,
-//! the hardware-style PRNGs and the time formatting helpers.
+//! the hardware-style PRNGs, the time formatting helpers and the JSON
+//! writer's escaping.
 
 use nocem_common::flit::{FlitKind, PacketDescriptor};
 use nocem_common::ids::{EndpointId, FlowId, PacketId};
+use nocem_common::json::{validate_json, JsonWriter};
 use nocem_common::rng::{Lfsr16, Lfsr32, Pcg32, RandomSource, SplitMix64};
 use nocem_common::time::{format_duration, Cycle};
 use proptest::prelude::*;
@@ -166,6 +168,19 @@ proptest! {
         prop_assert_eq!(t1.since(t0), delta);
         prop_assert_eq!(t0.since(t1), 0, "since saturates backwards");
         prop_assert_eq!(t1 - t0, delta);
+    }
+}
+
+proptest! {
+    /// Any string, as a key or as a value, is written as valid JSON:
+    /// every quote, backslash and control byte is escaped.
+    #[test]
+    fn any_string_writes_valid_json(codes in proptest::collection::vec(0u32..0x300, 0..24)) {
+        let s: String = codes.into_iter().filter_map(char::from_u32).collect();
+        let mut w = JsonWriter::new();
+        w.object(|w| _ = w.field(&s, s.as_str()));
+        let json = w.finish();
+        prop_assert!(validate_json(&json).is_ok(), "{:?} as {}", s, json);
     }
 }
 

@@ -28,6 +28,7 @@
 //! enclosing lap ([`PhaseProfiler::nested`]) to keep phases disjoint.
 
 use nocem_common::ids::LinkId;
+use nocem_common::json::{Fixed, JsonWriter};
 use nocem_common::table::{Align, TextTable};
 use nocem_stats::congestion::CongestionCounter;
 use nocem_switch::switch::CREDITS_INFINITE;
@@ -254,7 +255,7 @@ impl std::ops::AddAssign for WorkCounters {
 /// phases sum to the step's wall time exactly. Nested scopes (the
 /// ledger) are charged to their own phase and subtracted from the
 /// enclosing lap by [`PhaseProfiler::nested`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
     acc: [u64; Phase::COUNT],
     nested_ns: u64,
@@ -264,21 +265,10 @@ pub struct PhaseProfiler {
     pub(crate) work: WorkCounters,
 }
 
-impl Default for PhaseProfiler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PhaseProfiler {
     /// A profiler with all accumulators at zero.
     pub fn new() -> Self {
-        PhaseProfiler {
-            acc: [0; Phase::COUNT],
-            nested_ns: 0,
-            stepped_cycles: 0,
-            work: WorkCounters::default(),
-        }
+        Self::default()
     }
 
     /// Opens a step: counts the cycle and returns the chain's first
@@ -407,20 +397,19 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
+    /// The named phase's row, when it ran.
+    fn stat(&self, phase: Phase) -> Option<&PhaseStat> {
+        self.phases.iter().find(|p| p.phase == phase.name())
+    }
+
     /// Nanoseconds of the named phase (0 when absent).
     pub fn ns_of(&self, phase: Phase) -> u64 {
-        self.phases
-            .iter()
-            .find(|p| p.phase == phase.name())
-            .map_or(0, |p| p.ns)
+        self.stat(phase).map_or(0, |p| p.ns)
     }
 
     /// Share of the named phase (0.0 when absent).
     pub fn share_of(&self, phase: Phase) -> f64 {
-        self.phases
-            .iter()
-            .find(|p| p.phase == phase.name())
-            .map_or(0.0, |p| p.share)
+        self.stat(phase).map_or(0.0, |p| p.share)
     }
 
     /// Nanoseconds spent inside the step loop: `total_ns` minus the
@@ -470,38 +459,38 @@ impl PhaseReport {
         out
     }
 
-    /// Hand-rolled JSON object (the workspace has no JSON
-    /// dependency), e.g. for the benchmark artifacts.
+    /// The report as one JSON object, workers nested in shard order.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"label\":\"{}\",\"total_ns\":{},\"stepped_cycles\":{},\"phases\":[",
-            self.label, self.total_ns, self.stepped_cycles
-        );
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"phase\":\"{}\",\"ns\":{},\"share\":{:.6},\"ns_per_cycle\":{:.3}}}",
-                p.phase, p.ns, p.share, p.ns_per_cycle
-            ));
-        }
-        out.push_str("],\"work\":{");
-        for (i, (name, v)) in self.work.named().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&w.to_json());
-        }
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("label", self.label.as_str())
+                .field("total_ns", self.total_ns);
+            w.field("stepped_cycles", self.stepped_cycles);
+            w.key("phases").array(|w| {
+                for p in &self.phases {
+                    w.object(|w| {
+                        w.field("phase", p.phase).field("ns", p.ns);
+                        w.field("share", Fixed(p.share, 6));
+                        w.field("ns_per_cycle", Fixed(p.ns_per_cycle, 3));
+                    });
+                }
+            });
+            w.key("work").object(|w| {
+                for (name, v) in self.work.named() {
+                    w.field(name, v);
+                }
+            });
+            w.key("workers").array(|w| {
+                for r in &self.workers {
+                    r.write_json(w);
+                }
+            });
+        });
     }
 }
 
@@ -764,52 +753,43 @@ impl StallReport {
     /// One JSON object per line: a header, then every edge (chain
     /// position attached where applicable), then the blocked links.
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"stall\",\"at_cycle\":{},\"window\":{},\"in_flight\":{},\
-             \"edges\":{},\"starved\":{}}}\n",
-            self.at_cycle,
-            self.window,
-            self.in_flight,
-            self.edges.len(),
-            self.starved_count()
-        );
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.field("kind", "stall").field("at_cycle", self.at_cycle);
+            w.field("window", self.window)
+                .field("in_flight", self.in_flight);
+            w.field("edges", self.edges.len());
+            w.field("starved", self.starved_count());
+        })
+        .line();
         for (i, e) in self.edges.iter().enumerate() {
-            let dest = match e.dest {
-                WaitDest::Switch { switch, input } => {
-                    format!("\"dest_switch\":{switch},\"dest_input\":{input}")
-                }
-                WaitDest::Receptor { index } => format!("\"dest_receptor\":{index}"),
-            };
-            let chain_pos = self
-                .chain
-                .iter()
-                .position(|&c| c == i)
-                .map_or(String::new(), |p| format!(",\"chain_pos\":{p}"));
-            out.push_str(&format!(
-                "{{\"kind\":\"edge\",\"switch\":{},\"in_port\":{},\"in_vc\":{},\
-                 \"out_port\":{},\"out_vc\":{},\"link\":{},\"occupancy\":{},\
-                 \"fifo_depth\":{},\"credits\":{},\"worm_open\":{},\
-                 \"starved\":{},{dest}{chain_pos}}}\n",
-                e.switch,
-                e.in_port,
-                e.in_vc,
-                e.out_port,
-                e.out_vc,
-                e.link,
-                e.occupancy,
-                e.fifo_depth,
-                e.credits,
-                e.worm_open,
-                e.starved(),
-            ));
+            w.object(|w| {
+                w.field("kind", "edge").field("switch", e.switch);
+                w.field("in_port", e.in_port).field("in_vc", e.in_vc);
+                w.field("out_port", e.out_port).field("out_vc", e.out_vc);
+                w.field("link", e.link).field("occupancy", e.occupancy);
+                w.field("fifo_depth", e.fifo_depth)
+                    .field("credits", e.credits);
+                w.field("worm_open", e.worm_open)
+                    .field("starved", e.starved());
+                match e.dest {
+                    WaitDest::Switch { switch, input } => {
+                        w.field("dest_switch", switch).field("dest_input", input)
+                    }
+                    WaitDest::Receptor { index } => w.field("dest_receptor", index),
+                };
+                w.maybe("chain_pos", self.chain.iter().position(|&c| c == i));
+            })
+            .line();
         }
         for b in &self.top_blocked {
-            out.push_str(&format!(
-                "{{\"kind\":\"blocked-link\",\"link\":{},\"blocked\":{}}}\n",
-                b.link, b.blocked
-            ));
+            w.object(|w| {
+                w.field("kind", "blocked-link").field("link", b.link);
+                w.field("blocked", b.blocked);
+            })
+            .line();
         }
-        out
+        w.finish()
     }
 }
 
@@ -1019,7 +999,12 @@ mod tests {
         for line in jsonl.lines() {
             nocem_telemetry::validate_json(line).unwrap();
         }
-        assert!(jsonl.contains("\"chain_pos\":0"));
+        let edge = concat!(
+            r#"{"kind":"edge","switch":12,"in_port":1,"in_vc":1,"out_port":0,"out_vc":1,"#,
+            r#""link":112,"occupancy":4,"fifo_depth":4,"credits":0,"worm_open":true,"#,
+            r#""starved":true,"dest_switch":13,"dest_input":1,"chain_pos":0}"#,
+        );
+        assert_eq!(jsonl.lines().nth(1), Some(edge), "{jsonl}");
     }
 
     #[test]

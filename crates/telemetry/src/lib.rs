@@ -30,8 +30,9 @@ pub mod series;
 pub mod span;
 pub mod trace;
 
+pub use nocem_common::json::validate_json;
 pub use series::{Collector, CumulativeProbe, LinkStat, ResourceSeries};
-pub use span::{validate_json, SpanBuffer, SpanEvent, SpanTrace};
+pub use span::{SpanBuffer, SpanEvent, SpanTrace};
 pub use trace::{FlitEvent, FlitEventKind, FlitTracer};
 
 /// Configuration of the telemetry subsystem. Telemetry is opt-in:

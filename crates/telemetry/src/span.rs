@@ -12,6 +12,7 @@
 //! capacity, everything past the cap increments a drop counter
 //! instead of allocating, so span recording can never OOM a long run.
 
+use nocem_common::json::{JsonWriter, Milli};
 use std::time::Instant;
 
 /// One completed span on the emulator's wall-clock timeline.
@@ -71,11 +72,6 @@ impl SpanBuffer {
             events: Vec::new(),
             dropped: 0,
         }
-    }
-
-    /// The shared epoch this buffer times against.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// Records a span from `start` to now, or counts it as dropped
@@ -156,206 +152,29 @@ impl SpanTrace {
     /// track as the thread id. The drop count rides in the top-level
     /// metadata so truncation is visible in the artifact itself.
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\
-                 \"pid\":0,\"tid\":{},\"args\":{{\"cycle\":{}}}}}",
-                e.name,
-                e.start_ns / 1_000,
-                e.start_ns % 1_000,
-                e.dur_ns / 1_000,
-                e.dur_ns % 1_000,
-                e.track,
-                e.cycle
-            ));
-        }
-        out.push_str(&format!("],\"droppedSpans\":{}}}", self.dropped));
-        out
-    }
-}
-
-/// Structurally validates a JSON document — a minimal recursive
-/// parser for testing the workspace's hand-rolled emitters (the
-/// workspace deliberately has no JSON dependency). Accepts exactly
-/// the grammar of RFC 8259 minus unicode escapes' surrogate rules.
-///
-/// # Errors
-///
-/// Returns a byte offset + message for the first syntax error.
-///
-/// # Examples
-///
-/// ```
-/// use nocem_telemetry::validate_json;
-/// assert!(validate_json("{\"a\":[1,2.5,-3e2,true,null,\"x\"]}").is_ok());
-/// assert!(validate_json("{\"a\":}").is_err());
-/// ```
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0;
-    parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing bytes at offset {i}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => parse_object(b, i),
-        Some(b'[') => parse_array(b, i),
-        Some(b'"') => parse_string(b, i),
-        Some(b't') => parse_lit(b, i, "true"),
-        Some(b'f') => parse_lit(b, i, "false"),
-        Some(b'n') => parse_lit(b, i, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, i),
-        Some(c) => Err(format!("unexpected byte {c:?} at offset {i}", i = *i)),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at offset {i}", i = *i))
-    }
-}
-
-fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // '{'
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        parse_string(b, i)?;
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return Err(format!("expected ':' at offset {i}", i = *i));
-        }
-        *i += 1;
-        parse_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {i}", i = *i)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // '['
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        parse_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {i}", i = *i)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    if b.get(*i) != Some(&b'"') {
-        return Err(format!("expected string at offset {i}", i = *i));
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        if b.len() < *i + 5 || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at offset {i}", i = *i));
-                        }
-                        *i += 5;
-                    }
-                    _ => return Err(format!("bad escape at offset {i}", i = *i)),
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.key("traceEvents").array(|w| {
+                for e in &self.events {
+                    w.object(|w| {
+                        w.field("name", e.name).field("ph", "X");
+                        w.field("ts", Milli(e.start_ns))
+                            .field("dur", Milli(e.dur_ns));
+                        w.field("pid", 0u32).field("tid", e.track);
+                        w.key("args").object(|w| _ = w.field("cycle", e.cycle));
+                    });
                 }
-            }
-            0x00..=0x1F => return Err(format!("raw control byte at offset {i}", i = *i)),
-            _ => *i += 1,
-        }
+            });
+            w.field("droppedSpans", self.dropped);
+        });
+        w.finish()
     }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    let mut digits = 0;
-    while b.get(*i).is_some_and(u8::is_ascii_digit) {
-        *i += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("bad number at offset {start}"));
-    }
-    if b.get(*i) == Some(&b'.') {
-        *i += 1;
-        if !b.get(*i).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("bad fraction at offset {i}", i = *i));
-        }
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-    }
-    if matches!(b.get(*i), Some(b'e' | b'E')) {
-        *i += 1;
-        if matches!(b.get(*i), Some(b'+' | b'-')) {
-            *i += 1;
-        }
-        if !b.get(*i).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("bad exponent at offset {i}", i = *i));
-        }
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocem_common::json::validate_json;
 
     #[test]
     fn cap_is_hard_and_drops_are_counted() {
@@ -408,32 +227,5 @@ mod tests {
         let s = t.to_chrome_trace();
         validate_json(&s).unwrap();
         assert_eq!(s, "{\"traceEvents\":[],\"droppedSpans\":0}");
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        for good in [
-            "null",
-            "-12.5e-3",
-            "[]",
-            "{}",
-            "{\"k\":[{\"a\":\"b\\n\\u00e9\"},false]}",
-            " { \"x\" : 1 } ",
-        ] {
-            assert!(validate_json(good).is_ok(), "{good}");
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "01e",
-            "\"unterminated",
-            "nul",
-            "{} garbage",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
-        }
     }
 }

@@ -4,9 +4,9 @@
 //! The tracer stores at most `capacity` events; everything past the
 //! cap increments a drop counter instead of allocating, so enabling
 //! tracing inside a saturation search can never exhaust memory. Both
-//! serializers are hand-rolled (the workspace has no JSON dependency):
-//! the field set is small, flat, and entirely numeric except for the
-//! event name.
+//! serializers write through [`nocem_common::json::JsonWriter`].
+
+use nocem_common::json::JsonWriter;
 
 /// What happened to a flit (or packet head) at one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,33 +99,19 @@ impl FlitTracer {
         self.dropped
     }
 
-    /// The configured cap.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// One JSON object per line, e.g.
     /// `{"cycle":4,"kind":"route","packet":1,"switch":2,"link":7}`.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut w = JsonWriter::new();
         for e in &self.events {
-            out.push_str(&format!(
-                "{{\"cycle\":{},\"kind\":\"{}\"",
-                e.cycle,
-                e.kind.name()
-            ));
-            if let Some(p) = e.packet {
-                out.push_str(&format!(",\"packet\":{p}"));
-            }
-            if let Some(s) = e.switch {
-                out.push_str(&format!(",\"switch\":{s}"));
-            }
-            if let Some(l) = e.link {
-                out.push_str(&format!(",\"link\":{l}"));
-            }
-            out.push_str("}\n");
+            w.object(|w| {
+                w.field("cycle", e.cycle).field("kind", e.kind.name());
+                w.maybe("packet", e.packet).maybe("switch", e.switch);
+                w.maybe("link", e.link);
+            })
+            .line();
         }
-        out
+        w.finish()
     }
 
     /// Chrome `trace_event` JSON (load via `chrome://tracing` or
@@ -133,35 +119,22 @@ impl FlitTracer {
     /// cycle as the microsecond timestamp and the switch as the
     /// thread id, so a timeline groups activity per switch.
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{",
-                e.kind.name(),
-                e.cycle,
-                e.switch.unwrap_or(0)
-            ));
-            let mut first = true;
-            let mut arg = |out: &mut String, key: &str, v: u64| {
-                if !first {
-                    out.push(',');
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.key("traceEvents").array(|w| {
+                for e in &self.events {
+                    w.object(|w| {
+                        w.field("name", e.kind.name()).field("ph", "i");
+                        w.field("ts", e.cycle).field("pid", 0u32);
+                        w.field("tid", e.switch.unwrap_or(0)).field("s", "t");
+                        w.key("args").object(|w| {
+                            w.maybe("packet", e.packet).maybe("link", e.link);
+                        });
+                    });
                 }
-                first = false;
-                out.push_str(&format!("\"{key}\":{v}"));
-            };
-            if let Some(p) = e.packet {
-                arg(&mut out, "packet", p);
-            }
-            if let Some(l) = e.link {
-                arg(&mut out, "link", u64::from(l));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+            });
+        });
+        w.finish()
     }
 }
 

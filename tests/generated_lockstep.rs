@@ -3,12 +3,16 @@
 //! Each seed of a fixed range draws one platform — topology, registry
 //! pattern, load, packet length, buffer depth, arbiter, selection
 //! policy, traffic model, source queue, clock mode, telemetry window —
-//! and the engines it runs on: the compiled engine and a sharded one
+//! the engines it runs on (the compiled engine and a sharded one
 //! always, the TLM and RTL models on platforms of at most nine
-//! switches. The property: every engine matches the interpreted engine
-//! per cycle, or every engine rejects the config at build with one
-//! equal error. No engine may panic or fail mid-run. A failure prints
-//! the seed and the config.
+//! switches), and last, so that adding it kept every earlier draw, the
+//! self-profiling: off, phases, phases and spans, or phases and a stall
+//! watchdog whose window of 1..=8 cycles trips on ordinary congestion.
+//! The property: every engine matches the interpreted engine per cycle,
+//! or every engine rejects the config at build with one equal error. No
+//! engine may panic or fail mid-run, and every engine with stall
+//! forensics trips its watchdog alike. A failure prints the seed and
+//! the config.
 //!
 //! The named tests below are what the range found, and configurations
 //! every engine must reject alike.
@@ -21,6 +25,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use nocem::clock::ClockMode;
 use nocem::config::{PlatformConfig, TrafficModel};
 use nocem::error::CompileError;
+use nocem::profile::ProfileConfig;
 use nocem_common::rng::{Pcg32, RandomSource};
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_switch::arbiter::ArbiterKind;
@@ -127,6 +132,13 @@ fn generate(seed: u64) -> (PlatformConfig, Vec<Backend>) {
     if switches <= 9 {
         backends.extend([Backend::Tlm, Backend::Rtl]);
     }
+    let phases = ProfileConfig::default().without_spans();
+    cfg.profile = match rng.below(4) {
+        0 => None,
+        1 => Some(phases),
+        2 => Some(ProfileConfig::default()),
+        _ => Some(phases.with_stall(u64::from(rng.in_range(1, 8)))),
+    };
     cfg.name = format!("seed {seed}: {}", cfg.name);
     (cfg, backends)
 }

@@ -10,7 +10,7 @@ use nocem::compile::elaborate;
 use nocem::compiled::CompiledEngine;
 use nocem::config::PlatformConfig;
 use nocem::engine::build;
-use nocem::profile::{Phase, ProfileConfig};
+use nocem::profile::{Phase, PhaseProfiler, ProfileConfig};
 use nocem::shard_compiled::ShardedCompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -180,6 +180,20 @@ fn every_engine_reports_its_phases() {
             ),
         }
     }
+}
+
+/// A report's label is the caller's string: quotes, backslashes and
+/// control bytes in it reach the JSON escaped, in workers too.
+#[test]
+fn report_labels_are_escaped_in_json() {
+    let mut p = PhaseProfiler::new();
+    p.add_ns(Phase::Decide, 10);
+    let mut report = p.report("say \"hi\" \\ bye\n");
+    report.workers.push(p.report("w\t0"));
+    let json = report.to_json();
+    validate_json(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    assert!(json.starts_with(r#"{"label":"say \"hi\" \\ bye\u000a","#));
+    assert!(json.contains(r#""workers":[{"label":"w\u00090","#));
 }
 
 /// The compiled kernels count their work next to the timers, and the
