@@ -312,6 +312,21 @@ impl Log2Histogram {
     pub fn bin_count(&self, i: usize) -> u64 {
         self.bins[i]
     }
+
+    /// Merges another histogram with the same number of bins: the
+    /// result is the histogram of both sample sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bin counts differ.
+    pub fn merge(&mut self, other: &Log2Histogram) {
+        assert_eq!(self.bins.len(), other.bins.len(), "bin counts differ");
+        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
 }
 
 #[cfg(test)]
@@ -466,6 +481,12 @@ mod tests {
         assert_eq!(h.bin_count(7), 1); // saturated
         assert_eq!(h.count(), 8);
         assert!(h.mean().unwrap() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bin counts differ")]
+    fn log2_merge_rejects_mismatched_bins() {
+        Log2Histogram::new(8).merge(&Log2Histogram::new(9));
     }
 
     #[test]

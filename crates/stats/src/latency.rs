@@ -98,20 +98,14 @@ impl LatencyAnalyzer {
         &self.histogram
     }
 
-    /// Merges another analyzer into this one.
+    /// Merges another analyzer into this one: the result equals the
+    /// analyzer of both sample sets.
     pub fn merge(&mut self, other: &LatencyAnalyzer) {
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        // Log2 histograms always share geometry (32 bins).
-        for i in 0..32 {
-            for _ in 0..other.histogram.bin_count(i) {
-                // Cheap structural merge: re-record the bin's lower
-                // edge. Bin-resolution is all the histogram promises.
-                self.histogram.record(1u64 << i);
-            }
-        }
+        self.histogram.merge(&other.histogram);
     }
 }
 
@@ -176,6 +170,8 @@ mod tests {
         assert_eq!(a.min(), Some(2));
         assert_eq!(a.max(), Some(100));
         assert_eq!(a.sum(), 152);
+        // The histogram books the samples, not their bins' lower edges.
+        assert_eq!(a.histogram().mean(), Some(152.0 / 3.0));
     }
 
     #[test]

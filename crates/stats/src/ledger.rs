@@ -18,43 +18,68 @@
 //!
 //! * the **open window**: one 32-byte `Entry` per id from `lo` up to
 //!   the highest released id;
-//! * the **archive**: the delivered prefix `[0, lo)`, one 8-byte
-//!   `Archived` row per packet — release minus the previous id's
-//!   release, injection minus release, delivery minus injection, and
-//!   the length. A row with a field that does not fit (a negative delta
-//!   or one of at least 65 535 cycles, or a 65 535-flit length) is
-//!   escaped, and its full entry goes to a side list in id order.
+//! * the **archive**: the delivered prefix `[0, lo)` as one row of
+//!   zig-zag LEB128 varints per packet in a byte buffer — release minus
+//!   the previous id's release, injection minus release, delivery minus
+//!   injection. The low bit of the first says the length differs from
+//!   the previous packet's; the length then follows as a fourth varint.
+//!   Deltas wrap modulo 2^64: a negative or long one takes more bytes.
 //!
 //! Every `deliver` moves `lo` across the delivered rows at the front of
 //! the window, so the window spans only the packets in flight (about
-//! 3 000 ids on a saturated 8×8 mesh) and the ledger grows by 8 bytes
-//! per delivered packet. A packet that is never delivered pins `lo`:
-//! from there on the window costs 32 bytes per packet, like a flat
-//! array. The encoding is canonical — a logical ledger has exactly one
-//! representation — so the derived `==` is logical equality.
+//! 3 000 ids on a saturated 8×8 mesh) and the ledger grows by a row per
+//! delivered packet, 3.9 bytes on average on that mesh at 40 % load. A
+//! packet that is never delivered pins `lo`: from there on the window
+//! costs 32 bytes per packet, like a flat array. The encoding is
+//! canonical, so the derived `==` is logical equality. Clones share the
+//! archive ([`Arc`]): a snapshot copies only the window, and a ledger
+//! that archives more while a clone lives copies it ([`Arc::make_mut`]).
 
 use crate::latency::LatencyAnalyzer;
 use nocem_common::ids::PacketId;
 use nocem_common::time::Cycle;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// "Has not happened" in an [`Entry`] timestamp. A run cannot reach
 /// cycle `u64::MAX`, so no real event carries it.
 const NEVER: u64 = u64::MAX;
 
-/// A delivered packet in the archive: `[release − previous id's
-/// release, inject − release, deliver − inject, len_flits]`. No word of
-/// an encoded row is `u16::MAX`; that value marks an [`ESCAPED`] row.
-type Archived = [u16; 4];
+/// Appends `v` as an LEB128 varint: seven bits a byte, low ones first.
+fn put(buf: &mut Vec<u8>, mut v: u128) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
 
-/// The archive row of a packet whose full [`Entry`] sits in the side
-/// list because one of its fields does not fit a `u16` below `u16::MAX`.
-const ESCAPED: Archived = [u16::MAX; 4];
+/// Reads the LEB128 varint at `*at` and moves `*at` past it.
+fn take(buf: &[u8], at: &mut usize) -> u128 {
+    let byte = buf[*at];
+    *at += 1;
+    match byte {
+        0..=0x7f => byte.into(),
+        _ => u128::from(byte & 0x7f) | take(buf, at) << 7,
+    }
+}
+
+/// `later − earlier` modulo 2^64, zig-zagged: 0, −1, 1, −2, … → 0, 1, 2, ….
+fn zig(later: u64, earlier: u64) -> u128 {
+    let delta = later.wrapping_sub(earlier) as i64;
+    u128::from(((delta << 1) ^ (delta >> 63)) as u64)
+}
+
+/// Inverse of [`zig`]: `earlier` plus the zig-zagged delta `z`.
+fn unzig(earlier: u64, z: u128) -> u64 {
+    let z = z as u64;
+    earlier.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
+}
 
 /// Lifecycle record of one open-window packet: three raw cycle counts
 /// with a sentinel and the length, 32 bytes — not `Option`s (48). Only
 /// ids from `lo` on keep one; the archive encodes the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
     /// [`NEVER`] marks an id that was never released (a vacant slot).
     release: u64,
@@ -71,30 +96,27 @@ impl Entry {
         len_flits: 0,
     };
 
-    /// The archive row of this delivered entry, whose predecessor id
-    /// was released at `prev_release`; `None` when a field does not fit.
-    fn encode(&self, prev_release: u64) -> Option<Archived> {
-        let word = |later: u64, earlier: u64| {
-            let delta = u16::try_from(later.checked_sub(earlier)?).ok()?;
-            (delta != u16::MAX).then_some(delta)
-        };
-        Some([
-            word(self.release, prev_release)?,
-            word(self.inject, self.release)?,
-            word(self.deliver, self.inject)?,
-            word(u64::from(self.len_flits), 0)?,
-        ])
+    /// Appends to `buf` the archive row of this delivered entry, whose
+    /// predecessor id is `prev`.
+    fn encode(&self, prev: &Entry, buf: &mut Vec<u8>) {
+        let new_len = self.len_flits != prev.len_flits;
+        let head = zig(self.release, prev.release) << 1 | u128::from(new_len);
+        put(buf, head);
+        put(buf, zig(self.inject, self.release));
+        put(buf, zig(self.deliver, self.inject));
+        if new_len {
+            put(buf, self.len_flits.into());
+        }
     }
 
-    /// Inverse of [`Entry::encode`] for a row that is not [`ESCAPED`].
-    fn decode(row: Archived, prev_release: u64) -> Entry {
-        let release = prev_release + u64::from(row[0]);
-        let inject = release + u64::from(row[1]);
-        Entry {
-            release,
-            inject,
-            deliver: inject + u64::from(row[2]),
-            len_flits: row[3],
+    /// Inverse of [`Entry::encode`]: becomes the next id's entry, read at `*at`.
+    fn decode_next(&mut self, buf: &[u8], at: &mut usize) {
+        let head = take(buf, at);
+        self.release = unzig(self.release, head >> 1);
+        self.inject = unzig(self.release, take(buf, at));
+        self.deliver = unzig(self.inject, take(buf, at));
+        if head & 1 == 1 {
+            self.len_flits = take(buf, at) as u16;
         }
     }
 }
@@ -194,14 +216,12 @@ impl PacketRecord {
 /// to. See the [module docs](self) for how the packets are stored.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PacketLedger {
-    /// One row per id of the delivered prefix `[0, lo)`, so
-    /// `lo == archive.len()`.
-    archive: Vec<Archived>,
-    /// The full entries of the [`ESCAPED`] archive rows, in id order.
-    escapes: Vec<(u64, Entry)>,
-    /// Release cycle of id `lo − 1` (0 while the archive is empty): the
-    /// base of the next archived row's release delta.
-    archived_release: u64,
+    /// One row per id of `[0, lo)`, shared by clones until one archives more.
+    archive: Arc<Vec<u8>>,
+    /// The low-water mark, so also the number of archived rows.
+    lo: u64,
+    /// Entry of id `lo − 1` (all zero before any): the next row's base.
+    last: Entry,
     /// Ids `lo ..` up to the highest released one (empty when that is
     /// below `lo`). The front entry is never delivered.
     window: VecDeque<Entry>,
@@ -218,20 +238,13 @@ impl PacketLedger {
         PacketLedger::default()
     }
 
-    /// The low-water mark: the first id that is undelivered or was
-    /// never released.
-    #[inline]
-    fn lo(&self) -> u64 {
-        self.archive.len() as u64
-    }
-
     /// The window entry of a released packet. An archived packet has
     /// had every event, so a new one is a duplicate.
     #[inline]
     fn open_entry(&mut self, id: PacketId) -> Result<&mut Entry, LedgerError> {
         let offset = id
             .raw()
-            .checked_sub(self.lo())
+            .checked_sub(self.lo)
             .ok_or(LedgerError::DuplicateEvent(id))?;
         self.window
             .get_mut(offset as usize)
@@ -242,17 +255,12 @@ impl PacketLedger {
     /// Moves `lo` across the delivered entries at the front of the
     /// window, archiving each.
     fn archive_delivered(&mut self) {
-        while let Some(&entry) = self.window.front() {
-            if entry.deliver == NEVER {
-                break;
-            }
+        let archive = Arc::make_mut(&mut self.archive);
+        while let Some(entry) = self.window.front().filter(|e| e.deliver != NEVER) {
+            entry.encode(&self.last, archive);
+            self.last = *entry;
+            self.lo += 1;
             self.window.pop_front();
-            let row = entry.encode(self.archived_release).unwrap_or_else(|| {
-                self.escapes.push((self.lo(), entry));
-                ESCAPED
-            });
-            self.archive.push(row);
-            self.archived_release = entry.release;
         }
     }
 
@@ -267,7 +275,7 @@ impl PacketLedger {
         debug_assert_ne!(at.raw(), NEVER, "cycle u64::MAX is the vacant marker");
         let offset = id
             .raw()
-            .checked_sub(self.lo())
+            .checked_sub(self.lo)
             .ok_or(LedgerError::DuplicateRelease(id))? as usize;
         if offset >= self.window.len() {
             self.window.resize(offset + 1, Entry::VACANT);
@@ -335,7 +343,7 @@ impl PacketLedger {
         self.delivered += 1;
         self.network_latency.record(lat.network);
         self.total_latency.record(lat.total);
-        if id.raw() == self.lo() {
+        if id.raw() == self.lo {
             self.archive_delivered();
         }
         Ok(lat)
@@ -374,17 +382,9 @@ impl PacketLedger {
     /// Iterates the lifecycle record of every registered packet, in
     /// packet-id order.
     pub fn records(&self) -> impl Iterator<Item = PacketRecord> + '_ {
-        let mut escapes = self.escapes.iter();
-        let mut release = 0;
-        let archived = self.archive.iter().zip(0..).map(move |(&row, id)| {
-            let entry = if row == ESCAPED {
-                let &(at, entry) = escapes.next().expect("one side entry per escaped row");
-                debug_assert_eq!(at, id, "side entries follow id order");
-                entry
-            } else {
-                Entry::decode(row, release)
-            };
-            release = entry.release;
+        let (archive, mut at, mut entry) = (self.archive.as_slice(), 0, Entry::default());
+        let archived = (0..self.lo).map(move |_| {
+            entry.decode_next(archive, &mut at);
             entry
         });
         archived
@@ -411,7 +411,7 @@ impl PacketLedger {
     pub fn verify_drained(&self) -> Result<(), LedgerError> {
         match (self.window.iter()).position(|e| e.release != NEVER && e.deliver == NEVER) {
             Some(i) => Err(LedgerError::UnknownPacket(PacketId::new(
-                self.lo() + i as u64,
+                self.lo + i as u64,
             ))),
             None => Ok(()),
         }
@@ -498,11 +498,9 @@ mod tests {
     }
 
     /// The compact entries raise exactly the errors the `Option`-based
-    /// ones did, in the same precedence — archived packets included —
-    /// and an archived packet costs 8 bytes.
+    /// ones did, in the same precedence — archived packets included.
     #[test]
     fn every_ledger_error_still_fires() {
-        assert_eq!(std::mem::size_of::<Archived>(), 8);
         let mut l = PacketLedger::new();
         let (a, gap, b) = (PacketId::new(0), PacketId::new(1), PacketId::new(2));
         l.release(a, Cycle::new(1), 4).unwrap();
@@ -543,7 +541,7 @@ mod tests {
         );
         assert_eq!(l.delivered(), 0, "a refused delivery books nothing");
         l.deliver(a, Cycle::new(5), 4).unwrap();
-        assert_eq!(l.lo(), 1, "the delivered packet is archived");
+        assert_eq!(l.lo, 1, "the delivered packet is archived");
         assert_eq!(
             l.deliver(a, Cycle::new(6), 4),
             Err(LedgerError::DuplicateEvent(a))
@@ -582,14 +580,14 @@ mod tests {
         for i in (0..1_000).filter(|&i| i != 500 && i != 700) {
             l.deliver(PacketId::new(i), Cycle::new(i + 9), 2).unwrap();
         }
-        assert_eq!((l.lo(), l.window.len()), (500, 500));
+        assert_eq!((l.lo, l.window.len()), (500, 500));
         let straggler = |i| Err(LedgerError::UnknownPacket(PacketId::new(i)));
         assert_eq!(l.verify_drained(), straggler(500));
         l.deliver(PacketId::new(500), Cycle::new(600), 2).unwrap();
-        assert_eq!((l.lo(), l.window.len()), (700, 300));
+        assert_eq!((l.lo, l.window.len()), (700, 300));
         assert_eq!(l.verify_drained(), straggler(700));
         l.deliver(PacketId::new(700), Cycle::new(800), 2).unwrap();
-        assert_eq!((l.lo(), l.window.len()), (1_000, 0));
+        assert_eq!((l.lo, l.window.len()), (1_000, 0));
         l.verify_drained().unwrap();
         // Vacant ids in the window are not stragglers, but they hold `lo`.
         l.release(PacketId::new(1_003), Cycle::new(900), 2).unwrap();
@@ -597,47 +595,139 @@ mod tests {
         l.inject(PacketId::new(1_003), Cycle::new(901)).unwrap();
         l.deliver(PacketId::new(1_003), Cycle::new(902), 2).unwrap();
         l.verify_drained().unwrap();
-        assert_eq!((l.lo(), l.window.len()), (1_000, 4));
+        assert_eq!((l.lo, l.window.len()), (1_000, 4));
     }
 
-    /// A long run with few packets in flight costs 8 bytes per packet:
-    /// the window never holds more than the in-flight span, and
-    /// `records()` decodes the archive back to the exact timestamps.
+    /// A long run at `sat_mesh8x8`'s mix costs at most 4 bytes per
+    /// packet: releases 0–15 cycles apart, most 0 or 1; a quarter queue
+    /// under 64 cycles, most under 512, a few up to 5 000; three quarters
+    /// cross the network in 16–63 cycles, the rest in up to 300; one
+    /// length. The window never outgrows the in-flight span, `records()`
+    /// decodes the exact timestamps, and a clone taken afterwards shares
+    /// the archive and keeps its records while the original archives on.
     #[test]
-    fn archive_costs_eight_bytes_per_packet_and_the_window_the_span() {
-        const SPAN: u64 = 64;
-        const PACKETS: u64 = 1_563 * SPAN; // just over 100 000
+    fn archive_costs_four_bytes_per_packet_and_a_clone_shares_it() {
+        const PACKETS: u64 = 120_000;
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut release = 0;
+        let want: Vec<PacketRecord> = (0..PACKETS)
+            .map(|id| {
+                release += if draw(8) == 0 { draw(16) } else { draw(2) };
+                let queue = match draw(8) {
+                    0 | 1 => draw(64),
+                    2 => draw(5_001),
+                    _ => draw(512),
+                };
+                let inject = release + queue;
+                let network = 16 + if draw(4) == 0 { draw(285) } else { draw(48) };
+                PacketRecord {
+                    id: PacketId::new(id),
+                    release: Cycle::new(release),
+                    len_flits: 4,
+                    inject: Some(Cycle::new(inject)),
+                    deliver: Some(Cycle::new(inject + network)),
+                }
+            })
+            .collect();
+        // Every event in cycle order; within a cycle releases come
+        // first, so ids are released in order.
+        let mut events: Vec<(Cycle, u8, PacketId)> = (want.iter())
+            .flat_map(|r| {
+                [
+                    (r.release, 0, r.id),
+                    (r.inject.unwrap(), 1, r.id),
+                    (r.deliver.unwrap(), 2, r.id),
+                ]
+            })
+            .collect();
+        events.sort_unstable();
         let mut l = PacketLedger::new();
-        let mut widest = 0;
-        // Blocks of `SPAN` ids: all released and injected, then
-        // delivered in a scrambled order.
-        for block in (0..PACKETS).step_by(SPAN as usize) {
-            for id in block..block + SPAN {
-                l.release(PacketId::new(id), Cycle::new(id), 3).unwrap();
-                l.inject(PacketId::new(id), Cycle::new(id + id % 5))
-                    .unwrap();
-                widest = widest.max(l.window.len());
+        let (mut released, mut oldest_open, mut widest) = (0, 0, 0);
+        let mut delivered = vec![false; PACKETS as usize];
+        for (at, kind, id) in events {
+            match kind {
+                0 => {
+                    l.release(id, at, 4).unwrap();
+                    released += 1;
+                }
+                1 => l.inject(id, at).unwrap(),
+                _ => {
+                    l.deliver(id, at, 4).unwrap();
+                    delivered[id.raw() as usize] = true;
+                }
             }
-            for k in 0..SPAN {
-                let id = block + k * 37 % SPAN;
-                l.deliver(PacketId::new(id), Cycle::new(block + 2 * SPAN + k), 3)
-                    .unwrap();
-                widest = widest.max(l.window.len());
+            while delivered.get(oldest_open) == Some(&true) {
+                oldest_open += 1;
             }
+            let span = released - oldest_open;
+            assert!(
+                l.window.len() <= span,
+                "window {} > span {span}",
+                l.window.len()
+            );
+            widest = widest.max(span);
         }
-        assert!(widest as u64 <= SPAN, "window reached {widest} ids");
-        assert!(l.window.is_empty());
-        let bytes = std::mem::size_of_val(l.archive.as_slice())
-            + std::mem::size_of_val(l.escapes.as_slice());
-        assert!(bytes as u64 <= 8 * PACKETS, "{bytes} B archived");
-        assert_eq!(l.lo(), PACKETS);
-        for (r, id) in l.records().zip(0..) {
-            let block = id - id % SPAN;
-            let k = (0..SPAN).find(|k| block + k * 37 % SPAN == id).unwrap();
-            assert_eq!(r.release, Cycle::new(id));
-            assert_eq!(r.inject, Some(Cycle::new(id + id % 5)));
-            assert_eq!(r.deliver, Some(Cycle::new(block + 2 * SPAN + k)));
+        assert!(
+            l.window.is_empty() && widest > 1_000,
+            "widest span {widest}"
+        );
+        let bytes = l.archive.len() as u64;
+        assert!(bytes <= 4 * PACKETS, "{bytes} B archived");
+        assert!(l.records().eq(want.iter().copied()));
+
+        let snapshot = l.clone();
+        assert!(Arc::ptr_eq(&snapshot.archive, &l.archive));
+        let id = PacketId::new(PACKETS);
+        l.release(id, Cycle::new(release), 2).unwrap();
+        l.inject(id, Cycle::new(release)).unwrap();
+        l.deliver(id, Cycle::new(release + 20), 2).unwrap();
+        assert!(!Arc::ptr_eq(&snapshot.archive, &l.archive));
+        assert!(snapshot.records().eq(want.iter().copied()));
+        assert_eq!(
+            (l.lo, l.records().last().map(|r| r.id)),
+            (PACKETS + 1, Some(id))
+        );
+    }
+
+    /// Deltas wrap modulo 2^64: half-range jumps (the longest rows) in
+    /// every field, jumps that are short only modulo 2^64, and lengths
+    /// at both ends of `u16` decode exactly. Latencies stay small, or
+    /// saturate at 0, so the analyzers' sums cannot overflow.
+    #[test]
+    fn extreme_deltas_round_trip() {
+        let (half, far) = (1 << 63, u64::MAX - 1);
+        let rows = [
+            (half, 0, 0, u16::MAX),
+            (0, half - 1, 1, u16::MAX),
+            (far, far - 3, 2, 0),
+            (1, far, far / 2, 1),
+            (far / 3, far / 3 + 7, far / 3 + 9, 0),
+        ];
+        let mut l = PacketLedger::new();
+        for (&(release, inject, deliver, len), id) in rows.iter().zip(0..) {
+            let id = PacketId::new(id);
+            l.release(id, Cycle::new(release), len).unwrap();
+            l.inject(id, Cycle::new(inject)).unwrap();
+            l.deliver(id, Cycle::new(deliver), len).unwrap();
         }
+        assert_eq!(l.lo, rows.len() as u64);
+        let got: Vec<_> = (l.records())
+            .map(|r| {
+                (
+                    r.release.raw(),
+                    r.inject.unwrap().raw(),
+                    r.deliver.unwrap().raw(),
+                    r.len_flits,
+                )
+            })
+            .collect();
+        assert_eq!(got, rows);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 /// The packet ledger as one flat row per id, `None` for an id never
 /// released: the reference model the archived ledger is checked
 /// against.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct FlatLedger {
     rows: Vec<Option<FlatRow>>,
     released: u64,
@@ -126,11 +126,14 @@ enum Call {
     Deliver(u64, u64, u16),
 }
 
-/// The smallest delta an archived row cannot hold is 65 535.
-const LONG: u64 = 65_533;
+/// Deltas at the byte edges of a zig-zag LEB128 varint: one byte holds
+/// −64..=63, two −8 192..=8 191, three −2^20..=2^20 − 1, and 2^40 takes
+/// six. The release delta shares its varint with the length bit, so its
+/// edges are the halves, 32, 4 096 and 2^19.
+const EDGES: [u64; 7] = [32, 64, 4_096, 8_192, 1 << 19, 1 << 20, 1 << 40];
 
-/// One generated packet: `(vacant one in 16, release-step class, step)`,
-/// `(queueing class, queueing)`, `(latency class, latency)`,
+/// One generated packet: `(vacant one in 40, release-step class,
+/// small)`, `(queueing class, small)`, `(latency class, small)`,
 /// `(length class, length)` and the order keys of its three events.
 type GenPacket = (
     (u8, u8, u64),
@@ -142,9 +145,9 @@ type GenPacket = (
 
 fn gen_packet() -> impl Strategy<Value = GenPacket> {
     (
-        (0u8..16, 0u8..4, 0u64..4),
-        (0u8..4, 0u64..4),
-        (0u8..4, 0u64..4),
+        (0u8..40, 0u8..24, 0u64..4),
+        (0u8..24, 0u64..4),
+        (0u8..24, 0u64..4),
         (0u8..6, 0u16..3),
         (0u32..1000, 0u32..1000, 0u32..1000),
     )
@@ -155,44 +158,48 @@ fn gen_call() -> impl Strategy<Value = (u8, u64, u64, u16, u32)> {
     (0u8..3, 0u64..72, 0u64..140_000, 1u16..5, 0u32..1000)
 }
 
-/// `small`, or a delta of 65 533 + `small` — across the largest one
-/// that fits an archived row — in one class of four.
-fn stretch(class: u8, small: u64) -> u64 {
-    if class == 0 {
-        LONG + small
-    } else {
-        small
+/// `at` moved by a delta of class `class` (of 24): forward (0..7) or
+/// back (7..14) by one of edge − 2 ..= edge + 1 of an [`EDGES`] entry,
+/// picked by `small`; one to four cycles back (14); or `small` forward.
+fn shift(at: u64, class: u8, small: u64) -> u64 {
+    let edge = |i: u8| EDGES[usize::from(i)] + small - 2;
+    match class {
+        0..=6 => at + edge(class),
+        7..=13 => at.saturating_sub(edge(class - 7)),
+        14 => at.saturating_sub(small + 1),
+        _ => at + small,
     }
 }
 
 /// The lifecycle calls of `packets` (ids in order; a vacant one is
 /// never released), keyed so that sorting by key interleaves the
-/// packets while each keeps release → inject → deliver. Releases step
-/// forward, jump ≥ 65 533 cycles, or step back; a packet may queue or
-/// cross the network for ≥ 65 533 cycles or be 65 533+ flits long.
+/// packets while each keeps release → inject → deliver. Each field of
+/// a row — the release step, the queueing and the network latency —
+/// crosses a varint byte edge forward or back, steps back, or steps
+/// forward a little; releases start at 2^42, so a step back across an
+/// edge is exact. A length is near `u16::MAX`, small, or the previous
+/// packet's again.
 fn lifecycles(packets: &[GenPacket]) -> Vec<(u32, Call)> {
     let mut calls = Vec::new();
-    let mut release = 16u64;
-    for (&(step, (qc, q), (lc, l), (len_class, len), keys), id) in packets.iter().zip(0..) {
-        let (vacancy, class, small) = step;
-        release = match class {
-            1 => release.saturating_sub(small + 1),
-            _ => release + stretch(class, small),
-        };
+    let (mut release, mut len) = (1u64 << 42, 0);
+    for (&((vacancy, class, small), (qc, q), (lc, l), (len_class, small_len), keys), id) in
+        packets.iter().zip(0..)
+    {
+        release = shift(release, class, small);
         if vacancy == 0 {
             continue;
         }
-        let len = if len_class == 0 {
-            u16::MAX - len
-        } else {
-            1 + len
+        len = match len_class {
+            0 => u16::MAX - small_len,
+            1 | 2 => len,
+            _ => 1 + small_len,
         };
-        let inject = release + stretch(qc, q);
+        let inject = shift(release, qc, q);
         let mut keys = [keys.0, keys.1, keys.2];
         keys.sort_unstable();
         calls.push((keys[0], Call::Release(id, release, len)));
         calls.push((keys[1], Call::Inject(id, inject)));
-        calls.push((keys[2], Call::Deliver(id, inject + stretch(lc, l), len)));
+        calls.push((keys[2], Call::Deliver(id, shift(inject, lc, l), len)));
     }
     calls
 }
@@ -202,6 +209,48 @@ fn lifecycles(packets: &[GenPacket]) -> Vec<(u32, Call)> {
 fn in_key_order(mut calls: Vec<(u32, Call)>) -> Vec<Call> {
     calls.sort_by_key(|&(key, _)| key);
     calls.into_iter().map(|(_, call)| call).collect()
+}
+
+/// Makes one call on `ledger` and on `model`: both must answer alike,
+/// with equal counters and records afterwards.
+fn step(
+    ledger: &mut PacketLedger,
+    model: &mut FlatLedger,
+    call: Call,
+) -> Result<(), TestCaseError> {
+    match call {
+        Call::Release(id, at, len) => prop_assert_eq!(
+            ledger.release(PacketId::new(id), Cycle::new(at), len),
+            model.release(id, at, len),
+            "{:?}",
+            call
+        ),
+        Call::Inject(id, at) => prop_assert_eq!(
+            ledger.inject(PacketId::new(id), Cycle::new(at)),
+            model.inject(id, at),
+            "{:?}",
+            call
+        ),
+        Call::Deliver(id, at, len) => prop_assert_eq!(
+            ledger.deliver(PacketId::new(id), Cycle::new(at), len),
+            model.deliver(id, at, len),
+            "{:?}",
+            call
+        ),
+    }
+    let counts = (ledger.released(), ledger.injected(), ledger.delivered());
+    prop_assert_eq!(counts, (model.released, model.injected, model.delivered));
+    prop_assert_eq!(ledger.in_flight(), model.released - model.delivered);
+    prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+    Ok(())
+}
+
+/// The end-of-run checks of `ledger` against `model`.
+fn same_totals(ledger: &PacketLedger, model: &FlatLedger) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ledger.network_latency(), &model.network);
+    prop_assert_eq!(ledger.total_latency(), &model.total);
+    prop_assert_eq!(ledger.verify_drained(), model.verify_drained());
+    Ok(())
 }
 
 /// The ledger after `calls`, whatever each returned.
@@ -319,10 +368,7 @@ proptest! {
         for &v in &a { xa.record(v); xc.record(v); }
         for &v in &b { xb.record(v); xc.record(v); }
         xa.merge(&xb);
-        prop_assert_eq!(xa.count(), xc.count());
-        prop_assert_eq!(xa.sum(), xc.sum());
-        prop_assert_eq!(xa.min(), xc.min());
-        prop_assert_eq!(xa.max(), xc.max());
+        prop_assert_eq!(xa, xc);
     }
 
     /// The ledger accepts any interleaving of correctly ordered
@@ -385,10 +431,10 @@ proptest! {
     }
 
     /// The archived ledger answers every call like the flat reference
-    /// model, on interleaved lifecycles with vacant ids, long release
-    /// gaps, long queueing and network latencies (every escape path)
-    /// and random — mostly invalid — calls mixed in; counters and
-    /// records agree after every call.
+    /// model, on interleaved lifecycles with vacant ids, deltas of either
+    /// sign on both sides of every varint byte edge in all three fields,
+    /// repeated and changed lengths, and random — mostly invalid — calls
+    /// mixed in; counters and records agree after every call.
     #[test]
     fn ledger_matches_the_flat_model(
         packets in proptest::collection::vec(gen_packet(), 1..64),
@@ -406,32 +452,45 @@ proptest! {
         let mut ledger = PacketLedger::new();
         let mut model = FlatLedger::default();
         for call in in_key_order(calls) {
-            match call {
-                Call::Release(id, at, len) => prop_assert_eq!(
-                    ledger.release(PacketId::new(id), Cycle::new(at), len),
-                    model.release(id, at, len),
-                    "{:?}", call
-                ),
-                Call::Inject(id, at) => prop_assert_eq!(
-                    ledger.inject(PacketId::new(id), Cycle::new(at)),
-                    model.inject(id, at),
-                    "{:?}", call
-                ),
-                Call::Deliver(id, at, len) => prop_assert_eq!(
-                    ledger.deliver(PacketId::new(id), Cycle::new(at), len),
-                    model.deliver(id, at, len),
-                    "{:?}", call
-                ),
-            }
-            prop_assert_eq!(
-                (ledger.released(), ledger.injected(), ledger.delivered(), ledger.in_flight()),
-                (model.released, model.injected, model.delivered, model.released - model.delivered)
-            );
-            prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+            step(&mut ledger, &mut model, call)?;
         }
-        prop_assert_eq!(ledger.network_latency(), &model.network);
-        prop_assert_eq!(ledger.total_latency(), &model.total);
-        prop_assert_eq!(ledger.verify_drained(), model.verify_drained());
+        same_totals(&ledger, &model)?;
+    }
+
+    /// A clone is a snapshot. Cloned at any call, the original takes the
+    /// rest of the calls and the clone the same calls one cycle later,
+    /// alternating, either one first; each answers like its own flat
+    /// model after every call, though they shared one archive.
+    #[test]
+    fn ledger_clone_is_an_isolated_snapshot(
+        packets in proptest::collection::vec(gen_packet(), 1..64),
+        cut in 0usize..192,
+        clone_first in any::<bool>(),
+    ) {
+        let calls = in_key_order(lifecycles(&packets));
+        let (prefix, suffix) = calls.split_at(cut.min(calls.len()));
+        let mut ledger = PacketLedger::new();
+        let mut model = FlatLedger::default();
+        for &call in prefix {
+            step(&mut ledger, &mut model, call)?;
+        }
+        let (mut copy, mut copy_model) = (ledger.clone(), model.clone());
+        for &call in suffix {
+            let later = match call {
+                Call::Release(id, at, len) => Call::Release(id, at + 1, len),
+                Call::Inject(id, at) => Call::Inject(id, at + 1),
+                Call::Deliver(id, at, len) => Call::Deliver(id, at + 1, len),
+            };
+            if clone_first {
+                step(&mut copy, &mut copy_model, later)?;
+            }
+            step(&mut ledger, &mut model, call)?;
+            if !clone_first {
+                step(&mut copy, &mut copy_model, later)?;
+            }
+        }
+        same_totals(&ledger, &model)?;
+        same_totals(&copy, &copy_model)?;
     }
 
     /// Two valid orders of lifecycle calls give equal ledgers exactly

@@ -28,21 +28,15 @@ use nocem::SteppableEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use std::time::Instant;
+use support::peak_rss_mb;
+
+mod support;
 
 /// The set-up budget CI holds `64 uniform_random` to: about ten times
 /// the time and six times the memory recorded in the README, for a
 /// shared runner.
 const LIMIT_SECONDS: f64 = 0.5;
 const LIMIT_PEAK_MB: f64 = 128.0;
-
-/// Peak resident set of this process in MB (`VmHWM` of
-/// `/proc/self/status`; `None` off Linux).
-fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
