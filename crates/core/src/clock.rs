@@ -12,29 +12,21 @@
 //!   probe; the wait-for edges; the ledger);
 //! * the **run-level state** — *what happens around a cycle*:
 //!   [`RunState`] (clock, skipped-cycle counter, [`ClockMode`], stop
-//!   condition, telemetry collector, stall watchdog, warnings), built
-//!   in one place from the `PlatformConfig` and embedded by every
-//!   engine.
+//!   condition, telemetry collector, stall watchdog), built in one
+//!   place from the `PlatformConfig` and embedded by every engine.
 //!
 //! On top of the two sits the one step skeleton — gate → probe → cycle
 //! → watchdog → limit — as the single generic `impl SteppableEngine for
-//! K: CycleKernel`. `Emulation`, `CompiledEngine`, `TlmEngine` and
-//! `RtlEngine` are kernels; none of them carries its own gate, probe
-//! timing, watchdog feed or cycle-limit check. The skeleton enforces
-//! the two invariants the engines used to uphold by copy:
+//! K: CycleKernel`. `Emulation`, `CompiledEngine`, `TlmEngine`,
+//! `RtlEngine` and the sharded coordinator are kernels; none of them
+//! carries its own gate, probe timing, watchdog feed or cycle-limit
+//! check. The skeleton enforces the two invariants the engines used to
+//! uphold by copy:
 //!
 //! * the telemetry probe fires at the *start* of the cycle, *after* any
 //!   jump, so the recorded windows are engine- and clock-mode-invariant;
 //! * a jump never passes `cycle_limit`, so the limit error fires on the
 //!   same cycle gated or not.
-//!
-//! The sharded coordinator (`crate::shard_compiled`) embeds a
-//! [`RunState`] too and calls the pieces that fit (construction, probe
-//! record / seal, the delivered-target test, the cycle-limit check,
-//! the summary) but keeps its own windowed `step`: it probes once per
-//! window and its "cycle" is a replay of buffered entries, so
-//! forcing it through the per-cycle skeleton would make the shared code
-//! branch on its caller.
 //!
 //! # Hybrid clock gating
 //!
@@ -116,7 +108,7 @@ use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_switch::switch::Switch;
-use nocem_telemetry::{Collector, CumulativeProbe};
+use nocem_telemetry::{Collector, CumulativeProbe, SpanTrace};
 use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use std::ops::Deref;
@@ -207,40 +199,9 @@ pub fn effective_speedup(cycles: u64, cycles_skipped: u64) -> f64 {
     }
 }
 
-/// A structured, machine-visible warning an engine raised while
-/// coming up or running — the replacement for ad-hoc stderr prints,
-/// surfaced on [`EngineSummary::warnings`] and
-/// [`SteppableEngine::warnings`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum EngineWarning {
-    /// The configuration asked for the stall watchdog
-    /// (`ProfileConfig::with_stall`) on the sharded-compiled engine,
-    /// which has no wait-for forensics yet: worker state runs ahead of
-    /// the coordinator's cycle, so no consistent snapshot exists to
-    /// latch. The run proceeds unwatched.
-    ShardedStallWatchdogIgnored,
-}
-
-impl std::fmt::Display for EngineWarning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineWarning::ShardedStallWatchdogIgnored => write!(
-                f,
-                "the sharded-compiled engine has no stall forensics; \
-                 the configured stall watchdog is ignored"
-            ),
-        }
-    }
-}
-
 /// Engine-agnostic end-of-run summary — the comparison tuple of the
 /// cross-engine and gated-vs-ungated equivalence tests.
-///
-/// Equality deliberately ignores [`EngineSummary::warnings`]: a
-/// warning describes the *machinery* (an ignored knob), not the
-/// emulated behaviour, and the equivalence tests compare behaviour.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineSummary {
     /// Simulated cycles (skipped ones included — identical across
     /// clock modes).
@@ -259,22 +220,6 @@ pub struct EngineSummary {
     pub network_latency: LatencyAnalyzer,
     /// Total latency (release → delivery) statistics.
     pub total_latency: LatencyAnalyzer,
-    /// Structured warnings the engine raised (excluded from
-    /// equality).
-    pub warnings: Vec<EngineWarning>,
-}
-
-impl PartialEq for EngineSummary {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycles == other.cycles
-            && self.cycles_skipped == other.cycles_skipped
-            && self.released == other.released
-            && self.injected == other.injected
-            && self.delivered == other.delivered
-            && self.delivered_flits == other.delivered_flits
-            && self.network_latency == other.network_latency
-            && self.total_latency == other.total_latency
-    }
 }
 
 impl EngineSummary {
@@ -295,17 +240,7 @@ impl EngineSummary {
             delivered_flits,
             network_latency: ledger.network_latency().clone(),
             total_latency: ledger.total_latency().clone(),
-            warnings: Vec::new(),
         }
-    }
-
-    /// The summary with the engine's warnings attached
-    /// (builder-style; engines call this inside
-    /// [`SteppableEngine::summary`]).
-    #[must_use]
-    pub fn with_warnings(mut self, warnings: &[EngineWarning]) -> EngineSummary {
-        self.warnings = warnings.to_vec();
-        self
     }
 
     /// Effective speedup of the run under gating (1.0 when ungated).
@@ -327,8 +262,8 @@ impl EngineSummary {
 
 /// The run-level half of an engine: everything that happens *around*
 /// a cycle and is identical whatever kernel executes it. Built in one
-/// place from the [`PlatformConfig`] and embedded by every engine (the
-/// four [`CycleKernel`]s and the sharded coordinator).
+/// place from the [`PlatformConfig`] and embedded by every
+/// [`CycleKernel`].
 #[derive(Debug, Clone)]
 pub struct RunState {
     pub(crate) now: Cycle,
@@ -339,7 +274,6 @@ pub struct RunState {
     pub(crate) telemetry: Option<Collector>,
     /// Stall watchdog, when the profile config enables one.
     pub(crate) watchdog: Option<StallWatchdog>,
-    pub(crate) warnings: Vec<EngineWarning>,
 }
 
 impl RunState {
@@ -361,7 +295,6 @@ impl RunState {
                 .as_ref()
                 .and_then(|p| p.stall)
                 .map(StallWatchdog::new),
-            warnings: Vec::new(),
         }
     }
 
@@ -418,18 +351,20 @@ impl RunState {
         Ok(())
     }
 
-    /// The run summary over `ledger`, warnings attached.
+    /// The run summary over `ledger`.
     pub(crate) fn summary(&self, delivered_flits: u64, ledger: &PacketLedger) -> EngineSummary {
         EngineSummary::from_ledger(self.now.raw(), self.cycles_skipped, delivered_flits, ledger)
-            .with_warnings(&self.warnings)
     }
 }
 
-/// The kernel half of a single-threaded engine: the engine-specific
-/// answers the step skeleton needs, and nothing else. Implementing it
-/// makes a type a [`SteppableEngine`] (the one generic impl below);
-/// dispatch is static, so the skeleton monomorphises into each
-/// kernel's own step.
+/// The kernel half of an engine: the engine-specific answers the step
+/// skeleton needs, and nothing else. Implementing it makes a type a
+/// [`SteppableEngine`] (the one generic impl below); dispatch is
+/// static, so the skeleton monomorphises into each kernel's own step.
+///
+/// Probe and wait-for edges take `&mut self` and may fail because the
+/// sharded coordinator gathers them from worker threads, which can
+/// die; every single-threaded kernel answers them infallibly.
 pub trait CycleKernel {
     /// The engine's label in profile reports.
     const LABEL: &'static str;
@@ -465,16 +400,37 @@ pub trait CycleKernel {
 
     /// Cumulative per-link counters plus live per-VC occupancy — the
     /// telemetry probe, and the source of the congestion counters.
-    fn cumulative_probe(&self) -> CumulativeProbe;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmulationError`] when the state cannot be read.
+    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError>;
 
-    /// Every waiting input VC as a wait-for edge (stall forensics).
-    fn wait_edges(&self) -> Vec<WaitEdge>;
+    /// Every waiting input VC as a wait-for edge (stall forensics), in
+    /// any order: [`StallReport::new`] sorts them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmulationError`] when the state cannot be read.
+    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError>;
 
     /// The packet ledger.
     fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_;
 
     /// Flits fully delivered so far.
     fn delivered_flits(&self) -> u64;
+
+    /// The phase report behind [`SteppableEngine::profile`]: the
+    /// kernel's own profiler under [`CycleKernel::LABEL`].
+    fn phase_report(&mut self) -> Option<PhaseReport> {
+        self.profiler_mut().map(|p| p.report(Self::LABEL))
+    }
+
+    /// The span timeline behind [`SteppableEngine::span_trace`]; no
+    /// single-threaded kernel records one.
+    fn span_timeline(&mut self) -> Option<SpanTrace> {
+        None
+    }
 }
 
 /// The common stepping contract of every engine.
@@ -539,9 +495,10 @@ pub trait SteppableEngine {
     }
 
     /// The merged wall-clock span timeline (Chrome-trace material),
-    /// when the config enabled profiling with spans on. Draining is
-    /// destructive on the sharded engine — call once, at the end.
-    fn span_trace(&mut self) -> Option<nocem_telemetry::SpanTrace> {
+    /// when the config enabled profiling with spans on. A snapshot, not
+    /// a drain: every thread hands out a copy of its buffer and keeps
+    /// recording, so the call may be repeated at any point of the run.
+    fn span_trace(&mut self) -> Option<SpanTrace> {
         None
     }
 
@@ -550,12 +507,6 @@ pub trait SteppableEngine {
     /// tripped.
     fn stall_report(&self) -> Option<&crate::profile::StallReport> {
         None
-    }
-
-    /// Structured warnings the engine raised while coming up or
-    /// running (ignored configuration knobs and the like).
-    fn warnings(&self) -> &[EngineWarning] {
-        &[]
     }
 }
 
@@ -592,7 +543,7 @@ impl<K: CycleKernel> SteppableEngine for K {
         // boundaries records one zero sample per crossed boundary
         // (nothing moves while quiescent).
         if self.run_state().probe_due() {
-            let probe = self.cumulative_probe();
+            let probe = self.cumulative_probe()?;
             self.run_state_mut().record_probe(&probe);
         }
         lap(self.profiler_mut(), &mut t, Phase::Probe);
@@ -608,12 +559,15 @@ impl<K: CycleKernel> SteppableEngine for K {
             let dog = self.run_state_mut().watchdog.as_mut();
             let dog = dog.expect("presence checked above");
             if dog.observe(now.raw(), released, injected, delivered, in_flight) {
+                let window = dog.window();
+                let edges = self.wait_edges()?;
+                let probe = self.cumulative_probe()?;
                 let report = StallReport::from_congestion(
                     now.raw(),
-                    dog.window(),
+                    window,
                     in_flight,
-                    self.wait_edges(),
-                    &crate::results::congestion_of(&self.cumulative_probe()),
+                    edges,
+                    &crate::results::congestion_of(&probe),
                 );
                 let dog = self.run_state_mut().watchdog.as_mut();
                 dog.expect("presence checked above").latch(report);
@@ -654,15 +608,22 @@ impl<K: CycleKernel> SteppableEngine for K {
         self.run_state().telemetry.as_ref()
     }
 
+    /// A no-op when telemetry is off, already sealed, or the kernel
+    /// cannot be probed any more (a failed sharded run).
     fn seal_telemetry(&mut self) {
         if self.run_state().seal_due() {
-            let probe = self.cumulative_probe();
-            self.run_state_mut().seal(&probe);
+            if let Ok(probe) = self.cumulative_probe() {
+                self.run_state_mut().seal(&probe);
+            }
         }
     }
 
     fn profile(&mut self) -> Option<PhaseReport> {
-        self.profiler_mut().map(|p| p.report(K::LABEL))
+        self.phase_report()
+    }
+
+    fn span_trace(&mut self) -> Option<SpanTrace> {
+        self.span_timeline()
     }
 
     fn stall_report(&self) -> Option<&StallReport> {
@@ -670,10 +631,6 @@ impl<K: CycleKernel> SteppableEngine for K {
             .watchdog
             .as_ref()
             .and_then(StallWatchdog::report)
-    }
-
-    fn warnings(&self) -> &[EngineWarning] {
-        &self.run_state().warnings
     }
 }
 
@@ -848,7 +805,7 @@ mod tests {
         wedge: bool,
         /// `(links, vcs)` of the configured platform.
         shape: (usize, usize),
-        log: std::cell::RefCell<Vec<Ask>>,
+        log: Vec<Ask>,
     }
 
     impl Fake {
@@ -868,7 +825,7 @@ mod tests {
         }
 
         fn log(&self) -> Vec<Ask> {
-            self.log.borrow().clone()
+            self.log.clone()
         }
     }
 
@@ -889,13 +846,13 @@ mod tests {
 
         fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
             let now = now.raw();
-            self.log.borrow_mut().push(Ask::Jump { now, horizon });
+            self.log.push(Ask::Jump { now, horizon });
             self.idle_until
                 .map_or(0, |event| event.min(horizon).saturating_sub(now))
         }
 
         fn cycle(&mut self, now: Cycle, _: &mut Option<Instant>) -> Result<(), EmulationError> {
-            self.log.borrow_mut().push(Ask::Cycle(now.raw()));
+            self.log.push(Ask::Cycle(now.raw()));
             if self.wedge && now == Cycle::ZERO {
                 self.ledger
                     .release(nocem_common::ids::PacketId::new(0), now, 1)?;
@@ -907,15 +864,15 @@ mod tests {
             false
         }
 
-        fn cumulative_probe(&self) -> CumulativeProbe {
+        fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
             let now = self.run.now.raw();
-            self.log.borrow_mut().push(Ask::Probe { now });
-            CumulativeProbe::new(self.shape.0, self.shape.1)
+            self.log.push(Ask::Probe { now });
+            Ok(CumulativeProbe::new(self.shape.0, self.shape.1))
         }
 
-        fn wait_edges(&self) -> Vec<WaitEdge> {
-            self.log.borrow_mut().push(Ask::Edges);
-            Vec::new()
+        fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
+            self.log.push(Ask::Edges);
+            Ok(Vec::new())
         }
 
         fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_ {

@@ -1668,7 +1668,7 @@ impl CompiledKernel {
     /// The wait-for edges from the flat arrays: every occupied input
     /// slot with a live allocation or routing choice, resolved through
     /// the lowered wiring to its downstream switch input or receptor.
-    fn wait_edges(&self) -> Vec<WaitEdge> {
+    pub(crate) fn wait_edges(&self) -> Vec<WaitEdge> {
         let vcs = self.low.num_vcs;
         let mut edges = Vec::new();
         for s in 0..self.low.switch_count {
@@ -1823,12 +1823,12 @@ impl CycleKernel for CompiledEngine {
         self.kernel.drained()
     }
 
-    fn cumulative_probe(&self) -> CumulativeProbe {
-        self.kernel.cumulative_probe()
+    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
+        Ok(self.kernel.cumulative_probe())
     }
 
-    fn wait_edges(&self) -> Vec<WaitEdge> {
-        self.kernel.wait_edges()
+    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
+        Ok(self.kernel.wait_edges())
     }
 
     #[inline]

@@ -706,12 +706,12 @@ impl CycleKernel for Emulation {
         self.platform.drained()
     }
 
-    fn cumulative_probe(&self) -> CumulativeProbe {
-        self.platform.cumulative_probe()
+    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
+        Ok(self.platform.cumulative_probe())
     }
 
-    fn wait_edges(&self) -> Vec<WaitEdge> {
-        self.platform.wait_edges()
+    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
+        Ok(self.platform.wait_edges())
     }
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {

@@ -66,7 +66,7 @@ pub mod sweep;
 
 pub use clock::{
     run_engine, run_engine_until, run_engine_with_progress, ClockMode, CycleKernel, EngineSummary,
-    EngineWarning, RunState, SteppableEngine,
+    RunState, SteppableEngine,
 };
 pub use compile::{
     compute_routing, elaborate, elaborate_routed, lower, Elaboration, LoweredPlatform,

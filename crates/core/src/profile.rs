@@ -561,6 +561,15 @@ impl StallWatchdog {
         self.cfg.no_progress_cycles
     }
 
+    /// The earliest cycle [`StallWatchdog::observe`] could still trip
+    /// at, given what it has seen so far (`None` once it has tripped):
+    /// progress observed later only moves it further out.
+    pub(crate) fn earliest_trip(&self) -> Option<u64> {
+        self.report
+            .is_none()
+            .then(|| self.progress_at.saturating_add(self.cfg.no_progress_cycles))
+    }
+
     /// Stores the forensic snapshot for the trip.
     pub fn latch(&mut self, report: StallReport) {
         self.report = Some(Box::new(report));

@@ -21,10 +21,15 @@
 //! completed packet is buffered for the coordinator, which owns the
 //! one [`PacketLedger`].
 //!
-//! It implements the full [`SteppableEngine`] contract (so run loops,
-//! sweeps and lockstep harnesses drive it unchanged) and produces
-//! complete [`EmulationResults`]; it does not expose the memory-mapped
-//! bus ([`crate::engine::Emulation`] remains the register-programming
+//! The coordinator is a [`CycleKernel`]: the one step skeleton of
+//! [`crate::clock`] gates, probes, feeds the stall watchdog and checks
+//! the cycle limit for it exactly as for the single-threaded engines,
+//! and its "cycle" applies one buffered row (issuing a window first
+//! when none is buffered). So it implements the full
+//! [`SteppableEngine`] contract (run loops, sweeps and lockstep
+//! harnesses drive it unchanged) and produces complete
+//! [`EmulationResults`]; it does not expose the memory-mapped bus
+//! ([`crate::engine::Emulation`] remains the register-programming
 //! target) and does not record traces.
 //!
 //! # The batched-exchange protocol
@@ -50,7 +55,7 @@
 //!   `batch` cycles buffering its per-cycle ledger events (releases,
 //!   injections, deliveries, stall counts, status), and replies once.
 //!   The coordinator then *replays the buffered cycles in order*, one
-//!   per [`ShardedCompiledEngine::step`] call, keeping per-cycle
+//!   per [`SteppableEngine::step`] call, keeping per-cycle
 //!   lockstep observability while paying the two-way channel
 //!   synchronization only once per window — a ~`batch`× reduction,
 //!   measured by [`ShardedCompiledEngine::sync_rounds`].
@@ -104,9 +109,23 @@
 //! counted in `WorkCounters::speculative_rows`. A jump past the end of
 //! the buffer costs the workers nothing: they are simply told the next
 //! cycle to execute, and each TG replays the skipped window lazily
-//! before its next real tick, as in [`CompiledEngine`].
+//! before its next real tick, as in [`CompiledEngine`]. A jump stops
+//! short of a buffered row that carries a worker fault, so the fault
+//! surfaces on its own cycle.
+//!
+//! # Stall forensics
+//!
+//! The stall watchdog needs the wait-for edges of the cycle it trips
+//! on, but workers run up to a window ahead of the coordinator. So no
+//! window runs past the earliest cycle the watchdog could trip —
+//! its last progress cycle plus its no-progress window, which later
+//! progress only moves out. A trip therefore always lands on a
+//! window's last row: the buffer is empty, every worker stands on the
+//! coordinator's cycle, and the per-shard edges and probes gathered
+//! there merge into the report [`CompiledEngine`] latches. Without a
+//! watchdog there is no such cap.
 
-use crate::clock::{ClockMode, EngineSummary, EngineWarning, RunState, SteppableEngine};
+use crate::clock::{CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
     elaborate_unswitched, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
 };
@@ -115,7 +134,7 @@ use crate::compiled::CompiledEngine;
 use crate::compiled::{vc_watermarks, CommitSink, CompiledKernel};
 use crate::config::PlatformConfig;
 use crate::error::{CompileError, EmulationError};
-use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport};
+use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport, StallWatchdog, WaitEdge};
 use crate::results::{congestion_of, EmulationResults, ReceptorSummary};
 use nocem_common::flit::Flit;
 use nocem_common::ids::{PacketId, SwitchId};
@@ -123,7 +142,7 @@ use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_stats::receptor::CompletedPacket;
-use nocem_telemetry::{Collector, CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
+use nocem_telemetry::{CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
 use nocem_topology::partition::{GridStripes, Partition, PartitionMap};
 use nocem_topology::routing::RoutingTables;
 use nocem_traffic::trace::TraceDrivenTg;
@@ -262,6 +281,7 @@ fn panic_fault(shard: usize, payload: &(dyn std::any::Any + Send)) -> EmulationE
 }
 
 /// Commands the coordinator sends to every worker.
+#[derive(Clone, Copy)]
 enum Cmd {
     /// Execute `len` cycles starting at `start` (past any clock-gated
     /// jump the coordinator took), buffering boundary records per
@@ -271,6 +291,8 @@ enum Cmd {
     Collect,
     /// Report the shard's cumulative telemetry counters.
     Probe,
+    /// Report the shard's wait-for edges (stall forensics).
+    WaitEdges,
     /// Report the shard's self-profiling state (phase accumulators
     /// and span buffer). Only sent when profiling is configured.
     Profile,
@@ -299,9 +321,12 @@ struct WorkerProfile {
 }
 
 enum Report {
+    /// Sent unprompted once the worker's kernel is built.
+    Status(ShardStatus),
     Window(Vec<CycleEntry>),
     Snapshot(Box<Snapshot>),
     Probe(Box<CumulativeProbe>),
+    WaitEdges(Vec<WaitEdge>),
     Profile(Box<WorkerProfile>),
 }
 
@@ -425,43 +450,30 @@ impl CommitSink for Boundary {
 }
 
 impl Worker {
+    /// Reports the shard's status once the kernel is built — the
+    /// gating and stop predicates of the coordinator's first step —
+    /// then answers one report per command.
     fn run(mut self) {
-        while let Ok(cmd) = self.cmd_rx.recv() {
-            match cmd {
-                Cmd::Window { start, len } => {
-                    let entries = self.window(start, len);
-                    if self.rep_tx.send(Report::Window(entries)).is_err() {
-                        return;
-                    }
-                }
-                Cmd::Collect => {
-                    let snap = Box::new(self.snapshot());
-                    if self.rep_tx.send(Report::Snapshot(snap)).is_err() {
-                        return;
-                    }
-                }
-                Cmd::Probe => {
-                    let probe = Box::new(self.eng.cumulative_probe());
-                    if self.rep_tx.send(Report::Probe(probe)).is_err() {
-                        return;
-                    }
-                }
-                Cmd::Profile => {
+        let mut report = Report::Status(self.status());
+        while self.rep_tx.send(report).is_ok() {
+            report = match self.cmd_rx.recv() {
+                Ok(Cmd::Window { start, len }) => Report::Window(self.window(start, len)),
+                Ok(Cmd::Collect) => Report::Snapshot(Box::new(self.snapshot())),
+                Ok(Cmd::Probe) => Report::Probe(Box::new(self.eng.cumulative_probe())),
+                Ok(Cmd::WaitEdges) => Report::WaitEdges(self.eng.wait_edges()),
+                Ok(Cmd::Profile) => {
                     let (spans, dropped) = self
                         .spans
                         .clone()
                         .map_or((Vec::new(), 0), SpanBuffer::into_parts);
-                    let profile = Box::new(WorkerProfile {
+                    Report::Profile(Box::new(WorkerProfile {
                         profiler: self.eng.profiler.clone().unwrap_or_default(),
                         spans,
                         dropped,
-                    });
-                    if self.rep_tx.send(Report::Profile(profile)).is_err() {
-                        return;
-                    }
+                    }))
                 }
-                Cmd::Shutdown => return,
-            }
+                Ok(Cmd::Shutdown) | Err(_) => return,
+            };
         }
     }
 
@@ -684,10 +696,10 @@ struct WorkerHandle {
 /// ledger, same statistics, same telemetry — for every `batch`.
 pub struct ShardedCompiledEngine {
     config: PlatformConfig,
-    /// The run-level state every engine embeds; the windowed `step`
-    /// below calls its pieces instead of the per-cycle skeleton.
     run: RunState,
     workers: Vec<WorkerHandle>,
+    /// Per shard: its status after the last applied cycle — before the
+    /// first, the one its worker reported once built.
     status: Vec<ShardStatus>,
     partition: PartitionMap,
     batch: u64,
@@ -778,44 +790,8 @@ impl ShardedCompiledEngine {
             return Err(CompileError::Partition { reason });
         }
         let batch = batch.max(1);
-        let mut run = RunState::new(&elab.config);
-        // Nothing here can feed a watchdog: worker state runs ahead of
-        // the coordinator's cycle, so there is no consistent wait-for
-        // snapshot to latch. Say so instead of silently not watching.
-        if run.watchdog.take().is_some() {
-            run.warnings
-                .push(EngineWarning::ShardedStallWatchdogIgnored);
-        }
         let shards = map.shards();
         let topo = &elab.config.topology;
-        let generators = topo.generators();
-
-        // Pre-step quiescence/next-event status, evaluated on the
-        // fresh elaboration exactly as the compiled engine would at
-        // its first step.
-        let init_status: Vec<ShardStatus> = (0..shards)
-            .map(|k| {
-                let my_gens: Vec<usize> = generators
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &g)| map.shard_of(topo.endpoint(g).switch) == k)
-                    .map(|(i, _)| i)
-                    .collect();
-                ShardStatus {
-                    quiescent: my_gens
-                        .iter()
-                        .all(|&i| elab.nis[i].is_idle() && elab.nis[i].credits_home()),
-                    next_event: my_gens
-                        .iter()
-                        .map(|&i| elab.tgs[i].next_event_cycle(Cycle::ZERO).cycle_or_max())
-                        .min()
-                        .unwrap_or(u64::MAX),
-                    exhausted: my_gens.iter().all(|&i| elab.tgs[i].is_exhausted()),
-                    pending_none: true,
-                    nis_idle: my_gens.iter().all(|&i| elab.nis[i].is_idle()),
-                }
-            })
-            .collect();
 
         // Undirected shard adjacency: any boundary crossing in either
         // direction makes the pair neighbours, because flits cross one
@@ -914,11 +890,11 @@ impl ShardedCompiledEngine {
             });
         }
 
-        Ok(ShardedCompiledEngine {
+        let mut engine = ShardedCompiledEngine {
+            run: RunState::new(&config),
             config,
-            run,
             workers: handles,
-            status: init_status,
+            status: Vec::new(),
             partition: map,
             batch,
             sync_rounds: 0,
@@ -933,7 +909,15 @@ impl ShardedCompiledEngine {
             failed: false,
             profiler,
             spans,
-        })
+        };
+        // A worker that panics coming up re-raises its panic here.
+        engine.status = engine
+            .replies(|r| match r {
+                Report::Status(s) => Some(s),
+                _ => None,
+            })
+            .expect("every worker reports its status once built");
+        Ok(engine)
     }
 
     /// The cycles-per-synchronization batch.
@@ -977,67 +961,17 @@ impl ShardedCompiledEngine {
         Ok(())
     }
 
-    /// The cross-shard jump, on a quiescent platform about to apply
-    /// cycle `now` — the predicate [`CompiledEngine`]'s `idle_jump`
-    /// evaluates there. Buffered rows the jump passes are speculative
-    /// idle cycles: discarded, once any fault they carry has surfaced.
-    fn fast_forward(&mut self) -> Result<(), EmulationError> {
-        let horizon = self.status.iter().map(|s| s.next_event).min();
-        let target = horizon.unwrap_or(u64::MAX).min(self.run.stop.cycle_limit);
-        let skipped = target.saturating_sub(self.run.now.raw());
-        if skipped == 0 {
-            return Ok(());
-        }
-        let speculative = skipped.min(self.window.len() as u64);
-        let mut fault = None;
-        for e in self.window.drain(..speculative as usize).flatten() {
-            debug_assert!(
-                e.error.is_some()
-                    || (e.releases.is_empty()
-                        && e.injects.is_empty()
-                        && e.deliveries.is_empty()
-                        && e.stalled_delta == 0),
-                "a speculative idle cycle did something"
-            );
-            fault = fault.or(e.error);
-        }
-        if let Some(e) = fault {
-            return Err(self.fail(e));
-        }
-        self.run.jump(skipped);
-        if let Some(p) = self.profiler.as_mut() {
-            p.work.fast_forwards += 1;
-            p.work.speculative_rows += speculative;
-        }
-        Ok(())
-    }
-
-    /// Probes, sizes and issues one window, then buffers every
+    /// Issues one window from the coordinator's cycle and buffers every
     /// worker's cycle entries. `t` is the coordinator's chained
     /// profiling timestamp (`None` when profiling is off).
     fn start_window(&mut self, t: &mut Option<Instant>) -> Result<(), EmulationError> {
-        if self.run.probe_due() {
-            let probe = self.probe_workers()?;
-            self.run.record_probe(&probe);
-        }
-        lap(self.profiler.as_mut(), t, Phase::Probe);
         let start = self.run.now;
         let len = self.window_len(start);
-        for k in 0..self.workers.len() {
-            let cmd = Cmd::Window { start, len };
-            if self.workers[k].cmd.send(cmd).is_err() {
-                return self.worker_died(k);
-            }
-        }
-        let mut per_shard: Vec<Vec<CycleEntry>> = Vec::with_capacity(self.workers.len());
-        for k in 0..self.workers.len() {
-            match self.workers[k].rep.recv() {
-                Ok(Report::Window(entries)) if entries.len() == len as usize => {
-                    per_shard.push(entries);
-                }
-                Ok(_) | Err(_) => return self.worker_died(k),
-            }
-        }
+        self.broadcast(Cmd::Window { start, len })?;
+        let per_shard = self.replies(|r| match r {
+            Report::Window(entries) if entries.len() == len as usize => Some(entries),
+            _ => None,
+        })?;
         self.sync_rounds += 1;
         let mut rows: Vec<Vec<CycleEntry>> = (0..len)
             .map(|_| Vec::with_capacity(self.workers.len()))
@@ -1053,7 +987,8 @@ impl ShardedCompiledEngine {
     }
 
     /// The next window's length: up to `batch`, shortened so that no
-    /// worker ever executes a cycle the coordinator would not reach.
+    /// worker ever executes a cycle the coordinator would not reach, nor
+    /// runs past a cycle at which the skeleton reads worker state.
     fn window_len(&self, start: Cycle) -> u64 {
         let mut len = self.batch;
         // Delivered-target cap: each receptor completes at most one
@@ -1085,6 +1020,12 @@ impl ShardedCompiledEngine {
                     break;
                 }
             }
+        }
+        // Watchdog cap: a trip must find the workers on the
+        // coordinator's cycle (module docs, stall forensics).
+        let dog = self.run.watchdog.as_ref();
+        if let Some(trip) = dog.and_then(StallWatchdog::earliest_trip) {
+            len = len.min(trip.saturating_sub(start.raw()) + 1);
         }
         len.max(1)
     }
@@ -1144,8 +1085,7 @@ impl ShardedCompiledEngine {
             self.delivered_flits += u64::from(d.len_flits);
             self.receptor_latency[d.receptor as usize].record(lat.network);
         }
-        let advanced = self.run.advance(self.ledger.delivered());
-        advanced.map_err(|e| self.fail(e))
+        Ok(())
     }
 
     /// Poisons the engine: nothing buffered is applied after `e`.
@@ -1155,51 +1095,57 @@ impl ShardedCompiledEngine {
         e
     }
 
-    /// Collects and merges every shard's cumulative probe (disjoint
-    /// owned slices, so the element-wise add is exact). Only called
-    /// between windows, when worker state equals the compiled engine's
-    /// end-of-cycle state at the coordinator's cycle.
-    fn probe_workers(&mut self) -> Result<CumulativeProbe, EmulationError> {
-        let mut merged = CumulativeProbe::new(
-            self.config.topology.link_count(),
-            usize::from(self.config.switch.num_vcs),
-        );
+    /// Sends `cmd` to every worker.
+    fn broadcast(&mut self, cmd: Cmd) -> Result<(), EmulationError> {
         for k in 0..self.workers.len() {
-            if self.workers[k].cmd.send(Cmd::Probe).is_err() {
-                return self.worker_died(k).map(|()| unreachable!());
-            }
-            match self.workers[k].rep.recv() {
-                Ok(Report::Probe(p)) => merged.absorb(&p),
-                Ok(_) | Err(_) => return self.worker_died(k).map(|()| unreachable!()),
+            if self.workers[k].cmd.send(cmd).is_err() {
+                return Err(self.worker_died(k));
             }
         }
-        Ok(merged)
+        Ok(())
     }
 
-    /// Fetches every worker's profiling payload, in shard order.
-    /// Best-effort: stops at the first dead worker and returns
-    /// nothing after a failure (dead workers cannot be queried).
-    fn worker_profiles(&mut self) -> Vec<WorkerProfile> {
-        if self.failed {
-            return Vec::new();
-        }
+    /// One report per worker, in shard order, each unwrapped by `pick`
+    /// (`None` = not the report expected).
+    fn replies<T>(&mut self, pick: impl Fn(Report) -> Option<T>) -> Result<Vec<T>, EmulationError> {
         let mut out = Vec::with_capacity(self.workers.len());
         for k in 0..self.workers.len() {
-            if self.workers[k].cmd.send(Cmd::Profile).is_err() {
-                break;
-            }
-            match self.workers[k].rep.recv() {
-                Ok(Report::Profile(p)) => out.push(*p),
-                Ok(_) | Err(_) => break,
+            match self.workers[k].rep.recv().ok().and_then(&pick) {
+                Some(v) => out.push(v),
+                None => return Err(self.worker_died(k)),
             }
         }
-        out
+        Ok(out)
+    }
+
+    /// Asks every worker `cmd` and collects the picked replies. Only
+    /// meaningful between windows — worker state then equals the
+    /// compiled engine's end-of-cycle state at the coordinator's cycle
+    /// — and refused once the engine has failed.
+    fn ask<T>(
+        &mut self,
+        cmd: Cmd,
+        pick: impl Fn(Report) -> Option<T>,
+    ) -> Result<Vec<T>, EmulationError> {
+        self.check_alive()?;
+        self.broadcast(cmd)?;
+        self.replies(pick)
+    }
+
+    /// Every worker's profiling payload, in shard order; none after a
+    /// failure (dead workers cannot be queried).
+    fn worker_profiles(&mut self) -> Vec<WorkerProfile> {
+        self.ask(Cmd::Profile, |r| match r {
+            Report::Profile(p) => Some(*p),
+            _ => None,
+        })
+        .unwrap_or_default()
     }
 
     /// Worker `dead`'s channel closed outside a cycle (in-cycle panics
     /// are caught and reported in the entry). Join it and re-raise its
     /// panic; leak the survivors, which may be blocked on a neighbour.
-    fn worker_died(&mut self, dead: usize) -> Result<(), EmulationError> {
+    fn worker_died(&mut self, dead: usize) -> EmulationError {
         self.failed = true;
         self.poisoned = true;
         if let Some(join) = self.workers[dead].join.take() {
@@ -1207,10 +1153,10 @@ impl ShardedCompiledEngine {
                 std::panic::resume_unwind(payload);
             }
         }
-        Err(EmulationError::Shard {
+        EmulationError::Shard {
             shard: dead,
             reason: "a shard worker terminated unexpectedly".into(),
-        })
+        }
     }
 
     /// Runs until the stop condition holds.
@@ -1232,21 +1178,17 @@ impl ShardedCompiledEngine {
     /// Returns [`EmulationError::Shard`] when a worker is gone or an
     /// earlier step failed.
     pub fn results(&mut self) -> Result<EmulationResults, EmulationError> {
-        self.check_alive()?;
+        let snaps = self.ask(Cmd::Collect, |r| match r {
+            Report::Snapshot(s) => Some(s),
+            _ => None,
+        })?;
         let mut probe = CumulativeProbe::new(
             self.config.topology.link_count(),
             usize::from(self.config.switch.num_vcs),
         );
         let mut max_vc: Vec<u64> = Vec::new();
         let mut receptors: Vec<Option<ReceptorSummary>> = vec![None; self.receptor_latency.len()];
-        for k in 0..self.workers.len() {
-            if self.workers[k].cmd.send(Cmd::Collect).is_err() {
-                return self.worker_died(k).map(|()| unreachable!());
-            }
-            let snap = match self.workers[k].rep.recv() {
-                Ok(Report::Snapshot(s)) => *s,
-                Ok(_) | Err(_) => return self.worker_died(k).map(|()| unreachable!()),
-            };
+        for snap in snaps {
             probe.absorb(&snap.probe);
             max_vc.resize(snap.max_vc_occ.len(), 0);
             for (acc, v) in max_vc.iter_mut().zip(&snap.max_vc_occ) {
@@ -1286,91 +1228,131 @@ impl Drop for ShardedCompiledEngine {
     }
 }
 
-impl SteppableEngine for ShardedCompiledEngine {
-    /// Advances one platform cycle (past any clock-gated jump). When
-    /// the window buffer is empty a new window of up to `batch` cycles
-    /// is executed across all shards first (one synchronization
-    /// round); either way exactly one buffered cycle is then applied
-    /// to the ledger, so per-cycle observability (`now`, `delivered`,
-    /// lockstep comparisons) is identical to the unbatched engines.
-    fn step(&mut self) -> Result<(), EmulationError> {
-        self.check_alive()?;
-        let mut t = self.profiler.as_mut().map(PhaseProfiler::begin_step);
-        if self.run.clock_mode == ClockMode::Gated && self.is_quiescent() {
-            self.fast_forward()?;
+/// The coordinator under the one step skeleton. Its "cycle" applies
+/// the oldest buffered row — after a window across all shards (one
+/// synchronization round) when none is buffered — so per-cycle
+/// observability (`now`, `delivered`, lockstep comparisons) is
+/// identical to the unbatched engines. The skeleton probes only with
+/// an empty buffer, because windows never cross a telemetry boundary.
+impl CycleKernel for ShardedCompiledEngine {
+    const LABEL: &'static str = "sharded-compiled";
+
+    fn run_state(&self) -> &RunState {
+        &self.run
+    }
+
+    fn run_state_mut(&mut self) -> &mut RunState {
+        &mut self.run
+    }
+
+    fn profiler_mut(&mut self) -> Option<&mut PhaseProfiler> {
+        self.profiler.as_mut()
+    }
+
+    /// The cross-shard jump, on a quiescent platform about to apply
+    /// cycle `now` — the predicate [`CompiledEngine`]'s `idle_jump`
+    /// evaluates there. Buffered rows the jump passes are speculative
+    /// idle cycles and are discarded; the jump stops on a row that
+    /// carries a worker fault, which `cycle` then surfaces.
+    fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
+        if self.failed || !self.is_quiescent() {
+            return 0;
         }
-        lap(self.profiler.as_mut(), &mut t, Phase::FastForward);
+        let next = self.status.iter().map(|s| s.next_event).min();
+        let target = next.unwrap_or(u64::MAX).min(horizon);
+        let mut skipped = target.saturating_sub(now.raw());
+        let faulty = |row: &Vec<CycleEntry>| row.iter().any(|e| e.error.is_some());
+        if let Some(row) = self.window.iter().take(skipped as usize).position(faulty) {
+            skipped = row as u64;
+        }
+        let speculative = skipped.min(self.window.len() as u64);
+        for e in self.window.drain(..speculative as usize).flatten() {
+            debug_assert!(
+                e.releases.is_empty()
+                    && e.injects.is_empty()
+                    && e.deliveries.is_empty()
+                    && e.stalled_delta == 0,
+                "a speculative idle cycle did something"
+            );
+        }
+        if let Some(p) = self.profiler.as_mut() {
+            p.work.speculative_rows += speculative;
+        }
+        skipped
+    }
+
+    fn cycle(&mut self, _: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
+        self.check_alive()?;
         if self.window.is_empty() {
-            let round_start = t;
-            self.start_window(&mut t)?;
+            let round_start = *t;
+            self.start_window(t)?;
             if let (Some(s), Some(buf)) = (round_start, self.spans.as_mut()) {
                 buf.record("round", s, self.run.now.raw());
             }
         }
-        let r = self.apply_cycle();
-        lap(self.profiler.as_mut(), &mut t, Phase::Apply);
-        r
+        let applied = self.apply_cycle();
+        lap(self.profiler.as_mut(), t, Phase::Apply);
+        applied
     }
 
-    fn now(&self) -> Cycle {
-        self.run.now
+    /// Every shard's cached status plus the ledger.
+    fn drained(&self) -> bool {
+        self.ledger.in_flight() == 0
+            && self
+                .status
+                .iter()
+                .all(|s| s.exhausted && s.pending_none && s.nis_idle)
     }
 
-    /// The delivered target like every engine; in drain mode, every
-    /// shard's cached status plus the ledger.
-    fn finished(&self) -> bool {
-        self.run
-            .target_met(self.ledger.delivered())
-            .unwrap_or_else(|| {
-                self.status
-                    .iter()
-                    .all(|s| s.exhausted && s.pending_none && s.nis_idle)
-                    && self.ledger.in_flight() == 0
-            })
-    }
-
-    fn delivered(&self) -> u64 {
-        self.ledger.delivered()
-    }
-
-    fn cycles_skipped(&self) -> u64 {
-        self.run.cycles_skipped
-    }
-
-    fn summary(&self) -> EngineSummary {
-        self.run.summary(self.delivered_flits, &self.ledger)
-    }
-
-    fn packet_ledger(&self) -> PacketLedger {
-        self.ledger.clone()
-    }
-
-    fn telemetry(&self) -> Option<&Collector> {
-        self.run.telemetry.as_ref()
-    }
-
-    /// A no-op when telemetry is off, already sealed, or the engine has
-    /// failed (dead workers cannot be probed).
-    fn seal_telemetry(&mut self) {
-        if self.failed || !self.run.seal_due() {
-            return;
+    /// Every shard's cumulative probe, merged (disjoint owned slices,
+    /// so the element-wise add is exact).
+    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
+        let probes = self.ask(Cmd::Probe, |r| match r {
+            Report::Probe(p) => Some(p),
+            _ => None,
+        })?;
+        let mut merged = CumulativeProbe::new(
+            self.config.topology.link_count(),
+            usize::from(self.config.switch.num_vcs),
+        );
+        for p in &probes {
+            merged.absorb(p);
         }
-        if let Ok(probe) = self.probe_workers() {
-            self.run.seal(&probe);
-        }
+        Ok(merged)
     }
 
-    fn profile(&mut self) -> Option<PhaseReport> {
-        self.profiler.as_ref()?;
+    /// Every shard's wait-for edges: each waiting input VC lives on
+    /// exactly one shard.
+    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
+        debug_assert!(self.window.is_empty(), "workers ahead of the coordinator");
+        let per_shard = self.ask(Cmd::WaitEdges, |r| match r {
+            Report::WaitEdges(edges) => Some(edges),
+            _ => None,
+        })?;
+        Ok(per_shard.concat())
+    }
+
+    fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
+        &self.ledger
+    }
+
+    fn delivered_flits(&self) -> u64 {
+        self.delivered_flits
+    }
+
+    /// The coordinator's phases with every worker's absorbed, plus one
+    /// sub-report per worker.
+    fn phase_report(&mut self) -> Option<PhaseReport> {
+        let mut agg = self.profiler.clone()?;
         let wps = self.worker_profiles();
-        let mut agg = self.profiler.clone().expect("checked above");
         let mut workers = Vec::with_capacity(wps.len());
         for (k, wp) in wps.iter().enumerate() {
             agg.absorb(&wp.profiler);
             workers.push(wp.profiler.report(format!("shard-{k}")));
         }
         let mut report = agg.report(format!(
-            "sharded-compiled/{}x{}",
+            "{}/{}x{}",
+            Self::LABEL,
             self.workers.len(),
             self.batch
         ));
@@ -1378,19 +1360,16 @@ impl SteppableEngine for ShardedCompiledEngine {
         Some(report)
     }
 
-    fn span_trace(&mut self) -> Option<SpanTrace> {
-        self.spans.as_ref()?;
+    /// Every worker's span buffer and the coordinator's, merged.
+    fn span_timeline(&mut self) -> Option<SpanTrace> {
+        let own = self.spans.clone()?.into_parts();
         let mut parts: Vec<(Vec<SpanEvent>, u64)> = self
             .worker_profiles()
             .into_iter()
             .map(|wp| (wp.spans, wp.dropped))
             .collect();
-        parts.push(self.spans.clone().expect("checked above").into_parts());
+        parts.push(own);
         Some(SpanTrace::merge(parts))
-    }
-
-    fn warnings(&self) -> &[EngineWarning] {
-        &self.run.warnings
     }
 }
 
@@ -1481,6 +1460,7 @@ fn spawn_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ClockMode;
     use crate::config::PaperConfig;
     use std::cell::Cell;
     use std::time::Duration;

@@ -5,7 +5,7 @@
 //! sweeps (Figure 2), packets-per-burst × flits-per-packet sweeps
 //! (Figures 3 and 4) and the ablation studies.
 
-use crate::clock::{run_engine, EngineSummary, EngineWarning, SteppableEngine};
+use crate::clock::{run_engine, EngineSummary, SteppableEngine};
 use crate::compile::{elaborate, elaborate_routed, elaborate_unswitched};
 use crate::compiled::CompiledEngine;
 use crate::config::{EngineKind, PlatformConfig};
@@ -333,10 +333,6 @@ impl SteppableEngine for AnyEngine {
 
     fn stall_report(&self) -> Option<&crate::profile::StallReport> {
         with_engine!(self, e => e.stall_report())
-    }
-
-    fn warnings(&self) -> &[EngineWarning] {
-        with_engine!(self, e => e.warnings())
     }
 }
 

@@ -316,18 +316,18 @@ impl CycleKernel for RtlEngine {
 
     /// The platform's probe with in-flight wire flits compensated (see
     /// `inflight_wires`).
-    fn cumulative_probe(&self) -> CumulativeProbe {
+    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
         let mut p = self.shared.borrow().cumulative_probe();
         for &wire in &self.inflight_wires {
             if let Some(f) = self.kernel.value(wire).flit() {
                 p.add_vc(f.vc.index(), 1);
             }
         }
-        p
+        Ok(p)
     }
 
-    fn wait_edges(&self) -> Vec<WaitEdge> {
-        self.shared.borrow().wait_edges()
+    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
+        Ok(self.shared.borrow().wait_edges())
     }
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {

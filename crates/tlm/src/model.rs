@@ -271,18 +271,18 @@ impl CycleKernel for TlmEngine {
 
     /// The platform's probe with in-flight channel flits compensated
     /// (see `inflight_chans`).
-    fn cumulative_probe(&self) -> CumulativeProbe {
+    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
         let mut p = self.shared.borrow().cumulative_probe();
         for &chan in &self.inflight_chans {
             if let Some(f) = self.scheduler.flit_value(chan) {
                 p.add_vc(f.vc.index(), 1);
             }
         }
-        p
+        Ok(p)
     }
 
-    fn wait_edges(&self) -> Vec<WaitEdge> {
-        self.shared.borrow().wait_edges()
+    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
+        Ok(self.shared.borrow().wait_edges())
     }
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {

@@ -276,7 +276,9 @@ fn tg_phase_polls_only_due_generators() {
 
 /// The sharded engine's span buffers merge into one Chrome-trace
 /// timeline: valid JSON, spans monotonically ordered by start time,
-/// with both worker tracks and the coordinator present.
+/// with both worker tracks and the coordinator present. Fetching it is
+/// a snapshot, not a drain: a second call with no step between returns
+/// the same spans.
 #[test]
 fn shard_span_traces_are_valid_and_monotonically_ordered() {
     let mut cfg = uniform(MESH8X8, 0.20, 100_000);
@@ -307,4 +309,6 @@ fn shard_span_traces_are_valid_and_monotonically_ordered() {
         "worker exchange spans must be recorded"
     );
     validate_json(&trace.to_chrome_trace()).unwrap();
+    let again = SteppableEngine::span_trace(&mut compiled).expect("spans were enabled");
+    assert_eq!(again.events(), trace.events());
 }

@@ -19,7 +19,7 @@
 
 mod support;
 
-use nocem::clock::{ClockMode, EngineWarning, SteppableEngine};
+use nocem::clock::{ClockMode, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::compiled::CompiledEngine;
 use nocem::config::{EngineKind, PaperConfig, PlatformConfig};
@@ -32,8 +32,8 @@ use nocem_telemetry::TelemetryConfig;
 use nocem_topology::partition::PartitionMap;
 use proptest::prelude::*;
 use support::{
-    against_emulation, assert_same_cycle, lockstep, mesh, retraffic, subject, torus,
-    uniform_random, Backend, Subject, Traffic,
+    against_emulation, assert_same_cycle, lockstep, lockstep_until, mesh, retraffic, subject,
+    torus, uniform_random, Backend, Subject, Traffic,
 };
 
 const CASES: &[Backend] = &[
@@ -168,7 +168,7 @@ fn drain_mode_stop_condition_drains_every_shard() {
 }
 
 /// Gating and batching compose: a gated config keeps the batch it
-/// asked for (no warning), skips exactly the cycles the single-threaded
+/// asked for, skips exactly the cycles the single-threaded
 /// fast-forward kernel skips, and pays one synchronization round per
 /// window instead of one per stepped cycle. Drain mode, like the
 /// amortization test above: a delivered target caps windows near the
@@ -183,10 +183,8 @@ fn gated_batches_and_skips_like_the_compiled_kernel() {
         16,
         "gated mode keeps the batch"
     );
-    assert!(engine[0].engine.warnings().is_empty());
     lockstep(&mut reference, &mut engine);
     let [s] = &mut engine;
-    assert!(s.engine.summary().warnings.is_empty());
     let skipped = s.engine.cycles_skipped();
     assert!(skipped > 0, "a 5%-load run must skip");
     let stepped = s.engine.now().raw() - skipped;
@@ -317,8 +315,8 @@ fn gated_batched_telemetry_survives_jumps_across_probe_boundaries() {
 }
 
 /// One shard is not sharded: the dispatcher builds the compiled engine
-/// for `ShardedCompiled { shards: 1, .. }` — no warnings, the
-/// `compiled` profile label — in per-cycle lockstep (clock + ledger)
+/// for `ShardedCompiled { shards: 1, .. }` — the `compiled` profile
+/// label — in per-cycle lockstep (clock + ledger)
 /// with `EngineKind::Compiled` and with the single-worker sharded
 /// engine that `with_shards(cfg, 1, ..)` still builds by name.
 #[test]
@@ -334,7 +332,6 @@ fn one_shard_dispatches_to_the_compiled_engine_in_lockstep() {
         ];
         let one = engines[0].get::<AnyEngine>();
         assert!(matches!(one, AnyEngine::Compiled(_)), "{one:?}");
-        assert!(one.warnings().is_empty());
         lockstep(&mut subject(&cfg, Backend::Compiled), &mut engines);
         let [one, worker] = &mut engines;
         assert_eq!(one.engine.profile().unwrap().label, "compiled");
@@ -365,24 +362,35 @@ fn partition_map_for_another_topology_is_a_compile_error() {
     }
 }
 
-/// A stall watchdog the sharded engine cannot feed is reported, not
-/// silently dropped: the warning is raised at build, rides on the
-/// summary, and the run itself is unaffected.
+/// A configured stall watchdog runs on the sharded engine as on every
+/// other: a wedged run (ejection credits no receptor returns) trips it
+/// on the reference's cycle with the reference's whole report, at one
+/// long and one per-cycle batch, and a healthy run never trips it. The
+/// lockstep run stops right behind the trip, which ends a window, so the
+/// results compared there are the workers' too.
 #[test]
-fn configured_stall_watchdog_is_reported_as_ignored() {
+fn configured_stall_watchdog_trips_like_the_reference() {
+    let mut cfg = uniform_random(mesh(8, 8), 0.40, 10_000);
+    cfg.switch.ejection_credits = Some(2);
+    cfg.profile = Some(ProfileConfig::default().without_spans().with_stall(50));
+    let mut scout = build(&cfg).unwrap();
+    while scout.stall_report().is_none() {
+        scout.step().unwrap();
+    }
+    let mut reference = subject(&cfg, Backend::Emulation);
+    let mut engines = [(2, 16), (4, 1)].map(|(k, b)| subject(&cfg, Backend::Sharded(k, b)));
+    lockstep_until(&mut reference, &mut engines, scout.now().raw());
+    let want = reference.engine.stall_report().expect("the wedge trips");
+    assert!(!want.edges.is_empty());
+    for s in &engines {
+        assert_eq!(s.engine.stall_report(), Some(want), "{}", s.name);
+    }
+
     let mut cfg = uniform_random(mesh(8, 8), 0.05, 100);
     cfg.profile = Some(ProfileConfig::default().without_spans().with_stall(200));
-    let ignored = [EngineWarning::ShardedStallWatchdogIgnored];
     let mut engine = [subject(&cfg, Backend::Sharded(2, 4))];
-    assert_eq!(engine[0].engine.warnings(), ignored);
     lockstep(&mut subject(&cfg, Backend::Emulation), &mut engine);
     assert!(engine[0].engine.stall_report().is_none());
-    assert_eq!(engine[0].engine.summary().warnings, ignored);
-
-    // Without a configured watchdog there is nothing to warn about.
-    cfg.profile = Some(ProfileConfig::default().without_spans());
-    let quiet = ShardedCompiledEngine::with_shards(&cfg, 2, 4).unwrap();
-    assert!(SteppableEngine::warnings(&quiet).is_empty());
 }
 
 #[test]

@@ -7,12 +7,10 @@
 //! steps through: the ungated side shadow-steps across it and the two
 //! are compared where they meet. At the end every engine has finished
 //! with the same behavioural summary, the same sealed telemetry and —
-//! where the engine type collects them — the same results. Warnings are
-//! compared on their own: only the sharded coordinator raises one, when a
-//! stall watchdog is configured that it cannot run. Every engine with
-//! stall forensics trips its watchdog on the reference's cycle with the
-//! same packets in flight; all but the TLM and RTL models also capture
-//! the same wait-for edges.
+//! where the engine type collects them — the same results. Every engine
+//! trips its stall watchdog on the reference's cycle with the same
+//! packets in flight; all but the TLM and RTL models also capture the
+//! same wait-for edges.
 //!
 //! Engines are built by name ([`Backend`], [`subject`]); platforms by
 //! [`scenario`] and the topology shorthands, with [`retraffic`] /
@@ -25,7 +23,7 @@
 use std::any::Any;
 use std::ops::Deref;
 
-use nocem::clock::{ClockMode, CycleKernel, EngineWarning, SteppableEngine};
+use nocem::clock::{ClockMode, CycleKernel, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::config::{EngineKind, PlatformConfig, TrafficModel};
 use nocem::error::CompileError;
@@ -79,8 +77,6 @@ pub struct Subject {
     pub name: String,
     /// Whether its config gates the clock.
     pub gated: bool,
-    /// Whether its config sets a stall watchdog.
-    pub watched: bool,
     /// The engine.
     pub engine: Box<dyn Engine>,
 }
@@ -95,7 +91,6 @@ impl Subject {
         Subject {
             name: format!("{label} on {}", cfg.name),
             gated: cfg.clock_mode == ClockMode::Gated,
-            watched: cfg.profile.is_some_and(|p| p.stall.is_some()),
             engine,
         }
     }
@@ -139,28 +134,10 @@ pub enum Backend {
     Rtl,
 }
 
-/// Whether `e` is the sharded coordinator, the one engine without stall
-/// forensics (one shard runs as the compiled engine).
-fn sharded(e: &dyn Engine) -> bool {
-    let any: &dyn Any = e;
-    any.is::<ShardedCompiledEngine>()
-        || matches!(any.downcast_ref(), Some(AnyEngine::ShardedCompiled(_)))
-}
-
 /// Whether `e` is the TLM or the RTL model.
 fn process_model(e: &dyn Engine) -> bool {
     let any: &dyn Any = e;
     any.is::<TlmEngine>() || any.is::<RtlEngine>()
-}
-
-/// The warnings `e` must raise: the sharded coordinator says that it
-/// ignores a configured (`watched`) stall watchdog; no other engine warns.
-fn expected_warnings(e: &dyn Engine, watched: bool) -> Vec<EngineWarning> {
-    if watched && sharded(e) {
-        vec![EngineWarning::ShardedStallWatchdogIgnored]
-    } else {
-        Vec::new()
-    }
 }
 
 /// `cfg` built on `backend`, or the build's error.
@@ -213,8 +190,8 @@ pub fn assert_same_cycle(reference: &Subject, subject: &Subject) {
 /// Steps `reference` and every subject in lockstep until the reference
 /// finishes, checking clock and ledger after every step, then asserts
 /// that every subject finished there too with the same summary, sealed
-/// telemetry, results and stall report, and with its own warnings. The
-/// engines stay the caller's for further assertions.
+/// telemetry, results and stall report. The engines stay the caller's
+/// for further assertions.
 pub fn lockstep(reference: &mut Subject, subjects: &mut [Subject]) {
     drive(reference, subjects, u64::MAX);
     for s in subjects.iter() {
@@ -305,8 +282,6 @@ fn finish(reference: &mut Subject, subjects: &mut [Subject]) {
     let r = &mut reference.engine;
     r.seal_telemetry();
     let (want, results) = (r.summary(), r.all_results());
-    let warned = expected_warnings(&**r, reference.watched);
-    assert_eq!(want.warnings, warned, "{}: warnings", reference.name);
     let never = "ungated clocks never skip";
     assert!(
         reference.gated || want.cycles_skipped == 0,
@@ -319,18 +294,19 @@ fn finish(reference: &mut Subject, subjects: &mut [Subject]) {
         assert_eq!(e.now(), reference.engine.now(), "{}: stop cycle", s.name);
         let got = e.summary();
         assert_eq!(got.behavioral(), want.behavioral(), "{}: summary", s.name);
-        let warned = expected_warnings(&**e, s.watched);
-        assert_eq!(got.warnings, warned, "{}: warnings", s.name);
-        if !sharded(&**e) && !sharded(&*reference.engine) {
-            let (got, want) = (e.stall_report(), reference.engine.stall_report());
-            let trip = |r: &StallReport| (r.at_cycle, r.window, r.in_flight, r.top_blocked.clone());
-            assert_eq!(got.map(trip), want.map(trip), "{}: stall trip", s.name);
-            // A short window trips while flits and credits are still on
-            // the process models' channels, so their switches do not
-            // hold the reference's wait-for edges yet.
-            if !process_model(&**e) {
-                assert_eq!(got, want, "{}: stall report", s.name);
-            }
+        let (got_stall, want_stall) = (e.stall_report(), reference.engine.stall_report());
+        let trip = |r: &StallReport| (r.at_cycle, r.window, r.in_flight, r.top_blocked.clone());
+        assert_eq!(
+            got_stall.map(trip),
+            want_stall.map(trip),
+            "{}: stall trip",
+            s.name
+        );
+        // A short window trips while flits and credits are still on the
+        // process models' channels, so their switches do not hold the
+        // reference's wait-for edges yet.
+        if !process_model(&**e) {
+            assert_eq!(got_stall, want_stall, "{}: stall report", s.name);
         }
         if same_mode {
             assert_eq!(got.cycles_skipped, want.cycles_skipped, "{}", s.name);
