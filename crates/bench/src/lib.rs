@@ -196,14 +196,14 @@ pub fn measure_work_per_cycle(cycles: u64) -> Result<EngineWorkPerCycle, Emulati
     for _ in 0..cycles {
         tlm.step()?;
     }
-    let s = tlm.scheduler_stats();
+    let s = tlm.fabric().stats();
     let tlm_work = (s.activations + s.channel_updates + s.watcher_calls) as f64 / cycles as f64;
 
     let mut rtl = RtlEngine::new(nocem::compile::elaborate(&cfg).expect("paper config compiles"));
     for _ in 0..cycles {
         rtl.step()?;
     }
-    let k = rtl.kernel_stats();
+    let k = rtl.fabric().stats();
     let rtl_work = (k.activations + k.signal_events + k.delta_cycles) as f64 / cycles as f64;
 
     Ok(EngineWorkPerCycle {
@@ -277,6 +277,10 @@ mod tests {
         assert_eq!(a.emulation, b.emulation);
         assert_eq!(a.tlm, b.tlm);
         assert_eq!(a.rtl, b.rtl);
+        // The Table 2 cost models, pinned: the same processes in the
+        // same order do the same machinery per cycle.
+        let w = measure_work_per_cycle(5_000).unwrap();
+        assert_eq!((w.emulation, w.tlm, w.rtl), (14.0, 19.9564, 20.9568));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! directly: one [`SteppableEngine::step`] is one platform clock
 //! cycle, of which this module supplies the cycle itself (the
 //! [`CycleKernel`] impl) and [`crate::clock`] everything around it.
-//! The canonical intra-cycle ordering (which `nocem-rtl` and
-//! `nocem-tlm` reproduce through their own scheduling mechanisms, over
-//! the same [`Platform`]) is:
+//! The canonical intra-cycle ordering (which [`crate::process`]
+//! reproduces over the TLM and RTL fabrics, on the same [`Platform`])
+//! is:
 //!
 //! 1. **TG tick** — every traffic model may release one packet into
 //!    its network interface's source queue (ids are assigned globally
@@ -53,12 +53,12 @@ use std::time::Instant;
 /// engine shares — back-pressure-aware release, NI send, delivery,
 /// drain and quiescence, the telemetry probe, the wait-for edges.
 ///
-/// [`Emulation`] steps it directly; `nocem-tlm` and `nocem-rtl` hold
-/// it behind their process closures and call the same methods from
-/// inside them, so the three cannot drift apart. What differs between
-/// them is only *when* a method runs (a phase loop, a scheduler
-/// process, a clocked process) and how flits travel between switches
-/// (direct calls, channels, wires).
+/// [`Emulation`] steps it directly; [`crate::ProcessModel`] — the TLM
+/// and RTL baselines — holds it behind its process closures and calls
+/// the same methods from inside them, so the two cannot drift apart.
+/// What differs is only *when* a method runs (a phase loop, or a
+/// process of a [`crate::process::Fabric`]) and how flits travel between
+/// switches (direct calls, or a link that delivers next cycle).
 pub struct Platform {
     /// The elaborated components, wiring and configuration.
     pub elab: Elaboration,
@@ -226,7 +226,7 @@ impl Platform {
     }
 
     /// Keeps the first error of a callback that cannot return one (the
-    /// TLM/RTL process closures); [`Platform::take_fault`] surfaces it
+    /// process model's closures); [`Platform::take_fault`] surfaces it
     /// after the cycle.
     pub fn latch<T>(&mut self, outcome: Result<T, EmulationError>) -> Option<T> {
         match outcome {
@@ -540,7 +540,7 @@ impl Emulation {
 
     /// Extracts the results of a finished (or stopped) run.
     pub fn results(&self) -> EmulationResults {
-        EmulationResults::collect(self)
+        EmulationResults::collect(&self.platform, self.summary())
     }
 
     /// Consumes the emulation and returns results plus the recorded
@@ -765,10 +765,6 @@ mod accessors {
 
     pub(crate) fn elab(e: &Emulation) -> &Elaboration {
         &e.platform.elab
-    }
-
-    pub(crate) fn platform_of(e: &Emulation) -> &Platform {
-        &e.platform
     }
 
     pub(crate) fn telemetry_of(e: &Emulation) -> Option<&Collector> {

@@ -11,7 +11,8 @@
 //! engine (one [`SteppableEngine::step`] per platform clock); the
 //! SystemC and ModelSim baselines of the paper's Table 2 are provided
 //! by the companion crates `nocem-tlm` and `nocem-rtl`, which run the
-//! *same elaboration* through slower simulation kernels.
+//! *same elaboration*, wired once by [`process::ProcessModel`], through
+//! slower simulation kernels.
 //!
 //! ## Quickstart
 //!
@@ -37,8 +38,9 @@
 //! | [`config`] | 1, 3 | platform + run configuration, paper presets |
 //! | [`compile`] | 1 | elaboration: components, wiring, address map |
 //! | [`flow`] | 1–6 | the complete emulation flow |
-//! | [`engine`] | 5 | the interpreted platform ([`engine::Platform`], shared with `nocem-tlm` / `nocem-rtl`) and the cycle engine over it (and the bus the software sees) |
+//! | [`engine`] | 5 | the interpreted platform ([`engine::Platform`], shared with [`process`]) and the cycle engine over it (and the bus the software sees) |
 //! | [`compiled`] | 5 | the compiled engine: the elaboration lowered to flat arrays |
+//! | [`process`] | 5 | the process model: the platform wired once over a channel [`process::Fabric`], the kernel of the TLM and RTL baselines |
 //! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, array-slice shards, batched synchronization |
 //! | [`clock`] | 5 | the run-level half of every engine: [`clock::RunState`], the [`clock::CycleKernel`] trait, the one step skeleton and generic [`clock::SteppableEngine`] impl, clock modes, quiescence, the fast-forward kernel |
 //! | [`devices`] | 3, 6 | register views and typed drivers |
@@ -59,6 +61,7 @@ pub mod devices;
 pub mod engine;
 pub mod error;
 pub mod flow;
+pub mod process;
 pub mod profile;
 pub mod results;
 pub mod shard_compiled;
@@ -78,6 +81,7 @@ pub use config::{
 pub use engine::{build, Emulation, Platform};
 pub use error::{CompileError, EmulationError};
 pub use flow::{run_flow, run_flow_on, FlowReport};
+pub use process::{Fabric, ProcessModel};
 pub use profile::{
     Phase, PhaseProfiler, PhaseReport, ProfileConfig, StallConfig, StallReport, WaitEdge,
     WorkCounters,

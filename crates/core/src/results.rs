@@ -1,9 +1,9 @@
 //! Emulation results: everything the final report (step 6 of the
 //! flow) presents.
 
-use crate::clock::{EngineSummary, SteppableEngine};
+use crate::clock::EngineSummary;
 use crate::compile::ReceptorDevice;
-use crate::engine::Emulation;
+use crate::engine::Platform;
 use nocem_common::ids::LinkId;
 use nocem_common::table::{Align, TextTable};
 use nocem_common::time::Cycle;
@@ -152,10 +152,10 @@ impl EmulationResults {
         }
     }
 
-    /// Collects results from an emulation (exposed through
-    /// [`Emulation::results`]).
-    pub(crate) fn collect(emu: &Emulation) -> Self {
-        let platform = crate::engine::platform_of(emu);
+    /// Collects the results of the run `summary` describes on
+    /// `platform` (exposed through [`crate::Emulation::results`] and
+    /// [`crate::ProcessModel::results`]).
+    pub(crate) fn collect(platform: &Platform, summary: EngineSummary) -> Self {
         let elab = &platform.elab;
         let receptors = elab
             .receptors
@@ -171,9 +171,9 @@ impl EmulationResults {
         }
         Self::assemble(
             &elab.config.name,
-            emu.summary(),
+            summary,
             platform.stalled(),
-            emu.congestion(),
+            congestion_of(&platform.cumulative_probe()),
             vc_occupancy,
             receptors,
         )

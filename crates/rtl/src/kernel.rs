@@ -58,10 +58,6 @@ impl SignalId {
     }
 }
 
-/// Handle to a process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProcessId(u32);
-
 /// Read/write access handed to a process while it executes.
 pub struct ProcessCtx<'a> {
     signals: &'a [Value],
@@ -89,16 +85,7 @@ impl ProcessCtx<'_> {
 
 /// A simulation process: sequential (clocked) or reactive
 /// (sensitivity-driven).
-pub trait Process {
-    /// Runs one activation.
-    fn execute(&mut self, ctx: &mut ProcessCtx<'_>);
-}
-
-impl<F: FnMut(&mut ProcessCtx<'_>)> Process for F {
-    fn execute(&mut self, ctx: &mut ProcessCtx<'_>) {
-        self(ctx)
-    }
-}
+type Process = Box<dyn FnMut(&mut ProcessCtx<'_>)>;
 
 /// Kernel statistics — the cost model of RTL simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,7 +143,7 @@ pub struct Kernel {
     names: Vec<String>,
     sensitivity: Vec<Vec<u32>>,
     clocked: Vec<u32>,
-    processes: Vec<Box<dyn Process>>,
+    processes: Vec<Process>,
     nba: Vec<(SignalId, Value)>,
     stats: KernelStats,
     time: u64,
@@ -166,23 +153,22 @@ pub struct Kernel {
     /// skip it.
     initialized: bool,
     vcd: Option<Vcd>,
-    max_deltas: u32,
 }
+
+/// Delta cycles one time step may take before the kernel reports an
+/// oscillation.
+const MAX_DELTAS: u32 = 1_000;
 
 #[derive(Debug, Default)]
 struct Vcd {
     body: String,
-    header_done: bool,
     last_time_marker: Option<u64>,
 }
 
 impl Kernel {
     /// Creates an empty kernel.
     pub fn new() -> Self {
-        Kernel {
-            max_deltas: 1_000,
-            ..Kernel::default()
-        }
+        Kernel::default()
     }
 
     /// Declares a signal, initialized to [`Value::Low`].
@@ -195,22 +181,22 @@ impl Kernel {
 
     /// Registers a process activated at every clock edge, in
     /// registration order.
-    pub fn clocked_process(&mut self, p: impl Process + 'static) -> ProcessId {
+    pub fn clocked_process(&mut self, p: impl FnMut(&mut ProcessCtx<'_>) + 'static) {
+        self.clocked.push(self.processes.len() as u32);
         self.processes.push(Box::new(p));
-        let id = (self.processes.len() - 1) as u32;
-        self.clocked.push(id);
-        ProcessId(id)
     }
 
     /// Registers a process activated whenever any signal in `sens`
     /// changes (combinational logic or monitors).
-    pub fn reactive_process(&mut self, sens: &[SignalId], p: impl Process + 'static) -> ProcessId {
-        self.processes.push(Box::new(p));
-        let id = (self.processes.len() - 1) as u32;
+    pub fn reactive_process(
+        &mut self,
+        sens: &[SignalId],
+        p: impl FnMut(&mut ProcessCtx<'_>) + 'static,
+    ) {
         for s in sens {
-            self.sensitivity[s.index()].push(id);
+            self.sensitivity[s.index()].push(self.processes.len() as u32);
         }
-        ProcessId(id)
+        self.processes.push(Box::new(p));
     }
 
     /// Current value of a signal.
@@ -269,17 +255,14 @@ impl Kernel {
         Some(out)
     }
 
-    fn run_process(
-        processes: &mut [Box<dyn Process>],
-        signals: &[Value],
-        nba: &mut Vec<(SignalId, Value)>,
-        stats: &mut KernelStats,
-        time: u64,
-        pid: u32,
-    ) {
-        stats.activations += 1;
-        let mut ctx = ProcessCtx { signals, nba, time };
-        processes[pid as usize].execute(&mut ctx);
+    fn run_process(&mut self, pid: u32) {
+        self.stats.activations += 1;
+        let mut ctx = ProcessCtx {
+            signals: &self.signals,
+            nba: &mut self.nba,
+            time: self.time,
+        };
+        self.processes[pid as usize](&mut ctx);
     }
 
     /// Applies queued NBA writes; returns the processes to wake.
@@ -299,7 +282,6 @@ impl Kernel {
                     vcd.last_time_marker = Some(self.time);
                 }
                 let _ = writeln!(vcd.body, "b{:b} s{}", encode(value), sig.index());
-                vcd.header_done = true;
             }
             for &p in &self.sensitivity[sig.index()] {
                 if !wake.contains(&p) {
@@ -319,16 +301,8 @@ impl Kernel {
     /// Returns [`ConvergenceError`] if the delta loop exceeds its
     /// bound (combinational oscillation).
     pub fn cycle(&mut self) -> Result<(), ConvergenceError> {
-        let clocked = self.clocked.clone();
-        for pid in clocked {
-            Self::run_process(
-                &mut self.processes,
-                &self.signals,
-                &mut self.nba,
-                &mut self.stats,
-                self.time,
-                pid,
-            );
+        for k in 0..self.clocked.len() {
+            self.run_process(self.clocked[k]);
         }
         // Initialization phase: on the first cycle every reactive
         // process runs once (as HDL simulators do), so combinational
@@ -341,14 +315,7 @@ impl Kernel {
                 .filter(|p| !self.clocked.contains(p))
                 .collect();
             for pid in reactive {
-                Self::run_process(
-                    &mut self.processes,
-                    &self.signals,
-                    &mut self.nba,
-                    &mut self.stats,
-                    self.time,
-                    pid,
-                );
+                self.run_process(pid);
             }
         }
         let mut deltas = 0;
@@ -359,18 +326,11 @@ impl Kernel {
             }
             self.stats.delta_cycles += 1;
             deltas += 1;
-            if deltas > self.max_deltas {
+            if deltas > MAX_DELTAS {
                 return Err(ConvergenceError { time: self.time });
             }
             for pid in wake {
-                Self::run_process(
-                    &mut self.processes,
-                    &self.signals,
-                    &mut self.nba,
-                    &mut self.stats,
-                    self.time,
-                    pid,
-                );
+                self.run_process(pid);
             }
         }
         self.time += 1;

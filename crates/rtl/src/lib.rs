@@ -6,20 +6,22 @@
 //!
 //! * [`kernel`] — signals, nonblocking assignment, delta cycles,
 //!   sensitivity lists, work counters and a VCD dump;
-//! * [`model`] — the platform mapped onto the kernel: flit/credit
-//!   wires per link, clocked processes per switch and network
-//!   interface, monitor processes per receptor.
+//! * [`model`] — the kernel as a `nocem::process::Fabric` (a flit wire
+//!   per link, a credit wire per link and VC, clocked processes, monitor
+//!   processes): [`RtlEngine`] is `nocem::ProcessModel<Kernel>`.
 //!
-//! What is this crate's own is the event kernel, the wires and the
-//! processes' wire reads and writes. What a release, an NI send or a
-//! delivery *does* is `nocem::engine::Platform`, shared with the fast
-//! engine and the TLM model, and everything around a cycle (gating,
-//! probe timing, stall watchdog, cycle limit, summary) is the step
-//! skeleton of `nocem::clock`: [`RtlEngine`] is one of its
-//! `CycleKernel`s.
+//! What is this crate's own is the event kernel and its wires. The
+//! wiring — one clocked process per switch and network interface, one
+//! monitor per receptor — is `nocem::ProcessModel`'s, written once for
+//! this crate and `nocem-tlm`; what a release, an NI send or a delivery
+//! *does* is `nocem::engine::Platform`'s, shared with the fast engine;
+//! and everything around a cycle is the step skeleton of
+//! `nocem::clock`. The kernel's work counters are
+//! `RtlEngine::fabric().stats()`; a waveform comes through [`Vcd`].
 //!
-//! Runs are cycle- and flit-identical to the fast engine (enforced by
-//! tests); only the wall-clock cost differs, by the orders of
+//! Runs are cycle- and flit-identical to the fast engine, down to the
+//! results, the telemetry and the stall report (enforced by the lockstep
+//! harness); only the wall-clock cost differs, by the orders of
 //! magnitude the paper reports between FPGA emulation and RTL
 //! simulation.
 //!
@@ -47,4 +49,4 @@ pub mod kernel;
 pub mod model;
 
 pub use kernel::{Kernel, KernelStats, Value};
-pub use model::RtlEngine;
+pub use model::{RtlEngine, Vcd};

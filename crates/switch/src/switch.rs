@@ -921,6 +921,14 @@ impl Switch {
         }
     }
 
+    /// Raises the `max_vc_occupancy` watermark of `vc` to at least
+    /// `occupancy` — for an engine that lands a flit after a pop the
+    /// reference engine orders after it.
+    pub fn raise_vc_watermark(&mut self, vc: VcId, occupancy: u64) {
+        let w = &mut self.counters.max_vc_occupancy[vc.index()];
+        *w = (*w).max(occupancy);
+    }
+
     /// Remaining credits of VC 0 of `output` (the whole story on a
     /// single-VC switch; see [`Switch::credits_vc`]).
     pub fn credits(&self, output: PortId) -> u32 {

@@ -7,19 +7,22 @@
 //! * [`scheduler`] — a SystemC-like process scheduler with
 //!   double-buffered (`sc_signal`-style) channels and value-changed
 //!   watchers;
-//! * [`model`] — the platform mapped onto the scheduler: one process
-//!   per switch and network interface, one watcher per receptor.
+//! * [`model`] — the scheduler as a `nocem::process::Fabric`:
+//!   [`TlmEngine`] is `nocem::ProcessModel<Scheduler>`.
 //!
-//! What is this crate's own is the scheduler, the channels and the
-//! process closures' channel reads and writes. What a release, an NI
-//! send or a delivery *does* is `nocem::engine::Platform`, shared
-//! with the fast engine and the RTL model, and everything around a
-//! cycle (gating, probe timing, stall watchdog, cycle limit, summary)
-//! is the step skeleton of `nocem::clock`: [`TlmEngine`] is one of its
-//! `CycleKernel`s.
+//! What is this crate's own is the scheduler and its channels. The
+//! wiring — one process per switch and network interface, one watcher
+//! per receptor, credits on their own channels — is
+//! `nocem::ProcessModel`'s, written once for this crate and `nocem-rtl`;
+//! what a release, an NI send or a delivery *does* is
+//! `nocem::engine::Platform`'s, shared with the fast engine; and
+//! everything around a cycle is the step skeleton of `nocem::clock`.
+//! The scheduler's work counters are `TlmEngine::fabric().stats()`.
 //!
 //! Runs are cycle- and flit-identical to the fast engine and the RTL
-//! model (enforced by tests); the wall-clock cost sits between them.
+//! model, down to the results, the telemetry and the stall report
+//! (enforced by the lockstep harness); the wall-clock cost sits between
+//! them.
 //!
 //! # Examples
 //!

@@ -25,6 +25,9 @@ pub struct FlitChanId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitChanId(u32);
 
+/// A component process, activated once per cycle.
+type Process = Box<dyn FnMut(Cycle, &mut ChannelCtx)>;
+
 /// Update-phase callback observing a flit channel (receptor monitors).
 type FlitWatcher = Box<dyn FnMut(Option<Flit>, Cycle)>;
 
@@ -57,18 +60,6 @@ impl ChannelCtx {
     /// Writes a bit channel (visible next cycle).
     pub fn write_bit(&mut self, c: BitChanId, v: bool) {
         self.bit_next[c.0 as usize] = v;
-    }
-}
-
-/// A component process, activated once per cycle.
-pub trait TlmProcess {
-    /// Runs one cycle of the component.
-    fn activate(&mut self, now: Cycle, ch: &mut ChannelCtx);
-}
-
-impl<F: FnMut(Cycle, &mut ChannelCtx)> TlmProcess for F {
-    fn activate(&mut self, now: Cycle, ch: &mut ChannelCtx) {
-        self(now, ch)
     }
 }
 
@@ -107,7 +98,7 @@ pub struct SchedulerStats {
 #[derive(Default)]
 pub struct Scheduler {
     ctx: ChannelCtx,
-    processes: Vec<Box<dyn TlmProcess>>,
+    processes: Vec<Process>,
     watchers: Vec<(FlitChanId, FlitWatcher)>,
     time: u64,
     stats: SchedulerStats,
@@ -135,7 +126,7 @@ impl Scheduler {
 
     /// Registers a process, activated every cycle in registration
     /// order.
-    pub fn process(&mut self, p: impl TlmProcess + 'static) {
+    pub fn process(&mut self, p: impl FnMut(Cycle, &mut ChannelCtx) + 'static) {
         self.processes.push(Box::new(p));
     }
 
@@ -193,7 +184,7 @@ impl Scheduler {
         let now = Cycle::new(self.time);
         for p in &mut self.processes {
             self.stats.activations += 1;
-            p.activate(now, &mut self.ctx);
+            p(now, &mut self.ctx);
         }
         // Update phase: bits first (no watchers), then flits.
         for i in 0..self.ctx.bit_cur.len() {

@@ -15,6 +15,7 @@ use nocem::compile::elaborate;
 use nocem::config::{PaperConfig, PaperRouting, PlatformConfig, TrafficModel};
 use nocem::engine::build;
 use nocem_scenarios::scenario::TopologySpec;
+use nocem_telemetry::TelemetryConfig;
 use nocem_topology::builders::mesh;
 use support::{against_emulation, ring, torus, uniform_random, Backend, Subject};
 
@@ -77,6 +78,19 @@ fn deep_buffer_platform_is_engine_equivalent() {
     let mut cfg = PaperConfig::new().total_packets(400).burst(16);
     cfg.switch.fifo_depth = 16;
     baselines(&cfg);
+}
+
+/// The paper platform's default seed under bursts, with and without
+/// windowed telemetry: the live occupancy a window samples counts a
+/// flit still on a TLM channel or an RTL wire in its downstream FIFO.
+#[test]
+fn paper_bursts_with_telemetry_are_engine_equivalent() {
+    baselines(&PaperConfig::new().total_packets(300).burst(8));
+    let windowed = Some(TelemetryConfig::windowed(64));
+    let cfg = PaperConfig::new().total_packets(200).burst(8);
+    let runs = baselines(&cfg.with_telemetry(windowed));
+    let windows = runs[0].engine.telemetry().unwrap().windows_recorded();
+    assert!(windows > 0, "run long enough to window");
 }
 
 #[test]

@@ -157,7 +157,7 @@ fn parked_generators_and_sleeping_nis_are_ledger_identical() {
         cfg
     });
     for mut s in engines {
-        let stalled = s.engine.all_results().unwrap().stalled_cycles;
+        let stalled = s.engine.all_results().stalled_cycles;
         assert!(stalled > 0, "nothing parked on {}", s.name);
         let work = s.engine.profile().expect("profiling on").work;
         assert!(work.ni_sleeps > 0, "no NI slept on {}", s.name);

@@ -83,7 +83,7 @@ fn parked_generators_pin_the_tg_phase_and_the_clock() {
         cfg.source_queue_capacity = 1;
         cfg.name = format!("{}/backpressure/{mode:?}", cfg.name);
         let mut compiled = against_emulation(&cfg, &[Backend::SwitchedCompiled]);
-        let results = compiled[0].engine.all_results().unwrap();
+        let results = compiled[0].engine.all_results();
         assert!(
             results.stalled_cycles > results.cycles,
             "{}: only {} parked TG-cycles in {} cycles",

@@ -6,11 +6,9 @@
 //! names its cycle. A gated engine may jump a window its ungated twin
 //! steps through: the ungated side shadow-steps across it and the two
 //! are compared where they meet. At the end every engine has finished
-//! with the same behavioural summary, the same sealed telemetry and —
-//! where the engine type collects them — the same results. Every engine
-//! trips its stall watchdog on the reference's cycle with the same
-//! packets in flight; all but the TLM and RTL models also capture the
-//! same wait-for edges.
+//! with the same behavioural summary, the same sealed telemetry and the
+//! same results, and every engine with a stall watchdog has latched the
+//! reference's report: trip cycle, packets in flight, wait-for edges.
 //!
 //! Engines are built by name ([`Backend`], [`subject`]); platforms by
 //! [`scenario`] and the topology shorthands, with [`retraffic`] /
@@ -27,7 +25,6 @@ use nocem::clock::{ClockMode, CycleKernel, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::config::{EngineKind, PlatformConfig, TrafficModel};
 use nocem::error::CompileError;
-use nocem::profile::StallReport;
 use nocem::{AnyEngine, CompiledEngine, Emulation, EmulationResults, ShardedCompiledEngine};
 use nocem_rtl::RtlEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
@@ -43,8 +40,8 @@ pub trait Engine: SteppableEngine + Any {
     /// debug run.
     fn ledger_ref(&self) -> Box<dyn Deref<Target = PacketLedger> + '_>;
 
-    /// The full results, where the engine type collects them.
-    fn all_results(&mut self) -> Option<EmulationResults>;
+    /// The full results.
+    fn all_results(&mut self) -> EmulationResults;
 }
 
 macro_rules! engine {
@@ -54,7 +51,7 @@ macro_rules! engine {
                 Box::new(self.ledger())
             }
 
-            fn all_results(&mut self) -> Option<EmulationResults> {
+            fn all_results(&mut self) -> EmulationResults {
                 let $e = self;
                 $results
             }
@@ -63,12 +60,12 @@ macro_rules! engine {
 }
 
 engine! {
-    Emulation => |e| Some(e.results()),
-    CompiledEngine => |e| Some(e.results()),
-    ShardedCompiledEngine => |e| Some(e.results().unwrap()),
-    AnyEngine => |e| Some(e.results().unwrap()),
-    TlmEngine => |_e| None,
-    RtlEngine => |_e| None,
+    Emulation => |e| e.results(),
+    CompiledEngine => |e| e.results(),
+    ShardedCompiledEngine => |e| e.results().unwrap(),
+    AnyEngine => |e| e.results().unwrap(),
+    TlmEngine => |e| e.results(),
+    RtlEngine => |e| e.results(),
 }
 
 /// One engine of a lockstep run.
@@ -132,12 +129,6 @@ pub enum Backend {
     Tlm,
     /// The RTL model.
     Rtl,
-}
-
-/// Whether `e` is the TLM or the RTL model.
-fn process_model(e: &dyn Engine) -> bool {
-    let any: &dyn Any = e;
-    any.is::<TlmEngine>() || any.is::<RtlEngine>()
 }
 
 /// `cfg` built on `backend`, or the build's error.
@@ -294,20 +285,12 @@ fn finish(reference: &mut Subject, subjects: &mut [Subject]) {
         assert_eq!(e.now(), reference.engine.now(), "{}: stop cycle", s.name);
         let got = e.summary();
         assert_eq!(got.behavioral(), want.behavioral(), "{}: summary", s.name);
-        let (got_stall, want_stall) = (e.stall_report(), reference.engine.stall_report());
-        let trip = |r: &StallReport| (r.at_cycle, r.window, r.in_flight, r.top_blocked.clone());
         assert_eq!(
-            got_stall.map(trip),
-            want_stall.map(trip),
-            "{}: stall trip",
+            e.stall_report(),
+            reference.engine.stall_report(),
+            "{}: stall report",
             s.name
         );
-        // A short window trips while flits and credits are still on the
-        // process models' channels, so their switches do not hold the
-        // reference's wait-for edges yet.
-        if !process_model(&**e) {
-            assert_eq!(got_stall, want_stall, "{}: stall report", s.name);
-        }
         if same_mode {
             assert_eq!(got.cycles_skipped, want.cycles_skipped, "{}", s.name);
         } else {
@@ -320,12 +303,11 @@ fn finish(reference: &mut Subject, subjects: &mut [Subject]) {
             s.name,
             reference.name
         );
-        if let (Some(mut got), Some(mut want)) = (e.all_results(), results.clone()) {
-            if !same_mode {
-                (got.cycles_skipped, want.cycles_skipped) = (0, 0);
-            }
-            assert_eq!(got, want, "{}: results", s.name);
+        let (mut got, mut want) = (e.all_results(), results.clone());
+        if !same_mode {
+            (got.cycles_skipped, want.cycles_skipped) = (0, 0);
         }
+        assert_eq!(got, want, "{}: results", s.name);
     }
 }
 
