@@ -134,6 +134,55 @@ mod tests {
     }
 
     #[test]
+    fn rtl_matches_fast_engine_exactly() {
+        let cfg = PaperConfig::new().total_packets(300).burst(8);
+        // Fast engine.
+        let mut emu = nocem::engine::build(&cfg).unwrap();
+        emu.run().unwrap();
+        // RTL engine on a fresh elaboration of the same config.
+        let mut rtl = RtlEngine::new(elaborate(&cfg).unwrap());
+        rtl.run().unwrap();
+        let s = rtl.summary();
+        assert_eq!(s.cycles, emu.now().raw(), "cycle-exact run length");
+        assert_eq!(s.delivered, emu.delivered());
+        assert_eq!(
+            s.network_latency.sum(),
+            emu.ledger().network_latency().sum(),
+            "identical per-packet network latencies"
+        );
+        assert_eq!(
+            s.total_latency.sum(),
+            emu.ledger().total_latency().sum(),
+            "identical per-packet total latencies"
+        );
+        assert_eq!(
+            s.network_latency.max(),
+            emu.ledger().network_latency().max()
+        );
+    }
+
+    #[test]
+    fn rtl_telemetry_matches_fast_engine_exactly() {
+        let cfg = PaperConfig::new()
+            .total_packets(200)
+            .burst(8)
+            .with_telemetry(Some(nocem_telemetry::TelemetryConfig::windowed(64)));
+        let mut emu = nocem::engine::build(&cfg).unwrap();
+        emu.run().unwrap();
+        emu.seal_telemetry();
+        let mut rtl = RtlEngine::new(elaborate(&cfg).unwrap());
+        rtl.run().unwrap();
+        rtl.seal_telemetry();
+        let fast = emu.telemetry().unwrap();
+        let ours = rtl.telemetry().unwrap();
+        assert!(fast.windows_recorded() > 0, "run long enough to window");
+        assert_eq!(
+            ours, fast,
+            "windowed series (incl. live occupancy) are engine-invariant"
+        );
+    }
+
+    #[test]
     fn rtl_vcd_capture_works() {
         let cfg = PaperConfig::new().total_packets(10).uniform();
         let mut engine = RtlEngine::new(elaborate(&cfg).unwrap());

@@ -98,6 +98,44 @@ mod tests {
     }
 
     #[test]
+    fn tlm_matches_fast_engine_exactly() {
+        let cfg = PaperConfig::new().total_packets(300).burst(8);
+        let mut emu = nocem::engine::build(&cfg).unwrap();
+        emu.run().unwrap();
+        let mut tlm = TlmEngine::new(elaborate(&cfg).unwrap());
+        tlm.run().unwrap();
+        let s = tlm.summary();
+        assert_eq!(s.cycles, emu.now().raw(), "cycle-exact run length");
+        assert_eq!(s.delivered, emu.delivered());
+        assert_eq!(
+            s.network_latency.sum(),
+            emu.ledger().network_latency().sum()
+        );
+        assert_eq!(s.total_latency.sum(), emu.ledger().total_latency().sum());
+    }
+
+    #[test]
+    fn tlm_telemetry_matches_fast_engine_exactly() {
+        let cfg = PaperConfig::new()
+            .total_packets(200)
+            .burst(8)
+            .with_telemetry(Some(nocem_telemetry::TelemetryConfig::windowed(64)));
+        let mut emu = nocem::engine::build(&cfg).unwrap();
+        emu.run().unwrap();
+        emu.seal_telemetry();
+        let mut tlm = TlmEngine::new(elaborate(&cfg).unwrap());
+        tlm.run().unwrap();
+        tlm.seal_telemetry();
+        let fast = emu.telemetry().unwrap();
+        let ours = tlm.telemetry().unwrap();
+        assert!(fast.windows_recorded() > 0, "run long enough to window");
+        assert_eq!(
+            ours, fast,
+            "windowed series (incl. live occupancy) are engine-invariant"
+        );
+    }
+
+    #[test]
     fn tlm_trace_driven_works() {
         let cfg = PaperConfig::new().total_packets(100).trace_bursty(4);
         let mut engine = TlmEngine::new(elaborate(&cfg).unwrap());
