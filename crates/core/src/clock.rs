@@ -58,9 +58,8 @@
 //!
 //! Everything that drives an engine — the run loops ([`run_engine`],
 //! [`run_engine_until`], [`run_engine_with_progress`]), the
-//! engine-generic sweep (`crate::sweep::run_sweep_engine`) and the
-//! cross-engine lockstep tests — is written once against
-//! [`SteppableEngine`].
+//! [`crate::sweep::AnyEngine`] dispatcher and the cross-engine lockstep
+//! tests — is written once against [`SteppableEngine`].
 //!
 //! # Quiescence invariants
 //!

@@ -3,25 +3,27 @@
 //!
 //! [`elaborate`] validates the configuration, computes the routing (a
 //! shared grid router or flow-keyed tables), checks deadlock freedom,
-//! predicts link loads, instantiates every component (switches,
-//! network interfaces, traffic generators, receptors) with seeds
-//! derived from the platform seed, and allocates the bus address map.
+//! predicts link loads, instantiates the network interfaces, traffic
+//! generators and receptors, records each switch's parameters (LFSR
+//! seed, credit caps), all seeds derived from the platform seed, and
+//! allocates the bus address map.
 //!
-//! The result, [`Elaboration`], is engine-agnostic: the fast emulation
-//! engine, the RTL baseline and the TLM baseline all consume the same
-//! elaboration, which is what makes their runs comparable flit for
+//! The result, [`Elaboration`], is engine-agnostic: every engine
+//! consumes the same elaboration — the interpreted ones build their
+//! switches from it in [`crate::Platform::new`], the compiled ones
+//! [`lower`] it — which is what makes their runs comparable flit for
 //! flit.
 
 use crate::config::{PlatformConfig, RoutingSpec, TrafficModel};
 use crate::error::CompileError;
-use nocem_common::ids::{EndpointId, FlowId, LinkId, PortId};
+use nocem_common::ids::{EndpointId, FlowId, LinkId, PortId, SwitchId};
 use nocem_common::rng::{Lfsr16, SplitMix64};
 use nocem_common::route::{GridRouter, RouteHop};
 use nocem_platform::bus::{AddressMap, DeviceClass};
 use nocem_stats::receptor::{StochasticReceptor, TraceReceptor};
 use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
-use nocem_switch::config::{SelectionPolicy, SwitchConfigBuilder};
+use nocem_switch::config::{SelectionPolicy, SwitchConfig, SwitchConfigBuilder};
 use nocem_switch::switch::{Switch, CREDITS_INFINITE};
 use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::deadlock::check_routing_deadlock_freedom;
@@ -118,10 +120,9 @@ pub struct Elaboration {
     pub config: PlatformConfig,
     /// Routing tables (paths retained for analyses).
     pub routing: RoutingTables,
-    /// Switch instances, in switch-id order. (Empty in the elaboration
-    /// the compiled engines build for themselves: they step the
-    /// lowered arrays, never a [`Switch`].)
-    pub switches: Vec<Switch>,
+    /// Per switch, in switch-id order: the seed of its selection LFSR,
+    /// drawn from the platform seeder before any generator seed.
+    pub lfsr_seeds: Vec<u16>,
     /// Network interfaces, one per generator.
     pub nis: Vec<SourceNi>,
     /// Traffic generators, one per generator endpoint.
@@ -142,6 +143,22 @@ pub struct Elaboration {
 }
 
 impl Elaboration {
+    /// The initial (= cap) credits of each VC of output `p` of switch
+    /// `s`: the depth of the downstream VC buffer on an inter-switch
+    /// link; on an ejection link infinite (receptors always accept)
+    /// unless `ejection_credits` caps them for stall-forensics fixtures.
+    pub fn out_credits(&self, s: SwitchId, p: PortId) -> u32 {
+        let topo = &self.config.topology;
+        match topo.link(topo.out_link(s, p)).dst {
+            LinkEnd::Switch { .. } => u32::from(self.config.switch.fifo_depth),
+            LinkEnd::Endpoint(_) => self
+                .config
+                .switch
+                .ejection_credits
+                .unwrap_or(CREDITS_INFINITE),
+        }
+    }
+
     /// The phase profiler the configuration asks for (`None` = off),
     /// seeded with what this elaboration itself cost.
     pub(crate) fn profiler(&self) -> Option<crate::profile::PhaseProfiler> {
@@ -157,7 +174,7 @@ impl std::fmt::Debug for Elaboration {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Elaboration")
             .field("name", &self.config.name)
-            .field("switches", &self.switches.len())
+            .field("switches", &self.lfsr_seeds.len())
             .field("generators", &self.tgs.len())
             .field("receptors", &self.receptors.len())
             .finish_non_exhaustive()
@@ -312,7 +329,7 @@ pub fn compute_routing(config: &PlatformConfig) -> Result<RoutingTables, Compile
 pub fn elaborate(config: &PlatformConfig) -> Result<Elaboration, CompileError> {
     validate(config)?;
     let routing = compute_routing(config)?;
-    instantiate(config, routing, true)
+    instantiate(config, routing)
 }
 
 /// Like [`elaborate`], but reuses routing tables previously produced
@@ -332,39 +349,29 @@ pub fn elaborate_routed(
     routing: RoutingTables,
 ) -> Result<Elaboration, CompileError> {
     validate(config)?;
-    instantiate(config, routing, true)
+    instantiate(config, routing)
 }
 
-/// [`elaborate`] (or, given `routing`, [`elaborate_routed`]) for the
-/// engines that step a [`LoweredPlatform`]: everything but the
-/// interpreted [`Switch`]es, which [`lower`] never reads and a compiled
-/// kernel would only drop — [`Elaboration::switches`] is empty. Every
-/// check and every seed is the full elaboration's: each switch still
-/// has its configuration built, its routes range-checked and its LFSR
-/// seed drawn before the first generator seed, so the devices that are
-/// built are the ones [`elaborate`] builds, stream for stream.
-///
-/// # Errors
-///
-/// Those of [`elaborate`].
-pub(crate) fn elaborate_unswitched(
-    config: &PlatformConfig,
-    routing: Option<&RoutingTables>,
-) -> Result<Elaboration, CompileError> {
-    validate(config)?;
-    let routing = match routing {
-        Some(routing) => routing.clone(),
-        None => compute_routing(config)?,
-    };
-    instantiate(config, routing, false)
+/// The configuration of switch `s` of a platform built from `config`:
+/// its port counts and the platform-wide buffer, VC, arbiter and
+/// selection parameters.
+pub(crate) fn switch_config(config: &PlatformConfig, s: SwitchId) -> SwitchConfig {
+    let info = config.topology.switch(s);
+    SwitchConfigBuilder::new(info.inputs, info.outputs)
+        .fifo_depth(config.switch.fifo_depth)
+        .num_vcs(config.switch.num_vcs)
+        .arbiter(config.switch.arbiter)
+        .selection(config.switch.selection)
+        .build()
 }
 
-/// Builds the components of a validated configuration — the
-/// interpreted switch models among them only `with_switches`.
+/// Builds the components of a validated configuration. Switches are
+/// recorded, not built: each one's routes are range-checked and its
+/// LFSR seed drawn here, and [`crate::Platform::new`] builds the
+/// interpreted models from them for the engines that step those.
 fn instantiate(
     config: &PlatformConfig,
     routing: RoutingTables,
-    with_switches: bool,
 ) -> Result<Elaboration, CompileError> {
     let elaborate_start = std::time::Instant::now();
     let topo = &config.topology;
@@ -399,57 +406,14 @@ fn instantiate(
         .map(|loads| predict_link_loads(topo, &routing.flows(), &loads, SplitModel::PrimaryOnly));
 
     // Seeds derive from the platform seed; adding devices never
-    // perturbs earlier streams.
+    // perturbs earlier streams. Every switch seed is drawn before the
+    // first generator seed.
     let mut seeder = SplitMix64::new(config.seed);
-
-    // Switches. Credits are per (output, VC): each VC of an
-    // inter-switch link gets the depth of its downstream VC buffer;
-    // every VC of an ejection port is infinite (receptors always
-    // accept) unless `ejection_credits` caps them for stall-forensics
-    // fixtures.
-    let num_vcs = config.switch.num_vcs;
-    let mut switches = Vec::with_capacity(if with_switches {
-        topo.switch_count()
-    } else {
-        0
-    });
+    let mut lfsr_seeds = Vec::with_capacity(topo.switch_count());
     for s in topo.switch_ids() {
-        let info = topo.switch(s);
-        let sw_config = SwitchConfigBuilder::new(info.inputs, info.outputs)
-            .fifo_depth(config.switch.fifo_depth)
-            .num_vcs(num_vcs)
-            .arbiter(config.switch.arbiter)
-            .selection(config.switch.selection)
-            .build();
-        let lfsr_seed = (seeder.next() & 0xFFFF) as u16;
-        let in_switch = |source| CompileError::Switch { switch: s, source };
-        if !with_switches {
-            Switch::check_routes(&sw_config, routing.switch_table(s)).map_err(in_switch)?;
-            continue;
-        }
-        let credits: Vec<Vec<u32>> = (0..info.outputs)
-            .map(|p| {
-                let link = topo.out_link(s, PortId::new(p));
-                let per_vc = match topo.link(link).dst {
-                    LinkEnd::Switch { .. } => u32::from(config.switch.fifo_depth),
-                    LinkEnd::Endpoint(_) => {
-                        config.switch.ejection_credits.unwrap_or(CREDITS_INFINITE)
-                    }
-                };
-                vec![per_vc; num_vcs as usize]
-            })
-            .collect();
-        let sw = match routing.grid_router() {
-            Some(router) => Switch::new_grid(sw_config, router.clone(), s, credits, lfsr_seed),
-            None => Switch::new_table(
-                sw_config,
-                routing.shared_switch_table(s),
-                credits,
-                lfsr_seed,
-            ),
-        }
-        .map_err(in_switch)?;
-        switches.push(sw);
+        Switch::check_routes(&switch_config(config, s), routing.switch_table(s))
+            .map_err(|source| CompileError::Switch { switch: s, source })?;
+        lfsr_seeds.push((seeder.next() & 0xFFFF) as u16);
     }
 
     // Generators and their network interfaces.
@@ -576,7 +540,7 @@ fn instantiate(
     Ok(Elaboration {
         config: config.clone(),
         routing,
-        switches,
+        lfsr_seeds,
         nis,
         tgs,
         receptors: receptor_devices,
@@ -830,9 +794,8 @@ pub struct LoweredPlatform {
     pub credit_cap: Vec<u32>,
     /// Per output port: switch-allocation round-robin pointer over VCs.
     pub out_vc_ptr: Vec<u8>,
-    /// Per switch: the shared selection LFSR, reseeded identically to
-    /// elaboration (the platform seeder draws all switch seeds before
-    /// any generator seed, so re-deriving them here is exact).
+    /// Per switch: the shared selection LFSR, seeded from
+    /// [`Elaboration::lfsr_seeds`].
     pub lfsrs: Vec<Lfsr16>,
     /// Output arbitration policy (uniform across the platform).
     pub arbiter: ArbiterKind,
@@ -893,14 +856,11 @@ impl LoweredPlatform {
 /// state (see [`LoweredPlatform`] for the layout).
 ///
 /// The pass is pure: it reads the elaboration's configuration,
-/// topology and routing tables — never [`Elaboration::switches`], which
-/// the compiled engines' own elaboration leaves empty — and writes
+/// topology, routing tables and recorded switch parameters, and writes
 /// dense arrays sized from the per-switch port counts. Credits are
-/// derived as [`elaborate`] derives a switch's initial (= cap) values
-/// (buffer depth toward a switch, `ejection_credits` or infinite toward
-/// a receptor; `tests/lowering_properties.rs` holds the two equal), and
-/// the selection LFSRs are re-seeded from the platform seed exactly as
-/// [`elaborate_routed`] seeds the interpreted switches.
+/// [`Elaboration::out_credits`] and the selection LFSRs are seeded from
+/// [`Elaboration::lfsr_seeds`] — what [`crate::Platform::new`] builds
+/// the interpreted switches from.
 pub fn lower(elab: &Elaboration) -> LoweredPlatform {
     let topo = &elab.config.topology;
     let vcs = usize::from(elab.config.switch.num_vcs);
@@ -986,9 +946,7 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         Vec::new()
     };
 
-    // Output-slot records: credits derived exactly as elaboration
-    // derives them (inter-switch: downstream FIFO depth; ejection:
-    // infinite unless `ejection_credits` caps them); arbiter pointers
+    // Output-slot records start at their credit caps; arbiter pointers
     // start at `width - 1` so the first grant scans from input slot 0.
     let mut out_state = Vec::with_capacity(total_out_slots);
     let mut credit_cap = Vec::with_capacity(total_out_slots);
@@ -996,15 +954,7 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         let info = topo.switch(s);
         let width = (u32::from(info.inputs) as usize * vcs - 1) as u16;
         for p in 0..info.outputs {
-            let link = topo.out_link(s, PortId::new(p));
-            let per_vc = match topo.link(link).dst {
-                LinkEnd::Switch { .. } => u32::from(elab.config.switch.fifo_depth),
-                LinkEnd::Endpoint(_) => elab
-                    .config
-                    .switch
-                    .ejection_credits
-                    .unwrap_or(CREDITS_INFINITE),
-            };
+            let per_vc = elab.out_credits(s, PortId::new(p));
             for _ in 0..vcs {
                 out_state.push(OutSlotState {
                     credits: per_vc,
@@ -1015,14 +965,6 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
             }
         }
     }
-
-    // Selection LFSR seeds: elaboration draws all switch seeds from
-    // the platform seeder *before* any generator seed, in switch-id
-    // order, so replaying the first `switch_count` draws is exact.
-    let mut seeder = SplitMix64::new(elab.config.seed);
-    let lfsrs: Vec<Lfsr16> = (0..n)
-        .map(|_| Lfsr16::new((seeder.next() & 0xFFFF) as u16))
-        .collect();
 
     // Flattened wiring.
     let mut out_dest = Vec::with_capacity(total_out_ports);
@@ -1078,7 +1020,11 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         out_state,
         credit_cap,
         out_vc_ptr: vec![0; total_out_ports],
-        lfsrs,
+        lfsrs: elab
+            .lfsr_seeds
+            .iter()
+            .map(|&seed| Lfsr16::new(seed))
+            .collect(),
         arbiter: elab.config.switch.arbiter,
         selection: elab.config.switch.selection,
         out_dest,
@@ -1108,7 +1054,7 @@ mod tests {
     fn paper_uniform_elaborates() {
         let cfg = PaperConfig::new().total_packets(100).uniform();
         let e = elaborate(&cfg).unwrap();
-        assert_eq!(e.switches.len(), 6);
+        assert_eq!(e.lfsr_seeds.len(), 6);
         assert_eq!(e.tgs.len(), 4);
         assert_eq!(e.receptors.len(), 4);
         assert_eq!(e.nis.len(), 4);
@@ -1354,13 +1300,13 @@ mod tests {
     #[test]
     fn ejection_credits_are_infinite() {
         let cfg = PaperConfig::new().uniform();
-        let e = elaborate(&cfg).unwrap();
+        let platform = crate::Platform::new(elaborate(&cfg).unwrap());
         // S2 hosts TR0/TR1; its ejection outputs have infinite credits.
-        for (s, outs) in e.wiring.out_target.iter().enumerate() {
+        for (s, outs) in platform.elab.wiring.out_target.iter().enumerate() {
             for (p, t) in outs.iter().enumerate() {
                 if matches!(t, OutTarget::Receptor { .. }) {
                     assert_eq!(
-                        e.switches[s].credits(PortId::new(p as u8)),
+                        platform.switches[s].credits(PortId::new(p as u8)),
                         CREDITS_INFINITE
                     );
                 }
@@ -1385,7 +1331,7 @@ mod tests {
     fn mesh_baseline_elaborates() {
         let cfg = crate::config::PlatformConfig::baseline("m", mesh(3, 3).unwrap()).unwrap();
         let e = elaborate(&cfg).unwrap();
-        assert_eq!(e.switches.len(), 9);
+        assert_eq!(e.lfsr_seeds.len(), 9);
         assert_eq!(e.tgs.len(), 9);
     }
 
@@ -1417,36 +1363,12 @@ mod tests {
     }
 
     #[test]
-    fn the_compiled_engines_elaborate_everything_but_the_switches() {
-        let cfg = PaperConfig::new().total_packets(50).uniform();
-        let full = elaborate(&cfg).unwrap();
-        assert_eq!(full.switches.len(), cfg.topology.switch_count());
-        let routing = compute_routing(&cfg).unwrap();
-        for routing in [None, Some(&routing)] {
-            let bare = elaborate_unswitched(&cfg, routing).unwrap();
-            assert!(bare.switches.is_empty(), "no interpreted switch is built");
-            assert_eq!(bare.tgs.len(), full.tgs.len());
-            assert_eq!(bare.nis.len(), full.nis.len());
-            assert_eq!(bare.receptors.len(), full.receptors.len());
-            assert_eq!(bare.map.devices(), full.map.devices());
-            // Lowering never misses one: credits, seeds and routes come
-            // out the same.
-            let (low, want) = (lower(&bare), lower(&full));
-            assert_eq!(low.credit_cap, want.credit_cap);
-            assert_eq!(low.lfsrs, want.lfsrs);
-            assert_eq!(low.route_keys, want.route_keys);
-            assert_eq!(low.route_hops, want.route_hops);
-        }
-    }
-
-    #[test]
     fn elaboration_is_deterministic() {
         let cfg = PaperConfig::new().total_packets(50).uniform();
         let a = elaborate(&cfg).unwrap();
         let b = elaborate(&cfg).unwrap();
-        // Same seeds => same initial switch state (spot check via
-        // credits and counters) and same maps.
+        // Same seeds => same switch LFSRs and same maps.
         assert_eq!(a.map.devices().len(), b.map.devices().len());
-        assert_eq!(a.switches.len(), b.switches.len());
+        assert_eq!(a.lfsr_seeds, b.lfsr_seeds);
     }
 }

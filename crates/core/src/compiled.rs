@@ -1840,16 +1840,3 @@ impl CycleKernel for CompiledEngine {
         self.kernel.delivered_flits
     }
 }
-
-/// Elaborates `config` and builds a compiled engine for it.
-///
-/// # Errors
-///
-/// Propagates [`crate::error::CompileError`] from elaboration.
-pub fn build_compiled(
-    config: &PlatformConfig,
-) -> Result<CompiledEngine, crate::error::CompileError> {
-    Ok(CompiledEngine::new(crate::compile::elaborate_unswitched(
-        config, None,
-    )?))
-}

@@ -255,7 +255,7 @@ pub(crate) fn tg_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32,
             regs: tgreg::TG_REG_COUNT,
         });
     }
-    let elab = crate::engine::elab(e);
+    let elab = e.elaboration();
     let ni = &elab.nis[i];
     let c = *ni.counters();
     let tg = &elab.tgs[i];
@@ -316,7 +316,7 @@ pub(crate) fn tr_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32,
             regs: trreg::TR_REG_COUNT,
         });
     }
-    let elab = crate::engine::elab(e);
+    let elab = e.elaboration();
     let (counters, latency): (ReceptorCounters, Option<&nocem_stats::LatencyAnalyzer>) =
         match &elab.receptors[i] {
             ReceptorDevice::Stochastic(r) => (*r.counters(), None),
@@ -372,7 +372,7 @@ pub(crate) fn switch_read(e: &mut Emulation, i: usize, addr: Address) -> Result<
             regs: swreg::SW_REG_COUNT,
         });
     }
-    let c = crate::engine::elab(e).switches[i].counters();
+    let c = crate::engine::platform(e).switches[i].counters();
     let blocked: u64 = c.blocked_cycles_per_input.iter().sum();
     let value = match reg {
         swreg::REG_FORWARDED_LO => c.forwarded_flits as u32,
@@ -438,7 +438,7 @@ pub(crate) fn monitor_read(e: &mut Emulation, addr: Address) -> Result<u32, BusE
             regs: monreg::MON_REG_COUNT,
         });
     }
-    let links = crate::engine::elab(e).config.topology.link_count() as u32;
+    let links = e.elaboration().config.topology.link_count() as u32;
     let select = crate::engine::monitor_select(e);
     if reg == monreg::REG_LINKS {
         return Ok(links);
@@ -481,7 +481,7 @@ pub(crate) fn monitor_write(e: &mut Emulation, addr: Address, value: u32) -> Res
     if reg != monreg::REG_SELECT {
         return Err(BusError::ReadOnly(addr));
     }
-    let links = crate::engine::elab(e).config.topology.link_count() as u32;
+    let links = e.elaboration().config.topology.link_count() as u32;
     if value >= links {
         return Err(BusError::InvalidValue {
             addr,

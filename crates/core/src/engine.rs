@@ -29,7 +29,7 @@
 //! registers it would on the paper's FPGA platform.
 
 use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
-use crate::compile::{Elaboration, InSource, OutTarget, ReceptorDevice};
+use crate::compile::{switch_config, Elaboration, InSource, OutTarget, ReceptorDevice};
 use crate::devices::{self, TgShadow};
 use crate::error::EmulationError;
 use crate::profile::{lap, Phase, PhaseProfiler, WaitDest, WaitEdge};
@@ -43,6 +43,7 @@ use nocem_platform::control::ControlModule;
 use nocem_stats::congestion::CongestionCounter;
 use nocem_stats::ledger::{LedgerError, PacketLedger};
 use nocem_stats::receptor::CompletedPacket;
+use nocem_switch::switch::Switch;
 use nocem_telemetry::{Collector, CumulativeProbe, FlitEvent, FlitEventKind, FlitTracer};
 use nocem_traffic::generator::PacketRequest;
 use nocem_traffic::trace::{TraceEvent, TraceRecorder};
@@ -62,6 +63,9 @@ use std::time::Instant;
 pub struct Platform {
     /// The elaborated components, wiring and configuration.
     pub elab: Elaboration,
+    /// The interpreted switches, in switch-id order, built from the
+    /// parameters the elaboration recorded.
+    pub switches: Vec<Switch>,
     /// Per-phase self-profiler (None = off, zero timestamp cost).
     /// Ledger calls inside the methods below are charged to the nested
     /// [`Phase::Ledger`]. An engine whose processes interleave the
@@ -81,9 +85,32 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// Wraps an elaboration into a platform at cycle 0.
+    /// Wraps an elaboration into a platform at cycle 0 — the one place
+    /// interpreted [`Switch`]es are built.
     pub fn new(elab: Elaboration) -> Self {
+        let topo = &elab.config.topology;
+        let vcs = usize::from(elab.config.switch.num_vcs);
+        let switches = topo
+            .switch_ids()
+            .map(|s| {
+                let config = switch_config(&elab.config, s);
+                let credits = (0..config.outputs)
+                    .map(|p| vec![elab.out_credits(s, PortId::new(p)); vcs])
+                    .collect();
+                let seed = elab.lfsr_seeds[s.index()];
+                match elab.routing.grid_router() {
+                    Some(router) => Switch::new_grid(config, router.clone(), s, credits, seed),
+                    None => {
+                        let table = elab.routing.shared_switch_table(s);
+                        Switch::new_table(config, table, credits, seed)
+                    }
+                }
+                // Elaboration range-checked the routes; credits are outputs × VCs.
+                .expect("an elaborated switch builds")
+            })
+            .collect();
         Platform {
+            switches,
             generator_endpoints: elab.config.topology.generators(),
             ledger: PacketLedger::new(),
             next_packet: 0,
@@ -260,7 +287,7 @@ impl Platform {
     /// packet in flight. See [`clock::platform_quiescent`].
     pub fn is_quiescent(&self) -> bool {
         clock::platform_quiescent(
-            &self.elab.switches,
+            &self.switches,
             &self.elab.nis,
             &self.pending,
             self.ledger.in_flight(),
@@ -293,7 +320,7 @@ impl Platform {
         let topo = &self.elab.config.topology;
         let vcs = usize::from(self.elab.config.switch.num_vcs);
         let mut p = CumulativeProbe::new(topo.link_count(), vcs);
-        for (s, sw) in self.elab.switches.iter().enumerate() {
+        for (s, sw) in self.switches.iter().enumerate() {
             let counters = sw.counters();
             for o in 0..usize::from(sw.config().outputs) {
                 let link = topo.out_link(SwitchId::new(s as u32), PortId::new(o as u8));
@@ -320,7 +347,7 @@ impl Platform {
     pub fn wait_edges(&self) -> Vec<WaitEdge> {
         let topo = &self.elab.config.topology;
         let mut edges = Vec::new();
-        for (s, sw) in self.elab.switches.iter().enumerate() {
+        for (s, sw) in self.switches.iter().enumerate() {
             for w in sw.wait_states() {
                 let link = topo.out_link(SwitchId::new(s as u32), w.output);
                 let dest = match self.elab.wiring.out_target[s][w.output.index()] {
@@ -566,7 +593,7 @@ impl Emulation {
             + usize::from(d.device.raw());
         let g = self.platform.elab.tgs.len();
         let r = self.platform.elab.receptors.len();
-        let s = self.platform.elab.switches.len();
+        let s = self.platform.switches.len();
         if n == 0 {
             Ok((DeviceClass::Control, 0))
         } else if n < 1 + g {
@@ -635,7 +662,7 @@ impl CycleKernel for Emulation {
         lap(self.platform.profiler.as_mut(), t, Phase::TgTick);
 
         // 2. All switches decide on start-of-cycle state.
-        for sw in &mut self.platform.elab.switches {
+        for sw in &mut self.platform.switches {
             sw.decide();
         }
         lap(self.platform.profiler.as_mut(), t, Phase::Decide);
@@ -650,7 +677,7 @@ impl CycleKernel for Emulation {
                 let packet = Some(flit.packet);
                 self.trace(now, FlitEventKind::Inject, packet, Some(s), Some(link));
             }
-            self.platform.elab.switches[s]
+            self.platform.switches[s]
                 .accept(port, flit)
                 .map_err(|source| EmulationError::FifoOverflow {
                     switch: SwitchId::new(s as u32),
@@ -660,23 +687,23 @@ impl CycleKernel for Emulation {
         lap(self.platform.profiler.as_mut(), t, Phase::NiInject);
 
         // 4. All switches commit; flits move one hop.
-        for s in 0..self.platform.elab.switches.len() {
-            let sends = self.platform.elab.switches[s].commit_sends();
+        for s in 0..self.platform.switches.len() {
+            let sends = self.platform.switches[s].commit_sends();
             for mv in sends {
-                let elab = &mut self.platform.elab;
-                match elab.wiring.in_source[s][mv.input.index()] {
+                let platform = &mut self.platform;
+                match platform.elab.wiring.in_source[s][mv.input.index()] {
                     InSource::Switch { switch, port } => {
                         // The upstream output VC the flit occupied is
                         // the input VC it just vacated here.
-                        elab.switches[switch].credit_return(port, mv.input_vc);
+                        platform.switches[switch].credit_return(port, mv.input_vc);
                     }
                     InSource::Generator { index } => {
-                        elab.nis[index].credit_return();
+                        platform.elab.nis[index].credit_return();
                     }
                 }
-                match elab.wiring.out_target[s][mv.output.index()] {
+                match platform.elab.wiring.out_target[s][mv.output.index()] {
                     OutTarget::Switch { switch, port } => {
-                        elab.switches[switch]
+                        platform.switches[switch]
                             .accept(port, mv.flit)
                             .map_err(|source| EmulationError::FifoOverflow {
                                 switch: SwitchId::new(switch as u32),
@@ -763,8 +790,8 @@ pub(crate) use accessors::*;
 mod accessors {
     use super::*;
 
-    pub(crate) fn elab(e: &Emulation) -> &Elaboration {
-        &e.platform.elab
+    pub(crate) fn platform(e: &Emulation) -> &Platform {
+        &e.platform
     }
 
     pub(crate) fn telemetry_of(e: &Emulation) -> Option<&Collector> {

@@ -143,6 +143,9 @@ pub enum EmulationError {
         /// What happened.
         reason: String,
     },
+    /// The configuration of a run did not compile (a runner that
+    /// builds its engine itself reports it here).
+    Compile(CompileError),
 }
 
 impl std::fmt::Display for EmulationError {
@@ -167,6 +170,7 @@ impl std::fmt::Display for EmulationError {
                     write!(f, "shard {shard} fault: {reason}")
                 }
             }
+            EmulationError::Compile(e) => write!(f, "configuration failed to compile: {e}"),
         }
     }
 }
@@ -182,6 +186,12 @@ impl From<LedgerError> for EmulationError {
 impl From<BusError> for EmulationError {
     fn from(e: BusError) -> Self {
         EmulationError::Bus(e)
+    }
+}
+
+impl From<CompileError> for EmulationError {
+    fn from(e: CompileError) -> Self {
+        EmulationError::Compile(e)
     }
 }
 

@@ -186,7 +186,7 @@ impl<F: Fabric> ProcessModel<F> {
             let sh = Rc::clone(&shared);
             fabric.clocked(move |_now, ctx| {
                 let sh = &mut *sh.borrow_mut();
-                let sw = &mut sh.elab.switches[s];
+                let sw = &mut sh.switches[s];
                 for (p, &link) in in_flits.iter().enumerate() {
                     let Some(f) = F::read_flit(ctx, link) else {
                         continue;
@@ -282,8 +282,8 @@ impl<F: Fabric> ProcessModel<F> {
     /// cycle that sends them, so this is the state it holds now.
     fn settled<T>(&self, read: impl FnOnce(&Platform) -> T) -> T {
         let platform = &mut *self.shared.borrow_mut();
-        let live = platform.elab.switches.clone();
-        for (sw, links) in platform.elab.switches.iter_mut().zip(&self.inputs) {
+        let live = platform.switches.clone();
+        for (sw, links) in platform.switches.iter_mut().zip(&self.inputs) {
             for (p, &link) in links.iter().enumerate() {
                 if let Some(f) = self.fabric.peek_flit(link) {
                     // Credits reserved the slot; an overflow is the next
@@ -295,12 +295,12 @@ impl<F: Fabric> ProcessModel<F> {
         for &(link, home) in &self.credit_homes {
             if let CreditHome::Switch(s, o, v) = home {
                 if self.fabric.peek_credit(link) {
-                    platform.elab.switches[s].credit_return(o, v);
+                    platform.switches[s].credit_return(o, v);
                 }
             }
         }
         let out = read(platform);
-        platform.elab.switches = live;
+        platform.switches = live;
         out
     }
 }
@@ -335,7 +335,7 @@ impl<F: Fabric> CycleKernel for ProcessModel<F> {
             if self.fabric.take_credit(link) {
                 match home {
                     CreditHome::Ni(i) => platform.elab.nis[i].credit_return(),
-                    CreditHome::Switch(s, o, v) => platform.elab.switches[s].credit_return(o, v),
+                    CreditHome::Switch(s, o, v) => platform.switches[s].credit_return(o, v),
                 }
             }
         }

@@ -164,7 +164,7 @@ impl EmulationResults {
             .map(|(i, r)| ReceptorSummary::of(i, r, None))
             .collect();
         let mut vc_occupancy = VcOccupancy::new(usize::from(elab.config.switch.num_vcs));
-        for sw in &elab.switches {
+        for sw in &platform.switches {
             for (vc, &peak) in sw.counters().max_vc_occupancy.iter().enumerate() {
                 vc_occupancy.record(vc, peak);
             }

@@ -127,7 +127,7 @@
 
 use crate::clock::{CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
-    elaborate_unswitched, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
+    elaborate, elaborate_routed, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
 };
 #[cfg(doc)]
 use crate::compiled::CompiledEngine;
@@ -749,7 +749,7 @@ impl ShardedCompiledEngine {
         shards: usize,
         batch: u64,
     ) -> Result<Self, CompileError> {
-        Self::from_elaboration(elaborate_unswitched(config, None)?, shards, batch)
+        Self::from_elaboration(elaborate(config)?, shards, batch)
     }
 
     /// Shards a pre-built elaboration into `shards` grid stripes —
@@ -1392,8 +1392,8 @@ fn spawn_worker(
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
 ) -> Worker {
-    let mut elab = elaborate_unswitched(config, Some(&routing))
-        .expect("the coordinator already elaborated this config");
+    let mut elab =
+        elaborate_routed(config, routing).expect("the coordinator already elaborated this config");
     // Generators of other shards never fire here: an empty trace is
     // exhausted from the start, so they never enter the live sets.
     let topo = &config.topology;

@@ -6,7 +6,7 @@
 //! (Figures 3 and 4) and the ablation studies.
 
 use crate::clock::{run_engine, EngineSummary, SteppableEngine};
-use crate::compile::{elaborate, elaborate_routed, elaborate_unswitched};
+use crate::compile::{elaborate, elaborate_routed};
 use crate::compiled::CompiledEngine;
 use crate::config::{EngineKind, PlatformConfig};
 use crate::engine::Emulation;
@@ -55,34 +55,6 @@ pub fn run_sweep(
     threads: usize,
 ) -> Result<Vec<(String, EmulationResults)>, EmulationError> {
     run_sweep_with(points, threads, run_point)
-}
-
-/// Engine-generic sweep: builds an engine per point with
-/// `build_engine`, runs it to completion through the
-/// [`SteppableEngine`] contract and returns `(label, summary)` in
-/// input order.
-///
-/// This is the sweep loop written once against the trait: the same
-/// call drives the fast emulation engine, the TLM model or the RTL
-/// model (callers pass the constructor), in either clock mode.
-///
-/// # Errors
-///
-/// Returns the error of the first failing point by input order.
-pub fn run_sweep_engine<E, B>(
-    points: &[SweepPoint],
-    threads: usize,
-    build_engine: B,
-) -> Result<Vec<(String, EngineSummary)>, EmulationError>
-where
-    E: SteppableEngine,
-    B: Fn(&PlatformConfig) -> Result<E, EmulationError> + Sync,
-{
-    run_sweep_with(points, threads, |point| {
-        let mut engine = build_engine(&point.config)?;
-        run_engine(&mut engine)?;
-        Ok(engine.summary())
-    })
 }
 
 /// Generalized sweep runner: applies `run` to every point across up to
@@ -228,12 +200,9 @@ impl AnyEngine {
         config: &PlatformConfig,
         routing: Option<&RoutingTables>,
     ) -> Result<Self, CompileError> {
-        // The interpreted engine steps `Switch` objects; the compiled
-        // ones never look at one, so they do not build any.
-        let elab = match (config.engine, routing) {
-            (EngineKind::SingleThread, Some(r)) => elaborate_routed(config, r.clone())?,
-            (EngineKind::SingleThread, None) => elaborate(config)?,
-            _ => elaborate_unswitched(config, routing)?,
+        let elab = match routing {
+            Some(routing) => elaborate_routed(config, routing.clone())?,
+            None => elaborate(config)?,
         };
         Ok(match config.engine {
             EngineKind::SingleThread => AnyEngine::Single(Box::new(Emulation::new(elab))),
@@ -336,21 +305,6 @@ impl SteppableEngine for AnyEngine {
     }
 }
 
-/// Wraps a compile failure into the sweep's single
-/// [`EmulationError`] channel (reported through
-/// [`EmulationError::Bus`], the way the run-control software would
-/// observe a platform that failed to come up).
-pub fn compile_fault(config: &PlatformConfig, e: CompileError) -> EmulationError {
-    EmulationError::Bus(nocem_platform::bus::BusError::InvalidValue {
-        addr: nocem_platform::addr::Address::from_parts(
-            nocem_common::ids::BusId::new(0),
-            nocem_common::ids::DeviceId::new(0),
-            0,
-        ),
-        reason: format!("configuration {:?} failed to compile: {e}", config.name),
-    })
-}
-
 /// Compiles and runs one configuration to completion on whichever
 /// engine `config.engine` names, returning its full results. This is
 /// how a sweep or matrix point honours [`PlatformConfig::engine`]
@@ -358,9 +312,8 @@ pub fn compile_fault(config: &PlatformConfig, e: CompileError) -> EmulationError
 ///
 /// # Errors
 ///
-/// Propagates [`EmulationError`] from the run; compile failures are
-/// reported through [`EmulationError::Bus`] so callers get one error
-/// channel.
+/// Returns [`EmulationError::Compile`] when the configuration does not
+/// compile, and propagates [`EmulationError`] from the run.
 pub fn run_config(config: &PlatformConfig) -> Result<EmulationResults, EmulationError> {
     run_config_routed(config, None)
 }
@@ -373,14 +326,12 @@ pub fn run_config(config: &PlatformConfig) -> Result<EmulationResults, Emulation
 ///
 /// # Errors
 ///
-/// Propagates [`EmulationError`] from the run; compile failures are
-/// reported through [`EmulationError::Bus`].
+/// Those of [`run_config`].
 pub fn run_config_routed(
     config: &PlatformConfig,
     routing: Option<&RoutingTables>,
 ) -> Result<EmulationResults, EmulationError> {
-    let mut engine =
-        AnyEngine::build_routed(config, routing).map_err(|e| compile_fault(config, e))?;
+    let mut engine = AnyEngine::build_routed(config, routing)?;
     run_engine(&mut engine)?;
     engine.results()
 }
@@ -455,6 +406,19 @@ mod tests {
         // Resuming continues from where it stopped.
         crate::clock::run_engine_until(&mut engine, 600).unwrap();
         assert_eq!(engine.now().raw(), 600);
+    }
+
+    #[test]
+    fn a_config_that_does_not_compile_is_a_compile_error() {
+        let mut cfg = PaperConfig::new().total_packets(10).uniform();
+        cfg.switch.fifo_depth = 0;
+        assert!(matches!(
+            run_config(&cfg),
+            Err(EmulationError::Compile(CompileError::InvalidField {
+                field: "switch.fifo_depth",
+                ..
+            }))
+        ));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use nocem::compile::{elaborate, lower, InSlotState, ROUTE_MULTI, ROUTE_NONE, SLOT_NONE};
 use nocem::config::PlatformConfig;
+use nocem::Platform;
 use nocem_common::ids::{PortId, VcId};
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -60,10 +61,11 @@ fn check_lowering(cfg: &PlatformConfig) {
     );
 
     // Output-slot records start at their credit caps — the exact
-    // credits the elaborated switches hold (`lower` derives them
-    // itself, it never reads a switch): inter-switch links carry the
-    // downstream buffer depth, ejection links are infinite unless the
-    // configuration caps them.
+    // credits the interpreted switches `Platform::new` builds hold:
+    // inter-switch links carry the downstream buffer depth, ejection
+    // links are infinite unless the configuration caps them.
+    let platform = Platform::new(elab);
+    let elab = &platform.elab;
     assert_eq!(low.out_state.len(), low.total_out_slots());
     assert_eq!(low.credit_cap.len(), low.total_out_slots());
     for s in 0..n {
@@ -79,7 +81,7 @@ fn check_lowering(cfg: &PlatformConfig) {
             };
             for v in 0..vcs {
                 let gslot = osb + p * vcs + v;
-                let cap = elab.switches[s].credits_vc(PortId::new(p as u8), VcId::new(v as u8));
+                let cap = platform.switches[s].credits_vc(PortId::new(p as u8), VcId::new(v as u8));
                 assert_eq!(cap, want, "credits of switch {s} output {p} VC {v}");
                 assert_eq!(low.out_state[gslot].credits, cap);
                 assert_eq!(low.credit_cap[gslot], cap);

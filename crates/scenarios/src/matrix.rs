@@ -25,7 +25,7 @@ use nocem::config::EngineKind;
 use nocem::error::EmulationError;
 use nocem::results::EmulationResults;
 use nocem::shard_compiled::DEFAULT_BATCH;
-use nocem::sweep::{compile_fault, run_config_routed, run_sweep_indexed, SweepPoint};
+use nocem::sweep::{run_config_routed, run_sweep_indexed, SweepPoint};
 use nocem_common::csv::CsvWriter;
 
 /// A `scenarios × topologies × loads × shards` experiment matrix.
@@ -285,8 +285,7 @@ impl MatrixSpec {
             let (start, len) = groups[g];
             let members = &points[start..start + len];
             let routing_started = std::time::Instant::now();
-            let routing =
-                compute_routing(&group.config).map_err(|e| compile_fault(&group.config, e))?;
+            let routing = compute_routing(&group.config)?;
             let mut routing_ms = routing_started.elapsed().as_secs_f64() * 1e3;
             let mut outs = Vec::with_capacity(len);
             for member in members {

@@ -25,7 +25,7 @@ const BACKENDS: [Backend; 5] = [
     Backend::Emulation,
     Backend::Tlm,
     Backend::Rtl,
-    Backend::SwitchedCompiled,
+    Backend::DirectCompiled,
     Backend::Sharded(2, DEFAULT_BATCH),
 ];
 

@@ -15,7 +15,7 @@
 mod support;
 
 use nocem::clock::{ClockMode, SteppableEngine};
-use nocem::compile::elaborate;
+use nocem::compile::{compute_routing, elaborate};
 use nocem::config::{EngineKind, PaperConfig, PaperRouting, PlatformConfig};
 use nocem::engine::build;
 use nocem::sweep::AnyEngine;
@@ -23,10 +23,11 @@ use nocem::CompiledEngine;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
 use support::{
-    against_emulation, lockstep, mesh, ring, subject, torus, uniform_random, Backend, Subject,
+    against_emulation, lockstep, lockstep_until, mesh, ring, subject, torus, uniform_random,
+    Backend, Subject,
 };
 
-const COMPILED: &[Backend] = &[Backend::SwitchedCompiled];
+const COMPILED: &[Backend] = &[Backend::DirectCompiled];
 
 fn gated(cfg: &PlatformConfig) -> PlatformConfig {
     cfg.clone().with_clock_mode(ClockMode::Gated)
@@ -129,7 +130,7 @@ fn arbiter_selection_and_depth_matrix_is_ledger_identical() {
                     "{} {:?} {arbiter:?} depth {fifo_depth}",
                     base.name, base.switch.selection
                 );
-                against_emulation(&cfg, &[Backend::SwitchedCompiled, Backend::Sharded(2, 4)]);
+                against_emulation(&cfg, &[Backend::DirectCompiled, Backend::Sharded(2, 4)]);
             }
         }
     }
@@ -185,4 +186,66 @@ fn cycle_limit_fires_identically_on_the_compiled_engine() {
     assert_eq!(ref_err, compiled_err);
     assert_eq!(compiled.now(), reference.now());
     assert_eq!(compiled.delivered(), reference.delivered());
+}
+
+/// Steps `cfg` for 2 000 busy cycles on the compiled engine built
+/// through [`AnyEngine::build_routed`] and directly over [`elaborate`],
+/// and on two shards, in lockstep with the interpreted engine: the
+/// lowered selection LFSRs and the generator streams must be the ones
+/// the interpreted switches and generators draw.
+fn draws_the_interpreted_streams(cfg: &PlatformConfig) {
+    const CYCLES: u64 = 2_000;
+    let routing = compute_routing(cfg).unwrap();
+    let routed = |kind| {
+        let engine = AnyEngine::build_routed(&cfg.clone().with_engine(kind), Some(&routing));
+        Subject::new(&format!("{kind:?} (routed)"), cfg, engine.unwrap())
+    };
+    let mut reference = routed(EngineKind::SingleThread);
+    let mut engines = [
+        routed(EngineKind::Compiled),
+        subject(cfg, Backend::DirectCompiled),
+        routed(EngineKind::ShardedCompiled {
+            shards: 2,
+            batch: 4,
+        }),
+    ];
+    assert!(matches!(
+        engines[0].get::<AnyEngine>(),
+        AnyEngine::Compiled(_)
+    ));
+    assert!(matches!(
+        engines[2].get::<AnyEngine>(),
+        AnyEngine::ShardedCompiled(_)
+    ));
+    lockstep_until(&mut reference, &mut engines, CYCLES);
+    let engine = &reference.engine;
+    assert_eq!(engine.now().raw(), CYCLES);
+    assert!(
+        !engine.finished() && engine.delivered() > 100,
+        "{}: {CYCLES} busy cycles",
+        cfg.name
+    );
+}
+
+/// The paper platform with two paths per flow and a coin per hop: every
+/// hop is picked from the switch LFSRs.
+#[test]
+fn paper_dual_routing_draws_the_same_lfsr_seeds() {
+    draws_the_interpreted_streams(
+        &PaperConfig::new()
+            .routing(PaperRouting::Dual {
+                secondary_probability: 0.5,
+            })
+            .total_packets(4_000)
+            .uniform(),
+    );
+}
+
+/// Uniform-random traffic at 30 % on a 2-VC dateline torus4x4: all of
+/// it drawn from the generator seeds that follow the switch seeds.
+#[test]
+fn torus4x4_draws_the_same_generator_seeds() {
+    let cfg = uniform_random(torus(4, 4), 0.30, 4_000);
+    assert_eq!(cfg.switch.num_vcs, 2, "dateline routing");
+    draws_the_interpreted_streams(&cfg);
 }

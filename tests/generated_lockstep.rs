@@ -41,7 +41,7 @@ use support::{
 const EVERY_ENGINE: &[Backend] = &[
     Backend::Compiled,
     Backend::Sharded(2, 4),
-    Backend::SwitchedCompiled,
+    Backend::DirectCompiled,
     Backend::Tlm,
     Backend::Rtl,
 ];

@@ -224,7 +224,7 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
     let engines = [
         Backend::Compiled,
         Backend::Sharded(2, 8),
-        Backend::SwitchedCompiled,
+        Backend::DirectCompiled,
         Backend::Tlm,
         Backend::Rtl,
     ];

@@ -148,7 +148,7 @@ fn batching_amortizes_synchronization_rounds_by_batch() {
 fn windowed_telemetry_is_bit_identical() {
     let mut cfg = uniform_random(mesh(8, 8), 0.30, 500);
     cfg.telemetry = Some(TelemetryConfig::windowed(64));
-    let reference = &mut subject(&cfg, Backend::SwitchedCompiled);
+    let reference = &mut subject(&cfg, Backend::DirectCompiled);
     let mut engines = [1, 16].map(|batch| subject(&cfg, Backend::Sharded(4, batch)));
     lockstep(reference, &mut engines);
 }
@@ -176,7 +176,7 @@ fn drain_mode_stop_condition_drains_every_shard() {
 #[test]
 fn gated_batches_and_skips_like_the_compiled_kernel() {
     let cfg = gated_drain(uniform_random(mesh(8, 8), 0.05, 300));
-    let mut reference = subject(&cfg, Backend::SwitchedCompiled);
+    let mut reference = subject(&cfg, Backend::DirectCompiled);
     let mut engine = [subject(&cfg, Backend::Sharded(4, 16))];
     assert_eq!(
         sharded(&mut engine[0]).batch(),
@@ -217,7 +217,7 @@ fn gated_lockstep_per_step_with_jumps_inside_and_past_the_window() {
         let steady = uniform_random(topo, 0.005, 120);
         let trains = retraffic(steady.clone(), Traffic::Trains { start: 0.002 });
         for cfg in [trains, steady].map(gated_drain) {
-            let mut reference = subject(&cfg, Backend::SwitchedCompiled);
+            let mut reference = subject(&cfg, Backend::DirectCompiled);
             // Per case: the engine, jumps that landed inside the
             // buffered window, the rows those jumps passed, jumps that
             // ran past the window's end.
@@ -304,7 +304,7 @@ fn gated_batched_telemetry_survives_jumps_across_probe_boundaries() {
     );
     cfg.clock_mode = ClockMode::Gated;
     cfg.telemetry = Some(TelemetryConfig::windowed(8));
-    let mut reference = subject(&cfg, Backend::SwitchedCompiled);
+    let mut reference = subject(&cfg, Backend::DirectCompiled);
     let mut engines = [(2, 16), (4, 5)].map(|(k, b)| subject(&cfg, Backend::Sharded(k, b)));
     lockstep(&mut reference, &mut engines);
     let windows = reference.engine.telemetry().unwrap().windows_recorded();
@@ -476,7 +476,7 @@ fn engine_kind_round_trips_through_the_generic_builder() {
     });
     let engine = AnyEngine::build(&cfg).unwrap();
     assert!(matches!(engine, AnyEngine::ShardedCompiled(_)));
-    let reference = &mut subject(&cfg, Backend::SwitchedCompiled);
+    let reference = &mut subject(&cfg, Backend::DirectCompiled);
     lockstep(reference, &mut [Subject::new("generic", &cfg, engine)]);
 }
 

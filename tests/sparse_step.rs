@@ -42,7 +42,7 @@ fn assert_sparse_grid(topo: TopologySpec, deliver: u64) {
         for traffic in [Traffic::Steady, burst, Traffic::Poisson { load }] {
             for mode in [ClockMode::EveryCycle, ClockMode::Gated] {
                 let cfg = sparse_config(topo, load, traffic, mode, deliver);
-                let compiled = against_emulation(&cfg, &[Backend::SwitchedCompiled]);
+                let compiled = against_emulation(&cfg, &[Backend::DirectCompiled]);
                 let summary = compiled[0].engine.summary();
                 assert_eq!(
                     summary.cycles_skipped > 0,
@@ -82,7 +82,7 @@ fn parked_generators_pin_the_tg_phase_and_the_clock() {
         let mut cfg = scenario("hotspot", mesh(4, 4), 0.5, 16, 120).with_clock_mode(mode);
         cfg.source_queue_capacity = 1;
         cfg.name = format!("{}/backpressure/{mode:?}", cfg.name);
-        let mut compiled = against_emulation(&cfg, &[Backend::SwitchedCompiled]);
+        let mut compiled = against_emulation(&cfg, &[Backend::DirectCompiled]);
         let results = compiled[0].engine.all_results();
         assert!(
             results.stalled_cycles > results.cycles,

@@ -116,15 +116,14 @@ impl Subject {
 pub enum Backend {
     /// [`EngineKind::SingleThread`] through [`AnyEngine`].
     Emulation,
-    /// [`EngineKind::Compiled`] through [`AnyEngine`] (no interpreted
-    /// switch is elaborated).
+    /// [`EngineKind::Compiled`] through [`AnyEngine`].
     Compiled,
     /// [`EngineKind::ShardedCompiled`] `{ shards, batch }` through
     /// [`AnyEngine`], which runs one shard as the compiled engine.
     Sharded(usize, u64),
-    /// The compiled engine over the public, switch-building
-    /// [`elaborate`].
-    SwitchedCompiled,
+    /// The compiled engine built directly over [`elaborate`], not
+    /// through [`AnyEngine`].
+    DirectCompiled,
     /// The transaction-level model.
     Tlm,
     /// The RTL model.
@@ -140,7 +139,7 @@ pub fn try_subject(cfg: &PlatformConfig, backend: Backend) -> Result<Subject, Co
         Backend::Sharded(shards, batch) => {
             Box::new(any(EngineKind::ShardedCompiled { shards, batch })?)
         }
-        Backend::SwitchedCompiled => Box::new(CompiledEngine::new(elaborate(cfg)?)),
+        Backend::DirectCompiled => Box::new(CompiledEngine::new(elaborate(cfg)?)),
         Backend::Tlm => Box::new(TlmEngine::new(elaborate(cfg)?)),
         Backend::Rtl => Box::new(RtlEngine::new(elaborate(cfg)?)),
     };
