@@ -18,22 +18,47 @@
 //!
 //! * the **open window**: one 32-byte `Entry` per id from `lo` up to
 //!   the highest released id;
-//! * the **archive**: the delivered prefix `[0, lo)` as one row of
-//!   zig-zag LEB128 varints per packet in a byte buffer — release minus
-//!   the previous id's release, injection minus release, delivery minus
-//!   injection. The low bit of the first says the length differs from
-//!   the previous packet's; the length then follows as a fourth varint.
-//!   Deltas wrap modulo 2^64: a negative or long one takes more bytes.
+//! * the **archive**: the delivered prefix `[0, lo)` as one row per
+//!   packet in a bit string of 64-bit words, least significant bit
+//!   first. A row is a bit saying the length differs from the previous
+//!   packet's (then the length's 16 bits), and three fields: release
+//!   minus the previous id's release, injection minus release, delivery
+//!   minus injection, each modulo 2^64.
+//!
+//! Each field is an adaptive Golomb–Rice code. Its parameter `k` is the
+//! smallest with `count · 2^k ≥ sum` over the field's earlier values,
+//! JPEG-LS style: sum and count halve when the count reaches 64, so `k`
+//! follows a running mean and no constant is tuned to a workload. The
+//! code is the quotient `v >> k` in unary (that many zeros, then a one)
+//! and the low `k` bits of `v`; `k` is at most 40, so the code fits one
+//! 64-bit word and `records()` reads it from one window with
+//! `trailing_zeros`. A quotient of 24 or more escapes: 24 zeros and the
+//! value's 64 bits, which covers a negative step, a release far from
+//! the previous id's, or a half-range jump. An escaped value adds only
+//! `24 · 2^k` to the sum, so one outlier cannot swamp the mean.
 //!
 //! Every `deliver` moves `lo` across the delivered rows at the front of
 //! the window, so the window spans only the packets in flight (about
 //! 3 000 ids on a saturated 8×8 mesh) and the ledger grows by a row per
-//! delivered packet, 3.9 bytes on average on that mesh at 40 % load. A
-//! packet that is never delivered pins `lo`: from there on the window
-//! costs 32 bytes per packet, like a flat array. The encoding is
-//! canonical, so the derived `==` is logical equality. Clones share the
-//! archive ([`Arc`]): a snapshot copies only the window, and a ledger
-//! that archives more while a clone lives copies it ([`Arc::make_mut`]).
+//! delivered packet: 2.31 bytes on average on `sat_mesh8x8` (mesh8x8 at
+//! 40 % load), 1.71 on `lowload_mesh12x12` (mesh12x12 at 0.1 %), and
+//! 2.32 over the 4.7 M packets of the 1 M-cycle `ledger_memory` probe.
+//!
+//! A packet that is never delivered pins `lo`: from there on the window
+//! costs 32 bytes per packet, like a flat array. Overload does this to
+//! short curve points, and it, not the archive, sets the peak of
+//! `curves_3x3`: `tornado` on a torus8x8 at load 0.1875 ends its 9 216
+//! cycles with `lo` at id 592 and 17 066 open entries (≈ 0.55 MB). That
+//! packet was released at cycle 181, injected at 7 620 and is still in
+//! flight. At load 0.2, `lo` stays at 337 with 15 157 entries. A rerun
+//! with the same packets as a budget drains fully (by cycle 12 857 and
+//! 11 763), so this is starvation under overload, not deadlock.
+//!
+//! The row sequence alone determines the bits, the coder state and the
+//! tail word (whose unused bits stay zero), so the derived `==` is
+//! logical equality. Clones share the archive ([`Arc`]): a snapshot
+//! copies only the window, and a ledger that archives more while a clone
+//! lives copies it ([`Arc::make_mut`]).
 
 use crate::latency::LatencyAnalyzer;
 use nocem_common::ids::PacketId;
@@ -45,35 +70,183 @@ use std::sync::Arc;
 /// cycle `u64::MAX`, so no real event carries it.
 const NEVER: u64 = u64::MAX;
 
-/// Appends `v` as an LEB128 varint: seven bits a byte, low ones first.
-fn put(buf: &mut Vec<u8>, mut v: u128) {
-    while v >= 0x80 {
-        buf.push(v as u8 | 0x80);
-        v >>= 7;
+/// A quotient of this many zero bits is an escape: the field follows
+/// as 64 raw bits instead of a Rice code.
+const ESCAPE: u32 = 24;
+
+/// The largest Rice parameter: a code that is not an escape then fits
+/// one 64-bit word.
+const MAX_K: u32 = 64 - ESCAPE;
+
+/// When the [`Rice`] row count reaches this, it and every sum halve.
+const HALVING: u64 = 64;
+
+/// The low `n` (≤ 64) bits set.
+#[inline]
+fn mask(n: u32) -> u64 {
+    u64::MAX.checked_shr(64 - n).unwrap_or(0)
+}
+
+/// JPEG-LS-style adaptive Golomb–Rice parameters of the three row
+/// fields: the sum of each field's values and the count of rows since
+/// the last halving.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Rice {
+    sums: [u64; 3],
+    count: u64,
+}
+
+impl Rice {
+    /// Field `f`'s parameter: the smallest `k` with `count · 2^k ≥ sum`,
+    /// at most [`MAX_K`] — the number of raw low bits its next value is
+    /// coded with.
+    #[inline]
+    fn k(&self, f: usize) -> u32 {
+        let sum = self.sums[f];
+        // At this `k`, `count · 2^k` is as long as `sum` in bits (or
+        // longer), so the answer is `k` or `k + 1`.
+        let k = self
+            .count
+            .leading_zeros()
+            .saturating_sub(sum.leading_zeros());
+        (k + u32::from(self.count << k < sum)).min(MAX_K)
     }
-    buf.push(v as u8);
-}
 
-/// Reads the LEB128 varint at `*at` and moves `*at` past it.
-fn take(buf: &[u8], at: &mut usize) -> u128 {
-    let byte = buf[*at];
-    *at += 1;
-    match byte {
-        0..=0x7f => byte.into(),
-        _ => u128::from(byte & 0x7f) | take(buf, at) << 7,
+    /// Adds `v`, coded with parameter `k`, to field `f`'s sum. A value
+    /// that escapes counts as the smallest one that would have, so an
+    /// outlier cannot swamp the mean (and a sum stays below 2^51).
+    #[inline]
+    fn add(&mut self, f: usize, v: u64, k: u32) {
+        self.sums[f] += v.min(u64::from(ESCAPE) << k);
+    }
+
+    /// Counts a row whose fields were all added.
+    #[inline]
+    fn end_row(&mut self) {
+        self.count += 1;
+        if self.count == HALVING {
+            self.sums = self.sums.map(|sum| sum / 2);
+            self.count /= 2;
+        }
     }
 }
 
-/// `later − earlier` modulo 2^64, zig-zagged: 0, −1, 1, −2, … → 0, 1, 2, ….
-fn zig(later: u64, earlier: u64) -> u128 {
-    let delta = later.wrapping_sub(earlier) as i64;
-    u128::from(((delta << 1) ^ (delta >> 63)) as u64)
+/// Appends the low `n` (1 ..= 64) bits of `v`, whose higher bits are
+/// zero, to the bit string `words` (least significant bit first) that
+/// holds `*len` bits. Bits past `*len` stay zero, so equal bit strings
+/// are equal word vectors.
+#[inline]
+fn put(words: &mut Vec<u64>, len: &mut u64, v: u64, n: u32) {
+    let used = (*len % 64) as u32;
+    match words.last_mut() {
+        Some(last) if used > 0 => {
+            *last |= v << used;
+            if used + n > 64 {
+                words.push(v >> (64 - used));
+            }
+        }
+        _ => words.push(v),
+    }
+    *len += u64::from(n);
 }
 
-/// Inverse of [`zig`]: `earlier` plus the zig-zagged delta `z`.
-fn unzig(earlier: u64, z: u128) -> u64 {
-    let z = z as u64;
-    earlier.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
+/// Appends `v` Rice-coded with field `f`'s parameter `k`: the quotient
+/// `v >> k` in unary (that many zeros, then a one), then the low `k`
+/// bits. A quotient of [`ESCAPE`] or more is [`ESCAPE`] zeros and `v`'s
+/// 64 bits.
+#[inline]
+fn put_field(words: &mut Vec<u64>, len: &mut u64, rice: &mut Rice, f: usize, v: u64) {
+    let k = rice.k(f);
+    match v >> k {
+        q if q < u64::from(ESCAPE) => {
+            let unary = q as u32 + 1;
+            put(words, len, (v & mask(k)) << unary | 1 << q, unary + k);
+        }
+        _ => {
+            put(words, len, 0, ESCAPE);
+            put(words, len, v, 64);
+        }
+    }
+    rice.add(f, v, k);
+}
+
+/// Reads a bit string written by [`put`] through a 64-bit window.
+struct BitReader<'a> {
+    words: &'a [u64],
+    /// The next bit to read.
+    at: u64,
+    /// Bits from `at` on, of which the low `valid` are read from
+    /// `words`; the rest may be anything.
+    window: u64,
+    valid: u32,
+}
+
+impl<'a> BitReader<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        BitReader {
+            words,
+            at: 0,
+            window: 0,
+            valid: 0,
+        }
+    }
+
+    /// Loads the 64 bits from `at` on into the window; zero past the end.
+    #[inline]
+    fn refill(&mut self) {
+        let (i, shift) = ((self.at / 64) as usize, self.at % 64);
+        let word = |i: usize| self.words.get(i).copied().unwrap_or(0);
+        self.window = match shift {
+            0 => word(i),
+            _ => word(i) >> shift | word(i + 1) << (64 - shift),
+        };
+        self.valid = 64;
+    }
+
+    /// Moves past the next `n` (≤ `valid`) bits.
+    #[inline]
+    fn skip(&mut self, n: u32) {
+        self.window = self.window.checked_shr(n).unwrap_or(0);
+        self.valid -= n;
+        self.at += u64::from(n);
+    }
+
+    /// The next `n` (≤ 64) bits.
+    #[inline]
+    fn take(&mut self, n: u32) -> u64 {
+        if self.valid < n {
+            self.refill();
+        }
+        let v = self.window & mask(n);
+        self.skip(n);
+        v
+    }
+
+    /// Inverse of [`put_field`]: a code that is not an escape is read
+    /// from one window. The window's lowest set bit ends the unary
+    /// quotient if the code it implies fits the valid bits; otherwise
+    /// the window is reloaded, and then a code that is not an escape
+    /// fits.
+    // Left to itself the compiler calls this, and then the reader's
+    // state goes through memory between the three fields of a row.
+    #[inline(always)]
+    fn take_field(&mut self, rice: &mut Rice, f: usize) -> u64 {
+        let k = rice.k(f);
+        let mut q = self.window.trailing_zeros();
+        if q + 1 + k > self.valid {
+            self.refill();
+            q = self.window.trailing_zeros();
+        }
+        let v = if q < ESCAPE {
+            self.skip(q + 1);
+            u64::from(q) << k | self.take(k)
+        } else {
+            self.skip(ESCAPE);
+            self.take(64)
+        };
+        rice.add(f, v, k);
+        v
+    }
 }
 
 /// Lifecycle record of one open-window packet: three raw cycle counts
@@ -96,28 +269,41 @@ impl Entry {
         len_flits: 0,
     };
 
-    /// Appends to `buf` the archive row of this delivered entry, whose
-    /// predecessor id is `prev`.
-    fn encode(&self, prev: &Entry, buf: &mut Vec<u8>) {
+    /// Appends to the archive `words` of `*len` bits the row of this
+    /// delivered entry, whose predecessor id is `prev`: a bit saying the
+    /// length differs from `prev`'s, the length's 16 bits if it does,
+    /// then release minus `prev`'s release, injection minus release and
+    /// delivery minus injection — modulo 2^64, each coded with its own
+    /// parameter in `rice`.
+    fn encode(&self, prev: &Entry, rice: &mut Rice, words: &mut Vec<u64>, len: &mut u64) {
         let new_len = self.len_flits != prev.len_flits;
-        let head = zig(self.release, prev.release) << 1 | u128::from(new_len);
-        put(buf, head);
-        put(buf, zig(self.inject, self.release));
-        put(buf, zig(self.deliver, self.inject));
+        put(words, len, new_len.into(), 1);
         if new_len {
-            put(buf, self.len_flits.into());
+            put(words, len, self.len_flits.into(), 16);
         }
+        let fields = [
+            self.release.wrapping_sub(prev.release),
+            self.inject.wrapping_sub(self.release),
+            self.deliver.wrapping_sub(self.inject),
+        ];
+        for (f, v) in fields.into_iter().enumerate() {
+            put_field(words, len, rice, f, v);
+        }
+        rice.end_row();
     }
 
-    /// Inverse of [`Entry::encode`]: becomes the next id's entry, read at `*at`.
-    fn decode_next(&mut self, buf: &[u8], at: &mut usize) {
-        let head = take(buf, at);
-        self.release = unzig(self.release, head >> 1);
-        self.inject = unzig(self.release, take(buf, at));
-        self.deliver = unzig(self.inject, take(buf, at));
-        if head & 1 == 1 {
-            self.len_flits = take(buf, at) as u16;
+    /// Inverse of [`Entry::encode`]: becomes the next id's entry. The
+    /// window is loaded once per row, which then mostly fits it.
+    #[inline]
+    fn decode_next(&mut self, rice: &mut Rice, bits: &mut BitReader) {
+        bits.refill();
+        if bits.take(1) == 1 {
+            self.len_flits = bits.take(16) as u16;
         }
+        self.release = self.release.wrapping_add(bits.take_field(rice, 0));
+        self.inject = self.release.wrapping_add(bits.take_field(rice, 1));
+        self.deliver = self.inject.wrapping_add(bits.take_field(rice, 2));
+        rice.end_row();
     }
 }
 
@@ -216,8 +402,13 @@ impl PacketRecord {
 /// to. See the [module docs](self) for how the packets are stored.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PacketLedger {
-    /// One row per id of `[0, lo)`, shared by clones until one archives more.
-    archive: Arc<Vec<u8>>,
+    /// One row per id of `[0, lo)` as a bit string, shared by clones
+    /// until one archives more.
+    archive: Arc<Vec<u64>>,
+    /// The bits in `archive`.
+    archive_bits: u64,
+    /// The coder's parameters after row `lo − 1`.
+    rice: Rice,
     /// The low-water mark, so also the number of archived rows.
     lo: u64,
     /// Entry of id `lo − 1` (all zero before any): the next row's base.
@@ -255,9 +446,9 @@ impl PacketLedger {
     /// Moves `lo` across the delivered entries at the front of the
     /// window, archiving each.
     fn archive_delivered(&mut self) {
-        let archive = Arc::make_mut(&mut self.archive);
+        let words = Arc::make_mut(&mut self.archive);
         while let Some(entry) = self.window.front().filter(|e| e.deliver != NEVER) {
-            entry.encode(&self.last, archive);
+            entry.encode(&self.last, &mut self.rice, words, &mut self.archive_bits);
             self.last = *entry;
             self.lo += 1;
             self.window.pop_front();
@@ -379,12 +570,19 @@ impl PacketLedger {
         &self.total_latency
     }
 
+    /// Heap bytes the archive of delivered packets takes: its whole
+    /// 64-bit words, without spare capacity.
+    pub fn archive_bytes(&self) -> usize {
+        self.archive.len() * std::mem::size_of::<u64>()
+    }
+
     /// Iterates the lifecycle record of every registered packet, in
     /// packet-id order.
     pub fn records(&self) -> impl Iterator<Item = PacketRecord> + '_ {
-        let (archive, mut at, mut entry) = (self.archive.as_slice(), 0, Entry::default());
+        let mut bits = BitReader::new(&self.archive);
+        let (mut rice, mut entry) = <(Rice, Entry)>::default();
         let archived = (0..self.lo).map(move |_| {
-            entry.decode_next(archive, &mut at);
+            entry.decode_next(&mut rice, &mut bits);
             entry
         });
         archived
@@ -598,13 +796,14 @@ mod tests {
         assert_eq!((l.lo, l.window.len()), (1_000, 4));
     }
 
-    /// A long run at `sat_mesh8x8`'s mix costs at most 4 bytes per
-    /// packet: releases 0–15 cycles apart, most 0 or 1; a quarter queue
-    /// under 64 cycles, most under 512, a few up to 5 000; three quarters
-    /// cross the network in 16–63 cycles, the rest in up to 300; one
-    /// length. The window never outgrows the in-flight span, `records()`
-    /// decodes the exact timestamps, and a clone taken afterwards shares
-    /// the archive and keeps its records while the original archives on.
+    /// A long run at `sat_mesh8x8`'s mix costs at most 3 bytes per
+    /// packet (2.79 measured): releases 0–15 cycles apart, most 0 or 1;
+    /// a quarter queue under 64 cycles, most under 512, a few up to
+    /// 5 000; three quarters cross the network in 16–63 cycles, the rest
+    /// in up to 300; one length. The window never outgrows the in-flight
+    /// span, `records()` decodes the exact timestamps, and a clone taken
+    /// afterwards shares the archive and keeps its records while the
+    /// original archives on.
     #[test]
     fn archive_costs_four_bytes_per_packet_and_a_clone_shares_it() {
         const PACKETS: u64 = 120_000;
@@ -677,8 +876,8 @@ mod tests {
             l.window.is_empty() && widest > 1_000,
             "widest span {widest}"
         );
-        let bytes = l.archive.len() as u64;
-        assert!(bytes <= 4 * PACKETS, "{bytes} B archived");
+        let bytes = l.archive_bytes() as u64;
+        assert!(bytes <= 3 * PACKETS, "{bytes} B archived");
         assert!(l.records().eq(want.iter().copied()));
 
         let snapshot = l.clone();
@@ -728,6 +927,23 @@ mod tests {
             })
             .collect();
         assert_eq!(got, rows);
+    }
+
+    /// `Rice::k` is the smallest `k` with `count · 2^k ≥ sum`, capped at
+    /// `MAX_K`, for the empty state and every count the halving leaves
+    /// with sums up to 2^51.
+    #[test]
+    fn rice_parameter_is_the_smallest_sufficient_shift() {
+        assert_eq!(Rice::default().k(0), 0);
+        let sums = (0..51).flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1, 3 << b >> 1]);
+        for (count, sum) in (1..HALVING).flat_map(|c| sums.clone().map(move |s| (c, s))) {
+            let smallest = (0..MAX_K).find(|&k| count << k >= sum).unwrap_or(MAX_K);
+            let rice = Rice {
+                sums: [sum; 3],
+                count,
+            };
+            assert_eq!(rice.k(1), smallest, "sum {sum} count {count}");
+        }
     }
 
     #[test]

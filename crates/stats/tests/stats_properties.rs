@@ -126,17 +126,45 @@ enum Call {
     Deliver(u64, u64, u16),
 }
 
-/// Deltas at the byte edges of a zig-zag LEB128 varint: one byte holds
-/// −64..=63, two −8 192..=8 191, three −2^20..=2^20 − 1, and 2^40 takes
-/// six. The release delta shares its varint with the length bit, so its
-/// edges are the halves, 32, 4 096 and 2^19.
-const EDGES: [u64; 7] = [32, 64, 4_096, 8_192, 1 << 19, 1 << 20, 1 << 40];
+/// The archive coder's escape quotient, largest parameter and halving
+/// count (see the `ledger` module docs).
+const ESCAPE: u64 = 24;
+const MAX_K: u32 = 40;
+const HALVING: u64 = 64;
 
-/// One generated packet: `(vacant one in 40, release-step class,
-/// small)`, `(queueing class, small)`, `(latency class, small)`,
-/// `(length class, length)` and the order keys of its three events.
+/// The archive coder's parameter of one row field as the `ledger`
+/// module docs define it, so that generated deltas land on its edges.
+#[derive(Clone, Copy, Default)]
+struct Rice {
+    sum: u64,
+    count: u64,
+}
+
+impl Rice {
+    /// The smallest `k` with `count · 2^k ≥ sum`, at most [`MAX_K`].
+    fn k(&self) -> u32 {
+        (0..MAX_K)
+            .find(|&k| self.count << k >= self.sum)
+            .unwrap_or(MAX_K)
+    }
+
+    /// Counts `v`, an escaped value at the escape threshold.
+    fn update(&mut self, v: u64) {
+        self.sum += v.min(ESCAPE << self.k());
+        self.count += 1;
+        if self.count == HALVING {
+            self.sum /= 2;
+            self.count /= 2;
+        }
+    }
+}
+
+/// One generated packet: `(vacant one in 40, hold kind if below 6 —
+/// one in 80, release-step class, small)`, `(queueing class, small)`,
+/// `(latency class, small)`, `(length class, length)` and the order
+/// keys of its three events.
 type GenPacket = (
-    (u8, u8, u64),
+    (u8, u16, u8, u64),
     (u8, u64),
     (u8, u64),
     (u8, u16),
@@ -145,7 +173,7 @@ type GenPacket = (
 
 fn gen_packet() -> impl Strategy<Value = GenPacket> {
     (
-        (0u8..40, 0u8..24, 0u64..4),
+        (0u8..40, 0u16..480, 0u8..24, 0u64..4),
         (0u8..24, 0u64..4),
         (0u8..24, 0u64..4),
         (0u8..6, 0u16..3),
@@ -158,48 +186,93 @@ fn gen_call() -> impl Strategy<Value = (u8, u64, u64, u16, u32)> {
     (0u8..3, 0u64..72, 0u64..140_000, 1u16..5, 0u32..1000)
 }
 
-/// `at` moved by a delta of class `class` (of 24): forward (0..7) or
-/// back (7..14) by one of edge − 2 ..= edge + 1 of an [`EDGES`] entry,
-/// picked by `small`; one to four cycles back (14); or `small` forward.
-fn shift(at: u64, class: u8, small: u64) -> u64 {
-    let edge = |i: u8| EDGES[usize::from(i)] + small - 2;
+/// `at` moved by a delta of class `class` (of 24) in a field whose
+/// coder parameter is `k`: forward to a Rice quotient of one below,
+/// at or one above the escape quotient (0..=2), with none, one, half
+/// or all of the `k` low bits set, picked by `small`; back by one to
+/// four cycles (3) or by 2^5, 2^15, 2^25 or 2^35 (4); forward by a
+/// middle-sized 2^5, 2^10, 2^15 or 2^20 (5..=7), which moves `k`
+/// between its extremes; or `small` forward.
+fn shift(at: u64, class: u8, small: u64, k: u32) -> u64 {
+    let low = [0, 1, 1 << k >> 1, u64::MAX][small as usize] & ((1 << k) - 1);
     match class {
-        0..=6 => at + edge(class),
-        7..=13 => at.saturating_sub(edge(class - 7)),
-        14 => at.saturating_sub(small + 1),
+        0..=2 => at + ((ESCAPE - 1 + u64::from(class)) << k | low),
+        3 => at.saturating_sub(small + 1),
+        4 => at.saturating_sub(1 << (10 * small + 5)),
+        5..=7 => at + (1 << (5 * small + 5)),
         _ => at + small,
     }
+}
+
+/// The three calls of packet `id` under the order keys `keys`.
+fn push_lifecycle(calls: &mut Vec<(u32, Call)>, id: u64, at: [u64; 3], len: u16, keys: [u32; 3]) {
+    calls.push((keys[0], Call::Release(id, at[0], len)));
+    calls.push((keys[1], Call::Inject(id, at[1])));
+    calls.push((keys[2], Call::Deliver(id, at[2], len)));
 }
 
 /// The lifecycle calls of `packets` (ids in order; a vacant one is
 /// never released), keyed so that sorting by key interleaves the
 /// packets while each keeps release → inject → deliver. Each field of
 /// a row — the release step, the queueing and the network latency —
-/// crosses a varint byte edge forward or back, steps back, or steps
-/// forward a little; releases start at 2^42, so a step back across an
-/// edge is exact. A length is near `u16::MAX`, small, or the previous
-/// packet's again.
+/// lands next to the escape edge of the coder's current parameter,
+/// steps back, or steps forward a middle or a small way; releases start
+/// at 2^42, so a step back is exact. One packet in 80 first holds a
+/// field (`hold % 3`) at 0 for twice the halving count of packets, then
+/// jumps by 2^40, or the reverse, with the other fields stepping by
+/// one: the parameter climbs to its cap of 40 under 2^40, and falls
+/// under 0 (to 0 itself unless it started above about 4). A length is
+/// near `u16::MAX`, small, or the previous packet's again.
 fn lifecycles(packets: &[GenPacket]) -> Vec<(u32, Call)> {
     let mut calls = Vec::new();
-    let (mut release, mut len) = (1u64 << 42, 0);
-    for (&((vacancy, class, small), (qc, q), (lc, l), (len_class, small_len), keys), id) in
-        packets.iter().zip(0..)
+    let mut rice = [Rice::default(); 3];
+    let (mut release, mut len, mut id) = (1u64 << 42, 0, 0);
+    for &((vacancy, hold, class, small), (qc, q), (lc, l), (len_class, small_len), keys) in packets
     {
-        release = shift(release, class, small);
-        if vacancy == 0 {
-            continue;
-        }
-        len = match len_class {
-            0 => u16::MAX - small_len,
-            1 | 2 => len,
-            _ => 1 + small_len,
-        };
-        let inject = shift(release, qc, q);
         let mut keys = [keys.0, keys.1, keys.2];
         keys.sort_unstable();
-        calls.push((keys[0], Call::Release(id, release, len)));
-        calls.push((keys[1], Call::Inject(id, inject)));
-        calls.push((keys[2], Call::Deliver(id, shift(inject, lc, l), len)));
+        let mut jumps = [None; 3];
+        if hold < 6 {
+            let (stay, jump) = if hold < 3 { (0, 1 << 40) } else { (1 << 40, 0) };
+            let mut deltas = [1; 3];
+            deltas[usize::from(hold % 3)] = stay;
+            for _ in 0..2 * HALVING {
+                release += deltas[0];
+                let inject = release + deltas[1];
+                push_lifecycle(
+                    &mut calls,
+                    id,
+                    [release, inject, inject + deltas[2]],
+                    len,
+                    keys,
+                );
+                rice.iter_mut().zip(deltas).for_each(|(r, d)| r.update(d));
+                id += 1;
+            }
+            jumps[usize::from(hold % 3)] = Some(jump);
+        }
+        let (mut at, mut base) = ([0; 3], release);
+        for (i, (class, small)) in [(class, small), (qc, q), (lc, l)].into_iter().enumerate() {
+            at[i] = match jumps[i] {
+                Some(jump) => base + jump,
+                None => shift(base, class, small, rice[i].k()),
+            };
+            base = at[i];
+        }
+        let from = [release, at[0], at[1]];
+        release = at[0];
+        if vacancy != 0 {
+            len = match len_class {
+                0 => u16::MAX - small_len,
+                1 | 2 => len,
+                _ => 1 + small_len,
+            };
+            push_lifecycle(&mut calls, id, at, len, keys);
+            for ((r, to), from) in rice.iter_mut().zip(at).zip(from) {
+                r.update(to.wrapping_sub(from));
+            }
+        }
+        id += 1;
     }
     calls
 }
@@ -432,7 +505,8 @@ proptest! {
 
     /// The archived ledger answers every call like the flat reference
     /// model, on interleaved lifecycles with vacant ids, deltas of either
-    /// sign on both sides of every varint byte edge in all three fields,
+    /// sign, on both sides of the escape edge at small, middle and large
+    /// coder parameters and after long holds in all three fields,
     /// repeated and changed lengths, and random — mostly invalid — calls
     /// mixed in; counters and records agree after every call.
     #[test]
