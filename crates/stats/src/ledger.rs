@@ -13,17 +13,17 @@
 //! Like the paper's traffic receptors, which reduce traffic to on-chip
 //! counters rather than ship a log of every packet to the host, the
 //! ledger keeps a full row only while a packet's lifecycle is open. It
-//! has two tiers, split at the low-water mark `lo` — the first id that
-//! is undelivered or was never released:
+//! splits the ids at the low-water mark `lo` — the first id that is
+//! undelivered or was never released:
 //!
-//! * the **open window**: one 32-byte `Entry` per id from `lo` up to
-//!   the highest released id;
 //! * the **archive**: the delivered prefix `[0, lo)` as one row per
 //!   packet in a bit string of 64-bit words, least significant bit
 //!   first. A row is a bit saying the length differs from the previous
 //!   packet's (then the length's 16 bits), and three fields: release
 //!   minus the previous id's release, injection minus release, delivery
-//!   minus injection, each modulo 2^64.
+//!   minus injection, each modulo 2^64;
+//! * the **open window**: the ids from `lo` up to the highest released
+//!   one.
 //!
 //! Each field is an adaptive Golomb–Rice code. Its parameter `k` is the
 //! smallest with `count · 2^k ≥ sum` over the field's earlier values,
@@ -37,28 +37,51 @@
 //! the previous id's, or a half-range jump. An escaped value adds only
 //! `24 · 2^k` to the sum, so one outlier cannot swamp the mean.
 //!
-//! Every `deliver` moves `lo` across the delivered rows at the front of
-//! the window, so the window spans only the packets in flight (about
-//! 3 000 ids on a saturated 8×8 mesh) and the ledger grows by a row per
-//! delivered packet: 2.31 bytes on average on `sat_mesh8x8` (mesh8x8 at
-//! 40 % load), 1.71 on `lowload_mesh12x12` (mesh12x12 at 0.1 %), and
-//! 2.32 over the 4.7 M packets of the 1 M-cycle `ledger_memory` probe.
+//! The ledger grows by a row per delivered packet: 2.31 bytes on average
+//! on `sat_mesh8x8` (mesh8x8 at 40 % load), 1.71 on `lowload_mesh12x12`
+//! (mesh12x12 at 0.1 %), and 2.32 over the 4.7 M packets of the
+//! 1 M-cycle `ledger_memory` probe.
 //!
-//! A packet that is never delivered pins `lo`: from there on the window
-//! costs 32 bytes per packet, like a flat array. Overload does this to
-//! short curve points, and it, not the archive, sets the peak of
-//! `curves_3x3`: `tornado` on a torus8x8 at load 0.1875 ends its 9 216
-//! cycles with `lo` at id 592 and 17 066 open entries (≈ 0.55 MB). That
-//! packet was released at cycle 181, injected at 7 620 and is still in
-//! flight. At load 0.2, `lo` stays at 337 with 15 157 entries. A rerun
-//! with the same packets as a budget drains fully (by cycle 12 857 and
-//! 11 763), so this is starvation under overload, not deadlock.
+//! The open window is a **dense window** of one 32-byte `Entry` per id
+//! from `base` on, and in front of it, for the ids of `[lo, base)`:
 //!
-//! The row sequence alone determines the bits, the coder state and the
-//! tail word (whose unused bits stay zero), so the derived `==` is
-//! logical equality. Clones share the archive ([`Arc`]): a snapshot
-//! copies only the window, and a ledger that archives more while a clone
-//! lives copies it ([`Arc::make_mut`]).
+//! * the **pinned list**: the entries that were undelivered when they
+//!   left the dense window, by id; the first is `lo`'s;
+//! * the **parked queue**: the other ids' entries, all delivered, as
+//!   archive rows in id order in a bit queue with a coder of its own,
+//!   about 3 bytes each.
+//!
+//! The dense window holds no more delivered entries than undelivered
+//! ones: when a delivery breaks that, entries leave its front, an
+//! undelivered one for the pinned list and a delivered one for the
+//! parked queue, until it holds again. So the dense window spans at most
+//! twice its undelivered entries, and that invariant is the whole rule.
+//! When `lo`'s packet is delivered, `lo` walks up the ids, archiving
+//! pinned entries and parked rows in id order, and stops at the next
+//! undelivered pinned id; with none left, it goes on into the dense
+//! window.
+//!
+//! Without the pinned list and the parked queue, a packet that is never
+//! delivered would pin `lo` and cost every later id a 32-byte entry.
+//! Overload does this to short curve points: `tornado` on a torus8x8 at
+//! load 0.1875 ends its 9 216 cycles with `lo` at id 592 (released at
+//! cycle 181, injected at 7 620, still in flight) and 17 066 ids behind
+//! it, ≈ 0.55 MB of entries. The ledger ends that point with 92 dense
+//! entries (792 at most), 13 479 parked rows and 3 495 pinned entries —
+//! 2 912 of them delivered since, which wait as full entries until
+//! packet 592 is — and its open window peaks at 224 KiB, spare capacity
+//! included. A rerun with the same packets as a budget drains fully (by
+//! cycle 12 857), so this is starvation under overload, not deadlock.
+//! Where latencies spread, as on `sat_mesh8x8`, most packets pass
+//! through the parked queue (87 %), and about one in eight is pinned.
+//!
+//! The archive's row sequence alone determines its bits, its coder state
+//! and its tail word (whose unused bits stay zero). Which packets are
+//! parked depends on the order of the calls, so `==` compares the open
+//! window record by record unless both are laid out alike. Clones share
+//! the archive ([`Arc`]): a snapshot copies only the open window, and a
+//! ledger that archives more while a clone lives copies it
+//! ([`Arc::make_mut`]).
 
 use crate::latency::LatencyAnalyzer;
 use nocem_common::ids::PacketId;
@@ -182,10 +205,11 @@ struct BitReader<'a> {
 }
 
 impl<'a> BitReader<'a> {
-    fn new(words: &'a [u64]) -> Self {
+    /// A reader of `words` from bit `at` on.
+    fn new(words: &'a [u64], at: u64) -> Self {
         BitReader {
             words,
-            at: 0,
+            at,
             window: 0,
             valid: 0,
         }
@@ -251,7 +275,8 @@ impl<'a> BitReader<'a> {
 
 /// Lifecycle record of one open-window packet: three raw cycle counts
 /// with a sentinel and the length, 32 bytes — not `Option`s (48). Only
-/// ids from `lo` on keep one; the archive encodes the rest.
+/// pinned ids and the dense window keep one; the archive and the parked
+/// queue encode the rest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
     /// [`NEVER`] marks an id that was never released (a vacant slot).
@@ -304,6 +329,66 @@ impl Entry {
         self.inject = self.release.wrapping_add(bits.take_field(rice, 1));
         self.deliver = self.inject.wrapping_add(bits.take_field(rice, 2));
         rice.end_row();
+    }
+}
+
+/// Where a decoder of [`Entry::encode`] rows stands: the next row's
+/// first bit, and the coder state and entry after the row before it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Cursor {
+    at: u64,
+    rice: Rice,
+    entry: Entry,
+}
+
+impl Cursor {
+    /// Decodes the row at the cursor from `words` and moves past it.
+    fn next_row(&mut self, words: &[u64]) -> Entry {
+        let mut bits = BitReader::new(words, self.at);
+        self.entry.decode_next(&mut self.rice, &mut bits);
+        self.at = bits.at;
+        self.entry
+    }
+}
+
+/// The delivered entries of the ids between the low-water mark and the
+/// dense window that are not pinned, in id order, as a bit queue of
+/// [`Entry::encode`] rows with a coder of its own: appended at the
+/// back, decoded from the front.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Parked {
+    words: Vec<u64>,
+    /// The bits in `words`.
+    bits: u64,
+    /// The coder state after the last row, and that row's entry.
+    rice: Rice,
+    last: Entry,
+    /// The first row not yet taken.
+    front: Cursor,
+}
+
+impl Parked {
+    fn push(&mut self, entry: Entry) {
+        entry.encode(&self.last, &mut self.rice, &mut self.words, &mut self.bits);
+        self.last = entry;
+    }
+
+    /// Takes the front row.
+    fn pop(&mut self) -> Entry {
+        debug_assert!(self.front.at < self.bits, "no parked row left");
+        self.front.next_row(&self.words)
+    }
+
+    /// Drops the words every row of which was taken, once they are at
+    /// least half the queue: each word is moved at most once on average.
+    fn drop_taken(&mut self) {
+        let taken = (self.front.at / 64) as usize;
+        if taken > 0 && 2 * taken >= self.words.len() {
+            self.words.drain(..taken);
+            let moved = 64 * taken as u64;
+            self.bits -= moved;
+            self.front.at -= moved;
+        }
     }
 }
 
@@ -400,7 +485,7 @@ impl PacketRecord {
 /// injected and delivered the same packets at the same cycles — the
 /// exactness bar the clock-gating equivalence tests hold the engines
 /// to. See the [module docs](self) for how the packets are stored.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct PacketLedger {
     /// One row per id of `[0, lo)` as a bit string, shared by clones
     /// until one archives more.
@@ -413,9 +498,21 @@ pub struct PacketLedger {
     lo: u64,
     /// Entry of id `lo − 1` (all zero before any): the next row's base.
     last: Entry,
-    /// Ids `lo ..` up to the highest released one (empty when that is
-    /// below `lo`). The front entry is never delivered.
+    /// The first id of the dense window. Each id of `[lo, base)` is
+    /// pinned or parked.
+    base: u64,
+    /// The ids of `[lo, base)` that were undelivered when they left the
+    /// dense window, ascending; the first is `lo`, and undelivered.
+    pinned: VecDeque<(u64, Entry)>,
+    /// The other ids of `[lo, base)`: delivered.
+    parked: Parked,
+    /// Ids `base ..` up to the highest released one (empty when that is
+    /// below `base`). With nothing pinned the front entry is never
+    /// delivered, and the window never holds more delivered entries
+    /// than undelivered ones.
     window: VecDeque<Entry>,
+    /// The delivered entries in `window`.
+    window_delivered: usize,
     released: u64,
     injected: u64,
     delivered: u64,
@@ -429,29 +526,78 @@ impl PacketLedger {
         PacketLedger::default()
     }
 
-    /// The window entry of a released packet. An archived packet has
-    /// had every event, so a new one is a duplicate.
+    /// The pinned entry of `id`, if it is pinned.
+    fn pinned_mut(&mut self, id: u64) -> Option<&mut Entry> {
+        let i = self.pinned.binary_search_by_key(&id, |&(p, _)| p).ok()?;
+        Some(&mut self.pinned[i].1)
+    }
+
+    /// The entry of a released packet that is pinned or in the dense
+    /// window. An archived or a parked packet has had every event, so a
+    /// new one is a duplicate.
     #[inline]
     fn open_entry(&mut self, id: PacketId) -> Result<&mut Entry, LedgerError> {
-        let offset = id
-            .raw()
-            .checked_sub(self.lo)
-            .ok_or(LedgerError::DuplicateEvent(id))?;
-        self.window
-            .get_mut(offset as usize)
+        let entry = match id.raw().checked_sub(self.base) {
+            Some(offset) => self.window.get_mut(offset as usize),
+            None => Some(
+                self.pinned_mut(id.raw())
+                    .ok_or(LedgerError::DuplicateEvent(id))?,
+            ),
+        };
+        entry
             .filter(|e| e.release != NEVER)
             .ok_or(LedgerError::UnknownPacket(id))
     }
 
-    /// Moves `lo` across the delivered entries at the front of the
-    /// window, archiving each.
+    /// Moves `lo` across the delivered ids from `lo` on, archiving each
+    /// — pinned, parked, then from the front of the dense window — up
+    /// to the first one that is not.
     fn archive_delivered(&mut self) {
         let words = Arc::make_mut(&mut self.archive);
-        while let Some(entry) = self.window.front().filter(|e| e.deliver != NEVER) {
+        loop {
+            let entry = if self.lo < self.base {
+                match self.pinned.front() {
+                    Some(&(id, entry)) if id == self.lo => {
+                        if entry.deliver == NEVER {
+                            break;
+                        }
+                        self.pinned.pop_front();
+                        entry
+                    }
+                    _ => self.parked.pop(),
+                }
+            } else {
+                match self.window.front() {
+                    Some(&entry) if entry.deliver != NEVER => {
+                        self.window.pop_front();
+                        self.window_delivered -= 1;
+                        self.base += 1;
+                        entry
+                    }
+                    _ => break,
+                }
+            };
             entry.encode(&self.last, &mut self.rice, words, &mut self.archive_bits);
-            self.last = *entry;
+            self.last = entry;
             self.lo += 1;
-            self.window.pop_front();
+        }
+        self.parked.drop_taken();
+    }
+
+    /// Restores the window's invariant — no more delivered entries than
+    /// undelivered ones — by moving entries off its front: an
+    /// undelivered one to the pinned list, a delivered one to the
+    /// parked queue.
+    fn park(&mut self) {
+        while 2 * self.window_delivered > self.window.len() {
+            let entry = self.window.pop_front().expect("a delivered entry");
+            if entry.deliver == NEVER {
+                self.pinned.push_back((self.base, entry));
+            } else {
+                self.parked.push(entry);
+                self.window_delivered -= 1;
+            }
+            self.base += 1;
         }
     }
 
@@ -464,14 +610,18 @@ impl PacketLedger {
     #[inline]
     pub fn release(&mut self, id: PacketId, at: Cycle, len_flits: u16) -> Result<(), LedgerError> {
         debug_assert_ne!(at.raw(), NEVER, "cycle u64::MAX is the vacant marker");
-        let offset = id
-            .raw()
-            .checked_sub(self.lo)
-            .ok_or(LedgerError::DuplicateRelease(id))? as usize;
-        if offset >= self.window.len() {
-            self.window.resize(offset + 1, Entry::VACANT);
-        }
-        let entry = &mut self.window[offset];
+        let entry = match id.raw().checked_sub(self.base) {
+            Some(offset) => {
+                let offset = offset as usize;
+                if offset >= self.window.len() {
+                    self.window.resize(offset + 1, Entry::VACANT);
+                }
+                &mut self.window[offset]
+            }
+            None => self
+                .pinned_mut(id.raw())
+                .ok_or(LedgerError::DuplicateRelease(id))?,
+        };
         if entry.release != NEVER {
             return Err(LedgerError::DuplicateRelease(id));
         }
@@ -534,8 +684,14 @@ impl PacketLedger {
         self.delivered += 1;
         self.network_latency.record(lat.network);
         self.total_latency.record(lat.total);
+        if id.raw() >= self.base {
+            self.window_delivered += 1;
+        }
         if id.raw() == self.lo {
             self.archive_delivered();
+        }
+        if 2 * self.window_delivered > self.window.len() {
+            self.park();
         }
         Ok(lat)
     }
@@ -576,17 +732,35 @@ impl PacketLedger {
         self.archive.len() * std::mem::size_of::<u64>()
     }
 
+    /// Heap bytes the open window takes: the allocations of the dense
+    /// window, the pinned list and the parked queue, spare capacity
+    /// included.
+    pub fn window_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.window.capacity() * size_of::<Entry>()
+            + self.pinned.capacity() * size_of::<(u64, Entry)>()
+            + self.parked.words.capacity() * size_of::<u64>()
+    }
+
+    /// The entry of every id from `lo` up to the highest released one,
+    /// in id order, vacant ones included.
+    fn open_entries(&self) -> impl Iterator<Item = Entry> + '_ {
+        let (mut pinned, mut parked) = (self.pinned.iter().peekable(), self.parked.front);
+        (self.lo..self.base)
+            .map(move |id| match pinned.next_if(|&&(p, _)| p == id) {
+                Some(&(_, entry)) => entry,
+                None => parked.next_row(&self.parked.words),
+            })
+            .chain(self.window.iter().copied())
+    }
+
     /// Iterates the lifecycle record of every registered packet, in
     /// packet-id order.
     pub fn records(&self) -> impl Iterator<Item = PacketRecord> + '_ {
-        let mut bits = BitReader::new(&self.archive);
-        let (mut rice, mut entry) = <(Rice, Entry)>::default();
-        let archived = (0..self.lo).map(move |_| {
-            entry.decode_next(&mut rice, &mut bits);
-            entry
-        });
-        archived
-            .chain(self.window.iter().copied())
+        let mut archived = Cursor::default();
+        (0..self.lo)
+            .map(move |_| archived.next_row(&self.archive))
+            .chain(self.open_entries())
             .enumerate()
             .filter(|(_, e)| e.release != NEVER)
             .map(|(i, e)| PacketRecord {
@@ -599,20 +773,43 @@ impl PacketLedger {
     }
 
     /// Verifies full conservation at end of run: everything released
-    /// was delivered. Only the open window is scanned: every archived
-    /// packet is delivered by construction.
+    /// was delivered. Only the pinned list and the dense window are
+    /// scanned: every archived or parked packet is delivered by
+    /// construction.
     ///
     /// # Errors
     ///
     /// Returns the first undelivered packet as
     /// [`LedgerError::UnknownPacket`]-style diagnostics.
     pub fn verify_drained(&self) -> Result<(), LedgerError> {
-        match (self.window.iter()).position(|e| e.release != NEVER && e.deliver == NEVER) {
-            Some(i) => Err(LedgerError::UnknownPacket(PacketId::new(
-                self.lo + i as u64,
-            ))),
+        let dense = self.window.iter().zip(self.base..).map(|(&e, id)| (id, e));
+        match (self.pinned.iter().copied().chain(dense))
+            .find(|(_, e)| e.release != NEVER && e.deliver == NEVER)
+        {
+            Some((id, _)) => Err(LedgerError::UnknownPacket(PacketId::new(id))),
             None => Ok(()),
         }
+    }
+}
+
+/// Logical equality: the same records and statistics. Which delivered
+/// entries are parked depends on the order of the calls, so ledgers
+/// whose open windows are laid out alike compare those directly, and
+/// others record by record.
+impl PartialEq for PacketLedger {
+    fn eq(&self, other: &Self) -> bool {
+        let counts = |l: &Self| (l.lo, l.archive_bits, l.released, l.injected, l.delivered);
+        let same_layout = || {
+            self.base == other.base
+                && self.pinned == other.pinned
+                && self.parked == other.parked
+                && self.window == other.window
+        };
+        counts(self) == counts(other)
+            && self.network_latency == other.network_latency
+            && self.total_latency == other.total_latency
+            && self.archive == other.archive
+            && (same_layout() || self.open_entries().eq(other.open_entries()))
     }
 }
 
@@ -765,8 +962,10 @@ mod tests {
         assert_eq!(l.in_flight(), 1);
     }
 
-    /// `verify_drained` reads only the open window, which starts at the
-    /// oldest straggler: the delivered packets before it are archived.
+    /// `verify_drained` reads only the pinned list and the dense window:
+    /// the delivered packets before the oldest straggler are archived,
+    /// and those behind it leave the dense window for the parked queue
+    /// as soon as they outnumber its undelivered ones.
     #[test]
     fn verify_drained_scans_only_the_open_window() {
         let mut l = PacketLedger::new();
@@ -777,15 +976,21 @@ mod tests {
         }
         for i in (0..1_000).filter(|&i| i != 500 && i != 700) {
             l.deliver(PacketId::new(i), Cycle::new(i + 9), 2).unwrap();
+            assert!(2 * l.window_delivered <= l.window.len());
         }
-        assert_eq!((l.lo, l.window.len()), (500, 500));
+        let layout = |l: &PacketLedger| {
+            let pinned: Vec<u64> = l.pinned.iter().map(|&(id, _)| id).collect();
+            (l.lo, pinned, l.base, l.window.len())
+        };
+        assert_eq!(layout(&l), (500, vec![500, 700], 1_000, 0));
         let straggler = |i| Err(LedgerError::UnknownPacket(PacketId::new(i)));
         assert_eq!(l.verify_drained(), straggler(500));
         l.deliver(PacketId::new(500), Cycle::new(600), 2).unwrap();
-        assert_eq!((l.lo, l.window.len()), (700, 300));
+        assert_eq!(layout(&l), (700, vec![700], 1_000, 0));
         assert_eq!(l.verify_drained(), straggler(700));
         l.deliver(PacketId::new(700), Cycle::new(800), 2).unwrap();
-        assert_eq!((l.lo, l.window.len()), (1_000, 0));
+        assert_eq!(layout(&l), (1_000, vec![], 1_000, 0));
+        assert!(l.parked.words.len() <= 1, "the taken rows are dropped");
         l.verify_drained().unwrap();
         // Vacant ids in the window are not stragglers, but they hold `lo`.
         l.release(PacketId::new(1_003), Cycle::new(900), 2).unwrap();
@@ -793,7 +998,11 @@ mod tests {
         l.inject(PacketId::new(1_003), Cycle::new(901)).unwrap();
         l.deliver(PacketId::new(1_003), Cycle::new(902), 2).unwrap();
         l.verify_drained().unwrap();
-        assert_eq!((l.lo, l.window.len()), (1_000, 4));
+        assert_eq!(layout(&l), (1_000, vec![], 1_000, 4));
+        assert!(l
+            .records()
+            .map(|r| r.id.raw())
+            .eq((0..1_000).chain([1_003])));
     }
 
     /// A long run at `sat_mesh8x8`'s mix costs at most 3 bytes per
@@ -892,6 +1101,43 @@ mod tests {
             (l.lo, l.records().last().map(|r| r.id)),
             (PACKETS + 1, Some(id))
         );
+    }
+
+    /// Packet 0 never arrives; packets 1–8, all released at cycle 0 and
+    /// injected at 1, are delivered in `order`, packet `i` at cycle
+    /// `20 + i` — or 3 and 4 at each other's cycle, for `swapped`, which
+    /// leaves the latency statistics as they were.
+    fn behind_a_straggler(order: impl Iterator<Item = u64>, swapped: bool) -> PacketLedger {
+        let mut l = PacketLedger::new();
+        for i in 0..=8 {
+            l.release(PacketId::new(i), Cycle::ZERO, 2).unwrap();
+            l.inject(PacketId::new(i), Cycle::new(1)).unwrap();
+        }
+        for i in order {
+            let at = match i {
+                3 | 4 if swapped => 27 - i,
+                _ => 20 + i,
+            };
+            l.deliver(PacketId::new(i), Cycle::new(at), 2).unwrap();
+        }
+        l
+    }
+
+    /// Ledgers laid out alike compare their parked rows; ledgers that
+    /// parked different packets compare record by record.
+    #[test]
+    fn equality_reads_parked_rows() {
+        let pinned = |l: &PacketLedger| l.pinned.iter().map(|&(id, _)| id).collect::<Vec<_>>();
+        let in_order = behind_a_straggler(1..=8, false);
+        assert_eq!((pinned(&in_order), in_order.base), (vec![0], 9));
+        let swapped = behind_a_straggler(1..=8, true);
+        assert_eq!((pinned(&swapped), swapped.base), (vec![0], 9));
+        assert_eq!(in_order.network_latency(), swapped.network_latency());
+        assert_ne!(in_order, swapped, "packets 3 and 4 are parked apart");
+        let reversed = behind_a_straggler((1..=8).rev(), false);
+        assert_eq!(pinned(&reversed), [0, 1, 2, 3]);
+        assert_eq!(in_order, reversed);
+        assert!(in_order.records().eq(reversed.records()));
     }
 
     /// Deltas wrap modulo 2^64: half-range jumps (the longest rows) in

@@ -291,6 +291,18 @@ fn step(
     model: &mut FlatLedger,
     call: Call,
 ) -> Result<(), TestCaseError> {
+    answer_alike(ledger, model, call)?;
+    prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+    Ok(())
+}
+
+/// Makes one call on `ledger` and on `model`: both must answer alike,
+/// with equal counters afterwards.
+fn answer_alike(
+    ledger: &mut PacketLedger,
+    model: &mut FlatLedger,
+    call: Call,
+) -> Result<(), TestCaseError> {
     match call {
         Call::Release(id, at, len) => prop_assert_eq!(
             ledger.release(PacketId::new(id), Cycle::new(at), len),
@@ -314,8 +326,52 @@ fn step(
     let counts = (ledger.released(), ledger.injected(), ledger.delivered());
     prop_assert_eq!(counts, (model.released, model.injected, model.delivered));
     prop_assert_eq!(ledger.in_flight(), model.released - model.delivered);
-    prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
     Ok(())
+}
+
+/// One packet of a flowing run: `(release step, queueing, latency
+/// class, latency)`.
+type FlowPacket = (u64, u64, u8, u64);
+
+/// The calls of a run in which packet `starving` is released and
+/// injected like the others but delivered only after all of them. The
+/// rest flow: releases 0–2 cycles apart, 0–7 cycles of queueing, and
+/// 8–71 cycles across the network — or 64–568 for one packet in 16, so
+/// that some are still in flight when their ids leave the dense window.
+/// Events are in cycle order, releases first within a cycle.
+fn starving_run(packets: &[FlowPacket], starving: usize) -> Vec<Call> {
+    let mut events = Vec::new();
+    let mut release = 0;
+    for (&(step, queue, class, latency), id) in packets.iter().zip(0..) {
+        release += step;
+        let inject = release + queue;
+        let latency = if class == 0 {
+            64 + 8 * latency
+        } else {
+            8 + latency
+        };
+        events.push((release, 0, id, Call::Release(id, release, 4)));
+        events.push((inject, 1, id, Call::Inject(id, inject)));
+        events.push((
+            inject + latency,
+            2,
+            id,
+            Call::Deliver(id, inject + latency, 4),
+        ));
+    }
+    let last = events.iter().map(|e| e.0).max().unwrap_or(0);
+    let starving = events
+        .iter_mut()
+        .find(|e| e.1 == 2 && e.2 == starving as u64)
+        .expect("the starving packet is one of the run's");
+    *starving = (
+        last + 1,
+        2,
+        starving.2,
+        Call::Deliver(starving.2, last + 1, 4),
+    );
+    events.sort_unstable_by_key(|&(at, kind, id, _)| (at, kind, id));
+    events.into_iter().map(|(.., call)| call).collect()
 }
 
 /// The end-of-run checks of `ledger` against `model`.
@@ -650,6 +706,55 @@ proptest! {
         }
         let network = cc.network_rate();
         prop_assert!((0.0..=1.0).contains(&network));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One packet starves for thousands of ids while the rest flow by.
+    /// The ledger answers like the flat model, and its open window
+    /// costs the packets in flight plus a few bytes per packet delivered
+    /// behind the straggler, not 32 bytes per id from the straggler on:
+    /// the peak of `window_bytes` stays within 3 × (peak in flight ×
+    /// 32 B + packets delivered behind the straggler × 4 B), where it
+    /// reads at most 2.03 × (spare capacity included).
+    #[test]
+    fn ledger_window_stays_small_behind_a_starving_packet(
+        packets in proptest::collection::vec((0u64..3, 0u64..8, 0u8..16, 0u64..64), 2_000..4_000),
+        starving in 0usize..64,
+    ) {
+        let mut ledger = PacketLedger::new();
+        let mut model = FlatLedger::default();
+        let (mut peak_bytes, mut peak_in_flight, mut behind) = (0, 0, 0);
+        let calls = starving_run(&packets, starving);
+        for (i, &call) in calls.iter().enumerate() {
+            answer_alike(&mut ledger, &mut model, call)?;
+            if i % 512 == 0 {
+                prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+            }
+            if let Call::Deliver(id, ..) = call {
+                behind += u64::from(id > starving as u64);
+            }
+            peak_bytes = peak_bytes.max(ledger.window_bytes() as u64);
+            peak_in_flight = peak_in_flight.max(ledger.in_flight());
+            if i + 2 == calls.len() {
+                prop_assert_eq!(
+                    ledger.verify_drained(),
+                    Err(LedgerError::UnknownPacket(PacketId::new(starving as u64)))
+                );
+            }
+        }
+        prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+        same_totals(&ledger, &model)?;
+        let bound = 3 * (32 * peak_in_flight + 4 * behind);
+        prop_assert!(
+            peak_bytes <= bound,
+            "window peaked at {} B: {} in flight, {} delivered behind",
+            peak_bytes,
+            peak_in_flight,
+            behind
+        );
     }
 }
 

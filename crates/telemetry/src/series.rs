@@ -357,33 +357,44 @@ impl Collector {
         self.blocked[link.index()].last().unwrap_or(0)
     }
 
+    /// The lifetime stats of link `l`.
+    fn link_total(&self, l: usize) -> LinkStat {
+        LinkStat {
+            link: LinkId::new(l as u32),
+            blocked: self.blocked[l].total(),
+            forwarded: self.forwarded[l].total(),
+        }
+    }
+
     /// Aggregate lifetime stats of every link, in link order.
     pub fn link_totals(&self) -> Vec<LinkStat> {
-        (0..self.links())
-            .map(|l| LinkStat {
-                link: LinkId::new(l as u32),
-                blocked: self.blocked[l].total(),
-                forwarded: self.forwarded[l].total(),
-            })
-            .collect()
+        (0..self.links()).map(|l| self.link_total(l)).collect()
     }
 
     /// The `k` most blocked links, descending by lifetime blocked
-    /// cycles (ties broken by link id, lower first).
+    /// cycles (ties broken by link id, lower first), in a vector that
+    /// holds no more than them.
     pub fn top_blocked(&self, k: usize) -> Vec<LinkStat> {
         let mut stats = self.link_totals();
-        stats.sort_by(|a, b| b.blocked.cmp(&a.blocked).then(a.link.cmp(&b.link)));
+        stats.sort_by(hotter);
         stats.truncate(k);
+        stats.shrink_to_fit();
         stats
     }
 
     /// The single most blocked link, if any link recorded activity.
     pub fn hottest(&self) -> Option<LinkStat> {
-        self.top_blocked(1)
-            .into_iter()
-            .next()
+        (0..self.links())
+            .map(|l| self.link_total(l))
+            .min_by(hotter)
             .filter(|s| s.blocked + s.forwarded > 0)
     }
+}
+
+/// The order of [`Collector::top_blocked`]: more blocked cycles first,
+/// then the lower link id.
+fn hotter(a: &LinkStat, b: &LinkStat) -> std::cmp::Ordering {
+    b.blocked.cmp(&a.blocked).then(a.link.cmp(&b.link))
 }
 
 #[cfg(test)]
@@ -518,6 +529,30 @@ mod tests {
         assert_eq!(top[1].link, LinkId::new(0), "tie broken by id");
         assert_eq!(top[2].link, LinkId::new(2));
         assert_eq!(c.hottest().unwrap().link, LinkId::new(1));
+    }
+
+    /// A curve point keeps its top links, so `top_blocked` must not
+    /// hand back the buffer of every link's stats.
+    #[test]
+    fn top_blocked_holds_no_more_than_k() {
+        let mut c = Collector::new(&cfg(10, 8), 64, 0);
+        c.seal(10, &probe(&[1; 64], &[3; 64], &[]));
+        for k in [0, 1, 8, 64, 100] {
+            let top = c.top_blocked(k);
+            assert_eq!(top.len(), k.min(64));
+            assert!(top.capacity() <= k, "capacity {} > {k}", top.capacity());
+        }
+    }
+
+    /// The hottest link is the first of the top list: the most blocked,
+    /// the lower id on a tie.
+    #[test]
+    fn hottest_is_the_head_of_top_blocked() {
+        let mut c = Collector::new(&cfg(10, 8), 5, 0);
+        c.seal(10, &probe(&[0, 4, 0, 1, 2], &[0, 7, 9, 9, 1], &[]));
+        let hot = c.hottest().unwrap();
+        assert_eq!(Some(hot), c.top_blocked(1).first().copied());
+        assert_eq!((hot.link, hot.blocked), (LinkId::new(2), 9));
     }
 
     #[test]

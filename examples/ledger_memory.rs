@@ -1,44 +1,64 @@
-//! Memory probe of a long run: uniform-random traffic on an 8 × 8 mesh
-//! at 40 % load, compiled engine, open loop for 1 000 000 cycles
-//! (≈ 4.7 M delivered packets), then the packet-ledger snapshot and the
-//! windowed statistics of both latencies that a measured run takes.
+//! Memory probe of the packet ledger, in two phases.
+//!
+//! 1. A long run: uniform-random traffic on an 8 × 8 mesh at 40 % load,
+//!    compiled engine, open loop for 1 000 000 cycles (≈ 4.7 M delivered
+//!    packets), then the packet-ledger snapshot and the windowed
+//!    statistics of both latencies that a measured run takes.
+//! 2. A starving run: `tornado` on an 8 × 8 torus at load 0.1875, the
+//!    curve point past saturation where a packet released near cycle
+//!    181 is still in flight when the point ends at cycle 9 216, with
+//!    17 066 later ids released behind it.
 //!
 //! ```text
 //! cargo run --release --example ledger_memory
 //! ```
 //!
-//! Prints the delivered packets, the archive's bytes per delivered
-//! packet, the window statistics and the process's peak resident set
-//! (`VmHWM`). It is also a check (CI runs it): a peak over 21 MB exits
-//! non-zero. The packet ledger is the only structure that grows with
-//! run length. It archives a delivered packet as an adaptive
+//! Phase 1 prints the delivered packets, the archive's bytes per
+//! delivered packet, the window statistics and the process's peak
+//! resident set (`VmHWM`). The packet ledger is the only structure that
+//! grows with run length. It archives a delivered packet as an adaptive
 //! Golomb–Rice row of ≈ 2.3 bytes (10.5 MB here), and a snapshot shares
 //! the archive instead of copying it, which holds the peak near 14 MB;
 //! 3.9-byte varint rows peaked at 21 MB, and 8-byte rows with a copying
 //! snapshot at 77 MB.
+//!
+//! Phase 2 prints the peak of the ledger's open window
+//! (`window_bytes`), the peak of packets in flight and the straggler.
+//! The window pins the stragglers and parks the packets delivered behind
+//! them as ≈ 3-byte rows, so it peaks at 224 KiB, spare capacity
+//! included; a dense window of 32-byte rows from the straggler on held
+//! all 17 066 ids (0.55 MB before spare capacity).
+//!
+//! It is also a check (CI runs it): a peak resident set over 21 MB or an
+//! open window over 336 KiB exits non-zero.
 
 use nocem::clock::run_engine_until;
 use nocem::sweep::AnyEngine;
 use nocem::{EngineKind, SteppableEngine, TrafficModel};
 use nocem_scenarios::{ScenarioRegistry, TopologySpec};
-use nocem_stats::{Window, WindowStats};
+use nocem_stats::{LedgerError, Window, WindowStats};
 use support::peak_rss_mb;
 
 mod support;
 
-/// The run length, and the peak allowed: one and a half times the
-/// 13.9–14.0 MB it reads on Linux x86-64, rounded up to a whole MB.
+type Failure = Box<dyn std::error::Error>;
+
+/// The long run's length, and the peak allowed: one and a half times
+/// the 13.9–14.0 MB it reads on Linux x86-64, rounded up to a whole MB.
 const CYCLES: u64 = 1_000_000;
 const LIMIT_PEAK_MB: f64 = 21.0;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let topology = TopologySpec::Mesh {
-        width: 8,
-        height: 8,
-    };
+/// The starving run's length (the curve point's warm-up and window),
+/// and the open window allowed: one and a half times its 224 KiB peak.
+const STARVING_CYCLES: u64 = 9_216;
+const LIMIT_WINDOW_KIB: f64 = 336.0;
+
+/// The open-loop, compiled-engine run of scenario `name` on an 8 × 8
+/// `topology` at `load` with 4-flit packets.
+fn open_loop(name: &str, topology: TopologySpec, load: f64) -> Result<AnyEngine, Failure> {
     let mut config = ScenarioRegistry::builtin()
-        .resolve("uniform_random")?
-        .build_config(topology, 0.40, 4, 1_000)?;
+        .resolve(name)?
+        .build_config(topology, load, 4, 1_000)?;
     for generator in &mut config.generators {
         if let TrafficModel::Uniform(u) = generator {
             u.budget = None;
@@ -47,8 +67,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.stop.delivered_packets = None;
     config.stop.cycle_limit = u64::MAX;
     config.engine = EngineKind::Compiled;
+    Ok(AnyEngine::build(&config)?)
+}
 
-    let mut engine = AnyEngine::build(&config)?;
+fn long_run() -> Result<(), Failure> {
+    let topology = TopologySpec::Mesh {
+        width: 8,
+        height: 8,
+    };
+    let mut engine = open_loop("uniform_random", topology, 0.40)?;
     run_engine_until(&mut engine, CYCLES)?;
     let ledger = engine.packet_ledger();
     let warmup = CYCLES / 10;
@@ -77,4 +104,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err(format!("peak resident set over {LIMIT_PEAK_MB} MB").into());
     }
     Ok(())
+}
+
+fn starving_run() -> Result<(), Failure> {
+    let topology = TopologySpec::Torus {
+        width: 8,
+        height: 8,
+    };
+    let mut engine = open_loop("tornado", topology, 0.1875)?;
+    let (mut window_peak, mut in_flight_peak) = (0, 0);
+    while engine.now().raw() < STARVING_CYCLES {
+        engine.step()?;
+        let ledger = engine.ledger();
+        window_peak = window_peak.max(ledger.window_bytes());
+        in_flight_peak = in_flight_peak.max(ledger.in_flight());
+    }
+
+    let ledger = engine.ledger();
+    println!("tornado on torus8x8 at load 0.1875, {STARVING_CYCLES} cycles");
+    println!("  released         {:>12} packets", ledger.released());
+    if let Err(LedgerError::UnknownPacket(straggler)) = ledger.verify_drained() {
+        println!("  oldest in flight {:>12}", straggler.to_string());
+    }
+    println!("  in flight peak   {in_flight_peak:>12} packets");
+    let window_kib = window_peak as f64 / 1024.0;
+    println!("  open window peak {window_kib:>12.1} KiB");
+
+    if window_kib > LIMIT_WINDOW_KIB {
+        return Err(format!("open window over {LIMIT_WINDOW_KIB} KiB").into());
+    }
+    Ok(())
+}
+
+fn main() -> Result<(), Failure> {
+    long_run()?;
+    starving_run()
 }
