@@ -635,13 +635,6 @@ impl<K: CycleKernel> SteppableEngine for K {
 
 /// Runs any engine to its stop condition.
 ///
-/// This drives the engine purely through the stepping contract. It
-/// does *not* touch engine-specific peripherals — in particular, the
-/// fast engine's memory-mapped control module (`running`/`done` bits)
-/// is only maintained by `Emulation::run`/`run_with_progress`/
-/// `run_programmed`; register-polling software should run through
-/// those paths.
-///
 /// # Errors
 ///
 /// Propagates [`EmulationError`] from [`SteppableEngine::step`].

@@ -29,9 +29,9 @@ use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::graph::LinkEnd;
 use nocem_topology::routing::{FlowSet, RoutingTables};
-use nocem_traffic::generator::{DestinationModel, TrafficGenerator};
+use nocem_traffic::generator::{DestinationModel, LengthModel, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
-use nocem_traffic::stochastic::StochasticTg;
+use nocem_traffic::stochastic::{StochasticTg, UniformConfig};
 use nocem_traffic::trace::TraceDrivenTg;
 use std::sync::Arc;
 
@@ -83,8 +83,6 @@ pub struct Wiring {
     pub injection: Vec<(usize, PortId, LinkId)>,
     /// Per receptor: the ejection link id.
     pub ejection_link: Vec<LinkId>,
-    /// Endpoint id → receptor index (None for generators).
-    pub receptor_of_endpoint: Vec<Option<usize>>,
 }
 
 /// A receptor device instance.
@@ -123,6 +121,10 @@ pub struct Elaboration {
     /// Per switch, in switch-id order: the seed of its selection LFSR,
     /// drawn from the platform seeder before any generator seed.
     pub lfsr_seeds: Vec<u16>,
+    /// Per generator, in generator order: the seed its traffic model
+    /// was built with, drawn after every LFSR seed (read back through
+    /// the TG's `SEED` registers).
+    pub tg_seeds: Vec<u64>,
     /// Network interfaces, one per generator.
     pub nis: Vec<SourceNi>,
     /// Traffic generators, one per generator endpoint.
@@ -183,7 +185,8 @@ impl std::fmt::Debug for Elaboration {
 
 /// Validates the cheap structural invariants of a configuration:
 /// traffic model / endpoint counts, queue capacities, buffer depth and
-/// telemetry window (both panic further down at 0), and that every
+/// telemetry window (both panic further down at 0), uniform gap ranges
+/// ([`check_gap`]: they would panic at the first draw), and that every
 /// `(destination, flow)` pair a generator can emit is a registered
 /// flow from that generator to that destination — switches route a
 /// packet by its flow (tables) *or* its destination (grid router), so
@@ -251,7 +254,10 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
             }),
         };
         let destination = match model {
-            TrafficModel::Uniform(c) => &c.destination,
+            TrafficModel::Uniform(c) => {
+                check_gap(c)?;
+                &c.destination
+            }
             TrafficModel::Burst(c) => &c.destination,
             TrafficModel::Poisson(c) => &c.destination,
             TrafficModel::Trace(trace) => {
@@ -267,6 +273,19 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
         if !names_own_row(&config.flows, src, destination) {
             destination.pairs().try_for_each(registered)?;
         }
+    }
+    Ok(())
+}
+
+/// A uniform model's gap is drawn from `gap.0..=gap.1` and added to the
+/// 32-bit cooldown after a packet of up to its longest length.
+fn check_gap(c: &UniformConfig) -> Result<(), CompileError> {
+    let (LengthModel::Fixed(longest) | LengthModel::UniformRange { max: longest, .. }) = c.length;
+    if c.gap.0 > c.gap.1 || u64::from(c.gap.1) + u64::from(longest) > u64::from(u32::MAX) {
+        return Err(CompileError::InvalidField {
+            field: "generators.gap",
+            reason: "gap.0 <= gap.1, and gap.1 plus the longest packet fits in 32 bits",
+        });
     }
     Ok(())
 }
@@ -419,8 +438,8 @@ fn instantiate(
     // Generators and their network interfaces.
     let mut tgs: Vec<Box<dyn TrafficGenerator + Send>> = Vec::with_capacity(generators.len());
     let mut nis = Vec::with_capacity(generators.len());
-    for (i, &g) in generators.iter().enumerate() {
-        let seed = seeder.next();
+    let tg_seeds: Vec<u64> = generators.iter().map(|_| seeder.next()).collect();
+    for (i, (&g, &seed)) in generators.iter().zip(&tg_seeds).enumerate() {
         let tg: Box<dyn TrafficGenerator + Send> = match &config.generators[i] {
             TrafficModel::Uniform(c) => Box::new(StochasticTg::uniform(c.clone(), seed)),
             TrafficModel::Burst(c) => Box::new(StochasticTg::burst(c.clone(), seed)),
@@ -541,6 +560,7 @@ fn instantiate(
         config: config.clone(),
         routing,
         lfsr_seeds,
+        tg_seeds,
         nis,
         tgs,
         receptors: receptor_devices,
@@ -551,7 +571,6 @@ fn instantiate(
             in_link,
             injection,
             ejection_link,
-            receptor_of_endpoint,
         },
         predicted_loads,
         elaborate_ns: u64::try_from(elaborate_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -1279,6 +1298,37 @@ mod tests {
             elaborate_routed(&cfg, routing),
             Err(CompileError::TrafficMismatch { .. })
         ));
+    }
+
+    fn with_gap(gap: (u32, u32)) -> PlatformConfig {
+        let mut cfg = PaperConfig::new().uniform();
+        if let TrafficModel::Uniform(u) = &mut cfg.generators[0] {
+            u.gap = gap;
+        }
+        cfg
+    }
+
+    #[test]
+    fn an_inverted_gap_is_refused() {
+        assert!(matches!(
+            elaborate(&with_gap((5, 3))),
+            Err(CompileError::InvalidField {
+                field: "generators.gap",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn a_full_width_gap_is_refused() {
+        assert!(matches!(
+            elaborate(&with_gap((0, u32::MAX))),
+            Err(CompileError::InvalidField {
+                field: "generators.gap",
+                ..
+            })
+        ));
+        elaborate(&with_gap((0, u32::MAX - 64))).unwrap();
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! component by accessing their specific addresses"). This module
 //! defines
 //!
-//! * the TG register *shadow* ([`TgShadow`]): parameter writes land
-//!   here before the run and are turned back into traffic models when
-//!   the start bit is set;
+//! * the TG register *shadow* ([`TgShadow`]): its writable registers
+//!   are exactly a traffic model's fields, and when the start bit is
+//!   set [`crate::Emulation::run_programmed`] decodes them back into
+//!   the configuration it elaborates; every other TG register is
+//!   read-only;
 //! * read-only register views over TGs, TRs and switches (live
 //!   counters);
 //! * the typed drivers ([`TgDriver`], [`TrDriver`], [`SwitchDriver`])
@@ -20,12 +22,11 @@ use crate::engine::Emulation;
 use nocem_common::ids::{EndpointId, FlowId};
 use nocem_platform::addr::{Address, DeviceAddr};
 use nocem_platform::bus::{BusAccess, BusError};
-use nocem_platform::regfile::RegFile;
+use nocem_platform::regfile::{Access, RegFile};
 use nocem_stats::receptor::ReceptorCounters;
-use nocem_traffic::generator::{DestinationModel, LengthModel, TrafficGenerator};
+use nocem_traffic::generator::{DestinationModel, LengthModel};
 use nocem_traffic::registers as tgreg;
-use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, StochasticTg, UniformConfig};
-use nocem_traffic::trace::TraceDrivenTg;
+use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, UniformConfig};
 
 /// Marker for "keep the compiled destination model" in the DST
 /// register (used when the destination is not a single endpoint).
@@ -105,10 +106,12 @@ pub fn model_register_image(model: &TrafficModel) -> Vec<(u16, u32)> {
     img
 }
 
-/// The writable TG parameter registers (configuration shadow).
+/// The TG configuration registers software programs (shadow of the
+/// traffic model).
 #[derive(Debug, Clone)]
 pub struct TgShadow {
-    /// The register values.
+    /// The register values; only the traffic-model fields are
+    /// writable.
     pub regs: RegFile,
     /// Whether software wrote anything since elaboration.
     pub dirty: bool,
@@ -117,7 +120,14 @@ pub struct TgShadow {
 impl TgShadow {
     /// Builds the shadow matching a compiled traffic model.
     pub fn from_model(model: &TrafficModel) -> Self {
-        let mut regs = RegFile::read_write(usize::from(tgreg::TG_REG_COUNT));
+        // Writable: the registers a model is encoded in (the image).
+        let access: Vec<Access> = (0..tgreg::TG_REG_COUNT)
+            .map(|reg| match reg {
+                tgreg::REG_MODEL | tgreg::REG_PACKET_LEN..=tgreg::REG_FLOW => Access::ReadWrite,
+                _ => Access::ReadOnly,
+            })
+            .collect();
+        let mut regs = RegFile::new(&access);
         for (reg, value) in model_register_image(model) {
             regs.set(reg, value);
         }
@@ -128,7 +138,7 @@ impl TgShadow {
     ///
     /// # Errors
     ///
-    /// Returns [`BusError`] for out-of-range registers.
+    /// Returns [`BusError`] for out-of-range and read-only registers.
     pub fn bus_write(&mut self, addr: Address, value: u32) -> Result<(), BusError> {
         self.regs.bus_write(addr, value)?;
         self.dirty = true;
@@ -229,24 +239,10 @@ impl TgShadow {
     }
 }
 
-/// Builds a generator instance from a traffic model (used when the
-/// register path reprograms a TG).
-pub fn build_generator(
-    model: &TrafficModel,
-    seed: u64,
-    src: EndpointId,
-) -> Box<dyn TrafficGenerator + Send> {
-    match model {
-        TrafficModel::Uniform(c) => Box::new(StochasticTg::uniform(c.clone(), seed)),
-        TrafficModel::Burst(c) => Box::new(StochasticTg::burst(c.clone(), seed)),
-        TrafficModel::Poisson(c) => Box::new(StochasticTg::poisson(c.clone(), seed)),
-        TrafficModel::Trace(t) => Box::new(TraceDrivenTg::new(t, src)),
-    }
-}
-
 // --- Read-only register views over live engine state -----------------
 
-/// TG register read (configuration from the shadow, counters live).
+/// TG register read: configuration from the shadow, `CTRL` always
+/// enabled, `SEED` the seed elaboration drew, status and counters live.
 pub(crate) fn tg_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32, BusError> {
     let reg = addr.reg();
     if reg >= tgreg::TG_REG_COUNT {
@@ -259,8 +255,12 @@ pub(crate) fn tg_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32,
     let ni = &elab.nis[i];
     let c = *ni.counters();
     let tg = &elab.tgs[i];
+    let seed = elab.tg_seeds[i];
     let value = match reg {
+        tgreg::REG_CTRL => 1,
         tgreg::REG_STATUS => u32::from(tg.is_exhausted()) | (u32::from(ni.is_idle()) << 1),
+        tgreg::REG_SEED_LO => seed as u32,
+        tgreg::REG_SEED_HI => (seed >> 32) as u32,
         tgreg::REG_SENT_LO => c.accepted_packets as u32,
         tgreg::REG_SENT_HI => (c.accepted_packets >> 32) as u32,
         tgreg::REG_FLITS_LO => c.injected_flits as u32,
@@ -269,8 +269,7 @@ pub(crate) fn tg_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32,
         tgreg::REG_BLOCKED_HI => (c.blocked_cycles >> 32) as u32,
         other => {
             // Configuration registers read back from the shadow.
-            let shadow = &e.tg_shadow_ref(i).regs;
-            shadow.get(other)
+            e.tg_shadow[i].regs.get(other)
         }
     };
     Ok(value)
@@ -372,7 +371,7 @@ pub(crate) fn switch_read(e: &mut Emulation, i: usize, addr: Address) -> Result<
             regs: swreg::SW_REG_COUNT,
         });
     }
-    let c = crate::engine::platform(e).switches[i].counters();
+    let c = e.platform.switches[i].counters();
     let blocked: u64 = c.blocked_cycles_per_input.iter().sum();
     let value = match reg {
         swreg::REG_FORWARDED_LO => c.forwarded_flits as u32,
@@ -439,14 +438,14 @@ pub(crate) fn monitor_read(e: &mut Emulation, addr: Address) -> Result<u32, BusE
         });
     }
     let links = e.elaboration().config.topology.link_count() as u32;
-    let select = crate::engine::monitor_select(e);
+    let select = e.monitor_select;
     if reg == monreg::REG_LINKS {
         return Ok(links);
     }
     if reg == monreg::REG_SELECT {
         return Ok(select);
     }
-    let Some(t) = crate::engine::telemetry_of(e) else {
+    let Some(t) = &e.run.telemetry else {
         return Ok(0);
     };
     let sel = nocem_common::ids::LinkId::new(select);
@@ -488,7 +487,7 @@ pub(crate) fn monitor_write(e: &mut Emulation, addr: Address, value: u32) -> Res
             reason: format!("link {value} out of range (topology has {links} links)"),
         });
     }
-    crate::engine::set_monitor_select(e, value);
+    e.monitor_select = value;
     Ok(())
 }
 
@@ -880,12 +879,17 @@ mod tests {
         });
         let mut shadow = TgShadow::from_model(&model);
         assert!(!shadow.dirty);
-        let addr = Address::from_parts(
-            nocem_common::ids::BusId::new(0),
-            nocem_common::ids::DeviceId::new(1),
-            tgreg::REG_GAP_MIN,
-        );
-        shadow.bus_write(addr, 9).unwrap();
+        let at = |reg| {
+            Address::from_parts(
+                nocem_common::ids::BusId::new(0),
+                nocem_common::ids::DeviceId::new(1),
+                reg,
+            )
+        };
+        let status = at(tgreg::REG_STATUS);
+        assert_eq!(shadow.bus_write(status, 1), Err(BusError::ReadOnly(status)));
+        assert!(!shadow.dirty, "a refused write programs nothing");
+        shadow.bus_write(at(tgreg::REG_GAP_MIN), 9).unwrap();
         assert!(shadow.dirty);
     }
 }

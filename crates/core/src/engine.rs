@@ -44,7 +44,7 @@ use nocem_stats::congestion::CongestionCounter;
 use nocem_stats::ledger::{LedgerError, PacketLedger};
 use nocem_stats::receptor::CompletedPacket;
 use nocem_switch::switch::Switch;
-use nocem_telemetry::{Collector, CumulativeProbe, FlitEvent, FlitEventKind, FlitTracer};
+use nocem_telemetry::{CumulativeProbe, FlitEvent, FlitEventKind, FlitTracer};
 use nocem_traffic::generator::PacketRequest;
 use nocem_traffic::trace::{TraceEvent, TraceRecorder};
 use std::time::Instant;
@@ -379,18 +379,19 @@ impl Platform {
     }
 }
 
-/// A compiled platform ready to emulate.
+/// A compiled platform ready to emulate. The fields the device
+/// register views read ([`crate::devices`]) are crate-visible.
 pub struct Emulation {
-    run: RunState,
-    platform: Platform,
+    pub(crate) run: RunState,
+    pub(crate) platform: Platform,
     control: ControlModule,
-    tg_shadow: Vec<TgShadow>,
+    pub(crate) tg_shadow: Vec<TgShadow>,
     recorder: Option<TraceRecorder>,
     started: bool,
     /// Bounded flit event tracer (opt-in via the telemetry config).
     tracer: Option<FlitTracer>,
     /// Link selected through the monitor device's `SELECT` register.
-    monitor_select: u32,
+    pub(crate) monitor_select: u32,
 }
 
 impl std::fmt::Debug for Emulation {
@@ -453,105 +454,78 @@ impl Emulation {
         }
     }
 
-    /// Runs until the stop condition holds.
+    /// Runs until the stop condition holds ([`clock::run_engine`]).
     ///
     /// # Errors
     ///
     /// Propagates [`EmulationError`] from [`SteppableEngine::step`].
     pub fn run(&mut self) -> Result<(), EmulationError> {
-        self.control.set_running(true);
-        while !self.finished() {
-            self.step()?;
-        }
-        self.refresh_control();
-        self.control.set_done();
-        Ok(())
+        clock::run_engine(self)
     }
 
-    /// Runs like [`Emulation::run`], invoking `progress` at every
-    /// multiple of `interval` cycles with `(cycle, delivered)`.
+    /// Runs the platform the registers describe — the path the paper's
+    /// software takes: everything is configured over the bus, then the
+    /// start bit is set.
     ///
-    /// The granularity survives clock gating: a fast-forward jump that
-    /// crosses one or more reporting boundaries fires the callback
-    /// once per crossed boundary (with the delivered count of that
-    /// boundary, which is exact — nothing delivers inside a quiescent
-    /// window).
+    /// Programming is configuration. The control module's nonzero
+    /// TARGET, LIMIT and SEED and the model of every TG whose registers
+    /// were written are applied to a copy of the configuration, which
+    /// [`crate::compile::elaborate`] validates, routes and seeds like
+    /// any other; the run starts from reset on that elaboration. The
+    /// bus side (control module, TG registers, monitor selection)
+    /// carries over.
     ///
     /// # Errors
     ///
-    /// Propagates [`EmulationError`] from [`SteppableEngine::step`].
-    pub fn run_with_progress(
-        &mut self,
-        interval: u64,
-        progress: impl FnMut(Cycle, u64),
-    ) -> Result<(), EmulationError> {
-        self.control.set_running(true);
-        clock::run_engine_with_progress(self, interval, progress)?;
-        self.refresh_control();
-        self.control.set_done();
-        Ok(())
-    }
-
-    /// Applies register-programmed parameters (control module and TG
-    /// shadows) and runs. This is the path the paper's software takes:
-    /// everything is configured over the bus, then the start bit is
-    /// set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmulationError::Bus`]-style faults if start was never
-    /// requested, otherwise propagates run errors.
+    /// Returns [`EmulationError::Bus`] if the start bit is not set or a
+    /// TG's registers do not decode into a traffic model, and
+    /// [`EmulationError::Compile`] if the programmed configuration does
+    /// not compile; otherwise propagates run errors.
     pub fn run_programmed(&mut self) -> Result<(), EmulationError> {
         if !self.control.start_requested() {
-            // On an over-capacity platform the map is empty (the start
-            // bit can never be set over the bus); report the
-            // conventional control slot either way.
-            let ctrl = self
-                .platform
-                .elab
-                .map
-                .devices()
-                .first()
-                .map(|d| d.addr)
-                .unwrap_or_else(|| {
-                    nocem_platform::DeviceAddr::new(BusId::new(0), DeviceId::new(0))
-                });
+            // The control module's slot (even on an unmapped platform,
+            // whose start bit can never be set).
+            let ctrl = nocem_platform::DeviceAddr::new(BusId::new(0), DeviceId::new(0));
             return Err(EmulationError::Bus(BusError::InvalidValue {
                 addr: ctrl.reg(nocem_platform::control::REG_CTRL),
                 reason: "start bit not set".into(),
             }));
         }
-        // Control-module overrides.
-        if self.control.target() != 0 {
-            self.run.stop.delivered_packets = Some(self.control.target());
+        let mut config = self.platform.elab.config.clone();
+        let control = &self.control;
+        if control.target() != 0 {
+            config.stop.delivered_packets = Some(control.target());
         }
-        if self.control.cycle_limit() != 0 {
-            self.run.stop.cycle_limit = self.control.cycle_limit();
+        if control.cycle_limit() != 0 {
+            config.stop.cycle_limit = control.cycle_limit();
         }
-        // Rebuild generators whose shadows were written.
-        let seed_base = if self.control.seed() != 0 {
-            self.control.seed()
-        } else {
-            self.platform.elab.config.seed
-        };
-        for i in 0..self.tg_shadow.len() {
-            if !self.tg_shadow[i].dirty {
-                continue;
+        if control.seed() != 0 {
+            config.seed = control.seed();
+        }
+        for (shadow, model) in self.tg_shadow.iter().zip(&mut config.generators) {
+            if shadow.dirty {
+                *model = shadow.to_model(model)?;
             }
-            let model = self.tg_shadow[i]
-                .to_model(&self.platform.elab.config.generators[i])
-                .map_err(EmulationError::Bus)?;
-            let seed = seed_base ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            self.platform.elab.tgs[i] =
-                devices::build_generator(&model, seed, self.platform.generator_endpoints[i]);
-            self.platform.elab.config.generators[i] = model;
         }
+        let reset = Emulation::new(crate::compile::elaborate(&config)?);
+        *self = Emulation {
+            control: std::mem::take(&mut self.control),
+            tg_shadow: std::mem::take(&mut self.tg_shadow),
+            monitor_select: self.monitor_select,
+            ..reset
+        };
         self.run()
     }
 
+    /// Brings the control module's hardware-owned registers up to
+    /// date: CYCLES, DELIVERED and STATUS (running = stepped and not
+    /// finished, done = finished).
     fn refresh_control(&mut self) {
+        let done = self.finished();
         self.control.set_cycles(self.run.now.raw());
         self.control.set_delivered(self.platform.ledger.delivered());
+        self.control.set_running(self.started && !done);
+        self.control.set_done(done);
     }
 
     /// The per-link congestion counters (source-side accounting, see
@@ -578,35 +552,16 @@ impl Emulation {
         (results, trace)
     }
 
-    pub(crate) fn tg_shadow_ref(&self, i: usize) -> &TgShadow {
-        &self.tg_shadow[i]
-    }
-
+    /// The class and class index of the device at `addr`: the map
+    /// allocates slots in order, so slot `n` is `devices()[n]`.
     fn device_ordinal(&self, addr: Address) -> Result<(DeviceClass, usize), BusError> {
-        // Platforms too large for the 4x1024 control plane elaborate
-        // with an empty map — no device is bus-addressable.
-        if self.platform.elab.map.devices().is_empty() {
-            return Err(BusError::Unmapped(addr));
-        }
         let d = addr.device_addr();
         let n = usize::from(d.bus.raw()) * usize::from(nocem_platform::DEVICES_PER_BUS)
             + usize::from(d.device.raw());
-        let g = self.platform.elab.tgs.len();
-        let r = self.platform.elab.receptors.len();
-        let s = self.platform.switches.len();
-        if n == 0 {
-            Ok((DeviceClass::Control, 0))
-        } else if n < 1 + g {
-            Ok((DeviceClass::TrafficGenerator, n - 1))
-        } else if n < 1 + g + r {
-            Ok((DeviceClass::TrafficReceptor, n - 1 - g))
-        } else if n < 1 + g + r + s {
-            Ok((DeviceClass::Switch, n - 1 - g - r))
-        } else if n == 1 + g + r + s {
-            Ok((DeviceClass::Monitor, 0))
-        } else {
-            Err(BusError::Unmapped(addr))
-        }
+        let device = self.platform.elab.map.devices().get(n);
+        device
+            .map(|m| (m.class, m.index as usize))
+            .ok_or(BusError::Unmapped(addr))
     }
 
     /// The address map (for drivers to locate devices).
@@ -784,29 +739,6 @@ impl BusAccess for Emulation {
     }
 }
 
-pub(crate) use accessors::*;
-
-/// Internal read access used by the device register views.
-mod accessors {
-    use super::*;
-
-    pub(crate) fn platform(e: &Emulation) -> &Platform {
-        &e.platform
-    }
-
-    pub(crate) fn telemetry_of(e: &Emulation) -> Option<&Collector> {
-        e.run.telemetry.as_ref()
-    }
-
-    pub(crate) fn monitor_select(e: &Emulation) -> u32 {
-        e.monitor_select
-    }
-
-    pub(crate) fn set_monitor_select(e: &mut Emulation, link: u32) {
-        e.monitor_select = link;
-    }
-}
-
 /// Convenience: compile and wrap in one call.
 ///
 /// # Errors
@@ -917,7 +849,7 @@ mod tests {
         let cfg = PaperConfig::new().total_packets(100).uniform();
         let mut emu = build(&cfg).unwrap();
         let mut calls = 0;
-        emu.run_with_progress(64, |_, _| calls += 1).unwrap();
+        clock::run_engine_with_progress(&mut emu, 64, |_, _| calls += 1).unwrap();
         assert!(calls > 0);
     }
 

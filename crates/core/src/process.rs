@@ -17,9 +17,11 @@ use crate::error::EmulationError;
 use crate::profile::{lap, Phase, PhaseProfiler, WaitEdge};
 use crate::results::EmulationResults;
 use nocem_common::flit::Flit;
-use nocem_common::ids::{PortId, SwitchId, VcId};
+use nocem_common::ids::{LinkId, PortId, SwitchId, VcId};
 use nocem_common::time::Cycle;
 use nocem_stats::ledger::PacketLedger;
+use nocem_switch::fifo::FifoFullError;
+use nocem_switch::switch::Switch;
 use nocem_telemetry::CumulativeProbe;
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
@@ -81,6 +83,26 @@ enum CreditHome {
     Switch(usize, PortId, VcId),
 }
 
+/// Lands flit `f` in input `port` of `sw`. The fast engine lands a
+/// flit from an NI or a lower-indexed switch (`first`) before that
+/// switch pops in the same cycle, here a cycle later; when the pop
+/// (`popped`) left the same buffer, the fast engine's watermark counted
+/// the popped flit too.
+fn land(
+    sw: &mut Switch,
+    port: PortId,
+    f: Flit,
+    first: bool,
+    popped: Option<VcId>,
+) -> Result<(), FifoFullError> {
+    sw.accept(port, f)?;
+    if first && popped == Some(f.vc) {
+        let occupancy = sw.occupancy_vc(port, f.vc) as u64 + 1;
+        sw.raise_vc_watermark(f.vc, occupancy);
+    }
+    Ok(())
+}
+
 /// The platform wired over the fabric `F`: `nocem-tlm`'s `TlmEngine`
 /// and `nocem-rtl`'s `RtlEngine`.
 pub struct ProcessModel<F: Fabric> {
@@ -88,8 +110,11 @@ pub struct ProcessModel<F: Fabric> {
     fabric: F,
     /// The interpreted platform, shared with the processes.
     shared: Rc<RefCell<Platform>>,
-    /// `[switch][input port]`: the flit link into that input.
-    inputs: Vec<Vec<F::FlitLink>>,
+    /// `[switch][input port]`: the flit link into that input, and
+    /// whether its flits land first ([`land`]).
+    inputs: Vec<Vec<(F::FlitLink, bool)>>,
+    /// `[switch][input port]`: the VC the switch last popped there.
+    popped: Rc<RefCell<Vec<Vec<Option<VcId>>>>>,
     /// Every credit link with the component its credit returns to.
     credit_homes: Vec<(F::CreditLink, CreditHome)>,
     /// Per-phase self-profiler, enabled by `PlatformConfig.profile`.
@@ -126,11 +151,19 @@ impl<F: Fabric> ProcessModel<F> {
         let credits: Vec<Vec<F::CreditLink>> = (0..topo.link_count())
             .map(|l| (0..vcs).map(|v| fabric.credit_link(l, v)).collect())
             .collect();
-        let inputs: Vec<Vec<F::FlitLink>> = wiring
-            .in_link
-            .iter()
-            .map(|links| links.iter().map(|l| flits[l.index()]).collect())
+        // A flit from an NI or a lower-indexed switch lands first.
+        let inputs: Vec<Vec<(F::FlitLink, bool)>> = (wiring.in_link.iter().zip(&wiring.in_source))
+            .enumerate()
+            .map(|(s, (links, sources))| {
+                let input = |(l, src): (&LinkId, &InSource)| {
+                    let first = !matches!(*src, InSource::Switch { switch, .. } if switch >= s);
+                    (flits[l.index()], first)
+                };
+                links.iter().zip(sources).map(input).collect()
+            })
             .collect();
+        let popped: Vec<Vec<_>> = inputs.iter().map(|i| vec![None; i.len()]).collect();
+        let popped = Rc::new(RefCell::new(popped));
 
         let mut credit_homes = Vec::new();
         for (i, &(_, _, link)) in wiring.injection.iter().enumerate() {
@@ -158,16 +191,6 @@ impl<F: Fabric> ProcessModel<F> {
                 .iter()
                 .map(|l| credits[l.index()].clone())
                 .collect();
-            // The fast engine lands a flit from an NI or a lower-indexed
-            // switch before this switch pops in the same cycle; here it
-            // lands a cycle later, after that pop.
-            let lands_first: Vec<bool> = wiring.in_source[s]
-                .iter()
-                .map(|src| match *src {
-                    InSource::Generator { .. } => true,
-                    InSource::Switch { switch, .. } => switch < s,
-                })
-                .collect();
             let out_links: Vec<usize> = (0..topo.switch(id).outputs)
                 .map(|o| topo.out_link(id, PortId::new(o)).index())
                 .collect();
@@ -182,27 +205,20 @@ impl<F: Fabric> ProcessModel<F> {
             }
             // At most one flit pops per input port per cycle; the
             // credit travels back on that flit's input VC.
-            let mut popped: Vec<Option<VcId>> = vec![None; in_flits.len()];
+            let popped = Rc::clone(&popped);
             let sh = Rc::clone(&shared);
             fabric.clocked(move |_now, ctx| {
                 let sh = &mut *sh.borrow_mut();
+                let popped = &mut popped.borrow_mut()[s];
                 let sw = &mut sh.switches[s];
-                for (p, &link) in in_flits.iter().enumerate() {
+                for (p, &(link, first)) in in_flits.iter().enumerate() {
                     let Some(f) = F::read_flit(ctx, link) else {
                         continue;
                     };
-                    let port = PortId::new(p as u8);
-                    if let Err(source) = sw.accept(port, f) {
+                    if let Err(source) = land(sw, PortId::new(p as u8), f, first, popped[p]) {
                         let overflow = EmulationError::FifoOverflow { switch: id, source };
                         sh.latch::<()>(Err(overflow));
                         return;
-                    }
-                    // The fast engine pushed this flit before last
-                    // cycle's pop from the same buffer, so its watermark
-                    // counted the popped flit too.
-                    if lands_first[p] && popped[p] == Some(f.vc) {
-                        let occupancy = sw.occupancy_vc(port, f.vc) as u64 + 1;
-                        sw.raise_vc_watermark(f.vc, occupancy);
                     }
                 }
                 for (o, per_vc) in out_credits.iter().enumerate() {
@@ -222,7 +238,7 @@ impl<F: Fabric> ProcessModel<F> {
                 for (&link, flit) in out_flits.iter().zip(out) {
                     F::write_flit(ctx, link, flit);
                 }
-                for (per_vc, popped) in in_credits.iter().zip(&popped) {
+                for (per_vc, popped) in in_credits.iter().zip(popped.iter()) {
                     for (v, &c) in per_vc.iter().enumerate() {
                         F::write_credit(ctx, c, *popped == Some(VcId::new(v as u8)));
                     }
@@ -247,6 +263,7 @@ impl<F: Fabric> ProcessModel<F> {
             fabric,
             shared,
             inputs,
+            popped,
             credit_homes,
             profiler,
         }
@@ -271,24 +288,29 @@ impl<F: Fabric> ProcessModel<F> {
         clock::run_engine(self)
     }
 
-    /// The results of the run so far.
+    /// The results of the run so far, read from the settled platform:
+    /// a flit still on its link already counts in the fast engine's
+    /// downstream watermark.
     pub fn results(&self) -> EmulationResults {
-        EmulationResults::collect(&self.shared.borrow(), self.summary())
+        let summary = self.summary();
+        self.settled(|platform| EmulationResults::collect(platform, summary))
     }
 
     /// `read` over the platform as if every value on a link had landed:
-    /// each flit on a switch-input link in its FIFO, each credit on its
-    /// way back to a switch home. The fast engine moves both in the
-    /// cycle that sends them, so this is the state it holds now.
+    /// each flit on a switch-input link in its FIFO ([`land`]), each
+    /// credit on its way back to a switch home. The fast engine moves
+    /// both in the cycle that sends them, so this is the state it holds
+    /// now.
     fn settled<T>(&self, read: impl FnOnce(&Platform) -> T) -> T {
         let platform = &mut *self.shared.borrow_mut();
+        let popped = self.popped.borrow();
         let live = platform.switches.clone();
-        for (sw, links) in platform.switches.iter_mut().zip(&self.inputs) {
-            for (p, &link) in links.iter().enumerate() {
+        for (s, sw) in platform.switches.iter_mut().enumerate() {
+            for (p, &(link, first)) in self.inputs[s].iter().enumerate() {
                 if let Some(f) = self.fabric.peek_flit(link) {
                     // Credits reserved the slot; an overflow is the next
                     // cycle's fault to report.
-                    let _ = sw.accept(PortId::new(p as u8), f);
+                    let _ = land(sw, PortId::new(p as u8), f, first, popped[s][p]);
                 }
             }
         }

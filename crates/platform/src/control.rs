@@ -110,11 +110,16 @@ impl ControlModule {
         self.regs.set(REG_STATUS, s);
     }
 
-    /// Hardware side: mark the run finished.
-    pub fn set_done(&mut self) {
+    /// Hardware side: mark the run finished (which clears running), or
+    /// not finished.
+    pub fn set_done(&mut self, done: bool) {
         let s = self.regs.get(REG_STATUS);
-        self.regs
-            .set(REG_STATUS, (s & !STATUS_RUNNING) | STATUS_DONE);
+        let s = if done {
+            (s & !STATUS_RUNNING) | STATUS_DONE
+        } else {
+            s & !STATUS_DONE
+        };
+        self.regs.set(REG_STATUS, s);
     }
 
     /// Whether STATUS has the done bit.
@@ -252,10 +257,12 @@ mod tests {
         assert!(!cm.is_done());
         cm.set_running(true);
         assert_eq!(cm.bus_read(base().reg(REG_STATUS)).unwrap(), STATUS_RUNNING);
-        cm.set_done();
+        cm.set_done(true);
         assert!(cm.is_done());
         let s = cm.bus_read(base().reg(REG_STATUS)).unwrap();
         assert_eq!(s & STATUS_RUNNING, 0, "done clears running");
+        cm.set_done(false);
+        assert!(!cm.is_done());
     }
 
     #[test]
@@ -315,7 +322,7 @@ mod tests {
         bus.cm.set_delivered(45);
         assert_eq!(drv.cycles(&mut bus).unwrap(), 123);
         assert_eq!(drv.delivered(&mut bus).unwrap(), 45);
-        bus.cm.set_done();
+        bus.cm.set_done(true);
         assert_eq!(drv.status(&mut bus).unwrap() & STATUS_DONE, STATUS_DONE);
     }
 

@@ -11,16 +11,22 @@
 //! All registers are 32 bits wide. Probabilities are encoded as Q0.16
 //! fixed point in the low half-word (the comparator width a hardware
 //! LFSR draw is checked against).
+//!
+//! Software may write only the registers that are fields of a traffic
+//! model (model, length, gaps, probabilities, budget, destination,
+//! flow); they are configuration, applied when the run starts. Every
+//! other register is read-only.
 
-/// Control register: bit 0 = enable.
+/// Control register (read-only): bit 0 = enable, always set.
 pub const REG_CTRL: u16 = 0x0;
 /// Status register (read-only): bit 0 = exhausted, bit 1 = idle.
 pub const REG_STATUS: u16 = 0x1;
 /// Traffic model selector, see [`ModelCode`].
 pub const REG_MODEL: u16 = 0x2;
-/// RNG seed, low 32 bits.
+/// RNG seed, low 32 bits (read-only: the seed elaboration drew from
+/// the platform seed).
 pub const REG_SEED_LO: u16 = 0x3;
-/// RNG seed, high 32 bits.
+/// RNG seed, high 32 bits (read-only).
 pub const REG_SEED_HI: u16 = 0x4;
 /// Packet length in flits.
 pub const REG_PACKET_LEN: u16 = 0x5;

@@ -11,7 +11,7 @@
 
 mod support;
 
-use nocem::clock::{run_engine, ClockMode, SteppableEngine};
+use nocem::clock::{run_engine, run_engine_with_progress, ClockMode, SteppableEngine};
 use nocem::config::{PaperConfig, PlatformConfig};
 use nocem::engine::build;
 use nocem::error::EmulationError;
@@ -142,7 +142,7 @@ fn progress_granularity_survives_clock_jumps() {
     let interval = 64u64;
     let mut emu = build(&cfg).unwrap();
     let mut reports: Vec<(u64, u64)> = Vec::new();
-    emu.run_with_progress(interval, |cycle, delivered| {
+    run_engine_with_progress(&mut emu, interval, |cycle, delivered| {
         reports.push((cycle.raw(), delivered));
     })
     .unwrap();

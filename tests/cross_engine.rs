@@ -33,6 +33,25 @@ fn uniform_traffic_is_engine_equivalent() {
     baselines(&PaperConfig::new().total_packets(500).uniform());
 }
 
+/// TLM and RTL `results()` read the settled platform, so they equal the
+/// fast engine's after every cycle, not only at the end: a watermark
+/// peak set by a flit still on its link counts already.
+#[test]
+fn results_match_after_every_cycle() {
+    let cfg = PaperConfig::new().total_packets(400).uniform();
+    let mut reference = subject(&cfg, Backend::Emulation);
+    let mut models = [subject(&cfg, Backend::Tlm), subject(&cfg, Backend::Rtl)];
+    while !reference.engine.finished() {
+        reference.engine.step().unwrap();
+        let want = reference.engine.all_results();
+        for m in &mut models {
+            m.engine.step().unwrap();
+            let cycle = reference.engine.now();
+            assert_eq!(m.engine.all_results(), want, "{} at {cycle}", m.name);
+        }
+    }
+}
+
 #[test]
 fn burst_traffic_is_engine_equivalent() {
     baselines(&PaperConfig::new().total_packets(500).burst(8));

@@ -3,13 +3,17 @@
 //! the paper's PowerPC does — and reads every statistic back over the
 //! bus.
 
-use nocem::config::{PaperConfig, TrafficModel};
+use nocem::clock::run_engine;
+use nocem::config::{EngineKind, PaperConfig, PlatformConfig, TrafficModel};
 use nocem::devices::{SwitchDriver, TgDriver, TrDriver};
 use nocem::engine::{build, Emulation};
-use nocem::SteppableEngine;
+use nocem::error::{CompileError, EmulationError};
+use nocem::{AnyEngine, SteppableEngine};
+use nocem_common::rng::{Pcg32, RandomSource};
 use nocem_platform::bus::{BusAccess, BusError, DeviceClass};
-use nocem_platform::control::{ControlDriver, STATUS_DONE};
+use nocem_platform::control::{self, ControlDriver, STATUS_DONE, STATUS_RUNNING};
 use nocem_traffic::generator::DestinationModel;
+use nocem_traffic::registers as tgreg;
 use nocem_traffic::stochastic::UniformConfig;
 
 /// Builds the paper platform and the driver set from its address map.
@@ -194,4 +198,184 @@ fn over_capacity_platform_emulates_without_a_bus() {
         SteppableEngine::step(&mut emu).unwrap();
     }
     assert!(SteppableEngine::summary(&emu).injected > 0);
+}
+
+/// The platform of the programming-is-configuration tests.
+fn paper() -> PlatformConfig {
+    PaperConfig::new().total_packets(400).uniform()
+}
+
+/// Asserts that `emu`'s run is the run of the configuration it
+/// elaborated: the same results and packet ledger as that
+/// configuration on the compiled engine.
+fn assert_is_the_config_run(emu: &Emulation, what: &str) {
+    let mut cfg = emu.elaboration().config.clone();
+    cfg.engine = EngineKind::Compiled;
+    let mut twin = AnyEngine::build(&cfg).unwrap();
+    run_engine(&mut twin).unwrap();
+    assert_eq!(emu.results(), twin.results().unwrap(), "{what}: results");
+    assert!(
+        emu.packet_ledger() == twin.packet_ledger(),
+        "{what}: packet ledger"
+    );
+}
+
+#[test]
+fn programming_the_configs_own_values_is_the_config_run() {
+    let cfg = paper();
+    let mut emu = build(&cfg).unwrap();
+    let map = emu.address_map().clone();
+    let ctrl = ControlDriver::new(map.devices()[0].addr);
+    for (tg, model) in map
+        .of_class(DeviceClass::TrafficGenerator)
+        .zip(&cfg.generators)
+    {
+        TgDriver::new(tg.addr).program(&mut emu, model).unwrap();
+    }
+    let target = cfg.stop.delivered_packets.unwrap();
+    ctrl.configure(&mut emu, target, cfg.stop.cycle_limit, cfg.seed)
+        .unwrap();
+    ctrl.start(&mut emu).unwrap();
+    emu.run_programmed().unwrap();
+    assert_eq!(emu.elaboration().config.generators, cfg.generators);
+    assert_eq!(emu.elaboration().config.seed, cfg.seed);
+    assert_is_the_config_run(&emu, "self-programmed");
+}
+
+#[test]
+fn the_control_seed_alone_is_the_platform_seed() {
+    let mut emu = build(&paper()).unwrap();
+    let ctrl = emu.address_map().devices()[0].addr;
+    emu.write_u64(
+        ctrl.reg(control::REG_SEED_LO),
+        ctrl.reg(control::REG_SEED_HI),
+        0xF00D,
+    )
+    .unwrap();
+    ControlDriver::new(ctrl).start(&mut emu).unwrap();
+    emu.run_programmed().unwrap();
+    let config = &emu.elaboration().config;
+    assert_eq!(config.seed, 0xF00D);
+    assert_eq!(config.generators, paper().generators);
+    assert_is_the_config_run(&emu, "reseeded");
+}
+
+#[test]
+fn an_unregistered_flow_is_a_compile_error() {
+    let mut emu = build(&paper()).unwrap();
+    let map = emu.address_map().clone();
+    let tg0 = map.by_label("tg0").unwrap().addr;
+    emu.write(tg0.reg(tgreg::REG_DST), 5).unwrap();
+    emu.write(tg0.reg(tgreg::REG_FLOW), 99).unwrap();
+    ControlDriver::new(map.devices()[0].addr)
+        .start(&mut emu)
+        .unwrap();
+    let err = emu.run_programmed().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            EmulationError::Compile(CompileError::TrafficMismatch { .. })
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn status_is_derived_on_every_engine_loop() {
+    let mut emu = build(&paper()).unwrap();
+    let ctrl = ControlDriver::new(emu.address_map().devices()[0].addr);
+    assert_eq!(ctrl.status(&mut emu).unwrap(), 0, "reset");
+    emu.step().unwrap();
+    assert_eq!(ctrl.status(&mut emu).unwrap(), STATUS_RUNNING);
+    run_engine(&mut emu).unwrap();
+    assert_eq!(ctrl.status(&mut emu).unwrap(), STATUS_DONE);
+    assert_eq!(ctrl.delivered(&mut emu).unwrap(), 400);
+}
+
+#[test]
+fn only_traffic_model_registers_are_writable() {
+    let mut emu = build(&paper()).unwrap();
+    let map = emu.address_map().clone();
+    for (i, tg) in map.of_class(DeviceClass::TrafficGenerator).enumerate() {
+        let seed = emu.elaboration().tg_seeds[i];
+        let at = |reg| tg.addr.reg(reg);
+        assert_eq!(emu.read(at(tgreg::REG_CTRL)).unwrap(), 1);
+        let read = emu.read_u64(at(tgreg::REG_SEED_LO), at(tgreg::REG_SEED_HI));
+        assert_eq!(read.unwrap(), seed);
+        for reg in [
+            tgreg::REG_CTRL,
+            tgreg::REG_STATUS,
+            tgreg::REG_SEED_LO,
+            tgreg::REG_SEED_HI,
+            tgreg::REG_SENT_LO,
+            tgreg::REG_SENT_HI,
+            tgreg::REG_FLITS_LO,
+            tgreg::REG_FLITS_HI,
+            tgreg::REG_BLOCKED_LO,
+            tgreg::REG_BLOCKED_HI,
+        ] {
+            assert_eq!(emu.write(at(reg), 7), Err(BusError::ReadOnly(at(reg))));
+        }
+    }
+    // Nothing was programmed: the run is the configuration's.
+    ControlDriver::new(map.devices()[0].addr)
+        .start(&mut emu)
+        .unwrap();
+    emu.run_programmed().unwrap();
+    assert_is_the_config_run(&emu, "refused writes");
+}
+
+/// A value to write at `addr`: small, arbitrary, all-ones, or the
+/// register's current value nudged (which keeps most programs valid).
+fn fuzz_value(rng: &mut Pcg32, emu: &mut Emulation, addr: nocem_platform::Address) -> u32 {
+    match rng.below(4) {
+        0 => rng.below(16),
+        1 => rng.next_u32(),
+        2 => u32::MAX,
+        _ => emu
+            .read(addr)
+            .unwrap_or(0)
+            .wrapping_add(rng.below(5))
+            .wrapping_sub(2),
+    }
+}
+
+/// Seeded register fuzz: 1 to 20 random writes to any device, a cycle
+/// limit of at most 4 096, then start. Every case ends in `Ok` — and is
+/// then exactly the run of the configuration it elaborated — or in a
+/// typed error; none panics.
+#[test]
+fn random_register_programs_run_as_their_config_or_fail_typed() {
+    let mut rng = Pcg32::seeded(0x5EED_0037);
+    let (mut ran, mut refused) = (0, 0);
+    for case in 0..64 {
+        let mut emu = build(&paper()).unwrap();
+        let map = emu.address_map().clone();
+        let devices = map.devices();
+        for _ in 0..1 + rng.below(20) {
+            let device = devices[rng.below(devices.len() as u32) as usize];
+            let addr = device.addr.reg(rng.below(0x18) as u16);
+            let value = fuzz_value(&mut rng, &mut emu, addr);
+            // A refused write is part of the fuzz, not its failure.
+            let _ = emu.write(addr, value);
+        }
+        let ctrl = devices[0].addr;
+        let limit = u64::from(1 + rng.below(4_096));
+        let (lo, hi) = (control::REG_LIMIT_LO, control::REG_LIMIT_HI);
+        emu.write_u64(ctrl.reg(lo), ctrl.reg(hi), limit).unwrap();
+        ControlDriver::new(ctrl).start(&mut emu).unwrap();
+        match emu.run_programmed() {
+            Ok(()) => {
+                assert_is_the_config_run(&emu, &format!("case {case}"));
+                ran += 1;
+            }
+            Err(
+                EmulationError::Bus(_)
+                | EmulationError::Compile(_)
+                | EmulationError::CycleLimitExceeded { .. },
+            ) => refused += 1,
+            Err(other) => panic!("case {case}: unexpected error {other}"),
+        }
+    }
+    assert!(ran >= 8 && refused >= 8, "{ran} ran, {refused} refused");
 }
