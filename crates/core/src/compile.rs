@@ -18,7 +18,7 @@ use crate::config::{PlatformConfig, RoutingSpec, TrafficModel};
 use crate::error::CompileError;
 use nocem_common::ids::{EndpointId, FlowId, LinkId, PortId, SwitchId};
 use nocem_common::rng::{Lfsr16, SplitMix64};
-use nocem_common::route::{GridRouter, RouteHop};
+use nocem_common::route::GridRouter;
 use nocem_platform::bus::{AddressMap, DeviceClass};
 use nocem_stats::receptor::{StochasticReceptor, TraceReceptor};
 use nocem_stats::TrKind;
@@ -28,7 +28,7 @@ use nocem_switch::switch::{Switch, CREDITS_INFINITE};
 use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::graph::LinkEnd;
-use nocem_topology::routing::{FlowSet, RoutingTables};
+use nocem_topology::routing::{FlowPaths, FlowSet, RoutingTables};
 use nocem_traffic::generator::{DestinationModel, LengthModel, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use nocem_traffic::stochastic::{StochasticTg, UniformConfig};
@@ -186,7 +186,8 @@ impl std::fmt::Debug for Elaboration {
 /// Validates the cheap structural invariants of a configuration:
 /// traffic model / endpoint counts, queue capacities, buffer depth and
 /// telemetry window (both panic further down at 0), uniform gap ranges
-/// ([`check_gap`]: they would panic at the first draw), and that every
+/// ([`check_gap`]: they would panic at the first draw), explicit paths
+/// for the registered flows ([`check_explicit`]), and that every
 /// `(destination, flow)` pair a generator can emit is a registered
 /// flow from that generator to that destination — switches route a
 /// packet by its flow (tables) *or* its destination (grid router), so
@@ -237,6 +238,9 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
             reason: "a window is at least one cycle",
         });
     }
+    if let RoutingSpec::Explicit(paths) = &config.routing {
+        check_explicit(&config.flows, paths)?;
+    }
     for (&src, model) in generators.iter().zip(&config.generators) {
         let registered = |(dst, flow): (EndpointId, FlowId)| match config.flows.get(flow) {
             Some(f) if f.src == src && f.dst == dst => Ok(()),
@@ -275,6 +279,32 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
         }
     }
     Ok(())
+}
+
+/// Explicit routing gives paths for as many flows as are registered,
+/// each a registered flow: a flow left out would die mid-run in a
+/// switch's "no routing entry" assertion. A flow given twice (so that
+/// another goes without) is the table builder's to refuse
+/// ([`RoutingTables::from_paths_with`]).
+fn check_explicit(flows: &FlowSet, paths: &[FlowPaths]) -> Result<(), CompileError> {
+    let reason = if paths.len() != flows.len() {
+        format!(
+            "explicit routing gives paths for {} flows, but {} are registered",
+            paths.len(),
+            flows.len()
+        )
+    } else if let Some(FlowPaths { spec, .. }) = paths
+        .iter()
+        .find(|fp| flows.get(fp.spec.flow) != Some(fp.spec))
+    {
+        format!(
+            "explicit paths name flow {} from {} to {}, which is not a registered flow",
+            spec.flow, spec.src, spec.dst
+        )
+    } else {
+        return Ok(());
+    };
+    Err(CompileError::TrafficMismatch { reason })
 }
 
 /// A uniform model's gap is drawn from `gap.0..=gap.1` and added to the
@@ -600,20 +630,6 @@ impl Elaboration {
 /// per-cycle transfer grants).
 pub const LOWERED_NONE: u32 = u32::MAX;
 
-/// Entry budget for [`LoweredPlatform::route_direct`] (4M single-byte
-/// entries): small and mid-size platforms get O(1) route lookups,
-/// huge ones keep the memory-proportional CSR.
-pub const ROUTE_DIRECT_MAX: usize = 1 << 22;
-
-/// [`LoweredPlatform::route_direct`] entry: the key has no routing
-/// entry at this switch.
-pub const ROUTE_NONE: u8 = 0xFF;
-
-/// [`LoweredPlatform::route_direct`] entry: the key's route is
-/// multi-hop (or its encoding exceeds a byte) — resolve through the
-/// CSR and run the selection policy.
-pub const ROUTE_MULTI: u8 = 0xFE;
-
 /// Sentinel for "no slot" in the packed per-slot records
 /// ([`InSlotState::want`], [`OutSlotState::busy_with`]). Switch-local
 /// slot indices are `port * num_vcs + vc` with both factors below 256,
@@ -739,12 +755,11 @@ pub enum LoweredInFeed {
 ///   `credit_cap`.
 /// * **Ports** — per-port arrays (`out_vc_ptr`, `out_link`, wiring)
 ///   are indexed through `in_port_base`/`out_port_base`.
-/// * **Routes** — the shared [`GridRouter`] when routing is arithmetic
-///   (then every route array below is empty); otherwise all
-///   per-switch sparse [`RouteTable`]s flattened into one CSR: switch
-///   `s` owns `route_keys[route_key_base[s] .. route_key_base[s + 1]]`
-///   (flow ids, sorted, binary-searched) and entry `k` owns
-///   `route_hops[route_hop_start[k] .. route_hop_start[k+1]]`.
+/// * **Routes** — not lowered: `routing` is the elaboration's own
+///   [`RoutingTables`] (an `Arc` clone), and `router` its shared
+///   [`GridRouter`] when routing is arithmetic. Otherwise a head flit
+///   reads the sparse per-switch [`RouteTable`] the interpreted switch
+///   at `s` holds, so every platform keeps one copy of its routes.
 ///
 /// All sizing derives from the *elaboration* (per-switch port counts),
 /// never from a uniform config-wide maximum, so heterogeneous
@@ -781,31 +796,14 @@ pub struct LoweredPlatform {
     /// Per input slot: packed cursor/wormhole record.
     pub in_state: Vec<InSlotState>,
     /// The router head flits ask when routing is arithmetic; `None`
-    /// when it is held in the route arrays below.
+    /// when routes are held in `routing`'s per-switch tables.
     pub router: Option<Arc<GridRouter>>,
-    /// Per switch: range `route_key_base[s]..route_key_base[s+1]`
-    /// of `route_keys` (length `switch_count + 1`).
-    pub route_key_base: Vec<u32>,
-    /// Flow ids with routing entries, sorted within each switch
-    /// range.
-    pub route_keys: Vec<u32>,
-    /// CSR offsets into `route_hops` (length `route_keys.len()+1`).
-    pub route_hop_start: Vec<u32>,
-    /// Admissible output hops, concatenated per entry.
-    pub route_hops: Vec<RouteHop>,
-    /// Direct-mapped route answers: entry `s * route_key_space + key`
-    /// holds the key's single-hop answer as an encoded local out-slot
-    /// `port * num_vcs + vc` (every deterministic routing function),
-    /// so the hot lookup is one byte load with no hop-list traversal
-    /// and no selection. [`ROUTE_MULTI`] defers multi-hop keys to the
-    /// CSR + selection policy; [`ROUTE_NONE`] marks keys with no entry
-    /// at `s`. Empty when `switch_count × key_space` exceeds
-    /// [`ROUTE_DIRECT_MAX`] — then every lookup takes the CSR binary
-    /// search.
-    pub route_direct: Vec<u8>,
-    /// Row stride of `route_direct` (max key + 1; 0 when the direct
-    /// map is disabled).
-    pub route_key_space: usize,
+    /// The elaboration's routing, shared: head flits look their flow
+    /// up in its per-switch
+    /// [`RouteTable`](nocem_common::route::RouteTable)s — the very tables
+    /// [`crate::Platform::new`] hands the interpreted switches — when
+    /// `router` is `None`.
+    pub routing: RoutingTables,
     /// Per output slot: packed credit/wormhole/arbiter record.
     pub out_state: Vec<OutSlotState>,
     /// Per output slot: the initial credit value (cold; used by the
@@ -840,23 +838,6 @@ pub struct LoweredPlatform {
 }
 
 impl LoweredPlatform {
-    /// The admissible hops of flow `key` at switch `s` (empty when
-    /// the flow has no entry there) — the CSR equivalent of
-    /// [`RouteTable::lookup`](nocem_common::route::RouteTable::lookup).
-    pub fn route_lookup(&self, s: usize, key: u32) -> &[RouteHop] {
-        let lo = self.route_key_base[s] as usize;
-        let hi = self.route_key_base[s + 1] as usize;
-        match self.route_keys[lo..hi].binary_search(&key) {
-            Ok(k) => {
-                let f = lo + k;
-                let a = self.route_hop_start[f] as usize;
-                let b = self.route_hop_start[f + 1] as usize;
-                &self.route_hops[a..b]
-            }
-            Err(_) => &[],
-        }
-    }
-
     /// Total input slots (FIFO count) of the lowered platform.
     pub fn total_in_slots(&self) -> usize {
         *self.in_slot_base.last().expect("prefix sums are non-empty") as usize
@@ -875,8 +856,9 @@ impl LoweredPlatform {
 /// state (see [`LoweredPlatform`] for the layout).
 ///
 /// The pass is pure: it reads the elaboration's configuration,
-/// topology, routing tables and recorded switch parameters, and writes
-/// dense arrays sized from the per-switch port counts. Credits are
+/// topology and recorded switch parameters, and writes dense arrays
+/// sized from the per-switch port counts; the routing tables are
+/// shared, not copied. Credits are
 /// [`Elaboration::out_credits`] and the selection LFSRs are seeded from
 /// [`Elaboration::lfsr_seeds`] — what [`crate::Platform::new`] builds
 /// the interpreted switches from.
@@ -920,50 +902,6 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
     // carry a zero handle that no code path ever reads (len/head gate
     // every access).
     let fifo_arena = vec![0u32; total_in_slots * depth];
-
-    // Flatten the per-switch sparse route tables into one CSR (there
-    // are none to flatten under grid routing).
-    let mut route_key_base = Vec::with_capacity(n + 1);
-    route_key_base.push(0u32);
-    let mut route_keys = Vec::new();
-    let mut route_hop_start = vec![0u32];
-    let mut route_hops: Vec<RouteHop> = Vec::new();
-    for s in topo.switch_ids() {
-        for (key, hops) in elab.routing.switch_table(s).entries() {
-            route_keys.push(key.raw());
-            route_hops.extend_from_slice(hops);
-            route_hop_start.push(route_hops.len() as u32);
-        }
-        route_key_base.push(route_keys.len() as u32);
-    }
-    let mut route_key_space = route_keys.iter().max().map_or(0, |&m| m as usize + 1);
-    let route_direct = if n * route_key_space <= ROUTE_DIRECT_MAX {
-        let mut direct = vec![ROUTE_NONE; n * route_key_space];
-        for s in 0..n {
-            let lo = route_key_base[s] as usize;
-            let hi = route_key_base[s + 1] as usize;
-            for k in lo..hi {
-                let a = route_hop_start[k] as usize;
-                let b = route_hop_start[k + 1] as usize;
-                let enc = if b - a == 1 {
-                    let hop = route_hops[a];
-                    hop.port.index() * vcs + hop.vc.index()
-                } else {
-                    usize::from(ROUTE_MULTI)
-                };
-                direct[s * route_key_space + route_keys[k] as usize] =
-                    if enc < usize::from(ROUTE_MULTI) {
-                        enc as u8
-                    } else {
-                        ROUTE_MULTI
-                    };
-            }
-        }
-        direct
-    } else {
-        route_key_space = 0;
-        Vec::new()
-    };
 
     // Output-slot records start at their credit caps; arbiter pointers
     // start at `width - 1` so the first grant scans from input slot 0.
@@ -1030,12 +968,7 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         in_state: vec![InSlotState::EMPTY; total_in_slots],
         fifo_arena,
         router: elab.routing.grid_router().cloned(),
-        route_key_base,
-        route_keys,
-        route_hop_start,
-        route_hops,
-        route_direct,
-        route_key_space,
+        routing: elab.routing.clone(),
         out_state,
         credit_cap,
         out_vc_ptr: vec![0; total_out_ports],

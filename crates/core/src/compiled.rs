@@ -5,8 +5,9 @@
 //! elaborated object graph every cycle (per-switch `Vec<Vec<...>>`
 //! buffers, a `Vec<Transfer>` allocated per switch per cycle),
 //! this engine [`lower`]s the elaboration once into
-//! [`LoweredPlatform`] — one FIFO arena, one shared CSR route table,
-//! dense credit/worm arrays — and then steps the whole platform as
+//! [`LoweredPlatform`] — one FIFO arena, dense credit/worm arrays, and
+//! the elaboration's own routes, asked where the interpreted switches
+//! ask them — and then steps the whole platform as
 //! tight loops over those arrays with no per-cycle allocation and no
 //! per-flit virtual dispatch (only the per-TG `tick` stays virtual,
 //! which keeps the generators' RNG streams identical by construction).
@@ -65,7 +66,7 @@ use crate::calendar::DueCalendar;
 use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
     lower, Elaboration, LoweredInFeed, LoweredOutDest, LoweredPlatform, OutSlotState,
-    ReceptorDevice, HANDLE_HEAD, HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, ROUTE_MULTI, SLOT_NONE,
+    ReceptorDevice, HANDLE_HEAD, HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, SLOT_NONE,
 };
 use crate::config::PlatformConfig;
 use crate::error::EmulationError;
@@ -903,8 +904,8 @@ impl CompiledKernel {
 
     /// Routes `head`, which faces input `(in_port, in_vc)` = global
     /// slot `slot` of switch `s`: asks the grid router, or looks the
-    /// flow up in the route arrays and runs the selection policy —
-    /// shared by all decide paths.
+    /// flow up in the switch's route table and runs the selection
+    /// policy — shared by all decide paths.
     #[inline]
     pub(crate) fn route_and_select(
         low: &mut LoweredPlatform,
@@ -925,38 +926,18 @@ impl CompiledKernel {
             low.in_state[slot].want = enc;
             return enc;
         }
-        let key = head.flow.raw();
-        let missing = || {
-            panic!(
-                "flow {} to {} has no routing entry at this switch",
-                head.flow, head.dst
-            )
-        };
-        if low.route_key_space != 0 {
-            // Single-hop routes (every deterministic routing function)
-            // are embedded in the direct map: one byte load answers
-            // the lookup with nothing to select.
-            let enc = low.route_direct[s * low.route_key_space + key as usize];
-            if enc == crate::compile::ROUTE_NONE {
-                missing();
-            }
-            if enc != ROUTE_MULTI {
-                low.in_state[slot].want = u16::from(enc);
-                return u16::from(enc);
-            }
-        }
         let osb = low.out_slot_base[s] as usize;
         let oslots = low.out_slot_base[s + 1] as usize - osb;
-        let lo = low.route_key_base[s] as usize;
-        let hi = low.route_key_base[s + 1] as usize;
-        let hops: &[RouteHop] = match low.route_keys[lo..hi].binary_search(&key) {
-            Ok(k) => {
-                let a = low.route_hop_start[lo + k] as usize;
-                let b = low.route_hop_start[lo + k + 1] as usize;
-                &low.route_hops[a..b]
-            }
-            Err(_) => missing(),
-        };
+        let hops = low
+            .routing
+            .switch_table(SwitchId::new(s as u32))
+            .lookup(head.flow);
+        assert!(
+            !hops.is_empty(),
+            "flow {} to {} has no routing entry at this switch",
+            head.flow,
+            head.dst
+        );
         let pick = select_hop(
             low.selection,
             hops,

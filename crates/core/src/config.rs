@@ -101,7 +101,8 @@ pub enum EngineKind {
     /// The compiled data-oriented engine
     /// ([`crate::compiled::CompiledEngine`]): the elaboration is
     /// lowered once into flat struct-of-arrays state (a single FIFO
-    /// arena, one shared CSR route table, dense credit/worm arrays) and
+    /// arena, dense credit/worm arrays; routes shared with the
+    /// elaboration, not copied) and
     /// stepped as tight loops with no dynamic dispatch and no per-cycle
     /// allocation. Cycle-for-cycle identical to
     /// [`EngineKind::SingleThread`] (proven by the lockstep ledger

@@ -89,6 +89,5 @@ pub use profile::{
 pub use results::EmulationResults;
 pub use shard_compiled::ShardedCompiledEngine;
 pub use sweep::{
-    run_config, run_config_routed, run_sweep, run_sweep_indexed, run_sweep_with, AnyEngine,
-    SweepPoint,
+    run_config, run_config_routed, run_sweep, run_sweep_indexed, AnyEngine, SweepPoint,
 };

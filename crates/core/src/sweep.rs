@@ -54,16 +54,20 @@ pub fn run_sweep(
     points: &[SweepPoint],
     threads: usize,
 ) -> Result<Vec<(String, EmulationResults)>, EmulationError> {
-    run_sweep_with(points, threads, run_point)
+    run_sweep_indexed(points, threads, |_, p| run_point(p))
 }
 
-/// Generalized sweep runner: applies `run` to every point across up to
-/// `threads` workers and returns `(label, outcome)` in input order.
+/// Generalized sweep runner: applies `run` to every point and its
+/// *input index* across up to `threads` workers and returns
+/// `(label, outcome)` in input order.
 ///
 /// This is the engine under [`run_sweep`]; the scenario-matrix runner
-/// and the benchmark harness use it directly to thread custom
-/// per-point evaluation (different engines, derived statistics)
-/// through the same scheduling, ordering and failure semantics.
+/// and the curve runner use it directly to thread custom per-point
+/// evaluation (different engines, derived statistics) through the same
+/// scheduling, ordering and failure semantics. Callers that join outcomes back to side tables (the
+/// matrix's shard groups, the curve runner's specs) key on the index
+/// instead of the label — labels then stay purely cosmetic and
+/// duplicates cannot misroute work.
 ///
 /// Worker panics are caught per point and re-raised after all workers
 /// drain, so one panicking point can neither poison the slot mutex nor
@@ -79,34 +83,6 @@ pub fn run_sweep(
 /// Re-raises the panic of the first panicking point (by input order).
 /// When an earlier point returned `Err`, the `Err` wins and the later
 /// panic payload is dropped.
-pub fn run_sweep_with<T, E, F>(
-    points: &[SweepPoint],
-    threads: usize,
-    run: F,
-) -> Result<Vec<(String, T)>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(&SweepPoint) -> Result<T, E> + Sync,
-{
-    run_sweep_indexed(points, threads, |_, p| run(p))
-}
-
-/// Like [`run_sweep_with`], but the callback also receives the
-/// point's *input index*. Callers that join sweep outcomes back to
-/// side tables (the matrix's shard groups, the curve runner's specs)
-/// key on the index instead of the label — labels then stay purely
-/// cosmetic and duplicates cannot misroute work.
-///
-/// # Errors
-///
-/// Returns the error of the first failing point by input order (see
-/// [`run_sweep_with`]).
-///
-/// # Panics
-///
-/// Re-raises the panic of the first panicking point by input order
-/// (see [`run_sweep_with`]).
 pub fn run_sweep_indexed<T, E, F>(
     points: &[SweepPoint],
     threads: usize,
@@ -431,7 +407,8 @@ mod tests {
     #[test]
     fn generalized_sweep_threads_custom_outcomes() {
         let out =
-            run_sweep_with::<_, EmulationError, _>(&points(4), 4, |p| Ok(p.label.len())).unwrap();
+            run_sweep_indexed::<_, EmulationError, _>(&points(4), 4, |_, p| Ok(p.label.len()))
+                .unwrap();
         let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels, ["p0", "p1", "p2", "p3"]);
         assert!(out.iter().all(|&(_, n)| n == 2));
@@ -442,7 +419,7 @@ mod tests {
         // Regression: a panicking point used to kill its worker,
         // leaving unfilled slots whose `expect` masked the real panic.
         let result = std::panic::catch_unwind(|| {
-            run_sweep_with::<(), EmulationError, _>(&points(6), 3, |p| {
+            run_sweep_indexed::<(), EmulationError, _>(&points(6), 3, |_, p| {
                 if p.label == "p2" {
                     panic!("scenario exploded");
                 }
@@ -465,7 +442,7 @@ mod tests {
         // workers, point 3's error lands first in wall-clock time but
         // point 0's must still be the one reported.
         for _ in 0..8 {
-            let err = run_sweep_with::<(), String, _>(&points(4), 4, |p| {
+            let err = run_sweep_indexed::<(), String, _>(&points(4), 4, |_, p| {
                 if p.label == "p0" {
                     std::thread::sleep(std::time::Duration::from_millis(20));
                     Err("early point".to_owned())
@@ -483,7 +460,7 @@ mod tests {
     #[test]
     fn earlier_error_wins_over_later_panic() {
         let outcome = std::panic::catch_unwind(|| {
-            run_sweep_with::<(), String, _>(&points(3), 3, |p| {
+            run_sweep_indexed::<(), String, _>(&points(3), 3, |_, p| {
                 if p.label == "p0" {
                     std::thread::sleep(std::time::Duration::from_millis(10));
                     Err("input-order first".to_owned())

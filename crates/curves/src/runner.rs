@@ -5,7 +5,7 @@
 //! ones — transpose on a ring, core graphs on tiny topologies — are
 //! collected as skips, exactly like the scenario matrix), and
 //! [`CurveSetSpec::run`] pushes the applicable curves through
-//! `nocem`'s parallel sweep scheduler ([`nocem::run_sweep_with`]) —
+//! `nocem`'s parallel sweep scheduler ([`nocem::run_sweep_indexed`]) —
 //! one worker per curve, since the points *within* a curve are
 //! sequentially dependent (the adaptive search steers by its own
 //! measurements).

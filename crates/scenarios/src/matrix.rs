@@ -264,7 +264,7 @@ impl MatrixSpec {
         // points of one (scenario, topology, load) group — identical
         // platforms on different engines — are consecutive. One sweep
         // unit per group keeps the parallel scheduling and
-        // input-order failure semantics of `run_sweep_with` while the
+        // input-order failure semantics of `run_sweep_indexed` while the
         // group shares its elaborated routing.
         let mut groups: Vec<(usize, usize)> = Vec::new(); // (start, len)
         for (i, m) in meta.iter().enumerate() {
@@ -297,7 +297,7 @@ impl MatrixSpec {
             }
             Ok::<_, EmulationError>(outs)
         })?;
-        // `run_sweep_with` returns outcomes in input order and groups
+        // `run_sweep_indexed` returns outcomes in input order and groups
         // are consecutive expansion runs, so flattening zips
         // positionally with the expansion metadata.
         let rows = outcomes

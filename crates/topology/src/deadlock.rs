@@ -8,13 +8,13 @@
 //! channel `b` contributes the edge `a -> b`. A single-VC platform is
 //! the special case where every node sits on VC 0.
 //!
-//! [`check_deadlock_freedom`] builds the single-VC CDG from configured
-//! flow paths; [`check_routing_deadlock_freedom`] builds the per-VC
-//! CDG of a [`RoutingTables`] — from its VC-labelled paths when it
-//! holds flow-keyed tables, by pushing sets of destinations through
-//! the routing function, 64 at a time, when routing is arithmetic —
-//! and is the check the platform compiler runs. Nodes are dense
-//! `link × VC` indices and the first cycle found is reported.
+//! [`check_routing_deadlock_freedom`] builds the per-VC CDG of a
+//! [`RoutingTables`] — from its VC-labelled paths when it holds
+//! flow-keyed tables, by pushing sets of destinations through the
+//! routing function, 64 at a time, when routing is arithmetic — and is
+//! the check the platform compiler runs; explicit paths are checked by
+//! building their tables first ([`RoutingTables::from_paths`]). Nodes
+//! are dense `link × VC` indices and the first cycle found is reported.
 //! Injection links have no incoming and ejection links no outgoing
 //! dependencies, so neither can ever be part of a cycle; the
 //! path-based builders include both to complete the chains, the grid
@@ -30,63 +30,22 @@ use nocem_common::route::GridBlock;
 pub struct DeadlockCycle {
     /// The links forming the cycle, in dependency order.
     pub links: Vec<LinkId>,
-    /// The virtual channel of each link in the cycle. Empty when the
-    /// cycle came from the single-VC check ([`check_deadlock_freedom`]),
-    /// parallel to `links` otherwise.
+    /// The virtual channel of each link in the cycle, parallel to
+    /// `links`.
     pub vcs: Vec<VcId>,
 }
 
 impl std::fmt::Display for DeadlockCycle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "channel dependency cycle:")?;
-        for (i, l) in self.links.iter().enumerate() {
-            match self.vcs.get(i) {
-                Some(vc) => write!(f, " {l}/{vc}")?,
-                None => write!(f, " {l}")?,
-            }
+        for (l, vc) in self.links.iter().zip(&self.vcs) {
+            write!(f, " {l}/{vc}")?;
         }
         Ok(())
     }
 }
 
 impl std::error::Error for DeadlockCycle {}
-
-/// Builds the single-VC channel dependency graph of `flows` over
-/// `topo` and verifies it is acyclic.
-///
-/// # Errors
-///
-/// Returns the first [`DeadlockCycle`] found, if any.
-///
-/// # Panics
-///
-/// Panics if a path references a connection that does not exist in
-/// `topo` (a configuration-construction bug).
-///
-/// # Examples
-///
-/// ```
-/// use nocem_topology::builders::paper_setup;
-/// use nocem_topology::deadlock::check_deadlock_freedom;
-///
-/// let p = paper_setup();
-/// // Both routing configurations of the paper setup are deadlock-free.
-/// check_deadlock_freedom(&p.topology, &p.primary_paths)?;
-/// check_deadlock_freedom(&p.topology, &p.dual_paths)?;
-/// # Ok::<(), nocem_topology::deadlock::DeadlockCycle>(())
-/// ```
-pub fn check_deadlock_freedom(topo: &Topology, flows: &[FlowPaths]) -> Result<(), DeadlockCycle> {
-    let mut cdg = Cdg::new(topo, 1);
-    for fp in flows {
-        for path in &fp.paths {
-            cdg.chain(topo, fp, path, &[]);
-        }
-    }
-    cdg.check().map_err(|cycle| DeadlockCycle {
-        vcs: Vec::new(),
-        ..cycle
-    })
-}
 
 /// Builds the per-VC channel dependency graph of routing tables and
 /// verifies it is acyclic — the check that validates the dateline
@@ -115,6 +74,22 @@ pub fn check_deadlock_freedom(topo: &Topology, flows: &[FlowPaths]) -> Result<()
 ///
 /// Panics if a path references a connection that does not exist in
 /// `topo` (a configuration-construction bug).
+///
+/// # Examples
+///
+/// ```
+/// use nocem_topology::builders::paper_setup;
+/// use nocem_topology::deadlock::check_routing_deadlock_freedom;
+/// use nocem_topology::routing::RoutingTables;
+///
+/// let p = paper_setup();
+/// // Both routing configurations of the paper setup are deadlock-free.
+/// for paths in [&p.primary_paths, &p.dual_paths] {
+///     let tables = RoutingTables::from_paths(&p.topology, paths.clone())?;
+///     check_routing_deadlock_freedom(&p.topology, &tables)?;
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn check_routing_deadlock_freedom(
     topo: &Topology,
     tables: &RoutingTables,
@@ -215,13 +190,12 @@ impl Cdg {
     }
 
     /// Adds the dependency chain of one path: injection link (VC 0,
-    /// the NI's fixed VC), every hop on its label (VC 0 where `labels`
-    /// has none), ejection link (always VC 0: the receptor is
-    /// VC-blind, so packets serialize into it).
+    /// the NI's fixed VC), every hop on its label (`labels` has one
+    /// per inter-switch hop), ejection link (always VC 0: the receptor
+    /// is VC-blind, so packets serialize into it).
     fn chain(&mut self, topo: &Topology, fp: &FlowPaths, path: &[SwitchId], labels: &[VcId]) {
         let mut prev = self.node(topo.endpoint(fp.spec.src).link, VcId::ZERO);
-        for (i, w) in path.windows(2).enumerate() {
-            let vc = labels.get(i).copied().unwrap_or(VcId::ZERO);
+        for (w, &vc) in path.windows(2).zip(labels) {
             let channel = self.node(link_toward(topo, w[0], w[1]), vc);
             self.edge(prev, channel);
             prev = channel;
@@ -417,16 +391,22 @@ mod tests {
     /// one VC (link ids).
     const PARENT_TORUS5X5_CYCLE: &[u32] = &[0, 4, 8, 12, 16];
 
+    /// The compiler's check on single-VC tables built from `flows`.
+    fn check_paths(topo: &Topology, flows: Vec<FlowPaths>) -> Result<(), DeadlockCycle> {
+        let tables = RoutingTables::from_paths(topo, flows).expect("valid paths");
+        check_routing_deadlock_freedom(topo, &tables)
+    }
+
     #[test]
     fn paper_primary_is_deadlock_free() {
         let p = paper_setup();
-        check_deadlock_freedom(&p.topology, &p.primary_paths).unwrap();
+        check_paths(&p.topology, p.primary_paths).unwrap();
     }
 
     #[test]
     fn paper_dual_is_deadlock_free() {
         let p = paper_setup();
-        check_deadlock_freedom(&p.topology, &p.dual_paths).unwrap();
+        check_paths(&p.topology, p.dual_paths).unwrap();
     }
 
     #[test]
@@ -451,7 +431,7 @@ mod tests {
                 paths: vec![vec![s(i), s((i + 1) % 4), s((i + 2) % 4)]],
             });
         }
-        let err = check_deadlock_freedom(&t, &flows).unwrap_err();
+        let err = check_paths(&t, flows).unwrap_err();
         assert!(err.links.len() >= 3, "cycle: {err}");
         assert!(err.to_string().contains("cycle"));
     }
@@ -813,14 +793,14 @@ mod tests {
         let t = ring(6).unwrap();
         let flows = FlowSpec::one_to_one(&t).unwrap().into();
         let rt = RoutingTables::compute(&t, &flows, RouteAlgorithm::Shortest).unwrap();
-        let a = check_deadlock_freedom(&t, &rt.flows());
-        let b = check_deadlock_freedom(&t, &rt.flows());
-        assert_eq!(a.is_ok(), b.is_ok());
+        let a = check_routing_deadlock_freedom(&t, &rt);
+        let b = check_routing_deadlock_freedom(&t, &rt);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn empty_flow_set_is_trivially_safe() {
         let p = paper_setup();
-        check_deadlock_freedom(&p.topology, &[]).unwrap();
+        check_paths(&p.topology, Vec::new()).unwrap();
     }
 }

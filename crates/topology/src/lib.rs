@@ -30,11 +30,13 @@
 //! ```
 //! use nocem_topology::analysis::{predict_link_loads, SplitModel};
 //! use nocem_topology::builders::paper_setup;
-//! use nocem_topology::deadlock::check_deadlock_freedom;
+//! use nocem_topology::deadlock::check_routing_deadlock_freedom;
+//! use nocem_topology::routing::RoutingTables;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let setup = paper_setup();
-//! check_deadlock_freedom(&setup.topology, &setup.dual_paths)?;
+//! let dual = RoutingTables::from_paths(&setup.topology, setup.dual_paths.clone())?;
+//! check_routing_deadlock_freedom(&setup.topology, &dual)?;
 //! let loads = predict_link_loads(
 //!     &setup.topology,
 //!     &setup.primary_paths,

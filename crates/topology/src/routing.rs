@@ -479,10 +479,8 @@ impl RoutingTables {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::InvalidPath`] if a path does not start
-    /// at the flow's source switch, does not end at its destination
-    /// switch, revisits a switch, or uses a non-existent inter-switch
-    /// connection.
+    /// Returns [`TopologyError::InvalidPath`] as
+    /// [`RoutingTables::from_paths_with`] does.
     pub fn from_paths(topo: &Topology, flows: Vec<FlowPaths>) -> Result<Self, TopologyError> {
         Self::from_paths_with(topo, flows, VcPolicy::SingleVc)
     }
@@ -492,10 +490,11 @@ impl RoutingTables {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::InvalidPath`] if a path does not start
-    /// at the flow's source switch, does not end at its destination
-    /// switch, revisits a switch, or uses a non-existent inter-switch
-    /// connection.
+    /// Returns [`TopologyError::InvalidPath`] if a flow id is not below
+    /// the number of flows given or is given twice, or if a path does
+    /// not start at the flow's source switch, does not end at its
+    /// destination switch, revisits a switch, or uses a non-existent
+    /// inter-switch connection.
     pub fn from_paths_with(
         topo: &Topology,
         flows: Vec<FlowPaths>,
@@ -507,6 +506,19 @@ impl RoutingTables {
 
         for fp in &flows {
             let spec = fp.spec;
+            // Flow ids key the tables and the VC labels: each of
+            // `0..flow_count` must be given exactly once.
+            let reason = match vc_labels.get(spec.flow.index()) {
+                Some(labels) if labels.is_empty() => None,
+                Some(_) => Some("the flow is given more than once".to_owned()),
+                None => Some(format!("flow id out of range for {flow_count} flows")),
+            };
+            if let Some(reason) = reason {
+                return Err(TopologyError::InvalidPath {
+                    flow: spec.flow,
+                    reason,
+                });
+            }
             let (from, to) = endpoints_switches(topo, &spec)?;
             if fp.paths.is_empty() {
                 return Err(TopologyError::NoRoute { flow: spec.flow });

@@ -5,7 +5,7 @@
 use nocem_common::ids::{FlowId, SwitchId};
 use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::builders::{mesh, ring, star, torus};
-use nocem_topology::deadlock::check_deadlock_freedom;
+use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::graph::Topology;
 use nocem_topology::routing::{FlowSpec, RouteAlgorithm, RoutingTables};
 use proptest::prelude::*;
@@ -92,7 +92,7 @@ proptest! {
         let topo = mesh(w, h).unwrap();
         let flows = FlowSpec::all_pairs(&topo);
         let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Xy).unwrap();
-        check_deadlock_freedom(&topo, &tables.flows()).unwrap();
+        check_routing_deadlock_freedom(&topo, &tables).unwrap();
     }
 
     /// Shortest-path one-to-one routing on a ring uses both directions
@@ -103,7 +103,7 @@ proptest! {
         let topo = ring(n).unwrap();
         let flows = FlowSpec::one_to_one(&topo).unwrap();
         let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
-        check_deadlock_freedom(&topo, &tables.flows()).unwrap();
+        check_routing_deadlock_freedom(&topo, &tables).unwrap();
     }
 
     /// Link-load prediction conserves traffic: summed over the
@@ -191,29 +191,33 @@ fn all_pairs_is_dense_and_complete() {
 fn deadlock_checker_rejects_cyclic_routing() {
     use nocem_topology::routing::FlowPaths;
     let topo = mesh(2, 2).unwrap();
-    let flows = FlowSpec::one_to_one(&topo).unwrap();
+    let (gens, recs) = (topo.generators(), topo.receptors());
     let s = |i: u32| SwitchId::new(i);
     // Mesh 2x2 switch ids: 0 1 / 2 3. A cycle 0→1→3→2→0 where every
-    // flow holds one edge and waits for the next.
+    // flow holds one edge and waits for the next; each flow runs from
+    // the generator at its first switch to the receptor at its last.
     let cyc = [
         vec![s(0), s(1), s(3)],
         vec![s(1), s(3), s(2)],
         vec![s(3), s(2), s(0)],
         vec![s(2), s(0), s(1)],
     ];
-    let paths: Vec<FlowPaths> = flows
-        .iter()
-        .zip(cyc)
-        .map(|(spec, p)| FlowPaths {
-            spec: *spec,
+    let paths: Vec<FlowPaths> = cyc
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| FlowPaths {
+            spec: FlowSpec {
+                flow: FlowId::new(i as u32),
+                src: gens[p[0].index()],
+                dst: recs[p[2].index()],
+            },
             paths: vec![p],
         })
         .collect();
-    // These paths end at the wrong switches for their receptors in
-    // some cases; build tables leniently by checking the deadlock
-    // analysis directly on the paths.
-    let err = check_deadlock_freedom(&topo, &paths);
+    let tables = RoutingTables::from_paths(&topo, paths).unwrap();
+    let err = check_routing_deadlock_freedom(&topo, &tables);
     assert!(err.is_err(), "cyclic channel dependency must be detected");
     let cycle = err.unwrap_err();
+    assert_eq!(cycle.links.len(), 4, "{cycle}");
     assert!(cycle.to_string().contains("cycle"));
 }

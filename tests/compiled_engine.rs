@@ -16,15 +16,16 @@ mod support;
 
 use nocem::clock::{ClockMode, SteppableEngine};
 use nocem::compile::{compute_routing, elaborate};
-use nocem::config::{EngineKind, PaperConfig, PaperRouting, PlatformConfig};
+use nocem::config::{EngineKind, PaperConfig, PaperRouting, PlatformConfig, RoutingSpec};
 use nocem::engine::build;
 use nocem::sweep::AnyEngine;
 use nocem::CompiledEngine;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
+use nocem_topology::routing::RouteAlgorithm;
 use support::{
-    against_emulation, lockstep, lockstep_until, mesh, ring, subject, torus, uniform_random,
-    Backend, Subject,
+    against_emulation, lockstep, lockstep_until, mesh, ring, scenario, subject, torus,
+    uniform_random, Backend, Subject,
 };
 
 const COMPILED: &[Backend] = &[Backend::DirectCompiled];
@@ -106,19 +107,39 @@ fn arbiter_selection_and_depth_matrix_is_ledger_identical() {
         })
         .total_packets(160)
         .uniform();
-    let mut platforms = vec![dual.clone()];
-    for selection in [
-        SelectionPolicy::Alternate,
-        SelectionPolicy::Adaptive,
-        SelectionPolicy::First,
-    ] {
-        let mut cfg = dual.clone();
-        cfg.switch.selection = selection;
-        platforms.push(cfg);
+    // The dual platform offers at most two hops a switch; up to three
+    // k-shortest alternatives reach every index `Random` can draw.
+    let mut three_way = scenario("transpose", mesh(4, 4), 0.30, 4, 200);
+    three_way.routing = RoutingSpec::Algorithm(RouteAlgorithm::KShortest(3));
+    assert_eq!(three_way.switch.num_vcs, 1);
+    let routing = compute_routing(&three_way).unwrap();
+    let widest = three_way
+        .topology
+        .switch_ids()
+        .flat_map(|s| {
+            routing
+                .switch_table(s)
+                .entries()
+                .map(|(_, hops)| hops.len())
+        })
+        .max();
+    assert_eq!(widest, Some(3), "some switch offers three hops");
+    let mut platforms = Vec::new();
+    for base in [dual, three_way] {
+        for selection in [
+            SelectionPolicy::random(0.5),
+            SelectionPolicy::Alternate,
+            SelectionPolicy::Adaptive,
+            SelectionPolicy::First,
+        ] {
+            let mut cfg = base.clone();
+            cfg.switch.selection = selection;
+            platforms.push(cfg);
+        }
     }
     platforms.push(uniform_random(mesh(4, 4), 0.60, 200));
     platforms.push(uniform_random(torus(4, 4), 0.60, 200));
-    assert_eq!(platforms[5].switch.num_vcs, 2, "the torus case runs 2 VCs");
+    assert_eq!(platforms[9].switch.num_vcs, 2, "the torus case runs 2 VCs");
 
     for base in &platforms {
         for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::FixedPriority] {

@@ -6,7 +6,8 @@ use nocem::config::{PaperConfig, PaperRouting};
 use nocem::engine::build;
 use nocem::SteppableEngine;
 use nocem_topology::analysis::{hot_links, predict_link_loads, SplitModel};
-use nocem_topology::deadlock::check_deadlock_freedom;
+use nocem_topology::deadlock::check_routing_deadlock_freedom;
+use nocem_topology::routing::RoutingTables;
 
 #[test]
 fn predicted_and_measured_hot_link_loads_agree() {
@@ -62,8 +63,10 @@ fn exactly_two_inter_switch_links_are_hot() {
 fn both_routing_cases_are_deadlock_free() {
     let setup = PaperConfig::new();
     let p = setup.setup();
-    check_deadlock_freedom(&p.topology, &p.primary_paths).unwrap();
-    check_deadlock_freedom(&p.topology, &p.dual_paths).unwrap();
+    for paths in [&p.primary_paths, &p.dual_paths] {
+        let tables = RoutingTables::from_paths(&p.topology, paths.clone()).unwrap();
+        check_routing_deadlock_freedom(&p.topology, &tables).unwrap();
+    }
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! keep flow-keyed tables, that the compiler's analyses see the same
 //! paths either way, that all three stepping engines stay
 //! ledger-identical per cycle on the grid router (dateline tori
-//! included), that a grid lowers to a router and no route arrays at
-//! any size, and that a destination the router cannot answer for is a
-//! set-up error.
+//! included), that lowering shares the elaboration's router or tables
+//! (a grid holds no route entries at any size), and that a destination
+//! the router cannot answer for, or explicit paths for other than the
+//! registered flows, are set-up errors.
 //!
 //! (The hop-level equivalence with the per-flow construction lives in
 //! `crates/topology/tests/route_keys.rs`.)
@@ -80,10 +81,17 @@ fn source_dependent_platforms_stay_flow_keyed() {
         let routing = compute_routing(&cfg).unwrap();
         assert!(routing.grid_router().is_none(), "{}", cfg.name);
         assert_eq!(route_entries(&cfg, &routing), entries, "{}", cfg.name);
-        let low = lower(&elaborate_routed(&cfg, routing).unwrap());
+        // Lowering shares the tables: each switch of the compiled
+        // kernels reads the elaboration's own, never a copy.
+        let low = lower(&elaborate_routed(&cfg, routing.clone()).unwrap());
         assert!(low.router.is_none(), "{}", cfg.name);
-        assert_eq!(low.route_keys.len(), entries, "{}", cfg.name);
-        assert!(!low.route_direct.is_empty(), "{}", cfg.name);
+        for s in cfg.topology.switch_ids() {
+            assert!(
+                std::ptr::eq(low.routing.switch_table(s), routing.switch_table(s)),
+                "{}: switch {s}",
+                cfg.name
+            );
+        }
     }
 }
 
@@ -193,10 +201,7 @@ fn grids_lower_to_a_router_and_no_route_arrays() {
             router,
             routing.grid_router().unwrap()
         ));
-        assert!(low.route_keys.is_empty(), "{}", cfg.name);
-        assert!(low.route_hops.is_empty(), "{}", cfg.name);
-        assert!(low.route_direct.is_empty(), "{}", cfg.name);
-        assert_eq!(low.route_key_space, 0, "{}", cfg.name);
+        assert_eq!(route_entries(&cfg, &low.routing), 0, "{}", cfg.name);
     }
 }
 
@@ -241,4 +246,53 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
     });
     assert_eq!(compute_routing(&cfg).unwrap_err(), wrong_kind);
     assert_eq!(rejects_alike(&cfg, &engines), wrong_kind);
+}
+
+#[test]
+fn explicit_paths_for_other_than_the_registered_flows_fail_at_set_up_on_every_engine() {
+    // A flow without paths would die mid-run in a switch's "no routing
+    // entry" assertion, and the table builder keys its VC labels by
+    // flow id. Set-up refuses paths for another number of flows than
+    // are registered, and the table builder refuses a flow given twice
+    // — called directly, it refuses every id it cannot key.
+    let base = PaperConfig::new().total_packets(200).uniform();
+    let RoutingSpec::Explicit(paths) = &base.routing else {
+        panic!("the paper platform routes explicitly");
+    };
+    let mut dropped = paths.clone();
+    dropped.remove(1);
+    let mut doubled = paths.clone();
+    doubled[0] = paths[1].clone();
+    let engines = [
+        Backend::Compiled,
+        Backend::Sharded(2, 8),
+        Backend::DirectCompiled,
+        Backend::Tlm,
+        Backend::Rtl,
+    ];
+    for (case, explicit) in [
+        ("flow 1's paths dropped", dropped),
+        ("flow 3's paths alone", vec![paths[3].clone()]),
+        ("flow 1's paths in place of flow 0's", doubled),
+    ] {
+        let mut cfg = base.clone();
+        cfg.name = format!("{}, {case}", base.name);
+        cfg.routing = RoutingSpec::Explicit(explicit.clone());
+        let counted = explicit.len() == paths.len();
+        let refused = RoutingTables::from_paths_with(&cfg.topology, explicit, VcPolicy::SingleVc)
+            .unwrap_err();
+        assert!(
+            matches!(refused, TopologyError::InvalidPath { .. }),
+            "{case}: {refused}"
+        );
+        let err = rejects_alike(&cfg, &engines);
+        if counted {
+            assert_eq!(err, CompileError::Topology(refused), "{case}");
+        } else {
+            assert!(
+                matches!(err, CompileError::TrafficMismatch { .. }),
+                "{case}: {err}"
+            );
+        }
+    }
 }
