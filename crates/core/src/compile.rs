@@ -20,8 +20,7 @@ use nocem_common::ids::{EndpointId, FlowId, LinkId, PortId, SwitchId};
 use nocem_common::rng::{Lfsr16, SplitMix64};
 use nocem_common::route::GridRouter;
 use nocem_platform::bus::{AddressMap, DeviceClass};
-use nocem_stats::receptor::{StochasticReceptor, TraceReceptor};
-use nocem_stats::TrKind;
+use nocem_stats::receptor::Receptor;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::{SelectionPolicy, SwitchConfig, SwitchConfigBuilder};
 use nocem_switch::switch::{Switch, CREDITS_INFINITE};
@@ -85,33 +84,6 @@ pub struct Wiring {
     pub ejection_link: Vec<LinkId>,
 }
 
-/// A receptor device instance.
-#[derive(Debug, Clone)]
-pub enum ReceptorDevice {
-    /// Histogram-collecting receptor.
-    Stochastic(StochasticReceptor),
-    /// Latency-analyzing receptor.
-    Trace(TraceReceptor),
-}
-
-impl ReceptorDevice {
-    /// The receptor kind.
-    pub fn kind(&self) -> TrKind {
-        match self {
-            ReceptorDevice::Stochastic(_) => TrKind::Stochastic,
-            ReceptorDevice::Trace(_) => TrKind::TraceDriven,
-        }
-    }
-
-    /// The endpoint this receptor serves.
-    pub fn id(&self) -> EndpointId {
-        match self {
-            ReceptorDevice::Stochastic(r) => r.id(),
-            ReceptorDevice::Trace(r) => r.id(),
-        }
-    }
-}
-
 /// The compiled platform: every component instantiated and wired.
 pub struct Elaboration {
     /// The configuration this was elaborated from.
@@ -130,7 +102,7 @@ pub struct Elaboration {
     /// Traffic generators, one per generator endpoint.
     pub tgs: Vec<Box<dyn TrafficGenerator + Send>>,
     /// Receptor devices, one per receptor endpoint.
-    pub receptors: Vec<ReceptorDevice>,
+    pub receptors: Vec<Receptor>,
     /// The bus address map (control, TGs, TRs, switches).
     pub map: AddressMap,
     /// Precomputed wiring.
@@ -484,13 +456,10 @@ fn instantiate(
     }
 
     // Receptors.
-    let receptor_devices: Vec<ReceptorDevice> = receptors
+    let receptor_devices: Vec<Receptor> = receptors
         .iter()
         .zip(&config.receptors)
-        .map(|(&r, kind)| match kind {
-            TrKind::Stochastic => ReceptorDevice::Stochastic(StochasticReceptor::new(r)),
-            TrKind::TraceDriven => ReceptorDevice::Trace(TraceReceptor::new(r)),
-        })
+        .map(|(&r, &kind)| Receptor::new(r, kind))
         .collect();
 
     // Address map: control first, then TGs, TRs, switches. The
@@ -999,6 +968,7 @@ mod tests {
     use super::*;
     use crate::config::PaperConfig;
     use nocem_common::flows::{AllButSelf, Row};
+    use nocem_stats::TrKind;
     use nocem_topology::builders::mesh;
     use nocem_topology::routing::FlowSpec;
 

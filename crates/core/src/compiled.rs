@@ -65,8 +65,8 @@
 use crate::calendar::DueCalendar;
 use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
-    lower, Elaboration, LoweredInFeed, LoweredOutDest, LoweredPlatform, OutSlotState,
-    ReceptorDevice, HANDLE_HEAD, HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, SLOT_NONE,
+    lower, Elaboration, LoweredInFeed, LoweredOutDest, LoweredPlatform, OutSlotState, HANDLE_HEAD,
+    HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, SLOT_NONE,
 };
 use crate::config::PlatformConfig;
 use crate::error::EmulationError;
@@ -79,7 +79,7 @@ use nocem_common::route::RouteHop;
 use nocem_common::time::Cycle;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::ledger::{LedgerError, PacketLedger};
-use nocem_stats::receptor::CompletedPacket;
+use nocem_stats::receptor::{CompletedPacket, Receptor};
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
 use nocem_switch::fifo::FifoFullError;
@@ -139,7 +139,7 @@ pub(crate) struct CompiledKernel {
     pub(crate) low: LoweredPlatform,
     pub(crate) tgs: Vec<Box<dyn TrafficGenerator + Send>>,
     pub(crate) nis: Vec<SourceNi>,
-    pub(crate) receptors: Vec<ReceptorDevice>,
+    pub(crate) receptors: Vec<Receptor>,
     pub(crate) generator_endpoints: Vec<EndpointId>,
     /// Per generator: injection link id (congestion attribution).
     pub(crate) injection_links: Vec<LinkId>,
@@ -1568,22 +1568,12 @@ impl CompiledKernel {
         flit.vc = VcId::new(vc as u8);
         self.flit_free.push(idx);
         self.total_occ -= 1;
-        match &mut self.receptors[index] {
-            ReceptorDevice::Stochastic(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })
-            }
-            ReceptorDevice::Trace(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })
-            }
-        }
+        let r = &mut self.receptors[index];
+        r.accept(&flit, now)
+            .map_err(|source| EmulationError::Receive {
+                receptor: r.id(),
+                source,
+            })
     }
 
     /// Books the packet receptor `index` just completed in the ledger.
@@ -1595,9 +1585,7 @@ impl CompiledKernel {
     ) -> Result<(), EmulationError> {
         let lat = self.on_ledger(|l| l.deliver(pkt.id, now, pkt.len_flits))?;
         self.delivered_flits += u64::from(pkt.len_flits);
-        if let ReceptorDevice::Trace(r) = &mut self.receptors[index] {
-            r.record_latency(lat.network, lat.total);
-        }
+        self.receptors[index].record_latency(lat.network);
         Ok(())
     }
 

@@ -16,14 +16,12 @@
 //!   — the "software part" that programs and polls the devices over
 //!   any [`BusAccess`].
 
-use crate::compile::ReceptorDevice;
 use crate::config::TrafficModel;
 use crate::engine::Emulation;
 use nocem_common::ids::{EndpointId, FlowId};
 use nocem_platform::addr::{Address, DeviceAddr};
 use nocem_platform::bus::{BusAccess, BusError};
 use nocem_platform::regfile::{Access, RegFile};
-use nocem_stats::receptor::ReceptorCounters;
 use nocem_traffic::generator::{DestinationModel, LengthModel};
 use nocem_traffic::registers as tgreg;
 use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, UniformConfig};
@@ -316,11 +314,8 @@ pub(crate) fn tr_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32,
         });
     }
     let elab = e.elaboration();
-    let (counters, latency): (ReceptorCounters, Option<&nocem_stats::LatencyAnalyzer>) =
-        match &elab.receptors[i] {
-            ReceptorDevice::Stochastic(r) => (*r.counters(), None),
-            ReceptorDevice::Trace(r) => (*r.counters(), Some(r.network_latency())),
-        };
+    let receptor = &elab.receptors[i];
+    let (counters, latency) = (receptor.counters(), receptor.network_latency());
     let sat32 = |v: u64| v.min(u64::from(u32::MAX)) as u32;
     let value = match reg {
         trreg::REG_STATUS => u32::from(counters.flits > 0),

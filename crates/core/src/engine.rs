@@ -29,7 +29,7 @@
 //! registers it would on the paper's FPGA platform.
 
 use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
-use crate::compile::{switch_config, Elaboration, InSource, OutTarget, ReceptorDevice};
+use crate::compile::{switch_config, Elaboration, InSource, OutTarget};
 use crate::devices::{self, TgShadow};
 use crate::error::EmulationError;
 use crate::profile::{lap, Phase, PhaseProfiler, WaitDest, WaitEdge};
@@ -226,28 +226,17 @@ impl Platform {
         flit: Flit,
         now: Cycle,
     ) -> Result<Option<CompletedPacket>, EmulationError> {
-        let completed = match &mut self.elab.receptors[index] {
-            ReceptorDevice::Stochastic(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-            ReceptorDevice::Trace(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-        };
+        let r = &mut self.elab.receptors[index];
+        let completed = r
+            .accept(&flit, now)
+            .map_err(|source| EmulationError::Receive {
+                receptor: r.id(),
+                source,
+            })?;
         if let Some(pkt) = completed {
             let lat = self.on_ledger(|l| l.deliver(pkt.id, now, pkt.len_flits))?;
             self.delivered_flits += u64::from(pkt.len_flits);
-            if let ReceptorDevice::Trace(r) = &mut self.elab.receptors[index] {
-                r.record_latency(lat.network, lat.total);
-            }
+            self.elab.receptors[index].record_latency(lat.network);
         }
         Ok(completed)
     }

@@ -2,7 +2,6 @@
 //! flow) presents.
 
 use crate::clock::EngineSummary;
-use crate::compile::ReceptorDevice;
 use crate::engine::Platform;
 use nocem_common::ids::LinkId;
 use nocem_common::table::{Align, TextTable};
@@ -10,6 +9,7 @@ use nocem_common::time::Cycle;
 use nocem_platform::monitor::Monitor;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::latency::LatencyAnalyzer;
+use nocem_stats::receptor::Receptor;
 use nocem_telemetry::CumulativeProbe;
 
 /// Summary of one receptor at end of run.
@@ -38,33 +38,20 @@ impl ReceptorSummary {
     /// Summarises receptor `index`. A trace receptor reports the mean
     /// of its own latency view unless `latency` names the view kept
     /// for it elsewhere (the sharded engine's coordinator).
-    pub(crate) fn of(
-        index: usize,
-        device: &ReceptorDevice,
-        latency: Option<&LatencyAnalyzer>,
-    ) -> Self {
-        let (counters, lat, hists) = match device {
-            ReceptorDevice::Stochastic(r) => (
-                *r.counters(),
-                None,
-                Some((
-                    r.length_histogram().clone(),
-                    r.interarrival_histogram().clone(),
-                )),
-            ),
-            ReceptorDevice::Trace(r) => (
-                *r.counters(),
-                latency.unwrap_or(r.network_latency()).mean(),
-                None,
-            ),
-        };
-        let (length_histogram, interarrival_histogram) = hists.unzip();
+    pub(crate) fn of(index: usize, device: &Receptor, latency: Option<&LatencyAnalyzer>) -> Self {
+        let counters = device.counters();
+        let (length_histogram, interarrival_histogram) = device
+            .histograms()
+            .map(|(length, interarrival)| (length.clone(), interarrival.clone()))
+            .unzip();
         ReceptorSummary {
             label: format!("tr{index}"),
             packets: counters.packets,
             flits: counters.flits,
             running_time: counters.running_time(),
-            mean_network_latency: lat,
+            mean_network_latency: device
+                .network_latency()
+                .and_then(|own| latency.unwrap_or(own).mean()),
             length_histogram,
             interarrival_histogram,
         }

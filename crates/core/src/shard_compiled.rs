@@ -6,8 +6,8 @@
 //! bottleneck, and the scenario-level parallelism of
 //! [`crate::sweep::run_sweep`] cannot help a *single* 32×32 run.
 //! [`ShardedCompiledEngine`] partitions the switch graph into `K`
-//! shards (a [`Partition`] implementation from `nocem-topology`; the
-//! default is the grid-stripe partitioner, index stripes on a
+//! shards (a [`PartitionMap`]; the default is `nocem-topology`'s
+//! grid-stripe partitioner, [`grid_stripes`], index stripes on a
 //! non-grid) and gives each shard a persistent worker thread. A worker
 //! *is* a compiled kernel (`crate::compiled::CompiledKernel`, the half
 //! of [`CompiledEngine`] below the step skeleton) — the same release,
@@ -127,7 +127,7 @@
 
 use crate::clock::{CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
-    elaborate, elaborate_routed, Elaboration, LoweredOutDest, OutTarget, ReceptorDevice, HANDLE_IDX,
+    elaborate, elaborate_routed, Elaboration, LoweredOutDest, OutTarget, HANDLE_IDX,
 };
 #[cfg(doc)]
 use crate::compiled::CompiledEngine;
@@ -141,9 +141,9 @@ use nocem_common::ids::{PacketId, SwitchId};
 use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
-use nocem_stats::receptor::CompletedPacket;
+use nocem_stats::receptor::{CompletedPacket, Receptor};
 use nocem_telemetry::{CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
-use nocem_topology::partition::{GridStripes, Partition, PartitionMap};
+use nocem_topology::partition::{grid_stripes, PartitionMap};
 use nocem_topology::routing::RoutingTables;
 use nocem_traffic::trace::TraceDrivenTg;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -307,7 +307,7 @@ struct Snapshot {
     probe: CumulativeProbe,
     max_vc_occ: Vec<u64>,
     /// `(global receptor index, receptor clone)`.
-    receptors: Vec<(usize, ReceptorDevice)>,
+    receptors: Vec<(usize, Receptor)>,
 }
 
 /// One worker's self-profiling payload: its phase accumulators (with
@@ -685,8 +685,8 @@ struct WorkerHandle {
 /// Construct with [`ShardedCompiledEngine::with_shards`] (grid-stripe
 /// partitioning; what [`crate::sweep::AnyEngine`] builds for a
 /// `ShardedCompiled` engine kind at two or more shards) or
-/// [`ShardedCompiledEngine::with_partition`] for a custom
-/// [`Partition`]. Drive it through [`SteppableEngine`] or
+/// [`ShardedCompiledEngine::with_partition`] for an explicit
+/// [`PartitionMap`]. Drive it through [`SteppableEngine`] or
 /// [`ShardedCompiledEngine::run`]; collect full results with
 /// [`ShardedCompiledEngine::results`].
 ///
@@ -764,9 +764,8 @@ impl ShardedCompiledEngine {
         shards: usize,
         batch: u64,
     ) -> Result<Self, CompileError> {
-        let map = GridStripes
-            .partition(&elab.config.topology, shards)
-            .map_err(|e| CompileError::Partition {
+        let map =
+            grid_stripes(&elab.config.topology, shards).map_err(|e| CompileError::Partition {
                 reason: e.to_string(),
             })?;
         Self::with_partition(elab, map, batch)

@@ -121,19 +121,6 @@ impl CongestionCounter {
             .filter(|&(l, _)| self.blocked[l.index()] + self.forwarded[l.index()] > 0)
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("rates are finite"))
     }
-
-    /// Merges another counter with the same link count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if link counts differ.
-    pub fn merge(&mut self, other: &CongestionCounter) {
-        assert_eq!(self.links(), other.links(), "link counts differ");
-        for i in 0..self.blocked.len() {
-            self.blocked[i] += other.blocked[i];
-            self.forwarded[i] += other.forwarded[i];
-        }
-    }
 }
 
 /// Per-virtual-channel buffer occupancy watermarks.
@@ -169,13 +156,6 @@ impl VcOccupancy {
             self.max_per_vc.resize(vc + 1, 0);
         }
         self.max_per_vc[vc] = self.max_per_vc[vc].max(occupancy);
-    }
-
-    /// Max-merges another accumulator (VC axes may differ in length).
-    pub fn merge(&mut self, other: &VcOccupancy) {
-        for (vc, &m) in other.max_per_vc.iter().enumerate() {
-            self.record(vc, m);
-        }
     }
 
     /// Watermark of one VC (0 for untracked VCs).
@@ -216,10 +196,7 @@ mod tests {
     fn vc_occupancy_grows_and_merges() {
         let mut a = VcOccupancy::new(1);
         a.record(0, 2);
-        let mut b = VcOccupancy::new(3);
-        b.record(0, 1);
-        b.record(2, 5);
-        a.merge(&b);
+        a.record(2, 5);
         assert_eq!(a.num_vcs(), 3);
         assert_eq!(a.per_vc(), &[2, 0, 5]);
         let empty = VcOccupancy::default();
@@ -281,21 +258,5 @@ mod tests {
         let (l, r) = cc.hottest().unwrap();
         assert_eq!(l, LinkId::new(2));
         assert!((r - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = CongestionCounter::new(1);
-        a.add(LinkId::new(0), 1, 1);
-        let mut b = CongestionCounter::new(1);
-        b.add(LinkId::new(0), 2, 2);
-        a.merge(&b);
-        assert_eq!(a.blocked(LinkId::new(0)), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "link counts differ")]
-    fn merge_rejects_mismatch() {
-        CongestionCounter::new(1).merge(&CongestionCounter::new(2));
     }
 }

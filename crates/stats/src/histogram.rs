@@ -1,10 +1,8 @@
 //! Histograms — the statistic the paper's stochastic receptors report
 //! ("histograms, which show an image of the received traffic").
 //!
-//! Two bucketing schemes are provided: [`Histogram`] with uniform-width
-//! bins (hardware: a small RAM indexed by `value / width`) and
-//! [`Log2Histogram`] with power-of-two bins (hardware: a
-//! priority-encoder index), which is what latency distributions use.
+//! [`Histogram`] has uniform-width bins (hardware: a small RAM indexed
+//! by `value / width`).
 
 /// Fixed-width-bin histogram over `u64` samples.
 ///
@@ -128,12 +126,13 @@ impl Histogram {
     }
 
     /// Approximate `q`-quantile (`0.0..=1.0`) from bin boundaries: the
-    /// upper edge of the bin where the cumulative count crosses `q`.
+    /// upper edge of the bin holding the rank-`ceil(q·n)` sample (rank
+    /// 1 at least, so `q = 0` reads the minimum's bin).
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
+        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut cum = 0;
         for (i, &c) in self.bins.iter().enumerate() {
             cum += c;
@@ -215,24 +214,6 @@ impl Histogram {
         }
         out
     }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if geometries differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.width, other.width, "bin widths differ");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin counts differ");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl std::fmt::Display for Histogram {
@@ -247,85 +228,6 @@ impl std::fmt::Display for Histogram {
             writeln!(f, "{:>10} | {:>8}", "overflow", self.overflow)?;
         }
         Ok(())
-    }
-}
-
-/// Power-of-two-bin histogram: bin `i` counts samples in
-/// `[2^i, 2^(i+1))`, with bin 0 counting 0 and 1.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Log2Histogram {
-    bins: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl Log2Histogram {
-    /// Creates a histogram with `bins` power-of-two bins (64 covers
-    /// the whole `u64` range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `bins > 64`.
-    pub fn new(bins: usize) -> Self {
-        assert!((1..=64).contains(&bins), "log2 histogram bins in 1..=64");
-        Log2Histogram {
-            bins: vec![0; bins],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one sample (values beyond the last bin saturate into
-    /// it).
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        let idx = if value < 2 {
-            0
-        } else {
-            (63 - value.leading_zeros()) as usize
-        };
-        let idx = idx.min(self.bins.len() - 1);
-        self.bins[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-    }
-
-    /// Total samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.count as f64)
-        }
-    }
-
-    /// Count in bin `i` (samples in `[2^i, 2^(i+1))`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Merges another histogram with the same number of bins: the
-    /// result is the histogram of both sample sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bin counts differ.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        assert_eq!(self.bins.len(), other.bins.len(), "bin counts differ");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 }
 
@@ -437,27 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new(2, 10);
-        a.record(5);
-        let mut b = Histogram::new(2, 10);
-        b.record(15);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.bin_count(1), 1);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.min(), Some(5));
-        assert_eq!(a.max(), Some(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "bin widths differ")]
-    fn merge_rejects_mismatched_geometry() {
-        Histogram::new(2, 10).merge(&Histogram::new(2, 5));
-    }
-
-    #[test]
     fn display_renders_bars() {
         let mut h = Histogram::new(2, 10);
         h.record(1);
@@ -466,27 +347,6 @@ mod tests {
         let s = h.to_string();
         assert!(s.contains("3 samples"));
         assert!(s.contains('#'));
-    }
-
-    #[test]
-    fn log2_binning() {
-        let mut h = Log2Histogram::new(8);
-        for v in [0, 1, 2, 3, 4, 7, 8, 1_000_000] {
-            h.record(v);
-        }
-        assert_eq!(h.bin_count(0), 2); // 0, 1
-        assert_eq!(h.bin_count(1), 2); // 2, 3
-        assert_eq!(h.bin_count(2), 2); // 4, 7
-        assert_eq!(h.bin_count(3), 1); // 8
-        assert_eq!(h.bin_count(7), 1); // saturated
-        assert_eq!(h.count(), 8);
-        assert!(h.mean().unwrap() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin counts differ")]
-    fn log2_merge_rejects_mismatched_bins() {
-        Log2Histogram::new(8).merge(&Log2Histogram::new(9));
     }
 
     #[test]

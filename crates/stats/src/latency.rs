@@ -1,7 +1,7 @@
 //! The latency analyzer — the paper's trace-driven receptor statistic.
 //!
-//! Records per-packet latencies and summarizes them (count, min, max,
-//! mean, distribution). The platform distinguishes two latencies:
+//! Records per-packet latencies and summarizes them (count, sum, min,
+//! max, mean). The platform distinguishes two latencies:
 //!
 //! * **network latency** — head flit enters the network → tail flit
 //!   received; this is what saturates at a maximum set by hot-link
@@ -10,9 +10,7 @@
 //!   received; includes source queueing and grows without bound past
 //!   saturation.
 
-use crate::histogram::Log2Histogram;
-
-/// Streaming latency statistics with a log2 distribution.
+/// Streaming latency statistics.
 ///
 /// # Examples
 ///
@@ -31,7 +29,6 @@ pub struct LatencyAnalyzer {
     sum: u64,
     min: u64,
     max: u64,
-    histogram: Log2Histogram,
 }
 
 impl Default for LatencyAnalyzer {
@@ -41,15 +38,13 @@ impl Default for LatencyAnalyzer {
 }
 
 impl LatencyAnalyzer {
-    /// Creates an empty analyzer (32 log2 bins, covering latencies up
-    /// to 2^32 cycles).
+    /// Creates an empty analyzer.
     pub fn new() -> Self {
         LatencyAnalyzer {
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
-            histogram: Log2Histogram::new(32),
         }
     }
 
@@ -60,7 +55,6 @@ impl LatencyAnalyzer {
         self.sum += latency;
         self.min = self.min.min(latency);
         self.max = self.max.max(latency);
-        self.histogram.record(latency);
     }
 
     /// Number of samples.
@@ -91,21 +85,6 @@ impl LatencyAnalyzer {
     /// floating-point means would hide one-cycle differences).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// The latency distribution.
-    pub fn histogram(&self) -> &Log2Histogram {
-        &self.histogram
-    }
-
-    /// Merges another analyzer into this one: the result equals the
-    /// analyzer of both sample sets.
-    pub fn merge(&mut self, other: &LatencyAnalyzer) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.histogram.merge(&other.histogram);
     }
 }
 
@@ -148,30 +127,6 @@ mod tests {
         assert_eq!(la.max(), Some(15));
         assert_eq!(la.sum(), 30);
         assert!(la.to_string().contains("n=3"));
-    }
-
-    #[test]
-    fn histogram_is_fed() {
-        let mut la = LatencyAnalyzer::new();
-        la.record(4);
-        la.record(5);
-        assert_eq!(la.histogram().bin_count(2), 2); // [4, 8)
-    }
-
-    #[test]
-    fn merge_combines_extremes() {
-        let mut a = LatencyAnalyzer::new();
-        a.record(100);
-        let mut b = LatencyAnalyzer::new();
-        b.record(2);
-        b.record(50);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(2));
-        assert_eq!(a.max(), Some(100));
-        assert_eq!(a.sum(), 152);
-        // The histogram books the samples, not their bins' lower edges.
-        assert_eq!(a.histogram().mean(), Some(152.0 / 3.0));
     }
 
     #[test]

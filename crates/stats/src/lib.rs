@@ -3,14 +3,16 @@
 //! The observation side of the emulation platform (the paper's
 //! "statistics reports and analysis", slide 11):
 //!
-//! * [`histogram`] — uniform and log2 histograms (the stochastic
+//! * [`histogram`] — uniform-bin histograms (the stochastic
 //!   receptors' "image of the received traffic");
 //! * [`latency`] — the latency analyzer of the trace-driven receptors;
 //! * [`congestion`] — per-link congestion counters and rates
 //!   (Figure 3's metric);
-//! * [`receptor`] — the receptor devices: flit reassembly with
-//!   integrity checking, [`receptor::StochasticReceptor`] and
-//!   [`receptor::TraceReceptor`];
+//! * [`receptor`] — the receptor device, [`Receptor`]: flit
+//!   reassembly with integrity checking and the counters every
+//!   receptor keeps, plus what its [`TrKind`] adds (the two histograms
+//!   of a stochastic receptor, the latency analyzer of a trace-driven
+//!   one);
 //! * [`ledger`] — end-to-end packet accounting (release / inject /
 //!   deliver) with conservation checks, the backbone of the
 //!   correctness test suite;
@@ -48,21 +50,20 @@ pub mod receptor;
 pub mod window;
 
 pub use congestion::{CongestionCounter, VcOccupancy};
-pub use histogram::{Histogram, Log2Histogram};
+pub use histogram::Histogram;
 pub use latency::LatencyAnalyzer;
 pub use ledger::{LedgerError, PacketLatency, PacketLedger, PacketRecord};
-pub use receptor::{
-    CompletedPacket, Reassembler, ReceiveError, ReceptorCounters, StochasticReceptor, TraceReceptor,
-};
+pub use receptor::{CompletedPacket, Reassembler, ReceiveError, Receptor, ReceptorCounters};
 pub use window::{LatencyKind, Window, WindowStats};
 
-/// Which receptor flavour a device is (drives the FPGA area model and
-/// report labels, mirroring the generator-side `TgKind`).
+/// Which receptor flavour a device is: it picks what a [`Receptor`]
+/// keeps, and drives the FPGA area model and report labels (mirroring
+/// the generator-side `TgKind`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrKind {
     /// Stochastic receptor (histograms + running time).
     Stochastic,
-    /// Trace-driven receptor (latency analyzer + congestion counter).
+    /// Trace-driven receptor (latency analyzer).
     TraceDriven,
 }
 

@@ -1,22 +1,22 @@
 //! Traffic receptors (TRs): flit reassembly and on-device statistics.
 //!
-//! The paper's platform has two receptor flavours:
+//! The paper's platform has one receptor device in two flavours, and
+//! [`Receptor`] is both: its [`TrKind`] picks what it keeps.
 //!
-//! * **stochastic receptors** report "histograms, which show an image
-//!   of the received traffic" and the "total running time" —
-//!   [`StochasticReceptor`];
-//! * **trace-driven receptors** host the "latency analyzer" and the
-//!   "congestion counter" — [`TraceReceptor`] (the congestion counter
-//!   aggregates switch-side numbers and lives in
-//!   [`crate::congestion`]).
+//! * a **stochastic** receptor reports "histograms, which show an
+//!   image of the received traffic" and the "total running time";
+//! * a **trace-driven** receptor hosts the "latency analyzer" (the
+//!   paper's congestion counter aggregates switch-side numbers and
+//!   lives in [`crate::congestion`]).
 //!
-//! Both are built on [`Reassembler`], which folds the in-order flit
-//! stream of the ejection link back into packets and verifies the
+//! Every receptor folds the in-order flit stream of its ejection link
+//! back into packets through a [`Reassembler`], which verifies the
 //! wormhole invariants (no interleaving, dense sequence numbers,
-//! intact payloads, correct destination).
+//! intact payloads), and checks each flit's destination.
 
 use crate::histogram::Histogram;
 use crate::latency::LatencyAnalyzer;
+use crate::TrKind;
 use nocem_common::flit::{Flit, FlitKind};
 use nocem_common::ids::{EndpointId, PacketId};
 use nocem_common::time::Cycle;
@@ -225,34 +225,63 @@ impl ReceptorCounters {
     }
 }
 
-/// Stochastic receptor: histograms of the received traffic.
+/// What a receptor keeps beyond the shared counters, by [`TrKind`].
 #[derive(Debug, Clone)]
-pub struct StochasticReceptor {
+enum TrStats {
+    /// Packet-length distribution (bins of one flit) and tail-to-tail
+    /// inter-arrival distribution (bins of 8 cycles).
+    Stochastic {
+        length: Histogram,
+        interarrival: Histogram,
+    },
+    /// Injection-to-delivery latency of every completed packet.
+    TraceDriven(LatencyAnalyzer),
+}
+
+/// A traffic receptor of either [`TrKind`].
+///
+/// [`Receptor::accept`] is the part both kinds share: the misroute
+/// check, reassembly and the counters. A stochastic receptor also
+/// books every completed packet's length and inter-arrival time; a
+/// trace-driven one books the network latency the engine (which owns
+/// the packet ledger) hands to [`Receptor::record_latency`].
+#[derive(Debug, Clone)]
+pub struct Receptor {
     id: EndpointId,
     reasm: Reassembler,
     counters: ReceptorCounters,
-    /// Packet-length distribution (bins of one flit).
-    length_hist: Histogram,
-    /// Packet inter-arrival distribution (tail-to-tail, bins of 8
-    /// cycles).
-    interarrival_hist: Histogram,
+    stats: TrStats,
 }
 
-impl StochasticReceptor {
-    /// Creates a receptor for endpoint `id`.
-    pub fn new(id: EndpointId) -> Self {
-        StochasticReceptor {
+impl Receptor {
+    /// Creates a receptor of `kind` for endpoint `id`.
+    pub fn new(id: EndpointId, kind: TrKind) -> Self {
+        let stats = match kind {
+            TrKind::Stochastic => TrStats::Stochastic {
+                length: Histogram::new(64, 1),
+                interarrival: Histogram::new(128, 8),
+            },
+            TrKind::TraceDriven => TrStats::TraceDriven(LatencyAnalyzer::new()),
+        };
+        Receptor {
             id,
             reasm: Reassembler::new(),
             counters: ReceptorCounters::default(),
-            length_hist: Histogram::new(64, 1),
-            interarrival_hist: Histogram::new(128, 8),
+            stats,
         }
     }
 
     /// The endpoint this receptor serves.
     pub fn id(&self) -> EndpointId {
         self.id
+    }
+
+    /// The receptor kind.
+    pub fn kind(&self) -> TrKind {
+        match self.stats {
+            TrStats::Stochastic { .. } => TrKind::Stochastic,
+            TrStats::TraceDriven(_) => TrKind::TraceDriven,
+        }
     }
 
     /// Accepts one flit from the ejection link.
@@ -278,14 +307,29 @@ impl StochasticReceptor {
         self.counters.flits += 1;
         let done = self.reasm.accept(flit, now)?;
         if let Some(pkt) = done {
-            if let Some(prev) = self.counters.last_tail_at {
-                self.interarrival_hist.record(now.since(prev));
+            if let TrStats::Stochastic {
+                length,
+                interarrival,
+            } = &mut self.stats
+            {
+                if let Some(prev) = self.counters.last_tail_at {
+                    interarrival.record(now.since(prev));
+                }
+                length.record(u64::from(pkt.len_flits));
             }
             self.counters.packets += 1;
             self.counters.last_tail_at = Some(now);
-            self.length_hist.record(u64::from(pkt.len_flits));
         }
         Ok(done)
+    }
+
+    /// Records the network latency of a completed packet
+    /// (engine-supplied); a stochastic receptor keeps no latency.
+    #[inline]
+    pub fn record_latency(&mut self, network: u64) {
+        if let TrStats::TraceDriven(latency) = &mut self.stats {
+            latency.record(network);
+        }
     }
 
     /// Counter snapshot.
@@ -293,96 +337,25 @@ impl StochasticReceptor {
         &self.counters
     }
 
-    /// Packet-length histogram ("image of the received traffic").
-    pub fn length_histogram(&self) -> &Histogram {
-        &self.length_hist
-    }
-
-    /// Tail-to-tail inter-arrival histogram.
-    pub fn interarrival_histogram(&self) -> &Histogram {
-        &self.interarrival_hist
-    }
-}
-
-/// Trace-driven receptor: reassembly plus the latency analyzer.
-///
-/// Latency samples are recorded by the engine (which owns the packet
-/// ledger mapping packet ids to release/injection timestamps) through
-/// [`TraceReceptor::record_latency`].
-#[derive(Debug, Clone)]
-pub struct TraceReceptor {
-    id: EndpointId,
-    reasm: Reassembler,
-    counters: ReceptorCounters,
-    network_latency: LatencyAnalyzer,
-    total_latency: LatencyAnalyzer,
-}
-
-impl TraceReceptor {
-    /// Creates a receptor for endpoint `id`.
-    pub fn new(id: EndpointId) -> Self {
-        TraceReceptor {
-            id,
-            reasm: Reassembler::new(),
-            counters: ReceptorCounters::default(),
-            network_latency: LatencyAnalyzer::new(),
-            total_latency: LatencyAnalyzer::new(),
+    /// Injection-to-delivery latency statistics (Figure 4's metric) of
+    /// a trace-driven receptor.
+    pub fn network_latency(&self) -> Option<&LatencyAnalyzer> {
+        match &self.stats {
+            TrStats::TraceDriven(latency) => Some(latency),
+            TrStats::Stochastic { .. } => None,
         }
     }
 
-    /// The endpoint this receptor serves.
-    pub fn id(&self) -> EndpointId {
-        self.id
-    }
-
-    /// Accepts one flit from the ejection link.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`StochasticReceptor::accept`].
-    #[inline]
-    pub fn accept(
-        &mut self,
-        flit: &Flit,
-        now: Cycle,
-    ) -> Result<Option<CompletedPacket>, ReceiveError> {
-        if flit.dst != self.id {
-            return Err(ReceiveError::Misrouted {
-                receptor: self.id,
-                wanted: flit.dst,
-            });
+    /// The packet-length and inter-arrival histograms of a stochastic
+    /// receptor ("an image of the received traffic").
+    pub fn histograms(&self) -> Option<(&Histogram, &Histogram)> {
+        match &self.stats {
+            TrStats::Stochastic {
+                length,
+                interarrival,
+            } => Some((length, interarrival)),
+            TrStats::TraceDriven(_) => None,
         }
-        self.counters.first_flit_at.get_or_insert(now);
-        self.counters.flits += 1;
-        let done = self.reasm.accept(flit, now)?;
-        if done.is_some() {
-            self.counters.packets += 1;
-            self.counters.last_tail_at = Some(now);
-        }
-        Ok(done)
-    }
-
-    /// Records the latencies of a completed packet (engine-supplied).
-    #[inline]
-    pub fn record_latency(&mut self, network: u64, total: u64) {
-        self.network_latency.record(network);
-        self.total_latency.record(total);
-    }
-
-    /// Counter snapshot.
-    pub fn counters(&self) -> &ReceptorCounters {
-        &self.counters
-    }
-
-    /// Injection-to-delivery latency statistics (Figure 4's metric).
-    pub fn network_latency(&self) -> &LatencyAnalyzer {
-        &self.network_latency
-    }
-
-    /// Release-to-delivery latency statistics (includes source
-    /// queueing).
-    pub fn total_latency(&self) -> &LatencyAnalyzer {
-        &self.total_latency
     }
 }
 
@@ -476,7 +449,7 @@ mod tests {
 
     #[test]
     fn stochastic_receptor_histograms() {
-        let mut tr = StochasticReceptor::new(EndpointId::new(3));
+        let mut tr = Receptor::new(EndpointId::new(3), TrKind::Stochastic);
         let mut now = 0;
         for (id, len) in [(1u64, 2u16), (2, 2), (3, 4)] {
             for f in flits(id, 3, len) {
@@ -485,37 +458,43 @@ mod tests {
             }
             now += 10; // gap between packets
         }
+        tr.record_latency(7); // a stochastic receptor keeps no latency
         let c = tr.counters();
         assert_eq!(c.packets, 3);
         assert_eq!(c.flits, 8);
         assert!(c.running_time() > 0);
-        assert_eq!(tr.length_histogram().bin_count(2), 2); // two 2-flit packets
-        assert_eq!(tr.length_histogram().bin_count(4), 1);
-        assert_eq!(tr.interarrival_histogram().count(), 2);
+        let (length, interarrival) = tr.histograms().unwrap();
+        assert_eq!(length.bin_count(2), 2); // two 2-flit packets
+        assert_eq!(length.bin_count(4), 1);
+        assert_eq!(interarrival.count(), 2);
+        assert!(tr.network_latency().is_none());
         assert_eq!(tr.id(), EndpointId::new(3));
+        assert_eq!(tr.kind(), TrKind::Stochastic);
     }
 
     #[test]
     fn misrouted_flit_is_rejected() {
-        let mut tr = StochasticReceptor::new(EndpointId::new(3));
         let f = flits(1, 7, 1)[0];
-        let err = tr.accept(&f, Cycle::ZERO).unwrap_err();
-        assert!(matches!(err, ReceiveError::Misrouted { .. }));
-        let mut tt = TraceReceptor::new(EndpointId::new(3));
-        assert!(tt.accept(&f, Cycle::ZERO).is_err());
+        for kind in [TrKind::Stochastic, TrKind::TraceDriven] {
+            let mut tr = Receptor::new(EndpointId::new(3), kind);
+            let err = tr.accept(&f, Cycle::ZERO).unwrap_err();
+            assert!(matches!(err, ReceiveError::Misrouted { .. }));
+            assert_eq!(tr.counters().flits, 0);
+        }
     }
 
     #[test]
     fn trace_receptor_latency_recording() {
-        let mut tr = TraceReceptor::new(EndpointId::new(0));
+        let mut tr = Receptor::new(EndpointId::new(0), TrKind::TraceDriven);
         for f in flits(1, 0, 2) {
             tr.accept(&f, Cycle::new(10)).unwrap();
         }
-        tr.record_latency(7, 12);
-        assert_eq!(tr.network_latency().mean(), Some(7.0));
-        assert_eq!(tr.total_latency().max(), Some(12));
+        tr.record_latency(7);
+        assert_eq!(tr.network_latency().unwrap().mean(), Some(7.0));
+        assert!(tr.histograms().is_none());
         assert_eq!(tr.counters().packets, 1);
         assert_eq!(tr.id(), EndpointId::new(0));
+        assert_eq!(tr.kind(), TrKind::TraceDriven);
     }
 
     #[test]

@@ -363,6 +363,20 @@ mod tests {
         assert_eq!(s.delivered_packets(), 1);
     }
 
+    #[test]
+    fn quantile_zero_reads_the_minimums_bin() {
+        // Ten latencies 1000..=1009: the bin width is 1009 / 256 + 1 = 4,
+        // so bins 0..250 are empty and q = 0 must not read bin 0's edge.
+        let points: Vec<(u64, u64)> = (0..10).map(|i| (i, 1_000 + i)).collect();
+        let l = ledger_of(&points);
+        let w = Window::after_warmup(0, 2_000, 2_000);
+        let s = WindowStats::from_ledger(&l, w, LatencyKind::Network);
+        assert_eq!(s.quantile_resolution(), Some(4));
+        assert_eq!(s.min(), Some(1_000));
+        assert_eq!(s.quantile(0.0), Some(1_004));
+        assert_eq!(s.quantile(1.0), Some(1_012));
+    }
+
     /// Exact quantile reference: the rank-`ceil(q*n)` order statistic.
     fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
         let n = sorted.len();
@@ -393,7 +407,7 @@ mod tests {
             let mut sorted = lats.clone();
             sorted.sort_unstable();
             let width = s.quantile_resolution().unwrap();
-            for &q in &[0.5, 0.95, 0.99] {
+            for &q in &[0.0, 0.5, 0.95, 0.99, 1.0] {
                 let approx = s.quantile(q).unwrap();
                 let exact = exact_quantile(&sorted, q);
                 prop_assert!(
@@ -424,7 +438,7 @@ mod tests {
             prop_assert_eq!(h.overflow(), 0);
             let mut sorted = values.clone();
             sorted.sort_unstable();
-            for &q in &[0.25, 0.5, 0.9, 0.95, 0.99] {
+            for &q in &[0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
                 let approx = h.quantile(q).unwrap();
                 let exact = exact_quantile(&sorted, q);
                 prop_assert!(

@@ -19,9 +19,9 @@
 //!   scheme for rings/tori);
 //! * [`deadlock`] — channel-dependency-graph cycle detection, per
 //!   virtual channel;
-//! * [`partition`] — switch-graph partitioning ([`partition::Partition`],
-//!   the grid-stripe partitioner) and boundary-link enumeration for
-//!   the sharded emulation engine;
+//! * [`partition`] — switch-graph partitioning (the grid-stripe
+//!   partitioner [`partition::grid_stripes`]) and boundary-link
+//!   enumeration for the sharded emulation engine;
 //! * [`analysis`] — analytic offered-load prediction per link
 //!   (validates the 45 % / 90 % numbers before any emulation runs).
 //!
@@ -59,7 +59,7 @@ pub mod partition;
 pub mod routing;
 
 pub use graph::{EndpointKind, GridInfo, Link, LinkEnd, Topology, TopologyBuilder};
-pub use partition::{GridStripes, Partition, PartitionMap};
+pub use partition::{grid_stripes, PartitionMap};
 pub use routing::{
     FlowPaths, FlowSet, FlowSpec, Path, RouteAlgorithm, RouteHop, RoutingTables, VcPolicy,
 };

@@ -9,9 +9,8 @@
 //! those **boundary links** ([`PartitionMap::boundary_links`]) are the
 //! links the engine bridges with bounded channels.
 //!
-//! Partitioners implement the [`Partition`] trait. The ready-made
-//! [`GridStripes`] exploits the spatial locality of grid links: it
-//! cuts a mesh/torus into contiguous stripes of rows, so every cut
+//! The partitioner, [`grid_stripes`], exploits the spatial locality of
+//! grid links: it cuts a mesh/torus into contiguous stripes of rows, so every cut
 //! edge is a vertical (or wrap-around) link between two adjacent
 //! stripes — `O(width)` boundary links per seam instead of the
 //! `O(switches)` a random assignment would produce. Non-grid
@@ -58,8 +57,8 @@ impl std::error::Error for PartitionError {}
 
 /// A validated, total assignment of switches to shards.
 ///
-/// Construct through [`PartitionMap::new`] (which validates) or a
-/// [`Partition`] implementation. Every switch belongs to exactly one
+/// Construct through [`PartitionMap::new`] (which validates) or
+/// [`grid_stripes`]. Every switch belongs to exactly one
 /// shard and every shard owns at least one switch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {
@@ -126,16 +125,6 @@ impl PartitionMap {
             .collect()
     }
 
-    /// Whether `link` crosses a shard boundary (both ends must be
-    /// switches; injection and ejection links never cross).
-    pub fn is_boundary(&self, topo: &Topology, link: LinkId) -> bool {
-        let l = topo.link(link);
-        match (l.from_switch(), l.to_switch()) {
-            (Some(a), Some(b)) => self.shard_of(a) != self.shard_of(b),
-            _ => false,
-        }
-    }
-
     /// All boundary links — the cut edges of the partition — in
     /// ascending link-id order.
     ///
@@ -159,18 +148,7 @@ impl PartitionMap {
     }
 }
 
-/// A strategy for splitting a topology's switch graph into shards.
-pub trait Partition {
-    /// Partitions `topo` into `shards` shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError`] when the request is unsatisfiable
-    /// (zero shards, more shards than switches).
-    fn partition(&self, topo: &Topology, shards: usize) -> Result<PartitionMap, PartitionError>;
-}
-
-/// The grid-stripe partitioner.
+/// Splits a topology's switch graph into `shards` grid stripes.
 ///
 /// Grids (meshes and tori) are cut into `shards` contiguous stripes of
 /// whole rows *or* whole columns — whichever orientation cuts fewer
@@ -188,8 +166,89 @@ pub trait Partition {
 /// The brute-force enumeration test below checks the cost model: the
 /// chosen cut equals the minimum [`PartitionMap::boundary_links`]
 /// count over *every* contiguous row and column composition.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GridStripes;
+///
+/// # Errors
+///
+/// Returns [`PartitionError`] when the request is unsatisfiable (zero
+/// shards, more shards than switches).
+pub fn grid_stripes(topo: &Topology, shards: usize) -> Result<PartitionMap, PartitionError> {
+    let n = topo.switch_count();
+    if shards == 0 {
+        return Err(PartitionError::ZeroShards);
+    }
+    if shards > n {
+        return Err(PartitionError::TooManyShards {
+            shards,
+            switches: n,
+        });
+    }
+    let mut shard_of = vec![0usize; n];
+    let grid = topo
+        .grid()
+        .filter(|g| (g.width as usize) * (g.height as usize) == n);
+    let orientation = grid.and_then(|g| {
+        // Which dimensions wrap (a torus link spans more than one
+        // grid step): striping along a wrapped dimension pays one
+        // extra seam, because the edge stripes touch through the
+        // wrap links.
+        let mut wrap_v = false;
+        let mut wrap_h = false;
+        for s in topo.switch_ids() {
+            let (ax, ay) = g.coords(s);
+            for (_, _, next, _) in topo.switch_neighbors(s) {
+                let (bx, by) = g.coords(next);
+                wrap_v |= ay.abs_diff(by) > 1;
+                wrap_h |= ax.abs_diff(bx) > 1;
+            }
+        }
+        // Directed cut cost of each orientation: seams × links per
+        // seam (each seam carries one link pair per line it crosses).
+        // A single shard cuts nothing either way.
+        let seams = |wraps: bool| shards - 1 + usize::from(wraps && shards > 1);
+        let rows_cost = seams(wrap_v) * 2 * g.width as usize;
+        let cols_cost = seams(wrap_h) * 2 * g.height as usize;
+        let rows_ok = g.height as usize >= shards;
+        let cols_ok = g.width as usize >= shards;
+        match (rows_ok, cols_ok) {
+            (true, true) if cols_cost < rows_cost => Some(false),
+            (true, _) => Some(true),
+            (_, true) => Some(false),
+            _ => None,
+        }
+    });
+    match (grid, orientation) {
+        // Stripes of whole rows (or columns), balanced to within one
+        // line, so the cut consists of the links between adjacent
+        // stripes plus any wrap seam.
+        (Some(grid), Some(by_rows)) => {
+            let lines = if by_rows { grid.height } else { grid.width };
+            for (k, range) in stripe_ranges(lines as usize, shards)
+                .into_iter()
+                .enumerate()
+            {
+                for line in range {
+                    let across = if by_rows { grid.width } else { grid.height };
+                    for i in 0..across as usize {
+                        let (x, y) = if by_rows {
+                            (i as u32, line as u32)
+                        } else {
+                            (line as u32, i as u32)
+                        };
+                        shard_of[grid.at(x, y).index()] = k;
+                    }
+                }
+            }
+        }
+        _ => {
+            for (k, range) in stripe_ranges(n, shards).into_iter().enumerate() {
+                for s in range {
+                    shard_of[s] = k;
+                }
+            }
+        }
+    }
+    PartitionMap::new(shard_of, shards)
+}
 
 /// Splits `n` items into `k` contiguous ranges balanced to within one.
 fn stripe_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
@@ -204,87 +263,6 @@ fn stripe_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
             r
         })
         .collect()
-}
-
-impl Partition for GridStripes {
-    fn partition(&self, topo: &Topology, shards: usize) -> Result<PartitionMap, PartitionError> {
-        let n = topo.switch_count();
-        if shards == 0 {
-            return Err(PartitionError::ZeroShards);
-        }
-        if shards > n {
-            return Err(PartitionError::TooManyShards {
-                shards,
-                switches: n,
-            });
-        }
-        let mut shard_of = vec![0usize; n];
-        let grid = topo
-            .grid()
-            .filter(|g| (g.width as usize) * (g.height as usize) == n);
-        let orientation = grid.and_then(|g| {
-            // Which dimensions wrap (a torus link spans more than one
-            // grid step): striping along a wrapped dimension pays one
-            // extra seam, because the edge stripes touch through the
-            // wrap links.
-            let mut wrap_v = false;
-            let mut wrap_h = false;
-            for s in topo.switch_ids() {
-                let (ax, ay) = g.coords(s);
-                for (_, _, next, _) in topo.switch_neighbors(s) {
-                    let (bx, by) = g.coords(next);
-                    wrap_v |= ay.abs_diff(by) > 1;
-                    wrap_h |= ax.abs_diff(bx) > 1;
-                }
-            }
-            // Directed cut cost of each orientation: seams × links
-            // per seam (each seam carries one link pair per line it
-            // crosses). A single shard cuts nothing either way.
-            let seams = |wraps: bool| shards - 1 + usize::from(wraps && shards > 1);
-            let rows_cost = seams(wrap_v) * 2 * g.width as usize;
-            let cols_cost = seams(wrap_h) * 2 * g.height as usize;
-            let rows_ok = g.height as usize >= shards;
-            let cols_ok = g.width as usize >= shards;
-            match (rows_ok, cols_ok) {
-                (true, true) if cols_cost < rows_cost => Some(false),
-                (true, _) => Some(true),
-                (_, true) => Some(false),
-                _ => None,
-            }
-        });
-        match (grid, orientation) {
-            // Stripes of whole rows (or columns), balanced to within
-            // one line, so the cut consists of the links between
-            // adjacent stripes plus any wrap seam.
-            (Some(grid), Some(by_rows)) => {
-                let lines = if by_rows { grid.height } else { grid.width };
-                for (k, range) in stripe_ranges(lines as usize, shards)
-                    .into_iter()
-                    .enumerate()
-                {
-                    for line in range {
-                        let across = if by_rows { grid.width } else { grid.height };
-                        for i in 0..across as usize {
-                            let (x, y) = if by_rows {
-                                (i as u32, line as u32)
-                            } else {
-                                (line as u32, i as u32)
-                            };
-                            shard_of[grid.at(x, y).index()] = k;
-                        }
-                    }
-                }
-            }
-            _ => {
-                for (k, range) in stripe_ranges(n, shards).into_iter().enumerate() {
-                    for s in range {
-                        shard_of[s] = k;
-                    }
-                }
-            }
-        }
-        PartitionMap::new(shard_of, shards)
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +289,7 @@ mod tests {
     #[test]
     fn mesh_rows_stripe_cleanly() {
         let topo = mesh(4, 4).unwrap();
-        let map = GridStripes.partition(&topo, 2).unwrap();
+        let map = grid_stripes(&topo, 2).unwrap();
         let grid = topo.grid().unwrap();
         for s in topo.switch_ids() {
             let (_, y) = grid.coords(s);
@@ -324,7 +302,7 @@ mod tests {
     #[test]
     fn torus_wrap_links_join_the_cut() {
         let topo = torus(4, 4).unwrap();
-        let map = GridStripes.partition(&topo, 2).unwrap();
+        let map = grid_stripes(&topo, 2).unwrap();
         // Seam links (8) plus the vertical wrap links row 3 <-> row 0 (8).
         assert_eq!(map.boundary_links(&topo).len(), 16);
     }
@@ -332,7 +310,7 @@ mod tests {
     #[test]
     fn ring_and_star_fall_back_to_index_stripes() {
         for topo in [ring(8).unwrap(), star(6).unwrap()] {
-            let map = GridStripes.partition(&topo, 2).unwrap();
+            let map = grid_stripes(&topo, 2).unwrap();
             let total: usize = (0..2).map(|k| map.switches_of(k).len()).sum();
             assert_eq!(total, topo.switch_count());
             assert!(!map.boundary_links(&topo).is_empty());
@@ -342,7 +320,7 @@ mod tests {
     #[test]
     fn single_shard_has_no_boundary() {
         let topo = mesh(3, 3).unwrap();
-        let map = GridStripes.partition(&topo, 1).unwrap();
+        let map = grid_stripes(&topo, 1).unwrap();
         assert!(map.boundary_links(&topo).is_empty());
         assert_eq!(map.switches_of(0).len(), 9);
     }
@@ -350,12 +328,9 @@ mod tests {
     #[test]
     fn degenerate_requests_are_rejected() {
         let topo = mesh(2, 2).unwrap();
-        assert_eq!(
-            GridStripes.partition(&topo, 0),
-            Err(PartitionError::ZeroShards)
-        );
+        assert_eq!(grid_stripes(&topo, 0), Err(PartitionError::ZeroShards));
         assert!(matches!(
-            GridStripes.partition(&topo, 5),
+            grid_stripes(&topo, 5),
             Err(PartitionError::TooManyShards { .. })
         ));
     }
@@ -372,7 +347,7 @@ mod tests {
     fn more_shards_than_rows_still_covers() {
         // mesh 8x2 has 2 rows; 4 shards stripe by columns instead.
         let topo = mesh(8, 2).unwrap();
-        let map = GridStripes.partition(&topo, 4).unwrap();
+        let map = grid_stripes(&topo, 4).unwrap();
         for k in 0..4 {
             assert_eq!(map.switches_of(k).len(), 4);
         }
@@ -383,13 +358,13 @@ mod tests {
         // mesh 16x4, 2 shards: a row seam cuts 2·16 = 32 directed
         // links, a column seam only 2·4 = 8.
         let topo = mesh(16, 4).unwrap();
-        let map = GridStripes.partition(&topo, 2).unwrap();
+        let map = grid_stripes(&topo, 2).unwrap();
         assert_eq!(map.boundary_links(&topo).len(), 8);
         // torus 8x4, 4 shards: row stripes would pay 4 seams (3 cuts
         // + vertical wrap) of 16 = 64; column stripes pay 4 seams of
         // 8 = 32.
         let topo = torus(8, 4).unwrap();
-        let map = GridStripes.partition(&topo, 4).unwrap();
+        let map = grid_stripes(&topo, 4).unwrap();
         assert_eq!(map.boundary_links(&topo).len(), 32);
     }
 
@@ -460,7 +435,7 @@ mod tests {
         ];
         for topo in &topos {
             for shards in 2..=4 {
-                let chosen = GridStripes.partition(topo, shards).unwrap();
+                let chosen = grid_stripes(topo, shards).unwrap();
                 let cut = chosen.boundary_links(topo).len();
                 let best = brute_force_best_cut(topo, shards);
                 assert_eq!(

@@ -5,9 +5,11 @@
 //! policy, traffic model, source queue, clock mode, telemetry window —
 //! the engines it runs on (the compiled engine and a sharded one
 //! always, the TLM and RTL models on platforms of at most nine
-//! switches), and last, so that adding it kept every earlier draw, the
-//! self-profiling: off, phases, phases and spans, or phases and a stall
-//! watchdog whose window of 1..=8 cycles trips on ordinary congestion.
+//! switches), then the self-profiling: off, phases, phases and spans, or
+//! phases and a stall watchdog whose window of 1..=8 cycles trips on
+//! ordinary congestion, and last a stochastic or trace-driven kind per
+//! receptor. Each later draw was added after the earlier ones, so every
+//! seed keeps what it drew before.
 //! The property: every engine matches the interpreted engine per cycle,
 //! or every engine rejects the config at build with one equal error. No
 //! engine may panic or fail mid-run, and every engine with stall
@@ -28,6 +30,7 @@ use nocem::error::CompileError;
 use nocem::profile::ProfileConfig;
 use nocem_common::rng::{Pcg32, RandomSource};
 use nocem_scenarios::registry::ScenarioRegistry;
+use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
 use nocem_telemetry::TelemetryConfig;
@@ -139,6 +142,9 @@ fn generate(seed: u64) -> (PlatformConfig, Vec<Backend>) {
         2 => Some(ProfileConfig::default()),
         _ => Some(phases.with_stall(u64::from(rng.in_range(1, 8)))),
     };
+    for kind in &mut cfg.receptors {
+        *kind = pick(&mut rng, &[TrKind::Stochastic, TrKind::TraceDriven]);
+    }
     cfg.name = format!("seed {seed}: {}", cfg.name);
     (cfg, backends)
 }

@@ -5,13 +5,14 @@
 
 use nocem::clock::run_engine;
 use nocem::config::{EngineKind, PaperConfig, PlatformConfig, TrafficModel};
-use nocem::devices::{SwitchDriver, TgDriver, TrDriver};
+use nocem::devices::{trreg, SwitchDriver, TgDriver, TrDriver};
 use nocem::engine::{build, Emulation};
 use nocem::error::{CompileError, EmulationError};
 use nocem::{AnyEngine, SteppableEngine};
 use nocem_common::rng::{Pcg32, RandomSource};
 use nocem_platform::bus::{BusAccess, BusError, DeviceClass};
 use nocem_platform::control::{self, ControlDriver, STATUS_DONE, STATUS_RUNNING};
+use nocem_stats::TrKind;
 use nocem_traffic::generator::DestinationModel;
 use nocem_traffic::registers as tgreg;
 use nocem_traffic::stochastic::UniformConfig;
@@ -278,6 +279,54 @@ fn an_unregistered_flow_is_a_compile_error() {
         ),
         "{err}"
     );
+}
+
+#[test]
+fn tr_registers_read_both_receptor_kinds() {
+    let mut cfg = paper();
+    cfg.receptors = vec![
+        TrKind::Stochastic,
+        TrKind::TraceDriven,
+        TrKind::Stochastic,
+        TrKind::TraceDriven,
+    ];
+    let mut emu = build(&cfg).unwrap();
+    run_engine(&mut emu).unwrap();
+    let results = emu.results();
+    let map = emu.address_map().clone();
+    for (i, tr) in map.of_class(DeviceClass::TrafficReceptor).enumerate() {
+        let (regs, want) = (TrDriver::new(tr.addr), &results.receptors[i]);
+        assert!(want.packets > 0, "tr{i} received nothing");
+        assert_eq!(regs.packets(&mut emu).unwrap(), want.packets, "tr{i}");
+        assert_eq!(regs.flits(&mut emu).unwrap(), want.flits, "tr{i}");
+        let running = regs.running_time(&mut emu).unwrap();
+        assert_eq!(running, want.running_time, "tr{i}");
+        let mean = regs.mean_network_latency(&mut emu).unwrap();
+        let lat_min = emu.read(tr.addr.reg(trreg::REG_LAT_MIN)).unwrap();
+        let lat_max = emu.read(tr.addr.reg(trreg::REG_LAT_MAX)).unwrap();
+        if cfg.receptors[i] == TrKind::TraceDriven {
+            assert!(want.mean_network_latency.is_some(), "tr{i}");
+            assert_eq!(mean, want.mean_network_latency, "tr{i}");
+            assert!(0 < lat_min && lat_min <= lat_max, "tr{i}");
+        } else {
+            assert_eq!(mean, None, "tr{i}");
+            assert_eq!((lat_min, lat_max), (u32::MAX, 0), "tr{i}");
+        }
+    }
+    let receptors_on = |engine| {
+        let mut cfg = cfg.clone();
+        cfg.engine = engine;
+        let mut e = AnyEngine::build(&cfg).unwrap();
+        run_engine(&mut e).unwrap();
+        e.results().unwrap().receptors
+    };
+    let compiled = receptors_on(EngineKind::Compiled);
+    assert_eq!(compiled, results.receptors);
+    let sharded = receptors_on(EngineKind::ShardedCompiled {
+        shards: 2,
+        batch: 4,
+    });
+    assert_eq!(sharded, compiled);
 }
 
 #[test]
