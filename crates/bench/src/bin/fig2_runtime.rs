@@ -10,7 +10,7 @@
 //! ```
 
 use nocem::config::PaperConfig;
-use nocem::sweep::{run_sweep, SweepPoint};
+use nocem::sweep::run_sweep;
 use nocem_bench::scaled;
 use nocem_common::csv::CsvWriter;
 use nocem_common::table::{Align, TextTable};
@@ -21,18 +21,17 @@ fn main() {
         .map(|&p| scaled(p))
         .collect();
 
-    let mut points = Vec::new();
-    for &n in &packet_counts {
-        points.push(SweepPoint::new(
-            format!("uniform/{n}"),
-            PaperConfig::new().total_packets(n).uniform(),
-        ));
-        points.push(SweepPoint::new(
-            format!("burst/{n}"),
-            PaperConfig::new().total_packets(n).burst(8),
-        ));
-    }
-    let results = run_sweep(&points, nocem_bench::num_threads()).expect("sweep runs");
+    // One (uniform, burst) pair per packet count.
+    let configs: Vec<_> = packet_counts
+        .iter()
+        .flat_map(|&n| {
+            [
+                PaperConfig::new().total_packets(n).uniform(),
+                PaperConfig::new().total_packets(n).burst(8),
+            ]
+        })
+        .collect();
+    let results = run_sweep(&configs, nocem_bench::num_threads()).expect("sweep runs");
 
     let mut t = TextTable::with_columns(&[
         "packets sent",
@@ -46,9 +45,8 @@ fn main() {
     }
     let mut csv = CsvWriter::new(&["packets", "uniform_cycles", "burst_cycles"]);
     csv.comment("paper fig: run-time vs packets; burst congests more than uniform");
-    for &n in &packet_counts {
-        let uniform = lookup(&results, &format!("uniform/{n}"));
-        let burst = lookup(&results, &format!("burst/{n}"));
+    for (&n, pair) in packet_counts.iter().zip(results.chunks(2)) {
+        let (uniform, burst) = (pair[0].cycles, pair[1].cycles);
         t.row(vec![
             n.to_string(),
             uniform.to_string(),
@@ -62,12 +60,4 @@ fn main() {
     println!("the burst curve lies above the uniform curve (more congestion).");
     let path = nocem_bench::save_csv("fig2_runtime.csv", csv.as_str());
     println!("data written to {}", path.display());
-}
-
-fn lookup(results: &[(String, nocem::results::EmulationResults)], label: &str) -> u64 {
-    results
-        .iter()
-        .find(|(l, _)| l == label)
-        .map(|(_, r)| r.cycles)
-        .expect("label present")
 }

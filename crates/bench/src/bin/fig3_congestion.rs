@@ -10,7 +10,7 @@
 //! ```
 
 use nocem::config::PaperConfig;
-use nocem::sweep::{run_sweep, SweepPoint};
+use nocem::sweep::run_sweep;
 use nocem_bench::scaled;
 use nocem_common::csv::CsvWriter;
 use nocem_common::table::{Align, TextTable};
@@ -22,19 +22,19 @@ fn main() {
     let total_packets = scaled(20_000);
     let hot = PaperConfig::new().setup().hot_links.to_vec();
 
-    let mut points = Vec::new();
-    for &f in &FLITS_PER_PACKET {
-        for &b in &PACKETS_PER_BURST {
-            points.push(SweepPoint::new(
-                format!("f{f}/b{b}"),
+    // One row of packet lengths per burst length, as the table reads.
+    let configs: Vec<_> = PACKETS_PER_BURST
+        .iter()
+        .flat_map(|&b| {
+            FLITS_PER_PACKET.iter().map(move |&f| {
                 PaperConfig::new()
                     .total_packets(total_packets)
                     .packet_flits(f)
-                    .trace_bursty(b),
-            ));
-        }
-    }
-    let results = run_sweep(&points, nocem_bench::num_threads()).expect("sweep runs");
+                    .trace_bursty(b)
+            })
+        })
+        .collect();
+    let results = run_sweep(&configs, nocem_bench::num_threads()).expect("sweep runs");
 
     let mut header = vec!["packets/burst".to_string()];
     header.extend(FLITS_PER_PACKET.iter().map(|f| format!("{f} flits/pkt")));
@@ -44,14 +44,12 @@ fn main() {
         t.align(c, Align::Right);
     }
     let mut csv = CsvWriter::new(&["packets_per_burst", "flits_per_packet", "congestion_rate"]);
-    for &b in &PACKETS_PER_BURST {
+    for (&b, runs) in PACKETS_PER_BURST
+        .iter()
+        .zip(results.chunks(FLITS_PER_PACKET.len()))
+    {
         let mut row = vec![b.to_string()];
-        for &f in &FLITS_PER_PACKET {
-            let r = results
-                .iter()
-                .find(|(l, _)| l == &format!("f{f}/b{b}"))
-                .map(|(_, r)| r)
-                .expect("label present");
+        for (&f, r) in FLITS_PER_PACKET.iter().zip(runs) {
             let rate = r.congestion_rate(&hot);
             row.push(format!("{rate:.3}"));
             csv.record_display(&[&b, &f, &rate]);

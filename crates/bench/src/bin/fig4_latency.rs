@@ -10,7 +10,7 @@
 //! ```
 
 use nocem::config::PaperConfig;
-use nocem::sweep::{run_sweep, SweepPoint};
+use nocem::sweep::run_sweep;
 use nocem_bench::scaled;
 use nocem_common::csv::CsvWriter;
 use nocem_common::table::{Align, TextTable};
@@ -22,19 +22,16 @@ fn main() {
     let flits = 8u16;
     let hot = PaperConfig::new().setup().hot_links.to_vec();
 
-    let points: Vec<SweepPoint> = PACKETS_PER_BURST
+    let configs: Vec<_> = PACKETS_PER_BURST
         .iter()
         .map(|&b| {
-            SweepPoint::new(
-                format!("b{b}"),
-                PaperConfig::new()
-                    .total_packets(total_packets)
-                    .packet_flits(flits)
-                    .trace_bursty(b),
-            )
+            PaperConfig::new()
+                .total_packets(total_packets)
+                .packet_flits(flits)
+                .trace_bursty(b)
         })
         .collect();
-    let results = run_sweep(&points, nocem_bench::num_threads()).expect("sweep runs");
+    let results = run_sweep(&configs, nocem_bench::num_threads()).expect("sweep runs");
 
     let mut t = TextTable::with_columns(&[
         "packets/burst",
@@ -55,12 +52,7 @@ fn main() {
         "hot_congestion",
     ]);
     let mut means = Vec::new();
-    for &b in &PACKETS_PER_BURST {
-        let r = results
-            .iter()
-            .find(|(l, _)| l == &format!("b{b}"))
-            .map(|(_, r)| r)
-            .expect("label present");
+    for (&b, r) in PACKETS_PER_BURST.iter().zip(&results) {
         let mean = r.network_latency.mean().unwrap_or(0.0);
         let max = r.network_latency.max().unwrap_or(0);
         let cong = r.congestion_rate(&hot);

@@ -185,11 +185,6 @@ impl RouteTable {
         self.flows.is_empty()
     }
 
-    /// Total stored hops.
-    pub fn hop_count(&self) -> usize {
-        self.hops.len()
-    }
-
     /// The highest VC any stored hop uses (`None` when empty).
     pub fn max_vc(&self) -> Option<u8> {
         self.hops.iter().map(|h| h.vc.raw()).max()
@@ -596,7 +591,6 @@ mod tests {
             assert_eq!(table.lookup(FlowId::new(f as u32)), hops.as_slice());
         }
         assert_eq!(table.flow_entries(), 3, "empty entries are not stored");
-        assert_eq!(table.hop_count(), 4);
         assert_eq!(table.max_vc(), Some(1));
         assert_eq!(table.max_alternatives(), 2);
         assert!(table.lookup(FlowId::new(99)).is_empty());
@@ -609,7 +603,6 @@ mod tests {
         t.push_hop(FlowId::new(1), hop(0, 0));
         t.push_hop(FlowId::new(1), hop(1, 0));
         assert_eq!(t.lookup(FlowId::new(1)), &[hop(0, 0), hop(1, 0)]);
-        assert_eq!(t.hop_count(), 2);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl TextTable {
         self
     }
 
-    /// Appends a row built from `Display` values.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -190,12 +185,5 @@ mod tests {
         let t = TextTable::with_columns(&["a"]);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
-    }
-
-    #[test]
-    fn row_display_accepts_mixed_types() {
-        let mut t = TextTable::with_columns(&["k", "v"]);
-        t.row_display(&[&"speed", &50_000_000u64]);
-        assert!(t.to_string().contains("50000000"));
     }
 }

@@ -229,13 +229,13 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
                 ),
             }),
         };
-        let destination = match model {
+        let (length, destination) = match model {
             TrafficModel::Uniform(c) => {
                 check_gap(c)?;
-                &c.destination
+                (c.length, &c.destination)
             }
-            TrafficModel::Burst(c) => &c.destination,
-            TrafficModel::Poisson(c) => &c.destination,
+            TrafficModel::Burst(c) => (c.length, &c.destination),
+            TrafficModel::Poisson(c) => (c.length, &c.destination),
             TrafficModel::Trace(trace) => {
                 trace
                     .events()
@@ -246,9 +246,39 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
                 continue;
             }
         };
+        check_draws(length, destination)?;
         if !names_own_row(&config.flows, src, destination) {
             destination.pairs().try_for_each(registered)?;
         }
+    }
+    Ok(())
+}
+
+/// A stochastic model draws a length of at least one flit from a
+/// non-empty range and a destination from options of positive total
+/// weight; otherwise its first draw panics mid-run. A uniform row is
+/// checked in `O(1)`, a weighted one in `O(hot sinks)`.
+fn check_draws(length: LengthModel, destination: &DestinationModel) -> Result<(), CompileError> {
+    let (LengthModel::Fixed(min @ longest) | LengthModel::UniformRange { min, max: longest }) =
+        length;
+    if min == 0 || min > longest {
+        return Err(CompileError::InvalidField {
+            field: "generators.length",
+            reason: "a packet is at least one flit, and the range's min <= max",
+        });
+    }
+    let drawable = match destination {
+        DestinationModel::Fixed { .. } => true,
+        DestinationModel::UniformChoice(options) => !options.is_empty(),
+        DestinationModel::Weighted(options) => options.iter().any(|&(_, _, w)| w > 0),
+        DestinationModel::UniformRow(row) => !row.is_empty(),
+        DestinationModel::WeightedRow(hot) => hot.total_weight() > 0,
+    };
+    if !drawable {
+        return Err(CompileError::InvalidField {
+            field: "generators.destination",
+            reason: "a destination model has an option of positive weight",
+        });
     }
     Ok(())
 }
@@ -971,6 +1001,7 @@ mod tests {
     use nocem_stats::TrKind;
     use nocem_topology::builders::mesh;
     use nocem_topology::routing::FlowSpec;
+    use nocem_traffic::generator::HotRow;
 
     #[test]
     fn paper_uniform_elaborates() {
@@ -1117,6 +1148,29 @@ mod tests {
         // pair — and pass.
         cfg.flows = cfg.flows.to_listed().into();
         elaborate(&cfg).unwrap();
+    }
+
+    #[test]
+    fn a_weighted_row_of_zero_total_weight_fails_at_set_up() {
+        let (mut cfg, set) = all_to_all();
+        let mut hot_row = |hot: std::ops::Range<u32>| {
+            let TrafficModel::Uniform(u) = &mut cfg.generators[0] else {
+                panic!("baseline generators are uniform");
+            };
+            let row = Row::new(set.clone(), 0);
+            u.destination = DestinationModel::WeightedRow(HotRow::new(row, hot.collect(), 0));
+            elaborate(&cfg).map(drop)
+        };
+        // Every option is a hot sink of weight 0: nothing to draw.
+        assert!(matches!(
+            hot_row(0..9),
+            Err(CompileError::InvalidField {
+                field: "generators.destination",
+                ..
+            })
+        ));
+        // One cold option is enough.
+        hot_row(0..8).unwrap();
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! | [`devices`] | 3, 6 | register views and typed drivers |
 //! | [`profile`] | 5, 6 | engine self-profiling: phase timers, span timelines, stall forensics |
 //! | [`results`] | 6 | run results and the monitor report |
-//! | [`sweep`] | — | multi-configuration sweep runner |
+//! | [`sweep`] | — | the one scheduler for grids of runs, and the config → engine dispatcher |
 //! | [`error`] | — | compile/run error types |
 
 #![forbid(unsafe_code)]
@@ -88,6 +88,4 @@ pub use profile::{
 };
 pub use results::EmulationResults;
 pub use shard_compiled::ShardedCompiledEngine;
-pub use sweep::{
-    run_config, run_config_routed, run_sweep, run_sweep_indexed, AnyEngine, SweepPoint,
-};
+pub use sweep::{run_config, run_config_routed, run_sweep, run_sweep_indexed, AnyEngine};

@@ -3,8 +3,9 @@
 //!
 //! [`CompiledEngine`] steps every switch of the platform on one
 //! thread; past a few hundred switches that thread is the wall-clock
-//! bottleneck, and the scenario-level parallelism of
-//! [`crate::sweep::run_sweep`] cannot help a *single* 32×32 run.
+//! bottleneck, and [`crate::sweep::run_sweep_indexed`], which runs the
+//! items of a grid of runs in parallel, cannot help a *single* 32×32
+//! run.
 //! [`ShardedCompiledEngine`] partitions the switch graph into `K`
 //! shards (a [`PartitionMap`]; the default is `nocem-topology`'s
 //! grid-stripe partitioner, [`grid_stripes`], index stripes on a

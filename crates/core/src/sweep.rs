@@ -1,9 +1,12 @@
-//! Parameter sweeps: run many configurations and collect their
-//! results, optionally across threads.
+//! Grids of runs: run many configurations — or any other list of
+//! work items — across threads, outcomes in input order.
 //!
-//! The benchmark harness uses sweeps for every figure: packet-count
-//! sweeps (Figure 2), packets-per-burst × flits-per-packet sweeps
-//! (Figures 3 and 4) and the ablation studies.
+//! [`run_sweep`] runs configurations, each named by its own
+//! [`PlatformConfig::name`]; the figure binaries use it for the
+//! packet-count sweep (Figure 2) and the packets-per-burst ×
+//! flits-per-packet sweeps (Figures 3 and 4). [`run_sweep_indexed`] is
+//! the scheduler under it, which the scenario matrix and the curve set
+//! run their own items through.
 
 use crate::clock::{run_engine, EngineSummary, SteppableEngine};
 use crate::compile::{elaborate, elaborate_routed};
@@ -17,122 +20,81 @@ use nocem_common::time::Cycle;
 use nocem_stats::ledger::PacketLedger;
 use nocem_topology::routing::RoutingTables;
 
-/// One sweep point.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Label carried into the results.
-    pub label: String,
-    /// The configuration to run.
-    pub config: PlatformConfig,
-}
-
-impl SweepPoint {
-    /// Creates a labelled point.
-    pub fn new(label: impl Into<String>, config: PlatformConfig) -> Self {
-        SweepPoint {
-            label: label.into(),
-            config,
-        }
-    }
-}
-
-/// Runs every point and returns `(label, results)` in input order.
-///
-/// `threads` bounds the worker count (`1` = run inline; higher values
-/// use `std::thread::scope`).
+/// Runs every configuration (see [`run_config`]) across up to
+/// `threads` workers and returns the results in input order; each
+/// [`EmulationResults::name`] is its configuration's name.
 ///
 /// # Errors
 ///
-/// Returns the error of the first failing point (by input order).
-///
-/// # Panics
-///
-/// Re-raises the panic of the first panicking point (by input order);
-/// a failure — `Err` or panic — at an earlier input index always wins
-/// over a later one, regardless of thread scheduling.
+/// Returns the error of the first failing configuration by input
+/// order ([`run_sweep_indexed`]).
 pub fn run_sweep(
-    points: &[SweepPoint],
+    configs: &[PlatformConfig],
     threads: usize,
-) -> Result<Vec<(String, EmulationResults)>, EmulationError> {
-    run_sweep_indexed(points, threads, |_, p| run_point(p))
+) -> Result<Vec<EmulationResults>, EmulationError> {
+    run_sweep_indexed(configs, threads, |_, config| run_config(config))
 }
 
-/// Generalized sweep runner: applies `run` to every point and its
-/// *input index* across up to `threads` workers and returns
-/// `(label, outcome)` in input order.
+/// The one scheduler for grids of runs: applies `run` to every item
+/// and its input index across up to `threads` workers (`1` runs inline,
+/// more use `std::thread::scope`) and returns the outcomes in input
+/// order.
 ///
-/// This is the engine under [`run_sweep`]; the scenario-matrix runner
-/// and the curve runner use it directly to thread custom per-point
-/// evaluation (different engines, derived statistics) through the same
-/// scheduling, ordering and failure semantics. Callers that join outcomes back to side tables (the
-/// matrix's shard groups, the curve runner's specs) key on the index
-/// instead of the label — labels then stay purely cosmetic and
-/// duplicates cannot misroute work.
-///
-/// Worker panics are caught per point and re-raised after all workers
-/// drain, so one panicking point can neither poison the slot mutex nor
-/// silently discard the outcomes of its worker's other points.
+/// Worker panics are caught per item and re-raised after all workers
+/// drain, so one panicking item can neither poison the slot mutex nor
+/// silently discard the outcomes of its worker's other items.
 ///
 /// # Errors
 ///
-/// Returns the error of the first failing point by *input* order, even
-/// when a later point fails first in wall-clock time.
+/// Returns the error of the first failing item by *input* order, even
+/// when a later item fails first in wall-clock time.
 ///
 /// # Panics
 ///
-/// Re-raises the panic of the first panicking point (by input order).
-/// When an earlier point returned `Err`, the `Err` wins and the later
+/// Re-raises the panic of the first panicking item (by input order).
+/// When an earlier item returned `Err`, the `Err` wins and the later
 /// panic payload is dropped.
-pub fn run_sweep_indexed<T, E, F>(
-    points: &[SweepPoint],
-    threads: usize,
-    run: F,
-) -> Result<Vec<(String, T)>, E>
+pub fn run_sweep_indexed<T, R, E, F>(items: &[T], threads: usize, run: F) -> Result<Vec<R>, E>
 where
-    T: Send,
+    T: Sync,
+    R: Send,
     E: Send,
-    F: Fn(usize, &SweepPoint) -> Result<T, E> + Sync,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
     let threads = threads.max(1);
-    if threads == 1 || points.len() <= 1 {
+    if threads == 1 || items.len() <= 1 {
         // Inline path: panics and errors already surface in input
         // order because evaluation is sequential.
-        return points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| run(i, p).map(|t| (p.label.clone(), t)))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| run(i, t)).collect();
     }
 
-    type Slot<T, E> = Option<Result<Result<T, E>, Box<dyn std::any::Any + Send>>>;
-    let mut slots: Vec<Slot<T, E>> = (0..points.len()).map(|_| None).collect();
+    type Slot<R, E> = Option<Result<Result<R, E>, Box<dyn std::any::Any + Send>>>;
+    let mut slots: Vec<Slot<R, E>> = (0..items.len()).map(|_| None).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots_mutex = std::sync::Mutex::new(&mut slots);
 
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(points.len()) {
+        for _ in 0..threads.min(items.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= points.len() {
+                if i >= items.len() {
                     break;
                 }
                 let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(i, &points[i])));
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(i, &items[i])));
                 let mut guard = slots_mutex.lock().expect("no panics while holding lock");
                 guard[i] = Some(outcome);
             });
         }
     });
 
-    let mut out = Vec::with_capacity(points.len());
-    for (slot, point) in slots.into_iter().zip(points) {
-        match slot.expect("every slot filled by a worker") {
-            Ok(Ok(t)) => out.push((point.label.clone(), t)),
-            Ok(Err(e)) => return Err(e),
+    slots
+        .into_iter()
+        .map(|slot| match slot.expect("every slot filled by a worker") {
+            Ok(outcome) => outcome,
             Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-    Ok(out)
+        })
+        .collect()
 }
 
 /// Whichever engine a configuration names, behind one concrete type —
@@ -312,45 +274,40 @@ pub fn run_config_routed(
     engine.results()
 }
 
-fn run_point(point: &SweepPoint) -> Result<EmulationResults, EmulationError> {
-    run_config(&point.config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PaperConfig;
 
-    fn points(n: usize) -> Vec<SweepPoint> {
+    fn configs(n: usize) -> Vec<PlatformConfig> {
         (0..n)
             .map(|i| {
-                SweepPoint::new(
-                    format!("p{i}"),
-                    PaperConfig::new()
-                        .total_packets(100 + 50 * i as u64)
-                        .uniform(),
-                )
+                let mut cfg = PaperConfig::new()
+                    .total_packets(100 + 50 * i as u64)
+                    .uniform();
+                cfg.name = format!("p{i}");
+                cfg
             })
             .collect()
     }
 
     #[test]
     fn serial_sweep_preserves_order() {
-        let out = run_sweep(&points(3), 1).unwrap();
-        let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, ["p0", "p1", "p2"]);
-        assert_eq!(out[0].1.delivered, 100);
-        assert_eq!(out[2].1.delivered, 200);
+        let out = run_sweep(&configs(3), 1).unwrap();
+        let names: Vec<&str> = out.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["p0", "p1", "p2"]);
+        assert_eq!(out[0].delivered, 100);
+        assert_eq!(out[2].delivered, 200);
     }
 
     #[test]
     fn threaded_sweep_matches_serial() {
-        let serial = run_sweep(&points(4), 1).unwrap();
-        let parallel = run_sweep(&points(4), 4).unwrap();
+        let serial = run_sweep(&configs(4), 1).unwrap();
+        let parallel = run_sweep(&configs(4), 4).unwrap();
         for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.0, p.0);
-            assert_eq!(s.1.cycles, p.1.cycles, "determinism across threads");
-            assert_eq!(s.1.delivered, p.1.delivered);
+            assert_eq!(s.name, p.name);
+            assert_eq!(s.cycles, p.cycles, "determinism across threads");
+            assert_eq!(s.delivered, p.delivered);
         }
     }
 
@@ -399,19 +356,32 @@ mod tests {
 
     #[test]
     fn failing_point_reports_error() {
-        let mut bad = points(1);
-        bad[0].config.stop.cycle_limit = 10; // cannot finish in 10 cycles
+        let mut bad = configs(1);
+        bad[0].stop.cycle_limit = 10; // cannot finish in 10 cycles
         assert!(run_sweep(&bad, 1).is_err());
     }
 
     #[test]
     fn generalized_sweep_threads_custom_outcomes() {
-        let out =
-            run_sweep_indexed::<_, EmulationError, _>(&points(4), 4, |_, p| Ok(p.label.len()))
-                .unwrap();
-        let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, ["p0", "p1", "p2", "p3"]);
-        assert!(out.iter().all(|&(_, n)| n == 2));
+        let out = run_sweep_indexed::<_, _, EmulationError, _>(&configs(4), 4, |i, c| {
+            Ok((i, c.name.clone()))
+        })
+        .unwrap();
+        let names: Vec<&str> = out.iter().map(|(_, n)| n.as_str()).collect();
+        assert_eq!(names, ["p0", "p1", "p2", "p3"]);
+        assert!(out.iter().enumerate().all(|(i, &(j, _))| i == j));
+        // Any slice, not only configurations; early items sleep
+        // longest, so workers finish them last.
+        let items: Vec<u32> = (0..24).collect();
+        for threads in [2, 3, 8] {
+            let out = run_sweep_indexed::<_, _, String, _>(&items, threads, |i, &x| {
+                std::thread::sleep(std::time::Duration::from_micros(200 * u64::from(24 - x)));
+                Ok((i, x * x))
+            })
+            .unwrap();
+            let want: Vec<(usize, u32)> = items.iter().map(|&x| (x as usize, x * x)).collect();
+            assert_eq!(out, want, "{threads} threads");
+        }
     }
 
     #[test]
@@ -419,8 +389,8 @@ mod tests {
         // Regression: a panicking point used to kill its worker,
         // leaving unfilled slots whose `expect` masked the real panic.
         let result = std::panic::catch_unwind(|| {
-            run_sweep_indexed::<(), EmulationError, _>(&points(6), 3, |_, p| {
-                if p.label == "p2" {
+            run_sweep_indexed::<_, (), EmulationError, _>(&configs(6), 3, |i, _| {
+                if i == 2 {
                     panic!("scenario exploded");
                 }
                 Ok(())
@@ -442,11 +412,11 @@ mod tests {
         // workers, point 3's error lands first in wall-clock time but
         // point 0's must still be the one reported.
         for _ in 0..8 {
-            let err = run_sweep_indexed::<(), String, _>(&points(4), 4, |_, p| {
-                if p.label == "p0" {
+            let err = run_sweep_indexed::<_, (), String, _>(&configs(4), 4, |i, _| {
+                if i == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(20));
                     Err("early point".to_owned())
-                } else if p.label == "p3" {
+                } else if i == 3 {
                     Err("late point".to_owned())
                 } else {
                     Ok(())
@@ -460,11 +430,11 @@ mod tests {
     #[test]
     fn earlier_error_wins_over_later_panic() {
         let outcome = std::panic::catch_unwind(|| {
-            run_sweep_indexed::<(), String, _>(&points(3), 3, |_, p| {
-                if p.label == "p0" {
+            run_sweep_indexed::<_, (), String, _>(&configs(3), 3, |i, _| {
+                if i == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(10));
                     Err("input-order first".to_owned())
-                } else if p.label == "p2" {
+                } else if i == 2 {
                     panic!("later panic");
                 } else {
                     Ok(())

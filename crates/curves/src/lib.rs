@@ -58,7 +58,7 @@ pub mod runner;
 pub mod search;
 
 pub use measure::{MeasureConfig, PointMeasurement, PointTelemetry, TOP_LINKS};
-pub use runner::{CurveSetOutcome, CurveSetSpec, SkippedCurve};
+pub use runner::{CurveSetOutcome, CurveSetSpec};
 pub use search::{Curve, CurvePoint, CurveSpec, PointPhase, SaturationSummary, SearchConfig};
 
 use nocem::error::{CompileError, EmulationError};

@@ -3,34 +3,27 @@
 //! [`CurveSetSpec`] names a `scenarios × topologies` grid of curves;
 //! [`CurveSetSpec::expand`] pre-binds each combination (inapplicable
 //! ones — transpose on a ring, core graphs on tiny topologies — are
-//! collected as skips, exactly like the scenario matrix), and
-//! [`CurveSetSpec::run`] pushes the applicable curves through
-//! `nocem`'s parallel sweep scheduler ([`nocem::run_sweep_indexed`]) —
-//! one worker per curve, since the points *within* a curve are
+//! skipped by the scenario matrix's own rule, [`is_inapplicable`]),
+//! and [`CurveSetSpec::run`] maps `nocem`'s one scheduler for grids of
+//! runs ([`nocem::run_sweep_indexed`]) over the applicable curve specs
+//! — one item per curve, since the points *within* a curve are
 //! sequentially dependent (the adaptive search steers by its own
 //! measurements).
 //!
 //! [`CurveSetOutcome::to_csv`] renders one record per (scenario,
 //! topology, load point) plus a per-curve saturation summary comment.
+//!
+//! [`is_inapplicable`]: nocem_scenarios::ScenarioError::is_inapplicable
 
 use crate::search::{Curve, CurveSpec};
 use crate::CurveError;
-use nocem::sweep::{run_sweep_indexed, SweepPoint};
+use nocem::sweep::run_sweep_indexed;
 use nocem_common::csv::CsvWriter;
 use nocem_common::ids::LinkId;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
-use nocem_scenarios::ScenarioError;
+use nocem_scenarios::SkippedPoint;
 use nocem_topology::graph::{LinkEnd, Topology};
-
-/// One curve the runner skipped as inapplicable, with the reason.
-#[derive(Debug)]
-pub struct SkippedCurve {
-    /// The label the curve would have had.
-    pub label: String,
-    /// Why it cannot run.
-    pub reason: ScenarioError,
-}
 
 /// A `scenarios × topologies` grid of curves sharing one parameter
 /// set.
@@ -57,7 +50,7 @@ impl CurveSetSpec {
     pub fn expand(
         &self,
         registry: &ScenarioRegistry,
-    ) -> Result<(Vec<CurveSpec>, Vec<SkippedCurve>), CurveError> {
+    ) -> Result<(Vec<CurveSpec>, Vec<SkippedPoint>), CurveError> {
         let mut specs = Vec::new();
         let mut skipped = Vec::new();
         for name in &self.scenarios {
@@ -70,14 +63,12 @@ impl CurveSetSpec {
                 };
                 match spec.config_at(registry, spec.search.start_load) {
                     Ok(_) => specs.push(spec),
-                    Err(CurveError::Scenario(
-                        reason @ (ScenarioError::NotApplicable { .. }
-                        | ScenarioError::Mapping { .. }
-                        | ScenarioError::BudgetTooSmall { .. }),
-                    )) => skipped.push(SkippedCurve {
-                        label: spec.label(),
-                        reason,
-                    }),
+                    Err(CurveError::Scenario(reason)) if reason.is_inapplicable() => {
+                        skipped.push(SkippedPoint {
+                            label: spec.label(),
+                            reason,
+                        });
+                    }
                     Err(other) => return Err(other),
                 }
             }
@@ -102,10 +93,10 @@ impl CurveSetSpec {
     }
 }
 
-/// Runs a list of curve specs through the parallel sweep scheduler
-/// and returns the curves in input order. Duplicate specs are
-/// allowed — searches are deterministic, so a duplicate simply
-/// reproduces the same curve.
+/// Runs every curve spec across up to `threads` workers
+/// ([`nocem::run_sweep_indexed`]) and returns the curves in input
+/// order. Duplicate specs are allowed — searches are deterministic, so
+/// a duplicate simply reproduces the same curve.
 ///
 /// # Errors
 ///
@@ -115,21 +106,7 @@ pub fn run_curve_specs(
     specs: &[CurveSpec],
     threads: usize,
 ) -> Result<Vec<Curve>, CurveError> {
-    // One sweep unit per curve; the carried config (the start-load
-    // point) is only a placeholder — each worker re-derives its
-    // configs per measured load, joined back to its spec by input
-    // index.
-    let points = specs
-        .iter()
-        .map(|spec| {
-            Ok(SweepPoint::new(
-                spec.label(),
-                spec.config_at(registry, spec.search.start_load)?,
-            ))
-        })
-        .collect::<Result<Vec<_>, CurveError>>()?;
-    let outcomes = run_sweep_indexed(&points, threads, |i, _| specs[i].run(registry))?;
-    Ok(outcomes.into_iter().map(|(_, curve)| curve).collect())
+    run_sweep_indexed(specs, threads, |_, spec| spec.run(registry))
 }
 
 /// All outcomes of one curve-set run.
@@ -138,7 +115,7 @@ pub struct CurveSetOutcome {
     /// Executed curves, in expansion order.
     pub curves: Vec<Curve>,
     /// Combinations skipped as inapplicable.
-    pub skipped: Vec<SkippedCurve>,
+    pub skipped: Vec<SkippedPoint>,
 }
 
 /// Formats an optional statistic, rendering `None` as `-` (a field a
@@ -386,6 +363,7 @@ mod tests {
     use crate::measure::MeasureConfig;
     use crate::search::SearchConfig;
     use nocem_common::csv::CsvDocument;
+    use nocem_scenarios::ScenarioError;
 
     fn quick_prototype() -> CurveSpec {
         CurveSpec {
@@ -407,6 +385,77 @@ mod tests {
                     height: 2,
                 },
             )
+        }
+    }
+
+    #[test]
+    fn matrix_and_curve_set_skip_the_same_pairs_alike() {
+        use nocem_scenarios::MatrixSpec;
+        let registry = ScenarioRegistry::builtin();
+        let (ring8, mesh8x2, torus3x3) = (
+            TopologySpec::Ring { switches: 8 },
+            TopologySpec::Mesh {
+                width: 8,
+                height: 2,
+            },
+            TopologySpec::Torus {
+                width: 3,
+                height: 3,
+            },
+        );
+        let prototype = quick_prototype();
+        let scenarios: Vec<String> = ["transpose", "bit_complement", "bit_reversal", "vopd"]
+            .map(String::from)
+            .to_vec();
+        let topologies = vec![mesh8x2, ring8, torus3x3];
+        let matrix = MatrixSpec {
+            scenarios: scenarios.clone(),
+            topologies: topologies.clone(),
+            loads: vec![prototype.search.start_load],
+            shards: vec![1],
+            packet_flits: prototype.packet_flits,
+            packets_per_point: 1_000_000,
+            clock_mode: prototype.clock_mode,
+        };
+        let set = CurveSetSpec {
+            prototype,
+            scenarios,
+            topologies,
+        };
+        let (points, matrix_skips) = matrix.expand(&registry).unwrap();
+        let (specs, curve_skips) = set.expand(&registry).unwrap();
+        // A matrix label also names the load; a curve spans loads.
+        let pair = |label: &str| label.rsplit_once('@').unwrap().0.to_owned();
+        let matrix_skips: Vec<_> = matrix_skips
+            .into_iter()
+            .map(|s| (pair(&s.label), s.reason))
+            .collect();
+        let curve_skips: Vec<_> = curve_skips
+            .into_iter()
+            .map(|s| (s.label, s.reason))
+            .collect();
+        assert_eq!(matrix_skips, curve_skips);
+        let ran: Vec<String> = points.iter().map(|p| pair(&p.label)).collect();
+        assert_eq!(ran, specs.iter().map(CurveSpec::label).collect::<Vec<_>>());
+        let skipped: Vec<&str> = curve_skips.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            skipped,
+            [
+                "transpose@mesh8x2",
+                "transpose@ring8",
+                "bit_complement@torus3x3",
+                "bit_reversal@torus3x3",
+                "vopd@ring8",
+                "vopd@torus3x3",
+            ]
+        );
+        for (label, reason) in &curve_skips {
+            let mapping = label.starts_with("vopd");
+            assert!(
+                matches!(reason, ScenarioError::Mapping { .. }) == mapping
+                    && matches!(reason, ScenarioError::NotApplicable { .. }) != mapping,
+                "{label}: {reason}"
+            );
         }
     }
 

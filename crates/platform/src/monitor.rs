@@ -1,13 +1,12 @@
 //! The monitor: the final report shown "on the screen of the user's
 //! PC".
 //!
-//! [`Monitor`] assembles named report sections (device inventories,
-//! traffic statistics, congestion tables) into the plain-text final
+//! [`Monitor`] assembles named report sections (run overview, traffic
+//! statistics, congestion tables) into the plain-text final
 //! report that ends every emulation flow. It is deliberately dumb —
 //! content comes from the engines; this keeps the platform crate free
 //! of statistics dependencies.
 
-use crate::bus::AddressMap;
 use nocem_common::table::TextTable;
 
 /// Assembler for the end-of-run report.
@@ -49,34 +48,6 @@ impl Monitor {
         self.section(title, table.to_string())
     }
 
-    /// Appends the standard device-inventory section from an address
-    /// map.
-    pub fn device_inventory(&mut self, map: &AddressMap) -> &mut Self {
-        let mut t = TextTable::with_columns(&["address", "class", "label"]);
-        for d in map.devices() {
-            t.row(vec![d.addr.to_string(), d.class.to_string(), d.label()]);
-        }
-        self.table("Device inventory", &t)
-    }
-
-    /// Appends a windowed-series section: one labelled row of
-    /// per-window samples (e.g. blocked cycles of a hot link), in a
-    /// compact sparkline-like text form. `window` is the series'
-    /// window length in cycles, shown in the header.
-    pub fn window_series(
-        &mut self,
-        title: impl Into<String>,
-        window: u64,
-        rows: &[(String, Vec<u64>)],
-    ) -> &mut Self {
-        let mut body = format!("window = {window} cycles\n");
-        for (label, samples) in rows {
-            let rendered: Vec<String> = samples.iter().map(u64::to_string).collect();
-            body.push_str(&format!("{label}: [{}]\n", rendered.join(", ")));
-        }
-        self.section(title, body)
-    }
-
     /// Number of sections so far.
     pub fn len(&self) -> usize {
         self.sections.len()
@@ -111,7 +82,6 @@ impl std::fmt::Display for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::DeviceClass;
 
     #[test]
     fn renders_title_and_sections_in_order() {
@@ -125,32 +95,6 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
         assert_eq!(m.to_string(), r);
-    }
-
-    #[test]
-    fn device_inventory_lists_devices() {
-        let mut map = AddressMap::new();
-        map.allocate(DeviceClass::Control).unwrap();
-        map.allocate(DeviceClass::TrafficGenerator).unwrap();
-        let mut m = Monitor::new("inv");
-        m.device_inventory(&map);
-        let r = m.render();
-        assert!(r.contains("ctrl"));
-        assert!(r.contains("tg0"));
-        assert!(r.contains("b0:d1"));
-    }
-
-    #[test]
-    fn window_series_renders_samples() {
-        let mut m = Monitor::new("tele");
-        m.window_series(
-            "Hot links",
-            256,
-            &[("l3 blocked".to_string(), vec![0, 12, 40])],
-        );
-        let r = m.render();
-        assert!(r.contains("window = 256 cycles"));
-        assert!(r.contains("l3 blocked: [0, 12, 40]"));
     }
 
     #[test]

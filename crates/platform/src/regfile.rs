@@ -55,14 +55,6 @@ impl RegFile {
         }
     }
 
-    /// Creates a file of `n` read-only (hardware-owned) registers.
-    pub fn read_only(n: usize) -> Self {
-        RegFile {
-            values: vec![0; n],
-            access: vec![Access::ReadOnly; n],
-        }
-    }
-
     /// Number of registers.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -215,16 +207,5 @@ mod tests {
     fn len_and_empty() {
         assert_eq!(RegFile::read_write(3).len(), 3);
         assert!(RegFile::read_write(0).is_empty());
-    }
-
-    #[test]
-    fn read_only_file_rejects_all_software_writes() {
-        let mut rf = RegFile::read_only(2);
-        rf.set(1, 5);
-        assert_eq!(rf.bus_read(addr(1)).unwrap(), 5);
-        assert!(matches!(
-            rf.bus_write(addr(1), 0),
-            Err(BusError::ReadOnly(_))
-        ));
     }
 }

@@ -22,8 +22,14 @@
 //! * [`registry`] — the scenario registry: name → recipe lookup over
 //!   the built-in catalogue plus user registrations;
 //! * [`matrix`] — the **scenario-matrix runner**: expands
-//!   `scenarios × topologies × loads` into sweep points, runs them in
-//!   parallel through `nocem::sweep`, and aggregates one CSV.
+//!   `scenarios × topologies × loads × shards` once into points that
+//!   carry their configurations, runs them in parallel through
+//!   `nocem::sweep::run_sweep_indexed`, and aggregates one CSV.
+//!
+//! Every grid of runs — this crate's matrix and `nocem-curves`' curve
+//! set — skips a combination by one rule,
+//! [`ScenarioError::is_inapplicable`], and records it as a
+//! [`SkippedPoint`].
 //!
 //! # Example
 //!
@@ -58,7 +64,7 @@ pub mod registry;
 pub mod scenario;
 
 pub use coregraph::{mpeg4_decoder, vopd, CoreFlow, CoreGraph, CoreGraphWorkload, Mapping};
-pub use matrix::{MatrixError, MatrixOutcome, MatrixRow, MatrixSpec};
+pub use matrix::{MatrixError, MatrixOutcome, MatrixPoint, MatrixRow, MatrixSpec};
 pub use patterns::{PatternTraffic, SyntheticPattern};
 pub use registry::{Scenario, ScenarioKind, ScenarioRegistry};
 pub use scenario::{scenario_seed, ScenarioSpec, TopologySpec};
@@ -102,8 +108,8 @@ pub enum ScenarioError {
     },
     /// The per-point packet budget is too small for the scenario
     /// (every active generator needs at least one packet). A sizing
-    /// problem of the run, not of the scenario — the matrix runner
-    /// skips such points instead of aborting.
+    /// problem of the run, not of the scenario — a grid of runs skips
+    /// such points instead of aborting.
     BudgetTooSmall {
         /// Scenario (core-graph) name.
         scenario: String,
@@ -112,6 +118,32 @@ pub enum ScenarioError {
         /// Packets the spec offered.
         available: u64,
     },
+}
+
+impl ScenarioError {
+    /// Whether the error is an expected hole in a grid of runs rather
+    /// than a failure: a pattern that does not fit the topology, a core
+    /// graph with too few switches, or a budget too small for the
+    /// point. The scenario matrix and the curve set skip such a
+    /// combination and go on.
+    pub fn is_inapplicable(&self) -> bool {
+        matches!(
+            self,
+            ScenarioError::NotApplicable { .. }
+                | ScenarioError::Mapping { .. }
+                | ScenarioError::BudgetTooSmall { .. }
+        )
+    }
+}
+
+/// One combination a grid of runs skipped
+/// ([`ScenarioError::is_inapplicable`]), with the reason.
+#[derive(Debug, Clone)]
+pub struct SkippedPoint {
+    /// The label the combination would have had.
+    pub label: String,
+    /// Why it cannot run.
+    pub reason: ScenarioError,
 }
 
 impl std::fmt::Display for ScenarioError {

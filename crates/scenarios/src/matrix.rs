@@ -2,12 +2,13 @@
 //!
 //! [`MatrixSpec`] names a set of registry scenarios, topologies,
 //! loads and engine shard counts; [`MatrixSpec::expand`] produces one
-//! labelled `nocem::SweepPoint` per *applicable* combination
-//! (inapplicable ones — transpose on a ring, bit patterns on 9
-//! switches — are collected as skips, not errors), and
-//! [`MatrixSpec::run`] pushes the points through the parallel sweep
-//! runner of `nocem-core` and aggregates everything into typed rows
-//! plus one CSV document.
+//! [`MatrixPoint`] — its place on each axis beside its configuration —
+//! per *applicable* combination (inapplicable ones — transpose on a
+//! ring, bit patterns on 9 switches — are collected as skips by
+//! [`ScenarioError::is_inapplicable`], not errors), and
+//! [`MatrixSpec::run`] runs the points' shard groups through
+//! `nocem::sweep::run_sweep_indexed` and aggregates everything into
+//! typed rows plus one CSV document.
 //!
 //! Every point's platform seed derives from its scenario label
 //! ([`crate::scenario_seed`]), so a matrix run is deterministic
@@ -18,14 +19,14 @@
 
 use crate::registry::ScenarioRegistry;
 use crate::scenario::TopologySpec;
-use crate::ScenarioError;
+use crate::{ScenarioError, SkippedPoint};
 use nocem::clock::ClockMode;
 use nocem::compile::compute_routing;
-use nocem::config::EngineKind;
+use nocem::config::{EngineKind, PlatformConfig};
 use nocem::error::EmulationError;
 use nocem::results::EmulationResults;
 use nocem::shard_compiled::DEFAULT_BATCH;
-use nocem::sweep::{run_config_routed, run_sweep_indexed, SweepPoint};
+use nocem::sweep::{run_config_routed, run_sweep_indexed};
 use nocem_common::csv::CsvWriter;
 
 /// A `scenarios × topologies × loads × shards` experiment matrix.
@@ -56,13 +57,23 @@ pub struct MatrixSpec {
     pub clock_mode: ClockMode,
 }
 
-/// One combination the matrix skipped, with the reason.
+/// One applicable combination of the matrix: where it sits on each
+/// axis, and the configuration it runs.
 #[derive(Debug, Clone)]
-pub struct SkippedPoint {
-    /// The label the point would have had.
+pub struct MatrixPoint {
+    /// Scenario registry name.
+    pub scenario: String,
+    /// Topology name.
+    pub topology: String,
+    /// Offered load.
+    pub load: f64,
+    /// Engine shard count (1 = the unsharded compiled engine).
+    pub shards: usize,
+    /// Full label (`scenario@topology@load`, plus `@s<k>` when
+    /// sharded).
     pub label: String,
-    /// Why it cannot run.
-    pub reason: ScenarioError,
+    /// The configuration to run.
+    pub config: PlatformConfig,
 }
 
 /// One executed matrix point.
@@ -150,7 +161,8 @@ impl MatrixSpec {
         }
     }
 
-    /// Expands the matrix into labelled sweep points.
+    /// Expands the matrix into its applicable points, in axis order
+    /// (shards innermost).
     ///
     /// Inapplicable combinations land in the second return value;
     /// unknown scenario names are hard errors.
@@ -162,29 +174,7 @@ impl MatrixSpec {
     pub fn expand(
         &self,
         registry: &ScenarioRegistry,
-    ) -> Result<(Vec<SweepPoint>, Vec<SkippedPoint>), ScenarioError> {
-        let (meta, points, skipped) = self.expand_with_meta(registry)?;
-        drop(meta);
-        Ok((points, skipped))
-    }
-
-    /// Expansion that also returns `(scenario, topology, load,
-    /// shards)` per point, parallel to the points, so [`Self::run`]
-    /// never has to re-parse labels (which would be lossy for loads
-    /// and for scenario names containing `@`).
-    #[allow(clippy::type_complexity)]
-    fn expand_with_meta(
-        &self,
-        registry: &ScenarioRegistry,
-    ) -> Result<
-        (
-            Vec<(String, String, f64, usize)>,
-            Vec<SweepPoint>,
-            Vec<SkippedPoint>,
-        ),
-        ScenarioError,
-    > {
-        let mut meta = Vec::new();
+    ) -> Result<(Vec<MatrixPoint>, Vec<SkippedPoint>), ScenarioError> {
         let mut points = Vec::new();
         let mut skipped = Vec::new();
         let shard_axis = self.shard_axis();
@@ -213,19 +203,16 @@ impl MatrixSpec {
                                     shards,
                                     batch: DEFAULT_BATCH,
                                 };
-                                meta.push((name.clone(), topology.name(), load, shards));
-                                points.push(SweepPoint::new(label, config));
+                                points.push(MatrixPoint {
+                                    scenario: name.clone(),
+                                    topology: topology.name(),
+                                    load,
+                                    shards,
+                                    label,
+                                    config,
+                                });
                             }
-                            // A pattern that doesn't fit the topology,
-                            // a core graph with too few switches, or a
-                            // budget too small for the point is an
-                            // expected hole in the matrix, not a
-                            // failure.
-                            Err(
-                                reason @ (ScenarioError::NotApplicable { .. }
-                                | ScenarioError::Mapping { .. }
-                                | ScenarioError::BudgetTooSmall { .. }),
-                            ) => {
+                            Err(reason) if reason.is_inapplicable() => {
                                 skipped.push(SkippedPoint { label, reason });
                             }
                             Err(other) => return Err(other),
@@ -234,7 +221,7 @@ impl MatrixSpec {
                 }
             }
         }
-        Ok((meta, points, skipped))
+        Ok((points, skipped))
     }
 
     /// Expands and runs the matrix over up to `threads` workers.
@@ -259,65 +246,47 @@ impl MatrixSpec {
         registry: &ScenarioRegistry,
         threads: usize,
     ) -> Result<MatrixOutcome, MatrixError> {
-        let (meta, points, skipped) = self.expand_with_meta(registry)?;
+        let (points, skipped) = self.expand(registry)?;
         // The shards axis is the innermost expansion loop, so the
         // points of one (scenario, topology, load) group — identical
         // platforms on different engines — are consecutive. One sweep
-        // unit per group keeps the parallel scheduling and
-        // input-order failure semantics of `run_sweep_indexed` while the
-        // group shares its elaborated routing.
-        let mut groups: Vec<(usize, usize)> = Vec::new(); // (start, len)
-        for (i, m) in meta.iter().enumerate() {
-            match groups.last_mut() {
-                Some(&mut (start, ref mut len))
-                    if (&meta[start].0, &meta[start].1, meta[start].2) == (&m.0, &m.1, m.2) =>
-                {
-                    *len += 1;
-                }
-                _ => groups.push((i, 1)),
-            }
-        }
-        let group_points: Vec<SweepPoint> = groups
-            .iter()
-            .map(|&(start, _)| points[start].clone())
+        // item per group keeps the parallel scheduling and input-order
+        // failure semantics of `run_sweep_indexed` while the group
+        // shares its elaborated routing.
+        let groups: Vec<&[MatrixPoint]> = points
+            .chunk_by(|a, b| {
+                (&a.scenario, &a.topology, a.load) == (&b.scenario, &b.topology, b.load)
+            })
             .collect();
-        let outcomes = run_sweep_indexed(&group_points, threads, |g, group| {
-            let (start, len) = groups[g];
-            let members = &points[start..start + len];
+        let rows = run_sweep_indexed(&groups, threads, |_, group| {
             let routing_started = std::time::Instant::now();
-            let routing = compute_routing(&group.config)?;
+            let routing = compute_routing(&group[0].config)?;
             let mut routing_ms = routing_started.elapsed().as_secs_f64() * 1e3;
-            let mut outs = Vec::with_capacity(len);
-            for member in members {
-                let started = std::time::Instant::now();
-                let results = run_config_routed(&member.config, Some(&routing))?;
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3 + routing_ms;
-                routing_ms = 0.0; // charged once, to the first member
-                outs.push((results, wall_ms));
-            }
-            Ok::<_, EmulationError>(outs)
+            group
+                .iter()
+                .map(|point| {
+                    let started = std::time::Instant::now();
+                    let results = run_config_routed(&point.config, Some(&routing))?;
+                    // The group's routing is charged once, to its first
+                    // member.
+                    let wall_ms =
+                        started.elapsed().as_secs_f64() * 1e3 + std::mem::take(&mut routing_ms);
+                    Ok(MatrixRow {
+                        scenario: point.scenario.clone(),
+                        topology: point.topology.clone(),
+                        load: point.load,
+                        shards: point.shards,
+                        label: point.label.clone(),
+                        wall_ms,
+                        results,
+                    })
+                })
+                .collect::<Result<Vec<_>, EmulationError>>()
         })?;
-        // `run_sweep_indexed` returns outcomes in input order and groups
-        // are consecutive expansion runs, so flattening zips
-        // positionally with the expansion metadata.
-        let rows = outcomes
-            .into_iter()
-            .flat_map(|(_, outs)| outs)
-            .zip(points)
-            .zip(meta)
-            .map(
-                |(((results, wall_ms), point), (scenario, topology, load, shards))| MatrixRow {
-                    scenario,
-                    topology,
-                    load,
-                    shards,
-                    label: point.label,
-                    wall_ms,
-                    results,
-                },
-            )
-            .collect();
-        Ok(MatrixOutcome { rows, skipped })
+        Ok(MatrixOutcome {
+            rows: rows.into_iter().flatten().collect(),
+            skipped,
+        })
     }
 }
 

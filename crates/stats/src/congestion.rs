@@ -158,11 +158,6 @@ impl VcOccupancy {
         self.max_per_vc[vc] = self.max_per_vc[vc].max(occupancy);
     }
 
-    /// Watermark of one VC (0 for untracked VCs).
-    pub fn max_of(&self, vc: usize) -> u64 {
-        self.max_per_vc.get(vc).copied().unwrap_or(0)
-    }
-
     /// Highest watermark over every VC.
     pub fn overall_max(&self) -> u64 {
         self.max_per_vc.iter().copied().max().unwrap_or(0)
@@ -185,11 +180,8 @@ mod tests {
         o.record(0, 3);
         o.record(0, 1); // lower: no change
         o.record(1, 4);
-        assert_eq!(o.max_of(0), 3);
-        assert_eq!(o.max_of(1), 4);
         assert_eq!(o.overall_max(), 4);
         assert_eq!(o.per_vc(), &[3, 4]);
-        assert_eq!(o.max_of(7), 0, "untracked VCs read as empty");
     }
 
     #[test]

@@ -244,21 +244,6 @@ impl SwitchCounters {
             ..SwitchCounters::default()
         }
     }
-
-    /// Congestion rate of input `i`: blocked / (blocked + forwarded
-    /// cycles), or 0 when the input never held a flit. Uses the total
-    /// forwarded flits of the switch attributed per input via busy
-    /// accounting — engines that need exact per-link rates combine
-    /// blocked cycles with per-link forward counts instead.
-    pub fn input_blocked_share(&self, input: PortId, forwarded_from_input: u64) -> f64 {
-        let blocked = self.blocked_cycles_per_input[input.index()];
-        let total = blocked + forwarded_from_input;
-        if total == 0 {
-            0.0
-        } else {
-            blocked as f64 / total as f64
-        }
-    }
 }
 
 /// The routing of one switch.
@@ -900,27 +885,6 @@ impl Switch {
             .sum()
     }
 
-    /// Live occupancy of every VC, in flits, summed over all inputs.
-    pub fn occupancy_per_vc(&self) -> Vec<u64> {
-        (0..self.config.num_vcs)
-            .map(|v| self.occupancy_of_vc(VcId::new(v)))
-            .collect()
-    }
-
-    /// Re-seeds the `max_vc_occupancy` watermark from the *current*
-    /// buffer state, so subsequent watermarks cover only the cycles
-    /// after the reset (e.g. one measurement window at a time).
-    pub fn reset_vc_watermarks(&mut self) {
-        for (v, w) in self.counters.max_vc_occupancy.iter_mut().enumerate() {
-            *w = self
-                .fifos
-                .iter()
-                .map(|per_vc| per_vc[v].len() as u64)
-                .max()
-                .unwrap_or(0);
-        }
-    }
-
     /// Raises the `max_vc_occupancy` watermark of `vc` to at least
     /// `occupancy` — for an engine that lands a flit after a pop the
     /// reference engine orders after it.
@@ -1306,15 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_share_computation() {
-        let mut c = SwitchCounters::new(1, 1, 1);
-        c.blocked_cycles_per_input[0] = 3;
-        assert!((c.input_blocked_share(PortId::new(0), 7) - 0.3).abs() < 1e-9);
-        let empty = SwitchCounters::new(1, 1, 1);
-        assert_eq!(empty.input_blocked_share(PortId::new(0), 0), 0.0);
-    }
-
-    #[test]
     fn build_rejects_bad_route() {
         let config = SwitchConfigBuilder::new(1, 1).build();
         let err = Switch::new(config, vec![vec![PortId::new(5)]], vec![1], 1).unwrap_err();
@@ -1435,31 +1390,12 @@ mod tests {
         }
         sw.accept(PortId::new(1), packet(2, 1, 1)[0]).unwrap();
         assert_eq!(sw.occupancy_of_vc(VcId::ZERO), 3);
-        assert_eq!(sw.occupancy_per_vc(), vec![3]);
         // Unlike the watermark, the live view drops when FIFOs drain.
         while !sw.is_idle() {
             cycle(&mut sw);
         }
         assert_eq!(sw.occupancy_of_vc(VcId::ZERO), 0);
         assert_eq!(sw.counters().max_vc_occupancy, vec![2]);
-    }
-
-    #[test]
-    fn vc_watermark_resets_to_current_occupancy() {
-        let mut sw = simple_switch();
-        for f in packet(1, 0, 3) {
-            sw.accept(PortId::new(0), f).unwrap();
-        }
-        for _ in 0..3 {
-            cycle(&mut sw);
-        }
-        assert_eq!(sw.counters().max_vc_occupancy, vec![3]);
-        sw.reset_vc_watermarks();
-        assert_eq!(sw.counters().max_vc_occupancy, vec![0], "drained switch");
-        // Reset while a flit is buffered seeds from the live state.
-        sw.accept(PortId::new(1), packet(2, 1, 1)[0]).unwrap();
-        sw.reset_vc_watermarks();
-        assert_eq!(sw.counters().max_vc_occupancy, vec![1]);
     }
 
     #[test]

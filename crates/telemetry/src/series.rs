@@ -330,12 +330,6 @@ impl Collector {
         &self.blocked[link.index()]
     }
 
-    /// Per-window live occupancy samples of one VC (summed over all
-    /// switch inputs at each boundary).
-    pub fn occupancy_series(&self, vc: usize) -> &ResourceSeries {
-        &self.occupancy[vc]
-    }
-
     /// Lifetime forwarded flits of one link (sum over all windows).
     pub fn total_forwarded(&self, link: LinkId) -> u64 {
         self.forwarded[link.index()].total()
@@ -456,14 +450,6 @@ mod tests {
                 .copied()
                 .collect::<Vec<_>>(),
             [0, 1]
-        );
-        assert_eq!(
-            c.occupancy_series(0)
-                .samples()
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            [2, 0]
         );
         assert_eq!(c.total_forwarded(l0), 9);
         assert_eq!(c.last_forwarded(l0), 2);

@@ -9,7 +9,7 @@
 
 use crate::graph::Topology;
 use crate::routing::FlowPaths;
-use nocem_common::ids::{LinkId, SwitchId};
+use nocem_common::ids::LinkId;
 
 /// How a flow's offered load is divided over its path alternatives.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,7 +98,9 @@ pub fn predict_link_loads(
             link_load[inj.index()] += share;
             // Hop links.
             for w in path.windows(2) {
-                let l = link_toward(topo, w[0], w[1]);
+                let (_, l) = topo
+                    .link_toward(w[0], w[1])
+                    .unwrap_or_else(|| panic!("no link {} -> {}", w[0], w[1]));
                 link_load[l.index()] += share;
             }
             // Ejection link.
@@ -120,19 +122,6 @@ pub fn hot_links(link_loads: &[f64], threshold: f64) -> Vec<(LinkId, f64)> {
         .collect();
     hot.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("loads are finite"));
     hot
-}
-
-/// Whether any link is offered more than its capacity of one flit per
-/// cycle (the configuration would saturate).
-pub fn is_overloaded(link_loads: &[f64]) -> bool {
-    link_loads.iter().any(|&l| l > 1.0 + 1e-9)
-}
-
-fn link_toward(topo: &Topology, from: SwitchId, to: SwitchId) -> LinkId {
-    topo.switch_neighbors(from)
-        .find(|&(_, _, next, _)| next == to)
-        .map(|(_, l, _, _)| l)
-        .unwrap_or_else(|| panic!("no link {from} -> {to}"))
 }
 
 #[cfg(test)]
@@ -159,7 +148,6 @@ mod tests {
             .filter(|(l, _)| p.topology.link(*l).is_inter_switch())
             .collect();
         assert_eq!(inter.len(), 2, "hot inter-switch links: {inter:?}");
-        assert!(!is_overloaded(&loads));
     }
 
     #[test]
@@ -224,18 +212,6 @@ mod tests {
             let inj = p.topology.endpoint(f.src).link;
             assert!((loads[inj.index()] - 0.45).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn overload_detection() {
-        let p = paper_setup();
-        let loads = predict_link_loads(
-            &p.topology,
-            &p.primary_paths,
-            &[0.6; 4],
-            SplitModel::PrimaryOnly,
-        );
-        assert!(is_overloaded(&loads), "2 x 60% exceeds link capacity");
     }
 
     #[test]

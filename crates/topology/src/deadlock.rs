@@ -196,7 +196,10 @@ impl Cdg {
     fn chain(&mut self, topo: &Topology, fp: &FlowPaths, path: &[SwitchId], labels: &[VcId]) {
         let mut prev = self.node(topo.endpoint(fp.spec.src).link, VcId::ZERO);
         for (w, &vc) in path.windows(2).zip(labels) {
-            let channel = self.node(link_toward(topo, w[0], w[1]), vc);
+            let (_, link) = topo
+                .link_toward(w[0], w[1])
+                .expect("a path hops along links");
+            let channel = self.node(link, vc);
             self.edge(prev, channel);
             prev = channel;
         }
@@ -369,13 +372,6 @@ impl BlockWalk<'_> {
             self.cdg.edge(channel, ejection);
         }
     }
-}
-
-fn link_toward(topo: &Topology, from: SwitchId, to: SwitchId) -> LinkId {
-    topo.switch_neighbors(from)
-        .find(|&(_, _, next, _)| next == to)
-        .map(|(_, l, _, _)| l)
-        .unwrap_or_else(|| panic!("no link {from} -> {to}"))
 }
 
 #[cfg(test)]
@@ -746,10 +742,10 @@ mod tests {
         let (router, specs) = tables.grid().unwrap();
         let mut cdg = Cdg::new(&topo, 1);
         cdg.walk_grid(&topo, router, specs);
-        let into_switch_0 = cdg.node(
-            link_toward(&topo, SwitchId::new(1), SwitchId::new(0)),
-            VcId::ZERO,
-        );
+        let (_, link) = topo
+            .link_toward(SwitchId::new(1), SwitchId::new(0))
+            .unwrap();
+        let into_switch_0 = cdg.node(link, VcId::ZERO);
         let mut onward = cdg.succ[into_switch_0 as usize].clone();
         onward.sort_unstable();
         let mut want = vec![

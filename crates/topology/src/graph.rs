@@ -394,6 +394,15 @@ impl Topology {
             })
     }
 
+    /// The output port of switch `from` whose link arrives at switch
+    /// `to`, and that link (lowest port wins if the topology has
+    /// parallel links); `None` when no link joins them.
+    pub fn link_toward(&self, from: SwitchId, to: SwitchId) -> Option<(PortId, LinkId)> {
+        self.switch_neighbors(from)
+            .find(|&(_, _, next, _)| next == to)
+            .map(|(port, link, _, _)| (port, link))
+    }
+
     /// The output port of switch `s` that feeds receptor `dst`, if the
     /// receptor is attached to `s`.
     pub fn ejection_port(&self, s: SwitchId, dst: EndpointId) -> Option<PortId> {

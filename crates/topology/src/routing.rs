@@ -39,7 +39,7 @@
 use crate::graph::{EndpointKind, Rows, Topology};
 use crate::TopologyError;
 use nocem_common::flows::AllButSelf;
-use nocem_common::ids::{EndpointId, FlowId, PortId, SwitchId, VcId};
+use nocem_common::ids::{EndpointId, FlowId, SwitchId, VcId};
 use std::borrow::Cow;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
@@ -530,12 +530,12 @@ impl RoutingTables {
                     VcPolicy::Dateline => dateline_vcs(topo, path),
                 };
                 for (w, &vc) in path.windows(2).zip(&labels) {
-                    let port = port_toward(topo, w[0], w[1]).ok_or_else(|| {
-                        TopologyError::InvalidPath {
-                            flow: spec.flow,
-                            reason: format!("no link {} -> {}", w[0], w[1]),
-                        }
-                    })?;
+                    let (port, _) =
+                        topo.link_toward(w[0], w[1])
+                            .ok_or_else(|| TopologyError::InvalidPath {
+                                flow: spec.flow,
+                                reason: format!("no link {} -> {}", w[0], w[1]),
+                            })?;
                     table[w[0].index()].push_hop(spec.flow, RouteHop { port, vc });
                 }
                 // Ejection at the destination switch, always on VC 0:
@@ -767,14 +767,6 @@ fn validate_path(
         }
     }
     Ok(())
-}
-
-/// The output port of `from` whose link arrives at `to` (lowest port
-/// wins if the topology has parallel links).
-fn port_toward(topo: &Topology, from: SwitchId, to: SwitchId) -> Option<PortId> {
-    topo.switch_neighbors(from)
-        .find(|&(_, _, next, _)| next == to)
-        .map(|(port, _, _, _)| port)
 }
 
 /// Deterministic BFS shortest path over inter-switch links, avoiding

@@ -243,6 +243,12 @@ impl HotRow {
         }
     }
 
+    /// The options' total weight, in `O(hot sinks)`.
+    pub fn total_weight(&self) -> u64 {
+        let hot = self.hot_options().count() as u64;
+        self.row.len() as u64 - hot + hot * u64::from(self.weight)
+    }
+
     /// Every `(destination, flow, weight)` option, in flow order.
     pub fn triples(&self) -> impl Iterator<Item = (EndpointId, FlowId, u32)> + '_ {
         (0u32..)
@@ -257,8 +263,7 @@ impl HotRow {
     fn pick(&self, rng: &mut Pcg32) -> (EndpointId, FlowId) {
         assert!(!self.row.is_empty(), "destination choice list is empty");
         let weight = u64::from(self.weight);
-        let hot = self.hot_options().count() as u64;
-        let total = self.row.len() as u64 - hot + hot * weight;
+        let total = self.total_weight();
         assert!(
             total > 0,
             "weighted destination model has zero total weight"

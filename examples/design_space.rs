@@ -11,27 +11,33 @@
 //! and prints latency / congestion / run-time tables for each sweep.
 //!
 //! ```text
-//! cargo run --release -p nocem --example design_space
+//! cargo run --release --example design_space
 //! ```
 
-use nocem::config::{PaperConfig, PaperRouting};
-use nocem::sweep::{run_sweep, SweepPoint};
+use nocem::config::{PaperConfig, PaperRouting, PlatformConfig};
+use nocem::sweep::run_sweep;
 use nocem_common::table::{Align, TextTable};
 
 const PACKETS: u64 = 20_000;
+
+/// `cfg` under the name its results carry back into the tables.
+fn named(name: impl Into<String>, mut cfg: PlatformConfig) -> PlatformConfig {
+    cfg.name = name.into();
+    cfg
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hot = PaperConfig::new().setup().hot_links.to_vec();
 
     // Sweep 1: buffer depth under bursty traffic.
-    let mut points = Vec::new();
+    let mut configs = Vec::new();
     for depth in [2u8, 4, 8, 16] {
         let mut cfg = PaperConfig::new().total_packets(PACKETS).burst(8);
         cfg.switch.fifo_depth = depth;
-        cfg.name = format!("depth{depth}");
-        points.push(SweepPoint::new(format!("B={depth}"), cfg));
+        cfg.name = format!("B={depth}");
+        configs.push(cfg);
     }
-    let results = run_sweep(&points, 4)?;
+    let results = run_sweep(&configs, 4)?;
     let mut t = TextTable::with_columns(&[
         "buffer depth",
         "run-time (cyc)",
@@ -41,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for c in 1..4 {
         t.align(c, Align::Right);
     }
-    for (label, r) in &results {
+    for r in &results {
         t.row(vec![
-            label.clone(),
+            r.name.clone(),
             r.cycles.to_string(),
             format!("{:.1}", r.network_latency.mean().unwrap_or(0.0)),
             format!("{:.3}", r.congestion_rate(&hot)),
@@ -52,13 +58,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("-- Buffer depth sweep (burst traffic, 45% load) --\n{t}");
 
     // Sweep 2: routing cases.
-    let mut points = Vec::new();
-    points.push(SweepPoint::new(
+    let mut configs = vec![named(
         "single-path",
         PaperConfig::new().total_packets(PACKETS).burst(8),
-    ));
+    )];
     for p in [0.25, 0.5] {
-        points.push(SweepPoint::new(
+        configs.push(named(
             format!("dual p={p}"),
             PaperConfig::new()
                 .total_packets(PACKETS)
@@ -68,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .burst(8),
         ));
     }
-    let results = run_sweep(&points, 3)?;
+    let results = run_sweep(&configs, 3)?;
     let mut t = TextTable::with_columns(&[
         "routing",
         "run-time (cyc)",
@@ -78,9 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for c in 1..4 {
         t.align(c, Align::Right);
     }
-    for (label, r) in &results {
+    for r in &results {
         t.row(vec![
-            label.clone(),
+            r.name.clone(),
             r.cycles.to_string(),
             format!("{:.1}", r.network_latency.mean().unwrap_or(0.0)),
             r.network_latency.max().unwrap_or(0).to_string(),
@@ -89,25 +94,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("-- Routing-possibility sweep (burst traffic) --\n{t}");
 
     // Sweep 3: traffic models at identical offered load.
-    let points = vec![
-        SweepPoint::new(
+    let configs = [
+        named(
             "uniform",
             PaperConfig::new().total_packets(PACKETS).uniform(),
         ),
-        SweepPoint::new(
+        named(
             "poisson",
             PaperConfig::new().total_packets(PACKETS).poisson(),
         ),
-        SweepPoint::new(
+        named(
             "burst x4",
             PaperConfig::new().total_packets(PACKETS).burst(4),
         ),
-        SweepPoint::new(
+        named(
             "burst x16",
             PaperConfig::new().total_packets(PACKETS).burst(16),
         ),
     ];
-    let results = run_sweep(&points, 4)?;
+    let results = run_sweep(&configs, 4)?;
     let mut t = TextTable::with_columns(&[
         "traffic model",
         "run-time (cyc)",
@@ -117,9 +122,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for c in 1..4 {
         t.align(c, Align::Right);
     }
-    for (label, r) in &results {
+    for r in &results {
         t.row(vec![
-            label.clone(),
+            r.name.clone(),
             r.cycles.to_string(),
             format!("{:.3}", r.throughput()),
             format!("{:.3}", r.congestion_rate(&hot)),

@@ -25,7 +25,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use nocem::clock::ClockMode;
-use nocem::config::{PlatformConfig, TrafficModel};
+use nocem::config::{PaperConfig, PlatformConfig, TrafficModel};
 use nocem::error::CompileError;
 use nocem::profile::ProfileConfig;
 use nocem_common::rng::{Pcg32, RandomSource};
@@ -34,6 +34,7 @@ use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
 use nocem_telemetry::TelemetryConfig;
+use nocem_traffic::generator::{DestinationModel, LengthModel};
 use nocem_traffic::stochastic::UniformConfig;
 use support::{
     against_emulation, check, each_uniform, mesh, rejects_alike, retraffic, ring, torus,
@@ -217,6 +218,51 @@ fn a_zero_buffer_depth_is_rejected_alike_by_every_engine() {
         ),
         "{err}"
     );
+}
+
+/// Traffic models one field short of valid: each used to build on
+/// every engine and then panic at its generator's first draw.
+#[test]
+fn near_valid_traffic_models_are_rejected_alike_by_every_engine() {
+    let base = PaperConfig::new().total_packets(50).uniform();
+    let TrafficModel::Uniform(valid) = &base.generators[0] else {
+        panic!("the paper's uniform platform has uniform generators");
+    };
+    let (dst, flow) = valid.destination.pairs().next().unwrap();
+    let cases = [
+        ("generators.length", LengthModel::Fixed(0), None),
+        (
+            "generators.length",
+            LengthModel::UniformRange { min: 5, max: 2 },
+            None,
+        ),
+        (
+            "generators.destination",
+            valid.length,
+            Some(DestinationModel::UniformChoice(vec![])),
+        ),
+        (
+            "generators.destination",
+            valid.length,
+            Some(DestinationModel::Weighted(vec![
+                (dst, flow, 0),
+                (dst, flow, 0),
+            ])),
+        ),
+    ];
+    for (field, length, destination) in cases {
+        let mut cfg = base.clone();
+        cfg.generators[0] = TrafficModel::Uniform(UniformConfig {
+            length,
+            destination: destination.unwrap_or_else(|| valid.destination.clone()),
+            ..valid.clone()
+        });
+        let err = rejects_alike(&cfg, EVERY_ENGINE);
+        assert!(
+            matches!(err, CompileError::InvalidField { field: f, .. } if f == field),
+            "{field}: {err}"
+        );
+    }
 }
 
 #[test]
