@@ -68,7 +68,6 @@ use crate::compile::{
     lower, Elaboration, LoweredInFeed, LoweredOutDest, LoweredPlatform, OutSlotState, HANDLE_HEAD,
     HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, SLOT_NONE,
 };
-use crate::config::PlatformConfig;
 use crate::error::EmulationError;
 use crate::profile::{lap, Phase, PhaseProfiler, WaitDest, WaitEdge};
 use crate::results::{congestion_of, EmulationResults, ReceptorSummary};
@@ -135,7 +134,10 @@ pub struct CompiledEngine {
 /// kernel half of [`CompiledEngine`], and all a shard worker owns
 /// (`crate::shard_compiled`; the coordinator keeps the run-level half).
 pub(crate) struct CompiledKernel {
-    pub(crate) config: PlatformConfig,
+    /// The platform's name (`PlatformConfig::name`), which results carry.
+    pub(crate) name: String,
+    /// Links in the topology: the shape of the cumulative probe.
+    pub(crate) link_count: usize,
     pub(crate) low: LoweredPlatform,
     pub(crate) tgs: Vec<Box<dyn TrafficGenerator + Send>>,
     pub(crate) nis: Vec<SourceNi>,
@@ -246,7 +248,7 @@ pub(crate) struct CompiledKernel {
 impl std::fmt::Debug for CompiledEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledEngine")
-            .field("name", &self.kernel.config.name)
+            .field("name", &self.kernel.name)
             .field("cycle", &self.run.now)
             .field("delivered", &self.kernel.ledger.delivered())
             .finish_non_exhaustive()
@@ -478,7 +480,11 @@ impl CompiledKernel {
         let nis = std::mem::take(&mut elab.nis);
         let receptors = std::mem::take(&mut elab.receptors);
         let injection_links = elab.wiring.injection.iter().map(|&(_, _, l)| l).collect();
-        let config = elab.config;
+        let name = std::mem::take(&mut elab.config.name);
+        let link_count = elab.config.topology.link_count();
+        // The kernel keeps nothing else of the elaboration, its copy of
+        // the config included: free it before the arrays are allocated.
+        drop(elab);
         let total_out_slots = low.total_out_slots();
         let total_out_ports = *low.out_port_base.last().expect("prefix sums") as usize;
         let vcs = low.num_vcs;
@@ -544,7 +550,8 @@ impl CompiledKernel {
             tgs,
             nis,
             receptors,
-            config,
+            name,
+            link_count,
             low,
         }
     }
@@ -1604,7 +1611,7 @@ impl CompiledKernel {
     /// the last cycle stepped.
     pub(crate) fn cumulative_probe(&self) -> CumulativeProbe {
         let vcs = self.low.num_vcs;
-        let mut p = CumulativeProbe::new(self.config.topology.link_count(), vcs);
+        let mut p = CumulativeProbe::new(self.link_count, vcs);
         for s in 0..self.low.switch_count {
             let opb = self.low.out_port_base[s] as usize;
             for o in 0..self.low.outputs[s] as usize {
@@ -1727,7 +1734,7 @@ impl CompiledEngine {
             .map(|(i, r)| ReceptorSummary::of(i, r, None))
             .collect();
         EmulationResults::assemble(
-            &k.config.name,
+            &k.name,
             self.summary(),
             k.stalled,
             self.congestion(),

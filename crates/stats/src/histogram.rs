@@ -10,6 +10,11 @@
 /// sample is ever lost — mirroring the saturating top bucket of the
 /// hardware receptor RAM.
 ///
+/// Only the bins up to the highest one recorded into are stored: a
+/// histogram costs memory for the traffic it has seen, not for the
+/// range it could see. Every reader sees the nominal [`Histogram::bins`]
+/// bins, the unstored ones reading zero.
+///
 /// # Examples
 ///
 /// ```
@@ -21,11 +26,17 @@
 /// assert_eq!(h.count(), 3);
 /// assert_eq!(h.bin_count(0), 1);
 /// assert_eq!(h.bin_count(2), 1);
+/// assert_eq!(h.bin_count(3), 0);
 /// assert_eq!(h.overflow(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    bins: Vec<u64>,
+    /// Bins `0..counted.len()`: exactly one past the highest bin
+    /// recorded into, so the stored prefix is a function of the samples
+    /// alone and the derived `==` compares histograms, not histories.
+    counted: Vec<u64>,
+    /// Nominal bin count; bins `counted.len()..bins` are zero.
+    bins: usize,
     width: u64,
     /// `log2(width)` when `width` is a power of two: then a sample's bin
     /// is a shift away instead of a division (a function of `width`,
@@ -39,7 +50,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Creates a histogram with `bins` bins of `width` units each.
+    /// Creates a histogram with `bins` bins of `width` units each. No
+    /// bin is allocated until a sample lands in it.
     ///
     /// # Panics
     ///
@@ -48,7 +60,8 @@ impl Histogram {
         assert!(bins > 0, "histogram needs at least one bin");
         assert!(width > 0, "bin width must be positive");
         Histogram {
-            bins: vec![0; bins],
+            counted: Vec::new(),
+            bins,
             width,
             shift: width.is_power_of_two().then(|| width.trailing_zeros()),
             overflow: 0,
@@ -65,11 +78,10 @@ impl Histogram {
         let idx = match self.shift {
             Some(s) => value >> s,
             None => value / self.width,
-        } as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
+        };
+        match self.counted.get_mut(idx as usize) {
+            Some(bin) => *bin += 1,
+            None => self.record_past_prefix(idx),
         }
         self.count += 1;
         self.sum += value;
@@ -77,9 +89,23 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// A sample beyond the stored prefix: grows the prefix exactly to
+    /// its bin, or counts it as overflow past the nominal last bin.
+    #[cold]
+    fn record_past_prefix(&mut self, idx: u64) {
+        if idx < self.bins as u64 {
+            let len = idx as usize + 1;
+            self.counted.reserve_exact(len - self.counted.len());
+            self.counted.resize(len, 0);
+            self.counted[idx as usize] = 1;
+        } else {
+            self.overflow += 1;
+        }
+    }
+
     /// Number of bins (excluding overflow).
     pub fn bins(&self) -> usize {
-        self.bins.len()
+        self.bins
     }
 
     /// Width of each bin.
@@ -93,7 +119,8 @@ impl Histogram {
     ///
     /// Panics if `i` is out of range.
     pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
+        assert!(i < self.bins, "bin {i} out of range for {} bins", self.bins);
+        self.counted.get(i).copied().unwrap_or(0)
     }
 
     /// Samples beyond the last bin.
@@ -134,7 +161,7 @@ impl Histogram {
         }
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut cum = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
+        for (i, &c) in self.counted.iter().enumerate() {
             cum += c;
             if cum >= target {
                 return Some((i as u64 + 1) * self.width);
@@ -143,13 +170,17 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Iterates `(bin lower edge, count)` pairs, then the overflow bin
-    /// is reachable through [`Histogram::overflow`].
+    /// Iterates `(bin lower edge, count)` pairs over all
+    /// [`Histogram::bins`] bins; the overflow bin is reachable through
+    /// [`Histogram::overflow`].
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bins
+        let unstored = self.bins - self.counted.len();
+        self.counted
             .iter()
+            .copied()
+            .chain(std::iter::repeat_n(0, unstored))
             .enumerate()
-            .map(move |(i, &c)| (i as u64 * self.width, c))
+            .map(move |(i, c)| (i as u64 * self.width, c))
     }
 
     /// Renders the histogram as ASCII bars — the monitor's "image of
@@ -170,7 +201,7 @@ impl Histogram {
     pub fn render_ascii(&self, max_width: usize) -> String {
         let max_width = max_width.max(1);
         let tallest = self
-            .bins
+            .counted
             .iter()
             .copied()
             .chain(std::iter::once(self.overflow))
@@ -181,8 +212,8 @@ impl Histogram {
         }
         let label_width = format!(
             "[{}..{})",
-            (self.bins.len() - 1) as u64 * self.width,
-            self.bins.len() as u64 * self.width
+            (self.bins - 1) as u64 * self.width,
+            self.bins as u64 * self.width
         )
         .len();
         let bar = |count: u64| {
@@ -191,7 +222,7 @@ impl Histogram {
             "#".repeat(len)
         };
         let mut out = String::new();
-        for (i, &count) in self.bins.iter().enumerate() {
+        for (i, &count) in self.counted.iter().enumerate() {
             if count == 0 {
                 continue;
             }
@@ -207,7 +238,7 @@ impl Histogram {
         if self.overflow > 0 {
             out.push_str(&format!(
                 "{:<label_width$} {:>8} {}\n",
-                format!("[{}..)", self.bins.len() as u64 * self.width),
+                format!("[{}..)", self.bins as u64 * self.width),
                 self.overflow,
                 bar(self.overflow)
             ));
@@ -219,7 +250,7 @@ impl Histogram {
 impl std::fmt::Display for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "histogram ({} samples)", self.count)?;
-        let peak = self.bins.iter().copied().max().unwrap_or(0).max(1);
+        let peak = self.counted.iter().copied().max().unwrap_or(0).max(1);
         for (edge, c) in self.iter() {
             let bar = "#".repeat((c * 40 / peak) as usize);
             writeln!(f, "{:>10} | {:>8} {}", edge, c, bar)?;

@@ -1,11 +1,12 @@
 //! Property-based tests of the statistics substrate: histograms never
-//! lose samples, the latency analyzer agrees with a reference
+//! lose samples and read as a dense reference does, the latency analyzer agrees with a reference
 //! computation, the packet ledger enforces its lifecycle and agrees
 //! with a flat reference model, and the reassembler accepts exactly the
 //! flit sequences a wormhole network can produce.
 
 use nocem_common::flit::{Flit, FlitKind, PacketDescriptor};
 use nocem_common::ids::{EndpointId, FlowId, LinkId, PacketId};
+use nocem_common::rng::{Pcg32, RandomSource};
 use nocem_common::time::Cycle;
 use nocem_stats::congestion::CongestionCounter;
 use nocem_stats::histogram::Histogram;
@@ -14,6 +15,103 @@ use nocem_stats::ledger::{LedgerError, PacketLatency, PacketLedger, PacketRecord
 use nocem_stats::receptor::{Reassembler, Receptor};
 use nocem_stats::TrKind;
 use proptest::prelude::*;
+
+/// A histogram that stores every nominal bin from the start: the
+/// reference [`Histogram`], which stores only the bins up to the
+/// highest one recorded into, must read exactly like.
+struct DenseHistogram {
+    bins: Vec<u64>,
+    width: u64,
+    overflow: u64,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl DenseHistogram {
+    fn new(bins: usize, width: u64) -> Self {
+        DenseHistogram {
+            bins: vec![0; bins],
+            width,
+            overflow: 0,
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    fn record(&mut self, value: u64) {
+        match self.bins.get_mut((value / self.width) as usize) {
+            Some(bin) => *bin += 1,
+            None => self.overflow += 1,
+        }
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (self.bins.iter().enumerate()).map(|(i, &c)| (i as u64 * self.width, c))
+    }
+
+    fn quantile(&self, q: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut cum = 0;
+        for (i, &c) in self.bins.iter().enumerate() {
+            cum += c;
+            if cum >= target {
+                return Some((i as u64 + 1) * self.width);
+            }
+        }
+        Some(self.max)
+    }
+
+    fn render_ascii(&self, max_width: usize) -> String {
+        let max_width = max_width.max(1);
+        let tallest = (self.bins.iter().copied())
+            .chain([self.overflow])
+            .max()
+            .unwrap_or(0);
+        if tallest == 0 {
+            return String::from("(empty)\n");
+        }
+        let n = self.bins.len() as u64;
+        let label_width = format!("[{}..{})", (n - 1) * self.width, n * self.width).len();
+        let bar = |count: u64| {
+            let len = ((count as u128 * max_width as u128) / tallest as u128) as usize;
+            "#".repeat(if count > 0 { len.max(1) } else { 0 })
+        };
+        let mut rows: Vec<(String, u64)> = (self.iter())
+            .filter(|&(_, c)| c > 0)
+            .map(|(lo, c)| (format!("[{lo}..{})", lo + self.width), c))
+            .collect();
+        if self.overflow > 0 {
+            rows.push((format!("[{}..)", n * self.width), self.overflow));
+        }
+        (rows.into_iter())
+            .map(|(label, c)| format!("{label:<label_width$} {c:>8} {}\n", bar(c)))
+            .collect()
+    }
+
+    fn display(&self) -> String {
+        let mut out = format!("histogram ({} samples)\n", self.count);
+        let peak = self.bins.iter().copied().max().unwrap_or(0).max(1);
+        for (edge, c) in self.iter() {
+            let bar = "#".repeat((c * 40 / peak) as usize);
+            out.push_str(&format!("{edge:>10} | {c:>8} {bar}\n"));
+        }
+        if self.overflow > 0 {
+            out.push_str(&format!("{:>10} | {:>8}\n", "overflow", self.overflow));
+        }
+        out
+    }
+}
 
 /// The packet ledger as one flat row per id, `None` for an id never
 /// released: the reference model the archived ledger is checked
@@ -419,6 +517,60 @@ proptest! {
         prop_assert_eq!(h.max(), values.iter().copied().max());
         let exact_mean = values.iter().sum::<u64>() as f64 / values.len() as f64;
         prop_assert!((h.mean().unwrap() - exact_mean).abs() < 1e-6);
+    }
+
+    /// A histogram storing only the bins it has counted reads as the
+    /// dense reference on every accessor — each bin, the iterator,
+    /// quantiles, summary statistics, overflow and both renderings,
+    /// byte for byte — and the same samples in another order give an
+    /// equal histogram.
+    #[test]
+    fn histogram_reads_as_the_dense_reference(
+        bins in 1usize..160,
+        width in 1u64..40,
+        small in proptest::collection::vec(0u64..6_000, 0..300),
+        large in proptest::collection::vec(0u64..1 << 40, 0..4),
+        max_width in 0usize..60,
+        seed in any::<u64>(),
+        q in 0.0f64..1.0,
+    ) {
+        let mut values: Vec<u64> = small.into_iter().chain(large).collect();
+        let (mut h, mut dense) = (Histogram::new(bins, width), DenseHistogram::new(bins, width));
+        for &v in &values {
+            h.record(v);
+            dense.record(v);
+        }
+        prop_assert_eq!(h.bins(), bins);
+        for i in 0..bins {
+            prop_assert_eq!(h.bin_count(i), dense.bins[i], "bin {}", i);
+        }
+        prop_assert_eq!(h.iter().collect::<Vec<_>>(), dense.iter().collect::<Vec<_>>());
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, q] {
+            prop_assert_eq!(h.quantile(q), dense.quantile(q), "q = {}", q);
+        }
+        let n = values.len() as u64;
+        prop_assert_eq!(h.count(), n);
+        prop_assert_eq!(h.mean(), (n > 0).then(|| dense.sum as f64 / n as f64));
+        prop_assert_eq!(h.min(), (n > 0).then_some(dense.min));
+        prop_assert_eq!(h.max(), (n > 0).then_some(dense.max));
+        prop_assert_eq!(h.overflow(), dense.overflow);
+        prop_assert_eq!(h.render_ascii(max_width), dense.render_ascii(max_width));
+        prop_assert_eq!(h.to_string(), dense.display());
+
+        let mut rng = Pcg32::seeded(seed);
+        for i in (1..values.len()).rev() {
+            values.swap(i, rng.below(i as u32 + 1) as usize);
+        }
+        let mut shuffled = Histogram::new(bins, width);
+        for &v in &values {
+            shuffled.record(v);
+        }
+        prop_assert_eq!(&shuffled, &h);
+        let mut reversed = Histogram::new(bins, width);
+        for &v in values.iter().rev() {
+            reversed.record(v);
+        }
+        prop_assert_eq!(&reversed, &h);
     }
 
     /// Histogram quantiles are monotone in `q` and bracketed by

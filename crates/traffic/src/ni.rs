@@ -57,6 +57,9 @@ pub struct SourceNi {
 impl SourceNi {
     /// Creates an NI with the given source-queue capacity (packets)
     /// and initial credits (the attached switch input buffer depth).
+    /// The capacity is a bound, not a reservation: the queue allocates
+    /// as descriptors arrive, so any capacity up to `usize::MAX` costs
+    /// only what the traffic queues.
     ///
     /// # Panics
     ///
@@ -64,7 +67,7 @@ impl SourceNi {
     pub fn new(queue_capacity: usize, credits: u32) -> Self {
         assert!(queue_capacity > 0, "source queue needs at least one slot");
         SourceNi {
-            queue: VecDeque::with_capacity(queue_capacity),
+            queue: VecDeque::new(),
             queue_capacity,
             current: None,
             credits,

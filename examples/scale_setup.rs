@@ -14,7 +14,7 @@
 //! stage's.
 //!
 //! On `64 uniform_random`, mesh or torus, it is also a check (CI runs
-//! both): set-up over 0.5 s or a peak over 128 MB exits non-zero.
+//! both): set-up over 0.5 s or a peak over 64 MB exits non-zero.
 //! Uniform-random on a 64 × 64 grid is 16.7 M flows; written out, they
 //! alone were a gigabyte and five seconds, and followed pair by pair
 //! through the deadlock check a third of a second. The torus routes
@@ -36,7 +36,7 @@ mod support;
 /// the time and six times the memory recorded in the README, for a
 /// shared runner.
 const LIMIT_SECONDS: f64 = 0.5;
-const LIMIT_PEAK_MB: f64 = 128.0;
+const LIMIT_PEAK_MB: f64 = 64.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);

@@ -9,7 +9,9 @@
 //! phases and a stall watchdog whose window of 1..=8 cycles trips on
 //! ordinary congestion, and last a stochastic or trace-driven kind per
 //! receptor. Each later draw was added after the earlier ones, so every
-//! seed keeps what it drew before.
+//! seed keeps what it drew before. Each pick takes one number from the
+//! stream, so when the source-queue pick gained `usize::MAX` (a bound
+//! no queue reaches) some seeds drew another capacity and nothing else.
 //! The property: every engine matches the interpreted engine per cycle,
 //! or every engine rejects the config at build with one equal error. No
 //! engine may panic or fail mid-run, and every engine with stall
@@ -121,7 +123,7 @@ fn generate(seed: u64) -> (PlatformConfig, Vec<Backend>) {
             &[Traffic::Steady, burst, Traffic::Poisson { load }],
         ),
     );
-    cfg.source_queue_capacity = pick(&mut rng, &[1, 2, 16]);
+    cfg.source_queue_capacity = pick(&mut rng, &[1, 2, 16, usize::MAX]);
     cfg.clock_mode = pick(&mut rng, &[ClockMode::EveryCycle, ClockMode::Gated]);
     cfg.telemetry = rng
         .chance(0.5)
@@ -201,6 +203,21 @@ fn tlm_and_rtl_jump_the_windows_the_fast_engine_jumps() {
     let cfg = uniform_random(mesh(2, 2), 0.05, 40).with_clock_mode(ClockMode::Gated);
     let baselines = against_emulation(&cfg, &[Backend::Tlm, Backend::Rtl]);
     assert!(baselines[0].engine.cycles_skipped() > 0);
+}
+
+/// A source queue is bounded by its capacity, not sized by it: a
+/// capacity `validate` accepts, however large, builds and runs alike on
+/// every engine. `1 << 40` used to abort in `elaborate` on the
+/// allocation and `usize::MAX` to panic on capacity overflow.
+#[test]
+fn a_huge_source_queue_capacity_runs_alike_on_every_engine() {
+    for capacity in [1 << 40, usize::MAX] {
+        let mut cfg = uniform_random(mesh(2, 2), 0.9, 60);
+        cfg.source_queue_capacity = capacity;
+        let subjects = check(&cfg, EVERY_ENGINE)
+            .unwrap_or_else(|e| panic!("capacity {capacity} is rejected: {e}"));
+        assert_eq!(subjects.len(), EVERY_ENGINE.len());
+    }
 }
 
 #[test]
