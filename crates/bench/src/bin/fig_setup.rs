@@ -88,7 +88,7 @@ fn main() {
     let mut emu = build(&cfg).expect("paper config compiles");
     emu.run().expect("run completes");
     let cycles = emu.now().raw();
-    let cc = emu.congestion();
+    let cc = emu.results().congestion;
     println!("measured over {cycles} cycles ({packets} packets):");
     for h in p.hot_links {
         println!(

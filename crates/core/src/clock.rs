@@ -8,8 +8,9 @@
 //! * a **kernel** — *what a cycle does*: the [`CycleKernel`] trait,
 //!   whose required methods are exactly the engine-specific answers
 //!   the step needs (is the platform quiescent and how far may the
-//!   clock jump; execute cycle `now`; is it drained; the cumulative
-//!   probe; the wait-for edges; the ledger);
+//!   clock jump; execute cycle `now`; is it drained; the
+//!   architectural-state view the probe and the wait-for edges are
+//!   read over; the ledger);
 //! * the **run-level state** — *what happens around a cycle*:
 //!   [`RunState`] (clock, skipped-cycle counter, [`ClockMode`], stop
 //!   condition, telemetry collector, stall watchdog), built in one
@@ -100,9 +101,8 @@
 
 use crate::config::{PlatformConfig, StopCondition};
 use crate::error::EmulationError;
-use crate::profile::{
-    lap, Phase, PhaseProfiler, PhaseReport, StallReport, StallWatchdog, WaitEdge,
-};
+use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport, StallReport, StallWatchdog};
+use crate::view::ArchView;
 use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
@@ -361,9 +361,10 @@ impl RunState {
 /// [`SteppableEngine`] (the one generic impl below); dispatch is
 /// static, so the skeleton monomorphises into each kernel's own step.
 ///
-/// Probe and wait-for edges take `&mut self` and may fail because the
-/// sharded coordinator gathers them from worker threads, which can
-/// die; every single-threaded kernel answers them infallibly.
+/// The view takes `&mut self` because every kernel refills one reused
+/// buffer, and it may fail because the sharded coordinator gathers it
+/// from worker threads, which can die or stand ahead of it; every
+/// single-threaded kernel answers infallibly.
 pub trait CycleKernel {
     /// The engine's label in profile reports.
     const LABEL: &'static str;
@@ -397,21 +398,13 @@ pub trait CycleKernel {
     /// nothing parked, queued or in flight.
     fn drained(&self) -> bool;
 
-    /// Cumulative per-link counters plus live per-VC occupancy — the
-    /// telemetry probe, and the source of the congestion counters.
+    /// The architectural state after the last cycle stepped (the
+    /// probe, wait-for edges and congestion counters read it).
     ///
     /// # Errors
     ///
     /// Returns [`EmulationError`] when the state cannot be read.
-    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError>;
-
-    /// Every waiting input VC as a wait-for edge (stall forensics), in
-    /// any order: [`StallReport::new`] sorts them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmulationError`] when the state cannot be read.
-    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError>;
+    fn arch_view(&mut self) -> Result<&ArchView, EmulationError>;
 
     /// The packet ledger.
     fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_;
@@ -507,6 +500,15 @@ pub trait SteppableEngine {
     fn stall_report(&self) -> Option<&crate::profile::StallReport> {
         None
     }
+
+    /// The architectural state at the current cycle: equal on every
+    /// engine standing on the same cycle of the same run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmulationError`] once a sharded run has failed, or
+    /// mid-window on a batched sharded engine.
+    fn arch_view(&mut self) -> Result<&ArchView, EmulationError>;
 }
 
 /// The step skeleton and the run-level queries, once, for every
@@ -542,7 +544,7 @@ impl<K: CycleKernel> SteppableEngine for K {
         // boundaries records one zero sample per crossed boundary
         // (nothing moves while quiescent).
         if self.run_state().probe_due() {
-            let probe = self.cumulative_probe()?;
+            let probe = CycleKernel::arch_view(self)?.probe();
             self.run_state_mut().record_probe(&probe);
         }
         lap(self.profiler_mut(), &mut t, Phase::Probe);
@@ -559,15 +561,8 @@ impl<K: CycleKernel> SteppableEngine for K {
             let dog = dog.expect("presence checked above");
             if dog.observe(now.raw(), released, injected, delivered, in_flight) {
                 let window = dog.window();
-                let edges = self.wait_edges()?;
-                let probe = self.cumulative_probe()?;
-                let report = StallReport::from_congestion(
-                    now.raw(),
-                    window,
-                    in_flight,
-                    edges,
-                    &crate::results::congestion_of(&probe),
-                );
+                let view = CycleKernel::arch_view(self)?;
+                let report = StallReport::from_view(now.raw(), window, in_flight, view);
                 let dog = self.run_state_mut().watchdog.as_mut();
                 dog.expect("presence checked above").latch(report);
             }
@@ -607,11 +602,12 @@ impl<K: CycleKernel> SteppableEngine for K {
         self.run_state().telemetry.as_ref()
     }
 
-    /// A no-op when telemetry is off, already sealed, or the kernel
-    /// cannot be probed any more (a failed sharded run).
+    /// A no-op when telemetry is off, already sealed, or the view
+    /// cannot be read (a failed sharded run, or one mid-window).
     fn seal_telemetry(&mut self) {
         if self.run_state().seal_due() {
-            if let Ok(probe) = self.cumulative_probe() {
+            if let Ok(view) = CycleKernel::arch_view(self) {
+                let probe = view.probe();
                 self.run_state_mut().seal(&probe);
             }
         }
@@ -630,6 +626,10 @@ impl<K: CycleKernel> SteppableEngine for K {
             .watchdog
             .as_ref()
             .and_then(StallWatchdog::report)
+    }
+
+    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+        CycleKernel::arch_view(self)
     }
 }
 
@@ -780,9 +780,8 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Ask {
         Jump { now: u64, horizon: u64 },
-        Probe { now: u64 },
+        View { now: u64 },
         Cycle(u64),
-        Edges,
     }
 
     /// A kernel that does nothing but log the skeleton's calls. It is
@@ -795,8 +794,8 @@ mod tests {
         ledger: PacketLedger,
         idle_until: Option<u64>,
         wedge: bool,
-        /// `(links, vcs)` of the configured platform.
-        shape: (usize, usize),
+        /// The configured platform's view, never filled.
+        view: ArchView,
         log: Vec<Ask>,
     }
 
@@ -808,10 +807,7 @@ mod tests {
                 ledger: PacketLedger::new(),
                 idle_until,
                 wedge: false,
-                shape: (
-                    config.topology.link_count(),
-                    usize::from(config.switch.num_vcs),
-                ),
+                view: ArchView::new(&crate::compile::elaborate(config).unwrap()),
                 log: Default::default(),
             }
         }
@@ -856,15 +852,11 @@ mod tests {
             false
         }
 
-        fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
+        fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
             let now = self.run.now.raw();
-            self.log.push(Ask::Probe { now });
-            Ok(CumulativeProbe::new(self.shape.0, self.shape.1))
-        }
-
-        fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
-            self.log.push(Ask::Edges);
-            Ok(Vec::new())
+            self.log.push(Ask::View { now });
+            self.view.alloc_live();
+            Ok(&self.view)
         }
 
         fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_ {
@@ -893,7 +885,7 @@ mod tests {
             .with_profile(Some(ProfileConfig::default()));
         let mut k = Fake::new(&cfg, Some(25));
         k.step().unwrap();
-        // One probe call, after the jump and before the cycle, at the
+        // One view read, after the jump and before the cycle, at the
         // jump target — and it filled both boundaries the jump crossed.
         assert_eq!(
             k.log(),
@@ -902,7 +894,7 @@ mod tests {
                     now: 0,
                     horizon: 1_000
                 },
-                Ask::Probe { now: 25 },
+                Ask::View { now: 25 },
                 Ask::Cycle(25)
             ]
         );
@@ -993,10 +985,7 @@ mod tests {
             (report.at_cycle, report.window, report.in_flight),
             (3, 3, 1)
         );
-        assert_eq!(
-            k.log()[3..],
-            [Ask::Cycle(3), Ask::Edges, Ask::Probe { now: 3 }]
-        );
+        assert_eq!(k.log()[3..], [Ask::Cycle(3), Ask::View { now: 3 }]);
     }
 
     #[test]

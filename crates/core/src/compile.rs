@@ -752,7 +752,7 @@ pub enum LoweredInFeed {
 ///   8-byte [`OutSlotState`] record (credits, wormhole owner,
 ///   VC-allocation arbiter pointer) in `out_state`, plus the cold
 ///   `credit_cap`.
-/// * **Ports** — per-port arrays (`out_vc_ptr`, `out_link`, wiring)
+/// * **Ports** — per-port arrays (`out_vc_ptr`, wiring)
 ///   are indexed through `in_port_base`/`out_port_base`.
 /// * **Routes** — not lowered: `routing` is the elaboration's own
 ///   [`RoutingTables`] (an `Arc` clone), and `router` its shared
@@ -821,9 +821,6 @@ pub struct LoweredPlatform {
     pub out_dest: Vec<LoweredOutDest>,
     /// Per input port: where vacated-buffer credits return.
     pub in_feed: Vec<LoweredInFeed>,
-    /// Per output port: the raw [`LinkId`] it drives (congestion and
-    /// telemetry attribution).
-    pub out_link: Vec<u32>,
     /// Per generator: the switch its NI injects into.
     pub inject_switch: Vec<u32>,
     /// Per generator: global input-slot base of its injection port.
@@ -924,11 +921,10 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
 
     // Flattened wiring.
     let mut out_dest = Vec::with_capacity(total_out_ports);
-    let mut out_link = Vec::with_capacity(total_out_ports);
     let mut in_feed = Vec::new();
     for s in topo.switch_ids() {
         let si = s.index();
-        for (p, target) in elab.wiring.out_target[si].iter().enumerate() {
+        for target in &elab.wiring.out_target[si] {
             out_dest.push(match *target {
                 OutTarget::Switch { switch, port } => LoweredOutDest::Switch {
                     switch: switch as u32,
@@ -938,7 +934,6 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
                     index: index as u32,
                 },
             });
-            out_link.push(topo.out_link(s, PortId::new(p as u8)).raw());
         }
         for source in &elab.wiring.in_source[si] {
             in_feed.push(match *source {
@@ -980,7 +975,6 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         selection: elab.config.switch.selection,
         out_dest,
         in_feed,
-        out_link,
         inject_switch,
         inject_slot_base,
         in_slot_base,

@@ -69,21 +69,20 @@ use crate::compile::{
     HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, SLOT_NONE,
 };
 use crate::error::EmulationError;
-use crate::profile::{lap, Phase, PhaseProfiler, WaitDest, WaitEdge};
-use crate::results::{congestion_of, EmulationResults, ReceptorSummary};
+use crate::profile::{lap, Phase, PhaseProfiler};
+use crate::results::{EmulationResults, ReceptorSummary};
+use crate::view::ArchView;
 use nocem_common::flit::{Flit, PacketDescriptor};
-use nocem_common::ids::{EndpointId, LinkId, PacketId, PortId, SwitchId, VcId};
+use nocem_common::ids::{EndpointId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::rng::Lfsr16;
 use nocem_common::route::RouteHop;
 use nocem_common::time::Cycle;
-use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::ledger::{LedgerError, PacketLedger};
 use nocem_stats::receptor::{CompletedPacket, Receptor};
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
 use nocem_switch::fifo::FifoFullError;
 use nocem_switch::switch::CREDITS_INFINITE;
-use nocem_telemetry::CumulativeProbe;
 use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use std::time::Instant;
@@ -128,6 +127,7 @@ impl LiveSet {
 pub struct CompiledEngine {
     run: RunState,
     kernel: CompiledKernel,
+    view: ArchView,
 }
 
 /// The compiled platform: flat arrays stepped by tight loops — the
@@ -136,15 +136,11 @@ pub struct CompiledEngine {
 pub(crate) struct CompiledKernel {
     /// The platform's name (`PlatformConfig::name`), which results carry.
     pub(crate) name: String,
-    /// Links in the topology: the shape of the cumulative probe.
-    pub(crate) link_count: usize,
     pub(crate) low: LoweredPlatform,
     pub(crate) tgs: Vec<Box<dyn TrafficGenerator + Send>>,
     pub(crate) nis: Vec<SourceNi>,
     pub(crate) receptors: Vec<Receptor>,
     pub(crate) generator_endpoints: Vec<EndpointId>,
-    /// Per generator: injection link id (congestion attribution).
-    pub(crate) injection_links: Vec<LinkId>,
     pub(crate) ledger: PacketLedger,
     pub(crate) next_packet: u64,
     /// Per-TG output register: a request the source queue could not
@@ -421,18 +417,6 @@ pub(crate) trait CommitSink {
     }
 }
 
-/// Folds the per-`(switch, vc)` peak-fill array into the platform-wide
-/// per-VC watermarks of the results.
-pub(crate) fn vc_watermarks(max_vc_occ: &[u64], vcs: usize) -> VcOccupancy {
-    let mut out = VcOccupancy::new(vcs);
-    for per_switch in max_vc_occ.chunks(vcs) {
-        for (vc, &peak) in per_switch.iter().enumerate() {
-            out.record(vc, peak);
-        }
-    }
-    out
-}
-
 /// One switch's prefix-sum bases into the slot and port arrays.
 #[derive(Clone, Copy)]
 struct Bases {
@@ -479,9 +463,7 @@ impl CompiledKernel {
         let tgs = std::mem::take(&mut elab.tgs);
         let nis = std::mem::take(&mut elab.nis);
         let receptors = std::mem::take(&mut elab.receptors);
-        let injection_links = elab.wiring.injection.iter().map(|&(_, _, l)| l).collect();
         let name = std::mem::take(&mut elab.config.name);
-        let link_count = elab.config.topology.link_count();
         // The kernel keeps nothing else of the elaboration, its copy of
         // the config included: free it before the arrays are allocated.
         drop(elab);
@@ -546,12 +528,10 @@ impl CompiledKernel {
             flit_free: Vec::new(),
             profiler,
             generator_endpoints,
-            injection_links,
             tgs,
             nis,
             receptors,
             name,
-            link_count,
             low,
         }
     }
@@ -1605,87 +1585,35 @@ impl CompiledKernel {
             && self.ledger.in_flight() == 0
     }
 
-    /// Snapshot of the cumulative per-link counters plus live per-VC
-    /// occupancy — value-equal to the interpreted platform's probe
-    /// (source-side accounting) over the flat counter arrays, through
-    /// the last cycle stepped.
-    pub(crate) fn cumulative_probe(&self) -> CumulativeProbe {
+    /// The architectural-state producer: copies the flat arrays' live
+    /// state, through the last cycle stepped, into `view`.
+    pub(crate) fn read_view(&self, view: &mut ArchView) {
+        view.alloc_live();
         let vcs = self.low.num_vcs;
-        let mut p = CumulativeProbe::new(self.link_count, vcs);
-        for s in 0..self.low.switch_count {
-            let opb = self.low.out_port_base[s] as usize;
-            for o in 0..self.low.outputs[s] as usize {
-                let gp = opb + o;
-                p.add_link(
-                    LinkId::new(self.low.out_link[gp]),
-                    self.blocked_out[gp],
-                    self.forwarded_out[gp],
-                );
-            }
-            let isb = self.low.in_slot_base[s] as usize;
-            for v in 0..vcs {
-                let mut occ = 0u64;
-                for i in 0..self.low.inputs[s] as usize {
-                    occ += u64::from(self.low.in_state[isb + i * vcs + v].len);
-                }
-                p.add_vc(v, occ);
-            }
+        for (gp, port) in view.ports.iter_mut().enumerate() {
+            (port.blocked, port.forwarded) = (self.blocked_out[gp], self.forwarded_out[gp]);
         }
-        for (i, ni) in self.nis.iter().enumerate() {
+        for (input, st) in view.inputs.iter_mut().zip(&self.low.in_state) {
+            input.occupancy = u32::from(st.len);
+            input.want = (st.want != SLOT_NONE).then(|| {
+                let (want, port) = (usize::from(st.want), self.slot_port[usize::from(st.want)]);
+                let vc = VcId::new((want - port as usize * vcs) as u8);
+                let port = PortId::new(port as u8);
+                RouteHop { port, vc }
+            });
+            input.worm_open = st.allocated;
+        }
+        for (credits, st) in view.credits.iter_mut().zip(&self.low.out_state) {
+            *credits = st.credits;
+        }
+        view.watermarks.copy_from_slice(&self.max_vc_occ);
+        for (i, (ni, counts)) in self.nis.iter().zip(&mut view.nis).enumerate() {
             let c = ni.counters();
             // An NI asleep has yet to book its blocked cycles since.
             let asleep = u64::from(self.ni_blocked.contains(i));
-            let blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
-            p.add_link(self.injection_links[i], blocked, c.injected_flits);
+            counts.blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
+            counts.forwarded = c.injected_flits;
         }
-        p
-    }
-
-    /// The wait-for edges from the flat arrays: every occupied input
-    /// slot with a live allocation or routing choice, resolved through
-    /// the lowered wiring to its downstream switch input or receptor.
-    pub(crate) fn wait_edges(&self) -> Vec<WaitEdge> {
-        let vcs = self.low.num_vcs;
-        let mut edges = Vec::new();
-        for s in 0..self.low.switch_count {
-            let isb = self.low.in_slot_base[s] as usize;
-            let osb = self.low.out_slot_base[s] as usize;
-            let opb = self.low.out_port_base[s] as usize;
-            for i in 0..self.low.inputs[s] as usize {
-                for v in 0..vcs {
-                    let st = &self.low.in_state[isb + i * vcs + v];
-                    if st.len == 0 || st.want == SLOT_NONE {
-                        continue;
-                    }
-                    let local_out = st.want as usize;
-                    let (out_port, out_vc) = (local_out / vcs, local_out % vcs);
-                    let gp = opb + out_port;
-                    let dest = match self.low.out_dest[gp] {
-                        LoweredOutDest::Switch { switch, slot_base } => WaitDest::Switch {
-                            switch,
-                            input: (slot_base - self.low.in_slot_base[switch as usize])
-                                / vcs as u32,
-                        },
-                        LoweredOutDest::Receptor { index } => WaitDest::Receptor { index },
-                    };
-                    edges.push(WaitEdge {
-                        switch: s as u32,
-                        in_port: i as u32,
-                        in_vc: v as u8,
-                        out_port: out_port as u32,
-                        out_vc: out_vc as u8,
-                        link: self.low.out_link[gp],
-                        occupancy: u32::from(st.len),
-                        fifo_depth: self.low.fifo_depth as u32,
-                        credits: self.low.out_state[osb + local_out].credits,
-                        credit_cap: self.low.credit_cap[osb + local_out],
-                        worm_open: st.allocated,
-                        dest,
-                    });
-                }
-            }
-        }
-        edges
     }
 }
 
@@ -1694,6 +1622,7 @@ impl CompiledEngine {
     pub fn new(elab: Elaboration) -> Self {
         CompiledEngine {
             run: RunState::new(&elab.config),
+            view: ArchView::new(&elab),
             kernel: CompiledKernel::new(elab),
         }
     }
@@ -1717,30 +1646,16 @@ impl CompiledEngine {
         clock::run_engine(self)
     }
 
-    /// The per-link congestion counters — value-equal to
-    /// [`crate::engine::Emulation::congestion`].
-    pub fn congestion(&self) -> CongestionCounter {
-        congestion_of(&self.kernel.cumulative_probe())
-    }
-
     /// Collects full run results — value-equal to
     /// [`crate::engine::Emulation::results`] for the same run.
     pub fn results(&self) -> EmulationResults {
         let k = &self.kernel;
-        let receptors = k
-            .receptors
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReceptorSummary::of(i, r, None))
-            .collect();
-        EmulationResults::assemble(
-            &k.name,
-            self.summary(),
-            k.stalled,
-            self.congestion(),
-            vc_watermarks(&k.max_vc_occ, k.low.num_vcs),
-            receptors,
-        )
+        let receptors = k.receptors.iter().enumerate();
+        let receptors = receptors.map(|(i, r)| ReceptorSummary::of(i, r, None));
+        let mut view = self.view.clone();
+        k.read_view(&mut view);
+        let summary = self.summary();
+        EmulationResults::from_view(&k.name, summary, k.stalled, &view, receptors.collect())
     }
 }
 
@@ -1799,12 +1714,9 @@ impl CycleKernel for CompiledEngine {
         self.kernel.drained()
     }
 
-    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
-        Ok(self.kernel.cumulative_probe())
-    }
-
-    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
-        Ok(self.kernel.wait_edges())
+    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+        self.kernel.read_view(&mut self.view);
+        Ok(&self.view)
     }
 
     #[inline]

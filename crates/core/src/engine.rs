@@ -28,23 +28,22 @@
 //! software (drivers) reads and writes the same memory-mapped
 //! registers it would on the paper's FPGA platform.
 
-use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
+use crate::clock::{self, CycleKernel, EngineSummary, RunState, SteppableEngine};
 use crate::compile::{switch_config, Elaboration, InSource, OutTarget};
 use crate::devices::{self, TgShadow};
 use crate::error::EmulationError;
-use crate::profile::{lap, Phase, PhaseProfiler, WaitDest, WaitEdge};
-use crate::results::{congestion_of, EmulationResults};
+use crate::profile::{lap, Phase, PhaseProfiler};
+use crate::results::{EmulationResults, ReceptorSummary};
+use crate::view::ArchView;
 use nocem_common::flit::{Flit, PacketDescriptor};
 use nocem_common::ids::{BusId, DeviceId, EndpointId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::time::Cycle;
 use nocem_platform::addr::Address;
 use nocem_platform::bus::{AddressMap, BusAccess, BusError, DeviceClass};
 use nocem_platform::control::ControlModule;
-use nocem_stats::congestion::CongestionCounter;
 use nocem_stats::ledger::{LedgerError, PacketLedger};
 use nocem_stats::receptor::CompletedPacket;
 use nocem_switch::switch::Switch;
-use nocem_telemetry::{CumulativeProbe, FlitEvent, FlitEventKind, FlitTracer};
 use nocem_traffic::generator::PacketRequest;
 use nocem_traffic::trace::{TraceEvent, TraceRecorder};
 use std::time::Instant;
@@ -52,7 +51,7 @@ use std::time::Instant;
 /// The interpreted platform: the elaborated components plus the state
 /// a run accumulates over them, and the semantics every interpreted
 /// engine shares — back-pressure-aware release, NI send, delivery,
-/// drain and quiescence, the telemetry probe, the wait-for edges.
+/// drain and quiescence, the architectural-state view.
 ///
 /// [`Emulation`] steps it directly; [`crate::ProcessModel`] — the TLM
 /// and RTL baselines — holds it behind its process closures and calls
@@ -131,16 +130,6 @@ impl Platform {
     /// Flits fully delivered so far.
     pub fn delivered_flits(&self) -> u64 {
         self.delivered_flits
-    }
-
-    /// Cycles traffic models spent stalled on a full source queue.
-    pub fn stalled(&self) -> u64 {
-        self.stalled
-    }
-
-    /// Whether generator `i` holds a parked request.
-    pub fn is_parked(&self, i: usize) -> bool {
-        self.pending[i].is_some()
     }
 
     /// Runs one ledger call, charged to the nested ledger phase when
@@ -293,78 +282,45 @@ impl Platform {
         }
     }
 
-    /// Snapshot of the cumulative per-link counters plus live per-VC
-    /// occupancy.
-    ///
-    /// Every link is accounted at exactly one point — its *source*:
-    /// inter-switch and ejection links at the upstream switch output
-    /// port (blocked = cycles some flit requested the output and was
-    /// not granted; forwarded = flits that crossed), injection links
-    /// at the network interface (blocked = credit-starved cycles;
-    /// forwarded = injected flits). Source-side accounting is what
-    /// makes a 90 %-loaded link show up as congested: the stalls
-    /// accumulate where flits *wait to enter* the link, not at its
-    /// sink buffer (which drains freely into the receptors).
-    pub fn cumulative_probe(&self) -> CumulativeProbe {
-        let topo = &self.elab.config.topology;
-        let vcs = usize::from(self.elab.config.switch.num_vcs);
-        let mut p = CumulativeProbe::new(topo.link_count(), vcs);
-        for (s, sw) in self.switches.iter().enumerate() {
-            let counters = sw.counters();
-            for o in 0..usize::from(sw.config().outputs) {
-                let link = topo.out_link(SwitchId::new(s as u32), PortId::new(o as u8));
-                p.add_link(
-                    link,
-                    counters.blocked_cycles_per_output[o],
-                    counters.forwarded_per_output[o],
-                );
+    /// The architectural-state producer of the interpreted engines:
+    /// copies the switches' and NIs' live state into `view`, a view of
+    /// this platform's elaboration.
+    pub fn read_view(&self, view: &mut ArchView) {
+        view.alloc_live();
+        let vcs = view.vcs;
+        let mut outs = view.ports.iter_mut().zip(view.credits.chunks_mut(vcs));
+        let mut ins = view.inputs.chunks_mut(vcs);
+        for (sw, wm) in self.switches.iter().zip(view.watermarks.chunks_mut(vcs)) {
+            let (c, config) = (sw.counters(), sw.config());
+            wm.copy_from_slice(&c.max_vc_occupancy);
+            for (o, (port, credits)) in outs.by_ref().take(config.outputs.into()).enumerate() {
+                (port.blocked, port.forwarded) =
+                    (c.blocked_cycles_per_output[o], c.forwarded_per_output[o]);
+                for (v, credit) in credits.iter_mut().enumerate() {
+                    *credit = sw.credits_vc(PortId::new(o as u8), VcId::new(v as u8));
+                }
             }
-            for v in 0..vcs {
-                p.add_vc(v, sw.occupancy_of_vc(VcId::new(v as u8)));
+            for (i, per_vc) in ins.by_ref().take(config.inputs.into()).enumerate() {
+                for (v, input) in per_vc.iter_mut().enumerate() {
+                    let (port, vc) = (PortId::new(i as u8), VcId::new(v as u8));
+                    input.occupancy = sw.occupancy_vc(port, vc) as u32;
+                    (input.want, input.worm_open) = sw.wants(port, vc);
+                }
             }
         }
-        for (i, ni) in self.elab.nis.iter().enumerate() {
-            let (_, _, link) = self.elab.wiring.injection[i];
+        for (ni, counts) in self.elab.nis.iter().zip(&mut view.nis) {
             let c = ni.counters();
-            p.add_link(link, c.blocked_cycles, c.injected_flits);
+            (counts.blocked, counts.forwarded) = (c.blocked_cycles, c.injected_flits);
         }
-        p
     }
 
-    /// Every waiting input VC as a wait-for edge, resolved through the
-    /// wiring to its downstream switch input or receptor.
-    pub fn wait_edges(&self) -> Vec<WaitEdge> {
-        let topo = &self.elab.config.topology;
-        let mut edges = Vec::new();
-        for (s, sw) in self.switches.iter().enumerate() {
-            for w in sw.wait_states() {
-                let link = topo.out_link(SwitchId::new(s as u32), w.output);
-                let dest = match self.elab.wiring.out_target[s][w.output.index()] {
-                    OutTarget::Switch { switch, port } => WaitDest::Switch {
-                        switch: switch as u32,
-                        input: port.index() as u32,
-                    },
-                    OutTarget::Receptor { index } => WaitDest::Receptor {
-                        index: index as u32,
-                    },
-                };
-                edges.push(WaitEdge {
-                    switch: s as u32,
-                    in_port: u32::from(w.input.raw()),
-                    in_vc: w.in_vc.raw(),
-                    out_port: u32::from(w.output.raw()),
-                    out_vc: w.out_vc.raw(),
-                    link: link.raw(),
-                    occupancy: w.occupancy as u32,
-                    fifo_depth: w.fifo_depth as u32,
-                    credits: w.credits,
-                    credit_cap: w.credit_cap,
-                    worm_open: w.worm_open,
-                    dest,
-                });
-            }
-        }
-        edges
+    /// The results of the run `summary` describes, `view` being this
+    /// platform's state at its end.
+    pub fn results(&self, summary: EngineSummary, view: &ArchView) -> EmulationResults {
+        let receptors = self.elab.receptors.iter().enumerate();
+        let receptors = receptors.map(|(i, r)| ReceptorSummary::of(i, r, None));
+        let (name, stalled) = (&self.elab.config.name, self.stalled);
+        EmulationResults::from_view(name, summary, stalled, view, receptors.collect())
     }
 }
 
@@ -377,8 +333,8 @@ pub struct Emulation {
     pub(crate) tg_shadow: Vec<TgShadow>,
     recorder: Option<TraceRecorder>,
     started: bool,
-    /// Bounded flit event tracer (opt-in via the telemetry config).
-    tracer: Option<FlitTracer>,
+    /// The architectural-state view buffer.
+    view: ArchView,
     /// Link selected through the monitor device's `SELECT` register.
     pub(crate) monitor_select: u32,
 }
@@ -403,11 +359,7 @@ impl Emulation {
             tg_shadow: config.generators.iter().map(TgShadow::from_model).collect(),
             recorder: config.record_trace.then(TraceRecorder::new),
             started: false,
-            tracer: config
-                .telemetry
-                .as_ref()
-                .filter(|t| t.trace)
-                .map(|t| FlitTracer::new(t.trace_capacity)),
+            view: ArchView::new(&elab),
             monitor_select: 0,
             platform: Platform::new(elab),
         }
@@ -421,26 +373,6 @@ impl Emulation {
     /// The packet ledger (read access for tests and reports).
     pub fn ledger(&self) -> &PacketLedger {
         &self.platform.ledger
-    }
-
-    /// Records one flit event when tracing is on.
-    fn trace(
-        &mut self,
-        now: Cycle,
-        kind: FlitEventKind,
-        packet: Option<PacketId>,
-        switch: Option<usize>,
-        link: Option<nocem_common::ids::LinkId>,
-    ) {
-        if let Some(tr) = &mut self.tracer {
-            tr.record(FlitEvent {
-                cycle: now.raw(),
-                kind,
-                packet: packet.map(PacketId::raw),
-                switch: switch.map(|s| s as u32),
-                link: link.map(nocem_common::ids::LinkId::raw),
-            });
-        }
     }
 
     /// Runs until the stop condition holds ([`clock::run_engine`]).
@@ -517,20 +449,11 @@ impl Emulation {
         self.control.set_done(done);
     }
 
-    /// The per-link congestion counters (source-side accounting, see
-    /// [`Platform::cumulative_probe`]).
-    pub fn congestion(&self) -> CongestionCounter {
-        congestion_of(&self.platform.cumulative_probe())
-    }
-
-    /// The bounded flit event trace, when tracing was enabled.
-    pub fn flit_trace(&self) -> Option<&FlitTracer> {
-        self.tracer.as_ref()
-    }
-
     /// Extracts the results of a finished (or stopped) run.
     pub fn results(&self) -> EmulationResults {
-        EmulationResults::collect(&self.platform, self.summary())
+        let mut view = self.view.clone();
+        self.platform.read_view(&mut view);
+        self.platform.results(self.summary(), &view)
     }
 
     /// Consumes the emulation and returns results plus the recorded
@@ -584,23 +507,15 @@ impl CycleKernel for Emulation {
 
         // 1. Traffic models release packets.
         for i in 0..self.platform.elab.tgs.len() {
-            match self.platform.release(i, now)? {
-                Some(desc) => {
-                    if let Some(rec) = &mut self.recorder {
-                        rec.record(TraceEvent {
-                            at: now,
-                            src: desc.src,
-                            dst: desc.dst,
-                            flow: desc.flow,
-                            len_flits: desc.len_flits,
-                        });
-                    }
-                }
-                None if self.platform.is_parked(i) => {
-                    let at = self.platform.elab.wiring.injection[i].0;
-                    self.trace(now, FlitEventKind::Block, None, Some(at), None);
-                }
-                None => {}
+            let released = self.platform.release(i, now)?;
+            if let (Some(desc), Some(rec)) = (released, &mut self.recorder) {
+                rec.record(TraceEvent {
+                    at: now,
+                    src: desc.src,
+                    dst: desc.dst,
+                    flow: desc.flow,
+                    len_flits: desc.len_flits,
+                });
             }
         }
         lap(self.platform.profiler.as_mut(), t, Phase::TgTick);
@@ -616,11 +531,7 @@ impl CycleKernel for Emulation {
             let Some(flit) = self.platform.send(i, now)? else {
                 continue;
             };
-            let (s, port, link) = self.platform.elab.wiring.injection[i];
-            if flit.kind.is_head() {
-                let packet = Some(flit.packet);
-                self.trace(now, FlitEventKind::Inject, packet, Some(s), Some(link));
-            }
+            let (s, port, _) = self.platform.elab.wiring.injection[i];
             self.platform.switches[s]
                 .accept(port, flit)
                 .map_err(|source| EmulationError::FifoOverflow {
@@ -653,18 +564,9 @@ impl CycleKernel for Emulation {
                                 switch: SwitchId::new(switch as u32),
                                 source,
                             })?;
-                        if self.tracer.is_some() {
-                            let out = PortId::new(mv.output.index() as u8);
-                            let topo = &self.platform.elab.config.topology;
-                            let link = topo.out_link(SwitchId::new(s as u32), out);
-                            let packet = Some(mv.flit.packet);
-                            self.trace(now, FlitEventKind::Route, packet, Some(s), Some(link));
-                        }
                     }
                     OutTarget::Receptor { index } => {
-                        if let Some(pkt) = self.platform.deliver(index, mv.flit, now)? {
-                            self.trace(now, FlitEventKind::Eject, Some(pkt.id), None, None);
-                        }
+                        platform.deliver(index, mv.flit, now)?;
                     }
                 }
             }
@@ -677,12 +579,9 @@ impl CycleKernel for Emulation {
         self.platform.drained()
     }
 
-    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
-        Ok(self.platform.cumulative_probe())
-    }
-
-    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
-        Ok(self.platform.wait_edges())
+    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+        self.platform.read_view(&mut self.view);
+        Ok(&self.view)
     }
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
@@ -879,7 +778,7 @@ mod tests {
         emu.run().unwrap();
         assert_eq!(emu.delivered(), 800);
         // The vertical links (detours) must have carried flits.
-        let cc = emu.congestion();
+        let cc = emu.results().congestion;
         let setup = PaperConfig::new();
         let p = setup.setup();
         let vertical_flits: u64 = p
@@ -896,7 +795,7 @@ mod tests {
         let cfg = PaperConfig::new().total_packets(3_000).uniform();
         let mut emu = build(&cfg).unwrap();
         emu.run().unwrap();
-        let cc = emu.congestion();
+        let cc = emu.results().congestion;
         let setup = PaperConfig::new();
         let hot = setup.setup().hot_links;
         let cycles = emu.now().raw();

@@ -45,6 +45,7 @@
 //! | [`clock`] | 5 | the run-level half of every engine: [`clock::RunState`], the [`clock::CycleKernel`] trait, the one step skeleton and generic [`clock::SteppableEngine`] impl, clock modes, quiescence, the fast-forward kernel |
 //! | [`devices`] | 3, 6 | register views and typed drivers |
 //! | [`profile`] | 5, 6 | engine self-profiling: phase timers, span timelines, stall forensics |
+//! | [`view`] | 5, 6 | the architectural-state view every engine fills, and the probe, wait-for edges, congestion counters and watermarks read over it |
 //! | [`results`] | 6 | run results and the monitor report |
 //! | [`sweep`] | — | the one scheduler for grids of runs, and the config → engine dispatcher |
 //! | [`error`] | — | compile/run error types |
@@ -66,6 +67,7 @@ pub mod profile;
 pub mod results;
 pub mod shard_compiled;
 pub mod sweep;
+pub mod view;
 
 pub use clock::{
     run_engine, run_engine_until, run_engine_with_progress, ClockMode, CycleKernel, EngineSummary,
@@ -89,3 +91,4 @@ pub use profile::{
 pub use results::EmulationResults;
 pub use shard_compiled::ShardedCompiledEngine;
 pub use sweep::{run_config, run_config_routed, run_sweep, run_sweep_indexed, AnyEngine};
+pub use view::ArchView;

@@ -14,15 +14,15 @@ use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
 use crate::compile::{Elaboration, InSource};
 use crate::engine::Platform;
 use crate::error::EmulationError;
-use crate::profile::{lap, Phase, PhaseProfiler, WaitEdge};
+use crate::profile::{lap, Phase, PhaseProfiler};
 use crate::results::EmulationResults;
+use crate::view::ArchView;
 use nocem_common::flit::Flit;
 use nocem_common::ids::{LinkId, PortId, SwitchId, VcId};
 use nocem_common::time::Cycle;
 use nocem_stats::ledger::PacketLedger;
 use nocem_switch::fifo::FifoFullError;
-use nocem_switch::switch::Switch;
-use nocem_telemetry::CumulativeProbe;
+use nocem_switch::switch::{Switch, CREDITS_INFINITE};
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
@@ -121,6 +121,8 @@ pub struct ProcessModel<F: Fabric> {
     /// The fabric's cycle is opaque (processes interleave the platform
     /// phases), so it is charged to [`Phase::Processes`].
     profiler: Option<PhaseProfiler>,
+    /// The architectural-state view buffer.
+    view: ArchView,
 }
 
 impl<F: Fabric> std::fmt::Debug for ProcessModel<F> {
@@ -137,6 +139,7 @@ impl<F: Fabric> ProcessModel<F> {
     pub fn new(elab: Elaboration) -> Self {
         let mut fabric = F::default();
         let run = RunState::new(&elab.config);
+        let view = ArchView::new(&elab);
         let mut platform = Platform::new(elab);
         let profiler = platform.profiler.take();
         let shared = Rc::new(RefCell::new(platform));
@@ -266,6 +269,7 @@ impl<F: Fabric> ProcessModel<F> {
             popped,
             credit_homes,
             profiler,
+            view,
         }
     }
 
@@ -288,42 +292,42 @@ impl<F: Fabric> ProcessModel<F> {
         clock::run_engine(self)
     }
 
-    /// The results of the run so far, read from the settled platform:
-    /// a flit still on its link already counts in the fast engine's
+    /// The results of the run so far, read from the settled view: a
+    /// flit still on its link already counts in the fast engine's
     /// downstream watermark.
     pub fn results(&self) -> EmulationResults {
-        let summary = self.summary();
-        self.settled(|platform| EmulationResults::collect(platform, summary))
+        let mut view = self.view.clone();
+        self.settled(&mut view);
+        self.shared.borrow().results(self.summary(), &view)
     }
 
-    /// `read` over the platform as if every value on a link had landed:
-    /// each flit on a switch-input link in its FIFO ([`land`]), each
-    /// credit on its way back to a switch home. The fast engine moves
-    /// both in the cycle that sends them, so this is the state it holds
-    /// now.
-    fn settled<T>(&self, read: impl FnOnce(&Platform) -> T) -> T {
-        let platform = &mut *self.shared.borrow_mut();
+    /// Fills `view` with the platform as if every value on a link had
+    /// landed: each flit on a switch-input link in its FIFO (with the
+    /// watermark rule of [`land`]), each credit on its way back to a
+    /// switch home. The fast engine moves both in the cycle that sends
+    /// them, so this is the state it holds now.
+    fn settled(&self, view: &mut ArchView) {
+        self.shared.borrow().read_view(view);
         let popped = self.popped.borrow();
-        let live = platform.switches.clone();
-        for (s, sw) in platform.switches.iter_mut().enumerate() {
-            for (p, &(link, first)) in self.inputs[s].iter().enumerate() {
+        for (s, inputs) in self.inputs.iter().enumerate() {
+            for (p, &(link, first)) in inputs.iter().enumerate() {
                 if let Some(f) = self.fabric.peek_flit(link) {
-                    // Credits reserved the slot; an overflow is the next
-                    // cycle's fault to report.
-                    let _ = land(sw, PortId::new(p as u8), f, first, popped[s][p]);
+                    let input = view.input_vc(s, p, f.vc.index());
+                    let occupancy = &mut view.inputs[input].occupancy;
+                    *occupancy += 1;
+                    let deepest = *occupancy + u32::from(first && popped[s][p] == Some(f.vc));
+                    let wm = &mut view.watermarks[s * view.vcs + f.vc.index()];
+                    *wm = (*wm).max(u64::from(deepest));
                 }
             }
         }
         for &(link, home) in &self.credit_homes {
-            if let CreditHome::Switch(s, o, v) = home {
-                if self.fabric.peek_credit(link) {
-                    platform.switches[s].credit_return(o, v);
-                }
+            if let (CreditHome::Switch(s, o, v), true) = (home, self.fabric.peek_credit(link)) {
+                let output = view.out_port_base[s] as usize + o.index();
+                let credits = &mut view.credits[output * view.vcs + v.index()];
+                *credits += u32::from(*credits != CREDITS_INFINITE);
             }
         }
-        let out = read(platform);
-        platform.switches = live;
-        out
     }
 }
 
@@ -378,14 +382,13 @@ impl<F: Fabric> CycleKernel for ProcessModel<F> {
         self.shared.borrow().drained()
     }
 
-    /// The settled platform's probe: a flit on its link already sits in
-    /// the fast engine's downstream FIFO.
-    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
-        Ok(self.settled(Platform::cumulative_probe))
-    }
-
-    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
-        Ok(self.settled(Platform::wait_edges))
+    /// The settled view: a flit on its link already sits in the fast
+    /// engine's downstream FIFO.
+    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+        let mut view = std::mem::take(&mut self.view);
+        self.settled(&mut view);
+        self.view = view;
+        Ok(&self.view)
     }
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {

@@ -27,10 +27,9 @@
 //! NI and commit phases, so the profiler carves their time out of the
 //! enclosing lap ([`PhaseProfiler::nested`]) to keep phases disjoint.
 
-use nocem_common::ids::LinkId;
+use crate::view::ArchView;
 use nocem_common::json::{Fixed, JsonWriter};
 use nocem_common::table::{Align, TextTable};
-use nocem_stats::congestion::CongestionCounter;
 use nocem_switch::switch::CREDITS_INFINITE;
 use std::time::Instant;
 
@@ -699,26 +698,20 @@ impl StallReport {
         }
     }
 
-    /// The report an engine latches on the trip: its wait-for `edges`
-    /// plus the five most blocked links of its cumulative `congestion`
-    /// counters.
-    pub(crate) fn from_congestion(
-        at_cycle: u64,
-        window: u64,
-        in_flight: u64,
-        edges: Vec<WaitEdge>,
-        congestion: &CongestionCounter,
-    ) -> Self {
-        let mut blocked: Vec<BlockedLink> = (0..congestion.links() as u32)
-            .map(|link| BlockedLink {
-                link,
-                blocked: congestion.blocked(LinkId::new(link)),
+    /// The report an engine latches on the trip, read over its `view`:
+    /// the wait-for edges plus the five most blocked links.
+    pub(crate) fn from_view(at_cycle: u64, window: u64, in_flight: u64, view: &ArchView) -> Self {
+        let mut blocked: Vec<BlockedLink> = view
+            .links()
+            .filter(|(_, c)| c.blocked > 0)
+            .map(|(link, c)| BlockedLink {
+                link: link.raw(),
+                blocked: c.blocked,
             })
-            .filter(|b| b.blocked > 0)
             .collect();
         blocked.sort_by_key(|b| (std::cmp::Reverse(b.blocked), b.link));
         blocked.truncate(5);
-        StallReport::new(at_cycle, window, in_flight, edges, blocked)
+        StallReport::new(at_cycle, window, in_flight, view.wait_for_edges(), blocked)
     }
 
     /// Number of credit-starved edges.
@@ -760,7 +753,8 @@ impl StallReport {
     }
 
     /// One JSON object per line: a header, then every edge (chain
-    /// position attached where applicable), then the blocked links.
+    /// position attached where applicable; `credit_cap` absent where
+    /// the downstream always accepts), then the blocked links.
     pub fn to_jsonl(&self) -> String {
         let mut w = JsonWriter::new();
         w.object(|w| {
@@ -779,6 +773,8 @@ impl StallReport {
                 w.field("link", e.link).field("occupancy", e.occupancy);
                 w.field("fifo_depth", e.fifo_depth)
                     .field("credits", e.credits);
+                let finite = e.credit_cap != CREDITS_INFINITE;
+                w.maybe("credit_cap", finite.then_some(e.credit_cap));
                 w.field("worm_open", e.worm_open)
                     .field("starved", e.starved());
                 match e.dest {
@@ -1010,7 +1006,8 @@ mod tests {
         }
         let edge = concat!(
             r#"{"kind":"edge","switch":12,"in_port":1,"in_vc":1,"out_port":0,"out_vc":1,"#,
-            r#""link":112,"occupancy":4,"fifo_depth":4,"credits":0,"worm_open":true,"#,
+            r#""link":112,"occupancy":4,"fifo_depth":4,"credits":0,"credit_cap":4,"#,
+            r#""worm_open":true,"#,
             r#""starved":true,"dest_switch":13,"dest_input":1,"chain_pos":0}"#,
         );
         assert_eq!(jsonl.lines().nth(1), Some(edge), "{jsonl}");

@@ -2,7 +2,7 @@
 //! flow) presents.
 
 use crate::clock::EngineSummary;
-use crate::engine::Platform;
+use crate::view::ArchView;
 use nocem_common::ids::LinkId;
 use nocem_common::table::{Align, TextTable};
 use nocem_common::time::Cycle;
@@ -10,7 +10,6 @@ use nocem_platform::monitor::Monitor;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::receptor::Receptor;
-use nocem_telemetry::CumulativeProbe;
 
 /// Summary of one receptor at end of run.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,17 +57,6 @@ impl ReceptorSummary {
     }
 }
 
-/// The per-link congestion counters a cumulative probe carries: the
-/// two are the same source-side accounting, so every engine builds one
-/// walk (the probe) and derives the other.
-pub(crate) fn congestion_of(probe: &CumulativeProbe) -> CongestionCounter {
-    let mut cc = CongestionCounter::new(probe.blocked().len());
-    for (l, (&blocked, &forwarded)) in probe.blocked().iter().zip(probe.forwarded()).enumerate() {
-        cc.add(LinkId::new(l as u32), blocked, forwarded);
-    }
-    cc
-}
-
 /// The complete outcome of an emulation run.
 ///
 /// Compares by value; the gated-vs-ungated equivalence tests compare
@@ -112,14 +100,15 @@ pub struct EmulationResults {
 
 impl EmulationResults {
     /// The results of the run `summary` describes: its eight
-    /// ledger-derived fields plus what only the engine's components
-    /// know.
-    pub(crate) fn assemble(
+    /// ledger-derived fields, the congestion counters and VC watermarks
+    /// read over the engine's architectural-state `view`, and what only
+    /// the engine's components know. Every engine assembles its
+    /// results here.
+    pub(crate) fn from_view(
         name: &str,
         summary: EngineSummary,
         stalled_cycles: u64,
-        congestion: CongestionCounter,
-        vc_occupancy: VcOccupancy,
+        view: &ArchView,
         receptors: Vec<ReceptorSummary>,
     ) -> Self {
         EmulationResults {
@@ -133,37 +122,10 @@ impl EmulationResults {
             stalled_cycles,
             network_latency: summary.network_latency,
             total_latency: summary.total_latency,
-            congestion,
-            vc_occupancy,
+            congestion: view.congestion(),
+            vc_occupancy: view.vc_watermarks(),
             receptors,
         }
-    }
-
-    /// Collects the results of the run `summary` describes on
-    /// `platform` (exposed through [`crate::Emulation::results`] and
-    /// [`crate::ProcessModel::results`]).
-    pub(crate) fn collect(platform: &Platform, summary: EngineSummary) -> Self {
-        let elab = &platform.elab;
-        let receptors = elab
-            .receptors
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReceptorSummary::of(i, r, None))
-            .collect();
-        let mut vc_occupancy = VcOccupancy::new(usize::from(elab.config.switch.num_vcs));
-        for sw in &platform.switches {
-            for (vc, &peak) in sw.counters().max_vc_occupancy.iter().enumerate() {
-                vc_occupancy.record(vc, peak);
-            }
-        }
-        Self::assemble(
-            &elab.config.name,
-            summary,
-            platform.stalled(),
-            congestion_of(&platform.cumulative_probe()),
-            vc_occupancy,
-            receptors,
-        )
     }
 
     /// Delivered throughput in flits per cycle.

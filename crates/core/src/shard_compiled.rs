@@ -122,9 +122,11 @@
 //! its last progress cycle plus its no-progress window, which later
 //! progress only moves out. A trip therefore always lands on a
 //! window's last row: the buffer is empty, every worker stands on the
-//! coordinator's cycle, and the per-shard edges and probes gathered
-//! there merge into the report [`CompiledEngine`] latches. Without a
-//! watchdog there is no such cap.
+//! coordinator's cycle, and the view gathered there yields the report
+//! [`CompiledEngine`] latches. Without a watchdog there is no such
+//! cap. Anyone else reading the view mid-window gets
+//! [`EmulationError::MidWindow`], unless the platform has drained
+//! (then no cycle changes it); windows end at multiples of the batch.
 
 use crate::clock::{CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
@@ -132,18 +134,19 @@ use crate::compile::{
 };
 #[cfg(doc)]
 use crate::compiled::CompiledEngine;
-use crate::compiled::{vc_watermarks, CommitSink, CompiledKernel};
+use crate::compiled::{CommitSink, CompiledKernel};
 use crate::config::PlatformConfig;
 use crate::error::{CompileError, EmulationError};
-use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport, StallWatchdog, WaitEdge};
-use crate::results::{congestion_of, EmulationResults, ReceptorSummary};
+use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport, StallWatchdog};
+use crate::results::{EmulationResults, ReceptorSummary};
+use crate::view::ArchView;
 use nocem_common::flit::Flit;
 use nocem_common::ids::{PacketId, SwitchId};
 use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_stats::receptor::{CompletedPacket, Receptor};
-use nocem_telemetry::{CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
+use nocem_telemetry::{SpanBuffer, SpanEvent, SpanTrace};
 use nocem_topology::partition::{grid_stripes, PartitionMap};
 use nocem_topology::routing::RoutingTables;
 use nocem_traffic::trace::TraceDrivenTg;
@@ -288,27 +291,15 @@ enum Cmd {
     /// jump the coordinator took), buffering boundary records per
     /// cycle and ledger events per window.
     Window { start: Cycle, len: u64 },
-    /// Snapshot the shard's slice of the counter arrays.
+    /// Report the shard's receptors.
     Collect,
-    /// Report the shard's cumulative telemetry counters.
-    Probe,
-    /// Report the shard's wait-for edges (stall forensics).
-    WaitEdges,
+    /// Report the shard's architectural-state view.
+    View,
     /// Report the shard's self-profiling state (phase accumulators
     /// and span buffer). Only sent when profiling is configured.
     Profile,
     /// Exit the worker loop.
     Shutdown,
-}
-
-/// Snapshot of a shard's slice for results collection. The probe and
-/// the per-VC watermarks are full-platform shaped with non-owned rows
-/// zero, so the coordinator merges by element-wise add / max.
-struct Snapshot {
-    probe: CumulativeProbe,
-    max_vc_occ: Vec<u64>,
-    /// `(global receptor index, receptor clone)`.
-    receptors: Vec<(usize, Receptor)>,
 }
 
 /// One worker's self-profiling payload: its phase accumulators (with
@@ -325,9 +316,10 @@ enum Report {
     /// Sent unprompted once the worker's kernel is built.
     Status(ShardStatus),
     Window(Vec<CycleEntry>),
-    Snapshot(Box<Snapshot>),
-    Probe(Box<CumulativeProbe>),
-    WaitEdges(Vec<WaitEdge>),
+    /// `(global receptor index, receptor clone)` per owned receptor.
+    Receptors(Vec<(usize, Receptor)>),
+    /// The worker's whole view; only its owned rows are read.
+    View(Box<ArchView>),
     Profile(Box<WorkerProfile>),
 }
 
@@ -335,12 +327,12 @@ enum Report {
 /// the worker's own deterministic re-elaboration of the config, so
 /// every RNG stream matches the reference by construction) whose
 /// non-owned generators are empty, so only the owned slice ever enters
-/// its live sets. Non-owned rows stay zero, which makes probes and
-/// snapshots mergeable by plain addition. The engine's profiler holds
+/// its live sets; non-owned rows never move. The engine's profiler holds
 /// the worker-side phase accumulators (owned-slice compute vs. boundary
 /// exchange) and work counters.
 struct Worker {
     eng: CompiledKernel,
+    view: ArchView,
     boundary: Boundary,
     /// Owned global receptor indices, ascending.
     my_receptors: Vec<usize>,
@@ -459,9 +451,11 @@ impl Worker {
         while self.rep_tx.send(report).is_ok() {
             report = match self.cmd_rx.recv() {
                 Ok(Cmd::Window { start, len }) => Report::Window(self.window(start, len)),
-                Ok(Cmd::Collect) => Report::Snapshot(Box::new(self.snapshot())),
-                Ok(Cmd::Probe) => Report::Probe(Box::new(self.eng.cumulative_probe())),
-                Ok(Cmd::WaitEdges) => Report::WaitEdges(self.eng.wait_edges()),
+                Ok(Cmd::Collect) => Report::Receptors(self.receptors()),
+                Ok(Cmd::View) => {
+                    self.eng.read_view(&mut self.view);
+                    Report::View(Box::new(self.view.clone()))
+                }
                 Ok(Cmd::Profile) => {
                     let (spans, dropped) = self
                         .spans
@@ -662,16 +656,9 @@ impl Worker {
         }
     }
 
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            probe: self.eng.cumulative_probe(),
-            max_vc_occ: self.eng.max_vc_occ.clone(),
-            receptors: self
-                .my_receptors
-                .iter()
-                .map(|&i| (i, self.eng.receptors[i].clone()))
-                .collect(),
-        }
+    fn receptors(&self) -> Vec<(usize, Receptor)> {
+        let owned = self.my_receptors.iter();
+        owned.map(|&i| (i, self.eng.receptors[i].clone())).collect()
     }
 }
 
@@ -724,6 +711,8 @@ pub struct ShardedCompiledEngine {
     /// Coordinator-side span timeline on the
     /// [`SpanEvent::COORDINATOR`] track.
     spans: Option<SpanBuffer>,
+    /// The view the workers' owned rows are copied into.
+    view: ArchView,
 }
 
 impl std::fmt::Debug for ShardedCompiledEngine {
@@ -840,6 +829,7 @@ impl ShardedCompiledEngine {
                 .then(|| SpanBuffer::new(epoch, SpanEvent::COORDINATOR, p.span_capacity))
         });
         let receptor_count = topo.receptors().len();
+        let view = ArchView::new(&elab);
         let config = elab.config.clone();
         let routing = elab.routing.clone();
 
@@ -909,6 +899,7 @@ impl ShardedCompiledEngine {
             failed: false,
             profiler,
             spans,
+            view,
         };
         // A worker that panics coming up re-raises its panic here.
         engine.status = engine
@@ -986,11 +977,13 @@ impl ShardedCompiledEngine {
         Ok(())
     }
 
-    /// The next window's length: up to `batch`, shortened so that no
-    /// worker ever executes a cycle the coordinator would not reach, nor
-    /// runs past a cycle at which the skeleton reads worker state.
+    /// The next window's length: up to the next multiple of `batch` —
+    /// so the engine stands on a readable cycle at every multiple of
+    /// its batch — shortened so that no worker ever executes a cycle
+    /// the coordinator would not reach, nor runs past a cycle at which
+    /// the skeleton reads worker state.
     fn window_len(&self, start: Cycle) -> u64 {
-        let mut len = self.batch;
+        let mut len = self.batch - start.raw() % self.batch;
         // Delivered-target cap: each receptor completes at most one
         // packet per cycle (its ejection port forwards at most one
         // flit), so ceil(remaining / receptors) cycles cannot pass the
@@ -1168,47 +1161,33 @@ impl ShardedCompiledEngine {
         crate::clock::run_engine(self)
     }
 
-    /// Collects full run results by snapshotting every shard's counter
-    /// slice — value-equal to [`CompiledEngine::results`] for the same
-    /// run, except that trace-receptor latency views are kept on the
-    /// coordinator.
+    /// Collects full run results from the view and every shard's
+    /// receptors — value-equal to [`CompiledEngine::results`] for the
+    /// same run, except that trace-receptor latency views are kept on
+    /// the coordinator.
     ///
     /// # Errors
     ///
     /// Returns [`EmulationError::Shard`] when a worker is gone or an
-    /// earlier step failed.
+    /// earlier step failed, and [`EmulationError::MidWindow`] where
+    /// [`SteppableEngine::arch_view`] does.
     pub fn results(&mut self) -> Result<EmulationResults, EmulationError> {
-        let snaps = self.ask(Cmd::Collect, |r| match r {
-            Report::Snapshot(s) => Some(s),
+        CycleKernel::arch_view(self)?;
+        let owned = self.ask(Cmd::Collect, |r| match r {
+            Report::Receptors(r) => Some(r),
             _ => None,
         })?;
-        let mut probe = CumulativeProbe::new(
-            self.config.topology.link_count(),
-            usize::from(self.config.switch.num_vcs),
-        );
-        let mut max_vc: Vec<u64> = Vec::new();
-        let mut receptors: Vec<Option<ReceptorSummary>> = vec![None; self.receptor_latency.len()];
-        for snap in snaps {
-            probe.absorb(&snap.probe);
-            max_vc.resize(snap.max_vc_occ.len(), 0);
-            for (acc, v) in max_vc.iter_mut().zip(&snap.max_vc_occ) {
-                *acc = (*acc).max(*v);
-            }
-            for (gidx, r) in snap.receptors {
-                let latency = Some(&self.receptor_latency[gidx]);
-                receptors[gidx] = Some(ReceptorSummary::of(gidx, &r, latency));
-            }
-        }
-        Ok(EmulationResults::assemble(
+        let mut owned = owned.concat();
+        owned.sort_unstable_by_key(|&(gidx, _)| gidx);
+        let receptors = owned
+            .iter()
+            .map(|(gidx, r)| ReceptorSummary::of(*gidx, r, Some(&self.receptor_latency[*gidx])));
+        Ok(EmulationResults::from_view(
             &self.config.name,
             self.summary(),
             self.stalled,
-            congestion_of(&probe),
-            vc_watermarks(&max_vc, probe.vc_occupancy().len()),
-            receptors
-                .into_iter()
-                .map(|r| r.expect("every receptor snapshotted by its shard"))
-                .collect(),
+            &self.view,
+            receptors.collect(),
         ))
     }
 }
@@ -1304,32 +1283,28 @@ impl CycleKernel for ShardedCompiledEngine {
                 .all(|s| s.exhausted && s.pending_none && s.nis_idle)
     }
 
-    /// Every shard's cumulative probe, merged (disjoint owned slices,
-    /// so the element-wise add is exact).
-    fn cumulative_probe(&mut self) -> Result<CumulativeProbe, EmulationError> {
-        let probes = self.ask(Cmd::Probe, |r| match r {
-            Report::Probe(p) => Some(p),
-            _ => None,
-        })?;
-        let mut merged = CumulativeProbe::new(
-            self.config.topology.link_count(),
-            usize::from(self.config.switch.num_vcs),
-        );
-        for p in &probes {
-            merged.absorb(p);
+    /// Every switch's and NI's rows from the shard that owns them
+    /// (module docs); refused mid-window unless the platform drained.
+    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+        if !self.window.is_empty() && !self.drained() {
+            let (cycle, ahead) = (self.run.now.raw(), self.window.len() as u64);
+            return Err(EmulationError::MidWindow { cycle, ahead });
         }
-        Ok(merged)
-    }
-
-    /// Every shard's wait-for edges: each waiting input VC lives on
-    /// exactly one shard.
-    fn wait_edges(&mut self) -> Result<Vec<WaitEdge>, EmulationError> {
-        debug_assert!(self.window.is_empty(), "workers ahead of the coordinator");
-        let per_shard = self.ask(Cmd::WaitEdges, |r| match r {
-            Report::WaitEdges(edges) => Some(edges),
+        let parts = self.ask(Cmd::View, |r| match r {
+            Report::View(v) => Some(v),
             _ => None,
         })?;
-        Ok(per_shard.concat())
+        self.view.alloc_live();
+        for s in 0..self.partition.switch_count() {
+            let owner = self.partition.shard_of(SwitchId::new(s as u32));
+            self.view.copy_switch(&parts[owner], s);
+        }
+        let topo = &self.config.topology;
+        for (i, g) in topo.generators().into_iter().enumerate() {
+            let owner = self.partition.shard_of(topo.endpoint(g).switch);
+            self.view.nis[i] = parts[owner].nis[i];
+        }
+        Ok(&self.view)
     }
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
@@ -1402,6 +1377,7 @@ fn spawn_worker(
             *tg = Box::new(TraceDrivenTg::from_events(Vec::new()));
         }
     }
+    let view = ArchView::new(&elab);
     let mut eng = CompiledKernel::new(elab);
     eng.next_packet = first_provisional_id(shard);
     let spans = config.profile.and_then(|p| {
@@ -1444,6 +1420,7 @@ fn spawn_worker(
     };
     Worker {
         eng,
+        view,
         boundary,
         my_receptors,
         out_txs,

@@ -241,6 +241,10 @@ impl SteppableEngine for AnyEngine {
     fn stall_report(&self) -> Option<&crate::profile::StallReport> {
         with_engine!(self, e => e.stall_report())
     }
+
+    fn arch_view(&mut self) -> Result<&crate::ArchView, EmulationError> {
+        with_engine!(self, e => SteppableEngine::arch_view(&mut **e))
+    }
 }
 
 /// Compiles and runs one configuration to completion on whichever

@@ -59,4 +59,4 @@ pub mod switch;
 pub use arbiter::{Arbiter, ArbiterKind};
 pub use config::{SelectionPolicy, SwitchConfig, SwitchConfigBuilder};
 pub use fifo::FlitFifo;
-pub use switch::{BuildSwitchError, Switch, SwitchCounters, Transfer, WaitState, CREDITS_INFINITE};
+pub use switch::{BuildSwitchError, Switch, SwitchCounters, Transfer, CREDITS_INFINITE};

@@ -153,34 +153,6 @@ impl std::fmt::Display for BuildSwitchError {
 
 impl std::error::Error for BuildSwitchError {}
 
-/// One waiting input VC of a switch: flits are buffered and the head
-/// flit knows which output VC it wants — the switch-local half of a
-/// wait-for edge that stall forensics assemble into blame chains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitState {
-    /// Input port holding the waiting flits.
-    pub input: PortId,
-    /// Input virtual channel holding the waiting flits.
-    pub in_vc: VcId,
-    /// Output port the head flit wants (live worm allocation, or the
-    /// route selection's current choice).
-    pub output: PortId,
-    /// Output virtual channel the head flit wants.
-    pub out_vc: VcId,
-    /// Flits queued in the input VC buffer.
-    pub occupancy: usize,
-    /// Capacity of that buffer.
-    pub fifo_depth: usize,
-    /// Remaining credits of the wanted output VC.
-    pub credits: u32,
-    /// Initial credits of that output VC ([`CREDITS_INFINITE`] when
-    /// the downstream always accepts).
-    pub credit_cap: u32,
-    /// Whether a worm is live on that allocation (header granted,
-    /// body/tail flits still crossing).
-    pub worm_open: bool,
-}
-
 /// A flit transfer committed in the current cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
@@ -874,17 +846,6 @@ impl Switch {
         self.fifos[input.index()][vc.index()].len()
     }
 
-    /// Live occupancy of virtual channel `vc`, in flits, summed over
-    /// every input buffer — the per-cycle view the telemetry windows
-    /// sample (the `max_vc_occupancy` counter only keeps the
-    /// high-water mark).
-    pub fn occupancy_of_vc(&self, vc: VcId) -> u64 {
-        self.fifos
-            .iter()
-            .map(|per_vc| per_vc[vc.index()].len() as u64)
-            .sum()
-    }
-
     /// Raises the `max_vc_occupancy` watermark of `vc` to at least
     /// `occupancy` — for an engine that lands a flit after a pop the
     /// reference engine orders after it.
@@ -904,37 +865,16 @@ impl Switch {
         self.credits[output.index()][vc.index()]
     }
 
-    /// Snapshot of every input VC that holds flits and knows where it
-    /// wants to go — the wait-for edges of this switch, in
-    /// `(input, vc)` order. An input VC with buffered flits but no
-    /// allocation *and* no routing choice yet (header not at the head)
-    /// is omitted: it waits on its own buffer, not on an output.
-    pub fn wait_states(&self) -> Vec<WaitState> {
-        let mut edges = Vec::new();
-        for (i, per_vc) in self.fifos.iter().enumerate() {
-            for (v, fifo) in per_vc.iter().enumerate() {
-                if fifo.is_empty() {
-                    continue;
-                }
-                let alloc = self.allocated[i][v];
-                let Some(hop) = alloc.or(self.chosen[i][v]) else {
-                    continue;
-                };
-                let (o, ov) = (hop.port.index(), hop.vc.index());
-                edges.push(WaitState {
-                    input: PortId::new(i as u8),
-                    in_vc: VcId::new(v as u8),
-                    output: hop.port,
-                    out_vc: hop.vc,
-                    occupancy: fifo.len(),
-                    fifo_depth: fifo.capacity(),
-                    credits: self.credits[o][ov],
-                    credit_cap: self.credit_cap[o][ov],
-                    worm_open: alloc.is_some(),
-                });
-            }
-        }
-        edges
+    /// The output VC input VC `(input, vc)` waits on — its worm's
+    /// allocation, else the route selection's choice for its head
+    /// (`None` until `decide` routes a head) — and whether a worm is
+    /// open on it.
+    pub fn wants(&self, input: PortId, vc: VcId) -> (Option<RouteHop>, bool) {
+        let allocated = self.allocated[input.index()][vc.index()];
+        (
+            allocated.or(self.chosen[input.index()][vc.index()]),
+            allocated.is_some(),
+        )
     }
 
     /// Accumulated statistics.
@@ -1379,23 +1319,6 @@ mod tests {
             sw.accept(PortId::new(0), f).unwrap();
         }
         assert_eq!(sw.counters().max_vc_occupancy, vec![1, 2]);
-    }
-
-    #[test]
-    fn live_occupancy_sums_over_inputs() {
-        let mut sw = simple_switch();
-        assert_eq!(sw.occupancy_of_vc(VcId::ZERO), 0);
-        for f in packet(1, 0, 2) {
-            sw.accept(PortId::new(0), f).unwrap();
-        }
-        sw.accept(PortId::new(1), packet(2, 1, 1)[0]).unwrap();
-        assert_eq!(sw.occupancy_of_vc(VcId::ZERO), 3);
-        // Unlike the watermark, the live view drops when FIFOs drain.
-        while !sw.is_idle() {
-            cycle(&mut sw);
-        }
-        assert_eq!(sw.occupancy_of_vc(VcId::ZERO), 0);
-        assert_eq!(sw.counters().max_vc_occupancy, vec![2]);
     }
 
     #[test]

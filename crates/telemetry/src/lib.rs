@@ -21,19 +21,16 @@
 //!    accumulates across evictions, and [`Collector::seal`] flushes
 //!    the trailing partial window).
 //!
-//! The bounded flit event tracer lives in [`trace`]; it shares the
-//! "can never OOM a long run" discipline via a hard event cap and a
-//! drop counter. Host-side (emulator wall-clock) span timelines live
-//! in [`span`] under the same discipline.
+//! Host-side (emulator wall-clock) span timelines live in [`span`];
+//! they share the "can never OOM a long run" discipline through a hard
+//! event cap and a drop counter.
 
 pub mod series;
 pub mod span;
-pub mod trace;
 
 pub use nocem_common::json::validate_json;
 pub use series::{Collector, CumulativeProbe, LinkStat, ResourceSeries};
 pub use span::{SpanBuffer, SpanEvent, SpanTrace};
-pub use trace::{FlitEvent, FlitEventKind, FlitTracer};
 
 /// Configuration of the telemetry subsystem. Telemetry is opt-in:
 /// engines only pay for probes when a config is present.
@@ -44,7 +41,6 @@ pub use trace::{FlitEvent, FlitEventKind, FlitTracer};
 /// use nocem_telemetry::TelemetryConfig;
 /// let t = TelemetryConfig::windowed(256);
 /// assert_eq!(t.window, 256);
-/// assert!(!t.trace);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
@@ -54,11 +50,6 @@ pub struct TelemetryConfig {
     /// Ring capacity per resource series, in samples. Older samples
     /// are evicted; running totals survive eviction.
     pub capacity: usize,
-    /// Record individual flit events (inject/route/block/eject).
-    pub trace: bool,
-    /// Hard cap on recorded flit events; further events are counted
-    /// as dropped instead of stored.
-    pub trace_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -66,8 +57,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             window: 1024,
             capacity: 64,
-            trace: false,
-            trace_capacity: 4096,
         }
     }
 }
@@ -85,14 +74,6 @@ impl TelemetryConfig {
             ..TelemetryConfig::default()
         }
     }
-
-    /// Enables flit event tracing on top of the windowed counters.
-    #[must_use]
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace = true;
-        self.trace_capacity = capacity;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -104,14 +85,6 @@ mod tests {
         let t = TelemetryConfig::default();
         assert_eq!(t.window, 1024);
         assert_eq!(t.capacity, 64);
-        assert!(!t.trace);
-    }
-
-    #[test]
-    fn with_trace_enables_tracing() {
-        let t = TelemetryConfig::windowed(128).with_trace(99);
-        assert!(t.trace);
-        assert_eq!(t.trace_capacity, 99);
     }
 
     #[test]

@@ -93,8 +93,8 @@ impl ResourceSeries {
 /// per-VC buffer occupancy (flits currently buffered on each VC,
 /// summed over all switch inputs).
 ///
-/// Links are accounted source-side, exactly like
-/// `Emulation::congestion`: inter-switch and ejection links at the
+/// Links are accounted source-side, exactly like the results'
+/// congestion counters: inter-switch and ejection links at the
 /// upstream switch output, injection links at the network interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CumulativeProbe {
@@ -114,8 +114,7 @@ impl CumulativeProbe {
     }
 
     /// Adds cumulative counters for one link (source-side accounting:
-    /// each link is fed from exactly one call site, but `+=` keeps the
-    /// shard-merge path uniform).
+    /// each link is fed once).
     pub fn add_link(&mut self, link: LinkId, blocked: u64, forwarded: u64) {
         self.blocked[link.index()] += blocked;
         self.forwarded[link.index()] += forwarded;
@@ -124,26 +123,6 @@ impl CumulativeProbe {
     /// Adds live buffered flits on one virtual channel.
     pub fn add_vc(&mut self, vc: usize, occupancy: u64) {
         self.vc_occupancy[vc] += occupancy;
-    }
-
-    /// Element-wise merge of a shard-local probe (disjoint resources,
-    /// so addition is exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree.
-    pub fn absorb(&mut self, other: &CumulativeProbe) {
-        assert_eq!(self.forwarded.len(), other.forwarded.len());
-        assert_eq!(self.vc_occupancy.len(), other.vc_occupancy.len());
-        for (a, b) in self.forwarded.iter_mut().zip(&other.forwarded) {
-            *a += b;
-        }
-        for (a, b) in self.blocked.iter_mut().zip(&other.blocked) {
-            *a += b;
-        }
-        for (a, b) in self.vc_occupancy.iter_mut().zip(&other.vc_occupancy) {
-            *a += b;
-        }
     }
 
     /// Cumulative forwarded flits per link.
@@ -396,11 +375,7 @@ mod tests {
     use super::*;
 
     fn cfg(window: u64, capacity: usize) -> TelemetryConfig {
-        TelemetryConfig {
-            window,
-            capacity,
-            ..TelemetryConfig::default()
-        }
+        TelemetryConfig { window, capacity }
     }
 
     fn probe(forwarded: &[u64], blocked: &[u64], occ: &[u64]) -> CumulativeProbe {
@@ -546,16 +521,6 @@ mod tests {
         let mut c = Collector::new(&cfg(10, 8), 2, 0);
         c.seal(25, &probe(&[0, 0], &[0, 0], &[]));
         assert!(c.hottest().is_none());
-    }
-
-    #[test]
-    fn absorb_merges_shard_probes() {
-        let mut a = probe(&[1, 0], &[2, 0], &[3]);
-        let b = probe(&[0, 5], &[0, 6], &[1]);
-        a.absorb(&b);
-        assert_eq!(a.forwarded(), &[1, 5]);
-        assert_eq!(a.blocked(), &[2, 6]);
-        assert_eq!(a.vc_occupancy(), &[4]);
     }
 
     #[test]

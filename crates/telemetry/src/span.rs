@@ -1,16 +1,16 @@
 //! Host-side span timelines: bounded per-thread buffers of timed
 //! spans, merged into a Chrome `trace_event` JSON.
 //!
-//! Where [`crate::trace`] observes the *emulated network* (flit
-//! events on platform cycles), this module observes the *emulator
-//! itself*: wall-clock spans of engine work — a sharded window, a
-//! neighbour exchange, a coordinator replay — recorded against a
-//! shared [`Instant`] epoch so spans from different threads land on
-//! one comparable timeline.
+//! Where the windowed series observe the *emulated network* on
+//! platform cycles, this module observes the *emulator itself*:
+//! wall-clock spans of engine work — a sharded window, a neighbour
+//! exchange, a coordinator replay — recorded against a shared
+//! [`Instant`] epoch so spans from different threads land on one
+//! comparable timeline.
 //!
-//! The discipline matches the flit tracer: every buffer has a hard
-//! capacity, everything past the cap increments a drop counter
-//! instead of allocating, so span recording can never OOM a long run.
+//! Every buffer has a hard capacity; everything past the cap
+//! increments a drop counter instead of allocating, so span recording
+//! can never OOM a long run.
 
 use nocem_common::json::{JsonWriter, Milli};
 use std::time::Instant;

@@ -160,7 +160,7 @@ fn two_vc_ring_uses_wraparound_links() {
     let cfg = two_vc_config(ring(8));
     let mut emu = build(&cfg).unwrap();
     emu.run().unwrap();
-    let cc = emu.congestion();
+    let cc = emu.results().congestion;
     let topo = &cfg.topology;
     let wrap_flits: u64 = topo
         .links()

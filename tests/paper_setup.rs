@@ -29,7 +29,7 @@ fn predicted_and_measured_hot_link_loads_agree() {
     // Measured utilization after the run.
     emu.run().unwrap();
     let cycles = emu.now().raw();
-    let cc = emu.congestion();
+    let cc = emu.results().congestion;
     for h in hot {
         let measured = cc.utilization(h, cycles);
         assert!(
@@ -75,7 +75,7 @@ fn offered_load_is_45_percent_per_generator() {
     let mut emu = build(&cfg).unwrap();
     emu.run().unwrap();
     let cycles = emu.now().raw();
-    let cc = emu.congestion();
+    let cc = emu.results().congestion;
     // Each injection link should carry ~45% of a flit per cycle.
     for &(_, _, link) in &emu.elaboration().wiring.injection {
         let util = cc.utilization(link, cycles);

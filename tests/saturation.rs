@@ -52,7 +52,7 @@ fn hot_links_saturate_at_capacity_under_overload() {
     let mut emu = build(&cfg).unwrap();
     emu.run().unwrap();
     let cycles = emu.now().raw();
-    let cc = emu.congestion();
+    let cc = emu.results().congestion;
     for h in PaperConfig::new().setup().hot_links {
         let util = cc.utilization(h, cycles);
         assert!(

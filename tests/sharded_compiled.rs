@@ -32,8 +32,8 @@ use nocem_telemetry::TelemetryConfig;
 use nocem_topology::partition::PartitionMap;
 use proptest::prelude::*;
 use support::{
-    against_emulation, assert_same_cycle, lockstep, lockstep_until, mesh, retraffic, subject,
-    torus, uniform_random, Backend, Subject, Traffic,
+    against_emulation, assert_same_cycle, first_difference, lockstep, lockstep_until, mesh,
+    retraffic, subject, torus, uniform_random, Backend, Subject, Traffic,
 };
 
 const CASES: &[Backend] = &[
@@ -103,6 +103,32 @@ fn mesh8x8_two_shards_batch8_lockstep() {
         &uniform_random(mesh(8, 8), 0.40, 900),
         &[Backend::Sharded(2, 8)],
     );
+}
+
+/// Inside a window a batched engine's workers stand ahead of its clock,
+/// so its architectural state — and the results read over it — is
+/// refused there with a typed error; at each window's end (every
+/// multiple of the batch) it is the interpreted engine's.
+#[test]
+fn arch_view_is_refused_mid_window_and_exact_at_window_ends() {
+    let cfg = uniform_random(mesh(4, 4), 0.40, 1_000_000);
+    let mut reference = build(&cfg).unwrap();
+    let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, 8).unwrap();
+    for cycle in 1..=24u64 {
+        reference.step().unwrap();
+        engine.step().unwrap();
+        let want = SteppableEngine::arch_view(&mut reference).unwrap();
+        match SteppableEngine::arch_view(&mut engine) {
+            Ok(got) if cycle % 8 == 0 => assert_eq!(first_difference(want, got), None),
+            Err(EmulationError::MidWindow { cycle: at, ahead }) if cycle % 8 != 0 => {
+                assert_eq!((at, ahead), (cycle, 8 - cycle % 8));
+                let results = engine.results();
+                assert!(matches!(results, Err(EmulationError::MidWindow { .. })));
+            }
+            other => panic!("cycle {cycle}: {other:?}"),
+        }
+    }
+    assert_eq!(engine.results().unwrap(), reference.results());
 }
 
 /// One synchronization round per cycle at `batch = 1` (today's
@@ -230,7 +256,7 @@ fn gated_lockstep_per_step_with_jumps_inside_and_past_the_window() {
                 for (s, inside, inside_rows, past) in &mut cases {
                     let rounds = sharded(s).sync_rounds();
                     s.engine.step().unwrap();
-                    assert_same_cycle(&reference, s);
+                    assert_same_cycle(&mut reference, s);
                     let skipped = reference.engine.cycles_skipped();
                     assert_eq!(
                         s.engine.cycles_skipped(),

@@ -2,10 +2,11 @@
 //!
 //! A reference engine and any number of engines under test step side by
 //! side; after every step each stands on the reference's cycle with the
-//! reference's packet ledger ([`assert_same_cycle`]), so a divergence
-//! names its cycle. A gated engine may jump a window its ungated twin
-//! steps through: the ungated side shadow-steps across it and the two
-//! are compared where they meet. At the end every engine has finished
+//! reference's packet ledger and architectural state
+//! ([`assert_same_cycle`]), so a divergence names its cycle — and, for
+//! the state, its switch, port and VC. A gated engine may jump a window
+//! its ungated twin steps through: the ungated side shadow-steps across
+//! it and the two are compared where they meet. At the end every engine has finished
 //! with the same behavioural summary, the same sealed telemetry and the
 //! same results, and every engine with a stall watchdog has latched the
 //! reference's report: trip cycle, packets in flight, wait-for edges.
@@ -19,13 +20,16 @@
 #![allow(dead_code)]
 
 use std::any::Any;
+use std::fmt::Debug;
 use std::ops::Deref;
 
 use nocem::clock::{ClockMode, CycleKernel, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::config::{EngineKind, PlatformConfig, TrafficModel};
-use nocem::error::CompileError;
-use nocem::{AnyEngine, CompiledEngine, Emulation, EmulationResults, ShardedCompiledEngine};
+use nocem::error::{CompileError, EmulationError};
+use nocem::{
+    AnyEngine, ArchView, CompiledEngine, Emulation, EmulationResults, ShardedCompiledEngine,
+};
 use nocem_rtl::RtlEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -152,9 +156,11 @@ pub fn subject(cfg: &PlatformConfig, backend: Backend) -> Subject {
 }
 
 /// The per-step check: `subject` stands on `reference`'s cycle with
-/// `reference`'s packet ledger.
-pub fn assert_same_cycle(reference: &Subject, subject: &Subject) {
-    let (r, s) = (&reference.engine, &subject.engine);
+/// `reference`'s packet ledger and architectural state. A batched
+/// sharded engine's state is compared where it can be read, at its
+/// windows' ends.
+pub fn assert_same_cycle(reference: &mut Subject, subject: &mut Subject) {
+    let (r, s) = (&mut reference.engine, &mut subject.engine);
     let cycle = r.now().raw();
     assert_eq!(
         s.now().raw(),
@@ -175,6 +181,58 @@ pub fn assert_same_cycle(reference: &Subject, subject: &Subject) {
             (want.released(), want.injected(), want.delivered()),
         );
     }
+    drop((want, got));
+    let readable = |name: &str, view| match view {
+        Ok(view) => Some(view),
+        Err(EmulationError::MidWindow { .. }) => None,
+        Err(e) => panic!("{name}: no architectural state at cycle {cycle}: {e}"),
+    };
+    let want = readable(&reference.name, r.arch_view());
+    let got = readable(&subject.name, s.arch_view());
+    if let Some(diff) = want
+        .zip(got)
+        .and_then(|(want, got)| first_difference(want, got))
+    {
+        panic!(
+            "{}: architectural state diverged from {} at cycle {cycle}: {diff}",
+            subject.name, reference.name
+        );
+    }
+}
+
+/// Where two views of one configuration first differ, naming the switch,
+/// port and VC (or the NI); `None` when they are equal.
+pub fn first_difference(want: &ArchView, got: &ArchView) -> Option<String> {
+    fn first<T: PartialEq + Debug>(a: &[T], b: &[T]) -> Option<(usize, String)> {
+        let k = a.iter().zip(b).position(|(x, y)| x != y)?;
+        Some((k, format!("{:?} vs {:?}", b[k], a[k])))
+    }
+    let vcs = want.vcs;
+    let port = |base: &[u32], k: usize| {
+        let s = base.partition_point(|&b| b as usize <= k) - 1;
+        format!("switch {s} port {}", k - base[s] as usize)
+    };
+    let (ins, outs) = (&want.in_port_base, &want.out_port_base);
+    if let Some((k, d)) = first(&want.ports, &got.ports) {
+        return Some(format!("{} out: {d}", port(outs, k)));
+    }
+    if let Some((k, d)) = first(&want.credits, &got.credits) {
+        return Some(format!(
+            "{} out VC {}: credits {d}",
+            port(outs, k / vcs),
+            k % vcs
+        ));
+    }
+    if let Some((k, d)) = first(&want.inputs, &got.inputs) {
+        return Some(format!("{} in VC {}: {d}", port(ins, k / vcs), k % vcs));
+    }
+    if let Some((k, d)) = first(&want.watermarks, &got.watermarks) {
+        return Some(format!("switch {} VC {}: watermark {d}", k / vcs, k % vcs));
+    }
+    if let Some((i, d)) = first(&want.nis, &got.nis) {
+        return Some(format!("NI {i}: {d}"));
+    }
+    (want != got).then(|| "the views' shapes differ".into())
 }
 
 /// Steps `reference` and every subject in lockstep until the reference

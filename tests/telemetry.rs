@@ -1,8 +1,7 @@
 //! Integration tests of the observability stack: windowed series that
 //! sum exactly to the lifetime counters, collectors that are invariant
-//! across engines and clock modes, bus-readable monitor registers,
-//! bounded flit tracing, and bottleneck localization on meshes past
-//! saturation.
+//! across engines and clock modes, bus-readable monitor registers, and
+//! bottleneck localization on meshes past saturation.
 
 use nocem::clock::{run_engine_until, ClockMode, SteppableEngine};
 use nocem::config::{EngineKind, PaperConfig, PlatformConfig};
@@ -60,7 +59,7 @@ proptest! {
             ..TelemetryConfig::windowed(window)
         });
         let emu = run_paper(&cfg);
-        let cc = emu.congestion();
+        let cc = emu.results().congestion;
         let t = emu.telemetry().expect("telemetry enabled");
         prop_assert!(t.is_sealed());
         prop_assert!(t.windows_recorded() > 0);
@@ -176,30 +175,6 @@ fn platform_without_telemetry_exposes_no_monitor_device() {
     let drv = MonitorDriver::new(mon.unwrap().addr);
     let mut emu = emu;
     assert_eq!(drv.window(&mut emu).unwrap(), None, "telemetry off");
-}
-
-#[test]
-fn flit_trace_is_bounded_and_serializable() {
-    let mut cfg = PaperConfig::new().total_packets(300).uniform();
-    cfg.telemetry = Some(TelemetryConfig::windowed(256).with_trace(64));
-    let emu = run_paper(&cfg);
-    let trace = emu.flit_trace().expect("tracing enabled");
-    assert_eq!(trace.events().len(), 64, "trace filled to its cap");
-    assert!(
-        trace.dropped() > 0,
-        "a 300-packet run overflows a 64-event cap and counts the drops"
-    );
-    // Events are cycle-ordered and render to both formats.
-    assert!(trace.events().windows(2).all(|w| w[0].cycle <= w[1].cycle));
-    let jsonl = trace.to_jsonl();
-    assert_eq!(jsonl.lines().count(), 64);
-    assert!(trace.to_chrome_trace().starts_with("{\"traceEvents\":["));
-
-    // Tracing off (the default telemetry config) records nothing.
-    let mut cfg = PaperConfig::new().total_packets(50).uniform();
-    cfg.telemetry = Some(TelemetryConfig::windowed(256));
-    let emu = run_paper(&cfg);
-    assert!(emu.flit_trace().is_none());
 }
 
 /// Whether an inter-switch link crosses the vertical or horizontal
