@@ -107,7 +107,7 @@ use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_switch::switch::Switch;
-use nocem_telemetry::{Collector, CumulativeProbe, SpanTrace};
+use nocem_telemetry::{Collector, SpanTrace};
 use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use std::ops::Deref;
@@ -310,25 +310,9 @@ impl RunState {
             .is_some_and(|t| t.needs_probe(self.now.raw()))
     }
 
-    /// Records `probe` — the cumulative counters over cycles
-    /// `[0, now)` — into the collector.
-    pub(crate) fn record_probe(&mut self, probe: &CumulativeProbe) {
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record(self.now.raw(), probe);
-        }
-    }
-
     /// Whether there is a collector that has not been sealed yet.
     pub(crate) fn seal_due(&self) -> bool {
         self.telemetry.as_ref().is_some_and(|t| !t.is_sealed())
-    }
-
-    /// Flushes the trailing partial window with a final `probe` and
-    /// freezes the collector.
-    pub(crate) fn seal(&mut self, probe: &CumulativeProbe) {
-        if let Some(t) = self.telemetry.as_mut() {
-            t.seal(self.now.raw(), probe);
-        }
     }
 
     /// The delivered-packets arm of the stop condition; `None` in drain
@@ -511,6 +495,27 @@ pub trait SteppableEngine {
     fn arch_view(&mut self) -> Result<&ArchView, EmulationError>;
 }
 
+/// Runs `write` on the telemetry collector, the current cycle and
+/// `k`'s view. The collector is taken out of the run state while the
+/// view is read, so the two borrows do not overlap, and is put back
+/// whatever the read returns. Out of line: it runs once a window, and
+/// inlined it would grow the per-cycle step.
+#[cold]
+#[inline(never)]
+fn with_collector<K: CycleKernel>(
+    k: &mut K,
+    write: impl FnOnce(&mut Collector, u64, &ArchView),
+) -> Result<(), EmulationError> {
+    let run = k.run_state_mut();
+    let Some(mut t) = run.telemetry.take() else {
+        return Ok(());
+    };
+    let now = run.now.raw();
+    let read = CycleKernel::arch_view(k).map(|view| write(&mut t, now, view));
+    k.run_state_mut().telemetry = Some(t);
+    read
+}
+
 /// The step skeleton and the run-level queries, once, for every
 /// [`CycleKernel`].
 impl<K: CycleKernel> SteppableEngine for K {
@@ -544,8 +549,10 @@ impl<K: CycleKernel> SteppableEngine for K {
         // boundaries records one zero sample per crossed boundary
         // (nothing moves while quiescent).
         if self.run_state().probe_due() {
-            let probe = CycleKernel::arch_view(self)?.probe();
-            self.run_state_mut().record_probe(&probe);
+            with_collector(self, |t, now, view| {
+                let (links, buffered) = view.telemetry_counters();
+                t.record(now, links, buffered);
+            })?;
         }
         lap(self.profiler_mut(), &mut t, Phase::Probe);
         let now = self.run_state().now;
@@ -606,10 +613,10 @@ impl<K: CycleKernel> SteppableEngine for K {
     /// cannot be read (a failed sharded run, or one mid-window).
     fn seal_telemetry(&mut self) {
         if self.run_state().seal_due() {
-            if let Ok(view) = CycleKernel::arch_view(self) {
-                let probe = view.probe();
-                self.run_state_mut().seal(&probe);
-            }
+            let _unreadable = with_collector(self, |t, now, view| {
+                let (links, buffered) = view.telemetry_counters();
+                t.seal(now, links, buffered);
+            });
         }
     }
 

@@ -156,17 +156,17 @@ impl std::fmt::Debug for Elaboration {
 }
 
 /// Validates the cheap structural invariants of a configuration:
-/// traffic model / endpoint counts, queue capacities, buffer depth and
-/// telemetry window (both panic further down at 0), uniform gap ranges
-/// ([`check_gap`]: they would panic at the first draw), explicit paths
-/// for the registered flows ([`check_explicit`]), and that every
-/// `(destination, flow)` pair a generator can emit is a registered
-/// flow from that generator to that destination — switches route a
-/// packet by its flow (tables) *or* its destination (grid router), so
-/// the two must agree: an unregistered flow would otherwise die
-/// mid-run in a switch's "no routing entry" assertion, and an
-/// unregistered destination would be routed without ever having been
-/// checked to be a receptor or for deadlocks.
+/// traffic model / endpoint counts, queue capacities, buffer depth,
+/// telemetry window and ring capacity (all panic further down at 0),
+/// uniform gap ranges ([`check_gap`]: they would panic at the first
+/// draw), explicit paths for the registered flows
+/// ([`check_explicit`]), and that every `(destination, flow)` pair a
+/// generator can emit is a registered flow from that generator to that
+/// destination — switches route a packet by its flow (tables) *or* its
+/// destination (grid router), so the two must agree: an unregistered
+/// flow would otherwise die mid-run in a switch's "no routing entry"
+/// assertion, and an unregistered destination would be routed without
+/// ever having been checked to be a receptor or for deadlocks.
 ///
 /// A destination model that names a row of the configuration's own
 /// flow set is its flows by construction ([`names_own_row`]), so an
@@ -208,6 +208,12 @@ fn validate(config: &PlatformConfig) -> Result<(), CompileError> {
         return Err(CompileError::InvalidField {
             field: "telemetry.window",
             reason: "a window is at least one cycle",
+        });
+    }
+    if config.telemetry.as_ref().is_some_and(|t| t.capacity == 0) {
+        return Err(CompileError::InvalidField {
+            field: "telemetry.capacity",
+            reason: "the ring keeps at least one window",
         });
     }
     if let RoutingSpec::Explicit(paths) = &config.routing {

@@ -444,7 +444,6 @@ pub(crate) fn monitor_read(e: &mut Emulation, addr: Address) -> Result<u32, BusE
         return Ok(0);
     };
     let sel = nocem_common::ids::LinkId::new(select);
-    let hot = t.hottest();
     let value = match reg {
         monreg::REG_WINDOW => t.window_cycles() as u32,
         monreg::REG_WINDOWS => t.windows_recorded().min(u64::from(u32::MAX)) as u32,
@@ -456,9 +455,9 @@ pub(crate) fn monitor_read(e: &mut Emulation, addr: Address) -> Result<u32, BusE
         monreg::REG_TOTAL_FORWARDED_HI => (t.total_forwarded(sel) >> 32) as u32,
         monreg::REG_TOTAL_BLOCKED_LO => t.total_blocked(sel) as u32,
         monreg::REG_TOTAL_BLOCKED_HI => (t.total_blocked(sel) >> 32) as u32,
-        monreg::REG_HOT_LINK => hot.map_or(0, |h| h.link.raw()),
-        monreg::REG_HOT_BLOCKED_LO => hot.map_or(0, |h| h.blocked as u32),
-        monreg::REG_HOT_BLOCKED_HI => hot.map_or(0, |h| (h.blocked >> 32) as u32),
+        monreg::REG_HOT_LINK => t.hottest().map_or(0, |h| h.link.raw()),
+        monreg::REG_HOT_BLOCKED_LO => t.hottest().map_or(0, |h| h.blocked as u32),
+        monreg::REG_HOT_BLOCKED_HI => t.hottest().map_or(0, |h| (h.blocked >> 32) as u32),
         _ => unreachable!("range checked above"),
     };
     Ok(value)

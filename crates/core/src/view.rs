@@ -14,7 +14,7 @@ use crate::profile::{WaitDest, WaitEdge};
 use nocem_common::ids::{LinkId, PortId};
 use nocem_common::route::RouteHop;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
-use nocem_telemetry::CumulativeProbe;
+use nocem_telemetry::LinkStat;
 
 /// The source-side counters of one link: at a switch output port, or
 /// at the network interface for an injection link.
@@ -146,22 +146,28 @@ impl ArchView {
         ports.chain(nis).map(|(&l, &c)| (l, c))
     }
 
-    /// The telemetry probe: cumulative per-link counters plus the flits
-    /// buffered on each VC, summed over every input.
-    pub fn probe(&self) -> CumulativeProbe {
-        let mut p = CumulativeProbe::new(self.links, self.vcs);
-        for (link, c) in self.links() {
-            p.add_link(link, c.blocked, c.forwarded);
-        }
-        for per_port in self.inputs.chunks(self.vcs) {
-            for (vc, input) in per_port.iter().enumerate() {
-                p.add_vc(vc, u64::from(input.occupancy));
-            }
-        }
-        p
+    /// What the telemetry collector records a window from: every
+    /// link's cumulative counters, and each input VC's buffered flits
+    /// as `(vc, flits)`.
+    pub(crate) fn telemetry_counters(
+        &self,
+    ) -> (
+        impl Iterator<Item = LinkStat> + '_,
+        impl Iterator<Item = (usize, u64)> + '_,
+    ) {
+        let links = self.links().map(|(link, c)| LinkStat {
+            link,
+            blocked: c.blocked,
+            forwarded: c.forwarded,
+        });
+        let buffered = self.inputs.chunks(self.vcs).flat_map(|port| {
+            let vcs = port.iter().enumerate();
+            vcs.map(|(vc, input)| (vc, u64::from(input.occupancy)))
+        });
+        (links, buffered)
     }
 
-    /// The per-link congestion counters (the probe's link half).
+    /// The per-link congestion counters.
     pub fn congestion(&self) -> CongestionCounter {
         let mut cc = CongestionCounter::new(self.links);
         for (link, c) in self.links() {

@@ -3,23 +3,25 @@
 //! The paper's platform is *observable*: congestion and latency
 //! statistics are readable from the host while the emulation runs.
 //! This crate is the engine-independent half of that story. Engines
-//! probe their cumulative switch/NI counters at fixed cycle
-//! boundaries; a [`Collector`] turns the cumulative values into
-//! per-window deltas and keeps them in fixed-capacity ring buffers
-//! ([`ResourceSeries`]), one per link plus one per virtual channel.
+//! hand their cumulative link counters and buffered flits to a
+//! [`Collector`] at fixed cycle boundaries; it keeps the per-link
+//! cumulative counters of the last boundary and one window-major ring
+//! of rows, each row a window's every link delta and every VC's
+//! occupancy. The ring grows one row per recorded window up to its
+//! capacity, so a collector costs two words per link until the first
+//! window closes.
 //!
-//! Two invariants make the series comparable across engines:
+//! Two invariants make the collectors comparable across engines:
 //!
 //! 1. **Cycle alignment** — window `k` always covers cycles
 //!    `[k·W, (k+1)·W)`. A clock-gated engine that jumps over several
-//!    boundaries in one quiescent fast-forward records one explicit
-//!    zero-delta sample per crossed boundary, so a gated series is
-//!    bit-identical to the ungated one.
-//! 2. **Conservation** — the running totals of every series equal the
-//!    lifetime counters of the underlying resource, regardless of how
-//!    many samples the ring has evicted (`ResourceSeries::total`
-//!    accumulates across evictions, and [`Collector::seal`] flushes
-//!    the trailing partial window).
+//!    boundaries in one quiescent fast-forward records one zero-delta
+//!    row per crossed boundary, so a gated collector is bit-identical
+//!    to the ungated one.
+//! 2. **Conservation** — every link total equals the lifetime counter
+//!    of the link, regardless of how many rows the ring has
+//!    overwritten (the totals are the cumulative counters, and
+//!    [`Collector::seal`] flushes the trailing partial window).
 //!
 //! Host-side (emulator wall-clock) span timelines live in [`span`];
 //! they share the "can never OOM a long run" discipline through a hard
@@ -29,7 +31,7 @@ pub mod series;
 pub mod span;
 
 pub use nocem_common::json::validate_json;
-pub use series::{Collector, CumulativeProbe, LinkStat, ResourceSeries};
+pub use series::{Collector, LinkStat};
 pub use span::{SpanBuffer, SpanEvent, SpanTrace};
 
 /// Configuration of the telemetry subsystem. Telemetry is opt-in:
@@ -44,11 +46,11 @@ pub use span::{SpanBuffer, SpanEvent, SpanTrace};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Window length in cycles (`W`): one sample per resource every
+    /// Window length in cycles (`W`): one row of samples every
     /// `window` cycles.
     pub window: u64,
-    /// Ring capacity per resource series, in samples. Older samples
-    /// are evicted; running totals survive eviction.
+    /// Windows the collector's ring keeps, at least 1. Older rows are
+    /// overwritten; the link totals survive.
     pub capacity: usize,
 }
 

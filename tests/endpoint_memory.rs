@@ -5,18 +5,21 @@
 //! `results()` adds after a run. Receptor histograms store only the bins
 //! they have counted and source queues allocate as descriptors arrive,
 //! so neither figure is sized by the 64 + 128 nominal histogram bins or
-//! the 16-descriptor queue bound of every endpoint.
+//! the 16-descriptor queue bound of every endpoint. Telemetry likewise
+//! grows with the windows a run records, not with the ring's capacity.
 
 mod support;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use nocem::clock::SteppableEngine;
 use nocem::compile::elaborate;
-use nocem::config::TrafficModel;
+use nocem::config::{PlatformConfig, TrafficModel};
 use nocem::CompiledEngine;
 use nocem_stats::histogram::Histogram;
+use nocem_telemetry::TelemetryConfig;
 use support::{mesh, uniform_random};
 
 /// The system allocator, keeping a running total of live bytes.
@@ -50,6 +53,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held by every test: the live-byte count is process-wide, so two
+/// tests must not allocate at once.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 /// Live bytes `f` leaves behind, with what it returns.
 fn held_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = LIVE.load(Ordering::Relaxed);
@@ -66,10 +73,9 @@ fn counted_bins(h: &Histogram) -> usize {
         .map_or(0, |top| top + 1)
 }
 
-#[test]
-fn endpoint_state_is_sized_by_traffic_not_capacity() {
-    // The benchmark's `setup_mesh16x16` platform: uniform-random at 2 %
-    // load, budgets and the delivery stop removed.
+/// The benchmark's `setup_mesh16x16` platform: uniform-random at 2 %
+/// load, budgets and the delivery stop removed.
+fn mesh16x16() -> PlatformConfig {
     let mut cfg = uniform_random(mesh(16, 16), 0.02, 1_000);
     for g in &mut cfg.generators {
         if let TrafficModel::Uniform(u) = g {
@@ -78,6 +84,13 @@ fn endpoint_state_is_sized_by_traffic_not_capacity() {
     }
     cfg.stop.delivered_packets = None;
     cfg.stop.cycle_limit = u64::MAX;
+    cfg
+}
+
+#[test]
+fn endpoint_state_is_sized_by_traffic_not_capacity() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = mesh16x16();
     let endpoints = cfg.topology.receptors().len();
     assert_eq!(endpoints, 256);
 
@@ -108,5 +121,47 @@ fn endpoint_state_is_sized_by_traffic_not_capacity() {
     assert!(
         collected <= empty + counted * 8,
         "results() after the run adds {collected} B: over {empty} B and {counted} counted bins"
+    );
+}
+
+#[test]
+fn telemetry_is_sized_by_the_windows_recorded() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let plain = mesh16x16();
+    let mut cfg = plain.clone();
+    cfg.telemetry = Some(TelemetryConfig::windowed(1024));
+    let links = cfg.topology.link_count();
+    assert_eq!(links, 1472);
+    let build = |cfg: &PlatformConfig| {
+        held_by(|| CompiledEngine::new(elaborate(cfg).expect("the platform elaborates")))
+    };
+    let (mut without, plain_up) = build(&plain);
+    let (mut with, brought_up) = build(&cfg);
+    let bring_up = brought_up.saturating_sub(plain_up);
+    assert!(
+        bring_up <= links * 24,
+        "the collector holds {bring_up} B at bring-up: over 24 B per link"
+    );
+
+    // Both engines run the same cycles and allocate their views; what
+    // the second holds beyond the first is its collector.
+    let windows = 4;
+    let run = |engine: &mut CompiledEngine| {
+        held_by(|| {
+            for _ in 0..=windows * 1024 {
+                engine.step().expect("the run steps");
+            }
+            engine.arch_view().expect("a compiled view").links
+        })
+        .1
+    };
+    let (plain_grew, grew) = (run(&mut without), run(&mut with));
+    let recorded = with.telemetry().expect("telemetry on").windows_recorded();
+    assert_eq!(recorded, windows);
+    let row = (2 * links + 1) * 8;
+    let held = bring_up + grew.saturating_sub(plain_grew);
+    assert!(
+        held <= links * 24 + windows as usize * row,
+        "the collector holds {held} B after {windows} windows of {row} B"
     );
 }

@@ -125,9 +125,15 @@ fn generate(seed: u64) -> (PlatformConfig, Vec<Backend>) {
     );
     cfg.source_queue_capacity = pick(&mut rng, &[1, 2, 16, usize::MAX]);
     cfg.clock_mode = pick(&mut rng, &[ClockMode::EveryCycle, ClockMode::Gated]);
-    cfg.telemetry = rng
-        .chance(0.5)
-        .then(|| TelemetryConfig::windowed(u64::from(rng.in_range(1, 64))));
+    // The ring capacity follows the window drawn, so every seed keeps
+    // the draws of the axes after it.
+    cfg.telemetry = rng.chance(0.5).then(|| {
+        let window = u64::from(rng.in_range(1, 64));
+        TelemetryConfig {
+            window,
+            capacity: [1, 2, 64][(window % 3) as usize],
+        }
+    });
 
     let switches = cfg.topology.switch_count() as u32;
     let shards = rng.in_range(1, switches.min(4)) as usize;
@@ -295,6 +301,26 @@ fn a_zero_telemetry_window_is_rejected_alike_by_every_engine() {
             err,
             CompileError::InvalidField {
                 field: "telemetry.window",
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_zero_telemetry_capacity_is_rejected_alike_by_every_engine() {
+    let mut cfg = uniform_random(mesh(2, 2), 0.1, 20);
+    cfg.telemetry = Some(TelemetryConfig {
+        capacity: 0,
+        ..TelemetryConfig::windowed(64)
+    });
+    let err = rejects_alike(&cfg, EVERY_ENGINE);
+    assert!(
+        matches!(
+            err,
+            CompileError::InvalidField {
+                field: "telemetry.capacity",
                 ..
             }
         ),
