@@ -10,7 +10,6 @@
 use nocem::config::PaperConfig;
 use nocem::engine::build;
 use nocem::SteppableEngine;
-use nocem_bench::scaled;
 use nocem_common::table::{Align, TextTable};
 use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::graph::LinkEnd;
@@ -83,7 +82,7 @@ fn main() {
     println!("loaded inter-switch links (primary routing):\n{t}");
 
     // Verify by emulation.
-    let packets = scaled(20_000);
+    let packets = 20_000;
     let cfg = PaperConfig::new().total_packets(packets).uniform();
     let mut emu = build(&cfg).expect("paper config compiles");
     emu.run().expect("run completes");

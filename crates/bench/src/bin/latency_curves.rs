@@ -30,32 +30,32 @@
 //! saturated point crosses a bisection of the mesh, and that the
 //! telemetry overhead stays under the CI bound (typical overhead at
 //! W = 1024 is under 5%; CI asserts ≤ 25% to absorb shared-runner
-//! noise). `NOCEM_QUICK=1` shrinks the measurement windows.
+//! noise), timed in on-CPU time by [`nocem_bench::time_steps`].
 
 use nocem::clock::ClockMode;
 use nocem::config::EngineKind;
 use nocem::shard_compiled::DEFAULT_BATCH;
+use nocem::{AnyEngine, SteppableEngine};
+use nocem_bench::time_steps;
 use nocem_common::table::{Align, TextTable};
-use nocem_curves::measure::{measure_config, MeasureConfig};
+use nocem_curves::measure::MeasureConfig;
 use nocem_curves::runner::{run_curve_specs, CurveSetOutcome};
 use nocem_curves::search::{Curve, CurveSpec, SearchConfig};
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::TelemetryConfig;
 
-fn measure_windows() -> MeasureConfig {
-    if nocem_bench::quick_mode() {
-        MeasureConfig {
-            warmup_cycles: 512,
-            measure_cycles: 2_048,
-        }
-    } else {
-        MeasureConfig {
-            warmup_cycles: 2_048,
-            measure_cycles: 8_192,
-        }
-    }
-}
+/// Warm-up and measured cycles of every point.
+const MEASURE: MeasureConfig = MeasureConfig {
+    warmup_cycles: 2_048,
+    measure_cycles: 8_192,
+};
+
+/// The smoke's topology and the first curve's.
+const MESH4X4: TopologySpec = TopologySpec::Mesh {
+    width: 4,
+    height: 4,
+};
 
 /// Telemetry overhead bound the CI smoke asserts. The typical
 /// overhead of W = 1024 windowed probing is under 5% (one
@@ -103,48 +103,29 @@ fn assert_top_link_crosses_bisection(curve: &Curve) {
     );
 }
 
-/// Measures the wall-clock overhead of W = 1024 windowed telemetry on
-/// one mesh4x4 load point (best of three runs each way) and asserts
-/// it stays under [`SMOKE_OVERHEAD_BOUND`].
+/// Measures the overhead of W = 1024 windowed telemetry on one
+/// mesh4x4 load point — the median on-CPU speed of repeated stretches
+/// of cycles, each way — and asserts it stays under
+/// [`SMOKE_OVERHEAD_BOUND`].
 fn assert_overhead_under_bound() {
-    let registry = ScenarioRegistry::builtin();
-    let measure = MeasureConfig {
-        warmup_cycles: 512,
-        measure_cycles: 8_192,
-    };
-    let base_cfg = registry
+    let base_cfg = ScenarioRegistry::builtin()
         .resolve("uniform_random")
         .expect("builtin scenario")
-        .build_config(
-            TopologySpec::Mesh {
-                width: 4,
-                height: 4,
-            },
-            0.30,
-            4,
-            1_000_000,
-        )
+        .build_config(MESH4X4, 0.30, 4, 1_000_000)
         .expect("uniform_random applies to mesh4x4");
     let mut telemetry_cfg = base_cfg.clone();
     telemetry_cfg.telemetry = Some(TelemetryConfig::windowed(1024));
-    let time_best_of = |cfg: &nocem::PlatformConfig| {
-        (0..3)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                let m = measure_config(cfg, None, &measure, 0.30).expect("point measures");
-                assert!(m.packets_measured > 0);
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::MAX, f64::min)
+    let speed = |cfg: &nocem::PlatformConfig| {
+        let mut engine = AnyEngine::build(cfg).expect("point builds");
+        let speed = time_steps(&mut engine, 32_768, 5).expect("timing").median;
+        assert!(engine.delivered() > 0, "the timed point delivers packets");
+        speed
     };
-    let off = time_best_of(&base_cfg);
-    let on = time_best_of(&telemetry_cfg);
-    let overhead = (on - off) / off;
+    let (off, on) = (speed(&base_cfg), speed(&telemetry_cfg));
+    let overhead = off / on - 1.0;
     println!(
-        "smoke: telemetry overhead at W=1024: {:.1}% (off {:.3}s, on {:.3}s; bound {:.0}%)",
+        "smoke: telemetry overhead at W=1024: {:.1}% (off {off:.0}, on {on:.0} cycles per on-CPU second; bound {:.0}%)",
         overhead * 100.0,
-        off,
-        on,
         SMOKE_OVERHEAD_BOUND * 100.0
     );
     assert!(
@@ -171,13 +152,7 @@ fn smoke() {
             ..SearchConfig::default()
         },
         telemetry: Some(TelemetryConfig::windowed(256)),
-        ..CurveSpec::new(
-            "uniform_random",
-            TopologySpec::Mesh {
-                width: 4,
-                height: 4,
-            },
-        )
+        ..CurveSpec::new("uniform_random", MESH4X4)
     };
     let curve = spec.run(&registry).expect("smoke curve runs");
     println!(
@@ -222,13 +197,9 @@ fn main() {
     }
 
     let registry = ScenarioRegistry::builtin();
-    let measure = measure_windows();
     let scenarios = ["uniform_random", "transpose", "tornado"];
     let topologies = [
-        TopologySpec::Mesh {
-            width: 4,
-            height: 4,
-        },
+        MESH4X4,
         TopologySpec::Mesh {
             width: 8,
             height: 8,
@@ -256,7 +227,7 @@ fn main() {
             specs.push(CurveSpec {
                 engine,
                 clock_mode: ClockMode::Gated,
-                measure,
+                measure: MEASURE,
                 telemetry: Some(TelemetryConfig::windowed(1024)),
                 ..CurveSpec::new(scenario, topology)
             });

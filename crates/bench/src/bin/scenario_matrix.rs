@@ -10,12 +10,10 @@
 //! Rings and tori route *minimally* on two virtual channels with a
 //! dateline assignment, so their wrap-around links carry traffic; the
 //! 3×3 torus is in the matrix precisely because every distance-2 hop
-//! there is shorter around the wrap. `NOCEM_QUICK=1` shrinks the
-//! per-point packet budget for smoke testing. The full default matrix
-//! expands to 100 combinations, of which a handful are inapplicable
-//! (transpose on non-square topologies, bit patterns on
-//! non-power-of-two switch counts) and are reported as skips in the
-//! CSV trailer.
+//! there is shorter around the wrap. The default matrix expands to 100
+//! combinations, of which a handful are inapplicable (transpose on
+//! non-square topologies, bit patterns on non-power-of-two switch
+//! counts) and are reported as skips in the CSV trailer.
 //!
 //! A second, **scale** section runs uniform-random traffic on 16×16
 //! and 32×32 meshes across the matrix's `shards` axis (1, 2 and 4
@@ -26,7 +24,6 @@
 //! ledger-identical to the unsharded one (asserted here per topology).
 
 use nocem::clock::ClockMode;
-use nocem_bench::scaled;
 use nocem_common::table::{Align, TextTable};
 use nocem_scenarios::matrix::MatrixSpec;
 use nocem_scenarios::registry::ScenarioRegistry;
@@ -61,7 +58,7 @@ fn main() {
         loads: vec![0.10, 0.30],
         shards: vec![1],
         packet_flits: 4,
-        packets_per_point: scaled(8_000),
+        packets_per_point: 8_000,
         // Hybrid clock gating: cycle-equivalent to EveryCycle (the
         // lockstep tests prove it) and much faster on the low-load
         // half of the matrix; the CSV records the per-point win.
@@ -76,9 +73,7 @@ fn main() {
     );
 
     let threads = nocem_bench::num_threads();
-    let started = std::time::Instant::now();
     let outcome = spec.run(&registry, threads).expect("matrix runs");
-    let elapsed = started.elapsed();
 
     let mut t = TextTable::with_columns(&[
         "scenario",
@@ -91,10 +86,9 @@ fn main() {
         "mean net latency (cyc)",
     ]);
     t.title(format!(
-        "Scenario matrix — {} points run on {} threads in {:.2?} ({} skipped)",
+        "Scenario matrix — {} points run on {} threads ({} skipped)",
         outcome.rows.len(),
         threads,
-        elapsed,
         outcome.skipped.len()
     ));
     for c in 2..8 {
@@ -142,7 +136,7 @@ fn main() {
         loads: vec![0.10],
         shards: vec![1, 2, 4],
         packet_flits: 4,
-        packets_per_point: scaled(20_000),
+        packets_per_point: 20_000,
         clock_mode: ClockMode::Gated,
     };
     println!(

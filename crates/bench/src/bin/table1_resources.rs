@@ -1,85 +1,6 @@
-//! **Table 1 reproduction** — "FPGA reports": slices and utilization
-//! per device, and the full 4 TG / 4 TR / 6-switch platform.
-//!
-//! ```text
-//! cargo run --release -p nocem-bench --bin table1_resources
-//! ```
+//! **Table 1** — FPGA slices per device. Prints the table, writes `results/table1_resources.csv` and
+//! checks the paper's claims ([`nocem_bench::figure`]).
 
-use nocem::config::PaperConfig;
-use nocem::flow::synthesize;
-use nocem_area::devices::{
-    control_module, tg_stochastic, tg_trace_driven, tr_stochastic, tr_trace_driven,
-    StochasticTgParams, StochasticTrParams, TraceTgParams, TraceTrParams,
-};
-use nocem_area::fpga::XC2VP20;
-use nocem_bench::{PAPER_PLATFORM_SLICES, PAPER_PLATFORM_UTILIZATION, PAPER_TABLE1};
-use nocem_common::csv::CsvWriter;
-use nocem_common::table::{Align, TextTable};
-
-fn main() {
-    let target = XC2VP20;
-    let model_slices = |label: &str| -> u64 {
-        let r = match label {
-            "TG stochastic" => tg_stochastic(StochasticTgParams::default()),
-            "TG trace driven" => tg_trace_driven(TraceTgParams::default()),
-            "TR stochastic" => tr_stochastic(StochasticTrParams::default()),
-            "TR trace driven" => tr_trace_driven(TraceTrParams::default()),
-            "Control module" => control_module(),
-            other => panic!("unknown device {other}"),
-        };
-        target.slices_for(r)
-    };
-
-    let mut t = TextTable::with_columns(&[
-        "Device",
-        "paper slices",
-        "paper %",
-        "model slices",
-        "model %",
-        "error",
-    ]);
-    t.title(format!("Table 1 — FPGA reports (target {})", target.name));
-    for c in 1..6 {
-        t.align(c, Align::Right);
-    }
-    let mut csv = CsvWriter::new(&["device", "paper_slices", "model_slices", "rel_error"]);
-    for (label, paper_slices, paper_pct) in PAPER_TABLE1 {
-        let model = model_slices(label);
-        let err = (model as f64 - paper_slices as f64) / paper_slices as f64;
-        t.row(vec![
-            label.to_string(),
-            paper_slices.to_string(),
-            format!("{paper_pct:.1}"),
-            model.to_string(),
-            format!("{:.1}", 100.0 * model as f64 / target.slices as f64),
-            format!("{:+.1}%", 100.0 * err),
-        ]);
-        csv.record(&[
-            label,
-            &paper_slices.to_string(),
-            &model.to_string(),
-            &format!("{err:.4}"),
-        ]);
-    }
-    println!("{t}");
-
-    // Full platform (stochastic devices, the six paper switches).
-    let cfg = PaperConfig::new().uniform();
-    let elab = nocem::compile::elaborate(&cfg).expect("paper config compiles");
-    let report = synthesize(&elab, target);
-    println!("{report}");
-    println!(
-        "paper platform: {} slices ({:.0}% of the part) at {:.0} MHz",
-        PAPER_PLATFORM_SLICES,
-        100.0 * PAPER_PLATFORM_UTILIZATION,
-        nocem_bench::PAPER_CLOCK_MHZ,
-    );
-    println!(
-        "model platform: {} slices ({:.0}%), estimated clock {:.0} MHz",
-        report.total_slices(),
-        100.0 * report.utilization(),
-        report.clock_mhz(),
-    );
-    let path = nocem_bench::save_csv("table1_resources.csv", csv.as_str());
-    println!("\ndata written to {}", path.display());
+fn main() -> std::process::ExitCode {
+    nocem_bench::figure::run(env!("CARGO_BIN_NAME"))
 }

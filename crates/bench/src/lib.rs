@@ -1,70 +1,25 @@
-//! Shared harness utilities for the experiment-reproduction binaries.
-//!
-//! Every table and figure of the paper has one binary in `src/bin/`;
-//! they share the measurement and reporting helpers defined here. Run
-//! them with `--release`; set `NOCEM_QUICK=1` to shrink the sweeps for
-//! smoke testing.
+//! The paper's evaluation, reproduced and checked: each of Figures
+//! 2–4 and Tables 1–2 is one binary in `src/bin/` and one [`figure`]
+//! definition, whose binary prints its table, writes
+//! `results/<binary>.csv` and checks the paper's claims. There is one
+//! scale, the paper's. Speeds are timed by [`time_steps`] in on-CPU time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figure;
+
 use nocem::config::{PaperConfig, PlatformConfig, TrafficModel};
-use nocem::engine::build;
 use nocem::error::EmulationError;
 use nocem::SteppableEngine;
 use nocem_rtl::model::RtlEngine;
 use nocem_tlm::model::TlmEngine;
-use std::time::Instant;
-
-/// The paper's Table 2 reference rows: `(label, cycles per second)`.
-pub const PAPER_TABLE2: [(&str, f64); 3] = [
-    ("Our Emulation", 50e6),
-    ("SystemC (MPARM)", 20e3),
-    ("Verilog (ModelSim)", 3.2e3),
-];
-
-/// Cycles per packet implied by the paper's Table 2 (16 Mpackets in
-/// 3.2 s at 50 Mcycles/s → 10 cycles per packet).
-pub const PAPER_CYCLES_PER_PACKET: f64 = 10.0;
-
-/// Paper Table 1 reference: `(device, slices, percent)`.
-pub const PAPER_TABLE1: [(&str, u64, f64); 5] = [
-    ("TG stochastic", 719, 7.8),
-    ("TG trace driven", 652, 7.0),
-    ("TR stochastic", 371, 4.0),
-    ("TR trace driven", 690, 7.4),
-    ("Control module", 18, 0.2),
-];
-
-/// Paper Table 1 platform total (4 TG + 4 TR + 6 switches).
-pub const PAPER_PLATFORM_SLICES: u64 = 7_387;
-/// Paper Table 1 platform utilization.
-pub const PAPER_PLATFORM_UTILIZATION: f64 = 0.80;
-/// Paper platform clock in MHz.
-pub const PAPER_CLOCK_MHZ: f64 = 50.0;
-
-/// Whether quick (smoke-test) mode is active (`NOCEM_QUICK=1`).
-pub fn quick_mode() -> bool {
-    std::env::var("NOCEM_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
+use std::path::PathBuf;
 
 /// Worker count for parallel sweeps: available parallelism, or 4
 /// when it cannot be determined.
 pub fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
-/// Scales a sweep size down in quick mode.
-pub fn scaled(full: u64) -> u64 {
-    if quick_mode() {
-        (full / 20).max(100)
-    } else {
-        full
-    }
+    std::thread::available_parallelism().map_or(4, usize::from)
 }
 
 /// An unbounded paper-platform configuration for speed measurement
@@ -81,89 +36,75 @@ pub fn endless_paper_config() -> PlatformConfig {
     cfg
 }
 
-/// Measured simulation speed of one engine.
+/// The speed of repeated timed runs, in simulated cycles per on-CPU
+/// second.
 #[derive(Debug, Clone, Copy)]
-pub struct MeasuredSpeed {
-    /// Simulated cycles per wall-clock second.
-    pub cycles_per_second: f64,
-    /// Cycles simulated during the measurement.
-    pub cycles: u64,
-    /// Wall-clock seconds spent.
-    pub seconds: f64,
+pub struct Timing {
+    /// Median of the repetitions.
+    pub median: f64,
+    /// Interquartile range of the repetitions.
+    pub iqr: f64,
 }
 
-fn measure<S>(
-    mut step: S,
-    min_cycles: u64,
-    min_seconds: f64,
-) -> Result<MeasuredSpeed, EmulationError>
-where
-    S: FnMut() -> Result<(), EmulationError>,
-{
-    // Warm up caches and branch predictors.
-    for _ in 0..min_cycles / 10 {
-        step()?;
-    }
-    let t0 = Instant::now();
-    let mut cycles = 0u64;
-    loop {
-        for _ in 0..min_cycles {
-            step()?;
+/// Steps `engine` for `cycles` cycles, `reps` times over, and reports
+/// the median and interquartile range of the repetitions' speeds.
+///
+/// Time is this thread's on-CPU time, the first field of
+/// `/proc/thread-self/schedstat`, in which waiting for a CPU does not
+/// count. The kernel advances it at scheduler ticks (4 ms at 250 Hz),
+/// so a repetition should span many.
+///
+/// # Errors
+///
+/// Propagates engine faults and fails where the schedstat file cannot
+/// be read (there is no wall-clock fallback) or a repetition reads no
+/// on-CPU time at all.
+///
+/// # Panics
+///
+/// Panics if `reps == 0`.
+pub fn time_steps<E: SteppableEngine>(
+    engine: &mut E,
+    cycles: u64,
+    reps: usize,
+) -> Result<Timing, Box<dyn std::error::Error>> {
+    assert!(reps > 0, "need at least one repetition");
+    let cpu_ns = || -> Result<u64, Box<dyn std::error::Error>> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat")?;
+        Ok(stat.split_whitespace().next().unwrap_or_default().parse()?)
+    };
+    let mut speeds = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let t0 = cpu_ns()?;
+        (0..cycles).try_for_each(|_| engine.step())?;
+        let ns = cpu_ns()? - t0;
+        if ns == 0 {
+            return Err(format!("{cycles} cycles read no on-CPU time; time more").into());
         }
-        cycles += min_cycles;
-        if t0.elapsed().as_secs_f64() >= min_seconds {
-            break;
-        }
+        speeds.push(cycles as f64 * 1e9 / ns as f64);
     }
-    let seconds = t0.elapsed().as_secs_f64().max(1e-9);
-    Ok(MeasuredSpeed {
-        cycles_per_second: cycles as f64 / seconds,
-        cycles,
-        seconds,
+    speeds.sort_by(f64::total_cmp);
+    Ok(Timing {
+        median: quantile(&speeds, 0.5),
+        iqr: quantile(&speeds, 0.75) - quantile(&speeds, 0.25),
     })
 }
 
-/// Measures the fast emulation engine on the endless paper platform.
-///
-/// # Errors
-///
-/// Propagates engine faults (which a correct build never produces).
-pub fn measure_emulation_speed(min_seconds: f64) -> Result<MeasuredSpeed, EmulationError> {
-    let mut emu = build(&endless_paper_config()).expect("paper config compiles");
-    measure(|| emu.step(), 50_000, min_seconds)
+/// The `q` quantile of ascending `sorted`, interpolated linearly
+/// between the two nearest samples.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let at = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
 }
 
-/// Measures the TLM (SystemC-analog) engine.
-///
-/// # Errors
-///
-/// Propagates engine faults.
-pub fn measure_tlm_speed(min_seconds: f64) -> Result<MeasuredSpeed, EmulationError> {
-    let elab = nocem::compile::elaborate(&endless_paper_config()).expect("config compiles");
-    let mut engine = TlmEngine::new(elab);
-    measure(|| engine.step(), 20_000, min_seconds)
-}
-
-/// Measures the RTL (ModelSim-analog) engine.
-///
-/// # Errors
-///
-/// Propagates engine faults.
-pub fn measure_rtl_speed(min_seconds: f64) -> Result<MeasuredSpeed, EmulationError> {
-    let elab = nocem::compile::elaborate(&endless_paper_config()).expect("config compiles");
-    let mut engine = RtlEngine::new(elab);
-    measure(|| engine.step(), 10_000, min_seconds)
-}
-
-/// Per-cycle work of each engine on identical traffic — the
-/// load-independent proxy behind the Table 2 ordering: the engines do
-/// the same *simulation* work, so their relative speed is set by how
-/// much *machinery* they run per simulated cycle. These are counted
-/// operations, deterministic for a given configuration and seed, and
-/// immune to wall-clock noise from a contended CPU.
+/// Per-cycle work of each engine on identical traffic, the proxy
+/// behind the Table 2 ordering: the engines do the same simulation, so
+/// their relative speed is set by the machinery they run per cycle.
+/// The counts are deterministic for a configuration and seed.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineWorkPerCycle {
-    /// Fast emulation engine: a flat sweep over every component (TGs,
+    /// Emulation engine: a flat sweep over every component (TGs,
     /// NIs, switches) with no scheduling machinery at all — its
     /// per-cycle work is the component count.
     pub emulation: f64,
@@ -193,16 +134,12 @@ pub fn measure_work_per_cycle(cycles: u64) -> Result<EngineWorkPerCycle, Emulati
     let emulation = (elab.tgs.len() + elab.nis.len() + cfg.topology.switch_count()) as f64;
 
     let mut tlm = TlmEngine::new(elab);
-    for _ in 0..cycles {
-        tlm.step()?;
-    }
+    (0..cycles).try_for_each(|_| tlm.step())?;
     let s = tlm.fabric().stats();
     let tlm_work = (s.activations + s.channel_updates + s.watcher_calls) as f64 / cycles as f64;
 
     let mut rtl = RtlEngine::new(nocem::compile::elaborate(&cfg).expect("paper config compiles"));
-    for _ in 0..cycles {
-        rtl.step()?;
-    }
+    (0..cycles).try_for_each(|_| rtl.step())?;
     let k = rtl.fabric().stats();
     let rtl_work = (k.activations + k.signal_events + k.delta_cycles) as f64 / cycles as f64;
 
@@ -213,15 +150,27 @@ pub fn measure_work_per_cycle(cycles: u64) -> Result<EngineWorkPerCycle, Emulati
     })
 }
 
-/// Writes an experiment CSV under `results/`, creating the directory.
+/// The workspace's `results/` directory, wherever the binary runs
+/// from: the checked-in CSVs live there.
+fn results_dir() -> PathBuf {
+    let bench = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    bench
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels down")
+        .join("results")
+}
+
+/// Writes an experiment CSV under the workspace's `results/`,
+/// whichever directory the binary runs from, creating the directory.
 ///
 /// # Panics
 ///
 /// Panics when the filesystem refuses the write — harness output is
 /// non-optional.
-pub fn save_csv(name: &str, content: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results directory");
+pub fn save_csv(name: &str, content: &str) -> PathBuf {
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir).expect("create results directory");
     let path = dir.join(name);
     std::fs::write(&path, content).expect("write experiment csv");
     path
@@ -230,6 +179,7 @@ pub fn save_csv(name: &str, content: &str) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocem::engine::build;
 
     #[test]
     fn endless_config_never_exhausts() {
@@ -243,31 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn speed_measurement_is_positive() {
-        let s = measure_emulation_speed(0.05).unwrap();
-        assert!(s.cycles_per_second > 10_000.0, "{s:?}");
-        assert!(s.cycles > 0);
-    }
-
-    #[test]
     fn engine_speed_ordering_holds() {
-        // The Table 2 shape: emulation > TLM > RTL in speed, i.e.
-        // emulation < TLM < RTL in machinery per simulated cycle. The
-        // counted proxy is deterministic — no wall clock, no retry
-        // loop, no sensitivity to parallel test binaries on one CPU.
-        let w = measure_work_per_cycle(4_096).unwrap();
-        assert!(
-            w.emulation < w.tlm,
-            "fast engine must be the leanest: emulation {:.1} vs TLM {:.1} ops/cycle",
-            w.emulation,
-            w.tlm
-        );
-        assert!(
-            w.tlm < w.rtl,
-            "RTL pays per-signal events on top of TLM's channels: TLM {:.1} vs RTL {:.1} ops/cycle",
-            w.tlm,
-            w.rtl
-        );
+        // The Table 2 shape, checked by the Table 2 claim on its
+        // counted proxy: no wall clock, no retry loop.
+        let w = measure_work_per_cycle(figure::WORK_CYCLES).unwrap();
+        let ops = [("Emulation", w.emulation), ("TLM", w.tlm), ("RTL", w.rtl)];
+        figure::engine_order(&ops).unwrap();
     }
 
     #[test]
@@ -284,10 +215,35 @@ mod tests {
     }
 
     #[test]
-    fn quick_scaling() {
-        // Without the env var, scaled is identity.
-        if !quick_mode() {
-            assert_eq!(scaled(1_000), 1_000);
-        }
+    fn quantiles_interpolate() {
+        let s = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(
+            (quantile(&s, 0.25), quantile(&s, 0.5), quantile(&s, 0.75)),
+            (2.0, 3.0, 4.0)
+        );
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
+        assert_eq!(quantile(&[7.0], 0.75), 7.0);
+    }
+
+    #[test]
+    fn timer_reports_on_cpu_speed() {
+        let mut emu = build(&endless_paper_config()).unwrap();
+        let t = time_steps(&mut emu, 20_000, 3).unwrap();
+        assert!(t.median.is_finite() && t.median > 0.0, "{t:?}");
+        assert!(t.iqr >= 0.0, "{t:?}");
+        assert_eq!(emu.now().raw(), 60_000);
+    }
+
+    #[test]
+    fn results_resolve_to_the_workspace_root() {
+        // Not the current directory: a binary run from `crates/bench`
+        // must still write the checked-in files.
+        let dir = results_dir().canonicalize().unwrap();
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .canonicalize()
+            .unwrap();
+        assert_eq!(dir, root.join("results"));
+        assert!(dir.join("latency_curves.csv").is_file());
     }
 }
