@@ -56,17 +56,6 @@ impl Value for Fixed {
     }
 }
 
-/// A count of thousandths as a decimal: `Milli(1_234_567)` →
-/// `1234.567`, exact for every `u64` (nanoseconds as microseconds).
-#[derive(Debug, Clone, Copy)]
-pub struct Milli(pub u64);
-
-impl Value for Milli {
-    fn write_to(&self, out: &mut String) {
-        let _ = write!(out, "{}.{:03}", self.0 / 1_000, self.0 % 1_000);
-    }
-}
-
 /// A JSON document — or JSON Lines, ended by [`JsonWriter::line`] —
 /// under construction.
 ///
@@ -307,9 +296,9 @@ mod tests {
     fn numbers_keep_their_format_and_refuse_non_finite_values() {
         let s = text(|w| {
             w.value(Fixed(0.1234567, 6)).value(Fixed(-2.0, 3));
-            w.value(Milli(1_234_567)).value(Milli(890)).value(u64::MAX);
+            w.value(u64::MAX);
         });
-        assert_eq!(s, "0.123457,-2.000,1234.567,0.890,18446744073709551615");
+        assert_eq!(s, "0.123457,-2.000,18446744073709551615");
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let written = std::panic::catch_unwind(|| text(|w| _ = w.value(Fixed(bad, 3))));
             assert!(written.is_err(), "{bad} was written");

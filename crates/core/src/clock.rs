@@ -107,7 +107,7 @@ use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_switch::switch::Switch;
-use nocem_telemetry::{Collector, SpanTrace};
+use nocem_telemetry::Collector;
 use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use std::ops::Deref;
@@ -401,12 +401,6 @@ pub trait CycleKernel {
     fn phase_report(&mut self) -> Option<PhaseReport> {
         self.profiler_mut().map(|p| p.report(Self::LABEL))
     }
-
-    /// The span timeline behind [`SteppableEngine::span_trace`]; no
-    /// single-threaded kernel records one.
-    fn span_timeline(&mut self) -> Option<SpanTrace> {
-        None
-    }
 }
 
 /// The common stepping contract of every engine.
@@ -467,14 +461,6 @@ pub trait SteppableEngine {
     /// Takes `&mut self` because the sharded engine fetches its workers'
     /// accumulators over the command channels on demand.
     fn profile(&mut self) -> Option<crate::profile::PhaseReport> {
-        None
-    }
-
-    /// The merged wall-clock span timeline (Chrome-trace material),
-    /// when the config enabled profiling with spans on. A snapshot, not
-    /// a drain: every thread hands out a copy of its buffer and keeps
-    /// recording, so the call may be repeated at any point of the run.
-    fn span_trace(&mut self) -> Option<SpanTrace> {
         None
     }
 
@@ -622,10 +608,6 @@ impl<K: CycleKernel> SteppableEngine for K {
 
     fn profile(&mut self) -> Option<PhaseReport> {
         self.phase_report()
-    }
-
-    fn span_trace(&mut self) -> Option<SpanTrace> {
-        self.span_timeline()
     }
 
     fn stall_report(&self) -> Option<&StallReport> {

@@ -24,7 +24,6 @@ use nocem_stats::receptor::Receptor;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::{SelectionPolicy, SwitchConfig, SwitchConfigBuilder};
 use nocem_switch::switch::{Switch, CREDITS_INFINITE};
-use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::graph::LinkEnd;
 use nocem_topology::routing::{FlowPaths, FlowSet, RoutingTables};
@@ -107,13 +106,6 @@ pub struct Elaboration {
     pub map: AddressMap,
     /// Precomputed wiring.
     pub wiring: Wiring,
-    /// Predicted per-link offered loads, when all generators have
-    /// fixed destinations (`None` otherwise).
-    pub predicted_loads: Option<Vec<f64>>,
-    /// Wall-clock nanoseconds instantiating the components of this
-    /// elaboration took, validation and routing aside (seeds the
-    /// `elaborate` phase of the profilers).
-    pub elaborate_ns: u64,
 }
 
 impl Elaboration {
@@ -133,14 +125,11 @@ impl Elaboration {
         }
     }
 
-    /// The phase profiler the configuration asks for (`None` = off),
-    /// seeded with what this elaboration itself cost.
+    /// The phase profiler the configuration asks for (`None` = off).
     pub(crate) fn profiler(&self) -> Option<crate::profile::PhaseProfiler> {
-        self.config.profile.as_ref().map(|_| {
-            let mut p = crate::profile::PhaseProfiler::new();
-            p.add_ns(crate::profile::Phase::Elaborate, self.elaborate_ns);
-            p
-        })
+        self.config
+            .profile
+            .map(|_| crate::profile::PhaseProfiler::new())
     }
 }
 
@@ -430,7 +419,6 @@ fn instantiate(
     config: &PlatformConfig,
     routing: RoutingTables,
 ) -> Result<Elaboration, CompileError> {
-    let elaborate_start = std::time::Instant::now();
     let topo = &config.topology;
     let generators = topo.generators();
     let receptors = topo.receptors();
@@ -440,27 +428,6 @@ fn instantiate(
             num_vcs: config.switch.num_vcs,
         });
     }
-
-    // Predicted link loads (only meaningful with fixed destinations).
-    let fixed_loads: Option<Vec<f64>> = config
-        .generators
-        .iter()
-        .map(|g| match g {
-            TrafficModel::Uniform(u) => matches!(
-                u.destination,
-                nocem_traffic::generator::DestinationModel::Fixed { .. }
-            )
-            .then(|| u.offered_load()),
-            TrafficModel::Burst(b) => matches!(
-                b.destination,
-                nocem_traffic::generator::DestinationModel::Fixed { .. }
-            )
-            .then(|| b.offered_load()),
-            TrafficModel::Poisson(_) | TrafficModel::Trace(_) => None,
-        })
-        .collect();
-    let predicted_loads = fixed_loads
-        .map(|loads| predict_link_loads(topo, &routing.flows(), &loads, SplitModel::PrimaryOnly));
 
     // Seeds derive from the platform seed; adding devices never
     // perturbs earlier streams. Every switch seed is drawn before the
@@ -607,28 +574,7 @@ fn instantiate(
             injection,
             ejection_link,
         },
-        predicted_loads,
-        elaborate_ns: u64::try_from(elaborate_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
     })
-}
-
-impl Elaboration {
-    /// Fails when the predicted offered load exceeds link capacity —
-    /// call before runs that assume an unsaturated network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Overloaded`] with the worst predicted
-    /// load.
-    pub fn ensure_not_overloaded(&self) -> Result<(), CompileError> {
-        if let Some(loads) = &self.predicted_loads {
-            let worst = loads.iter().copied().fold(0.0_f64, f64::max);
-            if worst > 1.0 + 1e-9 {
-                return Err(CompileError::Overloaded { worst_load: worst });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Sentinel for "no entry" in the lowered per-port arrays (the
@@ -1016,17 +962,6 @@ mod tests {
             1 + 4 + 4 + 6 + 1,
             "ctrl + tgs + trs + switches + monitor"
         );
-        e.ensure_not_overloaded().unwrap();
-        // The hot links are predicted at 90%.
-        let loads = e.predicted_loads.as_ref().unwrap();
-        let hot = PaperConfig::new().setup().hot_links;
-        for h in hot {
-            assert!(
-                (loads[h.index()] - 0.90).abs() < 0.03,
-                "{}",
-                loads[h.index()]
-            );
-        }
         assert!(format!("{e:?}").contains("switches"));
     }
 
@@ -1331,7 +1266,6 @@ mod tests {
         for r in &e.receptors {
             assert_eq!(r.kind(), TrKind::TraceDriven);
         }
-        assert!(e.predicted_loads.is_none(), "trace loads are not predicted");
     }
 
     #[test]

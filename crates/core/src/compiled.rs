@@ -452,13 +452,8 @@ impl CompiledKernel {
     /// interpreted one by construction. Only the switches are
     /// re-expressed as flat arrays.
     pub(crate) fn new(mut elab: Elaboration) -> Self {
-        let lower_start = Instant::now();
         let low = lower(&elab);
-        let lower_ns = u64::try_from(lower_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut profiler = elab.profiler();
-        if let Some(p) = &mut profiler {
-            p.add_ns(Phase::Lower, lower_ns);
-        }
+        let profiler = elab.profiler();
         let generator_endpoints = elab.config.topology.generators();
         let tgs = std::mem::take(&mut elab.tgs);
         let nis = std::mem::take(&mut elab.nis);

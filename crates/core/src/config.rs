@@ -94,7 +94,7 @@ impl Default for SwitchSettings {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum EngineKind {
-    /// The single-threaded fast emulation engine
+    /// The interpreted reference engine
     /// ([`crate::engine::Emulation`]).
     #[default]
     SingleThread,
@@ -207,10 +207,10 @@ pub struct PlatformConfig {
     /// forwarded/blocked and per-VC occupancy series.
     pub telemetry: Option<nocem_telemetry::TelemetryConfig>,
     /// Emulator self-profiling (`None` = off, the default: no
-    /// timestamp overhead, results unchanged). When set, engines
-    /// accumulate per-phase wall time (see [`crate::profile`]), the
-    /// sharded engine records span timelines, and the stall watchdog
-    /// runs when [`crate::profile::ProfileConfig::stall`] is set.
+    /// timestamp overhead, results unchanged). When set, every engine
+    /// accumulates per-phase wall time of its step (see
+    /// [`crate::profile`]), and the stall watchdog runs when
+    /// [`crate::profile::ProfileConfig::stall`] is set.
     pub profile: Option<crate::profile::ProfileConfig>,
 }
 

@@ -1,4 +1,4 @@
-//! The interpreted platform and the fast emulation engine over it —
+//! The interpreted platform and the interpreted reference engine over it —
 //! the software stand-in for the FPGA.
 //!
 //! [`Platform`] is the elaborated components plus the state a run

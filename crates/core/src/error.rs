@@ -43,11 +43,6 @@ pub enum CompileError {
         /// What is wrong (shard count vs. switch count, coverage).
         reason: String,
     },
-    /// A configured offered load exceeds link capacity somewhere.
-    Overloaded {
-        /// The predicted worst link load (flits/cycle).
-        worst_load: f64,
-    },
     /// A configuration field holds a value no platform can be built
     /// with.
     InvalidField {
@@ -76,10 +71,6 @@ impl std::fmt::Display for CompileError {
             CompileError::VcOverflow { max_vc, num_vcs } => write!(
                 f,
                 "routing uses VC {max_vc} but switches have only {num_vcs} VCs"
-            ),
-            CompileError::Overloaded { worst_load } => write!(
-                f,
-                "configured traffic overloads a link ({worst_load:.2} flits/cycle offered)"
             ),
             CompileError::InvalidField { field, reason } => {
                 write!(f, "invalid `{field}`: {reason}")
@@ -216,8 +207,6 @@ mod tests {
             flow: FlowId::new(1),
         });
         assert!(e.to_string().contains("no route"));
-        let e = CompileError::Overloaded { worst_load: 1.5 };
-        assert!(e.to_string().contains("1.50"));
         let e = EmulationError::CycleLimitExceeded {
             limit: 100,
             delivered: 7,

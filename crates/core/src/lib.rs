@@ -44,7 +44,7 @@
 //! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, array-slice shards, batched synchronization |
 //! | [`clock`] | 5 | the run-level half of every engine: [`clock::RunState`], the [`clock::CycleKernel`] trait, the one step skeleton and generic [`clock::SteppableEngine`] impl, clock modes, quiescence, the fast-forward kernel |
 //! | [`devices`] | 3, 6 | register views and typed drivers |
-//! | [`profile`] | 5, 6 | engine self-profiling: phase timers, span timelines, stall forensics |
+//! | [`profile`] | 5, 6 | engine self-profiling: per-cycle phase timers, stall forensics |
 //! | [`view`] | 5, 6 | the architectural-state view every engine fills, and the probe, wait-for edges, congestion counters and watermarks read over it |
 //! | [`results`] | 6 | run results and the monitor report |
 //! | [`sweep`] | — | the one scheduler for grids of runs, and the config → engine dispatcher |

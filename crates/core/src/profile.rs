@@ -1,9 +1,9 @@
-//! Emulator self-profiling: phase timers, span timelines, and stall
-//! forensics.
+//! Emulator self-profiling: phase timers and stall forensics.
 //!
 //! Everything else in the observability stack watches the *emulated
-//! network*; this module watches the *emulator*. It has three parts,
-//! all opt-in through [`crate::config::PlatformConfig::profile`]:
+//! network*; this module watches the *emulator*. It has two parts,
+//! both opt-in through [`crate::config::PlatformConfig::profile`] and
+//! both run by every engine:
 //!
 //! * **Phase profiling** — a [`PhaseProfiler`] of chained monotonic
 //!   timestamps accumulating per-[`Phase`] nanoseconds inside every
@@ -12,10 +12,8 @@
 //!   closes exactly where the next opens, the per-cycle phases sum to
 //!   the step's wall time (no double counting, no gaps), which is what
 //!   makes "switch allocation is ~half the budget" a checkable number.
-//! * **Span timelines** — the sharded engine records wall-clock spans
-//!   (windows, neighbour exchanges, replay) into bounded per-thread
-//!   [`nocem_telemetry::SpanBuffer`]s merged into a Chrome-trace JSON
-//!   via [`nocem_telemetry::SpanTrace`].
+//!   Set-up (elaboration, lowering) is not a phase: it is timed from
+//!   outside, around the calls that do it.
 //! * **Stall forensics** — a [`StallWatchdog`] that notices when a
 //!   run with packets in flight stops making any ledger progress for
 //!   [`StallConfig::no_progress_cycles`] cycles and latches a
@@ -33,56 +31,49 @@ use nocem_common::table::{Align, TextTable};
 use nocem_switch::switch::CREDITS_INFINITE;
 use std::time::Instant;
 
-/// A named slice of an engine's cycle (or one-time setup) budget.
+/// A named slice of an engine's cycle budget.
 ///
 /// The single-threaded engines use the per-cycle phases
 /// `FastForward..=Ledger`; the sharded engine additionally splits
 /// worker time into `WorkerCompute`/`Exchange` and coordinator time
-/// into `CoordWait`/`Apply`. `Elaborate` and `Lower` are one-time
-/// setup costs seeded when the engine is built.
+/// into `CoordWait`/`Apply`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Platform elaboration (components, routing, wiring).
-    Elaborate = 0,
-    /// Lowering the elaboration to flat arrays (compiled engines).
-    Lower = 1,
     /// Quiescence check and clock-gated fast-forward.
-    FastForward = 2,
+    FastForward = 0,
     /// Telemetry probe and window recording.
-    Probe = 3,
+    Probe = 1,
     /// Traffic-generator ticks, releases and pending retries.
-    TgTick = 4,
+    TgTick = 2,
     /// Switch decide: routing, VC allocation, switch allocation.
-    Decide = 5,
+    Decide = 3,
     /// Network-interface flit injection.
-    NiInject = 6,
+    NiInject = 4,
     /// Switch commit: pops, forwards, credits, deliveries.
-    Commit = 7,
+    Commit = 5,
     /// Packet-ledger bookkeeping (nested inside TG/NI/commit).
-    Ledger = 8,
+    Ledger = 6,
     /// Sharded worker: owned-slice compute inside a window.
-    WorkerCompute = 9,
+    WorkerCompute = 7,
     /// Sharded worker: boundary send + receive/replay per cycle.
-    Exchange = 10,
+    Exchange = 8,
     /// Coordinator: blocked waiting for worker reports.
-    CoordWait = 11,
+    CoordWait = 9,
     /// Coordinator: applying buffered worker events to the ledger.
-    Apply = 12,
+    Apply = 10,
     /// Process evaluation and update — the whole scheduler cycle of
     /// the TLM and RTL models, which interleave the per-cycle phases
     /// inside their processes and cannot split them.
-    Processes = 13,
+    Processes = 11,
 }
 
 impl Phase {
     /// Number of phases (accumulator array length).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 12;
 
     /// Every phase, in accumulator order.
     pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Elaborate,
-        Phase::Lower,
         Phase::FastForward,
         Phase::Probe,
         Phase::TgTick,
@@ -100,8 +91,6 @@ impl Phase {
     /// Stable lowercase name used in reports and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            Phase::Elaborate => "elaborate",
-            Phase::Lower => "lower",
             Phase::FastForward => "fast-forward",
             Phase::Probe => "probe",
             Phase::TgTick => "tg-tick",
@@ -120,36 +109,22 @@ impl Phase {
 
 /// Configuration of the self-profiling layer. Profiling is opt-in:
 /// engines pay for timestamps only when a config is present, and a
-/// profiled run remains ledger-identical to an unprofiled one.
+/// profiled run remains ledger-identical to an unprofiled one. The
+/// phase accumulators run whenever a config is present; the stall
+/// watchdog only when [`ProfileConfig::stall`] is set.
 ///
 /// # Examples
 ///
 /// ```
 /// use nocem::profile::ProfileConfig;
 /// let p = ProfileConfig::default().with_stall(5_000);
-/// assert!(p.spans);
 /// assert_eq!(p.stall.unwrap().no_progress_cycles, 5_000);
+/// assert_eq!(ProfileConfig::default().stall, None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileConfig {
-    /// Record wall-clock span timelines in the sharded engine
-    /// (bounded per-thread buffers, merged into a Chrome trace).
-    pub spans: bool,
-    /// Hard cap on spans per thread; further spans are counted as
-    /// dropped instead of stored.
-    pub span_capacity: usize,
     /// Enable the stall watchdog.
     pub stall: Option<StallConfig>,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig {
-            spans: true,
-            span_capacity: 16_384,
-            stall: None,
-        }
-    }
 }
 
 impl ProfileConfig {
@@ -160,10 +135,11 @@ impl ProfileConfig {
         self
     }
 
-    /// Disables span timelines (phase accumulators only).
+    /// Returns the config unchanged: the phase accumulators are all
+    /// the profiler times, so there is nothing to switch off. Kept
+    /// only for callers that still call it.
     #[must_use]
-    pub fn without_spans(mut self) -> Self {
-        self.spans = false;
+    pub fn without_spans(self) -> Self {
         self
     }
 }
@@ -302,8 +278,8 @@ impl PhaseProfiler {
         self.nested_ns += d;
     }
 
-    /// Adds raw nanoseconds to `phase` (seeding one-time costs like
-    /// elaboration, merging externally measured sections).
+    /// Adds raw nanoseconds to `phase` (merging externally measured
+    /// sections).
     pub fn add_ns(&mut self, phase: Phase, ns: u64) {
         self.acc[phase as usize] += ns;
     }
@@ -370,8 +346,7 @@ pub struct PhaseStat {
     pub ns: u64,
     /// Fraction of the report's `total_ns`.
     pub share: f64,
-    /// Nanoseconds per stepped cycle (one-time phases are averaged
-    /// over the same cycle count; read them as totals instead).
+    /// Nanoseconds per stepped cycle.
     pub ns_per_cycle: f64,
 }
 
@@ -382,7 +357,8 @@ pub struct PhaseStat {
 pub struct PhaseReport {
     /// Engine label (e.g. `"compiled"`, `"sharded-compiled/4x16"`).
     pub label: String,
-    /// Sum of all phase accumulators in nanoseconds.
+    /// Sum of all phase accumulators in nanoseconds: the time spent
+    /// inside the step loop.
     pub total_ns: u64,
     /// Cycles actually stepped (skipped cycles cost no time).
     pub stepped_cycles: u64,
@@ -409,13 +385,6 @@ impl PhaseReport {
     /// Share of the named phase (0.0 when absent).
     pub fn share_of(&self, phase: Phase) -> f64 {
         self.stat(phase).map_or(0.0, |p| p.share)
-    }
-
-    /// Nanoseconds spent inside the step loop: `total_ns` minus the
-    /// one-time `elaborate`/`lower` costs. This is what the "phases
-    /// cover ≥90% of wall time" invariant is measured against.
-    pub fn step_ns(&self) -> u64 {
-        self.total_ns - self.ns_of(Phase::Elaborate) - self.ns_of(Phase::Lower)
     }
 
     /// Renders the report as a text table (workers indented below the
@@ -870,7 +839,6 @@ mod tests {
         assert_eq!(p.stepped_cycles(), 1);
         let r = p.report("x");
         assert_eq!(r.total_ns, p.ns(Phase::Decide) + p.ns(Phase::Commit));
-        assert_eq!(r.step_ns(), r.total_ns);
     }
 
     #[test]

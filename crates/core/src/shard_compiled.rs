@@ -146,7 +146,6 @@ use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_stats::receptor::{CompletedPacket, Receptor};
-use nocem_telemetry::{SpanBuffer, SpanEvent, SpanTrace};
 use nocem_topology::partition::{grid_stripes, PartitionMap};
 use nocem_topology::routing::RoutingTables;
 use nocem_traffic::trace::TraceDrivenTg;
@@ -295,21 +294,11 @@ enum Cmd {
     Collect,
     /// Report the shard's architectural-state view.
     View,
-    /// Report the shard's self-profiling state (phase accumulators
-    /// and span buffer). Only sent when profiling is configured.
+    /// Report the shard's phase accumulators. Only sent when
+    /// profiling is configured.
     Profile,
     /// Exit the worker loop.
     Shutdown,
-}
-
-/// One worker's self-profiling payload: its phase accumulators (with
-/// the worker-side elaborate/lower seeds) plus a copy of its span
-/// buffer. Copies, not drains — the worker keeps accumulating, so the
-/// coordinator may ask again later in the run.
-struct WorkerProfile {
-    profiler: PhaseProfiler,
-    spans: Vec<SpanEvent>,
-    dropped: u64,
 }
 
 enum Report {
@@ -320,7 +309,9 @@ enum Report {
     Receptors(Vec<(usize, Receptor)>),
     /// The worker's whole view; only its owned rows are read.
     View(Box<ArchView>),
-    Profile(Box<WorkerProfile>),
+    /// A copy, not a drain: the worker keeps accumulating, so the
+    /// coordinator may ask again later in the run.
+    Profile(Box<PhaseProfiler>),
 }
 
 /// One persistent worker: a full-shape [`CompiledKernel`] (built from
@@ -345,9 +336,6 @@ struct Worker {
     /// Fault injection: panic computing this cycle.
     #[cfg(test)]
     fault: Option<u64>,
-    /// Worker-side span timeline on this shard's track, timed against
-    /// the coordinator's epoch.
-    spans: Option<SpanBuffer>,
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
 }
@@ -457,15 +445,7 @@ impl Worker {
                     Report::View(Box::new(self.view.clone()))
                 }
                 Ok(Cmd::Profile) => {
-                    let (spans, dropped) = self
-                        .spans
-                        .clone()
-                        .map_or((Vec::new(), 0), SpanBuffer::into_parts);
-                    Report::Profile(Box::new(WorkerProfile {
-                        profiler: self.eng.profiler.clone().unwrap_or_default(),
-                        spans,
-                        dropped,
-                    }))
+                    Report::Profile(Box::new(self.eng.profiler.clone().unwrap_or_default()))
                 }
                 Ok(Cmd::Shutdown) | Err(_) => return,
             };
@@ -476,7 +456,6 @@ impl Worker {
     /// one boundary message per neighbour, receive and replay one per
     /// in-neighbour, then record the end-of-cycle status.
     fn window(&mut self, start: Cycle, len: u64) -> Vec<CycleEntry> {
-        let win_start = self.spans.as_ref().map(|_| Instant::now());
         let mut entries = Vec::with_capacity(len as usize);
         for j in 0..len {
             let now = Cycle::new(start.raw() + j);
@@ -499,11 +478,9 @@ impl Worker {
             lap(self.eng.profiler.as_mut(), &mut t, Phase::WorkerCompute);
             // The exchange section: everything from here to the end of
             // replay is boundary synchronization, not compute.
-            let exchange_start = t;
             // One message per neighbour per cycle, no matter what —
             // possibly partial on error, the cadence is what matters.
             self.send_bufs(now);
-            let replay_start = self.spans.as_ref().map(|_| Instant::now());
             if entry.error.is_none() {
                 let replayed = catch_unwind(AssertUnwindSafe(|| self.recv_replay(now)));
                 match replayed {
@@ -514,20 +491,11 @@ impl Worker {
             } else {
                 self.recv_discard();
             }
-            if let (Some(s), Some(buf)) = (replay_start, self.spans.as_mut()) {
-                buf.record("replay", s, now.raw());
-            }
             lap(self.eng.profiler.as_mut(), &mut t, Phase::Exchange);
-            if let (Some(s), Some(buf)) = (exchange_start, self.spans.as_mut()) {
-                buf.record("exchange", s, now.raw());
-            }
             if entry.error.is_some() {
                 self.dead = true;
             }
             entries.push(entry);
-        }
-        if let (Some(s), Some(buf)) = (win_start, self.spans.as_mut()) {
-            buf.record("window", s, start.raw());
         }
         entries
     }
@@ -708,9 +676,6 @@ pub struct ShardedCompiledEngine {
     failed: bool,
     /// Coordinator-side phase accumulators, when profiling is on.
     profiler: Option<PhaseProfiler>,
-    /// Coordinator-side span timeline on the
-    /// [`SpanEvent::COORDINATOR`] track.
-    spans: Option<SpanBuffer>,
     /// The view the workers' owned rows are copied into.
     view: ArchView,
 }
@@ -821,13 +786,7 @@ impl ShardedCompiledEngine {
             }
         }
 
-        // One shared epoch for every thread's span timeline.
-        let epoch = Instant::now();
         let profiler = elab.profiler();
-        let spans = elab.config.profile.and_then(|p| {
-            p.spans
-                .then(|| SpanBuffer::new(epoch, SpanEvent::COORDINATOR, p.span_capacity))
-        });
         let receptor_count = topo.receptors().len();
         let view = ArchView::new(&elab);
         let config = elab.config.clone();
@@ -864,7 +823,6 @@ impl ShardedCompiledEngine {
                         nbr_list,
                         out_txs,
                         in_rxs,
-                        epoch,
                         cmd_rx,
                         rep_tx,
                     );
@@ -898,7 +856,6 @@ impl ShardedCompiledEngine {
             poisoned: false,
             failed: false,
             profiler,
-            spans,
             view,
         };
         // A worker that panics coming up re-raises its panic here.
@@ -1125,9 +1082,9 @@ impl ShardedCompiledEngine {
         self.replies(pick)
     }
 
-    /// Every worker's profiling payload, in shard order; none after a
+    /// Every worker's phase accumulators, in shard order; none after a
     /// failure (dead workers cannot be queried).
-    fn worker_profiles(&mut self) -> Vec<WorkerProfile> {
+    fn worker_profiles(&mut self) -> Vec<PhaseProfiler> {
         self.ask(Cmd::Profile, |r| match r {
             Report::Profile(p) => Some(*p),
             _ => None,
@@ -1263,11 +1220,7 @@ impl CycleKernel for ShardedCompiledEngine {
     fn cycle(&mut self, _: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
         self.check_alive()?;
         if self.window.is_empty() {
-            let round_start = *t;
             self.start_window(t)?;
-            if let (Some(s), Some(buf)) = (round_start, self.spans.as_mut()) {
-                buf.record("round", s, self.run.now.raw());
-            }
         }
         let applied = self.apply_cycle();
         lap(self.profiler.as_mut(), t, Phase::Apply);
@@ -1322,8 +1275,8 @@ impl CycleKernel for ShardedCompiledEngine {
         let wps = self.worker_profiles();
         let mut workers = Vec::with_capacity(wps.len());
         for (k, wp) in wps.iter().enumerate() {
-            agg.absorb(&wp.profiler);
-            workers.push(wp.profiler.report(format!("shard-{k}")));
+            agg.absorb(wp);
+            workers.push(wp.report(format!("shard-{k}")));
         }
         let mut report = agg.report(format!(
             "{}/{}x{}",
@@ -1333,18 +1286,6 @@ impl CycleKernel for ShardedCompiledEngine {
         ));
         report.workers = workers;
         Some(report)
-    }
-
-    /// Every worker's span buffer and the coordinator's, merged.
-    fn span_timeline(&mut self) -> Option<SpanTrace> {
-        let own = self.spans.clone()?.into_parts();
-        let mut parts: Vec<(Vec<SpanEvent>, u64)> = self
-            .worker_profiles()
-            .into_iter()
-            .map(|wp| (wp.spans, wp.dropped))
-            .collect();
-        parts.push(own);
-        Some(SpanTrace::merge(parts))
     }
 }
 
@@ -1363,7 +1304,6 @@ fn spawn_worker(
     nbr_list: Vec<usize>,
     out_txs: Vec<Sender<NeighborMsg>>,
     in_rxs: Vec<Receiver<NeighborMsg>>,
-    epoch: Instant,
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
 ) -> Worker {
@@ -1380,10 +1320,6 @@ fn spawn_worker(
     let view = ArchView::new(&elab);
     let mut eng = CompiledKernel::new(elab);
     eng.next_packet = first_provisional_id(shard);
-    let spans = config.profile.and_then(|p| {
-        p.spans
-            .then(|| SpanBuffer::new(epoch, shard as u32, p.span_capacity))
-    });
     let switch_shard: Vec<u16> = (0..eng.low.switch_count)
         .map(|s| map.shard_of(SwitchId::new(s as u32)) as u16)
         .collect();
@@ -1428,7 +1364,6 @@ fn spawn_worker(
         dead: false,
         #[cfg(test)]
         fault: None,
-        spans,
         cmd_rx,
         rep_tx,
     }

@@ -104,7 +104,7 @@ where
 /// cannot.
 #[derive(Debug)]
 pub enum AnyEngine {
-    /// The single-threaded fast emulation engine.
+    /// The interpreted reference engine.
     Single(Box<Emulation>),
     /// The compiled data-oriented engine (flat arrays).
     Compiled(Box<CompiledEngine>),
@@ -232,10 +232,6 @@ impl SteppableEngine for AnyEngine {
 
     fn profile(&mut self) -> Option<crate::profile::PhaseReport> {
         with_engine!(self, e => e.profile())
-    }
-
-    fn span_trace(&mut self) -> Option<nocem_telemetry::SpanTrace> {
-        with_engine!(self, e => e.span_trace())
     }
 
     fn stall_report(&self) -> Option<&crate::profile::StallReport> {

@@ -195,8 +195,6 @@ pub struct SwitchCounters {
     pub blocked_cycles_per_output: Vec<u64>,
     /// Flits forwarded per output port (all VCs of the port combined).
     pub forwarded_per_output: Vec<u64>,
-    /// Cycles each output actually transferred a flit (utilization).
-    pub busy_cycles_per_output: Vec<u64>,
     /// Highest fill level (in flits) any input FIFO of each virtual
     /// channel reached, indexed by VC — the per-VC congestion
     /// watermark the latency-throughput curves report.
@@ -211,7 +209,6 @@ impl SwitchCounters {
             blocked_cycles_per_input: vec![0; inputs],
             blocked_cycles_per_output: vec![0; outputs],
             forwarded_per_output: vec![0; outputs],
-            busy_cycles_per_output: vec![0; outputs],
             max_vc_occupancy: vec![0; vcs],
             ..SwitchCounters::default()
         }
@@ -285,9 +282,6 @@ pub struct Switch {
     /// Scratch for switch allocation: per input, whether a grant
     /// already claimed it this cycle.
     input_taken: Vec<bool>,
-    /// Per input: flits forwarded from this input (for congestion
-    /// rates).
-    forwarded_per_input: Vec<u64>,
     counters: SwitchCounters,
 }
 
@@ -411,7 +405,6 @@ impl Switch {
             vc_req_any: vec![false; outputs * vcs],
             input_taken: vec![false; inputs],
             granted: vec![None; outputs],
-            forwarded_per_input: vec![0; inputs],
             counters: SwitchCounters::new(inputs, outputs, vcs),
             routes: Routes::Table(routes),
             config,
@@ -741,8 +734,6 @@ impl Switch {
             flit.vc = VcId::new(ov as u8);
             self.counters.forwarded_flits += 1;
             self.counters.forwarded_per_output[o] += 1;
-            self.counters.busy_cycles_per_output[o] += 1;
-            self.forwarded_per_input[i] += 1;
             sends.push(Transfer {
                 input: PortId::new(i as u8),
                 input_vc: VcId::new(v as u8),
@@ -880,13 +871,6 @@ impl Switch {
     /// Accumulated statistics.
     pub fn counters(&self) -> &SwitchCounters {
         &self.counters
-    }
-
-    /// Flits forwarded from each input port (pairs with
-    /// [`SwitchCounters::blocked_cycles_per_input`] for congestion
-    /// rates).
-    pub fn forwarded_per_input(&self) -> &[u64] {
-        &self.forwarded_per_input
     }
 }
 
@@ -1205,8 +1189,6 @@ mod tests {
         assert_eq!(c.packets_routed, 1);
         assert_eq!(c.cycles, 3);
         assert_eq!(c.forwarded_per_output[0], 2);
-        assert_eq!(c.busy_cycles_per_output[0], 2);
-        assert_eq!(sw.forwarded_per_input()[0], 2);
     }
 
     #[test]

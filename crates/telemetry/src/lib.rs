@@ -22,17 +22,11 @@
 //!    of the link, regardless of how many rows the ring has
 //!    overwritten (the totals are the cumulative counters, and
 //!    [`Collector::seal`] flushes the trailing partial window).
-//!
-//! Host-side (emulator wall-clock) span timelines live in [`span`];
-//! they share the "can never OOM a long run" discipline through a hard
-//! event cap and a drop counter.
 
 pub mod series;
-pub mod span;
 
 pub use nocem_common::json::validate_json;
 pub use series::{Collector, LinkStat};
-pub use span::{SpanBuffer, SpanEvent, SpanTrace};
 
 /// Configuration of the telemetry subsystem. Telemetry is opt-in:
 /// engines only pay for probes when a config is present.

@@ -39,7 +39,7 @@ fn with_mode(cfg: &PlatformConfig, mode: ClockMode) -> PlatformConfig {
 /// interpreted engine skipped, for the caller's skip-fraction
 /// assertions.
 fn gated_against_ungated(cfg: &PlatformConfig) -> u64 {
-    let profiled = Some(ProfileConfig::default().without_spans());
+    let profiled = Some(ProfileConfig::default());
     let gated_cfg = with_mode(cfg, ClockMode::Gated).with_profile(profiled);
     let skipped = BACKENDS.map(|backend| {
         let mut gated = [subject(&gated_cfg, backend)];

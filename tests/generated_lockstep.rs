@@ -5,9 +5,10 @@
 //! policy, traffic model, source queue, clock mode, telemetry window —
 //! the engines it runs on (the compiled engine and a sharded one
 //! always, the TLM and RTL models on platforms of at most nine
-//! switches), then the self-profiling: off, phases, phases and spans, or
-//! phases and a stall watchdog whose window of 1..=8 cycles trips on
-//! ordinary congestion, and last a stochastic or trace-driven kind per
+//! switches), then the self-profiling: off, phases (two of the four
+//! arms, so the draw stays one of four), or phases and a stall
+//! watchdog whose window of 1..=8 cycles trips on ordinary
+//! congestion, and last a stochastic or trace-driven kind per
 //! receptor. Each later draw was added after the earlier ones, so every
 //! seed keeps what it drew before. Each pick takes one number from the
 //! stream, so when the source-queue pick gained `usize::MAX` (a bound
@@ -144,11 +145,12 @@ fn generate(seed: u64) -> (PlatformConfig, Vec<Backend>) {
     if switches <= 9 {
         backends.extend([Backend::Tlm, Backend::Rtl]);
     }
-    let phases = ProfileConfig::default().without_spans();
+    // Arms 1 and 2 are alike: drawing one of four keeps every later
+    // draw, and so every seed's platform, where it was.
+    let phases = ProfileConfig::default();
     cfg.profile = match rng.below(4) {
         0 => None,
-        1 => Some(phases),
-        2 => Some(ProfileConfig::default()),
+        1 | 2 => Some(phases),
         _ => Some(phases.with_stall(u64::from(rng.in_range(1, 8)))),
     };
     for kind in &mut cfg.receptors {

@@ -2,7 +2,7 @@
 //! 19 describes — 4 TGs at 45 % of link bandwidth, two routing
 //! possibilities, two inter-switch links loaded at 90 %.
 
-use nocem::config::{PaperConfig, PaperRouting};
+use nocem::config::{PaperConfig, PaperRouting, TrafficModel};
 use nocem::engine::build;
 use nocem::SteppableEngine;
 use nocem_topology::analysis::{hot_links, predict_link_loads, SplitModel};
@@ -14,8 +14,22 @@ fn predicted_and_measured_hot_link_loads_agree() {
     let cfg = PaperConfig::new().total_packets(20_000).uniform();
     let mut emu = build(&cfg).unwrap();
 
-    // Analytic prediction at compile time.
-    let predicted = emu.elaboration().predicted_loads.clone().unwrap();
+    // Analytic prediction over the elaborated routes.
+    let elab = emu.elaboration();
+    let offered: Vec<f64> = cfg
+        .generators
+        .iter()
+        .map(|g| match g {
+            TrafficModel::Uniform(u) => u.offered_load(),
+            other => panic!("the paper setup builds uniform generators, got {other:?}"),
+        })
+        .collect();
+    let predicted = predict_link_loads(
+        &cfg.topology,
+        &elab.routing.flows(),
+        &offered,
+        SplitModel::PrimaryOnly,
+    );
     let setup = PaperConfig::new();
     let hot = setup.setup().hot_links;
     for h in hot {

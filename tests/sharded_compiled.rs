@@ -57,7 +57,7 @@ fn sharded(s: &mut Subject) -> &mut ShardedCompiledEngine {
 fn gated_drain(mut cfg: PlatformConfig) -> PlatformConfig {
     cfg.clock_mode = ClockMode::Gated;
     cfg.stop.delivered_packets = None;
-    cfg.profile = Some(ProfileConfig::default().without_spans());
+    cfg.profile = Some(ProfileConfig::default());
     cfg
 }
 
@@ -349,7 +349,7 @@ fn gated_batched_telemetry_survives_jumps_across_probe_boundaries() {
 fn one_shard_dispatches_to_the_compiled_engine_in_lockstep() {
     for load in [0.10, 0.40] {
         let mut cfg = uniform_random(mesh(8, 8), load, 300);
-        cfg.profile = Some(ProfileConfig::default().without_spans());
+        cfg.profile = Some(ProfileConfig::default());
         let worker = ShardedCompiledEngine::with_shards(&cfg, 1, 4).unwrap();
         assert_eq!(worker.partition().shards(), 1);
         let mut engines = [
@@ -398,7 +398,7 @@ fn partition_map_for_another_topology_is_a_compile_error() {
 fn configured_stall_watchdog_trips_like_the_reference() {
     let mut cfg = uniform_random(mesh(8, 8), 0.40, 10_000);
     cfg.switch.ejection_credits = Some(2);
-    cfg.profile = Some(ProfileConfig::default().without_spans().with_stall(50));
+    cfg.profile = Some(ProfileConfig::default().with_stall(50));
     let mut scout = build(&cfg).unwrap();
     while scout.stall_report().is_none() {
         scout.step().unwrap();
@@ -413,7 +413,7 @@ fn configured_stall_watchdog_trips_like_the_reference() {
     }
 
     let mut cfg = uniform_random(mesh(8, 8), 0.05, 100);
-    cfg.profile = Some(ProfileConfig::default().without_spans().with_stall(200));
+    cfg.profile = Some(ProfileConfig::default().with_stall(200));
     let mut engine = [subject(&cfg, Backend::Sharded(2, 4))];
     lockstep(&mut subject(&cfg, Backend::Emulation), &mut engine);
     assert!(engine[0].engine.stall_report().is_none());

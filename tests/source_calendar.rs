@@ -152,7 +152,7 @@ fn parked_generators_and_sleeping_nis_are_ledger_identical() {
     let engines = assert_mix(|topo| {
         let mut cfg = base(topo, 0.9, 40);
         cfg.source_queue_capacity = 1;
-        cfg.profile = Some(ProfileConfig::default().without_spans());
+        cfg.profile = Some(ProfileConfig::default());
         cfg.name = format!("{}/queue1", cfg.name);
         cfg
     });

@@ -36,7 +36,7 @@ fn uniform(load: f64, packets: u64) -> PlatformConfig {
 fn starved_config() -> PlatformConfig {
     let mut cfg = uniform(0.40, 10_000);
     cfg.switch.ejection_credits = Some(2);
-    cfg.profile = Some(ProfileConfig::default().without_spans().with_stall(200));
+    cfg.profile = Some(ProfileConfig::default().with_stall(200));
     cfg
 }
 
@@ -166,7 +166,7 @@ fn starved_fixture_trips_the_watchdog_identically_on_the_sharded_engine() {
 #[test]
 fn healthy_saturating_run_does_not_trip() {
     let mut cfg = uniform(0.90, 2_000);
-    cfg.profile = Some(ProfileConfig::default().without_spans().with_stall(200));
+    cfg.profile = Some(ProfileConfig::default().with_stall(200));
     let engines: [Box<dyn SteppableEngine>; 2] = [
         Box::new(CompiledEngine::new(elaborate(&cfg).unwrap())),
         Box::new(ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap()),
