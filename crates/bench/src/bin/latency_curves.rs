@@ -10,12 +10,11 @@
 //! ```
 //!
 //! The default sweep runs uniform_random / transpose / tornado on
-//! mesh4x4, mesh8x8 and torus8x8 — nine curves — and demonstrates the
-//! scale machinery end to end: every point runs **clock-gated**
-//! (PR 3), and the 8×8 topologies run on the **sharded compiled
-//! engine** with two workers. Neither changes a single measured value (the
-//! ledger is proven identical across modes and engines); they only
-//! change how fast the sweep finishes. Results land in
+//! mesh4x4, mesh8x8 and torus8x8 — nine curves. Every point runs
+//! **clock-gated**, and the 8×8 topologies run on the **compiled
+//! engine**. Neither changes a single measured value (the ledger is
+//! proven identical across modes and engines); they only change how
+//! fast the sweep finishes. Results land in
 //! `results/latency_curves.csv`.
 //!
 //! Every point runs with **windowed telemetry** enabled (W = 1024),
@@ -34,7 +33,6 @@
 
 use nocem::clock::ClockMode;
 use nocem::config::EngineKind;
-use nocem::shard_compiled::DEFAULT_BATCH;
 use nocem::{AnyEngine, SteppableEngine};
 use nocem_bench::time_steps;
 use nocem_common::table::{Align, TextTable};
@@ -224,14 +222,10 @@ fn main() {
     let mut specs = Vec::new();
     for scenario in scenarios {
         for topology in topologies {
-            // The scale machinery, end to end: everything gated, the
-            // 64-switch topologies sharded across two workers.
+            // Everything gated, the 64-switch topologies compiled.
             let engine = match topology {
                 TopologySpec::Mesh { width: 8, .. } | TopologySpec::Torus { width: 8, .. } => {
-                    EngineKind::ShardedCompiled {
-                        shards: 2,
-                        batch: DEFAULT_BATCH,
-                    }
+                    EngineKind::Compiled
                 }
                 _ => EngineKind::SingleThread,
             };

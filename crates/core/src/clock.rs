@@ -94,10 +94,9 @@
 //! fast-forwards past a cycle at which another shard could have
 //! produced traffic that would reach it; the jump is replayed in
 //! every worker with the same [`TrafficGenerator::skip_to`] contract
-//! as [`fast_forward`]. The decision is taken before every *applied*
-//! cycle, so it composes with any exchange batch: cycles the workers
-//! already executed past a quiescent point are idle no-ops, and the
-//! coordinator discards their buffered rows when it jumps.
+//! as [`fast_forward`]. The decision is taken before every cycle, and
+//! the workers run no cycle the coordinator has not asked for, so a
+//! jump costs them nothing.
 
 use crate::config::{PlatformConfig, StopCondition};
 use crate::error::EmulationError;
@@ -476,8 +475,7 @@ pub trait SteppableEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`EmulationError`] once a sharded run has failed, or
-    /// mid-window on a batched sharded engine.
+    /// Returns [`EmulationError`] once a sharded run has failed.
     fn arch_view(&mut self) -> Result<&ArchView, EmulationError>;
 }
 
@@ -596,7 +594,7 @@ impl<K: CycleKernel> SteppableEngine for K {
     }
 
     /// A no-op when telemetry is off, already sealed, or the view
-    /// cannot be read (a failed sharded run, or one mid-window).
+    /// cannot be read (a failed sharded run).
     fn seal_telemetry(&mut self) {
         if self.run_state().seal_due() {
             let _unreadable = with_collector(self, |t, now, view| {

@@ -116,23 +116,23 @@ pub enum EngineKind {
     /// so each persistent worker thread steps its own slice of the
     /// arrays with its own flit pool. Cross-shard flits and credits
     /// travel as per-cycle boundary records over neighbor channels
-    /// (preserving exact single-cycle link latency), while
-    /// *coordinator synchronization* is batched: each worker runs up
-    /// to `batch` cycles per coordinator round trip, amortizing the
-    /// command/report synchronization `batch`× without changing a
-    /// single cycle's semantics. Cycle-for-cycle identical to
-    /// [`EngineKind::Compiled`] for every `(shards, batch)` (proven by
-    /// the lockstep ledger tests in `tests/sharded_compiled.rs`).
+    /// (preserving exact single-cycle link latency), and the
+    /// coordinator makes one round trip to every worker per cycle.
+    /// Cycle-for-cycle identical to [`EngineKind::Compiled`] for every
+    /// shard count (proven by the lockstep tests in
+    /// `tests/sharded_compiled.rs`). On a 2-vCPU host two shards lose
+    /// to [`EngineKind::Compiled`] from 8×8 to 64×64 meshes
+    /// (`examples/shard_scaling.rs`).
     ShardedCompiled {
         /// Worker-thread shard count (`>= 1`). `1` is not sharded:
         /// [`crate::sweep::AnyEngine`] builds [`EngineKind::Compiled`]
         /// on the caller's thread — no worker, no coordinator. To
         /// measure the orchestration overhead of a single worker, call
-        /// `ShardedCompiledEngine::with_shards(config, 1, batch)`.
+        /// `ShardedCompiledEngine::with_shards(config, 1)`.
         shards: usize,
-        /// Cycles per coordinator synchronization round (`>= 1`), in
-        /// either [`ClockMode`]: under gating, cycles the workers ran
-        /// past a quiescent point are discarded when the clock jumps.
+        /// Ignored: the engine synchronizes every cycle. The field
+        /// stays until the benchmark's `shard1_mesh8x8` workload stops
+        /// naming it.
         batch: u64,
     },
 }

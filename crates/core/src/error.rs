@@ -137,13 +137,6 @@ pub enum EmulationError {
     /// The configuration of a run did not compile (a runner that
     /// builds its engine itself reports it here).
     Compile(CompileError),
-    /// A batched sharded engine's state was read mid-window.
-    MidWindow {
-        /// The engine's clock.
-        cycle: u64,
-        /// Cycles its workers have run past it.
-        ahead: u64,
-    },
 }
 
 impl std::fmt::Display for EmulationError {
@@ -169,9 +162,6 @@ impl std::fmt::Display for EmulationError {
                 }
             }
             EmulationError::Compile(e) => write!(f, "configuration failed to compile: {e}"),
-            EmulationError::MidWindow { cycle, ahead } => {
-                write!(f, "state read mid-window at cycle {cycle}, {ahead} ahead")
-            }
         }
     }
 }

@@ -41,7 +41,7 @@
 //! | [`engine`] | 5 | the interpreted platform ([`engine::Platform`], shared with [`process`]) and the cycle engine over it (and the bus the software sees) |
 //! | [`compiled`] | 5 | the compiled engine: the elaboration lowered to flat arrays |
 //! | [`process`] | 5 | the process model: the platform wired once over a channel [`process::Fabric`], the kernel of the TLM and RTL baselines |
-//! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, array-slice shards, batched synchronization |
+//! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, array-slice shards, one coordinator round per cycle |
 //! | [`clock`] | 5 | the run-level half of every engine: [`clock::RunState`], the [`clock::CycleKernel`] trait, the one step skeleton and generic [`clock::SteppableEngine`] impl, clock modes, quiescence, the fast-forward kernel |
 //! | [`devices`] | 3, 6 | register views and typed drivers |
 //! | [`profile`] | 5, 6 | engine self-profiling: per-cycle phase timers, stall forensics |

@@ -83,11 +83,11 @@ enum CreditHome {
     Switch(usize, PortId, VcId),
 }
 
-/// Lands flit `f` in input `port` of `sw`. The fast engine lands a
-/// flit from an NI or a lower-indexed switch (`first`) before that
-/// switch pops in the same cycle, here a cycle later; when the pop
-/// (`popped`) left the same buffer, the fast engine's watermark counted
-/// the popped flit too.
+/// Lands flit `f` in input `port` of `sw`. The interpreted reference
+/// engine lands a flit from an NI or a lower-indexed switch (`first`)
+/// before that switch pops in the same cycle, here a cycle later; when
+/// the pop (`popped`) left the same buffer, the reference engine's
+/// watermark counted the popped flit too.
 fn land(
     sw: &mut Switch,
     port: PortId,
@@ -293,7 +293,7 @@ impl<F: Fabric> ProcessModel<F> {
     }
 
     /// The results of the run so far, read from the settled view: a
-    /// flit still on its link already counts in the fast engine's
+    /// flit still on its link already counts in the reference engine's
     /// downstream watermark.
     pub fn results(&self) -> EmulationResults {
         let mut view = self.view.clone();
@@ -304,8 +304,8 @@ impl<F: Fabric> ProcessModel<F> {
     /// Fills `view` with the platform as if every value on a link had
     /// landed: each flit on a switch-input link in its FIFO (with the
     /// watermark rule of [`land`]), each credit on its way back to a
-    /// switch home. The fast engine moves both in the cycle that sends
-    /// them, so this is the state it holds now.
+    /// switch home. The reference engine moves both in the cycle that
+    /// sends them, so this is the state it holds now.
     fn settled(&self, view: &mut ArchView) {
         self.shared.borrow().read_view(view);
         let popped = self.popped.borrow();
@@ -348,10 +348,10 @@ impl<F: Fabric> CycleKernel for ProcessModel<F> {
 
     /// Jumps the fabric's time along with the platform's generators
     /// without activating a single process. A credit still on its link
-    /// was returned last cycle — the fast engine holds it home already,
+    /// was returned last cycle — the reference engine holds it home already,
     /// and the processes would take it home before anything else this
     /// cycle — so it is taken home first (and off the link): quiescence
-    /// then holds on the cycle it holds in the fast engine, and both
+    /// then holds on the cycle it holds in the reference engine, and both
     /// jump the same windows. Component quiescence implies every other
     /// link sits at its idle value (a flit on a link is an undelivered
     /// packet), so the skipped cycles would have been pure no-ops.

@@ -162,9 +162,8 @@ impl Default for StallConfig {
 
 /// Work an engine did, counted next to the timers so a report can tell
 /// *more work* from *slower work*, while profiling is on. The step
-/// skeleton counts `fast_forwards` on every engine and the sharded
-/// coordinator `speculative_rows`; the other counters are filled by
-/// the compiled kernel only and read zero elsewhere.
+/// skeleton counts `fast_forwards` on every engine; the other counters
+/// are filled by the compiled kernel only and read zero elsewhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Switches that ran decide (and commit): live at cycle start.
@@ -183,16 +182,11 @@ pub struct WorkCounters {
     pub ni_sleeps: u64,
     /// Clock-gated jumps taken.
     pub fast_forwards: u64,
-    /// Buffered cycles the sharded coordinator discarded because a
-    /// jump passed them: the workers executed them speculatively, as
-    /// idle no-ops (at most `batch − 1` per jump; 0 on every other
-    /// engine).
-    pub speculative_rows: u64,
 }
 
 impl WorkCounters {
     /// `(name, value)` per counter, in declaration order.
-    fn named(&self) -> [(&'static str, u64); 9] {
+    fn named(&self) -> [(&'static str, u64); 8] {
         [
             ("switches_decided", self.switches_decided),
             ("switches_scanned", self.switches_scanned),
@@ -202,7 +196,6 @@ impl WorkCounters {
             ("ni_ticks", self.ni_ticks),
             ("ni_sleeps", self.ni_sleeps),
             ("fast_forwards", self.fast_forwards),
-            ("speculative_rows", self.speculative_rows),
         ]
     }
 }
@@ -217,7 +210,6 @@ impl std::ops::AddAssign for WorkCounters {
         self.ni_ticks += o.ni_ticks;
         self.ni_sleeps += o.ni_sleeps;
         self.fast_forwards += o.fast_forwards;
-        self.speculative_rows += o.speculative_rows;
     }
 }
 
@@ -278,14 +270,8 @@ impl PhaseProfiler {
         self.nested_ns += d;
     }
 
-    /// Adds raw nanoseconds to `phase` (merging externally measured
-    /// sections).
-    pub fn add_ns(&mut self, phase: Phase, ns: u64) {
-        self.acc[phase as usize] += ns;
-    }
-
     /// Adds externally stepped cycles (sharded workers count their
-    /// window cycles this way).
+    /// cycles this way).
     pub fn add_cycles(&mut self, cycles: u64) {
         self.stepped_cycles += cycles;
     }
@@ -355,7 +341,7 @@ pub struct PhaseStat {
 /// engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
-    /// Engine label (e.g. `"compiled"`, `"sharded-compiled/4x16"`).
+    /// Engine label (e.g. `"compiled"`, `"sharded-compiled/4"`).
     pub label: String,
     /// Sum of all phase accumulators in nanoseconds: the time spent
     /// inside the step loop.
@@ -527,15 +513,6 @@ impl StallWatchdog {
     /// The configured no-progress window, in cycles.
     pub(crate) fn window(&self) -> u64 {
         self.cfg.no_progress_cycles
-    }
-
-    /// The earliest cycle [`StallWatchdog::observe`] could still trip
-    /// at, given what it has seen so far (`None` once it has tripped):
-    /// progress observed later only moves it further out.
-    pub(crate) fn earliest_trip(&self) -> Option<u64> {
-        self.report
-            .is_none()
-            .then(|| self.progress_at.saturating_add(self.cfg.no_progress_cycles))
     }
 
     /// Stores the forensic snapshot for the trip.
@@ -860,8 +837,8 @@ mod tests {
     fn report_sorts_shares_and_serializes() {
         let mut p = PhaseProfiler::new();
         p.add_cycles(10);
-        p.add_ns(Phase::Decide, 300);
-        p.add_ns(Phase::Commit, 700);
+        p.acc[Phase::Decide as usize] = 300;
+        p.acc[Phase::Commit as usize] = 700;
         let r = p.report("unit");
         assert_eq!(r.phases[0].phase, "commit");
         assert!((r.phases[0].share - 0.7).abs() < 1e-9);

@@ -25,44 +25,42 @@
 //! The coordinator is a [`CycleKernel`]: the one step skeleton of
 //! [`crate::clock`] gates, probes, feeds the stall watchdog and checks
 //! the cycle limit for it exactly as for the single-threaded engines,
-//! and its "cycle" applies one buffered row (issuing a window first
-//! when none is buffered). So it implements the full
-//! [`SteppableEngine`] contract (run loops, sweeps and lockstep
+//! and its "cycle" is one round trip to every worker. So it implements
+//! the full [`SteppableEngine`] contract (run loops, sweeps and lockstep
 //! harnesses drive it unchanged) and produces complete
 //! [`EmulationResults`]; it does not expose the memory-mapped bus
 //! ([`crate::engine::Emulation`] remains the register-programming
 //! target) and does not record traces.
 //!
-//! # The batched-exchange protocol
+//! # The exchange protocol
 //!
-//! Boundary traffic itself cannot be deferred: a lowered link has
-//! exactly one cycle of latency, so a flit popped at cycle `u` must be
-//! observable by the downstream switch's *decide* at `u + 1`, and its
-//! credit by the upstream allocator at `u + 1`. Delaying either to a
-//! window boundary would change arbitration and diverge from
-//! [`CompiledEngine`]. What *can* be amortized is every coordinator
-//! round trip. So the protocol splits the two:
+//! Boundary traffic cannot be deferred: a lowered link has exactly one
+//! cycle of latency, so a flit popped at cycle `u` must be observable
+//! by the downstream switch's *decide* at `u + 1`, and its credit by
+//! the upstream allocator at `u + 1`. Every cycle therefore has two
+//! exchanges:
 //!
-//! * **Per cycle, point to point:** each worker sends exactly one
-//!   message per neighbouring shard carrying the cycle's outbound
-//!   boundary records — `(destination switch, slot, vc, flit)` for
-//!   flits, upstream output-slot indices for credits — and then
-//!   blocks on exactly one message per in-neighbour, replaying it
-//!   before computing its end-of-cycle status. Empty messages still
-//!   flow: they are the clock marker that keeps neighbours in
-//!   lockstep without any global barrier.
-//! * **Per window of `batch` cycles, through the coordinator:** the
-//!   coordinator issues one `Window` command, each worker runs up to
-//!   `batch` cycles buffering its per-cycle ledger events (releases,
-//!   injections, deliveries, stall counts, status), and replies once.
-//!   The coordinator then *replays the buffered cycles in order*, one
-//!   per [`SteppableEngine::step`] call, keeping per-cycle
-//!   lockstep observability while paying the two-way channel
-//!   synchronization only once per window — a ~`batch`× reduction,
-//!   measured by [`ShardedCompiledEngine::sync_rounds`].
+//! * **Point to point:** each worker sends exactly one message per
+//!   neighbouring shard carrying the cycle's outbound boundary records
+//!   — `(destination switch, slot, vc, flit)` for flits, upstream
+//!   output-slot indices for credits — and then blocks on exactly one
+//!   message per in-neighbour, replaying it before computing its
+//!   end-of-cycle status. Empty messages still flow: they are the clock
+//!   marker that keeps neighbours in lockstep without any global
+//!   barrier.
+//! * **Through the coordinator:** the coordinator sends every worker one
+//!   `Step` command, each worker runs that one cycle, and replies with
+//!   its ledger events (releases, injections, deliveries, stall count)
+//!   and status, which the coordinator applies before the step returns.
+//!   Every worker therefore stands on the coordinator's cycle whenever
+//!   the step skeleton, a harness or a caller reads the view.
 //!
-//! `batch = 1` is therefore a per-cycle exchange protocol: one
-//! synchronization round per cycle.
+//! The one-cycle link latency is the lookahead that lets each cycle's
+//! neighbour exchange run without a global barrier; a coordinator
+//! round per cycle keeps the engine observable on every cycle. Batching
+//! several cycles per round was measured (`examples/shard_scaling.rs`)
+//! and bought speed only where two shards already lose to
+//! [`CompiledEngine`] several times over.
 //!
 //! # Why replay is deterministic
 //!
@@ -80,17 +78,17 @@
 //!   credit replays touch disjoint slots and end-of-cycle credit
 //!   counts are order-independent.
 //!
-//! # Packet ids without a coordinator round trip
+//! # Packet ids without a prefix sum
 //!
 //! Workers cannot know the platform-wide packet id at release time
-//! (that would need a cross-shard prefix sum every cycle). Instead a
-//! worker stamps each released packet with a *provisional* id —
-//! shard index and local sequence packed into the id's high bits —
-//! which rides inside every flit of the packet. When the coordinator
-//! replays a buffered cycle it assigns the final ids in the
-//! single-threaded engine's order (releases ascending by generator
-//! index) and remaps provisional → final at the ledger boundary, so
-//! the [`PacketLedger`] is bit-identical to the compiled engine's.
+//! (that would need a cross-shard prefix sum before the release phase).
+//! Instead a worker stamps each released packet with a *provisional*
+//! id — shard index and local sequence packed into the id's high bits
+//! — which rides inside every flit of the packet. When the coordinator
+//! applies a cycle it assigns the final ids in the single-threaded
+//! engine's order (releases ascending by generator index) and remaps
+//! provisional → final at the ledger boundary, so the [`PacketLedger`]
+//! is bit-identical to the compiled engine's.
 //!
 //! # Gating
 //!
@@ -101,32 +99,15 @@
 //! *every* shard is quiescent and the ledger carries no in-flight
 //! packet, and only up to the minimum next-event over all shards
 //! (clamped to the cycle limit) — a shard never skips past another
-//! shard's horizon. The decision is taken per *applied* cycle, so it
-//! composes with any batch: workers run their whole window regardless,
-//! and a cycle executed on a quiescent platform below every horizon is
-//! a state no-op on every worker (live sets empty, deferred TGs
-//! untouched). The buffered rows a jump passes are such *speculative
-//! idle cycles* and are discarded — at most `batch − 1` per jump,
-//! counted in `WorkCounters::speculative_rows`. A jump past the end of
-//! the buffer costs the workers nothing: they are simply told the next
-//! cycle to execute, and each TG replays the skipped window lazily
-//! before its next real tick, as in [`CompiledEngine`]. A jump stops
-//! short of a buffered row that carries a worker fault, so the fault
-//! surfaces on its own cycle.
+//! shard's horizon. A jump costs the workers nothing: the next `Step`
+//! simply names the cycle after it, and each TG replays the skipped
+//! window lazily before its next real tick, as in [`CompiledEngine`].
 //!
 //! # Stall forensics
 //!
 //! The stall watchdog needs the wait-for edges of the cycle it trips
-//! on, but workers run up to a window ahead of the coordinator. So no
-//! window runs past the earliest cycle the watchdog could trip —
-//! its last progress cycle plus its no-progress window, which later
-//! progress only moves out. A trip therefore always lands on a
-//! window's last row: the buffer is empty, every worker stands on the
-//! coordinator's cycle, and the view gathered there yields the report
-//! [`CompiledEngine`] latches. Without a watchdog there is no such
-//! cap. Anyone else reading the view mid-window gets
-//! [`EmulationError::MidWindow`], unless the platform has drained
-//! (then no cycle changes it); windows end at multiples of the batch.
+//! on. The workers stand on that cycle when the skeleton asks, so the
+//! view gathered there yields the report [`CompiledEngine`] latches.
 
 use crate::clock::{CycleKernel, RunState, SteppableEngine};
 use crate::compile::{
@@ -137,7 +118,7 @@ use crate::compiled::CompiledEngine;
 use crate::compiled::{CommitSink, CompiledKernel};
 use crate::config::PlatformConfig;
 use crate::error::{CompileError, EmulationError};
-use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport, StallWatchdog};
+use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport};
 use crate::results::{EmulationResults, ReceptorSummary};
 use crate::view::ArchView;
 use nocem_common::flit::Flit;
@@ -149,17 +130,11 @@ use nocem_stats::receptor::{CompletedPacket, Receptor};
 use nocem_topology::partition::{grid_stripes, PartitionMap};
 use nocem_topology::routing::RoutingTables;
 use nocem_traffic::trace::TraceDrivenTg;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// The cycles-per-synchronization batch for callers with no reason to
-/// pick their own (the scenario matrix's `shards` axis, the curve
-/// bin), gated or not — the value the batched `BENCH_*.json` rows were
-/// measured at.
-pub const DEFAULT_BATCH: u64 = 16;
 
 /// Provisional packet ids carry this flag plus the shard in bits
 /// 48..63 and a shard-local sequence below — far above any id the
@@ -210,7 +185,7 @@ struct DeliveryRec {
     len_flits: u16,
 }
 
-/// Everything the coordinator needs to replay one buffered cycle.
+/// Everything the coordinator needs to apply one shard's cycle.
 struct CycleEntry {
     releases: Vec<ReleaseRec>,
     injects: Vec<PacketId>,
@@ -266,7 +241,7 @@ fn conservative_status() -> ShardStatus {
 }
 
 /// Renders a worker panic as a shard fault the coordinator can return
-/// (the alternative — letting the worker unwind mid-window — would
+/// (the alternative — letting the worker unwind mid-cycle — would
 /// strand its neighbours on a boundary receive and hang the engine).
 /// Pass the payload itself (`&*boxed`): a `&Box<dyn Any>` coerces to a
 /// `dyn Any` of the *box*, which downcasts to neither string type.
@@ -286,10 +261,9 @@ fn panic_fault(shard: usize, payload: &(dyn std::any::Any + Send)) -> EmulationE
 /// Commands the coordinator sends to every worker.
 #[derive(Clone, Copy)]
 enum Cmd {
-    /// Execute `len` cycles starting at `start` (past any clock-gated
-    /// jump the coordinator took), buffering boundary records per
-    /// cycle and ledger events per window.
-    Window { start: Cycle, len: u64 },
+    /// Execute this cycle (past any clock-gated jump the coordinator
+    /// took) and report its ledger events.
+    Step(Cycle),
     /// Report the shard's receptors.
     Collect,
     /// Report the shard's architectural-state view.
@@ -304,7 +278,7 @@ enum Cmd {
 enum Report {
     /// Sent unprompted once the worker's kernel is built.
     Status(ShardStatus),
-    Window(Vec<CycleEntry>),
+    Cycle(CycleEntry),
     /// `(global receptor index, receptor clone)` per owned receptor.
     Receptors(Vec<(usize, Receptor)>),
     /// The worker's whole view; only its owned rows are read.
@@ -438,7 +412,7 @@ impl Worker {
         let mut report = Report::Status(self.status());
         while self.rep_tx.send(report).is_ok() {
             report = match self.cmd_rx.recv() {
-                Ok(Cmd::Window { start, len }) => Report::Window(self.window(start, len)),
+                Ok(Cmd::Step(now)) => Report::Cycle(self.step(now)),
                 Ok(Cmd::Collect) => Report::Receptors(self.receptors()),
                 Ok(Cmd::View) => {
                     self.eng.read_view(&mut self.view);
@@ -452,52 +426,44 @@ impl Worker {
         }
     }
 
-    /// Executes one window: per cycle, compute the owned slice, send
-    /// one boundary message per neighbour, receive and replay one per
-    /// in-neighbour, then record the end-of-cycle status.
-    fn window(&mut self, start: Cycle, len: u64) -> Vec<CycleEntry> {
-        let mut entries = Vec::with_capacity(len as usize);
-        for j in 0..len {
-            let now = Cycle::new(start.raw() + j);
-            if self.dead {
-                self.cadence(now);
-                entries.push(CycleEntry::new());
-                continue;
-            }
-            let mut entry = CycleEntry::new();
-            let mut t = self.eng.profiler.as_mut().map(|p| {
-                p.add_cycles(1);
-                p.begin()
-            });
-            let computed = catch_unwind(AssertUnwindSafe(|| self.compute_cycle(now, &mut entry)));
-            match computed {
-                Ok(Ok(())) => {}
+    /// Executes one cycle: compute the owned slice, send one boundary
+    /// message per neighbour, receive and replay one per in-neighbour,
+    /// then record the end-of-cycle status.
+    fn step(&mut self, now: Cycle) -> CycleEntry {
+        let mut entry = CycleEntry::new();
+        if self.dead {
+            self.cadence(now);
+            return entry;
+        }
+        let mut t = self.eng.profiler.as_mut().map(|p| {
+            p.add_cycles(1);
+            p.begin()
+        });
+        let computed = catch_unwind(AssertUnwindSafe(|| self.compute_cycle(now, &mut entry)));
+        match computed {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => entry.error = Some(e),
+            Err(payload) => entry.error = Some(panic_fault(self.boundary.shard, &*payload)),
+        }
+        lap(self.eng.profiler.as_mut(), &mut t, Phase::WorkerCompute);
+        // The exchange section: everything from here to the end of
+        // replay is boundary synchronization, not compute.
+        // One message per neighbour per cycle, no matter what —
+        // possibly partial on error, the cadence is what matters.
+        self.send_bufs(now);
+        if entry.error.is_none() {
+            let replayed = catch_unwind(AssertUnwindSafe(|| self.recv_replay(now)));
+            match replayed {
+                Ok(Ok(())) => entry.status = self.status(),
                 Ok(Err(e)) => entry.error = Some(e),
                 Err(payload) => entry.error = Some(panic_fault(self.boundary.shard, &*payload)),
             }
-            lap(self.eng.profiler.as_mut(), &mut t, Phase::WorkerCompute);
-            // The exchange section: everything from here to the end of
-            // replay is boundary synchronization, not compute.
-            // One message per neighbour per cycle, no matter what —
-            // possibly partial on error, the cadence is what matters.
-            self.send_bufs(now);
-            if entry.error.is_none() {
-                let replayed = catch_unwind(AssertUnwindSafe(|| self.recv_replay(now)));
-                match replayed {
-                    Ok(Ok(())) => entry.status = self.status(),
-                    Ok(Err(e)) => entry.error = Some(e),
-                    Err(payload) => entry.error = Some(panic_fault(self.boundary.shard, &*payload)),
-                }
-            } else {
-                self.recv_discard();
-            }
-            lap(self.eng.profiler.as_mut(), &mut t, Phase::Exchange);
-            if entry.error.is_some() {
-                self.dead = true;
-            }
-            entries.push(entry);
+        } else {
+            self.recv_discard();
         }
-        entries
+        lap(self.eng.profiler.as_mut(), &mut t, Phase::Exchange);
+        self.dead = entry.error.is_some();
+        entry
     }
 
     /// The per-cycle message cadence of a dead shard: empty sends,
@@ -578,7 +544,7 @@ impl Worker {
         for k in 0..self.in_rxs.len() {
             let msg = self.in_rxs[k].recv().map_err(|_| EmulationError::Shard {
                 shard: self.boundary.shard,
-                reason: "a neighbour shard hung up mid-window".into(),
+                reason: "a neighbour shard hung up mid-cycle".into(),
             })?;
             debug_assert_eq!(
                 msg.cycle,
@@ -649,7 +615,7 @@ struct WorkerHandle {
 /// Results are bit-identical to [`CompiledEngine`] (and hence
 /// [`crate::engine::Emulation`]) on the same configuration: same packet ids,
 /// same per-packet release / injection / delivery cycles, same
-/// ledger, same statistics, same telemetry — for every `batch`.
+/// ledger, same statistics, same telemetry — on every cycle.
 pub struct ShardedCompiledEngine {
     config: PlatformConfig,
     run: RunState,
@@ -658,10 +624,6 @@ pub struct ShardedCompiledEngine {
     /// first, the one its worker reported once built.
     status: Vec<ShardStatus>,
     partition: PartitionMap,
-    batch: u64,
-    /// Coordinator synchronization rounds (one window command + one
-    /// report per worker each) issued so far.
-    sync_rounds: u64,
     ledger: PacketLedger,
     receptor_latency: Vec<LatencyAnalyzer>,
     next_packet: u64,
@@ -669,9 +631,6 @@ pub struct ShardedCompiledEngine {
     delivered_flits: u64,
     /// Provisional → final id for every in-flight packet.
     prov_map: HashMap<PacketId, PacketId>,
-    /// Executed-but-unapplied cycles: front = next to apply, each row
-    /// holds one [`CycleEntry`] per shard.
-    window: VecDeque<Vec<CycleEntry>>,
     poisoned: bool,
     failed: bool,
     /// Coordinator-side phase accumulators, when profiling is on.
@@ -685,7 +644,6 @@ impl std::fmt::Debug for ShardedCompiledEngine {
         f.debug_struct("ShardedCompiledEngine")
             .field("name", &self.config.name)
             .field("shards", &self.workers.len())
-            .field("batch", &self.batch)
             .field("cycle", &self.run.now)
             .field("delivered", &self.ledger.delivered())
             .finish_non_exhaustive()
@@ -693,18 +651,13 @@ impl std::fmt::Debug for ShardedCompiledEngine {
 }
 
 impl ShardedCompiledEngine {
-    /// Compiles `config` into exactly `shards` grid stripes stepping
-    /// `batch` cycles per synchronization round.
+    /// Compiles `config` into exactly `shards` grid stripes.
     ///
     /// # Errors
     ///
     /// Propagates [`CompileError`] from elaboration or partitioning.
-    pub fn with_shards(
-        config: &PlatformConfig,
-        shards: usize,
-        batch: u64,
-    ) -> Result<Self, CompileError> {
-        Self::from_elaboration(elaborate(config)?, shards, batch)
+    pub fn with_shards(config: &PlatformConfig, shards: usize) -> Result<Self, CompileError> {
+        Self::from_elaboration(elaborate(config)?, shards)
     }
 
     /// Shards a pre-built elaboration into `shards` grid stripes —
@@ -714,36 +667,27 @@ impl ShardedCompiledEngine {
     /// # Errors
     ///
     /// Propagates [`CompileError::Partition`] from the partitioner.
-    pub fn from_elaboration(
-        elab: Elaboration,
-        shards: usize,
-        batch: u64,
-    ) -> Result<Self, CompileError> {
+    pub fn from_elaboration(elab: Elaboration, shards: usize) -> Result<Self, CompileError> {
         let map =
             grid_stripes(&elab.config.topology, shards).map_err(|e| CompileError::Partition {
                 reason: e.to_string(),
             })?;
-        Self::with_partition(elab, map, batch)
+        Self::with_partition(elab, map)
     }
 
     /// Wraps an elaboration into a sharded compiled engine using an
-    /// explicit partition map. A `batch` of 0 is treated as 1.
+    /// explicit partition map.
     ///
     /// # Errors
     ///
     /// Returns [`CompileError::Partition`] if `map` does not cover the
     /// elaboration's topology.
-    pub fn with_partition(
-        elab: Elaboration,
-        map: PartitionMap,
-        batch: u64,
-    ) -> Result<Self, CompileError> {
+    pub fn with_partition(elab: Elaboration, map: PartitionMap) -> Result<Self, CompileError> {
         let (have, want) = (map.switch_count(), elab.config.topology.switch_count());
         if have != want {
             let reason = format!("the partition map covers {have} switches, not {want}");
             return Err(CompileError::Partition { reason });
         }
-        let batch = batch.max(1);
         let shards = map.shards();
         let topo = &elab.config.topology;
 
@@ -844,15 +788,12 @@ impl ShardedCompiledEngine {
             workers: handles,
             status: Vec::new(),
             partition: map,
-            batch,
-            sync_rounds: 0,
             ledger: PacketLedger::new(),
             receptor_latency: vec![LatencyAnalyzer::new(); receptor_count],
             next_packet: 0,
             stalled: 0,
             delivered_flits: 0,
             prov_map: HashMap::new(),
-            window: VecDeque::new(),
             poisoned: false,
             failed: false,
             profiler,
@@ -866,19 +807,6 @@ impl ShardedCompiledEngine {
             })
             .expect("every worker reports its status once built");
         Ok(engine)
-    }
-
-    /// The cycles-per-synchronization batch.
-    pub fn batch(&self) -> u64 {
-        self.batch
-    }
-
-    /// Coordinator synchronization rounds issued so far — one window
-    /// command plus one report per worker each. With `batch = 1` this
-    /// equals the executed cycle count (the per-cycle exchange
-    /// protocol); with larger batches it shrinks ~`batch`×.
-    pub fn sync_rounds(&self) -> u64 {
-        self.sync_rounds
     }
 
     /// The partition this engine runs on.
@@ -909,83 +837,11 @@ impl ShardedCompiledEngine {
         Ok(())
     }
 
-    /// Issues one window from the coordinator's cycle and buffers every
-    /// worker's cycle entries. `t` is the coordinator's chained
-    /// profiling timestamp (`None` when profiling is off).
-    fn start_window(&mut self, t: &mut Option<Instant>) -> Result<(), EmulationError> {
-        let start = self.run.now;
-        let len = self.window_len(start);
-        self.broadcast(Cmd::Window { start, len })?;
-        let per_shard = self.replies(|r| match r {
-            Report::Window(entries) if entries.len() == len as usize => Some(entries),
-            _ => None,
-        })?;
-        self.sync_rounds += 1;
-        let mut rows: Vec<Vec<CycleEntry>> = (0..len)
-            .map(|_| Vec::with_capacity(self.workers.len()))
-            .collect();
-        for entries in per_shard {
-            for (j, e) in entries.into_iter().enumerate() {
-                rows[j].push(e);
-            }
-        }
-        self.window.extend(rows);
-        lap(self.profiler.as_mut(), t, Phase::CoordWait);
-        Ok(())
-    }
-
-    /// The next window's length: up to the next multiple of `batch` —
-    /// so the engine stands on a readable cycle at every multiple of
-    /// its batch — shortened so that no worker ever executes a cycle
-    /// the coordinator would not reach, nor runs past a cycle at which
-    /// the skeleton reads worker state.
-    fn window_len(&self, start: Cycle) -> u64 {
-        let mut len = self.batch - start.raw() % self.batch;
-        // Delivered-target cap: each receptor completes at most one
-        // packet per cycle (its ejection port forwards at most one
-        // flit), so ceil(remaining / receptors) cycles cannot pass the
-        // target before the window's last cycle — zero overshoot.
-        if let Some(target) = self.run.stop.delivered_packets {
-            let remaining = target.saturating_sub(self.ledger.delivered());
-            let receptors = self.receptor_latency.len() as u64;
-            if remaining > 0 && receptors > 0 {
-                len = len.min(1 + (remaining - 1) / receptors);
-            }
-        }
-        // Cycle-limit cap: executing cycle `limit` is what raises the
-        // limit error, so it is the last cycle worth executing.
-        let limit = self.run.stop.cycle_limit;
-        if start.raw() <= limit {
-            len = len.min(limit - start.raw() + 1);
-        } else {
-            len = 1;
-        }
-        // Telemetry cap: windows never cross a probe boundary, so a
-        // probe always observes worker state at the coordinator's
-        // cycle.
-        if let Some(t) = &self.run.telemetry {
-            for j in 1..len {
-                if t.needs_probe(start.raw() + j) {
-                    len = j;
-                    break;
-                }
-            }
-        }
-        // Watchdog cap: a trip must find the workers on the
-        // coordinator's cycle (module docs, stall forensics).
-        let dog = self.run.watchdog.as_ref();
-        if let Some(trip) = dog.and_then(StallWatchdog::earliest_trip) {
-            len = len.min(trip.saturating_sub(start.raw()) + 1);
-        }
-        len.max(1)
-    }
-
-    /// Applies the oldest buffered cycle to the coordinator state in
-    /// the single-threaded engine's event order: releases ascending by
-    /// generator index (id assignment), then injections, then
-    /// deliveries ascending by (ejecting switch, output port).
-    fn apply_cycle(&mut self) -> Result<(), EmulationError> {
-        let row = self.window.pop_front().expect("a window was just started");
+    /// Applies one cycle's entries, one per shard, to the coordinator
+    /// state in the single-threaded engine's event order: releases
+    /// ascending by generator index (id assignment), then injections,
+    /// then deliveries ascending by (ejecting switch, output port).
+    fn apply_cycle(&mut self, row: Vec<CycleEntry>) -> Result<(), EmulationError> {
         let now = self.run.now;
         let mut first_error: Option<EmulationError> = None;
         let mut releases: Vec<ReleaseRec> = Vec::new();
@@ -1038,10 +894,9 @@ impl ShardedCompiledEngine {
         Ok(())
     }
 
-    /// Poisons the engine: nothing buffered is applied after `e`.
+    /// Poisons the engine: nothing is applied after `e`.
     fn fail(&mut self, e: EmulationError) -> EmulationError {
         self.failed = true;
-        self.window.clear();
         e
     }
 
@@ -1068,10 +923,9 @@ impl ShardedCompiledEngine {
         Ok(out)
     }
 
-    /// Asks every worker `cmd` and collects the picked replies. Only
-    /// meaningful between windows — worker state then equals the
-    /// compiled engine's end-of-cycle state at the coordinator's cycle
-    /// — and refused once the engine has failed.
+    /// Asks every worker `cmd` and collects the picked replies — worker
+    /// state equals the compiled engine's end-of-cycle state at the
+    /// coordinator's cycle — refused once the engine has failed.
     fn ask<T>(
         &mut self,
         cmd: Cmd,
@@ -1126,8 +980,7 @@ impl ShardedCompiledEngine {
     /// # Errors
     ///
     /// Returns [`EmulationError::Shard`] when a worker is gone or an
-    /// earlier step failed, and [`EmulationError::MidWindow`] where
-    /// [`SteppableEngine::arch_view`] does.
+    /// earlier step failed.
     pub fn results(&mut self) -> Result<EmulationResults, EmulationError> {
         CycleKernel::arch_view(self)?;
         let owned = self.ask(Cmd::Collect, |r| match r {
@@ -1164,12 +1017,10 @@ impl Drop for ShardedCompiledEngine {
     }
 }
 
-/// The coordinator under the one step skeleton. Its "cycle" applies
-/// the oldest buffered row — after a window across all shards (one
-/// synchronization round) when none is buffered — so per-cycle
-/// observability (`now`, `delivered`, lockstep comparisons) is
-/// identical to the unbatched engines. The skeleton probes only with
-/// an empty buffer, because windows never cross a telemetry boundary.
+/// The coordinator under the one step skeleton. Its "cycle" is one
+/// round trip to every worker, applied before it returns, so per-cycle
+/// observability (`now`, `delivered`, the view, lockstep comparisons)
+/// is identical to the single-threaded engines.
 impl CycleKernel for ShardedCompiledEngine {
     const LABEL: &'static str = "sharded-compiled";
 
@@ -1185,44 +1036,28 @@ impl CycleKernel for ShardedCompiledEngine {
         self.profiler.as_mut()
     }
 
-    /// The cross-shard jump, on a quiescent platform about to apply
+    /// The cross-shard jump, on a quiescent platform about to execute
     /// cycle `now` — the predicate [`CompiledEngine`]'s `idle_jump`
-    /// evaluates there. Buffered rows the jump passes are speculative
-    /// idle cycles and are discarded; the jump stops on a row that
-    /// carries a worker fault, which `cycle` then surfaces.
+    /// evaluates there.
     fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
         if self.failed || !self.is_quiescent() {
             return 0;
         }
         let next = self.status.iter().map(|s| s.next_event).min();
-        let target = next.unwrap_or(u64::MAX).min(horizon);
-        let mut skipped = target.saturating_sub(now.raw());
-        let faulty = |row: &Vec<CycleEntry>| row.iter().any(|e| e.error.is_some());
-        if let Some(row) = self.window.iter().take(skipped as usize).position(faulty) {
-            skipped = row as u64;
-        }
-        let speculative = skipped.min(self.window.len() as u64);
-        for e in self.window.drain(..speculative as usize).flatten() {
-            debug_assert!(
-                e.releases.is_empty()
-                    && e.injects.is_empty()
-                    && e.deliveries.is_empty()
-                    && e.stalled_delta == 0,
-                "a speculative idle cycle did something"
-            );
-        }
-        if let Some(p) = self.profiler.as_mut() {
-            p.work.speculative_rows += speculative;
-        }
-        skipped
+        next.unwrap_or(u64::MAX)
+            .min(horizon)
+            .saturating_sub(now.raw())
     }
 
-    fn cycle(&mut self, _: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
+    fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
         self.check_alive()?;
-        if self.window.is_empty() {
-            self.start_window(t)?;
-        }
-        let applied = self.apply_cycle();
+        self.broadcast(Cmd::Step(now))?;
+        let row = self.replies(|r| match r {
+            Report::Cycle(entry) => Some(entry),
+            _ => None,
+        })?;
+        lap(self.profiler.as_mut(), t, Phase::CoordWait);
+        let applied = self.apply_cycle(row);
         lap(self.profiler.as_mut(), t, Phase::Apply);
         applied
     }
@@ -1236,13 +1071,8 @@ impl CycleKernel for ShardedCompiledEngine {
                 .all(|s| s.exhausted && s.pending_none && s.nis_idle)
     }
 
-    /// Every switch's and NI's rows from the shard that owns them
-    /// (module docs); refused mid-window unless the platform drained.
+    /// Every switch's and NI's rows from the shard that owns them.
     fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
-        if !self.window.is_empty() && !self.drained() {
-            let (cycle, ahead) = (self.run.now.raw(), self.window.len() as u64);
-            return Err(EmulationError::MidWindow { cycle, ahead });
-        }
         let parts = self.ask(Cmd::View, |r| match r {
             Report::View(v) => Some(v),
             _ => None,
@@ -1278,12 +1108,7 @@ impl CycleKernel for ShardedCompiledEngine {
             agg.absorb(wp);
             workers.push(wp.report(format!("shard-{k}")));
         }
-        let mut report = agg.report(format!(
-            "{}/{}x{}",
-            Self::LABEL,
-            self.workers.len(),
-            self.batch
-        ));
+        let mut report = agg.report(format!("{}/{}", Self::LABEL, self.workers.len()));
         report.workers = workers;
         Some(report)
     }
@@ -1372,7 +1197,6 @@ fn spawn_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ClockMode;
     use crate::config::PaperConfig;
     use std::cell::Cell;
     use std::time::Duration;
@@ -1411,19 +1235,17 @@ mod tests {
         }
     }
 
-    /// A worker panic mid-window surfaces as a typed error on exactly
-    /// the cycle it happened, poisons the engine for good, strands
-    /// nobody and lets the engine drop.
+    /// A worker panic surfaces as a typed error on exactly the cycle
+    /// it happened, poisons the engine for good, strands nobody and
+    /// lets the engine drop.
     #[test]
     fn worker_panic_mid_window_is_a_shard_fault_not_a_hang() {
         within_a_minute(|| {
-            // Window [16, 24) at batch 8: the fault sits mid-window,
-            // so shard 1 idles out cycles 21..=23 on the cadence alone
-            // while shard 0 (which owns the paper's four TGs) keeps
-            // sending flits across the boundary.
+            // Shard 1 faults while shard 0 (which owns the paper's four
+            // TGs) keeps sending flits across the boundary.
             FAULT.set(Some((1, 20)));
             let cfg = PaperConfig::new().total_packets(1_000_000).uniform();
-            let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, 8).unwrap();
+            let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2).unwrap();
             for cycle in 0..20 {
                 engine.step().unwrap();
                 assert_eq!(engine.now().raw(), cycle + 1);
@@ -1437,42 +1259,8 @@ mod tests {
                     Err(EmulationError::Shard { .. })
                 ));
             }
-            // Joins both workers: the healthy one finished its window.
+            // Joins both workers.
             drop(engine);
-        });
-    }
-
-    /// A worker panic on a cycle that turns out to be a speculative
-    /// idle row — executed inside a window, then passed by a gated
-    /// jump — still surfaces, by the step that would have discarded it.
-    #[test]
-    fn worker_panic_on_a_speculative_idle_row_still_surfaces() {
-        within_a_minute(|| {
-            let cfg = PaperConfig::new()
-                .total_packets(1_000_000)
-                .burst(4)
-                .with_clock_mode(ClockMode::Gated);
-            // A healthy run finds the first buffered row a jump passes.
-            let mut healthy = ShardedCompiledEngine::with_shards(&cfg, 2, 8).unwrap();
-            let (victim, steps) = (1..)
-                .find_map(|steps| {
-                    let (at, buffered) = (healthy.run.now.raw(), healthy.window.len());
-                    healthy.step().unwrap();
-                    let jumped = healthy.run.now.raw() - at > 1;
-                    (jumped && buffered > 0).then_some((at, steps))
-                })
-                .expect("a gated burst run jumps inside a window");
-            drop(healthy);
-
-            FAULT.set(Some((1, victim)));
-            let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, 8).unwrap();
-            for _ in 1..steps {
-                engine.step().unwrap();
-            }
-            assert_eq!(engine.run.now.raw(), victim);
-            assert_shard1_fault(engine.step().unwrap_err(), victim);
-            assert_eq!(engine.run.now.raw(), victim, "no jump over a fault");
-            assert!(matches!(engine.step(), Err(EmulationError::Shard { .. })));
         });
     }
 }

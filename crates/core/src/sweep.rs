@@ -108,7 +108,7 @@ pub enum AnyEngine {
     Single(Box<Emulation>),
     /// The compiled data-oriented engine (flat arrays).
     Compiled(Box<CompiledEngine>),
-    /// The sharded compiled engine (array-slice shards, batched
+    /// The sharded compiled engine (array-slice shards, per-cycle
     /// boundary exchange).
     ShardedCompiled(Box<ShardedCompiledEngine>),
 }
@@ -147,8 +147,8 @@ impl AnyEngine {
             EngineKind::Compiled | EngineKind::ShardedCompiled { shards: 1, .. } => {
                 AnyEngine::Compiled(Box::new(CompiledEngine::new(elab)))
             }
-            EngineKind::ShardedCompiled { shards, batch } => AnyEngine::ShardedCompiled(Box::new(
-                ShardedCompiledEngine::from_elaboration(elab, shards, batch)?,
+            EngineKind::ShardedCompiled { shards, .. } => AnyEngine::ShardedCompiled(Box::new(
+                ShardedCompiledEngine::from_elaboration(elab, shards)?,
             )),
         })
     }
@@ -321,7 +321,7 @@ mod tests {
 
         let sharded_cfg = cfg.clone().with_engine(EngineKind::ShardedCompiled {
             shards: 2,
-            batch: 8,
+            batch: 1,
         });
         let mut engine = AnyEngine::build_routed(&sharded_cfg, Some(&routing)).unwrap();
         assert!(matches!(engine, AnyEngine::ShardedCompiled(_)));

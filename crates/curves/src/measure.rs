@@ -273,7 +273,7 @@ mod tests {
         gated.clock_mode = ClockMode::Gated;
         gated.engine = EngineKind::ShardedCompiled {
             shards: 2,
-            batch: 8,
+            batch: 1,
         };
         let fast = measure_config(&gated, None, &measure, 0.15).unwrap();
         assert_eq!(fast.behavioral(), base.behavioral());
@@ -292,7 +292,7 @@ mod tests {
         fast_cfg.clock_mode = ClockMode::Gated;
         fast_cfg.engine = EngineKind::ShardedCompiled {
             shards: 2,
-            batch: 8,
+            batch: 1,
         };
         let fast = measure_config(&fast_cfg, None, &measure, 0.60).unwrap();
         let tel = base.telemetry.as_ref().expect("telemetry was enabled");

@@ -25,7 +25,6 @@ use nocem::compile::compute_routing;
 use nocem::config::{EngineKind, PlatformConfig};
 use nocem::error::EmulationError;
 use nocem::results::EmulationResults;
-use nocem::shard_compiled::DEFAULT_BATCH;
 use nocem::sweep::{run_config_routed, run_sweep_indexed};
 use nocem_common::csv::CsvWriter;
 
@@ -40,9 +39,8 @@ pub struct MatrixSpec {
     pub loads: Vec<f64>,
     /// Engine shard counts to run each point on. `1` is the compiled
     /// engine; `k > 1` runs the same kernel sharded across `k` worker
-    /// threads at [`DEFAULT_BATCH`] (same results, different wall
-    /// clock — the scaling axis for 16×16/32×32 topologies). Most
-    /// matrices use `vec![1]`.
+    /// threads (same results, different wall clock — the scaling axis
+    /// for 16×16/32×32 topologies). Most matrices use `vec![1]`.
     pub shards: Vec<usize>,
     /// Packet length in flits.
     pub packet_flits: u16,
@@ -199,10 +197,7 @@ impl MatrixSpec {
                                 // (`AnyEngine` runs one shard
                                 // unsharded), so "speedup vs 1 shard"
                                 // compares like with like.
-                                config.engine = EngineKind::ShardedCompiled {
-                                    shards,
-                                    batch: DEFAULT_BATCH,
-                                };
+                                config.engine = EngineKind::ShardedCompiled { shards, batch: 1 };
                                 points.push(MatrixPoint {
                                     scenario: name.clone(),
                                     topology: topology.name(),

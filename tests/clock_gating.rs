@@ -16,7 +16,6 @@ use nocem::config::{PaperConfig, PlatformConfig};
 use nocem::engine::build;
 use nocem::error::EmulationError;
 use nocem::profile::ProfileConfig;
-use nocem::shard_compiled::DEFAULT_BATCH;
 use support::{
     lockstep, mesh, retraffic, ring, scenario, subject, torus, uniform_random, Backend, Traffic,
 };
@@ -26,7 +25,7 @@ const BACKENDS: [Backend; 5] = [
     Backend::Tlm,
     Backend::Rtl,
     Backend::DirectCompiled,
-    Backend::Sharded(2, DEFAULT_BATCH),
+    Backend::Sharded(2),
 ];
 
 fn with_mode(cfg: &PlatformConfig, mode: ClockMode) -> PlatformConfig {

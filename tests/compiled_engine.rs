@@ -151,7 +151,7 @@ fn arbiter_selection_and_depth_matrix_is_ledger_identical() {
                     "{} {:?} {arbiter:?} depth {fifo_depth}",
                     base.name, base.switch.selection
                 );
-                against_emulation(&cfg, &[Backend::DirectCompiled, Backend::Sharded(2, 4)]);
+                against_emulation(&cfg, &[Backend::DirectCompiled, Backend::Sharded(2)]);
             }
         }
     }

@@ -188,7 +188,7 @@ fn a_starving_packet_keeps_every_ledger_equal() {
     let mut reference = subject(&cfg, Backend::Emulation);
     let mut subjects: Vec<Subject> = [
         Backend::Compiled,
-        Backend::Sharded(2, 16),
+        Backend::Sharded(2),
         Backend::Tlm,
         Backend::Rtl,
     ]

@@ -136,7 +136,7 @@ fn implicit_and_listed_configs_are_ledger_identical_per_cycle() {
 fn implicit_and_listed_configs_agree_on_the_sharded_engine() {
     for (implicit, listed) in pairs() {
         // Both forms against the single-threaded run of the implicit one.
-        let sharded = Backend::Sharded(2, 4);
+        let sharded = Backend::Sharded(2);
         let mut ab = [subject(&implicit, sharded), subject(&listed, sharded)];
         lockstep(&mut subject(&implicit, Backend::Emulation), &mut ab);
         let a = ab[0].get::<AnyEngine>();

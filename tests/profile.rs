@@ -8,7 +8,7 @@ use nocem::compile::elaborate;
 use nocem::compiled::CompiledEngine;
 use nocem::config::PlatformConfig;
 use nocem::engine::build;
-use nocem::profile::{Phase, PhaseProfiler, ProfileConfig};
+use nocem::profile::{Phase, ProfileConfig};
 use nocem::shard_compiled::ShardedCompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -138,7 +138,7 @@ fn every_engine_reports_its_phases() {
         ),
         (
             "sharded-compiled",
-            Box::new(ShardedCompiledEngine::with_shards(&cfg, 2, 4).unwrap()),
+            Box::new(ShardedCompiledEngine::with_shards(&cfg, 2).unwrap()),
         ),
     ];
     for (name, engine) in &mut engines {
@@ -198,10 +198,16 @@ fn every_engine_reports_its_phases() {
 /// control bytes in it reach the JSON escaped, in workers too.
 #[test]
 fn report_labels_are_escaped_in_json() {
-    let mut p = PhaseProfiler::new();
-    p.add_ns(Phase::Decide, 10);
-    let mut report = p.report("say \"hi\" \\ bye\n");
-    report.workers.push(p.report("w\t0"));
+    let mut cfg = uniform(MESH8X8, 0.10, 20);
+    cfg.profile = Some(ProfileConfig::default());
+    let mut engine = CompiledEngine::new(elaborate(&cfg).unwrap());
+    engine.run().unwrap();
+    let mut report = SteppableEngine::profile(&mut engine).unwrap();
+    assert!(report.ns_of(Phase::Decide) > 0, "{report:?}");
+    let mut worker = report.clone();
+    worker.label = "w\t0".into();
+    report.label = "say \"hi\" \\ bye\n".into();
+    report.workers.push(worker);
     let json = report.to_json();
     validate_json(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
     assert!(json.starts_with(r#"{"label":"say \"hi\" \\ bye\u000a","#));
@@ -239,7 +245,7 @@ fn work_counters_account_for_the_live_set_paths() {
     assert!(report.to_json().contains("\"work\":{\"switches_decided\":"));
     assert!(report.render().contains("tg_phases_skipped="));
 
-    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap();
+    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2).unwrap();
     sharded.run().unwrap();
     let sharded_work = SteppableEngine::profile(&mut sharded).unwrap().work;
     assert_eq!(

@@ -11,7 +11,7 @@
 //! longer than the wheel; a one-slot source queue at 90 % load, where
 //! generators park and NIs fall asleep and wake every few cycles — and
 //! each runs on mesh4x4 and on torus4x4 (two dateline VCs) on the
-//! compiled engine under both clock modes and on two shards at batch 4.
+//! compiled engine under both clock modes and on two shards.
 //! The proof is per cycle: the same clock and ledger after every step,
 //! then the same telemetry window by window (the NI injection links
 //! carry the blocked cycles, so a probe taken while an NI sleeps must
@@ -46,15 +46,15 @@ fn base(topo: TopologySpec, load: f64, budget: u64) -> PlatformConfig {
 
 /// `make(topo)` on mesh4x4 and on torus4x4 (two dateline VCs), each in
 /// lockstep with the interpreted engine in the same clock mode: the
-/// compiled engine ungated, the compiled engine and two shards at batch
-/// 4 gated. Returns the engines under test.
+/// compiled engine ungated, the compiled engine and two shards gated.
+/// Returns the engines under test.
 fn assert_mix(make: impl Fn(TopologySpec) -> PlatformConfig) -> Vec<Subject> {
     let mut engines = Vec::new();
     for topo in [mesh(4, 4), torus(4, 4)] {
         let cfg = make(topo);
         engines.extend(against_emulation(&cfg, &[Backend::Compiled]));
         let gated = cfg.with_clock_mode(ClockMode::Gated);
-        let backends = [Backend::Compiled, Backend::Sharded(2, 4)];
+        let backends = [Backend::Compiled, Backend::Sharded(2)];
         engines.extend(against_emulation(&gated, &backends));
     }
     engines

@@ -99,8 +99,7 @@ fn parked_generators_pin_the_tg_phase_and_the_clock() {
 #[test]
 fn two_shards_step_the_same_sparse_cycles() {
     let cfg = sparse_config(mesh(12, 12), 0.001, Traffic::Steady, ClockMode::Gated, 220);
-    let backends = [1, 8].map(|batch| Backend::Sharded(2, batch));
-    for s in against_emulation(&cfg, &backends) {
+    for s in against_emulation(&cfg, &[Backend::Sharded(2)]) {
         assert!(s.engine.cycles_skipped() > 0, "{} skipped nothing", s.name);
     }
 }

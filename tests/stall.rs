@@ -139,19 +139,17 @@ fn starved_fixture_trips_the_watchdog_identically_on_tlm_and_rtl() {
     }
 }
 
-/// The sharded engine wedges like the reference too, at a long batch
-/// and at the per-cycle exchange: no window runs past the earliest
-/// cycle the watchdog could trip, so the trip finds every worker on
-/// the coordinator's cycle and the per-shard edges merge into exactly
-/// the reference's report.
+/// The sharded engine wedges like the reference too, at two and four
+/// shards: the trip finds every worker on the coordinator's cycle and
+/// the per-shard edges merge into exactly the reference's report.
 #[test]
 fn starved_fixture_trips_the_watchdog_identically_on_the_sharded_engine() {
     let cfg = starved_config();
     let reference = run_to_stall(&mut build(&cfg).unwrap());
-    for (shards, batch) in [(2, 16), (4, 1)] {
-        let mut engine = ShardedCompiledEngine::with_shards(&cfg, shards, batch).unwrap();
+    for shards in [2, 4] {
+        let mut engine = ShardedCompiledEngine::with_shards(&cfg, shards).unwrap();
         let report = run_to_stall(&mut engine);
-        let name = format!("{shards} shards, batch {batch}");
+        let name = format!("{shards} shards");
         assert_blames_starved_ejection(&report);
         assert_eq!(report.at_cycle, reference.at_cycle, "{name}: trip cycle");
         assert_eq!(report.edges, reference.edges, "{name}: wait-for edges");
@@ -169,7 +167,7 @@ fn healthy_saturating_run_does_not_trip() {
     cfg.profile = Some(ProfileConfig::default().with_stall(200));
     let engines: [Box<dyn SteppableEngine>; 2] = [
         Box::new(CompiledEngine::new(elaborate(&cfg).unwrap())),
-        Box::new(ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap()),
+        Box::new(ShardedCompiledEngine::with_shards(&cfg, 2).unwrap()),
     ];
     for mut engine in engines {
         nocem::run_engine(engine.as_mut()).unwrap();

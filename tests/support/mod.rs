@@ -122,9 +122,9 @@ pub enum Backend {
     Emulation,
     /// [`EngineKind::Compiled`] through [`AnyEngine`].
     Compiled,
-    /// [`EngineKind::ShardedCompiled`] `{ shards, batch }` through
+    /// [`EngineKind::ShardedCompiled`] at this many shards through
     /// [`AnyEngine`], which runs one shard as the compiled engine.
-    Sharded(usize, u64),
+    Sharded(usize),
     /// The compiled engine built directly over [`elaborate`], not
     /// through [`AnyEngine`].
     DirectCompiled,
@@ -140,8 +140,8 @@ pub fn try_subject(cfg: &PlatformConfig, backend: Backend) -> Result<Subject, Co
     let engine: Box<dyn Engine> = match backend {
         Backend::Emulation => Box::new(any(EngineKind::SingleThread)?),
         Backend::Compiled => Box::new(any(EngineKind::Compiled)?),
-        Backend::Sharded(shards, batch) => {
-            Box::new(any(EngineKind::ShardedCompiled { shards, batch })?)
+        Backend::Sharded(shards) => {
+            Box::new(any(EngineKind::ShardedCompiled { shards, batch: 1 })?)
         }
         Backend::DirectCompiled => Box::new(CompiledEngine::new(elaborate(cfg)?)),
         Backend::Tlm => Box::new(TlmEngine::new(elaborate(cfg)?)),
@@ -156,9 +156,7 @@ pub fn subject(cfg: &PlatformConfig, backend: Backend) -> Subject {
 }
 
 /// The per-step check: `subject` stands on `reference`'s cycle with
-/// `reference`'s packet ledger and architectural state. A batched
-/// sharded engine's state is compared where it can be read, at its
-/// windows' ends.
+/// `reference`'s packet ledger and architectural state.
 pub fn assert_same_cycle(reference: &mut Subject, subject: &mut Subject) {
     let (r, s) = (&mut reference.engine, &mut subject.engine);
     let cycle = r.now().raw();
@@ -182,17 +180,16 @@ pub fn assert_same_cycle(reference: &mut Subject, subject: &mut Subject) {
         );
     }
     drop((want, got));
-    let readable = |name: &str, view| match view {
-        Ok(view) => Some(view),
-        Err(EmulationError::MidWindow { .. }) => None,
-        Err(e) => panic!("{name}: no architectural state at cycle {cycle}: {e}"),
-    };
-    let want = readable(&reference.name, r.arch_view());
-    let got = readable(&subject.name, s.arch_view());
-    if let Some(diff) = want
-        .zip(got)
-        .and_then(|(want, got)| first_difference(want, got))
-    {
+    fn readable<'a>(
+        name: &str,
+        cycle: u64,
+        view: Result<&'a ArchView, EmulationError>,
+    ) -> &'a ArchView {
+        view.unwrap_or_else(|e| panic!("{name}: no architectural state at cycle {cycle}: {e}"))
+    }
+    let want = readable(&reference.name, cycle, r.arch_view());
+    let got = readable(&subject.name, cycle, s.arch_view());
+    if let Some(diff) = first_difference(want, got) {
         panic!(
             "{}: architectural state diverged from {} at cycle {cycle}: {diff}",
             subject.name, reference.name
