@@ -236,8 +236,8 @@ impl EngineSummary {
             injected: ledger.injected(),
             delivered: ledger.delivered(),
             delivered_flits,
-            network_latency: ledger.network_latency().clone(),
-            total_latency: ledger.total_latency().clone(),
+            network_latency: *ledger.network_latency(),
+            total_latency: *ledger.total_latency(),
         }
     }
 

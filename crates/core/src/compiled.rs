@@ -70,8 +70,8 @@ use crate::compile::{
 };
 use crate::error::EmulationError;
 use crate::profile::{lap, Phase, PhaseProfiler};
-use crate::results::{EmulationResults, ReceptorSummary};
-use crate::view::ArchView;
+use crate::results::EmulationResults;
+use crate::view::{ArchView, ReceptorRow};
 use nocem_common::flit::{Flit, PacketDescriptor};
 use nocem_common::ids::{EndpointId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::rng::Lfsr16;
@@ -1581,7 +1581,8 @@ impl CompiledKernel {
     }
 
     /// The architectural-state producer: copies the flat arrays' live
-    /// state, through the last cycle stepped, into `view`.
+    /// state and the endpoints', through the last cycle stepped, into
+    /// `view`.
     pub(crate) fn read_view(&self, view: &mut ArchView) {
         view.alloc_live();
         let vcs = self.low.num_vcs;
@@ -1602,12 +1603,18 @@ impl CompiledKernel {
             *credits = st.credits;
         }
         view.watermarks.copy_from_slice(&self.max_vc_occ);
-        for (i, (ni, counts)) in self.nis.iter().zip(&mut view.nis).enumerate() {
+        let sources = self.nis.iter().zip(&self.tgs);
+        for (i, ((ni, tg), row)) in sources.zip(&mut view.nis).enumerate() {
             let c = ni.counters();
             // An NI asleep has yet to book its blocked cycles since.
             let asleep = u64::from(self.ni_blocked.contains(i));
-            counts.blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
-            counts.forwarded = c.injected_flits;
+            row.link.blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
+            row.link.forwarded = c.injected_flits;
+            row.accepted = c.accepted_packets;
+            (row.exhausted, row.idle) = (tg.is_exhausted(), ni.is_idle());
+        }
+        for (r, row) in self.receptors.iter().zip(&mut view.receptors) {
+            *row = ReceptorRow::of(r);
         }
     }
 }
@@ -1645,12 +1652,10 @@ impl CompiledEngine {
     /// [`crate::engine::Emulation::results`] for the same run.
     pub fn results(&self) -> EmulationResults {
         let k = &self.kernel;
-        let receptors = k.receptors.iter().enumerate();
-        let receptors = receptors.map(|(i, r)| ReceptorSummary::of(i, r, None));
         let mut view = self.view.clone();
         k.read_view(&mut view);
         let summary = self.summary();
-        EmulationResults::from_view(&k.name, summary, k.stalled, &view, receptors.collect())
+        EmulationResults::from_view(&k.name, summary, k.stalled, &view, &k.receptors)
     }
 }
 

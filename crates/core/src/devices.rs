@@ -7,21 +7,25 @@
 //!
 //! * the TG register *shadow* ([`TgShadow`]): its writable registers
 //!   are exactly a traffic model's fields, and when the start bit is
-//!   set [`crate::Emulation::run_programmed`] decodes them back into
-//!   the configuration it elaborates; every other TG register is
+//!   set [`crate::Board::run_programmed`] decodes them back into the
+//!   configuration it elaborates; every other TG register is
 //!   read-only;
-//! * read-only register views over TGs, TRs and switches (live
-//!   counters);
-//! * the typed drivers ([`TgDriver`], [`TrDriver`], [`SwitchDriver`])
-//!   — the "software part" that programs and polls the devices over
-//!   any [`BusAccess`].
+//! * the read-only registers of TGs, TRs and switches, each a plain
+//!   function of the architectural-state view ([`ArchView`]) every
+//!   engine fills, and the monitor's, a function of the telemetry
+//!   collector — so a register reads alike on every engine standing on
+//!   the same cycle;
+//! * the typed drivers ([`TgDriver`], [`TrDriver`], [`SwitchDriver`],
+//!   [`MonitorDriver`]) — the "software part" that programs and polls
+//!   the devices over any [`BusAccess`].
 
 use crate::config::TrafficModel;
-use crate::engine::Emulation;
+use crate::view::ArchView;
 use nocem_common::ids::{EndpointId, FlowId};
 use nocem_platform::addr::{Address, DeviceAddr};
 use nocem_platform::bus::{BusAccess, BusError};
 use nocem_platform::regfile::{Access, RegFile};
+use nocem_telemetry::Collector;
 use nocem_traffic::generator::{DestinationModel, LengthModel};
 use nocem_traffic::registers as tgreg;
 use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, UniformConfig};
@@ -126,10 +130,18 @@ impl TgShadow {
             })
             .collect();
         let mut regs = RegFile::new(&access);
+        regs.set(tgreg::REG_CTRL, 1);
         for (reg, value) in model_register_image(model) {
             regs.set(reg, value);
         }
         TgShadow { regs, dirty: false }
+    }
+
+    /// Latches the seed elaboration drew for this TG into its
+    /// read-only SEED registers.
+    pub(crate) fn latch_seed(&mut self, seed: u64) {
+        self.regs
+            .set_u64(tgreg::REG_SEED_LO, tgreg::REG_SEED_HI, seed);
     }
 
     /// Software write into the shadow.
@@ -237,40 +249,39 @@ impl TgShadow {
     }
 }
 
-// --- Read-only register views over live engine state -----------------
+// --- Register reads over the view, the collector and the shadows -----
 
-/// TG register read: configuration from the shadow, `CTRL` always
-/// enabled, `SEED` the seed elaboration drew, status and counters live.
-pub(crate) fn tg_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32, BusError> {
+/// Checks `addr`'s register against a device of `regs` registers.
+fn in_range(addr: Address, regs: u16) -> Result<u16, BusError> {
     let reg = addr.reg();
-    if reg >= tgreg::TG_REG_COUNT {
-        return Err(BusError::RegisterOutOfRange {
-            addr,
-            regs: tgreg::TG_REG_COUNT,
-        });
+    if reg >= regs {
+        return Err(BusError::RegisterOutOfRange { addr, regs });
     }
-    let elab = e.elaboration();
-    let ni = &elab.nis[i];
-    let c = *ni.counters();
-    let tg = &elab.tgs[i];
-    let seed = elab.tg_seeds[i];
-    let value = match reg {
-        tgreg::REG_CTRL => 1,
-        tgreg::REG_STATUS => u32::from(tg.is_exhausted()) | (u32::from(ni.is_idle()) << 1),
-        tgreg::REG_SEED_LO => seed as u32,
-        tgreg::REG_SEED_HI => (seed >> 32) as u32,
-        tgreg::REG_SENT_LO => c.accepted_packets as u32,
-        tgreg::REG_SENT_HI => (c.accepted_packets >> 32) as u32,
-        tgreg::REG_FLITS_LO => c.injected_flits as u32,
-        tgreg::REG_FLITS_HI => (c.injected_flits >> 32) as u32,
-        tgreg::REG_BLOCKED_LO => c.blocked_cycles as u32,
-        tgreg::REG_BLOCKED_HI => (c.blocked_cycles >> 32) as u32,
-        other => {
-            // Configuration registers read back from the shadow.
-            e.tg_shadow[i].regs.get(other)
-        }
-    };
-    Ok(value)
+    Ok(reg)
+}
+
+/// TG `i`'s register at `addr`: STATUS and the counters from its NI's
+/// row of `view`; `CTRL` (always enabled), `SEED` (the seed elaboration
+/// drew) and the configuration from `shadow`.
+pub(crate) fn tg_read(
+    view: &ArchView,
+    shadow: &TgShadow,
+    i: usize,
+    addr: Address,
+) -> Result<u32, BusError> {
+    let reg = in_range(addr, tgreg::TG_REG_COUNT)?;
+    let row = &view.nis[i];
+    let (sent, flits, blocked) = (row.accepted, row.link.forwarded, row.link.blocked);
+    Ok(match reg {
+        tgreg::REG_STATUS => u32::from(row.exhausted) | (u32::from(row.idle) << 1),
+        tgreg::REG_SENT_LO => sent as u32,
+        tgreg::REG_SENT_HI => (sent >> 32) as u32,
+        tgreg::REG_FLITS_LO => flits as u32,
+        tgreg::REG_FLITS_HI => (flits >> 32) as u32,
+        tgreg::REG_BLOCKED_LO => blocked as u32,
+        tgreg::REG_BLOCKED_HI => (blocked >> 32) as u32,
+        other => shadow.regs.get(other),
+    })
 }
 
 /// TR device registers.
@@ -305,17 +316,11 @@ pub mod trreg {
     pub const TR_REG_COUNT: u16 = 0xD;
 }
 
-pub(crate) fn tr_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32, BusError> {
-    let reg = addr.reg();
-    if reg >= trreg::TR_REG_COUNT {
-        return Err(BusError::RegisterOutOfRange {
-            addr,
-            regs: trreg::TR_REG_COUNT,
-        });
-    }
-    let elab = e.elaboration();
-    let receptor = &elab.receptors[i];
-    let (counters, latency) = (receptor.counters(), receptor.network_latency());
+/// TR `i`'s register at `addr`, from its row of `view`.
+pub(crate) fn tr_read(view: &ArchView, i: usize, addr: Address) -> Result<u32, BusError> {
+    let reg = in_range(addr, trreg::TR_REG_COUNT)?;
+    let row = &view.receptors[i];
+    let (counters, latency) = (&row.counters, row.latency.as_ref());
     let sat32 = |v: u64| v.min(u64::from(u32::MAX)) as u32;
     let value = match reg {
         trreg::REG_STATUS => u32::from(counters.flits > 0),
@@ -336,45 +341,33 @@ pub(crate) fn tr_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32,
     Ok(value)
 }
 
-/// Switch statistics registers.
+/// Switch statistics registers: sums over the switch's output ports,
+/// the links its flits leave on.
 pub mod swreg {
     /// Flits forwarded, low half.
     pub const REG_FORWARDED_LO: u16 = 0x0;
     /// Flits forwarded, high half.
     pub const REG_FORWARDED_HI: u16 = 0x1;
-    /// Packets routed (head flits granted), low half.
-    pub const REG_PACKETS_LO: u16 = 0x2;
-    /// Packets routed, high half.
-    pub const REG_PACKETS_HI: u16 = 0x3;
-    /// Cycles observed, low half.
-    pub const REG_CYCLES_LO: u16 = 0x4;
-    /// Cycles observed, high half.
-    pub const REG_CYCLES_HI: u16 = 0x5;
-    /// Total blocked input-cycles, low half.
-    pub const REG_BLOCKED_LO: u16 = 0x6;
-    /// Total blocked input-cycles, high half.
-    pub const REG_BLOCKED_HI: u16 = 0x7;
+    /// Blocked cycles, low half: each cycle, one per buffered input VC
+    /// that wanted an output and was not granted it.
+    pub const REG_BLOCKED_LO: u16 = 0x2;
+    /// Blocked cycles, high half.
+    pub const REG_BLOCKED_HI: u16 = 0x3;
     /// Register count of a switch device.
-    pub const SW_REG_COUNT: u16 = 0x8;
+    pub const SW_REG_COUNT: u16 = 0x4;
 }
 
-pub(crate) fn switch_read(e: &mut Emulation, i: usize, addr: Address) -> Result<u32, BusError> {
-    let reg = addr.reg();
-    if reg >= swreg::SW_REG_COUNT {
-        return Err(BusError::RegisterOutOfRange {
-            addr,
-            regs: swreg::SW_REG_COUNT,
-        });
-    }
-    let c = e.platform.switches[i].counters();
-    let blocked: u64 = c.blocked_cycles_per_input.iter().sum();
+/// Switch `s`'s register at `addr`, summed over its output ports in
+/// `view`.
+pub(crate) fn switch_read(view: &ArchView, s: usize, addr: Address) -> Result<u32, BusError> {
+    let reg = in_range(addr, swreg::SW_REG_COUNT)?;
+    let outs = view.out_port_base[s] as usize..view.out_port_base[s + 1] as usize;
+    let ports = &view.ports[outs];
+    let forwarded: u64 = ports.iter().map(|p| p.forwarded).sum();
+    let blocked: u64 = ports.iter().map(|p| p.blocked).sum();
     let value = match reg {
-        swreg::REG_FORWARDED_LO => c.forwarded_flits as u32,
-        swreg::REG_FORWARDED_HI => (c.forwarded_flits >> 32) as u32,
-        swreg::REG_PACKETS_LO => c.packets_routed as u32,
-        swreg::REG_PACKETS_HI => (c.packets_routed >> 32) as u32,
-        swreg::REG_CYCLES_LO => c.cycles as u32,
-        swreg::REG_CYCLES_HI => (c.cycles >> 32) as u32,
+        swreg::REG_FORWARDED_LO => forwarded as u32,
+        swreg::REG_FORWARDED_HI => (forwarded >> 32) as u32,
         swreg::REG_BLOCKED_LO => blocked as u32,
         swreg::REG_BLOCKED_HI => (blocked >> 32) as u32,
         _ => unreachable!("range checked above"),
@@ -424,23 +417,22 @@ pub mod monreg {
     pub const MON_REG_COUNT: u16 = 0xF;
 }
 
-pub(crate) fn monitor_read(e: &mut Emulation, addr: Address) -> Result<u32, BusError> {
-    let reg = addr.reg();
-    if reg >= monreg::MON_REG_COUNT {
-        return Err(BusError::RegisterOutOfRange {
-            addr,
-            regs: monreg::MON_REG_COUNT,
-        });
-    }
-    let links = e.elaboration().config.topology.link_count() as u32;
-    let select = e.monitor_select;
+/// The monitor's register at `addr` over `telemetry`, on a topology of
+/// `links` links with link `select` selected.
+pub(crate) fn monitor_read(
+    telemetry: Option<&Collector>,
+    links: usize,
+    select: u32,
+    addr: Address,
+) -> Result<u32, BusError> {
+    let reg = in_range(addr, monreg::MON_REG_COUNT)?;
     if reg == monreg::REG_LINKS {
-        return Ok(links);
+        return Ok(links as u32);
     }
     if reg == monreg::REG_SELECT {
         return Ok(select);
     }
-    let Some(t) = &e.run.telemetry else {
+    let Some(t) = telemetry else {
         return Ok(0);
     };
     let sel = nocem_common::ids::LinkId::new(select);
@@ -463,25 +455,25 @@ pub(crate) fn monitor_read(e: &mut Emulation, addr: Address) -> Result<u32, BusE
     Ok(value)
 }
 
-pub(crate) fn monitor_write(e: &mut Emulation, addr: Address, value: u32) -> Result<(), BusError> {
-    let reg = addr.reg();
-    if reg >= monreg::MON_REG_COUNT {
-        return Err(BusError::RegisterOutOfRange {
-            addr,
-            regs: monreg::MON_REG_COUNT,
-        });
-    }
-    if reg != monreg::REG_SELECT {
+/// A write of `value` to the monitor's register at `addr`, on a
+/// topology of `links` links: only `SELECT` takes one, and only a link
+/// that exists.
+pub(crate) fn monitor_write(
+    links: usize,
+    select: &mut u32,
+    addr: Address,
+    value: u32,
+) -> Result<(), BusError> {
+    if in_range(addr, monreg::MON_REG_COUNT)? != monreg::REG_SELECT {
         return Err(BusError::ReadOnly(addr));
     }
-    let links = e.elaboration().config.topology.link_count() as u32;
-    if value >= links {
+    if value as usize >= links {
         return Err(BusError::InvalidValue {
             addr,
             reason: format!("link {value} out of range (topology has {links} links)"),
         });
     }
-    e.monitor_select = value;
+    *select = value;
     Ok(())
 }
 
@@ -642,7 +634,9 @@ impl SwitchDriver {
         )
     }
 
-    /// Total blocked input-cycles.
+    /// Blocked cycles charged to the switch's output ports: each
+    /// cycle, one per buffered input VC that wanted an output and was
+    /// not granted it.
     ///
     /// # Errors
     ///

@@ -24,23 +24,19 @@
 //! 5. the cycle counter advances and the stop condition is evaluated
 //!    (the shared step skeleton).
 //!
-//! The engine also implements [`BusAccess`]: the configuration
-//! software (drivers) reads and writes the same memory-mapped
-//! registers it would on the paper's FPGA platform.
+//! The memory-mapped bus the configuration software programs is not
+//! the engine's: a [`crate::Board`] puts it in front of this engine or
+//! any other.
 
 use crate::clock::{self, CycleKernel, EngineSummary, RunState, SteppableEngine};
 use crate::compile::{switch_config, Elaboration, InSource, OutTarget};
-use crate::devices::{self, TgShadow};
 use crate::error::EmulationError;
 use crate::profile::{lap, Phase, PhaseProfiler};
-use crate::results::{EmulationResults, ReceptorSummary};
-use crate::view::ArchView;
+use crate::results::EmulationResults;
+use crate::view::{ArchView, ReceptorRow};
 use nocem_common::flit::{Flit, PacketDescriptor};
-use nocem_common::ids::{BusId, DeviceId, EndpointId, PacketId, PortId, SwitchId, VcId};
+use nocem_common::ids::{EndpointId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::time::Cycle;
-use nocem_platform::addr::Address;
-use nocem_platform::bus::{AddressMap, BusAccess, BusError, DeviceClass};
-use nocem_platform::control::ControlModule;
 use nocem_stats::ledger::{LedgerError, PacketLedger};
 use nocem_stats::receptor::CompletedPacket;
 use nocem_switch::switch::Switch;
@@ -283,8 +279,8 @@ impl Platform {
     }
 
     /// The architectural-state producer of the interpreted engines:
-    /// copies the switches' and NIs' live state into `view`, a view of
-    /// this platform's elaboration.
+    /// copies the switches', NIs' and receptors' live state into
+    /// `view`, a view of this platform's elaboration.
     pub fn read_view(&self, view: &mut ArchView) {
         view.alloc_live();
         let vcs = view.vcs;
@@ -308,35 +304,33 @@ impl Platform {
                 }
             }
         }
-        for (ni, counts) in self.elab.nis.iter().zip(&mut view.nis) {
+        let sources = self.elab.nis.iter().zip(&self.elab.tgs);
+        for ((ni, tg), row) in sources.zip(&mut view.nis) {
             let c = ni.counters();
-            (counts.blocked, counts.forwarded) = (c.blocked_cycles, c.injected_flits);
+            (row.link.blocked, row.link.forwarded) = (c.blocked_cycles, c.injected_flits);
+            row.accepted = c.accepted_packets;
+            (row.exhausted, row.idle) = (tg.is_exhausted(), ni.is_idle());
+        }
+        for (r, row) in self.elab.receptors.iter().zip(&mut view.receptors) {
+            *row = ReceptorRow::of(r);
         }
     }
 
     /// The results of the run `summary` describes, `view` being this
     /// platform's state at its end.
     pub fn results(&self, summary: EngineSummary, view: &ArchView) -> EmulationResults {
-        let receptors = self.elab.receptors.iter().enumerate();
-        let receptors = receptors.map(|(i, r)| ReceptorSummary::of(i, r, None));
         let (name, stalled) = (&self.elab.config.name, self.stalled);
-        EmulationResults::from_view(name, summary, stalled, view, receptors.collect())
+        EmulationResults::from_view(name, summary, stalled, view, &self.elab.receptors)
     }
 }
 
-/// A compiled platform ready to emulate. The fields the device
-/// register views read ([`crate::devices`]) are crate-visible.
+/// A compiled platform ready to emulate.
 pub struct Emulation {
-    pub(crate) run: RunState,
-    pub(crate) platform: Platform,
-    control: ControlModule,
-    pub(crate) tg_shadow: Vec<TgShadow>,
+    run: RunState,
+    platform: Platform,
     recorder: Option<TraceRecorder>,
-    started: bool,
     /// The architectural-state view buffer.
     view: ArchView,
-    /// Link selected through the monitor device's `SELECT` register.
-    pub(crate) monitor_select: u32,
 }
 
 impl std::fmt::Debug for Emulation {
@@ -355,12 +349,8 @@ impl Emulation {
         let config = &elab.config;
         Emulation {
             run: RunState::new(config),
-            control: ControlModule::new(),
-            tg_shadow: config.generators.iter().map(TgShadow::from_model).collect(),
             recorder: config.record_trace.then(TraceRecorder::new),
-            started: false,
             view: ArchView::new(&elab),
-            monitor_select: 0,
             platform: Platform::new(elab),
         }
     }
@@ -384,71 +374,6 @@ impl Emulation {
         clock::run_engine(self)
     }
 
-    /// Runs the platform the registers describe — the path the paper's
-    /// software takes: everything is configured over the bus, then the
-    /// start bit is set.
-    ///
-    /// Programming is configuration. The control module's nonzero
-    /// TARGET, LIMIT and SEED and the model of every TG whose registers
-    /// were written are applied to a copy of the configuration, which
-    /// [`crate::compile::elaborate`] validates, routes and seeds like
-    /// any other; the run starts from reset on that elaboration. The
-    /// bus side (control module, TG registers, monitor selection)
-    /// carries over.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmulationError::Bus`] if the start bit is not set or a
-    /// TG's registers do not decode into a traffic model, and
-    /// [`EmulationError::Compile`] if the programmed configuration does
-    /// not compile; otherwise propagates run errors.
-    pub fn run_programmed(&mut self) -> Result<(), EmulationError> {
-        if !self.control.start_requested() {
-            // The control module's slot (even on an unmapped platform,
-            // whose start bit can never be set).
-            let ctrl = nocem_platform::DeviceAddr::new(BusId::new(0), DeviceId::new(0));
-            return Err(EmulationError::Bus(BusError::InvalidValue {
-                addr: ctrl.reg(nocem_platform::control::REG_CTRL),
-                reason: "start bit not set".into(),
-            }));
-        }
-        let mut config = self.platform.elab.config.clone();
-        let control = &self.control;
-        if control.target() != 0 {
-            config.stop.delivered_packets = Some(control.target());
-        }
-        if control.cycle_limit() != 0 {
-            config.stop.cycle_limit = control.cycle_limit();
-        }
-        if control.seed() != 0 {
-            config.seed = control.seed();
-        }
-        for (shadow, model) in self.tg_shadow.iter().zip(&mut config.generators) {
-            if shadow.dirty {
-                *model = shadow.to_model(model)?;
-            }
-        }
-        let reset = Emulation::new(crate::compile::elaborate(&config)?);
-        *self = Emulation {
-            control: std::mem::take(&mut self.control),
-            tg_shadow: std::mem::take(&mut self.tg_shadow),
-            monitor_select: self.monitor_select,
-            ..reset
-        };
-        self.run()
-    }
-
-    /// Brings the control module's hardware-owned registers up to
-    /// date: CYCLES, DELIVERED and STATUS (running = stepped and not
-    /// finished, done = finished).
-    fn refresh_control(&mut self) {
-        let done = self.finished();
-        self.control.set_cycles(self.run.now.raw());
-        self.control.set_delivered(self.platform.ledger.delivered());
-        self.control.set_running(self.started && !done);
-        self.control.set_done(done);
-    }
-
     /// Extracts the results of a finished (or stopped) run.
     pub fn results(&self) -> EmulationResults {
         let mut view = self.view.clone();
@@ -462,23 +387,6 @@ impl Emulation {
         let results = self.results();
         let trace = self.recorder.take().map(TraceRecorder::into_trace);
         (results, trace)
-    }
-
-    /// The class and class index of the device at `addr`: the map
-    /// allocates slots in order, so slot `n` is `devices()[n]`.
-    fn device_ordinal(&self, addr: Address) -> Result<(DeviceClass, usize), BusError> {
-        let d = addr.device_addr();
-        let n = usize::from(d.bus.raw()) * usize::from(nocem_platform::DEVICES_PER_BUS)
-            + usize::from(d.device.raw());
-        let device = self.platform.elab.map.devices().get(n);
-        device
-            .map(|m| (m.class, m.index as usize))
-            .ok_or(BusError::Unmapped(addr))
-    }
-
-    /// The address map (for drivers to locate devices).
-    pub fn address_map(&self) -> &AddressMap {
-        &self.platform.elab.map
     }
 }
 
@@ -503,8 +411,6 @@ impl CycleKernel for Emulation {
 
     /// One platform cycle in the canonical phase order (module docs).
     fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
-        self.started = true;
-
         // 1. Traffic models release packets.
         for i in 0..self.platform.elab.tgs.len() {
             let released = self.platform.release(i, now)?;
@@ -590,40 +496,6 @@ impl CycleKernel for Emulation {
 
     fn delivered_flits(&self) -> u64 {
         self.platform.delivered_flits
-    }
-}
-
-impl BusAccess for Emulation {
-    fn read(&mut self, addr: Address) -> Result<u32, BusError> {
-        match self.device_ordinal(addr)? {
-            (DeviceClass::Control, _) => {
-                self.refresh_control();
-                self.control.bus_read(addr)
-            }
-            (DeviceClass::TrafficGenerator, i) => devices::tg_read(self, i, addr),
-            (DeviceClass::TrafficReceptor, i) => devices::tr_read(self, i, addr),
-            (DeviceClass::Switch, i) => devices::switch_read(self, i, addr),
-            (DeviceClass::Monitor, _) => devices::monitor_read(self, addr),
-        }
-    }
-
-    fn write(&mut self, addr: Address, value: u32) -> Result<(), BusError> {
-        match self.device_ordinal(addr)? {
-            (DeviceClass::Control, _) => self.control.bus_write(addr, value),
-            (DeviceClass::TrafficGenerator, i) => {
-                if self.started {
-                    return Err(BusError::InvalidValue {
-                        addr,
-                        reason: "traffic parameters are locked while running".into(),
-                    });
-                }
-                self.tg_shadow[i].bus_write(addr, value)
-            }
-            (DeviceClass::TrafficReceptor, _) | (DeviceClass::Switch, _) => {
-                Err(BusError::ReadOnly(addr))
-            }
-            (DeviceClass::Monitor, _) => devices::monitor_write(self, addr, value),
-        }
     }
 }
 

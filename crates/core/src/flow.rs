@@ -12,12 +12,13 @@
 //! 6. **Final report** — the monitor output "on the screen of the
 //!    user's PC".
 
+use crate::board::Board;
 use crate::clock::SteppableEngine;
 use crate::compile::{elaborate, Elaboration};
 use crate::config::{PlatformConfig, TrafficModel};
-use crate::engine::Emulation;
 use crate::error::{CompileError, EmulationError};
 use crate::results::EmulationResults;
+use crate::sweep::AnyEngine;
 use nocem_area::devices::{
     control_module, switch, tg_stochastic, tg_trace_driven, tr_stochastic, tr_trace_driven,
     StochasticTgParams, StochasticTrParams, SwitchParams, TraceTgParams, TraceTrParams,
@@ -197,26 +198,27 @@ pub fn run_flow_on(config: &PlatformConfig, target: FpgaDevice) -> Result<FlowRe
     let synthesis_text = synthesis.render();
 
     // Steps 3 + 4: platform initialization through the control driver
-    // (the "software part" programming registers over the bus).
-    let mut emu = Emulation::new(elab);
-    let ctrl = ControlDriver::new(emu.address_map().devices()[0].addr);
+    // (the "software part" programming registers over the bus), on the
+    // engine the configuration names.
+    let mut board = Board::new(elab, AnyEngine::from_elaboration)?;
+    let ctrl = ControlDriver::new(board.address_map().devices()[0].addr);
     ctrl.configure(
-        &mut emu,
+        &mut board,
         config.stop.delivered_packets.unwrap_or(0),
         config.stop.cycle_limit,
         config.seed,
     )
     .map_err(EmulationError::Bus)?;
-    ctrl.start(&mut emu).map_err(EmulationError::Bus)?;
+    ctrl.start(&mut board).map_err(EmulationError::Bus)?;
 
     // Step 5: emulation, wall-clock timed.
     let t0 = Instant::now();
-    emu.run_programmed()?;
+    board.run_programmed()?;
     let wall_seconds = t0.elapsed().as_secs_f64().max(1e-9);
-    let cycles_per_second = emu.now().raw() as f64 / wall_seconds;
+    let cycles_per_second = board.engine().now().raw() as f64 / wall_seconds;
 
     // Step 6: final report.
-    let results = emu.results();
+    let results = board.engine_mut().results()?;
     let mut report_text = results.render_report();
     report_text.push_str(&format!(
         "\n-- Emulation speed --\nhost: {:.0} cycles/s; platform at {:.0} MHz would take {:.3} s\n",

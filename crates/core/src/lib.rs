@@ -38,7 +38,8 @@
 //! | [`config`] | 1, 3 | platform + run configuration, paper presets |
 //! | [`compile`] | 1 | elaboration: components, wiring, address map |
 //! | [`flow`] | 1–6 | the complete emulation flow |
-//! | [`engine`] | 5 | the interpreted platform ([`engine::Platform`], shared with [`process`]) and the cycle engine over it (and the bus the software sees) |
+//! | [`board`] | 3, 6 | the memory-mapped bus the software sees, over any engine |
+//! | [`engine`] | 5 | the interpreted platform ([`engine::Platform`], shared with [`process`]) and the cycle engine over it |
 //! | [`compiled`] | 5 | the compiled engine: the elaboration lowered to flat arrays |
 //! | [`process`] | 5 | the process model: the platform wired once over a channel [`process::Fabric`], the kernel of the TLM and RTL baselines |
 //! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, array-slice shards, one coordinator round per cycle |
@@ -53,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod board;
 mod calendar;
 pub mod clock;
 pub mod compile;
@@ -69,6 +71,7 @@ pub mod shard_compiled;
 pub mod sweep;
 pub mod view;
 
+pub use board::Board;
 pub use clock::{
     run_engine, run_engine_until, run_engine_with_progress, ClockMode, CycleKernel, EngineSummary,
     RunState, SteppableEngine,

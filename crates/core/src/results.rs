@@ -2,7 +2,7 @@
 //! flow) presents.
 
 use crate::clock::EngineSummary;
-use crate::view::ArchView;
+use crate::view::{ArchView, ReceptorRow};
 use nocem_common::ids::LinkId;
 use nocem_common::table::{Align, TextTable};
 use nocem_common::time::Cycle;
@@ -34,11 +34,10 @@ pub struct ReceptorSummary {
 }
 
 impl ReceptorSummary {
-    /// Summarises receptor `index`. A trace receptor reports the mean
-    /// of its own latency view unless `latency` names the view kept
-    /// for it elsewhere (the sharded engine's coordinator).
-    pub(crate) fn of(index: usize, device: &Receptor, latency: Option<&LatencyAnalyzer>) -> Self {
-        let counters = device.counters();
+    /// Summarises receptor `index` from its row of the view, and its
+    /// histograms from the device.
+    fn of(index: usize, row: &ReceptorRow, device: &Receptor) -> Self {
+        let counters = &row.counters;
         let (length_histogram, interarrival_histogram) = device
             .histograms()
             .map(|(length, interarrival)| (length.clone(), interarrival.clone()))
@@ -48,9 +47,7 @@ impl ReceptorSummary {
             packets: counters.packets,
             flits: counters.flits,
             running_time: counters.running_time(),
-            mean_network_latency: device
-                .network_latency()
-                .and_then(|own| latency.unwrap_or(own).mean()),
+            mean_network_latency: row.latency.and_then(|l| l.mean()),
             length_histogram,
             interarrival_histogram,
         }
@@ -100,17 +97,20 @@ pub struct EmulationResults {
 
 impl EmulationResults {
     /// The results of the run `summary` describes: its eight
-    /// ledger-derived fields, the congestion counters and VC watermarks
-    /// read over the engine's architectural-state `view`, and what only
-    /// the engine's components know. Every engine assembles its
+    /// ledger-derived fields, the congestion counters, VC watermarks
+    /// and receptor counters read over the engine's architectural-state
+    /// `view`, and the receptor histograms only the `receptors`
+    /// themselves (in index order) know. Every engine assembles its
     /// results here.
-    pub(crate) fn from_view(
+    pub(crate) fn from_view<'a>(
         name: &str,
         summary: EngineSummary,
         stalled_cycles: u64,
         view: &ArchView,
-        receptors: Vec<ReceptorSummary>,
+        receptors: impl IntoIterator<Item = &'a Receptor>,
     ) -> Self {
+        let rows = view.receptors.iter().zip(receptors).enumerate();
+        let receptors = rows.map(|(i, (row, r))| ReceptorSummary::of(i, row, r));
         EmulationResults {
             name: name.to_owned(),
             cycles: summary.cycles,
@@ -124,7 +124,7 @@ impl EmulationResults {
             total_latency: summary.total_latency,
             congestion: view.congestion(),
             vc_occupancy: view.vc_watermarks(),
-            receptors,
+            receptors: receptors.collect(),
         }
     }
 

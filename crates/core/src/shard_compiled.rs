@@ -28,9 +28,9 @@
 //! and its "cycle" is one round trip to every worker. So it implements
 //! the full [`SteppableEngine`] contract (run loops, sweeps and lockstep
 //! harnesses drive it unchanged) and produces complete
-//! [`EmulationResults`]; it does not expose the memory-mapped bus
-//! ([`crate::engine::Emulation`] remains the register-programming
-//! target) and does not record traces.
+//! [`EmulationResults`]; a [`crate::Board`] programs and polls it over
+//! the memory-mapped bus like any other engine. It does not record
+//! traces.
 //!
 //! # The exchange protocol
 //!
@@ -119,7 +119,7 @@ use crate::compiled::{CommitSink, CompiledKernel};
 use crate::config::PlatformConfig;
 use crate::error::{CompileError, EmulationError};
 use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport};
-use crate::results::{EmulationResults, ReceptorSummary};
+use crate::results::EmulationResults;
 use crate::view::ArchView;
 use nocem_common::flit::Flit;
 use nocem_common::ids::{PacketId, SwitchId};
@@ -974,8 +974,7 @@ impl ShardedCompiledEngine {
 
     /// Collects full run results from the view and every shard's
     /// receptors — value-equal to [`CompiledEngine::results`] for the
-    /// same run, except that trace-receptor latency views are kept on
-    /// the coordinator.
+    /// same run.
     ///
     /// # Errors
     ///
@@ -989,15 +988,12 @@ impl ShardedCompiledEngine {
         })?;
         let mut owned = owned.concat();
         owned.sort_unstable_by_key(|&(gidx, _)| gidx);
-        let receptors = owned
-            .iter()
-            .map(|(gidx, r)| ReceptorSummary::of(*gidx, r, Some(&self.receptor_latency[*gidx])));
         Ok(EmulationResults::from_view(
             &self.config.name,
             self.summary(),
             self.stalled,
             &self.view,
-            receptors.collect(),
+            owned.iter().map(|(_, r)| r),
         ))
     }
 }
@@ -1071,7 +1067,9 @@ impl CycleKernel for ShardedCompiledEngine {
                 .all(|s| s.exhausted && s.pending_none && s.nis_idle)
     }
 
-    /// Every switch's and NI's rows from the shard that owns them.
+    /// Every switch's, NI's and receptor's rows from the shard that
+    /// owns them; a trace receptor's latency from the coordinator,
+    /// which books every delivery.
     fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
         let parts = self.ask(Cmd::View, |r| match r {
             Report::View(v) => Some(v),
@@ -1086,6 +1084,11 @@ impl CycleKernel for ShardedCompiledEngine {
         for (i, g) in topo.generators().into_iter().enumerate() {
             let owner = self.partition.shard_of(topo.endpoint(g).switch);
             self.view.nis[i] = parts[owner].nis[i];
+        }
+        for (row, booked) in self.view.receptors.iter_mut().zip(&self.receptor_latency) {
+            if let Some(latency) = &mut row.latency {
+                *latency = *booked;
+            }
         }
         Ok(&self.view)
     }
@@ -1261,6 +1264,32 @@ mod tests {
             }
             // Joins both workers.
             drop(engine);
+        });
+    }
+
+    /// A register read after the failure is a typed bus error: the
+    /// board reads devices through the view, which a failed engine
+    /// refuses.
+    #[test]
+    fn a_failed_run_reads_as_a_bus_error_over_the_board() {
+        use crate::board::Board;
+        use crate::devices::TrDriver;
+        use nocem_platform::bus::{BusError, DeviceClass};
+        within_a_minute(|| {
+            FAULT.set(Some((1, 5)));
+            let cfg = PaperConfig::new().total_packets(1_000_000).uniform();
+            let elab = elaborate(&cfg).unwrap();
+            let mut board =
+                Board::new(elab, |e| ShardedCompiledEngine::from_elaboration(e, 2)).unwrap();
+            let tr = board.address_map().of_class(DeviceClass::TrafficReceptor);
+            let tr = TrDriver::new(tr.last().unwrap().addr);
+            assert_eq!(tr.packets(&mut board), Ok(0));
+            let err = crate::clock::run_engine(board.engine_mut()).unwrap_err();
+            assert_shard1_fault(err, 5);
+            assert!(matches!(
+                tr.packets(&mut board),
+                Err(BusError::Unreadable { .. })
+            ));
         });
     }
 }

@@ -9,7 +9,7 @@
 //! run their own items through.
 
 use crate::clock::{run_engine, EngineSummary, SteppableEngine};
-use crate::compile::{elaborate, elaborate_routed};
+use crate::compile::{elaborate, elaborate_routed, Elaboration};
 use crate::compiled::CompiledEngine;
 use crate::config::{EngineKind, PlatformConfig};
 use crate::engine::Emulation;
@@ -138,11 +138,20 @@ impl AnyEngine {
         config: &PlatformConfig,
         routing: Option<&RoutingTables>,
     ) -> Result<Self, CompileError> {
-        let elab = match routing {
+        Self::from_elaboration(match routing {
             Some(routing) => elaborate_routed(config, routing.clone())?,
             None => elaborate(config)?,
-        };
-        Ok(match config.engine {
+        })
+    }
+
+    /// Builds the engine `elab.config.engine` names over `elab` — the
+    /// function a [`crate::Board`] rebuilds its programmed runs with.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CompileError::Partition`] from sharding.
+    pub(crate) fn from_elaboration(elab: Elaboration) -> Result<Self, CompileError> {
+        Ok(match elab.config.engine {
             EngineKind::SingleThread => AnyEngine::Single(Box::new(Emulation::new(elab))),
             EngineKind::Compiled | EngineKind::ShardedCompiled { shards: 1, .. } => {
                 AnyEngine::Compiled(Box::new(CompiledEngine::new(elab)))

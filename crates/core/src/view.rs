@@ -1,9 +1,11 @@
 //! The architectural-state view: one plain snapshot of a platform's
-//! switches and NIs. The paper's processor reads each component through
-//! one address map; here every engine hands out one [`ArchView`], filled
-//! by one of two producers — [`crate::Platform::read_view`] or the
-//! compiled kernel's — and the telemetry probe, the wait-for edges, the
-//! congestion counters and the results' VC watermarks are read over it.
+//! switches, NIs and receptors. The paper's processor reads each
+//! component through one address map; here every engine hands out one
+//! [`ArchView`], filled by one of two producers —
+//! [`crate::Platform::read_view`] or the compiled kernel's — and the
+//! telemetry probe, the wait-for edges, the congestion counters, the
+//! results' VC watermarks and every device register
+//! ([`crate::devices`]) are read over it.
 //! The fixed half is derived once from the elaboration's wiring; the
 //! live half is allocated on the first fill and reused. Input VCs are
 //! numbered `(in_port_base[s] + port) * vcs + vc`, output VCs likewise
@@ -14,6 +16,8 @@ use crate::profile::{WaitDest, WaitEdge};
 use nocem_common::ids::{LinkId, PortId};
 use nocem_common::route::RouteHop;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
+use nocem_stats::latency::LatencyAnalyzer;
+use nocem_stats::receptor::{Receptor, ReceptorCounters};
 use nocem_telemetry::LinkStat;
 
 /// The source-side counters of one link: at a switch output port, or
@@ -25,6 +29,38 @@ pub struct LinkCounts {
     pub blocked: u64,
     /// Flits that crossed the link.
     pub forwarded: u64,
+}
+
+/// One network interface and the traffic generator in front of it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NiRow {
+    /// The injection link's counters.
+    pub link: LinkCounts,
+    /// Packets the NI's source queue accepted from the generator.
+    pub accepted: u64,
+    /// Whether the generator will release nothing more.
+    pub exhausted: bool,
+    /// Whether the NI holds no queued or half-sent packet.
+    pub idle: bool,
+}
+
+/// One traffic receptor.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReceptorRow {
+    /// The counters every receptor kind keeps.
+    pub counters: ReceptorCounters,
+    /// A trace receptor's network latency; `None` on a stochastic one.
+    pub latency: Option<LatencyAnalyzer>,
+}
+
+impl ReceptorRow {
+    /// The row of receptor `r`.
+    pub(crate) fn of(r: &Receptor) -> Self {
+        ReceptorRow {
+            counters: *r.counters(),
+            latency: r.network_latency().copied(),
+        }
+    }
 }
 
 /// One input VC buffer.
@@ -71,8 +107,10 @@ pub struct ArchView {
     pub credits: Vec<u32>,
     /// Per `(switch, VC)`: the highest fill any one FIFO reached.
     pub watermarks: Vec<u64>,
-    /// Per NI: its injection link's counters.
-    pub nis: Vec<LinkCounts>,
+    /// Per NI.
+    pub nis: Vec<NiRow>,
+    /// Per receptor.
+    pub receptors: Vec<ReceptorRow>,
 }
 
 impl ArchView {
@@ -126,7 +164,10 @@ impl ArchView {
             self.inputs = vec![InputVc::default(); self.input_vc(switches, 0, 0)];
             self.credits = vec![0; ports * vcs];
             self.watermarks = vec![0; switches * vcs];
-            self.nis = vec![LinkCounts::default(); self.injection_link.len()];
+            self.nis = vec![NiRow::default(); self.injection_link.len()];
+            let receptors = self.out_dest.iter();
+            let receptors = receptors.filter(|d| matches!(d, WaitDest::Receptor { .. }));
+            self.receptors = vec![ReceptorRow::default(); receptors.count()];
         }
     }
 
@@ -142,7 +183,8 @@ impl ArchView {
     /// pile up where flits wait to enter it, not at its sink buffer.
     pub(crate) fn links(&self) -> impl Iterator<Item = (LinkId, LinkCounts)> + '_ {
         let ports = self.out_link.iter().zip(&self.ports);
-        let nis = self.injection_link.iter().zip(&self.nis);
+        let injected = self.nis.iter().map(|n| &n.link);
+        let nis = self.injection_link.iter().zip(injected);
         ports.chain(nis).map(|(&l, &c)| (l, c))
     }
 
@@ -215,13 +257,19 @@ impl ArchView {
         edges
     }
 
-    /// Copies switch `s`'s live rows from `part` — how the sharded
-    /// engine assembles its view from the slices its workers own.
+    /// Copies switch `s`'s live rows, and those of the receptors it
+    /// ejects into, from `part` — how the sharded engine assembles its
+    /// view from the slices its workers own.
     pub(crate) fn copy_switch(&mut self, part: &ArchView, s: usize) {
         let vcs = self.vcs;
         let outs = self.out_port_base[s] as usize..self.out_port_base[s + 1] as usize;
         let ovcs = outs.start * vcs..outs.end * vcs;
         let ivcs = self.input_vc(s, 0, 0)..self.input_vc(s + 1, 0, 0);
+        for dest in &self.out_dest[outs.clone()] {
+            if let WaitDest::Receptor { index } = *dest {
+                self.receptors[index as usize] = part.receptors[index as usize];
+            }
+        }
         self.ports[outs.clone()].copy_from_slice(&part.ports[outs]);
         self.credits[ovcs.clone()].copy_from_slice(&part.credits[ovcs]);
         self.inputs[ivcs.clone()].copy_from_slice(&part.inputs[ivcs]);

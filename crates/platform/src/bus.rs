@@ -39,6 +39,14 @@ pub enum BusError {
         /// Why the value was rejected.
         reason: String,
     },
+    /// The device's state cannot be read: the platform behind the bus
+    /// has failed.
+    Unreadable {
+        /// The accessed address.
+        addr: Address,
+        /// Why the state is unavailable.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for BusError {
@@ -56,6 +64,7 @@ impl std::fmt::Display for BusError {
             BusError::InvalidValue { addr, reason } => {
                 write!(f, "invalid value for {a}: {r}", a = addr, r = reason)
             }
+            BusError::Unreadable { addr, reason } => write!(f, "{addr} is unreadable: {reason}"),
         }
     }
 }

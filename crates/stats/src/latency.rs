@@ -23,7 +23,7 @@
 /// assert_eq!(la.mean(), Some(20.0));
 /// assert_eq!(la.max(), Some(30));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyAnalyzer {
     count: u64,
     sum: u64,

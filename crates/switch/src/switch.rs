@@ -179,19 +179,12 @@ struct Grant {
 /// per-device counters the monitor reads over the platform bus.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SwitchCounters {
-    /// Total flits forwarded.
-    pub forwarded_flits: u64,
-    /// Head/Single flits granted a fresh output VC (packets routed).
-    pub packets_routed: u64,
-    /// Cycles each input spent with a waiting flit it could not send —
-    /// the paper's congestion counter, per input port.
-    pub blocked_cycles_per_input: Vec<u64>,
     /// Cycles some waiting flit requested each output but was not
-    /// granted — the same blocked cycles attributed to the *link the
-    /// flit wanted to traverse* (the congestion engines report per
-    /// link; a hot output accumulates the stalls of everyone queued
-    /// behind it). With multiple VCs every waiting, non-granted input
-    /// VC charges the output its flit requested.
+    /// granted — the paper's congestion counter, attributed to the
+    /// *link the flit wanted to traverse* (the congestion engines
+    /// report per link; a hot output accumulates the stalls of everyone
+    /// queued behind it). With multiple VCs every waiting, non-granted
+    /// input VC charges the output its flit requested.
     pub blocked_cycles_per_output: Vec<u64>,
     /// Flits forwarded per output port (all VCs of the port combined).
     pub forwarded_per_output: Vec<u64>,
@@ -199,18 +192,14 @@ pub struct SwitchCounters {
     /// channel reached, indexed by VC — the per-VC congestion
     /// watermark the latency-throughput curves report.
     pub max_vc_occupancy: Vec<u64>,
-    /// decide() invocations (cycles observed).
-    pub cycles: u64,
 }
 
 impl SwitchCounters {
-    fn new(inputs: usize, outputs: usize, vcs: usize) -> Self {
+    fn new(outputs: usize, vcs: usize) -> Self {
         SwitchCounters {
-            blocked_cycles_per_input: vec![0; inputs],
             blocked_cycles_per_output: vec![0; outputs],
             forwarded_per_output: vec![0; outputs],
             max_vc_occupancy: vec![0; vcs],
-            ..SwitchCounters::default()
         }
     }
 }
@@ -405,7 +394,7 @@ impl Switch {
             vc_req_any: vec![false; outputs * vcs],
             input_taken: vec![false; inputs],
             granted: vec![None; outputs],
-            counters: SwitchCounters::new(inputs, outputs, vcs),
+            counters: SwitchCounters::new(outputs, vcs),
             routes: Routes::Table(routes),
             config,
         })
@@ -482,7 +471,6 @@ impl Switch {
         let inputs = self.config.inputs as usize;
         let outputs = self.config.outputs as usize;
         let vcs = self.config.num_vcs as usize;
-        self.counters.cycles += 1;
 
         let ivs = inputs * vcs;
 
@@ -618,18 +606,10 @@ impl Switch {
             }
         }
 
-        // Congestion accounting: an input holding flits that sent
-        // nothing is blocked this cycle; every waiting input VC that
-        // was not granted charges the output its flit requested (the
-        // link it is waiting to traverse).
+        // Congestion accounting: every waiting input VC that was not
+        // granted charges the output its flit requested (the link it
+        // is waiting to traverse).
         for i in 0..inputs {
-            if (0..vcs).all(|v| self.fifos[i][v].is_empty()) {
-                continue;
-            }
-            let input_granted = self.granted.iter().flatten().any(|g| g.input as usize == i);
-            if !input_granted {
-                self.counters.blocked_cycles_per_input[i] += 1;
-            }
             for v in 0..vcs {
                 if self.fifos[i][v].is_empty() {
                     continue;
@@ -710,7 +690,6 @@ impl Switch {
                 });
                 self.busy_with[o][ov] = Some((i, v));
                 self.chosen[i as usize][v as usize] = None;
-                self.counters.packets_routed += 1;
             }
         }
         let mut sends = Vec::new();
@@ -732,7 +711,6 @@ impl Switch {
             // The flit continues on the output VC the allocation
             // chose; the downstream switch lands it in that buffer.
             flit.vc = VcId::new(ov as u8);
-            self.counters.forwarded_flits += 1;
             self.counters.forwarded_per_output[o] += 1;
             sends.push(Transfer {
                 input: PortId::new(i as u8),
@@ -996,7 +974,7 @@ mod tests {
         sw.accept(PortId::new(0), packet(2, 0, 1)[0]).unwrap();
         assert_eq!(cycle(&mut sw).len(), 1);
         assert!(cycle(&mut sw).is_empty(), "no credits left");
-        assert_eq!(sw.counters().blocked_cycles_per_input[0], 1);
+        assert_eq!(sw.counters().blocked_cycles_per_output[0], 1);
         // Returning the credit unblocks the transfer.
         sw.credit_return(PortId::new(0), VcId::ZERO);
         let sends = cycle(&mut sw);
@@ -1185,10 +1163,8 @@ mod tests {
         cycle(&mut sw);
         cycle(&mut sw); // idle cycle
         let c = sw.counters();
-        assert_eq!(c.forwarded_flits, 2);
-        assert_eq!(c.packets_routed, 1);
-        assert_eq!(c.cycles, 3);
-        assert_eq!(c.forwarded_per_output[0], 2);
+        assert_eq!(c.forwarded_per_output, vec![2, 0]);
+        assert_eq!(c.blocked_cycles_per_output, vec![0, 0]);
     }
 
     #[test]
@@ -1484,7 +1460,15 @@ mod tests {
         let s1 = cycle(&mut sw);
         assert_eq!(s1.len(), 1);
         assert_eq!(s1[0].flit.packet.raw(), 1);
-        assert_eq!(sw.counters().packets_routed, 2, "both allocations applied");
+        let held = RouteHop {
+            port: PortId::new(0),
+            vc: VcId::new(1),
+        };
+        assert_eq!(
+            sw.wants(PortId::new(1), VcId::ZERO),
+            (Some(held), true),
+            "both allocations applied"
+        );
         // Cycle 2: the pointer moved past VC 0, packet 2 crosses.
         let s2 = cycle(&mut sw);
         assert_eq!(s2.len(), 1);

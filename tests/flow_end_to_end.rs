@@ -2,7 +2,7 @@
 //! to final report, including the synthesis step against the paper's
 //! FPGA target.
 
-use nocem::config::PaperConfig;
+use nocem::config::{EngineKind, PaperConfig};
 use nocem::flow::{driver_inventory, run_flow, run_flow_on};
 use nocem_area::fpga::{XC2VP30, XC2VP7};
 
@@ -32,6 +32,28 @@ fn flow_produces_complete_report() {
     // The FPGA-equivalent runtime is far below the host runtime for
     // this small run, and positive.
     assert!(report.fpga_seconds() > 0.0);
+}
+
+/// The flow runs on the engine the configuration names, with the
+/// results of the reference engine.
+#[test]
+fn flow_honours_the_configured_engine() {
+    let cfg = PaperConfig::new()
+        .total_packets(600)
+        .packet_flits(4)
+        .trace_bursty(8);
+    let reference = run_flow(&cfg.clone().with_engine(EngineKind::SingleThread)).unwrap();
+    for engine in [
+        EngineKind::Compiled,
+        EngineKind::ShardedCompiled {
+            shards: 2,
+            batch: 1,
+        },
+    ] {
+        let report = run_flow(&cfg.clone().with_engine(engine)).unwrap();
+        assert_eq!(report.results, reference.results, "{engine:?}");
+        assert_eq!(report.synthesis_text, reference.synthesis_text);
+    }
 }
 
 #[test]

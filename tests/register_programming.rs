@@ -1,14 +1,13 @@
 //! The register-level configuration path: the "software part" programs
 //! the whole run through memory-mapped registers only — exactly what
 //! the paper's PowerPC does — and reads every statistic back over the
-//! bus.
+//! bus, a [`Board`] in front of any engine.
 
 use nocem::clock::run_engine;
 use nocem::config::{EngineKind, PaperConfig, PlatformConfig, TrafficModel};
 use nocem::devices::{trreg, SwitchDriver, TgDriver, TrDriver};
-use nocem::engine::{build, Emulation};
 use nocem::error::{CompileError, EmulationError};
-use nocem::{AnyEngine, SteppableEngine};
+use nocem::{elaborate, AnyEngine, Board, SteppableEngine};
 use nocem_common::rng::{Pcg32, RandomSource};
 use nocem_platform::bus::{BusAccess, BusError, DeviceClass};
 use nocem_platform::control::{self, ControlDriver, STATUS_DONE, STATUS_RUNNING};
@@ -17,16 +16,31 @@ use nocem_traffic::generator::DestinationModel;
 use nocem_traffic::registers as tgreg;
 use nocem_traffic::stochastic::UniformConfig;
 
+/// The engines a board is tried on.
+const ENGINES: [EngineKind; 3] = [
+    EngineKind::SingleThread,
+    EngineKind::Compiled,
+    EngineKind::ShardedCompiled {
+        shards: 2,
+        batch: 1,
+    },
+];
+
+/// `cfg` behind a bus, on the engine it names.
+fn build(cfg: &PlatformConfig) -> Board<AnyEngine> {
+    Board::build(cfg).unwrap()
+}
+
 /// Builds the paper platform and the driver set from its address map.
 fn platform() -> (
-    Emulation,
+    Board<AnyEngine>,
     ControlDriver,
     Vec<TgDriver>,
     Vec<TrDriver>,
     Vec<SwitchDriver>,
 ) {
     let cfg = PaperConfig::new().total_packets(1_000).uniform();
-    let emu = build(&cfg).unwrap();
+    let emu = build(&cfg);
     let map = emu.address_map().clone();
     let ctrl = ControlDriver::new(map.devices()[0].addr);
     let tgs = map
@@ -129,7 +143,7 @@ fn counters_and_status_read_back_sanely_midway() {
     ctrl.configure(&mut emu, 1_000, 5_000_000, 7).unwrap();
     // Step manually half-way and poll.
     for _ in 0..2_000 {
-        emu.step().unwrap();
+        emu.engine_mut().step().unwrap();
     }
     let sent_so_far: u64 = tgs.iter().map(|t| t.sent(&mut emu).unwrap()).sum();
     let received_so_far: u64 = trs.iter().map(|t| t.packets(&mut emu).unwrap()).sum();
@@ -183,7 +197,7 @@ fn over_capacity_platform_emulates_without_a_bus() {
             50,
         )
         .unwrap();
-    let mut emu = build(&cfg).unwrap();
+    let mut emu = build(&cfg);
 
     // The control plane is all-or-nothing: nothing is mapped...
     assert!(emu.address_map().devices().is_empty());
@@ -196,9 +210,9 @@ fn over_capacity_platform_emulates_without_a_bus() {
 
     // ...but the platform still emulates.
     for _ in 0..50 {
-        SteppableEngine::step(&mut emu).unwrap();
+        emu.engine_mut().step().unwrap();
     }
-    assert!(SteppableEngine::summary(&emu).injected > 0);
+    assert!(emu.engine().summary().injected > 0);
 }
 
 /// The platform of the programming-is-configuration tests.
@@ -209,14 +223,15 @@ fn paper() -> PlatformConfig {
 /// Asserts that `emu`'s run is the run of the configuration it
 /// elaborated: the same results and packet ledger as that
 /// configuration on the compiled engine.
-fn assert_is_the_config_run(emu: &Emulation, what: &str) {
-    let mut cfg = emu.elaboration().config.clone();
+fn assert_is_the_config_run(emu: &mut Board<AnyEngine>, what: &str) {
+    let mut cfg = emu.config().clone();
     cfg.engine = EngineKind::Compiled;
     let mut twin = AnyEngine::build(&cfg).unwrap();
     run_engine(&mut twin).unwrap();
-    assert_eq!(emu.results(), twin.results().unwrap(), "{what}: results");
+    let results = emu.engine_mut().results().unwrap();
+    assert_eq!(results, twin.results().unwrap(), "{what}: results");
     assert!(
-        emu.packet_ledger() == twin.packet_ledger(),
+        emu.engine().ledger() == twin.ledger(),
         "{what}: packet ledger"
     );
 }
@@ -224,7 +239,7 @@ fn assert_is_the_config_run(emu: &Emulation, what: &str) {
 #[test]
 fn programming_the_configs_own_values_is_the_config_run() {
     let cfg = paper();
-    let mut emu = build(&cfg).unwrap();
+    let mut emu = build(&cfg);
     let map = emu.address_map().clone();
     let ctrl = ControlDriver::new(map.devices()[0].addr);
     for (tg, model) in map
@@ -238,14 +253,14 @@ fn programming_the_configs_own_values_is_the_config_run() {
         .unwrap();
     ctrl.start(&mut emu).unwrap();
     emu.run_programmed().unwrap();
-    assert_eq!(emu.elaboration().config.generators, cfg.generators);
-    assert_eq!(emu.elaboration().config.seed, cfg.seed);
-    assert_is_the_config_run(&emu, "self-programmed");
+    assert_eq!(emu.config().generators, cfg.generators);
+    assert_eq!(emu.config().seed, cfg.seed);
+    assert_is_the_config_run(&mut emu, "self-programmed");
 }
 
 #[test]
 fn the_control_seed_alone_is_the_platform_seed() {
-    let mut emu = build(&paper()).unwrap();
+    let mut emu = build(&paper());
     let ctrl = emu.address_map().devices()[0].addr;
     emu.write_u64(
         ctrl.reg(control::REG_SEED_LO),
@@ -255,15 +270,15 @@ fn the_control_seed_alone_is_the_platform_seed() {
     .unwrap();
     ControlDriver::new(ctrl).start(&mut emu).unwrap();
     emu.run_programmed().unwrap();
-    let config = &emu.elaboration().config;
+    let config = emu.config();
     assert_eq!(config.seed, 0xF00D);
     assert_eq!(config.generators, paper().generators);
-    assert_is_the_config_run(&emu, "reseeded");
+    assert_is_the_config_run(&mut emu, "reseeded");
 }
 
 #[test]
 fn an_unregistered_flow_is_a_compile_error() {
-    let mut emu = build(&paper()).unwrap();
+    let mut emu = build(&paper());
     let map = emu.address_map().clone();
     let tg0 = map.by_label("tg0").unwrap().addr;
     emu.write(tg0.reg(tgreg::REG_DST), 5).unwrap();
@@ -290,63 +305,57 @@ fn tr_registers_read_both_receptor_kinds() {
         TrKind::Stochastic,
         TrKind::TraceDriven,
     ];
-    let mut emu = build(&cfg).unwrap();
-    run_engine(&mut emu).unwrap();
-    let results = emu.results();
-    let map = emu.address_map().clone();
-    for (i, tr) in map.of_class(DeviceClass::TrafficReceptor).enumerate() {
-        let (regs, want) = (TrDriver::new(tr.addr), &results.receptors[i]);
-        assert!(want.packets > 0, "tr{i} received nothing");
-        assert_eq!(regs.packets(&mut emu).unwrap(), want.packets, "tr{i}");
-        assert_eq!(regs.flits(&mut emu).unwrap(), want.flits, "tr{i}");
-        let running = regs.running_time(&mut emu).unwrap();
-        assert_eq!(running, want.running_time, "tr{i}");
-        let mean = regs.mean_network_latency(&mut emu).unwrap();
-        let lat_min = emu.read(tr.addr.reg(trreg::REG_LAT_MIN)).unwrap();
-        let lat_max = emu.read(tr.addr.reg(trreg::REG_LAT_MAX)).unwrap();
-        if cfg.receptors[i] == TrKind::TraceDriven {
-            assert!(want.mean_network_latency.is_some(), "tr{i}");
-            assert_eq!(mean, want.mean_network_latency, "tr{i}");
-            assert!(0 < lat_min && lat_min <= lat_max, "tr{i}");
-        } else {
-            assert_eq!(mean, None, "tr{i}");
-            assert_eq!((lat_min, lat_max), (u32::MAX, 0), "tr{i}");
+    let mut summaries = Vec::new();
+    for engine in ENGINES {
+        let mut emu = build(&cfg.clone().with_engine(engine));
+        run_engine(emu.engine_mut()).unwrap();
+        let results = emu.engine_mut().results().unwrap();
+        let map = emu.address_map().clone();
+        for (i, tr) in map.of_class(DeviceClass::TrafficReceptor).enumerate() {
+            let (regs, want) = (TrDriver::new(tr.addr), &results.receptors[i]);
+            let at = format!("tr{i} on {engine:?}");
+            assert!(want.packets > 0, "{at} received nothing");
+            assert_eq!(regs.packets(&mut emu).unwrap(), want.packets, "{at}");
+            assert_eq!(regs.flits(&mut emu).unwrap(), want.flits, "{at}");
+            let running = regs.running_time(&mut emu).unwrap();
+            assert_eq!(running, want.running_time, "{at}");
+            let mean = regs.mean_network_latency(&mut emu).unwrap();
+            let lat_min = emu.read(tr.addr.reg(trreg::REG_LAT_MIN)).unwrap();
+            let lat_max = emu.read(tr.addr.reg(trreg::REG_LAT_MAX)).unwrap();
+            if cfg.receptors[i] == TrKind::TraceDriven {
+                assert!(want.mean_network_latency.is_some(), "{at}");
+                assert_eq!(mean, want.mean_network_latency, "{at}");
+                assert!(0 < lat_min && lat_min <= lat_max, "{at}");
+            } else {
+                assert_eq!(mean, None, "{at}");
+                assert_eq!((lat_min, lat_max), (u32::MAX, 0), "{at}");
+            }
         }
+        summaries.push(results.receptors);
     }
-    let receptors_on = |engine| {
-        let mut cfg = cfg.clone();
-        cfg.engine = engine;
-        let mut e = AnyEngine::build(&cfg).unwrap();
-        run_engine(&mut e).unwrap();
-        e.results().unwrap().receptors
-    };
-    let compiled = receptors_on(EngineKind::Compiled);
-    assert_eq!(compiled, results.receptors);
-    let sharded = receptors_on(EngineKind::ShardedCompiled {
-        shards: 2,
-        batch: 4,
-    });
-    assert_eq!(sharded, compiled);
+    assert_eq!(summaries[1], summaries[0], "Compiled");
+    assert_eq!(summaries[2], summaries[0], "2 shards");
 }
 
 #[test]
 fn status_is_derived_on_every_engine_loop() {
-    let mut emu = build(&paper()).unwrap();
+    let mut emu = build(&paper());
     let ctrl = ControlDriver::new(emu.address_map().devices()[0].addr);
     assert_eq!(ctrl.status(&mut emu).unwrap(), 0, "reset");
-    emu.step().unwrap();
+    emu.engine_mut().step().unwrap();
     assert_eq!(ctrl.status(&mut emu).unwrap(), STATUS_RUNNING);
-    run_engine(&mut emu).unwrap();
+    run_engine(emu.engine_mut()).unwrap();
     assert_eq!(ctrl.status(&mut emu).unwrap(), STATUS_DONE);
     assert_eq!(ctrl.delivered(&mut emu).unwrap(), 400);
 }
 
 #[test]
 fn only_traffic_model_registers_are_writable() {
-    let mut emu = build(&paper()).unwrap();
+    let mut emu = build(&paper());
     let map = emu.address_map().clone();
+    let seeds = elaborate(&paper()).unwrap().tg_seeds;
     for (i, tg) in map.of_class(DeviceClass::TrafficGenerator).enumerate() {
-        let seed = emu.elaboration().tg_seeds[i];
+        let seed = seeds[i];
         let at = |reg| tg.addr.reg(reg);
         assert_eq!(emu.read(at(tgreg::REG_CTRL)).unwrap(), 1);
         let read = emu.read_u64(at(tgreg::REG_SEED_LO), at(tgreg::REG_SEED_HI));
@@ -371,12 +380,12 @@ fn only_traffic_model_registers_are_writable() {
         .start(&mut emu)
         .unwrap();
     emu.run_programmed().unwrap();
-    assert_is_the_config_run(&emu, "refused writes");
+    assert_is_the_config_run(&mut emu, "refused writes");
 }
 
 /// A value to write at `addr`: small, arbitrary, all-ones, or the
 /// register's current value nudged (which keeps most programs valid).
-fn fuzz_value(rng: &mut Pcg32, emu: &mut Emulation, addr: nocem_platform::Address) -> u32 {
+fn fuzz_value(rng: &mut Pcg32, emu: &mut Board<AnyEngine>, addr: nocem_platform::Address) -> u32 {
     match rng.below(4) {
         0 => rng.below(16),
         1 => rng.next_u32(),
@@ -390,40 +399,59 @@ fn fuzz_value(rng: &mut Pcg32, emu: &mut Emulation, addr: nocem_platform::Addres
 }
 
 /// Seeded register fuzz: 1 to 20 random writes to any device, a cycle
-/// limit of at most 4 096, then start. Every case ends in `Ok` — and is
-/// then exactly the run of the configuration it elaborated — or in a
-/// typed error; none panics.
+/// limit of at most 4 096, then start — each case drawn on the
+/// interpreted engine's board and replayed on the compiled and the
+/// sharded engine's. Every case ends alike on all three, in `Ok` — and
+/// is then exactly the run of the configuration it elaborated — or in
+/// a typed error; none panics.
 #[test]
 fn random_register_programs_run_as_their_config_or_fail_typed() {
     let mut rng = Pcg32::seeded(0x5EED_0037);
     let (mut ran, mut refused) = (0, 0);
     for case in 0..64 {
-        let mut emu = build(&paper()).unwrap();
-        let map = emu.address_map().clone();
+        let mut boards: Vec<Board<AnyEngine>> = ENGINES
+            .iter()
+            .map(|&engine| build(&paper().with_engine(engine)))
+            .collect();
+        let map = boards[0].address_map().clone();
         let devices = map.devices();
         for _ in 0..1 + rng.below(20) {
             let device = devices[rng.below(devices.len() as u32) as usize];
             let addr = device.addr.reg(rng.below(0x18) as u16);
-            let value = fuzz_value(&mut rng, &mut emu, addr);
+            let value = fuzz_value(&mut rng, &mut boards[0], addr);
             // A refused write is part of the fuzz, not its failure.
-            let _ = emu.write(addr, value);
+            let wrote: Vec<_> = boards.iter_mut().map(|b| b.write(addr, value)).collect();
+            assert!(
+                wrote.iter().all(|w| *w == wrote[0]),
+                "case {case}: {wrote:?}"
+            );
         }
         let ctrl = devices[0].addr;
         let limit = u64::from(1 + rng.below(4_096));
         let (lo, hi) = (control::REG_LIMIT_LO, control::REG_LIMIT_HI);
-        emu.write_u64(ctrl.reg(lo), ctrl.reg(hi), limit).unwrap();
-        ControlDriver::new(ctrl).start(&mut emu).unwrap();
-        match emu.run_programmed() {
-            Ok(()) => {
-                assert_is_the_config_run(&emu, &format!("case {case}"));
-                ran += 1;
+        let mut outcomes = Vec::new();
+        for (board, engine) in boards.iter_mut().zip(ENGINES) {
+            board.write_u64(ctrl.reg(lo), ctrl.reg(hi), limit).unwrap();
+            ControlDriver::new(ctrl).start(board).unwrap();
+            let outcome = board.run_programmed();
+            match &outcome {
+                Ok(()) => assert_is_the_config_run(board, &format!("case {case} on {engine:?}")),
+                Err(
+                    EmulationError::Bus(_)
+                    | EmulationError::Compile(_)
+                    | EmulationError::CycleLimitExceeded { .. },
+                ) => {}
+                Err(other) => panic!("case {case} on {engine:?}: unexpected error {other}"),
             }
-            Err(
-                EmulationError::Bus(_)
-                | EmulationError::Compile(_)
-                | EmulationError::CycleLimitExceeded { .. },
-            ) => refused += 1,
-            Err(other) => panic!("case {case}: unexpected error {other}"),
+            outcomes.push(outcome);
+        }
+        assert!(
+            outcomes.iter().all(|o| *o == outcomes[0]),
+            "case {case} ends unlike on the three engines: {outcomes:?}"
+        );
+        match outcomes[0] {
+            Ok(()) => ran += 1,
+            Err(_) => refused += 1,
         }
     }
     assert!(ran >= 8 && refused >= 8, "{ran} ran, {refused} refused");

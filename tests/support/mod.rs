@@ -198,7 +198,8 @@ pub fn assert_same_cycle(reference: &mut Subject, subject: &mut Subject) {
 }
 
 /// Where two views of one configuration first differ, naming the switch,
-/// port and VC (or the NI); `None` when they are equal.
+/// port and VC (or the TG and its NI, or the TR); `None` when they are
+/// equal.
 pub fn first_difference(want: &ArchView, got: &ArchView) -> Option<String> {
     fn first<T: PartialEq + Debug>(a: &[T], b: &[T]) -> Option<(usize, String)> {
         let k = a.iter().zip(b).position(|(x, y)| x != y)?;
@@ -227,7 +228,10 @@ pub fn first_difference(want: &ArchView, got: &ArchView) -> Option<String> {
         return Some(format!("switch {} VC {}: watermark {d}", k / vcs, k % vcs));
     }
     if let Some((i, d)) = first(&want.nis, &got.nis) {
-        return Some(format!("NI {i}: {d}"));
+        return Some(format!("TG {i} (NI {i}): {d}"));
+    }
+    if let Some((i, d)) = first(&want.receptors, &got.receptors) {
+        return Some(format!("TR {i}: {d}"));
     }
     (want != got).then(|| "the views' shapes differ".into())
 }

@@ -8,6 +8,7 @@ use nocem::config::{EngineKind, PaperConfig, PlatformConfig};
 use nocem::devices::MonitorDriver;
 use nocem::engine::{build, Emulation};
 use nocem::sweep::AnyEngine;
+use nocem::Board;
 use nocem_common::ids::LinkId;
 use nocem_platform::bus::DeviceClass;
 use nocem_scenarios::registry::ScenarioRegistry;
@@ -124,17 +125,25 @@ fn sharded_and_single_threaded_collectors_agree_through_any_engine() {
     assert!(single.windows_recorded() >= 16);
 }
 
+/// The engines the monitor registers are read on.
+const BUS_ENGINES: [EngineKind; 2] = [EngineKind::SingleThread, EngineKind::Compiled];
+
 #[test]
 fn monitor_registers_expose_the_collector_over_the_bus() {
-    let mut cfg = PaperConfig::new().total_packets(500).uniform();
-    cfg.telemetry = Some(TelemetryConfig::windowed(128));
-    let mut emu = run_paper(&cfg);
+    for engine in BUS_ENGINES {
+        let mut cfg = PaperConfig::new()
+            .total_packets(500)
+            .uniform()
+            .with_engine(engine);
+        cfg.telemetry = Some(TelemetryConfig::windowed(128));
+        let mut emu = Board::build(&cfg).unwrap();
+        nocem::run_engine(emu.engine_mut()).expect("run completes");
+        emu.engine_mut().seal_telemetry();
 
-    // Snapshot the collector's view first (immutable borrow), then
-    // read everything back through the memory-mapped monitor device.
-    let expected: Vec<(u64, u64, u64, u64)> = {
-        let t = emu.telemetry().unwrap();
-        (0..t.links())
+        // Snapshot the collector's view first (immutable borrow), then
+        // read everything back through the memory-mapped monitor device.
+        let t = emu.engine().telemetry().unwrap();
+        let expected: Vec<(u64, u64, u64, u64)> = (0..t.links())
             .map(|l| {
                 let link = LinkId::new(l as u32);
                 (
@@ -144,44 +153,47 @@ fn monitor_registers_expose_the_collector_over_the_bus() {
                     t.total_blocked(link),
                 )
             })
-            .collect()
-    };
-    let windows = emu.telemetry().unwrap().windows_recorded();
-    let hot: LinkStat = emu.telemetry().unwrap().hottest().unwrap();
+            .collect();
+        let (windows, hot): (u64, LinkStat) = (t.windows_recorded(), t.hottest().unwrap());
 
-    let map = emu.address_map().clone();
-    let mon = map
-        .of_class(DeviceClass::Monitor)
-        .next()
-        .expect("telemetry-enabled platform exposes a monitor device");
-    let drv = MonitorDriver::new(mon.addr);
-    assert_eq!(drv.window(&mut emu).unwrap(), Some(128));
-    assert_eq!(u64::from(drv.windows(&mut emu).unwrap()), windows);
-    assert_eq!(drv.links(&mut emu).unwrap() as usize, expected.len());
-    for (l, (lf, lb, tf, tb)) in expected.iter().enumerate() {
-        drv.select(&mut emu, l as u32).unwrap();
-        assert_eq!(drv.last_forwarded(&mut emu).unwrap(), *lf);
-        assert_eq!(drv.last_blocked(&mut emu).unwrap(), *lb);
-        assert_eq!(drv.total_forwarded(&mut emu).unwrap(), *tf);
-        assert_eq!(drv.total_blocked(&mut emu).unwrap(), *tb);
+        let map = emu.address_map().clone();
+        let mon = map
+            .of_class(DeviceClass::Monitor)
+            .next()
+            .expect("telemetry-enabled platform exposes a monitor device");
+        let drv = MonitorDriver::new(mon.addr);
+        assert_eq!(drv.window(&mut emu).unwrap(), Some(128), "{engine:?}");
+        assert_eq!(u64::from(drv.windows(&mut emu).unwrap()), windows);
+        assert_eq!(drv.links(&mut emu).unwrap() as usize, expected.len());
+        for (l, (lf, lb, tf, tb)) in expected.iter().enumerate() {
+            drv.select(&mut emu, l as u32).unwrap();
+            assert_eq!(drv.last_forwarded(&mut emu).unwrap(), *lf, "{engine:?}");
+            assert_eq!(drv.last_blocked(&mut emu).unwrap(), *lb, "{engine:?}");
+            assert_eq!(drv.total_forwarded(&mut emu).unwrap(), *tf, "{engine:?}");
+            assert_eq!(drv.total_blocked(&mut emu).unwrap(), *tb, "{engine:?}");
+        }
+        let (hot_link, hot_blocked) = drv.hottest(&mut emu).unwrap();
+        assert_eq!(hot_link, hot.link.raw(), "{engine:?}");
+        assert_eq!(hot_blocked, hot.blocked, "{engine:?}");
     }
-    let (hot_link, hot_blocked) = drv.hottest(&mut emu).unwrap();
-    assert_eq!(hot_link, hot.link.raw());
-    assert_eq!(hot_blocked, hot.blocked);
 }
 
 #[test]
-fn platform_without_telemetry_exposes_no_monitor_device() {
-    let cfg = PaperConfig::new().total_packets(10).uniform();
-    let emu = build(&cfg).unwrap();
-    let mon = emu.address_map().of_class(DeviceClass::Monitor).next();
-    assert!(
-        mon.is_some(),
-        "the monitor device is always mapped; reads just report telemetry off"
-    );
-    let drv = MonitorDriver::new(mon.unwrap().addr);
-    let mut emu = emu;
-    assert_eq!(drv.window(&mut emu).unwrap(), None, "telemetry off");
+fn platform_without_telemetry_maps_a_monitor_that_reads_telemetry_off() {
+    for engine in BUS_ENGINES {
+        let cfg = PaperConfig::new()
+            .total_packets(10)
+            .uniform()
+            .with_engine(engine);
+        let mut emu = Board::build(&cfg).unwrap();
+        let mon = emu.address_map().of_class(DeviceClass::Monitor).next();
+        assert!(
+            mon.is_some(),
+            "the monitor device is always mapped; reads just report telemetry off"
+        );
+        let drv = MonitorDriver::new(mon.unwrap().addr);
+        assert_eq!(drv.window(&mut emu).unwrap(), None, "{engine:?}");
+    }
 }
 
 /// Whether an inter-switch link crosses the vertical or horizontal
