@@ -16,6 +16,8 @@
 //! * [`rng`] — deterministic, hardware-faithful random sources (LFSRs
 //!   as synthesized into the FPGA traffic generators, plus software
 //!   generators for trace synthesis);
+//! * [`choice`] — the property runner of the test suites: drawn
+//!   cases that shrink on failure;
 //! * [`table`] / [`csv`] / [`json`] — report rendering and data export
 //!   (one escaping JSON writer for every emitter, and its validator).
 //!
@@ -47,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod choice;
 pub mod csv;
 pub mod flit;
 pub mod flows;

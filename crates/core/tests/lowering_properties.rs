@@ -10,11 +10,11 @@
 use nocem::compile::{elaborate, lower, InSlotState, SLOT_NONE};
 use nocem::config::PlatformConfig;
 use nocem::Platform;
+use nocem_common::choice::check;
 use nocem_common::ids::{PortId, VcId};
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_switch::switch::CREDITS_INFINITE;
-use proptest::prelude::*;
 
 /// Elaborates `cfg`, lowers it, and asserts the full round-trip.
 fn check_lowering(cfg: &PlatformConfig) {
@@ -134,33 +134,51 @@ fn capped_ejection_credits_lower_exactly() {
     check_lowering(&cfg);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Random meshes lower exactly.
+#[test]
+fn mesh_lowering_round_trips() {
+    check("mesh_lowering_round_trips", 0..12, |c| {
+        let (w, h) = (c.range(2u32..7), c.range(2u32..7));
+        check_lowering(&uniform(TopologySpec::Mesh {
+            width: w,
+            height: h,
+        }));
+        Ok(())
+    });
+}
 
-    /// Random meshes lower exactly.
-    #[test]
-    fn mesh_lowering_round_trips(w in 2u32..7, h in 2u32..7) {
-        check_lowering(&uniform(TopologySpec::Mesh { width: w, height: h }));
-    }
+/// Random tori (2 VCs, dateline routing) lower exactly.
+#[test]
+fn torus_lowering_round_trips() {
+    check("torus_lowering_round_trips", 0..12, |c| {
+        let (w, h) = (c.range(2u32..6), c.range(2u32..6));
+        check_lowering(&uniform(TopologySpec::Torus {
+            width: w,
+            height: h,
+        }));
+        Ok(())
+    });
+}
 
-    /// Random tori (2 VCs, dateline routing) lower exactly.
-    #[test]
-    fn torus_lowering_round_trips(w in 2u32..6, h in 2u32..6) {
-        check_lowering(&uniform(TopologySpec::Torus { width: w, height: h }));
-    }
-
-    /// Random rings lower exactly.
-    #[test]
-    fn ring_lowering_round_trips(switches in 2u32..12) {
+/// Random rings lower exactly.
+#[test]
+fn ring_lowering_round_trips() {
+    check("ring_lowering_round_trips", 0..12, |c| {
+        let switches = c.range(2u32..12);
         check_lowering(&uniform(TopologySpec::Ring { switches }));
-    }
+        Ok(())
+    });
+}
 
-    /// Random stars lower exactly: the hub's port count differs from
-    /// every leaf's, exercising the heterogeneous prefix sums.
-    #[test]
-    fn star_lowering_round_trips(leaves in 2u32..10) {
+/// Random stars lower exactly: the hub's port count differs from
+/// every leaf's, exercising the heterogeneous prefix sums.
+#[test]
+fn star_lowering_round_trips() {
+    check("star_lowering_round_trips", 0..12, |c| {
+        let leaves = c.range(2u32..10);
         let topology = nocem_topology::builders::star(leaves).unwrap();
         let cfg = PlatformConfig::baseline(format!("star{leaves}-lowering"), topology).unwrap();
         check_lowering(&cfg);
-    }
+        Ok(())
+    });
 }

@@ -4,7 +4,9 @@
 //! stable across calls.
 
 use nocem::compile::elaborate;
+use nocem_common::choice::{check, Choices};
 use nocem_common::ids::SwitchId;
+use nocem_common::{prop_assert, prop_assert_eq};
 use nocem_scenarios::patterns::SyntheticPattern;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -12,17 +14,17 @@ use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::graph::EndpointKind;
 use nocem_topology::Topology;
 use nocem_traffic::generator::DestinationModel;
-use proptest::prelude::*;
 
-/// A strategy over the eight built-in patterns.
-fn pattern() -> impl Strategy<Value = SyntheticPattern> {
-    (0usize..SyntheticPattern::ALL.len()).prop_map(|i| SyntheticPattern::ALL[i])
+/// One of the eight built-in patterns.
+fn pattern(c: &mut Choices) -> SyntheticPattern {
+    SyntheticPattern::ALL[c.below(SyntheticPattern::ALL.len())]
 }
 
-/// A strategy over small but varied topologies (meshes, tori, rings —
-/// including square/non-square and power-of-two/odd switch counts).
-fn topology_spec() -> impl Strategy<Value = TopologySpec> {
-    (0u32..3, 2u32..6, 2u32..6).prop_map(|(kind, a, b)| match kind {
+/// A small but varied topology (meshes, tori, rings — including
+/// square/non-square and power-of-two/odd switch counts).
+fn topology_spec(c: &mut Choices) -> TopologySpec {
+    let (kind, a, b) = (c.range(0u32..3), c.range(2u32..6), c.range(2u32..6));
+    match kind {
         0 => TopologySpec::Mesh {
             width: a,
             height: b,
@@ -32,7 +34,7 @@ fn topology_spec() -> impl Strategy<Value = TopologySpec> {
             height: b,
         },
         _ => TopologySpec::Ring { switches: a * b },
-    })
+    }
 }
 
 /// Destination endpoints and flows of a model, flattened.
@@ -40,55 +42,58 @@ fn model_targets(model: &DestinationModel) -> Vec<(nocem_common::ids::EndpointId
     model.pairs().map(|(d, f)| (d, f.raw())).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Every applicable (pattern, topology) expansion yields
-    /// destinations that exist in the topology, are receptors, and
-    /// ride flows whose spec matches the generator's switch.
-    #[test]
-    fn patterns_yield_valid_in_topology_destinations(
-        p in pattern(),
-        spec in topology_spec(),
-    ) {
-        let topo: Topology = spec.build().expect("specs are non-degenerate");
-        let Ok(traffic) = p.traffic(&topo) else {
-            // Inapplicable combination — the typed error is the
-            // contract; nothing further to check.
-            return Ok(());
-        };
-        let generators = topo.generators();
-        prop_assert_eq!(traffic.destinations.len(), generators.len());
-        // Flow ids are dense.
-        for (i, f) in traffic.flows.iter().enumerate() {
-            prop_assert_eq!(f.flow.index(), i);
-            prop_assert_eq!(topo.endpoint(f.src).kind, EndpointKind::Generator);
-            prop_assert_eq!(topo.endpoint(f.dst).kind, EndpointKind::Receptor);
-        }
-        for (g, model) in generators.iter().zip(&traffic.destinations) {
-            let src_switch = topo.endpoint(*g).switch;
-            let targets = model_targets(model);
-            prop_assert!(!targets.is_empty(), "generator with no destinations");
-            for (dst, flow_raw) in targets {
-                // Destination endpoint exists and is a receptor.
-                prop_assert!((dst.index()) < topo.endpoint_count());
-                prop_assert_eq!(topo.endpoint(dst).kind, EndpointKind::Receptor);
-                // The flow is registered and matches (src TG, dst TR).
-                let flow = traffic.flows.get(nocem_common::ids::FlowId::new(flow_raw))
-                    .expect("flow id in range");
-                prop_assert_eq!(flow.dst, dst);
-                prop_assert_eq!(topo.endpoint(flow.src).switch, src_switch);
+/// Every applicable (pattern, topology) expansion yields
+/// destinations that exist in the topology, are receptors, and
+/// ride flows whose spec matches the generator's switch.
+#[test]
+fn patterns_yield_valid_in_topology_destinations() {
+    check(
+        "patterns_yield_valid_in_topology_destinations",
+        0..48,
+        |c| {
+            let (p, spec) = (pattern(c), topology_spec(c));
+            let topo: Topology = spec.build().expect("specs are non-degenerate");
+            let Ok(traffic) = p.traffic(&topo) else {
+                // Inapplicable combination — the typed error is the
+                // contract; nothing further to check.
+                return Ok(());
+            };
+            let generators = topo.generators();
+            prop_assert_eq!(traffic.destinations.len(), generators.len());
+            // Flow ids are dense.
+            for (i, f) in traffic.flows.iter().enumerate() {
+                prop_assert_eq!(f.flow.index(), i);
+                prop_assert_eq!(topo.endpoint(f.src).kind, EndpointKind::Generator);
+                prop_assert_eq!(topo.endpoint(f.dst).kind, EndpointKind::Receptor);
             }
-        }
-    }
+            for (g, model) in generators.iter().zip(&traffic.destinations) {
+                let src_switch = topo.endpoint(*g).switch;
+                let targets = model_targets(model);
+                prop_assert!(!targets.is_empty(), "generator with no destinations");
+                for (dst, flow_raw) in targets {
+                    // Destination endpoint exists and is a receptor.
+                    prop_assert!((dst.index()) < topo.endpoint_count());
+                    prop_assert_eq!(topo.endpoint(dst).kind, EndpointKind::Receptor);
+                    // The flow is registered and matches (src TG, dst TR).
+                    let flow = traffic
+                        .flows
+                        .get(nocem_common::ids::FlowId::new(flow_raw))
+                        .expect("flow id in range");
+                    prop_assert_eq!(flow.dst, dst);
+                    prop_assert_eq!(topo.endpoint(flow.src).switch, src_switch);
+                }
+            }
+            Ok(())
+        },
+    );
+}
 
-    /// Deterministic patterns are true permutations of the switch
-    /// set: every switch appears exactly once as a destination.
-    #[test]
-    fn deterministic_patterns_are_permutations(
-        p in pattern(),
-        spec in topology_spec(),
-    ) {
+/// Deterministic patterns are true permutations of the switch
+/// set: every switch appears exactly once as a destination.
+#[test]
+fn deterministic_patterns_are_permutations() {
+    check("deterministic_patterns_are_permutations", 0..48, |c| {
+        let (p, spec) = (pattern(c), topology_spec(c));
         let topo = spec.build().expect("specs are non-degenerate");
         let Ok(Some(map)) = p.permutation(&topo) else {
             return Ok(());
@@ -96,18 +101,25 @@ proptest! {
         prop_assert_eq!(map.len(), topo.switch_count());
         let mut seen = vec![false; topo.switch_count()];
         for &dst in &map {
-            prop_assert!(dst.index() < topo.switch_count(), "destination off-topology");
+            prop_assert!(
+                dst.index() < topo.switch_count(),
+                "destination off-topology"
+            );
             prop_assert!(!seen[dst.index()], "destination {} repeated", dst);
             seen[dst.index()] = true;
         }
         prop_assert!(seen.iter().all(|&s| s), "not a surjection");
-    }
+        Ok(())
+    });
+}
 
-    /// Pattern expansion is deterministic: two expansions of the same
-    /// combination are identical (the scenario seed contract relies
-    /// on this).
-    #[test]
-    fn expansion_is_stable(p in pattern(), spec in topology_spec()) {
+/// Pattern expansion is deterministic: two expansions of the same
+/// combination are identical (the scenario seed contract relies
+/// on this).
+#[test]
+fn expansion_is_stable() {
+    check("expansion_is_stable", 0..48, |c| {
+        let (p, spec) = (pattern(c), topology_spec(c));
         let topo = spec.build().expect("specs are non-degenerate");
         let (Ok(a), Ok(b)) = (p.traffic(&topo), p.traffic(&topo)) else {
             return Ok(());
@@ -117,41 +129,50 @@ proptest! {
         for (x, y) in a.destinations.iter().zip(&b.destinations) {
             prop_assert_eq!(x, y);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Deadlock freedom for the whole catalogue: every registry
-    /// scenario, bound to any mesh/torus/ring, compiles to routing
-    /// whose *per-VC* channel-dependency graph is acyclic —
-    /// `elaborate()` enforces it at compile time, and the tables are
-    /// re-checked directly here. On rings and tori this exercises the
-    /// minimal + dateline scheme (wrap-around links in use).
-    #[test]
-    fn every_scenario_routing_is_deadlock_free_per_vc(
-        idx in 0usize..16,
-        spec in topology_spec(),
-    ) {
-        let reg = ScenarioRegistry::builtin();
-        let names = reg.names();
-        let scenario = reg.resolve(names[idx % names.len()]).unwrap();
-        let Ok(cfg) = scenario.build_config(spec, 0.2, 2, 64) else {
-            // Inapplicable combination (pattern/topology mismatch,
-            // unmappable core graph, budget floor) — a matrix skip.
-            return Ok(());
-        };
-        let elab = elaborate(&cfg)
-            .unwrap_or_else(|e| panic!("{} must compile deadlock-free: {e}", cfg.name));
-        check_routing_deadlock_freedom(&cfg.topology, &elab.routing)
-            .unwrap_or_else(|c| panic!("{}: {c}", cfg.name));
-        prop_assert!(
-            elab.routing.max_vc() < cfg.switch.num_vcs,
-            "routing VCs stay within the switch configuration"
-        );
-    }
+/// Deadlock freedom for the whole catalogue: every registry
+/// scenario, bound to any mesh/torus/ring, compiles to routing
+/// whose *per-VC* channel-dependency graph is acyclic —
+/// `elaborate()` enforces it at compile time, and the tables are
+/// re-checked directly here. On rings and tori this exercises the
+/// minimal + dateline scheme (wrap-around links in use).
+#[test]
+fn every_scenario_routing_is_deadlock_free_per_vc() {
+    check(
+        "every_scenario_routing_is_deadlock_free_per_vc",
+        0..48,
+        |c| {
+            let (idx, spec) = (c.range(0usize..16), topology_spec(c));
+            let reg = ScenarioRegistry::builtin();
+            let names = reg.names();
+            let scenario = reg.resolve(names[idx % names.len()]).unwrap();
+            let Ok(cfg) = scenario.build_config(spec, 0.2, 2, 64) else {
+                // Inapplicable combination (pattern/topology mismatch,
+                // unmappable core graph, budget floor) — a matrix skip.
+                return Ok(());
+            };
+            let elab = elaborate(&cfg)
+                .unwrap_or_else(|e| panic!("{} must compile deadlock-free: {e}", cfg.name));
+            check_routing_deadlock_freedom(&cfg.topology, &elab.routing)
+                .unwrap_or_else(|c| panic!("{}: {c}", cfg.name));
+            prop_assert!(
+                elab.routing.max_vc() < cfg.switch.num_vcs,
+                "routing VCs stay within the switch configuration"
+            );
+            Ok(())
+        },
+    );
+}
 
-    /// The tornado permutation never sends a packet more than half-way
-    /// around its dimension (the pattern's defining property).
-    #[test]
-    fn tornado_stays_within_half_way(spec in topology_spec()) {
+/// The tornado permutation never sends a packet more than half-way
+/// around its dimension (the pattern's defining property).
+#[test]
+fn tornado_stays_within_half_way() {
+    check("tornado_stays_within_half_way", 0..48, |c| {
+        let spec = topology_spec(c);
         let topo = spec.build().expect("specs are non-degenerate");
         let Ok(Some(map)) = SyntheticPattern::Tornado.permutation(&topo) else {
             return Ok(());
@@ -166,7 +187,8 @@ proptest! {
                 prop_assert!(hy <= grid.height / 2, "y hop {hy} beyond half-way");
             }
         }
-    }
+        Ok(())
+    });
 }
 
 /// Ring and torus scenarios route *minimally*: every configured path

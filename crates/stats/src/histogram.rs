@@ -265,21 +265,19 @@ impl std::fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use nocem_common::choice::check;
+    use nocem_common::prop_assert_eq;
 
-    proptest! {
-        /// Power-of-two widths bin by shifting, every other width by
-        /// dividing: either way the bins, overflow, count, sum, min and
-        /// max are those of a division-form reference.
-        #[test]
-        fn shifted_bins_match_the_division_form(
-            bins in 1usize..40,
-            any_width in 1u64..300,
-            exp in 0u32..20,
-            pow2 in any::<bool>(),
-            small in proptest::collection::vec(0u64..5_000, 0..150),
-            large in proptest::collection::vec(0u64..1 << 40, 0..20),
-        ) {
+    /// Power-of-two widths bin by shifting, every other width by
+    /// dividing: either way the bins, overflow, count, sum, min and
+    /// max are those of a division-form reference.
+    #[test]
+    fn shifted_bins_match_the_division_form() {
+        check("shifted_bins_match_the_division_form", 0..128, |c| {
+            let (bins, any_width) = (c.range(1usize..40), c.range(1u64..300));
+            let (exp, pow2) = (c.range(0u32..20), c.bool());
+            let small = c.vec(0..150, |c| c.range(0u64..5_000));
+            let large = c.vec(0..20, |c| c.range(0u64..1 << 40));
             let width = if pow2 { 1 << exp } else { any_width };
             let mut h = Histogram::new(bins, width);
             let (mut want, mut overflow) = (vec![0u64; bins], 0u64);
@@ -296,10 +294,14 @@ mod tests {
             prop_assert_eq!(h.overflow(), overflow);
             prop_assert_eq!(h.count(), values.len() as u64);
             let sum: u64 = values.iter().sum();
-            prop_assert_eq!(h.mean(), (!values.is_empty()).then(|| sum as f64 / values.len() as f64));
+            prop_assert_eq!(
+                h.mean(),
+                (!values.is_empty()).then(|| sum as f64 / values.len() as f64)
+            );
             prop_assert_eq!(h.min(), values.iter().copied().min());
             prop_assert_eq!(h.max(), values.iter().copied().max());
-        }
+            Ok(())
+        });
     }
 
     #[test]

@@ -265,9 +265,10 @@ impl WindowStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocem_common::choice::check;
     use nocem_common::ids::PacketId;
     use nocem_common::time::Cycle;
-    use proptest::prelude::*;
+    use nocem_common::{prop_assert, prop_assert_eq};
 
     /// Builds a ledger where packet `i` is released at `release[i]`,
     /// injected 1 cycle later and delivered `lat[i]` cycles after
@@ -384,50 +385,58 @@ mod tests {
         sorted[rank - 1]
     }
 
-    proptest! {
-        /// Windowed quantiles agree with a sorted-vec reference within
-        /// one bin width, on heavy-tailed synthetic data (cubed
-        /// uniforms stretch the tail across ~3 decades).
-        #[test]
-        fn quantiles_match_sorted_reference_on_heavy_tails(
-            raw in proptest::collection::vec(0u64..500, 1..150),
-        ) {
-            let lats: Vec<u64> = raw.iter().map(|&x| x * x * x / 100 + 1).collect();
-            let points: Vec<(u64, u64)> =
-                lats.iter().enumerate().map(|(i, &l)| (i as u64, l)).collect();
-            let ledger = ledger_of(&points);
-            let horizon = points
-                .iter()
-                .map(|&(r, l)| r + 1 + l)
-                .max()
-                .unwrap() + 1;
-            let w = Window::after_warmup(0, horizon, horizon);
-            let s = WindowStats::from_ledger(&ledger, w, LatencyKind::Network);
-            prop_assert_eq!(s.samples(), lats.len() as u64);
-            let mut sorted = lats.clone();
-            sorted.sort_unstable();
-            let width = s.quantile_resolution().unwrap();
-            for &q in &[0.0, 0.5, 0.95, 0.99, 1.0] {
-                let approx = s.quantile(q).unwrap();
-                let exact = exact_quantile(&sorted, q);
-                prop_assert!(
-                    approx >= exact && approx - exact <= width,
-                    "q={} approx={} exact={} width={}", q, approx, exact, width
-                );
-            }
-            let exact_mean = lats.iter().sum::<u64>() as f64 / lats.len() as f64;
-            prop_assert!((s.mean().unwrap() - exact_mean).abs() < 1e-6);
-            prop_assert_eq!(s.min(), sorted.first().copied());
-            prop_assert_eq!(s.max(), sorted.last().copied());
-        }
+    /// Windowed quantiles agree with a sorted-vec reference within
+    /// one bin width, on heavy-tailed synthetic data (cubed
+    /// uniforms stretch the tail across ~3 decades).
+    #[test]
+    fn quantiles_match_sorted_reference_on_heavy_tails() {
+        check(
+            "quantiles_match_sorted_reference_on_heavy_tails",
+            0..128,
+            |c| {
+                let raw = c.vec(1..150, |c| c.range(0u64..500));
+                let lats: Vec<u64> = raw.iter().map(|&x| x * x * x / 100 + 1).collect();
+                let points: Vec<(u64, u64)> = lats
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &l)| (i as u64, l))
+                    .collect();
+                let ledger = ledger_of(&points);
+                let horizon = points.iter().map(|&(r, l)| r + 1 + l).max().unwrap() + 1;
+                let w = Window::after_warmup(0, horizon, horizon);
+                let s = WindowStats::from_ledger(&ledger, w, LatencyKind::Network);
+                prop_assert_eq!(s.samples(), lats.len() as u64);
+                let mut sorted = lats.clone();
+                sorted.sort_unstable();
+                let width = s.quantile_resolution().unwrap();
+                for &q in &[0.0, 0.5, 0.95, 0.99, 1.0] {
+                    let approx = s.quantile(q).unwrap();
+                    let exact = exact_quantile(&sorted, q);
+                    prop_assert!(
+                        approx >= exact && approx - exact <= width,
+                        "q={} approx={} exact={} width={}",
+                        q,
+                        approx,
+                        exact,
+                        width
+                    );
+                }
+                let exact_mean = lats.iter().sum::<u64>() as f64 / lats.len() as f64;
+                prop_assert!((s.mean().unwrap() - exact_mean).abs() < 1e-6);
+                prop_assert_eq!(s.min(), sorted.first().copied());
+                prop_assert_eq!(s.max(), sorted.last().copied());
+                Ok(())
+            },
+        );
+    }
 
-        /// `Histogram::quantile` itself agrees with the sorted-vec
-        /// reference within one bin width whenever the geometry covers
-        /// every sample (no overflow).
-        #[test]
-        fn histogram_quantile_matches_sorted_reference(
-            values in proptest::collection::vec(0u64..100_000, 1..200),
-        ) {
+    /// `Histogram::quantile` itself agrees with the sorted-vec
+    /// reference within one bin width whenever the geometry covers
+    /// every sample (no overflow).
+    #[test]
+    fn histogram_quantile_matches_sorted_reference() {
+        check("histogram_quantile_matches_sorted_reference", 0..128, |c| {
+            let values = c.vec(1..200, |c| c.range(0u64..100_000));
             let max = *values.iter().max().unwrap();
             let bins = 64usize;
             let width = max / bins as u64 + 1;
@@ -443,9 +452,14 @@ mod tests {
                 let exact = exact_quantile(&sorted, q);
                 prop_assert!(
                     approx >= exact && approx - exact <= width,
-                    "q={} approx={} exact={} width={}", q, approx, exact, width
+                    "q={} approx={} exact={} width={}",
+                    q,
+                    approx,
+                    exact,
+                    width
                 );
             }
-        }
+            Ok(())
+        });
     }
 }

@@ -4,17 +4,18 @@
 //! with a flat reference model, and the reassembler accepts exactly the
 //! flit sequences a wormhole network can produce.
 
+use nocem_common::choice::{check, Choices};
 use nocem_common::flit::{Flit, FlitKind, PacketDescriptor};
 use nocem_common::ids::{EndpointId, FlowId, LinkId, PacketId};
 use nocem_common::rng::{Pcg32, RandomSource};
 use nocem_common::time::Cycle;
+use nocem_common::{prop_assert, prop_assert_eq};
 use nocem_stats::congestion::CongestionCounter;
 use nocem_stats::histogram::Histogram;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::{LedgerError, PacketLatency, PacketLedger, PacketRecord};
 use nocem_stats::receptor::{Reassembler, Receptor};
 use nocem_stats::TrKind;
-use proptest::prelude::*;
 
 /// A histogram that stores every nominal bin from the start: the
 /// reference [`Histogram`], which stores only the bins up to the
@@ -270,19 +271,29 @@ type GenPacket = (
     (u32, u32, u32),
 );
 
-fn gen_packet() -> impl Strategy<Value = GenPacket> {
+fn gen_packet(c: &mut Choices) -> GenPacket {
     (
-        (0u8..40, 0u16..480, 0u8..24, 0u64..4),
-        (0u8..24, 0u64..4),
-        (0u8..24, 0u64..4),
-        (0u8..6, 0u16..3),
-        (0u32..1000, 0u32..1000, 0u32..1000),
+        (
+            c.range(0u8..40),
+            c.range(0u16..480),
+            c.range(0u8..24),
+            c.range(0u64..4),
+        ),
+        (c.range(0u8..24), c.range(0u64..4)),
+        (c.range(0u8..24), c.range(0u64..4)),
+        (c.range(0u8..6), c.range(0u16..3)),
+        (
+            c.range(0u32..1000),
+            c.range(0u32..1000),
+            c.range(0u32..1000),
+        ),
     )
 }
 
 /// A random call, valid or not: `(kind, id, cycle, length, order key)`.
-fn gen_call() -> impl Strategy<Value = (u8, u64, u64, u16, u32)> {
-    (0u8..3, 0u64..72, 0u64..140_000, 1u16..5, 0u32..1000)
+fn gen_call(c: &mut Choices) -> (u8, u64, u64, u16, u32) {
+    let (kind, id, cycle) = (c.range(0u8..3), c.range(0u64..72), c.range(0u64..140_000));
+    (kind, id, cycle, c.range(1u16..5), c.range(0u32..1000))
 }
 
 /// `at` moved by a delta of class `class` (of 24) in a field whose
@@ -385,11 +396,7 @@ fn in_key_order(mut calls: Vec<(u32, Call)>) -> Vec<Call> {
 
 /// Makes one call on `ledger` and on `model`: both must answer alike,
 /// with equal counters and records afterwards.
-fn step(
-    ledger: &mut PacketLedger,
-    model: &mut FlatLedger,
-    call: Call,
-) -> Result<(), TestCaseError> {
+fn step(ledger: &mut PacketLedger, model: &mut FlatLedger, call: Call) -> Result<(), String> {
     answer_alike(ledger, model, call)?;
     prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
     Ok(())
@@ -401,7 +408,7 @@ fn answer_alike(
     ledger: &mut PacketLedger,
     model: &mut FlatLedger,
     call: Call,
-) -> Result<(), TestCaseError> {
+) -> Result<(), String> {
     match call {
         Call::Release(id, at, len) => prop_assert_eq!(
             ledger.release(PacketId::new(id), Cycle::new(at), len),
@@ -474,7 +481,7 @@ fn starving_run(packets: &[FlowPacket], starving: usize) -> Vec<Call> {
 }
 
 /// The end-of-run checks of `ledger` against `model`.
-fn same_totals(ledger: &PacketLedger, model: &FlatLedger) -> Result<(), TestCaseError> {
+fn same_totals(ledger: &PacketLedger, model: &FlatLedger) -> Result<(), String> {
     prop_assert_eq!(ledger.network_latency(), &model.network);
     prop_assert_eq!(ledger.total_latency(), &model.total);
     prop_assert_eq!(ledger.verify_drained(), model.verify_drained());
@@ -496,16 +503,17 @@ fn ledger_after(calls: &[Call]) -> PacketLedger {
     ledger
 }
 
-proptest! {
-    /// A histogram never loses a sample: bin counts plus overflow equal
-    /// the number of recorded values, and min/max/mean are consistent
-    /// with the raw data.
-    #[test]
-    fn histogram_conserves_samples(
-        values in proptest::collection::vec(0u64..10_000, 1..200),
-        bins in 1usize..32,
-        width in 1u64..500,
-    ) {
+/// A histogram never loses a sample: bin counts plus overflow equal
+/// the number of recorded values, and min/max/mean are consistent
+/// with the raw data.
+#[test]
+fn histogram_conserves_samples() {
+    check("histogram_conserves_samples", 0..128, |c| {
+        let (values, bins) = (
+            c.vec(1..200, |c| c.range(0u64..10_000)),
+            c.range(1usize..32),
+        );
+        let width = c.range(1u64..500);
         let mut h = Histogram::new(bins, width);
         for &v in &values {
             h.record(v);
@@ -517,25 +525,27 @@ proptest! {
         prop_assert_eq!(h.max(), values.iter().copied().max());
         let exact_mean = values.iter().sum::<u64>() as f64 / values.len() as f64;
         prop_assert!((h.mean().unwrap() - exact_mean).abs() < 1e-6);
-    }
+        Ok(())
+    });
+}
 
-    /// A histogram storing only the bins it has counted reads as the
-    /// dense reference on every accessor — each bin, the iterator,
-    /// quantiles, summary statistics, overflow and both renderings,
-    /// byte for byte — and the same samples in another order give an
-    /// equal histogram.
-    #[test]
-    fn histogram_reads_as_the_dense_reference(
-        bins in 1usize..160,
-        width in 1u64..40,
-        small in proptest::collection::vec(0u64..6_000, 0..300),
-        large in proptest::collection::vec(0u64..1 << 40, 0..4),
-        max_width in 0usize..60,
-        seed in any::<u64>(),
-        q in 0.0f64..1.0,
-    ) {
+/// A histogram storing only the bins it has counted reads as the
+/// dense reference on every accessor — each bin, the iterator,
+/// quantiles, summary statistics, overflow and both renderings,
+/// byte for byte — and the same samples in another order give an
+/// equal histogram.
+#[test]
+fn histogram_reads_as_the_dense_reference() {
+    check("histogram_reads_as_the_dense_reference", 0..128, |c| {
+        let (bins, width) = (c.range(1usize..160), c.range(1u64..40));
+        let small = c.vec(0..300, |c| c.range(0u64..6_000));
+        let (large, max_width) = (c.vec(0..4, |c| c.range(0u64..1 << 40)), c.range(0usize..60));
+        let (seed, q) = (c.word(), c.range(0.0f64..1.0));
         let mut values: Vec<u64> = small.into_iter().chain(large).collect();
-        let (mut h, mut dense) = (Histogram::new(bins, width), DenseHistogram::new(bins, width));
+        let (mut h, mut dense) = (
+            Histogram::new(bins, width),
+            DenseHistogram::new(bins, width),
+        );
         for &v in &values {
             h.record(v);
             dense.record(v);
@@ -544,7 +554,10 @@ proptest! {
         for i in 0..bins {
             prop_assert_eq!(h.bin_count(i), dense.bins[i], "bin {}", i);
         }
-        prop_assert_eq!(h.iter().collect::<Vec<_>>(), dense.iter().collect::<Vec<_>>());
+        prop_assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            dense.iter().collect::<Vec<_>>()
+        );
         for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, q] {
             prop_assert_eq!(h.quantile(q), dense.quantile(q), "q = {}", q);
         }
@@ -571,12 +584,16 @@ proptest! {
             reversed.record(v);
         }
         prop_assert_eq!(&reversed, &h);
-    }
+        Ok(())
+    });
+}
 
-    /// Histogram quantiles are monotone in `q` and bracketed by
-    /// min/max.
-    #[test]
-    fn histogram_quantiles_are_monotone(values in proptest::collection::vec(0u64..5_000, 1..100)) {
+/// Histogram quantiles are monotone in `q` and bracketed by
+/// min/max.
+#[test]
+fn histogram_quantiles_are_monotone() {
+    check("histogram_quantiles_are_monotone", 0..128, |c| {
+        let values = c.vec(1..100, |c| c.range(0u64..5_000));
         let mut h = Histogram::new(24, 32);
         for &v in &values {
             h.record(v);
@@ -588,12 +605,16 @@ proptest! {
             prop_assert!(v >= prev, "quantile not monotone at {q}");
             prev = v;
         }
-    }
+        Ok(())
+    });
+}
 
-    /// The latency analyzer matches a reference fold exactly for
-    /// count/sum/min/max and to f64 precision for the mean.
-    #[test]
-    fn latency_analyzer_matches_reference(samples in proptest::collection::vec(0u64..100_000, 1..300)) {
+/// The latency analyzer matches a reference fold exactly for
+/// count/sum/min/max and to f64 precision for the mean.
+#[test]
+fn latency_analyzer_matches_reference() {
+    check("latency_analyzer_matches_reference", 0..128, |c| {
+        let samples = c.vec(1..300, |c| c.range(0u64..100_000));
         let mut a = LatencyAnalyzer::new();
         for &s in &samples {
             a.record(s);
@@ -604,19 +625,27 @@ proptest! {
         prop_assert_eq!(a.max(), samples.iter().copied().max());
         let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
         prop_assert!((a.mean().unwrap() - mean).abs() < 1e-9);
-    }
+        Ok(())
+    });
+}
 
-    /// The ledger accepts any interleaving of correctly ordered
-    /// release→inject→deliver triples and reports exact latencies.
-    #[test]
-    fn ledger_accepts_ordered_lifecycles(
+/// The ledger accepts any interleaving of correctly ordered
+/// release→inject→deliver triples and reports exact latencies.
+#[test]
+fn ledger_accepts_ordered_lifecycles() {
+    check("ledger_accepts_ordered_lifecycles", 0..128, |c| {
         // (release offset, inject delay, network latency) per packet
-        pkts in proptest::collection::vec((0u64..100, 0u64..20, 1u64..50), 1..50),
-    ) {
+        let pkts = c.vec(1..50, |c| {
+            (c.range(0u64..100), c.range(0u64..20), c.range(1u64..50))
+        });
         let mut ledger = PacketLedger::new();
         // Build the global event list: (time, kind, packet).
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        enum Ev { Release, Inject, Deliver }
+        enum Ev {
+            Release,
+            Inject,
+            Deliver,
+        }
         let mut events: Vec<(u64, Ev, usize)> = Vec::new();
         for (i, &(rel, inj, lat)) in pkts.iter().enumerate() {
             events.push((rel, Ev::Release, i));
@@ -643,12 +672,16 @@ proptest! {
         prop_assert_eq!(ledger.in_flight(), 0);
         ledger.verify_drained().unwrap();
         prop_assert_eq!(ledger.network_latency().count(), pkts.len() as u64);
-    }
+        Ok(())
+    });
+}
 
-    /// Lifecycle violations are rejected: double release, inject of an
-    /// unknown packet, deliver before inject.
-    #[test]
-    fn ledger_rejects_lifecycle_violations(id in 0u64..1000) {
+/// Lifecycle violations are rejected: double release, inject of an
+/// unknown packet, deliver before inject.
+#[test]
+fn ledger_rejects_lifecycle_violations() {
+    check("ledger_rejects_lifecycle_violations", 0..128, |c| {
+        let id = c.range(0u64..1000);
         let id = PacketId::new(id);
         let mut ledger = PacketLedger::new();
         ledger.release(id, Cycle::new(0), 2).unwrap();
@@ -656,26 +689,30 @@ proptest! {
             ledger.release(id, Cycle::new(1), 2),
             Err(LedgerError::DuplicateRelease(_))
         ));
-        prop_assert!(ledger.deliver(id, Cycle::new(2), 2).is_err(), "deliver before inject");
+        prop_assert!(
+            ledger.deliver(id, Cycle::new(2), 2).is_err(),
+            "deliver before inject"
+        );
         let other = PacketId::new(id.raw() + 1_000_000);
         prop_assert!(ledger.inject(other, Cycle::new(1)).is_err());
         // The correct sequence still works afterwards.
         ledger.inject(id, Cycle::new(3)).unwrap();
         ledger.deliver(id, Cycle::new(5), 2).unwrap();
         prop_assert!(matches!(ledger.verify_drained(), Ok(())));
-    }
+        Ok(())
+    });
+}
 
-    /// The archived ledger answers every call like the flat reference
-    /// model, on interleaved lifecycles with vacant ids, deltas of either
-    /// sign, on both sides of the escape edge at small, middle and large
-    /// coder parameters and after long holds in all three fields,
-    /// repeated and changed lengths, and random — mostly invalid — calls
-    /// mixed in; counters and records agree after every call.
-    #[test]
-    fn ledger_matches_the_flat_model(
-        packets in proptest::collection::vec(gen_packet(), 1..64),
-        noise in proptest::collection::vec(gen_call(), 0..24),
-    ) {
+/// The archived ledger answers every call like the flat reference
+/// model, on interleaved lifecycles with vacant ids, deltas of either
+/// sign, on both sides of the escape edge at small, middle and large
+/// coder parameters and after long holds in all three fields,
+/// repeated and changed lengths, and random — mostly invalid — calls
+/// mixed in; counters and records agree after every call.
+#[test]
+fn ledger_matches_the_flat_model() {
+    check("ledger_matches_the_flat_model", 0..128, |c| {
+        let (packets, noise) = (c.vec(1..64, gen_packet), c.vec(0..24, gen_call));
         let mut calls = lifecycles(&packets);
         calls.extend(noise.iter().map(|&(kind, id, at, len, key)| {
             let call = match kind {
@@ -691,18 +728,19 @@ proptest! {
             step(&mut ledger, &mut model, call)?;
         }
         same_totals(&ledger, &model)?;
-    }
+        Ok(())
+    });
+}
 
-    /// A clone is a snapshot. Cloned at any call, the original takes the
-    /// rest of the calls and the clone the same calls one cycle later,
-    /// alternating, either one first; each answers like its own flat
-    /// model after every call, though they shared one archive.
-    #[test]
-    fn ledger_clone_is_an_isolated_snapshot(
-        packets in proptest::collection::vec(gen_packet(), 1..64),
-        cut in 0usize..192,
-        clone_first in any::<bool>(),
-    ) {
+/// A clone is a snapshot. Cloned at any call, the original takes the
+/// rest of the calls and the clone the same calls one cycle later,
+/// alternating, either one first; each answers like its own flat
+/// model after every call, though they shared one archive.
+#[test]
+fn ledger_clone_is_an_isolated_snapshot() {
+    check("ledger_clone_is_an_isolated_snapshot", 0..128, |c| {
+        let (packets, cut) = (c.vec(1..64, gen_packet), c.range(0usize..192));
+        let clone_first = c.bool();
         let calls = in_key_order(lifecycles(&packets));
         let (prefix, suffix) = calls.split_at(cut.min(calls.len()));
         let mut ledger = PacketLedger::new();
@@ -727,18 +765,28 @@ proptest! {
         }
         same_totals(&ledger, &model)?;
         same_totals(&copy, &copy_model)?;
-    }
+        Ok(())
+    });
+}
 
-    /// Two valid orders of lifecycle calls give equal ledgers exactly
-    /// when they give equal records: equal ones however far each moved
-    /// its archive, and one cycle moved in the second event set makes
-    /// them differ.
-    #[test]
-    fn ledger_equality_is_record_equality(
-        packets in proptest::collection::vec(gen_packet(), 1..64),
-        reorder in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..1000), 64),
-        (moved, which) in (0usize..4, 0usize..192),
-    ) {
+/// Two valid orders of lifecycle calls give equal ledgers exactly
+/// when they give equal records: equal ones however far each moved
+/// its archive, and one cycle moved in the second event set makes
+/// them differ.
+#[test]
+fn ledger_equality_is_record_equality() {
+    check("ledger_equality_is_record_equality", 0..128, |c| {
+        let packets = c.vec(1..64, gen_packet);
+        let reorder = (0..64)
+            .map(|_| {
+                (
+                    c.range(0u32..1000),
+                    c.range(0u32..1000),
+                    c.range(0u32..1000),
+                )
+            })
+            .collect::<Vec<_>>();
+        let (moved, which) = (c.range(0usize..4), c.range(0usize..192));
         let first = ledger_after(&in_key_order(lifecycles(&packets)));
         let mut calls = lifecycles(&packets);
         for (call, keys) in calls.chunks_mut(3).zip(&reorder) {
@@ -758,13 +806,17 @@ proptest! {
         let same_records = first.records().eq(second.records());
         prop_assert_eq!(first == second, same_records);
         prop_assert_eq!(same_records, !moves_one);
-    }
+        Ok(())
+    });
+}
 
-    /// The reassembler accepts any wormhole-legal flit stream
-    /// (packets contiguous per receptor) and reconstructs exact packet
-    /// boundaries; it rejects out-of-order sequence numbers.
-    #[test]
-    fn reassembler_reconstructs_packets(lens in proptest::collection::vec(1u16..8, 1..30)) {
+/// The reassembler accepts any wormhole-legal flit stream
+/// (packets contiguous per receptor) and reconstructs exact packet
+/// boundaries; it rejects out-of-order sequence numbers.
+#[test]
+fn reassembler_reconstructs_packets() {
+    check("reassembler_reconstructs_packets", 0..128, |c| {
+        let lens = c.vec(1..30, |c| c.range(1u16..8));
         let mut r = Reassembler::new();
         let mut now = 0u64;
         for (i, &len) in lens.iter().enumerate() {
@@ -791,14 +843,16 @@ proptest! {
             }
             prop_assert!(!r.has_open_packet());
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Congestion rates are always within [0, 1] and utilization is
-    /// consistent with the recorded forward counts.
-    #[test]
-    fn congestion_rates_are_bounded(
-        entries in proptest::collection::vec((0u64..1000, 0u64..1000), 1..50),
-    ) {
+/// Congestion rates are always within [0, 1] and utilization is
+/// consistent with the recorded forward counts.
+#[test]
+fn congestion_rates_are_bounded() {
+    check("congestion_rates_are_bounded", 0..128, |c| {
+        let entries = c.vec(1..50, |c| (c.range(0u64..1000), c.range(0u64..1000)));
         let mut cc = CongestionCounter::new(entries.len());
         for (i, &(b, f)) in entries.iter().enumerate() {
             cc.add(LinkId::new(i as u32), b, f);
@@ -812,56 +866,66 @@ proptest! {
         }
         let network = cc.network_rate();
         prop_assert!((0.0..=1.0).contains(&network));
-    }
+        Ok(())
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// One packet starves for thousands of ids while the rest flow by.
-    /// The ledger answers like the flat model, and its open window
-    /// costs the packets in flight plus a few bytes per packet delivered
-    /// behind the straggler, not 32 bytes per id from the straggler on:
-    /// the peak of `window_bytes` stays within 3 × (peak in flight ×
-    /// 32 B + packets delivered behind the straggler × 4 B), where it
-    /// reads at most 2.03 × (spare capacity included).
-    #[test]
-    fn ledger_window_stays_small_behind_a_starving_packet(
-        packets in proptest::collection::vec((0u64..3, 0u64..8, 0u8..16, 0u64..64), 2_000..4_000),
-        starving in 0usize..64,
-    ) {
-        let mut ledger = PacketLedger::new();
-        let mut model = FlatLedger::default();
-        let (mut peak_bytes, mut peak_in_flight, mut behind) = (0, 0, 0);
-        let calls = starving_run(&packets, starving);
-        for (i, &call) in calls.iter().enumerate() {
-            answer_alike(&mut ledger, &mut model, call)?;
-            if i % 512 == 0 {
-                prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+/// One packet starves for thousands of ids while the rest flow by.
+/// The ledger answers like the flat model, and its open window
+/// costs the packets in flight plus a few bytes per packet delivered
+/// behind the straggler, not 32 bytes per id from the straggler on:
+/// the peak of `window_bytes` stays within 3 × (peak in flight ×
+/// 32 B + packets delivered behind the straggler × 4 B), where it
+/// reads at most 2.03 × (spare capacity included).
+#[test]
+fn ledger_window_stays_small_behind_a_starving_packet() {
+    check(
+        "ledger_window_stays_small_behind_a_starving_packet",
+        0..32,
+        |c| {
+            let packets = c.vec(2_000..4_000, |c| {
+                (
+                    c.range(0u64..3),
+                    c.range(0u64..8),
+                    c.range(0u8..16),
+                    c.range(0u64..64),
+                )
+            });
+            let starving = c.range(0usize..64);
+            let mut ledger = PacketLedger::new();
+            let mut model = FlatLedger::default();
+            let (mut peak_bytes, mut peak_in_flight, mut behind) = (0, 0, 0);
+            let calls = starving_run(&packets, starving);
+            for (i, &call) in calls.iter().enumerate() {
+                answer_alike(&mut ledger, &mut model, call)?;
+                if i % 512 == 0 {
+                    prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+                }
+                if let Call::Deliver(id, ..) = call {
+                    behind += u64::from(id > starving as u64);
+                }
+                peak_bytes = peak_bytes.max(ledger.window_bytes() as u64);
+                peak_in_flight = peak_in_flight.max(ledger.in_flight());
+                if i + 2 == calls.len() {
+                    prop_assert_eq!(
+                        ledger.verify_drained(),
+                        Err(LedgerError::UnknownPacket(PacketId::new(starving as u64)))
+                    );
+                }
             }
-            if let Call::Deliver(id, ..) = call {
-                behind += u64::from(id > starving as u64);
-            }
-            peak_bytes = peak_bytes.max(ledger.window_bytes() as u64);
-            peak_in_flight = peak_in_flight.max(ledger.in_flight());
-            if i + 2 == calls.len() {
-                prop_assert_eq!(
-                    ledger.verify_drained(),
-                    Err(LedgerError::UnknownPacket(PacketId::new(starving as u64)))
-                );
-            }
-        }
-        prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
-        same_totals(&ledger, &model)?;
-        let bound = 3 * (32 * peak_in_flight + 4 * behind);
-        prop_assert!(
-            peak_bytes <= bound,
-            "window peaked at {} B: {} in flight, {} delivered behind",
-            peak_bytes,
-            peak_in_flight,
-            behind
-        );
-    }
+            prop_assert_eq!(ledger.records().collect::<Vec<_>>(), model.records());
+            same_totals(&ledger, &model)?;
+            let bound = 3 * (32 * peak_in_flight + 4 * behind);
+            prop_assert!(
+                peak_bytes <= bound,
+                "window peaked at {} B: {} in flight, {} delivered behind",
+                peak_bytes,
+                peak_in_flight,
+                behind
+            );
+            Ok(())
+        },
+    );
 }
 
 /// A stochastic receptor builds the paper's histograms: packet-length

@@ -17,13 +17,14 @@
 //! * **work conservation** — an output with credits and exactly one
 //!   requester transfers every cycle (no idle cycles under load).
 
+use nocem_common::choice::{check, Choices};
 use nocem_common::flit::{Flit, PacketDescriptor};
 use nocem_common::ids::{EndpointId, FlowId, PacketId, PortId, VcId};
 use nocem_common::time::Cycle;
+use nocem_common::{prop_assert, prop_assert_eq, prop_assert_ne};
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::{SelectionPolicy, SwitchConfigBuilder};
 use nocem_switch::switch::{Switch, Transfer, CREDITS_INFINITE};
-use proptest::prelude::*;
 use std::collections::VecDeque;
 
 /// One randomized packet: which input it arrives on, its flow (= the
@@ -35,8 +36,9 @@ struct PacketPlan {
     len: u16,
 }
 
-fn packet_plan(inputs: usize, flows: u32) -> impl Strategy<Value = PacketPlan> {
-    (0..inputs, 0..flows, 1u16..6).prop_map(|(input, flow, len)| PacketPlan { input, flow, len })
+fn packet_plan(c: &mut Choices, inputs: usize, flows: u32) -> PacketPlan {
+    let (input, flow, len) = (c.range(0..inputs), c.range(0..flows), c.range(1u16..6));
+    PacketPlan { input, flow, len }
 }
 
 fn flits_of(id: u64, plan: &PacketPlan) -> Vec<Flit> {
@@ -112,16 +114,12 @@ fn build_switch(inputs: usize, outputs: usize, flows: u32, depth: u8) -> Switch 
     Switch::new(config, routes, vec![u32::from(depth); outputs], 0xBEEF).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Conservation + order + wormhole atomicity for arbitrary packet
-    /// mixes on a 4x4 switch.
-    #[test]
-    fn switch_preserves_and_orders_flits(
-        plans in proptest::collection::vec(packet_plan(4, 8), 1..40),
-        credit_delay in 1usize..4,
-    ) {
+/// Conservation + order + wormhole atomicity for arbitrary packet
+/// mixes on a 4x4 switch.
+#[test]
+fn switch_preserves_and_orders_flits() {
+    check("switch_preserves_and_orders_flits", 0..64, |c| {
+        let (plans, credit_delay) = (c.vec(1..40, |c| packet_plan(c, 4, 8)), c.range(1usize..4));
         let (inputs, outputs, depth) = (4usize, 4usize, 4u8);
         let mut sw = build_switch(inputs, outputs, 8, depth);
         let mut arrivals: Vec<VecDeque<Flit>> = vec![VecDeque::new(); inputs];
@@ -176,17 +174,28 @@ proptest! {
 
         // After drain the switch is idle and all credits returned.
         prop_assert!(sw.is_idle());
-    }
+        Ok(())
+    });
+}
 
-    /// A single uncontended stream flows at full rate: one flit per
-    /// cycle once started, regardless of packet boundaries.
-    #[test]
-    fn uncontended_stream_is_work_conserving(lens in proptest::collection::vec(1u16..5, 1..10)) {
+/// A single uncontended stream flows at full rate: one flit per
+/// cycle once started, regardless of packet boundaries.
+#[test]
+fn uncontended_stream_is_work_conserving() {
+    check("uncontended_stream_is_work_conserving", 0..64, |c| {
+        let lens = c.vec(1..10, |c| c.range(1u16..5));
         let mut sw = build_switch(1, 1, 1, 8);
         let mut arrivals: Vec<VecDeque<Flit>> = vec![VecDeque::new()];
         let mut total = 0usize;
         for (id, &len) in lens.iter().enumerate() {
-            for f in flits_of(id as u64, &PacketPlan { input: 0, flow: 0, len }) {
+            for f in flits_of(
+                id as u64,
+                &PacketPlan {
+                    input: 0,
+                    flow: 0,
+                    len,
+                },
+            ) {
                 arrivals[0].push_back(f);
                 total += 1;
             }
@@ -219,12 +228,16 @@ proptest! {
         for (k, (c, _)) in log.iter().enumerate() {
             prop_assert_eq!(*c, first + k, "bubble in an uncontended stream");
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Round-robin arbitration is fair: with two inputs saturating one
-    /// output with single-flit packets, grants strictly alternate.
-    #[test]
-    fn round_robin_alternates_under_saturation(n in 2usize..20) {
+/// Round-robin arbitration is fair: with two inputs saturating one
+/// output with single-flit packets, grants strictly alternate.
+#[test]
+fn round_robin_alternates_under_saturation() {
+    check("round_robin_alternates_under_saturation", 0..64, |c| {
+        let n = c.range(2usize..20);
         let mut sw = build_switch(2, 1, 1, 8);
         let mut id = 0u64;
         let mut winners = Vec::new();
@@ -233,7 +246,14 @@ proptest! {
         for cycle in 0..2 * n {
             for i in 0..2 {
                 if sw.occupancy(PortId::new(i)) < 8 {
-                    let f = flits_of(id, &PacketPlan { input: i as usize, flow: 0, len: 1 })[0];
+                    let f = flits_of(
+                        id,
+                        &PacketPlan {
+                            input: i as usize,
+                            flow: 0,
+                            len: 1,
+                        },
+                    )[0];
                     sw.accept(PortId::new(i), f).unwrap();
                     id += 1;
                 }
@@ -249,18 +269,19 @@ proptest! {
         for w in winners.windows(2) {
             prop_assert_ne!(w[0], w[1], "round robin starved an input");
         }
-    }
+        Ok(())
+    });
+}
 
-    /// The quiescence predicate is exact on randomized switch states:
-    /// `is_quiescent()` is false whenever any flit is buffered, any
-    /// wormhole is partially through, or any credit is still
-    /// outstanding — and true exactly when none of those hold. This is
-    /// the invariant the clock-gating fast-forward kernel rests on.
-    #[test]
-    fn quiescence_predicate_is_exact(
-        plans in proptest::collection::vec(packet_plan(3, 6), 1..24),
-        credit_delay in 1usize..5,
-    ) {
+/// The quiescence predicate is exact on randomized switch states:
+/// `is_quiescent()` is false whenever any flit is buffered, any
+/// wormhole is partially through, or any credit is still
+/// outstanding — and true exactly when none of those hold. This is
+/// the invariant the clock-gating fast-forward kernel rests on.
+#[test]
+fn quiescence_predicate_is_exact() {
+    check("quiescence_predicate_is_exact", 0..64, |c| {
+        let (plans, credit_delay) = (c.vec(1..24, |c| packet_plan(c, 3, 6)), c.range(1usize..5));
         let (inputs, outputs, depth) = (3usize, 3usize, 3u8);
         let mut sw = build_switch(inputs, outputs, 6, depth);
         let mut arrivals: Vec<VecDeque<Flit>> = vec![VecDeque::new(); inputs];
@@ -280,7 +301,10 @@ proptest! {
         let mut cycle = 0usize;
         while delivered < total || !pending_credits.is_empty() {
             prop_assert!(cycle < 64 * total + 1_000, "switch wedged");
-            while pending_credits.front().is_some_and(|&(due, _)| due <= cycle) {
+            while pending_credits
+                .front()
+                .is_some_and(|&(due, _)| due <= cycle)
+            {
                 let (_, port) = pending_credits.pop_front().unwrap();
                 sw.credit_return(port, VcId::ZERO);
             }
@@ -319,15 +343,16 @@ proptest! {
             cycle += 1;
         }
         prop_assert!(sw.is_quiescent(), "drained switch must be quiescent");
-    }
+        Ok(())
+    });
+}
 
-    /// Credits never exceed their cap and the FIFO never overflows,
-    /// even with the slowest legal credit loop.
-    #[test]
-    fn credit_loop_is_safe(
-        plans in proptest::collection::vec(packet_plan(2, 4), 1..20),
-        credit_delay in 1usize..6,
-    ) {
+/// Credits never exceed their cap and the FIFO never overflows,
+/// even with the slowest legal credit loop.
+#[test]
+fn credit_loop_is_safe() {
+    check("credit_loop_is_safe", 0..64, |c| {
+        let (plans, credit_delay) = (c.vec(1..20, |c| packet_plan(c, 2, 4)), c.range(1usize..6));
         let mut sw = build_switch(2, 4, 4, 2);
         let mut arrivals: Vec<VecDeque<Flit>> = vec![VecDeque::new(); 2];
         for (id, p) in plans.iter().enumerate() {
@@ -341,7 +366,8 @@ proptest! {
         for o in 0..4 {
             prop_assert!(sw.credits(PortId::new(o)) <= 2, "credit overflow");
         }
-    }
+        Ok(())
+    });
 }
 
 /// Infinite-credit outputs (ejection ports) never block a stream and

@@ -350,7 +350,8 @@ fn hotter(a: &LinkStat, b: &LinkStat) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use nocem_common::choice::check;
+    use nocem_common::{prop_assert, prop_assert_eq};
     use std::collections::VecDeque;
 
     fn cfg(window: u64, capacity: usize) -> TelemetryConfig {
@@ -604,7 +605,7 @@ mod tests {
     }
 
     /// Checks every reader of `c` against the model.
-    fn agrees(c: &Collector, m: &Model) -> Result<(), TestCaseError> {
+    fn agrees(c: &Collector, m: &Model) -> Result<(), String> {
         prop_assert_eq!(c.windows_recorded(), m.windows);
         let rows: Vec<Vec<u64>> = c.held_rows().map(<[u64]>::to_vec).collect();
         prop_assert_eq!(rows, m.rows());
@@ -624,23 +625,26 @@ mod tests {
         Ok(())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The window-major ring reads exactly like one bounded queue
-        /// per resource, over probes that cross zero, one or many
-        /// boundaries, at capacities that evict after 1, 2 and 64
-        /// windows, and a seal on or off a boundary.
-        #[test]
-        fn the_ring_reads_like_a_queue_per_resource(
-            shape in (1usize..5, 0usize..3, 1u64..6, 0usize..3),
-            probes in proptest::collection::vec(
-                (0u64..20, proptest::collection::vec(0u64..4, 16)),
-                0..40,
-            ),
-            seal_gap in 0u64..20,
-            seal_on_boundary in any::<bool>(),
-        ) {
+    /// The window-major ring reads exactly like one bounded queue
+    /// per resource, over probes that cross zero, one or many
+    /// boundaries, at capacities that evict after 1, 2 and 64
+    /// windows, and a seal on or off a boundary.
+    #[test]
+    fn the_ring_reads_like_a_queue_per_resource() {
+        check("the_ring_reads_like_a_queue_per_resource", 0..256, |c| {
+            let shape = (
+                c.range(1usize..5),
+                c.range(0usize..3),
+                c.range(1u64..6),
+                c.range(0usize..3),
+            );
+            let probes = c.vec(0..40, |c| {
+                (
+                    c.range(0u64..20),
+                    (0..16).map(|_| c.range(0u64..4)).collect::<Vec<_>>(),
+                )
+            });
+            let (seal_gap, seal_on_boundary) = (c.range(0u64..20), c.bool());
             let (link_count, vcs, window, cap) = shape;
             let capacity = [1, 2, 64][cap];
             let mut c = Collector::new(&cfg(window, capacity), link_count, vcs);
@@ -677,6 +681,7 @@ mod tests {
             m.seal(now, &counts, &occupancy);
             agrees(&c, &m)?;
             prop_assert!(c.is_sealed());
-        }
+            Ok(())
+        });
     }
 }

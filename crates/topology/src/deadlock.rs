@@ -379,6 +379,7 @@ mod tests {
     use super::*;
     use crate::builders::{mesh, paper_setup, ring, torus};
     use crate::routing::{ring_minimal_path, FlowSpec, RouteAlgorithm, RoutingTables, VcPolicy};
+    use nocem_common::choice::check;
     use nocem_common::flows::AllButSelf;
     use nocem_common::ids::FlowId;
     use nocem_common::rng::SplitMix64;
@@ -660,18 +661,17 @@ mod tests {
     #[test]
     fn the_block_walk_builds_the_graph_of_the_per_pair_walk_on_generated_grids() {
         // Up to 81 destinations: one block or two, either side of 64.
-        for seed in 0..24 {
-            let mut rng = SplitMix64::new(seed);
-            let (w, h) = (1 + rng.next() % 9, 1 + rng.next() % 9);
-            if w * h == 1 {
-                continue;
+        let name = "the_block_walk_builds_the_graph_of_the_per_pair_walk_on_generated_grids";
+        check(name, 0..24, |c| {
+            let (w, h) = (c.range(1u32..=9), c.range(1u32..=9));
+            let (one_in, flows_seed) = (c.range(1u64..=12), c.word());
+            if w * h > 1 {
+                same_graphs_on_both_grids(w, h, |topo| {
+                    vec![sparse_pairs(topo, one_in, flows_seed)]
+                });
             }
-            let one_in = 1 + rng.next() % 12;
-            let flows_seed = rng.next();
-            same_graphs_on_both_grids(w as u32, h as u32, |topo| {
-                vec![sparse_pairs(topo, one_in, flows_seed)]
-            });
-        }
+            Ok(())
+        });
     }
 
     /// [`same_graph`] on the `w` × `h` mesh and torus, for each flow

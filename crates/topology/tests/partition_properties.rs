@@ -4,10 +4,10 @@
 //! cut edges — on meshes, tori and rings of random sizes and random
 //! shard counts.
 
+use nocem_common::choice::check;
 use nocem_topology::builders::{mesh, ring, star, torus};
 use nocem_topology::graph::Topology;
 use nocem_topology::partition::{grid_stripes, PartitionMap};
-use proptest::prelude::*;
 use std::collections::HashSet;
 
 /// The cover property: every switch is owned by exactly one shard,
@@ -57,7 +57,7 @@ fn assert_boundary_matches_ground_truth(topo: &Topology, map: &PartitionMap) {
     }
 }
 
-fn check(topo: &Topology, shards: usize) {
+fn stripes_cover_and_cut(topo: &Topology, shards: usize) {
     let shards = shards.clamp(1, topo.switch_count());
     let map = grid_stripes(topo, shards).expect("feasible request");
     assert_eq!(map.shards(), shards);
@@ -65,32 +65,44 @@ fn check(topo: &Topology, shards: usize) {
     assert_boundary_matches_ground_truth(topo, &map);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Meshes of any size partition into any feasible shard count.
+#[test]
+fn mesh_partitions_cover_and_cut() {
+    check("mesh_partitions_cover_and_cut", 0..24, |c| {
+        let (w, h, k) = (c.range(1u32..9), c.range(1u32..9), c.range(1usize..8));
+        stripes_cover_and_cut(&mesh(w, h).unwrap(), k);
+        Ok(())
+    });
+}
 
-    /// Meshes of any size partition into any feasible shard count.
-    #[test]
-    fn mesh_partitions_cover_and_cut(w in 1u32..9, h in 1u32..9, k in 1usize..8) {
-        check(&mesh(w, h).unwrap(), k);
-    }
+/// Tori too — their wrap-around links join the cut whenever the
+/// stripes split the wrapped dimension.
+#[test]
+fn torus_partitions_cover_and_cut() {
+    check("torus_partitions_cover_and_cut", 0..24, |c| {
+        let (w, h, k) = (c.range(2u32..8), c.range(2u32..8), c.range(1usize..8));
+        stripes_cover_and_cut(&torus(w, h).unwrap(), k);
+        Ok(())
+    });
+}
 
-    /// Tori too — their wrap-around links join the cut whenever the
-    /// stripes split the wrapped dimension.
-    #[test]
-    fn torus_partitions_cover_and_cut(w in 2u32..8, h in 2u32..8, k in 1usize..8) {
-        check(&torus(w, h).unwrap(), k);
-    }
+/// Rings (no grid metadata: contiguous index striping).
+#[test]
+fn ring_partitions_cover_and_cut() {
+    check("ring_partitions_cover_and_cut", 0..24, |c| {
+        let (n, k) = (c.range(2u32..24), c.range(1usize..8));
+        stripes_cover_and_cut(&ring(n).unwrap(), k);
+        Ok(())
+    });
+}
 
-    /// Rings (no grid metadata: contiguous index striping).
-    #[test]
-    fn ring_partitions_cover_and_cut(n in 2u32..24, k in 1usize..8) {
-        check(&ring(n).unwrap(), k);
-    }
-
-    /// Stars: the pathological non-grid case (every leaf adjacent to
-    /// the hub), where almost every link is a cut edge.
-    #[test]
-    fn star_partitions_cover_and_cut(leaves in 2u32..16, k in 1usize..8) {
-        check(&star(leaves).unwrap(), k);
-    }
+/// Stars: the pathological non-grid case (every leaf adjacent to
+/// the hub), where almost every link is a cut edge.
+#[test]
+fn star_partitions_cover_and_cut() {
+    check("star_partitions_cover_and_cut", 0..24, |c| {
+        let (leaves, k) = (c.range(2u32..16), c.range(1usize..8));
+        stripes_cover_and_cut(&star(leaves).unwrap(), k);
+        Ok(())
+    });
 }

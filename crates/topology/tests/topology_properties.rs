@@ -2,13 +2,14 @@
 //! always deliver, XY routing is deadlock-free on meshes, and the
 //! analytic link-load prediction conserves offered traffic.
 
+use nocem_common::choice::check;
 use nocem_common::ids::{FlowId, SwitchId};
+use nocem_common::{prop_assert, prop_assert_eq};
 use nocem_topology::analysis::{predict_link_loads, SplitModel};
 use nocem_topology::builders::{mesh, ring, star, torus};
 use nocem_topology::deadlock::check_routing_deadlock_freedom;
 use nocem_topology::graph::Topology;
 use nocem_topology::routing::{FlowSpec, RouteAlgorithm, RoutingTables};
-use proptest::prelude::*;
 
 /// Walks a flow's routing tables from its source switch, always taking
 /// the first admissible port, and asserts the walk reaches the
@@ -60,66 +61,89 @@ fn check_all_algorithms(topo: &Topology, use_xy: bool) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Meshes of any size route every flow with every algorithm.
-    #[test]
-    fn mesh_routes_deliver(w in 1u32..6, h in 1u32..6) {
+/// Meshes of any size route every flow with every algorithm.
+#[test]
+fn mesh_routes_deliver() {
+    check("mesh_routes_deliver", 0..24, |c| {
+        let (w, h) = (c.range(1u32..6), c.range(1u32..6));
         let topo = mesh(w, h).unwrap();
         check_all_algorithms(&topo, true);
-    }
+        Ok(())
+    });
+}
 
-    /// Tori of any size route every flow (XY needs no wraparound
-    /// awareness to remain correct: it just ignores the wrap links).
-    #[test]
-    fn torus_routes_deliver(w in 2u32..6, h in 2u32..6) {
+/// Tori of any size route every flow (XY needs no wraparound
+/// awareness to remain correct: it just ignores the wrap links).
+#[test]
+fn torus_routes_deliver() {
+    check("torus_routes_deliver", 0..24, |c| {
+        let (w, h) = (c.range(2u32..6), c.range(2u32..6));
         let topo = torus(w, h).unwrap();
         check_all_algorithms(&topo, false);
-    }
+        Ok(())
+    });
+}
 
-    /// Rings and stars route every flow.
-    #[test]
-    fn ring_and_star_routes_deliver(n in 2u32..12) {
+/// Rings and stars route every flow.
+#[test]
+fn ring_and_star_routes_deliver() {
+    check("ring_and_star_routes_deliver", 0..24, |c| {
+        let n = c.range(2u32..12);
         check_all_algorithms(&ring(n).unwrap(), false);
         check_all_algorithms(&star(n.max(2)).unwrap(), false);
-    }
+        Ok(())
+    });
+}
 
-    /// XY routing on a mesh is deadlock-free (the classic result:
-    /// dimension order admits no cyclic channel dependency).
-    #[test]
-    fn xy_routing_is_deadlock_free(w in 2u32..6, h in 2u32..6) {
+/// XY routing on a mesh is deadlock-free (the classic result:
+/// dimension order admits no cyclic channel dependency).
+#[test]
+fn xy_routing_is_deadlock_free() {
+    check("xy_routing_is_deadlock_free", 0..24, |c| {
+        let (w, h) = (c.range(2u32..6), c.range(2u32..6));
         let topo = mesh(w, h).unwrap();
         let flows = FlowSpec::all_pairs(&topo);
-        let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Xy).unwrap();
+        let tables =
+            RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Xy).unwrap();
         check_routing_deadlock_freedom(&topo, &tables).unwrap();
-    }
+        Ok(())
+    });
+}
 
-    /// Shortest-path one-to-one routing on a ring uses both directions
-    /// but stays deadlock-free (paths shorter than half the ring never
-    /// close the cycle).
-    #[test]
-    fn ring_shortest_paths_are_deadlock_free(n in 2u32..10) {
+/// Shortest-path one-to-one routing on a ring uses both directions
+/// but stays deadlock-free (paths shorter than half the ring never
+/// close the cycle).
+#[test]
+fn ring_shortest_paths_are_deadlock_free() {
+    check("ring_shortest_paths_are_deadlock_free", 0..24, |c| {
+        let n = c.range(2u32..10);
         let topo = ring(n).unwrap();
         let flows = FlowSpec::one_to_one(&topo).unwrap();
-        let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
+        let tables =
+            RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
         check_routing_deadlock_freedom(&topo, &tables).unwrap();
-    }
+        Ok(())
+    });
+}
 
-    /// Link-load prediction conserves traffic: summed over the
-    /// injection links it equals the total offered load, and no link
-    /// exceeds the sum of all offered loads.
-    #[test]
-    fn predicted_loads_conserve_offered_traffic(
-        w in 1u32..5,
-        h in 1u32..5,
-        loads in proptest::collection::vec(0.01f64..0.9, 25),
-    ) {
+/// Link-load prediction conserves traffic: summed over the
+/// injection links it equals the total offered load, and no link
+/// exceeds the sum of all offered loads.
+#[test]
+fn predicted_loads_conserve_offered_traffic() {
+    check("predicted_loads_conserve_offered_traffic", 0..24, |c| {
+        let (w, h) = (c.range(1u32..5), c.range(1u32..5));
+        let loads = (0..25).map(|_| c.range(0.01f64..0.9)).collect::<Vec<_>>();
         let topo = mesh(w, h).unwrap();
         let flows = FlowSpec::one_to_one(&topo).unwrap();
-        let tables = RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
-        let offered: Vec<f64> = flows.iter().map(|f| loads[f.flow.raw() as usize % loads.len()]).collect();
-        let predicted = predict_link_loads(&topo, &tables.flows(), &offered, SplitModel::PrimaryOnly);
+        let tables =
+            RoutingTables::compute(&topo, &flows.clone().into(), RouteAlgorithm::Shortest).unwrap();
+        let offered: Vec<f64> = flows
+            .iter()
+            .map(|f| loads[f.flow.raw() as usize % loads.len()])
+            .collect();
+        let predicted =
+            predict_link_loads(&topo, &tables.flows(), &offered, SplitModel::PrimaryOnly);
 
         let total: f64 = offered.iter().sum();
         // Injection links carry exactly their generator's offered load.
@@ -131,21 +155,29 @@ proptest! {
             prop_assert!(p <= total + 1e-9, "link {l} predicted above total offered");
             prop_assert!(p >= -1e-9);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// The BFS diameter is antitone in connectivity: a torus never has
-    /// a larger diameter than the same-size mesh.
-    #[test]
-    fn torus_diameter_never_exceeds_mesh(w in 2u32..6, h in 2u32..6) {
+/// The BFS diameter is antitone in connectivity: a torus never has
+/// a larger diameter than the same-size mesh.
+#[test]
+fn torus_diameter_never_exceeds_mesh() {
+    check("torus_diameter_never_exceeds_mesh", 0..24, |c| {
+        let (w, h) = (c.range(2u32..6), c.range(2u32..6));
         let m = mesh(w, h).unwrap().diameter().unwrap();
         let t = torus(w, h).unwrap().diameter().unwrap();
         prop_assert!(t <= m, "torus {t} vs mesh {m}");
-    }
+        Ok(())
+    });
+}
 
-    /// Every switch of a built topology has at least one input and one
-    /// output port, and link lookup tables are mutually consistent.
-    #[test]
-    fn built_topologies_are_internally_consistent(n in 2u32..10) {
+/// Every switch of a built topology has at least one input and one
+/// output port, and link lookup tables are mutually consistent.
+#[test]
+fn built_topologies_are_internally_consistent() {
+    check("built_topologies_are_internally_consistent", 0..24, |c| {
+        let n = c.range(2u32..10);
         for topo in [ring(n).unwrap(), star(n).unwrap()] {
             for s in topo.switch_ids() {
                 let info = topo.switch(s);
@@ -170,7 +202,8 @@ proptest! {
                 }
             }
         }
-    }
+        Ok(())
+    });
 }
 
 /// `FlowSpec::all_pairs` covers the full generator × receptor matrix

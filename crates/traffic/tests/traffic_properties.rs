@@ -5,16 +5,17 @@
 //! model that names a row of a flow set draws what the list of that
 //! row's options draws.
 
+use nocem_common::choice::check;
 use nocem_common::flit::PacketDescriptor;
 use nocem_common::flows::{AllButSelf, Row};
 use nocem_common::ids::{EndpointId, FlowId, PacketId};
 use nocem_common::rng::Pcg32;
 use nocem_common::time::Cycle;
+use nocem_common::{prop_assert, prop_assert_eq};
 use nocem_traffic::generator::{DestinationModel, HotRow, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, StochasticTg, UniformConfig};
 use nocem_traffic::trace::{synthesize_bursty, BurstyTraceSpec, Trace, TraceDrivenTg, TraceEvent};
-use proptest::prelude::*;
 
 fn dst() -> DestinationModel {
     DestinationModel::Fixed {
@@ -34,13 +35,12 @@ fn measured_load(tg: &mut dyn TrafficGenerator, horizon: u64) -> f64 {
     flits as f64 / horizon as f64
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// `UniformConfig::with_load` produces the requested load for any
-    /// (load, length) combination, measured over a long run.
-    #[test]
-    fn uniform_with_load_inverts(load in 0.05f64..0.95, len in 1u16..32, seed in any::<u64>()) {
+/// `UniformConfig::with_load` produces the requested load for any
+/// (load, length) combination, measured over a long run.
+#[test]
+fn uniform_with_load_inverts() {
+    check("uniform_with_load_inverts", 0..16, |c| {
+        let (load, len, seed) = (c.range(0.05f64..0.95), c.range(1u16..32), c.word());
         let cfg = UniformConfig::with_load(load, len, None, dst());
         let mut tg = StochasticTg::uniform(cfg.clone(), seed);
         let measured = measured_load(&mut tg, 300_000);
@@ -53,16 +53,16 @@ proptest! {
         );
         // The analytic helper agrees with itself.
         prop_assert!((cfg.offered_load() - load).abs() < tolerance);
-    }
+        Ok(())
+    });
+}
 
-    /// Same inversion for the burst model, at any mean burst length.
-    #[test]
-    fn burst_with_load_inverts(
-        load in 0.05f64..0.85,
-        burst in 1u32..32,
-        len in 1u16..16,
-        seed in any::<u64>(),
-    ) {
+/// Same inversion for the burst model, at any mean burst length.
+#[test]
+fn burst_with_load_inverts() {
+    check("burst_with_load_inverts", 0..16, |c| {
+        let (load, burst, len) = (c.range(0.05f64..0.85), c.range(1u32..32), c.range(1u16..16));
+        let seed = c.word();
         let cfg = BurstConfig::with_load(load, burst, len, None, dst());
         let mut tg = StochasticTg::burst(cfg.clone(), seed);
         let measured = measured_load(&mut tg, 400_000);
@@ -71,11 +71,15 @@ proptest! {
             "target {load:.3}, measured {measured:.3} (burst {burst}, len {len})"
         );
         prop_assert!((cfg.mean_burst_packets() - f64::from(burst)).abs() < 1e-9);
-    }
+        Ok(())
+    });
+}
 
-    /// Same inversion for the Poisson model.
-    #[test]
-    fn poisson_with_load_inverts(load in 0.05f64..0.85, len in 1u16..16, seed in any::<u64>()) {
+/// Same inversion for the Poisson model.
+#[test]
+fn poisson_with_load_inverts() {
+    check("poisson_with_load_inverts", 0..16, |c| {
+        let (load, len, seed) = (c.range(0.05f64..0.85), c.range(1u16..16), c.word());
         let cfg = PoissonConfig::with_load(load, len, None, dst());
         let mut tg = StochasticTg::poisson(cfg, seed);
         let measured = measured_load(&mut tg, 300_000);
@@ -83,12 +87,16 @@ proptest! {
             (measured - load).abs() < 0.05,
             "target {load:.3}, measured {measured:.3}"
         );
-    }
+        Ok(())
+    });
+}
 
-    /// A generator with a budget releases exactly the budget, then
-    /// reports exhaustion forever.
-    #[test]
-    fn budget_is_exact(budget in 1u64..200, seed in any::<u64>()) {
+/// A generator with a budget releases exactly the budget, then
+/// reports exhaustion forever.
+#[test]
+fn budget_is_exact() {
+    check("budget_is_exact", 0..16, |c| {
+        let (budget, seed) = (c.range(1u64..200), c.word());
         let cfg = BurstConfig::with_load(0.5, 4, 4, Some(budget), dst());
         let mut tg = StochasticTg::burst(cfg, seed);
         let mut released = 0u64;
@@ -103,13 +111,22 @@ proptest! {
         prop_assert_eq!(released, budget);
         prop_assert_eq!(tg.remaining(), Some(0));
         prop_assert!(tg.tick(Cycle::new(u64::MAX / 2)).is_none());
-    }
+        Ok(())
+    });
+}
 
-    /// Trace text rendering round-trips exactly.
-    #[test]
-    fn trace_text_roundtrip(
-        raw in proptest::collection::vec((0u64..100_000, 0u32..8, 0u32..8, 1u16..64), 0..100),
-    ) {
+/// Trace text rendering round-trips exactly.
+#[test]
+fn trace_text_roundtrip() {
+    check("trace_text_roundtrip", 0..16, |c| {
+        let raw = c.vec(0..100, |c| {
+            (
+                c.range(0u64..100_000),
+                c.range(0u32..8),
+                c.range(0u32..8),
+                c.range(1u16..64),
+            )
+        });
         let events: Vec<TraceEvent> = raw
             .iter()
             .map(|&(at, src, d, len)| TraceEvent {
@@ -124,14 +141,16 @@ proptest! {
         let text = trace.to_text();
         let parsed = Trace::parse(&text).expect("rendered trace parses");
         prop_assert_eq!(parsed, trace);
-    }
+        Ok(())
+    });
+}
 
-    /// Replay never releases an event before its timestamp, releases
-    /// at most one event per cycle, and eventually drains the trace.
-    #[test]
-    fn replay_respects_timestamps(
-        gaps in proptest::collection::vec(0u64..5, 1..50),
-    ) {
+/// Replay never releases an event before its timestamp, releases
+/// at most one event per cycle, and eventually drains the trace.
+#[test]
+fn replay_respects_timestamps() {
+    check("replay_respects_timestamps", 0..16, |c| {
+        let gaps = c.vec(1..50, |c| c.range(0u64..5));
         let mut at = 0u64;
         let mut events = Vec::new();
         for (i, &g) in gaps.iter().enumerate() {
@@ -156,16 +175,16 @@ proptest! {
         }
         prop_assert_eq!(released, events.len());
         prop_assert!(tg.is_exhausted());
-    }
+        Ok(())
+    });
+}
 
-    /// Synthetic bursty traces hit their packet count and offered load.
-    #[test]
-    fn synthesized_trace_matches_spec(
-        burst in 1u32..32,
-        len in 1u16..16,
-        total in 50u64..500,
-        seed in any::<u64>(),
-    ) {
+/// Synthetic bursty traces hit their packet count and offered load.
+#[test]
+fn synthesized_trace_matches_spec() {
+    check("synthesized_trace_matches_spec", 0..16, |c| {
+        let (burst, len, total) = (c.range(1u32..32), c.range(1u16..16), c.range(50u64..500));
+        let seed = c.word();
         let spec = BurstyTraceSpec {
             src: EndpointId::new(0),
             dst: EndpointId::new(1),
@@ -188,15 +207,16 @@ proptest! {
             (measured - 0.45).abs() < 0.12,
             "load {measured:.3} over span {span}"
         );
-    }
+        Ok(())
+    });
+}
 
-    /// The NI conserves flits: everything accepted is eventually
-    /// emitted in order, one flit per cycle, gated by credits.
-    #[test]
-    fn ni_conserves_and_orders_flits(
-        lens in proptest::collection::vec(1u16..6, 1..20),
-        credits in 1u32..8,
-    ) {
+/// The NI conserves flits: everything accepted is eventually
+/// emitted in order, one flit per cycle, gated by credits.
+#[test]
+fn ni_conserves_and_orders_flits() {
+    check("ni_conserves_and_orders_flits", 0..16, |c| {
+        let (lens, credits) = (c.vec(1..20, |c| c.range(1u16..6)), c.range(1u32..8));
         let mut ni = SourceNi::new(lens.len().max(1), credits);
         let mut expected = Vec::new();
         for (i, &len) in lens.iter().enumerate() {
@@ -234,7 +254,8 @@ proptest! {
         prop_assert_eq!(c.accepted_packets, lens.len() as u64);
         prop_assert_eq!(c.injected_packets, lens.len() as u64);
         prop_assert_eq!(c.rejected_packets, 0);
-    }
+        Ok(())
+    });
 }
 
 /// A TG/TR pair per node: sources `0, 2, 4, …`, sinks `1, 3, 5, …`.
@@ -265,34 +286,27 @@ fn assert_draw_for_draw(row_form: &DestinationModel, seed: u64, draws: usize) {
     assert_eq!(a, b, "the two forms consumed different random numbers");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Row `s` of an all-but-self set and `UniformChoice` over the
-    /// row's listed pairs are the same generator.
-    #[test]
-    fn uniform_row_draws_what_its_list_draws(
-        n in 2u32..70,
-        source in any::<u32>(),
-        seed in any::<u64>(),
-    ) {
+/// Row `s` of an all-but-self set and `UniformChoice` over the
+/// row's listed pairs are the same generator.
+#[test]
+fn uniform_row_draws_what_its_list_draws() {
+    check("uniform_row_draws_what_its_list_draws", 0..24, |c| {
+        let (n, source, seed) = (c.range(2u32..70), c.word() as u32, c.word());
         let row = Row::new(node_pairs(n), source % n);
         assert_draw_for_draw(&DestinationModel::UniformRow(row), seed, 10_000);
-    }
+        Ok(())
+    });
+}
 
-    /// The hotspot row form resolves the weighted draw without the
-    /// cumulative walk and still lands where the walk lands — for any
-    /// hot set (the row's own sink included or not, none, or all),
-    /// and weights 0 (never drawn) and 1 (uniform) included.
-    #[test]
-    fn weighted_row_draws_what_its_list_draws(
-        n in 2u32..70,
-        source in any::<u32>(),
-        hot_bits in any::<u64>(),
-        hot_bits_high in any::<u64>(),
-        weight in 0u32..12,
-        seed in any::<u64>(),
-    ) {
+/// The hotspot row form resolves the weighted draw without the
+/// cumulative walk and still lands where the walk lands — for any
+/// hot set (the row's own sink included or not, none, or all),
+/// and weights 0 (never drawn) and 1 (uniform) included.
+#[test]
+fn weighted_row_draws_what_its_list_draws() {
+    check("weighted_row_draws_what_its_list_draws", 0..24, |c| {
+        let (n, source, hot_bits) = (c.range(2u32..70), c.word() as u32, c.word());
+        let (hot_bits_high, weight, seed) = (c.word(), c.range(0u32..12), c.word());
         let source = source % n;
         let bits = u128::from(hot_bits) | u128::from(hot_bits_high) << 64;
         let mut hot: Vec<u32> = (0..n).filter(|&k| bits >> k & 1 == 1).collect();
@@ -306,7 +320,8 @@ proptest! {
             weight,
         ));
         assert_draw_for_draw(&model, seed, 10_000);
-    }
+        Ok(())
+    });
 }
 
 #[test]

@@ -4,10 +4,10 @@
 
 use nocem::config::{PaperConfig, PaperRouting, PlatformConfig, TrafficModel};
 use nocem::engine::build;
+use nocem_common::choice::check;
 use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_topology::builders::{mesh, ring, star};
-use proptest::prelude::*;
 
 /// Runs a config to completion and checks the global invariants.
 fn check_conservation(cfg: &PlatformConfig) {
@@ -36,50 +36,50 @@ fn check_conservation(cfg: &PlatformConfig) {
     assert!(r.network_latency.sum() <= r.total_latency.sum());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn paper_platform_conserves_packets(
-        packets in 50u64..800,
-        burst in 1u32..24,
-        flits in 1u16..12,
-        seed in 0u64..1_000_000,
-        dual in any::<bool>(),
-    ) {
+#[test]
+fn paper_platform_conserves_packets() {
+    check("paper_platform_conserves_packets", 0..24, |c| {
+        let (packets, burst, flits) = (c.range(50u64..800), c.range(1u32..24), c.range(1u16..12));
+        let (seed, dual) = (c.range(0u64..1_000_000), c.bool());
         let mut pc = PaperConfig::new()
             .total_packets(packets)
             .packet_flits(flits)
             .seed(seed);
         if dual {
-            pc = pc.routing(PaperRouting::Dual { secondary_probability: 0.35 });
+            pc = pc.routing(PaperRouting::Dual {
+                secondary_probability: 0.35,
+            });
         }
-        let cfg = if burst == 1 { pc.uniform() } else { pc.burst(burst) };
+        let cfg = if burst == 1 {
+            pc.uniform()
+        } else {
+            pc.burst(burst)
+        };
         check_conservation(&cfg);
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn trace_platform_conserves_packets(
-        packets in 40u64..400,
-        ppb in 1u32..32,
-        flits in 2u16..16,
-        seed in 0u64..1_000_000,
-    ) {
+#[test]
+fn trace_platform_conserves_packets() {
+    check("trace_platform_conserves_packets", 0..24, |c| {
+        let (packets, ppb, flits) = (c.range(40u64..400), c.range(1u32..32), c.range(2u16..16));
+        let seed = c.range(0u64..1_000_000);
         let cfg = PaperConfig::new()
             .total_packets(packets)
             .packet_flits(flits)
             .seed(seed)
             .trace_bursty(ppb);
         check_conservation(&cfg);
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn mesh_drain_conserves_packets(
-        w in 2u32..4,
-        h in 2u32..4,
-        budget in 10u64..60,
-        depth in 2u8..9,
-    ) {
+#[test]
+fn mesh_drain_conserves_packets() {
+    check("mesh_drain_conserves_packets", 0..24, |c| {
+        let (w, h, budget) = (c.range(2u32..4), c.range(2u32..4), c.range(10u64..60));
+        let depth = c.range(2u8..9);
         let mut cfg = PlatformConfig::baseline("prop-mesh", mesh(w, h).unwrap()).unwrap();
         cfg.switch.fifo_depth = depth;
         for g in &mut cfg.generators {
@@ -89,7 +89,8 @@ proptest! {
         }
         cfg.stop.delivered_packets = None; // drain
         check_conservation(&cfg);
-    }
+        Ok(())
+    });
 }
 
 #[test]

@@ -1,37 +1,31 @@
 //! Generated configurations through the lockstep harness (`support`).
 //!
-//! Each seed of a fixed range draws one platform — topology, registry
-//! pattern, load, packet length, buffer depth, arbiter, selection
-//! policy, traffic model, source queue, clock mode, telemetry window —
-//! the engines it runs on (the compiled engine and a sharded one
-//! always, the TLM and RTL models on platforms of at most nine
-//! switches), then the self-profiling: off, phases (two of the four
-//! arms, so the draw stays one of four), or phases and a stall
-//! watchdog whose window of 1..=8 cycles trips on ordinary
-//! congestion, and last a stochastic or trace-driven kind per
-//! receptor. Each later draw was added after the earlier ones, so every
-//! seed keeps what it drew before. Each pick takes one number from the
-//! stream, so when the source-queue pick gained `usize::MAX` (a bound
-//! no queue reaches) some seeds drew another capacity and nothing else.
+//! Each case of the stream `generated_lockstep` draws one platform —
+//! topology, registry pattern, load, packet length, buffer depth,
+//! arbiter, selection policy, traffic model, source queue, clock mode,
+//! telemetry window — the engines it runs on (the compiled engine and a
+//! sharded one always, the TLM and RTL models on platforms of at most
+//! nine switches), then the self-profiling: off, phases, or phases and
+//! a stall watchdog whose window of 1..=8 cycles trips on ordinary
+//! congestion, and last a stochastic or trace-driven kind per receptor.
 //! The property: every engine matches the interpreted engine per cycle,
 //! or every engine rejects the config at build with one equal error. No
 //! engine may panic or fail mid-run, and every engine with stall
-//! forensics trips its watchdog alike. A failure prints the seed and
-//! the config.
+//! forensics trips its watchdog alike. A failure prints the shrunk
+//! stream of draws as a `replay` call, and the config it draws.
 //!
-//! The named tests below are what the range found, and configurations
-//! every engine must reject alike.
+//! The named tests below are what the generated cases found, and
+//! configurations every engine must reject alike.
 
 mod support;
 
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use nocem::clock::ClockMode;
 use nocem::config::{PaperConfig, PlatformConfig, TrafficModel};
 use nocem::error::CompileError;
 use nocem::profile::ProfileConfig;
-use nocem_common::rng::{Pcg32, RandomSource};
+use nocem_common::choice::{self, Choices};
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
@@ -53,155 +47,124 @@ const EVERY_ENGINE: &[Backend] = &[
     Backend::Rtl,
 ];
 
-fn pick<T: Copy>(rng: &mut Pcg32, from: &[T]) -> T {
-    from[rng.below(from.len() as u32) as usize]
-}
-
 /// A platform of `packets` packets of `flits` flits at `load`: a
 /// registry pattern on a mesh, torus or ring (the first pattern from a
-/// drawn one on that applies), or the baseline star. `None` when no
+/// drawn one on that applies), or the baseline star — also where no
 /// pattern applies to the drawn topology.
-fn platform(rng: &mut Pcg32, load: f64, flits: u16, packets: u64) -> Option<PlatformConfig> {
-    let (w, h) = (rng.in_range(1, 5), rng.in_range(1, 5));
-    let topo = match rng.below(4) {
-        0 => mesh(w, h),
-        1 => torus(w, h),
-        2 => ring(rng.in_range(3, 8)),
-        _ => {
-            let leaves = rng.in_range(2, 8);
-            let star = nocem_topology::builders::star(leaves).unwrap();
-            let mut cfg = PlatformConfig::baseline(format!("star{leaves}"), star).unwrap();
-            let n = cfg.generators.len();
-            each_uniform(&mut cfg, |i, u| {
-                let budget = Some(PlatformConfig::split_budget(packets, n, i));
-                TrafficModel::Uniform(UniformConfig::with_load(load, flits, budget, u.destination))
-            });
-            cfg.stop.delivered_packets = Some(packets);
-            return Some(cfg);
-        }
+fn platform(c: &mut Choices, load: f64, flits: u16, packets: u64) -> PlatformConfig {
+    let (w, h) = (c.range(1u32..=5), c.range(1u32..=5));
+    let topo = match c.below(4) {
+        0 => Some(mesh(w, h)),
+        1 => Some(torus(w, h)),
+        2 => Some(ring(c.range(3u32..=8))),
+        _ => None,
     };
     let patterns: Vec<_> = ScenarioRegistry::builtin().iter().cloned().collect();
-    let first = rng.below(patterns.len() as u32) as usize;
-    (0..patterns.len()).find_map(|i| {
-        let pattern = &patterns[(first + i) % patterns.len()];
-        pattern.build_config(topo, load, flits, packets).ok()
+    let first = c.below(patterns.len());
+    let pattern = topo.and_then(|topo| {
+        (0..patterns.len()).find_map(|i| {
+            let pattern = &patterns[(first + i) % patterns.len()];
+            pattern.build_config(topo, load, flits, packets).ok()
+        })
+    });
+    pattern.unwrap_or_else(|| {
+        let leaves = c.range(2u32..=8);
+        let star = nocem_topology::builders::star(leaves).unwrap();
+        let mut cfg = PlatformConfig::baseline(format!("star{leaves}"), star).unwrap();
+        let n = cfg.generators.len();
+        each_uniform(&mut cfg, |i, u| {
+            let budget = Some(PlatformConfig::split_budget(packets, n, i));
+            TrafficModel::Uniform(UniformConfig::with_load(load, flits, budget, u.destination))
+        });
+        cfg.stop.delivered_packets = Some(packets);
+        cfg
     })
 }
 
-/// The config and the engines under test that `seed` draws.
-fn generate(seed: u64) -> (PlatformConfig, Vec<Backend>) {
-    let mut rng = Pcg32::seeded(seed);
-    let load = f64::from(rng.in_range(3, 60)) / 100.0;
-    let flits = rng.in_range(1, 8) as u16;
-    let packets = u64::from(rng.in_range(8, 60));
-    let mut cfg = loop {
-        if let Some(cfg) = platform(&mut rng, load, flits, packets) {
-            break cfg;
-        }
-    };
-    cfg.switch.fifo_depth = rng.in_range(1, 4) as u8;
-    cfg.switch.arbiter = pick(
-        &mut rng,
-        &[ArbiterKind::RoundRobin, ArbiterKind::FixedPriority],
-    );
-    cfg.switch.selection = pick(
-        &mut rng,
-        &[
-            SelectionPolicy::First,
-            SelectionPolicy::Alternate,
-            SelectionPolicy::Adaptive,
-            SelectionPolicy::random(0.5),
-        ],
-    );
+/// The config and the engines under test that `c` draws.
+fn generate(c: &mut Choices) -> (PlatformConfig, Vec<Backend>) {
+    let load = f64::from(c.range(3u32..=60)) / 100.0;
+    let (flits, packets) = (c.range(1u16..=8), c.range(8u64..=60));
+    let mut cfg = platform(c, load, flits, packets);
+    cfg.switch.fifo_depth = c.range(1u8..=4);
+    cfg.switch.arbiter = [ArbiterKind::RoundRobin, ArbiterKind::FixedPriority][c.below(2)];
+    cfg.switch.selection = [
+        SelectionPolicy::First,
+        SelectionPolicy::Alternate,
+        SelectionPolicy::Adaptive,
+        SelectionPolicy::random(0.5),
+    ][c.below(4)];
     let burst = Traffic::Burst {
         load,
-        packets: rng.in_range(1, 6),
+        packets: c.range(1u32..=6),
     };
-    cfg = retraffic(
-        cfg,
-        pick(
-            &mut rng,
-            &[Traffic::Steady, burst, Traffic::Poisson { load }],
-        ),
-    );
-    cfg.source_queue_capacity = pick(&mut rng, &[1, 2, 16, usize::MAX]);
-    cfg.clock_mode = pick(&mut rng, &[ClockMode::EveryCycle, ClockMode::Gated]);
-    // The ring capacity follows the window drawn, so every seed keeps
-    // the draws of the axes after it.
-    cfg.telemetry = rng.chance(0.5).then(|| {
-        let window = u64::from(rng.in_range(1, 64));
-        TelemetryConfig {
-            window,
-            capacity: [1, 2, 64][(window % 3) as usize],
-        }
+    let traffic = [Traffic::Steady, burst, Traffic::Poisson { load }][c.below(3)];
+    cfg = retraffic(cfg, traffic);
+    cfg.source_queue_capacity = [1, 2, 16, usize::MAX][c.below(4)];
+    cfg.clock_mode = [ClockMode::EveryCycle, ClockMode::Gated][c.below(2)];
+    cfg.telemetry = c.bool().then(|| TelemetryConfig {
+        window: c.range(1u64..=64),
+        capacity: [1, 2, 64][c.below(3)],
     });
 
-    let switches = cfg.topology.switch_count() as u32;
-    let shards = rng.in_range(1, switches.min(4)) as usize;
-    // The exchange batch this once drew is gone; the draw stays, so
-    // every later draw, and every seed's platform, stays where it was.
-    let _batch = rng.in_range(1, 16);
+    let switches = cfg.topology.switch_count();
+    let shards = c.range(1..=switches.min(4));
     let mut backends = vec![Backend::Compiled, Backend::Sharded(shards)];
     if switches <= 9 {
         backends.extend([Backend::Tlm, Backend::Rtl]);
     }
-    // Arms 1 and 2 are alike: drawing one of four keeps every later
-    // draw, and so every seed's platform, where it was.
     let phases = ProfileConfig::default();
-    cfg.profile = match rng.below(4) {
+    cfg.profile = match c.below(3) {
         0 => None,
-        1 | 2 => Some(phases),
-        _ => Some(phases.with_stall(u64::from(rng.in_range(1, 8)))),
+        1 => Some(phases),
+        _ => Some(phases.with_stall(c.range(1u64..=8))),
     };
     for kind in &mut cfg.receptors {
-        *kind = pick(&mut rng, &[TrKind::Stochastic, TrKind::TraceDriven]);
+        *kind = [TrKind::Stochastic, TrKind::TraceDriven][c.below(2)];
     }
-    cfg.name = format!("seed {seed}: {}", cfg.name);
     (cfg, backends)
 }
 
-/// Every seed of `seeds` meets [`check`]; a failure prints its seed
-/// and config before it propagates.
-fn check_seeds(seeds: Range<u64>) {
+/// Every case of `cases` meets [`check`]; a failure prints the shrunk
+/// stream and the config it draws.
+fn check_cases(cases: Range<u32>) {
+    let count = cases.len();
     let mut rejected = Vec::new();
-    for seed in seeds.clone() {
-        let (cfg, backends) = generate(seed);
-        match catch_unwind(AssertUnwindSafe(|| check(&cfg, &backends))) {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => rejected.push((seed, e)),
-            Err(panic) => {
-                eprintln!("seed {seed} failed on {backends:?}:\n{cfg:#?}");
-                resume_unwind(panic);
-            }
+    choice::check("generated_lockstep", cases, |c| {
+        let (cfg, backends) = generate(c);
+        c.note(format_args!("{backends:?} on {cfg:?}"));
+        if let Err(e) = check(&cfg, &backends) {
+            rejected.push(e);
         }
-    }
-    // The range exercises the engines, not only their set-up checks.
-    assert!(4 * rejected.len() <= seeds.count(), "{rejected:?}");
+        Ok(())
+    });
+    // The cases exercise the engines, not only their set-up checks.
+    assert!(4 * rejected.len() <= count, "{rejected:?}");
 }
 
-// The tier-1 range, in four tests so that they share the test threads.
+// The tier-1 cases, in four tests so that they share the test threads.
 
 #[test]
 fn generated_seeds_0_to_31_run_alike_or_are_rejected_alike() {
-    check_seeds(0..32);
+    check_cases(0..32);
 }
 
 #[test]
 fn generated_seeds_32_to_63_run_alike_or_are_rejected_alike() {
-    check_seeds(32..64);
+    check_cases(32..64);
 }
 
 #[test]
 fn generated_seeds_64_to_95_run_alike_or_are_rejected_alike() {
-    check_seeds(64..96);
+    check_cases(64..96);
 }
 
 #[test]
 fn generated_seeds_96_to_127_run_alike_or_are_rejected_alike() {
-    check_seeds(96..128);
+    check_cases(96..128);
 }
 
-/// The first finding of the generated range (seed 1: a two-leaf star
+/// The first finding of the generated configurations (a two-leaf star
 /// under burst traffic, gated): the TLM and RTL models left a credit
 /// returned in the last cycle on its channel or wire until their
 /// processes sampled it, so their platform turned quiescent — and

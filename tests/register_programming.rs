@@ -8,7 +8,7 @@ use nocem::config::{EngineKind, PaperConfig, PlatformConfig, TrafficModel};
 use nocem::devices::{trreg, SwitchDriver, TgDriver, TrDriver};
 use nocem::error::{CompileError, EmulationError};
 use nocem::{elaborate, AnyEngine, Board, SteppableEngine};
-use nocem_common::rng::{Pcg32, RandomSource};
+use nocem_common::choice::{check, Choices};
 use nocem_platform::bus::{BusAccess, BusError, DeviceClass};
 use nocem_platform::control::{self, ControlDriver, STATUS_DONE, STATUS_RUNNING};
 use nocem_stats::TrKind;
@@ -385,74 +385,75 @@ fn only_traffic_model_registers_are_writable() {
 
 /// A value to write at `addr`: small, arbitrary, all-ones, or the
 /// register's current value nudged (which keeps most programs valid).
-fn fuzz_value(rng: &mut Pcg32, emu: &mut Board<AnyEngine>, addr: nocem_platform::Address) -> u32 {
-    match rng.below(4) {
-        0 => rng.below(16),
-        1 => rng.next_u32(),
+fn fuzz_value(c: &mut Choices, emu: &mut Board<AnyEngine>, addr: nocem_platform::Address) -> u32 {
+    match c.below(4) {
+        0 => c.range(0u32..16),
+        1 => c.word() as u32,
         2 => u32::MAX,
         _ => emu
             .read(addr)
             .unwrap_or(0)
-            .wrapping_add(rng.below(5))
+            .wrapping_add(c.range(0u32..5))
             .wrapping_sub(2),
     }
 }
 
-/// Seeded register fuzz: 1 to 20 random writes to any device, a cycle
-/// limit of at most 4 096, then start — each case drawn on the
+/// Generated register fuzz: 1 to 20 random writes to any device, a
+/// cycle limit of at most 4 096, then start — each case drawn on the
 /// interpreted engine's board and replayed on the compiled and the
 /// sharded engine's. Every case ends alike on all three, in `Ok` — and
 /// is then exactly the run of the configuration it elaborated — or in
 /// a typed error; none panics.
 #[test]
 fn random_register_programs_run_as_their_config_or_fail_typed() {
-    let mut rng = Pcg32::seeded(0x5EED_0037);
     let (mut ran, mut refused) = (0, 0);
-    for case in 0..64 {
-        let mut boards: Vec<Board<AnyEngine>> = ENGINES
-            .iter()
-            .map(|&engine| build(&paper().with_engine(engine)))
-            .collect();
-        let map = boards[0].address_map().clone();
-        let devices = map.devices();
-        for _ in 0..1 + rng.below(20) {
-            let device = devices[rng.below(devices.len() as u32) as usize];
-            let addr = device.addr.reg(rng.below(0x18) as u16);
-            let value = fuzz_value(&mut rng, &mut boards[0], addr);
-            // A refused write is part of the fuzz, not its failure.
-            let wrote: Vec<_> = boards.iter_mut().map(|b| b.write(addr, value)).collect();
-            assert!(
-                wrote.iter().all(|w| *w == wrote[0]),
-                "case {case}: {wrote:?}"
-            );
-        }
-        let ctrl = devices[0].addr;
-        let limit = u64::from(1 + rng.below(4_096));
-        let (lo, hi) = (control::REG_LIMIT_LO, control::REG_LIMIT_HI);
-        let mut outcomes = Vec::new();
-        for (board, engine) in boards.iter_mut().zip(ENGINES) {
-            board.write_u64(ctrl.reg(lo), ctrl.reg(hi), limit).unwrap();
-            ControlDriver::new(ctrl).start(board).unwrap();
-            let outcome = board.run_programmed();
-            match &outcome {
-                Ok(()) => assert_is_the_config_run(board, &format!("case {case} on {engine:?}")),
-                Err(
-                    EmulationError::Bus(_)
-                    | EmulationError::Compile(_)
-                    | EmulationError::CycleLimitExceeded { .. },
-                ) => {}
-                Err(other) => panic!("case {case} on {engine:?}: unexpected error {other}"),
+    check(
+        "random_register_programs_run_as_their_config_or_fail_typed",
+        0..64,
+        |c| {
+            let mut boards: Vec<Board<AnyEngine>> = ENGINES
+                .iter()
+                .map(|&engine| build(&paper().with_engine(engine)))
+                .collect();
+            let map = boards[0].address_map().clone();
+            let devices = map.devices();
+            for _ in 0..c.range(1u32..=20) {
+                let device = devices[c.below(devices.len())];
+                let addr = device.addr.reg(c.range(0u16..0x18));
+                let value = fuzz_value(c, &mut boards[0], addr);
+                // A refused write is part of the fuzz, not its failure.
+                let wrote: Vec<_> = boards.iter_mut().map(|b| b.write(addr, value)).collect();
+                assert!(wrote.iter().all(|w| *w == wrote[0]), "{wrote:?}");
             }
-            outcomes.push(outcome);
-        }
-        assert!(
-            outcomes.iter().all(|o| *o == outcomes[0]),
-            "case {case} ends unlike on the three engines: {outcomes:?}"
-        );
-        match outcomes[0] {
-            Ok(()) => ran += 1,
-            Err(_) => refused += 1,
-        }
-    }
+            let ctrl = devices[0].addr;
+            let limit = c.range(1u64..=4_096);
+            let (lo, hi) = (control::REG_LIMIT_LO, control::REG_LIMIT_HI);
+            let mut outcomes = Vec::new();
+            for (board, engine) in boards.iter_mut().zip(ENGINES) {
+                board.write_u64(ctrl.reg(lo), ctrl.reg(hi), limit).unwrap();
+                ControlDriver::new(ctrl).start(board).unwrap();
+                let outcome = board.run_programmed();
+                match &outcome {
+                    Ok(()) => assert_is_the_config_run(board, &format!("{engine:?}")),
+                    Err(
+                        EmulationError::Bus(_)
+                        | EmulationError::Compile(_)
+                        | EmulationError::CycleLimitExceeded { .. },
+                    ) => {}
+                    Err(other) => panic!("{engine:?}: unexpected error {other}"),
+                }
+                outcomes.push(outcome);
+            }
+            assert!(
+                outcomes.iter().all(|o| *o == outcomes[0]),
+                "the case ends unlike on the three engines: {outcomes:?}"
+            );
+            match outcomes[0] {
+                Ok(()) => ran += 1,
+                Err(_) => refused += 1,
+            }
+            Ok(())
+        },
+    );
     assert!(ran >= 8 && refused >= 8, "{ran} ran, {refused} refused");
 }

@@ -9,12 +9,13 @@ use nocem::devices::MonitorDriver;
 use nocem::engine::{build, Emulation};
 use nocem::sweep::AnyEngine;
 use nocem::Board;
+use nocem_common::choice::check;
 use nocem_common::ids::LinkId;
+use nocem_common::{prop_assert, prop_assert_eq};
 use nocem_platform::bus::DeviceClass;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::{Collector, LinkStat, TelemetryConfig};
-use proptest::prelude::*;
 
 /// Builds and runs the paper platform to completion with telemetry,
 /// seals the collector and returns the emulation.
@@ -36,26 +37,28 @@ fn mesh_config(spec: TopologySpec, load: f64, window: u64) -> PlatformConfig {
     cfg
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The conservation law of windowed telemetry: for every link, the
-    /// totals equal the lifetime counters the switches and NIs kept
-    /// whatever the ring overwrote, and while the ring has overwritten
-    /// nothing the window samples sum to them — nothing is lost at
-    /// window boundaries or on gated fast-forwards.
-    #[test]
-    fn windowed_series_sum_to_lifetime_counters(
-        packets in 100u64..600,
-        burst in 1u32..16,
-        window in 16u64..512,
-        capacity in 2usize..16,
-        seed in 0u64..1_000_000,
-        gated in any::<bool>(),
-    ) {
+/// The conservation law of windowed telemetry: for every link, the
+/// totals equal the lifetime counters the switches and NIs kept
+/// whatever the ring overwrote, and while the ring has overwritten
+/// nothing the window samples sum to them — nothing is lost at
+/// window boundaries or on gated fast-forwards.
+#[test]
+fn windowed_series_sum_to_lifetime_counters() {
+    check("windowed_series_sum_to_lifetime_counters", 0..12, |c| {
+        let (packets, burst) = (c.range(100u64..600), c.range(1u32..16));
+        let (window, capacity) = (c.range(16u64..512), c.range(2usize..16));
+        let (seed, gated) = (c.range(0u64..1_000_000), c.bool());
         let pc = PaperConfig::new().total_packets(packets).seed(seed);
-        let mut cfg = if burst == 1 { pc.uniform() } else { pc.burst(burst) };
-        cfg.clock_mode = if gated { ClockMode::Gated } else { ClockMode::EveryCycle };
+        let mut cfg = if burst == 1 {
+            pc.uniform()
+        } else {
+            pc.burst(burst)
+        };
+        cfg.clock_mode = if gated {
+            ClockMode::Gated
+        } else {
+            ClockMode::EveryCycle
+        };
         cfg.telemetry = Some(TelemetryConfig {
             capacity,
             ..TelemetryConfig::windowed(window)
@@ -77,7 +80,8 @@ proptest! {
                 prop_assert_eq!(sums, lifetime);
             }
         }
-    }
+        Ok(())
+    });
 }
 
 #[test]
