@@ -67,3 +67,50 @@ pub use ids::{
 pub use rng::{Pcg32, RandomSource};
 pub use route::RouteHop;
 pub use time::Cycle;
+
+/// The draws of [`choice::Choices`] stay inside the ranges they are given.
+#[cfg(test)]
+mod tests {
+    use crate::choice::Choices;
+    use crate::rng::SplitMix64;
+
+    fn recording(seed: u64) -> Choices {
+        Choices::new(Some(SplitMix64::new(seed)), vec![])
+    }
+
+    #[test]
+    fn ranges_sample_in_bounds() {
+        let mut c = recording(1);
+        for _ in 0..1_000 {
+            assert!((3..17).contains(&c.range(3u32..17)));
+            assert_eq!(c.range(5u16..=5), 5);
+            assert!((0.25..0.75).contains(&c.range(0.25..0.75)));
+        }
+        let mut full = Choices::new(None, vec![u64::MAX, 12_345]);
+        assert_eq!(full.range(0..=u64::MAX), u64::MAX);
+        assert_eq!(full.range(0..=u64::MAX), 12_345);
+    }
+
+    #[test]
+    fn signed_ranges_sample_in_bounds() {
+        let mut c = recording(7);
+        let mut saw_negative = false;
+        for _ in 0..1_000 {
+            let v = c.range(-5i32..5);
+            assert!((-5..5).contains(&v));
+            saw_negative |= v < 0;
+            c.range(i8::MIN..=i8::MAX); // a full-domain range must not panic
+            assert!((-100..-50).contains(&c.range(-100i64..-50)));
+        }
+        assert!(saw_negative, "the negative half of the range never drawn");
+    }
+
+    #[test]
+    fn vec_strategy_respects_size() {
+        let mut c = recording(2);
+        for _ in 0..200 {
+            assert!((2..6).contains(&c.vec(2..6, |c| c.range(0u8..10)).len()));
+            assert_eq!(c.vec(4..5, |c| c.range(0u8..10)).len(), 4);
+        }
+    }
+}
