@@ -457,8 +457,8 @@ pub trait SteppableEngine {
     /// The per-phase self-profiling report, when the config enabled
     /// profiling ([`crate::config::PlatformConfig::profile`]).
     ///
-    /// Takes `&mut self` because the sharded engine fetches its workers'
-    /// accumulators over the command channels on demand.
+    /// Takes `&mut self`: a kernel reaches its profiler through
+    /// [`CycleKernel::profiler_mut`].
     fn profile(&mut self) -> Option<crate::profile::PhaseReport> {
         None
     }

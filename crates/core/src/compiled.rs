@@ -71,7 +71,7 @@ use crate::compile::{
 use crate::error::EmulationError;
 use crate::profile::{lap, Phase, PhaseProfiler};
 use crate::results::EmulationResults;
-use crate::view::{ArchView, ReceptorRow};
+use crate::view::{ArchView, LinkCounts, ReceptorRow};
 use nocem_common::flit::{Flit, PacketDescriptor};
 use nocem_common::ids::{EndpointId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::rng::Lfsr16;
@@ -1580,16 +1580,29 @@ impl CompiledKernel {
             && self.ledger.in_flight() == 0
     }
 
-    /// The architectural-state producer: copies the flat arrays' live
-    /// state and the endpoints', through the last cycle stepped, into
-    /// `view`.
-    pub(crate) fn read_view(&self, view: &mut ArchView) {
-        view.alloc_live();
+    /// The architectural-state producer, one row writer per kind of
+    /// row, through the last cycle stepped: [`CompiledEngine`] runs
+    /// them over every row, the sharded coordinator each row's owner.
+    /// `view`'s live half must be allocated.
+    ///
+    /// Switch `s`'s rows: its output ports' counters and credits, its
+    /// input VCs and its watermarks.
+    pub(crate) fn write_switch(&self, view: &mut ArchView, s: usize) {
         let vcs = self.low.num_vcs;
-        for (gp, port) in view.ports.iter_mut().enumerate() {
-            (port.blocked, port.forwarded) = (self.blocked_out[gp], self.forwarded_out[gp]);
+        let base = |b: &[u32]| b[s] as usize..b[s + 1] as usize;
+        let (outs, ins) = (base(&self.low.out_port_base), base(&self.low.in_port_base));
+        for gp in outs.clone() {
+            let (blocked, forwarded) = (self.blocked_out[gp], self.forwarded_out[gp]);
+            view.ports[gp] = LinkCounts { blocked, forwarded };
         }
-        for (input, st) in view.inputs.iter_mut().zip(&self.low.in_state) {
+        let ovcs = outs.start * vcs..outs.end * vcs;
+        let out_state = &self.low.out_state[ovcs.clone()];
+        for (credits, st) in view.credits[ovcs].iter_mut().zip(out_state) {
+            *credits = st.credits;
+        }
+        let ivcs = ins.start * vcs..ins.end * vcs;
+        let in_state = &self.low.in_state[ivcs.clone()];
+        for (input, st) in view.inputs[ivcs].iter_mut().zip(in_state) {
             input.occupancy = u32::from(st.len);
             input.want = (st.want != SLOT_NONE).then(|| {
                 let (want, port) = (usize::from(st.want), self.slot_port[usize::from(st.want)]);
@@ -1599,22 +1612,38 @@ impl CompiledKernel {
             });
             input.worm_open = st.allocated;
         }
-        for (credits, st) in view.credits.iter_mut().zip(&self.low.out_state) {
-            *credits = st.credits;
+        let wm = s * vcs..(s + 1) * vcs;
+        view.watermarks[wm.clone()].copy_from_slice(&self.max_vc_occ[wm]);
+    }
+
+    /// NI `i`'s row: its injection link and its generator.
+    pub(crate) fn write_ni(&self, view: &mut ArchView, i: usize) {
+        let (ni, row) = (&self.nis[i], &mut view.nis[i]);
+        let c = ni.counters();
+        // An NI asleep has yet to book its blocked cycles since.
+        let asleep = u64::from(self.ni_blocked.contains(i));
+        row.link.blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
+        row.link.forwarded = c.injected_flits;
+        row.accepted = c.accepted_packets;
+        (row.exhausted, row.idle) = (self.tgs[i].is_exhausted(), ni.is_idle());
+    }
+
+    /// Receptor `r`'s row.
+    pub(crate) fn write_receptor(&self, view: &mut ArchView, r: usize) {
+        view.receptors[r] = ReceptorRow::of(&self.receptors[r]);
+    }
+
+    /// Every row of `view`.
+    fn read_view(&self, view: &mut ArchView) {
+        view.alloc_live();
+        for s in 0..self.low.switch_count {
+            self.write_switch(view, s);
         }
-        view.watermarks.copy_from_slice(&self.max_vc_occ);
-        let sources = self.nis.iter().zip(&self.tgs);
-        for (i, ((ni, tg), row)) in sources.zip(&mut view.nis).enumerate() {
-            let c = ni.counters();
-            // An NI asleep has yet to book its blocked cycles since.
-            let asleep = u64::from(self.ni_blocked.contains(i));
-            row.link.blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
-            row.link.forwarded = c.injected_flits;
-            row.accepted = c.accepted_packets;
-            (row.exhausted, row.idle) = (tg.is_exhausted(), ni.is_idle());
+        for i in 0..self.nis.len() {
+            self.write_ni(view, i);
         }
-        for (r, row) in self.receptors.iter().zip(&mut view.receptors) {
-            *row = ReceptorRow::of(r);
+        for r in 0..self.receptors.len() {
+            self.write_receptor(view, r);
         }
     }
 }
@@ -1649,7 +1678,11 @@ impl CompiledEngine {
     }
 
     /// Collects full run results — value-equal to
-    /// [`crate::engine::Emulation::results`] for the same run.
+    /// [`crate::engine::Emulation::results`] for the same run. It
+    /// reads into a copy of the view, freed on return: a fill of the
+    /// engine's own would keep its live half allocated for the rest of
+    /// a run that never reads the view otherwise
+    /// (`tests/endpoint_memory.rs` bounds what `results()` leaves).
     pub fn results(&self) -> EmulationResults {
         let k = &self.kernel;
         let mut view = self.view.clone();

@@ -375,10 +375,9 @@ impl Emulation {
     }
 
     /// Extracts the results of a finished (or stopped) run.
-    pub fn results(&self) -> EmulationResults {
-        let mut view = self.view.clone();
-        self.platform.read_view(&mut view);
-        self.platform.results(self.summary(), &view)
+    pub fn results(&mut self) -> EmulationResults {
+        self.platform.read_view(&mut self.view);
+        self.platform.results(self.summary(), &self.view)
     }
 
     /// Consumes the emulation and returns results plus the recorded

@@ -295,10 +295,16 @@ impl<F: Fabric> ProcessModel<F> {
     /// The results of the run so far, read from the settled view: a
     /// flit still on its link already counts in the reference engine's
     /// downstream watermark.
-    pub fn results(&self) -> EmulationResults {
-        let mut view = self.view.clone();
+    pub fn results(&mut self) -> EmulationResults {
+        self.settle();
+        self.shared.borrow().results(self.summary(), &self.view)
+    }
+
+    /// Fills the engine's own view with the settled state.
+    fn settle(&mut self) {
+        let mut view = std::mem::take(&mut self.view);
         self.settled(&mut view);
-        self.shared.borrow().results(self.summary(), &view)
+        self.view = view;
     }
 
     /// Fills `view` with the platform as if every value on a link had
@@ -385,9 +391,7 @@ impl<F: Fabric> CycleKernel for ProcessModel<F> {
     /// The settled view: a flit on its link already sits in the fast
     /// engine's downstream FIFO.
     fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
-        let mut view = std::mem::take(&mut self.view);
-        self.settled(&mut view);
-        self.view = view;
+        self.settle();
         Ok(&self.view)
     }
 

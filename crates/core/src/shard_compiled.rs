@@ -44,16 +44,18 @@
 //!   neighbouring shard carrying the cycle's outbound boundary records
 //!   — `(destination switch, slot, vc, flit)` for flits, upstream
 //!   output-slot indices for credits — and then blocks on exactly one
-//!   message per in-neighbour, replaying it before computing its
-//!   end-of-cycle status. Empty messages still flow: they are the clock
-//!   marker that keeps neighbours in lockstep without any global
-//!   barrier.
-//! * **Through the coordinator:** the coordinator sends every worker one
-//!   `Step` command, each worker runs that one cycle, and replies with
-//!   its ledger events (releases, injections, deliveries, stall count)
-//!   and status, which the coordinator applies before the step returns.
-//!   Every worker therefore stands on the coordinator's cycle whenever
-//!   the step skeleton, a harness or a caller reads the view.
+//!   message per in-neighbour, replaying it before the cycle ends.
+//!   Empty messages still flow: they are the clock marker that keeps
+//!   neighbours in lockstep without any global barrier.
+//! * **Through the coordinator:** between cycles the coordinator owns
+//!   every worker — kernel, boundary and neighbour channels, in one
+//!   box. It sends each shard's thread one message, the box and the
+//!   cycle to run; the thread runs that one cycle and sends the box
+//!   back with the cycle's ledger events (releases, injections,
+//!   deliveries, stall count) inside, which the coordinator applies
+//!   before the step returns. Each thread's channel carries that one
+//!   message type each way; a worker is built inside its own thread,
+//!   whose first message is the finished box.
 //!
 //! The one-cycle link latency is the lookahead that lets each cycle's
 //! neighbour exchange run without a global barrier; a coordinator
@@ -61,6 +63,26 @@
 //! several cycles per round was measured (`examples/shard_scaling.rs`)
 //! and bought speed only where two shards already lose to
 //! [`CompiledEngine`] several times over.
+//!
+//! # Reads in place
+//!
+//! Between cycles no worker thread holds a worker, and every worker
+//! stands on the coordinator's cycle, so every read is a read of the
+//! owning worker's kernel, with no message: the view (each switch's,
+//! NI's and receptor's rows written by the kernel of the shard that
+//! owns them — [`CompiledEngine`] writes the same rows over the whole
+//! platform), the results' receptors, each worker's phase sub-report,
+//! and the gating and stop predicates.
+//!
+//! # Faults
+//!
+//! A worker that errors or panics mid-cycle still sends one message
+//! per neighbour (possibly partial) and discards what it receives, so
+//! no neighbour blocks; its box comes home with the fault, and the
+//! step returns it as [`EmulationError::Shard`] on that cycle. The
+//! engine is failed from then on: it refuses every later step and
+//! every read of the view or results, and reports the coordinator's
+//! phases alone, so no read touches a torn kernel.
 //!
 //! # Why replay is deterministic
 //!
@@ -93,15 +115,14 @@
 //! # Gating
 //!
 //! Hybrid clock gating (see [`crate::clock`]) extends to shards with a
-//! **cross-shard event horizon**: each worker reports, per cycle,
-//! whether its shard is locally quiescent and the earliest future
-//! event of its TGs. The coordinator may fast-forward only when
-//! *every* shard is quiescent and the ledger carries no in-flight
-//! packet, and only up to the minimum next-event over all shards
-//! (clamped to the cycle limit) — a shard never skips past another
-//! shard's horizon. A jump costs the workers nothing: the next `Step`
-//! simply names the cycle after it, and each TG replays the skipped
-//! window lazily before its next real tick, as in [`CompiledEngine`].
+//! **cross-shard event horizon**, read off the workers' kernels in
+//! place: the coordinator may fast-forward only when *every* shard is
+//! locally quiescent and the ledger carries no in-flight packet, and
+//! only up to the minimum next TG event over all shards (clamped to the
+//! cycle limit) — a shard never skips past another shard's horizon. A
+//! jump costs the workers nothing: the next message simply names the
+//! cycle after it, and each TG replays the skipped window lazily before
+//! its next real tick, as in [`CompiledEngine`].
 //!
 //! # Stall forensics
 //!
@@ -110,9 +131,7 @@
 //! view gathered there yields the report [`CompiledEngine`] latches.
 
 use crate::clock::{CycleKernel, RunState, SteppableEngine};
-use crate::compile::{
-    elaborate, elaborate_routed, Elaboration, LoweredOutDest, OutTarget, HANDLE_IDX,
-};
+use crate::compile::{elaborate, elaborate_routed, Elaboration, OutTarget, HANDLE_IDX};
 #[cfg(doc)]
 use crate::compiled::CompiledEngine;
 use crate::compiled::{CommitSink, CompiledKernel};
@@ -126,7 +145,7 @@ use nocem_common::ids::{PacketId, SwitchId};
 use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
-use nocem_stats::receptor::{CompletedPacket, Receptor};
+use nocem_stats::receptor::CompletedPacket;
 use nocem_topology::partition::{grid_stripes, PartitionMap};
 use nocem_topology::routing::RoutingTables;
 use nocem_traffic::trace::TraceDrivenTg;
@@ -185,133 +204,62 @@ struct DeliveryRec {
     len_flits: u16,
 }
 
-/// Everything the coordinator needs to apply one shard's cycle.
+/// Everything the coordinator needs to apply one shard's cycle. It
+/// rides home inside the worker, and the coordinator drains it, so its
+/// buffers are reused from cycle to cycle.
+#[derive(Default)]
 struct CycleEntry {
     releases: Vec<ReleaseRec>,
     injects: Vec<PacketId>,
     deliveries: Vec<DeliveryRec>,
     stalled_delta: u64,
-    status: ShardStatus,
     error: Option<EmulationError>,
 }
 
-impl CycleEntry {
-    fn new() -> Self {
-        CycleEntry {
-            releases: Vec::new(),
-            injects: Vec::new(),
-            deliveries: Vec::new(),
-            stalled_delta: 0,
-            status: conservative_status(),
-            error: None,
-        }
-    }
-}
-
-/// Per-cycle shard status, cached by the coordinator for the stop
-/// condition and the gating decision of the *next* step.
-#[derive(Debug, Clone, Copy)]
-struct ShardStatus {
-    /// Local half of the platform quiescence predicate: no parked TG
-    /// request, every NI idle with credits home, every switch
-    /// quiescent.
-    quiescent: bool,
-    /// Earliest future event over this shard's TGs, evaluated at the
-    /// cycle the next step will execute (`u64::MAX` = never).
-    next_event: u64,
-    /// All TGs exhausted.
-    exhausted: bool,
-    /// No parked TG request.
-    pending_none: bool,
-    /// Every NI idle.
-    nis_idle: bool,
-}
-
-/// The status a dead or erroring shard reports: never quiescent,
-/// never exhausted, no known next event — gating and stop decisions
-/// stay safe.
-fn conservative_status() -> ShardStatus {
-    ShardStatus {
-        quiescent: false,
-        next_event: u64::MAX,
-        exhausted: false,
-        pending_none: false,
-        nis_idle: false,
-    }
-}
-
-/// Renders a worker panic as a shard fault the coordinator can return
-/// (the alternative — letting the worker unwind mid-cycle — would
-/// strand its neighbours on a boundary receive and hang the engine).
-/// Pass the payload itself (`&*boxed`): a `&Box<dyn Any>` coerces to a
-/// `dyn Any` of the *box*, which downcasts to neither string type.
-fn panic_fault(shard: usize, payload: &(dyn std::any::Any + Send)) -> EmulationError {
+/// Runs one section of a worker's cycle and returns its fault, if any:
+/// its error, or its panic rendered as a shard fault the coordinator
+/// can return (the alternative — letting the worker unwind mid-cycle —
+/// would strand its neighbours on a boundary receive and hang the
+/// engine).
+fn guarded(
+    shard: usize,
+    section: impl FnOnce() -> Result<(), EmulationError>,
+) -> Option<EmulationError> {
+    let payload = match catch_unwind(AssertUnwindSafe(section)) {
+        Ok(done) => return done.err(),
+        Err(payload) => payload,
+    };
     let msg = payload
         .downcast_ref::<&str>()
         .copied()
         .map(str::to_owned)
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into());
-    EmulationError::Shard {
+    Some(EmulationError::Shard {
         shard,
         reason: format!("worker panicked: {msg}"),
-    }
+    })
 }
 
-/// Commands the coordinator sends to every worker.
-#[derive(Clone, Copy)]
-enum Cmd {
-    /// Execute this cycle (past any clock-gated jump the coordinator
-    /// took) and report its ledger events.
-    Step(Cycle),
-    /// Report the shard's receptors.
-    Collect,
-    /// Report the shard's architectural-state view.
-    View,
-    /// Report the shard's phase accumulators. Only sent when
-    /// profiling is configured.
-    Profile,
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-enum Report {
-    /// Sent unprompted once the worker's kernel is built.
-    Status(ShardStatus),
-    Cycle(CycleEntry),
-    /// `(global receptor index, receptor clone)` per owned receptor.
-    Receptors(Vec<(usize, Receptor)>),
-    /// The worker's whole view; only its owned rows are read.
-    View(Box<ArchView>),
-    /// A copy, not a drain: the worker keeps accumulating, so the
-    /// coordinator may ask again later in the run.
-    Profile(Box<PhaseProfiler>),
-}
-
-/// One persistent worker: a full-shape [`CompiledKernel`] (built from
-/// the worker's own deterministic re-elaboration of the config, so
-/// every RNG stream matches the reference by construction) whose
-/// non-owned generators are empty, so only the owned slice ever enters
-/// its live sets; non-owned rows never move. The engine's profiler holds
-/// the worker-side phase accumulators (owned-slice compute vs. boundary
-/// exchange) and work counters.
+/// One shard's worker: a full-shape [`CompiledKernel`] (built from the
+/// worker's own deterministic re-elaboration of the config, so every
+/// RNG stream matches the reference by construction) whose non-owned
+/// generators are empty, so only the owned slice ever enters its live
+/// sets; non-owned rows never move. The kernel's profiler holds the
+/// worker-side phase accumulators (owned-slice compute vs. boundary
+/// exchange) and work counters. The worker lives in a box that travels:
+/// the coordinator owns it between cycles, the shard's thread while
+/// it runs one.
 struct Worker {
     eng: CompiledKernel,
-    view: ArchView,
     boundary: Boundary,
-    /// Owned global receptor indices, ascending.
-    my_receptors: Vec<usize>,
     out_txs: Vec<Sender<NeighborMsg>>,
     in_rxs: Vec<Receiver<NeighborMsg>>,
-    /// A cycle errored or panicked: keep the per-cycle message cadence
-    /// (empty sends, discarding receives) so neighbours never block,
-    /// but step nothing further.
-    dead: bool,
+    /// The last cycle's ledger events and fault.
+    entry: CycleEntry,
     /// Fault injection: panic computing this cycle.
     #[cfg(test)]
     fault: Option<u64>,
-    cmd_rx: Receiver<Cmd>,
-    rep_tx: Sender<Report>,
 }
 
 /// The edge of one shard's slice, as the engine's commit sees it: who
@@ -405,79 +353,30 @@ impl CommitSink for Boundary {
 }
 
 impl Worker {
-    /// Reports the shard's status once the kernel is built — the
-    /// gating and stop predicates of the coordinator's first step —
-    /// then answers one report per command.
-    fn run(mut self) {
-        let mut report = Report::Status(self.status());
-        while self.rep_tx.send(report).is_ok() {
-            report = match self.cmd_rx.recv() {
-                Ok(Cmd::Step(now)) => Report::Cycle(self.step(now)),
-                Ok(Cmd::Collect) => Report::Receptors(self.receptors()),
-                Ok(Cmd::View) => {
-                    self.eng.read_view(&mut self.view);
-                    Report::View(Box::new(self.view.clone()))
-                }
-                Ok(Cmd::Profile) => {
-                    Report::Profile(Box::new(self.eng.profiler.clone().unwrap_or_default()))
-                }
-                Ok(Cmd::Shutdown) | Err(_) => return,
-            };
-        }
-    }
-
-    /// Executes one cycle: compute the owned slice, send one boundary
-    /// message per neighbour, receive and replay one per in-neighbour,
-    /// then record the end-of-cycle status.
-    fn step(&mut self, now: Cycle) -> CycleEntry {
-        let mut entry = CycleEntry::new();
-        if self.dead {
-            self.cadence(now);
-            return entry;
-        }
+    /// Executes one cycle into [`Worker::entry`]: compute the owned
+    /// slice, send one boundary message per neighbour, then receive and
+    /// replay one per in-neighbour — or, after a fault, discard it.
+    fn step(&mut self, now: Cycle) {
+        let shard = self.boundary.shard;
         let mut t = self.eng.profiler.as_mut().map(|p| {
             p.add_cycles(1);
             p.begin()
         });
-        let computed = catch_unwind(AssertUnwindSafe(|| self.compute_cycle(now, &mut entry)));
-        match computed {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => entry.error = Some(e),
-            Err(payload) => entry.error = Some(panic_fault(self.boundary.shard, &*payload)),
-        }
+        self.entry.error = guarded(shard, || self.compute_cycle(now));
         lap(self.eng.profiler.as_mut(), &mut t, Phase::WorkerCompute);
         // The exchange section: everything from here to the end of
         // replay is boundary synchronization, not compute.
         // One message per neighbour per cycle, no matter what —
         // possibly partial on error, the cadence is what matters.
         self.send_bufs(now);
-        if entry.error.is_none() {
-            let replayed = catch_unwind(AssertUnwindSafe(|| self.recv_replay(now)));
-            match replayed {
-                Ok(Ok(())) => entry.status = self.status(),
-                Ok(Err(e)) => entry.error = Some(e),
-                Err(payload) => entry.error = Some(panic_fault(self.boundary.shard, &*payload)),
-            }
+        if self.entry.error.is_none() {
+            self.entry.error = guarded(shard, || self.recv_replay(now));
         } else {
-            self.recv_discard();
+            for rx in &self.in_rxs {
+                let _ = rx.recv();
+            }
         }
         lap(self.eng.profiler.as_mut(), &mut t, Phase::Exchange);
-        self.dead = entry.error.is_some();
-        entry
-    }
-
-    /// The per-cycle message cadence of a dead shard: empty sends,
-    /// discarding receives. Neighbours observe only the absence of
-    /// boundary traffic, which is always a legal cycle for them.
-    fn cadence(&mut self, now: Cycle) {
-        for buf in &mut self.boundary.out_flits {
-            buf.clear();
-        }
-        for buf in &mut self.boundary.out_credits {
-            buf.clear();
-        }
-        self.send_bufs(now);
-        self.recv_discard();
     }
 
     fn send_bufs(&mut self, now: Cycle) {
@@ -493,18 +392,12 @@ impl Worker {
         }
     }
 
-    fn recv_discard(&mut self) {
-        for k in 0..self.in_rxs.len() {
-            let _ = self.in_rxs[k].recv();
-        }
-    }
-
     /// One compiled cycle over the owned slice — the kernel's own
     /// phases over its live sets (which only ever hold owned
     /// generators, NIs and switches), with ledger events buffered
     /// instead of applied and the shard boundary as the commit's sink.
     /// Everything around the cycle is the coordinator's job.
-    fn compute_cycle(&mut self, now: Cycle, entry: &mut CycleEntry) -> Result<(), EmulationError> {
+    fn compute_cycle(&mut self, now: Cycle) -> Result<(), EmulationError> {
         #[cfg(test)]
         assert_ne!(
             Some(now.raw()),
@@ -512,8 +405,14 @@ impl Worker {
             "injected fault at cycle {}",
             now.raw()
         );
-        let stalled = self.eng.stalled;
-        self.eng.release_phase(now, |_, gidx, prov, len_flits| {
+        let Worker {
+            eng,
+            boundary,
+            entry,
+            ..
+        } = self;
+        let stalled = eng.stalled;
+        eng.release_phase(now, |_, gidx, prov, len_flits| {
             entry.releases.push(ReleaseRec {
                 gidx: gidx as u32,
                 prov,
@@ -521,9 +420,9 @@ impl Worker {
             });
             Ok(())
         })?;
-        entry.stalled_delta = self.eng.stalled - stalled;
-        self.eng.decide_phase();
-        self.eng.inject_phase(|_, prov| {
+        entry.stalled_delta = eng.stalled - stalled;
+        eng.decide_phase();
+        eng.inject_phase(|_, prov| {
             entry.injects.push(prov);
             Ok(())
         })?;
@@ -531,8 +430,8 @@ impl Worker {
         // The shard's switches commit in ascending global order — the
         // reference order within this slice. The cross-shard
         // interleaving is recovered at replay.
-        self.eng.commit_phase(now, &mut self.boundary)?;
-        entry.deliveries = std::mem::take(&mut self.boundary.deliveries);
+        eng.commit_phase(now, boundary)?;
+        entry.deliveries.append(&mut boundary.deliveries);
         Ok(())
     }
 
@@ -575,31 +474,25 @@ impl Worker {
         }
         Ok(())
     }
-
-    /// End-of-cycle status of the owned slice, straight from the
-    /// engine's live-set aggregates: they only ever reflect owned rows,
-    /// so they are exactly the shard-local half of the platform
-    /// quiescence and stop predicates.
-    fn status(&self) -> ShardStatus {
-        ShardStatus {
-            quiescent: self.eng.network_idle(),
-            next_event: self.eng.tg_min_next,
-            exhausted: self.eng.exhausted == self.eng.tgs.len(),
-            pending_none: self.eng.tg_parked.is_empty(),
-            nis_idle: self.eng.nis_idle(),
-        }
-    }
-
-    fn receptors(&self) -> Vec<(usize, Receptor)> {
-        let owned = self.my_receptors.iter();
-        owned.map(|&i| (i, self.eng.receptors[i].clone())).collect()
-    }
 }
 
-struct WorkerHandle {
-    cmd: Sender<Cmd>,
-    rep: Receiver<Report>,
+/// One shard's thread, seen from the coordinator.
+struct Shard {
+    /// The worker, home between cycles; `None` while the thread runs a
+    /// cycle, and for good once the thread has died.
+    worker: Option<Box<Worker>>,
+    /// To the thread: the worker and the cycle to run.
+    run: Sender<(Box<Worker>, Cycle)>,
+    /// From the thread: the worker, once built and after every cycle.
+    home: Receiver<Box<Worker>>,
     join: Option<JoinHandle<()>>,
+}
+
+impl Shard {
+    fn kernel(&self) -> &CompiledKernel {
+        let worker = self.worker.as_deref();
+        &worker.expect("workers are home between cycles").eng
+    }
 }
 
 /// The sharded compiled engine.
@@ -619,10 +512,7 @@ struct WorkerHandle {
 pub struct ShardedCompiledEngine {
     config: PlatformConfig,
     run: RunState,
-    workers: Vec<WorkerHandle>,
-    /// Per shard: its status after the last applied cycle — before the
-    /// first, the one its worker reported once built.
-    status: Vec<ShardStatus>,
+    shards: Vec<Shard>,
     partition: PartitionMap,
     ledger: PacketLedger,
     receptor_latency: Vec<LatencyAnalyzer>,
@@ -631,11 +521,10 @@ pub struct ShardedCompiledEngine {
     delivered_flits: u64,
     /// Provisional → final id for every in-flight packet.
     prov_map: HashMap<PacketId, PacketId>,
-    poisoned: bool,
     failed: bool,
     /// Coordinator-side phase accumulators, when profiling is on.
     profiler: Option<PhaseProfiler>,
-    /// The view the workers' owned rows are copied into.
+    /// The view the workers write their owned rows into.
     view: ArchView,
 }
 
@@ -643,7 +532,7 @@ impl std::fmt::Debug for ShardedCompiledEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCompiledEngine")
             .field("name", &self.config.name)
-            .field("shards", &self.workers.len())
+            .field("shards", &self.shards.len())
             .field("cycle", &self.run.now)
             .field("delivered", &self.ledger.delivered())
             .finish_non_exhaustive()
@@ -736,12 +625,12 @@ impl ShardedCompiledEngine {
         let config = elab.config.clone();
         let routing = elab.routing.clone();
 
-        let mut handles = Vec::with_capacity(shards);
+        let mut shard_threads = Vec::with_capacity(shards);
         let mut txs = txs.into_iter();
         let mut rxs = rxs.into_iter();
         for (k, nbr_list) in nbr_lists.iter().enumerate() {
-            let (cmd_tx, cmd_rx) = mpsc::channel();
-            let (rep_tx, rep_rx) = mpsc::channel();
+            let (run_tx, run_rx) = mpsc::channel();
+            let (home_tx, home_rx) = mpsc::channel();
             let worker_config = config.clone();
             let worker_routing = routing.clone();
             let worker_map = map.clone();
@@ -758,8 +647,7 @@ impl ShardedCompiledEngine {
             let join = std::thread::Builder::new()
                 .name(format!("nocem-cshard-{k}"))
                 .spawn(move || {
-                    #[allow(unused_mut)]
-                    let mut worker = spawn_worker(
+                    let mut worker = Box::new(build_worker(
                         k,
                         &worker_config,
                         worker_routing,
@@ -767,17 +655,24 @@ impl ShardedCompiledEngine {
                         nbr_list,
                         out_txs,
                         in_rxs,
-                        cmd_rx,
-                        rep_tx,
-                    );
+                    ));
                     #[cfg(test)]
                     (worker.fault = fault);
-                    worker.run()
+                    // Home once built, then once after every cycle; the
+                    // coordinator closing its end stops the thread.
+                    while home_tx.send(worker).is_ok() {
+                        let Ok((next, now)) = run_rx.recv() else {
+                            return;
+                        };
+                        worker = next;
+                        worker.step(now);
+                    }
                 })
                 .expect("spawn sharded-compiled worker");
-            handles.push(WorkerHandle {
-                cmd: cmd_tx,
-                rep: rep_rx,
+            shard_threads.push(Shard {
+                worker: None,
+                run: run_tx,
+                home: home_rx,
                 join: Some(join),
             });
         }
@@ -785,8 +680,7 @@ impl ShardedCompiledEngine {
         let mut engine = ShardedCompiledEngine {
             run: RunState::new(&config),
             config,
-            workers: handles,
-            status: Vec::new(),
+            shards: shard_threads,
             partition: map,
             ledger: PacketLedger::new(),
             receptor_latency: vec![LatencyAnalyzer::new(); receptor_count],
@@ -794,18 +688,12 @@ impl ShardedCompiledEngine {
             stalled: 0,
             delivered_flits: 0,
             prov_map: HashMap::new(),
-            poisoned: false,
             failed: false,
             profiler,
             view,
         };
         // A worker that panics coming up re-raises its panic here.
-        engine.status = engine
-            .replies(|r| match r {
-                Report::Status(s) => Some(s),
-                _ => None,
-            })
-            .expect("every worker reports its status once built");
+        engine.gather().expect("every worker comes home once built");
         Ok(engine)
     }
 
@@ -820,9 +708,16 @@ impl ShardedCompiledEngine {
     }
 
     /// Whether the whole platform is quiescent: every shard locally
-    /// quiescent and no packet in flight.
+    /// quiescent and no packet in flight. A failed engine never is.
     pub fn is_quiescent(&self) -> bool {
-        self.ledger.in_flight() == 0 && self.status.iter().all(|s| s.quiescent)
+        !self.failed
+            && self.ledger.in_flight() == 0
+            && self.shards.iter().all(|s| s.kernel().is_quiescent())
+    }
+
+    /// The kernel of the shard that owns switch `s`.
+    fn owner(&self, s: SwitchId) -> &CompiledKernel {
+        self.shards[self.partition.shard_of(s)].kernel()
     }
 
     /// After any error the workers' state is ahead of (or torn against)
@@ -837,17 +732,18 @@ impl ShardedCompiledEngine {
         Ok(())
     }
 
-    /// Applies one cycle's entries, one per shard, to the coordinator
+    /// Applies the cycle every worker brought home to the coordinator
     /// state in the single-threaded engine's event order: releases
     /// ascending by generator index (id assignment), then injections,
     /// then deliveries ascending by (ejecting switch, output port).
-    fn apply_cycle(&mut self, row: Vec<CycleEntry>) -> Result<(), EmulationError> {
+    fn apply_cycle(&mut self) -> Result<(), EmulationError> {
         let now = self.run.now;
         let mut first_error: Option<EmulationError> = None;
         let mut releases: Vec<ReleaseRec> = Vec::new();
         let mut injects: Vec<PacketId> = Vec::new();
         let mut deliveries: Vec<DeliveryRec> = Vec::new();
-        for (k, mut e) in row.into_iter().enumerate() {
+        for shard in &mut self.shards {
+            let e = &mut shard.worker.as_mut().expect("every worker came home").entry;
             if let Some(err) = e.error.take() {
                 first_error.get_or_insert(err);
             }
@@ -855,7 +751,6 @@ impl ShardedCompiledEngine {
             injects.append(&mut e.injects);
             deliveries.append(&mut e.deliveries);
             self.stalled += e.stalled_delta;
-            self.status[k] = e.status;
         }
         if let Some(e) = first_error {
             return Err(self.fail(e));
@@ -900,59 +795,23 @@ impl ShardedCompiledEngine {
         e
     }
 
-    /// Sends `cmd` to every worker.
-    fn broadcast(&mut self, cmd: Cmd) -> Result<(), EmulationError> {
-        for k in 0..self.workers.len() {
-            if self.workers[k].cmd.send(cmd).is_err() {
-                return Err(self.worker_died(k));
+    /// Receives every worker home, in shard order.
+    fn gather(&mut self) -> Result<(), EmulationError> {
+        for k in 0..self.shards.len() {
+            match self.shards[k].home.recv() {
+                Ok(worker) => self.shards[k].worker = Some(worker),
+                Err(_) => return Err(self.worker_died(k)),
             }
         }
         Ok(())
     }
 
-    /// One report per worker, in shard order, each unwrapped by `pick`
-    /// (`None` = not the report expected).
-    fn replies<T>(&mut self, pick: impl Fn(Report) -> Option<T>) -> Result<Vec<T>, EmulationError> {
-        let mut out = Vec::with_capacity(self.workers.len());
-        for k in 0..self.workers.len() {
-            match self.workers[k].rep.recv().ok().and_then(&pick) {
-                Some(v) => out.push(v),
-                None => return Err(self.worker_died(k)),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Asks every worker `cmd` and collects the picked replies — worker
-    /// state equals the compiled engine's end-of-cycle state at the
-    /// coordinator's cycle — refused once the engine has failed.
-    fn ask<T>(
-        &mut self,
-        cmd: Cmd,
-        pick: impl Fn(Report) -> Option<T>,
-    ) -> Result<Vec<T>, EmulationError> {
-        self.check_alive()?;
-        self.broadcast(cmd)?;
-        self.replies(pick)
-    }
-
-    /// Every worker's phase accumulators, in shard order; none after a
-    /// failure (dead workers cannot be queried).
-    fn worker_profiles(&mut self) -> Vec<PhaseProfiler> {
-        self.ask(Cmd::Profile, |r| match r {
-            Report::Profile(p) => Some(*p),
-            _ => None,
-        })
-        .unwrap_or_default()
-    }
-
-    /// Worker `dead`'s channel closed outside a cycle (in-cycle panics
-    /// are caught and reported in the entry). Join it and re-raise its
-    /// panic; leak the survivors, which may be blocked on a neighbour.
+    /// Shard `dead`'s thread is gone without its worker (in-cycle
+    /// panics are caught and come home in the entry). Join it and
+    /// re-raise its panic.
     fn worker_died(&mut self, dead: usize) -> EmulationError {
         self.failed = true;
-        self.poisoned = true;
-        if let Some(join) = self.workers[dead].join.take() {
+        if let Some(join) = self.shards[dead].join.take() {
             if let Err(payload) = join.join() {
                 std::panic::resume_unwind(payload);
             }
@@ -972,42 +831,38 @@ impl ShardedCompiledEngine {
         crate::clock::run_engine(self)
     }
 
-    /// Collects full run results from the view and every shard's
-    /// receptors — value-equal to [`CompiledEngine::results`] for the
-    /// same run.
+    /// Collects full run results from the view and every receptor, read
+    /// in place from the shard that owns it — value-equal to
+    /// [`CompiledEngine::results`] for the same run.
     ///
     /// # Errors
     ///
-    /// Returns [`EmulationError::Shard`] when a worker is gone or an
-    /// earlier step failed.
+    /// Returns [`EmulationError::Shard`] when an earlier step failed.
     pub fn results(&mut self) -> Result<EmulationResults, EmulationError> {
         CycleKernel::arch_view(self)?;
-        let owned = self.ask(Cmd::Collect, |r| match r {
-            Report::Receptors(r) => Some(r),
-            _ => None,
-        })?;
-        let mut owned = owned.concat();
-        owned.sort_unstable_by_key(|&(gidx, _)| gidx);
+        let topo = &self.config.topology;
+        let receptors = topo.receptors().into_iter().enumerate();
+        let receptors = receptors.map(|(r, e)| &self.owner(topo.endpoint(e).switch).receptors[r]);
         Ok(EmulationResults::from_view(
             &self.config.name,
             self.summary(),
             self.stalled,
             &self.view,
-            owned.iter().map(|(_, r)| r),
+            receptors,
         ))
     }
 }
 
 impl Drop for ShardedCompiledEngine {
+    /// Closes every thread's channel, which ends its loop, and joins
+    /// the threads — unless a worker never came home: then its thread
+    /// has died and the survivors are left to end on their own.
     fn drop(&mut self) {
-        for w in &self.workers {
-            let _ = w.cmd.send(Cmd::Shutdown);
-        }
-        if !self.poisoned {
-            for w in &mut self.workers {
-                if let Some(join) = w.join.take() {
-                    let _ = join.join();
-                }
+        let home = self.shards.iter().all(|s| s.worker.is_some());
+        for shard in self.shards.drain(..) {
+            drop(shard.run);
+            if let Some(join) = shard.join.filter(|_| home) {
+                let _ = join.join();
             }
         }
     }
@@ -1036,10 +891,10 @@ impl CycleKernel for ShardedCompiledEngine {
     /// cycle `now` — the predicate [`CompiledEngine`]'s `idle_jump`
     /// evaluates there.
     fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
-        if self.failed || !self.is_quiescent() {
+        if !self.is_quiescent() {
             return 0;
         }
-        let next = self.status.iter().map(|s| s.next_event).min();
+        let next = self.shards.iter().map(|s| s.kernel().tg_min_next).min();
         next.unwrap_or(u64::MAX)
             .min(horizon)
             .saturating_sub(now.raw())
@@ -1047,49 +902,52 @@ impl CycleKernel for ShardedCompiledEngine {
 
     fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
         self.check_alive()?;
-        self.broadcast(Cmd::Step(now))?;
-        let row = self.replies(|r| match r {
-            Report::Cycle(entry) => Some(entry),
-            _ => None,
-        })?;
+        for k in 0..self.shards.len() {
+            let worker = self.shards[k].worker.take();
+            let worker = worker.expect("workers are home between cycles");
+            if self.shards[k].run.send((worker, now)).is_err() {
+                return Err(self.worker_died(k));
+            }
+        }
+        self.gather()?;
         lap(self.profiler.as_mut(), t, Phase::CoordWait);
-        let applied = self.apply_cycle(row);
+        let applied = self.apply_cycle();
         lap(self.profiler.as_mut(), t, Phase::Apply);
         applied
     }
 
-    /// Every shard's cached status plus the ledger.
+    /// Every shard's kernel plus the ledger; a failed engine never
+    /// drains.
     fn drained(&self) -> bool {
-        self.ledger.in_flight() == 0
-            && self
-                .status
-                .iter()
-                .all(|s| s.exhausted && s.pending_none && s.nis_idle)
+        !self.failed
+            && self.ledger.in_flight() == 0
+            && self.shards.iter().all(|s| s.kernel().drained())
     }
 
-    /// Every switch's, NI's and receptor's rows from the shard that
-    /// owns them; a trace receptor's latency from the coordinator,
-    /// which books every delivery.
+    /// Every switch's, NI's and receptor's rows, written by the kernel
+    /// of the shard that owns them; a trace receptor's latency from the
+    /// coordinator, which books every delivery.
     fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
-        let parts = self.ask(Cmd::View, |r| match r {
-            Report::View(v) => Some(v),
-            _ => None,
-        })?;
-        self.view.alloc_live();
+        self.check_alive()?;
+        let mut view = std::mem::take(&mut self.view);
+        view.alloc_live();
         for s in 0..self.partition.switch_count() {
-            let owner = self.partition.shard_of(SwitchId::new(s as u32));
-            self.view.copy_switch(&parts[owner], s);
+            self.owner(SwitchId::new(s as u32))
+                .write_switch(&mut view, s);
         }
         let topo = &self.config.topology;
         for (i, g) in topo.generators().into_iter().enumerate() {
-            let owner = self.partition.shard_of(topo.endpoint(g).switch);
-            self.view.nis[i] = parts[owner].nis[i];
+            self.owner(topo.endpoint(g).switch).write_ni(&mut view, i);
         }
-        for (row, booked) in self.view.receptors.iter_mut().zip(&self.receptor_latency) {
-            if let Some(latency) = &mut row.latency {
+        let booked = self.receptor_latency.iter();
+        for (r, (e, booked)) in topo.receptors().into_iter().zip(booked).enumerate() {
+            self.owner(topo.endpoint(e).switch)
+                .write_receptor(&mut view, r);
+            if let Some(latency) = &mut view.receptors[r].latency {
                 *latency = *booked;
             }
         }
+        self.view = view;
         Ok(&self.view)
     }
 
@@ -1102,16 +960,23 @@ impl CycleKernel for ShardedCompiledEngine {
     }
 
     /// The coordinator's phases with every worker's absorbed, plus one
-    /// sub-report per worker.
+    /// sub-report per worker — the coordinator's alone once the engine
+    /// has failed.
     fn phase_report(&mut self) -> Option<PhaseReport> {
         let mut agg = self.profiler.clone()?;
-        let wps = self.worker_profiles();
-        let mut workers = Vec::with_capacity(wps.len());
-        for (k, wp) in wps.iter().enumerate() {
-            agg.absorb(wp);
-            workers.push(wp.report(format!("shard-{k}")));
+        let mut workers = Vec::new();
+        let shards = if self.failed {
+            &[][..]
+        } else {
+            &self.shards[..]
+        };
+        for (k, shard) in shards.iter().enumerate() {
+            if let Some(wp) = &shard.kernel().profiler {
+                agg.absorb(wp);
+                workers.push(wp.report(format!("shard-{k}")));
+            }
         }
-        let mut report = agg.report(format!("{}/{}", Self::LABEL, self.workers.len()));
+        let mut report = agg.report(format!("{}/{}", Self::LABEL, self.shards.len()));
         report.workers = workers;
         Some(report)
     }
@@ -1123,8 +988,7 @@ impl CycleKernel for ShardedCompiledEngine {
 /// construction; the routing is shared, and was checked when the
 /// coordinator computed it), lower it into a full-shape
 /// [`CompiledKernel`], and derive the ownership tables.
-#[allow(clippy::too_many_arguments)]
-fn spawn_worker(
+fn build_worker(
     shard: usize,
     config: &PlatformConfig,
     routing: RoutingTables,
@@ -1132,8 +996,6 @@ fn spawn_worker(
     nbr_list: Vec<usize>,
     out_txs: Vec<Sender<NeighborMsg>>,
     in_rxs: Vec<Receiver<NeighborMsg>>,
-    cmd_rx: Receiver<Cmd>,
-    rep_tx: Sender<Report>,
 ) -> Worker {
     let mut elab =
         elaborate_routed(config, routing).expect("the coordinator already elaborated this config");
@@ -1145,29 +1007,16 @@ fn spawn_worker(
             *tg = Box::new(TraceDrivenTg::from_events(Vec::new()));
         }
     }
-    let view = ArchView::new(&elab);
     let mut eng = CompiledKernel::new(elab);
     eng.next_packet = first_provisional_id(shard);
     let switch_shard: Vec<u16> = (0..eng.low.switch_count)
         .map(|s| map.shard_of(SwitchId::new(s as u32)) as u16)
         .collect();
-    let owned = |s: usize| usize::from(switch_shard[s]) == shard;
-    let mut my_receptors = Vec::new();
     let mut out_slot_shard = vec![0u16; eng.low.total_out_slots()];
     for (s, &owner) in switch_shard.iter().enumerate() {
         let range = eng.low.out_slot_base[s] as usize..eng.low.out_slot_base[s + 1] as usize;
         out_slot_shard[range].fill(owner);
-        if !owned(s) {
-            continue;
-        }
-        let opb = eng.low.out_port_base[s] as usize;
-        for o in 0..eng.low.outputs[s] as usize {
-            if let LoweredOutDest::Receptor { index } = eng.low.out_dest[opb + o] {
-                my_receptors.push(index as usize);
-            }
-        }
     }
-    my_receptors.sort_unstable();
     let mut nbr_slot = vec![usize::MAX; map.shards()];
     for (j, &b) in nbr_list.iter().enumerate() {
         nbr_slot[b] = j;
@@ -1184,25 +1033,26 @@ fn spawn_worker(
     };
     Worker {
         eng,
-        view,
         boundary,
-        my_receptors,
         out_txs,
         in_rxs,
-        dead: false,
+        entry: CycleEntry::default(),
         #[cfg(test)]
         fault: None,
-        cmd_rx,
-        rep_tx,
     }
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/watchdog.rs"]
+mod watchdog;
+
+#[cfg(test)]
 mod tests {
+    use super::watchdog::within_a_minute;
     use super::*;
     use crate::config::PaperConfig;
+    use crate::profile::ProfileConfig;
     use std::cell::Cell;
-    use std::time::Duration;
 
     thread_local! {
         /// `(shard, cycle)`: in engines built on this thread, that
@@ -1213,19 +1063,6 @@ mod tests {
     /// The fault cycle armed for shard `k` by the constructing thread.
     pub(super) fn fault_for(k: usize) -> Option<u64> {
         FAULT.get().filter(|f| f.0 == k).map(|f| f.1)
-    }
-
-    /// Runs `body` under a watchdog, so a protocol hang fails the test
-    /// instead of stalling the suite.
-    fn within_a_minute(body: impl FnOnce() + Send + 'static) {
-        let (done_tx, done_rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            body();
-            done_tx.send(()).unwrap();
-        });
-        done_rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("the faulted engine hung or its test body panicked");
     }
 
     fn assert_shard1_fault(err: EmulationError, cycle: u64) {
@@ -1240,27 +1077,38 @@ mod tests {
 
     /// A worker panic surfaces as a typed error on exactly the cycle
     /// it happened, poisons the engine for good, strands nobody and
-    /// lets the engine drop.
+    /// lets the engine drop. Every later read returns at once without
+    /// touching the torn kernel: the view and the results are refused,
+    /// and the phase report is the coordinator's alone.
     #[test]
     fn worker_panic_mid_window_is_a_shard_fault_not_a_hang() {
         within_a_minute(|| {
             // Shard 1 faults while shard 0 (which owns the paper's four
             // TGs) keeps sending flits across the boundary.
             FAULT.set(Some((1, 20)));
-            let cfg = PaperConfig::new().total_packets(1_000_000).uniform();
+            let mut cfg = PaperConfig::new().total_packets(1_000_000).uniform();
+            cfg.profile = Some(ProfileConfig::default());
             let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2).unwrap();
             for cycle in 0..20 {
                 engine.step().unwrap();
                 assert_eq!(engine.now().raw(), cycle + 1);
             }
+            assert_eq!(engine.profile().unwrap().workers.len(), 2);
             assert_shard1_fault(engine.step().unwrap_err(), 20);
             assert_eq!(engine.now().raw(), 20, "the faulting cycle is not applied");
             for _ in 0..2 {
                 assert!(matches!(engine.step(), Err(EmulationError::Shard { .. })));
                 assert!(matches!(
+                    SteppableEngine::arch_view(&mut engine),
+                    Err(EmulationError::Shard { .. })
+                ));
+                assert!(matches!(
                     engine.results(),
                     Err(EmulationError::Shard { .. })
                 ));
+                let report = engine.profile().unwrap();
+                assert_eq!(report.label, "sharded-compiled/2");
+                assert!(report.workers.is_empty(), "{:?}", report.workers);
             }
             // Joins both workers.
             drop(engine);

@@ -256,26 +256,6 @@ impl ArchView {
         }
         edges
     }
-
-    /// Copies switch `s`'s live rows, and those of the receptors it
-    /// ejects into, from `part` — how the sharded engine assembles its
-    /// view from the slices its workers own.
-    pub(crate) fn copy_switch(&mut self, part: &ArchView, s: usize) {
-        let vcs = self.vcs;
-        let outs = self.out_port_base[s] as usize..self.out_port_base[s + 1] as usize;
-        let ovcs = outs.start * vcs..outs.end * vcs;
-        let ivcs = self.input_vc(s, 0, 0)..self.input_vc(s + 1, 0, 0);
-        for dest in &self.out_dest[outs.clone()] {
-            if let WaitDest::Receptor { index } = *dest {
-                self.receptors[index as usize] = part.receptors[index as usize];
-            }
-        }
-        self.ports[outs.clone()].copy_from_slice(&part.ports[outs]);
-        self.credits[ovcs.clone()].copy_from_slice(&part.credits[ovcs]);
-        self.inputs[ivcs.clone()].copy_from_slice(&part.inputs[ivcs]);
-        let wm = s * vcs..(s + 1) * vcs;
-        self.watermarks[wm.clone()].copy_from_slice(&part.watermarks[wm]);
-    }
 }
 
 /// The switch and local port of global port `k`, given the switches'

@@ -15,9 +15,15 @@
 //! [`scenario`] and the topology shorthands, with [`retraffic`] /
 //! [`each_uniform`] swapping their generators. [`check`] is the property
 //! a generated configuration must meet: it runs alike on every engine,
-//! or every engine rejects it alike at build.
+//! or every engine rejects it alike at build. A lockstep run with a
+//! sharded engine runs under [`within_a_minute`], so a hung exchange
+//! fails the test instead of stalling the suite.
 
 #![allow(dead_code)]
+
+mod watchdog;
+
+pub use watchdog::within_a_minute;
 
 use std::any::Any;
 use std::fmt::Debug;
@@ -102,6 +108,14 @@ impl Subject {
         let name = &self.name;
         any.downcast_mut()
             .unwrap_or_else(|| panic!("{name} is no {}", std::any::type_name::<E>()))
+    }
+
+    /// Whether the engine runs worker threads: a sharded engine, which
+    /// [`AnyEngine`] builds at two or more shards.
+    fn threaded(&self) -> bool {
+        let any: &dyn Any = &*self.engine;
+        let any_sharded = matches!(any.downcast_ref(), Some(AnyEngine::ShardedCompiled(_)));
+        any_sharded || any.is::<ShardedCompiledEngine>()
     }
 
     fn step(&mut self) {
@@ -242,18 +256,37 @@ pub fn first_difference(want: &ArchView, got: &ArchView) -> Option<String> {
 /// telemetry, results and stall report. The engines stay the caller's
 /// for further assertions.
 pub fn lockstep(reference: &mut Subject, subjects: &mut [Subject]) {
-    drive(reference, subjects, u64::MAX);
-    for s in subjects.iter() {
-        assert!(s.engine.finished(), "{}: stop condition lagged", s.name);
-    }
-    finish(reference, subjects);
+    watched(reference, subjects, |reference, subjects| {
+        drive(reference, subjects, u64::MAX);
+        for s in subjects.iter() {
+            assert!(s.engine.finished(), "{}: stop condition lagged", s.name);
+        }
+        finish(reference, subjects);
+    });
 }
 
 /// [`lockstep`] over the first `cycles` cycles of a run that need not
 /// finish by then.
 pub fn lockstep_until(reference: &mut Subject, subjects: &mut [Subject], cycles: u64) {
-    drive(reference, subjects, cycles);
-    finish(reference, subjects);
+    watched(reference, subjects, |reference, subjects| {
+        drive(reference, subjects, cycles);
+        finish(reference, subjects);
+    });
+}
+
+/// Runs `body` over the engines, under [`within_a_minute`] when one of
+/// them runs worker threads, so that a hung exchange fails the test.
+fn watched(
+    reference: &mut Subject,
+    subjects: &mut [Subject],
+    body: impl FnOnce(&mut Subject, &mut [Subject]),
+) {
+    let engines = std::iter::once(&*reference).chain(&*subjects);
+    if engines.into_iter().any(Subject::threaded) {
+        within_a_minute(|| body(reference, subjects));
+    } else {
+        body(reference, subjects);
+    }
 }
 
 /// `cfg` on every backend, in [`lockstep`] with the interpreted engine

@@ -63,7 +63,7 @@ fn windowed_series_sum_to_lifetime_counters() {
             capacity,
             ..TelemetryConfig::windowed(window)
         });
-        let emu = run_paper(&cfg);
+        let mut emu = run_paper(&cfg);
         let cc = emu.results().congestion;
         let t = emu.telemetry().expect("telemetry enabled");
         prop_assert!(t.is_sealed());
