@@ -14,14 +14,6 @@
 //! combinations, of which a handful are inapplicable (transpose on
 //! non-square topologies, bit patterns on non-power-of-two switch
 //! counts) and are reported as skips in the CSV trailer.
-//!
-//! A second, **scale** section runs uniform-random traffic on 16×16
-//! and 32×32 meshes across the matrix's `shards` axis (1, 2 and 4
-//! worker threads), sequentially and individually wall-clocked, so
-//! the CSV records the sharded compiled engine's measured speedup
-//! over the same kernel unsharded on topologies too big for one core.
-//! The shard counts change only `wall_ms`: the sharded engine is
-//! ledger-identical to the unsharded one (asserted here per topology).
 
 use nocem::clock::ClockMode;
 use nocem_common::table::{Align, TextTable};
@@ -56,7 +48,6 @@ fn main() {
             TopologySpec::Ring { switches: 8 },
         ],
         loads: vec![0.10, 0.30],
-        shards: vec![1],
         packet_flits: 4,
         packets_per_point: 8_000,
         // Hybrid clock gating: cycle-equivalent to EveryCycle (the
@@ -117,69 +108,6 @@ fn main() {
         println!("skipped {}: {}", s.label, s.reason);
     }
 
-    // --- Scale section: the sharded engine on 16x16 / 32x32 meshes.
-    //
-    // Runs with threads = 1 so the shard workers own the cores and
-    // the wall-clock per point is a fair single-point measurement.
-    let scale = MatrixSpec {
-        scenarios: vec!["uniform_random".into()],
-        topologies: vec![
-            TopologySpec::Mesh {
-                width: 16,
-                height: 16,
-            },
-            TopologySpec::Mesh {
-                width: 32,
-                height: 32,
-            },
-        ],
-        loads: vec![0.10],
-        shards: vec![1, 2, 4],
-        packet_flits: 4,
-        packets_per_point: 20_000,
-        clock_mode: ClockMode::Gated,
-    };
-    println!(
-        "\nscale section: {} sharded points (sequential, wall-clocked)",
-        scale.combinations()
-    );
-    let scale_outcome = scale.run(&registry, 1).expect("scale matrix runs");
-    let mut st = TextTable::with_columns(&[
-        "topology",
-        "shards",
-        "cycles",
-        "wall (ms)",
-        "speedup vs 1 shard",
-    ]);
-    st.title("Sharded-engine scaling — uniform_random @ 10% load".to_string());
-    for c in 1..5 {
-        st.align(c, Align::Right);
-    }
-    for row in &scale_outcome.rows {
-        let reference = scale_outcome
-            .rows
-            .iter()
-            .find(|r| r.topology == row.topology && r.shards == 1)
-            .expect("shards axis starts at 1, so the baseline ran first");
-        // The shards axis must never change the simulation itself.
-        assert_eq!(
-            reference.results, row.results,
-            "sharded run diverged from the unsharded engine on {}",
-            row.label
-        );
-        st.row(vec![
-            row.topology.clone(),
-            row.shards.to_string(),
-            row.results.cycles.to_string(),
-            format!("{:.1}", row.wall_ms),
-            format!("{:.2}x", reference.wall_ms / row.wall_ms),
-        ]);
-    }
-    println!("{st}");
-
-    let mut combined = outcome;
-    combined.rows.extend(scale_outcome.rows);
-    combined.skipped.extend(scale_outcome.skipped);
-    let path = nocem_bench::save_csv("scenario_matrix.csv", &combined.to_csv());
+    let path = nocem_bench::save_csv("scenario_matrix.csv", &outcome.to_csv());
     println!("data written to {}", path.display());
 }

@@ -10,7 +10,6 @@ use crate::config::PlatformConfig;
 use crate::devices::{self, TgShadow};
 use crate::error::{CompileError, EmulationError};
 use crate::sweep::AnyEngine;
-use crate::view::ArchView;
 use nocem_common::ids::{BusId, DeviceId};
 use nocem_platform::addr::{Address, DeviceAddr, DEVICES_PER_BUS};
 use nocem_platform::bus::{AddressMap, BusAccess, BusError, DeviceClass};
@@ -20,7 +19,7 @@ use nocem_platform::control::{ControlModule, REG_CTRL};
 pub struct Board<E: SteppableEngine> {
     engine: E,
     /// What programmed runs are rebuilt with.
-    build: fn(Elaboration) -> Result<E, CompileError>,
+    build: fn(Elaboration) -> E,
     /// The configuration the engine runs.
     config: PlatformConfig,
     map: AddressMap,
@@ -38,34 +37,27 @@ impl Board<AnyEngine> {
     ///
     /// Propagates [`CompileError`].
     pub fn build(config: &PlatformConfig) -> Result<Self, CompileError> {
-        Board::new(elaborate(config)?, AnyEngine::from_elaboration)
+        Ok(Board::new(elaborate(config)?, AnyEngine::from_elaboration))
     }
 }
 
 impl<E: SteppableEngine> Board<E> {
     /// Puts `elab` behind a bus on the engine `build` makes of it, as
     /// every programmed run will be.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from `build`.
-    pub fn new(
-        elab: Elaboration,
-        build: fn(Elaboration) -> Result<E, CompileError>,
-    ) -> Result<Self, CompileError> {
+    pub fn new(elab: Elaboration, build: fn(Elaboration) -> E) -> Self {
         let (config, map) = (elab.config.clone(), elab.map.clone());
         let mut tg_shadow: Vec<TgShadow> =
             config.generators.iter().map(TgShadow::from_model).collect();
         latch_seeds(&mut tg_shadow, &elab.tg_seeds);
-        Ok(Board {
-            engine: build(elab)?,
+        Board {
+            engine: build(elab),
             build,
             config,
             map,
             control: ControlModule::new(),
             tg_shadow,
             monitor_select: 0,
-        })
+        }
     }
 
     /// The engine.
@@ -102,7 +94,7 @@ impl<E: SteppableEngine> Board<E> {
     /// Returns [`EmulationError::Bus`] if the start bit is not set or a
     /// TG's registers do not decode into a traffic model, and
     /// [`EmulationError::Compile`] if the programmed configuration does
-    /// not compile or build; otherwise propagates run errors.
+    /// not compile; otherwise propagates run errors.
     pub fn run_programmed(&mut self) -> Result<(), EmulationError> {
         if !self.control.start_requested() {
             // The control module's slot (even on an unmapped platform,
@@ -131,7 +123,7 @@ impl<E: SteppableEngine> Board<E> {
         }
         let elab = elaborate(&config)?;
         let seeds = elab.tg_seeds.clone();
-        self.engine = (self.build)(elab)?;
+        self.engine = (self.build)(elab);
         self.config = config;
         latch_seeds(&mut self.tg_shadow, &seeds);
         run_engine(&mut self.engine)
@@ -157,15 +149,6 @@ fn latch_seeds(shadows: &mut [TgShadow], seeds: &[u64]) {
     }
 }
 
-/// `engine`'s view, or why a read at `addr` cannot see it (a failed
-/// sharded run).
-fn view<E: SteppableEngine>(engine: &mut E, addr: Address) -> Result<&ArchView, BusError> {
-    engine.arch_view().map_err(|e| BusError::Unreadable {
-        addr,
-        reason: e.to_string(),
-    })
-}
-
 impl<E: SteppableEngine> BusAccess for Board<E> {
     fn read(&mut self, addr: Address) -> Result<u32, BusError> {
         match self.device(addr)? {
@@ -179,15 +162,10 @@ impl<E: SteppableEngine> BusAccess for Board<E> {
                 self.control.bus_read(addr)
             }
             (DeviceClass::TrafficGenerator, i) => {
-                let view = view(&mut self.engine, addr)?;
-                devices::tg_read(view, &self.tg_shadow[i], i, addr)
+                devices::tg_read(self.engine.arch_view(), &self.tg_shadow[i], i, addr)
             }
-            (DeviceClass::TrafficReceptor, i) => {
-                devices::tr_read(view(&mut self.engine, addr)?, i, addr)
-            }
-            (DeviceClass::Switch, i) => {
-                devices::switch_read(view(&mut self.engine, addr)?, i, addr)
-            }
+            (DeviceClass::TrafficReceptor, i) => devices::tr_read(self.engine.arch_view(), i, addr),
+            (DeviceClass::Switch, i) => devices::switch_read(self.engine.arch_view(), i, addr),
             (DeviceClass::Monitor, _) => {
                 let links = self.config.topology.link_count();
                 devices::monitor_read(self.engine.telemetry(), links, self.monitor_select, addr)

@@ -18,9 +18,8 @@
 //!
 //! On top of the two sits the one step skeleton — gate → probe → cycle
 //! → watchdog → limit — as the single generic `impl SteppableEngine for
-//! K: CycleKernel`. `Emulation`, `CompiledEngine`, `TlmEngine`,
-//! `RtlEngine` and the sharded coordinator are kernels; none of them
-//! carries its own gate, probe timing, watchdog feed or cycle-limit
+//! K: CycleKernel`. `Emulation`, `CompiledEngine`, `TlmEngine` and
+//! `RtlEngine` are kernels; none of them carries its own gate, probe timing, watchdog feed or cycle-limit
 //! check. The skeleton enforces the two invariants the engines used to
 //! uphold by copy:
 //!
@@ -82,21 +81,6 @@
 //!   no arbiter, pointer or LFSR, so skipping it is exact;
 //! * **no in-flight packet in the ledger** — a belt over the braces:
 //!   any flit anywhere implies an undelivered packet.
-//!
-//! # The sharded engine: the cross-shard event horizon
-//!
-//! The sharded engine (`crate::shard_compiled`) applies the same
-//! protocol per shard: every worker reports its local
-//! quiescence and its TGs' earliest future event each cycle, and the
-//! coordinator may jump only when **all** shards are quiescent (plus
-//! the ledger clause), and only to the *minimum* next-event over all
-//! shards — the cross-shard event horizon. A shard therefore never
-//! fast-forwards past a cycle at which another shard could have
-//! produced traffic that would reach it; the jump is replayed in
-//! every worker with the same [`TrafficGenerator::skip_to`] contract
-//! as [`fast_forward`]. The decision is taken before every cycle, and
-//! the workers run no cycle the coordinator has not asked for, so a
-//! jump costs them nothing.
 
 use crate::config::{PlatformConfig, StopCondition};
 use crate::error::EmulationError;
@@ -345,9 +329,7 @@ impl RunState {
 /// static, so the skeleton monomorphises into each kernel's own step.
 ///
 /// The view takes `&mut self` because every kernel refills one reused
-/// buffer, and it may fail because the sharded coordinator gathers it
-/// from worker threads, which can die or stand ahead of it; every
-/// single-threaded kernel answers infallibly.
+/// buffer.
 pub trait CycleKernel {
     /// The engine's label in profile reports.
     const LABEL: &'static str;
@@ -383,23 +365,13 @@ pub trait CycleKernel {
 
     /// The architectural state after the last cycle stepped (the
     /// probe, wait-for edges and congestion counters read it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmulationError`] when the state cannot be read.
-    fn arch_view(&mut self) -> Result<&ArchView, EmulationError>;
+    fn arch_view(&mut self) -> &ArchView;
 
     /// The packet ledger.
     fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_;
 
     /// Flits fully delivered so far.
     fn delivered_flits(&self) -> u64;
-
-    /// The phase report behind [`SteppableEngine::profile`]: the
-    /// kernel's own profiler under [`CycleKernel::LABEL`].
-    fn phase_report(&mut self) -> Option<PhaseReport> {
-        self.profiler_mut().map(|p| p.report(Self::LABEL))
-    }
 }
 
 /// The common stepping contract of every engine.
@@ -472,32 +444,24 @@ pub trait SteppableEngine {
 
     /// The architectural state at the current cycle: equal on every
     /// engine standing on the same cycle of the same run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmulationError`] once a sharded run has failed.
-    fn arch_view(&mut self) -> Result<&ArchView, EmulationError>;
+    fn arch_view(&mut self) -> &ArchView;
 }
 
 /// Runs `write` on the telemetry collector, the current cycle and
 /// `k`'s view. The collector is taken out of the run state while the
 /// view is read, so the two borrows do not overlap, and is put back
-/// whatever the read returns. Out of line: it runs once a window, and
-/// inlined it would grow the per-cycle step.
+/// after. Out of line: it runs once a window, and inlined it would
+/// grow the per-cycle step.
 #[cold]
 #[inline(never)]
-fn with_collector<K: CycleKernel>(
-    k: &mut K,
-    write: impl FnOnce(&mut Collector, u64, &ArchView),
-) -> Result<(), EmulationError> {
+fn with_collector<K: CycleKernel>(k: &mut K, write: impl FnOnce(&mut Collector, u64, &ArchView)) {
     let run = k.run_state_mut();
     let Some(mut t) = run.telemetry.take() else {
-        return Ok(());
+        return;
     };
     let now = run.now.raw();
-    let read = CycleKernel::arch_view(k).map(|view| write(&mut t, now, view));
+    write(&mut t, now, CycleKernel::arch_view(k));
     k.run_state_mut().telemetry = Some(t);
-    read
 }
 
 /// The step skeleton and the run-level queries, once, for every
@@ -536,7 +500,7 @@ impl<K: CycleKernel> SteppableEngine for K {
             with_collector(self, |t, now, view| {
                 let (links, buffered) = view.telemetry_counters();
                 t.record(now, links, buffered);
-            })?;
+            });
         }
         lap(self.profiler_mut(), &mut t, Phase::Probe);
         let now = self.run_state().now;
@@ -552,7 +516,7 @@ impl<K: CycleKernel> SteppableEngine for K {
             let dog = dog.expect("presence checked above");
             if dog.observe(now.raw(), released, injected, delivered, in_flight) {
                 let window = dog.window();
-                let view = CycleKernel::arch_view(self)?;
+                let view = CycleKernel::arch_view(self);
                 let report = StallReport::from_view(now.raw(), window, in_flight, view);
                 let dog = self.run_state_mut().watchdog.as_mut();
                 dog.expect("presence checked above").latch(report);
@@ -593,11 +557,10 @@ impl<K: CycleKernel> SteppableEngine for K {
         self.run_state().telemetry.as_ref()
     }
 
-    /// A no-op when telemetry is off, already sealed, or the view
-    /// cannot be read (a failed sharded run).
+    /// A no-op when telemetry is off or already sealed.
     fn seal_telemetry(&mut self) {
         if self.run_state().seal_due() {
-            let _unreadable = with_collector(self, |t, now, view| {
+            with_collector(self, |t, now, view| {
                 let (links, buffered) = view.telemetry_counters();
                 t.seal(now, links, buffered);
             });
@@ -605,7 +568,7 @@ impl<K: CycleKernel> SteppableEngine for K {
     }
 
     fn profile(&mut self) -> Option<PhaseReport> {
-        self.phase_report()
+        self.profiler_mut().map(|p| p.report(Self::LABEL))
     }
 
     fn stall_report(&self) -> Option<&StallReport> {
@@ -615,7 +578,7 @@ impl<K: CycleKernel> SteppableEngine for K {
             .and_then(StallWatchdog::report)
     }
 
-    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+    fn arch_view(&mut self) -> &ArchView {
         CycleKernel::arch_view(self)
     }
 }
@@ -839,11 +802,11 @@ mod tests {
             false
         }
 
-        fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+        fn arch_view(&mut self) -> &ArchView {
             let now = self.run.now.raw();
             self.log.push(Ask::View { now });
             self.view.alloc_live();
-            Ok(&self.view)
+            &self.view
         }
 
         fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_ {

@@ -338,8 +338,7 @@ fn names_own_row(flows: &FlowSet, src: EndpointId, destination: &DestinationMode
 /// This is the expensive, *load-independent* half of elaboration — on
 /// huge meshes route computation and the channel-dependency check
 /// dominate compile time. Callers that elaborate the same topology ×
-/// flow set many times (the scenario matrix's `shards` axis, a
-/// saturation search's load ramp) compute the tables once and reuse
+/// flow set many times (a saturation search's load ramp) compute the tables once and reuse
 /// them through [`elaborate_routed`].
 ///
 /// # Errors

@@ -90,7 +90,7 @@ use std::time::Instant;
 /// A set of indices below a fixed bound, one bit each, walked in
 /// ascending order (the reference engine's order) word by word.
 #[derive(Debug, Clone)]
-pub(crate) struct LiveSet(pub(crate) Vec<u64>);
+struct LiveSet(Vec<u64>);
 
 impl LiveSet {
     fn new(bound: usize) -> Self {
@@ -112,141 +112,134 @@ impl LiveSet {
         self.0[i >> 6] & (1 << (i & 63)) != 0
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.0.iter().all(|&w| w == 0)
     }
 }
 
-/// The compiled engine: the compiled kernel (`CompiledKernel`, the flat
-/// arrays and their four phases) under the shared step skeleton
-/// ([`crate::clock`]).
+/// The compiled engine: the flat arrays and their four phases under
+/// the shared step skeleton ([`crate::clock`]).
 ///
 /// Built from an [`Elaboration`] via [`CompiledEngine::new`]; selected
 /// through [`crate::config::EngineKind::Compiled`] everywhere a config
 /// picks an engine ([`crate::sweep::AnyEngine`], sweeps, curves).
 pub struct CompiledEngine {
     run: RunState,
-    kernel: CompiledKernel,
+    /// The architectural-state view [`CycleKernel::arch_view`] fills.
     view: ArchView,
-}
-
-/// The compiled platform: flat arrays stepped by tight loops — the
-/// kernel half of [`CompiledEngine`], and all a shard worker owns
-/// (`crate::shard_compiled`; the coordinator keeps the run-level half).
-pub(crate) struct CompiledKernel {
     /// The platform's name (`PlatformConfig::name`), which results carry.
-    pub(crate) name: String,
-    pub(crate) low: LoweredPlatform,
-    pub(crate) tgs: Vec<Box<dyn TrafficGenerator + Send>>,
-    pub(crate) nis: Vec<SourceNi>,
-    pub(crate) receptors: Vec<Receptor>,
-    pub(crate) generator_endpoints: Vec<EndpointId>,
-    pub(crate) ledger: PacketLedger,
-    pub(crate) next_packet: u64,
+    name: String,
+    low: LoweredPlatform,
+    tgs: Vec<Box<dyn TrafficGenerator + Send>>,
+    nis: Vec<SourceNi>,
+    receptors: Vec<Receptor>,
+    generator_endpoints: Vec<EndpointId>,
+    ledger: PacketLedger,
+    next_packet: u64,
     /// Per-TG output register: a request the source queue could not
     /// absorb yet (the model is clock-gated while this is occupied).
-    pub(crate) pending: Vec<Option<PacketRequest>>,
+    pending: Vec<Option<PacketRequest>>,
     /// Per TG: earliest cycle whose tick is not a pure no-op — ticks
     /// strictly before it are deferred and replayed with `skip_to`.
-    pub(crate) tg_next_event: Vec<u64>,
+    tg_next_event: Vec<u64>,
     /// Per TG: first cycle whose (deferred) tick has not been
     /// replayed yet.
-    pub(crate) tg_synced: Vec<u64>,
+    tg_synced: Vec<u64>,
     /// Every TG neither parked nor exhausted, filed under its
     /// `tg_next_event`.
-    pub(crate) calendar: DueCalendar,
+    calendar: DueCalendar,
     /// The earliest filed TG event: below it, with nothing parked, the
     /// whole TG phase is a no-op. Recomputed whenever the phase runs.
-    pub(crate) tg_min_next: u64,
+    tg_min_next: u64,
     /// Occupied `pending` registers.
-    pub(crate) tg_parked: LiveSet,
+    tg_parked: LiveSet,
     /// TGs that report `is_exhausted()` (they never tick again).
-    pub(crate) exhausted: usize,
+    exhausted: usize,
     /// NIs holding a queued or half-serialized packet and awake;
     /// `tick_send` on any other NI is a no-op and is skipped.
-    pub(crate) ni_live: LiveSet,
+    ni_live: LiveSet,
     /// NIs holding a packet but no credit, asleep until one returns:
     /// they book the blocked cycles they slept through at the wake.
-    pub(crate) ni_blocked: LiveSet,
+    ni_blocked: LiveSet,
     /// Per NI: the cycle it last fell asleep in `ni_blocked`.
-    pub(crate) ni_since: Vec<u64>,
+    ni_since: Vec<u64>,
     /// The cycle being stepped — between steps, the last one stepped.
-    pub(crate) now: Cycle,
+    now: Cycle,
     /// Switches holding a flit (`occ_mask != 0`, or `occ_flits > 0` on
     /// the dense fallback); only these can decide anything.
-    pub(crate) sw_live: LiveSet,
+    sw_live: LiveSet,
     /// `sw_live` as of this cycle's decide — the switches commit
     /// visits. Flits landing during the cycle (NI inject, upstream
     /// commits) become visible next cycle, as in the reference.
-    pub(crate) sw_decided: Vec<u64>,
-    pub(crate) stalled: u64,
-    pub(crate) delivered_flits: u64,
+    sw_decided: Vec<u64>,
+    stalled: u64,
+    delivered_flits: u64,
     /// Per global output port: cycles some input VC waited on it.
-    pub(crate) blocked_out: Vec<u64>,
+    blocked_out: Vec<u64>,
     /// Per global output port: flits that crossed it.
-    pub(crate) forwarded_out: Vec<u64>,
+    forwarded_out: Vec<u64>,
     /// Per `(switch, vc)`: peak fill of any single FIFO of that VC.
-    pub(crate) max_vc_occ: Vec<u64>,
+    max_vc_occ: Vec<u64>,
     /// Per switch: total buffered flits — kept on dense-fallback
     /// switches only, where it is what `occ_mask` is to the others.
-    pub(crate) occ_flits: Vec<u32>,
+    occ_flits: Vec<u32>,
     /// Per switch: bitmask of occupied local input slots (mask path).
-    pub(crate) occ_mask: Vec<u64>,
+    occ_mask: Vec<u64>,
     /// Per switch: out-slots granted by VC allocation this cycle.
-    pub(crate) vcg_mask: Vec<u64>,
+    vcg_mask: Vec<u64>,
     /// Per switch: out-ports granted a transfer this cycle.
-    pub(crate) grant_mask: Vec<u64>,
+    grant_mask: Vec<u64>,
     /// Per switch: all port×VC dims fit the 64-bit mask fast path.
-    pub(crate) mask_ok: Vec<bool>,
+    mask_ok: Vec<bool>,
     /// Platform-wide buffered flits (O(1) quiescence). A move between
     /// two switches nets to zero, so it is adjusted only where a flit
-    /// enters (inject, boundary replay) or leaves (eject, boundary).
-    pub(crate) total_occ: u64,
+    /// enters (inject) or leaves (eject).
+    total_occ: u64,
     /// Open wormholes (allocated/busy pairs; O(1) quiescence).
-    pub(crate) open_worms: u32,
+    open_worms: u32,
     /// Outstanding finite credits (cap minus current; O(1) quiescence).
-    pub(crate) credit_debt: u64,
+    credit_debt: u64,
     /// Per global output slot: this cycle's VC-allocation winner as a
     /// switch-local input slot ([`SLOT_NONE`] = none).
-    pub(crate) vc_granted: Vec<u16>,
+    vc_granted: Vec<u16>,
     /// Per global output port: this cycle's transfer grant, encoded
     /// `(input_slot << 8) | out_vc` ([`LOWERED_NONE`] = none).
-    pub(crate) granted: Vec<u32>,
+    granted: Vec<u32>,
     /// Scratch: per switch-local input slot, the requested switch-local
     /// output slot (valid only for occupied slots).
-    pub(crate) requests: Vec<u16>,
+    requests: Vec<u16>,
     /// Scratch (mask path): per local out-slot, the bitmask of
     /// requesting input slots; set and cleared within one decide.
-    pub(crate) slot_reqs: Vec<u64>,
+    slot_reqs: Vec<u64>,
     /// Scratch (dense path): `[local out-slot][local in-slot]` request
     /// lines, set and lazily cleared like the interpreted switch's.
-    pub(crate) vc_reqs: Vec<bool>,
+    vc_reqs: Vec<bool>,
     /// Scratch (dense path): per local out-slot, any request.
-    pub(crate) vc_req_any: Vec<bool>,
+    vc_req_any: Vec<bool>,
     /// Scratch (dense path): per input port, a grant claimed it.
-    pub(crate) input_taken: Vec<bool>,
+    input_taken: Vec<bool>,
     /// Lookup: local input slot → input port (hot paths divide by the
     /// VC count through this table instead of the ALU).
-    pub(crate) iv_port: Vec<u32>,
+    iv_port: Vec<u32>,
     /// Lookup: local output slot → output port.
-    pub(crate) slot_port: Vec<u32>,
+    slot_port: Vec<u32>,
     /// In-flight flit storage: the arena's handles index this pool, so
     /// a hop moves a four-byte handle instead of a whole [`Flit`]. A
     /// flit is interned at injection and freed at delivery; the free
     /// list recycles pool slots deterministically.
-    pub(crate) flit_pool: Vec<Flit>,
+    flit_pool: Vec<Flit>,
     /// Freed pool indices awaiting reuse.
-    pub(crate) flit_free: Vec<u32>,
+    flit_free: Vec<u32>,
     /// Per-phase self-profiler (None = off, zero timestamp cost).
-    pub(crate) profiler: Option<PhaseProfiler>,
+    profiler: Option<PhaseProfiler>,
 }
 
 impl std::fmt::Debug for CompiledEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledEngine")
-            .field("name", &self.kernel.name)
+            .field("name", &self.name)
             .field("cycle", &self.run.now)
-            .field("delivered", &self.kernel.ledger.delivered())
+            .field("delivered", &self.ledger.delivered())
             .finish_non_exhaustive()
     }
 }
@@ -367,56 +360,6 @@ fn select_hop(
     }
 }
 
-/// Where a commit's cross-switch effects go: the four places a shard
-/// boundary changes what popping a flit does. The provided bodies are
-/// the engine that owns every switch — [`CompiledEngine`]'s cycle commits
-/// through [`Whole`], which compiles to nothing; a shard worker passes
-/// its boundary (`crate::shard_compiled`). Static dispatch only: each
-/// engine's commit is monomorphised over its own sink.
-pub(crate) trait CommitSink {
-    /// A flit left global input slot `islot` at `now`.
-    #[inline(always)]
-    fn popped(&mut self, _islot: usize, _now: Cycle) {}
-
-    /// Takes the credit owed to global output slot `up` when another
-    /// shard owns that slot; `false` leaves it to the engine.
-    #[inline(always)]
-    fn take_credit(&mut self, _up: usize) -> bool {
-        false
-    }
-
-    /// Takes flit handle `h`, leaving switch `from` on output VC `vc`
-    /// for input port `slot_base` of `switch`, out of `eng`'s pool when
-    /// another shard owns `switch`; `false` leaves it to the engine.
-    #[inline(always)]
-    fn take_flit(
-        &mut self,
-        _eng: &mut CompiledKernel,
-        _from: usize,
-        _switch: u32,
-        _slot_base: u32,
-        _h: u32,
-        _vc: usize,
-    ) -> bool {
-        false
-    }
-
-    /// Books `pkt`, completed at `now` by receptor `receptor` behind
-    /// output `port` of switch `from`.
-    #[inline(always)]
-    fn delivered(
-        &mut self,
-        eng: &mut CompiledKernel,
-        _from: usize,
-        _port: usize,
-        receptor: usize,
-        pkt: CompletedPacket,
-        now: Cycle,
-    ) -> Result<(), EmulationError> {
-        eng.book_delivery(receptor, pkt, now)
-    }
-}
-
 /// One switch's prefix-sum bases into the slot and port arrays.
 #[derive(Clone, Copy)]
 struct Bases {
@@ -436,14 +379,9 @@ fn fifo_overflow(switch: usize, depth: usize) -> EmulationError {
     }
 }
 
-/// The sink of an engine that steps the whole platform: no boundary,
-/// deliveries go straight to the ledger.
-struct Whole;
-
-impl CommitSink for Whole {}
-
-impl CompiledKernel {
-    /// Lowers `elab` into the flat arrays.
+impl CompiledEngine {
+    /// Lowers `elab` into the flat arrays and wraps them into a
+    /// runnable compiled engine.
     ///
     /// The traffic generators, network interfaces and receptors are
     /// *moved out of* the elaboration and reused as-is — their
@@ -451,7 +389,9 @@ impl CompiledKernel {
     /// makes the compiled run release- and delivery-identical to the
     /// interpreted one by construction. Only the switches are
     /// re-expressed as flat arrays.
-    pub(crate) fn new(mut elab: Elaboration) -> Self {
+    pub fn new(mut elab: Elaboration) -> Self {
+        let run = RunState::new(&elab.config);
+        let view = ArchView::new(&elab);
         let low = lower(&elab);
         let profiler = elab.profiler();
         let generator_endpoints = elab.config.topology.generators();
@@ -459,7 +399,7 @@ impl CompiledKernel {
         let nis = std::mem::take(&mut elab.nis);
         let receptors = std::mem::take(&mut elab.receptors);
         let name = std::mem::take(&mut elab.config.name);
-        // The kernel keeps nothing else of the elaboration, its copy of
+        // The engine keeps nothing else of the elaboration, its copy of
         // the config included: free it before the arrays are allocated.
         drop(elab);
         let total_out_slots = low.total_out_slots();
@@ -477,7 +417,9 @@ impl CompiledKernel {
             .map(|t| t.next_event_cycle(Cycle::ZERO).cycle_or_max())
             .collect();
         let calendar = DueCalendar::new(&tg_next_event);
-        CompiledKernel {
+        CompiledEngine {
+            run,
+            view,
             tg_min_next: calendar.earliest(0),
             calendar,
             tg_parked: LiveSet::new(tgs.len()),
@@ -532,11 +474,11 @@ impl CompiledKernel {
     }
 
     /// Whether nothing is parked, queued, buffered or owed anywhere in
-    /// the stepped slice — the platform half of quiescence from the
+    /// the network — the platform half of quiescence from the
     /// aggregates alone. NI credits need no clause of their own: with
     /// no buffered flit every flit an NI sent has been popped, and the
     /// pop is what returns its credit.
-    pub(crate) fn network_idle(&self) -> bool {
+    fn network_idle(&self) -> bool {
         self.total_occ == 0
             && self.tg_parked.is_empty()
             && self.open_worms == 0
@@ -545,7 +487,7 @@ impl CompiledKernel {
     }
 
     /// Whether no NI holds a packet, awake or asleep.
-    pub(crate) fn nis_idle(&self) -> bool {
+    fn nis_idle(&self) -> bool {
         self.ni_live.is_empty() && self.ni_blocked.is_empty()
     }
 
@@ -553,7 +495,7 @@ impl CompiledKernel {
     /// [`clock::platform_quiescent`]: no packet in flight, no parked TG
     /// request, every NI idle with credits home, no buffered flit, no
     /// open wormhole, every finite credit back at its cap.
-    pub(crate) fn is_quiescent(&self) -> bool {
+    fn is_quiescent(&self) -> bool {
         self.ledger.in_flight() == 0 && self.network_idle()
     }
 
@@ -684,7 +626,7 @@ impl CompiledKernel {
         &mut self,
         call: impl FnOnce(&mut PacketLedger) -> Result<T, LedgerError>,
     ) -> Result<T, EmulationError> {
-        let start = self.profiler.as_ref().map(PhaseProfiler::begin);
+        let start = self.profiler.is_some().then(Instant::now);
         let out = call(&mut self.ledger)?;
         if let (Some(s), Some(p)) = (start, self.profiler.as_mut()) {
             p.nested(s, Phase::Ledger);
@@ -692,18 +634,13 @@ impl CompiledKernel {
         Ok(out)
     }
 
-    /// Phase 1 — traffic models release packets into their NIs;
-    /// `on_release(engine, generator, id, len_flits)` books each one.
-    /// While the clock is below the earliest TG event and no request is
-    /// parked every tick would be a pure countdown, so the phase is
-    /// skipped whole; otherwise the due and the parked TGs are visited in
+    /// Phase 1 — traffic models release packets into their NIs, each
+    /// booked in the ledger. While the clock is below the earliest TG
+    /// event and no request is parked every tick would be a pure
+    /// countdown, so the phase is skipped whole; otherwise the due and the parked TGs are visited in
     /// index order (the order packet ids are assigned in). Ids count up
     /// from `next_packet`.
-    pub(crate) fn release_phase(
-        &mut self,
-        now: Cycle,
-        mut on_release: impl FnMut(&mut Self, usize, PacketId, u16) -> Result<(), EmulationError>,
-    ) -> Result<(), EmulationError> {
+    fn release_phase(&mut self, now: Cycle) -> Result<(), EmulationError> {
         self.now = now;
         self.calendar.advance(now.raw());
         #[cfg(debug_assertions)]
@@ -741,7 +678,7 @@ impl CompiledKernel {
                 if !self.ni_blocked.contains(i) {
                     self.ni_live.insert(i);
                 }
-                on_release(self, i, id, req.len_flits)?;
+                self.on_ledger(|l| l.release(id, now, req.len_flits))?;
             }
         }
         self.tg_min_next = self.calendar.earliest(now.raw() + 1);
@@ -791,7 +728,7 @@ impl CompiledKernel {
     /// A switch with no buffered flit can produce no request, move no
     /// pointer and step no LFSR, so it is never looked at. Decide has
     /// no cross-switch effects.
-    pub(crate) fn decide_phase(&mut self) {
+    fn decide_phase(&mut self) {
         self.sw_decided.copy_from_slice(&self.sw_live.0);
         if let Some(p) = self.profiler.as_mut() {
             p.work.switches_scanned += self.sw_decided.len() as u64;
@@ -815,13 +752,11 @@ impl CompiledKernel {
     }
 
     /// Phase 3 — live network interfaces inject (visible to decide
-    /// next cycle); `on_inject(engine, packet)` books each head flit.
+    /// next cycle); each head flit is booked in the ledger.
     /// An NI leaves the set with its last flit, or sleeps until a pop
     /// returns the credit it found missing.
-    pub(crate) fn inject_phase(
-        &mut self,
-        mut on_inject: impl FnMut(&mut Self, PacketId) -> Result<(), EmulationError>,
-    ) -> Result<(), EmulationError> {
+    fn inject_phase(&mut self) -> Result<(), EmulationError> {
+        let now = self.now;
         for w in 0..self.ni_live.0.len() {
             let live = self.ni_live.0[w];
             if let Some(p) = self.profiler.as_mut() {
@@ -834,7 +769,7 @@ impl CompiledKernel {
                 let Some(flit) = self.nis[i].tick_send() else {
                     self.ni_live.remove(i);
                     self.ni_blocked.insert(i);
-                    self.ni_since[i] = self.now.raw();
+                    self.ni_since[i] = now.raw();
                     if let Some(p) = self.profiler.as_mut() {
                         p.work.ni_sleeps += 1;
                     }
@@ -844,12 +779,13 @@ impl CompiledKernel {
                     self.ni_live.remove(i);
                 }
                 if flit.kind.is_head() {
-                    on_inject(self, flit.packet)?;
+                    self.on_ledger(|l| l.inject(flit.packet, now))?;
                 }
                 let (sw, base) = (self.low.inject_switch[i], self.low.inject_slot_base[i]);
                 let vc = flit.vc.index();
                 let h = self.intern(flit);
-                self.accept_flit(sw as usize, base, h, vc)?;
+                self.total_occ += 1;
+                self.land_flit(sw as usize, base, h, vc, self.low.num_vcs)?;
             }
         }
         Ok(())
@@ -859,7 +795,7 @@ impl CompiledKernel {
     /// handle: the pool index with the head/tail kind flags packed into
     /// the top bits. The free list makes reuse deterministic.
     #[inline]
-    pub(crate) fn intern(&mut self, flit: Flit) -> u32 {
+    fn intern(&mut self, flit: Flit) -> u32 {
         let idx = match self.flit_free.pop() {
             Some(i) => {
                 self.flit_pool[i as usize] = flit;
@@ -889,7 +825,7 @@ impl CompiledKernel {
     /// flow up in the switch's route table and runs the selection
     /// policy — shared by all decide paths.
     #[inline]
-    pub(crate) fn route_and_select(
+    fn route_and_select(
         low: &mut LoweredPlatform,
         s: usize,
         slot: usize,
@@ -966,7 +902,7 @@ impl CompiledKernel {
     /// VC allocation and switch allocation, iterating occupied and
     /// requested slots only (ascending bit order = the reference's
     /// ascending slot order).
-    pub(crate) fn decide_switch_mask(&mut self, s: usize) {
+    fn decide_switch_mask(&mut self, s: usize) {
         let low = &mut self.low;
         let vcs = low.num_vcs;
         let isb = low.in_slot_base[s] as usize;
@@ -1083,7 +1019,7 @@ impl CompiledKernel {
     /// VC rotation degenerates to a single probe and the per-port
     /// "one input sends" constraint coincides with the granted-slot
     /// set, so the whole decide runs on three bit masks.
-    pub(crate) fn decide_switch_mask_vc1(&mut self, s: usize) {
+    fn decide_switch_mask_vc1(&mut self, s: usize) {
         let low = &mut self.low;
         let isb = low.in_slot_base[s] as usize;
         let osb = low.out_slot_base[s] as usize;
@@ -1157,7 +1093,7 @@ impl CompiledKernel {
 
     /// Phase 1, dense fallback for switches whose port×VC dims exceed
     /// the 64-bit masks — full scans, identical semantics.
-    pub(crate) fn decide_switch_dense(&mut self, s: usize) {
+    fn decide_switch_dense(&mut self, s: usize) {
         let low = &mut self.low;
         let vcs = low.num_vcs;
         let inputs = low.inputs[s] as usize;
@@ -1254,13 +1190,8 @@ impl CompiledKernel {
     }
 
     /// Phase 4 — every switch that decided commits, in ascending order
-    /// (the reference order); flits move one hop. `sink` is told about
-    /// each pop and gets first refusal on what crosses a boundary.
-    pub(crate) fn commit_phase<S: CommitSink>(
-        &mut self,
-        now: Cycle,
-        sink: &mut S,
-    ) -> Result<(), EmulationError> {
+    /// (the reference order); flits move one hop.
+    fn commit_phase(&mut self, now: Cycle) -> Result<(), EmulationError> {
         let vc1 = self.low.num_vcs == 1;
         for w in 0..self.sw_decided.len() {
             let mut m = self.sw_decided[w];
@@ -1268,11 +1199,11 @@ impl CompiledKernel {
                 let s = w * 64 + m.trailing_zeros() as usize;
                 m &= m - 1;
                 if !self.mask_ok[s] {
-                    self.commit_switch_dense(s, now, sink)?;
+                    self.commit_switch_dense(s, now)?;
                 } else if vc1 {
-                    self.commit_switch_mask::<S, true>(s, now, sink)?;
+                    self.commit_switch_mask::<true>(s, now)?;
                 } else {
-                    self.commit_switch_mask::<S, false>(s, now, sink)?;
+                    self.commit_switch_mask::<false>(s, now)?;
                 }
             }
         }
@@ -1293,13 +1224,12 @@ impl CompiledKernel {
     /// saturation those flags are coin flips to a branch predictor.
     /// Liveness of the popping switch is the caller's, once per visit.
     #[inline(always)]
-    fn pop_forward<S: CommitSink, const ONE_VC: bool>(
+    fn pop_forward<const ONE_VC: bool>(
         &mut self,
         s: usize,
         b: Bases,
         o: usize,
         now: Cycle,
-        sink: &mut S,
     ) -> Result<(), EmulationError> {
         let vcs = if ONE_VC { 1 } else { self.low.num_vcs };
         let depth = self.low.fifo_depth;
@@ -1321,7 +1251,6 @@ impl CompiledKernel {
         ist.allocated &= !tail;
         ist.want |= SLOT_NONE * u16::from(tail);
         self.occ_mask[s] &= !(u64::from(drained) << (iv & 63));
-        sink.popped(islot, now);
         let ost = &mut self.low.out_state[b.osb + o * vcs + ov];
         let finite = u32::from(ost.credits != CREDITS_INFINITE);
         ost.credits -= finite;
@@ -1342,10 +1271,7 @@ impl CompiledKernel {
             LoweredInFeed::Switch { slot_base } => {
                 // The upstream output VC the flit occupied is the
                 // input VC it just vacated here.
-                let up = slot_base as usize + v;
-                if !sink.take_credit(up) {
-                    self.return_credit(up);
-                }
+                self.return_credit(slot_base as usize + v);
             }
             LoweredInFeed::Generator { index } => {
                 let ni = index as usize;
@@ -1361,20 +1287,11 @@ impl CompiledKernel {
         }
         match self.low.out_dest[b.opb + o] {
             LoweredOutDest::Switch { switch, slot_base } => {
-                // A flit moving between two of this engine's switches
-                // leaves `total_occ` alone; one that leaves the slice
-                // does not.
-                if sink.take_flit(self, s, switch, slot_base, h, ov) {
-                    self.total_occ -= 1;
-                } else {
-                    self.land_flit(switch as usize, slot_base, h, ov, vcs)?;
-                }
+                // A flit moving between two switches leaves `total_occ`
+                // alone.
+                self.land_flit(switch as usize, slot_base, h, ov, vcs)?;
             }
-            LoweredOutDest::Receptor { index } => {
-                if let Some(pkt) = self.eject(index as usize, h, ov, now)? {
-                    sink.delivered(self, s, o, index as usize, pkt, now)?;
-                }
-            }
+            LoweredOutDest::Receptor { index } => self.eject(index as usize, h, ov, now)?,
         }
         Ok(())
     }
@@ -1382,7 +1299,7 @@ impl CompiledKernel {
     /// Returns one credit to output slot `up` (a flit left the input
     /// buffer it feeds).
     #[inline]
-    pub(crate) fn return_credit(&mut self, up: usize) {
+    fn return_credit(&mut self, up: usize) {
         let ust = &mut self.low.out_state[up];
         let finite = u32::from(ust.credits != CREDITS_INFINITE);
         ust.credits += finite;
@@ -1423,11 +1340,10 @@ impl CompiledKernel {
     /// then pop-and-forward granted flits, both over this cycle's
     /// grant masks. The switch leaves the live set when its last
     /// occupied slot drained (and nothing landed since).
-    fn commit_switch_mask<S: CommitSink, const ONE_VC: bool>(
+    fn commit_switch_mask<const ONE_VC: bool>(
         &mut self,
         s: usize,
         now: Cycle,
-        sink: &mut S,
     ) -> Result<(), EmulationError> {
         let b = self.bases(s);
         let mut vm = std::mem::take(&mut self.vcg_mask[s]);
@@ -1439,7 +1355,7 @@ impl CompiledKernel {
         while gm != 0 {
             let o = gm.trailing_zeros() as usize;
             gm &= gm - 1;
-            self.pop_forward::<S, ONE_VC>(s, b, o, now, sink)?;
+            self.pop_forward::<ONE_VC>(s, b, o, now)?;
         }
         if self.occ_mask[s] == 0 {
             self.sw_live.remove(s);
@@ -1449,12 +1365,7 @@ impl CompiledKernel {
 
     /// Phase 2, dense fallback — full scans, identical semantics; the
     /// flit count stands in for the occupancy mask.
-    fn commit_switch_dense<S: CommitSink>(
-        &mut self,
-        s: usize,
-        now: Cycle,
-        sink: &mut S,
-    ) -> Result<(), EmulationError> {
+    fn commit_switch_dense(&mut self, s: usize, now: Cycle) -> Result<(), EmulationError> {
         let vcs = self.low.num_vcs;
         let outputs = self.low.outputs[s] as usize;
         let b = self.bases(s);
@@ -1468,28 +1379,13 @@ impl CompiledKernel {
         for o in 0..outputs {
             if self.granted[b.opb + o] != LOWERED_NONE {
                 self.occ_flits[s] -= 1;
-                self.pop_forward::<S, false>(s, b, o, now, sink)?;
+                self.pop_forward::<false>(s, b, o, now)?;
             }
         }
         if self.occ_flits[s] == 0 {
             self.sw_live.remove(s);
         }
         Ok(())
-    }
-
-    /// Lands an injected or replayed flit: [`Self::land_flit`] plus the
-    /// platform-wide count, which only moves where flits enter or leave
-    /// the stepped slice.
-    #[inline(always)]
-    pub(crate) fn accept_flit(
-        &mut self,
-        switch: usize,
-        slot_base: u32,
-        h: u32,
-        vc: usize,
-    ) -> Result<(), EmulationError> {
-        self.total_occ += 1;
-        self.land_flit(switch, slot_base, h, vc, self.low.num_vcs)
     }
 
     /// Lands flit handle `h` in the FIFO of `(switch, port base, vc)`
@@ -1533,29 +1429,28 @@ impl CompiledKernel {
 
     /// Ejects flit handle `h` on output VC `vc` into receptor `index`:
     /// reads the pooled flit back (stamping the final VC the way each
-    /// hop would have), frees its pool slot and runs the receptor.
-    /// Returns the packet this flit completed, if any. Inlined into
-    /// every commit: returning the wide `Result` through memory costs a
+    /// hop would have), frees its pool slot, runs the receptor and books
+    /// the packet this flit completed, if any. Inlined into every
+    /// commit: returning the wide `Result` through memory costs a
     /// measurable share of the saturated commit phase.
     #[inline]
-    pub(crate) fn eject(
-        &mut self,
-        index: usize,
-        h: u32,
-        vc: usize,
-        now: Cycle,
-    ) -> Result<Option<CompletedPacket>, EmulationError> {
+    fn eject(&mut self, index: usize, h: u32, vc: usize, now: Cycle) -> Result<(), EmulationError> {
         let idx = h & HANDLE_IDX;
         let mut flit = self.flit_pool[idx as usize];
         flit.vc = VcId::new(vc as u8);
         self.flit_free.push(idx);
         self.total_occ -= 1;
         let r = &mut self.receptors[index];
-        r.accept(&flit, now)
+        let done = r
+            .accept(&flit, now)
             .map_err(|source| EmulationError::Receive {
                 receptor: r.id(),
                 source,
-            })
+            })?;
+        match done {
+            Some(pkt) => self.book_delivery(index, pkt, now),
+            None => Ok(()),
+        }
     }
 
     /// Books the packet receptor `index` just completed in the ledger.
@@ -1571,38 +1466,19 @@ impl CompiledKernel {
         Ok(())
     }
 
-    /// The drain-mode stop condition — from the counters alone (an
-    /// exhausted TG never ticks again, so the count only grows).
-    pub(crate) fn drained(&self) -> bool {
-        self.exhausted == self.tgs.len()
-            && self.tg_parked.is_empty()
-            && self.nis_idle()
-            && self.ledger.in_flight() == 0
-    }
-
-    /// The architectural-state producer, one row writer per kind of
-    /// row, through the last cycle stepped: [`CompiledEngine`] runs
-    /// them over every row, the sharded coordinator each row's owner.
-    /// `view`'s live half must be allocated.
-    ///
-    /// Switch `s`'s rows: its output ports' counters and credits, its
-    /// input VCs and its watermarks.
-    pub(crate) fn write_switch(&self, view: &mut ArchView, s: usize) {
+    /// Fills every row of `view` — the architectural-state producer —
+    /// through the last cycle stepped.
+    fn read_view(&self, view: &mut ArchView) {
+        view.alloc_live();
         let vcs = self.low.num_vcs;
-        let base = |b: &[u32]| b[s] as usize..b[s + 1] as usize;
-        let (outs, ins) = (base(&self.low.out_port_base), base(&self.low.in_port_base));
-        for gp in outs.clone() {
+        for (gp, port) in view.ports.iter_mut().enumerate() {
             let (blocked, forwarded) = (self.blocked_out[gp], self.forwarded_out[gp]);
-            view.ports[gp] = LinkCounts { blocked, forwarded };
+            *port = LinkCounts { blocked, forwarded };
         }
-        let ovcs = outs.start * vcs..outs.end * vcs;
-        let out_state = &self.low.out_state[ovcs.clone()];
-        for (credits, st) in view.credits[ovcs].iter_mut().zip(out_state) {
+        for (credits, st) in view.credits.iter_mut().zip(&self.low.out_state) {
             *credits = st.credits;
         }
-        let ivcs = ins.start * vcs..ins.end * vcs;
-        let in_state = &self.low.in_state[ivcs.clone()];
-        for (input, st) in view.inputs[ivcs].iter_mut().zip(in_state) {
+        for (input, st) in view.inputs.iter_mut().zip(&self.low.in_state) {
             input.occupancy = u32::from(st.len);
             input.want = (st.want != SLOT_NONE).then(|| {
                 let (want, port) = (usize::from(st.want), self.slot_port[usize::from(st.want)]);
@@ -1612,60 +1488,31 @@ impl CompiledKernel {
             });
             input.worm_open = st.allocated;
         }
-        let wm = s * vcs..(s + 1) * vcs;
-        view.watermarks[wm.clone()].copy_from_slice(&self.max_vc_occ[wm]);
-    }
-
-    /// NI `i`'s row: its injection link and its generator.
-    pub(crate) fn write_ni(&self, view: &mut ArchView, i: usize) {
-        let (ni, row) = (&self.nis[i], &mut view.nis[i]);
-        let c = ni.counters();
-        // An NI asleep has yet to book its blocked cycles since.
-        let asleep = u64::from(self.ni_blocked.contains(i));
-        row.link.blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
-        row.link.forwarded = c.injected_flits;
-        row.accepted = c.accepted_packets;
-        (row.exhausted, row.idle) = (self.tgs[i].is_exhausted(), ni.is_idle());
-    }
-
-    /// Receptor `r`'s row.
-    pub(crate) fn write_receptor(&self, view: &mut ArchView, r: usize) {
-        view.receptors[r] = ReceptorRow::of(&self.receptors[r]);
-    }
-
-    /// Every row of `view`.
-    fn read_view(&self, view: &mut ArchView) {
-        view.alloc_live();
-        for s in 0..self.low.switch_count {
-            self.write_switch(view, s);
+        view.watermarks.copy_from_slice(&self.max_vc_occ);
+        for (i, (ni, row)) in self.nis.iter().zip(&mut view.nis).enumerate() {
+            let c = ni.counters();
+            // An NI asleep has yet to book its blocked cycles since.
+            let asleep = u64::from(self.ni_blocked.contains(i));
+            row.link.blocked = c.blocked_cycles + asleep * (self.now.raw() - self.ni_since[i]);
+            row.link.forwarded = c.injected_flits;
+            row.accepted = c.accepted_packets;
+            (row.exhausted, row.idle) = (self.tgs[i].is_exhausted(), ni.is_idle());
         }
-        for i in 0..self.nis.len() {
-            self.write_ni(view, i);
-        }
-        for r in 0..self.receptors.len() {
-            self.write_receptor(view, r);
+        for (row, r) in view.receptors.iter_mut().zip(&self.receptors) {
+            *row = ReceptorRow::of(r);
         }
     }
 }
 
 impl CompiledEngine {
-    /// Lowers `elab` and wraps it into a runnable compiled engine.
-    pub fn new(elab: Elaboration) -> Self {
-        CompiledEngine {
-            run: RunState::new(&elab.config),
-            view: ArchView::new(&elab),
-            kernel: CompiledKernel::new(elab),
-        }
-    }
-
     /// The packet ledger (read access for tests and reports).
     pub fn ledger(&self) -> &PacketLedger {
-        &self.kernel.ledger
+        &self.ledger
     }
 
     /// The lowered platform (read access for inspection and tests).
     pub fn lowered(&self) -> &LoweredPlatform {
-        &self.kernel.low
+        &self.low
     }
 
     /// Runs until the stop condition holds.
@@ -1684,11 +1531,10 @@ impl CompiledEngine {
     /// a run that never reads the view otherwise
     /// (`tests/endpoint_memory.rs` bounds what `results()` leaves).
     pub fn results(&self) -> EmulationResults {
-        let k = &self.kernel;
         let mut view = self.view.clone();
-        k.read_view(&mut view);
+        self.read_view(&mut view);
         let summary = self.summary();
-        EmulationResults::from_view(&k.name, summary, k.stalled, &view, &k.receptors)
+        EmulationResults::from_view(&self.name, summary, self.stalled, &view, &self.receptors)
     }
 }
 
@@ -1704,20 +1550,17 @@ impl CycleKernel for CompiledEngine {
     }
 
     fn profiler_mut(&mut self) -> Option<&mut PhaseProfiler> {
-        self.kernel.profiler.as_mut()
+        self.profiler.as_mut()
     }
 
     /// TGs are synchronised lazily (`sync_tg`), so the jump to the
     /// earliest event touches none of them: an O(1) read.
     #[inline]
     fn idle_jump(&mut self, now: Cycle, horizon: u64) -> u64 {
-        if !self.kernel.is_quiescent() {
+        if !self.is_quiescent() {
             return 0;
         }
-        self.kernel
-            .tg_min_next
-            .min(horizon)
-            .saturating_sub(now.raw())
+        self.tg_min_next.min(horizon).saturating_sub(now.raw())
     }
 
     /// One platform cycle — the exact phase order of
@@ -1729,35 +1572,39 @@ impl CycleKernel for CompiledEngine {
     /// four phases want to be laid out in this module's codegen unit.
     #[inline(never)]
     fn cycle(&mut self, now: Cycle, t: &mut Option<Instant>) -> Result<(), EmulationError> {
-        let k = &mut self.kernel;
-        k.release_phase(now, |k, _, id, len| {
-            k.on_ledger(|l| l.release(id, now, len))
-        })?;
-        lap(k.profiler.as_mut(), t, Phase::TgTick);
-        k.decide_phase();
-        lap(k.profiler.as_mut(), t, Phase::Decide);
-        k.inject_phase(|k, id| k.on_ledger(|l| l.inject(id, now)))?;
-        lap(k.profiler.as_mut(), t, Phase::NiInject);
-        k.commit_phase(now, &mut Whole)?;
-        lap(k.profiler.as_mut(), t, Phase::Commit);
+        self.release_phase(now)?;
+        lap(self.profiler.as_mut(), t, Phase::TgTick);
+        self.decide_phase();
+        lap(self.profiler.as_mut(), t, Phase::Decide);
+        self.inject_phase()?;
+        lap(self.profiler.as_mut(), t, Phase::NiInject);
+        self.commit_phase(now)?;
+        lap(self.profiler.as_mut(), t, Phase::Commit);
         Ok(())
     }
 
+    /// The drain-mode stop condition — from the counters alone (an
+    /// exhausted TG never ticks again, so the count only grows).
     fn drained(&self) -> bool {
-        self.kernel.drained()
+        self.exhausted == self.tgs.len()
+            && self.tg_parked.is_empty()
+            && self.nis_idle()
+            && self.ledger.in_flight() == 0
     }
 
-    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
-        self.kernel.read_view(&mut self.view);
-        Ok(&self.view)
+    fn arch_view(&mut self) -> &ArchView {
+        let mut view = std::mem::take(&mut self.view);
+        self.read_view(&mut view);
+        self.view = view;
+        &self.view
     }
 
     #[inline]
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
-        &self.kernel.ledger
+        &self.ledger
     }
 
     fn delivered_flits(&self) -> u64 {
-        self.kernel.delivered_flits
+        self.delivered_flits
     }
 }

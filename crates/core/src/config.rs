@@ -108,31 +108,15 @@ pub enum EngineKind {
     /// [`EngineKind::SingleThread`] (proven by the lockstep ledger
     /// tests); an order of magnitude faster on busy platforms.
     Compiled,
-    /// The sharded *compiled* engine
-    /// ([`crate::shard_compiled::ShardedCompiledEngine`]): the two
-    /// speed mechanisms composed. The platform is lowered once into
-    /// the flat struct-of-arrays state of [`EngineKind::Compiled`],
-    /// then partitioned along a [`nocem_topology::partition::PartitionMap`]
-    /// so each persistent worker thread steps its own slice of the
-    /// arrays with its own flit pool. Cross-shard flits and credits
-    /// travel as per-cycle boundary records over neighbor channels
-    /// (preserving exact single-cycle link latency), and the
-    /// coordinator makes one round trip to every worker per cycle.
-    /// Cycle-for-cycle identical to [`EngineKind::Compiled`] for every
-    /// shard count (proven by the lockstep tests in
-    /// `tests/sharded_compiled.rs`). On a 2-vCPU host two shards lose
-    /// to [`EngineKind::Compiled`] from 8×8 to 64×64 meshes
-    /// (`examples/shard_scaling.rs`).
+    /// Another name for [`EngineKind::Compiled`]:
+    /// [`crate::sweep::AnyEngine`] builds the compiled engine at every
+    /// shard count and ignores both fields. The variant stays only
+    /// because the benchmark's `shard1_mesh8x8` workload names it; a
+    /// change to the benchmark deletes it.
     ShardedCompiled {
-        /// Worker-thread shard count (`>= 1`). `1` is not sharded:
-        /// [`crate::sweep::AnyEngine`] builds [`EngineKind::Compiled`]
-        /// on the caller's thread — no worker, no coordinator. To
-        /// measure the orchestration overhead of a single worker, call
-        /// `ShardedCompiledEngine::with_shards(config, 1)`.
+        /// Ignored.
         shards: usize,
-        /// Ignored: the engine synchronizes every cycle. The field
-        /// stays until the benchmark's `shard1_mesh8x8` workload stops
-        /// naming it.
+        /// Ignored.
         batch: u64,
     },
 }
@@ -199,8 +183,8 @@ pub struct PlatformConfig {
     /// to the original platform) or hybrid clock-gated (jump over
     /// provably idle windows; cycle-equivalent, faster at low load).
     pub clock_mode: ClockMode,
-    /// Which engine executes the platform (single-threaded or
-    /// sharded across worker threads; cycle-equivalent either way).
+    /// Which engine executes the platform (interpreted or compiled;
+    /// cycle-equivalent either way).
     pub engine: EngineKind,
     /// Windowed telemetry collection (`None` = off, the default: no
     /// probe overhead). When set, every engine records per-link

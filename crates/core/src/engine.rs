@@ -134,7 +134,7 @@ impl Platform {
         &mut self,
         call: impl FnOnce(&mut PacketLedger) -> Result<T, LedgerError>,
     ) -> Result<T, EmulationError> {
-        let start = self.profiler.as_ref().map(PhaseProfiler::begin);
+        let start = self.profiler.is_some().then(Instant::now);
         let out = call(&mut self.ledger)?;
         if let (Some(s), Some(p)) = (start, self.profiler.as_mut()) {
             p.nested(s, Phase::Ledger);
@@ -484,9 +484,9 @@ impl CycleKernel for Emulation {
         self.platform.drained()
     }
 
-    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+    fn arch_view(&mut self) -> &ArchView {
         self.platform.read_view(&mut self.view);
-        Ok(&self.view)
+        &self.view
     }
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {

@@ -37,12 +37,6 @@ pub enum CompileError {
         /// Configured VCs per switch port.
         num_vcs: u8,
     },
-    /// The switch graph could not be partitioned for the sharded
-    /// engine.
-    Partition {
-        /// What is wrong (shard count vs. switch count, coverage).
-        reason: String,
-    },
     /// A configuration field holds a value no platform can be built
     /// with.
     InvalidField {
@@ -64,9 +58,6 @@ impl std::fmt::Display for CompileError {
             }
             CompileError::TrafficMismatch { reason } => {
                 write!(f, "traffic configuration mismatch: {reason}")
-            }
-            CompileError::Partition { reason } => {
-                write!(f, "cannot shard the platform: {reason}")
             }
             CompileError::VcOverflow { max_vc, num_vcs } => write!(
                 f,
@@ -126,14 +117,6 @@ pub enum EmulationError {
     /// A register access performed by the run-control software
     /// faulted.
     Bus(BusError),
-    /// A shard worker of the sharded engine violated the boundary
-    /// protocol or terminated unexpectedly.
-    Shard {
-        /// The shard that faulted (`usize::MAX` when unattributable).
-        shard: usize,
-        /// What happened.
-        reason: String,
-    },
     /// The configuration of a run did not compile (a runner that
     /// builds its engine itself reports it here).
     Compile(CompileError),
@@ -154,13 +137,6 @@ impl std::fmt::Display for EmulationError {
                 "cycle limit {limit} exceeded with only {delivered} packets delivered"
             ),
             EmulationError::Bus(e) => write!(f, "bus fault: {e}"),
-            EmulationError::Shard { shard, reason } => {
-                if *shard == usize::MAX {
-                    write!(f, "sharded engine fault: {reason}")
-                } else {
-                    write!(f, "shard {shard} fault: {reason}")
-                }
-            }
             EmulationError::Compile(e) => write!(f, "configuration failed to compile: {e}"),
         }
     }

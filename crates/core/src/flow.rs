@@ -200,7 +200,7 @@ pub fn run_flow_on(config: &PlatformConfig, target: FpgaDevice) -> Result<FlowRe
     // Steps 3 + 4: platform initialization through the control driver
     // (the "software part" programming registers over the bus), on the
     // engine the configuration names.
-    let mut board = Board::new(elab, AnyEngine::from_elaboration)?;
+    let mut board = Board::new(elab, AnyEngine::from_elaboration);
     let ctrl = ControlDriver::new(board.address_map().devices()[0].addr);
     ctrl.configure(
         &mut board,

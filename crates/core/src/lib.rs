@@ -42,7 +42,6 @@
 //! | [`engine`] | 5 | the interpreted platform ([`engine::Platform`], shared with [`process`]) and the cycle engine over it |
 //! | [`compiled`] | 5 | the compiled engine: the elaboration lowered to flat arrays |
 //! | [`process`] | 5 | the process model: the platform wired once over a channel [`process::Fabric`], the kernel of the TLM and RTL baselines |
-//! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, array-slice shards, one coordinator round per cycle |
 //! | [`clock`] | 5 | the run-level half of every engine: [`clock::RunState`], the [`clock::CycleKernel`] trait, the one step skeleton and generic [`clock::SteppableEngine`] impl, clock modes, quiescence, the fast-forward kernel |
 //! | [`devices`] | 3, 6 | register views and typed drivers |
 //! | [`profile`] | 5, 6 | engine self-profiling: per-cycle phase timers, stall forensics |
@@ -67,7 +66,6 @@ pub mod flow;
 pub mod process;
 pub mod profile;
 pub mod results;
-pub mod shard_compiled;
 pub mod sweep;
 pub mod view;
 
@@ -92,6 +90,5 @@ pub use profile::{
     WorkCounters,
 };
 pub use results::EmulationResults;
-pub use shard_compiled::ShardedCompiledEngine;
-pub use sweep::{run_config, run_config_routed, run_sweep, run_sweep_indexed, AnyEngine};
+pub use sweep::{run_config, run_sweep, run_sweep_indexed, AnyEngine};
 pub use view::ArchView;

@@ -390,9 +390,9 @@ impl<F: Fabric> CycleKernel for ProcessModel<F> {
 
     /// The settled view: a flit on its link already sits in the fast
     /// engine's downstream FIFO.
-    fn arch_view(&mut self) -> Result<&ArchView, EmulationError> {
+    fn arch_view(&mut self) -> &ArchView {
         self.settle();
-        Ok(&self.view)
+        &self.view
     }
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {

@@ -33,10 +33,10 @@ use std::time::Instant;
 
 /// A named slice of an engine's cycle budget.
 ///
-/// The single-threaded engines use the per-cycle phases
-/// `FastForward..=Ledger`; the sharded engine additionally splits
-/// worker time into `WorkerCompute`/`Exchange` and coordinator time
-/// into `CoordWait`/`Apply`.
+/// The interpreted and compiled engines use the per-cycle phases
+/// `FastForward..=Ledger`, the TLM and RTL models `Processes`. No
+/// engine records `WorkerCompute`, `Exchange`, `CoordWait` or `Apply`;
+/// they stay because the benchmark reports a metric for each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
@@ -54,13 +54,13 @@ pub enum Phase {
     Commit = 5,
     /// Packet-ledger bookkeeping (nested inside TG/NI/commit).
     Ledger = 6,
-    /// Sharded worker: owned-slice compute inside a window.
+    /// Recorded by no engine (see the type's docs).
     WorkerCompute = 7,
-    /// Sharded worker: boundary send + receive/replay per cycle.
+    /// Recorded by no engine.
     Exchange = 8,
-    /// Coordinator: blocked waiting for worker reports.
+    /// Recorded by no engine.
     CoordWait = 9,
-    /// Coordinator: applying buffered worker events to the ledger.
+    /// Recorded by no engine.
     Apply = 10,
     /// Process evaluation and update — the whole scheduler cycle of
     /// the TLM and RTL models, which interleave the per-cycle phases
@@ -200,19 +200,6 @@ impl WorkCounters {
     }
 }
 
-impl std::ops::AddAssign for WorkCounters {
-    fn add_assign(&mut self, o: WorkCounters) {
-        self.switches_decided += o.switches_decided;
-        self.switches_scanned += o.switches_scanned;
-        self.tg_polls += o.tg_polls;
-        self.tg_ticks += o.tg_ticks;
-        self.tg_phases_skipped += o.tg_phases_skipped;
-        self.ni_ticks += o.ni_ticks;
-        self.ni_sleeps += o.ni_sleeps;
-        self.fast_forwards += o.fast_forwards;
-    }
-}
-
 /// Per-phase wall-clock accumulators driven by chained timestamps.
 ///
 /// The step loop takes one timestamp per phase boundary: each
@@ -245,12 +232,6 @@ impl PhaseProfiler {
         Instant::now()
     }
 
-    /// Opens a timing chain without counting a cycle (worker windows,
-    /// coordinator sections).
-    pub fn begin(&self) -> Instant {
-        Instant::now()
-    }
-
     /// Closes `phase` at the current instant: charges it the time
     /// since `prev` (minus any nested time recorded in between) and
     /// returns the new chain timestamp.
@@ -270,29 +251,12 @@ impl PhaseProfiler {
         self.nested_ns += d;
     }
 
-    /// Adds externally stepped cycles (sharded workers count their
-    /// cycles this way).
-    pub fn add_cycles(&mut self, cycles: u64) {
-        self.stepped_cycles += cycles;
-    }
-
-    /// Element-wise merge of another profiler's accumulators and work
-    /// counters (cycle count is *not* merged: shards step the same
-    /// platform cycles).
-    pub fn absorb(&mut self, other: &PhaseProfiler) {
-        for (a, b) in self.acc.iter_mut().zip(other.acc.iter()) {
-            *a += b;
-        }
-        self.work += other.work;
-    }
-
     /// Accumulated nanoseconds of `phase`.
     pub fn ns(&self, phase: Phase) -> u64 {
         self.acc[phase as usize]
     }
 
-    /// Cycles counted through [`PhaseProfiler::begin_step`] /
-    /// [`PhaseProfiler::add_cycles`].
+    /// Cycles counted through [`PhaseProfiler::begin_step`].
     pub fn stepped_cycles(&self) -> u64 {
         self.stepped_cycles
     }
@@ -318,7 +282,6 @@ impl PhaseProfiler {
             stepped_cycles: self.stepped_cycles,
             phases,
             work: self.work,
-            workers: Vec::new(),
         }
     }
 }
@@ -337,11 +300,10 @@ pub struct PhaseStat {
 }
 
 /// Where an engine's time went: per-phase totals, shares and
-/// per-cycle costs, with per-worker sub-reports for the sharded
-/// engine.
+/// per-cycle costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
-    /// Engine label (e.g. `"compiled"`, `"sharded-compiled/4"`).
+    /// Engine label (e.g. `"compiled"`).
     pub label: String,
     /// Sum of all phase accumulators in nanoseconds: the time spent
     /// inside the step loop.
@@ -353,8 +315,6 @@ pub struct PhaseReport {
     /// Work counted next to the timers (zeros on engines that do not
     /// count).
     pub work: WorkCounters,
-    /// Per-worker sub-reports (sharded engine), in shard order.
-    pub workers: Vec<PhaseReport>,
 }
 
 impl PhaseReport {
@@ -373,8 +333,7 @@ impl PhaseReport {
         self.stat(phase).map_or(0.0, |p| p.share)
     }
 
-    /// Renders the report as a text table (workers indented below the
-    /// aggregate).
+    /// Renders the report as a text table.
     pub fn render(&self) -> String {
         let mut out = format!(
             "phase profile: {} ({} cycles stepped, {:.3} ms total)\n",
@@ -402,25 +361,12 @@ impl PhaseReport {
             }
             out.push('\n');
         }
-        for w in &self.workers {
-            out.push('\n');
-            for line in w.render().lines() {
-                out.push_str("  ");
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
         out
     }
 
-    /// The report as one JSON object, workers nested in shard order.
+    /// The report as one JSON object.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
-    }
-
-    fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
             w.field("label", self.label.as_str())
                 .field("total_ns", self.total_ns);
@@ -439,12 +385,8 @@ impl PhaseReport {
                     w.field(name, v);
                 }
             });
-            w.key("workers").array(|w| {
-                for r in &self.workers {
-                    r.write_json(w);
-                }
-            });
         });
+        w.finish()
     }
 }
 
@@ -822,7 +764,7 @@ mod tests {
     fn nested_time_is_carved_out_of_the_enclosing_lap() {
         let mut p = PhaseProfiler::new();
         let t = p.begin_step();
-        let inner = p.begin();
+        let inner = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(2));
         p.nested(inner, Phase::Ledger);
         let _ = p.lap(t, Phase::Commit);
@@ -836,7 +778,7 @@ mod tests {
     #[test]
     fn report_sorts_shares_and_serializes() {
         let mut p = PhaseProfiler::new();
-        p.add_cycles(10);
+        p.stepped_cycles = 10;
         p.acc[Phase::Decide as usize] = 300;
         p.acc[Phase::Commit as usize] = 700;
         let r = p.report("unit");

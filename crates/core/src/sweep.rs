@@ -15,7 +15,6 @@ use crate::config::{EngineKind, PlatformConfig};
 use crate::engine::Emulation;
 use crate::error::{CompileError, EmulationError};
 use crate::results::EmulationResults;
-use crate::shard_compiled::ShardedCompiledEngine;
 use nocem_common::time::Cycle;
 use nocem_stats::ledger::PacketLedger;
 use nocem_topology::routing::RoutingTables;
@@ -106,19 +105,13 @@ where
 pub enum AnyEngine {
     /// The interpreted reference engine.
     Single(Box<Emulation>),
-    /// The compiled data-oriented engine (flat arrays).
+    /// The compiled data-oriented engine (flat arrays), which
+    /// [`EngineKind::ShardedCompiled`] names too.
     Compiled(Box<CompiledEngine>),
-    /// The sharded compiled engine (array-slice shards, per-cycle
-    /// boundary exchange).
-    ShardedCompiled(Box<ShardedCompiledEngine>),
 }
 
 impl AnyEngine {
     /// Compiles `config` and builds the engine `config.engine` names.
-    /// One shard is not sharded: `ShardedCompiled { shards: 1, .. }`
-    /// is [`AnyEngine::Compiled`] on the caller's thread (bit-identical
-    /// by the lockstep proof), so sharding costs nothing until
-    /// something crosses a shard.
     ///
     /// # Errors
     ///
@@ -138,28 +131,23 @@ impl AnyEngine {
         config: &PlatformConfig,
         routing: Option<&RoutingTables>,
     ) -> Result<Self, CompileError> {
-        Self::from_elaboration(match routing {
+        Ok(Self::from_elaboration(match routing {
             Some(routing) => elaborate_routed(config, routing.clone())?,
             None => elaborate(config)?,
-        })
+        }))
     }
 
     /// Builds the engine `elab.config.engine` names over `elab` — the
     /// function a [`crate::Board`] rebuilds its programmed runs with.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError::Partition`] from sharding.
-    pub(crate) fn from_elaboration(elab: Elaboration) -> Result<Self, CompileError> {
-        Ok(match elab.config.engine {
+    /// [`EngineKind::ShardedCompiled`] builds [`AnyEngine::Compiled`]
+    /// at every shard count.
+    pub(crate) fn from_elaboration(elab: Elaboration) -> Self {
+        match elab.config.engine {
             EngineKind::SingleThread => AnyEngine::Single(Box::new(Emulation::new(elab))),
-            EngineKind::Compiled | EngineKind::ShardedCompiled { shards: 1, .. } => {
+            EngineKind::Compiled | EngineKind::ShardedCompiled { .. } => {
                 AnyEngine::Compiled(Box::new(CompiledEngine::new(elab)))
             }
-            EngineKind::ShardedCompiled { shards, .. } => AnyEngine::ShardedCompiled(Box::new(
-                ShardedCompiledEngine::from_elaboration(elab, shards)?,
-            )),
-        })
+        }
     }
 
     /// The packet ledger, borrowed — what a caller that only reads it
@@ -169,7 +157,6 @@ impl AnyEngine {
         match self {
             AnyEngine::Single(e) => e.ledger(),
             AnyEngine::Compiled(e) => e.ledger(),
-            AnyEngine::ShardedCompiled(e) => e.ledger(),
         }
     }
 
@@ -177,13 +164,13 @@ impl AnyEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`EmulationError::Shard`] when a shard worker died.
+    /// None today: every engine collects its results infallibly. The
+    /// `Result` stays for the callers that already handle it.
     pub fn results(&mut self) -> Result<EmulationResults, EmulationError> {
-        match self {
-            AnyEngine::Single(e) => Ok(e.results()),
-            AnyEngine::Compiled(e) => Ok(e.results()),
-            AnyEngine::ShardedCompiled(e) => e.results(),
-        }
+        Ok(match self {
+            AnyEngine::Single(e) => e.results(),
+            AnyEngine::Compiled(e) => e.results(),
+        })
     }
 }
 
@@ -197,7 +184,6 @@ macro_rules! with_engine {
         match $any {
             AnyEngine::Single($e) => $body,
             AnyEngine::Compiled($e) => $body,
-            AnyEngine::ShardedCompiled($e) => $body,
         }
     };
 }
@@ -247,7 +233,7 @@ impl SteppableEngine for AnyEngine {
         with_engine!(self, e => e.stall_report())
     }
 
-    fn arch_view(&mut self) -> Result<&crate::ArchView, EmulationError> {
+    fn arch_view(&mut self) -> &crate::ArchView {
         with_engine!(self, e => SteppableEngine::arch_view(&mut **e))
     }
 }
@@ -262,23 +248,7 @@ impl SteppableEngine for AnyEngine {
 /// Returns [`EmulationError::Compile`] when the configuration does not
 /// compile, and propagates [`EmulationError`] from the run.
 pub fn run_config(config: &PlatformConfig) -> Result<EmulationResults, EmulationError> {
-    run_config_routed(config, None)
-}
-
-/// Like [`run_config`] but reusing precomputed routing tables from
-/// [`crate::compile::compute_routing`] — callers that run the same
-/// topology × flow set at many loads or shard counts (the scenario
-/// matrix, a saturation search) pay the route computation and the
-/// deadlock check once instead of per point.
-///
-/// # Errors
-///
-/// Those of [`run_config`].
-pub fn run_config_routed(
-    config: &PlatformConfig,
-    routing: Option<&RoutingTables>,
-) -> Result<EmulationResults, EmulationError> {
-    let mut engine = AnyEngine::build_routed(config, routing)?;
+    let mut engine = AnyEngine::build(config)?;
     run_engine(&mut engine)?;
     engine.results()
 }
@@ -325,15 +295,9 @@ mod tests {
         let cfg = PaperConfig::new().total_packets(150).uniform();
         let routing = crate::compile::compute_routing(&cfg).unwrap();
         let baseline = run_config(&cfg).unwrap();
-        let routed = run_config_routed(&cfg, Some(&routing)).unwrap();
-        assert_eq!(baseline, routed);
-
-        let sharded_cfg = cfg.clone().with_engine(EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 1,
-        });
-        let mut engine = AnyEngine::build_routed(&sharded_cfg, Some(&routing)).unwrap();
-        assert!(matches!(engine, AnyEngine::ShardedCompiled(_)));
+        let compiled_cfg = cfg.clone().with_engine(EngineKind::Compiled);
+        let mut engine = AnyEngine::build_routed(&compiled_cfg, Some(&routing)).unwrap();
+        assert!(matches!(engine, AnyEngine::Compiled(_)));
         run_engine(&mut engine).unwrap();
         assert_eq!(engine.results().unwrap(), baseline);
     }

@@ -22,11 +22,10 @@
 //!   load point) plus a per-curve saturation summary.
 //!
 //! Curves honour [`nocem::ClockMode::Gated`] and
-//! [`nocem::config::EngineKind::ShardedCompiled`]: the measured
-//! statistics are selected by absolute cycle from a ledger that is
-//! proven identical across clock modes and engines, so a gated sharded
-//! sweep produces the same curve as an ungated single-threaded one —
-//! only faster.
+//! [`nocem::config::EngineKind`]: the measured statistics are selected
+//! by absolute cycle from a ledger that is proven identical across
+//! clock modes and engines, so a gated compiled sweep produces the
+//! same curve as an ungated interpreted one — only faster.
 //! Routing tables are elaborated once per curve and reused across
 //! every load point and bisection step.
 //!

@@ -263,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn gated_and_sharded_measurements_match_the_baseline() {
+    fn gated_and_compiled_measurements_match_the_baseline() {
         let measure = MeasureConfig {
             warmup_cycles: 256,
             measure_cycles: 1_024,
@@ -271,10 +271,7 @@ mod tests {
         let base = measure_config(&mesh_config(0.15), None, &measure, 0.15).unwrap();
         let mut gated = mesh_config(0.15);
         gated.clock_mode = ClockMode::Gated;
-        gated.engine = EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 1,
-        };
+        gated.engine = EngineKind::Compiled;
         let fast = measure_config(&gated, None, &measure, 0.15).unwrap();
         assert_eq!(fast.behavioral(), base.behavioral());
     }
@@ -290,10 +287,7 @@ mod tests {
         let base = measure_config(&base_cfg, None, &measure, 0.60).unwrap();
         let mut fast_cfg = base_cfg.clone();
         fast_cfg.clock_mode = ClockMode::Gated;
-        fast_cfg.engine = EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 1,
-        };
+        fast_cfg.engine = EngineKind::Compiled;
         let fast = measure_config(&fast_cfg, None, &measure, 0.60).unwrap();
         let tel = base.telemetry.as_ref().expect("telemetry was enabled");
         assert_eq!(tel.window, 256);

@@ -412,7 +412,6 @@ mod tests {
             scenarios: scenarios.clone(),
             topologies: topologies.clone(),
             loads: vec![prototype.search.start_load],
-            shards: vec![1],
             packet_flits: prototype.packet_flits,
             packets_per_point: 1_000_000,
             clock_mode: prototype.clock_mode,

@@ -144,7 +144,8 @@ pub struct Curve {
     pub scenario: String,
     /// Topology the curve was swept on.
     pub topology: TopologySpec,
-    /// Engine shard count the points ran on (1 = single-threaded).
+    /// The shard count [`EngineKind::ShardedCompiled`] names, else 1.
+    /// Every engine runs on one thread; the CSVs keep the column.
     pub shards: usize,
     /// Clock mode the points ran under.
     pub clock_mode: ClockMode,
@@ -228,7 +229,8 @@ impl CurveSpec {
         format!("{}@{}", self.scenario, self.topology.name())
     }
 
-    /// The shard count of the configured engine (1 when unsharded).
+    /// The shard count [`EngineKind::ShardedCompiled`] names, else 1
+    /// (see [`Curve::shards`]).
     pub fn shards(&self) -> usize {
         match self.engine {
             EngineKind::ShardedCompiled { shards, .. } => shards,

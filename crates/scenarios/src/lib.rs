@@ -22,7 +22,7 @@
 //! * [`registry`] — the scenario registry: name → recipe lookup over
 //!   the built-in catalogue plus user registrations;
 //! * [`matrix`] — the **scenario-matrix runner**: expands
-//!   `scenarios × topologies × loads × shards` once into points that
+//!   `scenarios × topologies × loads` once into points that
 //!   carry their configurations, runs them in parallel through
 //!   `nocem::sweep::run_sweep_indexed`, and aggregates one CSV.
 //!
@@ -43,7 +43,6 @@
 //!     scenarios: vec!["transpose".into(), "tornado".into()],
 //!     topologies: vec![TopologySpec::Mesh { width: 4, height: 4 }],
 //!     loads: vec![0.10],
-//!     shards: vec![1],
 //!     packet_flits: 4,
 //!     packets_per_point: 400,
 //!     // Hybrid clock gating: identical results, fewer stepped cycles.

@@ -1,34 +1,30 @@
 //! The scenario-matrix runner.
 //!
-//! [`MatrixSpec`] names a set of registry scenarios, topologies,
-//! loads and engine shard counts; [`MatrixSpec::expand`] produces one
+//! [`MatrixSpec`] names a set of registry scenarios, topologies and
+//! loads; [`MatrixSpec::expand`] produces one
 //! [`MatrixPoint`] — its place on each axis beside its configuration —
 //! per *applicable* combination (inapplicable ones — transpose on a
 //! ring, bit patterns on 9 switches — are collected as skips by
 //! [`ScenarioError::is_inapplicable`], not errors), and
-//! [`MatrixSpec::run`] runs the points' shard groups through
+//! [`MatrixSpec::run`] runs the points on the compiled engine through
 //! `nocem::sweep::run_sweep_indexed` and aggregates everything into
 //! typed rows plus one CSV document.
 //!
 //! Every point's platform seed derives from its scenario label
 //! ([`crate::scenario_seed`]), so a matrix run is deterministic
-//! regardless of worker count or scheduling — and the `shards` axis
-//! never perturbs results, because the sharded compiled engine is
-//! ledger-identical to the compiled one (only the recorded wall-clock
-//! time changes).
+//! regardless of worker count or scheduling.
 
 use crate::registry::ScenarioRegistry;
 use crate::scenario::TopologySpec;
 use crate::{ScenarioError, SkippedPoint};
 use nocem::clock::ClockMode;
-use nocem::compile::compute_routing;
 use nocem::config::{EngineKind, PlatformConfig};
 use nocem::error::EmulationError;
 use nocem::results::EmulationResults;
-use nocem::sweep::{run_config_routed, run_sweep_indexed};
+use nocem::sweep::{run_config, run_sweep_indexed};
 use nocem_common::csv::CsvWriter;
 
-/// A `scenarios × topologies × loads × shards` experiment matrix.
+/// A `scenarios × topologies × loads` experiment matrix.
 #[derive(Debug, Clone)]
 pub struct MatrixSpec {
     /// Registry names of the scenarios to run.
@@ -37,11 +33,6 @@ pub struct MatrixSpec {
     pub topologies: Vec<TopologySpec>,
     /// Offered loads (per-TG fraction of link bandwidth).
     pub loads: Vec<f64>,
-    /// Engine shard counts to run each point on. `1` is the compiled
-    /// engine; `k > 1` runs the same kernel sharded across `k` worker
-    /// threads (same results, different wall clock — the scaling axis
-    /// for 16×16/32×32 topologies). Most matrices use `vec![1]`.
-    pub shards: Vec<usize>,
     /// Packet length in flits.
     pub packet_flits: u16,
     /// Packet budget of every matrix point.
@@ -65,10 +56,7 @@ pub struct MatrixPoint {
     pub topology: String,
     /// Offered load.
     pub load: f64,
-    /// Engine shard count (1 = the unsharded compiled engine).
-    pub shards: usize,
-    /// Full label (`scenario@topology@load`, plus `@s<k>` when
-    /// sharded).
+    /// Full label (`scenario@topology@load`).
     pub label: String,
     /// The configuration to run.
     pub config: PlatformConfig,
@@ -83,17 +71,11 @@ pub struct MatrixRow {
     pub topology: String,
     /// Offered load.
     pub load: f64,
-    /// Engine shard count (1 = the unsharded compiled engine).
-    pub shards: usize,
-    /// Full label (`scenario@topology@load`, plus `@s<k>` when
-    /// sharded).
+    /// Full label (`scenario@topology@load`).
     pub label: String,
-    /// Wall-clock milliseconds the whole point took — compile /
+    /// Wall-clock milliseconds the whole point took — routing,
     /// elaboration, the run, and results collection (the one matrix
-    /// column that is *not* deterministic). Routing tables are
-    /// computed once per (scenario, topology, load) group and shared
-    /// across its `shards` axis; that one-off cost is charged to the
-    /// group's first point.
+    /// column that is *not* deterministic).
     pub wall_ms: f64,
     /// The emulation results of the point.
     pub results: EmulationResults,
@@ -146,21 +128,11 @@ impl From<EmulationError> for MatrixError {
 impl MatrixSpec {
     /// Number of raw combinations before applicability filtering.
     pub fn combinations(&self) -> usize {
-        self.scenarios.len() * self.topologies.len() * self.loads.len() * self.shards.len().max(1)
-    }
-
-    /// The shard counts to expand over (`[1]` when the field is
-    /// empty, so older specs keep meaning "unsharded").
-    fn shard_axis(&self) -> Vec<usize> {
-        if self.shards.is_empty() {
-            vec![1]
-        } else {
-            self.shards.clone()
-        }
+        self.scenarios.len() * self.topologies.len() * self.loads.len()
     }
 
     /// Expands the matrix into its applicable points, in axis order
-    /// (shards innermost).
+    /// (loads innermost).
     ///
     /// Inapplicable combinations land in the second return value;
     /// unknown scenario names are hard errors.
@@ -175,43 +147,32 @@ impl MatrixSpec {
     ) -> Result<(Vec<MatrixPoint>, Vec<SkippedPoint>), ScenarioError> {
         let mut points = Vec::new();
         let mut skipped = Vec::new();
-        let shard_axis = self.shard_axis();
         for name in &self.scenarios {
             let scenario = registry.resolve(name)?;
             for &topology in &self.topologies {
                 for &load in &self.loads {
-                    for &shards in &shard_axis {
-                        let mut label = format!("{name}@{}@{load}", topology.name());
-                        if shards != 1 {
-                            label.push_str(&format!("@s{shards}"));
+                    let label = format!("{name}@{}@{load}", topology.name());
+                    match scenario.build_config(
+                        topology,
+                        load,
+                        self.packet_flits,
+                        self.packets_per_point,
+                    ) {
+                        Ok(mut config) => {
+                            config.clock_mode = self.clock_mode;
+                            config.engine = EngineKind::Compiled;
+                            points.push(MatrixPoint {
+                                scenario: name.clone(),
+                                topology: topology.name(),
+                                load,
+                                label,
+                                config,
+                            });
                         }
-                        match scenario.build_config(
-                            topology,
-                            load,
-                            self.packet_flits,
-                            self.packets_per_point,
-                        ) {
-                            Ok(mut config) => {
-                                config.clock_mode = self.clock_mode;
-                                // One kernel along the whole axis
-                                // (`AnyEngine` runs one shard
-                                // unsharded), so "speedup vs 1 shard"
-                                // compares like with like.
-                                config.engine = EngineKind::ShardedCompiled { shards, batch: 1 };
-                                points.push(MatrixPoint {
-                                    scenario: name.clone(),
-                                    topology: topology.name(),
-                                    load,
-                                    shards,
-                                    label,
-                                    config,
-                                });
-                            }
-                            Err(reason) if reason.is_inapplicable() => {
-                                skipped.push(SkippedPoint { label, reason });
-                            }
-                            Err(other) => return Err(other),
+                        Err(reason) if reason.is_inapplicable() => {
+                            skipped.push(SkippedPoint { label, reason });
                         }
+                        Err(other) => return Err(other),
                     }
                 }
             }
@@ -221,16 +182,8 @@ impl MatrixSpec {
 
     /// Expands and runs the matrix over up to `threads` workers.
     ///
-    /// Each point runs on the engine its shard count names (through
-    /// `nocem::sweep::run_config_routed`) and is individually
-    /// wall-clocked. Across the `shards` axis the (scenario, topology,
-    /// load) platform is identical, so its routing tables — route
-    /// computation plus the deadlock check, which dominate elaboration
-    /// on huge meshes — are computed **once per shard group** and
-    /// reused for every shard count; the one-off routing cost is
-    /// charged to the group's first point's `wall_ms`. When timing
-    /// sharded-vs-single speedups, run with `threads = 1` so
-    /// concurrent points do not steal the shard workers' cores.
+    /// Each point runs on the compiled engine (through
+    /// `nocem::sweep::run_config`) and is individually wall-clocked.
     ///
     /// # Errors
     ///
@@ -242,46 +195,19 @@ impl MatrixSpec {
         threads: usize,
     ) -> Result<MatrixOutcome, MatrixError> {
         let (points, skipped) = self.expand(registry)?;
-        // The shards axis is the innermost expansion loop, so the
-        // points of one (scenario, topology, load) group — identical
-        // platforms on different engines — are consecutive. One sweep
-        // item per group keeps the parallel scheduling and input-order
-        // failure semantics of `run_sweep_indexed` while the group
-        // shares its elaborated routing.
-        let groups: Vec<&[MatrixPoint]> = points
-            .chunk_by(|a, b| {
-                (&a.scenario, &a.topology, a.load) == (&b.scenario, &b.topology, b.load)
+        let rows = run_sweep_indexed(&points, threads, |_, point| {
+            let started = std::time::Instant::now();
+            let results = run_config(&point.config)?;
+            Ok::<_, EmulationError>(MatrixRow {
+                scenario: point.scenario.clone(),
+                topology: point.topology.clone(),
+                load: point.load,
+                label: point.label.clone(),
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                results,
             })
-            .collect();
-        let rows = run_sweep_indexed(&groups, threads, |_, group| {
-            let routing_started = std::time::Instant::now();
-            let routing = compute_routing(&group[0].config)?;
-            let mut routing_ms = routing_started.elapsed().as_secs_f64() * 1e3;
-            group
-                .iter()
-                .map(|point| {
-                    let started = std::time::Instant::now();
-                    let results = run_config_routed(&point.config, Some(&routing))?;
-                    // The group's routing is charged once, to its first
-                    // member.
-                    let wall_ms =
-                        started.elapsed().as_secs_f64() * 1e3 + std::mem::take(&mut routing_ms);
-                    Ok(MatrixRow {
-                        scenario: point.scenario.clone(),
-                        topology: point.topology.clone(),
-                        load: point.load,
-                        shards: point.shards,
-                        label: point.label.clone(),
-                        wall_ms,
-                        results,
-                    })
-                })
-                .collect::<Result<Vec<_>, EmulationError>>()
         })?;
-        Ok(MatrixOutcome {
-            rows: rows.into_iter().flatten().collect(),
-            skipped,
-        })
+        Ok(MatrixOutcome { rows, skipped })
     }
 }
 
@@ -293,7 +219,6 @@ impl MatrixOutcome {
             "scenario",
             "topology",
             "load",
-            "shards",
             "packets",
             "cycles",
             "cycles_skipped",
@@ -304,16 +229,10 @@ impl MatrixOutcome {
             "stalled_cycles",
             "wall_ms",
         ]);
-        csv.comment(
-            "nocem scenario matrix: one record per (scenario, topology, load, shards) point",
-        );
+        csv.comment("nocem scenario matrix: one record per (scenario, topology, load) point");
         csv.comment(
             "cycles_skipped/gating_speedup: cycles the fast-forward kernel jumped and the \
              resulting simulated-cycles-per-stepped-cycle ratio (1.0 = ungated)",
-        );
-        csv.comment(
-            "shards: engine worker threads (1 = the unsharded compiled engine; results are \
-             ledger-identical across shard counts, only wall_ms changes)",
         );
         for row in &self.rows {
             let r = &row.results;
@@ -321,7 +240,6 @@ impl MatrixOutcome {
                 &row.scenario,
                 &row.topology,
                 &row.load,
-                &row.shards,
                 &r.delivered,
                 &r.cycles,
                 &r.cycles_skipped,
@@ -356,7 +274,6 @@ mod tests {
                 TopologySpec::Ring { switches: 4 },
             ],
             loads: vec![0.10],
-            shards: vec![1],
             packet_flits: 2,
             packets_per_point: 40,
             clock_mode: ClockMode::EveryCycle,
@@ -388,7 +305,6 @@ mod tests {
                 },
             ],
             loads: vec![0.10],
-            shards: vec![1],
             packet_flits: 2,
             packets_per_point: 64,
             clock_mode: ClockMode::EveryCycle,
@@ -409,7 +325,6 @@ mod tests {
                 height: 4,
             }],
             loads: vec![0.10],
-            shards: vec![1],
             packet_flits: 2,
             // Fewer packets than vopd's active generators; fine for
             // the synthetic pattern.
@@ -451,11 +366,11 @@ mod tests {
         let doc = CsvDocument::parse(&csv).unwrap();
         assert_eq!(doc.records.len(), 3);
         assert_eq!(doc.column("scenario"), Some(0));
-        assert_eq!(doc.column("shards"), Some(3));
-        assert_eq!(doc.column("cycles"), Some(5));
-        assert_eq!(doc.column("cycles_skipped"), Some(6));
-        assert_eq!(doc.column("gating_speedup"), Some(7));
-        assert_eq!(doc.column("wall_ms"), Some(12));
+        assert_eq!(doc.column("shards"), None);
+        assert_eq!(doc.column("cycles"), Some(4));
+        assert_eq!(doc.column("cycles_skipped"), Some(5));
+        assert_eq!(doc.column("gating_speedup"), Some(6));
+        assert_eq!(doc.column("wall_ms"), Some(11));
         assert!(csv.contains("# skipped transpose@ring4"));
     }
 
@@ -485,80 +400,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_axis_is_ledger_identical_and_labelled() {
-        let reg = ScenarioRegistry::builtin();
-        let spec = MatrixSpec {
-            scenarios: vec!["tornado".into()],
-            topologies: vec![TopologySpec::Mesh {
-                width: 4,
-                height: 4,
-            }],
-            loads: vec![0.10],
-            shards: vec![1, 2],
-            packet_flits: 2,
-            packets_per_point: 60,
-            clock_mode: ClockMode::EveryCycle,
-        };
-        assert_eq!(spec.combinations(), 2);
-        let outcome = spec.run(&reg, 1).unwrap();
-        assert_eq!(outcome.rows.len(), 2);
-        let (single, sharded) = (&outcome.rows[0], &outcome.rows[1]);
-        assert_eq!(single.shards, 1);
-        assert_eq!(sharded.shards, 2);
-        assert!(sharded.label.ends_with("@s2"), "{}", sharded.label);
-        // The shards axis only changes the wall clock, never results.
-        assert_eq!(single.results, sharded.results);
-        let csv = outcome.to_csv();
-        assert!(csv.contains("shards"));
-        assert!(csv.contains("wall_ms"));
-    }
-
-    #[test]
-    fn shard_groups_share_routing_without_reordering_rows() {
-        // Two loads x two shard counts: four points in two routing
-        // groups. Rows must come back in expansion order (shards
-        // innermost), with the sharded result identical to its
-        // group's single-threaded baseline.
-        let reg = ScenarioRegistry::builtin();
-        let spec = MatrixSpec {
-            scenarios: vec!["tornado".into()],
-            topologies: vec![TopologySpec::Mesh {
-                width: 4,
-                height: 4,
-            }],
-            loads: vec![0.05, 0.10],
-            shards: vec![1, 2],
-            packet_flits: 2,
-            packets_per_point: 48,
-            clock_mode: ClockMode::EveryCycle,
-        };
-        let outcome = spec.run(&reg, 3).unwrap();
-        let labels: Vec<&str> = outcome.rows.iter().map(|r| r.label.as_str()).collect();
-        assert_eq!(
-            labels,
-            [
-                "tornado@mesh4x4@0.05",
-                "tornado@mesh4x4@0.05@s2",
-                "tornado@mesh4x4@0.1",
-                "tornado@mesh4x4@0.1@s2",
-            ]
-        );
-        for pair in outcome.rows.chunks(2) {
-            assert_eq!(pair[0].results, pair[1].results, "{}", pair[1].label);
-        }
-        // The two loads genuinely differ (distinct seeds and gaps).
-        assert_ne!(
-            outcome.rows[0].results.cycles,
-            outcome.rows[2].results.cycles
-        );
-    }
-
-    #[test]
     fn duplicate_axis_values_keep_their_own_rows() {
-        // Regression: group lookup used to key on the raw point
-        // label, so a repeated axis value (two identical loads here)
-        // made both groups run the last group's members and
-        // misattribute results.
+        // A repeated axis value (two identical loads here) keeps one
+        // row per point, each with its own results.
         let reg = ScenarioRegistry::builtin();
         let spec = MatrixSpec {
             scenarios: vec!["tornado".into()],
@@ -567,7 +411,6 @@ mod tests {
                 height: 2,
             }],
             loads: vec![0.10, 0.10],
-            shards: vec![1],
             packet_flits: 2,
             packets_per_point: 40,
             clock_mode: ClockMode::EveryCycle,
@@ -587,6 +430,17 @@ mod tests {
         let spec = small_spec();
         let serial = spec.run(&reg, 1).unwrap();
         let parallel = spec.run(&reg, 4).unwrap();
+        // Rows come back in expansion order whatever the thread count.
+        let labels = |o: &MatrixOutcome| o.rows.iter().map(|r| r.label.clone()).collect::<Vec<_>>();
+        assert_eq!(labels(&parallel), labels(&serial));
+        assert_eq!(
+            labels(&serial),
+            [
+                "tornado@mesh2x2@0.1",
+                "tornado@ring4@0.1",
+                "transpose@mesh2x2@0.1"
+            ]
+        );
         for (s, p) in serial.rows.iter().zip(&parallel.rows) {
             assert_eq!(s.label, p.label);
             assert_eq!(s.results.cycles, p.results.cycles);

@@ -127,8 +127,8 @@ impl CongestionCounter {
 ///
 /// Every switch tracks, per VC index, the highest fill level (in
 /// flits) any of its per-VC input FIFOs reached; this accumulator
-/// max-merges those watermarks across switches (and across shard
-/// snapshots) into one platform-wide view. A VC that stays near its
+/// max-merges those watermarks across switches into one platform-wide
+/// view. A VC that stays near its
 /// FIFO depth for the whole run is the congestion hot spot the curve
 /// CSVs surface as `max_vc_occupancy`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -17,7 +17,7 @@
 //!   saturation while offered load keeps climbing.
 //!
 //! Selection is by absolute cycle, so two cycle-equivalent runs
-//! (gated vs ungated, sharded vs single-threaded) produce identical
+//! (gated vs ungated, compiled vs interpreted) produce identical
 //! window statistics even when their machinery counters differ.
 
 use crate::histogram::Histogram;

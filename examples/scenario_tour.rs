@@ -69,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             TopologySpec::Ring { switches: 8 },
         ],
         loads: vec![0.10, 0.25],
-        shards: vec![1],
         packet_flits: 4,
         packets_per_point: 1_000,
         clock_mode: nocem::ClockMode::Gated,

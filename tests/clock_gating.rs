@@ -20,12 +20,11 @@ use support::{
     lockstep, mesh, retraffic, ring, scenario, subject, torus, uniform_random, Backend, Traffic,
 };
 
-const BACKENDS: [Backend; 5] = [
+const BACKENDS: [Backend; 4] = [
     Backend::Emulation,
     Backend::Tlm,
     Backend::Rtl,
     Backend::DirectCompiled,
-    Backend::Sharded(2),
 ];
 
 fn with_mode(cfg: &PlatformConfig, mode: ClockMode) -> PlatformConfig {

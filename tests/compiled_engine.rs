@@ -97,8 +97,7 @@ fn gated_saturating_load_is_ledger_identical() {
 /// The axes the switch kernel branches on — arbiter kind, selection
 /// policy (LFSR draws, alternation pointers, credit comparison), FIFO
 /// depth (credit starvation at depth 1) and VC count — each against
-/// the interpreted reference, cycle by cycle, and once more through
-/// the shard boundary.
+/// the interpreted reference, cycle by cycle.
 #[test]
 fn arbiter_selection_and_depth_matrix_is_ledger_identical() {
     let dual = PaperConfig::new()
@@ -151,7 +150,7 @@ fn arbiter_selection_and_depth_matrix_is_ledger_identical() {
                     "{} {:?} {arbiter:?} depth {fifo_depth}",
                     base.name, base.switch.selection
                 );
-                against_emulation(&cfg, &[Backend::DirectCompiled, Backend::Sharded(2)]);
+                against_emulation(&cfg, &[Backend::DirectCompiled]);
             }
         }
     }
@@ -211,7 +210,7 @@ fn cycle_limit_fires_identically_on_the_compiled_engine() {
 
 /// Steps `cfg` for 2 000 busy cycles on the compiled engine built
 /// through [`AnyEngine::build_routed`] and directly over [`elaborate`],
-/// and on two shards, in lockstep with the interpreted engine: the
+/// in lockstep with the interpreted engine: the
 /// lowered selection LFSRs and the generator streams must be the ones
 /// the interpreted switches and generators draw.
 fn draws_the_interpreted_streams(cfg: &PlatformConfig) {
@@ -225,18 +224,10 @@ fn draws_the_interpreted_streams(cfg: &PlatformConfig) {
     let mut engines = [
         routed(EngineKind::Compiled),
         subject(cfg, Backend::DirectCompiled),
-        routed(EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 4,
-        }),
     ];
     assert!(matches!(
         engines[0].get::<AnyEngine>(),
         AnyEngine::Compiled(_)
-    ));
-    assert!(matches!(
-        engines[2].get::<AnyEngine>(),
-        AnyEngine::ShardedCompiled(_)
     ));
     lockstep_until(&mut reference, &mut engines, CYCLES);
     let engine = &reference.engine;

@@ -176,8 +176,8 @@ fn two_vc_ring_uses_wraparound_links() {
 /// `tornado` on a torus8x8 at load 0.1875, a point past saturation on
 /// the checked-in curves, starves packets: by cycle 3 072 the oldest
 /// one in flight, id 266, has about 6 200 later ids released behind it
-/// (at cycle 9 216, id 592 has 17 066). Every engine — sharded, TLM and
-/// RTL included — stands on the reference's ledger after every cycle
+/// (at cycle 9 216, id 592 has 17 066). Every engine — TLM and RTL
+/// included — stands on the reference's ledger after every cycle
 /// while the ledger pins stragglers, parks the packets delivered behind
 /// them and flushes both into the archive, and the reference's open
 /// window ends smaller than a flat 32-byte row per id from the
@@ -186,15 +186,10 @@ fn two_vc_ring_uses_wraparound_links() {
 fn a_starving_packet_keeps_every_ledger_equal() {
     let cfg = scenario("tornado", torus(8, 8), 0.1875, 4, 1_000_000);
     let mut reference = subject(&cfg, Backend::Emulation);
-    let mut subjects: Vec<Subject> = [
-        Backend::Compiled,
-        Backend::Sharded(2),
-        Backend::Tlm,
-        Backend::Rtl,
-    ]
-    .into_iter()
-    .map(|b| subject(&cfg, b))
-    .collect();
+    let mut subjects: Vec<Subject> = [Backend::Compiled, Backend::Tlm, Backend::Rtl]
+        .into_iter()
+        .map(|b| subject(&cfg, b))
+        .collect();
     lockstep_until(&mut reference, &mut subjects, 3_072);
     let ledger = reference.engine.ledger_ref();
     let Err(LedgerError::UnknownPacket(straggler)) = ledger.verify_drained() else {

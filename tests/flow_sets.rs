@@ -2,9 +2,8 @@
 //! models that name a row of it are the lists they stand for: the
 //! all-to-all scenarios (uniform-random, hotspot) build the implicit
 //! forms, and a configuration holding the same flows and the same
-//! options *written out* routes, checks and runs identically — per
-//! cycle on the stepping engines, in ledger and results on the sharded
-//! one. Plus the structural half of the scale claim: nothing on a
+//! options *written out* routes, checks and runs identically, per
+//! cycle on the stepping engines. Plus the structural half of the scale claim: nothing on a
 //! 32 × 32 mesh is stored per flow.
 //!
 //! (Element-for-element equality of the two expansions is in
@@ -133,18 +132,6 @@ fn implicit_and_listed_configs_are_ledger_identical_per_cycle() {
 }
 
 #[test]
-fn implicit_and_listed_configs_agree_on_the_sharded_engine() {
-    for (implicit, listed) in pairs() {
-        // Both forms against the single-threaded run of the implicit one.
-        let sharded = Backend::Sharded(2);
-        let mut ab = [subject(&implicit, sharded), subject(&listed, sharded)];
-        lockstep(&mut subject(&implicit, Backend::Emulation), &mut ab);
-        let a = ab[0].get::<AnyEngine>();
-        assert!(matches!(a, AnyEngine::ShardedCompiled(_)));
-    }
-}
-
-#[test]
 fn mesh32x32_uniform_random_stores_nothing_per_flow_and_steps() {
     let cfg = scenario("uniform_random", mesh(32, 32), 0.05, 4, u64::MAX);
     assert_eq!(cfg.flows.len(), 1024 * 1023);
@@ -163,8 +150,7 @@ fn mesh32x32_uniform_random_stores_nothing_per_flow_and_steps() {
         assert!(row.set().shares_storage(set));
         assert_eq!(row.source(), generator);
     }
-    // Clones — what elaboration, measurement and shard workers take —
-    // share it too.
+    // Clones — what elaboration and measurement take — share it too.
     let copy = cfg.clone();
     let FlowSet::AllButSelf(copied) = &copy.flows else {
         panic!("a clone keeps the form");

@@ -3,9 +3,9 @@
 //! Each case of the stream `generated_lockstep` draws one platform —
 //! topology, registry pattern, load, packet length, buffer depth,
 //! arbiter, selection policy, traffic model, source queue, clock mode,
-//! telemetry window — the engines it runs on (the compiled engine and a
-//! sharded one always, the TLM and RTL models on platforms of at most
-//! nine switches), then the self-profiling: off, phases, or phases and
+//! telemetry window — the engines it runs on (the compiled engine
+//! always, the TLM and RTL models on platforms of at most nine
+//! switches), then the self-profiling: off, phases, or phases and
 //! a stall watchdog whose window of 1..=8 cycles trips on ordinary
 //! congestion, and last a stochastic or trace-driven kind per receptor.
 //! The property: every engine matches the interpreted engine per cycle,
@@ -41,7 +41,6 @@ use support::{
 /// Every engine beside the interpreted one.
 const EVERY_ENGINE: &[Backend] = &[
     Backend::Compiled,
-    Backend::Sharded(2),
     Backend::DirectCompiled,
     Backend::Tlm,
     Backend::Rtl,
@@ -107,10 +106,8 @@ fn generate(c: &mut Choices) -> (PlatformConfig, Vec<Backend>) {
         capacity: [1, 2, 64][c.below(3)],
     });
 
-    let switches = cfg.topology.switch_count();
-    let shards = c.range(1..=switches.min(4));
-    let mut backends = vec![Backend::Compiled, Backend::Sharded(shards)];
-    if switches <= 9 {
+    let mut backends = vec![Backend::Compiled];
+    if cfg.topology.switch_count() <= 9 {
         backends.extend([Backend::Tlm, Backend::Rtl]);
     }
     let phases = ProfileConfig::default();

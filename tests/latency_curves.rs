@@ -1,6 +1,6 @@
 //! Integration tests of the latency–throughput curve subsystem:
-//! deterministic saturation search, lockstep equivalence of gated /
-//! sharded curves with the ungated single-threaded baseline, the
+//! deterministic saturation search, lockstep equivalence of gated
+//! compiled curves with the ungated interpreted baseline, the
 //! track-then-plateau shape of accepted throughput, and the
 //! well-formedness of the checked-in `results/latency_curves.csv`.
 
@@ -63,7 +63,7 @@ fn mesh4x4_uniform_saturation_is_reproducible() {
 }
 
 #[test]
-fn gated_sharded_curve_is_identical_to_ungated_single_threaded() {
+fn gated_compiled_curve_is_identical_to_ungated_single_threaded() {
     let registry = ScenarioRegistry::builtin();
     let baseline_spec = CurveSpec {
         clock_mode: ClockMode::EveryCycle,
@@ -79,16 +79,13 @@ fn gated_sharded_curve_is_identical_to_ungated_single_threaded() {
     };
     let fast_spec = CurveSpec {
         clock_mode: ClockMode::Gated,
-        engine: EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 8,
-        },
+        engine: EngineKind::Compiled,
         ..baseline_spec.clone()
     };
     let baseline = baseline_spec.run(&registry).unwrap();
     let fast = fast_spec.run(&registry).unwrap();
     // Same measured points, same classifications, same saturation —
-    // the scale machinery changes wall clock only. (`behavioral`
+    // the engine and the clock mode change wall clock only. (`behavioral`
     // clears the cycles-skipped machinery counter, the one intended
     // difference.)
     assert_eq!(fast.behavioral(), baseline.behavioral());

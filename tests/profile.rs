@@ -9,7 +9,6 @@ use nocem::compiled::CompiledEngine;
 use nocem::config::PlatformConfig;
 use nocem::engine::build;
 use nocem::profile::{Phase, ProfileConfig};
-use nocem::shard_compiled::ShardedCompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::validate_json;
@@ -109,10 +108,7 @@ fn profiling_is_off_by_default_and_behaviour_free() {
 /// Every engine answers `profile()` when profiling is on: non-empty
 /// phase tables, counted cycles, and valid JSON serialization. The
 /// process-driven models charge their opaque scheduler cycle to the
-/// `processes` phase; the sharded engine carries per-worker
-/// sub-reports, each with compute and boundary-exchange time, and its
-/// coordinator's own report shows time waiting for the workers and
-/// applying their rows.
+/// `processes` phase.
 #[test]
 fn every_engine_reports_its_phases() {
     let mesh4 = TopologySpec::Mesh {
@@ -136,10 +132,6 @@ fn every_engine_reports_its_phases() {
             "rtl",
             Box::new(nocem_rtl::model::RtlEngine::new(elaborate(&cfg).unwrap())),
         ),
-        (
-            "sharded-compiled",
-            Box::new(ShardedCompiledEngine::with_shards(&cfg, 2).unwrap()),
-        ),
     ];
     for (name, engine) in &mut engines {
         for _ in 0..64 {
@@ -162,30 +154,6 @@ fn every_engine_reports_its_phases() {
                 report.ns_of(Phase::Processes) > 0,
                 "{name}: scheduler cycle must be charged to `processes`"
             ),
-            "sharded-compiled" => {
-                assert_eq!(report.workers.len(), 2, "{name}: per-worker sub-reports");
-                for w in &report.workers {
-                    assert!(
-                        w.ns_of(Phase::WorkerCompute) > 0,
-                        "{name}/{}: no compute time",
-                        w.label
-                    );
-                    assert!(
-                        w.ns_of(Phase::Exchange) > 0,
-                        "{name}/{}: no exchange time",
-                        w.label
-                    );
-                }
-                // The aggregate absorbs the workers' phases; the
-                // coordinator's own phases appear in it alone.
-                for phase in [Phase::CoordWait, Phase::Apply] {
-                    assert!(
-                        report.ns_of(phase) > 0,
-                        "{name}: no coordinator {} time",
-                        phase.name()
-                    );
-                }
-            }
             _ => assert!(
                 report.ns_of(Phase::Decide) > 0,
                 "{name}: switch allocation must appear"
@@ -195,7 +163,7 @@ fn every_engine_reports_its_phases() {
 }
 
 /// A report's label is the caller's string: quotes, backslashes and
-/// control bytes in it reach the JSON escaped, in workers too.
+/// control bytes in it reach the JSON escaped.
 #[test]
 fn report_labels_are_escaped_in_json() {
     let mut cfg = uniform(MESH8X8, 0.10, 20);
@@ -204,21 +172,16 @@ fn report_labels_are_escaped_in_json() {
     engine.run().unwrap();
     let mut report = SteppableEngine::profile(&mut engine).unwrap();
     assert!(report.ns_of(Phase::Decide) > 0, "{report:?}");
-    let mut worker = report.clone();
-    worker.label = "w\t0".into();
-    report.label = "say \"hi\" \\ bye\n".into();
-    report.workers.push(worker);
+    report.label = "say \"hi\" \\ bye\n\t".into();
     let json = report.to_json();
     validate_json(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
-    assert!(json.starts_with(r#"{"label":"say \"hi\" \\ bye\u000a","#));
-    assert!(json.contains(r#""workers":[{"label":"w\u00090","#));
+    assert!(json.starts_with(r#"{"label":"say \"hi\" \\ bye\u000a\u0009","#));
 }
 
 /// The compiled kernels count their work next to the timers, and the
 /// counts are exact: on a sparse gated run the watermark skips most TG
 /// phases, the clock jumps, every released packet cost one real TG
-/// tick and every flit one NI tick — identically on one thread and on
-/// two shards, whose workers run the same phases over the same sets.
+/// tick and every flit one NI tick.
 #[test]
 fn work_counters_account_for_the_live_set_paths() {
     let mut cfg = uniform(MESH8X8, 0.01, 200);
@@ -244,16 +207,6 @@ fn work_counters_account_for_the_live_set_paths() {
     assert!(work.switches_decided < 64 * work.switches_scanned / 4);
     assert!(report.to_json().contains("\"work\":{\"switches_decided\":"));
     assert!(report.render().contains("tg_phases_skipped="));
-
-    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 2).unwrap();
-    sharded.run().unwrap();
-    let sharded_work = SteppableEngine::profile(&mut sharded).unwrap().work;
-    assert_eq!(
-        (sharded_work.tg_ticks, sharded_work.ni_ticks),
-        (work.tg_ticks, work.ni_ticks)
-    );
-    assert_eq!(sharded_work.switches_decided, work.switches_decided);
-    assert_eq!(sharded_work.fast_forwards, work.fast_forwards);
 }
 
 /// The TG phase visits the generators due now (and the parked ones)

@@ -1,8 +1,8 @@
-//! The bus in lockstep: one [`Board`] per engine — the interpreted,
-//! compiled and sharded engines, TLM and RTL — each every-cycle and
-//! gated, stepped side by side on one run with telemetry on. Wherever
-//! they stand on one cycle, every mapped register of every device reads
-//! alike on all ten; the comparison runs at every telemetry window
+//! The bus in lockstep: one [`Board`] per engine — the interpreted and
+//! compiled engines, TLM and RTL — each every-cycle and gated, stepped
+//! side by side on one run with telemetry on. Wherever they stand on
+//! one cycle, every mapped register of every device reads alike on all
+//! eight; the comparison runs at every telemetry window
 //! boundary a board stands on and at the end of the run.
 
 use nocem::config::{EngineKind, PaperConfig, PlatformConfig, TrafficModel};
@@ -49,26 +49,19 @@ fn platform() -> PlatformConfig {
     cfg.with_telemetry(Some(TelemetryConfig::windowed(WINDOW)))
 }
 
-/// The ten boards, every-cycle ones first; the first is the reference.
+/// The eight boards, every-cycle ones first; the first is the reference.
 fn boards(cfg: &PlatformConfig) -> Vec<(String, Box<dyn Subject>)> {
     let mut out: Vec<(String, Box<dyn Subject>)> = Vec::new();
     for mode in [ClockMode::EveryCycle, ClockMode::Gated] {
         let cfg = cfg.clone().with_clock_mode(mode);
-        for engine in [
-            EngineKind::SingleThread,
-            EngineKind::Compiled,
-            EngineKind::ShardedCompiled {
-                shards: 2,
-                batch: 1,
-            },
-        ] {
+        for engine in [EngineKind::SingleThread, EngineKind::Compiled] {
             let board = Board::build(&cfg.clone().with_engine(engine)).unwrap();
             out.push((format!("{engine:?} {mode:?}"), Box::new(board)));
         }
         let elab = || elaborate(&cfg).unwrap();
-        let tlm = Board::<TlmEngine>::new(elab(), |e| Ok(TlmEngine::new(e))).unwrap();
+        let tlm = Board::<TlmEngine>::new(elab(), TlmEngine::new);
         out.push((format!("TLM {mode:?}"), Box::new(tlm)));
-        let rtl = Board::<RtlEngine>::new(elab(), |e| Ok(RtlEngine::new(e))).unwrap();
+        let rtl = Board::<RtlEngine>::new(elab(), RtlEngine::new);
         out.push((format!("RTL {mode:?}"), Box::new(rtl)));
     }
     out

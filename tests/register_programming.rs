@@ -17,14 +17,7 @@ use nocem_traffic::registers as tgreg;
 use nocem_traffic::stochastic::UniformConfig;
 
 /// The engines a board is tried on.
-const ENGINES: [EngineKind; 3] = [
-    EngineKind::SingleThread,
-    EngineKind::Compiled,
-    EngineKind::ShardedCompiled {
-        shards: 2,
-        batch: 1,
-    },
-];
+const ENGINES: [EngineKind; 2] = [EngineKind::SingleThread, EngineKind::Compiled];
 
 /// `cfg` behind a bus, on the engine it names.
 fn build(cfg: &PlatformConfig) -> Board<AnyEngine> {
@@ -334,7 +327,6 @@ fn tr_registers_read_both_receptor_kinds() {
         summaries.push(results.receptors);
     }
     assert_eq!(summaries[1], summaries[0], "Compiled");
-    assert_eq!(summaries[2], summaries[0], "2 shards");
 }
 
 #[test]
@@ -400,8 +392,8 @@ fn fuzz_value(c: &mut Choices, emu: &mut Board<AnyEngine>, addr: nocem_platform:
 
 /// Generated register fuzz: 1 to 20 random writes to any device, a
 /// cycle limit of at most 4 096, then start — each case drawn on the
-/// interpreted engine's board and replayed on the compiled and the
-/// sharded engine's. Every case ends alike on all three, in `Ok` — and
+/// interpreted engine's board and replayed on the compiled engine's.
+/// Every case ends alike on both, in `Ok` — and
 /// is then exactly the run of the configuration it elaborated — or in
 /// a typed error; none panics.
 #[test]
@@ -446,7 +438,7 @@ fn random_register_programs_run_as_their_config_or_fail_typed() {
             }
             assert!(
                 outcomes.iter().all(|o| *o == outcomes[0]),
-                "the case ends unlike on the three engines: {outcomes:?}"
+                "the case ends unlike on the two engines: {outcomes:?}"
             );
             match outcomes[0] {
                 Ok(()) => ran += 1,

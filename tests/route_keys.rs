@@ -181,7 +181,7 @@ fn all_three_engines_are_ledger_identical_per_cycle_on_the_grid_router() {
             "{}: tori wrap onto VC 1",
             cfg.name
         );
-        let subjects = against_emulation(&cfg, &[Backend::Compiled, Backend::Sharded(2)]);
+        let subjects = against_emulation(&cfg, &[Backend::Compiled]);
         for s in subjects {
             assert_eq!(s.engine.summary().delivered, packets, "{}", s.name);
         }
@@ -233,7 +233,6 @@ fn a_destination_that_is_no_receptor_fails_at_set_up_on_every_engine() {
     // Every engine, the interpreted one included, at build.
     let engines = [
         Backend::Compiled,
-        Backend::Sharded(2),
         Backend::DirectCompiled,
         Backend::Tlm,
         Backend::Rtl,
@@ -270,7 +269,6 @@ fn explicit_paths_for_other_than_the_registered_flows_fail_at_set_up_on_every_en
     doubled[0] = paths[1].clone();
     let engines = [
         Backend::Compiled,
-        Backend::Sharded(2),
         Backend::DirectCompiled,
         Backend::Tlm,
         Backend::Rtl,

@@ -11,7 +11,7 @@
 //! longer than the wheel; a one-slot source queue at 90 % load, where
 //! generators park and NIs fall asleep and wake every few cycles — and
 //! each runs on mesh4x4 and on torus4x4 (two dateline VCs) on the
-//! compiled engine under both clock modes and on two shards.
+//! compiled engine under both clock modes.
 //! The proof is per cycle: the same clock and ledger after every step,
 //! then the same telemetry window by window (the NI injection links
 //! carry the blocked cycles, so a probe taken while an NI sleeps must
@@ -46,7 +46,7 @@ fn base(topo: TopologySpec, load: f64, budget: u64) -> PlatformConfig {
 
 /// `make(topo)` on mesh4x4 and on torus4x4 (two dateline VCs), each in
 /// lockstep with the interpreted engine in the same clock mode: the
-/// compiled engine ungated, the compiled engine and two shards gated.
+/// compiled engine under both clock modes.
 /// Returns the engines under test.
 fn assert_mix(make: impl Fn(TopologySpec) -> PlatformConfig) -> Vec<Subject> {
     let mut engines = Vec::new();
@@ -54,8 +54,7 @@ fn assert_mix(make: impl Fn(TopologySpec) -> PlatformConfig) -> Vec<Subject> {
         let cfg = make(topo);
         engines.extend(against_emulation(&cfg, &[Backend::Compiled]));
         let gated = cfg.with_clock_mode(ClockMode::Gated);
-        let backends = [Backend::Compiled, Backend::Sharded(2)];
-        engines.extend(against_emulation(&gated, &backends));
+        engines.extend(against_emulation(&gated, &[Backend::Compiled]));
     }
     engines
 }

@@ -93,13 +93,3 @@ fn parked_generators_pin_the_tg_phase_and_the_clock() {
         );
     }
 }
-
-/// The sharded workers run the same phases over the same live sets;
-/// under gating the coordinator jumps and the workers replay nothing.
-#[test]
-fn two_shards_step_the_same_sparse_cycles() {
-    let cfg = sparse_config(mesh(12, 12), 0.001, Traffic::Steady, ClockMode::Gated, 220);
-    for s in against_emulation(&cfg, &[Backend::Sharded(2)]) {
-        assert!(s.engine.cycles_skipped() > 0, "{} skipped nothing", s.name);
-    }
-}

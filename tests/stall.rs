@@ -1,6 +1,6 @@
 //! Stall forensics: a deliberately credit-starved platform (finite
 //! ejection credits that receptors never return) must trip the
-//! watchdog on all five engines — it lives in the shared step skeleton
+//! watchdog on all four engines — it lives in the shared step skeleton
 //! — and produce a blame chain naming the concrete starved (link, VC);
 //! a healthy saturating run must never trip it.
 
@@ -10,7 +10,6 @@ use nocem::compiled::CompiledEngine;
 use nocem::config::PlatformConfig;
 use nocem::engine::build;
 use nocem::profile::{ProfileConfig, StallReport, WaitDest};
-use nocem::shard_compiled::ShardedCompiledEngine;
 use nocem_rtl::model::RtlEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -139,42 +138,17 @@ fn starved_fixture_trips_the_watchdog_identically_on_tlm_and_rtl() {
     }
 }
 
-/// The sharded engine wedges like the reference too, at two and four
-/// shards: the trip finds every worker on the coordinator's cycle and
-/// the per-shard edges merge into exactly the reference's report.
-#[test]
-fn starved_fixture_trips_the_watchdog_identically_on_the_sharded_engine() {
-    let cfg = starved_config();
-    let reference = run_to_stall(&mut build(&cfg).unwrap());
-    for shards in [2, 4] {
-        let mut engine = ShardedCompiledEngine::with_shards(&cfg, shards).unwrap();
-        let report = run_to_stall(&mut engine);
-        let name = format!("{shards} shards");
-        assert_blames_starved_ejection(&report);
-        assert_eq!(report.at_cycle, reference.at_cycle, "{name}: trip cycle");
-        assert_eq!(report.edges, reference.edges, "{name}: wait-for edges");
-        assert_eq!(report.chain, reference.chain, "{name}: blame chain");
-        assert_eq!(report.top_blocked, reference.top_blocked, "{name}: links");
-    }
-}
-
 /// A healthy run at a saturating load makes slow-but-steady progress:
-/// the watchdog must stay quiet even with a small window, on one thread
-/// and on two shards.
+/// the watchdog must stay quiet even with a small window.
 #[test]
 fn healthy_saturating_run_does_not_trip() {
     let mut cfg = uniform(0.90, 2_000);
     cfg.profile = Some(ProfileConfig::default().with_stall(200));
-    let engines: [Box<dyn SteppableEngine>; 2] = [
-        Box::new(CompiledEngine::new(elaborate(&cfg).unwrap())),
-        Box::new(ShardedCompiledEngine::with_shards(&cfg, 2).unwrap()),
-    ];
-    for mut engine in engines {
-        nocem::run_engine(engine.as_mut()).unwrap();
-        assert!(
-            engine.stall_report().is_none(),
-            "a draining run must never trip the watchdog"
-        );
-        assert!(engine.summary().delivered > 0);
-    }
+    let mut engine = CompiledEngine::new(elaborate(&cfg).unwrap());
+    nocem::run_engine(&mut engine).unwrap();
+    assert!(
+        engine.stall_report().is_none(),
+        "a draining run must never trip the watchdog"
+    );
+    assert!(engine.summary().delivered > 0);
 }

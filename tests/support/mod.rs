@@ -15,15 +15,9 @@
 //! [`scenario`] and the topology shorthands, with [`retraffic`] /
 //! [`each_uniform`] swapping their generators. [`check`] is the property
 //! a generated configuration must meet: it runs alike on every engine,
-//! or every engine rejects it alike at build. A lockstep run with a
-//! sharded engine runs under [`within_a_minute`], so a hung exchange
-//! fails the test instead of stalling the suite.
+//! or every engine rejects it alike at build.
 
 #![allow(dead_code)]
-
-mod watchdog;
-
-pub use watchdog::within_a_minute;
 
 use std::any::Any;
 use std::fmt::Debug;
@@ -32,10 +26,8 @@ use std::ops::Deref;
 use nocem::clock::{ClockMode, CycleKernel, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::config::{EngineKind, PlatformConfig, TrafficModel};
-use nocem::error::{CompileError, EmulationError};
-use nocem::{
-    AnyEngine, ArchView, CompiledEngine, Emulation, EmulationResults, ShardedCompiledEngine,
-};
+use nocem::error::CompileError;
+use nocem::{AnyEngine, ArchView, CompiledEngine, Emulation, EmulationResults};
 use nocem_rtl::RtlEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -72,7 +64,6 @@ macro_rules! engine {
 engine! {
     Emulation => |e| e.results(),
     CompiledEngine => |e| e.results(),
-    ShardedCompiledEngine => |e| e.results().unwrap(),
     AnyEngine => |e| e.results().unwrap(),
     TlmEngine => |e| e.results(),
     RtlEngine => |e| e.results(),
@@ -110,14 +101,6 @@ impl Subject {
             .unwrap_or_else(|| panic!("{name} is no {}", std::any::type_name::<E>()))
     }
 
-    /// Whether the engine runs worker threads: a sharded engine, which
-    /// [`AnyEngine`] builds at two or more shards.
-    fn threaded(&self) -> bool {
-        let any: &dyn Any = &*self.engine;
-        let any_sharded = matches!(any.downcast_ref(), Some(AnyEngine::ShardedCompiled(_)));
-        any_sharded || any.is::<ShardedCompiledEngine>()
-    }
-
     fn step(&mut self) {
         if let Err(e) = self.engine.step() {
             panic!(
@@ -136,9 +119,6 @@ pub enum Backend {
     Emulation,
     /// [`EngineKind::Compiled`] through [`AnyEngine`].
     Compiled,
-    /// [`EngineKind::ShardedCompiled`] at this many shards through
-    /// [`AnyEngine`], which runs one shard as the compiled engine.
-    Sharded(usize),
     /// The compiled engine built directly over [`elaborate`], not
     /// through [`AnyEngine`].
     DirectCompiled,
@@ -154,9 +134,6 @@ pub fn try_subject(cfg: &PlatformConfig, backend: Backend) -> Result<Subject, Co
     let engine: Box<dyn Engine> = match backend {
         Backend::Emulation => Box::new(any(EngineKind::SingleThread)?),
         Backend::Compiled => Box::new(any(EngineKind::Compiled)?),
-        Backend::Sharded(shards) => {
-            Box::new(any(EngineKind::ShardedCompiled { shards, batch: 1 })?)
-        }
         Backend::DirectCompiled => Box::new(CompiledEngine::new(elaborate(cfg)?)),
         Backend::Tlm => Box::new(TlmEngine::new(elaborate(cfg)?)),
         Backend::Rtl => Box::new(RtlEngine::new(elaborate(cfg)?)),
@@ -194,16 +171,11 @@ pub fn assert_same_cycle(reference: &mut Subject, subject: &mut Subject) {
         );
     }
     drop((want, got));
-    fn readable<'a>(
-        name: &str,
-        cycle: u64,
-        view: Result<&'a ArchView, EmulationError>,
-    ) -> &'a ArchView {
-        view.unwrap_or_else(|e| panic!("{name}: no architectural state at cycle {cycle}: {e}"))
-    }
-    let want = readable(&reference.name, cycle, r.arch_view());
-    let got = readable(&subject.name, cycle, s.arch_view());
-    if let Some(diff) = first_difference(want, got) {
+    // One `==` a cycle; the field-by-field search for the first
+    // difference runs only on a mismatch, to name it.
+    let (want, got) = (r.arch_view(), s.arch_view());
+    if want != got {
+        let diff = first_difference(want, got).unwrap_or_default();
         panic!(
             "{}: architectural state diverged from {} at cycle {cycle}: {diff}",
             subject.name, reference.name
@@ -256,37 +228,18 @@ pub fn first_difference(want: &ArchView, got: &ArchView) -> Option<String> {
 /// telemetry, results and stall report. The engines stay the caller's
 /// for further assertions.
 pub fn lockstep(reference: &mut Subject, subjects: &mut [Subject]) {
-    watched(reference, subjects, |reference, subjects| {
-        drive(reference, subjects, u64::MAX);
-        for s in subjects.iter() {
-            assert!(s.engine.finished(), "{}: stop condition lagged", s.name);
-        }
-        finish(reference, subjects);
-    });
+    drive(reference, subjects, u64::MAX);
+    for s in subjects.iter() {
+        assert!(s.engine.finished(), "{}: stop condition lagged", s.name);
+    }
+    finish(reference, subjects);
 }
 
 /// [`lockstep`] over the first `cycles` cycles of a run that need not
 /// finish by then.
 pub fn lockstep_until(reference: &mut Subject, subjects: &mut [Subject], cycles: u64) {
-    watched(reference, subjects, |reference, subjects| {
-        drive(reference, subjects, cycles);
-        finish(reference, subjects);
-    });
-}
-
-/// Runs `body` over the engines, under [`within_a_minute`] when one of
-/// them runs worker threads, so that a hung exchange fails the test.
-fn watched(
-    reference: &mut Subject,
-    subjects: &mut [Subject],
-    body: impl FnOnce(&mut Subject, &mut [Subject]),
-) {
-    let engines = std::iter::once(&*reference).chain(&*subjects);
-    if engines.into_iter().any(Subject::threaded) {
-        within_a_minute(|| body(reference, subjects));
-    } else {
-        body(reference, subjects);
-    }
+    drive(reference, subjects, cycles);
+    finish(reference, subjects);
 }
 
 /// `cfg` on every backend, in [`lockstep`] with the interpreted engine

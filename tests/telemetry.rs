@@ -102,7 +102,7 @@ fn gated_and_ungated_runs_record_identical_collectors() {
 }
 
 #[test]
-fn sharded_and_single_threaded_collectors_agree_through_any_engine() {
+fn compiled_and_single_threaded_collectors_agree_through_any_engine() {
     let collector = |engine: EngineKind| -> Collector {
         let mut cfg = mesh_config(
             TopologySpec::Mesh {
@@ -121,11 +121,8 @@ fn sharded_and_single_threaded_collectors_agree_through_any_engine() {
             .clone()
     };
     let single = collector(EngineKind::SingleThread);
-    let sharded = collector(EngineKind::ShardedCompiled {
-        shards: 2,
-        batch: 8,
-    });
-    assert_eq!(single, sharded);
+    let compiled = collector(EngineKind::Compiled);
+    assert_eq!(single, compiled);
     assert!(single.windows_recorded() >= 16);
 }
 
@@ -244,7 +241,7 @@ fn mesh4x4_past_saturation_hottest_link_crosses_the_bisection() {
 
 /// The acceptance scenario of the observability PR: uniform-random on
 /// mesh8x8 driven past saturation. All three execution strategies —
-/// single-threaded ungated, single-threaded gated, sharded gated —
+/// interpreted ungated, interpreted gated, compiled gated —
 /// must attribute the congestion to the *same* links, and the
 /// attribution must localize the saturated dimension: every top
 /// blocked link is an inter-switch link of the x-traversal (where XY
@@ -272,18 +269,12 @@ fn past_saturation_bottlenecks_localize_identically_on_every_engine() {
     };
     let (top, totals) = run(ClockMode::EveryCycle, EngineKind::SingleThread);
     let gated = run(ClockMode::Gated, EngineKind::SingleThread);
-    let sharded = run(
-        ClockMode::Gated,
-        EngineKind::ShardedCompiled {
-            shards: 2,
-            batch: 8,
-        },
-    );
+    let compiled = run(ClockMode::Gated, EngineKind::Compiled);
     // Identical attribution everywhere. (Gated runs may coast extra
     // quiescent windows past the cycle target, but per-link totals —
     // and with them the ranking — are unaffected by zero deltas.)
     assert_eq!(gated, (top.clone(), totals.clone()));
-    assert_eq!(sharded, (top.clone(), totals.clone()));
+    assert_eq!(compiled, (top.clone(), totals.clone()));
 
     let topo = spec.build().unwrap();
     let grid = topo.grid().expect("mesh has grid metadata").clone();
