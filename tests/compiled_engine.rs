@@ -24,7 +24,7 @@ use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::SelectionPolicy;
 use nocem_topology::routing::RouteAlgorithm;
 use support::{
-    against_emulation, lockstep, lockstep_until, mesh, ring, scenario, subject, torus,
+    against_emulation, lockstep, lockstep_until, mesh, ring, scenario, star, subject, torus,
     uniform_random, Backend, Subject,
 };
 
@@ -163,9 +163,7 @@ fn arbiter_selection_and_depth_matrix_is_ledger_identical() {
 /// neighbouring slots. The prefix-sum arena must handle the mix.
 #[test]
 fn star_heterogeneous_ports_run_compiled_without_index_errors() {
-    let topology = nocem_topology::builders::star(6).unwrap();
-    let mut cfg = PlatformConfig::baseline("star6-compiled", topology).unwrap();
-    cfg.stop.delivered_packets = Some(240);
+    let cfg = star(6, 0.4, 4, 240);
     against_emulation(&cfg, COMPILED);
     against_emulation(&gated(&cfg), COMPILED);
 }
@@ -174,13 +172,29 @@ fn star_heterogeneous_ports_run_compiled_without_index_errors() {
 /// takes the dense fallback of every phase — same cycles, same ledger.
 #[test]
 fn star_hub_beyond_64_ports_takes_the_dense_path_in_lockstep() {
-    let topology = nocem_topology::builders::star(66).unwrap();
-    let mut cfg = PlatformConfig::baseline("star66-compiled", topology).unwrap();
-    cfg.stop.delivered_packets = Some(600);
-    let mut compiled = against_emulation(&cfg, COMPILED);
-    let hub_inputs = compiled[0].get::<CompiledEngine>().lowered().inputs[0];
-    assert!(hub_inputs > 64, "the hub is switch 0");
-    against_emulation(&gated(&cfg), COMPILED);
+    // A hub of 66 ports on one VC under either arbiter, and one of 33
+    // ports made as wide by a second VC.
+    let cases = [
+        (66, 1, ArbiterKind::RoundRobin),
+        (66, 1, ArbiterKind::FixedPriority),
+        (33, 2, ArbiterKind::RoundRobin),
+    ];
+    for (leaves, vcs, arbiter) in cases {
+        let mut cfg = star(leaves, 0.4, 4, 1_200);
+        cfg.name = format!("star{leaves}-{vcs}vc-{arbiter:?}");
+        (cfg.switch.num_vcs, cfg.switch.arbiter) = (vcs, arbiter);
+        let mut compiled = against_emulation(&cfg, COMPILED);
+        let engine = compiled[0].get::<CompiledEngine>();
+        let low = engine.lowered();
+        let (hub_slots, hub_outputs) = (low.inputs[0] as usize * low.num_vcs, low.outputs[0]);
+        assert!(hub_slots > 64, "the hub is switch 0");
+        let hub = &engine.arch_view().ports[..hub_outputs as usize];
+        assert!(
+            hub.iter().map(|p| p.blocked).sum::<u64>() > 0,
+            "no contention"
+        );
+        against_emulation(&gated(&cfg), COMPILED);
+    }
 }
 
 #[test]

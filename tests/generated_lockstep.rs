@@ -34,8 +34,8 @@ use nocem_telemetry::TelemetryConfig;
 use nocem_traffic::generator::{DestinationModel, LengthModel};
 use nocem_traffic::stochastic::UniformConfig;
 use support::{
-    against_emulation, check, each_uniform, mesh, rejects_alike, retraffic, ring, torus,
-    uniform_random, Backend, Traffic,
+    against_emulation, check, mesh, rejects_alike, retraffic, ring, star, torus, uniform_random,
+    Backend, Traffic,
 };
 
 /// Every engine beside the interpreted one.
@@ -48,8 +48,8 @@ const EVERY_ENGINE: &[Backend] = &[
 
 /// A platform of `packets` packets of `flits` flits at `load`: a
 /// registry pattern on a mesh, torus or ring (the first pattern from a
-/// drawn one on that applies), or the baseline star — also where no
-/// pattern applies to the drawn topology.
+/// drawn one on that applies), or a star with uniform traffic across
+/// its hub — also where no pattern applies to the drawn topology.
 fn platform(c: &mut Choices, load: f64, flits: u16, packets: u64) -> PlatformConfig {
     let (w, h) = (c.range(1u32..=5), c.range(1u32..=5));
     let topo = match c.below(4) {
@@ -67,16 +67,14 @@ fn platform(c: &mut Choices, load: f64, flits: u16, packets: u64) -> PlatformCon
         })
     });
     pattern.unwrap_or_else(|| {
-        let leaves = c.range(2u32..=8);
-        let star = nocem_topology::builders::star(leaves).unwrap();
-        let mut cfg = PlatformConfig::baseline(format!("star{leaves}"), star).unwrap();
-        let n = cfg.generators.len();
-        each_uniform(&mut cfg, |i, u| {
-            let budget = Some(PlatformConfig::split_budget(packets, n, i));
-            TrafficModel::Uniform(UniformConfig::with_load(load, flits, budget, u.destination))
-        });
-        cfg.stop.delivered_packets = Some(packets);
-        cfg
+        // One star in eight has a hub across the 64-slot edge of the
+        // compiled engine's one-word masks.
+        let leaves = if c.below(8) == 0 {
+            c.range(63u32..=68)
+        } else {
+            c.range(2u32..=8)
+        };
+        star(leaves, load, flits, packets)
     })
 }
 

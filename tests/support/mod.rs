@@ -33,7 +33,8 @@ use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_stats::ledger::PacketLedger;
 use nocem_tlm::TlmEngine;
-use nocem_traffic::generator::LengthModel;
+use nocem_topology::routing::FlowSpec;
+use nocem_traffic::generator::{DestinationModel, LengthModel};
 use nocem_traffic::stochastic::{BurstConfig, PoissonConfig, UniformConfig};
 
 /// What the harness asks of an engine beyond [`SteppableEngine`].
@@ -391,6 +392,30 @@ pub fn scenario(
 /// [`scenario`] `uniform_random` with four-flit packets.
 pub fn uniform_random(topo: TopologySpec, load: f64, packets: u64) -> PlatformConfig {
     scenario("uniform_random", topo, load, 4, packets)
+}
+
+/// A star of `leaves` leaves whose TGs send `packets` packets of
+/// `flits` flits in all at `load`, each to a uniformly drawn leaf's TR,
+/// so that packets cross the hub and its outputs arbitrate between
+/// inputs. (The registry has no star, and [`PlatformConfig::baseline`]
+/// pairs each TG with the TR on its own leaf: none of those flits
+/// reaches the hub.)
+pub fn star(leaves: u32, load: f64, flits: u16, packets: u64) -> PlatformConfig {
+    let topology = nocem_topology::builders::star(leaves).unwrap();
+    let flows = FlowSpec::all_pairs(&topology);
+    let mut cfg = PlatformConfig::baseline(format!("star{leaves}"), topology).unwrap();
+    let n = cfg.generators.len();
+    cfg.generators = (cfg.topology.generators().into_iter().enumerate())
+        .map(|(i, g)| {
+            let row = flows.iter().filter(|f| f.src == g);
+            let row = DestinationModel::UniformChoice(row.map(|f| (f.dst, f.flow)).collect());
+            let budget = Some(PlatformConfig::split_budget(packets, n, i));
+            TrafficModel::Uniform(UniformConfig::with_load(load, flits, budget, row))
+        })
+        .collect();
+    cfg.flows = flows.into();
+    cfg.stop.delivered_packets = Some(packets);
+    cfg
 }
 
 /// Rewrites every generator of `cfg` — uniform, as scenarios build
