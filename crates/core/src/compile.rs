@@ -780,8 +780,6 @@ pub struct LoweredPlatform {
     pub max_in_slots: usize,
     /// Largest `outputs[s] * num_vcs` over all switches (scratch sizing).
     pub max_out_slots: usize,
-    /// Largest `inputs[s]` over all switches (scratch sizing).
-    pub max_inputs: usize,
 }
 
 impl LoweredPlatform {
@@ -827,7 +825,6 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
     out_port_base.push(0u32);
     let mut max_in_slots = 0usize;
     let mut max_out_slots = 0usize;
-    let mut max_inputs = 0usize;
     for s in topo.switch_ids() {
         let info = topo.switch(s);
         let (i, o) = (u32::from(info.inputs), u32::from(info.outputs));
@@ -839,7 +836,6 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         out_port_base.push(out_port_base.last().unwrap() + o);
         max_in_slots = max_in_slots.max(i as usize * vcs);
         max_out_slots = max_out_slots.max(o as usize * vcs);
-        max_inputs = max_inputs.max(i as usize);
     }
     let total_in_slots = *in_slot_base.last().unwrap() as usize;
     let total_out_slots = *out_slot_base.last().unwrap() as usize;
@@ -934,7 +930,6 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         out_port_base,
         max_in_slots,
         max_out_slots,
-        max_inputs,
     }
 }
 

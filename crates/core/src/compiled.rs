@@ -20,11 +20,15 @@
 //!
 //! Speed comes from doing only *event* work, never *structure* work:
 //!
-//! * **Occupancy bitmasks** — each switch keeps a `u64` mask of its
+//! * **Occupancy bitmasks** — each switch keeps a mask of its
 //!   occupied input slots, so request generation, arbitration, grant
 //!   application and congestion accounting iterate set bits
 //!   (ascending, preserving the reference order) instead of scanning
-//!   every slot. A fully empty switch is skipped in O(1).
+//!   every slot. A fully empty switch is skipped in O(1). A mask is one
+//!   `u64` where the switch has at most 64 input and 64 output slots,
+//!   and a run of words only where it has more (a large star hub):
+//!   one decide and one commit serve every width, and the one-word
+//!   instances keep their masks in registers.
 //! * **Mask arbiters** — the round-robin arbiter is two bit
 //!   operations over the request mask instead of a probe loop.
 //! * **Straight-line slot visit and flit move** — a saturated step is
@@ -57,10 +61,6 @@
 //!   wake (probes add those still owed).
 //! * **No allocation** — grants, requests and transfers live in
 //!   persistent scratch reused every cycle.
-//!
-//! Switches whose port×VC counts exceed 64 slots (a large star hub)
-//! fall back to dense scans with identical semantics — the mask path
-//! is an optimisation, never a constraint on topology.
 
 use crate::calendar::DueCalendar;
 use crate::clock::{self, CycleKernel, RunState, SteppableEngine};
@@ -165,8 +165,8 @@ pub struct CompiledEngine {
     ni_since: Vec<u64>,
     /// The cycle being stepped — between steps, the last one stepped.
     now: Cycle,
-    /// Switches holding a flit (`occ_mask != 0`, or `occ_flits > 0` on
-    /// the dense fallback); only these can decide anything.
+    /// Switches holding a flit (some `occ_mask` word set); only these
+    /// can decide anything.
     sw_live: LiveSet,
     /// `sw_live` as of this cycle's decide — the switches commit
     /// visits. Flits landing during the cycle (NI inject, upstream
@@ -180,17 +180,17 @@ pub struct CompiledEngine {
     forwarded_out: Vec<u64>,
     /// Per `(switch, vc)`: peak fill of any single FIFO of that VC.
     max_vc_occ: Vec<u64>,
-    /// Per switch: total buffered flits — kept on dense-fallback
-    /// switches only, where it is what `occ_mask` is to the others.
-    occ_flits: Vec<u32>,
-    /// Per switch: bitmask of occupied local input slots (mask path).
+    /// Per switch: the words in each of its masks below — one where
+    /// its input and output slots fit 64 bits, more only where they do
+    /// not. The masks are word-major: word `w` of switch `s` is at
+    /// `w * switch_count + s`, so a one-word switch's is at `[s]`.
+    mask_words: Vec<u32>,
+    /// Per switch: bitmask of occupied local input slots.
     occ_mask: Vec<u64>,
     /// Per switch: out-slots granted by VC allocation this cycle.
     vcg_mask: Vec<u64>,
     /// Per switch: out-ports granted a transfer this cycle.
     grant_mask: Vec<u64>,
-    /// Per switch: all port×VC dims fit the 64-bit mask fast path.
-    mask_ok: Vec<bool>,
     /// Platform-wide buffered flits (O(1) quiescence). A move between
     /// two switches nets to zero, so it is adjusted only where a flit
     /// enters (inject) or leaves (eject).
@@ -205,19 +205,10 @@ pub struct CompiledEngine {
     /// Per global output port: this cycle's transfer grant, encoded
     /// `(input_slot << 8) | out_vc` ([`LOWERED_NONE`] = none).
     granted: Vec<u32>,
-    /// Scratch: per switch-local input slot, the requested switch-local
-    /// output slot (valid only for occupied slots).
-    requests: Vec<u16>,
-    /// Scratch (mask path): per local out-slot, the bitmask of
-    /// requesting input slots; set and cleared within one decide.
+    /// Scratch: per local out-slot, the mask of requesting input slots
+    /// (as many words as the deciding switch's masks); set and cleared
+    /// within one decide.
     slot_reqs: Vec<u64>,
-    /// Scratch (dense path): `[local out-slot][local in-slot]` request
-    /// lines, set and lazily cleared like the interpreted switch's.
-    vc_reqs: Vec<bool>,
-    /// Scratch (dense path): per local out-slot, any request.
-    vc_req_any: Vec<bool>,
-    /// Scratch (dense path): per input port, a grant claimed it.
-    input_taken: Vec<bool>,
     /// Lookup: local input slot → input port (hot paths divide by the
     /// VC count through this table instead of the ALU).
     iv_port: Vec<u32>,
@@ -241,25 +232,6 @@ impl std::fmt::Debug for CompiledEngine {
             .field("cycle", &self.run.now)
             .field("delivered", &self.ledger.delivered())
             .finish_non_exhaustive()
-    }
-}
-
-/// One VC-allocation arbiter step over dense request lines — the exact
-/// semantics of `nocem-switch`'s arbiters (dense fallback path).
-#[inline]
-fn arb_grant_dense(kind: ArbiterKind, last: &mut u16, requests: &[bool]) -> Option<usize> {
-    match kind {
-        ArbiterKind::RoundRobin => {
-            // The first request after the pointer, wrapping round to
-            // the pointer itself.
-            let width = requests.len();
-            let pick = (1..=width)
-                .map(|k| (usize::from(*last) + k) % width)
-                .find(|&i| requests[i])?;
-            *last = pick as u16;
-            Some(pick)
-        }
-        ArbiterKind::FixedPriority => requests.iter().position(|&r| r),
     }
 }
 
@@ -287,6 +259,41 @@ fn arb_grant_mask(kind: ArbiterKind, last: &mut u16, reqs: u64) -> u16 {
         ArbiterKind::FixedPriority => reqs.trailing_zeros() as u16,
     }
 }
+
+/// [`arb_grant_mask`] over a request mask of several words.
+fn arb_grant_words(kind: ArbiterKind, last: &mut u16, reqs: &[u64]) -> u16 {
+    // The smallest requesting index at or above `from`.
+    let first_from = |from: usize| {
+        let w0 = from >> 6;
+        reqs.iter().enumerate().skip(w0).find_map(|(w, &m)| {
+            let m = if w == w0 { m & (!0 << (from & 63)) } else { m };
+            (m != 0).then(|| (w * 64) as u16 + m.trailing_zeros() as u16)
+        })
+    };
+    let pick = match kind {
+        ArbiterKind::RoundRobin => first_from(usize::from(*last) + 1).or_else(|| first_from(0)),
+        ArbiterKind::FixedPriority => first_from(0),
+    };
+    let pick = pick.expect("mask arbiters only run on requested slots");
+    if kind == ArbiterKind::RoundRobin {
+        *last = pick;
+    }
+    pick
+}
+
+/// The word of a switch mask that holds bit `i`: always the first on a
+/// one-word switch, so its masks stay in registers.
+#[inline(always)]
+fn word<const ONE_WORD: bool>(i: usize) -> usize {
+    if ONE_WORD {
+        0
+    } else {
+        i >> 6
+    }
+}
+
+/// Words of a port mask: ports are numbered by a `u8`.
+const PORT_WORDS: usize = 4;
 
 /// Set bits of every byte value. The baseline x86-64 target has no
 /// `popcnt`, so `u64::count_ones()` is a 15-instruction SWAR sequence
@@ -405,13 +412,11 @@ impl CompiledEngine {
         let total_out_slots = low.total_out_slots();
         let total_out_ports = *low.out_port_base.last().expect("prefix sums") as usize;
         let vcs = low.num_vcs;
-        let mask_ok = (0..low.switch_count)
-            .map(|s| {
-                low.inputs[s] as usize * vcs <= 64
-                    && low.outputs[s] as usize * vcs <= 64
-                    && low.outputs[s] as usize <= 64
-            })
+        // Ports never outnumber slots, so the slot counts size every mask.
+        let mask_words: Vec<u32> = (0..low.switch_count)
+            .map(|s| (low.inputs[s].max(low.outputs[s]) as usize * vcs).div_ceil(64) as u32)
             .collect();
+        let max_words = mask_words.iter().copied().max().unwrap_or(1) as usize;
         let tg_next_event: Vec<u64> = tgs
             .iter()
             .map(|t| t.next_event_cycle(Cycle::ZERO).cycle_or_max())
@@ -440,21 +445,16 @@ impl CompiledEngine {
             blocked_out: vec![0; total_out_ports],
             forwarded_out: vec![0; total_out_ports],
             max_vc_occ: vec![0; low.switch_count * vcs],
-            occ_flits: vec![0; low.switch_count],
-            occ_mask: vec![0; low.switch_count],
-            vcg_mask: vec![0; low.switch_count],
-            grant_mask: vec![0; low.switch_count],
-            mask_ok,
+            occ_mask: vec![0; max_words * low.switch_count],
+            vcg_mask: vec![0; max_words * low.switch_count],
+            grant_mask: vec![0; max_words * low.switch_count],
             total_occ: 0,
             open_worms: 0,
             credit_debt: 0,
             vc_granted: vec![SLOT_NONE; total_out_slots],
             granted: vec![LOWERED_NONE; total_out_ports],
-            requests: vec![0; low.max_in_slots],
-            slot_reqs: vec![0; low.max_out_slots],
-            vc_reqs: vec![false; low.max_out_slots * low.max_in_slots],
-            vc_req_any: vec![false; low.max_out_slots],
-            input_taken: vec![false; low.max_inputs],
+            slot_reqs: vec![0; low.max_out_slots * max_words],
+            mask_words,
             iv_port: (0..low.max_in_slots as u32)
                 .map(|iv| iv / vcs as u32)
                 .collect(),
@@ -538,13 +538,16 @@ impl CompiledEngine {
         let (isb, osb) = (low.in_slot_base[s] as usize, low.out_slot_base[s] as usize);
         let ins = &low.in_state[isb..low.in_slot_base[s + 1] as usize];
         let outs = &low.out_state[osb..low.out_slot_base[s + 1] as usize];
+        let n = low.switch_count;
+        let occ_bit = |iv: usize| self.occ_mask[(iv >> 6) * n + s] & (1 << (iv & 63)) != 0;
         // One verdict per switch keeps the sweep cheap enough to run
         // every cycle of every debug-build test.
-        let (mut held, mut occ, mut ok) = (0u64, 0u64, true);
+        let (mut held, mut occupied, mut ok) = (0u64, 0u64, true);
         let (mut busy, mut debt) = (0u32, 0u64);
         for (iv, st) in ins.iter().enumerate() {
             held += u64::from(st.len);
-            occ |= u64::from(st.len > 0) << (iv & 63);
+            occupied += u64::from(st.len > 0);
+            ok &= (st.len > 0) == occ_bit(iv);
             // Allocated means: wants a slot, and that slot says so.
             ok &= st.allocated
                 == (st.want != SLOT_NONE && outs[usize::from(st.want)].busy_with == iv as u16);
@@ -560,17 +563,11 @@ impl CompiledEngine {
                 debt += u64::from(cap - os.credits);
             }
         }
-        let (live, mask) = (self.sw_live.contains(s), self.occ_mask[s]);
+        let live = self.sw_live.contains(s);
         ok &= live == (held > 0);
-        ok &= if self.mask_ok[s] {
-            mask == occ
-        } else {
-            u64::from(self.occ_flits[s]) == held
-        };
-        assert!(
-            ok,
-            "switch {s}: live {live} mask {mask:#b}\n{ins:?}\n{outs:?}"
-        );
+        let words = 0..self.mask_words[s] as usize;
+        ok &= occupied == words.map(|w| ones(self.occ_mask[w * n + s])).sum::<u64>();
+        assert!(ok, "switch {s}: live {live}\n{ins:?}\n{outs:?}");
         (held, busy, debt)
     }
 
@@ -740,12 +737,12 @@ impl CompiledEngine {
             while m != 0 {
                 let s = w * 64 + m.trailing_zeros() as usize;
                 m &= m - 1;
-                if !self.mask_ok[s] {
-                    self.decide_switch_dense(s);
+                if self.mask_words[s] > 1 {
+                    self.decide_switch::<false>(s);
                 } else if vc1 {
-                    self.decide_switch_mask_vc1(s);
+                    self.decide_switch_vc1(s);
                 } else {
-                    self.decide_switch_mask(s);
+                    self.decide_switch::<true>(s);
                 }
             }
         }
@@ -850,6 +847,8 @@ impl CompiledEngine {
             .routing
             .switch_table(SwitchId::new(s as u32))
             .lookup(head.flow);
+        // No config reaches this: `compile::validate` admits only registered flows, and
+        // `RoutingTables::from_paths_with` gives each an entry on every switch its paths visit.
         assert!(
             !hops.is_empty(),
             "flow {} to {} has no routing entry at this switch",
@@ -898,13 +897,25 @@ impl CompiledEngine {
         Self::route_and_select(low, s, slot, at, &flit_pool[(h & HANDLE_IDX) as usize])
     }
 
-    /// Phase 1 of one switch on the 64-bit mask fast path: requests,
-    /// VC allocation and switch allocation, iterating occupied and
-    /// requested slots only (ascending bit order = the reference's
-    /// ascending slot order).
-    fn decide_switch_mask(&mut self, s: usize) {
+    /// Phase 1 of one switch: requests, then VC allocation, switch
+    /// allocation and congestion accounting in one pass per requested
+    /// output port, iterating occupied and requested slots only
+    /// (ascending bit order = the reference's ascending slot order).
+    /// `ONE_WORD` instances serve switches whose masks fit one `u64`.
+    ///
+    /// The pass per port is exact: an input slot requests one out-slot,
+    /// so every out-slot's arbiter and every requester's grant belong
+    /// to one port. Only the "one input port sends one flit" rule
+    /// couples ports, and it is applied in ascending port order, as in
+    /// the reference.
+    fn decide_switch<const ONE_WORD: bool>(&mut self, s: usize) {
+        let words = if ONE_WORD {
+            1
+        } else {
+            self.mask_words[s] as usize
+        };
         let low = &mut self.low;
-        let vcs = low.num_vcs;
+        let (vcs, n) = (low.num_vcs, low.switch_count);
         let isb = low.in_slot_base[s] as usize;
         let osb = low.out_slot_base[s] as usize;
         let opb = low.out_port_base[s] as usize;
@@ -914,118 +925,122 @@ impl CompiledEngine {
         // in the mask of its own *busy* out-slot, and the VC-allocation
         // arbiter below only ever reads the masks of free out-slots,
         // which are pure fresh heads.
-        let occ = self.occ_mask[s];
-        let mut oslot_mask: u64 = 0; // out-slots with any request
-        let mut out_mask: u64 = 0; // out-ports with any request
-        let mut m = occ;
-        while m != 0 {
-            let iv = (m.trailing_zeros() & 63) as usize;
-            m &= m - 1;
-            let hop = Self::request_of(low, &self.iv_port, &self.flit_pool, s, isb, iv);
-            self.slot_reqs[usize::from(hop)] |= 1 << iv;
-            oslot_mask |= 1 << hop;
-            out_mask |= 1 << self.slot_port[usize::from(hop)];
-        }
-
-        // VC allocation: every requested, free, credited output VC
-        // picks one head, ascending slot order.
-        let mut am = oslot_mask;
-        while am != 0 {
-            let slot = (am.trailing_zeros() & 63) as usize;
-            am &= am - 1;
-            let gslot = osb + slot;
-            let os = &mut low.out_state[gslot];
-            if os.busy_with != SLOT_NONE || os.credits == 0 {
-                continue;
+        let mut out_mask = [0u64; PORT_WORDS]; // out-ports with any request
+        for w in 0..words {
+            let mut m = self.occ_mask[w * n + s];
+            while m != 0 {
+                let iv = w * 64 + (m.trailing_zeros() & 63) as usize;
+                m &= m - 1;
+                let hop = Self::request_of(low, &self.iv_port, &self.flit_pool, s, isb, iv);
+                self.slot_reqs[usize::from(hop) * words + w] |= 1 << (iv & 63);
+                let o = self.slot_port[usize::from(hop)] as usize;
+                out_mask[word::<ONE_WORD>(o)] |= 1 << (o & 63);
             }
-            let iv = arb_grant_mask(low.arbiter, &mut os.arb_last, self.slot_reqs[slot]);
-            self.vc_granted[gslot] = iv;
-            self.vcg_mask[s] |= 1 << slot;
         }
 
-        // Switch allocation: each requested physical output transfers
-        // at most one flit; each input port sends at most one.
-        let mut granted_ivs: u64 = 0;
-        let mut input_taken: u64 = 0;
-        let mut om = out_mask;
-        while om != 0 {
-            let o = om.trailing_zeros() as usize;
-            om &= om - 1;
-            let gp = opb + o;
-            let base = low.out_vc_ptr[gp] as usize;
-            let oslot0 = o * vcs;
-            for k in 0..vcs {
-                let mut ov = base + k;
-                if ov >= vcs {
-                    ov -= vcs;
-                }
-                let slot = oslot0 + ov;
-                let gslot = osb + slot;
-                let fresh = self.vc_granted[gslot];
-                let cand = if fresh != SLOT_NONE {
-                    // A freshly allocated head (credit was checked
-                    // during allocation, this same cycle).
-                    fresh
-                } else {
-                    // A continuing worm whose output VC has a credit.
-                    // An occupied owner always re-requests its
-                    // allocation, so the occupancy bit is the request.
-                    let os = low.out_state[gslot];
-                    if os.busy_with != SLOT_NONE && os.credits > 0 && occ & (1 << os.busy_with) != 0
-                    {
-                        os.busy_with
-                    } else {
-                        SLOT_NONE
+        let occ = self.occ_mask[s]; // all of a one-word switch's occupancy
+        let mut sent_from = [0u64; PORT_WORDS]; // input ports granted
+        for (w, &om) in out_mask.iter().enumerate().take(words) {
+            let mut om = om;
+            while om != 0 {
+                let o = w * 64 + (om.trailing_zeros() & 63) as usize;
+                om &= om - 1;
+                let gp = opb + o;
+
+                // VC allocation: every requested, free, credited VC of
+                // the port picks one head. Clearing the request scratch
+                // here keeps it all-zero between decides.
+                let mut waiting = 0;
+                for slot in o * vcs..(o + 1) * vcs {
+                    let reqs = &mut self.slot_reqs[slot * words..(slot + 1) * words];
+                    if reqs.iter().all(|&r| r == 0) {
+                        continue;
                     }
-                };
-                if cand == SLOT_NONE {
-                    continue;
+                    waiting += reqs.iter().map(|&r| ones(r)).sum::<u64>();
+                    let os = &mut low.out_state[osb + slot];
+                    if os.busy_with == SLOT_NONE && os.credits != 0 {
+                        self.vc_granted[osb + slot] = if ONE_WORD {
+                            arb_grant_mask(low.arbiter, &mut os.arb_last, reqs[0])
+                        } else {
+                            arb_grant_words(low.arbiter, &mut os.arb_last, reqs)
+                        };
+                        self.vcg_mask[word::<ONE_WORD>(slot) * n + s] |= 1 << (slot & 63);
+                    }
+                    reqs.fill(0);
                 }
-                let i = self.iv_port[cand as usize];
-                if input_taken & (1 << i) != 0 {
-                    continue;
-                }
-                input_taken |= 1 << i;
-                granted_ivs |= 1 << cand;
-                self.granted[gp] = (u32::from(cand) << 8) | ov as u32;
-                self.grant_mask[s] |= 1 << o;
-                let mut next = ov + 1;
-                if next >= vcs {
-                    next = 0;
-                }
-                low.out_vc_ptr[gp] = next as u8;
-                break;
-            }
-        }
 
-        // Congestion accounting: every waiting input VC that was not
-        // granted charges the output its flit requested — one popcount
-        // per requested out-slot over the same masks (each occupied VC
-        // requests exactly one out-slot). Clearing the request scratch
-        // here keeps it all-zero between decides.
-        let mut bm = oslot_mask;
-        while bm != 0 {
-            let slot = (bm.trailing_zeros() & 63) as usize;
-            bm &= bm - 1;
-            let left = self.slot_reqs[slot] & !granted_ivs;
-            self.slot_reqs[slot] = 0;
-            self.blocked_out[opb + self.slot_port[slot] as usize] += ones(left);
+                // Switch allocation: the port transfers at most one
+                // flit; each input port sends at most one.
+                let base = low.out_vc_ptr[gp] as usize;
+                let mut sent = 0;
+                for k in 0..vcs {
+                    let mut ov = base + k;
+                    if ov >= vcs {
+                        ov -= vcs;
+                    }
+                    let gslot = osb + o * vcs + ov;
+                    let fresh = self.vc_granted[gslot];
+                    let cand = if fresh != SLOT_NONE {
+                        // A freshly allocated head (credit was checked
+                        // during allocation, this same cycle).
+                        fresh
+                    } else {
+                        // A continuing worm whose output VC has a
+                        // credit. An occupied owner always re-requests
+                        // its allocation, so the occupancy bit is the
+                        // request.
+                        let os = low.out_state[gslot];
+                        let b = usize::from(os.busy_with);
+                        let arrived = |occ: u64| occ & (1 << (b & 63)) != 0;
+                        let continues = os.busy_with != SLOT_NONE
+                            && os.credits > 0
+                            && arrived(if ONE_WORD {
+                                occ
+                            } else {
+                                self.occ_mask[(b >> 6) * n + s]
+                            });
+                        if continues {
+                            os.busy_with
+                        } else {
+                            SLOT_NONE
+                        }
+                    };
+                    if cand == SLOT_NONE {
+                        continue;
+                    }
+                    let i = self.iv_port[usize::from(cand)] as usize;
+                    let taken = &mut sent_from[word::<ONE_WORD>(i)];
+                    if *taken & (1 << (i & 63)) != 0 {
+                        continue;
+                    }
+                    *taken |= 1 << (i & 63);
+                    self.granted[gp] = (u32::from(cand) << 8) | ov as u32;
+                    self.grant_mask[word::<ONE_WORD>(o) * n + s] |= 1 << (o & 63);
+                    low.out_vc_ptr[gp] = if ov + 1 == vcs { 0 } else { ov + 1 } as u8;
+                    sent = 1;
+                    break;
+                }
+
+                // Congestion accounting: every requester of the port
+                // but the one it granted waits on it.
+                self.blocked_out[gp] += waiting - sent;
+            }
         }
     }
 
-    /// Phase 1 on the mask fast path, specialized for one VC — the
-    /// headline configuration. With `num_vcs == 1` a slot *is* a port
+    /// Phase 1, specialized for one VC and one mask word — the headline
+    /// configuration. With `num_vcs == 1` a slot *is* a port
     /// (`iv_port`/`slot_port` are the identity), the switch-allocation
     /// VC rotation degenerates to a single probe and the per-port
     /// "one input sends" constraint coincides with the granted-slot
     /// set, so the whole decide runs on three bit masks.
-    fn decide_switch_mask_vc1(&mut self, s: usize) {
+    fn decide_switch_vc1(&mut self, s: usize) {
         let low = &mut self.low;
         let isb = low.in_slot_base[s] as usize;
         let osb = low.out_slot_base[s] as usize;
         let opb = low.out_port_base[s] as usize;
 
-        // Requests, as in `decide_switch_mask`: one mask per out-port.
+        // Requests, as in `decide_switch`: one mask per out-port.
         let occ = self.occ_mask[s];
         let mut out_mask: u64 = 0; // out-ports with any request
         let mut m = occ;
@@ -1079,116 +1094,6 @@ impl CompiledEngine {
         }
     }
 
-    /// Raises or lowers the VC-allocation request lines of the fresh
-    /// heads among `ivs` input slots from `isb` (dense path).
-    fn set_request_lines(&mut self, isb: usize, ivs: usize, on: bool) {
-        for iv in 0..ivs {
-            let req = usize::from(self.requests[iv]);
-            if req != usize::from(SLOT_NONE) && !self.low.in_state[isb + iv].allocated {
-                self.vc_reqs[req * ivs + iv] = on;
-                self.vc_req_any[req] = on;
-            }
-        }
-    }
-
-    /// Phase 1, dense fallback for switches whose port×VC dims exceed
-    /// the 64-bit masks — full scans, identical semantics.
-    fn decide_switch_dense(&mut self, s: usize) {
-        let low = &mut self.low;
-        let vcs = low.num_vcs;
-        let inputs = low.inputs[s] as usize;
-        let outputs = low.outputs[s] as usize;
-        let ivs = inputs * vcs;
-        let isb = low.in_slot_base[s] as usize;
-        let osb = low.out_slot_base[s] as usize;
-        let opb = low.out_port_base[s] as usize;
-
-        self.requests[..ivs].fill(SLOT_NONE);
-        for iv in 0..ivs {
-            if low.in_state[isb + iv].len > 0 {
-                self.requests[iv] =
-                    Self::request_of(low, &self.iv_port, &self.flit_pool, s, isb, iv);
-            }
-        }
-
-        // VC allocation sees the fresh heads only: raise their request
-        // lines, arbitrate, lower them again (lazy clear, like the
-        // interpreted switch's).
-        self.set_request_lines(isb, ivs, true);
-        let low = &mut self.low;
-        for slot in 0..outputs * vcs {
-            let gslot = osb + slot;
-            self.vc_granted[gslot] = SLOT_NONE;
-            let os = &mut low.out_state[gslot];
-            if !self.vc_req_any[slot] || os.busy_with != SLOT_NONE || os.credits == 0 {
-                continue;
-            }
-            self.vc_granted[gslot] = match arb_grant_dense(
-                low.arbiter,
-                &mut os.arb_last,
-                &self.vc_reqs[slot * ivs..(slot + 1) * ivs],
-            ) {
-                Some(iv) => iv as u16,
-                None => SLOT_NONE,
-            };
-        }
-        self.set_request_lines(isb, ivs, false);
-        let low = &mut self.low;
-
-        self.input_taken[..inputs].fill(false);
-        for o in 0..outputs {
-            let gp = opb + o;
-            self.granted[gp] = LOWERED_NONE;
-            let base = low.out_vc_ptr[gp] as usize;
-            for k in 0..vcs {
-                let mut ov = base + k;
-                if ov >= vcs {
-                    ov -= vcs;
-                }
-                let slot = o * vcs + ov;
-                let gslot = osb + slot;
-                let fresh = self.vc_granted[gslot];
-                let cand = if fresh != SLOT_NONE {
-                    fresh
-                } else {
-                    let os = low.out_state[gslot];
-                    if os.busy_with != SLOT_NONE
-                        && os.credits > 0
-                        && self.requests[os.busy_with as usize] == slot as u16
-                    {
-                        os.busy_with
-                    } else {
-                        SLOT_NONE
-                    }
-                };
-                if cand == SLOT_NONE {
-                    continue;
-                }
-                let i = self.iv_port[cand as usize] as usize;
-                if self.input_taken[i] {
-                    continue;
-                }
-                self.input_taken[i] = true;
-                self.granted[gp] = (u32::from(cand) << 8) | ov as u32;
-                low.out_vc_ptr[gp] = if ov + 1 == vcs { 0 } else { ov + 1 } as u8;
-                break;
-            }
-        }
-
-        // Congestion accounting: every occupied input VC (the ones with
-        // a request) that was not granted charges the output it wants.
-        for iv in 0..ivs {
-            let req = self.requests[iv];
-            let sent = |o| {
-                let g = self.granted[opb + o];
-                g != LOWERED_NONE && (g >> 8) == iv as u32
-            };
-            if req != SLOT_NONE && !(0..outputs).any(sent) {
-                self.blocked_out[opb + self.slot_port[req as usize] as usize] += 1;
-            }
-        }
-    }
-
     /// Phase 4 — every switch that decided commits, in ascending order
     /// (the reference order); flits move one hop.
     fn commit_phase(&mut self, now: Cycle) -> Result<(), EmulationError> {
@@ -1198,12 +1103,12 @@ impl CompiledEngine {
             while m != 0 {
                 let s = w * 64 + m.trailing_zeros() as usize;
                 m &= m - 1;
-                if !self.mask_ok[s] {
-                    self.commit_switch_dense(s, now)?;
+                if self.mask_words[s] > 1 {
+                    self.commit_switch::<false, false>(s, now)?;
                 } else if vc1 {
-                    self.commit_switch_mask::<true>(s, now)?;
+                    self.commit_switch::<true, true>(s, now)?;
                 } else {
-                    self.commit_switch_mask::<false>(s, now)?;
+                    self.commit_switch::<false, true>(s, now)?;
                 }
             }
         }
@@ -1217,14 +1122,16 @@ impl CompiledEngine {
     /// occupancy bookkeeping on the popping switch, then the
     /// engine-side effects in the interpreted engine's exact transfer
     /// order — return the credit upstream, land the flit downstream.
-    /// The one pop-and-forward of every commit path; `ONE_VC` folds the
+    /// The one pop-and-forward of every commit; `ONE_VC` folds the
     /// VC arithmetic away for the headline configuration (slot == port,
-    /// every flit on VC 0). What a tail, a drained FIFO or a finite
-    /// credit changes is added in as 0 or 1 rather than branched on: at
-    /// saturation those flags are coin flips to a branch predictor.
+    /// every flit on VC 0), and `ONE_WORD` the mask-word arithmetic for
+    /// a switch whose masks fit one word. What a tail, a drained FIFO or
+    /// a finite credit changes is added in as 0 or 1 rather than
+    /// branched on: at saturation those flags are coin flips to a branch
+    /// predictor.
     /// Liveness of the popping switch is the caller's, once per visit.
     #[inline(always)]
-    fn pop_forward<const ONE_VC: bool>(
+    fn pop_forward<const ONE_VC: bool, const ONE_WORD: bool>(
         &mut self,
         s: usize,
         b: Bases,
@@ -1250,7 +1157,8 @@ impl CompiledEngine {
         // it in is the clear.
         ist.allocated &= !tail;
         ist.want |= SLOT_NONE * u16::from(tail);
-        self.occ_mask[s] &= !(u64::from(drained) << (iv & 63));
+        let n = if ONE_WORD { 0 } else { self.low.switch_count };
+        self.occ_mask[(iv >> 6) * n + s] &= !(u64::from(drained) << (iv & 63));
         let ost = &mut self.low.out_state[b.osb + o * vcs + ov];
         let finite = u32::from(ost.credits != CREDITS_INFINITE);
         ost.credits -= finite;
@@ -1336,53 +1244,37 @@ impl CompiledEngine {
         }
     }
 
-    /// Phase 2 of one switch on the mask path: apply VC allocations,
-    /// then pop-and-forward granted flits, both over this cycle's
-    /// grant masks. The switch leaves the live set when its last
-    /// occupied slot drained (and nothing landed since).
-    fn commit_switch_mask<const ONE_VC: bool>(
+    /// Phase 2 of one switch: apply VC allocations, then
+    /// pop-and-forward granted flits, both over this cycle's grant
+    /// masks. The switch leaves the live set when its last occupied
+    /// slot drained (and nothing landed since).
+    fn commit_switch<const ONE_VC: bool, const ONE_WORD: bool>(
         &mut self,
         s: usize,
         now: Cycle,
     ) -> Result<(), EmulationError> {
         let b = self.bases(s);
-        let mut vm = std::mem::take(&mut self.vcg_mask[s]);
-        while vm != 0 {
-            self.apply_vc_grant(b, vm.trailing_zeros() as usize);
-            vm &= vm - 1;
-        }
-        let mut gm = std::mem::take(&mut self.grant_mask[s]);
-        while gm != 0 {
-            let o = gm.trailing_zeros() as usize;
-            gm &= gm - 1;
-            self.pop_forward::<ONE_VC>(s, b, o, now)?;
-        }
-        if self.occ_mask[s] == 0 {
-            self.sw_live.remove(s);
-        }
-        Ok(())
-    }
-
-    /// Phase 2, dense fallback — full scans, identical semantics; the
-    /// flit count stands in for the occupancy mask.
-    fn commit_switch_dense(&mut self, s: usize, now: Cycle) -> Result<(), EmulationError> {
-        let vcs = self.low.num_vcs;
-        let outputs = self.low.outputs[s] as usize;
-        let b = self.bases(s);
-
-        for slot in 0..outputs * vcs {
-            if self.vc_granted[b.osb + slot] != SLOT_NONE {
-                self.apply_vc_grant(b, slot);
+        let (words, n) = if ONE_WORD {
+            (1, 0)
+        } else {
+            (self.mask_words[s] as usize, self.low.switch_count)
+        };
+        for w in 0..words {
+            let mut vm = std::mem::take(&mut self.vcg_mask[w * n + s]);
+            while vm != 0 {
+                self.apply_vc_grant(b, w * 64 + vm.trailing_zeros() as usize);
+                vm &= vm - 1;
             }
         }
-
-        for o in 0..outputs {
-            if self.granted[b.opb + o] != LOWERED_NONE {
-                self.occ_flits[s] -= 1;
-                self.pop_forward::<false>(s, b, o, now)?;
+        for w in 0..words {
+            let mut gm = std::mem::take(&mut self.grant_mask[w * n + s]);
+            while gm != 0 {
+                let o = w * 64 + gm.trailing_zeros() as usize;
+                gm &= gm - 1;
+                self.pop_forward::<ONE_VC, ONE_WORD>(s, b, o, now)?;
             }
         }
-        if self.occ_flits[s] == 0 {
+        if (0..words).all(|w| self.occ_mask[w * n + s] == 0) {
             self.sw_live.remove(s);
         }
         Ok(())
@@ -1413,11 +1305,14 @@ impl CompiledEngine {
         let pos = usize::from(ist.head) + len;
         ist.len = (len + 1) as u8;
         self.low.fifo_arena[slot * depth + if pos >= depth { pos - depth } else { pos }] = h;
-        if self.mask_ok[switch] {
-            self.occ_mask[switch] |= 1 << (slot - self.low.in_slot_base[switch] as usize);
+        let iv = slot - self.low.in_slot_base[switch] as usize;
+        // Below 64 the word is `[switch]` on every switch, one word or more.
+        let at = if iv < 64 {
+            switch
         } else {
-            self.occ_flits[switch] += 1;
-        }
+            (iv >> 6) * self.low.switch_count + switch
+        };
+        self.occ_mask[at] |= 1 << (iv & 63);
         self.sw_live.insert(switch);
         let wm = switch * vcs + vc;
         let occ = (len + 1) as u64;

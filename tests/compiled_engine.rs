@@ -168,10 +168,10 @@ fn star_heterogeneous_ports_run_compiled_without_index_errors() {
     against_emulation(&gated(&cfg), COMPILED);
 }
 
-/// A hub with more than 64 ports does not fit the occupancy masks and
-/// takes the dense fallback of every phase — same cycles, same ledger.
+/// A hub with more than 64 input or output slots takes masks of several
+/// words in every phase — same cycles, same ledger.
 #[test]
-fn star_hub_beyond_64_ports_takes_the_dense_path_in_lockstep() {
+fn star_hubs_beyond_64_slots_run_multi_word_masks_in_lockstep() {
     // A hub of 66 ports on one VC under either arbiter, and one of 33
     // ports made as wide by a second VC.
     let cases = [
