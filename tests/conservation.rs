@@ -2,15 +2,19 @@
 //! every accepted packet is delivered exactly once, intact and in
 //! order, and the run's accounting balances.
 
+mod support;
+
 use nocem::config::{PaperConfig, PaperRouting, PlatformConfig, TrafficModel};
 use nocem::engine::build;
+use nocem::EmulationResults;
 use nocem_common::choice::check;
 use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
-use nocem_topology::builders::{mesh, ring, star};
+use nocem_topology::builders::mesh;
 
-/// Runs a config to completion and checks the global invariants.
-fn check_conservation(cfg: &PlatformConfig) {
+/// Runs a config to completion, checks the global invariants and hands
+/// back the results.
+fn check_conservation(cfg: &PlatformConfig) -> EmulationResults {
     let mut emu = build(cfg).expect("config must compile");
     emu.run().expect("run must not fault");
     let r = emu.results();
@@ -34,6 +38,7 @@ fn check_conservation(cfg: &PlatformConfig) {
     assert_eq!(r.total_latency.count(), r.delivered);
     // Network latency can never exceed total latency on aggregate.
     assert!(r.network_latency.sum() <= r.total_latency.sum());
+    r
 }
 
 #[test]
@@ -93,17 +98,23 @@ fn mesh_drain_conserves_packets() {
     });
 }
 
+/// Uniform-random traffic on a ring (with its dateline VCs) and across
+/// a star's hub, drained: packets cross inter-switch links, which a
+/// baseline platform — each TG paired with its own switch's TR — never
+/// uses.
 #[test]
 fn ring_and_star_topologies_conserve() {
-    for topo in [ring(6).unwrap(), star(4).unwrap()] {
-        let mut cfg = PlatformConfig::baseline("alt-topo", topo).unwrap();
-        for g in &mut cfg.generators {
-            if let TrafficModel::Uniform(u) = g {
-                u.budget = Some(30);
-            }
-        }
+    let ring = support::scenario("uniform_random", support::ring(6), 0.2, 4, 180);
+    for mut cfg in [ring, support::star(4, 0.2, 4, 120)] {
         cfg.stop.delivered_packets = None;
-        check_conservation(&cfg);
+        let r = check_conservation(&cfg);
+        let links = cfg.topology.links().filter(|l| l.is_inter_switch());
+        let crossed: u64 = links.map(|l| r.congestion.forwarded(l.id)).sum();
+        assert!(
+            crossed > 0,
+            "{}: no flit crossed an inter-switch link",
+            cfg.name
+        );
     }
 }
 
