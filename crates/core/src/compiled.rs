@@ -1421,15 +1421,17 @@ impl CompiledEngine {
 
     /// Collects full run results — value-equal to
     /// [`crate::engine::Emulation::results`] for the same run. It
-    /// reads into a copy of the view, freed on return: a fill of the
-    /// engine's own would keep its live half allocated for the rest of
-    /// a run that never reads the view otherwise
-    /// (`tests/endpoint_memory.rs` bounds what `results()` leaves).
-    pub fn results(&self) -> EmulationResults {
-        let mut view = self.view.clone();
-        self.read_view(&mut view);
+    /// fills the engine's own view, as every read of the view does.
+    pub fn results(&mut self) -> EmulationResults {
+        CycleKernel::arch_view(self);
         let summary = self.summary();
-        EmulationResults::from_view(&self.name, summary, self.stalled, &view, &self.receptors)
+        EmulationResults::from_view(
+            &self.name,
+            summary,
+            self.stalled,
+            &self.view,
+            &self.receptors,
+        )
     }
 }
 

@@ -1,6 +1,8 @@
 //! Emulation results: everything the final report (step 6 of the
 //! flow) presents.
 
+use std::sync::Arc;
+
 use crate::clock::EngineSummary;
 use crate::view::{ArchView, ReceptorRow};
 use nocem_common::ids::LinkId;
@@ -8,6 +10,7 @@ use nocem_common::table::{Align, TextTable};
 use nocem_common::time::Cycle;
 use nocem_platform::monitor::Monitor;
 use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
+use nocem_stats::histogram::Histogram;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::receptor::Receptor;
 
@@ -26,21 +29,22 @@ pub struct ReceptorSummary {
     /// receptors only).
     pub mean_network_latency: Option<f64>,
     /// Packet-length histogram — the paper's "image of the received
-    /// traffic" (stochastic receptors only).
-    pub length_histogram: Option<nocem_stats::histogram::Histogram>,
+    /// traffic" (stochastic receptors only), shared with the receptor
+    /// rather than copied.
+    pub length_histogram: Option<Arc<Histogram>>,
     /// Tail-to-tail inter-arrival histogram (stochastic receptors
-    /// only).
-    pub interarrival_histogram: Option<nocem_stats::histogram::Histogram>,
+    /// only), shared like `length_histogram`.
+    pub interarrival_histogram: Option<Arc<Histogram>>,
 }
 
 impl ReceptorSummary {
     /// Summarises receptor `index` from its row of the view, and its
-    /// histograms from the device.
+    /// histograms from the device (shared, not copied).
     fn of(index: usize, row: &ReceptorRow, device: &Receptor) -> Self {
         let counters = &row.counters;
         let (length_histogram, interarrival_histogram) = device
             .histograms()
-            .map(|(length, interarrival)| (length.clone(), interarrival.clone()))
+            .map(|(length, interarrival)| (Arc::clone(length), Arc::clone(interarrival)))
             .unzip();
         ReceptorSummary {
             label: format!("tr{index}"),

@@ -14,6 +14,8 @@
 //! wormhole invariants (no interleaving, dense sequence numbers,
 //! intact payloads), and checks each flit's destination.
 
+use std::sync::Arc;
+
 use crate::histogram::Histogram;
 use crate::latency::LatencyAnalyzer;
 use crate::TrKind;
@@ -229,10 +231,12 @@ impl ReceptorCounters {
 #[derive(Debug, Clone)]
 enum TrStats {
     /// Packet-length distribution (bins of one flit) and tail-to-tail
-    /// inter-arrival distribution (bins of 8 cycles).
+    /// inter-arrival distribution (bins of 8 cycles), shared with the
+    /// readers that hold a snapshot: a write copies a histogram only
+    /// while a snapshot of it is alive.
     Stochastic {
-        length: Histogram,
-        interarrival: Histogram,
+        length: Arc<Histogram>,
+        interarrival: Arc<Histogram>,
     },
     /// Injection-to-delivery latency of every completed packet.
     TraceDriven(LatencyAnalyzer),
@@ -258,8 +262,8 @@ impl Receptor {
     pub fn new(id: EndpointId, kind: TrKind) -> Self {
         let stats = match kind {
             TrKind::Stochastic => TrStats::Stochastic {
-                length: Histogram::new(64, 1),
-                interarrival: Histogram::new(128, 8),
+                length: Arc::new(Histogram::new(64, 1)),
+                interarrival: Arc::new(Histogram::new(128, 8)),
             },
             TrKind::TraceDriven => TrStats::TraceDriven(LatencyAnalyzer::new()),
         };
@@ -313,9 +317,9 @@ impl Receptor {
             } = &mut self.stats
             {
                 if let Some(prev) = self.counters.last_tail_at {
-                    interarrival.record(now.since(prev));
+                    Arc::make_mut(interarrival).record(now.since(prev));
                 }
-                length.record(u64::from(pkt.len_flits));
+                Arc::make_mut(length).record(u64::from(pkt.len_flits));
             }
             self.counters.packets += 1;
             self.counters.last_tail_at = Some(now);
@@ -347,8 +351,10 @@ impl Receptor {
     }
 
     /// The packet-length and inter-arrival histograms of a stochastic
-    /// receptor ("an image of the received traffic").
-    pub fn histograms(&self) -> Option<(&Histogram, &Histogram)> {
+    /// receptor ("an image of the received traffic"). Cloning either
+    /// `Arc` takes a snapshot without copying its bins; the receptor
+    /// copies a histogram at its next write while a snapshot holds it.
+    pub fn histograms(&self) -> Option<(&Arc<Histogram>, &Arc<Histogram>)> {
         match &self.stats {
             TrStats::Stochastic {
                 length,
@@ -470,6 +476,29 @@ mod tests {
         assert!(tr.network_latency().is_none());
         assert_eq!(tr.id(), EndpointId::new(3));
         assert_eq!(tr.kind(), TrKind::Stochastic);
+    }
+
+    /// A reader's snapshot shares the receptor's bins until the next
+    /// write, which copies them: the snapshot keeps its value.
+    #[test]
+    fn histogram_snapshots_are_copied_on_write() {
+        let mut tr = Receptor::new(EndpointId::new(3), TrKind::Stochastic);
+        let deliver = |tr: &mut Receptor, id, at| {
+            for f in flits(id, 3, 2) {
+                tr.accept(&f, Cycle::new(at)).unwrap();
+            }
+        };
+        deliver(&mut tr, 1, 0);
+        let (length, interarrival) = tr
+            .histograms()
+            .map(|(l, i)| (l.clone(), i.clone()))
+            .unwrap();
+        assert!(Arc::ptr_eq(&length, tr.histograms().unwrap().0));
+        deliver(&mut tr, 2, 20);
+        let (now_length, now_interarrival) = tr.histograms().unwrap();
+        assert!(!Arc::ptr_eq(&length, now_length));
+        assert_eq!((length.count(), interarrival.count()), (1, 0));
+        assert_eq!((now_length.count(), now_interarrival.count()), (2, 1));
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! Endpoint state grows with traffic, not with capacity.
+//! Endpoint state grows with traffic, not with capacity, and results
+//! are read in place.
 //!
 //! A counting global allocator measures the bytes a compiled engine
-//! keeps live after bring-up of mesh16×16 uniform-random, and the bytes
-//! `results()` adds after a run. Receptor histograms store only the bins
-//! they have counted and source queues allocate as descriptors arrive,
-//! so neither figure is sized by the 64 + 128 nominal histogram bins or
-//! the 16-descriptor queue bound of every endpoint. Telemetry likewise
-//! grows with the windows a run records, not with the ring's capacity.
+//! keeps live after bring-up of mesh16×16 uniform-random, the view rows
+//! its first `results()` fills and keeps, and the bytes the returned
+//! results hold. Receptor histograms store only the bins they have
+//! counted and source queues allocate as descriptors arrive, so no
+//! figure is sized by the 64 + 128 nominal histogram bins or the
+//! 16-descriptor queue bound of every endpoint; the results share the
+//! receptors' histograms, so they hold no bin at all. Telemetry
+//! likewise grows with the windows a run records, not with the ring's
+//! capacity.
 
 mod support;
 
@@ -17,7 +21,7 @@ use std::sync::Mutex;
 use nocem::clock::SteppableEngine;
 use nocem::compile::elaborate;
 use nocem::config::{PlatformConfig, TrafficModel};
-use nocem::CompiledEngine;
+use nocem::{ArchView, CompiledEngine};
 use nocem_stats::histogram::Histogram;
 use nocem_telemetry::TelemetryConfig;
 use support::{mesh, uniform_random};
@@ -87,6 +91,18 @@ fn mesh16x16() -> PlatformConfig {
     cfg
 }
 
+/// The bytes of a filled view's live half: its rows per output port,
+/// input VC, output VC, (switch, VC), NI and receptor.
+fn live_half(view: &ArchView) -> usize {
+    use std::mem::size_of_val;
+    size_of_val(&view.ports[..])
+        + size_of_val(&view.inputs[..])
+        + size_of_val(&view.credits[..])
+        + size_of_val(&view.watermarks[..])
+        + size_of_val(&view.nis[..])
+        + size_of_val(&view.receptors[..])
+}
+
 #[test]
 fn endpoint_state_is_sized_by_traffic_not_capacity() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -100,14 +116,26 @@ fn endpoint_state_is_sized_by_traffic_not_capacity() {
         brought_up <= endpoints * 1536,
         "bring-up holds {brought_up} B: over 1.5 KB per endpoint"
     );
-    let (_, empty) = held_by(|| engine.results());
+
+    // The first read fills the engine's own view and keeps its live
+    // half for the next; a second read allocates nothing in the engine.
+    let (_, kept) = held_by(|| drop(engine.results()));
+    let rows = live_half(engine.arch_view());
+    assert!(
+        kept <= rows,
+        "results() keeps {kept} B in the engine: over the view's {rows} B of live rows"
+    );
+    let (_, again) = held_by(|| drop(engine.results()));
+    assert_eq!(again, 0, "a repeated results() grows the engine");
+    let (results, empty) = held_by(|| engine.results());
     assert!(
         empty <= endpoints * 512,
-        "results() at bring-up adds {empty} B: over 0.5 KB per receptor"
+        "results() at bring-up holds {empty} B: over 0.5 KB per receptor"
     );
+    drop(results);
 
-    // After a run, results() copies the bins the receptors have counted
-    // and nothing more.
+    // After a run the results share the bins the receptors have
+    // counted: they hold no more than at bring-up.
     for _ in 0..6_000 {
         engine.step().expect("the run steps");
     }
@@ -116,11 +144,13 @@ fn endpoint_state_is_sized_by_traffic_not_capacity() {
     let counted: usize = (results.receptors.iter())
         .flat_map(|r| [&r.length_histogram, &r.interarrival_histogram])
         .flatten()
-        .map(counted_bins)
+        .map(|h| counted_bins(h))
         .sum();
+    assert!(counted > 0);
     assert!(
-        collected <= empty + counted * 8,
-        "results() after the run adds {collected} B: over {empty} B and {counted} counted bins"
+        collected <= empty,
+        "results() after the run holds {collected} B: over its {empty} B at bring-up, \
+         with {counted} counted bins"
     );
 }
 

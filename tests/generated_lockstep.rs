@@ -1,9 +1,9 @@
 //! Generated configurations through the lockstep harness (`support`).
 //!
 //! Each case of the stream `generated_lockstep` draws one platform —
-//! topology, registry pattern, load, packet length, buffer depth,
-//! arbiter, selection policy, traffic model, source queue, clock mode,
-//! telemetry window — the engines it runs on (the compiled engine
+//! topology, registry pattern, load, packet length, buffer depth, VC
+//! count, arbiter, selection policy, traffic model, source queue, clock
+//! mode, telemetry window — the engines it runs on (the compiled engine
 //! always, the TLM and RTL models on platforms of at most nine
 //! switches), then the self-profiling: off, phases, or phases and
 //! a stall watchdog whose window of 1..=8 cycles trips on ordinary
@@ -84,6 +84,9 @@ fn generate(c: &mut Choices) -> (PlatformConfig, Vec<Backend>) {
     let (flits, packets) = (c.range(1u16..=8), c.range(8u64..=60));
     let mut cfg = platform(c, load, flits, packets);
     cfg.switch.fifo_depth = c.range(1u8..=4);
+    // 1 to 3 VCs, from the fewest the platform's VC policy routes on: a
+    // dateline ring or torus needs 2, every other platform 1.
+    cfg.switch.num_vcs = c.range(cfg.switch.num_vcs..=3);
     cfg.switch.arbiter = [ArbiterKind::RoundRobin, ArbiterKind::FixedPriority][c.below(2)];
     cfg.switch.selection = [
         SelectionPolicy::First,

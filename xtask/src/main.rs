@@ -12,6 +12,7 @@
 //! CI's workflow runs each stage as one step, which this crate's tests
 //! check line by line.
 
+use std::io::{self, ErrorKind, Write};
 use std::path::Path;
 use std::process::{exit, Command};
 use std::time::Instant;
@@ -172,20 +173,30 @@ fn run_stage(stage: &Stage) -> (f64, Result<(), i32>) {
     (wall_s, outcome)
 }
 
-fn list() {
+/// Prints [`STAGES`] and [`NOT_RUN`] to `out`. A reader that closes
+/// the pipe early (`--list | head`) ends the listing quietly.
+fn list(mut out: impl Write) {
+    match write_list(&mut out) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => panic!("failed printing the list: {e}"),
+        _ => {}
+    }
+}
+
+fn write_list(out: &mut impl Write) -> io::Result<()> {
     for stage in STAGES {
-        println!("{}", stage.name);
+        writeln!(out, "{}", stage.name)?;
         for line in stage.doc.lines() {
-            println!("    {line}");
+            writeln!(out, "    {line}")?;
         }
         for c in stage.commands {
-            println!("    $ {c}");
+            writeln!(out, "    $ {c}")?;
         }
     }
-    println!("\nnot run by any stage:");
+    writeln!(out, "\nnot run by any stage:")?;
     for why in NOT_RUN {
-        println!("    {why}");
+        writeln!(out, "    {why}")?;
     }
+    out.flush()
 }
 
 fn usage() -> ! {
@@ -200,7 +211,7 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let stages: Vec<&Stage> = match args.as_slice() {
-        [a] if a == "--list" => return list(),
+        [a] if a == "--list" => return list(io::stdout().lock()),
         [a] => STAGES
             .iter()
             .filter(|s| a == "all" || s.name == a)
@@ -275,6 +286,28 @@ mod tests {
             }
         }
         faults
+    }
+
+    /// A writer whose reader has gone: every write fails.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn list_ends_quietly_on_a_closed_pipe() {
+        list(ClosedPipe);
+        let mut listed = Vec::new();
+        list(&mut listed);
+        let listed = String::from_utf8(listed).expect("the list is text");
+        assert!(STAGES.iter().all(|s| listed.contains(s.name)));
     }
 
     #[test]
