@@ -12,19 +12,30 @@
 //! package there its side as a suffix, so the three trees link into one
 //! binary; writes the harness crate `target/ab/harness` (its own
 //! workspace, `codegen-units = 1`; the source is `harness.rs` beside
-//! this file); then builds it offline and runs it. The harness warms
-//! every side up for 2 000 cycles, then steps one 1 000-cycle slice per
-//! side each round, in an order that rotates every round, and prints
-//! the median and quartiles of the per-round speed ratio of the change
-//! over the parent, the same over the second copy of the change (the
-//! two-copy null, which shows what code placement alone reads), and the
-//! load average. If the sides' ledgers differ at the end it prints no
-//! ratio and fails.
+//! this file); then builds it offline and runs it in three processes,
+//! one session each. A session warms every side up for 2 000 cycles,
+//! then steps one 1 000-cycle slice per side each round, in an order
+//! that rotates every round, and prints the median and quartiles of the
+//! per-round speed ratio of the change over the parent, the same over
+//! the second copy of the change (the two-copy null, which shows what
+//! code and heap placement alone read), and the load average. If the
+//! sides' ledgers differ at the end it prints no ratio and fails.
+//!
+//! Last it prints each session's two medians and the median of the
+//! three. The null moves between processes, so one session cannot
+//! resolve a 1 % change: a session whose null is off 1.0 by more than
+//! 1 % leaves the verdict unresolved.
 
 use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
 
 const SIDES: [&str; 3] = ["parent", "change", "null"];
+
+/// Harness processes per run.
+const SESSIONS: usize = 3;
+
+/// How far off 1.0 a session's null may read for the verdict to stand.
+const NULL_TOLERANCE: f64 = 0.01;
 
 fn main() -> ExitCode {
     match run() {
@@ -83,24 +94,114 @@ fn run() -> Result<ExitCode, String> {
     std::fs::write(harness.join("src/main.rs"), include_str!("harness.rs"))
         .map_err(|e| e.to_string())?;
     let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
-    let status = Command::new(cargo)
+    let built = Command::new(cargo)
         .args([
-            "run",
+            "build",
             "--release",
             "--offline",
             "--quiet",
             "--manifest-path",
         ])
         .arg(harness.join("Cargo.toml"))
-        .args(["--", &topology, &side, &load, clock, &rounds])
         .env_remove("CARGO_TARGET_DIR")
         .status()
         .map_err(|e| format!("running cargo: {e}"))?;
-    Ok(if status.success() {
-        ExitCode::SUCCESS
+    if !built.success() {
+        return Err("building the harness failed".into());
+    }
+    let binary = harness.join("target/release/nocem-ab-harness");
+    let mut sessions = Vec::with_capacity(SESSIONS);
+    for k in 1..=SESSIONS {
+        println!("session {k} of {SESSIONS}:");
+        let out = Command::new(&binary)
+            .args([&topology, &side, &load, clock, &rounds])
+            .stderr(Stdio::inherit())
+            .output()
+            .map_err(|e| format!("running {binary:?}: {e}"))?;
+        let text = String::from_utf8_lossy(&out.stdout);
+        for line in text.lines() {
+            println!("  {line}");
+        }
+        if !out.status.success() {
+            return Ok(ExitCode::FAILURE);
+        }
+        sessions.push(Session::parse(&text).ok_or("the harness printed no ratios")?);
+    }
+    println!();
+    print!("{}", report(&sessions));
+    Ok(ExitCode::SUCCESS)
+}
+
+/// One harness process's medians: the change's speed over the parent's
+/// and over the null's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Session {
+    parent: f64,
+    null: f64,
+}
+
+impl Session {
+    /// The two medians from a harness's output.
+    fn parse(out: &str) -> Option<Session> {
+        let median = |what: &str| {
+            let line = out.lines().find(|l| l.starts_with(what))?;
+            let rest = line.split_once("median ")?.1;
+            rest.split_whitespace().next()?.parse().ok()
+        };
+        Some(Session {
+            parent: median("speed change / parent")?,
+            null: median("speed change / null")?,
+        })
+    }
+}
+
+/// The middle value of `v`, whose length ([`SESSIONS`]) is odd.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Each session's two medians, their medians, and the verdict: the
+/// change's speed over the parent's, unless a session's null is off 1.0
+/// by more than [`NULL_TOLERANCE`].
+fn report(sessions: &[Session]) -> String {
+    let mut out = String::new();
+    for (k, s) in sessions.iter().enumerate() {
+        out.push_str(&format!(
+            "session {}: change / parent {:.4}, null {:.4}\n",
+            k + 1,
+            s.parent,
+            s.null
+        ));
+    }
+    let parent = median(sessions.iter().map(|s| s.parent).collect());
+    let null = median(sessions.iter().map(|s| s.null).collect());
+    out.push_str(&format!(
+        "median of {}: change / parent {parent:.4}, null {null:.4}\n",
+        sessions.len()
+    ));
+    let off: Vec<String> = (sessions.iter().enumerate())
+        .filter(|(_, s)| (s.null - 1.0).abs() > NULL_TOLERANCE)
+        .map(|(k, s)| format!("session {} null {:.4}", k + 1, s.null))
+        .collect();
+    let tolerance = NULL_TOLERANCE * 100.0;
+    if !off.is_empty() {
+        out.push_str(&format!(
+            "verdict: unresolved, a null is off 1.0 by over {tolerance} %: {}\n",
+            off.join(", ")
+        ));
+    } else if (parent - 1.0).abs() <= NULL_TOLERANCE {
+        out.push_str(&format!(
+            "verdict: the change steps within {tolerance} % of the parent\n"
+        ));
     } else {
-        ExitCode::FAILURE
-    })
+        let how = if parent > 1.0 { "faster" } else { "slower" };
+        out.push_str(&format!(
+            "verdict: the change steps {:.1} % {how} than the parent\n",
+            (parent - 1.0).abs() * 100.0
+        ));
+    }
+    out
 }
 
 /// Extracts revision `rev` of the repository at `root` into `dir`.
@@ -219,7 +320,59 @@ fn harness_manifest() -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::rename_packages;
+    use super::{rename_packages, report, Session};
+
+    const HARNESS_OUTPUT: &str = "mesh8x8 at load 0.4, every cycle: 600 rounds of one \
+        1000-cycle slice per side after 2000 warm-up cycles; ledgers equal\n\
+        speed change / parent: median 0.9940  [q1 0.9800, q3 1.0100]\n\
+        speed change / null  : median 1.0030  [q1 0.9900, q3 1.0150]\n\
+        load average: 0.50 0.40 0.30 1/200 1234\n";
+
+    #[test]
+    fn a_session_reads_both_medians() {
+        assert_eq!(
+            Session::parse(HARNESS_OUTPUT),
+            Some(Session {
+                parent: 0.994,
+                null: 1.003
+            })
+        );
+        assert_eq!(Session::parse("ledgers differ\n"), None);
+    }
+
+    #[test]
+    fn the_verdict_takes_the_median_of_the_sessions() {
+        let sessions = |parent: [f64; 3], null: [f64; 3]| {
+            let s = parent
+                .iter()
+                .zip(null)
+                .map(|(&parent, null)| Session { parent, null });
+            report(&s.collect::<Vec<_>>())
+        };
+        let slower = sessions([0.97, 0.98, 0.95], [1.002, 0.995, 1.0]);
+        assert!(
+            slower.contains("median of 3: change / parent 0.9700, null 1.0000"),
+            "{slower}"
+        );
+        assert!(slower.ends_with("verdict: the change steps 3.0 % slower than the parent\n"));
+        let within = sessions([1.004, 0.998, 1.02], [1.0, 1.0, 1.0]);
+        assert!(
+            within.ends_with("verdict: the change steps within 1 % of the parent\n"),
+            "{within}"
+        );
+    }
+
+    #[test]
+    fn one_null_off_by_over_1_percent_leaves_the_verdict_unresolved() {
+        let s = |parent, null| Session { parent, null };
+        let out = report(&[s(1.05, 1.0), s(1.06, 0.985), s(1.05, 1.009)]);
+        assert!(
+            out.ends_with(
+                "verdict: unresolved, a null is off 1.0 by over 1 %: session 2 null 0.9850\n"
+            ),
+            "{out}"
+        );
+    }
 
     #[test]
     fn a_crate_manifest_renames_its_package_only() {

@@ -2,7 +2,12 @@
 //! ("histograms, which show an image of the received traffic").
 //!
 //! [`Histogram`] has uniform-width bins (hardware: a small RAM indexed
-//! by `value / width`).
+//! by `value / width`) of 32-bit counters, widened once to 64 bits if
+//! a histogram ever counts 2³² samples.
+
+/// Bins a histogram's storage grows by: one 64-byte block of 32-bit
+/// counters per reallocation.
+const BLOCK: usize = 16;
 
 /// Fixed-width-bin histogram over `u64` samples.
 ///
@@ -13,7 +18,14 @@
 /// Only the bins up to the highest one recorded into are stored: a
 /// histogram costs memory for the traffic it has seen, not for the
 /// range it could see. Every reader sees the nominal [`Histogram::bins`]
-/// bins, the unstored ones reading zero.
+/// bins, the unstored ones reading zero, and every count as a `u64`.
+///
+/// Bins are stored as `u32` until [`Histogram::count`] reaches 2³²,
+/// when they widen once to `u64`: no bin holds more than `count`, so a
+/// narrow bin never overflows. Storage grows in blocks of 16 bins
+/// (64 bytes while narrow), capped at `bins`: a receptor's 128-bin
+/// inter-arrival histogram reallocates at most 8 times, not once per
+/// bin.
 ///
 /// # Examples
 ///
@@ -28,13 +40,15 @@
 /// assert_eq!(h.bin_count(2), 1);
 /// assert_eq!(h.bin_count(3), 0);
 /// assert_eq!(h.overflow(), 1);
+/// assert_eq!(h.allocated_bins(), 4); // one block, capped at `bins`
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Bins `0..counted.len()`: exactly one past the highest bin
-    /// recorded into, so the stored prefix is a function of the samples
-    /// alone and the derived `==` compares histograms, not histories.
-    counted: Vec<u64>,
+    /// recorded into, and narrow exactly while `count < 2³²`, so the
+    /// stored prefix is a function of the samples alone and the derived
+    /// `==` compares histograms, not histories.
+    counted: Bins,
     /// Nominal bin count; bins `counted.len()..bins` are zero.
     bins: usize,
     width: u64,
@@ -49,6 +63,54 @@ pub struct Histogram {
     max: u64,
 }
 
+/// The stored bins, 32-bit while the histogram has counted fewer than
+/// 2³² samples.
+#[derive(Clone, PartialEq, Eq)]
+enum Bins {
+    Narrow(Vec<u32>),
+    /// Boxed so that `Bins` takes no tag beside the `Vec`: the
+    /// histogram stays 88 bytes.
+    #[allow(clippy::box_collection)]
+    Wide(Box<Vec<u64>>),
+}
+
+impl Bins {
+    fn len(&self) -> usize {
+        match self {
+            Bins::Narrow(v) => v.len(),
+            Bins::Wide(v) => v.len(),
+        }
+    }
+
+    /// Each stored bin's count.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let (narrow, wide): (&[u32], &[u64]) = match self {
+            Bins::Narrow(v) => (v, &[]),
+            Bins::Wide(v) => (&[], v),
+        };
+        (narrow.iter().map(|&c| u64::from(c))).chain(wide.iter().copied())
+    }
+}
+
+/// Lists the counts as `u64`s, at whichever width they are stored.
+impl std::fmt::Debug for Bins {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Extends the stored prefix `v` to bin `idx` and counts one sample
+/// there. Capacity grows by whole blocks, never past `bins`.
+fn grow_to<T: Copy + From<u8>>(v: &mut Vec<T>, idx: usize, bins: usize) {
+    let len = idx + 1;
+    if len > v.capacity() {
+        let blocks = len.next_multiple_of(BLOCK).min(bins);
+        v.reserve_exact(blocks - v.len());
+    }
+    v.resize(len, T::from(0));
+    v[idx] = T::from(1);
+}
+
 impl Histogram {
     /// Creates a histogram with `bins` bins of `width` units each. No
     /// bin is allocated until a sample lands in it.
@@ -60,7 +122,7 @@ impl Histogram {
         assert!(bins > 0, "histogram needs at least one bin");
         assert!(width > 0, "bin width must be positive");
         Histogram {
-            counted: Vec::new(),
+            counted: Bins::Narrow(Vec::new()),
             bins,
             width,
             shift: width.is_power_of_two().then(|| width.trailing_zeros()),
@@ -79,9 +141,15 @@ impl Histogram {
             Some(s) => value >> s,
             None => value / self.width,
         };
-        match self.counted.get_mut(idx as usize) {
-            Some(bin) => *bin += 1,
-            None => self.record_past_prefix(idx),
+        if self.count == u64::from(u32::MAX) {
+            self.widen();
+        }
+        let bumped = match &mut self.counted {
+            Bins::Narrow(v) => v.get_mut(idx as usize).map(|bin| *bin += 1),
+            Bins::Wide(v) => v.get_mut(idx as usize).map(|bin| *bin += 1),
+        };
+        if bumped.is_none() {
+            self.record_past_prefix(idx);
         }
         self.count += 1;
         self.sum += value;
@@ -90,16 +158,35 @@ impl Histogram {
     }
 
     /// A sample beyond the stored prefix: grows the prefix exactly to
-    /// its bin, or counts it as overflow past the nominal last bin.
+    /// its bin (the storage by whole blocks), or counts it as overflow
+    /// past the nominal last bin.
     #[cold]
     fn record_past_prefix(&mut self, idx: u64) {
         if idx < self.bins as u64 {
-            let len = idx as usize + 1;
-            self.counted.reserve_exact(len - self.counted.len());
-            self.counted.resize(len, 0);
-            self.counted[idx as usize] = 1;
+            match &mut self.counted {
+                Bins::Narrow(v) => grow_to(v, idx as usize, self.bins),
+                Bins::Wide(v) => grow_to(v, idx as usize, self.bins),
+            }
         } else {
             self.overflow += 1;
+        }
+    }
+
+    /// Widens the bins to 64 bits before the 2³²-th sample, which a
+    /// 32-bit bin holding every earlier one could not count.
+    #[cold]
+    fn widen(&mut self) {
+        let wide = self.counted.iter().collect();
+        self.counted = Bins::Wide(Box::new(wide));
+    }
+
+    /// Bins the storage has room for before it next reallocates: the
+    /// stored prefix rounded up to a whole block of 16, at most
+    /// [`Histogram::bins`] (a copy holds exactly the prefix).
+    pub fn allocated_bins(&self) -> usize {
+        match &self.counted {
+            Bins::Narrow(v) => v.capacity(),
+            Bins::Wide(v) => v.capacity(),
         }
     }
 
@@ -120,7 +207,10 @@ impl Histogram {
     /// Panics if `i` is out of range.
     pub fn bin_count(&self, i: usize) -> u64 {
         assert!(i < self.bins, "bin {i} out of range for {} bins", self.bins);
-        self.counted.get(i).copied().unwrap_or(0)
+        match &self.counted {
+            Bins::Narrow(v) => v.get(i).map_or(0, |&c| u64::from(c)),
+            Bins::Wide(v) => v.get(i).copied().unwrap_or(0),
+        }
     }
 
     /// Samples beyond the last bin.
@@ -161,7 +251,7 @@ impl Histogram {
         }
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut cum = 0;
-        for (i, &c) in self.counted.iter().enumerate() {
+        for (i, c) in self.counted.iter().enumerate() {
             cum += c;
             if cum >= target {
                 return Some((i as u64 + 1) * self.width);
@@ -177,7 +267,6 @@ impl Histogram {
         let unstored = self.bins - self.counted.len();
         self.counted
             .iter()
-            .copied()
             .chain(std::iter::repeat_n(0, unstored))
             .enumerate()
             .map(move |(i, c)| (i as u64 * self.width, c))
@@ -203,7 +292,6 @@ impl Histogram {
         let tallest = self
             .counted
             .iter()
-            .copied()
             .chain(std::iter::once(self.overflow))
             .max()
             .unwrap_or(0);
@@ -222,7 +310,7 @@ impl Histogram {
             "#".repeat(len)
         };
         let mut out = String::new();
-        for (i, &count) in self.counted.iter().enumerate() {
+        for (i, count) in self.counted.iter().enumerate() {
             if count == 0 {
                 continue;
             }
@@ -250,7 +338,7 @@ impl Histogram {
 impl std::fmt::Display for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "histogram ({} samples)", self.count)?;
-        let peak = self.counted.iter().copied().max().unwrap_or(0).max(1);
+        let peak = self.counted.iter().max().unwrap_or(0).max(1);
         for (edge, c) in self.iter() {
             let bar = "#".repeat((c * 40 / peak) as usize);
             writeln!(f, "{:>10} | {:>8} {}", edge, c, bar)?;
@@ -302,6 +390,53 @@ mod tests {
             prop_assert_eq!(h.max(), values.iter().copied().max());
             Ok(())
         });
+    }
+
+    /// Counting across 2³² samples widens the bins once, exactly: at
+    /// every step each reader reads as a histogram wide from the start,
+    /// and the two are `==` from the 2³²-th sample on, when both are
+    /// wide. Bin 1 ends past what a 32-bit bin holds.
+    #[test]
+    fn bins_widen_exactly_at_two_to_the_32_samples() {
+        let start = u64::from(u32::MAX) - 3;
+        let counted_so_far = |counted| Histogram {
+            counted,
+            count: start,
+            sum: start * 15,
+            min: 10,
+            max: 19,
+            ..Histogram::new(8, 10)
+        };
+        let mut narrow = counted_so_far(Bins::Narrow(vec![0, start as u32]));
+        let mut wide = counted_so_far(Bins::Wide(Box::new(vec![0, start])));
+        for v in [12, 15, 3, 18, 75, 90, 19, 11] {
+            narrow.record(v);
+            wide.record(v);
+            let crossed = narrow.count() >= 1 << 32;
+            assert_eq!(matches!(narrow.counted, Bins::Wide(_)), crossed);
+            assert_eq!(narrow == wide, crossed, "after {v}");
+            for i in 0..8 {
+                assert_eq!(narrow.bin_count(i), wide.bin_count(i), "bin {i}");
+            }
+            assert!(narrow.iter().eq(wide.iter()));
+            for q in [0.0, 1e-9, 0.5, 0.999_999_999, 1.0] {
+                assert_eq!(narrow.quantile(q), wide.quantile(q), "q = {q}");
+            }
+            assert_eq!(narrow.render_ascii(40), wide.render_ascii(40));
+            assert_eq!(narrow.to_string(), wide.to_string());
+            assert_eq!(format!("{narrow:?}"), format!("{wide:?}"));
+            let summary = |h: &Histogram| (h.count(), h.overflow(), h.mean(), h.min(), h.max());
+            assert_eq!(summary(&narrow), summary(&wide));
+        }
+        assert_eq!(narrow.bin_count(1), start + 5);
+        assert!(narrow.bin_count(1) > u64::from(u32::MAX));
+        assert_eq!(narrow.overflow(), 1);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn wide_bins_cost_a_histogram_no_tag() {
+        assert_eq!(std::mem::size_of::<Histogram>(), 88);
     }
 
     #[test]

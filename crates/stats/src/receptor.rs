@@ -233,7 +233,9 @@ enum TrStats {
     /// Packet-length distribution (bins of one flit) and tail-to-tail
     /// inter-arrival distribution (bins of 8 cycles), shared with the
     /// readers that hold a snapshot: a write copies a histogram only
-    /// while a snapshot of it is alive.
+    /// while a snapshot of it is alive. Each stores 32-bit bins up to
+    /// the highest one counted, in blocks of 16: at most 256 B of
+    /// length bins and 512 B of inter-arrival bins.
     Stochastic {
         length: Arc<Histogram>,
         interarrival: Arc<Histogram>,

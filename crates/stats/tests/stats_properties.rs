@@ -4,6 +4,8 @@
 //! with a flat reference model, and the reassembler accepts exactly the
 //! flit sequences a wormhole network can produce.
 
+use std::sync::Arc;
+
 use nocem_common::choice::{check, Choices};
 use nocem_common::flit::{Flit, FlitKind, PacketDescriptor};
 use nocem_common::ids::{EndpointId, FlowId, LinkId, PacketId};
@@ -20,6 +22,7 @@ use nocem_stats::TrKind;
 /// A histogram that stores every nominal bin from the start: the
 /// reference [`Histogram`], which stores only the bins up to the
 /// highest one recorded into, must read exactly like.
+#[derive(Clone)]
 struct DenseHistogram {
     bins: Vec<u64>,
     width: u64,
@@ -529,11 +532,44 @@ fn histogram_conserves_samples() {
     });
 }
 
+/// `h` reads as `dense` on every accessor — each bin, the iterator,
+/// quantiles (the drawn `q` among them), summary statistics, overflow
+/// and both renderings, byte for byte.
+fn reads_as_dense(
+    h: &Histogram,
+    dense: &DenseHistogram,
+    max_width: usize,
+    q: f64,
+) -> Result<(), String> {
+    let bins = dense.bins.len();
+    prop_assert_eq!(h.bins(), bins);
+    for i in 0..bins {
+        prop_assert_eq!(h.bin_count(i), dense.bins[i], "bin {}", i);
+    }
+    prop_assert_eq!(
+        h.iter().collect::<Vec<_>>(),
+        dense.iter().collect::<Vec<_>>()
+    );
+    for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, q] {
+        prop_assert_eq!(h.quantile(q), dense.quantile(q), "q = {}", q);
+    }
+    let n = dense.count;
+    prop_assert_eq!(h.count(), n);
+    prop_assert_eq!(h.mean(), (n > 0).then(|| dense.sum as f64 / n as f64));
+    prop_assert_eq!(h.min(), (n > 0).then_some(dense.min));
+    prop_assert_eq!(h.max(), (n > 0).then_some(dense.max));
+    prop_assert_eq!(h.overflow(), dense.overflow);
+    prop_assert_eq!(h.render_ascii(max_width), dense.render_ascii(max_width));
+    prop_assert_eq!(h.to_string(), dense.display());
+    Ok(())
+}
+
 /// A histogram storing only the bins it has counted reads as the
-/// dense reference on every accessor — each bin, the iterator,
-/// quantiles, summary statistics, overflow and both renderings,
-/// byte for byte — and the same samples in another order give an
-/// equal histogram.
+/// dense reference ([`reads_as_dense`]), and so does a snapshot taken
+/// mid-run, after `Arc::make_mut` has copied the histogram apart from
+/// it. After every sample the storage holds the counted prefix in
+/// whole 16-bin blocks, never more than `bins`. The same samples in
+/// another order give an equal histogram.
 #[test]
 fn histogram_reads_as_the_dense_reference() {
     check("histogram_reads_as_the_dense_reference", 0..128, |c| {
@@ -542,33 +578,36 @@ fn histogram_reads_as_the_dense_reference() {
         let (large, max_width) = (c.vec(0..4, |c| c.range(0u64..1 << 40)), c.range(0usize..60));
         let (seed, q) = (c.word(), c.range(0.0f64..1.0));
         let mut values: Vec<u64> = small.into_iter().chain(large).collect();
-        let (mut h, mut dense) = (
-            Histogram::new(bins, width),
+        let split = c.below(values.len() + 1);
+        let (mut shared, mut dense) = (
+            Arc::new(Histogram::new(bins, width)),
             DenseHistogram::new(bins, width),
         );
-        for &v in &values {
-            h.record(v);
+        let mut snapshot = None;
+        for (i, &v) in values.iter().enumerate() {
+            if i == split {
+                snapshot = Some((Arc::clone(&shared), dense.clone()));
+            }
+            Arc::make_mut(&mut shared).record(v);
             dense.record(v);
+            let stored = (dense.bins.iter())
+                .rposition(|&c| c > 0)
+                .map_or(0, |top| top + 1);
+            let allocated = shared.allocated_bins();
+            prop_assert!(
+                stored <= allocated && allocated <= stored.next_multiple_of(16).min(bins),
+                "{allocated} bins allocated for {stored} stored of {bins}"
+            );
         }
-        prop_assert_eq!(h.bins(), bins);
-        for i in 0..bins {
-            prop_assert_eq!(h.bin_count(i), dense.bins[i], "bin {}", i);
+        let h = &*shared;
+        reads_as_dense(h, &dense, max_width, q)?;
+        if let Some((snapshot, at_split)) = snapshot {
+            prop_assert!(
+                !Arc::ptr_eq(&snapshot, &shared),
+                "the write copied the histogram"
+            );
+            reads_as_dense(&snapshot, &at_split, max_width, q)?;
         }
-        prop_assert_eq!(
-            h.iter().collect::<Vec<_>>(),
-            dense.iter().collect::<Vec<_>>()
-        );
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, q] {
-            prop_assert_eq!(h.quantile(q), dense.quantile(q), "q = {}", q);
-        }
-        let n = values.len() as u64;
-        prop_assert_eq!(h.count(), n);
-        prop_assert_eq!(h.mean(), (n > 0).then(|| dense.sum as f64 / n as f64));
-        prop_assert_eq!(h.min(), (n > 0).then_some(dense.min));
-        prop_assert_eq!(h.max(), (n > 0).then_some(dense.max));
-        prop_assert_eq!(h.overflow(), dense.overflow);
-        prop_assert_eq!(h.render_ascii(max_width), dense.render_ascii(max_width));
-        prop_assert_eq!(h.to_string(), dense.display());
 
         let mut rng = Pcg32::seeded(seed);
         for i in (1..values.len()).rev() {
@@ -578,12 +617,12 @@ fn histogram_reads_as_the_dense_reference() {
         for &v in &values {
             shuffled.record(v);
         }
-        prop_assert_eq!(&shuffled, &h);
+        prop_assert_eq!(&shuffled, h);
         let mut reversed = Histogram::new(bins, width);
         for &v in values.iter().rev() {
             reversed.record(v);
         }
-        prop_assert_eq!(&reversed, &h);
+        prop_assert_eq!(&reversed, h);
         Ok(())
     });
 }

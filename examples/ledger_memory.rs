@@ -18,7 +18,7 @@
 //! resident set (`VmHWM`). The packet ledger is the only structure that
 //! grows with run length. It archives a delivered packet as an adaptive
 //! Golomb–Rice row of ≈ 2.3 bytes (10.5 MB here), and a snapshot shares
-//! the archive instead of copying it, which holds the peak near 14 MB;
+//! the archive instead of copying it, which holds the peak near 13.3 MB;
 //! 3.9-byte varint rows peaked at 21 MB, and 8-byte rows with a copying
 //! snapshot at 77 MB.
 //!
@@ -29,7 +29,7 @@
 //! included; a dense window of 32-byte rows from the straggler on held
 //! all 17 066 ids (0.55 MB before spare capacity).
 //!
-//! It is also a check (CI runs it): a peak resident set over 21 MB or an
+//! It is also a check (CI runs it): a peak resident set over 20 MB or an
 //! open window over 336 KiB exits non-zero.
 
 use nocem::clock::run_engine_until;
@@ -44,9 +44,9 @@ mod support;
 type Failure = Box<dyn std::error::Error>;
 
 /// The long run's length, and the peak allowed: one and a half times
-/// the 13.9–14.0 MB it reads on Linux x86-64, rounded up to a whole MB.
+/// the 13.2–13.3 MB it reads on Linux x86-64, rounded up to a whole MB.
 const CYCLES: u64 = 1_000_000;
-const LIMIT_PEAK_MB: f64 = 21.0;
+const LIMIT_PEAK_MB: f64 = 20.0;
 
 /// The starving run's length (the curve point's warm-up and window),
 /// and the open window allowed: one and a half times its 224 KiB peak.

@@ -25,7 +25,9 @@ use nocem::clock::ClockMode;
 use nocem::config::{PaperConfig, PlatformConfig, TrafficModel};
 use nocem::error::CompileError;
 use nocem::profile::ProfileConfig;
+use nocem::CompiledEngine;
 use nocem_common::choice::{self, Choices};
+use nocem_common::prop_assert;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
@@ -160,6 +162,33 @@ fn generated_seeds_64_to_95_run_alike_or_are_rejected_alike() {
 #[test]
 fn generated_seeds_96_to_127_run_alike_or_are_rejected_alike() {
     check_cases(96..128);
+}
+
+/// Star hubs wider than the compiled engine's one-word masks: 2 or 3
+/// VCs over enough leaves that the hub's input slots (ports × VCs)
+/// pass 64, under either arbiter, with uniform traffic across the hub.
+/// Only such a hub runs the multi-word round-robin, which the stream
+/// above draws too rarely to test.
+#[test]
+fn generated_hubs_beyond_64_slots_run_alike() {
+    choice::check("generated_wide_hubs", 0..24, |c| {
+        let vcs = c.range(2u8..=3);
+        let leaves = c.range(64 / u32::from(vcs) + 1..=64 / u32::from(vcs) + 8);
+        let load = f64::from(c.range(20u32..=60)) / 100.0;
+        let (flits, packets) = (c.range(1u16..=6), c.range(200u64..=600));
+        let mut cfg = star(leaves, load, flits, packets);
+        cfg.switch.num_vcs = vcs;
+        cfg.switch.fifo_depth = c.range(1u8..=4);
+        cfg.switch.arbiter = [ArbiterKind::RoundRobin, ArbiterKind::FixedPriority][c.below(2)];
+        cfg.clock_mode = [ClockMode::EveryCycle, ClockMode::Gated][c.below(2)];
+        c.note(format_args!("{cfg:?}"));
+        let mut subjects = check(&cfg, &[Backend::DirectCompiled])
+            .unwrap_or_else(|e| panic!("{} is rejected: {e}", cfg.name));
+        let low = subjects[0].get::<CompiledEngine>().lowered();
+        let hub_slots = low.inputs[0] as usize * low.num_vcs;
+        prop_assert!(hub_slots > 64, "the hub, switch 0, has {hub_slots} slots");
+        Ok(())
+    });
 }
 
 /// The first finding of the generated configurations (a two-leaf star
