@@ -39,7 +39,7 @@ use nocem_common::ids::{EndpointId, PacketId, PortId, SwitchId, VcId};
 use nocem_common::time::Cycle;
 use nocem_stats::ledger::{LedgerError, PacketLedger};
 use nocem_stats::receptor::CompletedPacket;
-use nocem_switch::switch::Switch;
+use nocem_switch::switch::{Switch, Transfer};
 use nocem_traffic::generator::PacketRequest;
 use nocem_traffic::trace::{TraceEvent, TraceRecorder};
 use std::time::Instant;
@@ -331,6 +331,8 @@ pub struct Emulation {
     recorder: Option<TraceRecorder>,
     /// The architectural-state view buffer.
     view: ArchView,
+    /// One switch's transfers of the cycle, reused switch to switch.
+    sends: Vec<Transfer>,
 }
 
 impl std::fmt::Debug for Emulation {
@@ -352,6 +354,7 @@ impl Emulation {
             recorder: config.record_trace.then(TraceRecorder::new),
             view: ArchView::new(&elab),
             platform: Platform::new(elab),
+            sends: Vec::new(),
         }
     }
 
@@ -447,10 +450,10 @@ impl CycleKernel for Emulation {
         lap(self.platform.profiler.as_mut(), t, Phase::NiInject);
 
         // 4. All switches commit; flits move one hop.
-        for s in 0..self.platform.switches.len() {
-            let sends = self.platform.switches[s].commit_sends();
-            for mv in sends {
-                let platform = &mut self.platform;
+        let platform = &mut self.platform;
+        for s in 0..platform.switches.len() {
+            platform.switches[s].commit_sends(&mut self.sends);
+            for &mv in &self.sends {
                 match platform.elab.wiring.in_source[s][mv.input.index()] {
                     InSource::Switch { switch, port } => {
                         // The upstream output VC the flit occupied is

@@ -210,6 +210,7 @@ impl<F: Fabric> ProcessModel<F> {
             // credit travels back on that flit's input VC.
             let popped = Rc::clone(&popped);
             let sh = Rc::clone(&shared);
+            let mut sends = Vec::new();
             fabric.clocked(move |_now, ctx| {
                 let sh = &mut *sh.borrow_mut();
                 let popped = &mut popped.borrow_mut()[s];
@@ -234,7 +235,8 @@ impl<F: Fabric> ProcessModel<F> {
                 sw.decide();
                 let mut out: Vec<Option<Flit>> = vec![None; out_flits.len()];
                 popped.fill(None);
-                for t in sw.commit_sends() {
+                sw.commit_sends(&mut sends);
+                for t in &sends {
                     out[t.output.index()] = Some(t.flit);
                     popped[t.input.index()] = Some(t.input_vc);
                 }

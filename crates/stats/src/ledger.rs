@@ -18,29 +18,35 @@
 //!
 //! * the **archive**: the delivered prefix `[0, lo)` as one row per
 //!   packet in a bit string of 64-bit words, least significant bit
-//!   first. A row is a bit saying the length differs from the previous
-//!   packet's (then the length's 16 bits), and three fields: release
-//!   minus the previous id's release, injection minus release, delivery
-//!   minus injection, each modulo 2^64;
+//!   first. A row is three fields: release minus the previous id's
+//!   release, injection minus release, delivery minus injection, each
+//!   modulo 2^64. A row whose length differs from the previous packet's
+//!   (the first's from 0) opens with a length marker, 24 zeros and a
+//!   one, then the length's 16 bits;
 //! * the **open window**: the ids from `lo` up to the highest released
 //!   one.
 //!
 //! Each field is an adaptive Golomb–Rice code. Its parameter `k` is the
-//! smallest with `count · 2^k ≥ sum` over the field's earlier values,
-//! JPEG-LS style: sum and count halve when the count reaches 64, so `k`
-//! follows a running mean and no constant is tuned to a workload. The
-//! code is the quotient `v >> k` in unary (that many zeros, then a one)
-//! and the low `k` bits of `v`; `k` is at most 40, so the code fits one
-//! 64-bit word and `records()` reads it from one window with
-//! `trailing_zeros`. A quotient of 24 or more escapes: 24 zeros and the
-//! value's 64 bits, which covers a negative step, a release far from
-//! the previous id's, or a half-range jump. An escaped value adds only
-//! `24 · 2^k` to the sum, so one outlier cannot swamp the mean.
+//! smallest with `count · 2^(k+1) ≥ sum` over the field's earlier
+//! values: sum and count halve when the count reaches 64, so `k` follows
+//! a running mean and no constant is tuned to a workload. That is one
+//! below the JPEG-LS rule (`count · 2^k ≥ sum`), which overshoots on
+//! these fields: network latency has a floor and a hump, and source
+//! wait spreads wide. The code is the quotient `v >> k` in unary (that
+//! many zeros, then a one) and the low `k` bits of `v`; `k` is at most
+//! 40, so the code fits one 64-bit word and `records()` reads it from
+//! one window with `trailing_zeros`. A quotient of 24 or more escapes:
+//! 24 zeros, a zero and the value's 64 bits, which covers a negative
+//! step, a release far from the previous id's, or a half-range jump.
+//! The zero after the 24 tells an escaped release step from a length
+//! marker, so a row of a fixed-length run spends no bit on its length.
+//! An escaped value adds only `24 · 2^k` to the sum, so one outlier
+//! cannot swamp the mean.
 //!
-//! The ledger grows by a row per delivered packet: 2.31 bytes on average
-//! on `sat_mesh8x8` (mesh8x8 at 40 % load), 1.71 on `lowload_mesh12x12`
-//! (mesh12x12 at 0.1 %), and 2.32 over the 4.7 M packets of the
-//! 1 M-cycle `ledger_memory` probe.
+//! The ledger grows by a row per delivered packet: 2.09 bytes (16.73
+//! bits) on average on `sat_mesh8x8` (mesh8x8 at 40 % load), 1.55 (12.38
+//! bits) on `lowload_mesh12x12` (mesh12x12 at 0.1 %), and 2.10 over the
+//! 4.7 M packets of the 1 M-cycle `ledger_memory` probe.
 //!
 //! The open window is a **dense window** of one 32-byte `Entry` per id
 //! from `base` on, and in front of it, for the ids of `[lo, base)`:
@@ -49,7 +55,7 @@
 //!   left the dense window, by id; the first is `lo`'s;
 //! * the **parked queue**: the other ids' entries, all delivered, as
 //!   archive rows in id order in a bit queue with a coder of its own,
-//!   about 3 bytes each.
+//!   about 2 bytes each.
 //!
 //! The dense window holds no more delivered entries than undelivered
 //! ones: when a delivery breaks that, entries leave its front, an
@@ -69,7 +75,7 @@
 //! it, ≈ 0.55 MB of entries. The ledger ends that point with 92 dense
 //! entries (792 at most), 13 479 parked rows and 3 495 pinned entries —
 //! 2 912 of them delivered since, which wait as full entries until
-//! packet 592 is — and its open window peaks at 224 KiB, spare capacity
+//! packet 592 is — and its open window peaks at 208 KiB, spare capacity
 //! included. A rerun with the same packets as a budget drains fully (by
 //! cycle 12 857), so this is starvation under overload, not deadlock.
 //! Where latencies spread, as on `sat_mesh8x8`, most packets pass
@@ -101,6 +107,11 @@ const ESCAPE: u32 = 24;
 /// one 64-bit word.
 const MAX_K: u32 = 64 - ESCAPE;
 
+/// The low [`ESCAPE`]` + 1` bits that open a row whose length differs
+/// from the previous row's: [`ESCAPE`] zeros, then a one. An escaped
+/// field has a zero there instead.
+const LENGTH_MARKER: u64 = 1 << ESCAPE;
+
 /// When the [`Rice`] row count reaches this, it and every sum halve.
 const HALVING: u64 = 64;
 
@@ -110,7 +121,7 @@ fn mask(n: u32) -> u64 {
     u64::MAX.checked_shr(64 - n).unwrap_or(0)
 }
 
-/// JPEG-LS-style adaptive Golomb–Rice parameters of the three row
+/// The adaptive Golomb–Rice parameters of the three row
 /// fields: the sum of each field's values and the count of rows since
 /// the last halving.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,19 +131,16 @@ struct Rice {
 }
 
 impl Rice {
-    /// Field `f`'s parameter: the smallest `k` with `count · 2^k ≥ sum`,
-    /// at most [`MAX_K`] — the number of raw low bits its next value is
-    /// coded with.
+    /// Field `f`'s parameter: the smallest `k` with
+    /// `count · 2^(k+1) ≥ sum`, at most [`MAX_K`] — the number of raw low
+    /// bits its next value is coded with.
     #[inline]
     fn k(&self, f: usize) -> u32 {
-        let sum = self.sums[f];
-        // At this `k`, `count · 2^k` is as long as `sum` in bits (or
+        let (twice, sum) = (2 * self.count, self.sums[f]);
+        // At this `k`, `twice · 2^k` is as long as `sum` in bits (or
         // longer), so the answer is `k` or `k + 1`.
-        let k = self
-            .count
-            .leading_zeros()
-            .saturating_sub(sum.leading_zeros());
-        (k + u32::from(self.count << k < sum)).min(MAX_K)
+        let k = twice.leading_zeros().saturating_sub(sum.leading_zeros());
+        (k + u32::from(twice << k < sum)).min(MAX_K)
     }
 
     /// Adds `v`, coded with parameter `k`, to field `f`'s sum. A value
@@ -175,8 +183,8 @@ fn put(words: &mut Vec<u64>, len: &mut u64, v: u64, n: u32) {
 
 /// Appends `v` Rice-coded with field `f`'s parameter `k`: the quotient
 /// `v >> k` in unary (that many zeros, then a one), then the low `k`
-/// bits. A quotient of [`ESCAPE`] or more is [`ESCAPE`] zeros and `v`'s
-/// 64 bits.
+/// bits. A quotient of [`ESCAPE`] or more is [`ESCAPE`] zeros, a zero
+/// and `v`'s 64 bits.
 #[inline]
 fn put_field(words: &mut Vec<u64>, len: &mut u64, rice: &mut Rice, f: usize, v: u64) {
     let k = rice.k(f);
@@ -186,7 +194,7 @@ fn put_field(words: &mut Vec<u64>, len: &mut u64, rice: &mut Rice, f: usize, v: 
             put(words, len, (v & mask(k)) << unary | 1 << q, unary + k);
         }
         _ => {
-            put(words, len, 0, ESCAPE);
+            put(words, len, 0, ESCAPE + 1);
             put(words, len, v, 64);
         }
     }
@@ -265,7 +273,7 @@ impl<'a> BitReader<'a> {
             self.skip(q + 1);
             u64::from(q) << k | self.take(k)
         } else {
-            self.skip(ESCAPE);
+            self.skip(ESCAPE + 1);
             self.take(64)
         };
         rice.add(f, v, k);
@@ -295,16 +303,15 @@ impl Entry {
     };
 
     /// Appends to the archive `words` of `*len` bits the row of this
-    /// delivered entry, whose predecessor id is `prev`: a bit saying the
-    /// length differs from `prev`'s, the length's 16 bits if it does,
-    /// then release minus `prev`'s release, injection minus release and
-    /// delivery minus injection — modulo 2^64, each coded with its own
-    /// parameter in `rice`.
+    /// delivered entry, whose predecessor id is `prev`: if the length
+    /// differs from `prev`'s, a [`LENGTH_MARKER`] and the length's 16
+    /// bits; then release minus `prev`'s release, injection minus release
+    /// and delivery minus injection — modulo 2^64, each coded with its
+    /// own parameter in `rice`.
     fn encode(&self, prev: &Entry, rice: &mut Rice, words: &mut Vec<u64>, len: &mut u64) {
-        let new_len = self.len_flits != prev.len_flits;
-        put(words, len, new_len.into(), 1);
-        if new_len {
-            put(words, len, self.len_flits.into(), 16);
+        if self.len_flits != prev.len_flits {
+            let marker = u64::from(self.len_flits) << (ESCAPE + 1) | LENGTH_MARKER;
+            put(words, len, marker, ESCAPE + 1 + 16);
         }
         let fields = [
             self.release.wrapping_sub(prev.release),
@@ -318,11 +325,14 @@ impl Entry {
     }
 
     /// Inverse of [`Entry::encode`]: becomes the next id's entry. The
-    /// window is loaded once per row, which then mostly fits it.
+    /// window is loaded once per row, which then mostly fits it. A row
+    /// that opens with [`ESCAPE`] zeros opens with a length marker if a
+    /// one follows them and with an escaped release step if a zero does.
     #[inline]
     fn decode_next(&mut self, rice: &mut Rice, bits: &mut BitReader) {
         bits.refill();
-        if bits.take(1) == 1 {
+        if bits.window & mask(ESCAPE + 1) == LENGTH_MARKER {
+            bits.skip(ESCAPE + 1);
             self.len_flits = bits.take(16) as u16;
         }
         self.release = self.release.wrapping_add(bits.take_field(rice, 0));
@@ -1005,8 +1015,8 @@ mod tests {
             .eq((0..1_000).chain([1_003])));
     }
 
-    /// A long run at `sat_mesh8x8`'s mix costs at most 3 bytes per
-    /// packet (2.79 measured): releases 0–15 cycles apart, most 0 or 1;
+    /// A long run at `sat_mesh8x8`'s mix costs at most 2.6 bytes per
+    /// packet (2.55 measured): releases 0–15 cycles apart, most 0 or 1;
     /// a quarter queue under 64 cycles, most under 512, a few up to
     /// 5 000; three quarters cross the network in 16–63 cycles, the rest
     /// in up to 300; one length. The window never outgrows the in-flight
@@ -1086,7 +1096,7 @@ mod tests {
             "widest span {widest}"
         );
         let bytes = l.archive_bytes() as u64;
-        assert!(bytes <= 3 * PACKETS, "{bytes} B archived");
+        assert!(5 * bytes <= 13 * PACKETS, "{bytes} B archived");
         assert!(l.records().eq(want.iter().copied()));
 
         let snapshot = l.clone();
@@ -1175,21 +1185,109 @@ mod tests {
         assert_eq!(got, rows);
     }
 
-    /// `Rice::k` is the smallest `k` with `count · 2^k ≥ sum`, capped at
-    /// `MAX_K`, for the empty state and every count the halving leaves
-    /// with sums up to 2^51.
+    /// `Rice::k` is the smallest `k` with `count · 2^(k+1) ≥ sum`, capped
+    /// at `MAX_K`, as found by trying each `k` in turn: for the empty
+    /// state, and for every count the halving leaves with every sum up to
+    /// 2^12 and the sums at and around each power of two up to 2^51, the
+    /// cap included.
     #[test]
     fn rice_parameter_is_the_smallest_sufficient_shift() {
+        let smallest = |count: u64, sum: u64| {
+            (0..MAX_K)
+                .find(|&k| u128::from(count) << (k + 1) >= u128::from(sum))
+                .unwrap_or(MAX_K)
+        };
         assert_eq!(Rice::default().k(0), 0);
-        let sums = (0..51).flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1, 3 << b >> 1]);
-        for (count, sum) in (1..HALVING).flat_map(|c| sums.clone().map(move |s| (c, s))) {
-            let smallest = (0..MAX_K).find(|&k| count << k >= sum).unwrap_or(MAX_K);
-            let rice = Rice {
-                sums: [sum; 3],
-                count,
-            };
-            assert_eq!(rice.k(1), smallest, "sum {sum} count {count}");
+        let edges = (12..52).flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1, 3 << b >> 1]);
+        for count in 1..HALVING {
+            for sum in (0..=1 << 12).chain(edges.clone()) {
+                let rice = Rice {
+                    sums: [sum; 3],
+                    count,
+                };
+                assert_eq!(rice.k(1), smallest(count, sum), "sum {sum} count {count}");
+            }
         }
+    }
+
+    /// Encodes `rows`, the first after the all-zero entry, and decodes
+    /// them back. Returns each row's bits and the parameters its three
+    /// fields were coded with.
+    fn round_trip(rows: &[Entry]) -> Vec<(u64, [u32; 3])> {
+        let (mut words, mut bits, mut rice) = (Vec::new(), 0, Rice::default());
+        let mut costs = Vec::new();
+        for (row, prev) in rows.iter().zip([Entry::default()].iter().chain(rows)) {
+            let (start, ks) = (bits, [0, 1, 2].map(|f| rice.k(f)));
+            row.encode(prev, &mut rice, &mut words, &mut bits);
+            costs.push((bits - start, ks));
+        }
+        let mut cursor = Cursor::default();
+        for row in rows {
+            assert_eq!(cursor.next_row(&words), *row);
+        }
+        assert_eq!((cursor.at, cursor.rice), (bits, rice));
+        costs
+    }
+
+    /// Rows at the coder's edges decode exactly and cost the bits the
+    /// module docs give: a length change on the first row (from the
+    /// all-zero entry) and mid-stream, lengths 0, 1 and `u16::MAX`, a
+    /// release step that escapes right after a length marker and one
+    /// that escapes right before a row opening with one (after an
+    /// escaped delivery), and fields coded at `k` = 0 and at `MAX_K`,
+    /// the longest code that does not escape included.
+    #[test]
+    fn rows_round_trip_at_the_coder_edges() {
+        let far = 1 << 62;
+        // (release step, delivery minus injection, length)
+        let mut steps = vec![
+            (0, 0, 4),
+            (0, 0, 4),
+            (0, 0, 1),
+            (0, 0, 0),
+            (far, 0, u16::MAX),
+            (far, far, u16::MAX),
+            (far, 0, 1),
+        ];
+        steps.extend([(1 << 50, 0, 1); 200]);
+        steps.extend([((24 << MAX_K) - 1, 0, 1), (0, 0, 1), (23 << MAX_K, 0, 0)]);
+        let mut release = 0u64;
+        let rows: Vec<Entry> = (steps.iter())
+            .map(|&(step, network, len_flits)| {
+                release = release.wrapping_add(step);
+                Entry {
+                    release,
+                    inject: release,
+                    deliver: release.wrapping_add(network),
+                    len_flits,
+                }
+            })
+            .collect();
+        let costs = round_trip(&rows);
+        // A length marker is 41 bits, a zero at `k` = 0 one bit and an
+        // escape 89 bits.
+        let (marker, zero, escape) = (ESCAPE as u64 + 1 + 16, 1, ESCAPE as u64 + 1 + 64);
+        assert_eq!(
+            costs[..5],
+            [
+                (marker + 3 * zero, [0; 3]),
+                (3 * zero, [0; 3]),
+                (marker + 3 * zero, [0; 3]),
+                (marker + 3 * zero, [0; 3]),
+                (marker + escape + 2 * zero, [0; 3]),
+            ]
+        );
+        assert_eq!(costs[5].0, 2 * escape + zero, "no marker: same length");
+        assert_eq!(costs[6].0 - marker - escape, 2 + zero, "f2 at k = 1");
+        let ks_at_cap = [MAX_K, 0, 0];
+        assert_eq!(
+            costs[costs.len() - 3..],
+            [
+                (64 + 2 * zero, ks_at_cap),
+                (u64::from(MAX_K) + 1 + 2 * zero, ks_at_cap),
+                (marker + 64 + 2 * zero, ks_at_cap),
+            ]
+        );
     }
 
     #[test]

@@ -244,10 +244,10 @@ struct Rice {
 }
 
 impl Rice {
-    /// The smallest `k` with `count · 2^k ≥ sum`, at most [`MAX_K`].
+    /// The smallest `k` with `count · 2^(k+1) ≥ sum`, at most [`MAX_K`].
     fn k(&self) -> u32 {
         (0..MAX_K)
-            .find(|&k| self.count << k >= self.sum)
+            .find(|&k| self.count << (k + 1) >= self.sum)
             .unwrap_or(MAX_K)
     }
 
@@ -335,7 +335,8 @@ fn push_lifecycle(calls: &mut Vec<(u32, Call)>, id: u64, at: [u64; 3], len: u16,
 /// jumps by 2^40, or the reverse, with the other fields stepping by
 /// one: the parameter climbs to its cap of 40 under 2^40, and falls
 /// under 0 (to 0 itself unless it started above about 4). A length is
-/// near `u16::MAX`, small, or the previous packet's again.
+/// near `u16::MAX`, small (0 included), or the previous packet's again,
+/// so rows open with a length marker before every kind of release step.
 fn lifecycles(packets: &[GenPacket]) -> Vec<(u32, Call)> {
     let mut calls = Vec::new();
     let mut rice = [Rice::default(); 3];
@@ -378,7 +379,7 @@ fn lifecycles(packets: &[GenPacket]) -> Vec<(u32, Call)> {
             len = match len_class {
                 0 => u16::MAX - small_len,
                 1 | 2 => len,
-                _ => 1 + small_len,
+                _ => small_len,
             };
             push_lifecycle(&mut calls, id, at, len, keys);
             for ((r, to), from) in rice.iter_mut().zip(at).zip(from) {
@@ -439,33 +440,39 @@ fn answer_alike(
 }
 
 /// One packet of a flowing run: `(release step, queueing, latency
-/// class, latency)`.
-type FlowPacket = (u64, u64, u8, u64);
+/// class, latency, length draw)`.
+type FlowPacket = (u64, u64, u8, u64, u16);
 
 /// The calls of a run in which packet `starving` is released and
 /// injected like the others but delivered only after all of them. The
 /// rest flow: releases 0–2 cycles apart, 0–7 cycles of queueing, and
 /// 8–71 cycles across the network — or 64–568 for one packet in 16, so
 /// that some are still in flight when their ids leave the dense window.
-/// Events are in cycle order, releases first within a cycle.
+/// Packets start at 4 flits; a length draw below 4 sets the length to
+/// it (0–3 flits) from that packet on, so parked and archived rows open
+/// with length markers. Events are in cycle order, releases first
+/// within a cycle.
 fn starving_run(packets: &[FlowPacket], starving: usize) -> Vec<Call> {
     let mut events = Vec::new();
-    let mut release = 0;
-    for (&(step, queue, class, latency), id) in packets.iter().zip(0..) {
+    let (mut release, mut len) = (0, 4);
+    for (&(step, queue, class, latency, len_draw), id) in packets.iter().zip(0..) {
         release += step;
+        if len_draw < 4 {
+            len = len_draw;
+        }
         let inject = release + queue;
         let latency = if class == 0 {
             64 + 8 * latency
         } else {
             8 + latency
         };
-        events.push((release, 0, id, Call::Release(id, release, 4)));
+        events.push((release, 0, id, Call::Release(id, release, len)));
         events.push((inject, 1, id, Call::Inject(id, inject)));
         events.push((
             inject + latency,
             2,
             id,
-            Call::Deliver(id, inject + latency, 4),
+            Call::Deliver(id, inject + latency, len),
         ));
     }
     let last = events.iter().map(|e| e.0).max().unwrap_or(0);
@@ -473,12 +480,10 @@ fn starving_run(packets: &[FlowPacket], starving: usize) -> Vec<Call> {
         .iter_mut()
         .find(|e| e.1 == 2 && e.2 == starving as u64)
         .expect("the starving packet is one of the run's");
-    *starving = (
-        last + 1,
-        2,
-        starving.2,
-        Call::Deliver(starving.2, last + 1, 4),
-    );
+    let Call::Deliver(id, _, len) = starving.3 else {
+        unreachable!("kind 2 is a delivery")
+    };
+    *starving = (last + 1, 2, id, Call::Deliver(id, last + 1, len));
     events.sort_unstable_by_key(|&(at, kind, id, _)| (at, kind, id));
     events.into_iter().map(|(.., call)| call).collect()
 }
@@ -673,9 +678,15 @@ fn latency_analyzer_matches_reference() {
 #[test]
 fn ledger_accepts_ordered_lifecycles() {
     check("ledger_accepts_ordered_lifecycles", 0..128, |c| {
-        // (release offset, inject delay, network latency) per packet
+        // (release offset, inject delay, network latency, length) per
+        // packet
         let pkts = c.vec(1..50, |c| {
-            (c.range(0u64..100), c.range(0u64..20), c.range(1u64..50))
+            (
+                c.range(0u64..100),
+                c.range(0u64..20),
+                c.range(1u64..50),
+                c.range(0u16..3),
+            )
         });
         let mut ledger = PacketLedger::new();
         // Build the global event list: (time, kind, packet).
@@ -686,26 +697,26 @@ fn ledger_accepts_ordered_lifecycles() {
             Deliver,
         }
         let mut events: Vec<(u64, Ev, usize)> = Vec::new();
-        for (i, &(rel, inj, lat)) in pkts.iter().enumerate() {
+        for (i, &(rel, inj, lat, _)) in pkts.iter().enumerate() {
             events.push((rel, Ev::Release, i));
             events.push((rel + inj, Ev::Inject, i));
             events.push((rel + inj + lat, Ev::Deliver, i));
         }
         events.sort();
         for (t, ev, i) in events {
-            let id = PacketId::new(i as u64);
+            let (id, (_, inj, net, len)) = (PacketId::new(i as u64), pkts[i]);
             match ev {
-                Ev::Release => ledger.release(id, Cycle::new(t), 4).unwrap(),
+                Ev::Release => ledger.release(id, Cycle::new(t), len).unwrap(),
                 Ev::Inject => ledger.inject(id, Cycle::new(t)).unwrap(),
                 Ev::Deliver => {
-                    let lat = ledger.deliver(id, Cycle::new(t), 4).unwrap();
-                    let (rel, inj, net) = pkts[i];
+                    let lat = ledger.deliver(id, Cycle::new(t), len).unwrap();
                     prop_assert_eq!(lat.network, net);
                     prop_assert_eq!(lat.total, inj + net);
-                    let _ = rel;
                 }
             }
         }
+        let lens: Vec<u16> = ledger.records().map(|r| r.len_flits).collect();
+        prop_assert!(lens.iter().eq(pkts.iter().map(|p| &p.3)));
         prop_assert_eq!(ledger.released(), pkts.len() as u64);
         prop_assert_eq!(ledger.delivered(), pkts.len() as u64);
         prop_assert_eq!(ledger.in_flight(), 0);
@@ -915,7 +926,7 @@ fn congestion_rates_are_bounded() {
 /// behind the straggler, not 32 bytes per id from the straggler on:
 /// the peak of `window_bytes` stays within 3 × (peak in flight ×
 /// 32 B + packets delivered behind the straggler × 4 B), where it
-/// reads at most 2.03 × (spare capacity included).
+/// reads at most 2.24 × (spare capacity included).
 #[test]
 fn ledger_window_stays_small_behind_a_starving_packet() {
     check(
@@ -928,6 +939,7 @@ fn ledger_window_stays_small_behind_a_starving_packet() {
                     c.range(0u64..8),
                     c.range(0u8..16),
                     c.range(0u64..64),
+                    c.range(0u16..32),
                 )
             });
             let starving = c.range(0usize..64);

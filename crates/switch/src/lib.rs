@@ -42,7 +42,8 @@
 //!     sw.accept(PortId::new(0), flit)?;
 //! }
 //! sw.decide();
-//! let sent = sw.commit_sends();
+//! let mut sent = Vec::new();
+//! sw.commit_sends(&mut sent);
 //! assert_eq!(sent.len(), 1, "one flit per output per cycle");
 //! # Ok(())
 //! # }

@@ -671,9 +671,11 @@ impl Switch {
     }
 
     /// Phase 2a: apply VC allocations, pop granted flits, update
-    /// wormhole and credit state, and return the transfers for the
-    /// engine to deliver.
-    pub fn commit_sends(&mut self) -> Vec<Transfer> {
+    /// wormhole and credit state, and fill `sends` (cleared first) with
+    /// the transfers for the engine to deliver, by output port. The
+    /// caller owns the buffer, so a cycle allocates nothing once it has
+    /// grown to the switch's output count.
+    pub fn commit_sends(&mut self, sends: &mut Vec<Transfer>) {
         let outputs = self.config.outputs as usize;
         let vcs = self.config.num_vcs as usize;
         // VC allocations first: the winning head owns its output VC
@@ -692,7 +694,7 @@ impl Switch {
                 self.chosen[i as usize][v as usize] = None;
             }
         }
-        let mut sends = Vec::new();
+        sends.clear();
         for o in 0..outputs {
             let Some(g) = self.granted[o].take() else {
                 continue;
@@ -719,7 +721,6 @@ impl Switch {
                 flit,
             });
         }
-        sends
     }
 
     /// Phase 2b: the engine pushes a flit arriving on `input` into the
@@ -899,7 +900,9 @@ mod tests {
     /// Runs one full cycle and returns the transfers.
     fn cycle(sw: &mut Switch) -> Vec<Transfer> {
         sw.decide();
-        sw.commit_sends()
+        let mut sends = Vec::new();
+        sw.commit_sends(&mut sends);
+        sends
     }
 
     #[test]

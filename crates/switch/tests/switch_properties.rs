@@ -64,7 +64,7 @@ fn run_to_drain(
     credit_delay: usize,
     outputs: usize,
 ) -> Vec<Transfer> {
-    let mut log = Vec::new();
+    let (mut log, mut sends) = (Vec::new(), Vec::new());
     let mut pending_credits: VecDeque<(usize, PortId)> = VecDeque::new();
     let total: usize = arrivals.iter().map(VecDeque::len).sum();
     let mut cycle = 0usize;
@@ -80,11 +80,11 @@ fn run_to_drain(
             sw.credit_return(port, VcId::ZERO);
         }
         sw.decide();
-        let sends = sw.commit_sends();
+        sw.commit_sends(&mut sends);
         for t in &sends {
             pending_credits.push_back((cycle + credit_delay, t.output));
         }
-        log.extend(sends);
+        log.extend_from_slice(&sends);
         // Arrivals: one flit per input per cycle, only when the FIFO
         // has room (the upstream credit loop guarantees this in the
         // real platform).
@@ -202,7 +202,7 @@ fn uncontended_stream_is_work_conserving() {
         }
         // Credit loop with 1-cycle delay and depth 8 never starves a
         // single stream.
-        let mut log = Vec::new();
+        let (mut log, mut sends) = (Vec::new(), Vec::new());
         let mut due: VecDeque<usize> = VecDeque::new();
         let mut cycle = 0usize;
         while log.len() < total {
@@ -212,7 +212,8 @@ fn uncontended_stream_is_work_conserving() {
                 sw.credit_return(PortId::new(0), VcId::ZERO);
             }
             sw.decide();
-            for t in sw.commit_sends() {
+            sw.commit_sends(&mut sends);
+            for &t in &sends {
                 due.push_back(cycle + 1);
                 log.push((cycle, t));
             }
@@ -240,7 +241,7 @@ fn round_robin_alternates_under_saturation() {
         let n = c.range(2usize..20);
         let mut sw = build_switch(2, 1, 1, 8);
         let mut id = 0u64;
-        let mut winners = Vec::new();
+        let (mut winners, mut sends) = (Vec::new(), Vec::new());
         // Pre-load both inputs, keep them topped up, infinite credits
         // via immediate return.
         for cycle in 0..2 * n {
@@ -259,7 +260,8 @@ fn round_robin_alternates_under_saturation() {
                 }
             }
             sw.decide();
-            for t in sw.commit_sends() {
+            sw.commit_sends(&mut sends);
+            for t in &sends {
                 winners.push(t.input.raw());
                 sw.credit_return(PortId::new(0), VcId::ZERO);
             }
@@ -298,7 +300,7 @@ fn quiescence_predicate_is_exact() {
         let mut popped_per_packet = vec![0u16; plans.len()];
         let mut buffered = 0usize;
         let mut delivered = 0usize;
-        let mut cycle = 0usize;
+        let (mut cycle, mut sends) = (0usize, Vec::new());
         while delivered < total || !pending_credits.is_empty() {
             prop_assert!(cycle < 64 * total + 1_000, "switch wedged");
             while pending_credits
@@ -309,7 +311,8 @@ fn quiescence_predicate_is_exact() {
                 sw.credit_return(port, VcId::ZERO);
             }
             sw.decide();
-            for t in sw.commit_sends() {
+            sw.commit_sends(&mut sends);
+            for t in &sends {
                 pending_credits.push_back((cycle + credit_delay, t.output));
                 popped_per_packet[t.flit.packet.index()] += 1;
                 buffered -= 1;
@@ -382,6 +385,7 @@ fn infinite_credits_are_stable() {
         1,
     )
     .unwrap();
+    let mut sends = Vec::new();
     for id in 0..100u64 {
         let f = flits_of(
             id,
@@ -393,7 +397,7 @@ fn infinite_credits_are_stable() {
         )[0];
         sw.accept(PortId::new(0), f).unwrap();
         sw.decide();
-        let sends = sw.commit_sends();
+        sw.commit_sends(&mut sends);
         assert_eq!(sends.len(), 1, "ejection never blocks");
         assert_eq!(sw.credits(PortId::new(0)), CREDITS_INFINITE);
     }
@@ -410,7 +414,7 @@ fn blocked_accounting_balances() {
     let config = SwitchConfigBuilder::new(2, 1).fifo_depth(4).build();
     let mut sw = Switch::new(config, vec![vec![PortId::new(0)]], vec![1], 1).unwrap();
     let mut id = 0u64;
-    let mut per_input = 0u64;
+    let (mut per_input, mut sends) = (0u64, Vec::new());
     for _ in 0..50 {
         for i in 0..2 {
             if sw.occupancy(PortId::new(i)) < 4 {
@@ -429,7 +433,8 @@ fn blocked_accounting_balances() {
         let waiting: Vec<bool> = (0..2).map(|i| sw.occupancy(PortId::new(i)) > 0).collect();
         sw.decide();
         let mut sent = [false; 2];
-        for t in sw.commit_sends() {
+        sw.commit_sends(&mut sends);
+        for t in &sends {
             sent[t.input.index()] = true;
             sw.credit_return(PortId::new(0), VcId::ZERO);
         }

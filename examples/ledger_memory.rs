@@ -1,42 +1,48 @@
-//! Memory probe of the packet ledger, in two phases.
+//! Memory probe of the packet ledger, in three phases.
 //!
 //! 1. A long run: uniform-random traffic on an 8 × 8 mesh at 40 % load,
 //!    compiled engine, open loop for 1 000 000 cycles (≈ 4.7 M delivered
 //!    packets), then the packet-ledger snapshot and the windowed
-//!    statistics of both latencies that a measured run takes.
+//!    statistics of both latencies that a measured run takes. Its first
+//!    100 000 cycles are the benchmark's `sat_mesh8x8` run.
 //! 2. A starving run: `tornado` on an 8 × 8 torus at load 0.1875, the
 //!    curve point past saturation where a packet released near cycle
 //!    181 is still in flight when the point ends at cycle 9 216, with
 //!    17 066 later ids released behind it.
+//! 3. A sparse run, the benchmark's `lowload_mesh12x12`: uniform-random
+//!    traffic on a 12 × 12 mesh at 0.1 % load for 2 000 000 cycles.
 //!
 //! ```text
 //! cargo run --release --example ledger_memory
 //! ```
 //!
-//! Phase 1 prints the delivered packets, the archive's bytes per
-//! delivered packet, the window statistics and the process's peak
-//! resident set (`VmHWM`). The packet ledger is the only structure that
-//! grows with run length. It archives a delivered packet as an adaptive
-//! Golomb–Rice row of ≈ 2.3 bytes (10.5 MB here), and a snapshot shares
-//! the archive instead of copying it, which holds the peak near 13.3 MB;
-//! 3.9-byte varint rows peaked at 21 MB, and 8-byte rows with a copying
-//! snapshot at 77 MB.
+//! Phase 1 prints the archive's bytes per delivered packet at 100 000
+//! cycles, then the delivered packets, the archive, the window
+//! statistics and the process's peak resident set (`VmHWM`). The packet
+//! ledger is the only structure that grows with run length. It archives
+//! a delivered packet as an adaptive Golomb–Rice row of ≈ 2.1 bytes
+//! (9.5 MB here), and a snapshot shares the archive instead of copying
+//! it, which holds the peak near 12.4 MB; 3.9-byte varint rows peaked at
+//! 21 MB, and 8-byte rows with a copying snapshot at 77 MB.
 //!
 //! Phase 2 prints the peak of the ledger's open window
 //! (`window_bytes`), the peak of packets in flight and the straggler.
 //! The window pins the stragglers and parks the packets delivered behind
-//! them as ≈ 3-byte rows, so it peaks at 224 KiB, spare capacity
+//! them as rows of ≈ 1.1 bytes, so it peaks at 208 KiB, spare capacity
 //! included; a dense window of 32-byte rows from the straggler on held
 //! all 17 066 ids (0.55 MB before spare capacity).
 //!
-//! It is also a check (CI runs it): a peak resident set over 20 MB or an
-//! open window over 336 KiB exits non-zero.
+//! Phase 3 prints the archive's bytes per delivered packet.
+//!
+//! It is also a check (CI runs it): a peak resident set over 19 MB, an
+//! open window over 312 KiB, or an archive over 16.8 bits per packet on
+//! `sat_mesh8x8` or 12.4 on `lowload_mesh12x12` exits non-zero.
 
 use nocem::clock::run_engine_until;
 use nocem::sweep::AnyEngine;
 use nocem::{EngineKind, SteppableEngine, TrafficModel};
 use nocem_scenarios::{ScenarioRegistry, TopologySpec};
-use nocem_stats::{LedgerError, Window, WindowStats};
+use nocem_stats::{LedgerError, PacketLedger, Window, WindowStats};
 use support::peak_rss_mb;
 
 mod support;
@@ -44,17 +50,25 @@ mod support;
 type Failure = Box<dyn std::error::Error>;
 
 /// The long run's length, and the peak allowed: one and a half times
-/// the 13.2–13.3 MB it reads on Linux x86-64, rounded up to a whole MB.
+/// the 12.4 MB it reads on Linux x86-64, rounded up to a whole MB.
 const CYCLES: u64 = 1_000_000;
-const LIMIT_PEAK_MB: f64 = 20.0;
+const LIMIT_PEAK_MB: f64 = 19.0;
 
 /// The starving run's length (the curve point's warm-up and window),
-/// and the open window allowed: one and a half times its 224 KiB peak.
+/// and the open window allowed: one and a half times its 208 KiB peak.
 const STARVING_CYCLES: u64 = 9_216;
-const LIMIT_WINDOW_KIB: f64 = 336.0;
+const LIMIT_WINDOW_KIB: f64 = 312.0;
 
-/// The open-loop, compiled-engine run of scenario `name` on an 8 × 8
-/// `topology` at `load` with 4-flit packets.
+/// The runs of the benchmark's `sat_mesh8x8` and `lowload_mesh12x12`,
+/// and the archive bits per delivered packet allowed on each: they read
+/// 16.73 and 12.38.
+const SAT_CYCLES: u64 = 100_000;
+const LIMIT_SAT_BITS: f64 = 16.8;
+const LOWLOAD_CYCLES: u64 = 2_000_000;
+const LIMIT_LOWLOAD_BITS: f64 = 12.4;
+
+/// The open-loop, compiled-engine run of scenario `name` on `topology`
+/// at `load` with 4-flit packets.
 fn open_loop(name: &str, topology: TopologySpec, load: f64) -> Result<AnyEngine, Failure> {
     let mut config = ScenarioRegistry::builtin()
         .resolve(name)?
@@ -70,12 +84,29 @@ fn open_loop(name: &str, topology: TopologySpec, load: f64) -> Result<AnyEngine,
     Ok(AnyEngine::build(&config)?)
 }
 
+/// Prints the archive's bytes and bits per delivered packet of `ledger`
+/// under `label`; more than `limit_bits` is an error.
+fn archive_per_packet(label: &str, ledger: &PacketLedger, limit_bits: f64) -> Result<(), Failure> {
+    let bytes = ledger.archive_bytes() as f64 / ledger.delivered() as f64;
+    println!(
+        "  {label:<16} {bytes:>12.2} B ({:.2} bits) per delivered packet",
+        8.0 * bytes
+    );
+    if 8.0 * bytes > limit_bits {
+        return Err(format!("{label} archive over {limit_bits} bits per packet").into());
+    }
+    Ok(())
+}
+
 fn long_run() -> Result<(), Failure> {
     let topology = TopologySpec::Mesh {
         width: 8,
         height: 8,
     };
     let mut engine = open_loop("uniform_random", topology, 0.40)?;
+    println!("uniform_random on mesh8x8 at 40 % load, {CYCLES} cycles");
+    run_engine_until(&mut engine, SAT_CYCLES)?;
+    archive_per_packet("sat_mesh8x8", engine.ledger(), LIMIT_SAT_BITS)?;
     run_engine_until(&mut engine, CYCLES)?;
     let ledger = engine.packet_ledger();
     let warmup = CYCLES / 10;
@@ -83,7 +114,6 @@ fn long_run() -> Result<(), Failure> {
     let (network, total) = WindowStats::from_ledger_both(&ledger, window);
     let peak = peak_rss_mb();
 
-    println!("uniform_random on mesh8x8 at 40 % load, {CYCLES} cycles");
     println!("  delivered        {:>12} packets", ledger.delivered());
     let archive = ledger.archive_bytes() as f64;
     println!(
@@ -136,7 +166,19 @@ fn starving_run() -> Result<(), Failure> {
     Ok(())
 }
 
+fn sparse_run() -> Result<(), Failure> {
+    let topology = TopologySpec::Mesh {
+        width: 12,
+        height: 12,
+    };
+    let mut engine = open_loop("uniform_random", topology, 0.001)?;
+    println!("uniform_random on mesh12x12 at 0.1 % load, {LOWLOAD_CYCLES} cycles");
+    run_engine_until(&mut engine, LOWLOAD_CYCLES)?;
+    archive_per_packet("lowload_mesh12x12", engine.ledger(), LIMIT_LOWLOAD_BITS)
+}
+
 fn main() -> Result<(), Failure> {
     long_run()?;
-    starving_run()
+    starving_run()?;
+    sparse_run()
 }

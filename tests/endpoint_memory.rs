@@ -1,5 +1,6 @@
-//! Endpoint state grows with traffic, not with capacity, and results
-//! are read in place.
+//! Endpoint state grows with traffic, not with capacity, results are
+//! read in place, and a run's steady state costs neither an allocation
+//! per cycle nor more than a few bits per packet.
 //!
 //! A counting global allocator measures the bytes a compiled engine
 //! keeps live after bring-up of mesh16×16 uniform-random (1 297 B per
@@ -14,7 +15,9 @@
 //! 1 787 blocks of 64 B (114 368 B) and take 1 609 allocations; 64-bit
 //! bins grown one at a time held 189 336 B and took 5 877. Telemetry
 //! likewise grows with the windows a run records, not with the ring's
-//! capacity.
+//! capacity. On `sat_mesh8x8`'s platform `Emulation` makes 8 allocations
+//! in 4 000 warm cycles, and after 20 000 cycles the ledger archive
+//! holds 2.05 B per delivered packet.
 
 mod support;
 
@@ -25,7 +28,7 @@ use std::sync::Mutex;
 use nocem::clock::SteppableEngine;
 use nocem::compile::elaborate;
 use nocem::config::{PlatformConfig, TrafficModel};
-use nocem::{ArchView, CompiledEngine};
+use nocem::{ArchView, CompiledEngine, Emulation};
 use nocem_stats::histogram::Histogram;
 use nocem_telemetry::TelemetryConfig;
 use support::{mesh, uniform_random};
@@ -109,7 +112,14 @@ fn counted_bins(h: &Histogram) -> usize {
 /// The benchmark's `setup_mesh16x16` platform: uniform-random at 2 %
 /// load, budgets and the delivery stop removed.
 fn mesh16x16() -> PlatformConfig {
-    let mut cfg = uniform_random(mesh(16, 16), 0.02, 1_000);
+    open_loop(16, 0.02)
+}
+
+/// Uniform-random four-flit packets on a `side` × `side` mesh at
+/// `load`, budgets and the delivery stop removed, as the benchmark's
+/// stepping workloads run it.
+fn open_loop(side: u32, load: f64) -> PlatformConfig {
+    let mut cfg = uniform_random(mesh(side, side), load, 1_000);
     for g in &mut cfg.generators {
         if let TrafficModel::Uniform(u) = g {
             u.budget = None;
@@ -255,5 +265,51 @@ fn telemetry_is_sized_by_the_windows_recorded() {
     assert!(
         held <= links * 24 + windows as usize * row,
         "the collector holds {held} B after {windows} windows of {row} B"
+    );
+}
+
+/// `Emulation` on `sat_mesh8x8`'s platform (mesh8×8 at 40 % load)
+/// allocates less than once per cycle once warm: each switch fills the
+/// engine's one transfer buffer instead of returning a new vector. It
+/// reads 8 allocations over the 4 000 cycles measured; a vector per
+/// forwarding switch took about 57 a cycle.
+#[test]
+fn emulation_allocates_less_than_once_per_cycle() {
+    const WARM: usize = 2_000;
+    const MEASURED: usize = 4_000;
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = open_loop(8, 0.40);
+    let mut engine = Emulation::new(elaborate(&cfg).expect("the platform elaborates"));
+    let mut run = |cycles| {
+        for _ in 0..cycles {
+            engine.step().expect("the run steps");
+        }
+    };
+    run(WARM);
+    let (_, allocations) = allocations_in(|| run(MEASURED));
+    assert!(
+        allocations < MEASURED,
+        "{allocations} allocations in {MEASURED} cycles"
+    );
+}
+
+/// The ledger archive of `sat_mesh8x8`'s platform, shortened to 20 000
+/// cycles, costs at most 16.8 bits per delivered packet: it reads
+/// 2.05 B (16.4 bits) over 94 309 packets. A length bit on every row
+/// and Rice parameters one higher cost 2.27 B.
+#[test]
+fn ledger_archive_costs_at_most_16_8_bits_per_packet() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = open_loop(8, 0.40);
+    let mut engine = CompiledEngine::new(elaborate(&cfg).expect("the platform elaborates"));
+    for _ in 0..20_000 {
+        engine.step().expect("the run steps");
+    }
+    let ledger = engine.ledger();
+    let (bytes, delivered) = (ledger.archive_bytes() as u64, ledger.delivered());
+    assert!(delivered > 90_000, "{delivered} packets delivered");
+    assert!(
+        10 * 8 * bytes <= 168 * delivered,
+        "{bytes} B archived for {delivered} packets"
     );
 }
