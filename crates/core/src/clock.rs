@@ -88,12 +88,13 @@ use crate::profile::{lap, Phase, PhaseProfiler, PhaseReport, StallReport, StallW
 use crate::view::ArchView;
 use nocem_common::time::Cycle;
 use nocem_stats::latency::LatencyAnalyzer;
-use nocem_stats::ledger::PacketLedger;
+use nocem_stats::ledger::{LedgerError, PacketLedger};
+use nocem_stats::window::Window;
 use nocem_switch::switch::Switch;
 use nocem_telemetry::Collector;
 use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 
 /// How an engine advances the platform clock.
@@ -370,6 +371,10 @@ pub trait CycleKernel {
     /// The packet ledger.
     fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_;
 
+    /// The packet ledger, mutably: [`SteppableEngine::watch`] reaches
+    /// it through this.
+    fn ledger_mut(&mut self) -> impl DerefMut<Target = PacketLedger> + '_;
+
     /// Flits fully delivered so far.
     fn delivered_flits(&self) -> u64;
 }
@@ -409,6 +414,17 @@ pub trait SteppableEngine {
     /// Snapshot of the packet ledger (for exact per-packet
     /// equivalence checks).
     fn packet_ledger(&self) -> PacketLedger;
+
+    /// Has the packet ledger watch `window` ([`PacketLedger::watch`]):
+    /// it folds the window's statistics at each delivery and keeps no
+    /// history, so it holds only the packets in flight. Call it before
+    /// the first step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LedgerError::LateWatch`] once a packet was released, or
+    /// when the ledger watches a window already.
+    fn watch(&mut self, window: Window) -> Result<(), LedgerError>;
 
     /// The windowed telemetry collector, when the config enabled one.
     ///
@@ -551,6 +567,10 @@ impl<K: CycleKernel> SteppableEngine for K {
 
     fn packet_ledger(&self) -> PacketLedger {
         self.ledger().clone()
+    }
+
+    fn watch(&mut self, window: Window) -> Result<(), LedgerError> {
+        self.ledger_mut().watch(window)
     }
 
     fn telemetry(&self) -> Option<&Collector> {
@@ -811,6 +831,10 @@ mod tests {
 
         fn ledger(&self) -> impl Deref<Target = PacketLedger> + '_ {
             &self.ledger
+        }
+
+        fn ledger_mut(&mut self) -> impl DerefMut<Target = PacketLedger> + '_ {
+            &mut self.ledger
         }
 
         fn delivered_flits(&self) -> u64 {

@@ -1501,6 +1501,10 @@ impl CycleKernel for CompiledEngine {
         &self.ledger
     }
 
+    fn ledger_mut(&mut self) -> impl std::ops::DerefMut<Target = PacketLedger> + '_ {
+        &mut self.ledger
+    }
+
     fn delivered_flits(&self) -> u64 {
         self.delivered_flits
     }

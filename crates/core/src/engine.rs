@@ -123,6 +123,11 @@ impl Platform {
         &self.ledger
     }
 
+    /// The packet ledger, mutably.
+    pub(crate) fn ledger_mut(&mut self) -> &mut PacketLedger {
+        &mut self.ledger
+    }
+
     /// Flits fully delivered so far.
     pub fn delivered_flits(&self) -> u64 {
         self.delivered_flits
@@ -494,6 +499,10 @@ impl CycleKernel for Emulation {
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
         &self.platform.ledger
+    }
+
+    fn ledger_mut(&mut self) -> impl std::ops::DerefMut<Target = PacketLedger> + '_ {
+        &mut self.platform.ledger
     }
 
     fn delivered_flits(&self) -> u64 {

@@ -23,7 +23,7 @@ use nocem_common::time::Cycle;
 use nocem_stats::ledger::PacketLedger;
 use nocem_switch::fifo::FifoFullError;
 use nocem_switch::switch::{Switch, CREDITS_INFINITE};
-use std::cell::{Ref, RefCell};
+use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -210,7 +210,9 @@ impl<F: Fabric> ProcessModel<F> {
             // credit travels back on that flit's input VC.
             let popped = Rc::clone(&popped);
             let sh = Rc::clone(&shared);
-            let mut sends = Vec::new();
+            // Both buffers are the closure's own and refilled every
+            // clock, so a warm switch allocates nothing.
+            let (mut sends, mut out) = (Vec::new(), vec![None; out_flits.len()]);
             fabric.clocked(move |_now, ctx| {
                 let sh = &mut *sh.borrow_mut();
                 let popped = &mut popped.borrow_mut()[s];
@@ -233,14 +235,14 @@ impl<F: Fabric> ProcessModel<F> {
                     }
                 }
                 sw.decide();
-                let mut out: Vec<Option<Flit>> = vec![None; out_flits.len()];
+                out.fill(None);
                 popped.fill(None);
                 sw.commit_sends(&mut sends);
                 for t in &sends {
                     out[t.output.index()] = Some(t.flit);
                     popped[t.input.index()] = Some(t.input_vc);
                 }
-                for (&link, flit) in out_flits.iter().zip(out) {
+                for (&link, &flit) in out_flits.iter().zip(&out) {
                     F::write_flit(ctx, link, flit);
                 }
                 for (per_vc, popped) in in_credits.iter().zip(popped.iter()) {
@@ -399,6 +401,10 @@ impl<F: Fabric> CycleKernel for ProcessModel<F> {
 
     fn ledger(&self) -> impl std::ops::Deref<Target = PacketLedger> + '_ {
         Ref::map(self.shared.borrow(), Platform::ledger)
+    }
+
+    fn ledger_mut(&mut self) -> impl std::ops::DerefMut<Target = PacketLedger> + '_ {
+        RefMut::map(self.shared.borrow_mut(), Platform::ledger_mut)
     }
 
     fn delivered_flits(&self) -> u64 {

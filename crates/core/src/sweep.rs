@@ -16,7 +16,8 @@ use crate::engine::Emulation;
 use crate::error::{CompileError, EmulationError};
 use crate::results::EmulationResults;
 use nocem_common::time::Cycle;
-use nocem_stats::ledger::PacketLedger;
+use nocem_stats::ledger::{LedgerError, PacketLedger};
+use nocem_stats::window::Window;
 use nocem_topology::routing::RoutingTables;
 
 /// Runs every configuration (see [`run_config`]) across up to
@@ -215,6 +216,10 @@ impl SteppableEngine for AnyEngine {
 
     fn packet_ledger(&self) -> PacketLedger {
         with_engine!(self, e => e.packet_ledger())
+    }
+
+    fn watch(&mut self, window: Window) -> Result<(), LedgerError> {
+        with_engine!(self, e => e.watch(window))
     }
 
     fn telemetry(&self) -> Option<&nocem_telemetry::Collector> {

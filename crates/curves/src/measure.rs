@@ -10,10 +10,17 @@
 //! 2. runs the configured engine ([`nocem::sweep::AnyEngine`] honours
 //!    [`nocem::config::EngineKind`] and [`nocem::ClockMode`]) for
 //!    `warmup_cycles + measure_cycles` cycles;
-//! 3. extracts the point's statistics from the packet ledger through
-//!    `nocem-stats`' windowed extraction: latency quantiles over
+//! 3. has the packet ledger watch the measurement window before the
+//!    run ([`nocem::SteppableEngine::watch`]): at each delivery it
+//!    folds what the point's statistics need — the packets and flits
+//!    delivered inside the window, and an exact count per latency value
+//!    of the packets injected inside it — and it keeps no record of a
+//!    delivered packet, so the point holds only the packets in flight.
+//!    After the run the ledger rebuilds the statistics from those counts
+//!    ([`nocem_stats::PacketLedger::watched`]): latency quantiles over
 //!    packets injected inside the window, accepted throughput over
-//!    packets delivered inside it.
+//!    packets delivered inside it, equal to what `nocem-stats`' windowed
+//!    extraction reads from a full history of records.
 //!
 //! Because selection is by absolute cycle over a ledger that is
 //! cycle-identical across clock modes and engines, a measurement is
@@ -22,9 +29,11 @@
 use crate::CurveError;
 use nocem::clock::run_engine_until;
 use nocem::config::{PlatformConfig, TrafficModel};
+use nocem::error::EmulationError;
 use nocem::sweep::AnyEngine;
+use nocem::SteppableEngine;
 use nocem_stats::congestion::VcOccupancy;
-use nocem_stats::window::{Window, WindowStats};
+use nocem_stats::window::Window;
 use nocem_telemetry::LinkStat;
 use nocem_topology::routing::RoutingTables;
 
@@ -179,22 +188,25 @@ pub fn measure_config(
 ) -> Result<PointMeasurement, CurveError> {
     let mut cfg = config.clone();
     open_loop(&mut cfg, measure);
-    let mut engine = AnyEngine::build_routed(&cfg, routing)?;
-    run_engine_until(&mut engine, measure.total_cycles())?;
-    nocem::SteppableEngine::seal_telemetry(&mut engine);
-    let telemetry = nocem::SteppableEngine::telemetry(&engine).map(|c| PointTelemetry {
-        window: c.window_cycles(),
-        top_links: c.top_blocked(TOP_LINKS),
-    });
-    let profile = nocem::SteppableEngine::profile(&mut engine);
-    let results = engine.results()?;
-
     let window = Window::after_warmup(
         measure.warmup_cycles,
         measure.measure_cycles,
         measure.total_cycles(),
     );
-    let (net, total) = WindowStats::from_ledger_both(engine.ledger(), window);
+    let mut engine = AnyEngine::build_routed(&cfg, routing)?;
+    engine.watch(window).map_err(EmulationError::from)?;
+    run_engine_until(&mut engine, measure.total_cycles())?;
+    engine.seal_telemetry();
+    let telemetry = engine.telemetry().map(|c| PointTelemetry {
+        window: c.window_cycles(),
+        top_links: c.top_blocked(TOP_LINKS),
+    });
+    let profile = engine.profile();
+    let results = engine.results()?;
+    let (net, total) = engine
+        .ledger()
+        .watched()
+        .expect("the ledger watches the window");
     let nodes = cfg.topology.generators().len().max(1) as f64;
     Ok(PointMeasurement {
         offered,

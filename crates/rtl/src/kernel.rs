@@ -145,6 +145,12 @@ pub struct Kernel {
     clocked: Vec<u32>,
     processes: Vec<Process>,
     nba: Vec<(SignalId, Value)>,
+    /// The writes being applied while processes queue the next delta's
+    /// in `nba`: the two swap each delta, so neither reallocates once
+    /// warm.
+    applying: Vec<(SignalId, Value)>,
+    /// The processes the last applied writes woke, in waking order.
+    wake: Vec<u32>,
     stats: KernelStats,
     time: u64,
     /// Whether the one-time reactive initialization pass has run.
@@ -212,8 +218,8 @@ impl Kernel {
         let high = self.value(sig).is_high();
         if high {
             self.nba.push((sig, Value::Low));
-            let woken = self.apply_nba();
-            debug_assert!(woken.is_empty(), "a taken signal wakes no process");
+            self.apply_nba();
+            debug_assert!(self.wake.is_empty(), "a taken signal wakes no process");
         }
         high
     }
@@ -265,11 +271,12 @@ impl Kernel {
         self.processes[pid as usize](&mut ctx);
     }
 
-    /// Applies queued NBA writes; returns the processes to wake.
-    fn apply_nba(&mut self) -> Vec<u32> {
-        let mut wake: Vec<u32> = Vec::new();
-        let writes = std::mem::take(&mut self.nba);
-        for (sig, value) in writes {
+    /// Applies queued NBA writes; leaves the processes to wake in
+    /// `wake`.
+    fn apply_nba(&mut self) {
+        self.wake.clear();
+        std::mem::swap(&mut self.nba, &mut self.applying);
+        for &(sig, value) in &self.applying {
             let cur = &mut self.signals[sig.index()];
             if *cur == value {
                 continue;
@@ -284,12 +291,12 @@ impl Kernel {
                 let _ = writeln!(vcd.body, "b{:b} s{}", encode(value), sig.index());
             }
             for &p in &self.sensitivity[sig.index()] {
-                if !wake.contains(&p) {
-                    wake.push(p);
+                if !self.wake.contains(&p) {
+                    self.wake.push(p);
                 }
             }
         }
-        wake
+        self.applying.clear();
     }
 
     /// Simulates one clock cycle: activate every clocked process, then
@@ -320,8 +327,8 @@ impl Kernel {
         }
         let mut deltas = 0;
         loop {
-            let wake = self.apply_nba();
-            if wake.is_empty() {
+            self.apply_nba();
+            if self.wake.is_empty() {
                 break;
             }
             self.stats.delta_cycles += 1;
@@ -329,8 +336,8 @@ impl Kernel {
             if deltas > MAX_DELTAS {
                 return Err(ConvergenceError { time: self.time });
             }
-            for pid in wake {
-                self.run_process(pid);
+            for i in 0..self.wake.len() {
+                self.run_process(self.wake[i]);
             }
         }
         self.time += 1;

@@ -88,8 +88,37 @@
 //! the archive ([`Arc`]): a snapshot copies only the open window, and a
 //! ledger that archives more while a clone lives copies it
 //! ([`Arc::make_mut`]).
+//!
+//! # Watching a window
+//!
+//! A ledger told before its first release to watch a measurement window
+//! ([`PacketLedger::watch`]) folds each delivery into that window's
+//! statistics — the packets and flits delivered inside it, and an exact
+//! count per latency value of the packets injected inside it — and
+//! keeps no history: it writes no archive row and parks no row, a
+//! pinned entry leaves the pinned list when its packet is delivered,
+//! and a delivered entry that leaves the dense window is dropped. It
+//! holds only open packets: the dense window, at most twice its
+//! undelivered entries, and the pinned list, all undelivered. On the
+//! starving `tornado` point above its open window peaks at 72 KiB
+//! (676 packets in flight), not 208 KiB. The latency counts take 4
+//! bytes per value up to the largest latency below 2^16, and 16 bytes
+//! per larger value. [`PacketLedger::watched`] rebuilds from
+//! them the statistics [`WindowStats::from_ledger_both`] reads from a
+//! full history. The curve harness measures every point this way.
+//!
+//! On a watching ledger [`PacketLedger::records`] yields only the
+//! released packets not yet delivered; `==` compares the watched
+//! window, its folded statistics, the counters, the digest and those
+//! open records; [`PacketLedger::verify_drained`] works as before,
+//! [`PacketLedger::archive_bytes`] reads 0 and
+//! [`PacketLedger::window_bytes`] counts the dense window and the
+//! pinned list. Every ledger, watching or not, keeps
+//! [`PacketLedger::set_digest`]: the wrapping sum of one FNV-1a hash
+//! per packet, folded at delivery, so it needs no history either.
 
 use crate::latency::LatencyAnalyzer;
+use crate::window::{Watch, Window, WindowStats};
 use nocem_common::ids::PacketId;
 use nocem_common::time::Cycle;
 use std::collections::VecDeque;
@@ -408,6 +437,23 @@ fn happened(at: u64) -> Option<Cycle> {
     (at != NEVER).then_some(Cycle::new(at))
 }
 
+/// The 64-bit FNV-1a hash of packet `id`'s lifecycle `entry`: of the
+/// little-endian bytes of the id, the release cycle, the length in
+/// flits (2 bytes), the injection cycle and the delivery cycle, 34 bytes
+/// in all, an event that has not happened as `u64::MAX`.
+#[inline]
+fn packet_hash(id: u64, entry: &Entry) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0100_0000_01b3;
+    let mut bytes = [0u8; 34];
+    bytes[..8].copy_from_slice(&id.to_le_bytes());
+    bytes[8..16].copy_from_slice(&entry.release.to_le_bytes());
+    bytes[16..18].copy_from_slice(&entry.len_flits.to_le_bytes());
+    bytes[18..26].copy_from_slice(&entry.inject.to_le_bytes());
+    bytes[26..].copy_from_slice(&entry.deliver.to_le_bytes());
+    (bytes.iter()).fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+}
+
 /// Violation of packet conservation — always an engine bug.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -427,6 +473,9 @@ pub enum LedgerError {
         /// Length at delivery.
         delivered: u16,
     },
+    /// A window to watch was registered after the first release, or
+    /// after another window.
+    LateWatch,
 }
 
 impl std::fmt::Display for LedgerError {
@@ -443,6 +492,12 @@ impl std::fmt::Display for LedgerError {
                 f,
                 "packet {packet} released with {released} flits but delivered with {delivered}"
             ),
+            LedgerError::LateWatch => {
+                write!(
+                    f,
+                    "a window to watch must be the ledger's first and only one, before any release"
+                )
+            }
         }
     }
 }
@@ -494,7 +549,9 @@ impl PacketRecord {
 /// timestamp and length): two runs with equal ledgers released,
 /// injected and delivered the same packets at the same cycles — the
 /// exactness bar the clock-gating equivalence tests hold the engines
-/// to. See the [module docs](self) for how the packets are stored.
+/// to. A ledger that watches a window ([`PacketLedger::watch`]) keeps
+/// no history; see the [module docs](self) for how the packets are
+/// stored, and what a watching ledger's `==` compares.
 #[derive(Debug, Clone, Default)]
 pub struct PacketLedger {
     /// One row per id of `[0, lo)` as a bit string, shared by clones
@@ -523,6 +580,12 @@ pub struct PacketLedger {
     window: VecDeque<Entry>,
     /// The delivered entries in `window`.
     window_delivered: usize,
+    /// The window watched, when one is: then nothing is archived or
+    /// parked, and a delivered entry is dropped when it leaves the
+    /// pinned list or the dense window.
+    watch: Option<Box<Watch>>,
+    /// The wrapping sum of [`packet_hash`] over the delivered packets.
+    digest: u64,
     released: u64,
     injected: u64,
     delivered: u64,
@@ -561,8 +624,23 @@ impl PacketLedger {
 
     /// Moves `lo` across the delivered ids from `lo` on, archiving each
     /// — pinned, parked, then from the front of the dense window — up
-    /// to the first one that is not.
+    /// to the first one that is not. A watching ledger drops them
+    /// instead: its pinned entries are all undelivered, so `lo` moves
+    /// to the first of them, or with none into the dense window.
     fn archive_delivered(&mut self) {
+        if self.watch.is_some() {
+            if let Some(&(id, _)) = self.pinned.front() {
+                self.lo = id;
+                return;
+            }
+            while self.window.front().is_some_and(|e| e.deliver != NEVER) {
+                self.window.pop_front();
+                self.window_delivered -= 1;
+                self.base += 1;
+            }
+            self.lo = self.base;
+            return;
+        }
         let words = Arc::make_mut(&mut self.archive);
         loop {
             let entry = if self.lo < self.base {
@@ -597,14 +675,16 @@ impl PacketLedger {
     /// Restores the window's invariant — no more delivered entries than
     /// undelivered ones — by moving entries off its front: an
     /// undelivered one to the pinned list, a delivered one to the
-    /// parked queue.
+    /// parked queue (or nowhere, in a watching ledger).
     fn park(&mut self) {
         while 2 * self.window_delivered > self.window.len() {
             let entry = self.window.pop_front().expect("a delivered entry");
             if entry.deliver == NEVER {
                 self.pinned.push_back((self.base, entry));
             } else {
-                self.parked.push(entry);
+                if self.watch.is_none() {
+                    self.parked.push(entry);
+                }
                 self.window_delivered -= 1;
             }
             self.base += 1;
@@ -687,15 +767,25 @@ impl PacketLedger {
             });
         }
         entry.deliver = at.raw();
+        let done = *entry;
         let lat = PacketLatency {
             network: at.since(inject),
-            total: at.since(Cycle::new(entry.release)),
+            total: at.since(Cycle::new(done.release)),
         };
         self.delivered += 1;
         self.network_latency.record(lat.network);
         self.total_latency.record(lat.total);
+        self.digest = self.digest.wrapping_add(packet_hash(id.raw(), &done));
         if id.raw() >= self.base {
             self.window_delivered += 1;
+        }
+        if let Some(watch) = &mut self.watch {
+            watch.fold(done.inject, done.deliver, done.len_flits, lat);
+            if id.raw() < self.base {
+                let i = self.pinned.binary_search_by_key(&id.raw(), |&(p, _)| p);
+                self.pinned
+                    .remove(i.expect("an open entry below the dense window is pinned"));
+            }
         }
         if id.raw() == self.lo {
             self.archive_delivered();
@@ -736,15 +826,58 @@ impl PacketLedger {
         &self.total_latency
     }
 
+    /// Watches `window` from now on: each delivery folds into the
+    /// window's statistics ([`PacketLedger::watched`]), and the ledger
+    /// keeps no history — no archive row, no parked row, and no entry of
+    /// a delivered packet past the dense window — so it holds only the
+    /// open packets. [`PacketLedger::records`] then yields those alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LedgerError::LateWatch`] after the first release, or
+    /// when the ledger watches a window already: the statistics would
+    /// miss the packets delivered before.
+    pub fn watch(&mut self, window: Window) -> Result<(), LedgerError> {
+        if self.released > 0 || self.watch.is_some() {
+            return Err(LedgerError::LateWatch);
+        }
+        self.watch = Some(Box::new(Watch::new(window)));
+        Ok(())
+    }
+
+    /// The network- and total-latency statistics of the window watched,
+    /// equal to what [`WindowStats::from_ledger_both`] reads from a
+    /// ledger that kept its history over the same events; `None` when
+    /// the ledger watches no window.
+    pub fn watched(&self) -> Option<(WindowStats, WindowStats)> {
+        self.watch.as_ref().map(|w| w.stats())
+    }
+
+    /// An order-free digest of every packet's lifecycle: the wrapping
+    /// sum, over the released packets, of the 64-bit FNV-1a hash of the
+    /// little-endian bytes of (id, release, length in flits as 2 bytes,
+    /// injection, delivery), with `u64::MAX` for an event that has not
+    /// happened. Delivered packets are folded in at delivery and the
+    /// open ones added here, so it needs no history and costs the open
+    /// packets alone.
+    pub fn set_digest(&self) -> u64 {
+        (self.held())
+            .filter(|(_, e)| e.release != NEVER && e.deliver == NEVER)
+            .fold(self.digest, |sum, (id, e)| {
+                sum.wrapping_add(packet_hash(id, &e))
+            })
+    }
+
     /// Heap bytes the archive of delivered packets takes: its whole
-    /// 64-bit words, without spare capacity.
+    /// 64-bit words, without spare capacity (0 in a watching ledger).
     pub fn archive_bytes(&self) -> usize {
         self.archive.len() * std::mem::size_of::<u64>()
     }
 
     /// Heap bytes the open window takes: the allocations of the dense
     /// window, the pinned list and the parked queue, spare capacity
-    /// included.
+    /// included. A watching ledger parks nothing, and the latency counts
+    /// of its window are not part of the open window.
     pub fn window_bytes(&self) -> usize {
         use std::mem::size_of;
         self.window.capacity() * size_of::<Entry>()
@@ -752,29 +885,42 @@ impl PacketLedger {
             + self.parked.words.capacity() * size_of::<u64>()
     }
 
-    /// The entry of every id from `lo` up to the highest released one,
-    /// in id order, vacant ones included.
-    fn open_entries(&self) -> impl Iterator<Item = Entry> + '_ {
+    /// The pinned entries and the dense window's, with their ids, in
+    /// id order: every undelivered packet is among them.
+    fn held(&self) -> impl Iterator<Item = (u64, Entry)> + '_ {
+        let dense = self.window.iter().zip(self.base..).map(|(&e, id)| (id, e));
+        self.pinned.iter().copied().chain(dense)
+    }
+
+    /// The entry of every id from `lo` up to the highest released one
+    /// that the ledger keeps, in id order, vacant ones included: every
+    /// id, unless the ledger watches a window and dropped delivered ones.
+    fn open_entries(&self) -> impl Iterator<Item = (u64, Entry)> + '_ {
+        let watching = self.watch.is_some();
         let (mut pinned, mut parked) = (self.pinned.iter().peekable(), self.parked.front);
-        (self.lo..self.base)
-            .map(move |id| match pinned.next_if(|&&(p, _)| p == id) {
+        let behind = (self.lo..self.base).filter_map(move |id| {
+            let entry = match pinned.next_if(|&&(p, _)| p == id) {
                 Some(&(_, entry)) => entry,
+                None if watching => return None,
                 None => parked.next_row(&self.parked.words),
-            })
-            .chain(self.window.iter().copied())
+            };
+            Some((id, entry))
+        });
+        behind.chain(self.window.iter().zip(self.base..).map(|(&e, id)| (id, e)))
     }
 
     /// Iterates the lifecycle record of every registered packet, in
-    /// packet-id order.
+    /// packet-id order. A watching ledger keeps no delivered packet's
+    /// record: it yields the released packets not yet delivered.
     pub fn records(&self) -> impl Iterator<Item = PacketRecord> + '_ {
+        let watching = self.watch.is_some();
         let mut archived = Cursor::default();
-        (0..self.lo)
-            .map(move |_| archived.next_row(&self.archive))
+        (0..if watching { 0 } else { self.lo })
+            .map(move |id| (id, archived.next_row(&self.archive)))
             .chain(self.open_entries())
-            .enumerate()
-            .filter(|(_, e)| e.release != NEVER)
-            .map(|(i, e)| PacketRecord {
-                id: PacketId::new(i as u64),
+            .filter(move |(_, e)| e.release != NEVER && !(watching && e.deliver != NEVER))
+            .map(|(id, e)| PacketRecord {
+                id: PacketId::new(id),
                 release: Cycle::new(e.release),
                 len_flits: e.len_flits,
                 inject: happened(e.inject),
@@ -784,18 +930,15 @@ impl PacketLedger {
 
     /// Verifies full conservation at end of run: everything released
     /// was delivered. Only the pinned list and the dense window are
-    /// scanned: every archived or parked packet is delivered by
-    /// construction.
+    /// scanned: every archived, parked or dropped packet is delivered
+    /// by construction.
     ///
     /// # Errors
     ///
     /// Returns the first undelivered packet as
     /// [`LedgerError::UnknownPacket`]-style diagnostics.
     pub fn verify_drained(&self) -> Result<(), LedgerError> {
-        let dense = self.window.iter().zip(self.base..).map(|(&e, id)| (id, e));
-        match (self.pinned.iter().copied().chain(dense))
-            .find(|(_, e)| e.release != NEVER && e.deliver == NEVER)
-        {
+        match (self.held()).find(|(_, e)| e.release != NEVER && e.deliver == NEVER) {
             Some((id, _)) => Err(LedgerError::UnknownPacket(PacketId::new(id))),
             None => Ok(()),
         }
@@ -805,21 +948,34 @@ impl PacketLedger {
 /// Logical equality: the same records and statistics. Which delivered
 /// entries are parked depends on the order of the calls, so ledgers
 /// whose open windows are laid out alike compare those directly, and
-/// others record by record.
+/// others record by record. Watching ledgers are equal when they watch
+/// the same window with the same folded statistics and digest and hold
+/// the same open packets; a watching ledger never equals one that keeps
+/// its history.
 impl PartialEq for PacketLedger {
     fn eq(&self, other: &Self) -> bool {
-        let counts = |l: &Self| (l.lo, l.archive_bits, l.released, l.injected, l.delivered);
+        let counts = |l: &Self| {
+            let events = (l.released, l.injected, l.delivered);
+            (l.lo, l.archive_bits, events, l.digest)
+        };
         let same_layout = || {
             self.base == other.base
                 && self.pinned == other.pinned
                 && self.parked == other.parked
                 && self.window == other.window
         };
+        let same_open = || match self.watch {
+            Some(_) => self.records().eq(other.records()),
+            None => {
+                self.archive == other.archive
+                    && (same_layout() || self.open_entries().eq(other.open_entries()))
+            }
+        };
         counts(self) == counts(other)
             && self.network_latency == other.network_latency
             && self.total_latency == other.total_latency
-            && self.archive == other.archive
-            && (same_layout() || self.open_entries().eq(other.open_entries()))
+            && self.watch == other.watch
+            && same_open()
     }
 }
 
@@ -1013,6 +1169,99 @@ mod tests {
             .records()
             .map(|r| r.id.raw())
             .eq((0..1_000).chain([1_003])));
+    }
+
+    /// A watching ledger keeps no history. The calls of
+    /// `verify_drained_scans_only_the_open_window` leave it with the two
+    /// stragglers pinned and nothing archived or parked; `records()`
+    /// yields just those two, each leaves the pinned list at its
+    /// delivery, and the window's statistics count every packet.
+    #[test]
+    fn a_watching_ledger_holds_only_open_packets() {
+        let window = Window {
+            start: 0,
+            end: 2_000,
+        };
+        let mut late = PacketLedger::new();
+        late.release(PacketId::new(0), Cycle::ZERO, 2).unwrap();
+        assert_eq!(late.watch(window), Err(LedgerError::LateWatch));
+        let mut l = PacketLedger::new();
+        l.watch(window).unwrap();
+        assert_eq!(l.watch(window), Err(LedgerError::LateWatch));
+        assert_eq!(l.watched().map(|(n, _)| n.window()), Some(window));
+        for i in 0..1_000 {
+            let id = PacketId::new(i);
+            l.release(id, Cycle::new(i), 2).unwrap();
+            l.inject(id, Cycle::new(i + 1)).unwrap();
+        }
+        for i in (0..1_000).filter(|&i| i != 500 && i != 700) {
+            l.deliver(PacketId::new(i), Cycle::new(i + 9), 2).unwrap();
+            assert!(2 * l.window_delivered <= l.window.len());
+            assert!(l.pinned.iter().all(|(_, e)| e.deliver == NEVER));
+        }
+        let layout = |l: &PacketLedger| {
+            let pinned: Vec<u64> = l.pinned.iter().map(|&(id, _)| id).collect();
+            (l.lo, pinned, l.base, l.window.len())
+        };
+        assert_eq!(layout(&l), (500, vec![500, 700], 1_000, 0));
+        assert_eq!((l.archive_bytes(), l.parked.words.capacity()), (0, 0));
+        let open = |l: &PacketLedger| l.records().map(|r| r.id.raw()).collect::<Vec<_>>();
+        assert_eq!(open(&l), [500, 700]);
+        assert_eq!(
+            l.deliver(PacketId::new(499), Cycle::new(999), 2),
+            Err(LedgerError::DuplicateEvent(PacketId::new(499))),
+            "a dropped packet was delivered"
+        );
+        l.deliver(PacketId::new(700), Cycle::new(800), 2).unwrap();
+        assert_eq!(layout(&l), (500, vec![500], 1_000, 0));
+        assert_eq!(open(&l), [500]);
+        l.deliver(PacketId::new(500), Cycle::new(600), 2).unwrap();
+        assert_eq!(layout(&l), (1_000, vec![], 1_000, 0));
+        assert_eq!(open(&l), [0u64; 0]);
+        l.verify_drained().unwrap();
+        let (network, total) = l.watched().expect("the ledger watches");
+        assert_eq!((network.samples(), total.samples()), (1_000, 1_000));
+        assert_eq!(network.delivered_packets(), 1_000);
+        assert_eq!(network.max(), Some(99));
+        assert_eq!(PacketLedger::new().watched(), None);
+    }
+
+    /// The digest sums one hash per packet, whatever the order of the
+    /// calls and whether the ledger watches: a packet's hash is the same
+    /// open or delivered only if the lifecycle is, so delivering one
+    /// moves the digest.
+    #[test]
+    fn the_digest_is_a_sum_over_packets() {
+        let run = |watch: bool, order: [u64; 3]| {
+            let mut l = PacketLedger::new();
+            if watch {
+                l.watch(Window { start: 0, end: 10 }).unwrap();
+            }
+            for id in order {
+                l.release(PacketId::new(id), Cycle::new(id), 3).unwrap();
+                l.inject(PacketId::new(id), Cycle::new(id + 1)).unwrap();
+            }
+            l.deliver(PacketId::new(order[1]), Cycle::new(9), 3)
+                .unwrap();
+            l
+        };
+        let digest = run(false, [0, 1, 2]).set_digest();
+        assert_eq!(run(true, [0, 1, 2]).set_digest(), digest);
+        assert_eq!(run(true, [2, 1, 0]).set_digest(), digest);
+        let mut l = run(true, [0, 1, 2]);
+        l.deliver(PacketId::new(2), Cycle::new(9), 3).unwrap();
+        assert_ne!(l.set_digest(), digest);
+        // The hash of the empty lifecycle of id 0: FNV-1a over 34 bytes.
+        let entry = Entry {
+            release: 0,
+            len_flits: 0,
+            ..Entry::VACANT
+        };
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in [[0u8; 18], [0xff; 18]].concat().into_iter().take(34) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(packet_hash(0, &entry), h);
     }
 
     /// A long run at `sat_mesh8x8`'s mix costs at most 2.6 bytes per

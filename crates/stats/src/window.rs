@@ -19,9 +19,18 @@
 //! Selection is by absolute cycle, so two cycle-equivalent runs
 //! (gated vs ungated, compiled vs interpreted) produce identical
 //! window statistics even when their machinery counters differ.
+//!
+//! The statistics come from one of two places. A ledger that was told
+//! before its first release to watch a window
+//! ([`PacketLedger::watch`]) folds each delivery into its counts:
+//! the packets and flits delivered inside the window, and an exact
+//! count per latency value of the packets injected inside it.
+//! [`PacketLedger::watched`] rebuilds both [`WindowStats`] from those
+//! counts, equal to what [`WindowStats::from_ledger_both`] reads from a
+//! ledger's full history of records.
 
 use crate::histogram::Histogram;
-use crate::ledger::{PacketLedger, PacketRecord};
+use crate::ledger::{PacketLatency, PacketLedger, PacketRecord};
 
 /// Number of uniform bins the windowed latency histogram uses; the
 /// quantile error is bounded by `max_sample / BINS + 1` cycles.
@@ -92,6 +101,127 @@ fn quantile_histogram(max: u64) -> Histogram {
     Histogram::new(QUANTILE_BINS, max / QUANTILE_BINS as u64 + 1)
 }
 
+/// Latencies below this are counted in a dense vector, 4 bytes per
+/// value up to the largest one seen; larger ones in a sorted list.
+const DENSE_LATENCIES: u64 = 1 << 16;
+
+/// Exact counts of one latency kind's samples, per value.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Counts {
+    /// `dense[v]`: the samples of value `v`, up to `u32::MAX` of them.
+    dense: Vec<u32>,
+    /// `(value, samples)` by value: each value from [`DENSE_LATENCIES`]
+    /// on, and a smaller value's samples past its dense count's
+    /// `u32::MAX`. Such latencies arise only in runs past saturation
+    /// longer than 2^16 cycles, where they mostly grow with the run, so
+    /// a new value is mostly appended.
+    spill: Vec<(u64, u64)>,
+}
+
+impl Counts {
+    /// Counts one sample of `value`.
+    fn add(&mut self, value: u64) {
+        if value < DENSE_LATENCIES {
+            let i = value as usize;
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, 0);
+            }
+            if let Some(n) = self.dense[i].checked_add(1) {
+                self.dense[i] = n;
+                return;
+            }
+        }
+        match self.spill.binary_search_by_key(&value, |&(v, _)| v) {
+            Ok(i) => self.spill[i].1 += 1,
+            Err(i) => self.spill.insert(i, (value, 1)),
+        }
+    }
+
+    /// Each counted value with its count, once or (a dense value that
+    /// spilled) twice; no order is promised.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let dense = (0..).zip(self.dense.iter().map(|&n| u64::from(n)));
+        dense
+            .filter(|&(_, n)| n > 0)
+            .chain(self.spill.iter().copied())
+    }
+}
+
+/// A window a ledger watches while it runs: everything
+/// [`WindowStats::from_ledger_both`] reads from the records, folded one
+/// delivery at a time, so the ledger needs no record after it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Watch {
+    window: Window,
+    delivered_packets: u64,
+    delivered_flits: u64,
+    network: Counts,
+    total: Counts,
+}
+
+impl Watch {
+    /// Watches `window`, nothing folded yet.
+    pub(crate) fn new(window: Window) -> Self {
+        Watch {
+            window,
+            delivered_packets: 0,
+            delivered_flits: 0,
+            network: Counts::default(),
+            total: Counts::default(),
+        }
+    }
+
+    /// Folds the delivery at cycle `deliver` of a packet of `len_flits`
+    /// injected at cycle `inject`, whose latencies are `latency`.
+    #[inline]
+    pub(crate) fn fold(
+        &mut self,
+        inject: u64,
+        deliver: u64,
+        len_flits: u16,
+        latency: PacketLatency,
+    ) {
+        if self.window.contains(deliver) {
+            self.delivered_packets += 1;
+            self.delivered_flits += u64::from(len_flits);
+        }
+        if self.window.contains(inject) {
+            self.network.add(latency.network);
+            self.total.add(latency.total);
+        }
+    }
+
+    /// The network- and total-latency statistics of the window, as
+    /// [`WindowStats::from_ledger_both`] builds them.
+    pub(crate) fn stats(&self) -> (WindowStats, WindowStats) {
+        let stats = |kind, counts: &Counts| {
+            let mut s = WindowStats::blank(self.window, kind);
+            s.delivered_packets = self.delivered_packets;
+            s.delivered_flits = self.delivered_flits;
+            for (value, n) in counts.iter() {
+                s.samples += n;
+                s.sum += value * n;
+                s.min = s.min.min(value);
+                s.max = s.max.max(value);
+            }
+            if s.samples > 0 {
+                let mut h = quantile_histogram(s.max);
+                for (value, n) in counts.iter() {
+                    for _ in 0..n {
+                        h.record(value);
+                    }
+                }
+                s.histogram = Some(h);
+            }
+            s
+        };
+        (
+            stats(LatencyKind::Network, &self.network),
+            stats(LatencyKind::Total, &self.total),
+        )
+    }
+}
+
 /// Windowed latency + throughput statistics extracted from a ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
@@ -128,18 +258,24 @@ impl WindowStats {
     /// identical in the pair). Pass 1 takes counts, sums and extremes;
     /// pass 2 fills the histograms, whose bin width comes from pass 1's
     /// maximum.
+    ///
+    /// A ledger that watches `window` ([`PacketLedger::watch`]) keeps no
+    /// history to read, so its folded statistics are returned instead
+    /// ([`PacketLedger::watched`]): the same two statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ledger watches a window other than `window`: its
+    /// records are then only the packets still open.
     pub fn from_ledger_both(ledger: &PacketLedger, window: Window) -> (Self, Self) {
-        let blank = |kind| WindowStats {
-            window,
-            kind,
-            samples: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            delivered_packets: 0,
-            delivered_flits: 0,
-            histogram: None,
-        };
+        if let Some(watched) = ledger.watched() {
+            assert_eq!(
+                watched.0.window, window,
+                "a watching ledger has the statistics of its own window only"
+            );
+            return watched;
+        }
+        let blank = |kind| WindowStats::blank(window, kind);
         let (mut network, mut total) = (blank(LatencyKind::Network), blank(LatencyKind::Total));
         for rec in ledger.records() {
             if rec.deliver.is_some_and(|d| window.contains(d.raw())) {
@@ -166,6 +302,21 @@ impl WindowStats {
             total.histogram = Some(total_h);
         }
         (network, total)
+    }
+
+    /// No sample and no delivery yet.
+    fn blank(window: Window, kind: LatencyKind) -> Self {
+        WindowStats {
+            window,
+            kind,
+            samples: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            delivered_packets: 0,
+            delivered_flits: 0,
+            histogram: None,
+        }
     }
 
     /// Books one latency sample's summary statistics.
@@ -376,6 +527,43 @@ mod tests {
         assert_eq!(s.min(), Some(1_000));
         assert_eq!(s.quantile(0.0), Some(1_004));
         assert_eq!(s.quantile(1.0), Some(1_012));
+    }
+
+    /// Per-value counts stay exact past the dense range, in the sorted
+    /// list whatever order values arrive in, and past a dense count's
+    /// `u32::MAX`, where the value's further samples spill to the list.
+    #[test]
+    fn counts_stay_exact_past_the_dense_range_and_u32() {
+        let mut c = Counts::default();
+        for v in [3, 1 << 40, DENSE_LATENCIES, 1 << 40, DENSE_LATENCIES + 1] {
+            c.add(v);
+        }
+        c.dense[3] = u32::MAX;
+        c.add(3);
+        c.add(3);
+        assert_eq!(c.dense.len(), 4);
+        assert_eq!(
+            c.spill,
+            [
+                (3, 2),
+                (DENSE_LATENCIES, 1),
+                (DENSE_LATENCIES + 1, 1),
+                (1 << 40, 2)
+            ]
+        );
+        let mut all: Vec<_> = c.iter().collect();
+        all.sort_unstable();
+        let max = u64::from(u32::MAX);
+        assert_eq!(
+            all,
+            [
+                (3, 2),
+                (3, max),
+                (DENSE_LATENCIES, 1),
+                (DENSE_LATENCIES + 1, 1),
+                (1 << 40, 2)
+            ]
+        );
     }
 
     /// Exact quantile reference: the rank-`ceil(q*n)` order statistic.

@@ -1,8 +1,10 @@
 //! Property-based tests of the statistics substrate: histograms never
 //! lose samples and read as a dense reference does, the latency analyzer agrees with a reference
 //! computation, the packet ledger enforces its lifecycle and agrees
-//! with a flat reference model, and the reassembler accepts exactly the
-//! flit sequences a wormhole network can produce.
+//! with a flat reference model — its digest included, and a watching
+//! ledger's folded window statistics equal those read from a full
+//! history — and the reassembler accepts exactly the flit sequences a
+//! wormhole network can produce.
 
 use std::sync::Arc;
 
@@ -17,6 +19,7 @@ use nocem_stats::histogram::Histogram;
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::{LedgerError, PacketLatency, PacketLedger, PacketRecord};
 use nocem_stats::receptor::{Reassembler, Receptor};
+use nocem_stats::window::{Window, WindowStats};
 use nocem_stats::TrKind;
 
 /// A histogram that stores every nominal bin from the start: the
@@ -219,6 +222,39 @@ impl FlatLedger {
             None => Ok(()),
         }
     }
+
+    /// The records of the packets released and not yet delivered: what a
+    /// watching ledger keeps.
+    fn open_records(&self) -> Vec<PacketRecord> {
+        let mut records = self.records();
+        records.retain(|r| r.deliver.is_none());
+        records
+    }
+
+    /// The wrapping sum of [`fnv1a`] over the records.
+    fn digest(&self) -> u64 {
+        (self.records().iter()).fold(0, |sum, r| sum.wrapping_add(fnv1a(r)))
+    }
+}
+
+/// The 64-bit FNV-1a hash of the little-endian bytes of a record's id,
+/// release, length (2 bytes), injection and delivery, `u64::MAX` for an
+/// event that has not happened: the per-packet hash of
+/// `PacketLedger::set_digest`, as its docs define it.
+fn fnv1a(r: &PacketRecord) -> u64 {
+    let cycle = |at: Option<Cycle>| at.map_or(u64::MAX, Cycle::raw).to_le_bytes();
+    let mut bytes = Vec::new();
+    bytes.extend(r.id.raw().to_le_bytes());
+    bytes.extend(r.release.raw().to_le_bytes());
+    bytes.extend(r.len_flits.to_le_bytes());
+    bytes.extend(cycle(r.inject));
+    bytes.extend(cycle(r.deliver));
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
 }
 
 /// One ledger call.
@@ -499,6 +535,12 @@ fn same_totals(ledger: &PacketLedger, model: &FlatLedger) -> Result<(), String> 
 /// The ledger after `calls`, whatever each returned.
 fn ledger_after(calls: &[Call]) -> PacketLedger {
     let mut ledger = PacketLedger::new();
+    run_calls(&mut ledger, calls);
+    ledger
+}
+
+/// Makes `calls` on `ledger`, whatever each returns.
+fn run_calls(ledger: &mut PacketLedger, calls: &[Call]) {
     for &call in calls {
         let _ = match call {
             Call::Release(id, at, len) => ledger.release(PacketId::new(id), Cycle::new(at), len),
@@ -508,7 +550,6 @@ fn ledger_after(calls: &[Call]) -> PacketLedger {
                 .map(drop),
         };
     }
-    ledger
 }
 
 /// A histogram never loses a sample: bin counts plus overflow equal
@@ -858,6 +899,128 @@ fn ledger_equality_is_record_equality() {
         prop_assert_eq!(same_records, !moves_one);
         Ok(())
     });
+}
+
+/// The digest is the flat model's sum of one FNV-1a hash per packet
+/// after every call, on a ledger that keeps its history and on one that
+/// watches a window alike, over the interleaved lifecycles and random,
+/// mostly invalid, calls of `ledger_matches_the_flat_model`. The
+/// watching ledger answers every call like the model too, and its
+/// records are the model's open packets.
+#[test]
+fn set_digest_matches_the_flat_model() {
+    check("set_digest_matches_the_flat_model", 0..128, |c| {
+        let (packets, noise) = (c.vec(1..64, gen_packet), c.vec(0..24, gen_call));
+        let mut calls = lifecycles(&packets);
+        calls.extend(noise.iter().map(|&(kind, id, at, len, key)| {
+            let call = match kind {
+                0 => Call::Release(id, at, len),
+                1 => Call::Inject(id, at),
+                _ => Call::Deliver(id, at, len),
+            };
+            (key, call)
+        }));
+        let mut history = PacketLedger::new();
+        let mut watching = PacketLedger::new();
+        watching
+            .watch(Window {
+                start: 0,
+                end: 1 << 43,
+            })
+            .unwrap();
+        let (mut model, mut twin) = (FlatLedger::default(), FlatLedger::default());
+        for call in in_key_order(calls) {
+            answer_alike(&mut history, &mut model, call)?;
+            answer_alike(&mut watching, &mut twin, call)?;
+            prop_assert_eq!(history.set_digest(), model.digest(), "{:?}", call);
+            prop_assert_eq!(watching.set_digest(), model.digest(), "{:?}", call);
+            prop_assert_eq!(watching.records().collect::<Vec<_>>(), model.open_records());
+        }
+        same_totals(&watching, &model)?;
+        Ok(())
+    });
+}
+
+/// A window drawn over a generated run: between two of its event
+/// cycles, empty at one, clamped past the run's end by
+/// [`Window::after_warmup`], or every cycle.
+fn gen_window(c: &mut Choices, calls: &[Call]) -> Window {
+    let at = |c: &mut Choices| match calls[c.below(calls.len())] {
+        Call::Release(_, at, _) | Call::Inject(_, at) | Call::Deliver(_, at, _) => at,
+    };
+    match c.range(0u8..4) {
+        0 => {
+            let (a, b) = (at(c), at(c));
+            Window {
+                start: a.min(b),
+                end: a.max(b),
+            }
+        }
+        1 => {
+            let a = at(c);
+            Window { start: a, end: a }
+        }
+        2 => {
+            let run = at(c);
+            Window::after_warmup(run + c.range(0u64..4), c.range(0u64..1 << 20), run)
+        }
+        _ => Window {
+            start: 0,
+            end: u64::MAX,
+        },
+    }
+}
+
+/// A ledger that watches a window folds, at each delivery, exactly the
+/// statistics [`WindowStats::from_ledger_both`] reads from a ledger
+/// that kept its history over the same calls — counts, sums, extremes
+/// and the quantile histograms — at a drawn cut and at the end. The
+/// calls are either generated lifecycles (latencies past the archive
+/// coder's escape edge, vacant ids, deliveries before injection that
+/// read as latency 0) or a starving run, in which one packet is
+/// delivered only after thousands of later ids. Windows are drawn by
+/// [`gen_window`]. `from_ledger_both` on the watching ledger returns its
+/// folded statistics. Both ledgers keep the same dense window and the
+/// watching one pins no delivered packet and parks none, so its open
+/// window never takes more bytes.
+#[test]
+fn watched_window_equals_the_history_extraction() {
+    check(
+        "watched_window_equals_the_history_extraction",
+        0..128,
+        |c| {
+            let calls = if c.bool() {
+                in_key_order(lifecycles(&c.vec(1..64, gen_packet)))
+            } else {
+                let packets = c.vec(2..600, |c| {
+                    (
+                        c.range(0u64..3),
+                        c.range(0u64..8),
+                        c.range(0u8..16),
+                        c.range(0u64..64),
+                        c.range(0u16..32),
+                    )
+                });
+                let starving = c.below(packets.len());
+                starving_run(&packets, starving)
+            };
+            let (window, cut) = (gen_window(c, &calls), c.below(calls.len() + 1));
+            let mut history = PacketLedger::new();
+            let mut watching = PacketLedger::new();
+            watching.watch(window).unwrap();
+            for part in [&calls[..cut], &calls[cut..]] {
+                run_calls(&mut history, part);
+                run_calls(&mut watching, part);
+                let want = WindowStats::from_ledger_both(&history, window);
+                prop_assert_eq!(watching.watched(), Some(want.clone()));
+                prop_assert_eq!(WindowStats::from_ledger_both(&watching, window), want);
+                prop_assert_eq!(watching.set_digest(), history.set_digest());
+                prop_assert!(watching.window_bytes() <= history.window_bytes());
+            }
+            prop_assert_eq!(history.watched(), None);
+            Ok(())
+        },
+    );
 }
 
 /// The reassembler accepts any wormhole-legal flit stream

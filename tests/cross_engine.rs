@@ -16,6 +16,7 @@ use nocem::config::{PaperConfig, PaperRouting, PlatformConfig, TrafficModel};
 use nocem::engine::build;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_stats::ledger::LedgerError;
+use nocem_stats::window::{Window, WindowStats};
 use nocem_telemetry::TelemetryConfig;
 use nocem_topology::builders::mesh;
 use support::{
@@ -204,5 +205,79 @@ fn a_starving_packet_keeps_every_ledger_equal() {
     assert!(
         bytes < 32 * behind,
         "open window {bytes} B for {behind} ids from the straggler on"
+    );
+}
+
+/// The starving point's measurement window: 1 024 cycles of warm-up,
+/// then 8 192 measured, as the curve set runs it.
+fn starving_window() -> Window {
+    Window::after_warmup(1_024, 8_192, 9_216)
+}
+
+/// Every engine — TLM and RTL included — watches the starving point's
+/// window through `SteppableEngine::watch` and stands on the
+/// reference's watching ledger after every cycle: the same folded
+/// statistics, digest and open packets. At cycle 3 072 those
+/// statistics are what a ledger that kept its history reads, and a
+/// second window is refused.
+#[test]
+fn every_engine_watches_the_starving_point_alike() {
+    let cfg = scenario("tornado", torus(8, 8), 0.1875, 4, 1_000_000);
+    let window = starving_window();
+    let mut reference = subject(&cfg, Backend::Emulation);
+    let mut subjects: Vec<Subject> = [Backend::Compiled, Backend::Tlm, Backend::Rtl]
+        .into_iter()
+        .map(|b| subject(&cfg, b))
+        .collect();
+    for s in std::iter::once(&mut reference).chain(&mut subjects) {
+        s.engine.watch(window).unwrap();
+        assert_eq!(s.engine.watch(window), Err(LedgerError::LateWatch));
+    }
+    lockstep_until(&mut reference, &mut subjects, 3_072);
+    let mut history = subject(&cfg, Backend::Compiled);
+    while history.engine.now().raw() < 3_072 {
+        history.engine.step().unwrap();
+    }
+    let want = WindowStats::from_ledger_both(&history.engine.ledger_ref(), window);
+    let watched = reference.engine.ledger_ref().watched();
+    assert!(want.0.samples() > 1_000, "{} samples", want.0.samples());
+    assert_eq!(watched, Some(want));
+    assert_eq!(
+        reference.engine.ledger_ref().set_digest(),
+        history.engine.ledger_ref().set_digest()
+    );
+}
+
+/// A watching ledger holds only open packets. Over the starving point's
+/// 9 216 cycles on the compiled engine, its dense window spans at most
+/// twice its undelivered entries and each pinned entry is undelivered,
+/// so its peak open window is at most two 32-byte entries and one
+/// 40-byte pinned entry per packet in flight at the peak, times two for
+/// capacity doubling, plus four spare entries of each: 137.6 KiB for
+/// the 676 packets in flight at the peak. It reads 72 KiB, and stays
+/// under half the 208 KiB a ledger keeping its history peaks at.
+#[test]
+fn a_watching_ledger_holds_the_starving_point_in_flight() {
+    let cfg = scenario("tornado", torus(8, 8), 0.1875, 4, 1_000_000);
+    let mut engine = subject(&cfg, Backend::Compiled).engine;
+    engine.watch(starving_window()).unwrap();
+    let (mut peak_bytes, mut peak_in_flight) = (0, 0);
+    while engine.now().raw() < 9_216 {
+        engine.step().unwrap();
+        let ledger = engine.ledger_ref();
+        peak_bytes = peak_bytes.max(ledger.window_bytes() as u64);
+        peak_in_flight = peak_in_flight.max(ledger.in_flight());
+    }
+    let ledger = engine.ledger_ref();
+    assert!(ledger.verify_drained().is_err(), "nothing starves");
+    assert_eq!(ledger.archive_bytes(), 0);
+    let bound = 2 * (2 * 32 + 40) * peak_in_flight + 4 * (32 + 40);
+    assert!(
+        peak_bytes <= bound,
+        "open window peaked at {peak_bytes} B with {peak_in_flight} packets in flight"
+    );
+    assert!(
+        peak_bytes <= 104 * 1024,
+        "open window peaked at {peak_bytes} B"
     );
 }

@@ -16,8 +16,9 @@
 //! bins grown one at a time held 189 336 B and took 5 877. Telemetry
 //! likewise grows with the windows a run records, not with the ring's
 //! capacity. On `sat_mesh8x8`'s platform `Emulation` makes 8 allocations
-//! in 4 000 warm cycles, and after 20 000 cycles the ledger archive
-//! holds 2.05 B per delivered packet.
+//! in 4 000 warm cycles, `TlmEngine` and `RtlEngine` 7 each in 1 000,
+//! and after 20 000 cycles the ledger archive holds 2.05 B per delivered
+//! packet.
 
 mod support;
 
@@ -29,8 +30,10 @@ use nocem::clock::SteppableEngine;
 use nocem::compile::elaborate;
 use nocem::config::{PlatformConfig, TrafficModel};
 use nocem::{ArchView, CompiledEngine, Emulation};
+use nocem_rtl::RtlEngine;
 use nocem_stats::histogram::Histogram;
 use nocem_telemetry::TelemetryConfig;
+use nocem_tlm::TlmEngine;
 use support::{mesh, uniform_random};
 
 /// The system allocator, keeping a running total of live bytes and a
@@ -290,6 +293,39 @@ fn emulation_allocates_less_than_once_per_cycle() {
     assert!(
         allocations < MEASURED,
         "{allocations} allocations in {MEASURED} cycles"
+    );
+}
+
+/// The process model under `TlmEngine` and `RtlEngine`, on
+/// `sat_mesh8x8`'s platform, allocates at most 7 times over 1 000 warm
+/// cycles on each: each switch process refills a buffer of output flits
+/// of its own every clock, and the RTL kernel swaps two write queues
+/// and keeps one wake list across its delta cycles. A vector of output
+/// flits per switch and clock, and the kernel's per-delta vectors, took
+/// 64 007 allocations on TLM and 76 964 on RTL.
+#[test]
+fn process_models_allocate_less_than_once_per_cycle() {
+    const WARM: usize = 1_000;
+    const MEASURED: usize = 1_000;
+    const TLM_WARM: usize = 7;
+    const RTL_WARM: usize = 7;
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = open_loop(8, 0.40);
+    fn warm_allocations(engine: &mut dyn SteppableEngine) -> usize {
+        let mut run = |cycles| {
+            for _ in 0..cycles {
+                engine.step().expect("the run steps");
+            }
+        };
+        run(WARM);
+        allocations_in(|| run(MEASURED)).1
+    }
+    let elab = || elaborate(&cfg).expect("the platform elaborates");
+    let tlm = warm_allocations(&mut TlmEngine::new(elab()));
+    let rtl = warm_allocations(&mut RtlEngine::new(elab()));
+    assert!(
+        tlm <= TLM_WARM && rtl <= RTL_WARM,
+        "{tlm} allocations on TLM and {rtl} on RTL in {MEASURED} cycles"
     );
 }
 

@@ -59,9 +59,10 @@ const STAGES: &[Stage] = &[
               flows, none stored) from scenario name to a stepping compiled engine: non-zero\n\
               exit over 0.5 s of set-up or 64 MB peak. The packet ledger of mesh8x8 at 40 %\n\
               over 1 000 000 cycles: non-zero exit over 19 MB peak; a starving tornado point\n\
-              on torus8x8: non-zero exit over 312 KiB of open window; the archives of\n\
-              `sat_mesh8x8` and `lowload_mesh12x12`: non-zero exit over 16.8 and 12.4 bits\n\
-              per delivered packet.",
+              on torus8x8: non-zero exit over 312 KiB of open window keeping history, or\n\
+              108 KiB watching its measurement window; the archives of `sat_mesh8x8` and\n\
+              `lowload_mesh12x12`: non-zero exit over 16.8 and 12.4 bits per delivered\n\
+              packet.",
         commands: &[
             "cargo run --release --example scale_setup -- 64 uniform_random",
             "cargo run --release --example scale_setup -- 64 uniform_random torus",
